@@ -1,4 +1,4 @@
-//! The multi-section tree.
+//! The multi-section tree, stored flat.
 //!
 //! Online recursive multi-section keeps the *whole hierarchy* of blocks and
 //! sub-blocks in memory (Lemma 1 of the paper shows this is only `O(k)`
@@ -13,27 +13,46 @@
 //!   given. When `k` is not a power of `b` the tree is irregular and blocks
 //!   cover different numbers of original blocks `t`, which is reflected in
 //!   their capacities (`t·L_max`) and their adapted Fennel `α`.
+//!
+//! # Layout
+//!
+//! Both builders create all children of a node in one go, so siblings have
+//! consecutive node ids in ascending block-range order. The tree therefore
+//! needs no per-node child list: [`MultisectionTree::children`] is the id
+//! range of consecutive ids, per-tree-node arrays (weights, capacities,
+//! penalties) are contiguous over a sibling group, and a node's index among
+//! its siblings is its id minus its parent's first child id.
+//! The root-to-leaf path of every block is one row of a dense
+//! `k × max_depth` table (`O(k·ℓ)` words), so "which child of the depth-`d`
+//! node on block `b`'s path comes next" — the descent kernel's only
+//! per-neighbour question — is a single indexed load (`path_node`).
 
 use crate::hierarchy::HierarchySpec;
 use crate::scorer::fennel_alpha;
-use crate::{AlphaMode, BlockId};
+use crate::{AlphaMode, BlockId, UNASSIGNED};
 use oms_graph::NodeWeight;
+use std::ops::Range;
 
-const NO_PARENT: u32 = u32::MAX;
+/// Absent parent (the root's) and the padding of path rows whose leaf sits
+/// above `max_depth`.
+const NO_NODE: u32 = u32::MAX;
 
 /// A static tree of partitioning subproblems.
 #[derive(Clone, Debug)]
 pub struct MultisectionTree {
     parent: Vec<u32>,
-    children: Vec<Vec<u32>>,
-    child_index: Vec<u32>,
+    /// The consecutive ids of every node's children (empty for leaves).
+    children: Vec<Range<u32>>,
     depth: Vec<u32>,
     covered: Vec<u32>,
-    leaf_block: Vec<Option<BlockId>>,
-    /// For every original block id: the tree nodes on the path from depth 1
-    /// down to its leaf (the root is implicit).
-    block_paths: Vec<Vec<u32>>,
-    root: u32,
+    /// The original block id of every leaf, [`UNASSIGNED`] for internal
+    /// nodes.
+    leaf_block: Vec<BlockId>,
+    /// The leaf node of every original block id.
+    block_leaf: Vec<u32>,
+    /// Row `b` holds the tree nodes on the path from depth 1 down to block
+    /// `b`'s leaf (the root is implicit), padded with [`NO_NODE`].
+    paths: Vec<u32>,
     k: u32,
     max_depth: usize,
 }
@@ -44,33 +63,13 @@ impl MultisectionTree {
     /// The root's children correspond to the *top* hierarchy level `aℓ`
     /// (assigned first by Algorithm 1), leaves to single PEs.
     pub fn from_hierarchy(hierarchy: &HierarchySpec) -> Self {
-        let k = hierarchy.total_blocks();
         let factors = hierarchy.factors();
         let levels = factors.len();
-        let mut tree = MultisectionTree::empty(k);
-        let root = tree.add_node(NO_PARENT, 0, k);
-        tree.root = root;
-        // Recursive splitting over contiguous block-id ranges. At depth `d`
-        // the children count is `a_{ℓ-d}` (factors are stored lowest level
-        // first).
-        let mut stack: Vec<(u32, u32, u32)> = vec![(root, 0, k)];
-        while let Some((node, lo, hi)) = stack.pop() {
-            let d = tree.depth[node as usize] as usize;
-            if hi - lo == 1 {
-                tree.leaf_block[node as usize] = Some(lo);
-                continue;
-            }
-            let fan_out = factors[levels - 1 - d];
-            let step = (hi - lo) / fan_out;
-            for i in 0..fan_out {
-                let c_lo = lo + i * step;
-                let c_hi = c_lo + step;
-                let child = tree.add_node(node, (d + 1) as u32, c_hi - c_lo);
-                stack.push((child, c_lo, c_hi));
-            }
-        }
-        tree.finalise();
-        tree
+        // At depth `d` the children count is `a_{ℓ-d}` (factors are stored
+        // lowest level first) and the covered range splits evenly.
+        Self::build(hierarchy.total_blocks(), |depth, _| {
+            factors[levels - 1 - depth as usize]
+        })
     }
 
     /// Builds an artificial recursive `b`-section tree over `k` blocks
@@ -82,93 +81,73 @@ impl MultisectionTree {
     pub fn flat(k: u32, base_b: u32) -> Self {
         assert!(k > 0, "cannot build a tree over zero blocks");
         assert!(base_b >= 2, "the multi-section base must be at least 2");
-        let mut tree = MultisectionTree::empty(k);
-        let root = tree.add_node(NO_PARENT, 0, k);
-        tree.root = root;
-        let mut stack: Vec<(u32, u32, u32)> = vec![(root, 0, k)];
-        while let Some((node, lo, hi)) = stack.pop() {
-            let size = hi - lo;
-            if size == 1 {
-                tree.leaf_block[node as usize] = Some(lo);
-                continue;
-            }
-            let d = tree.depth[node as usize];
-            let fan_out = base_b.min(size);
-            // Split the covered range into `fan_out` parts whose sizes differ
-            // by at most one (BuildHierarchy's ⌊(kL+kR)/2⌋ split generalised).
-            let base = size / fan_out;
-            let remainder = size % fan_out;
-            let mut c_lo = lo;
-            for i in 0..fan_out {
-                let extent = base + if i < remainder { 1 } else { 0 };
-                let child = tree.add_node(node, d + 1, extent);
-                stack.push((child, c_lo, c_lo + extent));
-                c_lo += extent;
-            }
-            debug_assert_eq!(c_lo, hi);
-        }
-        tree.finalise();
-        tree
+        Self::build(k, |_, size| base_b.min(size))
     }
 
-    fn empty(k: u32) -> Self {
-        MultisectionTree {
+    /// Recursive splitting over contiguous block-id ranges: a node covering
+    /// `size > 1` blocks at `depth` gets `fan_out(depth, size)` children
+    /// whose ranges differ in size by at most one (BuildHierarchy's
+    /// `⌊(kL+kR)/2⌋` split generalised), created consecutively in ascending
+    /// range order.
+    fn build(k: u32, fan_out: impl Fn(u32, u32) -> u32) -> Self {
+        let mut tree = MultisectionTree {
             parent: Vec::new(),
             children: Vec::new(),
-            child_index: Vec::new(),
             depth: Vec::new(),
             covered: Vec::new(),
             leaf_block: Vec::new(),
-            block_paths: vec![Vec::new(); k as usize],
-            root: 0,
+            block_leaf: vec![0; k as usize],
+            paths: Vec::new(),
             k,
             max_depth: 0,
+        };
+        let root = tree.add_node(NO_NODE, 0, k);
+        let mut stack: Vec<(u32, u32)> = vec![(root, 0)];
+        while let Some((node, lo)) = stack.pop() {
+            let size = tree.covered[node as usize];
+            if size == 1 {
+                tree.leaf_block[node as usize] = lo;
+                tree.block_leaf[lo as usize] = node;
+                continue;
+            }
+            let d = tree.depth[node as usize];
+            let fan_out = fan_out(d, size);
+            let (base, remainder) = (size / fan_out, size % fan_out);
+            let first = tree.parent.len() as u32;
+            tree.children[node as usize] = first..first + fan_out;
+            let mut c_lo = lo;
+            for i in 0..fan_out {
+                let extent = base + u32::from(i < remainder);
+                let child = tree.add_node(node, d + 1, extent);
+                stack.push((child, c_lo));
+                c_lo += extent;
+            }
+            debug_assert_eq!(c_lo, lo + size);
         }
+        tree.fill_paths();
+        tree
     }
 
     fn add_node(&mut self, parent: u32, depth: u32, covered: u32) -> u32 {
         let id = self.parent.len() as u32;
         self.parent.push(parent);
-        self.children.push(Vec::new());
+        self.children.push(0..0);
         self.depth.push(depth);
         self.covered.push(covered);
-        self.leaf_block.push(None);
-        if parent == NO_PARENT {
-            self.child_index.push(0);
-        } else {
-            let idx = self.children[parent as usize].len() as u32;
-            self.children[parent as usize].push(id);
-            self.child_index.push(idx);
-        }
+        self.leaf_block.push(UNASSIGNED);
         self.max_depth = self.max_depth.max(depth as usize);
         id
     }
 
-    fn finalise(&mut self) {
-        // Children were pushed via a stack, so their order within a parent
-        // may be reversed relative to the covered block ranges; restore the
-        // creation order, which is ascending node id (ranges were created in
-        // ascending order for `from_hierarchy` and `flat` alike).
-        for kids in &mut self.children {
-            kids.sort_unstable();
-        }
-        for (parent, kids) in self.children.iter().enumerate() {
-            for (idx, &child) in kids.iter().enumerate() {
-                let _ = parent;
-                self.child_index[child as usize] = idx as u32;
-            }
-        }
-        // Record the root-to-leaf path of every block.
-        for node in 0..self.parent.len() as u32 {
-            if let Some(block) = self.leaf_block[node as usize] {
-                let mut path = Vec::with_capacity(self.depth[node as usize] as usize);
-                let mut cur = node;
-                while cur != self.root {
-                    path.push(cur);
-                    cur = self.parent[cur as usize];
-                }
-                path.reverse();
-                self.block_paths[block as usize] = path;
+    /// Records the root-to-leaf path of every block in the dense table.
+    fn fill_paths(&mut self) {
+        let stride = self.max_depth;
+        self.paths = vec![NO_NODE; self.k as usize * stride];
+        for (block, &leaf) in self.block_leaf.iter().enumerate() {
+            let mut cur = leaf;
+            for slot in (0..self.depth[leaf as usize] as usize).rev() {
+                self.paths[block * stride + slot] = cur;
+                cur = self.parent[cur as usize];
             }
         }
     }
@@ -180,7 +159,7 @@ impl MultisectionTree {
 
     /// The root node id.
     pub fn root(&self) -> u32 {
-        self.root
+        0
     }
 
     /// Number of original blocks `k` covered by the whole tree.
@@ -193,15 +172,22 @@ impl MultisectionTree {
         self.max_depth
     }
 
-    /// Children of a node (empty for leaves).
-    pub fn children(&self, node: u32) -> &[u32] {
-        &self.children[node as usize]
+    /// Largest number of children of any node (0 for the single-block tree).
+    pub fn max_fan_out(&self) -> usize {
+        self.children.iter().map(|c| c.len()).max().unwrap_or(0)
+    }
+
+    /// Children of a node, as a range of consecutive node ids in ascending
+    /// block-range order (empty for leaves).
+    #[inline]
+    pub fn children(&self, node: u32) -> Range<u32> {
+        self.children[node as usize].clone()
     }
 
     /// Parent of a node (`None` for the root).
     pub fn parent(&self, node: u32) -> Option<u32> {
         let p = self.parent[node as usize];
-        (p != NO_PARENT).then_some(p)
+        (p != NO_NODE).then_some(p)
     }
 
     /// Depth of a node (root = 0).
@@ -214,28 +200,48 @@ impl MultisectionTree {
         self.covered[node as usize]
     }
 
-    /// Index of a node within its parent's child list.
+    /// Index of a node within its parent's children (0 for the root).
     pub fn child_index(&self, node: u32) -> u32 {
-        self.child_index[node as usize]
+        match self.parent(node) {
+            Some(p) => node - self.children[p as usize].start,
+            None => 0,
+        }
     }
 
     /// The original block id of a leaf node, `None` for internal nodes.
     pub fn leaf_block(&self, node: u32) -> Option<BlockId> {
+        let b = self.leaf_block_or_unassigned(node);
+        (b != UNASSIGNED).then_some(b)
+    }
+
+    /// [`MultisectionTree::leaf_block`] as a plain table lookup:
+    /// [`UNASSIGNED`] for internal nodes.
+    #[inline]
+    pub(crate) fn leaf_block_or_unassigned(&self, node: u32) -> BlockId {
         self.leaf_block[node as usize]
     }
 
-    /// The tree nodes on the path from depth 1 to the leaf of `block`.
+    /// The tree nodes on the path from depth 1 to the leaf of `block`
+    /// (empty for the single-block tree, whose root is the leaf).
+    #[inline]
     pub fn path_of_block(&self, block: BlockId) -> &[u32] {
-        &self.block_paths[block as usize]
+        let start = block as usize * self.max_depth;
+        let len = self.depth[self.block_leaf[block as usize] as usize] as usize;
+        &self.paths[start..start + len]
+    }
+
+    /// The node at depth `level + 1` on `block`'s path. Only meaningful
+    /// while the path is that long, i.e. when the depth-`level` node on it
+    /// is internal — which is all the descent ever asks.
+    #[inline]
+    pub(crate) fn path_node(&self, block: BlockId, level: usize) -> u32 {
+        self.paths[block as usize * self.max_depth + level]
     }
 
     /// The leaf node of `block`. For the degenerate single-block tree the
     /// root itself is the leaf.
     pub fn leaf_of_block(&self, block: BlockId) -> u32 {
-        self.block_paths[block as usize]
-            .last()
-            .copied()
-            .unwrap_or(self.root)
+        self.block_leaf[block as usize]
     }
 
     /// Capacity of every tree node: `t · L_max` where `L_max` is the balance
@@ -280,7 +286,7 @@ mod tests {
         assert_eq!(tree.num_blocks(), 6);
         assert_eq!(tree.max_depth(), 2);
         assert_eq!(tree.children(tree.root()).len(), 3);
-        for &child in tree.children(tree.root()) {
+        for child in tree.children(tree.root()) {
             assert_eq!(tree.children(child).len(), 2);
             assert_eq!(tree.covered(child), 2);
         }
@@ -302,8 +308,8 @@ mod tests {
             blocks.sort_unstable();
             blocks
         };
-        assert_eq!(blocks_under(top[0]), vec![0, 1]);
-        assert_eq!(blocks_under(top[1]), vec![2, 3]);
+        assert_eq!(blocks_under(top.start), vec![0, 1]);
+        assert_eq!(blocks_under(top.start + 1), vec![2, 3]);
     }
 
     #[test]
@@ -338,7 +344,7 @@ mod tests {
         let tree = MultisectionTree::flat(16, 4);
         assert_eq!(tree.max_depth(), 2);
         assert_eq!(tree.children(tree.root()).len(), 4);
-        for &c in tree.children(tree.root()) {
+        for c in tree.children(tree.root()) {
             assert_eq!(tree.children(c).len(), 4);
             assert_eq!(tree.covered(c), 4);
         }
@@ -350,7 +356,7 @@ mod tests {
         let tree = MultisectionTree::flat(5, 2);
         let top = tree.children(tree.root());
         assert_eq!(top.len(), 2);
-        let mut coverage: Vec<u32> = top.iter().map(|&c| tree.covered(c)).collect();
+        let mut coverage: Vec<u32> = top.map(|c| tree.covered(c)).collect();
         coverage.sort_unstable();
         assert_eq!(coverage, vec![2, 3]);
         // Every block has a distinct leaf.
@@ -367,6 +373,34 @@ mod tests {
         assert_eq!(tree.max_depth(), 0);
         assert_eq!(tree.leaf_block(tree.root()), Some(0));
         assert_eq!(tree.path_of_block(0).len(), 0);
+        assert!(tree.children(tree.root()).is_empty());
+        assert_eq!(tree.max_fan_out(), 0);
+        assert_eq!(tree.leaf_of_block(0), tree.root());
+    }
+
+    #[test]
+    fn irregular_paths_end_at_their_leaf_and_match_the_path_table() {
+        // k = 5 with 4-section: leaves sit at depths 1 and 2, so the path
+        // rows of the shallow leaves are padded.
+        let tree = MultisectionTree::flat(5, 4);
+        assert_eq!(tree.max_depth(), 2);
+        for b in 0..5 {
+            let path = tree.path_of_block(b);
+            let leaf = tree.leaf_of_block(b);
+            assert_eq!(path.len(), tree.depth(leaf) as usize);
+            assert_eq!(path.last(), Some(&leaf));
+            assert_eq!(tree.leaf_block(leaf), Some(b));
+            for (level, &node) in path.iter().enumerate() {
+                assert_eq!(tree.path_node(b, level), node);
+                assert_eq!(tree.depth(node) as usize, level + 1);
+            }
+        }
+        for node in 0..tree.num_nodes() as u32 {
+            assert_eq!(
+                tree.leaf_block(node).is_none(),
+                !tree.children(node).is_empty()
+            );
+        }
     }
 
     #[test]
@@ -376,7 +410,7 @@ mod tests {
         let caps = tree.capacities(100, 0.0);
         assert_eq!(caps[tree.root() as usize], 100);
         let top = tree.children(tree.root());
-        let mut top_caps: Vec<_> = top.iter().map(|&c| caps[c as usize]).collect();
+        let mut top_caps: Vec<_> = top.map(|c| caps[c as usize]).collect();
         top_caps.sort_unstable();
         assert_eq!(top_caps, vec![40, 60]);
     }
@@ -391,7 +425,7 @@ mod tests {
         let n = 1_000;
         let alphas = tree.alphas(m, n, AlphaMode::Adapted);
         let global = fennel_alpha(16, m, n);
-        let top_child = tree.children(tree.root())[0];
+        let top_child = tree.children(tree.root()).start;
         assert!((alphas[top_child as usize] - global / 2.0).abs() < 1e-12);
         let leaf = tree.leaf_of_block(0);
         assert!((alphas[leaf as usize] - global).abs() < 1e-12);
@@ -409,7 +443,7 @@ mod tests {
     fn child_indices_are_consistent() {
         let tree = MultisectionTree::flat(13, 4);
         for node in 0..tree.num_nodes() as u32 {
-            for (i, &child) in tree.children(node).iter().enumerate() {
+            for (i, child) in tree.children(node).enumerate() {
                 assert_eq!(tree.child_index(child) as usize, i);
                 assert_eq!(tree.parent(child), Some(node));
                 assert_eq!(tree.depth(child), tree.depth(node) + 1);
@@ -423,7 +457,7 @@ mod tests {
         for node in 0..tree.num_nodes() as u32 {
             let kids = tree.children(node);
             if !kids.is_empty() {
-                let sum: u32 = kids.iter().map(|&c| tree.covered(c)).sum();
+                let sum: u32 = kids.clone().map(|c| tree.covered(c)).sum();
                 assert_eq!(sum, tree.covered(node));
             }
         }

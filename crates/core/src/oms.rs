@@ -12,14 +12,51 @@
 //! adapted `αᵢ` of §3.2 by default), LDG or Hashing; the hybrid mode solves
 //! the bottom layers with Hashing for an additional speedup at some quality
 //! cost (Theorem 3).
+//!
+//! # Cost per streamed node
+//!
+//! On a tree `a₁:…:aℓ` a node of degree `deg` costs
+//!
+//! * **one gather** of its `≤ deg` already-assigned neighbours into a
+//!   reusable `(block, edge weight)` list. Each layer walks only what is
+//!   left of that list, buckets it by child through the tree's path table
+//!   (indexed loads from the block's row, no child lists to chase) and drops
+//!   the entries outside the chosen child's subtree, so the list shrinks to
+//!   the chosen path prefix instead of the neighbourhood being re-read `ℓ`
+//!   times;
+//! * **`Σ aᵢ` fused adds** (multiplies for LDG) in the select loops: the
+//!   objective of a child is `conn ⊕ base`, where the penalty `base` of
+//!   every tree node lives pre-evaluated in a dense arena that is contiguous
+//!   over each sibling group;
+//! * **`ℓ` penalty refreshes**: an assignment changes the weight of exactly
+//!   the `ℓ` tree nodes on one root-to-leaf path, so only those `powf`s are
+//!   paid (not `Σ aᵢ`). Each tree node also remembers its previous
+//!   `(weight, base)` pair, which makes the unassign → reassign round trip
+//!   of a restreaming pass `powf`-free for a node that does not move.
+//!
+//! A hashed layer costs one hash and one weight update; a run whose layers
+//! are all hashed skips the gather.
+//!
+//! # Bit-exactness
+//!
+//! The kernel picks exactly the child that evaluating the objectives
+//! directly (`conn − α·γ·c^{γ−1}`, `conn·(1 − c/L)`) for every child would:
+//! `base` is [`FlatObjective::base`] — the single definition the flat kernel
+//! uses — and a pure function of the tree node's weight and fixed
+//! parameters, so a cached value equals a recomputed one; IEEE 754
+//! guarantees `a − b ≡ a + (−b)`; integer connectivity sums do not depend
+//! on the order or grouping of the additions; and the select loop keeps the
+//! tie-break (higher score, then lighter, then lower index) and the `f64`
+//! least-relative-load fallback. `tests/oms_oracle.rs` checks this against a
+//! naive from-the-pseudocode descent.
 
 use crate::config::{OmsConfig, ScorerKind};
 use crate::executor::{BatchExecutor, NodeSink};
 use crate::hierarchy::HierarchySpec;
 use crate::mstree::MultisectionTree;
-use crate::onepass::StreamingPartitioner;
+use crate::onepass::{FlatObjective, StreamingPartitioner};
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::{select_fennel, select_hashing, select_ldg, Candidate};
+use crate::scorer::select_hashing;
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeStream, NodeWeight};
 
@@ -73,190 +110,249 @@ impl OnlineMultiSection {
         &self.config
     }
 
-    /// Whether a decision among children at tree depth `child_depth` is
-    /// solved with Hashing under the hybrid configuration.
-    pub(crate) fn hybrid_uses_hashing(&self, child_depth: usize) -> bool {
-        if self.config.scorer == ScorerKind::Hashing {
-            return true;
-        }
-        if self.config.hashing_bottom_layers == 0 {
-            return false;
-        }
-        // Layers are counted from the bottom: the deepest decision is layer 1.
-        let layers_from_bottom = self.tree.max_depth() + 1 - child_depth;
-        layers_from_bottom <= self.config.hashing_bottom_layers
+    /// The objective of the scored layers and their number — decisions among
+    /// children at tree depths `1..=layers` use the objective, deeper ones
+    /// (the hybrid configuration's bottom layers) use Hashing — or `None`
+    /// when every layer is hashed.
+    pub(crate) fn scoring(&self) -> Option<(FlatObjective, usize)> {
+        let objective = match self.config.scorer {
+            ScorerKind::Fennel => FlatObjective::Fennel,
+            ScorerKind::Ldg => FlatObjective::Ldg,
+            ScorerKind::Hashing => return None,
+        };
+        let layers = self.tree.max_depth();
+        (layers > self.config.hashing_bottom_layers)
+            .then(|| (objective, layers - self.config.hashing_bottom_layers))
     }
 }
 
-/// The per-run mutable state of an OMS pass. Separate from
-/// [`OnlineMultiSection`] so that the restreaming driver can keep it alive
-/// across passes.
-pub(crate) struct OmsState {
-    pub(crate) assignments: Vec<BlockId>,
-    pub(crate) node_weights: Vec<NodeWeight>,
+/// Start capacity of the gather list; a hub with more assigned neighbours
+/// grows it by doubling, so growth is `O(log Δ)` reallocations per run.
+const GATHER_CAPACITY: usize = 1024;
+
+/// The multi-section descent as a [`NodeSink`]: the per-run mutable state of
+/// an OMS run, kept alive across passes by the restreaming driver. From the
+/// second pass on (restreaming / remapping), each node's previous assignment
+/// is removed along its whole tree path before the descent is re-run.
+pub(crate) struct OmsSink<'a> {
+    tree: &'a MultisectionTree,
+    restreaming: bool,
+    assignments: Vec<BlockId>,
+    node_weights: Vec<NodeWeight>,
     /// Weight of every tree node (block or sub-block). Lemma 1: `O(k)` many.
-    pub(crate) tree_weights: Vec<NodeWeight>,
+    tree_weights: Vec<NodeWeight>,
     capacities: Vec<NodeWeight>,
     alphas: Vec<f64>,
-    /// Scratch connectivity buffer, sized to the maximum fan-out.
+    /// Pre-evaluated penalty of every tree node in a scored layer:
+    /// `base[t]` is [`FlatObjective::base`] of `tree_weights[t]`, refreshed
+    /// whenever that weight changes. Hashed layers never read theirs.
+    base: Vec<f64>,
+    /// The `(weight, base)` pair every tree node held before its last
+    /// refresh.
+    prev: Vec<(NodeWeight, f64)>,
+    /// [`OnlineMultiSection::scoring`], resolved once.
+    scoring: Option<(FlatObjective, usize)>,
+    gamma: f64,
+    seed: u64,
+    /// Connectivity towards the children of the current tree node and their
+    /// scores, sized to the maximum fan-out. `conn` is all-zero between
+    /// levels: the select loop zeroes what it reads.
     conn: Vec<EdgeWeight>,
-    candidates: Vec<Candidate>,
+    scores: Vec<f64>,
+    /// The streamed node's already-assigned neighbours, compacted to the
+    /// chosen subtree layer by layer.
+    gathered: Vec<(BlockId, EdgeWeight)>,
+    /// Hot-path tally drained into the `oms-obs` counters at pass ends.
+    scored: u64,
 }
 
-impl OmsState {
-    pub(crate) fn new<S: NodeStream>(oms: &OnlineMultiSection, stream: &S) -> Self {
+impl<'a> OmsSink<'a> {
+    pub(crate) fn new<S: NodeStream>(oms: &'a OnlineMultiSection, stream: &S) -> Self {
         let tree = &oms.tree;
         let n = stream.num_nodes();
-        let max_fan_out = (0..tree.num_nodes() as u32)
-            .map(|v| tree.children(v).len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        OmsState {
+        let mut sink = OmsSink {
+            tree,
+            restreaming: false,
             assignments: vec![UNASSIGNED; n],
             node_weights: vec![0; n],
             tree_weights: vec![0; tree.num_nodes()],
             capacities: tree.capacities(stream.total_node_weight(), oms.config.epsilon),
             alphas: tree.alphas(stream.num_edges(), n, oms.config.alpha_mode),
-            conn: vec![0; max_fan_out],
-            candidates: Vec::with_capacity(max_fan_out),
+            base: vec![0.0; tree.num_nodes()],
+            // `NodeWeight::MAX` never matches a real weight.
+            prev: vec![(NodeWeight::MAX, 0.0); tree.num_nodes()],
+            scoring: oms.scoring(),
+            gamma: oms.config.gamma,
+            seed: oms.config.seed,
+            conn: vec![0; tree.max_fan_out()],
+            scores: vec![0.0; tree.max_fan_out()],
+            gathered: Vec::with_capacity(GATHER_CAPACITY),
+            scored: 0,
+        };
+        sink.refresh_all_bases();
+        sink
+    }
+
+    pub(crate) fn into_partition(self) -> Partition {
+        Partition::from_assignments(self.tree.num_blocks(), self.assignments, &self.node_weights)
+    }
+
+    /// Re-evaluates every tree node's penalty (bulk weight changes).
+    fn refresh_all_bases(&mut self) {
+        if let Some((objective, _)) = self.scoring {
+            for t in 0..self.base.len() {
+                self.base[t] = objective.base(
+                    self.tree_weights[t],
+                    self.capacities[t],
+                    self.alphas[t],
+                    self.gamma,
+                );
+            }
         }
+    }
+
+    /// Changes the weight of a tree node in a scored layer and refreshes its
+    /// penalty — from the remembered previous pair when the weight merely
+    /// returns to it.
+    #[inline]
+    fn set_weight(&mut self, objective: FlatObjective, t: usize, weight: NodeWeight) {
+        let (prev_weight, prev_base) = self.prev[t];
+        let base = if prev_weight == weight {
+            prev_base
+        } else {
+            objective.base(weight, self.capacities[t], self.alphas[t], self.gamma)
+        };
+        self.prev[t] = (self.tree_weights[t], self.base[t]);
+        self.base[t] = base;
+        self.tree_weights[t] = weight;
     }
 
     /// Routes one streamed node down the tree and records its assignment.
-    pub(crate) fn assign(&mut self, oms: &OnlineMultiSection, node: oms_graph::StreamedNode<'_>) {
-        let tree = &oms.tree;
+    fn assign(&mut self, node: oms_graph::StreamedNode<'_>) {
+        self.scored += 1;
+        let tree = self.tree;
         let mut cur = tree.root();
-        loop {
-            let children = tree.children(cur);
-            if children.is_empty() {
-                break;
+        if let Some((objective, scored_layers)) = self.scoring {
+            let assignments = &self.assignments;
+            self.gathered.clear();
+            self.gathered
+                .extend(node.neighbors_weighted().filter_map(|(u, w)| {
+                    let b = assignments[u as usize];
+                    (b != UNASSIGNED).then_some((b, w))
+                }));
+            let mut live = self.gathered.len();
+            for level in 0..scored_layers {
+                let children = tree.children(cur);
+                if children.is_empty() {
+                    break;
+                }
+                let (first, fan_out) = (children.start as usize, children.len());
+                // One walk over the surviving neighbours: drop those outside
+                // `cur`'s subtree, bucket the rest by the child on their
+                // block's path.
+                let mut kept = 0;
+                for i in 0..live {
+                    let (b, w) = self.gathered[i];
+                    if level > 0 && tree.path_node(b, level - 1) != cur {
+                        continue;
+                    }
+                    self.conn[tree.path_node(b, level) as usize - first] += w;
+                    self.gathered[kept] = (b, w);
+                    kept += 1;
+                }
+                live = kept;
+                let chosen = first + self.select_child(objective, first, fan_out, node.weight);
+                self.set_weight(objective, chosen, self.tree_weights[chosen] + node.weight);
+                cur = chosen as u32;
             }
-            let child_depth = tree.depth(cur) as usize + 1;
-            let chosen_idx = if oms.hybrid_uses_hashing(child_depth) {
-                // Mix the subproblem id into the seed so different
-                // subproblems shuffle nodes independently.
-                select_hashing(
-                    children.len(),
-                    node.node,
-                    oms.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                )
-            } else {
-                self.score_children(oms, cur, children, &node)
-            };
-            let chosen = children[chosen_idx];
-            self.tree_weights[chosen as usize] += node.weight;
-            cur = chosen;
         }
-        let block = tree
-            .leaf_block(cur)
-            .expect("descent always terminates at a leaf");
-        self.assignments[node.node as usize] = block;
+        // The hybrid configuration's bottom layers (all layers under the
+        // Hashing scorer).
+        while !tree.children(cur).is_empty() {
+            let children = tree.children(cur);
+            // Mix the subproblem id into the seed so different subproblems
+            // shuffle nodes independently.
+            let seed = self.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            cur = children.start + select_hashing(children.len(), node.node, seed) as u32;
+            self.tree_weights[cur as usize] += node.weight;
+        }
+        self.assignments[node.node as usize] = tree.leaf_block_or_unassigned(cur);
         self.node_weights[node.node as usize] = node.weight;
     }
 
-    /// Scores the children of `cur` for `node` and returns the index of the
-    /// selected child.
-    fn score_children(
+    /// The max-score feasible child among the sibling group starting at
+    /// tree node `first` (ties: lighter, then lower index), or the least
+    /// relatively loaded one when no child can take the node. Consumes
+    /// `conn[..fan_out]` and leaves it zeroed.
+    ///
+    /// Like the flat kernel's `select_block`, the score is computed for
+    /// infeasible children too and feasibility is folded into the comparison.
+    /// With fan-outs this small the running-best dependency chain dominates,
+    /// so the loop is split in two: an independent-iteration maximum over the
+    /// feasible children, then the tie-break among those that attain it.
+    #[inline(always)]
+    fn select_child(
         &mut self,
-        oms: &OnlineMultiSection,
-        cur: u32,
-        children: &[u32],
-        node: &oms_graph::StreamedNode<'_>,
+        objective: FlatObjective,
+        first: usize,
+        fan_out: usize,
+        node_weight: NodeWeight,
     ) -> usize {
-        let tree = &oms.tree;
-        let path_index = tree.depth(cur) as usize;
-        // Connectivity of the streamed node towards each candidate child:
-        // a neighbor assigned to block b contributes to the child that lies
-        // on b's tree path, provided b is below `cur` at all.
-        self.conn[..children.len()].fill(0);
-        for (u, w) in node.neighbors_weighted() {
-            let b = self.assignments[u as usize];
-            if b == UNASSIGNED {
-                continue;
-            }
-            let path = tree.path_of_block(b);
-            if path.len() <= path_index {
-                continue;
-            }
-            if path_index > 0 && path[path_index - 1] != cur {
-                continue;
-            }
-            let child = path[path_index];
-            self.conn[tree.child_index(child) as usize] += w;
+        let weights = &self.tree_weights[first..first + fan_out];
+        let capacities = &self.capacities[first..first + fan_out];
+        let bases = &self.base[first..first + fan_out];
+        let conn = &mut self.conn[..fan_out];
+        let scores = &mut self.scores[..fan_out];
+        let fits = |i: usize| weights[i] + node_weight <= capacities[i];
+        let mut any_fits = false;
+        let mut max = f64::NEG_INFINITY;
+        for i in 0..fan_out {
+            let s = objective.combine(conn[i] as f64, bases[i]);
+            conn[i] = 0;
+            scores[i] = s;
+            any_fits |= fits(i);
+            max = if fits(i) && s > max { s } else { max };
         }
-
-        self.candidates.clear();
-        for (i, &child) in children.iter().enumerate() {
-            self.candidates.push(Candidate {
-                weight: self.tree_weights[child as usize],
-                capacity: self.capacities[child as usize],
-                connectivity: self.conn[i],
-                alpha: self.alphas[child as usize],
-            });
+        let mut best = 0usize;
+        if any_fits {
+            let mut best_weight = NodeWeight::MAX;
+            for i in 0..fan_out {
+                let better = fits(i) && scores[i] == max && weights[i] < best_weight;
+                best = if better { i } else { best };
+                best_weight = if better { weights[i] } else { best_weight };
+            }
+            return best;
         }
-        match oms.config.scorer {
-            ScorerKind::Fennel => select_fennel(&self.candidates, node.weight, oms.config.gamma),
-            ScorerKind::Ldg => select_ldg(&self.candidates, node.weight),
-            ScorerKind::Hashing => unreachable!("handled by hybrid_uses_hashing"),
+        // Every child is full: spread the overload by relative load,
+        // compared in `f64`; the first minimum wins.
+        let mut best_load = f64::INFINITY;
+        for i in 0..fan_out {
+            let load = weights[i] as f64 / capacities[i].max(1) as f64;
+            if load < best_load {
+                best_load = load;
+                best = i;
+            }
         }
+        best
     }
 
-    /// Removes a node's previous assignment along its whole tree path
-    /// (used by restreaming passes).
-    pub(crate) fn unassign(&mut self, tree: &MultisectionTree, node: oms_graph::NodeId) {
+    /// Removes a node's previous assignment along its whole tree path.
+    fn unassign(&mut self, node: oms_graph::NodeId) {
         let b = self.assignments[node as usize];
         if b == UNASSIGNED {
             return;
         }
         let w = self.node_weights[node as usize];
-        for &tree_node in tree.path_of_block(b) {
-            self.tree_weights[tree_node as usize] -= w;
+        for (level, &t) in self.tree.path_of_block(b).iter().enumerate() {
+            let weight = self.tree_weights[t as usize] - w;
+            match self.scoring {
+                Some((objective, layers)) if level < layers => {
+                    self.set_weight(objective, t as usize, weight)
+                }
+                _ => self.tree_weights[t as usize] = weight,
+            }
         }
         self.assignments[node as usize] = UNASSIGNED;
-    }
-
-    pub(crate) fn into_partition(self, k: u32) -> Partition {
-        Partition::from_assignments(k, self.assignments, &self.node_weights)
-    }
-
-    /// Replaces the assignment array and rebuilds every tree-node weight
-    /// along the blocks' paths (the executor's revert-on-worsen guard).
-    pub(crate) fn restore(&mut self, tree: &MultisectionTree, assignments: &[BlockId]) {
-        self.assignments.copy_from_slice(assignments);
-        self.tree_weights.fill(0);
-        for (v, &b) in self.assignments.iter().enumerate() {
-            if b == UNASSIGNED {
-                continue;
-            }
-            let w = self.node_weights[v];
-            for &tree_node in tree.path_of_block(b) {
-                self.tree_weights[tree_node as usize] += w;
-            }
-        }
-    }
-}
-
-/// The multi-section descent as a [`NodeSink`]. From the second pass on
-/// (restreaming / remapping), each node's previous assignment is removed
-/// along its whole tree path before the descent is re-run.
-pub(crate) struct OmsSink<'a> {
-    oms: &'a OnlineMultiSection,
-    state: OmsState,
-    restreaming: bool,
-}
-
-impl<'a> OmsSink<'a> {
-    pub(crate) fn new<S: NodeStream>(oms: &'a OnlineMultiSection, stream: &S) -> Self {
-        OmsSink {
-            oms,
-            state: OmsState::new(oms, stream),
-            restreaming: false,
-        }
-    }
-
-    pub(crate) fn into_partition(self) -> Partition {
-        self.state.into_partition(self.oms.tree.num_blocks())
     }
 }
 
@@ -267,21 +363,39 @@ impl NodeSink for OmsSink<'_> {
 
     fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
         if self.restreaming {
-            self.state.unassign(self.oms.tree(), node.node);
+            self.unassign(node.node);
         }
-        self.state.assign(self.oms, node);
+        self.assign(node);
+    }
+
+    fn end_pass(&mut self, _pass: usize) {
+        oms_obs::counter_add(
+            oms_obs::CounterId::NodesScored,
+            std::mem::take(&mut self.scored),
+        );
     }
 
     fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.state.assignments)
+        Some(&self.assignments)
     }
 
     fn num_blocks(&self) -> u32 {
-        self.oms.tree.num_blocks()
+        self.tree.num_blocks()
     }
 
+    /// Replaces the assignment array and rebuilds every tree-node weight
+    /// along the blocks' paths (the executor's revert-on-worsen guard).
     fn restore(&mut self, assignments: &[BlockId]) -> bool {
-        self.state.restore(self.oms.tree(), assignments);
+        self.assignments.copy_from_slice(assignments);
+        self.tree_weights.fill(0);
+        for (v, &b) in self.assignments.iter().enumerate() {
+            if b != UNASSIGNED {
+                for &t in self.tree.path_of_block(b) {
+                    self.tree_weights[t as usize] += self.node_weights[v];
+                }
+            }
+        }
+        self.refresh_all_bases();
         true
     }
 }
@@ -400,10 +514,37 @@ mod tests {
 
     #[test]
     fn oms_single_block_assigns_everything_to_block_zero() {
+        // `nh-oms:1`: the root is the leaf, every block path is empty and no
+        // layer is ever scored or hashed — under every scorer, and across
+        // the unassign → reassign round trip of restreaming passes.
         let g = two_cliques();
-        let oms = OnlineMultiSection::flat(1, OmsConfig::default()).unwrap();
-        let p = oms.partition_graph(&g).unwrap();
-        assert!(p.assignments().iter().all(|&b| b == 0));
+        for scorer in [ScorerKind::Fennel, ScorerKind::Ldg, ScorerKind::Hashing] {
+            let oms = OnlineMultiSection::flat(1, OmsConfig::default().scorer(scorer)).unwrap();
+            assert_eq!(oms.scoring(), None);
+            let p = oms.partition_graph(&g).unwrap();
+            assert!(p.assignments().iter().all(|&b| b == 0));
+            let re = crate::ReOms::new(oms, 3).partition_graph(&g).unwrap();
+            assert_eq!(re, p);
+        }
+    }
+
+    #[test]
+    fn more_blocks_than_nodes_is_a_valid_partition() {
+        // k = 64 > n = 10: most leaves stay empty, L_max is 1, and every node
+        // still lands in a real block without overloading any.
+        let g = two_cliques();
+        let h = HierarchySpec::parse("4:4:4").unwrap();
+        for oms in [
+            OnlineMultiSection::with_hierarchy(h, OmsConfig::default()),
+            OnlineMultiSection::flat(64, OmsConfig::default().scorer(ScorerKind::Ldg)).unwrap(),
+        ] {
+            let p = oms.partition_graph(&g).unwrap();
+            assert_eq!(p.num_blocks(), 64);
+            assert!(p.validate(&[1; 10]));
+            assert!(p.block_weights().iter().all(|&w| w <= 1));
+            let re = crate::ReOms::new(oms, 3).partition_graph(&g).unwrap();
+            assert!(re.validate(&[1; 10]));
+        }
     }
 
     #[test]
@@ -453,9 +594,20 @@ mod tests {
             OnlineMultiSection::with_hierarchy(h, OmsConfig::default().hashing_bottom_layers(2));
         // Tree depth 3: the decision at child depth 1 (top layer) stays with
         // Fennel, the ones at depths 2 and 3 use Hashing.
-        assert!(!oms.hybrid_uses_hashing(1));
-        assert!(oms.hybrid_uses_hashing(2));
-        assert!(oms.hybrid_uses_hashing(3));
+        assert_eq!(oms.scoring(), Some((FlatObjective::Fennel, 1)));
+        // More hashing layers than the tree has, or the Hashing scorer
+        // itself: nothing is scored.
+        let h = HierarchySpec::parse("2:2:2").unwrap();
+        let all = OmsConfig::default().hashing_bottom_layers(7);
+        assert_eq!(
+            OnlineMultiSection::with_hierarchy(h.clone(), all).scoring(),
+            None
+        );
+        let hashing = OmsConfig::default().scorer(ScorerKind::Hashing);
+        assert_eq!(
+            OnlineMultiSection::with_hierarchy(h, hashing).scoring(),
+            None
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! threads decide to use its last free slot simultaneously; this is rare and
 //! deliberately not synchronised.
 
-use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
+use crate::config::{OmsConfig, OnePassConfig};
 use crate::executor::{
     measure_pass, BatchExecutor, PassOutcome, PassTracker, PassTrajectory, RestreamOptions,
 };
@@ -324,11 +324,6 @@ impl OnlineMultiSection {
         let passes = passes.max(1);
         let capacities = tree.capacities(graph.total_node_weight(), config.epsilon);
         let alphas = tree.alphas(graph.num_edges(), n, config.alpha_mode);
-        let max_fan_out = (0..tree.num_nodes() as u32)
-            .map(|v| tree.children(v).len())
-            .max()
-            .unwrap_or(1)
-            .max(1);
 
         let assignments: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNASSIGNED)).collect();
         let tree_weights: Vec<AtomicU64> =
@@ -347,7 +342,6 @@ impl OnlineMultiSection {
                 &tree_weights,
                 &capacities,
                 &alphas,
-                max_fan_out,
                 &moved,
             );
             let seconds = clock.seconds();
@@ -400,11 +394,12 @@ impl OnlineMultiSection {
         tree_weights: &[AtomicU64],
         capacities: &[NodeWeight],
         alphas: &[f64],
-        max_fan_out: usize,
         moved: &AtomicUsize,
     ) {
         let tree = self.tree();
         let config: &OmsConfig = self.config();
+        let scoring = self.scoring();
+        let max_fan_out = tree.max_fan_out();
         BatchExecutor::default().run_parallel(graph, threads, |lo, hi| {
             let mut conn: Vec<EdgeWeight> = vec![0; max_fan_out];
             let mut bases = CachedBases::new(tree.num_nodes());
@@ -428,87 +423,76 @@ impl OnlineMultiSection {
                     assignments[v as usize].load(Ordering::Relaxed)
                 };
                 let mut cur = tree.root();
-                loop {
+                while !tree.children(cur).is_empty() {
                     let children = tree.children(cur);
-                    if children.is_empty() {
-                        break;
-                    }
-                    let child_depth = tree.depth(cur) as usize + 1;
-                    let chosen_idx = if self.hybrid_uses_hashing(child_depth) {
-                        (hash_node(
-                            v,
-                            config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        ) % children.len() as u64) as usize
-                    } else {
-                        let path_index = tree.depth(cur) as usize;
-                        conn[..children.len()].fill(0);
-                        for (u, w) in graph.neighbors_weighted(v) {
-                            let b = assignments[u as usize].load(Ordering::Relaxed);
-                            if b == UNASSIGNED {
-                                continue;
+                    let path_index = tree.depth(cur) as usize;
+                    let chosen_idx = match scoring {
+                        Some((objective, layers)) if path_index < layers => {
+                            conn[..children.len()].fill(0);
+                            for (u, w) in graph.neighbors_weighted(v) {
+                                let b = assignments[u as usize].load(Ordering::Relaxed);
+                                if b == UNASSIGNED {
+                                    continue;
+                                }
+                                // `cur` is internal, so every block below it
+                                // has a path node at the next depth.
+                                if path_index > 0 && tree.path_node(b, path_index - 1) != cur {
+                                    continue;
+                                }
+                                let child = tree.path_node(b, path_index);
+                                conn[(child - children.start) as usize] += w;
                             }
-                            let path = tree.path_of_block(b);
-                            if path.len() <= path_index {
-                                continue;
-                            }
-                            if path_index > 0 && path[path_index - 1] != cur {
-                                continue;
-                            }
-                            conn[tree.child_index(path[path_index]) as usize] += w;
-                        }
-                        let mut best: Option<(usize, f64, NodeWeight)> = None;
-                        let mut fallback = 0usize;
-                        let mut fallback_load = f64::INFINITY;
-                        let objective = match config.scorer {
-                            ScorerKind::Fennel => FlatObjective::Fennel,
-                            ScorerKind::Ldg => FlatObjective::Ldg,
-                            ScorerKind::Hashing => unreachable!(),
-                        };
-                        for (i, &child) in children.iter().enumerate() {
-                            let weight = tree_weights[child as usize].load(Ordering::Acquire);
-                            let capacity = capacities[child as usize];
-                            let load = weight as f64 / capacity.max(1) as f64;
-                            if load < fallback_load {
-                                fallback_load = load;
-                                fallback = i;
-                            }
-                            if weight + node_weight > capacity {
-                                continue;
-                            }
-                            // Tree-node-indexed cache: each tree node has its
-                            // own fixed capacity and α, so the cached base is
-                            // a pure function of its observed load.
-                            let alpha = match objective {
-                                FlatObjective::Fennel => alphas[child as usize],
-                                FlatObjective::Ldg => 0.0,
-                            };
-                            let base = bases.get(
-                                child as usize,
-                                weight,
-                                objective,
-                                capacity,
-                                alpha,
-                                config.gamma,
-                            );
-                            let s = objective.combine(conn[i] as f64, base);
-                            match best {
-                                None => best = Some((i, s, weight)),
-                                Some((_, bs, bw)) => {
-                                    if s > bs || (s == bs && weight < bw) {
-                                        best = Some((i, s, weight));
+                            let mut best: Option<(usize, f64, NodeWeight)> = None;
+                            let mut fallback = 0usize;
+                            let mut fallback_load = f64::INFINITY;
+                            for (i, child) in children.clone().enumerate() {
+                                let weight = tree_weights[child as usize].load(Ordering::Acquire);
+                                let capacity = capacities[child as usize];
+                                let load = weight as f64 / capacity.max(1) as f64;
+                                if load < fallback_load {
+                                    fallback_load = load;
+                                    fallback = i;
+                                }
+                                if weight + node_weight > capacity {
+                                    continue;
+                                }
+                                // Tree-node-indexed cache: each tree node has its
+                                // own fixed capacity and α, so the cached base is
+                                // a pure function of its observed load.
+                                let base = bases.get(
+                                    child as usize,
+                                    weight,
+                                    objective,
+                                    capacity,
+                                    alphas[child as usize],
+                                    config.gamma,
+                                );
+                                let s = objective.combine(conn[i] as f64, base);
+                                match best {
+                                    None => best = Some((i, s, weight)),
+                                    Some((_, bs, bw)) => {
+                                        if s > bs || (s == bs && weight < bw) {
+                                            best = Some((i, s, weight));
+                                        }
                                     }
                                 }
                             }
+                            best.map(|(i, _, _)| i).unwrap_or(fallback)
                         }
-                        best.map(|(i, _, _)| i).unwrap_or(fallback)
+                        _ => {
+                            (hash_node(
+                                v,
+                                config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15),
+                            ) % children.len() as u64) as usize
+                        }
                     };
-                    let chosen = children[chosen_idx];
+                    let chosen = children.start + chosen_idx as u32;
                     // Stage the weight along the path before the assignment
                     // is published below.
                     tree_weights[chosen as usize].fetch_add(node_weight, Ordering::AcqRel);
                     cur = chosen;
                 }
-                let block = tree.leaf_block(cur).expect("descent ends at a leaf");
+                let block = tree.leaf_block_or_unassigned(cur);
                 assignments[v as usize].store(block, Ordering::Release);
                 if block != old {
                     local_moved += 1;

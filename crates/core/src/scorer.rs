@@ -1,43 +1,13 @@
 //! Scoring primitives shared by the flat baselines and the multi-section
-//! subproblems.
+//! subproblems: the deterministic node hash of the Hashing scorer and
+//! Fennel's global `α`.
 //!
-//! A *candidate block* is described by its current weight, its capacity and
-//! the (edge-weighted) number of the streamed node's neighbors it already
-//! holds. Every scorer picks the candidate maximising its objective among the
-//! candidates that can still take the node; if no candidate can, the least
-//! loaded one (relative to its capacity) is used as a fallback so that the
-//! stream always makes progress.
+//! The Fennel and LDG objectives themselves have a single definition,
+//! [`crate::FlatObjective`]; both the flat kernel (`onepass`) and the
+//! tree-descent kernel (`oms`) evaluate it through pre-computed per-block
+//! penalty arenas.
 
-use oms_graph::{EdgeWeight, NodeId, NodeWeight};
-
-/// A candidate block as seen by a scorer.
-#[derive(Clone, Copy, Debug)]
-pub struct Candidate {
-    /// Current weight of the block.
-    pub weight: NodeWeight,
-    /// Capacity (`L_max` or the subproblem's `Lᵢ`) of the block.
-    pub capacity: NodeWeight,
-    /// Total weight of edges from the streamed node to nodes already in this
-    /// block (`ω(N(v) ∩ Vᵢ)`).
-    pub connectivity: EdgeWeight,
-    /// Fennel's `α` for this block (ignored by LDG / Hashing).
-    pub alpha: f64,
-}
-
-/// Fennel's additive objective for one candidate:
-/// `ω(N(v) ∩ Vᵢ) − α·γ·c(Vᵢ)^{γ−1}`.
-#[inline]
-pub fn fennel_score(c: &Candidate, gamma: f64) -> f64 {
-    c.connectivity as f64 - c.alpha * gamma * (c.weight as f64).powf(gamma - 1.0)
-}
-
-/// LDG's multiplicative objective for one candidate:
-/// `ω(N(v) ∩ Vᵢ) · (1 − c(Vᵢ)/Lᵢ)`.
-#[inline]
-pub fn ldg_score(c: &Candidate) -> f64 {
-    let remaining = 1.0 - c.weight as f64 / c.capacity.max(1) as f64;
-    c.connectivity as f64 * remaining
-}
+use oms_graph::NodeId;
 
 /// Deterministic node hash used by the Hashing scorer. Splitmix64 over the
 /// node id and the seed: cheap, uniform, reproducible.
@@ -51,63 +21,10 @@ pub fn hash_node(node: NodeId, seed: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Picks the best candidate under Fennel's objective.
-///
-/// Only candidates that can still fit `node_weight` are considered; if none
-/// can, the candidate with the lowest relative load is returned. Ties are
-/// broken towards the lighter block, then towards the smaller index, which
-/// makes the result deterministic.
-pub fn select_fennel(candidates: &[Candidate], node_weight: NodeWeight, gamma: f64) -> usize {
-    select_by(candidates, node_weight, |c| fennel_score(c, gamma))
-}
-
-/// Picks the best candidate under LDG's objective (same fallback and
-/// tie-breaking rules as [`select_fennel`]).
-pub fn select_ldg(candidates: &[Candidate], node_weight: NodeWeight) -> usize {
-    select_by(candidates, node_weight, ldg_score)
-}
-
 /// Picks a candidate uniformly by hashing the node id.
 pub fn select_hashing(num_candidates: usize, node: NodeId, seed: u64) -> usize {
     debug_assert!(num_candidates > 0);
     (hash_node(node, seed) % num_candidates as u64) as usize
-}
-
-fn select_by<F>(candidates: &[Candidate], node_weight: NodeWeight, score: F) -> usize
-where
-    F: Fn(&Candidate) -> f64,
-{
-    debug_assert!(!candidates.is_empty());
-    let mut best: Option<(usize, f64, NodeWeight)> = None;
-    for (i, c) in candidates.iter().enumerate() {
-        if c.weight + node_weight > c.capacity {
-            continue;
-        }
-        let s = score(c);
-        match best {
-            None => best = Some((i, s, c.weight)),
-            Some((_, bs, bw)) => {
-                if s > bs || (s == bs && c.weight < bw) {
-                    best = Some((i, s, c.weight));
-                }
-            }
-        }
-    }
-    if let Some((i, _, _)) = best {
-        return i;
-    }
-    // Fallback: every block is full; pick the one with the lowest relative
-    // load so the overload is spread as evenly as possible.
-    candidates
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            let la = a.weight as f64 / a.capacity.max(1) as f64;
-            let lb = b.weight as f64 / b.capacity.max(1) as f64;
-            la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 /// The global Fennel parameter `α = √k · m / n^{3/2}` of a `k`-way
@@ -122,57 +39,6 @@ pub fn fennel_alpha(k: u32, m: usize, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cand(weight: NodeWeight, capacity: NodeWeight, connectivity: EdgeWeight) -> Candidate {
-        Candidate {
-            weight,
-            capacity,
-            connectivity,
-            alpha: 1.0,
-        }
-    }
-
-    #[test]
-    fn fennel_prefers_connectivity() {
-        let candidates = [cand(10, 100, 0), cand(10, 100, 5)];
-        assert_eq!(select_fennel(&candidates, 1, 1.5), 1);
-    }
-
-    #[test]
-    fn fennel_penalises_heavy_blocks() {
-        // Equal connectivity: the lighter block wins through the additive
-        // penalty.
-        let candidates = [cand(90, 100, 3), cand(10, 100, 3)];
-        assert_eq!(select_fennel(&candidates, 1, 1.5), 1);
-    }
-
-    #[test]
-    fn fennel_respects_capacity() {
-        // Block 1 has more neighbors but is full.
-        let candidates = [cand(10, 100, 0), cand(100, 100, 9)];
-        assert_eq!(select_fennel(&candidates, 1, 1.5), 0);
-    }
-
-    #[test]
-    fn fallback_picks_least_loaded_when_everything_is_full() {
-        let candidates = [cand(100, 100, 0), cand(99, 100, 0), cand(100, 100, 5)];
-        assert_eq!(select_fennel(&candidates, 5, 1.5), 1);
-        assert_eq!(select_ldg(&candidates, 5), 1);
-    }
-
-    #[test]
-    fn ldg_prefers_connectivity_scaled_by_remaining_capacity() {
-        // Block 0: 4 neighbors but nearly full; block 1: 3 neighbors, empty.
-        let candidates = [cand(90, 100, 4), cand(0, 100, 3)];
-        assert_eq!(select_ldg(&candidates, 1), 1);
-    }
-
-    #[test]
-    fn ldg_ties_broken_towards_lighter_block() {
-        // No neighbors anywhere: all scores are 0, lighter block wins.
-        let candidates = [cand(5, 100, 0), cand(2, 100, 0), cand(9, 100, 0)];
-        assert_eq!(select_ldg(&candidates, 1), 1);
-    }
 
     #[test]
     fn hashing_is_deterministic_and_in_range() {
@@ -202,28 +68,5 @@ mod tests {
         let alpha = fennel_alpha(4, 1000, 100);
         assert!((alpha - 2.0 * 1000.0 / 1000.0).abs() < 1e-12);
         assert_eq!(fennel_alpha(4, 10, 0), 0.0);
-    }
-
-    #[test]
-    fn fennel_score_formula() {
-        let c = Candidate {
-            weight: 4,
-            capacity: 100,
-            connectivity: 7,
-            alpha: 0.5,
-        };
-        let expected = 7.0 - 0.5 * 1.5 * 4.0f64.powf(0.5);
-        assert!((fennel_score(&c, 1.5) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ldg_score_formula() {
-        let c = Candidate {
-            weight: 25,
-            capacity: 100,
-            connectivity: 4,
-            alpha: 0.0,
-        };
-        assert!((ldg_score(&c) - 4.0 * 0.75).abs() < 1e-12);
     }
 }

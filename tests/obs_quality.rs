@@ -259,6 +259,20 @@ fn counters_reconcile_with_the_partition_report() {
     assert_eq!(pass_nodes, n, "pass_end payloads must cover the stream");
     assert_eq!(core.metrics().counter(CounterId::RestreamPasses), 1);
     assert!(core.metrics().counter(CounterId::DegLe2FastPath) <= n);
+
+    // The tree-descent kernel keeps the same books: one scored node per
+    // streamed node and pass, drained at pass ends.
+    let (core, guard) = obs::recording(obs::DEFAULT_CAPACITY);
+    let partitioner = JobSpec::parse("oms:2:2:2@seed=3,passes=2")
+        .unwrap()
+        .build()
+        .unwrap();
+    let report = partitioner.run(&mut InMemoryStream::new(&graph)).unwrap();
+    drop(guard);
+    let passes = report.trajectory.len() as u64;
+    assert_eq!(passes, 2, "both passes of the oms job must be accepted");
+    assert_eq!(core.metrics().counter(CounterId::RestreamPasses), passes);
+    assert_eq!(core.metrics().counter(CounterId::NodesScored), passes * n);
 }
 
 // ------------------------------------------------------------ inertness

@@ -1,0 +1,424 @@
+//! Differential oracle for the OMS tree-descent kernel.
+//!
+//! `oms-core`'s production descent is an amortised kernel (per-tree-node
+//! penalty arena, one prefix-filtered neighbour gather, flat tree tables,
+//! split select loop). This suite keeps the formulation it replaced — a
+//! deliberately naive descent written straight from Algorithm 1 — as a
+//! test-only reference and demands **identical assignments**:
+//!
+//! * every layer re-walks the streamed node's whole neighbourhood and climbs
+//!   parent links to find which child a neighbour's block lies under
+//!   (`O(deg · ℓ)` gathers, no path table);
+//! * every child is scored directly (`conn − α·γ·c^{γ−1}` with one `powf`
+//!   per child, `conn·(1 − c/L)`) into a fresh `Vec<Candidate>`;
+//! * `select_by` is the branchy `Option`-carrying scan: feasible children
+//!   only, higher score, then lighter, then lower index; all full → least
+//!   relative load, first minimum.
+//!
+//! Both sides run under the same multi-pass engine
+//! (`BatchExecutor::run_restream`), so restreaming, convergence exit and the
+//! revert-on-worsen guard are exercised too. CI runs this in release next to
+//! `weighted_equivalence`.
+
+use oms::core::scorer::hash_node;
+use oms::core::MultisectionTree;
+use oms::graph::{EdgeWeight, NodeWeight, StreamedNode};
+use oms::prelude::*;
+use std::cell::Cell;
+
+const UNASSIGNED: BlockId = oms::core::UNASSIGNED;
+
+// ------------------------------------------------------------------ oracle
+
+/// A candidate block as seen by a scorer.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    weight: NodeWeight,
+    capacity: NodeWeight,
+    connectivity: EdgeWeight,
+    alpha: f64,
+}
+
+/// Fennel: `ω(N(v) ∩ Vᵢ) − α·γ·c(Vᵢ)^{γ−1}`.
+fn fennel_score(c: &Candidate, gamma: f64) -> f64 {
+    c.connectivity as f64 - c.alpha * gamma * (c.weight as f64).powf(gamma - 1.0)
+}
+
+/// LDG: `ω(N(v) ∩ Vᵢ) · (1 − c(Vᵢ)/Lᵢ)`.
+fn ldg_score(c: &Candidate) -> f64 {
+    let remaining = 1.0 - c.weight as f64 / c.capacity.max(1) as f64;
+    c.connectivity as f64 * remaining
+}
+
+/// Picks the best feasible candidate; `None` from the scan means every
+/// candidate is full and the least relatively loaded one is used. The flag
+/// reports whether that fallback fired.
+fn select_by(
+    candidates: &[Candidate],
+    node_weight: NodeWeight,
+    score: impl Fn(&Candidate) -> f64,
+) -> (usize, bool) {
+    let mut best: Option<(usize, f64, NodeWeight)> = None;
+    for (i, c) in candidates.iter().enumerate() {
+        if c.weight + node_weight > c.capacity {
+            continue;
+        }
+        let s = score(c);
+        match best {
+            None => best = Some((i, s, c.weight)),
+            Some((_, bs, bw)) => {
+                if s > bs || (s == bs && c.weight < bw) {
+                    best = Some((i, s, c.weight));
+                }
+            }
+        }
+    }
+    if let Some((i, _, _)) = best {
+        return (i, false);
+    }
+    let fallback = candidates
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| {
+            let la = a.weight as f64 / a.capacity.max(1) as f64;
+            let lb = b.weight as f64 / b.capacity.max(1) as f64;
+            la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    (fallback, true)
+}
+
+fn select_fennel(candidates: &[Candidate], node_weight: NodeWeight, gamma: f64) -> (usize, bool) {
+    select_by(candidates, node_weight, |c| fennel_score(c, gamma))
+}
+
+fn select_ldg(candidates: &[Candidate], node_weight: NodeWeight) -> (usize, bool) {
+    select_by(candidates, node_weight, ldg_score)
+}
+
+/// Algorithm 1, naively, as a [`NodeSink`].
+struct NaiveOms<'a> {
+    tree: &'a MultisectionTree,
+    config: OmsConfig,
+    assignments: Vec<BlockId>,
+    node_weights: Vec<NodeWeight>,
+    tree_weights: Vec<NodeWeight>,
+    capacities: Vec<NodeWeight>,
+    alphas: Vec<f64>,
+    restreaming: bool,
+    fallbacks: &'a Cell<u64>,
+}
+
+impl<'a> NaiveOms<'a> {
+    fn new(oms: &'a OnlineMultiSection, stream: &dyn NodeStream, fallbacks: &'a Cell<u64>) -> Self {
+        let tree = oms.tree();
+        let config = *oms.config();
+        let n = stream.num_nodes();
+        NaiveOms {
+            tree,
+            config,
+            assignments: vec![UNASSIGNED; n],
+            node_weights: vec![0; n],
+            tree_weights: vec![0; tree.num_nodes()],
+            capacities: tree.capacities(stream.total_node_weight(), config.epsilon),
+            alphas: tree.alphas(stream.num_edges(), n, config.alpha_mode),
+            restreaming: false,
+            fallbacks,
+        }
+    }
+
+    /// The ancestor of `block`'s leaf whose parent is `cur`, if the leaf lies
+    /// strictly below `cur`.
+    fn child_towards(&self, cur: u32, block: BlockId) -> Option<u32> {
+        let mut node = self.tree.leaf_of_block(block);
+        while let Some(parent) = self.tree.parent(node) {
+            if parent == cur {
+                return Some(node);
+            }
+            node = parent;
+        }
+        None
+    }
+
+    /// Whether the decision among children at `child_depth` is hashed:
+    /// always under the Hashing scorer, else for the configured number of
+    /// layers counted from the bottom (the deepest decision is layer 1).
+    fn uses_hashing(&self, child_depth: usize) -> bool {
+        self.config.scorer == ScorerKind::Hashing
+            || self.tree.max_depth() + 1 - child_depth <= self.config.hashing_bottom_layers
+    }
+
+    /// Adds (or removes) `weight` along the tree path of `block`.
+    fn shift_path(&mut self, block: BlockId, weight: NodeWeight, add: bool) {
+        let mut node = self.tree.leaf_of_block(block);
+        while let Some(parent) = self.tree.parent(node) {
+            if add {
+                self.tree_weights[node as usize] += weight;
+            } else {
+                self.tree_weights[node as usize] -= weight;
+            }
+            node = parent;
+        }
+    }
+}
+
+impl NodeSink for NaiveOms<'_> {
+    fn begin_pass(&mut self, pass: usize) {
+        self.restreaming = pass > 0;
+    }
+
+    fn process(&mut self, node: StreamedNode<'_>) {
+        let v = node.node as usize;
+        if self.restreaming && self.assignments[v] != UNASSIGNED {
+            self.shift_path(self.assignments[v], self.node_weights[v], false);
+            self.assignments[v] = UNASSIGNED;
+        }
+        let mut cur = self.tree.root();
+        while !self.tree.children(cur).is_empty() {
+            let children: Vec<u32> = self.tree.children(cur).collect();
+            let child_depth = self.tree.depth(cur) as usize + 1;
+            let chosen_idx = if self.uses_hashing(child_depth) {
+                let seed = self.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                (hash_node(node.node, seed) % children.len() as u64) as usize
+            } else {
+                let candidates: Vec<Candidate> = children
+                    .iter()
+                    .map(|&child| Candidate {
+                        weight: self.tree_weights[child as usize],
+                        capacity: self.capacities[child as usize],
+                        connectivity: node
+                            .neighbors_weighted()
+                            .filter(|&(u, _)| {
+                                let b = self.assignments[u as usize];
+                                b != UNASSIGNED && self.child_towards(cur, b) == Some(child)
+                            })
+                            .map(|(_, w)| w)
+                            .sum(),
+                        alpha: self.alphas[child as usize],
+                    })
+                    .collect();
+                let (idx, fell_back) = match self.config.scorer {
+                    ScorerKind::Ldg => select_ldg(&candidates, node.weight),
+                    _ => select_fennel(&candidates, node.weight, self.config.gamma),
+                };
+                self.fallbacks.set(self.fallbacks.get() + fell_back as u64);
+                idx
+            };
+            cur = children[chosen_idx];
+            self.tree_weights[cur as usize] += node.weight;
+        }
+        self.assignments[v] = self.tree.leaf_block(cur).expect("leaves carry a block id");
+        self.node_weights[v] = node.weight;
+    }
+
+    fn assignments(&self) -> Option<&[BlockId]> {
+        Some(&self.assignments)
+    }
+
+    fn num_blocks(&self) -> u32 {
+        self.tree.num_blocks()
+    }
+
+    fn restore(&mut self, assignments: &[BlockId]) -> bool {
+        self.assignments.copy_from_slice(assignments);
+        self.tree_weights.fill(0);
+        for v in 0..self.assignments.len() {
+            if self.assignments[v] != UNASSIGNED {
+                self.shift_path(self.assignments[v], self.node_weights[v], true);
+            }
+        }
+        true
+    }
+}
+
+fn oracle_assignments(
+    oms: &OnlineMultiSection,
+    graph: &CsrGraph,
+    passes: usize,
+    fallbacks: &Cell<u64>,
+) -> Vec<BlockId> {
+    let mut stream = InMemoryStream::new(graph);
+    let mut sink = NaiveOms::new(oms, &stream, fallbacks);
+    // What `ReOms` asks of the engine: tracked quality from two passes on.
+    let options = if passes > 1 {
+        RestreamOptions::tracked(passes, 0.0)
+    } else {
+        RestreamOptions::fixed(passes)
+    };
+    BatchExecutor::default()
+        .run_restream(&mut stream, &mut sink, &options)
+        .unwrap();
+    sink.assignments
+}
+
+// ------------------------------------------------------------------ matrix
+
+fn trees() -> Vec<(String, OnlineMultiSection)> {
+    let mut out = Vec::new();
+    for spec in ["2:2:2", "4:16:16", "3:5"] {
+        let h = HierarchySpec::parse(spec).unwrap();
+        out.push((
+            spec.to_string(),
+            OnlineMultiSection::with_hierarchy(h, OmsConfig::default()),
+        ));
+    }
+    for k in [1u32, 3, 13, 37] {
+        for base in [2u32, 4] {
+            let config = OmsConfig::default().base_b(base);
+            out.push((
+                format!("nh-oms:{k}@base={base}"),
+                OnlineMultiSection::flat(k, config).unwrap(),
+            ));
+        }
+    }
+    out
+}
+
+/// `(label, scorer, hashing_bottom_layers)`.
+const SCORERS: [(&str, ScorerKind, usize); 3] = [
+    ("fennel", ScorerKind::Fennel, 0),
+    ("ldg", ScorerKind::Ldg, 0),
+    ("hybrid=1", ScorerKind::Fennel, 1),
+];
+
+fn graphs() -> Vec<(String, CsrGraph)> {
+    let mut out = Vec::new();
+    for (name, graph) in [
+        ("planted-240", planted_partition(240, 6, 0.2, 0.02, 5)),
+        ("er-150", erdos_renyi_gnm(150, 600, 9)),
+        // Sparse: isolated and degree-1 nodes, and k > n for 4:16:16.
+        ("er-sparse-90", erdos_renyi_gnm(90, 70, 13)),
+    ] {
+        let weighted = WeightScheme::Full.apply(&graph, 7);
+        assert!(!weighted.is_unweighted());
+        out.push((format!("{name}/unit"), graph));
+        out.push((format!("{name}/weighted"), weighted));
+    }
+    out
+}
+
+#[test]
+fn production_kernel_matches_the_naive_descent() {
+    let fallbacks = Cell::new(0u64);
+    let mut runs = 0;
+    for (graph_name, graph) in graphs() {
+        for (tree_name, shape) in trees() {
+            for (scorer_name, scorer, hybrid) in SCORERS {
+                for epsilon in [0.0, 0.03] {
+                    let config = shape
+                        .config()
+                        .scorer(scorer)
+                        .hashing_bottom_layers(hybrid)
+                        .epsilon(epsilon)
+                        .seed(11);
+                    let oms = OnlineMultiSection::with_tree(shape.tree().clone(), config);
+                    for passes in [1usize, 3] {
+                        let before = fallbacks.get();
+                        let expected = oracle_assignments(&oms, &graph, passes, &fallbacks);
+                        let actual = ReOms::new(oms.clone(), passes)
+                            .partition_graph(&graph)
+                            .unwrap();
+                        assert_eq!(
+                            actual.assignments(),
+                            &expected[..],
+                            "{graph_name} × {tree_name} × {scorer_name} × eps={epsilon} × \
+                             passes={passes} ({} oracle fallbacks in this run)",
+                            fallbacks.get() - before
+                        );
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 6 * 11 * 3 * 2 * 2);
+    assert!(
+        fallbacks.get() > 1_000,
+        "the matrix must exercise the all-children-full fallback (fired {} times)",
+        fallbacks.get()
+    );
+}
+
+/// One pass through the one-shot entry point (no multi-pass engine) on a
+/// larger graph, including the Hashing scorer, deeper hybrids and a
+/// degenerate γ.
+#[test]
+fn one_shot_entry_point_matches_the_naive_descent() {
+    let graph = WeightScheme::Nodes.apply(&planted_partition(1_200, 8, 0.05, 0.004, 21), 3);
+    let fallbacks = Cell::new(0u64);
+    let h = HierarchySpec::parse("2:3:4").unwrap();
+    for config in [
+        OmsConfig::default(),
+        OmsConfig::default().alpha_mode(AlphaMode::Global),
+        OmsConfig::default().scorer(ScorerKind::Hashing),
+        OmsConfig::default().hashing_bottom_layers(2),
+        OmsConfig::default().hashing_bottom_layers(5),
+        // γ < 1 makes an empty block's penalty infinite: feasible children
+        // then score −∞.
+        OmsConfig::default().gamma(0.5),
+    ] {
+        let oms = OnlineMultiSection::with_hierarchy(h.clone(), config);
+        let expected = oracle_assignments(&oms, &graph, 1, &fallbacks);
+        let actual = oms.partition_graph(&graph).unwrap();
+        assert_eq!(actual.assignments(), &expected[..], "{config:?}");
+    }
+}
+
+// -------------------------------------------- the oracle from first principles
+
+fn cand(weight: NodeWeight, capacity: NodeWeight, connectivity: EdgeWeight) -> Candidate {
+    Candidate {
+        weight,
+        capacity,
+        connectivity,
+        alpha: 1.0,
+    }
+}
+
+#[test]
+fn oracle_fennel_prefers_connectivity_penalises_weight_and_respects_capacity() {
+    assert_eq!(
+        select_fennel(&[cand(10, 100, 0), cand(10, 100, 5)], 1, 1.5).0,
+        1
+    );
+    // Equal connectivity: the lighter block wins through the penalty.
+    assert_eq!(
+        select_fennel(&[cand(90, 100, 3), cand(10, 100, 3)], 1, 1.5).0,
+        1
+    );
+    // Block 1 has more neighbours but is full.
+    assert_eq!(
+        select_fennel(&[cand(10, 100, 0), cand(100, 100, 9)], 1, 1.5),
+        (0, false)
+    );
+    let c = Candidate {
+        weight: 4,
+        capacity: 100,
+        connectivity: 7,
+        alpha: 0.5,
+    };
+    assert!((fennel_score(&c, 1.5) - (7.0 - 0.5 * 1.5 * 2.0)).abs() < 1e-12);
+}
+
+#[test]
+fn oracle_ldg_scales_by_remaining_capacity_and_breaks_ties_towards_lighter() {
+    // Block 0: 4 neighbours but nearly full; block 1: 3 neighbours, empty.
+    assert_eq!(select_ldg(&[cand(90, 100, 4), cand(0, 100, 3)], 1).0, 1);
+    // No neighbours anywhere: all scores are 0, the lighter block wins.
+    assert_eq!(
+        select_ldg(&[cand(5, 100, 0), cand(2, 100, 0), cand(9, 100, 0)], 1).0,
+        1
+    );
+    assert!((ldg_score(&cand(25, 100, 4)) - 3.0).abs() < 1e-12);
+}
+
+#[test]
+fn oracle_fallback_picks_the_least_loaded_when_everything_is_full() {
+    let full = [cand(100, 100, 0), cand(99, 100, 0), cand(100, 100, 5)];
+    assert_eq!(select_fennel(&full, 5, 1.5), (1, true));
+    assert_eq!(select_ldg(&full, 5), (1, true));
+    // Equal relative loads: the first minimum wins.
+    let tied = [cand(50, 50, 0), cand(100, 100, 0)];
+    assert_eq!(select_ldg(&tied, 1), (0, true));
+}

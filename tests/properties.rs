@@ -183,7 +183,7 @@ fn multisection_tree_invariants() {
             if children.is_empty() {
                 assert!(tree.leaf_block(node).is_some() || k == 1);
             } else {
-                let sum: u32 = children.iter().map(|&c| tree.covered(c)).sum();
+                let sum: u32 = children.clone().map(|c| tree.covered(c)).sum();
                 assert_eq!(sum, tree.covered(node));
                 assert!(children.len() <= base as usize);
             }
