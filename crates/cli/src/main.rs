@@ -2,14 +2,13 @@
 //!
 //! ```text
 //! oms partition <graph.metis|graph.oms> --k 256 [--algo oms|fennel|ldg|hashing|buffered|multilevel|...]
-//!               [--epsilon 0.03] [--threads 4] [--passes 1] [--converge 0.0] [--seed 0]
-//!               [--buffer 4096] [--format metis|edgelist|stream] [--output partition.txt]
+//!               [job flags] [--format metis|edgelist|stream] [--output partition.txt]
 //! oms partition <graph> --k 256 --algo e-hash|e-dbh|e-greedy [--lambda 1.0] [--passes P]
 //!               # vertex-cut edge partitioning: reports the replication factor and
 //!               # writes one "u v block" line per edge
 //! oms partition <graph> --job "oms:4:16:8@eps=0.03,threads=8" [--output FILE]
-//! oms map       <graph.metis|graph.oms> --hierarchy 4:16:8 --distances 1:10:100
-//!               [--algo oms|fennel|hashing|rms] [--threads T] [--output mapping.txt]
+//! oms map       <graph.metis|graph.oms> --hierarchy 4:16:8 [--distances 1:10:100]
+//!               [--algo oms|fennel|hashing|rms] [job flags] [--output mapping.txt]
 //! oms algorithms                              # list the registered algorithms
 //! oms convert   <graph.metis> <graph.oms>     # to/from the binary vertex-stream format
 //!               [--stream-version 1|2|3]      # on-disk stream version (default 2; 3 = sectioned)
@@ -25,9 +24,15 @@
 //! oms info      <graph.metis|graph.oms>
 //! ```
 //!
-//! `partition`, `apply-deltas` and `replay` additionally accept
-//! `--trace FILE` (record the run's deterministic JSON-lines event trace)
-//! and `--metrics` (print a Prometheus-style exposition after the run).
+//! The four job commands (`partition`, `map`, `apply-deltas`, `replay`)
+//! share one flag set, derived from the job-option table
+//! (`oms_core::knobs`): `--job SPEC` or `--algo NAME` plus one `--flag` per
+//! option that has one (`--epsilon`, `--seed`, `--threads`, `--shards`,
+//! `--passes`, `--converge`, `--buffer`, `--lambda`, `--drift`, `--repair`,
+//! `--window`, `--distances`); `--job` excludes all the others. They also
+//! accept `--trace FILE` (record the run's deterministic JSON-lines event
+//! trace) and `--metrics` (print a Prometheus-style exposition after the
+//! run).
 //!
 //! `--format` overrides the extension-based sniffing (`.oms` = binary
 //! vertex stream, `.txt`/`.edges`/`.el` = edge list, everything else =
@@ -42,7 +47,8 @@
 //!
 //! Exit code 0 on success, 1 on user error, 2 on internal error.
 
-use oms_core::{registered_algorithms, JobSpec};
+use oms_core::knobs::{self, KNOBS};
+use oms_core::{JobShape, JobSpec, ALGORITHMS};
 use oms_graph::io::{
     read_edge_list, read_metis, read_stream_file, write_edge_list, write_metis, write_stream_file,
 };
@@ -60,7 +66,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(Error::Usage(msg)) => {
             eprintln!("error: {msg}\n");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::FAILURE
         }
         Err(Error::Internal(msg)) => {
@@ -70,22 +76,35 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  oms partition  <graph> --k <k> [--algo NAME] [--epsilon 0.03] [--threads T] [--shards S] [--passes P] [--converge EPS] [--seed S] [--buffer B] [--lambda L] [--format F] [--output FILE]
+/// The usage text; the job flags and the job grammar come from the
+/// job-option table.
+fn usage() -> String {
+    let job_flags: Vec<String> = knob_flags()
+        .map(|(knob, flag)| format!("[--{flag} {}]", knob.value_hint()))
+        .collect();
+    format!(
+        "usage:
+  oms partition  <graph> --k <k> [--algo NAME] [job flags] [--format F] [--output FILE]
   oms partition  <graph> --job <spec>  (e.g. \"oms:4:16:8@eps=0.03,threads=8\" or \"e-greedy:256@lambda=1.5\") [--output FILE]
-  oms map        <graph> --hierarchy a1:a2:... [--distances d1:d2:...] [--algo NAME] [--threads T] [--seed S] [--format F] [--output FILE]
+  oms map        <graph> --hierarchy a1:a2:... [--distances 1:10:100] [--algo NAME | --job SPEC] [job flags] [--format F] [--output FILE]
   oms algorithms
   oms convert    <in> <out>  (out format by extension: .oms = vertex stream, .txt/.edges/.el = edge list, else METIS) [--format F] [--stream-version 1|2|3]
   oms generate   <rgg|delaunay|ba|rmat|grid|er> <n> <out.metis> [--seed S] [--weights unit|nodes|edges|full]
   oms gen-deltas <graph> <out.deltas> [--scheme uniform|drift|burst] [--temporal pa|drift|burst] [--batches B] [--ops O] [--node-churn F] [--insert-frac F] [--delete-frac F] [--seed S] [--format F]
-  oms apply-deltas <graph> <trace.deltas> --k <k> [--algo NAME] [--drift D] [--repair off|local|boundary] [--window W] [--reference on|off] [usual job flags] [--output FILE]
-  oms replay     <graph> --k <k> [--algo NAME | --job SPEC] [--requests N] [--hops H] [--zipf S] [--penalty P] [--arrival T] [--max-backlog B] [--replay-seed S] [usual job flags] [--format F]
+  oms apply-deltas <graph> <trace.deltas> --k <k> [--algo NAME | --job SPEC] [--reference on|off] [job flags] [--format F] [--output FILE]
+  oms replay     <graph> --k <k> [--algo NAME | --job SPEC] [--requests N] [--hops H] [--zipf S] [--penalty P] [--arrival T] [--max-backlog B] [--replay-seed S] [job flags] [--format F]
   oms trace      <trace.jsonl>  (summarize a trace recorded with --trace and verify its event-log hash)
   oms info       <graph> [--format F]
 
+  job flags: {}
+  job spec : {}  (--job replaces --algo, the shape and every job flag)
   --format F selects the input format (auto | metis | edgelist | stream); auto sniffs the extension.
-  partition, apply-deltas and replay also accept --trace FILE (record a JSON-lines event trace)
-  and --metrics (print a Prometheus-style exposition of the run's counters and histograms).";
+  partition, map, apply-deltas and replay also accept --trace FILE (record a JSON-lines event trace)
+  and --metrics (print a Prometheus-style exposition of the run's counters and histograms).",
+        job_flags.join(" "),
+        knobs::grammar()
+    )
+}
 
 enum Error {
     Usage(String),
@@ -315,65 +334,63 @@ fn parse_option<T: std::str::FromStr>(
     }
 }
 
-/// Builds the job described by `--algo`/`--k`-style flags (or takes `--job`
-/// verbatim), shared by `partition` and `map`.
+/// The job-option table rows that have a CLI flag, with that flag.
+fn knob_flags() -> impl Iterator<Item = (&'static knobs::Knob, &'static str)> {
+    KNOBS
+        .iter()
+        .filter_map(|knob| knob.flag.map(|flag| (knob, flag)))
+}
+
+/// The flags a job command accepts: `--job`/`--algo`, the job-option
+/// table's flags, `--trace`, and the command's `own`.
+fn job_flags(own: &[&'static str]) -> Vec<&'static str> {
+    let shared = ["job", "algo", "trace"].into_iter();
+    shared
+        .chain(knob_flags().map(|(_, flag)| flag))
+        .chain(own.iter().copied())
+        .collect()
+}
+
+/// Builds the job of `command` from its flags: `--job` verbatim, or
+/// `--algo` (default `default_algo`) with the shape from `--<shape_flag>`
+/// (`k` or `hierarchy`) and one option per job flag given.
 fn job_from_options(
     options: &HashMap<String, String>,
-    shape: oms_core::JobShape,
+    command: &str,
+    shape_flag: &str,
     default_algo: &str,
 ) -> Result<JobSpec, Error> {
     if let Some(spec) = options.get("job") {
-        for conflicting in [
-            "algo",
-            "k",
-            "epsilon",
-            "threads",
-            "shards",
-            "passes",
-            "converge",
-            "seed",
-            "buffer",
-            "lambda",
-            "hierarchy",
-            "distances",
-        ] {
-            if options.contains_key(conflicting) {
-                return Err(Error::Usage(format!(
-                    "--job already encodes the whole job; drop --{conflicting}"
-                )));
-            }
+        let mut encoded = ["algo", shape_flag]
+            .into_iter()
+            .chain(knob_flags().map(|(_, flag)| flag));
+        if let Some(flag) = encoded.find(|flag| options.contains_key(*flag)) {
+            return Err(Error::Usage(format!(
+                "--job already encodes the whole job; drop --{flag}"
+            )));
         }
         return Ok(spec.parse()?);
     }
-    let algo = options
-        .get("algo")
-        .map(|s| s.as_str())
-        .unwrap_or(default_algo);
+    let shape = if shape_flag == "hierarchy" {
+        let hierarchy = options.get("hierarchy");
+        let hierarchy = hierarchy.map(|h| oms_core::HierarchySpec::parse(h));
+        hierarchy.transpose()?.map(JobShape::Hierarchy)
+    } else {
+        parse_option(options, "k", "a positive integer")?.map(JobShape::Flat)
+    };
+    let Some(shape) = shape else {
+        return Err(Error::Usage(format!(
+            "{command}: --{shape_flag} (or --job) is required"
+        )));
+    };
+    let algo = options.get("algo").map_or(default_algo, String::as_str);
     let mut job = JobSpec::flat(algo, 0);
     job.shape = shape;
-    if let Some(epsilon) = parse_option(options, "epsilon", "a number")? {
-        job = job.epsilon(epsilon);
-    }
-    if let Some(threads) = parse_option(options, "threads", "a positive integer")? {
-        job = job.threads(threads);
-    }
-    if let Some(shards) = parse_option(options, "shards", "a positive integer")? {
-        job = job.shards(shards);
-    }
-    if let Some(passes) = parse_option(options, "passes", "a positive integer")? {
-        job = job.passes(passes);
-    }
-    if let Some(converge) = parse_option(options, "converge", "a non-negative number")? {
-        job = job.convergence(converge);
-    }
-    if let Some(seed) = parse_option(options, "seed", "an integer")? {
-        job = job.seed(seed);
-    }
-    if let Some(buffer) = parse_option(options, "buffer", "a positive integer")? {
-        job = job.buffer(buffer);
-    }
-    if let Some(lambda) = parse_option(options, "lambda", "a non-negative number")? {
-        job = job.lambda(lambda);
+    for (knob, flag) in knob_flags() {
+        if let Some(raw) = options.get(flag) {
+            knob.set(&mut job, raw)
+                .map_err(|why| Error::Usage(format!("--{flag} {raw}: {why}")))?;
+        }
     }
     Ok(job)
 }
@@ -394,22 +411,11 @@ fn print_trajectory(trajectory: &[oms_core::PassStats]) {
 
 fn partition_command(args: &[String]) -> Result<(), Error> {
     let (args, metrics) = take_flag(args, "--metrics");
-    let (positional, options) = split_options(
-        &args,
-        &[
-            "k", "job", "algo", "epsilon", "threads", "shards", "passes", "converge", "seed",
-            "buffer", "lambda", "format", "output", "trace",
-        ],
-    )?;
+    let (positional, options) = split_options(&args, &job_flags(&["k", "format", "output"]))?;
     let Some(path) = positional.first() else {
         return Err(Error::Usage("partition: missing graph file".into()));
     };
-    let shape = match parse_option::<u32>(&options, "k", "a positive integer")? {
-        Some(k) => oms_core::JobShape::Flat(k),
-        None if options.contains_key("job") => oms_core::JobShape::Flat(0), // replaced by --job
-        None => return Err(Error::Usage("partition: --k (or --job) is required".into())),
-    };
-    let job = job_from_options(&options, shape, "oms")?;
+    let job = job_from_options(&options, "partition", "k", "oms")?;
     let obs = ObsSession::start(&options, metrics);
     if oms_edgepart::is_edge_algorithm(&job.algorithm) {
         // The e-* algorithms partition *edges* (vertex-cut objective);
@@ -540,57 +546,32 @@ fn write_edge_assignments(path: &str, graph: &CsrGraph, assignments: &[u32]) -> 
 }
 
 fn map_command(args: &[String]) -> Result<(), Error> {
-    let (positional, options) = split_options(
-        args,
-        &[
-            "hierarchy",
-            "distances",
-            "job",
-            "algo",
-            "epsilon",
-            "threads",
-            "passes",
-            "converge",
-            "seed",
-            "format",
-            "output",
-        ],
-    )?;
+    let (args, metrics) = take_flag(args, "--metrics");
+    let (positional, options) =
+        split_options(&args, &job_flags(&["hierarchy", "format", "output"]))?;
     let Some(path) = positional.first() else {
         return Err(Error::Usage("map: missing graph file".into()));
     };
-    let job = if options.contains_key("job") {
-        job_from_options(&options, oms_core::JobShape::Flat(0), "oms")?
-    } else {
-        let hierarchy = options
-            .get("hierarchy")
-            .ok_or_else(|| Error::Usage("map: --hierarchy is required (e.g. 4:16:8)".into()))?;
-        let hierarchy = oms_core::HierarchySpec::parse(hierarchy)?;
-        let distances = options
-            .get("distances")
-            .map(|s| s.as_str())
-            .unwrap_or("1:10:100");
-        let distances = oms_core::DistanceSpec::parse(distances)?;
-        job_from_options(&options, oms_core::JobShape::Hierarchy(hierarchy), "oms")?
-            .distances(distances)
-    };
-    if job.distances.is_none() {
-        return Err(Error::Usage(
-            "map: the job needs PE distances (--distances or dist= in --job)".into(),
-        ));
+    let mut job = job_from_options(&options, "map", "hierarchy", "oms")?;
+    if job.distances.is_none() && !options.contains_key("job") {
+        job = job.distances(oms_core::DistanceSpec::paper_default());
     }
+    let (Some(hierarchy), Some(distances)) = (job.shape.hierarchy(), &job.distances) else {
+        return Err(Error::Usage(
+            "map: the job needs a hierarchy and PE distances (dist= in --job)".into(),
+        ));
+    };
+    let obs = ObsSession::start(&options, metrics);
     let partitioner = job.build()?;
 
     let graph = load_graph_opt(path, &options)?;
     let report = partitioner.run(&mut InMemoryStream::new(&graph))?;
 
-    let hierarchy = job.shape.hierarchy().expect("map jobs are hierarchical");
     println!(
         "graph        : {path} (n = {}, m = {})",
         graph.num_nodes(),
         graph.num_edges()
     );
-    let distances = job.distances.as_ref().expect("checked above");
     println!(
         "topology     : S = {}, D = {}",
         hierarchy.to_string_spec(),
@@ -619,7 +600,7 @@ fn map_command(args: &[String]) -> Result<(), Error> {
         write_assignments(output, report.partition.assignments())?;
         println!("mapping written to {output}");
     }
-    Ok(())
+    obs.finish()
 }
 
 fn algorithms_command(args: &[String]) -> Result<(), Error> {
@@ -628,25 +609,21 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
         return Err(Error::Usage("algorithms: takes no arguments".into()));
     }
     println!("registered algorithms (use with --algo or in a --job spec):\n");
-    for algo in registered_algorithms() {
-        let aliases = if algo.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", algo.aliases.join(", "))
-        };
-        let repair = if algo.supports_repair {
-            " [repairable]"
-        } else {
-            ""
-        };
-        let shardable = if algo.supports_sharding {
-            " [shardable]"
-        } else {
-            ""
-        };
+    let aliases = |aliases: &[&str]| match aliases {
+        [] => String::new(),
+        aliases => format!(" (aliases: {})", aliases.join(", ")),
+    };
+    for algo in ALGORITHMS.list() {
+        let markers = [
+            (algo.supports_repair, " [repairable]"),
+            (algo.reads("shards"), " [shardable]"),
+        ];
+        let markers: String = markers.iter().filter(|m| m.0).map(|m| m.1).collect();
         println!(
-            "  {:<12} {}{}{}{}",
-            algo.name, algo.description, aliases, repair, shardable
+            "  {:<12} {}{}{markers}",
+            algo.name,
+            algo.description,
+            aliases(algo.aliases)
         );
     }
     println!(
@@ -658,15 +635,18 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
          (shards=S job option; per-shard message counts in the report)."
     );
     println!("\nedge (vertex-cut) algorithms — partition edges, report the replication factor:\n");
-    for algo in oms_edgepart::registered_edge_algorithms() {
-        let aliases = if algo.aliases.is_empty() {
-            String::new()
-        } else {
-            format!(" (aliases: {})", algo.aliases.join(", "))
-        };
-        println!("  {:<12} {}{}", algo.name, algo.description, aliases);
+    for algo in oms_edgepart::EDGE_ALGORITHMS.list() {
+        println!(
+            "  {:<12} {}{}",
+            algo.name,
+            algo.description,
+            aliases(algo.aliases)
+        );
     }
-    println!("\njob spec grammar: <algo>:<k | a1:a2:...>[@eps=..,seed=..,threads=..,shards=..,passes=..,conv=..,base=..,hybrid=..,buf=..,lambda=..,drift=..,repair=off|local|boundary,window=..,dist=d1:d2:...]");
+    println!("\njob spec grammar: {}", knobs::grammar());
+    for line in knobs::help_lines() {
+        println!("  {line}");
+    }
     Ok(())
 }
 
@@ -904,50 +884,14 @@ fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
 /// graph state (unless `--reference off`).
 fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
     let (args, metrics) = take_flag(args, "--metrics");
-    let (positional, options) = split_options(
-        &args,
-        &[
-            "k",
-            "job",
-            "algo",
-            "epsilon",
-            "threads",
-            "passes",
-            "converge",
-            "seed",
-            "drift",
-            "repair",
-            "window",
-            "reference",
-            "format",
-            "output",
-            "trace",
-        ],
-    )?;
+    let (positional, options) =
+        split_options(&args, &job_flags(&["k", "reference", "format", "output"]))?;
     let (Some(path), Some(trace_path)) = (positional.first(), positional.get(1)) else {
         return Err(Error::Usage(
             "apply-deltas: need <graph> and <trace.deltas>".into(),
         ));
     };
-    let shape = match parse_option::<u32>(&options, "k", "a positive integer")? {
-        Some(k) => oms_core::JobShape::Flat(k),
-        None if options.contains_key("job") => oms_core::JobShape::Flat(0), // replaced by --job
-        None => {
-            return Err(Error::Usage(
-                "apply-deltas: --k (or --job) is required".into(),
-            ))
-        }
-    };
-    let mut job = job_from_options(&options, shape, "fennel")?;
-    if let Some(drift) = parse_option(&options, "drift", "a positive number")? {
-        job = job.drift(drift);
-    }
-    if let Some(repair) = options.get("repair") {
-        job = job.repair(oms_core::RepairPolicy::parse(repair)?);
-    }
-    if let Some(window) = parse_option(&options, "window", "a positive integer")? {
-        job = job.window(window);
-    }
+    let job = job_from_options(&options, "apply-deltas", "k", "fennel")?;
     let reference = match options.get("reference").map(|s| s.as_str()).unwrap_or("on") {
         "on" => true,
         "off" => false,
@@ -1046,18 +990,8 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
     let (args, metrics) = take_flag(args, "--metrics");
     let (positional, options) = split_options(
         &args,
-        &[
+        &job_flags(&[
             "k",
-            "job",
-            "algo",
-            "epsilon",
-            "threads",
-            "shards",
-            "passes",
-            "converge",
-            "seed",
-            "buffer",
-            "lambda",
             "requests",
             "hops",
             "zipf",
@@ -1066,18 +1000,12 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
             "max-backlog",
             "replay-seed",
             "format",
-            "trace",
-        ],
+        ]),
     )?;
     let Some(path) = positional.first() else {
         return Err(Error::Usage("replay: missing graph file".into()));
     };
-    let shape = match parse_option::<u32>(&options, "k", "a positive integer")? {
-        Some(k) => oms_core::JobShape::Flat(k),
-        None if options.contains_key("job") => oms_core::JobShape::Flat(0), // replaced by --job
-        None => return Err(Error::Usage("replay: --k (or --job) is required".into())),
-    };
-    let job = job_from_options(&options, shape, "fennel")?;
+    let job = job_from_options(&options, "replay", "k", "fennel")?;
 
     let mut config = oms_workload::ReplayConfig {
         seed: parse_option(&options, "replay-seed", "an integer")?.unwrap_or(0),

@@ -615,3 +615,171 @@ fn partition_passes_works_for_in_memory_and_buffered_algorithms() {
         );
     }
 }
+
+/// `oms map` takes the job commands' shared flag set: the run can be traced,
+/// and the trace round-trips through `oms trace` with a verified hash.
+#[test]
+fn map_records_a_trace_that_verifies() {
+    let dir = temp_dir("map-trace");
+    let graph_path = dir.join("ba.metis");
+    let trace_path = dir.join("map.jsonl");
+    let output = oms()
+        .args(["generate", "ba", "1500"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+
+    let output = oms()
+        .arg("map")
+        .arg(&graph_path)
+        .args([
+            "--hierarchy",
+            "2:2:4",
+            "--passes",
+            "2",
+            "--metrics",
+            "--trace",
+        ])
+        .arg(&trace_path)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("mapping cost"), "stdout was: {stdout}");
+    assert!(stdout.contains("oms_nodes_scored_total"), "{stdout}");
+
+    let output = oms().arg("trace").arg(&trace_path).output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("hash check       ok"), "{stdout}");
+    assert!(stdout.contains("pass_end"), "{stdout}");
+}
+
+/// `--job` encodes the whole job for every job command and every job flag —
+/// including the dynamic-maintenance ones, which used to override the job
+/// string silently.
+#[test]
+fn job_flag_conflicts_with_every_job_flag_on_every_job_command() {
+    let dir = temp_dir("job-conflicts");
+    let graph_path = dir.join("er.metis");
+    let deltas_path = dir.join("er.deltas");
+    let output = oms()
+        .args(["generate", "er", "600"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    let output = oms()
+        .arg("gen-deltas")
+        .arg(&graph_path)
+        .arg(&deltas_path)
+        .args(["--batches", "2", "--ops", "20"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+
+    for (flag, value) in [("--drift", "0.5"), ("--repair", "off"), ("--window", "2")] {
+        let output = oms()
+            .arg("apply-deltas")
+            .arg(&graph_path)
+            .arg(&deltas_path)
+            .args(["--job", "fennel:8", flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("--job already encodes the whole job; drop {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+    // Without --job the same flags set the job's options.
+    let output = oms()
+        .arg("apply-deltas")
+        .arg(&graph_path)
+        .arg(&deltas_path)
+        .args(["--k", "8", "--drift", "0.5", "--window", "2"])
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("fennel:8@drift=0.5,window=2"), "{stdout}");
+
+    // Every flag of the table conflicts with --job on the other commands too.
+    for knob in &oms_core::knobs::KNOBS {
+        let Some(flag) = knob.flag else { continue };
+        let output = oms()
+            .arg("partition")
+            .arg(&graph_path)
+            .args(["--job", "fennel:8", &format!("--{flag}"), "1"])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "--{flag}");
+    }
+}
+
+/// An option the chosen algorithm never reads is a usage error on both
+/// pipelines instead of being echoed back and ignored.
+#[test]
+fn options_the_algorithm_does_not_read_are_usage_errors() {
+    let dir = temp_dir("stray-options");
+    let graph_path = dir.join("g.metis");
+    oms()
+        .args(["generate", "grid", "100"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    for args in [
+        vec!["--job", "fennel:8@buf=5"],
+        vec!["--job", "oms:4:4@lambda=2"],
+        vec!["--k", "8", "--algo", "fennel", "--buffer", "64"],
+    ] {
+        let mut command = oms();
+        command.arg("partition").arg(&graph_path).args(&args);
+        let output = command.output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("does not apply to"), "{args:?}: {stderr}");
+    }
+}
+
+/// Every row of the job-option table shows up wherever the CLI describes
+/// the grammar: the usage text and the `oms algorithms` listing.
+#[test]
+fn usage_and_algorithms_list_every_job_option() {
+    let usage = oms().output().unwrap();
+    let usage = String::from_utf8_lossy(&usage.stderr).to_string();
+    let listing = oms().arg("algorithms").output().unwrap();
+    let listing = String::from_utf8_lossy(&listing.stdout).to_string();
+    let grammar_line = listing
+        .lines()
+        .find(|line| line.starts_with("job spec grammar:"))
+        .expect("`oms algorithms` prints the grammar");
+    for knob in &oms_core::knobs::KNOBS {
+        let option = format!("{}=", knob.key);
+        assert!(usage.contains(&option), "usage lacks {option}: {usage}");
+        assert!(grammar_line.contains(&option), "{grammar_line}");
+        if let Some(flag) = knob.flag {
+            assert!(
+                usage.contains(&format!("--{flag} ")),
+                "usage lacks --{flag}"
+            );
+        }
+    }
+    for line in oms_core::knobs::help_lines() {
+        assert!(listing.contains(&line), "`oms algorithms` lacks: {line}");
+    }
+}

@@ -1,9 +1,10 @@
 //! The unified, object-safe partitioning API.
 //!
-//! Every algorithm family in this workspace — the flat one-pass baselines
-//! ([`Hashing`], [`Ldg`], [`Fennel`]), online recursive multi-section
-//! ([`OnlineMultiSection`], both OMS and nh-OMS), the restreaming variants,
-//! the shared-memory parallel drivers and the in-memory multilevel baseline
+//! Every algorithm family in this workspace — the flat baselines
+//! ([`Hashing`](crate::Hashing), [`Ldg`](crate::Ldg),
+//! [`Fennel`](crate::Fennel)), online recursive multi-section
+//! ([`OnlineMultiSection`], both OMS and nh-OMS), their restreaming and
+//! shared-memory parallel runs and the in-memory multilevel baseline
 //! (registered by `oms-multilevel`) — is reachable through three pieces:
 //!
 //! * [`Partitioner`] — a dyn-compatible trait: `run` takes any
@@ -13,59 +14,51 @@
 //! * [`JobSpec`] — a parseable, round-trippable description of a
 //!   partitioning job (`"oms:4:16:8@eps=0.03,threads=8"`), with
 //!   [`JobSpec::build`] as the factory producing a `Box<dyn Partitioner>`.
-//! * The **dispatch registry** — a shared name → constructor table
-//!   ([`register_algorithm`], [`registered_algorithms`]) that downstream
-//!   crates extend (`oms_multilevel::register_algorithms()` adds the
-//!   `multilevel` and `rms` baselines) and every frontend (CLI, bench
-//!   harness, examples) resolves jobs against.
+//!   Its options are the rows of the job-option table ([`crate::knobs`]).
+//! * The **dispatch registry** [`ALGORITHMS`] — a shared name → constructor
+//!   table ([`Registry`]) that downstream crates extend
+//!   (`oms_multilevel::register_algorithms()` adds the `multilevel` and
+//!   `rms` baselines) and every frontend (CLI, bench harness, examples)
+//!   resolves jobs against.
 //!
 //! ## Job specification grammar
+//!
+//! The option list below is [`knobs::help_lines`] verbatim (a test keeps
+//! the two in sync).
 //!
 //! ```text
 //! <algorithm>:<shape>[@<options>]
 //!
 //! shape    := k                   flat k-way partitioning, e.g. "fennel:64"
 //!           | a1:a2:...:aℓ        hierarchical multi-section, e.g. "oms:4:16:8"
-//! options  := key=value[,key=value]*
-//!             eps=<f64>           allowed imbalance ε          (default 0.03)
-//!             seed=<u64>          RNG seed                     (default 0)
-//!             threads=<usize>     shared-memory parallelism    (default 1)
-//!             shards=<usize>      shard workers of the deterministic
-//!                                 sharded engine (S-way bulk-synchronous
-//!                                 rounds with seeded message exchange;
-//!                                 only for algorithms marked shardable;
-//!                                 mutually exclusive with threads>1)
-//!                                                              (default 1)
-//!             passes=<usize>      restreaming passes (upper bound
-//!                                 when conv= is set)           (default 1)
-//!             conv=<f64>          relative edge-cut improvement below
-//!                                 which a multi-pass run stops early
-//!                                 (0 = fixed passes; the run always stops
-//!                                 once no node moves)          (default 0)
-//!             base=<u32>          nh-OMS multi-section base    (default 4)
-//!             hybrid=<usize>      bottom tree layers solved with Hashing
-//!                                 (the hybrid mapping of §3.2, default 0)
-//!             buf=<nodes>         buffer size of the buffered streaming
-//!                                 algorithms, in nodes (0 = algorithm
-//!                                 default)
-//!             lambda=<f64>        balance weight λ of the vertex-cut edge
-//!                                 partitioners (the `e-*` algorithms of
-//!                                 `oms-edgepart`; HDRF's balance knob)
-//!                                 (default 1)
-//!             drift=<f64>         drift threshold of dynamic maintenance:
-//!                                 past it, the `oms-dynamic` layer falls
-//!                                 back to a full restream (default 0.2)
-//!             repair=<policy>     local-repair policy of dynamic
-//!                                 maintenance: off | local | boundary
-//!                                 (default boundary)
-//!             window=<usize>      sliding-window cadence of dynamic
-//!                                 maintenance: quality checkpoints are
-//!                                 taken every `window` delta batches (the
-//!                                 final batch always checkpoints)
-//!                                 (default 1)
-//!             dist=d1:d2:...      PE distances; enables the mapping
-//!                                 objective J in the report
+//! options  := key=value[,key=value]*   each key at most once
+//!
+//! eps=<float>                allowed imbalance ε (default 0.03)
+//! seed=<int>                 RNG seed (default 0)
+//! threads=<int>              shared-memory threads; >1 selects the parallel drivers (default 1)
+//! shards=<int>               workers of the deterministic sharded engine; excludes threads>1 (default 1)
+//! passes=<int>               restreaming passes (an upper bound when conv= is set) (default 1)
+//! conv=<float>               relative cut improvement below which a multi-pass run stops early; 0 = never (default 0)
+//! base=<int>                 nh-OMS multi-section base (default 4)
+//! hybrid=<int>               bottom tree layers solved with Hashing, the hybrid mapping of §3.2 (default 0)
+//! buf=<int>                  buffer size of the buffered algorithms in nodes; 0 = algorithm default (default 0)
+//! lambda=<float>             balance weight λ of the vertex-cut edge partitioners (default 1)
+//! drift=<float>              drift past which dynamic maintenance falls back to a full restream (default 0.2)
+//! repair=off|local|boundary  local-repair policy of dynamic maintenance (default boundary)
+//! window=<int>               delta batches per quality checkpoint of dynamic maintenance (default 1)
+//! dist=d1:d2:...             PE distances; enables the mapping objective J in the report (default none)
 //! ```
+//!
+//! `eps`, `seed`, `passes` and `conv` apply to every algorithm, and
+//! `drift`, `repair` and `window` are read by the dynamic-maintenance
+//! frontend whatever the algorithm. The others are algorithm-scoped: a job
+//! may only set one its algorithm reads (`shards` — the S-way
+//! bulk-synchronous engine with seeded message exchange — for the
+//! algorithms `oms algorithms` marks shardable, `base`/`hybrid` for
+//! `oms`/`nh-oms`, `buf` for `buffered`, `lambda` for `e-greedy`;
+//! `threads` and `dist` for every node partitioner). A multi-pass run
+//! always stops once no node moves; with `window`, the final delta batch
+//! always checkpoints.
 //!
 //! Algorithm names starting with `e-` (`e-hash`, `e-dbh`, `e-greedy`)
 //! describe **edge partitioning** jobs under the vertex-cut objective; they
@@ -97,18 +90,18 @@
 use crate::config::{OmsConfig, OnePassConfig};
 use crate::executor::{PassStats, PassTrajectory};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
+use crate::knobs::{self, Knob, KNOBS};
 use crate::oms::OnlineMultiSection;
-use crate::onepass::{Fennel, FlatObjective, Hashing, Ldg, StreamingPartitioner};
+use crate::onepass::{run_flat, FlatObjective, StreamingPartitioner};
 use crate::parallel::{hashing_parallel, onepass_parallel_restream};
 use crate::partition::Partition;
-use crate::restream::{ReFennel, ReHashing, ReLdg, ReOms};
+use crate::registry::{Entry, Registry};
 use crate::shard::{ShardStats, ShardedFlat};
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, EdgeWeight, NodeId, NodeStream, NodeWeight};
 use oms_obs::Stopwatch;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Mutex, OnceLock};
 
 // ----------------------------------------------------------------- the trait
 
@@ -338,73 +331,23 @@ pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     CsrGraph::from_csr(xadj, adjncy, eweights, node_weights).map_err(PartitionError::Graph)
 }
 
-// -------------------------------------------------------- parallel adapters
+// ------------------------------------------------------------ job adapters
 
-#[derive(Clone, Copy, Debug)]
-enum ParFlatKind {
-    Hashing,
-    Fennel,
-    Ldg,
-}
+/// One engine run of a job: `(stream, tracked)` → partition and trajectory,
+/// where `tracked` asks a single-pass parallel run to measure itself.
+type RunFn = Box<dyn Fn(&mut dyn NodeStream, bool) -> Result<(Partition, PassTrajectory)>>;
 
-/// Adapter running the shared-memory parallel one-pass drivers (§3.4) behind
-/// the object-safe API. Streams without an in-memory graph are materialised.
-/// `passes > 1` restreams the graph with the same parallel kernel.
-struct ParallelFlat {
+/// A built-in algorithm bound to the engine its job selected, as a
+/// [`Partitioner`].
+struct EngineRun {
+    name: &'static str,
     k: u32,
-    kind: ParFlatKind,
-    config: OnePassConfig,
-    threads: usize,
-    passes: usize,
-    convergence: f64,
+    run: RunFn,
 }
 
-impl ParallelFlat {
-    fn run_parallel(
-        &self,
-        stream: &mut dyn NodeStream,
-        tracked: bool,
-    ) -> Result<(Partition, PassTrajectory)> {
-        let graph = materialize_stream(stream)?;
-        match self.kind {
-            ParFlatKind::Hashing => {
-                // Hashing never moves a node across passes; a single
-                // parallel pass is the fixed point.
-                let partition = hashing_parallel(&graph, self.k, self.config, self.threads)?;
-                Ok((partition, PassTrajectory::default()))
-            }
-            ParFlatKind::Fennel => onepass_parallel_restream(
-                &graph,
-                self.k,
-                FlatObjective::Fennel,
-                self.config,
-                self.threads,
-                self.passes,
-                self.convergence,
-                tracked,
-            ),
-            ParFlatKind::Ldg => onepass_parallel_restream(
-                &graph,
-                self.k,
-                FlatObjective::Ldg,
-                self.config,
-                self.threads,
-                self.passes,
-                self.convergence,
-                tracked,
-            ),
-        }
-    }
-}
-
-impl Partitioner for ParallelFlat {
+impl Partitioner for EngineRun {
     fn name(&self) -> String {
-        match self.kind {
-            ParFlatKind::Hashing => "hashing",
-            ParFlatKind::Fennel => "fennel",
-            ParFlatKind::Ldg => "ldg",
-        }
-        .to_string()
+        self.name.to_string()
     }
 
     fn num_blocks(&self) -> u32 {
@@ -412,61 +355,14 @@ impl Partitioner for ParallelFlat {
     }
 
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        Ok(self.run_parallel(stream, false)?.0)
+        Ok((self.run)(stream, false)?.0)
     }
 
     fn partition_tracked(
         &self,
         stream: &mut dyn NodeStream,
     ) -> Result<(Partition, PassTrajectory)> {
-        self.run_parallel(stream, true)
-    }
-}
-
-/// Adapter running the vertex-centric parallel OMS driver behind the
-/// object-safe API.
-struct ParallelOms {
-    oms: OnlineMultiSection,
-    threads: usize,
-    passes: usize,
-    convergence: f64,
-}
-
-impl Partitioner for ParallelOms {
-    fn name(&self) -> String {
-        "oms".to_string()
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.oms.tree().num_blocks()
-    }
-
-    fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        let graph = materialize_stream(stream)?;
-        Ok(self
-            .oms
-            .partition_graph_parallel_restream(
-                &graph,
-                self.threads,
-                self.passes,
-                self.convergence,
-                false,
-            )?
-            .0)
-    }
-
-    fn partition_tracked(
-        &self,
-        stream: &mut dyn NodeStream,
-    ) -> Result<(Partition, PassTrajectory)> {
-        let graph = materialize_stream(stream)?;
-        self.oms.partition_graph_parallel_restream(
-            &graph,
-            self.threads,
-            self.passes,
-            self.convergence,
-            true,
-        )
+        (self.run)(stream, true)
     }
 }
 
@@ -603,6 +499,17 @@ impl fmt::Display for JobShape {
     }
 }
 
+/// Defines one by-value builder method per listed [`JobSpec`] field.
+macro_rules! setters {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+        $($(#[$doc])*
+        pub fn $field(mut self, $field: $ty) -> Self {
+            self.$field = $field;
+            self
+        })*
+    };
+}
+
 /// A complete, serialisable description of one partitioning job.
 ///
 /// See the [module documentation](self) for the string grammar.
@@ -697,85 +604,38 @@ impl JobSpec {
         s.parse()
     }
 
-    /// Sets the allowed imbalance ε.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of shared-memory threads.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the number of shard workers of the deterministic sharded
-    /// engine.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the number of restreaming passes.
-    pub fn passes(mut self, passes: usize) -> Self {
-        self.passes = passes;
-        self
-    }
-
-    /// Sets the convergence threshold of multi-pass runs (relative
-    /// edge-cut improvement below which the run stops early).
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement;
-        self
-    }
-
-    /// Sets the nh-OMS multi-section base.
-    pub fn base_b(mut self, base_b: u32) -> Self {
-        self.base_b = base_b;
-        self
-    }
-
-    /// Solves the given number of bottom tree layers with Hashing (the
-    /// hybrid mapping of §3.2).
-    pub fn hashing_bottom_layers(mut self, layers: usize) -> Self {
-        self.hashing_bottom_layers = layers;
-        self
-    }
-
-    /// Sets the buffer size (in nodes) of the buffered streaming algorithms.
-    pub fn buffer(mut self, nodes: usize) -> Self {
-        self.buffer = nodes;
-        self
-    }
-
-    /// Sets the balance weight λ of the vertex-cut edge partitioners.
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
-    /// Sets the drift threshold of dynamic maintenance.
-    pub fn drift(mut self, drift: f64) -> Self {
-        self.drift = drift;
-        self
-    }
-
-    /// Sets the local-repair policy of dynamic maintenance.
-    pub fn repair(mut self, repair: RepairPolicy) -> Self {
-        self.repair = repair;
-        self
-    }
-
-    /// Sets the sliding-window checkpoint cadence of dynamic maintenance.
-    pub fn window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
+    setters! {
+        /// Sets the allowed imbalance ε.
+        epsilon: f64,
+        /// Sets the RNG seed.
+        seed: u64,
+        /// Sets the number of shared-memory threads.
+        threads: usize,
+        /// Sets the number of shard workers of the deterministic sharded
+        /// engine.
+        shards: usize,
+        /// Sets the number of restreaming passes.
+        passes: usize,
+        /// Sets the convergence threshold of multi-pass runs (relative
+        /// edge-cut improvement below which the run stops early).
+        convergence: f64,
+        /// Sets the nh-OMS multi-section base.
+        base_b: u32,
+        /// Solves the given number of bottom tree layers with Hashing (the
+        /// hybrid mapping of §3.2).
+        hashing_bottom_layers: usize,
+        /// Sets the buffer size (in nodes) of the buffered streaming
+        /// algorithms.
+        buffer: usize,
+        /// Sets the balance weight λ of the vertex-cut edge partitioners.
+        lambda: f64,
+        /// Sets the drift threshold of dynamic maintenance.
+        drift: f64,
+        /// Sets the local-repair policy of dynamic maintenance.
+        repair: RepairPolicy,
+        /// Sets the sliding-window checkpoint cadence of dynamic
+        /// maintenance.
+        window: usize,
     }
 
     /// Attaches PE distances (enables the mapping objective `J`).
@@ -805,86 +665,36 @@ impl JobSpec {
             .hashing_bottom_layers(self.hashing_bottom_layers)
     }
 
+    /// Checks the job's options on their own, whatever algorithm runs them:
+    /// every option within the range its [`knobs`] row declares, `k > 0`,
+    /// and the cross-option rules. Called by every consumer of a job
+    /// ([`JobSpec::build`], the edge pipeline, dynamic maintenance) through
+    /// [`Registry::resolve`].
+    pub fn validate(&self) -> Result<()> {
+        for knob in &KNOBS {
+            knob.check(self).map_err(PartitionError::InvalidConfig)?;
+        }
+        let broken_rule = if self.num_blocks() == 0 {
+            "the number of blocks k must be positive"
+        } else if self.shards > 1 && self.threads > 1 {
+            "shards= and threads= are mutually exclusive: the sharded engine owns its workers"
+        } else if self.convergence > 0.0 && self.passes <= 1 {
+            "conv= only applies to multi-pass runs; set passes=<N> (the pass budget) as well"
+        } else {
+            return Ok(());
+        };
+        Err(PartitionError::InvalidConfig(broken_rule.into()))
+    }
+
     /// Builds the partitioner this job describes, dispatching through the
-    /// shared algorithm registry.
+    /// shared algorithm registry ([`ALGORITHMS`]).
     ///
     /// The returned `Box<dyn Partitioner>` reports under the registry name
     /// and, when `dist=` was given, evaluates the mapping objective `J` in
     /// [`Partitioner::run`].
     pub fn build(&self) -> Result<Box<dyn Partitioner>> {
-        let info = find_algorithm(&self.algorithm).ok_or_else(|| {
-            let known: Vec<&str> = registered_algorithms().iter().map(|a| a.name).collect();
-            PartitionError::InvalidSpec(format!(
-                "unknown algorithm '{}' (registered: {})",
-                self.algorithm,
-                known.join(", ")
-            ))
-        })?;
-        if self.num_blocks() == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "the number of blocks k must be positive".into(),
-            ));
-        }
-        if self.passes == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "passes must be at least 1".into(),
-            ));
-        }
-        if self.threads == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "threads must be at least 1".into(),
-            ));
-        }
-        if self.shards == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "shards must be at least 1".into(),
-            ));
-        }
-        if self.shards > 1 && !info.supports_sharding {
-            return Err(PartitionError::InvalidConfig(format!(
-                "algorithm '{}' does not support the sharded engine (shards=)",
-                info.name
-            )));
-        }
-        if self.shards > 1 && self.threads > 1 {
-            return Err(PartitionError::InvalidConfig(
-                "shards= and threads= are mutually exclusive: the sharded engine \
-                 owns its workers"
-                    .into(),
-            ));
-        }
-        if !self.epsilon.is_finite() || self.epsilon < 0.0 {
-            return Err(PartitionError::InvalidConfig(
-                "epsilon must be non-negative".into(),
-            ));
-        }
-        if !self.convergence.is_finite() || self.convergence < 0.0 {
-            return Err(PartitionError::InvalidConfig(
-                "conv must be non-negative".into(),
-            ));
-        }
-        if !self.lambda.is_finite() || self.lambda < 0.0 {
-            return Err(PartitionError::InvalidConfig(
-                "lambda must be non-negative".into(),
-            ));
-        }
-        if !self.drift.is_finite() || self.drift <= 0.0 {
-            return Err(PartitionError::InvalidConfig(
-                "drift must be positive".into(),
-            ));
-        }
-        if self.window == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "window must be at least 1".into(),
-            ));
-        }
-        if self.convergence > 0.0 && self.passes <= 1 {
-            return Err(PartitionError::InvalidConfig(
-                "conv= only applies to multi-pass runs; set passes=<N> (the pass budget) as well"
-                    .into(),
-            ));
-        }
-        let inner = (info.build)(self)?;
+        let entry = ALGORITHMS.resolve(self)?;
+        let inner = (entry.build)(self)?;
         let topology = match (&self.shape, &self.distances) {
             (_, None) => None,
             (JobShape::Hierarchy(h), Some(d)) => {
@@ -904,7 +714,7 @@ impl JobSpec {
             }
         };
         Ok(Box::new(JobPartitioner {
-            name: info.name.to_string(),
+            name: entry.name.to_string(),
             topology,
             inner,
         }))
@@ -914,52 +724,12 @@ impl JobSpec {
 impl fmt::Display for JobSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.algorithm, self.shape)?;
-        let mut options: Vec<String> = Vec::new();
-        if self.epsilon != DEFAULT_EPSILON {
-            options.push(format!("eps={}", self.epsilon));
-        }
-        if self.seed != 0 {
-            options.push(format!("seed={}", self.seed));
-        }
-        if self.threads != 1 {
-            options.push(format!("threads={}", self.threads));
-        }
-        if self.shards != 1 {
-            options.push(format!("shards={}", self.shards));
-        }
-        if self.passes != 1 {
-            options.push(format!("passes={}", self.passes));
-        }
-        if self.convergence != 0.0 {
-            options.push(format!("conv={}", self.convergence));
-        }
-        if self.base_b != DEFAULT_BASE_B {
-            options.push(format!("base={}", self.base_b));
-        }
-        if self.hashing_bottom_layers != 0 {
-            options.push(format!("hybrid={}", self.hashing_bottom_layers));
-        }
-        if self.buffer != 0 {
-            options.push(format!("buf={}", self.buffer));
-        }
-        if self.lambda != DEFAULT_LAMBDA {
-            options.push(format!("lambda={}", self.lambda));
-        }
-        if self.drift != DEFAULT_DRIFT {
-            options.push(format!("drift={}", self.drift));
-        }
-        if self.repair != RepairPolicy::default() {
-            options.push(format!("repair={}", self.repair));
-        }
-        if self.window != 1 {
-            options.push(format!("window={}", self.window));
-        }
-        if let Some(d) = &self.distances {
-            let joined: Vec<String> = d.distances().iter().map(u64::to_string).collect();
-            options.push(format!("dist={}", joined.join(":")));
-        }
-        if !options.is_empty() {
-            write!(f, "@{}", options.join(","))?;
+        let mut separator = '@';
+        for knob in &KNOBS {
+            if let Some(value) = knob.render(self) {
+                write!(f, "{separator}{}={value}", knob.key)?;
+                separator = ',';
+            }
         }
         Ok(())
     }
@@ -969,135 +739,57 @@ impl FromStr for JobSpec {
     type Err = PartitionError;
 
     fn from_str(s: &str) -> Result<Self> {
-        let (head, options) = match s.split_once('@') {
-            Some((head, options)) => (head, Some(options)),
-            None => (s, None),
-        };
-        let mut parts = head.split(':');
-        let algorithm = parts.next().unwrap_or("").trim();
+        let (head, options) = s.split_once('@').unwrap_or((s, ""));
+        let (algorithm, shape) = head.split_once(':').unwrap_or((head, ""));
+        let (algorithm, shape) = (algorithm.trim(), shape.trim());
         if algorithm.is_empty() {
             return Err(PartitionError::InvalidSpec(format!(
                 "job spec '{s}' is missing an algorithm name"
             )));
         }
-        let factors: std::result::Result<Vec<u32>, _> =
-            parts.map(|p| p.trim().parse::<u32>()).collect();
-        let factors = factors.map_err(|_| {
-            PartitionError::InvalidSpec(format!(
-                "job spec '{s}': the shape after '{algorithm}:' must be a k or a1:a2:... list"
-            ))
-        })?;
-        let shape = match factors.len() {
-            0 => {
-                return Err(PartitionError::InvalidSpec(format!(
-                    "job spec '{s}' is missing a shape: use '{algorithm}:<k>' or '{algorithm}:<a1:a2:...>'"
-                )))
-            }
-            1 => JobShape::Flat(factors[0]),
-            _ => JobShape::Hierarchy(HierarchySpec::new(factors)?),
+        let shape = if shape.is_empty() {
+            return Err(PartitionError::InvalidSpec(format!(
+                "job spec '{s}' is missing a shape: use '{algorithm}:<k>' or '{algorithm}:<a1:a2:...>'"
+            )));
+        } else if shape.contains(':') {
+            JobShape::Hierarchy(HierarchySpec::parse(shape)?)
+        } else {
+            JobShape::Flat(shape.parse().map_err(|_| {
+                PartitionError::InvalidSpec(format!(
+                    "job spec '{s}': the shape after '{algorithm}:' must be a k or a1:a2:... list"
+                ))
+            })?)
         };
 
         let mut spec = JobSpec::flat(algorithm, 0);
         spec.shape = shape;
-        if let Some(options) = options {
-            for pair in options.split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                let Some((key, value)) = pair.split_once('=') else {
-                    return Err(PartitionError::InvalidSpec(format!(
-                        "job option '{pair}' is not of the form key=value"
-                    )));
-                };
-                let (key, value) = (key.trim(), value.trim());
-                let parse_err = |what: &str| {
-                    PartitionError::InvalidSpec(format!("job option '{key}={value}': {what}"))
-                };
-                match key {
-                    "eps" | "epsilon" => {
-                        spec.epsilon = value
-                            .parse()
-                            .map_err(|_| parse_err("expected a floating-point value"))?;
-                        if !spec.epsilon.is_finite() || spec.epsilon < 0.0 {
-                            return Err(parse_err("epsilon must be non-negative"));
-                        }
-                    }
-                    "seed" => {
-                        spec.seed = value.parse().map_err(|_| parse_err("expected an integer"))?;
-                    }
-                    "threads" => {
-                        spec.threads =
-                            value.parse().map_err(|_| parse_err("expected an integer"))?;
-                        if spec.threads == 0 {
-                            return Err(parse_err("threads must be at least 1"));
-                        }
-                    }
-                    "shards" => {
-                        spec.shards = value.parse().map_err(|_| parse_err("expected an integer"))?;
-                        if spec.shards == 0 {
-                            return Err(parse_err("shards must be at least 1"));
-                        }
-                    }
-                    "passes" => {
-                        spec.passes = value.parse().map_err(|_| parse_err("expected an integer"))?;
-                        if spec.passes == 0 {
-                            return Err(parse_err("passes must be at least 1"));
-                        }
-                    }
-                    "conv" | "convergence" => {
-                        spec.convergence = value
-                            .parse()
-                            .map_err(|_| parse_err("expected a floating-point value"))?;
-                        if !spec.convergence.is_finite() || spec.convergence < 0.0 {
-                            return Err(parse_err("conv must be non-negative"));
-                        }
-                    }
-                    "base" => {
-                        spec.base_b = value.parse().map_err(|_| parse_err("expected an integer"))?;
-                    }
-                    "hybrid" => {
-                        spec.hashing_bottom_layers =
-                            value.parse().map_err(|_| parse_err("expected an integer"))?;
-                    }
-                    "buf" | "buffer" => {
-                        spec.buffer = value.parse().map_err(|_| parse_err("expected an integer"))?;
-                    }
-                    "lambda" => {
-                        spec.lambda = value
-                            .parse()
-                            .map_err(|_| parse_err("expected a floating-point value"))?;
-                        if !spec.lambda.is_finite() || spec.lambda < 0.0 {
-                            return Err(parse_err("lambda must be non-negative"));
-                        }
-                    }
-                    "drift" => {
-                        spec.drift = value
-                            .parse()
-                            .map_err(|_| parse_err("expected a floating-point value"))?;
-                        if !spec.drift.is_finite() || spec.drift <= 0.0 {
-                            return Err(parse_err("drift must be positive"));
-                        }
-                    }
-                    "repair" => {
-                        spec.repair = RepairPolicy::parse(value)?;
-                    }
-                    "window" => {
-                        spec.window = value.parse().map_err(|_| parse_err("expected an integer"))?;
-                        if spec.window == 0 {
-                            return Err(parse_err("window must be at least 1"));
-                        }
-                    }
-                    "dist" | "distances" => {
-                        spec.distances = Some(DistanceSpec::parse(value)?);
-                    }
-                    _ => {
-                        return Err(PartitionError::InvalidSpec(format!(
-                            "unknown job option '{key}' (known: eps, seed, threads, shards, passes, conv, base, hybrid, buf, lambda, drift, repair, window, dist)"
-                        )))
-                    }
-                }
+        let mut seen: Vec<&str> = Vec::new();
+        for pair in options.split(',').map(str::trim) {
+            if pair.is_empty() {
+                continue;
             }
+            let Some((key, value)) = pair.split_once('=') else {
+                return Err(PartitionError::InvalidSpec(format!(
+                    "job option '{pair}' is not of the form key=value"
+                )));
+            };
+            let (key, value) = (key.trim(), value.trim());
+            let knob = Knob::find(key).ok_or_else(|| {
+                PartitionError::InvalidSpec(format!(
+                    "unknown job option '{key}' (known: {})",
+                    knobs::keys()
+                ))
+            })?;
+            if seen.contains(&knob.key) {
+                return Err(PartitionError::InvalidSpec(format!(
+                    "job option '{}' is given more than once",
+                    knob.key
+                )));
+            }
+            seen.push(knob.key);
+            knob.set(&mut spec, value).map_err(|why| {
+                PartitionError::InvalidSpec(format!("job option '{key}={value}': {why}"))
+            })?;
         }
         Ok(spec)
     }
@@ -1105,233 +797,131 @@ impl FromStr for JobSpec {
 
 // ----------------------------------------------------------------- registry
 
-/// One entry of the shared algorithm registry.
-#[derive(Clone, Copy)]
-pub struct AlgorithmInfo {
-    /// Canonical registry name (what [`JobSpec::algorithm`] refers to).
-    pub name: &'static str,
-    /// Accepted alternative spellings.
-    pub aliases: &'static [&'static str],
-    /// One-line description for `--help`-style listings.
-    pub description: &'static str,
-    /// Whether the algorithm exploits a hierarchical shape (rather than just
-    /// flattening it to `k`).
-    pub supports_hierarchy: bool,
-    /// Whether the `oms-dynamic` layer can maintain this algorithm's
-    /// partitions incrementally (ReFennel-style local re-scoring of touched
-    /// nodes). Only the flat one-pass scorers qualify; hierarchical,
-    /// parallel-only and in-memory algorithms need a full re-run.
-    pub supports_repair: bool,
-    /// Whether the deterministic sharded engine (`shards=S`) can drive this
-    /// algorithm. Only the flat one-pass scorers with a load-vector state
-    /// qualify; hashing is stateless and the hierarchical / in-memory
-    /// algorithms have no replicated sink state to reconcile.
-    pub supports_sharding: bool,
-    /// Constructor turning a [`JobSpec`] into the boxed algorithm.
-    pub build: fn(&JobSpec) -> Result<Box<dyn Partitioner>>,
-}
+/// One entry of the node-partitioner registry.
+pub type AlgorithmInfo = Entry<dyn Partitioner>;
 
-impl fmt::Debug for AlgorithmInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AlgorithmInfo")
-            .field("name", &self.name)
-            .field("aliases", &self.aliases)
-            .field("description", &self.description)
-            .field("supports_hierarchy", &self.supports_hierarchy)
-            .field("supports_repair", &self.supports_repair)
-            .field("supports_sharding", &self.supports_sharding)
-            .finish()
-    }
-}
+/// The shared node-partitioner registry every frontend resolves jobs
+/// against. Downstream crates plug additional backends into
+/// [`JobSpec::build`] with [`Registry::register`];
+/// `oms_multilevel::register_algorithms()` adds the in-memory `multilevel`
+/// and `rms` baselines and `buffered` this way. Every node algorithm takes
+/// `threads=` and `dist=`.
+pub static ALGORITHMS: Registry<dyn Partitioner> =
+    Registry::new("algorithm", &["threads", "dist"], builtin_algorithms);
 
-static REGISTRY: OnceLock<Mutex<Vec<AlgorithmInfo>>> = OnceLock::new();
-
-fn registry() -> &'static Mutex<Vec<AlgorithmInfo>> {
-    REGISTRY.get_or_init(|| Mutex::new(builtin_algorithms()))
-}
-
-/// Registers (or replaces, by name) an algorithm in the shared registry.
-///
-/// Downstream crates use this to plug additional backends into
-/// [`JobSpec::build`]; `oms_multilevel::register_algorithms()` adds the
-/// in-memory `multilevel` and `rms` baselines this way.
-pub fn register_algorithm(info: AlgorithmInfo) {
-    let mut algorithms = registry().lock().expect("algorithm registry poisoned");
-    match algorithms.iter_mut().find(|a| a.name == info.name) {
-        Some(slot) => *slot = info,
-        None => algorithms.push(info),
-    }
-}
-
-/// A snapshot of every registered algorithm, in registration order.
-pub fn registered_algorithms() -> Vec<AlgorithmInfo> {
-    registry()
-        .lock()
-        .expect("algorithm registry poisoned")
-        .clone()
-}
-
-/// Looks an algorithm up by canonical name or alias (case-insensitive).
-pub fn find_algorithm(name: &str) -> Option<AlgorithmInfo> {
-    let wanted = name.to_ascii_lowercase();
-    registered_algorithms()
-        .into_iter()
-        .find(|a| a.name == wanted || a.aliases.iter().any(|&alias| alias == wanted))
-}
-
-fn build_hashing(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    let k = spec.num_blocks();
-    let config = spec.one_pass_config();
-    // Hashing is a fixed point after one pass no matter how it is driven,
-    // so restreaming (sequential, with the immediate fixed-point exit)
-    // takes precedence over the parallel driver.
-    Ok(if spec.passes > 1 {
-        Box::new(ReHashing::new(k, config, spec.passes).convergence(spec.convergence))
-    } else if spec.threads > 1 {
-        Box::new(ParallelFlat {
-            k,
-            kind: ParFlatKind::Hashing,
-            config,
-            threads: spec.threads,
-            passes: 1,
-            convergence: 0.0,
-        })
-    } else {
-        Box::new(Hashing::new(k, config))
-    })
-}
-
-fn build_ldg(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    let k = spec.num_blocks();
-    let config = spec.one_pass_config();
-    Ok(if spec.shards > 1 {
-        Box::new(
-            ShardedFlat::new(k, config, FlatObjective::Ldg, spec.shards)
-                .passes(spec.passes)
-                .convergence(spec.convergence),
-        )
-    } else if spec.threads > 1 {
-        Box::new(ParallelFlat {
-            k,
-            kind: ParFlatKind::Ldg,
-            config,
-            threads: spec.threads,
-            passes: spec.passes,
-            convergence: spec.convergence,
-        })
-    } else if spec.passes > 1 {
-        Box::new(ReLdg::new(k, config, spec.passes).convergence(spec.convergence))
-    } else {
-        Box::new(Ldg::new(k, config))
-    })
-}
-
-fn build_fennel(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    let k = spec.num_blocks();
-    let config = spec.one_pass_config();
-    Ok(if spec.shards > 1 {
-        Box::new(
-            ShardedFlat::new(k, config, FlatObjective::Fennel, spec.shards)
-                .passes(spec.passes)
-                .convergence(spec.convergence),
-        )
-    } else if spec.threads > 1 {
-        Box::new(ParallelFlat {
-            k,
-            kind: ParFlatKind::Fennel,
-            config,
-            threads: spec.threads,
-            passes: spec.passes,
-            convergence: spec.convergence,
-        })
-    } else if spec.passes > 1 {
-        Box::new(ReFennel::new(k, config, spec.passes).convergence(spec.convergence))
-    } else {
-        Box::new(Fennel::new(k, config))
-    })
-}
-
-fn finish_oms(
-    spec: &JobSpec,
-    _algorithm: &str,
-    oms: OnlineMultiSection,
-) -> Result<Box<dyn Partitioner>> {
-    Ok(if spec.threads > 1 {
-        Box::new(ParallelOms {
-            oms,
-            threads: spec.threads,
-            passes: spec.passes,
-            convergence: spec.convergence,
-        })
-    } else if spec.passes > 1 {
-        Box::new(ReOms::new(oms, spec.passes).convergence(spec.convergence))
-    } else {
-        Box::new(oms)
-    })
-}
-
-fn build_oms(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    let config = spec.oms_config();
-    let oms = match &spec.shape {
-        JobShape::Hierarchy(h) => OnlineMultiSection::with_hierarchy(h.clone(), config),
-        JobShape::Flat(k) => OnlineMultiSection::flat(*k, config)?,
+/// A flat rule (`None` = Hashing) on the engine the job selects: sharded,
+/// shared-memory parallel (§3.4, over the materialised graph) or the
+/// sequential pass-aware run of [`crate::onepass`].
+fn build_flat(spec: &JobSpec, rule: Option<FlatObjective>) -> Result<Box<dyn Partitioner>> {
+    let (k, config, threads) = (spec.num_blocks(), spec.one_pass_config(), spec.threads);
+    let (passes, convergence) = (spec.passes, spec.convergence);
+    let run: RunFn = match rule {
+        Some(objective) if spec.shards > 1 => {
+            let sharded = ShardedFlat::new(k, config, objective, spec.shards);
+            return Ok(Box::new(sharded.passes(passes).convergence(convergence)));
+        }
+        Some(objective) if threads > 1 => Box::new(move |stream, tracked| {
+            let graph = materialize_stream(stream)?;
+            onepass_parallel_restream(
+                &graph,
+                k,
+                objective,
+                config,
+                threads,
+                passes,
+                convergence,
+                tracked,
+            )
+        }),
+        // Hashing is a fixed point after one pass no matter how it is
+        // driven, so restreaming (sequential, with the immediate fixed-point
+        // exit) takes precedence over the parallel driver.
+        None if threads > 1 && passes == 1 => Box::new(move |stream, _| {
+            let graph = materialize_stream(stream)?;
+            let partition = hashing_parallel(&graph, k, config, threads)?;
+            Ok((partition, PassTrajectory::default()))
+        }),
+        _ => Box::new(move |stream, _| run_flat(k, config, rule, passes, convergence, stream)),
     };
-    finish_oms(spec, "oms", oms)
+    let name = rule.map_or("hashing", |rule| rule.name());
+    Ok(Box::new(EngineRun { name, k, run }))
 }
 
-fn build_nh_oms(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    // nh-OMS always uses the artificial base-b tree, even when the shape was
-    // written as a hierarchy (only the product k matters).
-    let oms = OnlineMultiSection::flat(spec.num_blocks(), spec.oms_config())?;
-    finish_oms(spec, "nh-oms", oms)
+/// OMS over the tree of `oms`, on the engine the job selects.
+fn build_oms(spec: &JobSpec, oms: OnlineMultiSection) -> Result<Box<dyn Partitioner>> {
+    let (threads, passes, convergence) = (spec.threads, spec.passes, spec.convergence);
+    if threads <= 1 {
+        return Ok(Box::new(oms.passes(passes).convergence(convergence)));
+    }
+    Ok(Box::new(EngineRun {
+        name: "oms",
+        k: oms.tree().num_blocks(),
+        run: Box::new(move |stream, tracked| {
+            let graph = materialize_stream(stream)?;
+            oms.partition_graph_parallel_restream(&graph, threads, passes, convergence, tracked)
+        }),
+    }))
 }
 
 fn builtin_algorithms() -> Vec<AlgorithmInfo> {
     vec![
-        AlgorithmInfo {
+        Entry {
             name: "hashing",
             aliases: &["hash"],
             description: "random hash assignment (fastest, worst quality)",
+            reads: &[],
             supports_hierarchy: false,
             supports_repair: false,
-            supports_sharding: false,
-            build: build_hashing,
+            build: |spec| build_flat(spec, None),
         },
-        AlgorithmInfo {
+        Entry {
             name: "ldg",
             aliases: &["reldg"],
             description: "linear deterministic greedy; passes>1 = ReLDG, threads>1 = parallel",
+            reads: &["shards"],
             supports_hierarchy: false,
             supports_repair: true,
-            supports_sharding: true,
-            build: build_ldg,
+            build: |spec| build_flat(spec, Some(FlatObjective::Ldg)),
         },
-        AlgorithmInfo {
+        Entry {
             name: "fennel",
             aliases: &["refennel"],
             description: "Fennel one-pass; passes>1 = ReFennel, threads>1 = parallel",
+            reads: &["shards"],
             supports_hierarchy: false,
             supports_repair: true,
-            supports_sharding: true,
-            build: build_fennel,
+            build: |spec| build_flat(spec, Some(FlatObjective::Fennel)),
         },
-        AlgorithmInfo {
+        Entry {
             name: "oms",
             aliases: &["reoms"],
             description: "online recursive multi-section (hierarchy shape = OMS, flat k = nh-OMS)",
+            reads: &["base", "hybrid"],
             supports_hierarchy: true,
             supports_repair: false,
-            supports_sharding: false,
-            build: build_oms,
+            build: |spec| match &spec.shape {
+                JobShape::Hierarchy(h) => build_oms(
+                    spec,
+                    OnlineMultiSection::with_hierarchy(h.clone(), spec.oms_config()),
+                ),
+                JobShape::Flat(k) => {
+                    build_oms(spec, OnlineMultiSection::flat(*k, spec.oms_config())?)
+                }
+            },
         },
-        AlgorithmInfo {
+        Entry {
             name: "nh-oms",
             aliases: &["nhoms"],
             description: "nh-OMS: k-way partitioning through the artificial base-b tree",
+            reads: &["base", "hybrid"],
             supports_hierarchy: false,
             supports_repair: false,
-            supports_sharding: false,
-            build: build_nh_oms,
+            // Always the artificial base-b tree, even when the shape was
+            // written as a hierarchy (only the product k matters).
+            build: |spec| {
+                let oms = OnlineMultiSection::flat(spec.num_blocks(), spec.oms_config())?;
+                build_oms(spec, oms)
+            },
         },
     ]
 }
@@ -1464,6 +1054,50 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_hierarchy_is_a_typed_parse_error() {
+        // 65536^4 = 2^64 used to overflow the product: a panic in debug
+        // builds, k = 0 ("k must be positive") in release.
+        let Err(err) = JobSpec::parse("oms:65536:65536:65536:65536") else {
+            panic!("an overflowing hierarchy must not parse");
+        };
+        assert!(matches!(err, PartitionError::InvalidSpec(_)), "{err}");
+        assert!(err.to_string().contains("exceeds the supported maximum"));
+    }
+
+    #[test]
+    fn options_the_algorithm_never_reads_are_rejected() {
+        for (text, knob, takers) in [
+            ("fennel:8@buf=5", "buf=", ""),
+            ("fennel:8@hybrid=3", "hybrid=", "oms, nh-oms"),
+            ("ldg:8@base=2", "base=", "oms, nh-oms"),
+            ("oms:4:4@lambda=2", "lambda=", ""),
+            ("hashing:8@shards=2", "shards=", "ldg, fennel"),
+            ("nh-oms:8@shards=2", "shards=", "ldg, fennel"),
+        ] {
+            let Err(err) = JobSpec::parse(text).unwrap().build() else {
+                panic!("'{text}' must not build");
+            };
+            assert!(matches!(err, PartitionError::InvalidConfig(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(knob), "{text}: {msg}");
+            assert!(msg.contains(takers), "{text}: {msg}");
+        }
+        // At its default the option is not "set"; the frontend's options and
+        // threads= are accepted with every node algorithm.
+        for text in [
+            "fennel:8@buf=0",
+            "ldg:8@base=4",
+            "hashing:8@drift=0.5,repair=off,window=3",
+            "oms:4:4@drift=0.5",
+            "nh-oms:8@base=2,hybrid=1",
+            "hashing:8@threads=2",
+        ] {
+            let built = JobSpec::parse(text).unwrap().build();
+            assert!(built.is_ok(), "{text}: {:?}", built.err());
+        }
+    }
+
+    #[test]
     fn sharding_is_gated_at_build_time() {
         // Only algorithms whose registry entry supports the sharded engine
         // accept shards>1, and shards and threads are mutually exclusive.
@@ -1584,45 +1218,46 @@ mod tests {
 
     #[test]
     fn aliases_resolve() {
-        assert_eq!(find_algorithm("refennel").unwrap().name, "fennel");
-        assert_eq!(find_algorithm("OMS").unwrap().name, "oms");
-        assert!(find_algorithm("does-not-exist").is_none());
+        assert_eq!(ALGORITHMS.find("refennel").unwrap().name, "fennel");
+        assert_eq!(ALGORITHMS.find("OMS").unwrap().name, "oms");
+        assert!(ALGORITHMS.find("does-not-exist").is_none());
     }
 
     #[test]
     fn registry_can_be_extended_and_replaced() {
         fn build_dummy(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-            Ok(Box::new(Hashing::new(
+            Ok(Box::new(crate::Hashing::new(
                 spec.num_blocks(),
                 OnePassConfig::default(),
             )))
         }
-        register_algorithm(AlgorithmInfo {
+        ALGORITHMS.register(Entry {
             name: "dummy-test-algo",
             aliases: &[],
             description: "test-only",
+            reads: &[],
             supports_hierarchy: false,
             supports_repair: false,
-            supports_sharding: false,
             build: build_dummy,
         });
-        assert!(find_algorithm("dummy-test-algo").is_some());
+        assert!(ALGORITHMS.find("dummy-test-algo").is_some());
         let p = JobSpec::parse("dummy-test-algo:4")
             .unwrap()
             .build()
             .unwrap();
         assert_eq!(p.name(), "dummy-test-algo");
         // Re-registering replaces rather than duplicates.
-        register_algorithm(AlgorithmInfo {
+        ALGORITHMS.register(Entry {
             name: "dummy-test-algo",
             aliases: &[],
             description: "replaced",
+            reads: &[],
             supports_hierarchy: false,
             supports_repair: false,
-            supports_sharding: false,
             build: build_dummy,
         });
-        let count = registered_algorithms()
+        let count = ALGORITHMS
+            .list()
             .iter()
             .filter(|a| a.name == "dummy-test-algo")
             .count();

@@ -35,10 +35,12 @@ impl HierarchySpec {
                 "every hierarchy factor must be at least 2".into(),
             ));
         }
-        let k: u64 = factors.iter().map(|&a| a as u64).product();
-        if k > u32::MAX as u64 {
+        // Checked: four factors of 65536 already overflow a u64 product.
+        let k = factors.iter().try_fold(1u32, |k, &a| k.checked_mul(a));
+        if k.is_none() {
             return Err(PartitionError::InvalidSpec(format!(
-                "hierarchy produces k = {k} blocks, which exceeds the supported maximum"
+                "hierarchy produces more than {} blocks, which exceeds the supported maximum",
+                u32::MAX
             )));
         }
         Ok(HierarchySpec { factors })
@@ -275,5 +277,12 @@ mod tests {
     #[test]
     fn huge_hierarchy_is_rejected() {
         assert!(HierarchySpec::new(vec![65536, 65536, 4]).is_err());
+        // 2^64 wraps a u64 product to 0: it must be the same typed error,
+        // not an overflow panic (debug) or k = 0 (release).
+        let Err(err) = HierarchySpec::parse("65536:65536:65536:65536") else {
+            panic!("an overflowing hierarchy must not parse");
+        };
+        assert!(matches!(err, PartitionError::InvalidSpec(_)), "{err}");
+        assert!(err.to_string().contains("exceeds the supported maximum"));
     }
 }

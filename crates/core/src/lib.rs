@@ -26,17 +26,20 @@
 //! * [`parallel`] contains the shared-memory parallel scoring kernels
 //!   (§3.4), driven through the executor's parallel dispatch with atomic
 //!   block-weight updates.
-//! * [`restream`] contains the multi-pass restreaming extensions (ReFennel /
-//!   ReLDG style, §3.2), all thin wrappers around the executor's multi-pass
-//!   engine: the stream is rewound between passes, a per-pass quality
-//!   trajectory is recorded, runs stop early on convergence, and a pass
-//!   that worsened the cut is reverted. [`refine_partition`] reuses the
-//!   same loop to refine partitions of non-streaming algorithms.
+//! * [`restream`] holds the pass policy of multi-pass restreaming (ReFennel /
+//!   ReLDG style, §3.2). There are no restreaming types: every partitioner
+//!   above carries `passes`/`convergence` and runs through the executor's
+//!   multi-pass engine — the stream is rewound between passes, a per-pass
+//!   quality trajectory is recorded, runs stop early on convergence, and a
+//!   pass that worsened the cut is reverted. [`refine_partition`] reuses
+//!   the same loop to refine partitions of non-streaming algorithms.
 //! * [`api`] is the unified entry point: an object-safe [`Partitioner`]
-//!   trait, the [`JobSpec`] string format + factory (including the `buf=`
-//!   key of the buffered algorithms contributed by `oms-multilevel`), and
-//!   the shared dispatch registry every frontend resolves algorithms
-//!   against.
+//!   trait, the [`JobSpec`] string format + factory, and the shared
+//!   dispatch registry every frontend resolves algorithms against.
+//!   [`knobs`] is the one table of the job grammar's options, from which
+//!   parsing, display, validation, help texts and the CLI's job flags are
+//!   derived; [`registry`] is the generic name → constructor store that
+//!   both the node and the edge pipeline instantiate.
 //!
 //! ## Quick example
 //!
@@ -79,18 +82,20 @@ pub mod api;
 pub mod config;
 pub mod executor;
 pub mod hierarchy;
+pub mod knobs;
 pub mod mstree;
 pub mod oms;
 pub mod onepass;
 pub mod parallel;
 pub mod partition;
+pub mod registry;
 pub mod restream;
 pub mod scorer;
 pub mod shard;
 
 pub use api::{
-    find_algorithm, materialize_stream, register_algorithm, registered_algorithms, stream_edge_cut,
-    AlgorithmInfo, JobShape, JobSpec, PartitionReport, Partitioner, RepairPolicy,
+    materialize_stream, stream_edge_cut, AlgorithmInfo, JobShape, JobSpec, PartitionReport,
+    Partitioner, RepairPolicy, ALGORITHMS,
 };
 pub use config::{AlphaMode, OmsConfig, OnePassConfig, ScorerKind};
 pub use executor::{
@@ -101,7 +106,8 @@ pub use mstree::MultisectionTree;
 pub use oms::OnlineMultiSection;
 pub use onepass::{Fennel, FlatObjective, Hashing, Ldg, RepairSink, StreamingPartitioner};
 pub use partition::{BlockId, Partition, UNASSIGNED};
-pub use restream::{refine_partition, ReFennel, ReHashing, ReLdg, ReOms};
+pub use registry::{Entry, Registry};
+pub use restream::refine_partition;
 pub use shard::{ShardStats, ShardedFlat};
 
 /// Errors produced by the partitioning algorithms.

@@ -51,7 +51,7 @@
 //! naive from-the-pseudocode descent.
 
 use crate::config::{OmsConfig, ScorerKind};
-use crate::executor::{BatchExecutor, NodeSink};
+use crate::executor::{NodeSink, PassTrajectory};
 use crate::hierarchy::HierarchySpec;
 use crate::mstree::MultisectionTree;
 use crate::onepass::{FlatObjective, StreamingPartitioner};
@@ -65,15 +65,14 @@ use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeStream, NodeWeight};
 pub struct OnlineMultiSection {
     tree: MultisectionTree,
     config: OmsConfig,
+    passes: usize,
+    convergence: f64,
 }
 
 impl OnlineMultiSection {
     /// OMS: multi-section along an explicit communication hierarchy.
     pub fn with_hierarchy(hierarchy: HierarchySpec, config: OmsConfig) -> Self {
-        OnlineMultiSection {
-            tree: MultisectionTree::from_hierarchy(&hierarchy),
-            config,
-        }
+        Self::with_tree(MultisectionTree::from_hierarchy(&hierarchy), config)
     }
 
     /// nh-OMS: plain `k`-way partitioning through an artificial recursive
@@ -89,15 +88,35 @@ impl OnlineMultiSection {
                 "the multi-section base must be at least 2".into(),
             ));
         }
-        Ok(OnlineMultiSection {
-            tree: MultisectionTree::flat(k, config.base_b),
+        Ok(Self::with_tree(
+            MultisectionTree::flat(k, config.base_b),
             config,
-        })
+        ))
     }
 
     /// Builds an OMS instance from an explicit, pre-built multi-section tree.
     pub fn with_tree(tree: MultisectionTree, config: OmsConfig) -> Self {
-        OnlineMultiSection { tree, config }
+        OnlineMultiSection {
+            tree,
+            config,
+            passes: 1,
+            convergence: 0.0,
+        }
+    }
+
+    /// Restreams ("remapping", §3.2): runs up to `passes` passes, removing
+    /// each node's previous assignment along its whole tree path before the
+    /// descent is re-run.
+    pub fn passes(mut self, passes: usize) -> Self {
+        self.passes = passes;
+        self
+    }
+
+    /// Sets the relative edge-cut improvement below which a multi-pass run
+    /// stops.
+    pub fn convergence(mut self, min_improvement: f64) -> Self {
+        self.convergence = min_improvement.max(0.0);
+        self
     }
 
     /// The underlying multi-section tree.
@@ -401,10 +420,13 @@ impl NodeSink for OmsSink<'_> {
 }
 
 impl StreamingPartitioner for OnlineMultiSection {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
+    fn partition_stream_tracked<S: NodeStream>(
+        &self,
+        stream: &mut S,
+    ) -> Result<(Partition, PassTrajectory)> {
         let mut sink = OmsSink::new(self, stream);
-        BatchExecutor::default().run(stream, &mut sink)?;
-        Ok(sink.into_partition())
+        let trajectory = crate::restream::run(stream, &mut sink, self.passes, self.convergence)?;
+        Ok((sink.into_partition(), trajectory))
     }
 
     fn num_blocks(&self) -> u32 {
@@ -412,7 +434,11 @@ impl StreamingPartitioner for OnlineMultiSection {
     }
 
     fn name(&self) -> &'static str {
-        "oms"
+        if self.passes > 1 {
+            "reoms"
+        } else {
+            "oms"
+        }
     }
 }
 
@@ -523,7 +549,7 @@ mod tests {
             assert_eq!(oms.scoring(), None);
             let p = oms.partition_graph(&g).unwrap();
             assert!(p.assignments().iter().all(|&b| b == 0));
-            let re = crate::ReOms::new(oms, 3).partition_graph(&g).unwrap();
+            let re = oms.passes(3).partition_graph(&g).unwrap();
             assert_eq!(re, p);
         }
     }
@@ -542,7 +568,7 @@ mod tests {
             assert_eq!(p.num_blocks(), 64);
             assert!(p.validate(&[1; 10]));
             assert!(p.block_weights().iter().all(|&w| w <= 1));
-            let re = crate::ReOms::new(oms, 3).partition_graph(&g).unwrap();
+            let re = oms.passes(3).partition_graph(&g).unwrap();
             assert!(re.validate(&[1; 10]));
         }
     }

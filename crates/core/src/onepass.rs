@@ -1,15 +1,23 @@
-//! Flat one-pass partitioning baselines: Hashing, LDG and Fennel.
+//! Flat partitioning baselines: Hashing, LDG and Fennel.
 //!
 //! These are the non-buffered streaming state of the art the paper compares
 //! against (§2.2). All three follow the same skeleton — load a node, score
-//! all `k` blocks, assign permanently — and differ only in the scoring rule:
+//! all `k` blocks, assign — and differ only in the scoring rule:
 //!
 //! * **Hashing** assigns `hash(v) mod k`; `O(n)` time, poor quality.
 //! * **LDG** maximises `ω(N(v) ∩ Vᵢ)·(1 − c(Vᵢ)/L_max)`; `O(m + nk)` time.
 //! * **Fennel** maximises `ω(N(v) ∩ Vᵢ) − α·γ·c(Vᵢ)^{γ−1}`; `O(m + nk)` time.
+//!
+//! There is one pass-aware type per rule ([`Hashing`], [`Ldg`], [`Fennel`]):
+//! one pass by default, and `.passes(p)` / `.convergence(c)` turn the same
+//! value into its restreaming variant (ReLDG, ReFennel — Nishimura &
+//! Ugander), where from the second pass on a node's previous assignment is
+//! removed before it is re-scored. Every run, one pass or many, goes through
+//! the one engine loop (`restream::run` on
+//! [`BatchExecutor::run_restream`](crate::executor::BatchExecutor::run_restream)).
 
 use crate::config::OnePassConfig;
-use crate::executor::{BatchExecutor, NodeSink, PassTrajectory};
+use crate::executor::{NodeSink, PassTrajectory};
 use crate::partition::{Partition, UNASSIGNED};
 use crate::scorer::{fennel_alpha, hash_node};
 use crate::{BlockId, PartitionError, Result};
@@ -18,20 +26,19 @@ use oms_graph::{CsrGraph, InMemoryStream, NodeStream, NodeWeight};
 /// Common interface of all sequential streaming partitioners, flat or
 /// hierarchical.
 pub trait StreamingPartitioner {
-    /// Partitions the nodes delivered by `stream` in a single pass (or a
-    /// fixed number of passes for restreaming algorithms).
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition>;
+    /// Partitions the nodes delivered by `stream` in the partitioner's
+    /// configured number of passes (one unless it was asked to restream).
+    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
+        Ok(self.partition_stream_tracked(stream)?.0)
+    }
 
     /// Like [`StreamingPartitioner::partition_stream`], but additionally
     /// returns the per-pass quality trajectory recorded by the multi-pass
-    /// engine. Single-pass algorithms return an empty trajectory by
-    /// default; restreaming algorithms override this.
+    /// engine — empty for a one-pass run, which is not quality-tracked.
     fn partition_stream_tracked<S: NodeStream>(
         &self,
         stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
-        Ok((self.partition_stream(stream)?, PassTrajectory::default()))
-    }
+    ) -> Result<(Partition, PassTrajectory)>;
 
     /// Number of blocks this partitioner produces.
     fn num_blocks(&self) -> u32;
@@ -55,119 +62,120 @@ fn check_k(k: u32) -> Result<()> {
     }
 }
 
-/// The Hashing baseline: `block(v) = hash(v) mod k`.
-#[derive(Clone, Copy, Debug)]
-pub struct Hashing {
+/// The one run of the flat rules (`None` = Hashing): up to `passes` passes
+/// of the rule's sink over `stream`.
+pub(crate) fn run_flat(
     k: u32,
     config: OnePassConfig,
-}
-
-impl Hashing {
-    /// Creates a Hashing partitioner for `k` blocks.
-    pub fn new(k: u32, config: OnePassConfig) -> Self {
-        Hashing { k, config }
-    }
-}
-
-impl StreamingPartitioner for Hashing {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        check_k(self.k)?;
+    rule: Option<FlatObjective>,
+    passes: usize,
+    convergence: f64,
+    stream: &mut dyn NodeStream,
+) -> Result<(Partition, PassTrajectory)> {
+    check_k(k)?;
+    let Some(objective) = rule else {
         let n = stream.num_nodes();
         let mut sink = HashingSink {
             assignments: vec![UNASSIGNED; n],
             node_weights: vec![0; n],
-            k: self.k as u64,
-            seed: self.config.seed,
+            k: k as u64,
+            seed: config.seed,
         };
-        BatchExecutor::default().run(stream, &mut sink)?;
-        Ok(Partition::from_assignments(
-            self.k,
-            sink.assignments,
-            &sink.node_weights,
-        ))
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn name(&self) -> &'static str {
-        "hashing"
-    }
+        let trajectory = crate::restream::run(stream, &mut sink, passes, convergence)?;
+        let partition = Partition::from_assignments(k, sink.assignments, &sink.node_weights);
+        return Ok((partition, trajectory));
+    };
+    let mut sink = FlatSink::new(FlatState::new(k, &stream, config, objective));
+    let trajectory = crate::restream::run(stream, &mut sink, passes, convergence)?;
+    Ok((sink.into_partition(k), trajectory))
 }
 
-/// The linear deterministic greedy (LDG) baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct Ldg {
-    k: u32,
-    config: OnePassConfig,
+/// Defines the pass-aware partitioner type of one flat rule.
+macro_rules! flat_baseline {
+    ($(#[$doc:meta])* $name:ident, $rule:expr, $one_pass:literal, $restreamed:literal) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug)]
+        pub struct $name {
+            k: u32,
+            config: OnePassConfig,
+            passes: usize,
+            convergence: f64,
+        }
+
+        impl $name {
+            /// Creates the one-pass partitioner for `k` blocks.
+            pub fn new(k: u32, config: OnePassConfig) -> Self {
+                $name {
+                    k,
+                    config,
+                    passes: 1,
+                    convergence: 0.0,
+                }
+            }
+
+            /// Restreams: runs up to `passes` passes, unassigning each node
+            /// before re-scoring it from the second pass on.
+            pub fn passes(mut self, passes: usize) -> Self {
+                self.passes = passes;
+                self
+            }
+
+            /// Sets the relative edge-cut improvement below which a
+            /// multi-pass run stops.
+            pub fn convergence(mut self, min_improvement: f64) -> Self {
+                self.convergence = min_improvement.max(0.0);
+                self
+            }
+        }
+
+        impl StreamingPartitioner for $name {
+            fn partition_stream_tracked<S: NodeStream>(
+                &self,
+                stream: &mut S,
+            ) -> Result<(Partition, PassTrajectory)> {
+                run_flat(self.k, self.config, $rule, self.passes, self.convergence, stream)
+            }
+
+            fn num_blocks(&self) -> u32 {
+                self.k
+            }
+
+            fn name(&self) -> &'static str {
+                if self.passes > 1 {
+                    $restreamed
+                } else {
+                    $one_pass
+                }
+            }
+        }
+    };
 }
 
-impl Ldg {
-    /// Creates an LDG partitioner for `k` blocks.
-    pub fn new(k: u32, config: OnePassConfig) -> Self {
-        Ldg { k, config }
-    }
-}
-
-impl StreamingPartitioner for Ldg {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        check_k(self.k)?;
-        let mut sink = FlatSink::new(FlatState::new(
-            self.k,
-            stream,
-            self.config,
-            FlatObjective::Ldg,
-        ));
-        BatchExecutor::default().run(stream, &mut sink)?;
-        Ok(sink.into_partition(self.k))
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn name(&self) -> &'static str {
-        "ldg"
-    }
-}
-
-/// The Fennel baseline (Tsourakakis et al.) with
-/// `α = √k·m/n^{3/2}`, `γ = 1.5`.
-#[derive(Clone, Copy, Debug)]
-pub struct Fennel {
-    k: u32,
-    config: OnePassConfig,
-}
-
-impl Fennel {
-    /// Creates a Fennel partitioner for `k` blocks.
-    pub fn new(k: u32, config: OnePassConfig) -> Self {
-        Fennel { k, config }
-    }
-}
-
-impl StreamingPartitioner for Fennel {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        check_k(self.k)?;
-        let mut sink = FlatSink::new(FlatState::new(
-            self.k,
-            stream,
-            self.config,
-            FlatObjective::Fennel,
-        ));
-        BatchExecutor::default().run(stream, &mut sink)?;
-        Ok(sink.into_partition(self.k))
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn name(&self) -> &'static str {
-        "fennel"
-    }
-}
+flat_baseline!(
+    /// The Hashing baseline: `block(v) = hash(v) mod k`. `passes > 1` is
+    /// provided for uniformity: the hash of a node never changes, so the
+    /// second pass moves nothing and the engine's fixed-point exit fires.
+    Hashing,
+    None,
+    "hashing",
+    "rehashing"
+);
+flat_baseline!(
+    /// The linear deterministic greedy (LDG) baseline; ReLDG with
+    /// `passes > 1`.
+    Ldg,
+    Some(FlatObjective::Ldg),
+    "ldg",
+    "reldg"
+);
+flat_baseline!(
+    /// The Fennel baseline (Tsourakakis et al.) with
+    /// `α = √k·m/n^{3/2}`, `γ = 1.5`; ReFennel with `passes > 1`.
+    Fennel,
+    Some(FlatObjective::Fennel),
+    "fennel",
+    "refennel"
+);
 
 /// The scoring rule of a flat one-pass algorithm, as a value.
 ///
@@ -184,16 +192,22 @@ pub enum FlatObjective {
 }
 
 impl FlatObjective {
+    /// The registry name of the flat algorithm scoring with this rule.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FlatObjective::Fennel => "fennel",
+            FlatObjective::Ldg => "ldg",
+        }
+    }
+
     /// The objective of the *canonical* algorithm name (aliases must be
     /// resolved first, e.g. through the registry), or `None` when the
     /// algorithm is not a flat one-pass scorer and therefore supports no
     /// incremental repair.
     pub fn for_algorithm(name: &str) -> Option<FlatObjective> {
-        match name {
-            "fennel" | "refennel" => Some(FlatObjective::Fennel),
-            "ldg" | "reldg" => Some(FlatObjective::Ldg),
-            _ => None,
-        }
+        [FlatObjective::Fennel, FlatObjective::Ldg]
+            .into_iter()
+            .find(|objective| objective.name() == name)
     }
 
     /// Scores one candidate block: `conn` is the connectivity towards the

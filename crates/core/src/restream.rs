@@ -1,26 +1,27 @@
-//! Restreaming extensions: ReFennel, ReLDG, ReHashing and restreamed OMS
-//! ("remapping").
+//! Restreaming: the pass policy shared by every multi-pass run.
 //!
 //! Restreaming (Nishimura & Ugander) performs several passes over the same
 //! stream; from the second pass on, a node's previous assignment is removed
 //! before it is re-scored, so each pass can only improve on the information
 //! available to the previous one. The paper lists remapping through
-//! restreaming as a natural extension of OMS (§3.2); this module provides it
-//! for the flat baselines and the multi-section algorithm.
+//! restreaming as a natural extension of OMS (§3.2).
 //!
-//! All types here are thin wrappers around the shared multi-pass engine
-//! ([`BatchExecutor::run_restream`]): they plug their scoring sink into the
-//! executor, which rewinds the stream between passes, records the per-pass
-//! quality trajectory, stops early once the partition converges and reverts
-//! a pass that worsened the edge cut. [`refine_partition`] exposes the same
-//! loop as restreaming *refinement* of an existing partition, used by the
-//! in-memory algorithms to support `passes > 1`.
+//! There are no restreaming *types*: [`Hashing`](crate::Hashing),
+//! [`Ldg`](crate::Ldg), [`Fennel`](crate::Fennel) and
+//! [`OnlineMultiSection`](crate::OnlineMultiSection) each carry
+//! `passes`/`convergence` (defaults 1/0) and run through `run` — a
+//! one-pass run *is* the multi-pass engine
+//! ([`BatchExecutor::run_restream`]) with a budget of one. The engine
+//! rewinds the stream between passes, records the per-pass quality
+//! trajectory, stops early once the partition converges and reverts a pass
+//! that worsened the edge cut. [`refine_partition`] exposes the same loop as
+//! restreaming *refinement* of an existing partition, used by the in-memory
+//! algorithms to support `passes > 1`.
 
-use crate::config::{OmsConfig, OnePassConfig};
-use crate::executor::{BatchExecutor, PassTrajectory, RestreamOptions};
-use crate::oms::{OmsSink, OnlineMultiSection};
-use crate::onepass::{FlatObjective, FlatSink, FlatState, HashingSink, StreamingPartitioner};
-use crate::partition::{Partition, UNASSIGNED};
+use crate::config::OnePassConfig;
+use crate::executor::{BatchExecutor, NodeSink, PassTrajectory, RestreamOptions};
+use crate::onepass::{FlatObjective, FlatSink, FlatState};
+use crate::partition::Partition;
 use crate::{PartitionError, Result};
 use oms_graph::NodeStream;
 
@@ -47,297 +48,17 @@ pub(crate) fn options(passes: usize, convergence: f64, tracked: bool) -> Restrea
     }
 }
 
-/// Restreaming Fennel (ReFennel): up to `passes` passes of the Fennel
-/// objective, unassigning each node before re-scoring it.
-#[derive(Clone, Copy, Debug)]
-pub struct ReFennel {
-    k: u32,
-    config: OnePassConfig,
+/// The one run of the sequential streaming partitioners: up to `passes`
+/// passes of `sink` over `stream`. A single pass is untracked (its
+/// trajectory is empty); from two passes on every pass is measured.
+pub(crate) fn run(
+    stream: &mut dyn NodeStream,
+    sink: &mut dyn NodeSink,
     passes: usize,
     convergence: f64,
-}
-
-impl ReFennel {
-    /// Creates a ReFennel partitioner running up to `passes` passes.
-    pub fn new(k: u32, config: OnePassConfig, passes: usize) -> Self {
-        ReFennel {
-            k,
-            config,
-            passes,
-            convergence: 0.0,
-        }
-    }
-
-    /// Sets the relative edge-cut improvement below which the run stops.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
-    }
-
-    fn run<S: NodeStream>(
-        &self,
-        stream: &mut S,
-        tracked: bool,
-    ) -> Result<(Partition, PassTrajectory)> {
-        check_passes(self.passes)?;
-        if self.k == 0 {
-            return Err(PartitionError::InvalidConfig("k must be positive".into()));
-        }
-        let mut sink = FlatSink::new(FlatState::new(
-            self.k,
-            stream,
-            self.config,
-            FlatObjective::Fennel,
-        ));
-        let trajectory = BatchExecutor::default().run_restream(
-            stream,
-            &mut sink,
-            &options(self.passes, self.convergence, tracked),
-        )?;
-        Ok((sink.into_partition(self.k), trajectory))
-    }
-}
-
-impl StreamingPartitioner for ReFennel {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        Ok(self.run(stream, false)?.0)
-    }
-
-    fn partition_stream_tracked<S: NodeStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.run(stream, true)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn name(&self) -> &'static str {
-        "refennel"
-    }
-}
-
-/// Restreaming LDG (ReLDG).
-#[derive(Clone, Copy, Debug)]
-pub struct ReLdg {
-    k: u32,
-    config: OnePassConfig,
-    passes: usize,
-    convergence: f64,
-}
-
-impl ReLdg {
-    /// Creates a ReLDG partitioner running up to `passes` passes.
-    pub fn new(k: u32, config: OnePassConfig, passes: usize) -> Self {
-        ReLdg {
-            k,
-            config,
-            passes,
-            convergence: 0.0,
-        }
-    }
-
-    /// Sets the relative edge-cut improvement below which the run stops.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
-    }
-
-    fn run<S: NodeStream>(
-        &self,
-        stream: &mut S,
-        tracked: bool,
-    ) -> Result<(Partition, PassTrajectory)> {
-        check_passes(self.passes)?;
-        if self.k == 0 {
-            return Err(PartitionError::InvalidConfig("k must be positive".into()));
-        }
-        let mut sink = FlatSink::new(FlatState::new(
-            self.k,
-            stream,
-            self.config,
-            FlatObjective::Ldg,
-        ));
-        let trajectory = BatchExecutor::default().run_restream(
-            stream,
-            &mut sink,
-            &options(self.passes, self.convergence, tracked),
-        )?;
-        Ok((sink.into_partition(self.k), trajectory))
-    }
-}
-
-impl StreamingPartitioner for ReLdg {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        Ok(self.run(stream, false)?.0)
-    }
-
-    fn partition_stream_tracked<S: NodeStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.run(stream, true)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn name(&self) -> &'static str {
-        "reldg"
-    }
-}
-
-/// Restreaming Hashing: provided for registry uniformity (`passes=N` works
-/// for every algorithm). The hash of a node never changes, so the second
-/// pass moves nothing and the engine's fixed-point exit fires immediately.
-#[derive(Clone, Copy, Debug)]
-pub struct ReHashing {
-    k: u32,
-    config: OnePassConfig,
-    passes: usize,
-    convergence: f64,
-}
-
-impl ReHashing {
-    /// Creates a restreamed Hashing partitioner running up to `passes`
-    /// passes.
-    pub fn new(k: u32, config: OnePassConfig, passes: usize) -> Self {
-        ReHashing {
-            k,
-            config,
-            passes,
-            convergence: 0.0,
-        }
-    }
-
-    /// Sets the relative edge-cut improvement below which the run stops.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
-    }
-
-    fn run<S: NodeStream>(
-        &self,
-        stream: &mut S,
-        tracked: bool,
-    ) -> Result<(Partition, PassTrajectory)> {
-        check_passes(self.passes)?;
-        if self.k == 0 {
-            return Err(PartitionError::InvalidConfig("k must be positive".into()));
-        }
-        let n = stream.num_nodes();
-        let mut sink = HashingSink {
-            assignments: vec![UNASSIGNED; n],
-            node_weights: vec![0; n],
-            k: self.k as u64,
-            seed: self.config.seed,
-        };
-        let trajectory = BatchExecutor::default().run_restream(
-            stream,
-            &mut sink,
-            &options(self.passes, self.convergence, tracked),
-        )?;
-        Ok((
-            Partition::from_assignments(self.k, sink.assignments, &sink.node_weights),
-            trajectory,
-        ))
-    }
-}
-
-impl StreamingPartitioner for ReHashing {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        Ok(self.run(stream, false)?.0)
-    }
-
-    fn partition_stream_tracked<S: NodeStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.run(stream, true)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn name(&self) -> &'static str {
-        "rehashing"
-    }
-}
-
-/// Restreamed online multi-section: iteratively improves a hierarchical
-/// partition / process mapping by re-running the multi-section descent.
-#[derive(Clone, Debug)]
-pub struct ReOms {
-    oms: OnlineMultiSection,
-    passes: usize,
-    convergence: f64,
-}
-
-impl ReOms {
-    /// Wraps an [`OnlineMultiSection`] instance for up to `passes`
-    /// restreaming passes.
-    pub fn new(oms: OnlineMultiSection, passes: usize) -> Self {
-        ReOms {
-            oms,
-            passes,
-            convergence: 0.0,
-        }
-    }
-
-    /// Restreamed nh-OMS for `k` blocks.
-    pub fn flat(k: u32, config: OmsConfig, passes: usize) -> Result<Self> {
-        Ok(ReOms {
-            oms: OnlineMultiSection::flat(k, config)?,
-            passes,
-            convergence: 0.0,
-        })
-    }
-
-    /// Sets the relative edge-cut improvement below which the run stops.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
-    }
-
-    fn run<S: NodeStream>(
-        &self,
-        stream: &mut S,
-        tracked: bool,
-    ) -> Result<(Partition, PassTrajectory)> {
-        check_passes(self.passes)?;
-        let mut sink = OmsSink::new(&self.oms, stream);
-        let trajectory = BatchExecutor::default().run_restream(
-            stream,
-            &mut sink,
-            &options(self.passes, self.convergence, tracked),
-        )?;
-        Ok((sink.into_partition(), trajectory))
-    }
-}
-
-impl StreamingPartitioner for ReOms {
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        Ok(self.run(stream, false)?.0)
-    }
-
-    fn partition_stream_tracked<S: NodeStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.run(stream, true)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.oms.tree().num_blocks()
-    }
-
-    fn name(&self) -> &'static str {
-        "reoms"
-    }
+) -> Result<PassTrajectory> {
+    check_passes(passes)?;
+    BatchExecutor::default().run_restream(stream, sink, &options(passes, convergence, false))
 }
 
 /// Restreaming refinement of an existing partition.
@@ -381,7 +102,9 @@ pub fn refine_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::onepass::{Fennel, Hashing};
+    use crate::config::OmsConfig;
+    use crate::oms::OnlineMultiSection;
+    use crate::onepass::{Fennel, Hashing, Ldg, StreamingPartitioner};
     use oms_gen::planted_partition;
     use oms_graph::InMemoryStream;
 
@@ -390,7 +113,7 @@ mod tests {
         let g = planted_partition(300, 8, 0.12, 0.01, 3);
         let cfg = OnePassConfig::default();
         let once = Fennel::new(8, cfg).partition_graph(&g).unwrap();
-        let re = ReFennel::new(8, cfg, 1).partition_graph(&g).unwrap();
+        let re = Fennel::new(8, cfg).passes(1).partition_graph(&g).unwrap();
         assert_eq!(once, re);
     }
 
@@ -399,7 +122,7 @@ mod tests {
         let g = planted_partition(500, 8, 0.1, 0.01, 5);
         let cfg = OnePassConfig::default();
         let once = Fennel::new(8, cfg).partition_graph(&g).unwrap();
-        let re = ReFennel::new(8, cfg, 3).partition_graph(&g).unwrap();
+        let re = Fennel::new(8, cfg).passes(3).partition_graph(&g).unwrap();
         assert!(
             re.edge_cut(&g) <= once.edge_cut(&g),
             "restreaming should not worsen the cut: {} vs {}",
@@ -412,7 +135,8 @@ mod tests {
     #[test]
     fn reldg_multiple_passes_stay_balanced() {
         let g = planted_partition(400, 4, 0.1, 0.01, 7);
-        let p = ReLdg::new(4, OnePassConfig::default(), 3)
+        let p = Ldg::new(4, OnePassConfig::default())
+            .passes(3)
             .partition_graph(&g)
             .unwrap();
         assert!(p.is_balanced(0.031));
@@ -424,7 +148,7 @@ mod tests {
         let g = planted_partition(300, 8, 0.12, 0.01, 9);
         let oms = OnlineMultiSection::flat(8, OmsConfig::default()).unwrap();
         let once = oms.partition_graph(&g).unwrap();
-        let re = ReOms::new(oms, 1).partition_graph(&g).unwrap();
+        let re = oms.passes(1).partition_graph(&g).unwrap();
         assert_eq!(once, re);
     }
 
@@ -435,8 +159,9 @@ mod tests {
             .unwrap()
             .partition_graph(&g)
             .unwrap();
-        let re = ReOms::flat(16, OmsConfig::default(), 3)
+        let re = OnlineMultiSection::flat(16, OmsConfig::default())
             .unwrap()
+            .passes(3)
             .partition_graph(&g)
             .unwrap();
         // The engine's revert guard makes this a hard guarantee now.
@@ -449,7 +174,7 @@ mod tests {
         let g = planted_partition(300, 4, 0.1, 0.01, 13);
         let cfg = OnePassConfig::default().seed(5);
         let once = Hashing::new(8, cfg).partition_graph(&g).unwrap();
-        let re = ReHashing::new(8, cfg, 4);
+        let re = Hashing::new(8, cfg).passes(4);
         let (p, trajectory) = re
             .partition_stream_tracked(&mut InMemoryStream::new(&g))
             .unwrap();
@@ -465,7 +190,8 @@ mod tests {
     fn tracked_trajectories_are_non_increasing_and_balanced() {
         let g = planted_partition(500, 8, 0.1, 0.008, 17);
         let cfg = OnePassConfig::default();
-        let (p, trajectory) = ReFennel::new(8, cfg, 4)
+        let (p, trajectory) = Fennel::new(8, cfg)
+            .passes(4)
             .partition_stream_tracked(&mut InMemoryStream::new(&g))
             .unwrap();
         assert!(!trajectory.stats.is_empty());
@@ -489,7 +215,8 @@ mod tests {
         let cfg = OnePassConfig::default();
         // A 100 % improvement requirement can never be met: exactly one
         // additional pass runs, then the threshold exit fires.
-        let (_, trajectory) = ReFennel::new(8, cfg, 6)
+        let (_, trajectory) = Fennel::new(8, cfg)
+            .passes(6)
             .convergence(1.0)
             .partition_stream_tracked(&mut InMemoryStream::new(&g))
             .unwrap();
@@ -524,17 +251,21 @@ mod tests {
     #[test]
     fn zero_passes_is_rejected() {
         let g = planted_partition(100, 4, 0.1, 0.01, 13);
-        assert!(ReFennel::new(4, OnePassConfig::default(), 0)
+        assert!(Fennel::new(4, OnePassConfig::default())
+            .passes(0)
             .partition_graph(&g)
             .is_err());
-        assert!(ReLdg::new(4, OnePassConfig::default(), 0)
+        assert!(Ldg::new(4, OnePassConfig::default())
+            .passes(0)
             .partition_graph(&g)
             .is_err());
-        assert!(ReHashing::new(4, OnePassConfig::default(), 0)
+        assert!(Hashing::new(4, OnePassConfig::default())
+            .passes(0)
             .partition_graph(&g)
             .is_err());
-        assert!(ReOms::flat(4, OmsConfig::default(), 0)
+        assert!(OnlineMultiSection::flat(4, OmsConfig::default())
             .unwrap()
+            .passes(0)
             .partition_graph(&g)
             .is_err());
     }
@@ -542,16 +273,22 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         assert_eq!(
-            ReFennel::new(2, OnePassConfig::default(), 2).name(),
+            Fennel::new(2, OnePassConfig::default()).passes(2).name(),
             "refennel"
         );
-        assert_eq!(ReLdg::new(2, OnePassConfig::default(), 2).name(), "reldg");
         assert_eq!(
-            ReHashing::new(2, OnePassConfig::default(), 2).name(),
+            Ldg::new(2, OnePassConfig::default()).passes(2).name(),
+            "reldg"
+        );
+        assert_eq!(
+            Hashing::new(2, OnePassConfig::default()).passes(2).name(),
             "rehashing"
         );
         assert_eq!(
-            ReOms::flat(2, OmsConfig::default(), 2).unwrap().name(),
+            OnlineMultiSection::flat(2, OmsConfig::default())
+                .unwrap()
+                .passes(2)
+                .name(),
             "reoms"
         );
     }

@@ -750,10 +750,7 @@ impl ShardedFlat {
 
 impl crate::api::Partitioner for ShardedFlat {
     fn name(&self) -> String {
-        match self.objective {
-            FlatObjective::Fennel => "fennel".to_string(),
-            FlatObjective::Ldg => "ldg".to_string(),
-        }
+        self.objective.name().to_string()
     }
 
     fn num_blocks(&self) -> u32 {
@@ -781,7 +778,6 @@ mod tests {
     use super::*;
     use crate::api::Partitioner;
     use crate::onepass::{Fennel, Ldg, StreamingPartitioner};
-    use crate::restream::{ReFennel, ReLdg};
     use oms_graph::{CsrGraph, InMemoryStream};
 
     fn test_graph() -> CsrGraph {
@@ -828,7 +824,8 @@ mod tests {
     fn one_shard_matches_restreaming() {
         let g = test_graph();
         let config = OnePassConfig::default();
-        let classic = ReFennel::new(8, config, 4)
+        let classic = Fennel::new(8, config)
+            .passes(4)
             .partition_stream(&mut InMemoryStream::new(&g))
             .unwrap();
         let sharded = ShardedFlat::new(8, config, FlatObjective::Fennel, 1)
@@ -837,7 +834,8 @@ mod tests {
             .unwrap();
         assert_eq!(classic.assignments(), sharded.assignments());
 
-        let classic = ReLdg::new(8, config, 3)
+        let classic = Ldg::new(8, config)
+            .passes(3)
             .partition_stream(&mut InMemoryStream::new(&g))
             .unwrap();
         let sharded = ShardedFlat::new(8, config, FlatObjective::Ldg, 1)

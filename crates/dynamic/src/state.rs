@@ -26,8 +26,8 @@
 
 use crate::DynamicGraph;
 use oms_core::{
-    find_algorithm, measure_pass, BatchExecutor, BlockId, FlatObjective, JobSpec, PartitionError,
-    PassStats, RepairPolicy, RepairSink, RestreamOptions, Result, UNASSIGNED,
+    measure_pass, BatchExecutor, BlockId, FlatObjective, JobSpec, PartitionError, PassStats,
+    RepairPolicy, RepairSink, RestreamOptions, Result, ALGORITHMS, UNASSIGNED,
 };
 use oms_graph::io::{
     read_snapshot, write_snapshot, DiskStream, DriftCounters, PartitionSnapshot, SnapshotPass,
@@ -91,29 +91,22 @@ impl std::fmt::Debug for PartitionState {
 }
 
 impl PartitionState {
-    /// Resolves `job` to a repair-capable flat objective, or explains why
-    /// the algorithm cannot be maintained incrementally.
+    /// Resolves `job` (validated like every other consumer of a job does)
+    /// to a repair-capable flat objective, or explains why the algorithm
+    /// cannot be maintained incrementally.
     fn repair_objective(job: &JobSpec) -> Result<(FlatObjective, u32)> {
-        let info = find_algorithm(&job.algorithm).ok_or_else(|| {
-            PartitionError::InvalidSpec(format!("unknown algorithm '{}'", job.algorithm))
-        })?;
-        let objective = if info.supports_repair {
-            FlatObjective::for_algorithm(info.name)
-        } else {
-            None
-        };
+        let entry = ALGORITHMS.resolve(job)?;
+        let objective = entry
+            .supports_repair
+            .then(|| FlatObjective::for_algorithm(entry.name))
+            .flatten();
         let Some(objective) = objective else {
             return Err(PartitionError::InvalidConfig(format!(
                 "algorithm '{}' does not support incremental repair (see `oms algorithms` \
                  for the ones that do)",
-                info.name
+                entry.name
             )));
         };
-        if !job.drift.is_finite() || job.drift <= 0.0 {
-            return Err(PartitionError::InvalidConfig(
-                "drift must be positive".into(),
-            ));
-        }
         Ok((objective, job.num_blocks()))
     }
 

@@ -2,21 +2,19 @@
 //!
 //! Mirrors `oms_core::api` for the vertex-cut objective: frontends hold a
 //! `Box<dyn EdgePartitioner>` built from the same [`JobSpec`] strings the
-//! node pipeline uses (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and the
-//! registry ([`register_edge_algorithm`] / [`registered_edge_algorithms`] /
-//! [`find_edge_algorithm`]) is the one name → constructor table every
-//! frontend resolves `e-*` jobs against. [`build_edge_partitioner`] is the
-//! factory; [`is_edge_algorithm`] is the routing predicate frontends use to
-//! decide between the node and the edge pipeline.
+//! node pipeline uses (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and
+//! [`EDGE_ALGORITHMS`] — `oms-core`'s generic [`Registry`] instantiated for
+//! edge partitioners — is the one name → constructor table every frontend
+//! resolves `e-*` jobs against. [`build_edge_partitioner`] is the factory;
+//! [`is_edge_algorithm`] is the routing predicate frontends use to decide
+//! between the node and the edge pipeline.
 
 use crate::algorithms::StreamingEdgePartitioner;
 use crate::engine::EdgePassStats;
 use crate::partition::EdgePartition;
-use oms_core::{JobSpec, PartitionError, Result};
+use oms_core::{Entry, JobSpec, PartitionError, Registry, Result};
 use oms_graph::EdgeStream;
 use oms_obs::Stopwatch;
-use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 /// The unified result of one edge-partitioning run.
 #[derive(Clone, Debug)]
@@ -88,187 +86,80 @@ pub trait EdgePartitioner {
 
 // ----------------------------------------------------------------- registry
 
-/// One entry of the edge-algorithm registry.
-#[derive(Clone, Copy)]
-pub struct EdgeAlgorithmInfo {
-    /// Canonical registry name (always `e-`-prefixed).
-    pub name: &'static str,
-    /// Accepted alternative spellings.
-    pub aliases: &'static [&'static str],
-    /// One-line description for `--help`-style listings.
-    pub description: &'static str,
-    /// Constructor turning a [`JobSpec`] into the boxed algorithm.
-    pub build: fn(&JobSpec) -> Result<Box<dyn EdgePartitioner>>,
-}
+/// One entry of the edge-algorithm registry (names are `e-`-prefixed).
+pub type EdgeAlgorithmInfo = Entry<dyn EdgePartitioner>;
 
-impl fmt::Debug for EdgeAlgorithmInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EdgeAlgorithmInfo")
-            .field("name", &self.name)
-            .field("aliases", &self.aliases)
-            .field("description", &self.description)
-            .finish()
-    }
-}
-
-static REGISTRY: OnceLock<Mutex<Vec<EdgeAlgorithmInfo>>> = OnceLock::new();
-
-fn registry() -> &'static Mutex<Vec<EdgeAlgorithmInfo>> {
-    REGISTRY.get_or_init(|| Mutex::new(builtin_edge_algorithms()))
-}
-
-/// Registers (or replaces, by name) an edge algorithm in the registry.
-pub fn register_edge_algorithm(info: EdgeAlgorithmInfo) {
-    let mut algorithms = registry().lock().expect("edge registry poisoned");
-    match algorithms.iter_mut().find(|a| a.name == info.name) {
-        Some(slot) => *slot = info,
-        None => algorithms.push(info),
-    }
-}
-
-/// A snapshot of every registered edge algorithm, in registration order.
-pub fn registered_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
-    registry().lock().expect("edge registry poisoned").clone()
-}
-
-/// Looks an edge algorithm up by canonical name or alias
-/// (case-insensitive).
-pub fn find_edge_algorithm(name: &str) -> Option<EdgeAlgorithmInfo> {
-    let wanted = name.to_ascii_lowercase();
-    registered_edge_algorithms()
-        .into_iter()
-        .find(|a| a.name == wanted || a.aliases.iter().any(|&alias| alias == wanted))
-}
+/// The edge-algorithm registry. Edge partitioners are sequential and flat:
+/// no algorithm-scoped option applies to all of them.
+pub static EDGE_ALGORITHMS: Registry<dyn EdgePartitioner> =
+    Registry::new("edge algorithm", &[], builtin_edge_algorithms);
 
 /// Whether `name` resolves to a registered edge (vertex-cut) algorithm —
 /// the predicate frontends use to route a [`JobSpec`] to the edge pipeline.
 pub fn is_edge_algorithm(name: &str) -> bool {
-    find_edge_algorithm(name).is_some()
+    EDGE_ALGORITHMS.find(name).is_some()
 }
 
 /// Builds the edge partitioner described by `spec`, dispatching through the
 /// edge registry. The shared option-validation rules of the node pipeline
-/// apply (`passes ≥ 1`, `conv=` needs a multi-pass budget, λ ≥ 0);
-/// node-pipeline-only options that cannot mean anything for a vertex-cut
-/// (`threads=`, `dist=`, hierarchical shapes, `buf=`, `base=`, `hybrid=`)
-/// are rejected rather than silently ignored.
+/// apply ([`JobSpec::validate`]), and options that cannot mean anything for
+/// the chosen vertex-cut algorithm (`threads=`, `dist=`, `buf=`, `base=`,
+/// `hybrid=`, `shards=`; `lambda=` outside `e-greedy`) or a hierarchical
+/// shape are rejected rather than silently ignored.
 pub fn build_edge_partitioner(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
-    let info = find_edge_algorithm(&spec.algorithm).ok_or_else(|| {
-        let known: Vec<&str> = registered_edge_algorithms()
-            .iter()
-            .map(|a| a.name)
-            .collect();
-        PartitionError::InvalidSpec(format!(
-            "unknown edge algorithm '{}' (registered: {})",
-            spec.algorithm,
-            known.join(", ")
-        ))
-    })?;
-    if spec.num_blocks() == 0 {
-        return Err(PartitionError::InvalidConfig(
-            "the number of blocks k must be positive".into(),
-        ));
-    }
-    if spec.passes == 0 {
-        return Err(PartitionError::InvalidConfig(
-            "passes must be at least 1".into(),
-        ));
-    }
-    if spec.convergence > 0.0 && spec.passes <= 1 {
-        return Err(PartitionError::InvalidConfig(
-            "conv= only applies to multi-pass runs; set passes=<N> (the pass budget) as well"
-                .into(),
-        ));
-    }
-    if !spec.lambda.is_finite() || spec.lambda < 0.0 {
-        return Err(PartitionError::InvalidConfig(
-            "lambda must be non-negative".into(),
-        ));
-    }
-    if spec.threads > 1 {
-        return Err(PartitionError::InvalidConfig(
-            "edge partitioners are sequential streaming algorithms; drop threads=".into(),
-        ));
-    }
-    if spec.distances.is_some() {
-        return Err(PartitionError::InvalidConfig(
-            "dist= (the mapping objective) does not apply to edge partitioning".into(),
-        ));
-    }
+    let entry = EDGE_ALGORITHMS.resolve(spec)?;
     if spec.shape.hierarchy().is_some() {
         return Err(PartitionError::InvalidConfig(
             "edge partitioners are flat; write the shape as a plain block count k".into(),
         ));
     }
-    if spec.buffer != 0 {
-        return Err(PartitionError::InvalidConfig(
-            "buf= (buffered node streaming) does not apply to edge partitioning".into(),
-        ));
-    }
-    if spec.base_b != oms_core::api::DEFAULT_BASE_B {
-        return Err(PartitionError::InvalidConfig(
-            "base= (the nh-OMS multi-section base) does not apply to edge partitioning".into(),
-        ));
-    }
-    if spec.hashing_bottom_layers != 0 {
-        return Err(PartitionError::InvalidConfig(
-            "hybrid= (the OMS hybrid mapping) does not apply to edge partitioning".into(),
-        ));
-    }
-    (info.build)(spec)
+    (entry.build)(spec)
 }
 
-fn configured(p: StreamingEdgePartitioner, spec: &JobSpec) -> Box<dyn EdgePartitioner> {
-    Box::new(
+fn configured(p: StreamingEdgePartitioner, spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
+    Ok(Box::new(
         p.seed(spec.seed)
             .lambda(spec.lambda)
             .epsilon(spec.epsilon)
             .passes(spec.passes)
             .convergence(spec.convergence),
-    )
-}
-
-fn build_e_hash(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
-    Ok(configured(
-        StreamingEdgePartitioner::hashing(spec.num_blocks()),
-        spec,
-    ))
-}
-
-fn build_e_dbh(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
-    Ok(configured(
-        StreamingEdgePartitioner::degree_hashing(spec.num_blocks()),
-        spec,
-    ))
-}
-
-fn build_e_greedy(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
-    Ok(configured(
-        StreamingEdgePartitioner::greedy(spec.num_blocks()),
-        spec,
     ))
 }
 
 fn builtin_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
     vec![
-        EdgeAlgorithmInfo {
+        Entry {
             name: "e-hash",
             aliases: &["ehash"],
             description: "edge hashing (vertex-cut; balanced, worst replication)",
-            build: build_e_hash,
+            reads: &[],
+            supports_hierarchy: false,
+            supports_repair: false,
+            build: |spec| configured(StreamingEdgePartitioner::hashing(spec.num_blocks()), spec),
         },
-        EdgeAlgorithmInfo {
+        Entry {
             name: "e-dbh",
             aliases: &["edbh", "dbh"],
             description: "degree-based hashing (vertex-cut; hashes the lower-degree endpoint)",
-            build: build_e_dbh,
+            reads: &[],
+            supports_hierarchy: false,
+            supports_repair: false,
+            build: |spec| {
+                configured(
+                    StreamingEdgePartitioner::degree_hashing(spec.num_blocks()),
+                    spec,
+                )
+            },
         },
-        EdgeAlgorithmInfo {
+        Entry {
             name: "e-greedy",
             aliases: &["egreedy", "hdrf"],
             description:
                 "HDRF-style greedy (vertex-cut; replica affinity + lambda-weighted balance)",
-            build: build_e_greedy,
+            reads: &["lambda"],
+            supports_hierarchy: false,
+            supports_repair: false,
+            build: |spec| configured(StreamingEdgePartitioner::greedy(spec.num_blocks()), spec),
         },
     ]
 }
@@ -284,10 +175,7 @@ mod tests {
 
     #[test]
     fn registry_lists_the_three_builtins() {
-        let names: Vec<&str> = registered_edge_algorithms()
-            .iter()
-            .map(|a| a.name)
-            .collect();
+        let names: Vec<&str> = EDGE_ALGORITHMS.list().iter().map(|a| a.name).collect();
         for name in ["e-hash", "e-dbh", "e-greedy"] {
             assert!(names.contains(&name), "{name} missing from {names:?}");
         }
@@ -295,9 +183,9 @@ mod tests {
 
     #[test]
     fn aliases_resolve() {
-        assert_eq!(find_edge_algorithm("hdrf").unwrap().name, "e-greedy");
-        assert_eq!(find_edge_algorithm("E-DBH").unwrap().name, "e-dbh");
-        assert!(find_edge_algorithm("fennel").is_none());
+        assert_eq!(EDGE_ALGORITHMS.find("hdrf").unwrap().name, "e-greedy");
+        assert_eq!(EDGE_ALGORITHMS.find("E-DBH").unwrap().name, "e-dbh");
+        assert!(EDGE_ALGORITHMS.find("fennel").is_none());
         assert!(is_edge_algorithm("e-hash"));
         assert!(!is_edge_algorithm("oms"));
     }
@@ -337,12 +225,14 @@ mod tests {
         for (text, needle) in [
             ("e-frobnicate:8", "unknown edge algorithm"),
             ("e-greedy:0", "positive"),
-            ("e-greedy:8@threads=4", "sequential"),
+            ("e-greedy:8@threads=4", "threads="),
             ("e-greedy:8@conv=0.1", "multi-pass"),
             ("e-greedy:4:4", "flat"),
             ("e-greedy:8@buf=4096", "buf="),
             ("e-greedy:8@base=8", "base="),
             ("e-greedy:8@hybrid=2", "hybrid="),
+            ("e-greedy:8@shards=2", "shards="),
+            ("e-hash:8@lambda=2", "taken by: e-greedy"),
         ] {
             let spec = JobSpec::parse(text).unwrap();
             let Err(err) = build_edge_partitioner(&spec) else {
@@ -358,24 +248,27 @@ mod tests {
     }
 
     #[test]
-    fn registry_can_be_extended_and_replaced() {
-        fn build_dummy(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
-            build_e_hash(spec)
+    fn entries_only_read_algorithm_scoped_options() {
+        for entry in EDGE_ALGORITHMS.list() {
+            for key in entry.reads {
+                let knob = oms_core::knobs::Knob::find(key).expect("a table key");
+                assert_eq!(knob.scope, oms_core::knobs::Scope::Algorithm, "{key}");
+            }
         }
-        register_edge_algorithm(EdgeAlgorithmInfo {
+    }
+
+    #[test]
+    fn registry_can_be_extended_and_replaced() {
+        let dummy = |description| Entry {
             name: "e-dummy",
-            aliases: &[],
-            description: "test-only",
-            build: build_dummy,
-        });
+            description,
+            ..EDGE_ALGORITHMS.find("e-hash").unwrap()
+        };
+        EDGE_ALGORITHMS.register(dummy("test-only"));
         assert!(is_edge_algorithm("e-dummy"));
-        register_edge_algorithm(EdgeAlgorithmInfo {
-            name: "e-dummy",
-            aliases: &[],
-            description: "replaced",
-            build: build_dummy,
-        });
-        let count = registered_edge_algorithms()
+        EDGE_ALGORITHMS.register(dummy("replaced"));
+        let count = EDGE_ALGORITHMS
+            .list()
             .iter()
             .filter(|a| a.name == "e-dummy")
             .count();

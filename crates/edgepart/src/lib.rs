@@ -41,10 +41,10 @@
 //!
 //! Jobs are described by the same [`JobSpec`] grammar as the node
 //! partitioners (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`) and dispatched
-//! through this crate's own registry: [`build_edge_partitioner`] turns a
-//! spec into a `Box<dyn EdgePartitioner>`, and
-//! [`registered_edge_algorithms`] / [`find_edge_algorithm`] let frontends
-//! (CLI, bench) enumerate and route `e-*` algorithm names.
+//! through this crate's instance of the generic registry:
+//! [`build_edge_partitioner`] turns a spec into a `Box<dyn EdgePartitioner>`,
+//! and [`EDGE_ALGORITHMS`] / [`is_edge_algorithm`] let frontends (CLI, bench)
+//! enumerate and route `e-*` algorithm names.
 //!
 //! ## Example
 //!
@@ -76,8 +76,8 @@ pub mod partition;
 
 pub use algorithms::{EdgeAlgoKind, StreamingEdgePartitioner};
 pub use api::{
-    build_edge_partitioner, find_edge_algorithm, is_edge_algorithm, register_edge_algorithm,
-    registered_edge_algorithms, EdgeAlgorithmInfo, EdgePartitionReport, EdgePartitioner,
+    build_edge_partitioner, is_edge_algorithm, EdgeAlgorithmInfo, EdgePartitionReport,
+    EdgePartitioner, EDGE_ALGORITHMS,
 };
 pub use engine::{run_edge_restream, EdgePassStats, EdgeQuality, EdgeSink};
 pub use partition::EdgePartition;

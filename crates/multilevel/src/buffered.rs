@@ -37,8 +37,8 @@ use oms_core::partition::UNASSIGNED;
 use oms_core::scorer::fennel_alpha;
 use oms_core::{BlockId, Partition, PartitionError, Result};
 use oms_graph::{GraphBuilder, NodeBatch, NodeStream, NodeWeight};
+use oms_obs::Stopwatch;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Default buffer size (nodes per model graph).
 pub const DEFAULT_BUFFER: usize = 4096;
@@ -153,7 +153,7 @@ impl BufferedMultilevel {
             }
             let restreaming = pass > 0;
             let mut error: Option<PartitionError> = None;
-            let start = Instant::now();
+            let clock = Stopwatch::start();
             BatchExecutor::new(self.buffer).run_batches(stream, &mut |batch| {
                 if error.is_some() || batch.is_empty() {
                     return;
@@ -165,7 +165,7 @@ impl BufferedMultilevel {
             if let Some(e) = error {
                 return Err(e);
             }
-            let seconds = start.elapsed().as_secs_f64();
+            let seconds = clock.seconds();
 
             if !measure {
                 continue;

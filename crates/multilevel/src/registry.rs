@@ -9,11 +9,11 @@
 use crate::buffered::BufferedMultilevel;
 use crate::hierarchical::RecursiveMultisection;
 use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
-use oms_core::api::{materialize_stream, register_algorithm, AlgorithmInfo, JobSpec, Partitioner};
+use oms_core::api::{materialize_stream, JobSpec, Partitioner, ALGORITHMS};
 use oms_core::executor::PassTrajectory;
-use oms_core::{refine_partition, OnePassConfig, Partition, PartitionError, Result};
+use oms_core::{refine_partition, Entry, OnePassConfig, Partition, PartitionError, Result};
 use oms_graph::NodeStream;
-use std::time::Instant;
+use oms_obs::Stopwatch;
 
 impl Partitioner for MultilevelPartitioner {
     fn name(&self) -> String {
@@ -80,9 +80,9 @@ struct RefinedInMemory {
 
 impl RefinedInMemory {
     fn run(&self, stream: &mut dyn NodeStream) -> Result<(Partition, PassTrajectory)> {
-        let start = Instant::now();
+        let clock = Stopwatch::start();
         let seed = self.base.partition(stream)?;
-        let solve_seconds = start.elapsed().as_secs_f64();
+        let solve_seconds = clock.seconds();
         // The base solve consumed (at least) one pass; the refinement
         // streams the same source from the top.
         stream.reset()?;
@@ -186,32 +186,32 @@ fn build_buffered(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
 /// streaming algorithm (`buffered`) in the shared algorithm registry.
 /// Idempotent; call once at frontend startup.
 pub fn register_algorithms() {
-    register_algorithm(AlgorithmInfo {
+    ALGORITHMS.register(Entry {
         name: "multilevel",
         aliases: &["ml", "kaminpar"],
         description: "in-memory multilevel k-way baseline; passes>1 adds restream refinement",
+        reads: &[],
         supports_hierarchy: false,
         supports_repair: false,
-        supports_sharding: false,
         build: build_multilevel,
     });
-    register_algorithm(AlgorithmInfo {
+    ALGORITHMS.register(Entry {
         name: "rms",
         aliases: &["offline-oms", "intmap"],
         description: "offline recursive multi-section along a hierarchy; passes>1 refines",
+        reads: &[],
         supports_hierarchy: true,
         supports_repair: false,
-        supports_sharding: false,
         build: build_rms,
     });
-    register_algorithm(AlgorithmInfo {
+    ALGORITHMS.register(Entry {
         name: "buffered",
         aliases: &["heistream", "buffered-multilevel"],
         description:
             "buffered streaming: per-batch multilevel solves (buf=<nodes>); passes>1 re-commits",
+        reads: &["buf"],
         supports_hierarchy: false,
         supports_repair: false,
-        supports_sharding: false,
         build: build_buffered,
     });
 }
@@ -298,10 +298,7 @@ mod tests {
             report.edge_cut,
             "the reported cut is the last accepted pass"
         );
-        assert_eq!(
-            oms_core::find_algorithm("heistream").unwrap().name,
-            "buffered"
-        );
+        assert_eq!(ALGORITHMS.find("heistream").unwrap().name, "buffered");
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! through [`Stopwatch`] (or the [`time`] helper), so "seconds" means the
 //! same thing everywhere by construction. Wall-clock readings stay out of
 //! the event trace — they feed reports and the `--metrics` exposition
-//! only.
+//! only. The workspace's `clippy.toml` disallows `std::time::Instant`
+//! everywhere else to keep it that way.
+
+#![allow(clippy::disallowed_types)]
 
 use std::time::Instant;
 

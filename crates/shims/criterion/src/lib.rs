@@ -9,6 +9,9 @@
 //! statistical analysis it reports the mean, minimum and maximum wall time
 //! over the configured sample count as a plain table.
 
+// A stand-in for an external crate: it does not depend on `oms-obs`.
+#![allow(clippy::disallowed_types)]
+
 use std::time::{Duration, Instant};
 
 /// Prevents the compiler from optimising a value away.

@@ -86,20 +86,18 @@ pub use oms_workload as workload;
 /// The most common imports in one place.
 pub mod prelude {
     pub use oms_core::{
-        find_algorithm, refine_partition, register_algorithm, registered_algorithms, AlgorithmInfo,
-        AlphaMode, BatchExecutor, BlockId, DistanceSpec, Fennel, FlatObjective, Hashing,
-        HierarchySpec, JobShape, JobSpec, Ldg, NodeSink, OmsConfig, OnePassConfig,
-        OnlineMultiSection, Partition, PartitionReport, Partitioner, PassStats, PassTrajectory,
-        ReFennel, ReHashing, ReLdg, ReOms, RepairPolicy, RestreamOptions, ScorerKind, ShardStats,
-        ShardedFlat, StreamingPartitioner,
+        refine_partition, AlgorithmInfo, AlphaMode, BatchExecutor, BlockId, DistanceSpec, Entry,
+        Fennel, FlatObjective, Hashing, HierarchySpec, JobShape, JobSpec, Ldg, NodeSink, OmsConfig,
+        OnePassConfig, OnlineMultiSection, Partition, PartitionReport, Partitioner, PassStats,
+        PassTrajectory, Registry, RepairPolicy, RestreamOptions, ScorerKind, ShardStats,
+        ShardedFlat, StreamingPartitioner, ALGORITHMS,
     };
     pub use oms_dynamic::{
         ApplyStats, Checkpoints, DynamicGraph, PartitionState, TraceCursor, WindowStats,
     };
     pub use oms_edgepart::{
-        build_edge_partitioner, find_edge_algorithm, is_edge_algorithm, registered_edge_algorithms,
-        EdgePartition, EdgePartitionReport, EdgePartitioner, EdgePassStats,
-        StreamingEdgePartitioner,
+        build_edge_partitioner, is_edge_algorithm, EdgePartition, EdgePartitionReport,
+        EdgePartitioner, EdgePassStats, StreamingEdgePartitioner, EDGE_ALGORITHMS,
     };
     pub use oms_gen::{
         barabasi_albert, churn_trace, degree_proportional_edge_weights, delaunay_graph,

@@ -198,7 +198,8 @@ fn every_registered_algorithm_partitions_the_quickstart_graph() {
     register_multilevel_algorithms();
     let graph = planted_partition(600, 8, 0.1, 0.005, 42);
 
-    let registered: Vec<String> = registered_algorithms()
+    let registered: Vec<String> = ALGORITHMS
+        .list()
         .iter()
         .map(|a| a.name.to_string())
         .collect();
@@ -217,7 +218,7 @@ fn every_registered_algorithm_partitions_the_quickstart_graph() {
         );
     }
 
-    for algo in registered_algorithms() {
+    for algo in ALGORITHMS.list() {
         // rms insists on a hierarchy; give every hierarchy-aware algorithm
         // one and the rest a flat k = 8.
         let spec = if algo.supports_hierarchy {
@@ -292,7 +293,8 @@ fn restreaming_improves_or_matches_single_pass() {
     let single = Fennel::new(k, OnePassConfig::default())
         .partition_graph(&graph)
         .unwrap();
-    let restreamed = oms::core::restream::ReFennel::new(k, OnePassConfig::default(), 3)
+    let restreamed = Fennel::new(k, OnePassConfig::default())
+        .passes(3)
         .partition_graph(&graph)
         .unwrap();
     assert!(

@@ -240,7 +240,8 @@ fn oracle_assignments(
 ) -> Vec<BlockId> {
     let mut stream = InMemoryStream::new(graph);
     let mut sink = NaiveOms::new(oms, &stream, fallbacks);
-    // What `ReOms` asks of the engine: tracked quality from two passes on.
+    // What `OnlineMultiSection` asks of the engine: tracked quality from two
+    // passes on.
     let options = if passes > 1 {
         RestreamOptions::tracked(passes, 0.0)
     } else {
@@ -316,9 +317,7 @@ fn production_kernel_matches_the_naive_descent() {
                     for passes in [1usize, 3] {
                         let before = fallbacks.get();
                         let expected = oracle_assignments(&oms, &graph, passes, &fallbacks);
-                        let actual = ReOms::new(oms.clone(), passes)
-                            .partition_graph(&graph)
-                            .unwrap();
+                        let actual = oms.clone().passes(passes).partition_graph(&graph).unwrap();
                         assert_eq!(
                             actual.assignments(),
                             &expected[..],

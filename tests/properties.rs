@@ -228,7 +228,8 @@ fn restreaming_monotone() {
         let k = rng.gen_range(2u32..10);
         let cfg = OnePassConfig::default();
         let single = Fennel::new(k, cfg).partition_graph(&graph).unwrap();
-        let re = oms::core::restream::ReFennel::new(k, cfg, 2)
+        let re = Fennel::new(k, cfg)
+            .passes(2)
             .partition_graph(&graph)
             .unwrap();
         assert!(edge_cut(&graph, re.assignments()) <= edge_cut(&graph, single.assignments()));
@@ -257,49 +258,31 @@ fn arbitrary_jobspec(rng: &mut ChaCha8Rng) -> JobSpec {
         let factors = arbitrary_factors(rng, 2, 5, 9);
         JobSpec::hierarchical(algorithm, HierarchySpec::new(factors).unwrap())
     };
-    if rng.gen_range(0..2usize) == 0 {
-        spec = spec.epsilon([0.0, 0.01, 0.05, 0.1, 0.5][rng.gen_range(0..5usize)]);
-    }
-    if rng.gen_range(0..2usize) == 0 {
-        spec = spec.seed(rng.gen_range(1u64..1_000_000));
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.threads(rng.gen_range(2usize..64));
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.passes(rng.gen_range(2usize..8));
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.convergence([0.01, 0.02, 0.05, 0.25][rng.gen_range(0..4usize)]);
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.base_b(rng.gen_range(2u32..8));
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.hashing_bottom_layers(rng.gen_range(1usize..4));
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.lambda([0.0, 0.1, 0.5, 1.5, 4.0][rng.gen_range(0..5usize)]);
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.drift([0.01, 0.05, 0.2, 0.5, 2.0][rng.gen_range(0..5usize)]);
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.repair(
-            [
-                RepairPolicy::Off,
-                RepairPolicy::Local,
-                RepairPolicy::Boundary,
-            ][rng.gen_range(0..3usize)],
-        );
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        let levels = rng.gen_range(1usize..5);
-        let distances: Vec<u64> = (0..levels).map(|_| rng.gen_range(1u64..1000)).collect();
-        spec = spec.distances(DistanceSpec::new(distances).unwrap());
-    }
-    if rng.gen_range(0..3usize) == 0 {
-        spec = spec.window(rng.gen_range(2usize..12));
+    // Every row of the job-option table is drawn, so a new option is covered
+    // the moment it is added.
+    for knob in &oms::core::knobs::KNOBS {
+        if rng.gen_range(0..3usize) != 0 {
+            continue;
+        }
+        let value = match knob.value_hint() {
+            "<int>" => rng.gen_range(1u64..1_000).to_string(),
+            "<float>" => {
+                [0.01, 0.02, 0.05, 0.25, 0.5, 1.5, 4.0][rng.gen_range(0..7usize)].to_string()
+            }
+            "off|local|boundary" => {
+                ["off", "local", "boundary"][rng.gen_range(0..3usize)].to_string()
+            }
+            "d1:d2:..." => {
+                let levels = rng.gen_range(1usize..5);
+                let distances: Vec<String> = (0..levels)
+                    .map(|_| rng.gen_range(1u64..1000).to_string())
+                    .collect();
+                distances.join(":")
+            }
+            other => panic!("no generator for a '{other}' option ({})", knob.key),
+        };
+        knob.set(&mut spec, &value)
+            .unwrap_or_else(|why| panic!("{}={value}: {why}", knob.key));
     }
     spec
 }
