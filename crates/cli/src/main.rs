@@ -48,11 +48,12 @@
 //! Exit code 0 on success, 1 on user error, 2 on internal error.
 
 use oms_core::knobs::{self, KNOBS};
-use oms_core::{JobShape, JobSpec, ALGORITHMS};
+use oms_core::{JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
 use oms_graph::io::{
     read_edge_list, read_metis, read_stream_file, write_edge_list, write_metis, write_stream_file,
+    DiskStream,
 };
-use oms_graph::{CsrGraph, EdgesOf, InMemoryStream};
+use oms_graph::{CsrGraph, EdgesOf, InMemoryStream, NodeStream};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
@@ -265,28 +266,95 @@ fn sniff_format(path: &Path) -> &'static str {
     }
 }
 
-fn load_graph_as(path: &str, format: Option<&str>) -> Result<CsrGraph, Error> {
-    let p = Path::new(path);
-    let format = match format.unwrap_or("auto").to_ascii_lowercase().as_str() {
-        "auto" => sniff_format(p).to_string(),
-        explicit => explicit.to_string(),
-    };
-    let graph = match format.as_str() {
-        "stream" => read_stream_file(p)?,
-        "edgelist" => read_edge_list(p, None)?,
-        "metis" => read_metis(p)?,
-        other => {
-            return Err(Error::Usage(format!(
-                "unknown input format '{other}' (known: {})",
+/// The input format of `path`: `--format` when given (and not `auto`), else
+/// sniffed from the extension.
+fn input_format(path: &str, options: &HashMap<String, String>) -> Result<&'static str, Error> {
+    let explicit = options.get("format").map(|f| f.to_ascii_lowercase());
+    match explicit.as_deref().unwrap_or("auto") {
+        "auto" => Ok(sniff_format(Path::new(path))),
+        explicit => match FORMATS.iter().find(|&&known| known == explicit) {
+            Some(&known) => Ok(known),
+            None => Err(Error::Usage(format!(
+                "unknown input format '{explicit}' (known: {})",
                 FORMATS.join(", ")
-            )))
-        }
-    };
-    Ok(graph)
+            ))),
+        },
+    }
 }
 
 fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGraph, Error> {
-    load_graph_as(path, options.get("format").map(|s| s.as_str()))
+    Ok(match input_format(path, options)? {
+        "stream" => read_stream_file(path)?,
+        "edgelist" => read_edge_list(path, None)?,
+        _ => read_metis(path)?,
+    })
+}
+
+/// Where `partition` / `map` read their graph from. The choice follows from
+/// the job and the file alone: a vertex-stream file under a job that reads
+/// its input once runs straight off the file in `O(n + batch)` memory;
+/// everything else is materialised, because text formats have no streaming
+/// reader and a multi-pass job re-reads its input often enough (two scans
+/// per pass) that decoding it once into a `CsrGraph` is cheaper.
+enum Source {
+    /// The stream file itself, read synchronously (on few cores the reader
+    /// thread of double-buffered ingest costs more than it overlaps).
+    Streamed(DiskStream),
+    Materialised(CsrGraph),
+}
+
+impl Source {
+    fn open(path: &str, options: &HashMap<String, String>, job: &JobSpec) -> Result<Self, Error> {
+        if input_format(path, options)? == "stream" && job.passes == 1 {
+            let stream = DiskStream::open(path)?;
+            Ok(Source::Streamed(stream.double_buffered(false)))
+        } else {
+            Ok(Source::Materialised(load_graph_opt(path, options)?))
+        }
+    }
+
+    fn run(&mut self, partitioner: &dyn Partitioner) -> Result<PartitionReport, Error> {
+        Ok(match self {
+            Source::Streamed(stream) => partitioner.run(stream)?,
+            Source::Materialised(graph) => partitioner.run(&mut InMemoryStream::new(graph))?,
+        })
+    }
+
+    /// `(n, m)` of the graph.
+    fn counts(&self) -> (usize, usize) {
+        match self {
+            Source::Streamed(stream) => (stream.num_nodes(), stream.num_edges()),
+            Source::Materialised(graph) => (graph.num_nodes(), graph.num_edges()),
+        }
+    }
+
+    /// `ω(E)` when some node or edge weight differs from 1, `None` for an
+    /// unweighted graph. A streamed source takes `ω(E)` from the run's
+    /// measurement walk (weights are ≥ 1, so unit weights ⇔ `c(V) = n` and
+    /// `ω(E) = m`) and re-reads the file only when the run made none.
+    fn total_edge_weight_if_weighted(
+        &mut self,
+        report: &PartitionReport,
+    ) -> Result<Option<u64>, Error> {
+        match self {
+            Source::Materialised(graph) => {
+                Ok((!graph.is_unweighted()).then(|| graph.total_edge_weight()))
+            }
+            Source::Streamed(stream) => {
+                let total = match report.total_edge_weight {
+                    Some(total) => total,
+                    None => {
+                        stream.reset()?;
+                        oms_core::measure(stream, report.partition.assignments(), 0, None)?
+                            .total_edge_weight
+                    }
+                };
+                let unweighted = stream.total_node_weight() == stream.num_nodes() as u64
+                    && total == stream.num_edges() as u64;
+                Ok((!unweighted).then_some(total))
+            }
+        }
+    }
 }
 
 /// Writes one block id per line through a sizeable buffer with manual
@@ -425,14 +493,11 @@ fn partition_command(args: &[String]) -> Result<(), Error> {
     }
     let partitioner = job.build()?;
 
-    let graph = load_graph_opt(path, &options)?;
-    let report = partitioner.run(&mut InMemoryStream::new(&graph))?;
+    let mut source = Source::open(path, &options, &job)?;
+    let report = source.run(partitioner.as_ref())?;
 
-    println!(
-        "graph      : {path} (n = {}, m = {})",
-        graph.num_nodes(),
-        graph.num_edges()
-    );
+    let (n, m) = source.counts();
+    println!("graph      : {path} (n = {n}, m = {m})");
     println!("job        : {job}");
     println!(
         "algorithm  : {}, k = {}",
@@ -441,11 +506,10 @@ fn partition_command(args: &[String]) -> Result<(), Error> {
     );
     println!("edge-cut   : {}", report.edge_cut);
     println!("imbalance  : {:.4}", report.imbalance);
-    if !graph.is_unweighted() {
+    if let Some(total_edge_weight) = source.total_edge_weight_if_weighted(&report)? {
         println!(
-            "weights    : c(V) = {}, ω(E) = {}, max block = {}",
+            "weights    : c(V) = {}, ω(E) = {total_edge_weight}, max block = {}",
             report.total_node_weight(),
-            graph.total_edge_weight(),
             report.max_block_weight()
         );
     }
@@ -564,14 +628,11 @@ fn map_command(args: &[String]) -> Result<(), Error> {
     let obs = ObsSession::start(&options, metrics);
     let partitioner = job.build()?;
 
-    let graph = load_graph_opt(path, &options)?;
-    let report = partitioner.run(&mut InMemoryStream::new(&graph))?;
+    let mut source = Source::open(path, &options, &job)?;
+    let report = source.run(partitioner.as_ref())?;
 
-    println!(
-        "graph        : {path} (n = {}, m = {})",
-        graph.num_nodes(),
-        graph.num_edges()
-    );
+    let (n, m) = source.counts();
+    println!("graph        : {path} (n = {n}, m = {m})");
     println!(
         "topology     : S = {}, D = {}",
         hierarchy.to_string_spec(),
@@ -1151,11 +1212,7 @@ fn info_command(args: &[String]) -> Result<(), Error> {
     );
     // For stream files, break the on-disk layout down by section so the
     // effect of `convert --stream-version` is visible at a glance.
-    let is_stream = match options.get("format").map(|s| s.as_str()).unwrap_or("auto") {
-        "auto" => sniff_format(Path::new(path.as_str())) == "stream",
-        explicit => explicit == "stream",
-    };
-    if is_stream {
+    if input_format(path, &options)? == "stream" {
         let info = oms_graph::io::stream_file_info(path)?;
         println!("stream format: v{}", info.version.number());
         println!("  header       : {:>12} B", info.header_bytes);

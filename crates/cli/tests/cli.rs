@@ -783,3 +783,145 @@ fn usage_and_algorithms_list_every_job_option() {
         assert!(listing.contains(&line), "`oms algorithms` lacks: {line}");
     }
 }
+
+/// Runs `oms <args> --output F --trace T` on `graph` and returns the report
+/// (stdout with the run's own file names masked, minus the wall-time lines)
+/// and the bytes of the two files.
+fn job_outputs(
+    dir: &std::path::Path,
+    graph: &str,
+    tag: &str,
+    args: &[&str],
+) -> (String, Vec<u8>, Vec<u8>) {
+    let (out, trace) = (
+        dir.join(format!("{tag}.out")),
+        dir.join(format!("{tag}.jsonl")),
+    );
+    let output = oms()
+        .arg(args[0])
+        .arg(dir.join(graph))
+        .args(&args[1..])
+        .arg("--output")
+        .arg(&out)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{graph} {args:?}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report: String = String::from_utf8_lossy(&output.stdout)
+        .replace(dir.join(graph).to_str().unwrap(), "<graph>")
+        .replace(out.to_str().unwrap(), "<output>")
+        .replace(trace.to_str().unwrap(), "<trace>")
+        .lines()
+        .filter(|line| !line.starts_with("time"))
+        .map(|line| match line.rsplit_once(", ") {
+            // Per-pass trajectory rows end in the pass's wall time.
+            Some((row, seconds)) if seconds.ends_with(" s)") => format!("{row})\n"),
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    (
+        report,
+        std::fs::read(&out).unwrap(),
+        std::fs::read(&trace).unwrap(),
+    )
+}
+
+#[test]
+fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() {
+    // A one-pass job on a `.oms` input runs straight off the file; the same
+    // graph as METIS text, and a multi-pass job on the `.oms` input, are
+    // materialised first. Nothing a user can see may tell the two apart.
+    let dir = temp_dir("streamed-vs-materialised");
+    for weights in ["unit", "full"] {
+        let metis = format!("{weights}.metis");
+        let stream = format!("{weights}.oms");
+        let generated = oms()
+            .args(["generate", "ba", "3000"])
+            .arg(dir.join(&metis))
+            .args(["--seed", "5", "--weights", weights])
+            .output()
+            .unwrap();
+        assert!(generated.status.success());
+        let converted = oms()
+            .arg("convert")
+            .arg(dir.join(&metis))
+            .arg(dir.join(&stream))
+            .output()
+            .unwrap();
+        assert!(converted.status.success());
+
+        for (command, one_pass, two_passes) in [
+            ("map", "oms:4:4@dist=1:10", "oms:4:4@passes=2,dist=1:10"),
+            ("partition", "fennel:8", "fennel:8@passes=2"),
+            ("partition", "hashing:8", "hashing:8@passes=2"),
+        ] {
+            // `passes=2` materialises the `.oms` input as well.
+            for job in [one_pass, two_passes] {
+                let args = [command, "--job", job];
+                let tag = format!("{weights}-{}", job.replace(':', "_"));
+                let on_stream = job_outputs(&dir, &stream, &format!("{tag}-s"), &args);
+                let on_metis = job_outputs(&dir, &metis, &format!("{tag}-m"), &args);
+                assert_eq!(on_stream, on_metis, "{weights} {job}");
+                assert_eq!(
+                    on_stream.0.contains("weights    :"),
+                    weights == "full" && command == "partition",
+                    "{}",
+                    on_stream.0
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
+    let dir = temp_dir("hostile-streams");
+    let header = |n: u64, m: u64| {
+        let mut bytes = b"OMSSTRM2".to_vec();
+        for field in [n, m, n] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes.push(0);
+        bytes
+    };
+    // 37 bytes: one node whose degree field announces 2^32 - 1 neighbors.
+    let mut degree_bomb = header(1, 1);
+    degree_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+    // A header announcing 2^60 nodes.
+    let mut header_bomb = header(1 << 60, 0);
+    header_bomb.extend_from_slice(&[0; 64]);
+    for (name, bytes) in [("degree.oms", degree_bomb), ("header.oms", header_bomb)] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        for command in [
+            &["partition", "--k", "4"][..],
+            &["partition", "--k", "4", "--passes", "2"][..],
+            &["map", "--hierarchy", "2:2"][..],
+            &["info"][..],
+        ] {
+            let output = oms()
+                .arg(command[0])
+                .arg(&path)
+                .args(&command[1..])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "{name} {command:?}: {stderr}"
+            );
+            assert!(
+                stderr.starts_with("error: ")
+                    && stderr.contains("graph error: ")
+                    && !stderr.contains("panicked"),
+                "{name} {command:?}: {stderr}"
+            );
+        }
+    }
+}

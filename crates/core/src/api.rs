@@ -69,6 +69,21 @@
 //! `Display` renders the canonical form (options at non-default values only,
 //! in the fixed order above), so `JobSpec` round-trips through strings.
 //!
+//! ## Working memory and the measurement walk
+//!
+//! [`Partitioner::run`] needs nothing of its stream but passes over it: a
+//! one-pass job holds its own `O(n)` state (the assignment array, `O(k)`
+//! loads) plus one batch of the source, and a disk source bounds its batches
+//! by adjacency entries as well as by nodes
+//! ([`oms_graph::BATCH_ENTRY_BOUND`]) — `O(n + batch)` in total, which is
+//! what lets the CLI run such jobs straight off a stream file. After the
+//! assignment, `run` makes at most **one** more pass: [`measure`] returns
+//! edge-cut, imbalance, `ω(E)` and — under a topology — the mapping cost `J`
+//! from a single walk; [`stream_edge_cut`], [`stream_mapping_cost`] and
+//! [`measure_pass`](crate::executor::measure_pass) are thin wrappers over
+//! it. Algorithms that need random access call [`materialize_stream`] and
+//! give the memory bound up.
+//!
 //! ## Example
 //!
 //! ```
@@ -88,7 +103,7 @@
 //! ```
 
 use crate::config::{OmsConfig, OnePassConfig};
-use crate::executor::{PassStats, PassTrajectory};
+use crate::executor::{measure, PassStats, PassTrajectory};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::knobs::{self, Knob, KNOBS};
 use crate::oms::OnlineMultiSection;
@@ -98,7 +113,7 @@ use crate::partition::Partition;
 use crate::registry::{Entry, Registry};
 use crate::shard::{ShardStats, ShardedFlat};
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{CsrGraph, EdgeWeight, NodeId, NodeStream, NodeWeight};
+use oms_graph::{CsrGraph, NodeStream, NodeWeight};
 use oms_obs::Stopwatch;
 use std::fmt;
 use std::str::FromStr;
@@ -122,6 +137,11 @@ pub struct PartitionReport {
     pub imbalance: f64,
     /// Mapping cost `J`, present when the job carries a topology (`dist=`).
     pub mapping_cost: Option<u64>,
+    /// Total edge weight `ω(E)` of the partitioned graph, present when
+    /// [`Partitioner::run`] measured the result with its own walk over the
+    /// stream (it does not when the engine's trajectory already supplies the
+    /// cut and no topology is attached).
+    pub total_edge_weight: Option<u64>,
     /// Wall time of the partitioning pass in seconds.
     pub seconds: f64,
     /// Per-pass quality trajectory of a multi-pass (restreaming) run, in
@@ -205,9 +225,11 @@ pub trait Partitioner {
 
     /// Runs the partitioner and evaluates the result into a
     /// [`PartitionReport`] (edge-cut, imbalance, optional mapping cost `J`,
-    /// wall time). The final edge-cut is taken from the engine's last
-    /// metric pass when a trajectory was tracked; untracked runs pay one
-    /// extra metric pass over the stream. `seconds` covers everything
+    /// wall time). Whatever the engine has not measured itself comes from
+    /// **one** extra walk over the stream ([`measure`]): the cut of an
+    /// untracked run and the `J` of a job with a topology, together. A
+    /// tracked run without a topology pays no walk — its trajectory's last
+    /// accepted pass is the returned partition. `seconds` covers everything
     /// [`Partitioner::partition_tracked`] does — for multi-pass runs that
     /// includes the engine's per-pass metric passes (the per-pass
     /// [`PassStats::seconds`] exclude them).
@@ -215,32 +237,22 @@ pub trait Partitioner {
         let clock = Stopwatch::start();
         let (partition, trajectory) = self.partition_tracked(stream)?;
         let seconds = clock.seconds();
-        let edge_cut = match trajectory.final_edge_cut() {
-            // The trajectory's last accepted pass is the returned
-            // partition; its cut was already measured stream-side.
-            Some(cut) => cut,
-            None => {
-                stream.reset()?;
-                stream_edge_cut(stream, partition.assignments())?
-            }
-        };
-        let mapping_cost = match self.topology() {
-            Some((hierarchy, distances)) => {
-                stream.reset()?;
-                Some(stream_mapping_cost(
-                    stream,
-                    partition.assignments(),
-                    hierarchy,
-                    distances,
-                )?)
-            }
-            None => None,
+        let (tracked_cut, topology) = (trajectory.final_edge_cut(), self.topology());
+        let measured = if tracked_cut.is_none() || topology.is_some() {
+            stream.reset()?;
+            let (assignments, k) = (partition.assignments(), partition.num_blocks());
+            Some(measure(stream, assignments, k, topology)?)
+        } else {
+            None
         };
         Ok(PartitionReport {
             algorithm: self.name(),
-            edge_cut,
+            edge_cut: tracked_cut
+                .or(measured.map(|m| m.edge_cut))
+                .expect("tracked or measured"),
             imbalance: partition.imbalance(),
-            mapping_cost,
+            mapping_cost: measured.and_then(|m| m.mapping_cost),
+            total_edge_weight: measured.map(|m| m.total_edge_weight),
             seconds,
             trajectory: trajectory.stats,
             shard_stats: self.shard_stats(),
@@ -275,60 +287,38 @@ impl<T: StreamingPartitioner> Partitioner for T {
 /// Weighted edge-cut of `assignments`, computed with one pass over the
 /// stream. An edge incident to an unassigned node counts as cut.
 ///
-/// This is a thin wrapper around [`crate::executor::measure_pass`] — the
-/// *one* weighted edge-walk in the workspace — so the cut reported here can
-/// never drift from the per-pass cut the restreaming engine measures.
+/// A thin wrapper around [`measure`] — the *one* weighted edge walk in the
+/// workspace — so the cut reported here can never drift from the per-pass
+/// cut the restreaming engine measures.
 pub fn stream_edge_cut(stream: &mut dyn NodeStream, assignments: &[BlockId]) -> Result<u64> {
-    crate::executor::measure_pass(stream, assignments, 0).map(|(cut, _)| cut)
+    measure(stream, assignments, 0, None).map(|m| m.edge_cut)
 }
 
 /// Mapping cost `J(C, D, Π) = Σ_{u,v} ω(u,v) · D(Π(u), Π(v))`, computed with
-/// one pass over the stream.
+/// one pass over the stream: [`measure`] under the given topology.
 pub fn stream_mapping_cost(
     stream: &mut dyn NodeStream,
     assignments: &[BlockId],
     hierarchy: &HierarchySpec,
     distances: &DistanceSpec,
 ) -> Result<u64> {
-    let mut twice = 0u64;
-    stream.for_each_node(&mut |node| {
-        let own = assignments[node.node as usize];
-        for (u, w) in node.neighbors_weighted() {
-            twice += w * distances.distance(hierarchy, own, assignments[u as usize]);
-        }
-    })?;
-    Ok(twice / 2)
+    let topology = Some((hierarchy, distances));
+    let measured = measure(stream, assignments, hierarchy.total_blocks(), topology)?;
+    Ok(measured.mapping_cost.expect("a topology was given"))
 }
 
-/// Collects a full [`CsrGraph`] out of one stream pass.
+/// A full [`CsrGraph`] of the stream: the graph behind it when there is one
+/// ([`NodeStream::as_graph`]), else one pass collected by
+/// [`oms_graph::collect_graph`].
 ///
 /// Random-access algorithms behind the unified API (parallel drivers,
-/// multilevel) call this when [`NodeStream::as_graph`] returns `None`,
-/// trading the streaming memory guarantee for applicability.
+/// multilevel) call this, trading the streaming memory guarantee for
+/// applicability.
 pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     if let Some(graph) = stream.as_graph() {
         return Ok(graph.clone());
     }
-    let n = stream.num_nodes();
-    let mut node_weights: Vec<NodeWeight> = vec![1; n];
-    let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut edge_weights: Vec<Vec<EdgeWeight>> = vec![Vec::new(); n];
-    stream.for_each_node(&mut |node| {
-        let i = node.node as usize;
-        node_weights[i] = node.weight;
-        adjacency[i] = node.neighbors.to_vec();
-        edge_weights[i] = node.edge_weights.to_vec();
-    })?;
-    let mut xadj = Vec::with_capacity(n + 1);
-    xadj.push(0usize);
-    let mut adjncy = Vec::new();
-    let mut eweights = Vec::new();
-    for i in 0..n {
-        adjncy.extend_from_slice(&adjacency[i]);
-        eweights.extend_from_slice(&edge_weights[i]);
-        xadj.push(adjncy.len());
-    }
-    CsrGraph::from_csr(xadj, adjncy, eweights, node_weights).map_err(PartitionError::Graph)
+    Ok(oms_graph::collect_graph(stream)?)
 }
 
 // ------------------------------------------------------------ job adapters

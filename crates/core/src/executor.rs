@@ -29,8 +29,9 @@
 //! below the configured threshold) and reverts a pass that made the cut
 //! worse.
 
+use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
-use crate::{BlockId, Result};
+use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, NodeBatch, NodeId, NodeStream, StreamedNode};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
 use rayon::prelude::*;
@@ -559,20 +560,41 @@ impl BatchExecutor {
     /// One sequential pass delivering whole batches (used by the buffered
     /// algorithms, which build a model graph per batch instead of scoring
     /// node by node).
+    ///
+    /// Here the batch is part of the algorithm, so every batch but the last
+    /// holds *exactly* `batch_size` nodes whatever the source: a source
+    /// batch that was closed early (a disk stream at its entry bound) is
+    /// topped up from the following ones before it is handed on.
     pub fn run_batches(
         &self,
         stream: &mut dyn NodeStream,
         f: &mut dyn FnMut(&NodeBatch),
     ) -> Result<()> {
         let mut batch_index = 0u64;
-        stream.for_each_batch(self.batch_size, &mut |batch| {
+        let mut deliver = |batch: &NodeBatch| {
             f(batch);
             oms_obs::observe(Event::BatchScored {
                 batch: batch_index,
                 nodes: batch.len() as u64,
             });
             batch_index += 1;
+        };
+        let mut partial = NodeBatch::new();
+        stream.for_each_batch(self.batch_size, &mut |batch| {
+            if partial.is_empty() && batch.len() == self.batch_size {
+                return deliver(batch);
+            }
+            for node in batch.iter() {
+                partial.push(node);
+                if partial.len() == self.batch_size {
+                    deliver(&partial);
+                    partial.clear();
+                }
+            }
         })?;
+        if !partial.is_empty() {
+            deliver(&partial);
+        }
         Ok(())
     }
 
@@ -636,16 +658,43 @@ impl BatchExecutor {
     }
 }
 
-/// One metric pass over the stream: edge-cut of `assignments` (each
-/// undirected edge is seen from both endpoints, so the doubled sum is
-/// halved) and imbalance over `k` blocks (`k == 0` derives the block count
-/// from the assignments). Unassigned nodes count towards the cut of every
-/// incident edge and towards no block.
-pub fn measure_pass(
+/// What one measurement walk finds for an assignment (see [`measure`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Measurement {
+    /// Weighted edge-cut: total weight of the edges whose endpoints sit in
+    /// different blocks or have an unassigned endpoint.
+    pub edge_cut: u64,
+    /// Imbalance `max_i c(V_i)/(c(V)/k) − 1`.
+    pub imbalance: f64,
+    /// Total edge weight `ω(E)` of the streamed graph.
+    pub total_edge_weight: u64,
+    /// Mapping cost `J(C, D, Π) = Σ ω(u,v) · D(Π(u), Π(v))`, when a
+    /// topology was given (saturating at `u64::MAX`).
+    pub mapping_cost: Option<u64>,
+}
+
+/// The *one* weighted edge walk in the workspace: a single pass over the
+/// stream that measures everything a report says about `assignments` —
+/// edge-cut, imbalance over `k` blocks (`k == 0` derives the block count
+/// from the assignments), `ω(E)` and, under a `topology`, the mapping cost.
+///
+/// Each undirected edge is seen from both endpoints, so the doubled sums are
+/// halved. The walk tallies edge weight per *shared level* of the two
+/// endpoints' blocks (0 = same block, ℓ = they only share the whole
+/// machine; without a topology, 1 = different blocks): cut, `ω(E)` and `J`
+/// all fall out of that one histogram. Under a topology the level comes from
+/// [`HierarchySpec::group_table`]; block ids the table does not cover
+/// ([`UNASSIGNED`], ids `≥ k`, or every id when the table would outgrow the
+/// assignment array) take [`HierarchySpec::shared_level`]'s divisions, so
+/// any `u32` is a valid entry of `assignments`. Nodes without a valid block
+/// count towards no block; an unassigned endpoint makes an edge cut
+/// whatever the other side holds.
+pub fn measure(
     stream: &mut dyn NodeStream,
     assignments: &[BlockId],
     k: u32,
-) -> Result<(u64, f64)> {
+    topology: Option<(&HierarchySpec, &DistanceSpec)>,
+) -> Result<Measurement> {
     let k = if k == 0 {
         assignments
             .iter()
@@ -656,23 +705,73 @@ pub fn measure_pass(
     } else {
         k
     };
+    let levels = match topology {
+        Some((hierarchy, distances)) if distances.num_levels() < hierarchy.num_levels() => {
+            return Err(PartitionError::InvalidSpec(format!(
+                "the distance spec has {} levels but the hierarchy has {}",
+                distances.num_levels(),
+                hierarchy.num_levels()
+            )))
+        }
+        Some((hierarchy, _)) => hierarchy.num_levels(),
+        None => 1,
+    };
+    let table = match topology {
+        Some((hierarchy, _)) if hierarchy.total_blocks() as usize <= assignments.len() => {
+            hierarchy.group_table()
+        }
+        _ => Vec::new(),
+    };
+    let covered = table.len() / levels;
+    let row = |block: BlockId| {
+        ((block as usize) < covered).then(|| &table[block as usize * levels..][..levels])
+    };
+
     let mut block_weights = vec![0u64; k as usize];
     let mut total = 0u64;
-    let mut twice = 0u64;
+    let mut level_weights = vec![0u64; levels + 1];
+    // Entries between two unassigned nodes sit on level 0 (same "block",
+    // distance 0) yet count as cut.
+    let mut both_unassigned = 0u64;
     stream.for_each_node(&mut |node| {
         let own = assignments[node.node as usize];
         total += node.weight;
-        if own != UNASSIGNED {
-            block_weights[own as usize] += node.weight;
+        if let Some(weight) = block_weights.get_mut(own as usize) {
+            *weight += node.weight;
         }
-        for (u, w) in node.neighbors_weighted() {
-            // An unassigned endpoint makes the edge cut regardless of the
-            // other side (including two unassigned endpoints).
-            if own == UNASSIGNED || assignments[u as usize] != own {
-                twice += w;
+        match topology {
+            None => {
+                let (mut all, mut cut) = (0u64, 0u64);
+                for (u, w) in node.neighbors_weighted() {
+                    all += w;
+                    if assignments[u as usize] != own {
+                        cut += w;
+                    }
+                }
+                level_weights[0] += all - cut;
+                level_weights[1] += cut;
+            }
+            Some((hierarchy, _)) => {
+                let own_row = row(own);
+                for (u, w) in node.neighbors_weighted() {
+                    let other = assignments[u as usize];
+                    let level = match (own_row, row(other)) {
+                        (Some(a), Some(b)) => a.iter().zip(b).filter(|(x, y)| x != y).count(),
+                        _ => hierarchy.shared_level(own, other),
+                    };
+                    level_weights[level] += w;
+                }
+            }
+        }
+        if own == UNASSIGNED {
+            for (u, w) in node.neighbors_weighted() {
+                if assignments[u as usize] == UNASSIGNED {
+                    both_unassigned += w;
+                }
             }
         }
     })?;
+
     let max = block_weights.iter().copied().max().unwrap_or(0);
     let average = total as f64 / k.max(1) as f64;
     let imbalance = if average > 0.0 {
@@ -680,7 +779,32 @@ pub fn measure_pass(
     } else {
         0.0
     };
-    Ok((twice / 2, imbalance))
+    let twice_cut = level_weights[1..].iter().sum::<u64>() + both_unassigned;
+    let mapping_cost = topology.map(|(_, distances)| {
+        let twice = level_weights[1..]
+            .iter()
+            .zip(distances.distances())
+            .fold(0u64, |sum, (&w, &d)| {
+                sum.saturating_add(w.saturating_mul(d))
+            });
+        twice / 2
+    });
+    Ok(Measurement {
+        edge_cut: twice_cut / 2,
+        imbalance,
+        total_edge_weight: level_weights.iter().sum::<u64>() / 2,
+        mapping_cost,
+    })
+}
+
+/// Edge-cut and imbalance of `assignments` over `k` blocks: [`measure`]
+/// without a topology.
+pub fn measure_pass(
+    stream: &mut dyn NodeStream,
+    assignments: &[BlockId],
+    k: u32,
+) -> Result<(u64, f64)> {
+    measure(stream, assignments, k, None).map(|m| (m.edge_cut, m.imbalance))
 }
 
 /// Builds the rayon pool used by the parallel dispatch.
@@ -812,6 +936,50 @@ mod tests {
             .unwrap();
         assert_eq!(sink.0.len(), 3 * 97);
         assert_eq!(sink.1, 3);
+    }
+
+    #[test]
+    fn run_batches_hands_on_exact_batches_whatever_the_source_delivers() {
+        /// Closes every batch after at most 3 nodes, as a disk stream does
+        /// at its entry bound.
+        struct Short<'g>(InMemoryStream<'g>);
+        impl NodeStream for Short<'_> {
+            fn num_nodes(&self) -> usize {
+                self.0.num_nodes()
+            }
+            fn num_edges(&self) -> usize {
+                self.0.num_edges()
+            }
+            fn total_node_weight(&self) -> oms_graph::NodeWeight {
+                self.0.total_node_weight()
+            }
+            fn for_each_node(
+                &mut self,
+                f: &mut dyn FnMut(StreamedNode<'_>),
+            ) -> oms_graph::Result<()> {
+                self.0.for_each_node(f)
+            }
+            fn for_each_batch(
+                &mut self,
+                batch_size: usize,
+                f: &mut dyn FnMut(&NodeBatch),
+            ) -> oms_graph::Result<()> {
+                self.0.for_each_batch(batch_size.min(3), f)
+            }
+        }
+        let g = oms_gen::planted_partition(25, 2, 0.3, 0.05, 1);
+        let batches_of = |stream: &mut dyn NodeStream| {
+            let mut batches: Vec<Vec<NodeId>> = Vec::new();
+            BatchExecutor::new(10)
+                .run_batches(stream, &mut |batch| batches.push(batch.ids().to_vec()))
+                .unwrap();
+            batches
+        };
+        let exact = batches_of(&mut InMemoryStream::new(&g));
+        let sizes: Vec<usize> = exact.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [10, 10, 5]);
+        assert_eq!(exact.concat(), (0..25).collect::<Vec<NodeId>>());
+        assert_eq!(batches_of(&mut Short(InMemoryStream::new(&g))), exact);
     }
 
     #[test]

@@ -119,6 +119,26 @@ impl HierarchySpec {
         self.num_levels()
     }
 
+    /// The table behind the measurement walk's `J`: row `b` of the row-major
+    /// `k × ℓ` result holds PE `b` itself followed by its group ids on
+    /// levels `1..ℓ` (`b / a1`, `b / (a1·a2)`, …). Groups nest, so
+    /// [`HierarchySpec::shared_level`] of two PEs is the number of columns
+    /// in which their rows differ — ℓ compares on an L1-resident table
+    /// instead of up to 2ℓ divisions per edge entry.
+    pub fn group_table(&self) -> Vec<u32> {
+        let levels = self.num_levels();
+        let mut table = Vec::with_capacity(self.total_blocks() as usize * levels);
+        for pe in 0..self.total_blocks() {
+            let mut group = pe;
+            table.push(group);
+            for &a in &self.factors[..levels - 1] {
+                group /= a;
+                table.push(group);
+            }
+        }
+        table
+    }
+
     /// Human-readable `a1:a2:…:aℓ` form.
     pub fn to_string_spec(&self) -> String {
         self.factors
@@ -238,6 +258,23 @@ mod tests {
         assert_eq!(h.shared_level(2, 3), 1);
         assert_eq!(h.shared_level(0, 2), 2);
         assert_eq!(h.shared_level(1, 3), 2);
+    }
+
+    #[test]
+    fn group_table_rows_differ_in_shared_level_many_columns() {
+        for spec in ["2:2", "4:16:2", "3:5:2", "7"] {
+            let h = HierarchySpec::parse(spec).unwrap();
+            let (k, levels) = (h.total_blocks(), h.num_levels());
+            let table = h.group_table();
+            assert_eq!(table.len(), k as usize * levels);
+            let row = |b: u32| &table[b as usize * levels..][..levels];
+            for a in 0..k {
+                for b in 0..k {
+                    let differing = row(a).iter().zip(row(b)).filter(|(x, y)| x != y).count();
+                    assert_eq!(differing, h.shared_level(a, b), "{spec}: {a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub use api::{
 };
 pub use config::{AlphaMode, OmsConfig, OnePassConfig, ScorerKind};
 pub use executor::{
-    measure_pass, BatchExecutor, NodeSink, PassStats, PassTrajectory, RestreamOptions,
+    measure, measure_pass, BatchExecutor, Measurement, NodeSink, PassStats, PassTrajectory,
+    RestreamOptions,
 };
 pub use hierarchy::{DistanceSpec, HierarchySpec};
 pub use mstree::MultisectionTree;

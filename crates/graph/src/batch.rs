@@ -101,12 +101,13 @@ impl NodeBatch {
         self.offsets.push(self.neighbors.len());
     }
 
-    /// Appends a node whose incident edges all have unit weight.
-    pub fn push_unit_weight_edges(&mut self, id: NodeId, weight: NodeWeight, neighbors: &[NodeId]) {
+    /// Closes a node whose adjacency was appended straight to the neighbor
+    /// and edge-weight columns (the interleaved stream-format decode path):
+    /// records its id, weight and end offset.
+    pub(crate) fn finish_node(&mut self, id: NodeId, weight: NodeWeight) {
+        debug_assert_eq!(self.neighbors.len(), self.edge_weights.len());
         self.ids.push(id);
         self.weights.push(weight);
-        self.neighbors.extend_from_slice(neighbors);
-        self.edge_weights.resize(self.neighbors.len(), 1);
         self.offsets.push(self.neighbors.len());
     }
 
@@ -136,7 +137,7 @@ impl NodeBatch {
     }
 
     /// Pads the edge-weight column with unit weights up to the neighbor
-    /// column's length (sectioned decode of an unweighted-edge file).
+    /// column's length (decode of a file without edge weights).
     pub(crate) fn unit_fill_edge_weights(&mut self) {
         let n = self.neighbors.len();
         self.edge_weights.resize(n, 1);
@@ -201,7 +202,9 @@ mod tests {
         let mut batch = NodeBatch::new();
         batch.push_parts(7, 2, &[1, 2, 3], &[10, 20, 30]);
         batch.push_parts(8, 1, &[], &[]);
-        batch.push_unit_weight_edges(9, 5, &[4]);
+        batch.neighbors_vec_mut().push(4);
+        batch.unit_fill_edge_weights();
+        batch.finish_node(9, 5);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.total_edge_entries(), 4);
 

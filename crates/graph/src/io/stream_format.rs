@@ -61,10 +61,29 @@
 //!
 //! [`DiskStream`] implements [`NodeStream`] on top of the format, so every
 //! streaming partitioner in `oms-core` can run straight off disk.
+//!
+//! ## Working memory and hostile headers
+//!
+//! A pass holds one [`NodeBatch`] (three when double-buffered) plus a
+//! byte scratch of the same order, and a batch closes at `batch_size` nodes
+//! or [`BATCH_ENTRY_BOUND`] adjacency entries, so a pass runs in
+//! `O(batch)` memory whatever the degree distribution — with the consumer's
+//! own `O(n)` state that is the `O(n + batch)` contract of the CLI's
+//! one-pass jobs. Both body layouts are decoded column-wise: one
+//! `read_exact` per column and a bulk little-endian copy into the batch
+//! (per record for v1/v2, per batch for v3).
+//!
+//! Nothing is sized from a count the file has not backed:
+//! [`DiskStream::open`] rejects a header whose `n` and `m` the file cannot
+//! hold (each node costs at least its 4-byte degree field, each adjacency
+//! entry its 4-byte id), and a degree field is checked against the `2m`
+//! entries the header announces *before* the record is buffered.
 
 use crate::batch::NodeBatch;
-use crate::stream::{NodeStream, StreamedNode, DEFAULT_BATCH_SIZE};
-use crate::{CsrGraph, EdgeWeight, GraphError, NodeId, NodeWeight, Result};
+use crate::stream::{
+    collect_graph, NodeStream, StreamedNode, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
+};
+use crate::{CsrGraph, GraphError, NodeId, NodeWeight, Result};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -109,6 +128,14 @@ impl StreamFormatVersion {
         }
     }
 
+    /// Bytes a stored node or edge weight takes.
+    fn weight_width(self) -> usize {
+        match self {
+            StreamFormatVersion::V1 => 4,
+            StreamFormatVersion::V2 | StreamFormatVersion::V3 => 8,
+        }
+    }
+
     /// Largest weight this version can represent.
     fn max_weight(self) -> u64 {
         match self {
@@ -137,63 +164,109 @@ impl StreamFormatVersion {
     }
 }
 
-/// Byte layout of a v3 (sectioned) stream file, derived from the header
-/// counts alone — every section offset is computable without touching the
-/// body, which is what lets each column be read with one bulk cursor.
+/// Byte layout of a stream file's body, derived from the header counts
+/// alone. For v3 the sections are physical and every offset is computable
+/// without touching the body, which is what lets each column be read with
+/// one bulk cursor; for the interleaved v1/v2 layouts the per-field totals
+/// are the logical byte counts of each field class and the offsets unused.
 #[derive(Clone, Copy, Debug)]
-struct V3Layout {
+struct BodyLayout {
     degrees_off: u64,
+    degree_bytes: u64,
     node_weights_off: u64,
-    node_weights_len: u64,
+    node_weight_bytes: u64,
     neighbors_off: u64,
+    neighbor_bytes: u64,
     edge_weights_off: u64,
-    edge_weights_len: u64,
-    /// End of the padded body; a snapshot trailer starts here.
+    edge_weight_bytes: u64,
+    /// Header plus (padded) body; a snapshot trailer starts here.
     body_len: u64,
-    /// Total zero padding between/after sections (excluding the header pad).
+    /// Total zero padding between sections (v3 only; excludes the header
+    /// pad).
     padding: u64,
 }
 
-fn align_up(x: u64, align: u64) -> u64 {
-    x.div_ceil(align) * align
+/// The layout `n` nodes and `m` edges imply, or `None` when it does not fit
+/// `u64` — header counts come from the file, so every step is checked.
+fn body_layout(version: StreamFormatVersion, n: u64, m: u64, flags: u8) -> Option<BodyLayout> {
+    let weight_width = version.weight_width() as u64;
+    let align = match version {
+        StreamFormatVersion::V1 | StreamFormatVersion::V2 => 1,
+        StreamFormatVersion::V3 => V3_ALIGN,
+    };
+    let align_up = |x: u64| Some(x.checked_add(align - 1)? / align * align);
+    let entries = m.checked_mul(2)?;
+    let degree_bytes = n.checked_mul(4)?;
+    let node_weight_bytes = match flags & FLAG_NODE_WEIGHTS {
+        0 => 0,
+        _ => n.checked_mul(weight_width)?,
+    };
+    let neighbor_bytes = entries.checked_mul(4)?;
+    let edge_weight_bytes = match flags & FLAG_EDGE_WEIGHTS {
+        0 => 0,
+        _ => entries.checked_mul(weight_width)?,
+    };
+    let degrees_off = version.header_len() as u64;
+    let node_weights_off = align_up(degrees_off.checked_add(degree_bytes)?)?;
+    let neighbors_off = node_weights_off.checked_add(node_weight_bytes)?;
+    let edge_weights_off = align_up(neighbors_off.checked_add(neighbor_bytes)?)?;
+    let body_len = edge_weights_off.checked_add(edge_weight_bytes)?;
+    Some(BodyLayout {
+        degrees_off,
+        degree_bytes,
+        node_weights_off,
+        node_weight_bytes,
+        neighbors_off,
+        neighbor_bytes,
+        edge_weights_off,
+        edge_weight_bytes,
+        body_len,
+        padding: body_len
+            - degrees_off
+            - degree_bytes
+            - node_weight_bytes
+            - neighbor_bytes
+            - edge_weight_bytes,
+    })
 }
 
-fn v3_layout(n: u64, m: u64, flags: u8) -> V3Layout {
-    let mut padding = 0u64;
-    let mut cursor = StreamFormatVersion::V3.header_len() as u64;
-    let degrees_off = cursor;
-    cursor += 4 * n;
-    let aligned = align_up(cursor, V3_ALIGN);
-    padding += aligned - cursor;
-    cursor = aligned;
-    let node_weights_off = cursor;
-    let node_weights_len = if flags & FLAG_NODE_WEIGHTS != 0 {
-        8 * n
-    } else {
-        0
-    };
-    cursor += node_weights_len;
-    let neighbors_off = cursor;
-    cursor += 4 * 2 * m;
-    let aligned = align_up(cursor, V3_ALIGN);
-    padding += aligned - cursor;
-    cursor = aligned;
-    let edge_weights_off = cursor;
-    let edge_weights_len = if flags & FLAG_EDGE_WEIGHTS != 0 {
-        8 * 2 * m
-    } else {
-        0
-    };
-    cursor += edge_weights_len;
-    V3Layout {
-        degrees_off,
-        node_weights_off,
-        node_weights_len,
-        neighbors_off,
-        edge_weights_off,
-        edge_weights_len,
-        body_len: cursor,
-        padding,
+/// Checks a header's counts against the length of the file they came from
+/// and returns the layout they imply — the gate every reader passes before
+/// anything is sized from `n` or `m`.
+///
+/// Counts whose layout overflows `u64` are a [`GraphError::CountMismatch`].
+/// A file too short to hold even the 4-byte degree field of every announced
+/// node and the 4-byte id of every announced adjacency entry is
+/// [`GraphError::Truncated`]; a file missing less than that passes (a pass
+/// over it fails with the exact count of complete records), as does one
+/// longer than its body (a snapshot trailer).
+fn checked_layout(header: &Header, file_bytes: u64) -> Result<BodyLayout> {
+    let (n, m) = (header.n as u64, header.m as u64);
+    let layout =
+        body_layout(header.version, n, m, header.flags).ok_or(GraphError::CountMismatch {
+            what: "body bytes (the header's node and edge counts overflow u64)",
+            expected: u64::MAX,
+            found: file_bytes,
+        })?;
+    if layout.degree_bytes + layout.neighbor_bytes > file_bytes {
+        return Err(truncated_error(n, &layout, file_bytes));
+    }
+    Ok(layout)
+}
+
+/// The typed error for a file shorter than the body its header announces,
+/// raised without decoding the body: the number of complete node records is
+/// estimated from the byte position where the file ends — always strictly
+/// below `n`, matching the invariant of the read path's
+/// [`GraphError::Truncated`].
+fn truncated_error(n: u64, layout: &BodyLayout, file_bytes: u64) -> GraphError {
+    let payload = (layout.body_len - layout.degrees_off).max(1);
+    let available = file_bytes
+        .saturating_sub(layout.degrees_off)
+        .min(payload - 1);
+    GraphError::Truncated {
+        expected_nodes: n,
+        read_nodes: (n as u128 * available as u128 / payload as u128) as u64,
     }
 }
 
@@ -322,65 +395,41 @@ fn write_v3_body(graph: &CsrGraph, mut w: BufWriter<File>, flags: u8) -> Result<
     const PAD: [u8; 8] = [0u8; 8];
     // Header padding: flags byte at offset 32, zero-fill up to 40.
     w.write_all(&PAD[..7])?;
-    let layout = v3_layout(graph.num_nodes() as u64, graph.num_edges() as u64, flags);
-    let mut written = layout.degrees_off;
+    let (n, m) = (graph.num_nodes() as u64, graph.num_edges() as u64);
+    let layout = body_layout(StreamFormatVersion::V3, n, m, flags)
+        .expect("an in-memory graph's layout fits u64");
     for v in graph.nodes() {
         w.write_all(&(graph.neighbors(v).len() as u32).to_le_bytes())?;
-        written += 4;
     }
-    let pad = align_up(written, V3_ALIGN) - written;
-    w.write_all(&PAD[..pad as usize])?;
-    written += pad;
-    debug_assert_eq!(written, layout.node_weights_off);
+    let degrees_end = layout.degrees_off + layout.degree_bytes;
+    w.write_all(&PAD[..(layout.node_weights_off - degrees_end) as usize])?;
     if flags & FLAG_NODE_WEIGHTS != 0 {
         for &nw in graph.node_weights() {
             w.write_all(&nw.to_le_bytes())?;
         }
-        written += layout.node_weights_len;
     }
-    debug_assert_eq!(written, layout.neighbors_off);
     for v in graph.nodes() {
         for &u in graph.neighbors(v) {
             w.write_all(&u.to_le_bytes())?;
         }
-        written += 4 * graph.neighbors(v).len() as u64;
     }
-    let pad = align_up(written, V3_ALIGN) - written;
-    w.write_all(&PAD[..pad as usize])?;
-    written += pad;
-    debug_assert_eq!(written, layout.edge_weights_off);
+    let neighbors_end = layout.neighbors_off + layout.neighbor_bytes;
+    w.write_all(&PAD[..(layout.edge_weights_off - neighbors_end) as usize])?;
     if flags & FLAG_EDGE_WEIGHTS != 0 {
         for v in graph.nodes() {
             for &ew in graph.incident_edge_weights(v) {
                 w.write_all(&ew.to_le_bytes())?;
             }
         }
-        written += layout.edge_weights_len;
     }
-    debug_assert_eq!(written, layout.body_len);
     w.flush()?;
     Ok(())
 }
 
-/// Reads a whole vertex-stream file (either version) back into an in-memory
-/// [`CsrGraph`].
+/// Reads a whole vertex-stream file (any version) back into an in-memory
+/// [`CsrGraph`]: [`collect_graph`] over a synchronous [`DiskStream`].
 pub fn read_stream_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
-    let mut stream = DiskStream::open(path)?;
-    let n = stream.num_nodes();
-    let mut xadj = Vec::with_capacity(n + 1);
-    xadj.push(0usize);
-    let mut adjncy = Vec::new();
-    let mut eweights = Vec::new();
-    let mut nweights = Vec::with_capacity(n);
-    stream.stream_nodes(|node| {
-        nweights.push(node.weight);
-        adjncy.extend_from_slice(node.neighbors);
-        eweights.extend_from_slice(node.edge_weights);
-        xadj.push(adjncy.len());
-    })?;
-    Ok(CsrGraph::from_csr_unchecked(
-        xadj, adjncy, eweights, nweights,
-    ))
+    collect_graph(&mut DiskStream::open(path)?.double_buffered(false))
 }
 
 /// Per-section byte accounting of a vertex-stream file, as reported by
@@ -419,20 +468,6 @@ pub struct StreamFileInfo {
     pub file_bytes: u64,
 }
 
-/// The typed error for a file shorter than the body its header announces.
-/// The info path never decodes the body, so the number of complete node
-/// records is estimated from the byte position where the file ends —
-/// always strictly below `n`, matching the invariant of the read path's
-/// [`GraphError::Truncated`].
-fn truncated_info_error(n: u64, header_bytes: u64, body_bytes: u64, file_bytes: u64) -> GraphError {
-    let payload = body_bytes.saturating_sub(header_bytes).max(1);
-    let available = file_bytes.saturating_sub(header_bytes);
-    GraphError::Truncated {
-        expected_nodes: n,
-        read_nodes: n.saturating_mul(available) / payload,
-    }
-}
-
 /// Reads a vertex-stream file's header and reports its per-section byte
 /// layout without decoding the body.
 ///
@@ -442,77 +477,27 @@ fn truncated_info_error(n: u64, header_bytes: u64, body_bytes: u64, file_bytes: 
 pub fn stream_file_info<P: AsRef<Path>>(path: P) -> Result<StreamFileInfo> {
     let file = File::open(path.as_ref())?;
     let file_bytes = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let header = read_header(&mut r)?;
-    let (n, m) = (header.n as u64, header.m as u64);
-    let has_nw = header.flags & FLAG_NODE_WEIGHTS != 0;
-    let has_ew = header.flags & FLAG_EDGE_WEIGHTS != 0;
-    let header_bytes = header.version.header_len() as u64;
-    let info = match header.version {
-        StreamFormatVersion::V1 | StreamFormatVersion::V2 => {
-            let ww = if header.version == StreamFormatVersion::V1 {
-                4
-            } else {
-                8
-            };
-            let node_weight_bytes = if has_nw { n * ww } else { 0 };
-            let edge_weight_bytes = if has_ew { 2 * m * ww } else { 0 };
-            let body_bytes =
-                header_bytes + node_weight_bytes + 4 * n + 4 * 2 * m + edge_weight_bytes;
-            if file_bytes < body_bytes {
-                return Err(truncated_info_error(
-                    n,
-                    header_bytes,
-                    body_bytes,
-                    file_bytes,
-                ));
-            }
-            StreamFileInfo {
-                version: header.version,
-                has_node_weights: has_nw,
-                has_edge_weights: has_ew,
-                num_nodes: n,
-                num_edges: m,
-                header_bytes,
-                degree_bytes: 4 * n,
-                node_weight_bytes,
-                neighbor_bytes: 4 * 2 * m,
-                edge_weight_bytes,
-                padding_bytes: 0,
-                body_bytes,
-                trailer_bytes: file_bytes - body_bytes,
-                file_bytes,
-            }
-        }
-        StreamFormatVersion::V3 => {
-            let layout = v3_layout(n, m, header.flags);
-            if file_bytes < layout.body_len {
-                return Err(truncated_info_error(
-                    n,
-                    header_bytes,
-                    layout.body_len,
-                    file_bytes,
-                ));
-            }
-            StreamFileInfo {
-                version: header.version,
-                has_node_weights: has_nw,
-                has_edge_weights: has_ew,
-                num_nodes: n,
-                num_edges: m,
-                header_bytes,
-                degree_bytes: 4 * n,
-                node_weight_bytes: layout.node_weights_len,
-                neighbor_bytes: 4 * 2 * m,
-                edge_weight_bytes: layout.edge_weights_len,
-                padding_bytes: layout.padding,
-                body_bytes: layout.body_len,
-                trailer_bytes: file_bytes - layout.body_len,
-                file_bytes,
-            }
-        }
-    };
-    Ok(info)
+    let header = read_header(&mut BufReader::new(file))?;
+    let layout = checked_layout(&header, file_bytes)?;
+    if file_bytes < layout.body_len {
+        return Err(truncated_error(header.n as u64, &layout, file_bytes));
+    }
+    Ok(StreamFileInfo {
+        version: header.version,
+        has_node_weights: header.flags & FLAG_NODE_WEIGHTS != 0,
+        has_edge_weights: header.flags & FLAG_EDGE_WEIGHTS != 0,
+        num_nodes: header.n as u64,
+        num_edges: header.m as u64,
+        header_bytes: layout.degrees_off,
+        degree_bytes: layout.degree_bytes,
+        node_weight_bytes: layout.node_weight_bytes,
+        neighbor_bytes: layout.neighbor_bytes,
+        edge_weight_bytes: layout.edge_weight_bytes,
+        padding_bytes: layout.padding,
+        body_bytes: layout.body_len,
+        trailer_bytes: file_bytes - layout.body_len,
+        file_bytes,
+    })
 }
 
 /// A one-pass stream read from a vertex-stream file on disk.
@@ -620,12 +605,17 @@ impl DiskStream {
     /// v2/v3 headers state the total node weight `c(V)` directly (streaming
     /// algorithms need it up front to compute `L_max`); for legacy v1 files
     /// with node weights it is computed with one lightweight pass over the
-    /// file.
+    /// file. The header's counts are checked against the file's length
+    /// (see the [module docs](self)), so `num_nodes`/`num_edges` are safe to
+    /// size buffers from.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
-        let mut r = BufReader::new(file);
-        let header = read_header(&mut r)?;
+        let file_bytes = file.metadata()?.len();
+        let header = read_header(&mut BufReader::new(file))?;
+        // Consumers size their state from `n` and `m`: refuse counts the
+        // file cannot back before handing them out.
+        checked_layout(&header, file_bytes)?;
 
         let mut stream = DiskStream {
             path,
@@ -775,7 +765,11 @@ impl PassReader {
     }
 }
 
-/// Field-by-field decoder for the interleaved v1/v2 body layouts.
+/// Record-by-record decoder for the interleaved v1/v2 body layouts: the
+/// fixed-size head of a record (node weight, degree) is read first, the
+/// degree is checked against the entries the header still allows, and the
+/// record's adjacency columns are then read with one `read_exact` and
+/// bulk-decoded straight into the batch columns.
 struct InterleavedReader {
     r: BufReader<File>,
     version: StreamFormatVersion,
@@ -788,8 +782,7 @@ struct InterleavedReader {
     next_node: usize,
     edge_entries: u64,
     weight_sum: NodeWeight,
-    scratch_neighbors: Vec<NodeId>,
-    scratch_eweights: Vec<EdgeWeight>,
+    scratch_bytes: Vec<u8>,
 }
 
 impl InterleavedReader {
@@ -814,90 +807,82 @@ impl InterleavedReader {
             next_node: 0,
             edge_entries: 0,
             weight_sum: 0,
-            scratch_neighbors: Vec::new(),
-            scratch_eweights: Vec::new(),
+            scratch_bytes: Vec::new(),
         })
     }
 
-    /// Maps an early EOF to the typed truncation error.
-    fn truncated(&self, e: GraphError) -> GraphError {
-        match e {
-            GraphError::Io(io) if io.kind() == std::io::ErrorKind::UnexpectedEof => {
-                GraphError::Truncated {
-                    expected_nodes: self.expected_nodes as u64,
-                    read_nodes: self.next_node as u64,
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Reads one weight in this file's width.
-    fn read_weight(&mut self) -> Result<u64> {
-        match self.version {
-            StreamFormatVersion::V1 => read_u32(&mut self.r).map(|w| w as u64),
-            // v3 bodies never reach the interleaved decoder.
-            StreamFormatVersion::V2 | StreamFormatVersion::V3 => read_u64(&mut self.r),
-        }
-        .map_err(|e| self.truncated(e))
-    }
-
-    /// Clears `batch` and refills it with up to `max_nodes` decoded nodes.
-    /// Returns `true` while more nodes remain after this batch.
+    /// Clears `batch` and refills it with decoded nodes until it holds
+    /// `max_nodes` nodes or [`BATCH_ENTRY_BOUND`] adjacency entries. Returns
+    /// `true` while more nodes remain after this batch.
     fn fill(&mut self, batch: &mut NodeBatch, max_nodes: usize) -> Result<bool> {
         batch.clear();
         let max_nodes = max_nodes.max(1);
-        while batch.len() < max_nodes && self.next_node < self.expected_nodes {
-            let weight: NodeWeight = if self.has_node_weights {
-                let w = self.read_weight()?;
-                if w == 0 {
-                    return Err(GraphError::WeightOutOfRange {
-                        what: "node",
-                        node: self.next_node as u64,
-                        value: 0,
-                        max: self.version.max_weight(),
-                    });
-                }
-                w
-            } else {
-                1
+        // v1 stores weights as u32, v2 as u64 (v3 bodies never get here).
+        let weight_width = self.version.weight_width();
+        let decode_weights: fn(&[u8], &mut Vec<u64>) = match self.version {
+            StreamFormatVersion::V1 => decode_u32s_widening,
+            StreamFormatVersion::V2 | StreamFormatVersion::V3 => decode_u64s,
+        };
+        let (expected_nodes, max_weight) = (self.expected_nodes as u64, self.version.max_weight());
+        while batch.len() < max_nodes
+            && batch.total_edge_entries() < BATCH_ENTRY_BOUND
+            && self.next_node < self.expected_nodes
+        {
+            let node = self.next_node as u64;
+            let truncated = |e: std::io::Error| truncated_at(e, expected_nodes, node);
+            let zero_weight = |what| GraphError::WeightOutOfRange {
+                what,
+                node,
+                value: 0,
+                max: max_weight,
             };
-            let degree = read_u32(&mut self.r).map_err(|e| self.truncated(e))? as usize;
-            self.scratch_neighbors.clear();
-            self.scratch_neighbors.reserve(degree);
-            for _ in 0..degree {
-                let u = read_u32(&mut self.r).map_err(|e| self.truncated(e))?;
-                self.scratch_neighbors.push(u);
+
+            // Record head: [node weight] degree.
+            let mut head = [0u8; 12];
+            let head = &mut head[..4 + weight_width * usize::from(self.has_node_weights)];
+            self.r.read_exact(head).map_err(truncated)?;
+            let (weight_bytes, degree_bytes) = head.split_at(head.len() - 4);
+            let weight: NodeWeight = match weight_bytes.len() {
+                0 => 1,
+                4 => u32::from_le_bytes(weight_bytes.try_into().unwrap()) as u64,
+                _ => u64::from_le_bytes(weight_bytes.try_into().unwrap()),
+            };
+            if weight == 0 {
+                return Err(zero_weight("node"));
             }
+            let degree = u32::from_le_bytes(degree_bytes.try_into().unwrap()) as usize;
+            // The degree sizes the read below: check it against the entries
+            // the header still allows before buffering anything.
+            let total_entries = self.edge_entries + degree as u64;
+            if total_entries > self.expected_edge_entries {
+                return Err(GraphError::CountMismatch {
+                    what: "edge entries",
+                    expected: self.expected_edge_entries,
+                    found: total_entries,
+                });
+            }
+
+            // Record tail: the neighbor column, then the edge-weight column.
+            let tail = degree * (4 + weight_width * usize::from(self.has_edge_weights));
+            if self.scratch_bytes.len() < tail {
+                self.scratch_bytes.resize(tail, 0);
+            }
+            let tail = &mut self.scratch_bytes[..tail];
+            self.r.read_exact(tail).map_err(truncated)?;
+            let (neighbor_bytes, edge_weight_bytes) = tail.split_at(4 * degree);
+            decode_u32s(neighbor_bytes, batch.neighbors_vec_mut());
             if self.has_edge_weights {
-                self.scratch_eweights.clear();
-                self.scratch_eweights.reserve(degree);
-                for _ in 0..degree {
-                    let w = self.read_weight()?;
-                    if w == 0 {
-                        return Err(GraphError::WeightOutOfRange {
-                            what: "edge",
-                            node: self.next_node as u64,
-                            value: 0,
-                            max: self.version.max_weight(),
-                        });
-                    }
-                    self.scratch_eweights.push(w as EdgeWeight);
+                let edge_weights = batch.edge_weights_vec_mut();
+                decode_weights(edge_weight_bytes, edge_weights);
+                if edge_weights[edge_weights.len() - degree..].contains(&0) {
+                    return Err(zero_weight("edge"));
                 }
-                batch.push_parts(
-                    self.next_node as NodeId,
-                    weight,
-                    &self.scratch_neighbors,
-                    &self.scratch_eweights,
-                );
             } else {
-                batch.push_unit_weight_edges(
-                    self.next_node as NodeId,
-                    weight,
-                    &self.scratch_neighbors,
-                );
+                batch.unit_fill_edge_weights();
             }
-            self.edge_entries = self.edge_entries.saturating_add(degree as u64);
+            batch.finish_node(self.next_node as NodeId, weight);
+
+            self.edge_entries = total_entries;
             // An adversarial file can hold weights that individually fit u64
             // but overflow the running total; that must be a typed error,
             // not a debug-build panic / release-build wraparound that could
@@ -933,6 +918,18 @@ impl InterleavedReader {
     }
 }
 
+/// Maps an early EOF at node `read_nodes` to the typed truncation error.
+fn truncated_at(e: std::io::Error, expected_nodes: u64, read_nodes: u64) -> GraphError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        GraphError::Truncated {
+            expected_nodes,
+            read_nodes,
+        }
+    } else {
+        GraphError::Io(e)
+    }
+}
+
 /// Bulk decoder for the sectioned v3 layout: one independent sequential
 /// cursor per section, one `read_exact` per batch per column. Decode is a
 /// little-endian widening copy into the batch's SoA columns — no per-node
@@ -954,31 +951,46 @@ struct SectionedReader {
 }
 
 /// Appends the little-endian `u32`s in `bytes` to `dst` (bulk decode; the
-/// compiler vectorises this into a straight widening copy).
+/// compiler vectorises this into a straight copy).
 fn decode_u32s(bytes: &[u8], dst: &mut Vec<u32>) {
     debug_assert_eq!(bytes.len() % 4, 0);
-    dst.reserve(bytes.len() / 4);
-    for c in bytes.chunks_exact(4) {
-        dst.push(u32::from_le_bytes(c.try_into().unwrap()));
-    }
+    dst.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
+    );
 }
 
 /// Appends the little-endian `u64`s in `bytes` to `dst`.
 fn decode_u64s(bytes: &[u8], dst: &mut Vec<u64>) {
     debug_assert_eq!(bytes.len() % 8, 0);
-    dst.reserve(bytes.len() / 8);
-    for c in bytes.chunks_exact(8) {
-        dst.push(u64::from_le_bytes(c.try_into().unwrap()));
-    }
+    dst.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
+    );
+}
+
+/// Appends the little-endian `u32`s in `bytes` to `dst`, widened to `u64`
+/// (the weight columns of the v1 layout).
+fn decode_u32s_widening(bytes: &[u8], dst: &mut Vec<u64>) {
+    debug_assert_eq!(bytes.len() % 4, 0);
+    dst.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as u64),
+    );
 }
 
 impl SectionedReader {
     fn open(stream: &DiskStream) -> Result<Self> {
-        let layout = v3_layout(
+        let layout = body_layout(
+            StreamFormatVersion::V3,
             stream.num_nodes as u64,
             stream.num_edges as u64,
             stream.flags,
-        );
+        )
+        .expect("DiskStream::open checked the layout");
         let cursor = |off: u64, cap: usize| -> Result<BufReader<File>> {
             let mut f = File::open(&stream.path)?;
             f.seek(SeekFrom::Start(off))?;
@@ -1010,31 +1022,44 @@ impl SectionedReader {
         })
     }
 
-    /// Maps an early EOF to the typed truncation error.
-    fn truncated(&self, e: std::io::Error) -> GraphError {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            GraphError::Truncated {
-                expected_nodes: self.expected_nodes as u64,
-                read_nodes: self.next_node as u64,
-            }
-        } else {
-            GraphError::Io(e)
+    /// Reads exactly `len` bytes from `reader` into the front of `scratch`
+    /// (grown on demand, never shrunk) and returns them.
+    fn read_column<'a>(
+        reader: &mut BufReader<File>,
+        scratch: &'a mut Vec<u8>,
+        len: usize,
+    ) -> std::io::Result<&'a [u8]> {
+        if scratch.len() < len {
+            scratch.resize(len, 0);
         }
+        reader.read_exact(&mut scratch[..len])?;
+        Ok(&scratch[..len])
     }
 
+    /// Clears `batch` and refills it with decoded nodes until it holds
+    /// `max_nodes` nodes or [`BATCH_ENTRY_BOUND`] adjacency entries. Returns
+    /// `true` while more nodes remain after this batch.
     fn fill(&mut self, batch: &mut NodeBatch, max_nodes: usize) -> Result<bool> {
         batch.clear();
+        let (expected_nodes, first) = (self.expected_nodes as u64, self.next_node as u64);
+        let truncated = |e: std::io::Error| truncated_at(e, expected_nodes, first);
         let max_nodes = max_nodes.max(1);
-        let count = max_nodes.min(self.expected_nodes - self.next_node);
-        if count > 0 {
-            // Degrees column → ids + CSR offsets.
-            self.scratch_bytes.resize(4 * count, 0);
-            self.degrees
-                .read_exact(&mut self.scratch_bytes)
-                .map_err(|e| self.truncated(e))?;
+        let wanted = max_nodes.min(self.expected_nodes - self.next_node);
+        if wanted > 0 {
+            // Degrees column → ids + CSR offsets. The batch takes degrees
+            // until it reaches the entry bound; the rest go back to the
+            // cursor (a seek within its buffer).
+            let bytes = Self::read_column(&mut self.degrees, &mut self.scratch_bytes, 4 * wanted)
+                .map_err(truncated)?;
             self.scratch_degrees.clear();
-            decode_u32s(&self.scratch_bytes, &mut self.scratch_degrees);
-            let batch_entries: u64 = self.scratch_degrees.iter().map(|&d| d as u64).sum();
+            decode_u32s(bytes, &mut self.scratch_degrees);
+            let (mut count, mut batch_entries) = (0, 0u64);
+            while count < wanted && batch_entries < BATCH_ENTRY_BOUND as u64 {
+                batch_entries += self.scratch_degrees[count] as u64;
+                count += 1;
+            }
+            self.scratch_degrees.truncate(count);
+            self.degrees.seek_relative(-4 * (wanted - count) as i64)?;
             let total_entries = self.edge_entries.saturating_add(batch_entries);
             if total_entries > self.expected_edge_entries {
                 // In a sectioned file an oversized degree would walk the
@@ -1051,10 +1076,9 @@ impl SectionedReader {
 
             // Node-weight column.
             if let Some(reader) = self.node_weights.as_mut() {
-                self.scratch_bytes.resize(8 * count, 0);
-                let read = reader.read_exact(&mut self.scratch_bytes);
-                read.map_err(|e| self.truncated(e))?;
-                decode_u64s(&self.scratch_bytes, batch.weights_vec_mut());
+                let bytes = Self::read_column(reader, &mut self.scratch_bytes, 8 * count)
+                    .map_err(truncated)?;
+                decode_u64s(bytes, batch.weights_vec_mut());
                 let weights = &batch.weights_vec_mut()[..];
                 let mut sum = self.weight_sum;
                 for (i, &w) in weights.iter().enumerate() {
@@ -1080,18 +1104,20 @@ impl SectionedReader {
             }
 
             // Neighbor column.
-            self.scratch_bytes.resize(4 * batch_entries as usize, 0);
-            self.neighbors
-                .read_exact(&mut self.scratch_bytes)
-                .map_err(|e| self.truncated(e))?;
-            decode_u32s(&self.scratch_bytes, batch.neighbors_vec_mut());
+            let batch_entries = batch_entries as usize;
+            let bytes = Self::read_column(
+                &mut self.neighbors,
+                &mut self.scratch_bytes,
+                4 * batch_entries,
+            )
+            .map_err(truncated)?;
+            decode_u32s(bytes, batch.neighbors_vec_mut());
 
             // Edge-weight column.
             if let Some(reader) = self.edge_weights.as_mut() {
-                self.scratch_bytes.resize(8 * batch_entries as usize, 0);
-                let read = reader.read_exact(&mut self.scratch_bytes);
-                read.map_err(|e| self.truncated(e))?;
-                decode_u64s(&self.scratch_bytes, batch.edge_weights_vec_mut());
+                let bytes = Self::read_column(reader, &mut self.scratch_bytes, 8 * batch_entries)
+                    .map_err(truncated)?;
+                decode_u64s(bytes, batch.edge_weights_vec_mut());
                 let ews = &batch.edge_weights_vec_mut()[..];
                 if let Some(j) = ews.iter().position(|&w| w == 0) {
                     // Walk the degree prefix sums only on the error path to
@@ -1238,7 +1264,7 @@ pub(crate) fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{EdgeWeight, GraphBuilder};
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("oms-graph-test-stream");
@@ -2023,6 +2049,180 @@ mod tests {
             info.body_bytes
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A bare header of `version` announcing `n` nodes and `m` edges, unit
+    /// weights.
+    fn raw_header(version: StreamFormatVersion, n: u64, m: u64) -> Vec<u8> {
+        let mut bytes = version.magic().to_vec();
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&m.to_le_bytes());
+        if version != StreamFormatVersion::V1 {
+            bytes.extend_from_slice(&n.to_le_bytes());
+        }
+        bytes.push(0);
+        bytes.resize(version.header_len(), 0);
+        bytes
+    }
+
+    const ALL_VERSIONS: [StreamFormatVersion; 3] = [
+        StreamFormatVersion::V1,
+        StreamFormatVersion::V2,
+        StreamFormatVersion::V3,
+    ];
+
+    #[test]
+    fn oversized_degree_field_is_rejected_before_anything_is_buffered() {
+        // Regression: a 37-byte v2 file whose first degree field is
+        // 0xFFFF_FFFF made the reader reserve 16 GiB before looking at it.
+        for version in [StreamFormatVersion::V1, StreamFormatVersion::V2] {
+            let mut bytes = raw_header(version, 1, 1);
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            let path = temp_path(&format!("degree-bomb-v{}.oms", version.number()));
+            std::fs::write(&path, &bytes).unwrap();
+            for double_buffered in [false, true] {
+                let mut stream = DiskStream::open(&path)
+                    .unwrap()
+                    .double_buffered(double_buffered);
+                match stream.stream_nodes(|_| {}).unwrap_err() {
+                    GraphError::CountMismatch {
+                        what,
+                        expected,
+                        found,
+                    } => {
+                        assert_eq!(what, "edge entries");
+                        assert_eq!(expected, 2);
+                        assert_eq!(found, u32::MAX as u64);
+                    }
+                    other => panic!("{version:?}: expected CountMismatch, got: {other}"),
+                }
+            }
+            assert!(read_stream_file(&path).is_err());
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn header_counts_the_file_cannot_hold_are_rejected_at_open() {
+        // Regression: `n = 2^60` reached `Vec::with_capacity(n + 1)` (a
+        // capacity-overflow panic); consumers size their state from the
+        // header, so `open` must refuse counts the file cannot back.
+        let huge = 1u64 << 60;
+        for version in ALL_VERSIONS {
+            for (case, n, m) in [
+                ("huge n", huge, 0),
+                ("huge m", 4, huge),
+                ("overflowing n", u64::MAX / 2, 0),
+                ("overflowing m", 4, u64::MAX / 2),
+                ("4n > file", 64, 0),
+                ("8m > file", 4, 32),
+            ] {
+                // Header plus 100 body bytes: room for 4 nodes, not for 64.
+                let mut bytes = raw_header(version, n, m);
+                bytes.resize(version.header_len() + 100, 0);
+                let path = temp_path(&format!("header-bomb-v{}.oms", version.number()));
+                std::fs::write(&path, &bytes).unwrap();
+                for result in [
+                    DiskStream::open(&path).map(|_| ()),
+                    stream_file_info(&path).map(|_| ()),
+                    read_stream_file(&path).map(|_| ()),
+                ] {
+                    match result.unwrap_err() {
+                        GraphError::Truncated {
+                            expected_nodes,
+                            read_nodes,
+                        } => {
+                            assert_eq!(expected_nodes, n, "{version:?} {case}");
+                            assert!(read_nodes < n, "{version:?} {case}");
+                        }
+                        GraphError::CountMismatch { .. } => {
+                            assert!(case.starts_with("overflowing"), "{version:?} {case}")
+                        }
+                        other => panic!("{version:?} {case}: unexpected error: {other}"),
+                    }
+                }
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_longer_than_its_body_still_opens() {
+        // A snapshot trailer makes the file longer than the header's counts
+        // imply; only too-short files are refused.
+        let g = weighted_sample();
+        for version in ALL_VERSIONS {
+            let path = temp_path(&format!("trailing-v{}.oms", version.number()));
+            let options = StreamWriteOptions {
+                version,
+                ..StreamWriteOptions::default()
+            };
+            write_stream_file_with(&g, &path, options).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(b"OMSSNAP1 and then some trailer bytes");
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(read_stream_file(&path).unwrap(), g, "{version:?}");
+            assert_eq!(stream_file_info(&path).unwrap().trailer_bytes, 36);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn batches_split_on_edge_mass_and_still_cover_the_stream() {
+        // A hub whose degree alone exceeds the entry bound, followed by its
+        // low-degree leaves: every version, ingest mode and batch size must
+        // deliver the same node sequence, in batches that respect both
+        // bounds (a batch may overshoot the entry bound by its last node).
+        let leaves = BATCH_ENTRY_BOUND as u32 + 500;
+        let mut b = GraphBuilder::new(leaves as usize + 1);
+        for v in 1..=leaves {
+            b.add_weighted_edge(0, v, 1 + (v % 3) as u64).unwrap();
+        }
+        b.set_node_weight(7, 5).unwrap();
+        let g = b.build();
+        for version in ALL_VERSIONS {
+            let path = temp_path(&format!("hub-v{}.oms", version.number()));
+            let options = StreamWriteOptions {
+                version,
+                ..StreamWriteOptions::default()
+            };
+            write_stream_file_with(&g, &path, options).unwrap();
+            assert_eq!(read_stream_file(&path).unwrap(), g, "{version:?}");
+            // (Double-buffered ingest pays a thread hand-off per batch —
+            // seconds at batch sizes 1 and 7 over 66 k nodes — and shares the
+            // reader with the synchronous runs that cover those boundaries.)
+            for (double_buffered, batch_size) in
+                [(false, 1), (false, 7), (false, 4096), (true, 4096)]
+            {
+                let mut stream = DiskStream::open(&path)
+                    .unwrap()
+                    .double_buffered(double_buffered);
+                let mut next = 0u32;
+                let mut sizes = Vec::new();
+                stream
+                    .for_each_batch(batch_size, &mut |batch| {
+                        sizes.push((batch.len(), batch.total_edge_entries()));
+                        for node in batch.iter() {
+                            assert_eq!(node.node, next);
+                            assert_eq!(node.neighbors, g.neighbors(next));
+                            assert_eq!(node.edge_weights, g.incident_edge_weights(next));
+                            assert_eq!(node.weight, g.node_weight(next));
+                            next += 1;
+                        }
+                    })
+                    .unwrap();
+                assert_eq!(next, leaves + 1);
+                // The hub closes the first batch on its own.
+                assert_eq!(sizes[0], (1, leaves as usize), "{version:?}");
+                for &(nodes, entries) in &sizes[1..] {
+                    assert!(nodes <= batch_size && entries <= BATCH_ENTRY_BOUND);
+                }
+                // Past the hub only the node bound binds.
+                let full = sizes[1..sizes.len() - 1].iter();
+                assert!(full.clone().all(|&(nodes, _)| nodes == batch_size));
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub use delta::{
 pub use edge_stream::{EdgeBatch, EdgeStream, EdgesOf, StreamedEdge, DEFAULT_EDGE_BATCH_SIZE};
 pub use ordering::NodeOrdering;
 pub use stream::{
-    ChunkedStream, InMemoryStream, NodeStream, PerNodeBatches, StreamedNode, DEFAULT_BATCH_SIZE,
+    collect_graph, ChunkedStream, InMemoryStream, NodeStream, PerNodeBatches, StreamedNode,
+    BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
 };
 
 /// Identifier of a node. Graphs in this project are laptop-scale (tens of

@@ -13,12 +13,30 @@
 //! chunking used by the shared-memory parallelisation) — and a third one,
 //! [`crate::io::DiskStream`], streams the binary vertex-stream format from
 //! disk.
+//!
+//! ## Working memory
+//!
+//! A consumer of a [`NodeStream`] holds `O(n)` state of its own (the
+//! assignment array) plus **one batch** of the source. A disk source closes
+//! a batch at `batch_size` nodes *or* once it holds [`BATCH_ENTRY_BOUND`]
+//! adjacency entries, whichever comes first, so a batch is at most
+//! `BATCH_ENTRY_BOUND + Δ` entries however the degrees are distributed
+//! (RMAT-style inputs keep their hubs at the low ids: bounded by node count
+//! alone, the first 4096-node batch of a scale-18 RMAT is ≈ 14 MiB). That is
+//! the `O(n + batch)` contract the CLI's one-pass jobs run under.
+//! [`collect_graph`] is the one place that trades it for a whole
+//! [`CsrGraph`].
 
 use crate::batch::NodeBatch;
-use crate::{CsrGraph, EdgeWeight, NodeId, NodeOrdering, NodeWeight, Result};
+use crate::{CsrGraph, EdgeWeight, GraphError, NodeId, NodeOrdering, NodeWeight, Result};
 
 /// Default number of nodes per batch when a caller does not specify one.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
+
+/// Adjacency entries after which a disk source closes a batch early (see the
+/// [module docs](self)): 64 Ki entries = 768 KiB of neighbor ids and edge
+/// weights, the size of a default batch at average degree 16.
+pub const BATCH_ENTRY_BOUND: usize = 1 << 16;
 
 /// A node as it appears on the stream: its id, weight and adjacency list.
 #[derive(Clone, Copy, Debug)]
@@ -88,7 +106,9 @@ pub trait NodeStream {
 
     /// Performs one pass delivering the stream in [`NodeBatch`]es of up to
     /// `batch_size` nodes (in stream order; concatenating all batches yields
-    /// exactly one full pass).
+    /// exactly one full pass). A source may close a batch early — disk
+    /// sources do at [`BATCH_ENTRY_BOUND`] adjacency entries — so only the
+    /// upper bound is part of the contract.
     ///
     /// The default implementation accumulates `for_each_node` output into a
     /// reused batch buffer; sources override it to fill batches directly
@@ -185,6 +205,77 @@ fn batches_from_graph(
     if !batch.is_empty() {
         f(&batch);
     }
+}
+
+/// Collects one pass of `stream` into a [`CsrGraph`] — the single
+/// materialisation path behind `read_stream_file` and `oms-core`'s
+/// `materialize_stream`.
+///
+/// Every array is sized once from the stream's announced `n` and `m`; nodes
+/// are appended as they arrive. A stream that delivers its nodes out of id
+/// order, or skips ids (a dynamic graph's dead nodes, which become isolated
+/// unit-weight nodes), pays one extra scatter copy at the end. Neighbor ids
+/// are range-checked; the symmetry of the adjacency lists is the stream's
+/// contract, as for every streaming consumer, and is not re-verified.
+pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
+    let n = stream.num_nodes();
+    let entries = 2 * stream.num_edges();
+    let mut ids: Vec<NodeId> = Vec::with_capacity(n);
+    let mut nweights: Vec<NodeWeight> = Vec::with_capacity(n);
+    let mut xadj: Vec<usize> = Vec::with_capacity(n + 1);
+    xadj.push(0);
+    let mut adjncy: Vec<NodeId> = Vec::with_capacity(entries);
+    let mut eweights: Vec<EdgeWeight> = Vec::with_capacity(entries);
+    stream.for_each_node(&mut |node| {
+        ids.push(node.node);
+        nweights.push(node.weight);
+        adjncy.extend_from_slice(node.neighbors);
+        eweights.extend_from_slice(node.edge_weights);
+        xadj.push(adjncy.len());
+    })?;
+    let out_of_range = |node: NodeId| GraphError::NodeOutOfRange {
+        node: node as u64,
+        num_nodes: n as u64,
+    };
+    if let Some(&u) = adjncy.iter().find(|&&u| u as usize >= n) {
+        return Err(out_of_range(u));
+    }
+    if ids.len() == n && ids.iter().enumerate().all(|(i, &v)| v as usize == i) {
+        return Ok(CsrGraph::from_csr_unchecked(
+            xadj, adjncy, eweights, nweights,
+        ));
+    }
+
+    // Arrival order differs from id order: scatter into place.
+    let mut arrival = vec![usize::MAX; n];
+    for (i, &v) in ids.iter().enumerate() {
+        let slot = arrival.get_mut(v as usize).ok_or(out_of_range(v))?;
+        if *slot != usize::MAX {
+            return Err(GraphError::Invalid(format!("node {v} streamed twice")));
+        }
+        *slot = i;
+    }
+    let mut sorted_xadj = Vec::with_capacity(n + 1);
+    sorted_xadj.push(0);
+    let mut sorted_adjncy = Vec::with_capacity(adjncy.len());
+    let mut sorted_eweights = Vec::with_capacity(adjncy.len());
+    let mut sorted_nweights = Vec::with_capacity(n);
+    for &i in &arrival {
+        if i == usize::MAX {
+            sorted_nweights.push(1);
+        } else {
+            sorted_nweights.push(nweights[i]);
+            sorted_adjncy.extend_from_slice(&adjncy[xadj[i]..xadj[i + 1]]);
+            sorted_eweights.extend_from_slice(&eweights[xadj[i]..xadj[i + 1]]);
+        }
+        sorted_xadj.push(sorted_adjncy.len());
+    }
+    Ok(CsrGraph::from_csr_unchecked(
+        sorted_xadj,
+        sorted_adjncy,
+        sorted_eweights,
+        sorted_nweights,
+    ))
 }
 
 /// Adapter forcing batch size 1: every node is copied into its own
@@ -570,27 +661,104 @@ mod tests {
         assert_eq!(stream.num_edges(), 6);
     }
 
+    /// A stream without a batch override and without `as_graph`, optionally
+    /// withholding one node.
+    struct Wrapper<'g>(InMemoryStream<'g>, Option<NodeId>);
+    impl NodeStream for Wrapper<'_> {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn num_edges(&self) -> usize {
+            self.0.num_edges()
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.0.total_node_weight()
+        }
+        fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
+            let skipped = self.1;
+            self.0.for_each_node(&mut |node| {
+                if Some(node.node) != skipped {
+                    f(node)
+                }
+            })
+        }
+    }
+
+    #[test]
+    fn collect_graph_rebuilds_the_graph_in_any_stream_order() {
+        let mut b = crate::GraphBuilder::new(5);
+        b.set_node_weight(2, 9).unwrap();
+        for (u, v, w) in [(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 4, 7), (4, 0, 1)] {
+            b.add_weighted_edge(u, v, w).unwrap();
+        }
+        let g = b.build();
+        let natural = Wrapper(InMemoryStream::new(&g), None);
+        let permuted = Wrapper(
+            InMemoryStream::with_permutation(&g, vec![3, 0, 4, 2, 1]),
+            None,
+        );
+        for mut stream in [natural, permuted] {
+            assert_eq!(collect_graph(&mut stream).unwrap(), g);
+        }
+    }
+
+    #[test]
+    fn collect_graph_fills_skipped_ids_with_isolated_unit_nodes() {
+        // An id that is never streamed (a dynamic graph's dead node) comes
+        // out isolated with unit weight, wherever it sits in the id range.
+        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let collected = collect_graph(&mut Wrapper(InMemoryStream::new(&g), Some(4))).unwrap();
+        assert_eq!(collected, g);
+        let skipped_middle = collect_graph(&mut Wrapper(InMemoryStream::new(&g), Some(0)));
+        let skipped_middle = skipped_middle.unwrap();
+        assert_eq!(skipped_middle.num_nodes(), 5);
+        assert_eq!(skipped_middle.degree(0), 0);
+        assert_eq!(skipped_middle.node_weight(0), 1);
+        assert_eq!(skipped_middle.neighbors(2), g.neighbors(2));
+    }
+
+    #[test]
+    fn collect_graph_rejects_ids_outside_the_announced_range() {
+        struct Bogus(Vec<(NodeId, Vec<NodeId>)>);
+        impl NodeStream for Bogus {
+            fn num_nodes(&self) -> usize {
+                2
+            }
+            fn num_edges(&self) -> usize {
+                1
+            }
+            fn total_node_weight(&self) -> NodeWeight {
+                2
+            }
+            fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
+                for (node, neighbors) in &self.0 {
+                    f(StreamedNode {
+                        node: *node,
+                        weight: 1,
+                        neighbors,
+                        edge_weights: &vec![1; neighbors.len()],
+                    });
+                }
+                Ok(())
+            }
+        }
+        for bogus in [
+            vec![(0, vec![7]), (1, vec![0])], // neighbor id ≥ n
+            vec![(1, vec![0]), (5, vec![1])], // node id ≥ n
+        ] {
+            let err = collect_graph(&mut Bogus(bogus)).unwrap_err();
+            assert!(matches!(err, GraphError::NodeOutOfRange { .. }), "{err}");
+        }
+        let twice = collect_graph(&mut Bogus(vec![(1, vec![0]), (1, vec![0])])).unwrap_err();
+        assert!(matches!(twice, GraphError::Invalid(_)), "{twice}");
+    }
+
     #[test]
     fn default_for_each_batch_flushes_partial_tail() {
         // A stream type without a batch override exercises the default impl.
-        struct Wrapper<'g>(InMemoryStream<'g>);
-        impl NodeStream for Wrapper<'_> {
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn num_edges(&self) -> usize {
-                self.0.num_edges()
-            }
-            fn total_node_weight(&self) -> NodeWeight {
-                self.0.total_node_weight()
-            }
-            fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
-                self.0.for_each_node(f)
-            }
-        }
         let g = sample();
         let mut sizes = Vec::new();
-        Wrapper(InMemoryStream::new(&g))
+        Wrapper(InMemoryStream::new(&g), None)
             .for_each_batch(2, &mut |batch| sizes.push(batch.len()))
             .unwrap();
         assert_eq!(sizes, vec![2, 2, 1]);

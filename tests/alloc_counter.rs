@@ -9,35 +9,53 @@
 //! buffers. CI runs this in release, where an accidental allocation in the
 //! inlined kernel would otherwise be invisible.
 //!
-//! Everything lives in a single `#[test]` because the counter is global:
+//! The same allocator tracks **live bytes** (current and peak), which turns
+//! the CLI's `O(n + batch)` working-memory claim into a test: a one-pass job
+//! run straight off a [`DiskStream`] must peak below `c₁·n + c₂` bytes on a
+//! dense graph, with constants the materialised run of the same job exceeds.
+//!
+//! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
 
 use oms::core::{BatchExecutor, FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
-use oms::prelude::{planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
+use oms::graph::io::{read_stream_file, write_stream_file, DiskStream};
+use oms::prelude::{erdos_renyi_gnm, planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocator call that made `grown` bytes live and released
+/// `shrunk`.
+fn record(grown: usize, shrunk: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let before = LIVE_BYTES.fetch_add(grown as u64, Ordering::Relaxed);
+    PEAK_LIVE_BYTES.fetch_max(before + grown as u64, Ordering::Relaxed);
+    LIVE_BYTES.fetch_sub(shrunk as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -49,6 +67,14 @@ fn allocations_during<F: FnOnce()>(f: F) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Peak of the live heap bytes while `f` runs, over what was live before.
+fn peak_live_bytes_during<F: FnOnce()>(f: F) -> u64 {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_LIVE_BYTES.store(before, Ordering::Relaxed);
+    f();
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed) - before
 }
 
 /// Warm steady-state passes of both flat objectives over graphs of two
@@ -123,4 +149,34 @@ fn steady_state_scoring_is_allocation_free() {
              n=8000): a per-node allocation crept into the tree-descent kernel"
         );
     }
+
+    // The CLI's working-memory contract: a one-pass job run straight off the
+    // stream file holds O(n) state plus one edge-bounded batch, however
+    // dense the graph — here 2m/n = 70 adjacency entries per node, 8.4 MB as
+    // a CSR. The same job over the materialised graph (what the CLI did for
+    // every input before it streamed) must exceed the very same bound, so
+    // the constants are shown to separate the two.
+    let n = 10_000usize;
+    let dense = erdos_renyi_gnm(n, 35 * n, 5);
+    let path = std::env::temp_dir().join("oms-alloc-counter-dense.oms");
+    write_stream_file(&dense, &path).unwrap();
+    drop(dense);
+    let bound = 128 * n as u64 + (4 << 20);
+    for spec in ["oms:4:4:4", "fennel:32"] {
+        let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+        let streamed = peak_live_bytes_during(|| {
+            let mut stream = DiskStream::open(&path).unwrap().double_buffered(false);
+            partitioner.run(&mut stream).unwrap();
+        });
+        let materialised = peak_live_bytes_during(|| {
+            let graph = read_stream_file(&path).unwrap();
+            partitioner.run(&mut InMemoryStream::new(&graph)).unwrap();
+        });
+        assert!(
+            streamed < bound && bound < materialised,
+            "{spec}: streamed run peaked at {streamed} B, materialised at {materialised} B; \
+             the O(n + batch) bound for n = {n} is {bound} B"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }

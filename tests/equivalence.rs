@@ -210,3 +210,107 @@ fn multi_pass_trajectories_agree_across_stream_sources() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// The fused measurement walk against per-edge references written the slow
+/// way: the cut straight from its definition and `J` as the sum of
+/// [`DistanceSpec::distance`] over every edge entry (the separate walk
+/// `stream_mapping_cost` used to be), on random weighted graphs ×
+/// hierarchies × distance specs with ℓ and ℓ+1 levels — including
+/// assignments with unassigned nodes and a block id beyond `k`, which the
+/// walk's group table does not cover.
+#[test]
+fn fused_measurement_walk_matches_the_per_edge_references() {
+    use oms::core::api::stream_mapping_cost;
+    use oms::core::{measure, measure_pass, stream_edge_cut, UNASSIGNED};
+
+    for (seed, hierarchy) in ["2:2", "4:16:16", "3:5:2"].into_iter().enumerate() {
+        let hierarchy = HierarchySpec::parse(hierarchy).unwrap();
+        let (k, levels) = (hierarchy.total_blocks(), hierarchy.num_levels());
+        // More nodes than blocks (the table is used) and fewer (it is not).
+        for n in [3 * k as usize + 50, (k as usize / 2).max(6)] {
+            let seed = seed as u64 + n as u64;
+            let graph = WeightScheme::Full.apply(&erdos_renyi_gnm(n, 4 * n, seed), seed);
+            let clean: Vec<BlockId> = (0..n as u64)
+                .map(|v| (v.wrapping_mul(2654435761).wrapping_add(seed) % k as u64) as BlockId)
+                .collect();
+            let mut hostile = clean.clone();
+            hostile[0] = UNASSIGNED;
+            hostile[n / 2] = UNASSIGNED;
+            hostile[graph.neighbors(0).first().copied().unwrap_or(1) as usize] = UNASSIGNED;
+            hostile[n - 1] = k + 5;
+            hostile[n - 2] = u32::MAX - 1;
+
+            for assignments in [&clean, &hostile] {
+                let valid = |b: BlockId| b < k;
+                let mut twice_cut = 0u64;
+                let mut block_weights = vec![0u64; k as usize];
+                for v in graph.nodes() {
+                    let own = assignments[v as usize];
+                    if valid(own) {
+                        block_weights[own as usize] += graph.node_weight(v);
+                    }
+                    for (u, w) in graph.neighbors_weighted(v) {
+                        if own == UNASSIGNED || assignments[u as usize] != own {
+                            twice_cut += w;
+                        }
+                    }
+                }
+                let heaviest = *block_weights.iter().max().unwrap() as f64;
+                let imbalance = heaviest / (graph.total_node_weight() as f64 / k as f64) - 1.0;
+
+                for extra_level in [0, 1] {
+                    let distances: Vec<u64> = (0..levels + extra_level)
+                        .map(|level| 10u64.pow(level as u32) + level as u64)
+                        .collect();
+                    let distances = DistanceSpec::new(distances).unwrap();
+                    let mut twice_j = 0u64;
+                    for v in graph.nodes() {
+                        for (u, w) in graph.neighbors_weighted(v) {
+                            let (a, b) = (assignments[v as usize], assignments[u as usize]);
+                            twice_j += w * distances.distance(&hierarchy, a, b);
+                        }
+                    }
+
+                    let stream = &mut InMemoryStream::new(&graph);
+                    let topology = Some((&hierarchy, &distances));
+                    let fused = measure(stream, assignments, k, topology).unwrap();
+                    assert_eq!(fused.edge_cut, twice_cut / 2);
+                    assert_eq!(fused.imbalance, imbalance);
+                    assert_eq!(fused.total_edge_weight, graph.total_edge_weight());
+                    assert_eq!(fused.mapping_cost, Some(twice_j / 2));
+
+                    // The wrappers the benchmark calls read the same walk.
+                    assert_eq!(
+                        measure_pass(stream, assignments, k).unwrap(),
+                        (fused.edge_cut, fused.imbalance)
+                    );
+                    assert_eq!(
+                        stream_mapping_cost(stream, assignments, &hierarchy, &distances).unwrap(),
+                        twice_j / 2
+                    );
+                }
+                if assignments == &clean {
+                    assert_eq!(
+                        stream_edge_cut(&mut InMemoryStream::new(&graph), assignments).unwrap(),
+                        twice_cut / 2
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_distance_spec_shorter_than_the_hierarchy_is_a_typed_error() {
+    let graph = planted_partition(40, 4, 0.3, 0.05, 3);
+    let hierarchy = HierarchySpec::parse("2:2:2").unwrap();
+    let distances = DistanceSpec::parse("1:10").unwrap();
+    let err = oms::core::api::stream_mapping_cost(
+        &mut InMemoryStream::new(&graph),
+        &[0; 40],
+        &hierarchy,
+        &distances,
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("levels"), "{err}");
+}
