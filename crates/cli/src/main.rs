@@ -51,7 +51,7 @@ use oms_core::knobs::{self, KNOBS};
 use oms_core::{JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
 use oms_graph::io::{
     read_edge_list, read_metis, read_stream_file, write_edge_list, write_metis, write_stream_file,
-    DiskStream,
+    DiskStream, MetisStream,
 };
 use oms_graph::{CsrGraph, EdgesOf, InMemoryStream, NodeStream};
 use std::collections::HashMap;
@@ -124,7 +124,9 @@ impl From<oms_core::PartitionError> for Error {
             // Bad specs are user errors: show the usage text.
             oms_core::PartitionError::InvalidSpec(msg)
             | oms_core::PartitionError::InvalidConfig(msg) => Error::Usage(msg),
-            other => Error::Internal(format!("partitioning error: {other}")),
+            // A bad file reads the same whether it fails when opened or
+            // mid-pass under a streamed job.
+            oms_core::PartitionError::Graph(e) => e.into(),
         }
     }
 }
@@ -291,31 +293,36 @@ fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGr
 }
 
 /// Where `partition` / `map` read their graph from. The choice follows from
-/// the job and the file alone: a vertex-stream file under a job that reads
-/// its input once runs straight off the file in `O(n + batch)` memory;
-/// everything else is materialised, because text formats have no streaming
-/// reader and a multi-pass job re-reads its input often enough (two scans
+/// the job and the file alone: a METIS or vertex-stream file under a job
+/// that reads its input once runs straight off the file in `O(n + batch)`
+/// memory (two scans: the partition pass and the measurement walk);
+/// everything else is materialised — an edge list does not group its edges
+/// by node, and a multi-pass job re-reads its input often enough (two scans
 /// per pass) that decoding it once into a `CsrGraph` is cheaper.
 enum Source {
-    /// The stream file itself, read synchronously (on few cores the reader
-    /// thread of double-buffered ingest costs more than it overlaps).
-    Streamed(DiskStream),
+    /// The file itself, read synchronously (on few cores the reader thread
+    /// of `DiskStream`'s double-buffered ingest costs more than it
+    /// overlaps).
+    Streamed(Box<dyn NodeStream>),
     Materialised(CsrGraph),
 }
 
 impl Source {
     fn open(path: &str, options: &HashMap<String, String>, job: &JobSpec) -> Result<Self, Error> {
-        if input_format(path, options)? == "stream" && job.passes == 1 {
-            let stream = DiskStream::open(path)?;
-            Ok(Source::Streamed(stream.double_buffered(false)))
-        } else {
-            Ok(Source::Materialised(load_graph_opt(path, options)?))
+        let format = input_format(path, options)?;
+        if job.passes != 1 || format == "edgelist" {
+            return Ok(Source::Materialised(load_graph_opt(path, options)?));
         }
+        Ok(Source::Streamed(if format == "stream" {
+            Box::new(DiskStream::open(path)?.double_buffered(false))
+        } else {
+            Box::new(MetisStream::open(path)?)
+        }))
     }
 
     fn run(&mut self, partitioner: &dyn Partitioner) -> Result<PartitionReport, Error> {
         Ok(match self {
-            Source::Streamed(stream) => partitioner.run(stream)?,
+            Source::Streamed(stream) => partitioner.run(stream.as_mut())?,
             Source::Materialised(graph) => partitioner.run(&mut InMemoryStream::new(graph))?,
         })
     }
@@ -345,8 +352,8 @@ impl Source {
                     Some(total) => total,
                     None => {
                         stream.reset()?;
-                        oms_core::measure(stream, report.partition.assignments(), 0, None)?
-                            .total_edge_weight
+                        let assignments = report.partition.assignments();
+                        oms_core::measure(stream.as_mut(), assignments, 0, None)?.total_edge_weight
                     }
                 };
                 let unweighted = stream.total_node_weight() == stream.num_nodes() as u64

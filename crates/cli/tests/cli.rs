@@ -833,9 +833,10 @@ fn job_outputs(
 
 #[test]
 fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() {
-    // A one-pass job on a `.oms` input runs straight off the file; the same
-    // graph as METIS text, and a multi-pass job on the `.oms` input, are
-    // materialised first. Nothing a user can see may tell the two apart.
+    // A one-pass job runs straight off its input, METIS text or `.oms`; a
+    // multi-pass job materialises either first. Nothing a user can see may
+    // tell the sources apart, and the streamed runs must say what the
+    // library says about the materialised graph.
     let dir = temp_dir("streamed-vs-materialised");
     for weights in ["unit", "full"] {
         let metis = format!("{weights}.metis");
@@ -854,13 +855,14 @@ fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() 
             .output()
             .unwrap();
         assert!(converted.status.success());
+        let graph = oms_graph::io::read_metis(dir.join(&metis)).unwrap();
 
         for (command, one_pass, two_passes) in [
             ("map", "oms:4:4@dist=1:10", "oms:4:4@passes=2,dist=1:10"),
             ("partition", "fennel:8", "fennel:8@passes=2"),
             ("partition", "hashing:8", "hashing:8@passes=2"),
         ] {
-            // `passes=2` materialises the `.oms` input as well.
+            let mut outputs = Vec::new();
             for job in [one_pass, two_passes] {
                 let args = [command, "--job", job];
                 let tag = format!("{weights}-{}", job.replace(':', "_"));
@@ -873,8 +875,67 @@ fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() 
                     "{}",
                     on_stream.0
                 );
+                outputs.push(on_metis);
+            }
+
+            // The materialised leg of the one-pass job: the library run over
+            // the loaded graph.
+            let partitioner = one_pass.parse::<oms_core::JobSpec>().unwrap();
+            let partitioner = partitioner.build().unwrap();
+            let report = partitioner
+                .run(&mut oms_graph::InMemoryStream::new(&graph))
+                .unwrap();
+            let (text, assignments, _) = &outputs[0];
+            let lines: String = report
+                .partition
+                .assignments()
+                .iter()
+                .map(|block| format!("{block}\n"))
+                .collect();
+            assert_eq!(assignments, lines.as_bytes(), "{weights} {one_pass}");
+            let printed = |label: &str| {
+                let line = text.lines().find(|line| line.starts_with(label));
+                let value = line.and_then(|line| line.split(": ").nth(1));
+                value.map(|value| value.parse::<u64>().unwrap())
+            };
+            assert_eq!(printed("edge-cut"), Some(report.edge_cut), "{text}");
+            assert_eq!(printed("mapping cost"), report.mapping_cost, "{text}");
+            if one_pass.starts_with("hashing") {
+                // Hashing is a function of the node id: its second pass —
+                // over the materialised graph — moves nothing.
+                assert_eq!(assignments, &outputs[1].1, "{weights} hashing passes=2");
             }
         }
+    }
+}
+
+/// Every way of reading `path` as a graph must exit 2 with a typed
+/// `graph error`, never panic (101) or abort on an allocation (134).
+fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str) {
+    let converted = path.with_extension(convert_to);
+    for command in [
+        &["partition", "--k", "4"][..],
+        &["partition", "--k", "4", "--passes", "2"][..],
+        &["map", "--hierarchy", "2:2"][..],
+        &["info"][..],
+        &["convert", converted.to_str().unwrap()][..],
+    ] {
+        let output = oms()
+            .arg(command[0])
+            .arg(path)
+            .args(&command[1..])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{path:?} {command:?}: {stderr}"
+        );
+        assert!(
+            stderr.starts_with("error: graph error: ") && !stderr.contains("panicked"),
+            "{path:?} {command:?}: {stderr}"
+        );
     }
 }
 
@@ -898,30 +959,23 @@ fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     for (name, bytes) in [("degree.oms", degree_bomb), ("header.oms", header_bomb)] {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
-        for command in [
-            &["partition", "--k", "4"][..],
-            &["partition", "--k", "4", "--passes", "2"][..],
-            &["map", "--hierarchy", "2:2"][..],
-            &["info"][..],
-        ] {
-            let output = oms()
-                .arg(command[0])
-                .arg(&path)
-                .args(&command[1..])
-                .output()
-                .unwrap();
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            assert_eq!(
-                output.status.code(),
-                Some(2),
-                "{name} {command:?}: {stderr}"
-            );
-            assert!(
-                stderr.starts_with("error: ")
-                    && stderr.contains("graph error: ")
-                    && !stderr.contains("panicked"),
-                "{name} {command:?}: {stderr}"
-            );
-        }
+        assert_graph_error_everywhere(&path, "metis");
+    }
+}
+
+#[test]
+fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
+    let dir = temp_dir("hostile-metis");
+    for (name, text) in [
+        // 24 bytes announcing four billion nodes and edges.
+        ("header-bomb.metis", "4000000000 4000000000\n1\n"),
+        ("edge-bomb.metis", "2 4000000000\n2\n1\n"),
+        // Node 1 lists 3 and node 3 lists 2, neither the other way round.
+        ("asymmetric.metis", "3 2\n2 3\n1\n2\n"),
+        ("truncated.metis", "4 1\n2\n1\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        assert_graph_error_everywhere(&path, "oms");
     }
 }

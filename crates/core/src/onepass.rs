@@ -238,12 +238,32 @@ impl FlatObjective {
     ///
     /// This is the single definition of both objectives; the sequential
     /// `score_base` arena and the parallel kernels' per-thread caches both
-    /// evaluate it.
+    /// evaluate it. It factors into `load_term` (the only part that costs a
+    /// `powf`) and `base_of_term`.
     #[inline]
     pub fn base(&self, weight: NodeWeight, capacity: NodeWeight, alpha: f64, gamma: f64) -> f64 {
+        self.base_of_term(self.load_term(weight, gamma), capacity, alpha, gamma)
+    }
+
+    /// The part of [`FlatObjective::base`] that depends on the block's load
+    /// and `γ` alone — `c(Vᵢ)^{γ−1}` for Fennel, `c(Vᵢ)` for LDG — so it
+    /// survives a change of `α` or `L_max`.
+    #[inline]
+    fn load_term(&self, weight: NodeWeight, gamma: f64) -> f64 {
         match self {
-            FlatObjective::Fennel => -(alpha * gamma * (weight as f64).powf(gamma - 1.0)),
-            FlatObjective::Ldg => 1.0 - weight as f64 / capacity.max(1) as f64,
+            FlatObjective::Fennel => (weight as f64).powf(gamma - 1.0),
+            FlatObjective::Ldg => weight as f64,
+        }
+    }
+
+    /// [`FlatObjective::base`] from a `load_term`: the same operations in
+    /// the same order as the undivided form (`α·γ·term` associates to the
+    /// left), so the result has the same bits.
+    #[inline]
+    fn base_of_term(&self, term: f64, capacity: NodeWeight, alpha: f64, gamma: f64) -> f64 {
+        match self {
+            FlatObjective::Fennel => -(alpha * gamma * term),
+            FlatObjective::Ldg => 1.0 - term / capacity.max(1) as f64,
         }
     }
 
@@ -373,6 +393,10 @@ pub(crate) struct FlatState {
     /// Pre-evaluated per-block penalty; `score_base[b]` is a pure function
     /// of `block_weights[b]`, refreshed whenever that load changes.
     score_base: Vec<f64>,
+    /// `FlatObjective::load_term` of every block's load, kept next to
+    /// `score_base` so a change of `α` / `L_max` ([`FlatState::retune`])
+    /// rescales the penalties without a `powf`.
+    load_term: Vec<f64>,
     conn: Vec<u64>,
     touched: Vec<BlockId>,
     capacity: NodeWeight,
@@ -419,6 +443,7 @@ impl FlatState {
             block_weights: vec![0; k as usize],
             objective,
             score_base: vec![0.0; k as usize],
+            load_term: vec![0.0; k as usize],
             conn: vec![0; k as usize],
             touched: Vec::new(),
             capacity: Partition::capacity(total_weight, k, config.epsilon),
@@ -438,17 +463,31 @@ impl FlatState {
     /// Re-evaluates the penalty of one block from its current load.
     #[inline]
     fn refresh_base(&mut self, b: usize) {
-        let w = self.block_weights[b];
-        self.score_base[b] = self
-            .objective
-            .base(w, self.capacity, self.alpha, self.gamma);
+        let term = self.objective.load_term(self.block_weights[b], self.gamma);
+        self.load_term[b] = term;
+        self.score_base[b] =
+            self.objective
+                .base_of_term(term, self.capacity, self.alpha, self.gamma);
     }
 
-    /// Re-evaluates every block's penalty (bulk load changes and parameter
-    /// retuning).
+    /// Re-evaluates every block's penalty (bulk load changes).
     fn refresh_all_bases(&mut self) {
         for b in 0..self.block_weights.len() {
             self.refresh_base(b);
+        }
+    }
+
+    /// Adopts a new balance limit and Fennel `α`: the loads did not move, so
+    /// every penalty is rescaled from its stored load term — bit for bit
+    /// what [`FlatState::refresh_all_bases`] would compute, minus `k` `powf`
+    /// calls.
+    fn retune(&mut self, capacity: NodeWeight, alpha: f64) {
+        self.capacity = capacity;
+        self.alpha = alpha;
+        for (base, &term) in self.score_base.iter_mut().zip(&self.load_term) {
+            *base = self
+                .objective
+                .base_of_term(term, capacity, alpha, self.gamma);
         }
     }
 
@@ -713,10 +752,8 @@ impl RepairSink {
     /// total node weight.
     pub fn retune(&mut self, n: usize, m: usize, total_weight: NodeWeight) {
         let k = self.state.block_weights.len() as u32;
-        self.state.capacity = Partition::capacity(total_weight, k, self.config.epsilon);
-        self.state.alpha = fennel_alpha(k, m, n);
-        // Both parameters feed the pre-evaluated penalties.
-        self.state.refresh_all_bases();
+        let capacity = Partition::capacity(total_weight, k, self.config.epsilon);
+        self.state.retune(capacity, fennel_alpha(k, m, n));
     }
 
     /// Unassigns `node` (if assigned) and re-scores it against the current
@@ -945,5 +982,65 @@ mod tests {
             .unwrap();
         assert_eq!(p.edge_cut(&g), 0);
         assert_eq!(p.used_blocks(), 1);
+    }
+
+    #[test]
+    fn penalties_match_a_from_scratch_evaluation_after_any_retune_sequence() {
+        // `retune` rescales `score_base` from the stored load terms; every
+        // bit must equal `FlatObjective::base` of the live load under the
+        // live parameters, whatever assignments and retunes came before.
+        let g = oms_gen::erdos_renyi_gnm(300, 1500, 4);
+        let (k, n) = (7u32, g.num_nodes());
+        let cases = [
+            (FlatObjective::Fennel, 1.5),
+            (FlatObjective::Fennel, 2.0),
+            (FlatObjective::Fennel, 0.5),
+            (FlatObjective::Ldg, 1.5),
+        ];
+        for (objective, gamma) in cases {
+            let cfg = OnePassConfig::default().gamma(gamma);
+            let mut sink = RepairSink::new(k, n, g.num_edges(), n as u64, cfg, objective).unwrap();
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = |bound: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % bound
+            };
+            let (mut live_n, mut live_m, mut live_weight) = (n, g.num_edges(), n as u64);
+            for step in 0..2_000 {
+                let v = next(n as u64) as u32;
+                match next(4) {
+                    0 => sink.forget(v, 1),
+                    1 => {
+                        // What a delta does to the counts: anything goes.
+                        live_n = 1 + next(2 * n as u64) as usize;
+                        live_m = next(4 * g.num_edges() as u64) as usize;
+                        live_weight = 1 + next(3 * n as u64);
+                        sink.retune(live_n, live_m, live_weight);
+                    }
+                    _ => {
+                        sink.rescore(oms_graph::StreamedNode {
+                            node: v,
+                            weight: 1,
+                            neighbors: g.neighbors(v),
+                            edge_weights: g.incident_edge_weights(v),
+                        });
+                    }
+                }
+                let state = &sink.state;
+                let capacity = Partition::capacity(live_weight, k, cfg.epsilon);
+                assert_eq!(state.capacity, capacity);
+                let alpha = fennel_alpha(k, live_m, live_n);
+                for (b, &load) in state.block_weights.iter().enumerate() {
+                    let expected = objective.base(load, capacity, alpha, gamma);
+                    assert_eq!(
+                        state.score_base[b].to_bits(),
+                        expected.to_bits(),
+                        "{objective:?} γ={gamma} step {step} block {b} (load {load})"
+                    );
+                }
+            }
+        }
     }
 }

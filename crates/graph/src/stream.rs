@@ -10,9 +10,9 @@
 //! [`NodeStream`] captures exactly that contract. Two implementations are
 //! provided here — [`InMemoryStream`] (streaming from RAM, as in the paper's
 //! running-time experiments) and [`ChunkedStream`] (the vertex-centric
-//! chunking used by the shared-memory parallelisation) — and a third one,
-//! [`crate::io::DiskStream`], streams the binary vertex-stream format from
-//! disk.
+//! chunking used by the shared-memory parallelisation) — and two more stream
+//! files from disk: [`crate::io::DiskStream`] the binary vertex-stream
+//! format, [`crate::io::MetisStream`] METIS text.
 //!
 //! ## Working memory
 //!
@@ -208,8 +208,8 @@ fn batches_from_graph(
 }
 
 /// Collects one pass of `stream` into a [`CsrGraph`] — the single
-/// materialisation path behind `read_stream_file` and `oms-core`'s
-/// `materialize_stream`.
+/// materialisation path behind `read_stream_file`, `read_metis` and
+/// `oms-core`'s `materialize_stream`.
 ///
 /// Every array is sized once from the stream's announced `n` and `m`; nodes
 /// are appended as they arrive. A stream that delivers its nodes out of id

@@ -11,14 +11,15 @@
 //!
 //! The same allocator tracks **live bytes** (current and peak), which turns
 //! the CLI's `O(n + batch)` working-memory claim into a test: a one-pass job
-//! run straight off a [`DiskStream`] must peak below `c₁·n + c₂` bytes on a
-//! dense graph, with constants the materialised run of the same job exceeds.
+//! run straight off a [`DiskStream`] or a [`MetisStream`] must peak below
+//! `c₁·n + c₂` bytes on a dense graph, with constants the materialised run
+//! of the same job exceeds.
 //!
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
 
 use oms::core::{BatchExecutor, FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
-use oms::graph::io::{read_stream_file, write_stream_file, DiskStream};
+use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
 use oms::prelude::{erdos_renyi_gnm, planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,7 +160,9 @@ fn steady_state_scoring_is_allocation_free() {
     let n = 10_000usize;
     let dense = erdos_renyi_gnm(n, 35 * n, 5);
     let path = std::env::temp_dir().join("oms-alloc-counter-dense.oms");
+    let metis_path = std::env::temp_dir().join("oms-alloc-counter-dense.graph");
     write_stream_file(&dense, &path).unwrap();
+    write_metis(&dense, &metis_path).unwrap();
     drop(dense);
     let bound = 128 * n as u64 + (4 << 20);
     for spec in ["oms:4:4:4", "fennel:32"] {
@@ -168,15 +171,41 @@ fn steady_state_scoring_is_allocation_free() {
             let mut stream = DiskStream::open(&path).unwrap().double_buffered(false);
             partitioner.run(&mut stream).unwrap();
         });
+        let streamed_text = peak_live_bytes_during(|| {
+            partitioner
+                .run(&mut MetisStream::open(&metis_path).unwrap())
+                .unwrap();
+        });
         let materialised = peak_live_bytes_during(|| {
             let graph = read_stream_file(&path).unwrap();
             partitioner.run(&mut InMemoryStream::new(&graph)).unwrap();
         });
         assert!(
-            streamed < bound && bound < materialised,
-            "{spec}: streamed run peaked at {streamed} B, materialised at {materialised} B; \
-             the O(n + batch) bound for n = {n} is {bound} B"
+            streamed < bound && streamed_text < bound && bound < materialised,
+            "{spec}: streamed runs peaked at {streamed} B (.oms) and {streamed_text} B (METIS), \
+             the materialised one at {materialised} B; the O(n + batch) bound for n = {n} is \
+             {bound} B"
         );
     }
     std::fs::remove_file(&path).ok();
+
+    // A METIS pass sizes its read buffer and its batch once: the same jobs
+    // straight off the text allocate exactly as often on a 4x bigger graph.
+    let counts = [&small, &large].map(|graph| {
+        write_metis(graph, &metis_path).unwrap();
+        ["oms:4:4:4", "fennel:32"].map(|spec| {
+            let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+            allocations_during(|| {
+                partitioner
+                    .run(&mut MetisStream::open(&metis_path).unwrap())
+                    .unwrap();
+            })
+        })
+    });
+    assert_eq!(
+        counts[0], counts[1],
+        "one-pass jobs over a MetisStream: allocation counts (oms, fennel) depend on n \
+         (n=2000 vs n=8000): a per-node or per-line allocation crept into the tokenizer"
+    );
+    std::fs::remove_file(&metis_path).ok();
 }

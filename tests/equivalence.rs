@@ -6,11 +6,12 @@
 //!
 //! * how the stream is batched (the per-node path — batch size 1, via
 //!   [`PerNodeBatches`] — against the default batched path), and
-//! * where the stream comes from (in-memory, chunked, or disk, with disk
-//!   ingest both synchronous and double-buffered).
+//! * where the stream comes from (in-memory, chunked, or disk — the binary
+//!   vertex-stream format with ingest both synchronous and double-buffered,
+//!   and METIS text in all four weight formats).
 
-use oms::graph::io::{write_stream_file, DiskStream};
-use oms::graph::ChunkedStream;
+use oms::graph::io::{write_metis, write_stream_file, DiskStream, MetisStream};
+use oms::graph::{ChunkedStream, NodeWeight, StreamedNode};
 use oms::prelude::*;
 use std::path::PathBuf;
 
@@ -108,6 +109,143 @@ fn all_stream_sources_produce_identical_assignments() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Serves every pass in batches of at most `.1` nodes, whatever the
+/// consumer asks for.
+struct Rebatched<S>(S, usize);
+
+impl<S: NodeStream> NodeStream for Rebatched<S> {
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes()
+    }
+    fn num_edges(&self) -> usize {
+        self.0.num_edges()
+    }
+    fn total_node_weight(&self) -> NodeWeight {
+        self.0.total_node_weight()
+    }
+    fn reset(&mut self) -> oms::graph::Result<()> {
+        self.0.reset()
+    }
+    fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> oms::graph::Result<()> {
+        let size = self.1;
+        self.0
+            .for_each_batch(size, &mut |batch| batch.iter().for_each(&mut *f))
+    }
+    fn for_each_batch(
+        &mut self,
+        _batch_size: usize,
+        f: &mut dyn FnMut(&NodeBatch),
+    ) -> oms::graph::Result<()> {
+        self.0.for_each_batch(self.1, f)
+    }
+}
+
+/// One pass as owned `(id, weight, neighbors, edge weights)` tuples.
+fn node_sequence(stream: &mut dyn NodeStream) -> Vec<(u32, u64, Vec<u32>, Vec<u64>)> {
+    let mut nodes = Vec::new();
+    let mut push = |n: StreamedNode<'_>| {
+        nodes.push((
+            n.node,
+            n.weight,
+            n.neighbors.to_vec(),
+            n.edge_weights.to_vec(),
+        ))
+    };
+    stream.for_each_node(&mut push).unwrap();
+    nodes
+}
+
+/// METIS text streams like everything else: over the suite's graphs in all
+/// four weight formats (fmt 0, 10, 1, 11), a `MetisStream` delivers the node
+/// sequence of `InMemoryStream(read_metis)` and of a `DiskStream` over the
+/// converted file, at every batch size — and so the one-pass algorithms
+/// assign identically from all three.
+#[test]
+fn metis_text_streams_like_the_graph_it_describes() {
+    let dir = std::env::temp_dir().join("oms-equivalence-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graphs = [
+        planted_partition(700, 8, 0.1, 0.005, 17),
+        planted_partition(600, 8, 0.1, 0.005, 23),
+        planted_partition(500, 8, 0.12, 0.005, 29),
+    ];
+    let schemes = [
+        (WeightScheme::Unit, "0"),
+        (WeightScheme::Nodes, "10"),
+        (WeightScheme::Edges, "1"),
+        (WeightScheme::Full, "11"),
+    ];
+    let specs = [
+        "hashing:8@seed=3",
+        "ldg:8@seed=3",
+        "fennel:8@seed=3",
+        "oms:4:4@seed=3",
+        "nh-oms:8@seed=3",
+    ];
+    for (i, base) in graphs.iter().enumerate() {
+        for (scheme, fmt) in schemes {
+            let graph = scheme.apply(base, 7);
+            let tag = format!("metis-{i}-{}", scheme.name());
+            let metis_path = dir.join(format!("{tag}.graph"));
+            write_metis(&graph, &metis_path).unwrap();
+            let stream_path = temp_stream_file(&graph, &format!("{tag}.oms"));
+
+            let read_back = oms::graph::io::read_metis(&metis_path).unwrap();
+            assert_eq!(read_back, graph, "{tag}: read_metis");
+            let text = std::fs::read_to_string(&metis_path).unwrap();
+            let header = text.lines().next().unwrap();
+            assert_eq!(header.split(' ').nth(2).unwrap_or("0"), fmt, "{tag}");
+            let metis = MetisStream::open(&metis_path).unwrap();
+            assert_eq!(metis.num_edges(), graph.num_edges(), "{tag}");
+            assert_eq!(
+                metis.total_node_weight(),
+                graph.total_node_weight(),
+                "{tag}"
+            );
+
+            let reference_nodes = node_sequence(&mut InMemoryStream::new(&read_back));
+            let references: Vec<Vec<BlockId>> = specs
+                .iter()
+                .map(|spec| {
+                    let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+                    assignments(&*partitioner, &mut InMemoryStream::new(&read_back))
+                })
+                .collect();
+            for batch_size in [1, 7, 4096] {
+                let mut metis = Rebatched(MetisStream::open(&metis_path).unwrap(), batch_size);
+                let disk = DiskStream::open(&stream_path).unwrap();
+                let mut disk = Rebatched(disk.double_buffered(false), batch_size);
+                assert_eq!(
+                    node_sequence(&mut metis),
+                    reference_nodes,
+                    "{tag}, batches of {batch_size}: METIS node sequence"
+                );
+                assert_eq!(
+                    node_sequence(&mut disk),
+                    reference_nodes,
+                    "{tag}, batches of {batch_size}: disk node sequence"
+                );
+                for (spec, reference) in specs.iter().zip(&references) {
+                    let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+                    metis.reset().unwrap();
+                    assert_eq!(
+                        &assignments(&*partitioner, &mut metis),
+                        reference,
+                        "{tag}, {spec}, batches of {batch_size}: METIS stream differs"
+                    );
+                    assert_eq!(
+                        &assignments(&*partitioner, &mut disk),
+                        reference,
+                        "{tag}, {spec}, batches of {batch_size}: disk stream differs"
+                    );
+                }
+            }
+            std::fs::remove_file(&metis_path).ok();
+            std::fs::remove_file(&stream_path).ok();
+        }
+    }
 }
 
 #[test]
