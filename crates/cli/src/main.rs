@@ -300,9 +300,7 @@ fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGr
 /// by node, and a multi-pass job re-reads its input often enough (two scans
 /// per pass) that decoding it once into a `CsrGraph` is cheaper.
 enum Source {
-    /// The file itself, read synchronously (on few cores the reader thread
-    /// of `DiskStream`'s double-buffered ingest costs more than it
-    /// overlaps).
+    /// The file itself.
     Streamed(Box<dyn NodeStream>),
     Materialised(CsrGraph),
 }
@@ -314,7 +312,7 @@ impl Source {
             return Ok(Source::Materialised(load_graph_opt(path, options)?));
         }
         Ok(Source::Streamed(if format == "stream" {
-            Box::new(DiskStream::open(path)?.double_buffered(false))
+            Box::new(DiskStream::open(path)?)
         } else {
             Box::new(MetisStream::open(path)?)
         }))

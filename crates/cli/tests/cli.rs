@@ -909,12 +909,14 @@ fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() 
     }
 }
 
-/// Every way of reading `path` as a graph must exit 2 with a typed
-/// `graph error`, never panic (101) or abort on an allocation (134).
-fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str) {
+/// Every way of reading `path` as a graph — streamed one-pass jobs and
+/// materialising commands alike — must exit 2 with a typed `graph error`
+/// saying `message`, never panic (101) or abort on an allocation (134).
+fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, message: &str) {
     let converted = path.with_extension(convert_to);
     for command in [
         &["partition", "--k", "4"][..],
+        &["partition", "--k", "4", "--algo", "hashing"][..],
         &["partition", "--k", "4", "--passes", "2"][..],
         &["map", "--hierarchy", "2:2"][..],
         &["info"][..],
@@ -936,30 +938,68 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str) {
             stderr.starts_with("error: graph error: ") && !stderr.contains("panicked"),
             "{path:?} {command:?}: {stderr}"
         );
+        assert!(stderr.contains(message), "{path:?} {command:?}: {stderr}");
     }
 }
 
 #[test]
 fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     let dir = temp_dir("hostile-streams");
-    let header = |n: u64, m: u64| {
-        let mut bytes = b"OMSSTRM2".to_vec();
+    let header = |version: u8, n: u64, m: u64| {
+        let mut bytes = format!("OMSSTRM{version}").into_bytes();
         for field in [n, m, n] {
             bytes.extend_from_slice(&field.to_le_bytes());
         }
-        bytes.push(0);
+        // Flags, then v3's padding to an 8-byte boundary.
+        bytes.resize(if version == 3 { 40 } else { 33 }, 0);
         bytes
     };
+    let words = |words: [u32; 4]| words.into_iter().flat_map(u32::to_le_bytes);
     // 37 bytes: one node whose degree field announces 2^32 - 1 neighbors.
-    let mut degree_bomb = header(1, 1);
+    let mut degree_bomb = header(2, 1, 1);
     degree_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
     // A header announcing 2^60 nodes.
-    let mut header_bomb = header(1 << 60, 0);
+    let mut header_bomb = header(2, 1 << 60, 0);
     header_bomb.extend_from_slice(&[0; 64]);
-    for (name, bytes) in [("degree.oms", degree_bomb), ("header.oms", header_bomb)] {
+    // 49 bytes: two nodes, one edge, node 0's neighbor is node 7 — and the
+    // same graph sectioned (degrees 1 1, neighbors 7 0).
+    let mut range_v2 = header(2, 2, 1);
+    range_v2.extend(words([1, 7, 1, 0]));
+    let mut range_v3 = header(3, 2, 1);
+    range_v3.extend(words([1, 1, 7, 0]));
+    let out_of_range = "node 7 out of range for graph with 2 nodes";
+    for (name, bytes, message) in [
+        ("degree.oms", degree_bomb, "count mismatch"),
+        ("header.oms", header_bomb, "truncated"),
+        ("range-v2.oms", range_v2, out_of_range),
+        ("range-v3.oms", range_v3, out_of_range),
+    ] {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
-        assert_graph_error_everywhere(&path, "metis");
+        assert_graph_error_everywhere(&path, "metis", message);
+    }
+}
+
+#[test]
+fn a_k_too_large_to_allocate_is_a_usage_error_not_an_abort() {
+    let dir = temp_dir("huge-k");
+    let graph_path = dir.join("g.metis");
+    oms()
+        .args(["generate", "grid", "100"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    for algo in ["fennel", "hashing", "oms"] {
+        let output = oms()
+            .arg("partition")
+            .arg(&graph_path)
+            .args(["--k", "4294967295", "--algo", algo])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{algo}: {stderr}");
+        assert!(stderr.contains("k = 4294967295"), "{algo}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{algo}: {stderr}");
     }
 }
 
@@ -976,6 +1016,6 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     ] {
         let path = dir.join(name);
         std::fs::write(&path, text).unwrap();
-        assert_graph_error_everywhere(&path, "oms");
+        assert_graph_error_everywhere(&path, "oms", "METIS parse error");
     }
 }

@@ -109,7 +109,7 @@ use crate::knobs::{self, Knob, KNOBS};
 use crate::oms::OnlineMultiSection;
 use crate::onepass::{run_flat, FlatObjective, StreamingPartitioner};
 use crate::parallel::{hashing_parallel, onepass_parallel_restream};
-use crate::partition::Partition;
+use crate::partition::{Partition, UNASSIGNED};
 use crate::registry::{Entry, Registry};
 use crate::shard::{ShardStats, ShardedFlat};
 use crate::{BlockId, PartitionError, Result};
@@ -656,15 +656,32 @@ impl JobSpec {
     }
 
     /// Checks the job's options on their own, whatever algorithm runs them:
-    /// every option within the range its [`knobs`] row declares, `k > 0`,
-    /// and the cross-option rules. Called by every consumer of a job
+    /// every option within the range its [`knobs`] row declares, `k > 0`
+    /// and small enough that per-block state can be allocated, and the
+    /// cross-option rules. Called by every consumer of a job
     /// ([`JobSpec::build`], the edge pipeline, dynamic maintenance) through
     /// [`Registry::resolve`].
     pub fn validate(&self) -> Result<()> {
         for knob in &KNOBS {
             knob.check(self).map_err(PartitionError::InvalidConfig)?;
         }
-        let broken_rule = if self.num_blocks() == 0 {
+        let k = self.num_blocks();
+        if k == UNASSIGNED {
+            return Err(PartitionError::InvalidSpec(format!(
+                "k = {k} is reserved for the unassigned marker; the largest k is {}",
+                UNASSIGNED - 1
+            )));
+        }
+        // Every engine keeps a few 8-byte columns per block (loads, score
+        // terms); probing one here turns a k no machine can hold into a
+        // typed error instead of an allocation abort mid-run.
+        if Vec::<u64>::new().try_reserve_exact(k as usize).is_err() {
+            return Err(PartitionError::InvalidConfig(format!(
+                "k = {k} is too large: {} bytes of per-block state cannot be allocated",
+                8 * k as u64
+            )));
+        }
+        let broken_rule = if k == 0 {
             "the number of blocks k must be positive"
         } else if self.shards > 1 && self.threads > 1 {
             "shards= and threads= are mutually exclusive: the sharded engine owns its workers"
@@ -1041,6 +1058,32 @@ mod tests {
     #[test]
     fn zero_blocks_rejected_at_build_time() {
         assert!(JobSpec::parse("fennel:0").unwrap().build().is_err());
+    }
+
+    #[test]
+    fn a_k_no_machine_can_hold_is_a_typed_error_not_an_allocation_abort() {
+        // Regression: `fennel:4294967295` aborted in `vec![0; k]` (32 GiB).
+        for algorithm in ["fennel", "hashing", "oms", "ldg"] {
+            let sentinel = format!("{algorithm}:{}", u32::MAX);
+            match JobSpec::parse(&sentinel).unwrap().build() {
+                Err(PartitionError::InvalidSpec(msg)) => {
+                    assert!(msg.contains("k = 4294967295"), "{msg}")
+                }
+                other => panic!("{sentinel}: expected InvalidSpec, got {:?}", other.err()),
+            }
+        }
+        // A hierarchy whose product is the sentinel is refused alike.
+        let job = JobSpec::parse("oms:65535:65537").unwrap();
+        assert!(matches!(job.build(), Err(PartitionError::InvalidSpec(_))));
+        // Below the sentinel the answer depends on the machine: a typed
+        // error naming k where the reservation fails, a partitioner where
+        // it does not — never an abort.
+        match JobSpec::parse("hashing:4294967294").unwrap().validate() {
+            Err(PartitionError::InvalidConfig(msg)) => {
+                assert!(msg.contains("k = 4294967294"), "{msg}")
+            }
+            other => other.expect("only the reservation can fail"),
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!
 //! * **sequential**, feeding the sink node by node in stream order (so the
 //!   result is byte-identical to the classic per-node path). The nodes are
-//!   served through [`NodeStream::for_each_node`], which batched sources
-//!   implement on top of their batch reader — a disk stream still decodes
-//!   batch `B+1` on its reader thread while the sink scores batch `B`,
-//!   while in-memory sources stay zero-copy;
+//!   served through [`NodeStream::for_each_node`]: in-memory sources hand
+//!   out borrowed CSR slices with no copy, file sources walk the batches
+//!   they decode;
 //! * **parallel** over an in-memory graph, splitting the node range into
 //!   contiguous chunks of roughly equal *edge mass* (not node count — skewed
 //!   degree distributions would otherwise load-imbalance the threads) and
@@ -334,8 +333,8 @@ impl PassTracker {
 /// `batch_size` governs the batch-wise dispatch ([`BatchExecutor::run_batches`],
 /// i.e. how many nodes a buffered algorithm sees per model graph). The
 /// per-node dispatches ([`BatchExecutor::run`] / [`BatchExecutor::run_passes`])
-/// deliver nodes through [`NodeStream::for_each_node`], where each source
-/// picks its own ingest batching (e.g. `DiskStream::read_batch_size`).
+/// deliver nodes through [`NodeStream::for_each_node`], where a file source
+/// decodes `oms_graph::DEFAULT_BATCH_SIZE` nodes at a time.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchExecutor {
     batch_size: usize,
@@ -480,9 +479,8 @@ impl BatchExecutor {
             oms_obs::observe(Event::PassStart { pass: i as u32 });
             let clock = Stopwatch::start();
             // for_each_node, not for_each_batch: in-memory sources serve
-            // borrowed CSR slices with no copy, and sources with real
-            // ingest (disk) implement it on top of their batched —
-            // double-buffered — reader anyway.
+            // borrowed CSR slices with no copy, and file sources implement
+            // it on top of their batch decoder anyway.
             let mut pass_nodes = 0u64;
             stream.for_each_node(&mut |node| {
                 pass_nodes += 1;

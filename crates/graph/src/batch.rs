@@ -3,10 +3,9 @@
 //! A [`NodeBatch`] holds a contiguous run of streamed nodes in
 //! structure-of-arrays form: node ids, node weights and a CSR-style adjacency
 //! (offsets into shared neighbor / edge-weight arrays). Batches are the unit
-//! of work of the batch executor in `oms-core`: stream sources fill them
-//! (possibly on a dedicated reader thread), partitioners consume them node by
-//! node or as a whole (the buffered algorithms build model graphs out of
-//! them).
+//! of work of the batch executor in `oms-core`: stream sources fill them,
+//! partitioners consume them node by node or as a whole (the buffered
+//! algorithms build model graphs out of them).
 //!
 //! The buffer is designed to be *recycled*: [`NodeBatch::clear`] resets the
 //! logical content but keeps every allocation, so a steady-state pipeline

@@ -8,13 +8,13 @@
 //! knowledge.
 //!
 //! No new on-disk format is required: [`EdgesOf`] adapts *any*
-//! [`crate::NodeStream`] — in-memory, chunked, or the binary vertex-stream
+//! [`crate::NodeStream`] — in-memory or the binary vertex-stream
 //! files on disk (v1 and v2, unit and weighted) — into an edge stream by
 //! emitting each undirected edge exactly once, at the moment its smaller
 //! endpoint is streamed. Because every node-stream source delivers the same
 //! node order, the induced *edge order* is identical across sources too,
 //! which is what makes byte-identical edge assignments across
-//! memory/chunked/disk possible.
+//! memory/disk possible.
 
 use crate::batch::NodeBatch;
 use crate::stream::NodeStream;

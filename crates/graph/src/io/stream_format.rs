@@ -64,12 +64,11 @@
 //!
 //! ## Working memory and hostile headers
 //!
-//! A pass holds one [`NodeBatch`] (three when double-buffered) plus a
-//! byte scratch of the same order, and a batch closes at `batch_size` nodes
-//! or [`BATCH_ENTRY_BOUND`] adjacency entries, so a pass runs in
-//! `O(batch)` memory whatever the degree distribution — with the consumer's
-//! own `O(n)` state that is the `O(n + batch)` contract of the CLI's
-//! one-pass jobs. Both body layouts are decoded column-wise: one
+//! A pass holds one [`NodeBatch`] plus a byte scratch of the same order,
+//! and a batch closes at `batch_size` nodes or [`BATCH_ENTRY_BOUND`]
+//! adjacency entries, so a pass runs in `O(batch)` memory whatever the
+//! degree distribution — with the consumer's own `O(n)` state that is the
+//! `O(n + batch)` contract of the CLI's one-pass jobs. Both body layouts are decoded column-wise: one
 //! `read_exact` per column and a bulk little-endian copy into the batch
 //! (per record for v1/v2, per batch for v3).
 //!
@@ -87,7 +86,6 @@ use crate::{CsrGraph, GraphError, NodeId, NodeWeight, Result};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 
 const MAGIC_V1: &[u8; 8] = b"OMSSTRM1";
 const MAGIC_V2: &[u8; 8] = b"OMSSTRM2";
@@ -427,9 +425,9 @@ fn write_v3_body(graph: &CsrGraph, mut w: BufWriter<File>, flags: u8) -> Result<
 }
 
 /// Reads a whole vertex-stream file (any version) back into an in-memory
-/// [`CsrGraph`]: [`collect_graph`] over a synchronous [`DiskStream`].
+/// [`CsrGraph`]: [`collect_graph`] over a [`DiskStream`].
 pub fn read_stream_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
-    collect_graph(&mut DiskStream::open(path)?.double_buffered(false))
+    collect_graph(&mut DiskStream::open(path)?)
 }
 
 /// Per-section byte accounting of a vertex-stream file, as reported by
@@ -503,18 +501,18 @@ pub fn stream_file_info<P: AsRef<Path>>(path: P) -> Result<StreamFileInfo> {
 /// A one-pass stream read from a vertex-stream file on disk.
 ///
 /// Each pass re-opens the file, so restreaming algorithms can reuse the same
-/// value. Ingest is **double-buffered** by default: a reader thread decodes
-/// batch `B+1` from disk while the consumer processes batch `B`, overlapping
-/// I/O + decode with scoring. [`DiskStream::double_buffered`] switches back
-/// to fully synchronous ingest (used by benchmarks to measure the overlap).
+/// value. Ingest is synchronous: the pass decodes a batch on the caller's
+/// thread, hands it to the consumer, and refills the same buffer.
 ///
 /// Every pass validates the file body against the header: a file ending
 /// before all `n` announced nodes is a [`GraphError::Truncated`] error, a
 /// body whose adjacency lists do not sum to `2m` entries is a
-/// [`GraphError::CountMismatch`], and (v2) a body whose node weights do not
-/// sum to the header's `c(V)` is a [`GraphError::CountMismatch`] too — a
-/// corrupt file never silently streams wrong data. Zero weights anywhere in
-/// the body are a [`GraphError::WeightOutOfRange`] error.
+/// [`GraphError::CountMismatch`], (v2) a body whose node weights do not
+/// sum to the header's `c(V)` is a [`GraphError::CountMismatch`] too, and a
+/// neighbor id `≥ n` is a [`GraphError::NodeOutOfRange`] raised before the
+/// batch holding it is handed on — a corrupt file never silently streams
+/// wrong data. Zero weights anywhere in the body are a
+/// [`GraphError::WeightOutOfRange`] error.
 #[derive(Debug)]
 pub struct DiskStream {
     path: PathBuf,
@@ -523,8 +521,6 @@ pub struct DiskStream {
     num_edges: usize,
     total_node_weight: NodeWeight,
     flags: u8,
-    double_buffered: bool,
-    read_batch_size: usize,
 }
 
 /// The header of a vertex-stream file, as read from disk.
@@ -624,15 +620,12 @@ impl DiskStream {
             num_edges: header.m,
             total_node_weight: header.total_node_weight.unwrap_or(header.n as u64),
             flags: header.flags,
-            double_buffered: true,
-            read_batch_size: DEFAULT_BATCH_SIZE,
         };
         if header.total_node_weight.is_none() {
-            // The header pass is synchronous: no compute to overlap with;
-            // the reader's own checked accumulator supplies the total.
+            // The reader's own checked accumulator supplies the total.
             let mut reader = PassReader::open(&stream)?;
             let mut batch = NodeBatch::new();
-            while reader.fill(&mut batch, stream.read_batch_size)? {}
+            while reader.fill(&mut batch, DEFAULT_BATCH_SIZE)? {}
             stream.total_node_weight = reader.weight_sum();
         }
         Ok(stream)
@@ -646,24 +639,6 @@ impl DiskStream {
     /// On-disk format version of the underlying file.
     pub fn version(&self) -> StreamFormatVersion {
         self.version
-    }
-
-    /// Enables or disables double-buffered ingest (enabled by default).
-    pub fn double_buffered(mut self, enabled: bool) -> Self {
-        self.double_buffered = enabled;
-        self
-    }
-
-    /// Whether ingest is double-buffered.
-    pub fn is_double_buffered(&self) -> bool {
-        self.double_buffered
-    }
-
-    /// Sets the number of nodes decoded per ingest batch (used when the
-    /// consumer streams per node rather than per batch).
-    pub fn read_batch_size(mut self, nodes: usize) -> Self {
-        self.read_batch_size = nodes.max(1);
-        self
     }
 
     /// Re-reads the file header and checks it against the counts this
@@ -728,11 +703,9 @@ impl DiskStream {
 
 /// The decode state of one pass over a vertex-stream file.
 ///
-/// Both ingest modes (synchronous and double-buffered) fill batches through
-/// this reader, so header validation happens exactly once, here. The two
-/// variants match the two body layouts: v1/v2 interleave fields per node and
-/// are decoded field by field; v3 stores each field as its own section and
-/// is decoded by bulk copy straight into the batch's SoA columns.
+/// The two variants match the two body layouts: v1/v2 interleave fields per
+/// node and are decoded field by field; v3 stores each field as its own
+/// section and is decoded by bulk copy straight into the batch's SoA columns.
 enum PassReader {
     Interleaved(InterleavedReader),
     Sectioned(SectionedReader),
@@ -895,6 +868,7 @@ impl InterleavedReader {
             })?;
             self.next_node += 1;
         }
+        check_neighbor_range(batch.neighbors_vec_mut(), self.expected_nodes)?;
         let more = self.next_node < self.expected_nodes;
         if !more {
             if self.edge_entries != self.expected_edge_entries {
@@ -928,6 +902,22 @@ fn truncated_at(e: std::io::Error, expected_nodes: u64, read_nodes: u64) -> Grap
     } else {
         GraphError::Io(e)
     }
+}
+
+/// Rejects a decoded neighbor column holding an id outside `0..num_nodes`:
+/// consumers index their `O(n)` state with these ids. The common case is one
+/// branch-free max-scan; the first offender is located on the error path
+/// only, so the error does not depend on where batches close.
+fn check_neighbor_range(neighbors: &[NodeId], num_nodes: usize) -> Result<()> {
+    let in_range = |u: NodeId| (u as usize) < num_nodes;
+    if neighbors.iter().copied().max().is_none_or(in_range) {
+        return Ok(());
+    }
+    let first = neighbors.iter().copied().find(|&u| !in_range(u));
+    Err(GraphError::NodeOutOfRange {
+        node: first.expect("the column's maximum is out of range") as u64,
+        num_nodes: num_nodes as u64,
+    })
 }
 
 /// Bulk decoder for the sectioned v3 layout: one independent sequential
@@ -1112,6 +1102,7 @@ impl SectionedReader {
             )
             .map_err(truncated)?;
             decode_u32s(bytes, batch.neighbors_vec_mut());
+            check_neighbor_range(batch.neighbors_vec_mut(), self.expected_nodes)?;
 
             // Edge-weight column.
             if let Some(reader) = self.edge_weights.as_mut() {
@@ -1184,8 +1175,7 @@ impl NodeStream for DiskStream {
     }
 
     fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
-        let read_batch = self.read_batch_size;
-        self.for_each_batch(read_batch, &mut |batch| {
+        self.for_each_batch(DEFAULT_BATCH_SIZE, &mut |batch| {
             for node in batch.iter() {
                 f(node);
             }
@@ -1195,57 +1185,16 @@ impl NodeStream for DiskStream {
     fn for_each_batch(&mut self, batch_size: usize, f: &mut dyn FnMut(&NodeBatch)) -> Result<()> {
         let batch_size = batch_size.max(1);
         let mut reader = PassReader::open(self)?;
-
-        if !self.double_buffered {
-            let mut batch = NodeBatch::new();
-            loop {
-                let more = reader.fill(&mut batch, batch_size)?;
-                if !batch.is_empty() {
-                    f(&batch);
-                }
-                if !more {
-                    return Ok(());
-                }
+        let mut batch = NodeBatch::new();
+        loop {
+            let more = reader.fill(&mut batch, batch_size)?;
+            if !batch.is_empty() {
+                f(&batch);
+            }
+            if !more {
+                return Ok(());
             }
         }
-
-        // Double-buffered ingest: a scoped reader thread decodes the next
-        // batch while the caller consumes the current one. Two buffers
-        // rotate through a pair of channels, so the steady state allocates
-        // nothing.
-        std::thread::scope(|scope| {
-            let (full_tx, full_rx) = mpsc::sync_channel::<Result<NodeBatch>>(1);
-            let (free_tx, free_rx) = mpsc::channel::<NodeBatch>();
-            for _ in 0..2 {
-                free_tx.send(NodeBatch::new()).expect("receiver alive");
-            }
-            scope.spawn(move || {
-                while let Ok(mut batch) = free_rx.recv() {
-                    match reader.fill(&mut batch, batch_size) {
-                        Ok(more) => {
-                            if !batch.is_empty() && full_tx.send(Ok(batch)).is_err() {
-                                return; // consumer bailed out
-                            }
-                            if !more {
-                                return; // dropping full_tx ends the pass
-                            }
-                        }
-                        Err(e) => {
-                            full_tx.send(Err(e)).ok();
-                            return;
-                        }
-                    }
-                }
-            });
-            while let Ok(item) = full_rx.recv() {
-                let batch = item?;
-                f(&batch);
-                // The reader may already have finished; a dead receiver just
-                // drops the buffer.
-                free_tx.send(batch).ok();
-            }
-            Ok(())
-        })
     }
 }
 
@@ -1581,7 +1530,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_batches_match_per_node_pass_in_both_ingest_modes() {
+    fn disk_batches_match_per_node_pass() {
         let g = CsrGraph::from_edges(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8)])
             .unwrap();
         let path = temp_path("batches.oms");
@@ -1598,14 +1547,12 @@ mod tests {
             seen
         };
         let mut reference = Vec::new();
-        let mut sync = DiskStream::open(&path).unwrap().double_buffered(false);
-        sync.stream_nodes(|n| reference.push((n.node, n.neighbors.to_vec())))
+        let mut stream = DiskStream::open(&path).unwrap();
+        stream
+            .stream_nodes(|n| reference.push((n.node, n.neighbors.to_vec())))
             .unwrap();
         for batch_size in [1, 2, 4, 100] {
-            assert_eq!(collect(&mut sync, batch_size), reference);
-            let mut buffered = DiskStream::open(&path).unwrap();
-            assert!(buffered.is_double_buffered());
-            assert_eq!(collect(&mut buffered, batch_size), reference);
+            assert_eq!(collect(&mut stream, batch_size), reference);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1629,21 +1576,16 @@ mod tests {
             .unwrap();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::write(&path, &bytes[..bytes.len() - 6]).unwrap();
-            for double_buffered in [false, true] {
-                let mut stream = DiskStream::open(&path)
-                    .unwrap()
-                    .double_buffered(double_buffered);
-                let err = stream.stream_nodes(|_| {}).unwrap_err();
-                match err {
-                    GraphError::Truncated {
-                        expected_nodes,
-                        read_nodes,
-                    } => {
-                        assert_eq!(expected_nodes, 6);
-                        assert!(read_nodes < 6, "read {read_nodes} of 6");
-                    }
-                    other => panic!("expected Truncated, got: {other}"),
+            let mut stream = DiskStream::open(&path).unwrap();
+            match stream.stream_nodes(|_| {}).unwrap_err() {
+                GraphError::Truncated {
+                    expected_nodes,
+                    read_nodes,
+                } => {
+                    assert_eq!(expected_nodes, 6);
+                    assert!(read_nodes < 6, "read {read_nodes} of 6");
                 }
+                other => panic!("expected Truncated, got: {other}"),
             }
             std::fs::remove_file(&path).ok();
         }
@@ -1659,29 +1601,25 @@ mod tests {
         write_stream_file(&g, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 6]).unwrap();
-        for double_buffered in [false, true] {
-            let mut stream = DiskStream::open(&path)
-                .unwrap()
-                .double_buffered(double_buffered);
-            let expect_truncated = |err: GraphError| match err {
-                GraphError::Truncated {
-                    expected_nodes,
-                    read_nodes,
-                } => (expected_nodes, read_nodes),
-                other => panic!("expected Truncated, got: {other}"),
-            };
-            let mut count_first = 0usize;
-            let first = expect_truncated(stream.stream_nodes(|_| count_first += 1).unwrap_err());
-            stream.reset().unwrap();
-            let mut count_second = 0usize;
-            let second = expect_truncated(stream.stream_nodes(|_| count_second += 1).unwrap_err());
-            assert_eq!(first, second, "second pass must restart from the top");
-            assert_eq!(
-                count_first, count_second,
-                "second pass must deliver the same (truncated) prefix, not resume mid-file"
-            );
-            assert!(count_second < 6);
-        }
+        let mut stream = DiskStream::open(&path).unwrap();
+        let expect_truncated = |err: GraphError| match err {
+            GraphError::Truncated {
+                expected_nodes,
+                read_nodes,
+            } => (expected_nodes, read_nodes),
+            other => panic!("expected Truncated, got: {other}"),
+        };
+        let mut count_first = 0usize;
+        let first = expect_truncated(stream.stream_nodes(|_| count_first += 1).unwrap_err());
+        stream.reset().unwrap();
+        let mut count_second = 0usize;
+        let second = expect_truncated(stream.stream_nodes(|_| count_second += 1).unwrap_err());
+        assert_eq!(first, second, "second pass must restart from the top");
+        assert_eq!(
+            count_first, count_second,
+            "second pass must deliver the same (truncated) prefix, not resume mid-file"
+        );
+        assert!(count_second < 6);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1802,42 +1740,38 @@ mod tests {
     }
 
     #[test]
-    fn v3_batches_match_per_node_pass_in_both_ingest_modes() {
+    fn v3_batches_match_per_node_pass() {
         let g = weighted_sample();
         let path = temp_path("v3-batches.oms");
         write_v3(&g, &path);
         let mut reference = Vec::new();
-        let mut sync = DiskStream::open(&path).unwrap().double_buffered(false);
-        sync.stream_nodes(|n| {
-            reference.push((
-                n.node,
-                n.weight,
-                n.neighbors.to_vec(),
-                n.edge_weights.to_vec(),
-            ))
-        })
-        .unwrap();
+        let mut stream = DiskStream::open(&path).unwrap();
+        stream
+            .stream_nodes(|n| {
+                reference.push((
+                    n.node,
+                    n.weight,
+                    n.neighbors.to_vec(),
+                    n.edge_weights.to_vec(),
+                ))
+            })
+            .unwrap();
         assert_eq!(reference.len(), 4);
         for batch_size in [1, 2, 3, 100] {
-            for double_buffered in [false, true] {
-                let mut stream = DiskStream::open(&path)
-                    .unwrap()
-                    .double_buffered(double_buffered);
-                let mut seen = Vec::new();
-                stream
-                    .for_each_batch(batch_size, &mut |batch| {
-                        for n in batch.iter() {
-                            seen.push((
-                                n.node,
-                                n.weight,
-                                n.neighbors.to_vec(),
-                                n.edge_weights.to_vec(),
-                            ));
-                        }
-                    })
-                    .unwrap();
-                assert_eq!(seen, reference, "batch={batch_size} dbuf={double_buffered}");
-            }
+            let mut seen = Vec::new();
+            stream
+                .for_each_batch(batch_size, &mut |batch| {
+                    for n in batch.iter() {
+                        seen.push((
+                            n.node,
+                            n.weight,
+                            n.neighbors.to_vec(),
+                            n.edge_weights.to_vec(),
+                        ));
+                    }
+                })
+                .unwrap();
+            assert_eq!(seen, reference, "batch={batch_size}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1849,14 +1783,10 @@ mod tests {
         write_v3(&g, &path);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        for double_buffered in [false, true] {
-            let mut stream = DiskStream::open(&path)
-                .unwrap()
-                .double_buffered(double_buffered);
-            match stream.stream_nodes(|_| {}).unwrap_err() {
-                GraphError::Truncated { expected_nodes, .. } => assert_eq!(expected_nodes, 6),
-                other => panic!("expected Truncated, got: {other}"),
-            }
+        let mut stream = DiskStream::open(&path).unwrap();
+        match stream.stream_nodes(|_| {}).unwrap_err() {
+            GraphError::Truncated { expected_nodes, .. } => assert_eq!(expected_nodes, 6),
+            other => panic!("expected Truncated, got: {other}"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -2080,25 +2010,62 @@ mod tests {
             bytes.extend_from_slice(&u32::MAX.to_le_bytes());
             let path = temp_path(&format!("degree-bomb-v{}.oms", version.number()));
             std::fs::write(&path, &bytes).unwrap();
-            for double_buffered in [false, true] {
-                let mut stream = DiskStream::open(&path)
-                    .unwrap()
-                    .double_buffered(double_buffered);
-                match stream.stream_nodes(|_| {}).unwrap_err() {
-                    GraphError::CountMismatch {
-                        what,
-                        expected,
-                        found,
-                    } => {
-                        assert_eq!(what, "edge entries");
-                        assert_eq!(expected, 2);
-                        assert_eq!(found, u32::MAX as u64);
-                    }
-                    other => panic!("{version:?}: expected CountMismatch, got: {other}"),
+            let mut stream = DiskStream::open(&path).unwrap();
+            match stream.stream_nodes(|_| {}).unwrap_err() {
+                GraphError::CountMismatch {
+                    what,
+                    expected,
+                    found,
+                } => {
+                    assert_eq!(what, "edge entries");
+                    assert_eq!(expected, 2);
+                    assert_eq!(found, u32::MAX as u64);
                 }
+                other => panic!("{version:?}: expected CountMismatch, got: {other}"),
             }
             assert!(read_stream_file(&path).is_err());
             std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn neighbor_id_beyond_n_is_a_typed_error_before_the_batch_is_handed_on() {
+        // Regression: neither reader range-checked neighbor ids, so a file
+        // with one id ≥ n panicked every consumer that indexes its per-node
+        // state with them (49 bytes in v1/v2: n = 2, m = 1, one neighbor 7).
+        for version in ALL_VERSIONS {
+            for bad_node in [0u32, 1] {
+                let neighbors = if bad_node == 0 { [7, 0] } else { [1, 7] };
+                let words = match version {
+                    StreamFormatVersion::V3 => [1, 1, neighbors[0], neighbors[1]],
+                    _ => [1, neighbors[0], 1, neighbors[1]],
+                };
+                let mut bytes = raw_header(version, 2, 1);
+                bytes.extend(words.iter().flat_map(|w: &u32| w.to_le_bytes()));
+                let path = temp_path(&format!("range-v{}-{bad_node}.oms", version.number()));
+                std::fs::write(&path, &bytes).unwrap();
+                for batch_size in [1, 4096] {
+                    let mut stream = DiskStream::open(&path).unwrap();
+                    let mut delivered = 0;
+                    let err = stream
+                        .for_each_batch(batch_size, &mut |batch| delivered += batch.len())
+                        .unwrap_err();
+                    match err {
+                        GraphError::NodeOutOfRange { node, num_nodes } => {
+                            assert_eq!((node, num_nodes), (7, 2), "{version:?}")
+                        }
+                        other => panic!("{version:?}: expected NodeOutOfRange, got: {other}"),
+                    }
+                    // Only batches that close before the bad record arrive.
+                    let clean_prefix = if batch_size == 1 { bad_node } else { 0 };
+                    assert_eq!(delivered, clean_prefix as usize, "{version:?}");
+                }
+                assert!(matches!(
+                    read_stream_file(&path).unwrap_err(),
+                    GraphError::NodeOutOfRange { node: 7, .. }
+                ));
+                std::fs::remove_file(&path).ok();
+            }
         }
     }
 
@@ -2170,9 +2137,9 @@ mod tests {
     #[test]
     fn batches_split_on_edge_mass_and_still_cover_the_stream() {
         // A hub whose degree alone exceeds the entry bound, followed by its
-        // low-degree leaves: every version, ingest mode and batch size must
-        // deliver the same node sequence, in batches that respect both
-        // bounds (a batch may overshoot the entry bound by its last node).
+        // low-degree leaves: every version and batch size must deliver the
+        // same node sequence, in batches that respect both bounds (a batch
+        // may overshoot the entry bound by its last node).
         let leaves = BATCH_ENTRY_BOUND as u32 + 500;
         let mut b = GraphBuilder::new(leaves as usize + 1);
         for v in 1..=leaves {
@@ -2188,15 +2155,8 @@ mod tests {
             };
             write_stream_file_with(&g, &path, options).unwrap();
             assert_eq!(read_stream_file(&path).unwrap(), g, "{version:?}");
-            // (Double-buffered ingest pays a thread hand-off per batch —
-            // seconds at batch sizes 1 and 7 over 66 k nodes — and shares the
-            // reader with the synchronous runs that cover those boundaries.)
-            for (double_buffered, batch_size) in
-                [(false, 1), (false, 7), (false, 4096), (true, 4096)]
-            {
-                let mut stream = DiskStream::open(&path)
-                    .unwrap()
-                    .double_buffered(double_buffered);
+            let mut stream = DiskStream::open(&path).unwrap();
+            for batch_size in [1, 7, 4096] {
                 let mut next = 0u32;
                 let mut sizes = Vec::new();
                 stream

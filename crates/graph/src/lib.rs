@@ -13,11 +13,10 @@
 //! * [`NodeStream`] and its implementations — the *one-pass streaming model*
 //!   used throughout the paper: nodes arrive one at a time together with
 //!   their adjacency lists and must be assigned to blocks immediately.
-//! * [`NodeBatch`] and [`NodeStream::for_each_batch`] — the batched face of
+//! * [`NodeBatch`] and [`NodeStream::for_each_batch`] — the bulk face of
 //!   the same contract: sources fill reusable structure-of-arrays batches
-//!   (and [`io::DiskStream`] decodes the next batch on a reader thread while
-//!   the current one is consumed), which the batch executor in `oms-core`
-//!   drives.
+//!   ([`io::DiskStream`] and [`io::MetisStream`] decode straight into their
+//!   columns), which the buffered partitioners and [`EdgesOf`] consume whole.
 //! * [`EdgeStream`] and the [`EdgesOf`] adapter — the streaming
 //!   *edge*-partitioning (vertex-cut) face of the same sources: every
 //!   [`NodeStream`] becomes a batched `(u, v, w)` edge stream with
@@ -53,8 +52,7 @@ pub use delta::{
 pub use edge_stream::{EdgeBatch, EdgeStream, EdgesOf, StreamedEdge, DEFAULT_EDGE_BATCH_SIZE};
 pub use ordering::NodeOrdering;
 pub use stream::{
-    collect_graph, ChunkedStream, InMemoryStream, NodeStream, PerNodeBatches, StreamedNode,
-    BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
+    collect_graph, InMemoryStream, NodeStream, StreamedNode, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
 };
 
 /// Identifier of a node. Graphs in this project are laptop-scale (tens of

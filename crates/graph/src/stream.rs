@@ -7,12 +7,10 @@
 //! weight (needed by Fennel to compute its `α` and by every algorithm to
 //! compute the balance constraint `L_max`).
 //!
-//! [`NodeStream`] captures exactly that contract. Two implementations are
-//! provided here — [`InMemoryStream`] (streaming from RAM, as in the paper's
-//! running-time experiments) and [`ChunkedStream`] (the vertex-centric
-//! chunking used by the shared-memory parallelisation) — and two more stream
-//! files from disk: [`crate::io::DiskStream`] the binary vertex-stream
-//! format, [`crate::io::MetisStream`] METIS text.
+//! [`NodeStream`] captures exactly that contract. [`InMemoryStream`] streams
+//! from RAM, as in the paper's running-time experiments; two more sources
+//! stream files from disk: [`crate::io::DiskStream`] the binary
+//! vertex-stream format, [`crate::io::MetisStream`] METIS text.
 //!
 //! ## Working memory
 //!
@@ -72,6 +70,20 @@ impl<'a> StreamedNode<'a> {
 /// [`NodeStream::for_each_node`]. Re-streaming algorithms simply call it
 /// again.
 ///
+/// A pass has two faces, and both are part of the contract:
+///
+/// * [`NodeStream::for_each_node`] is the **drive contract**: the drive loop
+///   and the measurement walk in `oms-core`, [`collect_graph`] and the
+///   dynamic graph all consume it. A memory source serves each node as
+///   borrowed slices of its CSR arrays, so a per-node pass copies nothing —
+///   routing those consumers through [`NodeBatch`]es instead would copy
+///   12 bytes per adjacency entry on every in-memory pass.
+/// * [`NodeStream::for_each_batch`] is the **bulk face**, for consumers that
+///   need a run of nodes at once (the buffered partitioners' model graphs,
+///   [`crate::EdgesOf`]). It is the native face of the disk and METIS
+///   sources, which decode straight into batch columns and serve
+///   `for_each_node` by walking those batches.
+///
 /// The trait is dyn-compatible (`for_each_node` takes `&mut dyn FnMut`), so
 /// heterogeneous frontends can pass `&mut dyn NodeStream` to the object-safe
 /// partitioner API in `oms-core` without monomorphising per stream type. Use
@@ -112,8 +124,8 @@ pub trait NodeStream {
     ///
     /// The default implementation accumulates `for_each_node` output into a
     /// reused batch buffer; sources override it to fill batches directly
-    /// ([`InMemoryStream`], [`ChunkedStream`]) or to overlap ingest with
-    /// consumption on a reader thread ([`crate::io::DiskStream`]).
+    /// ([`InMemoryStream`] from the CSR arrays, [`crate::io::DiskStream`] and
+    /// [`crate::io::MetisStream`] from the file).
     fn for_each_batch(&mut self, batch_size: usize, f: &mut dyn FnMut(&NodeBatch)) -> Result<()> {
         let batch_size = batch_size.max(1);
         let mut batch = NodeBatch::new();
@@ -278,51 +290,6 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     ))
 }
 
-/// Adapter forcing batch size 1: every node is copied into its own
-/// singleton [`NodeBatch`] before being delivered — both per node
-/// (`for_each_node`) and per batch (`for_each_batch`).
-///
-/// Used by the equivalence test suite as the classic per-node reference
-/// path, and by benchmarks that measure the cost of per-node batch
-/// delivery against the native (zero-copy or bulk-batched) path of the
-/// wrapped source.
-pub struct PerNodeBatches<S>(pub S);
-
-impl<S: NodeStream> NodeStream for PerNodeBatches<S> {
-    fn num_nodes(&self) -> usize {
-        self.0.num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.0.num_edges()
-    }
-
-    fn total_node_weight(&self) -> NodeWeight {
-        self.0.total_node_weight()
-    }
-
-    fn reset(&mut self) -> Result<()> {
-        self.0.reset()
-    }
-
-    fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
-        self.for_each_batch(1, &mut |batch| f(batch.get(0)))
-    }
-
-    fn for_each_batch(&mut self, _batch_size: usize, f: &mut dyn FnMut(&NodeBatch)) -> Result<()> {
-        let mut batch = NodeBatch::new();
-        self.0.for_each_node(&mut |node| {
-            batch.clear();
-            batch.push(node);
-            f(&batch);
-        })
-    }
-
-    fn as_graph(&self) -> Option<&CsrGraph> {
-        self.0.as_graph()
-    }
-}
-
 /// Streams a [`CsrGraph`] held in memory, optionally permuted.
 ///
 /// This mirrors the paper's experimental setup: "we stream the input directly
@@ -412,88 +379,6 @@ impl<'g> NodeStream for InMemoryStream<'g> {
     }
 }
 
-/// Splits the stream of a [`CsrGraph`] into contiguous chunks of nodes for
-/// the vertex-centric shared-memory parallelisation (§3.4 of the paper).
-///
-/// Each chunk can be processed by a different thread; the partitioner is
-/// responsible for keeping its block weights consistent (atomics).
-pub struct ChunkedStream<'g> {
-    graph: &'g CsrGraph,
-    order: Vec<NodeId>,
-}
-
-impl<'g> ChunkedStream<'g> {
-    /// Creates a chunked view over `graph` streamed in `ordering` order.
-    pub fn new(graph: &'g CsrGraph, ordering: NodeOrdering) -> Self {
-        ChunkedStream {
-            graph,
-            order: ordering.permutation(graph),
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
-    }
-
-    /// The full stream order.
-    pub fn order(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// Splits the stream order into at most `num_chunks` contiguous slices of
-    /// (nearly) equal length. Fewer chunks are returned when the graph has
-    /// fewer nodes than `num_chunks`.
-    pub fn chunks(&self, num_chunks: usize) -> Vec<&[NodeId]> {
-        let n = self.order.len();
-        if n == 0 || num_chunks == 0 {
-            return Vec::new();
-        }
-        let chunk_size = n.div_ceil(num_chunks);
-        self.order.chunks(chunk_size).collect()
-    }
-
-    /// Materialises the [`StreamedNode`] view of node `v`.
-    pub fn streamed(&self, v: NodeId) -> StreamedNode<'_> {
-        StreamedNode {
-            node: v,
-            weight: self.graph.node_weight(v),
-            neighbors: self.graph.neighbors(v),
-            edge_weights: self.graph.incident_edge_weights(v),
-        }
-    }
-}
-
-impl<'g> NodeStream for ChunkedStream<'g> {
-    fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    fn total_node_weight(&self) -> NodeWeight {
-        self.graph.total_node_weight()
-    }
-
-    fn as_graph(&self) -> Option<&CsrGraph> {
-        Some(self.graph)
-    }
-
-    fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
-        for &v in &self.order {
-            f(self.streamed(v));
-        }
-        Ok(())
-    }
-
-    fn for_each_batch(&mut self, batch_size: usize, f: &mut dyn FnMut(&NodeBatch)) -> Result<()> {
-        batches_from_graph(self.graph, self.order.iter().copied(), batch_size, f);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,33 +445,6 @@ mod tests {
             .unwrap();
     }
 
-    #[test]
-    fn chunked_stream_covers_all_nodes_exactly_once() {
-        let g = sample();
-        let chunked = ChunkedStream::new(&g, NodeOrdering::Natural);
-        let chunks = chunked.chunks(2);
-        assert_eq!(chunks.len(), 2);
-        let mut all: Vec<NodeId> = chunks.concat();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chunked_stream_handles_more_chunks_than_nodes() {
-        let g = sample();
-        let chunked = ChunkedStream::new(&g, NodeOrdering::Natural);
-        let chunks = chunked.chunks(100);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn chunked_stream_zero_chunks_is_empty() {
-        let g = sample();
-        let chunked = ChunkedStream::new(&g, NodeOrdering::Natural);
-        assert!(chunked.chunks(0).is_empty());
-    }
-
     /// Replays a full pass through `for_each_batch` and checks it matches the
     /// per-node pass exactly (ids, weights, adjacency, order).
     fn assert_batches_match_nodes<S: NodeStream>(stream: &mut S, batch_size: usize) {
@@ -630,35 +488,6 @@ mod tests {
                 batch_size,
             );
         }
-    }
-
-    #[test]
-    fn chunked_stream_batches_match_per_node_pass() {
-        let g = sample();
-        for batch_size in [1, 2, 100] {
-            assert_batches_match_nodes(
-                &mut ChunkedStream::new(&g, NodeOrdering::Natural),
-                batch_size,
-            );
-        }
-    }
-
-    #[test]
-    fn per_node_adapter_emits_singleton_batches() {
-        let g = sample();
-        let mut stream = PerNodeBatches(InMemoryStream::new(&g));
-        let mut sizes = Vec::new();
-        let mut ids = Vec::new();
-        stream
-            .for_each_batch(1000, &mut |batch| {
-                sizes.push(batch.len());
-                ids.extend(batch.iter().map(|n| n.node));
-            })
-            .unwrap();
-        assert!(sizes.iter().all(|&s| s == 1));
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert_eq!(stream.num_nodes(), 5);
-        assert_eq!(stream.num_edges(), 6);
     }
 
     /// A stream without a batch override and without `as_graph`, optionally

@@ -6,7 +6,7 @@
 //! stream, and the adjacency is materialised from whatever
 //! [`NodeStream`] source the caller holds — since every source of the same
 //! graph delivers identical content in identical order, replays are
-//! byte-identical across in-memory, chunked and on-disk streams.
+//! byte-identical across in-memory and on-disk streams.
 
 use crate::zipf::ZipfSampler;
 use oms_graph::{CsrGraph, NodeId, NodeStream, Result};

@@ -9,8 +9,8 @@
 //! in-memory multilevel baseline.
 //!
 //! The example sweeps the buffer size on a community graph, compares against
-//! the one-pass baselines, and runs the same job straight from a
-//! double-buffered disk stream.
+//! the one-pass baselines, and runs the same job straight from a disk
+//! stream.
 //!
 //! ```text
 //! cargo run --release --example buffered_streaming
@@ -61,14 +61,13 @@ fn main() {
         );
     }
 
-    // The same buffered job also runs straight off disk; the stream layer
-    // decodes batch B+1 on a reader thread while batch B is being solved.
+    // The same buffered job also runs straight off disk, one decoded batch
+    // at a time.
     let path = std::env::temp_dir().join("oms-example-buffered.oms");
     write_stream_file(&graph, &path).expect("can write the stream file");
     let job: JobSpec = format!("buffered:{k}@buf=4096").parse().unwrap();
     let partitioner = job.build().unwrap();
     let mut disk = DiskStream::open(&path).expect("can open the stream file");
-    assert!(disk.is_double_buffered());
     let from_disk = partitioner.run(&mut disk).expect("disk run succeeds");
     let from_memory = partitioner
         .run(&mut InMemoryStream::new(&graph))
@@ -78,7 +77,7 @@ fn main() {
         "the stream source must not change the result"
     );
     println!(
-        "\nbuffered from disk (double-buffered ingest): edge-cut = {}, identical to in-memory ✓",
+        "\nbuffered from disk: edge-cut = {}, identical to in-memory ✓",
         from_disk.edge_cut
     );
     std::fs::remove_file(&path).ok();

@@ -85,6 +85,6 @@ fn main() {
         .unwrap()
         .run(&mut stream)
         .unwrap();
-    print_trajectory("fennel (disk, double-buffered ingest)", &report);
+    print_trajectory("fennel (disk)", &report);
     std::fs::remove_file(&path).ok();
 }

@@ -107,8 +107,7 @@ pub mod prelude {
     };
     pub use oms_graph::{
         read_delta_trace, write_delta_trace, CsrGraph, Delta, DeltaBatch, EdgeBatch, EdgeStream,
-        EdgesOf, GraphBuilder, InMemoryStream, NodeBatch, NodeOrdering, NodeStream, PerNodeBatches,
-        StreamedEdge,
+        EdgesOf, GraphBuilder, InMemoryStream, NodeBatch, NodeOrdering, NodeStream, StreamedEdge,
     };
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
     pub use oms_metrics::{

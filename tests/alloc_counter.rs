@@ -168,7 +168,7 @@ fn steady_state_scoring_is_allocation_free() {
     for spec in ["oms:4:4:4", "fennel:32"] {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let streamed = peak_live_bytes_during(|| {
-            let mut stream = DiskStream::open(&path).unwrap().double_buffered(false);
+            let mut stream = DiskStream::open(&path).unwrap();
             partitioner.run(&mut stream).unwrap();
         });
         let streamed_text = peak_live_bytes_during(|| {

@@ -12,9 +12,9 @@
 //! * multi-pass trajectories are non-increasing in the total replica count
 //!   and end on the returned assignment;
 //! * all three edge partitioners produce **byte-identical** edge
-//!   assignments across memory / chunked / disk (v1 and v2, synchronous
-//!   and double-buffered) sources at 1 and 3 passes, on unit-weight and
-//!   weighted graphs alike;
+//!   assignments across memory (natural and explicit order) / disk (v1
+//!   and v2) sources at 1 and 3 passes, on unit-weight and weighted graphs
+//!   alike;
 //! * the incrementally maintained replication summary agrees with the
 //!   independent recount in `oms-metrics::vertex_cut`.
 //!
@@ -25,7 +25,6 @@
 
 use oms::gen::RmatParams;
 use oms::graph::io::{write_stream_file, write_stream_file_v1, DiskStream};
-use oms::graph::ChunkedStream;
 use oms::metrics::vertex_cut::vertex_cut_metrics;
 use oms::prelude::*;
 use std::path::PathBuf;
@@ -247,8 +246,8 @@ fn edge_assignments(job: &str, stream: &mut dyn EdgeStream) -> (Vec<BlockId>, Ve
 
 /// Every edge algorithm × passes ∈ {1, 3} must produce byte-identical edge
 /// assignments (and per-pass replica trajectories) no matter which source
-/// streams the graph — in-memory, chunked, disk v1, disk v2, synchronous
-/// or double-buffered ingest — on unit-weight and weighted graphs alike.
+/// streams the graph — in-memory in natural or explicit order, disk v1,
+/// disk v2 — on unit-weight and weighted graphs alike.
 #[test]
 fn edge_assignments_are_byte_identical_across_sources_and_passes() {
     let unit = planted_partition(600, 8, 0.1, 0.005, 23);
@@ -269,23 +268,14 @@ fn edge_assignments_are_byte_identical_across_sources_and_passes() {
                 let reference = edge_assignments(&job, &mut EdgesOf(InMemoryStream::new(graph)));
                 assert_eq!(reference.0.len(), graph.num_edges(), "{label}/{job}");
 
-                let chunked = edge_assignments(
-                    &job,
-                    &mut EdgesOf(ChunkedStream::new(graph, NodeOrdering::Natural)),
-                );
-                assert_eq!(reference, chunked, "{label}/{job}: chunked stream differs");
+                let identity = InMemoryStream::with_permutation(graph, graph.nodes().collect());
+                let permuted = edge_assignments(&job, &mut EdgesOf(identity));
+                assert_eq!(reference, permuted, "{label}/{job}: explicit order differs");
 
                 for (name, path) in [("disk v1", &v1_path), ("disk v2", &v2_path)] {
-                    for double_buffered in [false, true] {
-                        let disk = DiskStream::open(path)
-                            .unwrap()
-                            .double_buffered(double_buffered);
-                        let from_disk = edge_assignments(&job, &mut EdgesOf(disk));
-                        assert_eq!(
-                            reference, from_disk,
-                            "{label}/{job}: {name} (double_buffered = {double_buffered}) differs"
-                        );
-                    }
+                    let disk = DiskStream::open(path).unwrap();
+                    let from_disk = edge_assignments(&job, &mut EdgesOf(disk));
+                    assert_eq!(reference, from_disk, "{label}/{job}: {name} differs");
                 }
             }
         }

@@ -4,14 +4,14 @@
 //! for a fixed seed, every registered algorithm has to produce **byte
 //! identical** assignments no matter
 //!
-//! * how the stream is batched (the per-node path — batch size 1, via
-//!   [`PerNodeBatches`] — against the default batched path), and
-//! * where the stream comes from (in-memory, chunked, or disk — the binary
-//!   vertex-stream format with ingest both synchronous and double-buffered,
-//!   and METIS text in all four weight formats).
+//! * how the stream is batched (the per-node path — batch size 1, via the
+//!   test-local [`Rebatched`] — against the default batched path), and
+//! * where the stream comes from (in-memory in natural or explicitly
+//!   permuted order, or disk — the binary vertex-stream format and METIS
+//!   text in all four weight formats).
 
 use oms::graph::io::{write_metis, write_stream_file, DiskStream, MetisStream};
-use oms::graph::{ChunkedStream, NodeWeight, StreamedNode};
+use oms::graph::{NodeWeight, StreamedNode};
 use oms::prelude::*;
 use std::path::PathBuf;
 
@@ -70,7 +70,7 @@ fn batch_executor_matches_per_node_path_for_every_algorithm() {
         let batched = assignments(&*partitioner, &mut InMemoryStream::new(&graph));
         let per_node = assignments(
             &*partitioner,
-            &mut PerNodeBatches(InMemoryStream::new(&graph)),
+            &mut Rebatched(InMemoryStream::new(&graph), 1),
         );
         assert_eq!(
             batched, per_node,
@@ -88,24 +88,17 @@ fn all_stream_sources_produce_identical_assignments() {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let reference = assignments(&*partitioner, &mut InMemoryStream::new(&graph));
 
-        let chunked = assignments(
+        let permuted = assignments(
             &*partitioner,
-            &mut ChunkedStream::new(&graph, NodeOrdering::Natural),
+            &mut InMemoryStream::with_permutation(&graph, graph.nodes().collect()),
         );
-        assert_eq!(reference, chunked, "{spec}: chunked stream differs");
+        assert_eq!(reference, permuted, "{spec}: explicit-order stream differs");
 
-        let mut disk_sync = DiskStream::open(&path).unwrap().double_buffered(false);
+        let mut disk = DiskStream::open(&path).unwrap();
         assert_eq!(
             reference,
-            assignments(&*partitioner, &mut disk_sync),
-            "{spec}: synchronous disk stream differs"
-        );
-
-        let mut disk_buffered = DiskStream::open(&path).unwrap();
-        assert_eq!(
-            reference,
-            assignments(&*partitioner, &mut disk_buffered),
-            "{spec}: double-buffered disk stream differs"
+            assignments(&*partitioner, &mut disk),
+            "{spec}: disk stream differs"
         );
     }
     std::fs::remove_file(&path).ok();
@@ -215,8 +208,7 @@ fn metis_text_streams_like_the_graph_it_describes() {
                 .collect();
             for batch_size in [1, 7, 4096] {
                 let mut metis = Rebatched(MetisStream::open(&metis_path).unwrap(), batch_size);
-                let disk = DiskStream::open(&stream_path).unwrap();
-                let mut disk = Rebatched(disk.double_buffered(false), batch_size);
+                let mut disk = Rebatched(DiskStream::open(&stream_path).unwrap(), batch_size);
                 assert_eq!(
                     node_sequence(&mut metis),
                     reference_nodes,
@@ -256,7 +248,7 @@ fn batch_size_does_not_change_sequential_results() {
     let graph = planted_partition(500, 8, 0.12, 0.005, 29);
     let fennel = Fennel::new(8, OnePassConfig::default().seed(7));
     let reference = fennel
-        .partition_stream(&mut PerNodeBatches(InMemoryStream::new(&graph)))
+        .partition_stream(&mut Rebatched(InMemoryStream::new(&graph), 1))
         .unwrap();
     for permuted in [false, true] {
         let mut stream = if permuted {
@@ -337,10 +329,17 @@ fn multi_pass_trajectories_agree_across_stream_sources() {
         let reference = strip(reference.stats);
         assert!(!reference.is_empty(), "{spec}");
 
-        let (_, chunked) = partitioner
-            .partition_tracked(&mut ChunkedStream::new(&graph, NodeOrdering::Natural))
+        let (_, permuted) = partitioner
+            .partition_tracked(&mut InMemoryStream::with_permutation(
+                &graph,
+                graph.nodes().collect(),
+            ))
             .unwrap();
-        assert_eq!(reference, strip(chunked.stats), "{spec}: chunked differs");
+        assert_eq!(
+            reference,
+            strip(permuted.stats),
+            "{spec}: explicit order differs"
+        );
 
         let mut disk = DiskStream::open(&path).unwrap();
         let (_, disk_t) = partitioner.partition_tracked(&mut disk).unwrap();

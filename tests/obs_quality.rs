@@ -5,10 +5,10 @@
 //! 1. **Trace determinism.** The recorded event trace is a pure function
 //!    of `(stream, seed)`: the same run produces a byte-identical
 //!    JSON-lines trace and an equal event-log hash no matter whether the
-//!    stream comes from memory, chunked batches or disk — for the flat
-//!    engine, the sharded engine (S ∈ {1, 4}), dynamic maintenance and
-//!    traffic replay. Wall-clock never enters the trace, so this holds on
-//!    any machine.
+//!    stream comes from memory (natural or explicit order) or disk — for
+//!    the flat engine, the sharded engine (S ∈ {1, 4}), dynamic
+//!    maintenance and traffic replay. Wall-clock never enters the trace,
+//!    so this holds on any machine.
 //! 2. **Bounded recording.** The flight recorder keeps the *newest*
 //!    events when it overflows, counts the evicted ones, and the log hash
 //!    still covers every event ever recorded.
@@ -22,7 +22,6 @@
 //! latter's cost in CI.
 
 use oms::graph::io::{write_stream_file, DiskStream};
-use oms::graph::ChunkedStream;
 use oms::obs::{self, CounterId, Event};
 use oms::prelude::*;
 use std::path::PathBuf;
@@ -34,6 +33,11 @@ fn temp_stream_file(graph: &CsrGraph, name: &str) -> PathBuf {
     let path = dir.join(name);
     write_stream_file(graph, &path).unwrap();
     path
+}
+
+/// A second memory source: the natural order, given as a permutation.
+fn identity_order(graph: &CsrGraph) -> InMemoryStream<'_> {
+    InMemoryStream::with_permutation(graph, graph.nodes().collect())
 }
 
 /// Runs `f` under a fresh recording observer and returns its result plus
@@ -59,12 +63,11 @@ fn flat_trace_is_identical_across_sources() {
             record(|| partitioner.run(stream).unwrap())
         };
         let (_, memory, memory_hash) = run(&mut InMemoryStream::new(&graph));
-        let (_, chunked, chunked_hash) =
-            run(&mut ChunkedStream::new(&graph, NodeOrdering::Natural));
+        let (_, permuted, permuted_hash) = run(&mut identity_order(&graph));
         let (_, disk, disk_hash) = run(&mut DiskStream::open(&path).unwrap());
-        assert_eq!(memory, chunked, "{spec}: chunked trace differs");
+        assert_eq!(memory, permuted, "{spec}: permuted trace differs");
         assert_eq!(memory, disk, "{spec}: disk trace differs");
-        assert_eq!(memory_hash, chunked_hash, "{spec}: chunked hash differs");
+        assert_eq!(memory_hash, permuted_hash, "{spec}: permuted hash differs");
         assert_eq!(memory_hash, disk_hash, "{spec}: disk hash differs");
         assert!(
             memory.contains("\"event\":\"pass_end\""),
@@ -86,10 +89,10 @@ fn sharded_trace_is_identical_across_sources_and_repeats() {
             record(|| sharded.run(stream).unwrap())
         };
         let (_, memory, memory_hash) = run(&mut InMemoryStream::new(&graph));
-        let (_, chunked, _) = run(&mut ChunkedStream::new(&graph, NodeOrdering::Natural));
+        let (_, permuted, _) = run(&mut identity_order(&graph));
         let (_, disk, _) = run(&mut DiskStream::open(&path).unwrap());
         let (_, repeat, repeat_hash) = run(&mut InMemoryStream::new(&graph));
-        assert_eq!(memory, chunked, "S={shards}: chunked trace differs");
+        assert_eq!(memory, permuted, "S={shards}: permuted trace differs");
         assert_eq!(memory, disk, "S={shards}: disk trace differs");
         assert_eq!(memory, repeat, "S={shards}: rerun trace differs");
         assert_eq!(memory_hash, repeat_hash, "S={shards}: rerun hash differs");
@@ -168,13 +171,12 @@ fn replay_trace_is_identical_across_sources() {
         })
     };
     let (memory_req_hash, memory, memory_hash) = run(&mut InMemoryStream::new(&graph));
-    let (chunked_req_hash, chunked, _) =
-        run(&mut ChunkedStream::new(&graph, NodeOrdering::Natural));
+    let (permuted_req_hash, permuted, _) = run(&mut identity_order(&graph));
     let (disk_req_hash, disk, disk_hash) = run(&mut DiskStream::open(&path).unwrap());
-    assert_eq!(memory, chunked, "replay trace differs from chunked source");
+    assert_eq!(memory, permuted, "replay trace differs from permuted");
     assert_eq!(memory, disk, "replay trace differs from disk source");
     assert_eq!(memory_hash, disk_hash);
-    assert_eq!(memory_req_hash, chunked_req_hash);
+    assert_eq!(memory_req_hash, permuted_req_hash);
     assert_eq!(memory_req_hash, disk_req_hash);
     assert!(memory.contains("\"event\":\"replay_summary\""));
 }

@@ -12,15 +12,14 @@
 //!   latency on every corpus: the paper's quality claims must survive
 //!   contact with a simulated workload, not just edge-cut arithmetic;
 //! * **determinism** — the full `ReplayReport` is byte-identical no matter
-//!   which stream source (in-memory, chunked, disk) fed the replay, and the
-//!   FNV-1a request-log hash is reproducible per seed.
+//!   which stream source (memory, explicit order, disk) fed the replay, and
+//!   the FNV-1a request-log hash is reproducible per seed.
 //!
 //! Everything is integer-tick arithmetic on seeded corpora: the numbers
 //! here are exact on every platform, not statistical.
 
 use oms::gen::RmatParams;
 use oms::graph::io::{write_stream_file, DiskStream};
-use oms::graph::ChunkedStream;
 use oms::prelude::*;
 use std::path::PathBuf;
 
@@ -152,13 +151,13 @@ fn replay_report_identical_across_stream_sources() {
         let reference =
             replay_stream(&mut InMemoryStream::new(&graph), &assignments, &config).unwrap();
 
-        let chunked = replay_stream(
-            &mut ChunkedStream::new(&graph, NodeOrdering::Natural),
+        let permuted = replay_stream(
+            &mut InMemoryStream::with_permutation(&graph, graph.nodes().collect()),
             &assignments,
             &config,
         )
         .unwrap();
-        assert_eq!(reference, chunked, "{name}: chunked replay differs");
+        assert_eq!(reference, permuted, "{name}: explicit-order replay differs");
 
         let path = temp_stream_file(&graph, &format!("replay-{name}.oms"));
         let disk =

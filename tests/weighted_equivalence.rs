@@ -9,8 +9,8 @@
 //! * whether the weights are implicit (no weight sections on disk, the
 //!   pre-existing unweighted path) or explicit (forced weight sections full
 //!   of 1s, the weighted path),
-//! * which stream source delivers the nodes (in-memory, chunked, disk v1,
-//!   disk v2 — synchronous and double-buffered), and
+//! * which stream source delivers the nodes (in-memory in natural or
+//!   explicit order, disk v1, disk v2), and
 //! * how many restreaming passes run (1 or 3).
 //!
 //! On top of the unit-weight contract, the suite checks that *weighted*
@@ -21,7 +21,7 @@
 use oms::graph::io::{
     write_stream_file, write_stream_file_v1, write_stream_file_with, DiskStream, StreamWriteOptions,
 };
-use oms::graph::{ChunkedStream, GraphError, NodeWeight};
+use oms::graph::{GraphError, NodeWeight};
 use oms::prelude::*;
 use std::path::PathBuf;
 
@@ -123,27 +123,23 @@ fn unit_weights_are_byte_identical_across_all_sources_and_passes() {
             "{spec}: explicit in-memory weights differ"
         );
 
-        let chunked = run(
+        let permuted = run(
             &*partitioner,
-            &mut ChunkedStream::new(&graph, NodeOrdering::Natural),
+            &mut InMemoryStream::with_permutation(&graph, graph.nodes().collect()),
         );
-        assert_eq!(reference, chunked, "{spec}: chunked stream differs");
+        assert_eq!(reference, permuted, "{spec}: explicit-order stream differs");
 
         for (name, path) in [
             ("disk v1", &v1_path),
             ("disk v2", &v2_path),
             ("disk v2 forced weights", &forced_path),
         ] {
-            for double_buffered in [false, true] {
-                let mut disk = DiskStream::open(path)
-                    .unwrap()
-                    .double_buffered(double_buffered);
-                assert_eq!(
-                    reference,
-                    run(&*partitioner, &mut disk),
-                    "{spec}: {name} (double_buffered = {double_buffered}) differs"
-                );
-            }
+            let mut disk = DiskStream::open(path).unwrap();
+            assert_eq!(
+                reference,
+                run(&*partitioner, &mut disk),
+                "{spec}: {name} differs"
+            );
         }
     }
     for path in [&v1_path, &v2_path, &forced_path] {
@@ -152,8 +148,8 @@ fn unit_weights_are_byte_identical_across_all_sources_and_passes() {
 }
 
 /// Genuinely weighted runs must be just as source-independent as
-/// unweighted ones: memory, chunked and both disk versions agree byte for
-/// byte on a node- and edge-weighted graph.
+/// unweighted ones: memory (natural and explicit order) and both disk
+/// versions agree byte for byte on a node- and edge-weighted graph.
 #[test]
 fn weighted_runs_are_source_independent() {
     register_multilevel_algorithms();
@@ -180,13 +176,13 @@ fn weighted_runs_are_source_independent() {
     for spec in registry_specs() {
         let partitioner = JobSpec::parse(&spec).unwrap().build().unwrap();
         let reference = run(&*partitioner, &mut InMemoryStream::new(&graph));
-        let chunked = run(
+        let permuted = run(
             &*partitioner,
-            &mut ChunkedStream::new(&graph, NodeOrdering::Natural),
+            &mut InMemoryStream::with_permutation(&graph, graph.nodes().collect()),
         );
         assert_eq!(
-            reference, chunked,
-            "{spec}: chunked differs on weighted graph"
+            reference, permuted,
+            "{spec}: explicit order differs on weighted graph"
         );
         for (name, path) in [("disk v1", &v1_path), ("disk v2", &v2_path)] {
             let mut disk = DiskStream::open(path).unwrap();
