@@ -2,8 +2,8 @@
 //!
 //! Only a handful of flags are needed, so this avoids an external argument
 //! parser: `--scale <f64>`, `--reps <usize>`, `--out <dir>`, `--k <u32>`
-//! (repeatable), `--threads <usize>` (repeatable), `--quick`,
-//! `--weights <unit|nodes|edges|full>` (the weighted-corpus knob).
+//! (repeatable), `--quick`, `--weights <unit|nodes|edges|full>` (the
+//! weighted-corpus knob).
 
 use oms_gen::WeightScheme;
 use std::path::PathBuf;
@@ -19,8 +19,6 @@ pub struct BenchArgs {
     pub out_dir: PathBuf,
     /// Explicit list of k values (or hierarchy extensions `r` where k = 64r).
     pub ks: Vec<u32>,
-    /// Explicit list of thread counts for scalability runs.
-    pub threads: Vec<usize>,
     /// Quick mode: smallest possible configuration (used by CI / tests).
     pub quick: bool,
     /// Corpus weighting scheme (`--weights unit|nodes|edges|full`).
@@ -36,7 +34,6 @@ impl Default for BenchArgs {
             reps: 2,
             out_dir: PathBuf::from("target/experiments"),
             ks: Vec::new(),
-            threads: Vec::new(),
             quick: false,
             weights: WeightScheme::Unit,
             rest: Vec::new(),
@@ -76,11 +73,6 @@ impl BenchArgs {
                         parsed.ks.push(v);
                     }
                 }
-                "--threads" => {
-                    if let Some(v) = iter.next().and_then(|s| s.parse().ok()) {
-                        parsed.threads.push(v);
-                    }
-                }
                 "--quick" => parsed.quick = true,
                 "--weights" => {
                     if let Some(v) = iter.next().and_then(|s| WeightScheme::parse(&s)) {
@@ -110,25 +102,6 @@ impl BenchArgs {
         }
     }
 
-    /// The thread counts to sweep, falling back to `1, 2, 4, …` up to the
-    /// host parallelism.
-    pub fn thread_values(&self) -> Vec<usize> {
-        if !self.threads.is_empty() {
-            return self.threads.clone();
-        }
-        let max = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        let mut values = vec![1usize];
-        while let Some(&last) = values.last() {
-            if last * 2 > max || values.len() >= 6 {
-                break;
-            }
-            values.push(last * 2);
-        }
-        values
-    }
-
     /// Ensures the output directory exists and returns it.
     pub fn ensure_out_dir(&self) -> PathBuf {
         std::fs::create_dir_all(&self.out_dir).ok();
@@ -151,7 +124,6 @@ mod tests {
         assert!(a.reps >= 1);
         assert!(!a.quick);
         assert!(!a.k_values().is_empty());
-        assert!(!a.thread_values().is_empty());
     }
 
     #[test]
@@ -163,19 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_k_and_threads_accumulate() {
-        let a = parse(&[
-            "--k",
-            "64",
-            "--k",
-            "512",
-            "--threads",
-            "2",
-            "--threads",
-            "8",
-        ]);
+    fn repeated_k_accumulates() {
+        let a = parse(&["--k", "64", "--k", "512"]);
         assert_eq!(a.k_values(), vec![64, 512]);
-        assert_eq!(a.thread_values(), vec![2, 8]);
     }
 
     #[test]
@@ -201,15 +163,5 @@ mod tests {
             a.rest,
             vec!["--objective".to_string(), "mapping".to_string()]
         );
-    }
-
-    #[test]
-    fn thread_values_start_at_one_and_double() {
-        let a = parse(&[]);
-        let t = a.thread_values();
-        assert_eq!(t[0], 1);
-        for w in t.windows(2) {
-            assert_eq!(w[1], w[0] * 2);
-        }
     }
 }

@@ -7,10 +7,8 @@
 //! * **disk v2** — the interleaved per-field stream format, cold page cache;
 //! * **disk v3** — the sectioned fixed-stride format decoded by bulk copy.
 //!
-//! An extra row runs Fennel under the deterministic sharded engine
-//! (`S = 4`, memory source) to track the buffering + exchange overhead, and
-//! one more scans the stream through the [`EdgesOf`] adapter (no scoring),
-//! isolating raw edge-ingest throughput. Every partitioning run
+//! An extra row scans the stream through the [`EdgesOf`] adapter (no
+//! scoring), isolating raw edge-ingest throughput. Every partitioning run
 //! asserts **byte-identical assignments** across the three sources, so the
 //! throughput numbers can never drift apart from correctness.
 //!
@@ -29,10 +27,7 @@
 //! memory nodes/s falls more than 20% below the value recorded in `FILE`.
 
 use oms_bench::BenchArgs;
-use oms_core::{
-    Fennel, FlatObjective, Hashing, Ldg, OnePassConfig, Partitioner, ShardedFlat,
-    StreamingPartitioner,
-};
+use oms_core::{Fennel, Hashing, Ldg, OnePassConfig, StreamingPartitioner};
 use oms_graph::io::{write_stream_file_with, DiskStream, StreamFormatVersion, StreamWriteOptions};
 use oms_graph::{CsrGraph, EdgeStream, EdgesOf, InMemoryStream};
 use oms_obs::Stopwatch;
@@ -197,33 +192,6 @@ fn main() {
     run_algorithm("ldg", &ldg, &graph, reps, cold, &mut rows);
     let fennel = Fennel::new(K, cfg);
     let fennel_mem_s = run_algorithm("fennel", &fennel, &graph, reps, cold, &mut rows);
-
-    // The deterministic sharded engine at S = 4 over the memory source. Its
-    // assignments legitimately differ from the classic engine (round-stale
-    // load views), so there is no cross-source byte-equality assert here;
-    // the row tracks the buffering + exchange overhead against the
-    // `fennel / memory` row above.
-    {
-        let sharded = ShardedFlat::new(K, cfg, FlatObjective::Fennel, 4);
-        let (s, _) = measure(reps, || {
-            sharded
-                .partition(&mut InMemoryStream::new(&graph))
-                .unwrap()
-                .assignments()
-                .to_vec()
-        });
-        let messages = sharded
-            .last_stats()
-            .map(|stats| stats.total_messages())
-            .unwrap_or(0);
-        rows.push(Row {
-            label: "fennel s4 / memory".into(),
-            seconds: s,
-            nodes_per_s: n as f64 / s,
-            edges_per_s: m as f64 / s,
-        });
-        println!("fennel shards=4 exchanged {messages} messages\n");
-    }
 
     // Raw edge-scan throughput through the EdgesOf adapter (no scoring):
     // memory and sectioned disk.

@@ -9,7 +9,6 @@
 //! | `tuning`        | §4 parameter-tuning results                           |
 //! | `fig2_quality`  | Fig. 2a/2b (quality) and Fig. 2d/2e (profiles)         |
 //! | `fig2_runtime`  | Fig. 2c (speedup over Fennel) and Fig. 2f (profile)    |
-//! | `scalability`   | Table 2 and Fig. 3 (threads sweep)                     |
 //! | `memory`        | §4.1 memory-requirements paragraph                     |
 //! | `edgepart`      | vertex-cut replication factor (beyond the paper)       |
 //!
@@ -18,7 +17,8 @@
 //! directory, default `target/experiments`) and `--quick`. The absolute
 //! numbers depend on the host machine and on the synthetic corpus, but the
 //! *relationships* the paper reports (who wins, by roughly which factor, how
-//! results change with `k` and the thread count) are reproduced.
+//! results change with `k`) are reproduced. The paper's thread-scaling
+//! results (Table 2, Fig. 3) are not: every run here is sequential.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

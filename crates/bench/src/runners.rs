@@ -37,8 +37,8 @@ pub fn quality_corpus(scale: f64, seed: u64) -> Vec<(String, CsrGraph)> {
         .collect()
 }
 
-/// The corpus used by the scalability experiments: the paper restricts the
-/// threads sweep to its largest instances, so this keeps only the graphs
+/// The corpus of the memory experiment: like the paper's scalability runs
+/// it is restricted to the largest instances, so this keeps only the graphs
 /// above the median node count (and always at least three).
 pub fn scalability_corpus(scale: f64, seed: u64) -> Vec<(String, CsrGraph)> {
     let mut all: Vec<(String, CorpusClass, CsrGraph)> = scaled_corpus(scale, seed);

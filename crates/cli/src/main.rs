@@ -6,7 +6,7 @@
 //! oms partition <graph> --k 256 --algo e-hash|e-dbh|e-greedy [--lambda 1.0] [--passes P]
 //!               # vertex-cut edge partitioning: reports the replication factor and
 //!               # writes one "u v block" line per edge
-//! oms partition <graph> --job "oms:4:16:8@eps=0.03,threads=8" [--output FILE]
+//! oms partition <graph> --job "oms:4:16:8@eps=0.03,passes=3" [--output FILE]
 //! oms map       <graph.metis|graph.oms> --hierarchy 4:16:8 [--distances 1:10:100]
 //!               [--algo oms|fennel|hashing|rms] [job flags] [--output mapping.txt]
 //! oms algorithms                              # list the registered algorithms
@@ -27,12 +27,11 @@
 //! The four job commands (`partition`, `map`, `apply-deltas`, `replay`)
 //! share one flag set, derived from the job-option table
 //! (`oms_core::knobs`): `--job SPEC` or `--algo NAME` plus one `--flag` per
-//! option that has one (`--epsilon`, `--seed`, `--threads`, `--shards`,
-//! `--passes`, `--converge`, `--buffer`, `--lambda`, `--drift`, `--repair`,
-//! `--window`, `--distances`); `--job` excludes all the others. They also
-//! accept `--trace FILE` (record the run's deterministic JSON-lines event
-//! trace) and `--metrics` (print a Prometheus-style exposition after the
-//! run).
+//! option that has one (`--epsilon`, `--seed`, `--passes`, `--converge`,
+//! `--buffer`, `--lambda`, `--drift`, `--repair`, `--window`,
+//! `--distances`); `--job` excludes all the others. They also accept
+//! `--trace FILE` (record the run's deterministic JSON-lines event trace)
+//! and `--metrics` (print a Prometheus-style exposition after the run).
 //!
 //! `--format` overrides the extension-based sniffing (`.oms` = binary
 //! vertex stream, `.txt`/`.edges`/`.el` = edge list, everything else =
@@ -86,7 +85,7 @@ fn usage() -> String {
     format!(
         "usage:
   oms partition  <graph> --k <k> [--algo NAME] [job flags] [--format F] [--output FILE]
-  oms partition  <graph> --job <spec>  (e.g. \"oms:4:16:8@eps=0.03,threads=8\" or \"e-greedy:256@lambda=1.5\") [--output FILE]
+  oms partition  <graph> --job <spec>  (e.g. \"oms:4:16:8@eps=0.03,passes=3\" or \"e-greedy:256@lambda=1.5\") [--output FILE]
   oms map        <graph> --hierarchy a1:a2:... [--distances 1:10:100] [--algo NAME | --job SPEC] [job flags] [--format F] [--output FILE]
   oms algorithms
   oms convert    <in> <out>  (out format by extension: .oms = vertex stream, .txt/.edges/.el = edge list, else METIS) [--format F] [--stream-version 1|2|3]
@@ -520,29 +519,6 @@ fn partition_command(args: &[String]) -> Result<(), Error> {
     }
     println!("time       : {:.4} s", report.seconds);
     print_trajectory(&report.trajectory);
-    if let Some(stats) = &report.shard_stats {
-        println!(
-            "shards     : {} ({} rounds, {} messages: {} load, {} assignment, log hash {:016x})",
-            stats.shards,
-            stats.rounds,
-            stats.total_messages(),
-            stats.load_messages,
-            stats.assignment_messages,
-            stats.log_hash
-        );
-        for (shard, (sent, received)) in stats
-            .messages_sent
-            .iter()
-            .zip(&stats.messages_received)
-            .enumerate()
-        {
-            println!("  shard {shard:>2} : {sent} sent, {received} received");
-        }
-        println!(
-            "  send skew: {:.3} (max shard over mean; 1.000 = even)",
-            oms_metrics::message_skew(&stats.messages_sent)
-        );
-    }
     if let Some(output) = options.get("output") {
         write_assignments(output, report.partition.assignments())?;
         println!("partition written to {output}");
@@ -680,13 +656,13 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
         aliases => format!(" (aliases: {})", aliases.join(", ")),
     };
     for algo in ALGORITHMS.list() {
-        let markers = [
-            (algo.supports_repair, " [repairable]"),
-            (algo.reads("shards"), " [shardable]"),
-        ];
-        let markers: String = markers.iter().filter(|m| m.0).map(|m| m.1).collect();
+        let marker = if algo.supports_repair {
+            " [repairable]"
+        } else {
+            ""
+        };
         println!(
-            "  {:<12} {}{}{markers}",
+            "  {:<12} {}{}{marker}",
             algo.name,
             algo.description,
             aliases(algo.aliases)
@@ -695,10 +671,6 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
     println!(
         "\n[repairable] algorithms support incremental repair under `oms apply-deltas` \
          (drift=/repair= job options)."
-    );
-    println!(
-        "[shardable] algorithms run under the deterministic sharded engine \
-         (shards=S job option; per-shard message counts in the report)."
     );
     println!("\nedge (vertex-cut) algorithms — partition edges, report the replication factor:\n");
     for algo in oms_edgepart::EDGE_ALGORITHMS.list() {
@@ -1165,8 +1137,10 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
 
 /// The `oms trace` subcommand: parses a JSON-lines trace recorded with
 /// `--trace`, prints the summary and verifies the event-log hash against
-/// the `trace_end` footer. A hash mismatch is an internal error (exit 2):
-/// the file does not describe the run it claims to.
+/// the `trace_end` footer. What is wrong with the file's content — a line
+/// outside the grammar, a missing footer (a torn write), a hash mismatch —
+/// is an internal error (exit 2): the file does not describe the run it
+/// claims to.
 fn trace_command(args: &[String]) -> Result<(), Error> {
     let (positional, _options) = split_options(args, &[])?;
     let Some(path) = positional.first() else {
@@ -1174,14 +1148,21 @@ fn trace_command(args: &[String]) -> Result<(), Error> {
     };
     let text = std::fs::read_to_string(path)
         .map_err(|e| Error::Internal(format!("cannot read {path}: {e}")))?;
-    let summary = oms_obs::summarize(&text).map_err(Error::Usage)?;
+    let summary =
+        oms_obs::summarize(&text).map_err(|e| Error::Internal(format!("trace error: {e}")))?;
     println!("trace            {path}");
     print!("{summary}");
+    let Some(footer) = summary.footer else {
+        return Err(Error::Internal(
+            "trace error: no trace_end footer — the file was cut off before the trace was \
+             completely written"
+                .into(),
+        ));
+    };
     if summary.hash_verified() == Some(false) {
         return Err(Error::Internal(format!(
             "event-log hash mismatch: footer {:#018x}, recomputed {:#018x}",
-            summary.footer.map(|f| f.log_hash).unwrap_or(0),
-            summary.recomputed_hash
+            footer.log_hash, summary.recomputed_hash
         )));
     }
     Ok(())

@@ -183,6 +183,8 @@ fn algorithms_command_lists_the_registry() {
         assert!(stdout.contains(name), "missing '{name}' in: {stdout}");
     }
     assert!(stdout.contains("vertex-cut"), "stdout was: {stdout}");
+    assert!(stdout.contains("[repairable]"), "stdout was: {stdout}");
+    assert!(!stdout.contains("[shardable]"), "stdout was: {stdout}");
 }
 
 #[test]
@@ -274,7 +276,8 @@ fn edge_partitioning_reports_replication_and_writes_edge_assignments() {
     assert!(stdout.contains("pass  0"), "stdout was: {stdout}");
     assert!(stdout.contains("replication"), "stdout was: {stdout}");
 
-    // threads= cannot mean anything for the sequential edge pipeline.
+    // --threads is not a flag: every run, edge pipeline included, is
+    // sequential.
     let output = oms()
         .arg("partition")
         .arg(&graph_path)
@@ -282,6 +285,8 @@ fn edge_partitioning_reports_replication_and_writes_edge_assignments() {
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown option '--threads'"), "{stderr}");
 }
 
 #[test]
@@ -662,6 +667,130 @@ fn map_records_a_trace_that_verifies() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("hash check       ok"), "{stdout}");
     assert!(stdout.contains("pass_end"), "{stdout}");
+}
+
+/// What `oms trace` finds wrong with a file's *content* is exit 2 with one
+/// `error: trace error: …` line and no usage text: a line outside the
+/// grammar, an event of the removed sharded engine (unknown like any other,
+/// with its line number), and a trace cut off before its `trace_end` footer
+/// — which still prints its summary first.
+#[test]
+fn broken_traces_are_content_errors_not_usage_errors() {
+    let dir = temp_dir("broken-traces");
+    let start = "{\"seq\":0,\"event\":\"pass_start\",\"pass\":0}\n";
+    let end =
+        "{\"seq\":1,\"event\":\"pass_end\",\"pass\":0,\"nodes\":5,\"edge_cut\":2,\"moved\":5}\n";
+    let footer = "{\"event\":\"trace_end\",\"events\":2,\"dropped\":0,\"log_hash\":1}\n";
+    let shard_round = "{\"seq\":2,\"event\":\"shard_round\",\"round\":1,\"messages\":4}\n";
+    let cases = [
+        (
+            "malformed.jsonl",
+            format!("{start}{end}this is not a trace line\n{footer}"),
+            "line 3: not a JSON object line",
+            false,
+        ),
+        (
+            "removed-event.jsonl",
+            format!("{start}{end}{shard_round}{footer}"),
+            "line 3: unknown or incomplete event 'shard_round'",
+            false,
+        ),
+        (
+            "torn.jsonl",
+            format!("{start}{end}"),
+            "no trace_end footer",
+            true,
+        ),
+    ];
+    for (name, text, message, summarised) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let output = oms().arg("trace").arg(&path).output().unwrap();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.starts_with("error: trace error: "),
+            "{name}: {stderr}"
+        );
+        assert!(stderr.contains(message), "{name}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert_eq!(
+            stdout.contains("events retained  2"),
+            summarised,
+            "{name}: {stdout}"
+        );
+    }
+}
+
+/// `threads=` / `shards=` and their flags left with the two parallel
+/// engines; naming one is a usage error on every job command, never
+/// accepted and ignored — and never an abort (`shards=100000000` used to
+/// die allocating 24 GB).
+#[test]
+fn the_removed_parallel_options_are_usage_errors_everywhere() {
+    let dir = temp_dir("removed-options");
+    let graph_path = dir.join("er.metis");
+    let deltas_path = dir.join("er.deltas");
+    let output = oms()
+        .args(["generate", "er", "300"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    let output = oms()
+        .arg("gen-deltas")
+        .arg(&graph_path)
+        .arg(&deltas_path)
+        .args(["--batches", "2", "--ops", "10"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+
+    let graph = graph_path.to_str().unwrap();
+    let commands: [(&str, Vec<&str>); 4] = [
+        ("partition", vec![graph]),
+        ("map", vec![graph]),
+        ("apply-deltas", vec![graph, deltas_path.to_str().unwrap()]),
+        ("replay", vec![graph]),
+    ];
+    let refused = |command: &str, positional: &[&str], args: &[&str], message: &str| {
+        let mut oms = oms();
+        oms.arg(command).args(positional).args(args);
+        let output = oms.output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{command} {args:?}: {stderr}"
+        );
+        assert!(stderr.contains(message), "{command} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command} {args:?}: {stderr}");
+    };
+    for (command, positional) in &commands {
+        let shape = if *command == "map" {
+            ["--hierarchy", "2:2"]
+        } else {
+            ["--k", "4"]
+        };
+        for flag in ["--threads", "--shards"] {
+            let args = [shape[0], shape[1], flag, "2"];
+            let message = format!("unknown option '{flag}'");
+            refused(command, positional, &args, &message);
+        }
+        for (spec, key) in [
+            ("fennel:4@threads=2", "threads"),
+            ("oms:2:2@threads=2", "threads"),
+            ("fennel:4@shards=2", "shards"),
+            ("fennel:4@shards=100000000", "shards"),
+            ("multilevel:4@threads=4", "threads"),
+            ("e-greedy:4@threads=4", "threads"),
+        ] {
+            let message = format!("unknown job option '{key}' (known: eps, seed, passes,");
+            refused(command, positional, &["--job", spec], &message);
+        }
+    }
 }
 
 /// `--job` encodes the whole job for every job command and every job flag —

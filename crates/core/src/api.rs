@@ -1,18 +1,17 @@
 //! The unified, object-safe partitioning API.
 //!
 //! Every algorithm family in this workspace — the flat baselines
-//! ([`Hashing`](crate::Hashing), [`Ldg`](crate::Ldg),
-//! [`Fennel`](crate::Fennel)), online recursive multi-section
-//! ([`OnlineMultiSection`], both OMS and nh-OMS), their restreaming and
-//! shared-memory parallel runs and the in-memory multilevel baseline
-//! (registered by `oms-multilevel`) — is reachable through three pieces:
+//! ([`Hashing`], [`Ldg`], [`Fennel`]), online recursive multi-section
+//! ([`OnlineMultiSection`], both OMS and nh-OMS), their restreaming runs
+//! and the in-memory multilevel baseline (registered by `oms-multilevel`) —
+//! is reachable through three pieces:
 //!
 //! * [`Partitioner`] — a dyn-compatible trait: `run` takes any
 //!   `&mut dyn NodeStream` and returns a [`PartitionReport`]. It is
 //!   blanket-implemented for every [`StreamingPartitioner`], so existing
 //!   algorithms participate for free.
 //! * [`JobSpec`] — a parseable, round-trippable description of a
-//!   partitioning job (`"oms:4:16:8@eps=0.03,threads=8"`), with
+//!   partitioning job (`"oms:4:16:8@eps=0.03,passes=3"`), with
 //!   [`JobSpec::build`] as the factory producing a `Box<dyn Partitioner>`.
 //!   Its options are the rows of the job-option table ([`crate::knobs`]).
 //! * The **dispatch registry** [`ALGORITHMS`] — a shared name → constructor
@@ -35,8 +34,6 @@
 //!
 //! eps=<float>                allowed imbalance ε (default 0.03)
 //! seed=<int>                 RNG seed (default 0)
-//! threads=<int>              shared-memory threads; >1 selects the parallel drivers (default 1)
-//! shards=<int>               workers of the deterministic sharded engine; excludes threads>1 (default 1)
 //! passes=<int>               restreaming passes (an upper bound when conv= is set) (default 1)
 //! conv=<float>               relative cut improvement below which a multi-pass run stops early; 0 = never (default 0)
 //! base=<int>                 nh-OMS multi-section base (default 4)
@@ -52,13 +49,10 @@
 //! `eps`, `seed`, `passes` and `conv` apply to every algorithm, and
 //! `drift`, `repair` and `window` are read by the dynamic-maintenance
 //! frontend whatever the algorithm. The others are algorithm-scoped: a job
-//! may only set one its algorithm reads (`shards` — the S-way
-//! bulk-synchronous engine with seeded message exchange — for the
-//! algorithms `oms algorithms` marks shardable, `base`/`hybrid` for
-//! `oms`/`nh-oms`, `buf` for `buffered`, `lambda` for `e-greedy`;
-//! `threads` and `dist` for every node partitioner). A multi-pass run
-//! always stops once no node moves; with `window`, the final delta batch
-//! always checkpoints.
+//! may only set one its algorithm reads (`base`/`hybrid` for
+//! `oms`/`nh-oms`, `buf` for `buffered`, `lambda` for `e-greedy`; `dist`
+//! for every node partitioner). A multi-pass run always stops once no node
+//! moves; with `window`, the final delta batch always checkpoints.
 //!
 //! Algorithm names starting with `e-` (`e-hash`, `e-dbh`, `e-greedy`)
 //! describe **edge partitioning** jobs under the vertex-cut objective; they
@@ -107,11 +101,9 @@ use crate::executor::{measure, PassStats, PassTrajectory};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::knobs::{self, Knob, KNOBS};
 use crate::oms::OnlineMultiSection;
-use crate::onepass::{run_flat, FlatObjective, StreamingPartitioner};
-use crate::parallel::{hashing_parallel, onepass_parallel_restream};
+use crate::onepass::{Fennel, FlatObjective, Hashing, Ldg, StreamingPartitioner};
 use crate::partition::{Partition, UNASSIGNED};
 use crate::registry::{Entry, Registry};
-use crate::shard::{ShardStats, ShardedFlat};
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, NodeStream, NodeWeight};
 use oms_obs::Stopwatch;
@@ -147,10 +139,6 @@ pub struct PartitionReport {
     /// Per-pass quality trajectory of a multi-pass (restreaming) run, in
     /// pass order. Empty for algorithms that do not track passes.
     pub trajectory: Vec<PassStats>,
-    /// Message statistics of runs driven by the sharded engine
-    /// (`shards=S` jobs): per-shard message counts, rounds, and the
-    /// seeded message-log hash. `None` for single-replica runs.
-    pub shard_stats: Option<ShardStats>,
     /// The partition itself.
     pub partition: Partition,
 }
@@ -185,10 +173,10 @@ impl PartitionReport {
 ///
 /// The trait is deliberately dyn-compatible so heterogeneous frontends can
 /// hold `Box<dyn Partitioner>` built from a [`JobSpec`] and drive any
-/// algorithm — streaming, restreaming, parallel or in-memory — through one
-/// entry point. It is blanket-implemented for every
-/// [`StreamingPartitioner`]; algorithms that need random access to the graph
-/// (parallel drivers, multilevel) implement it directly and use
+/// algorithm — streaming, restreaming or in-memory — through one entry
+/// point. It is blanket-implemented for every [`StreamingPartitioner`];
+/// algorithms that need random access to the graph (multilevel) implement
+/// it directly and use
 /// [`NodeStream::as_graph`] / [`materialize_stream`] to obtain one.
 pub trait Partitioner {
     /// Registry name of the algorithm (used in reports).
@@ -213,13 +201,6 @@ pub trait Partitioner {
 
     /// The topology this job maps onto, when one was specified.
     fn topology(&self) -> Option<(&HierarchySpec, &DistanceSpec)> {
-        None
-    }
-
-    /// Message statistics of the most recent run, for partitioners driven
-    /// by the sharded engine ([`ShardedFlat`]).
-    /// `None` for the classic single-replica engines.
-    fn shard_stats(&self) -> Option<ShardStats> {
         None
     }
 
@@ -255,7 +236,6 @@ pub trait Partitioner {
             total_edge_weight: measured.map(|m| m.total_edge_weight),
             seconds,
             trajectory: trajectory.stats,
-            shard_stats: self.shard_stats(),
             partition,
         })
     }
@@ -311,9 +291,8 @@ pub fn stream_mapping_cost(
 /// ([`NodeStream::as_graph`]), else one pass collected by
 /// [`oms_graph::collect_graph`].
 ///
-/// Random-access algorithms behind the unified API (parallel drivers,
-/// multilevel) call this, trading the streaming memory guarantee for
-/// applicability.
+/// Random-access algorithms behind the unified API (multilevel) call this,
+/// trading the streaming memory guarantee for applicability.
 pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     if let Some(graph) = stream.as_graph() {
         return Ok(graph.clone());
@@ -322,39 +301,6 @@ pub fn materialize_stream(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
 }
 
 // ------------------------------------------------------------ job adapters
-
-/// One engine run of a job: `(stream, tracked)` → partition and trajectory,
-/// where `tracked` asks a single-pass parallel run to measure itself.
-type RunFn = Box<dyn Fn(&mut dyn NodeStream, bool) -> Result<(Partition, PassTrajectory)>>;
-
-/// A built-in algorithm bound to the engine its job selected, as a
-/// [`Partitioner`].
-struct EngineRun {
-    name: &'static str,
-    k: u32,
-    run: RunFn,
-}
-
-impl Partitioner for EngineRun {
-    fn name(&self) -> String {
-        self.name.to_string()
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        Ok((self.run)(stream, false)?.0)
-    }
-
-    fn partition_tracked(
-        &self,
-        stream: &mut dyn NodeStream,
-    ) -> Result<(Partition, PassTrajectory)> {
-        (self.run)(stream, true)
-    }
-}
 
 /// The partitioner produced by [`JobSpec::build`]: the algorithm picked from
 /// the registry, labelled with its registry name and optionally carrying the
@@ -387,10 +333,6 @@ impl Partitioner for JobPartitioner {
 
     fn topology(&self) -> Option<(&HierarchySpec, &DistanceSpec)> {
         self.topology.as_ref().map(|(h, d)| (h, d))
-    }
-
-    fn shard_stats(&self) -> Option<ShardStats> {
-        self.inner.shard_stats()
     }
 }
 
@@ -516,12 +458,6 @@ pub struct JobSpec {
     pub epsilon: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Shared-memory threads (`> 1` selects the parallel drivers).
-    pub threads: usize,
-    /// Shard workers (`> 1` selects the deterministic sharded engine for
-    /// algorithms whose registry entry supports it). Mutually exclusive
-    /// with `threads > 1`.
-    pub shards: usize,
     /// Stream passes (`> 1` selects the restreaming variants; an upper
     /// bound when `convergence` is set).
     pub passes: usize,
@@ -566,8 +502,6 @@ impl JobSpec {
             shape: JobShape::Flat(k),
             epsilon: DEFAULT_EPSILON,
             seed: 0,
-            threads: 1,
-            shards: 1,
             passes: 1,
             convergence: 0.0,
             base_b: DEFAULT_BASE_B,
@@ -599,11 +533,6 @@ impl JobSpec {
         epsilon: f64,
         /// Sets the RNG seed.
         seed: u64,
-        /// Sets the number of shared-memory threads.
-        threads: usize,
-        /// Sets the number of shard workers of the deterministic sharded
-        /// engine.
-        shards: usize,
         /// Sets the number of restreaming passes.
         passes: usize,
         /// Sets the convergence threshold of multi-pass runs (relative
@@ -683,8 +612,6 @@ impl JobSpec {
         }
         let broken_rule = if k == 0 {
             "the number of blocks k must be positive"
-        } else if self.shards > 1 && self.threads > 1 {
-            "shards= and threads= are mutually exclusive: the sharded engine owns its workers"
         } else if self.convergence > 0.0 && self.passes <= 1 {
             "conv= only applies to multi-pass runs; set passes=<N> (the pass budget) as well"
         } else {
@@ -812,62 +739,37 @@ pub type AlgorithmInfo = Entry<dyn Partitioner>;
 /// [`JobSpec::build`] with [`Registry::register`];
 /// `oms_multilevel::register_algorithms()` adds the in-memory `multilevel`
 /// and `rms` baselines and `buffered` this way. Every node algorithm takes
-/// `threads=` and `dist=`.
+/// `dist=`.
 pub static ALGORITHMS: Registry<dyn Partitioner> =
-    Registry::new("algorithm", &["threads", "dist"], builtin_algorithms);
+    Registry::new("algorithm", &["dist"], builtin_algorithms);
 
-/// A flat rule (`None` = Hashing) on the engine the job selects: sharded,
-/// shared-memory parallel (§3.4, over the materialised graph) or the
-/// sequential pass-aware run of [`crate::onepass`].
+/// The pass-aware flat baseline of `rule` (`None` = Hashing) the job
+/// describes.
 fn build_flat(spec: &JobSpec, rule: Option<FlatObjective>) -> Result<Box<dyn Partitioner>> {
-    let (k, config, threads) = (spec.num_blocks(), spec.one_pass_config(), spec.threads);
+    let (k, config) = (spec.num_blocks(), spec.one_pass_config());
     let (passes, convergence) = (spec.passes, spec.convergence);
-    let run: RunFn = match rule {
-        Some(objective) if spec.shards > 1 => {
-            let sharded = ShardedFlat::new(k, config, objective, spec.shards);
-            return Ok(Box::new(sharded.passes(passes).convergence(convergence)));
+    Ok(match rule {
+        None => Box::new(
+            Hashing::new(k, config)
+                .passes(passes)
+                .convergence(convergence),
+        ),
+        Some(FlatObjective::Ldg) => {
+            Box::new(Ldg::new(k, config).passes(passes).convergence(convergence))
         }
-        Some(objective) if threads > 1 => Box::new(move |stream, tracked| {
-            let graph = materialize_stream(stream)?;
-            onepass_parallel_restream(
-                &graph,
-                k,
-                objective,
-                config,
-                threads,
-                passes,
-                convergence,
-                tracked,
-            )
-        }),
-        // Hashing is a fixed point after one pass no matter how it is
-        // driven, so restreaming (sequential, with the immediate fixed-point
-        // exit) takes precedence over the parallel driver.
-        None if threads > 1 && passes == 1 => Box::new(move |stream, _| {
-            let graph = materialize_stream(stream)?;
-            let partition = hashing_parallel(&graph, k, config, threads)?;
-            Ok((partition, PassTrajectory::default()))
-        }),
-        _ => Box::new(move |stream, _| run_flat(k, config, rule, passes, convergence, stream)),
-    };
-    let name = rule.map_or("hashing", |rule| rule.name());
-    Ok(Box::new(EngineRun { name, k, run }))
+        Some(FlatObjective::Fennel) => Box::new(
+            Fennel::new(k, config)
+                .passes(passes)
+                .convergence(convergence),
+        ),
+    })
 }
 
-/// OMS over the tree of `oms`, on the engine the job selects.
+/// OMS over the tree of `oms`, with the job's pass budget.
 fn build_oms(spec: &JobSpec, oms: OnlineMultiSection) -> Result<Box<dyn Partitioner>> {
-    let (threads, passes, convergence) = (spec.threads, spec.passes, spec.convergence);
-    if threads <= 1 {
-        return Ok(Box::new(oms.passes(passes).convergence(convergence)));
-    }
-    Ok(Box::new(EngineRun {
-        name: "oms",
-        k: oms.tree().num_blocks(),
-        run: Box::new(move |stream, tracked| {
-            let graph = materialize_stream(stream)?;
-            oms.partition_graph_parallel_restream(&graph, threads, passes, convergence, tracked)
-        }),
-    }))
+    Ok(Box::new(
+        oms.passes(spec.passes).convergence(spec.convergence),
+    ))
 }
 
 fn builtin_algorithms() -> Vec<AlgorithmInfo> {
@@ -884,8 +786,8 @@ fn builtin_algorithms() -> Vec<AlgorithmInfo> {
         Entry {
             name: "ldg",
             aliases: &["reldg"],
-            description: "linear deterministic greedy; passes>1 = ReLDG, threads>1 = parallel",
-            reads: &["shards"],
+            description: "linear deterministic greedy; passes>1 = ReLDG",
+            reads: &[],
             supports_hierarchy: false,
             supports_repair: true,
             build: |spec| build_flat(spec, Some(FlatObjective::Ldg)),
@@ -893,8 +795,8 @@ fn builtin_algorithms() -> Vec<AlgorithmInfo> {
         Entry {
             name: "fennel",
             aliases: &["refennel"],
-            description: "Fennel one-pass; passes>1 = ReFennel, threads>1 = parallel",
-            reads: &["shards"],
+            description: "Fennel one-pass; passes>1 = ReFennel",
+            reads: &[],
             supports_hierarchy: false,
             supports_repair: true,
             build: |spec| build_flat(spec, Some(FlatObjective::Fennel)),
@@ -967,14 +869,14 @@ mod tests {
 
     #[test]
     fn parse_hierarchy_spec_with_options() {
-        let spec = JobSpec::parse("oms:4:16:8@eps=0.05,threads=8,seed=3").unwrap();
+        let spec = JobSpec::parse("oms:4:16:8@eps=0.05,passes=8,seed=3").unwrap();
         assert_eq!(spec.algorithm, "oms");
         assert_eq!(
             spec.shape,
             JobShape::Hierarchy(HierarchySpec::parse("4:16:8").unwrap())
         );
         assert_eq!(spec.epsilon, 0.05);
-        assert_eq!(spec.threads, 8);
+        assert_eq!(spec.passes, 8);
         assert_eq!(spec.seed, 3);
         assert_eq!(spec.num_blocks(), 512);
     }
@@ -984,10 +886,9 @@ mod tests {
         for text in [
             "fennel:64",
             "oms:4:16:8",
-            "oms:4:16:8@eps=0.05,threads=8",
+            "oms:4:16:8@eps=0.05,passes=8",
             "ldg:16@passes=3",
-            "fennel:64@shards=4",
-            "ldg:16@seed=5,shards=2,passes=3",
+            "ldg:16@seed=5,passes=3",
             "nh-oms:10@seed=7,base=2",
             "ldg:16@passes=4,conv=0.02",
             "oms:2:2:2@dist=1:10:100",
@@ -1022,11 +923,9 @@ mod tests {
             "fennel",
             "fennel:abc",
             "fennel:16@wat=1",
-            "fennel:16@threads",
-            "fennel:16@threads=0",
+            "fennel:16@passes",
             "fennel:16@passes=0",
-            "fennel:16@shards=0",
-            "fennel:16@shards=abc",
+            "fennel:16@passes=abc",
             "fennel:16@eps=-1",
             "oms:4:1:8",
             "e-greedy:8@lambda=-1",
@@ -1104,8 +1003,6 @@ mod tests {
             ("fennel:8@hybrid=3", "hybrid=", "oms, nh-oms"),
             ("ldg:8@base=2", "base=", "oms, nh-oms"),
             ("oms:4:4@lambda=2", "lambda=", ""),
-            ("hashing:8@shards=2", "shards=", "ldg, fennel"),
-            ("nh-oms:8@shards=2", "shards=", "ldg, fennel"),
         ] {
             let Err(err) = JobSpec::parse(text).unwrap().build() else {
                 panic!("'{text}' must not build");
@@ -1115,15 +1012,14 @@ mod tests {
             assert!(msg.contains(knob), "{text}: {msg}");
             assert!(msg.contains(takers), "{text}: {msg}");
         }
-        // At its default the option is not "set"; the frontend's options and
-        // threads= are accepted with every node algorithm.
+        // At its default the option is not "set"; the frontend's options are
+        // accepted with every node algorithm.
         for text in [
             "fennel:8@buf=0",
             "ldg:8@base=4",
             "hashing:8@drift=0.5,repair=off,window=3",
             "oms:4:4@drift=0.5",
             "nh-oms:8@base=2,hybrid=1",
-            "hashing:8@threads=2",
         ] {
             let built = JobSpec::parse(text).unwrap().build();
             assert!(built.is_ok(), "{text}: {:?}", built.err());
@@ -1131,44 +1027,28 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_gated_at_build_time() {
-        // Only algorithms whose registry entry supports the sharded engine
-        // accept shards>1, and shards and threads are mutually exclusive.
-        for bad in [
-            "hashing:4@shards=2",
-            "oms:4@shards=2",
-            "nh-oms:4@shards=2",
-            "fennel:4@shards=2,threads=2",
+    fn the_removed_parallel_options_are_unknown_options() {
+        // `threads=` and `shards=` left the grammar with their engines: a
+        // spec naming one is refused while parsing, before anything is
+        // sized (`shards=100000000` used to abort on a 24 GB allocation).
+        for (text, key) in [
+            ("fennel:8@threads=2", "threads"),
+            ("oms:2:2@threads=2", "threads"),
+            ("fennel:8@shards=2", "shards"),
+            ("multilevel:8@threads=4", "threads"),
+            ("e-greedy:8@threads=4", "threads"),
+            ("fennel:8@shards=100000000", "shards"),
+            ("hashing:8@threads=2", "threads"),
+            ("fennel:4@shards=2,threads=2", "shards"),
+            ("fennel:4@passes=2,threads=2", "threads"),
         ] {
-            assert!(
-                JobSpec::parse(bad).unwrap().build().is_err(),
-                "'{bad}' should not build"
-            );
+            let Err(PartitionError::InvalidSpec(msg)) = JobSpec::parse(text) else {
+                panic!("'{text}' must be an InvalidSpec");
+            };
+            let expected = format!("unknown job option '{key}' (known: {})", knobs::keys());
+            assert_eq!(msg, expected, "{text}");
         }
-        assert!(JobSpec::parse("fennel:4@shards=2").unwrap().build().is_ok());
-        assert!(JobSpec::parse("ldg:4@shards=2").unwrap().build().is_ok());
-    }
-
-    #[test]
-    fn sharded_jobs_report_shard_stats() {
-        let graph = two_communities();
-        let report = JobSpec::parse("fennel:4@shards=2")
-            .unwrap()
-            .build()
-            .unwrap()
-            .run(&mut InMemoryStream::new(&graph))
-            .unwrap();
-        let stats = report.shard_stats.expect("sharded run reports stats");
-        assert_eq!(stats.shards, 2);
-        assert_eq!(stats.messages_sent.len(), 2);
-        // Classic runs report none.
-        let report = JobSpec::parse("fennel:4")
-            .unwrap()
-            .build()
-            .unwrap()
-            .run(&mut InMemoryStream::new(&graph))
-            .unwrap();
-        assert!(report.shard_stats.is_none());
+        assert_eq!(KNOBS.len(), 12);
     }
 
     #[test]
@@ -1194,13 +1074,6 @@ mod tests {
             "fennel:4@passes=3",
             "ldg:4@passes=2",
             "oms:4@passes=2",
-            "fennel:4@threads=2",
-            "ldg:4@threads=2",
-            "fennel:4@shards=2",
-            "ldg:4@shards=2",
-            "fennel:4@shards=2,passes=2",
-            "hashing:4@threads=2",
-            "oms:2:2@threads=2",
         ] {
             let job = JobSpec::parse(text).unwrap();
             let partitioner = job.build().unwrap_or_else(|e| panic!("{text}: {e}"));
@@ -1303,8 +1176,8 @@ mod tests {
         for text in [
             "hashing:4@passes=3",
             "ldg:4@passes=3",
-            "fennel:4@passes=2,threads=2",
-            "oms:4@passes=2,threads=2",
+            "fennel:4@passes=2",
+            "oms:4@passes=2",
             "nh-oms:4@passes=2",
         ] {
             let report = JobSpec::parse(text)

@@ -1,20 +1,14 @@
 //! The batch executor: one drive loop for every partitioner.
 //!
-//! Before this module existed, `oms.rs`, `onepass.rs`, `restream.rs` and
-//! `parallel.rs` each hand-rolled their own loop over a [`NodeStream`]; now
-//! they all plug a [`NodeSink`] (their scoring/assignment state) into a
-//! [`BatchExecutor`] and never touch the stream themselves. Dispatch comes
-//! in three shapes:
+//! `oms.rs`, `onepass.rs` and `restream.rs` plug a [`NodeSink`] (their
+//! scoring/assignment state) into a [`BatchExecutor`] and never touch the
+//! stream themselves. Every run is sequential, in stream order; dispatch
+//! comes in two shapes:
 //!
-//! * **sequential**, feeding the sink node by node in stream order (so the
-//!   result is byte-identical to the classic per-node path). The nodes are
-//!   served through [`NodeStream::for_each_node`]: in-memory sources hand
-//!   out borrowed CSR slices with no copy, file sources walk the batches
-//!   they decode;
-//! * **parallel** over an in-memory graph, splitting the node range into
-//!   contiguous chunks of roughly equal *edge mass* (not node count — skewed
-//!   degree distributions would otherwise load-imbalance the threads) and
-//!   running one chunk per rayon task;
+//! * **node by node** ([`BatchExecutor::run_restream`]), feeding the sink
+//!   through [`NodeStream::for_each_node`]: in-memory sources hand out
+//!   borrowed CSR slices with no copy, file sources walk the batches they
+//!   decode;
 //! * **batch-wise** ([`BatchExecutor::run_batches`]), handing whole
 //!   [`NodeBatch`]es to buffered algorithms that solve each batch as a
 //!   model graph.
@@ -31,16 +25,11 @@
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{CsrGraph, NodeBatch, NodeId, NodeStream, StreamedNode};
+use oms_graph::{NodeBatch, NodeStream, StreamedNode};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
-use rayon::prelude::*;
 
 /// Default number of nodes the executor pulls per batch.
 pub const DEFAULT_BATCH_SIZE: usize = oms_graph::DEFAULT_BATCH_SIZE;
-
-/// How many chunks each thread gets on average in the parallel dispatch;
-/// more chunks smooth residual load imbalance.
-const CHUNKS_PER_THREAD: usize = 8;
 
 /// A consumer of streamed nodes: the per-algorithm scoring/assignment state
 /// that the executor drives.
@@ -55,9 +44,9 @@ pub trait NodeSink {
     fn process(&mut self, node: StreamedNode<'_>);
 
     /// Called once after the last node of each pass, *before* the executor
-    /// reads [`NodeSink::assignments`] for the pass's statistics. Sinks that
-    /// buffer nodes internally (the sharded engine's round buffers) use this
-    /// to flush the partial final round; the default does nothing.
+    /// reads [`NodeSink::assignments`] for the pass's statistics. Sinks
+    /// drain their per-pass tallies into the observer's counters here; the
+    /// default does nothing.
     fn end_pass(&mut self, pass: usize) {
         let _ = pass;
     }
@@ -209,8 +198,8 @@ pub enum PassOutcome {
 }
 
 /// The accept / converge / revert bookkeeping shared by every multi-pass
-/// driver (the sequential engine, the parallel kernels, the buffered
-/// algorithm): feed it one measured pass at a time, act on the returned
+/// driver (the sequential engine, the buffered algorithm): feed it one
+/// measured pass at a time, act on the returned
 /// [`PassOutcome`], and take the trajectory at the end. Keeping the rules
 /// in one place guarantees that `passes=N` means the same thing no matter
 /// how an algorithm drives its passes.
@@ -595,65 +584,6 @@ impl BatchExecutor {
         }
         Ok(())
     }
-
-    /// Parallel dispatch over an in-memory graph (§3.4 of the paper): the
-    /// node range is split into edge-mass-balanced contiguous chunks and
-    /// `process_range(lo, hi)` runs for each chunk on a pool of `threads`
-    /// threads. The processor shares state through atomics.
-    pub fn run_parallel<F>(&self, graph: &CsrGraph, threads: usize, process_range: F)
-    where
-        F: Fn(NodeId, NodeId) + Sync,
-    {
-        let n = graph.num_nodes();
-        if n == 0 {
-            return;
-        }
-        let chunks = (threads.max(1) * CHUNKS_PER_THREAD).min(n);
-        let ranges = edge_balanced_ranges(graph, chunks);
-        let pool = build_pool(threads);
-        pool.install(|| {
-            ranges
-                .par_iter()
-                .for_each(|&(lo, hi)| process_range(lo, hi));
-        });
-    }
-
-    /// Like [`BatchExecutor::run_parallel`], but additionally hands each
-    /// chunk the matching slice of a per-node output array, so
-    /// embarrassingly parallel kernels (one independent write per node) can
-    /// fill their results directly — no atomics, no collection copy.
-    pub fn run_parallel_mut<T, F>(
-        &self,
-        graph: &CsrGraph,
-        threads: usize,
-        output: &mut [T],
-        process_range: F,
-    ) where
-        T: Send,
-        F: Fn(NodeId, NodeId, &mut [T]) + Sync,
-    {
-        let n = graph.num_nodes();
-        assert_eq!(output.len(), n, "output must hold one slot per node");
-        if n == 0 {
-            return;
-        }
-        let chunks = (threads.max(1) * CHUNKS_PER_THREAD).min(n);
-        let ranges = edge_balanced_ranges(graph, chunks);
-        // Split `output` into the disjoint per-range windows.
-        let mut tasks: Vec<((NodeId, NodeId), &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = output;
-        for &(lo, hi) in &ranges {
-            let (window, tail) = rest.split_at_mut((hi - lo) as usize);
-            tasks.push(((lo, hi), window));
-            rest = tail;
-        }
-        let pool = build_pool(threads);
-        pool.install(|| {
-            tasks
-                .par_iter_mut()
-                .for_each(|((lo, hi), window)| process_range(*lo, *hi, window));
-        });
-    }
 }
 
 /// What one measurement walk finds for an assignment (see [`measure`]).
@@ -805,109 +735,10 @@ pub fn measure_pass(
     measure(stream, assignments, k, None).map(|m| (m.edge_cut, m.imbalance))
 }
 
-/// Builds the rayon pool used by the parallel dispatch.
-pub(crate) fn build_pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .expect("failed to build rayon thread pool")
-}
-
-/// Splits `0..n` into at most `num_chunks` contiguous ranges of roughly
-/// equal **edge mass**. Each node costs `degree(v) + 1` (the `+1` keeps
-/// isolated nodes from collapsing into one giant chunk), so a chunk holding
-/// a hub node stays short while low-degree regions get wide chunks —
-/// balancing per-thread scoring work instead of node counts.
-pub fn edge_balanced_ranges(graph: &CsrGraph, num_chunks: usize) -> Vec<(NodeId, NodeId)> {
-    let n = graph.num_nodes();
-    if n == 0 || num_chunks == 0 {
-        return Vec::new();
-    }
-    let num_chunks = num_chunks.min(n);
-    let total_mass: u64 = 2 * graph.num_edges() as u64 + n as u64;
-    let mut ranges = Vec::with_capacity(num_chunks);
-    let mut lo = 0u32;
-    let mut mass_done = 0u64;
-    let mut mass_in_chunk = 0u64;
-    for v in 0..n as u32 {
-        mass_in_chunk += graph.degree(v) as u64 + 1;
-        // Target boundary for the chunk being built: distribute the
-        // remaining mass evenly over the remaining chunks.
-        let chunks_left = num_chunks - ranges.len();
-        let target = (total_mass - mass_done).div_ceil(chunks_left as u64);
-        let nodes_left = n as u32 - (v + 1);
-        if mass_in_chunk >= target && ranges.len() + 1 < num_chunks
-            // Never create more chunks than there are nodes left to fill them.
-            && nodes_left as usize >= num_chunks - ranges.len() - 1
-        {
-            ranges.push((lo, v + 1));
-            lo = v + 1;
-            mass_done += mass_in_chunk;
-            mass_in_chunk = 0;
-        }
-    }
-    ranges.push((lo, n as u32));
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_graph::{GraphBuilder, InMemoryStream};
-
-    #[test]
-    fn edge_balanced_ranges_cover_everything_exactly_once() {
-        let g = oms_gen::planted_partition(500, 8, 0.1, 0.01, 3);
-        for chunks in [1usize, 3, 8, 32, 499, 500, 10_000] {
-            let ranges = edge_balanced_ranges(&g, chunks);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= chunks.min(500));
-            assert_eq!(ranges[0].0, 0);
-            assert_eq!(ranges.last().unwrap().1, 500);
-            let total: usize = ranges.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
-            assert_eq!(total, 500);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0);
-                assert!(w[0].0 < w[0].1, "empty range");
-            }
-        }
-    }
-
-    #[test]
-    fn edge_balanced_ranges_handle_empty_graph() {
-        let g = oms_graph::CsrGraph::empty(0);
-        assert!(edge_balanced_ranges(&g, 4).is_empty());
-    }
-
-    #[test]
-    fn edge_balanced_ranges_shorten_chunks_around_hubs() {
-        // A star: node 0 has degree 999, everything else degree 1. With
-        // node-count chunking, the chunk holding node 0 would carry ~50 % of
-        // the edge mass; edge-mass chunking isolates the hub instead.
-        let mut b = GraphBuilder::new(1000);
-        for v in 1..1000u32 {
-            b.add_edge(0, v).unwrap();
-        }
-        let g = b.build();
-        let ranges = edge_balanced_ranges(&g, 8);
-        let first = ranges[0];
-        assert_eq!(first.0, 0);
-        assert!(
-            (first.1 - first.0) < 125,
-            "hub chunk should be short, got {:?}",
-            first
-        );
-        let mass =
-            |&(lo, hi): &(u32, u32)| -> u64 { (lo..hi).map(|v| g.degree(v) as u64 + 1).sum() };
-        let masses: Vec<u64> = ranges.iter().map(mass).collect();
-        let max = *masses.iter().max().unwrap();
-        let total: u64 = masses.iter().sum();
-        let even = total.div_ceil(ranges.len() as u64);
-        assert!(
-            max <= 2 * even + 1000, // the hub alone outweighs an even share
-            "worst chunk mass {max} vs even share {even}"
-        );
-    }
+    use oms_graph::{InMemoryStream, NodeId};
 
     #[test]
     fn executor_feeds_sink_in_stream_order() {
@@ -978,18 +809,5 @@ mod tests {
         assert_eq!(sizes, [10, 10, 5]);
         assert_eq!(exact.concat(), (0..25).collect::<Vec<NodeId>>());
         assert_eq!(batches_of(&mut Short(InMemoryStream::new(&g))), exact);
-    }
-
-    #[test]
-    fn run_parallel_visits_every_node_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let g = oms_gen::planted_partition(321, 4, 0.1, 0.02, 5);
-        let visits: Vec<AtomicU32> = (0..321).map(|_| AtomicU32::new(0)).collect();
-        BatchExecutor::default().run_parallel(&g, 4, |lo, hi| {
-            for v in lo..hi {
-                visits[v as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
     }
 }

@@ -90,11 +90,9 @@ pub struct Knob {
 /// The table, in the order `Display` prints the options.
 #[rustfmt::skip] // one row per line, so the table reads column-wise
 #[allow(clippy::unnecessary_cast)] // `int!` casts every integer width, u64 included
-pub static KNOBS: [Knob; 14] = [
+pub static KNOBS: [Knob; 12] = [
     Knob { key: "eps",     aliases: &["epsilon"],      flag: Some("epsilon"),   scope: Job,       field: float!(epsilon, positive false),           help: "allowed imbalance ε" },
     Knob { key: "seed",    aliases: &[],               flag: Some("seed"),      scope: Job,       field: int!(seed: u64, min 0),                    help: "RNG seed" },
-    Knob { key: "threads", aliases: &[],               flag: Some("threads"),   scope: Algorithm, field: int!(threads: usize, min 1),               help: "shared-memory threads; >1 selects the parallel drivers" },
-    Knob { key: "shards",  aliases: &[],               flag: Some("shards"),    scope: Algorithm, field: int!(shards: usize, min 1),                help: "workers of the deterministic sharded engine; excludes threads>1" },
     Knob { key: "passes",  aliases: &[],               flag: Some("passes"),    scope: Job,       field: int!(passes: usize, min 1),                help: "restreaming passes (an upper bound when conv= is set)" },
     Knob { key: "conv",    aliases: &["convergence"],  flag: Some("converge"),  scope: Job,       field: float!(convergence, positive false),       help: "relative cut improvement below which a multi-pass run stops early; 0 = never" },
     Knob { key: "base",    aliases: &[],               flag: None,              scope: Algorithm, field: int!(base_b: u32, min 0),                  help: "nh-OMS multi-section base" },

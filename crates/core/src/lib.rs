@@ -19,13 +19,9 @@
 //!   `S = a1:a2:…:aℓ` (process mapping, "OMS") or an artificial recursive
 //!   `b`-section tree for arbitrary `k` (plain partitioning, "nh-OMS").
 //! * [`executor`] is the single drive loop behind all of them: the
-//!   [`BatchExecutor`] pulls [`NodeBatch`](oms_graph::NodeBatch)es from any
-//!   stream (overlapping disk ingest with scoring) and dispatches them
-//!   sequentially to a [`NodeSink`], in parallel over edge-mass-balanced
-//!   chunks, or batch-wise to buffered algorithms.
-//! * [`parallel`] contains the shared-memory parallel scoring kernels
-//!   (§3.4), driven through the executor's parallel dispatch with atomic
-//!   block-weight updates.
+//!   [`BatchExecutor`] walks any stream sequentially, in stream order, and
+//!   feeds it node by node to a [`NodeSink`] or batch-wise
+//!   ([`NodeBatch`](oms_graph::NodeBatch)) to buffered algorithms.
 //! * [`restream`] holds the pass policy of multi-pass restreaming (ReFennel /
 //!   ReLDG style, §3.2). There are no restreaming types: every partitioner
 //!   above carries `passes`/`convergence` and runs through the executor's
@@ -86,12 +82,10 @@ pub mod knobs;
 pub mod mstree;
 pub mod oms;
 pub mod onepass;
-pub mod parallel;
 pub mod partition;
 pub mod registry;
 pub mod restream;
 pub mod scorer;
-pub mod shard;
 
 pub use api::{
     materialize_stream, stream_edge_cut, AlgorithmInfo, JobShape, JobSpec, PartitionReport,
@@ -109,7 +103,6 @@ pub use onepass::{Fennel, FlatObjective, Hashing, Ldg, RepairSink, StreamingPart
 pub use partition::{BlockId, Partition, UNASSIGNED};
 pub use registry::{Entry, Registry};
 pub use restream::refine_partition;
-pub use shard::{ShardStats, ShardedFlat};
 
 /// Errors produced by the partitioning algorithms.
 #[derive(Debug)]

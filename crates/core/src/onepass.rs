@@ -236,10 +236,10 @@ impl FlatObjective {
     /// * LDG: `base = 1 − c(Vᵢ)/L_max`, score `= conn · base`
     ///   (the same operations in the same order as the direct form).
     ///
-    /// This is the single definition of both objectives; the sequential
-    /// `score_base` arena and the parallel kernels' per-thread caches both
-    /// evaluate it. It factors into `load_term` (the only part that costs a
-    /// `powf`) and `base_of_term`.
+    /// This is the single definition of both objectives; the flat
+    /// `score_base` arena and the OMS per-tree-node arena both evaluate it.
+    /// It factors into `load_term` (the only part that costs a `powf`) and
+    /// `base_of_term`.
     #[inline]
     pub fn base(&self, weight: NodeWeight, capacity: NodeWeight, alpha: f64, gamma: f64) -> f64 {
         self.base_of_term(self.load_term(weight, gamma), capacity, alpha, gamma)
@@ -624,13 +624,6 @@ impl FlatState {
         }
     }
 
-    /// Overwrites one block's load with an authoritative value (the sharded
-    /// engine's load-vector gossip) and refreshes its penalty.
-    pub(crate) fn set_block_weight(&mut self, b: usize, w: NodeWeight) {
-        self.block_weights[b] = w;
-        self.refresh_base(b);
-    }
-
     /// Seeds the state from an existing partition (refinement mode). The
     /// per-node weights fill in as the first pass streams them;
     /// [`FlatState::unassign`] takes the weight from the streamed node, so
@@ -662,19 +655,11 @@ impl FlatState {
         Partition::from_assignments(k, self.assignments, &self.node_weights)
     }
 
-    /// Drains the hot-path tallies (nodes scored, fast-path hits) for a
-    /// flush into the observer's counter registry.
-    pub(crate) fn take_hot_counters(&mut self) -> (u64, u64) {
-        let out = (self.scored, self.fast_path);
-        self.scored = 0;
-        self.fast_path = 0;
-        out
-    }
-
     /// Drains the hot-path tallies into the installed observer's counters
     /// (a no-op that still zeroes the tallies when none is installed).
     pub(crate) fn flush_hot_counters(&mut self) {
-        let (scored, fast_path) = self.take_hot_counters();
+        let scored = std::mem::take(&mut self.scored);
+        let fast_path = std::mem::take(&mut self.fast_path);
         oms_obs::counter_add(oms_obs::CounterId::NodesScored, scored);
         oms_obs::counter_add(oms_obs::CounterId::DegLe2FastPath, fast_path);
     }

@@ -25,15 +25,14 @@ pub struct Entry<T: ?Sized> {
     /// Canonical keys of the algorithm-scoped job options
     /// ([`Scope::Algorithm`]) this algorithm reads, beyond the ones its
     /// whole registry takes. A job that sets any other one is rejected.
-    /// `shards` here is what marks an algorithm shardable.
     pub reads: &'static [&'static str],
     /// Whether the algorithm exploits a hierarchical shape (rather than just
     /// flattening it to `k`).
     pub supports_hierarchy: bool,
     /// Whether the `oms-dynamic` layer can maintain this algorithm's
     /// partitions incrementally (ReFennel-style local re-scoring of touched
-    /// nodes). Only the flat one-pass scorers qualify; hierarchical,
-    /// parallel-only and in-memory algorithms need a full re-run.
+    /// nodes). Only the flat one-pass scorers qualify; hierarchical and
+    /// in-memory algorithms need a full re-run.
     pub supports_repair: bool,
     /// Constructor turning a [`JobSpec`] into the boxed algorithm.
     pub build: fn(&JobSpec) -> Result<Box<T>>,

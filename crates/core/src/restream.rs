@@ -35,22 +35,11 @@ fn check_passes(passes: usize) -> Result<()> {
     }
 }
 
-/// The engine options for `passes` passes with convergence threshold
-/// `convergence`. Multi-pass runs are always quality-tracked so that the
-/// early exit and the revert guard apply no matter how the caller obtains
-/// the partition; a single pass only pays for tracking when the caller asked
-/// for the trajectory.
-pub(crate) fn options(passes: usize, convergence: f64, tracked: bool) -> RestreamOptions {
-    if passes > 1 || tracked {
-        RestreamOptions::tracked(passes, convergence)
-    } else {
-        RestreamOptions::fixed(passes)
-    }
-}
-
 /// The one run of the sequential streaming partitioners: up to `passes`
 /// passes of `sink` over `stream`. A single pass is untracked (its
-/// trajectory is empty); from two passes on every pass is measured.
+/// trajectory is empty); from two passes on every pass is measured, so the
+/// early exit and the revert guard apply no matter how the caller obtains
+/// the partition.
 pub(crate) fn run(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
@@ -58,7 +47,12 @@ pub(crate) fn run(
     convergence: f64,
 ) -> Result<PassTrajectory> {
     check_passes(passes)?;
-    BatchExecutor::default().run_restream(stream, sink, &options(passes, convergence, false))
+    let options = if passes > 1 {
+        RestreamOptions::tracked(passes, convergence)
+    } else {
+        RestreamOptions::fixed(passes)
+    };
+    BatchExecutor::default().run_restream(stream, sink, &options)
 }
 
 /// Restreaming refinement of an existing partition.

@@ -103,9 +103,9 @@ pub fn is_edge_algorithm(name: &str) -> bool {
 /// Builds the edge partitioner described by `spec`, dispatching through the
 /// edge registry. The shared option-validation rules of the node pipeline
 /// apply ([`JobSpec::validate`]), and options that cannot mean anything for
-/// the chosen vertex-cut algorithm (`threads=`, `dist=`, `buf=`, `base=`,
-/// `hybrid=`, `shards=`; `lambda=` outside `e-greedy`) or a hierarchical
-/// shape are rejected rather than silently ignored.
+/// the chosen vertex-cut algorithm (`dist=`, `buf=`, `base=`, `hybrid=`;
+/// `lambda=` outside `e-greedy`) or a hierarchical shape are rejected
+/// rather than silently ignored.
 pub fn build_edge_partitioner(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
     let entry = EDGE_ALGORITHMS.resolve(spec)?;
     if spec.shape.hierarchy().is_some() {
@@ -225,13 +225,11 @@ mod tests {
         for (text, needle) in [
             ("e-frobnicate:8", "unknown edge algorithm"),
             ("e-greedy:0", "positive"),
-            ("e-greedy:8@threads=4", "threads="),
             ("e-greedy:8@conv=0.1", "multi-pass"),
             ("e-greedy:4:4", "flat"),
             ("e-greedy:8@buf=4096", "buf="),
             ("e-greedy:8@base=8", "base="),
             ("e-greedy:8@hybrid=2", "hybrid="),
-            ("e-greedy:8@shards=2", "shards="),
             ("e-hash:8@lambda=2", "taken by: e-greedy"),
         ] {
             let spec = JobSpec::parse(text).unwrap();

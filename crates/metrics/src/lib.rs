@@ -46,7 +46,7 @@ pub use replay::{
     max_cut_ratio_over_time, max_p99, quality_over_time_table, replay_gap_percent, ReplayPoint,
 };
 pub use report::Table;
-pub use stats::{arithmetic_mean, geometric_mean, improvement_percent, message_skew, speedup};
+pub use stats::{arithmetic_mean, geometric_mean, improvement_percent, speedup};
 pub use timing::{measure, measure_repeated};
 pub use trajectory::{cut_reduction_percent, effective_convergence_pass, trajectory_table};
 pub use vertex_cut::{replication_factor, vertex_cut_metrics, VertexCutMetrics};

@@ -32,19 +32,6 @@ pub fn speedup(time_a: f64, time_b: f64) -> f64 {
     time_b / time_a.max(1e-12)
 }
 
-/// Skew of a per-worker message (or work) distribution: the maximum count
-/// over the mean, so `1.0` means perfectly even and `S` means one of `S`
-/// workers carried everything. Returns `1.0` for empty or all-zero counts,
-/// matching the convention that no traffic is trivially balanced.
-pub fn message_skew(counts: &[u64]) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if counts.is_empty() || total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / counts.len() as f64;
-    *counts.iter().max().unwrap() as f64 / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,16 +64,6 @@ mod tests {
         assert!((improvement_percent(200.0, 100.0) + 50.0).abs() < 1e-9);
         // Equal values → 0 %.
         assert!(improvement_percent(5.0, 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn message_skew_basics() {
-        assert_eq!(message_skew(&[]), 1.0);
-        assert_eq!(message_skew(&[0, 0, 0]), 1.0);
-        assert!((message_skew(&[10, 10, 10, 10]) - 1.0).abs() < 1e-12);
-        // One of four workers carries everything: skew = 4.
-        assert!((message_skew(&[40, 0, 0, 0]) - 4.0).abs() < 1e-12);
-        assert!((message_skew(&[30, 10]) - 1.5).abs() < 1e-12);
     }
 
     #[test]

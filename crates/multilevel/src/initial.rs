@@ -21,11 +21,7 @@ pub fn initial_partition(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -> V
         graph,
         &mut assignment,
         k,
-        &RefineConfig {
-            epsilon,
-            rounds: 5,
-            threads: 1,
-        },
+        &RefineConfig { epsilon, rounds: 5 },
     );
     assignment
 }

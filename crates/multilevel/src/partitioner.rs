@@ -18,8 +18,6 @@ pub struct MultilevelConfig {
     pub refine_rounds: usize,
     /// Coarsening stops once the graph has at most `coarse_factor · k` nodes.
     pub coarse_factor: usize,
-    /// Number of threads used by the refinement.
-    pub threads: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -31,7 +29,6 @@ impl Default for MultilevelConfig {
             lp_rounds: 3,
             refine_rounds: 3,
             coarse_factor: 40,
-            threads: 1,
             seed: 0,
         }
     }
@@ -103,7 +100,6 @@ impl MultilevelPartitioner {
         let refine_cfg = RefineConfig {
             epsilon: cfg.epsilon,
             rounds: cfg.refine_rounds,
-            threads: cfg.threads,
         };
         refine(&current, &mut assignment, k, &refine_cfg);
         while let Some((fine, mapping)) = levels.pop() {
@@ -120,14 +116,6 @@ impl MultilevelPartitioner {
             assignment,
             graph.node_weights(),
         ))
-    }
-
-    /// Convenience: partition with an explicit thread count (used by the
-    /// scalability experiments).
-    pub fn partition_with_threads(&self, graph: &CsrGraph, threads: usize) -> Result<Partition> {
-        let mut clone = *self;
-        clone.config.threads = threads;
-        clone.partition(graph)
     }
 }
 
@@ -174,15 +162,6 @@ mod tests {
             .unwrap();
         assert_eq!(p.num_nodes(), 100);
         assert!(p.is_balanced(0.04));
-    }
-
-    #[test]
-    fn multilevel_with_threads_produces_valid_partition() {
-        let g = oms_gen::planted_partition(500, 8, 0.1, 0.01, 11);
-        let p = MultilevelPartitioner::new(8, MultilevelConfig::default())
-            .partition_with_threads(&g, 4)
-            .unwrap();
-        assert!(p.is_balanced(0.031));
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //! few rounds per level are enough to clean up the projected partition.
 
 use oms_core::{BlockId, Partition};
-use oms_graph::{CsrGraph, NodeWeight};
-use rayon::prelude::*;
-
-use std::sync::atomic::{AtomicU64, Ordering};
+use oms_graph::CsrGraph;
 
 /// Options for the refinement.
 #[derive(Clone, Copy, Debug)]
@@ -18,8 +15,6 @@ pub struct RefineConfig {
     pub epsilon: f64,
     /// Number of refinement rounds.
     pub rounds: usize,
-    /// Number of threads (1 = deterministic sequential behaviour).
-    pub threads: usize,
 }
 
 impl Default for RefineConfig {
@@ -27,7 +22,6 @@ impl Default for RefineConfig {
         RefineConfig {
             epsilon: 0.03,
             rounds: 3,
-            threads: 1,
         }
     }
 }
@@ -41,96 +35,68 @@ pub fn refine(
 ) -> usize {
     assert_eq!(assignment.len(), graph.num_nodes());
     let capacity = Partition::capacity(graph.total_node_weight(), k, config.epsilon);
-    let block_weights: Vec<AtomicU64> = {
-        let mut weights = vec![0u64; k as usize];
-        for v in graph.nodes() {
-            weights[assignment[v as usize] as usize] += graph.node_weight(v);
-        }
-        weights.into_iter().map(AtomicU64::new).collect()
-    };
+    let mut block_weights = vec![0u64; k as usize];
+    for v in graph.nodes() {
+        block_weights[assignment[v as usize] as usize] += graph.node_weight(v);
+    }
 
-    let n = graph.num_nodes();
-    let threads = config.threads.max(1);
-    let chunk = n.div_ceil(threads * 8).max(1);
-    let ranges: Vec<(u32, u32)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo as u32, (lo + chunk).min(n) as u32))
-        .collect();
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool");
-
+    // Dense connectivity scratchpad with a touched list: deterministic
+    // iteration (ascending block id breaks gain ties) and no hashing on the
+    // hot path.
+    let mut conn: Vec<u64> = vec![0; k as usize];
+    let mut touched: Vec<BlockId> = Vec::new();
+    let mut proposals: Vec<(u32, BlockId)> = Vec::new();
     let mut total_moves = 0usize;
     for _ in 0..config.rounds {
-        // Phase 1: each chunk proposes moves based on the current assignment.
-        let proposals: Vec<Vec<(u32, BlockId)>> = pool.install(|| {
-            ranges
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    let mut local = Vec::new();
-                    // Dense connectivity scratchpad with a touched list:
-                    // deterministic iteration (ascending block id breaks
-                    // gain ties) and no hashing on the hot path.
-                    let mut conn: Vec<u64> = vec![0; k as usize];
-                    let mut touched: Vec<BlockId> = Vec::new();
-                    for v in lo..hi {
-                        if graph.degree(v) == 0 {
-                            continue;
-                        }
-                        let current = assignment[v as usize];
-                        for (u, w) in graph.neighbors_weighted(v) {
-                            let b = assignment[u as usize];
-                            if conn[b as usize] == 0 {
-                                touched.push(b);
-                            }
-                            conn[b as usize] += w;
-                        }
-                        let current_conn = conn[current as usize];
-                        let v_weight = graph.node_weight(v);
-                        let mut best = current;
-                        let mut best_gain = 0i64;
-                        touched.sort_unstable();
-                        for &target in &touched {
-                            if target == current {
-                                continue;
-                            }
-                            let gain = conn[target as usize] as i64 - current_conn as i64;
-                            let target_weight =
-                                block_weights[target as usize].load(Ordering::Relaxed);
-                            if gain > best_gain && target_weight + v_weight <= capacity {
-                                best = target;
-                                best_gain = gain;
-                            }
-                        }
-                        if best != current {
-                            local.push((v, best));
-                        }
-                        for &b in &touched {
-                            conn[b as usize] = 0;
-                        }
-                        touched.clear();
-                    }
-                    local
-                })
-                .collect()
-        });
-
-        // Phase 2: apply the proposals sequentially, re-checking capacity so
-        // the balance constraint cannot be violated by concurrent proposals.
-        let mut moves = 0usize;
-        for (v, target) in proposals.into_iter().flatten() {
+        // Phase 1: every node proposes a move against the assignment and the
+        // block weights the round started with.
+        for v in graph.nodes() {
+            if graph.degree(v) == 0 {
+                continue;
+            }
             let current = assignment[v as usize];
-            if current == target {
+            for (u, w) in graph.neighbors_weighted(v) {
+                let b = assignment[u as usize];
+                if conn[b as usize] == 0 {
+                    touched.push(b);
+                }
+                conn[b as usize] += w;
+            }
+            let current_conn = conn[current as usize];
+            let v_weight = graph.node_weight(v);
+            let mut best = current;
+            let mut best_gain = 0i64;
+            touched.sort_unstable();
+            for &target in &touched {
+                if target == current {
+                    continue;
+                }
+                let gain = conn[target as usize] as i64 - current_conn as i64;
+                if gain > best_gain && block_weights[target as usize] + v_weight <= capacity {
+                    best = target;
+                    best_gain = gain;
+                }
+            }
+            if best != current {
+                proposals.push((v, best));
+            }
+            for &b in &touched {
+                conn[b as usize] = 0;
+            }
+            touched.clear();
+        }
+
+        // Phase 2: apply the proposals in node order, re-checking capacity
+        // so the moves of one round cannot overfill a block together.
+        let mut moves = 0usize;
+        for (v, target) in proposals.drain(..) {
+            let current = assignment[v as usize];
+            let v_weight = graph.node_weight(v);
+            if block_weights[target as usize] + v_weight > capacity {
                 continue;
             }
-            let v_weight: NodeWeight = graph.node_weight(v);
-            if block_weights[target as usize].load(Ordering::Relaxed) + v_weight > capacity {
-                continue;
-            }
-            block_weights[current as usize].fetch_sub(v_weight, Ordering::Relaxed);
-            block_weights[target as usize].fetch_add(v_weight, Ordering::Relaxed);
+            block_weights[current as usize] -= v_weight;
+            block_weights[target as usize] += v_weight;
             assignment[v as usize] = target;
             moves += 1;
         }
@@ -198,20 +164,6 @@ mod tests {
         refine(&g, &mut assignment, 8, &RefineConfig::default());
         let after = cut(&g, &assignment);
         assert!(after <= before);
-    }
-
-    #[test]
-    fn parallel_refinement_produces_valid_partitions() {
-        let g = oms_gen::planted_partition(400, 8, 0.1, 0.01, 9);
-        let mut assignment: Vec<BlockId> = (0..400).map(|v| (v % 8) as BlockId).collect();
-        let cfg = RefineConfig {
-            epsilon: 0.03,
-            rounds: 3,
-            threads: 4,
-        };
-        refine(&g, &mut assignment, 8, &cfg);
-        let p = Partition::from_assignments(8, assignment, &vec![1; 400]);
-        assert!(p.is_balanced(0.03 + 1e-9));
     }
 
     #[test]

@@ -133,7 +133,6 @@ fn with_refinement(base: Box<dyn Partitioner>, spec: &JobSpec) -> Box<dyn Partit
 fn multilevel_config(spec: &JobSpec) -> MultilevelConfig {
     MultilevelConfig {
         epsilon: spec.epsilon,
-        threads: spec.threads.max(1),
         seed: spec.seed,
         ..MultilevelConfig::default()
     }

@@ -1,11 +1,10 @@
 //! The typed event vocabulary of the observability layer.
 //!
-//! Every engine milestone — a restream pass, a shard exchange phase, a
-//! delta batch, a replay run — is one [`Event`] value. Payloads are
-//! deterministic scalars only (counts, seeds, cut values — never
-//! wall-clock), so a recorded event log is a pure function of
-//! `(stream, seed)` and can serve as a correctness oracle: hash it, and
-//! two runs that should agree must produce the same hash.
+//! Every engine milestone — a restream pass, a delta batch, a replay run —
+//! is one [`Event`] value. Payloads are deterministic scalars only (counts,
+//! seeds, cut values — never wall-clock), so a recorded event log is a pure
+//! function of `(stream, seed)` and can serve as a correctness oracle: hash
+//! it, and two runs that should agree must produce the same hash.
 //!
 //! Events serialize to one flat JSON object per line (see
 //! [`Event::write_jsonl`]) and back (see [`Event::from_parts`]); the two
@@ -51,38 +50,6 @@ pub enum Event {
         batch: u64,
         /// Nodes scored in the batch.
         nodes: u64,
-    },
-    /// The sharded engine completed one BSP round.
-    ShardRound {
-        /// Round index (1-based, as counted by `ShardStats`).
-        round: u64,
-        /// Messages delivered in the round (both exchange phases).
-        messages: u64,
-    },
-    /// One phase of a sharded exchange completed.
-    ExchangePhase {
-        /// Round index the phase belongs to.
-        round: u64,
-        /// Phase number: 1 = load-delta/assignment, 2 = load-vector gossip.
-        phase: u32,
-        /// Messages delivered in the phase.
-        messages: u64,
-    },
-    /// A sharded run finished; the engine's message statistics in one
-    /// event (the structured twin of `ShardStats`).
-    ShardSummary {
-        /// Number of shards.
-        shards: u32,
-        /// BSP rounds executed.
-        rounds: u64,
-        /// Total messages delivered.
-        messages: u64,
-        /// Messages carrying load deltas / vectors.
-        load_messages: u64,
-        /// Messages carrying assignments.
-        assignment_messages: u64,
-        /// The engine's seeded FNV-1a message-log hash.
-        log_hash: u64,
     },
     /// A delta batch was applied to a maintained partition.
     DeltaBatchApplied {
@@ -163,7 +130,8 @@ pub enum Event {
 }
 
 /// One `(field name, value)` table per event — the single source of truth
-/// for serialization, parsing and hashing.
+/// for serialization, parsing and hashing. Tags feed the log hash, so they
+/// are never renumbered: 5–7 belonged to events that no longer exist.
 macro_rules! event_table {
     ($self:expr, $f:expr) => {
         match $self {
@@ -191,43 +159,6 @@ macro_rules! event_table {
             Event::BatchScored { batch, nodes } => {
                 $f(4, "batch_scored", &[("batch", *batch), ("nodes", *nodes)])
             }
-            Event::ShardRound { round, messages } => $f(
-                5,
-                "shard_round",
-                &[("round", *round), ("messages", *messages)],
-            ),
-            Event::ExchangePhase {
-                round,
-                phase,
-                messages,
-            } => $f(
-                6,
-                "exchange_phase",
-                &[
-                    ("round", *round),
-                    ("phase", *phase as u64),
-                    ("messages", *messages),
-                ],
-            ),
-            Event::ShardSummary {
-                shards,
-                rounds,
-                messages,
-                load_messages,
-                assignment_messages,
-                log_hash,
-            } => $f(
-                7,
-                "shard_summary",
-                &[
-                    ("shards", *shards as u64),
-                    ("rounds", *rounds),
-                    ("messages", *messages),
-                    ("load_messages", *load_messages),
-                    ("assignment_messages", *assignment_messages),
-                    ("log_hash", *log_hash),
-                ],
-            ),
             Event::DeltaBatchApplied {
                 deltas,
                 rescored,
@@ -342,9 +273,6 @@ impl Event {
             | Event::PassEnd { .. }
             | Event::PassReverted { .. }
             | Event::BatchScored { .. } => "restream",
-            Event::ShardRound { .. } | Event::ExchangePhase { .. } | Event::ShardSummary { .. } => {
-                "shard"
-            }
             Event::DeltaBatchApplied { .. }
             | Event::DriftFallback { .. }
             | Event::SnapshotWritten { .. }
@@ -411,23 +339,6 @@ impl Event {
             "batch_scored" => Event::BatchScored {
                 batch: get("batch")?,
                 nodes: get("nodes")?,
-            },
-            "shard_round" => Event::ShardRound {
-                round: get("round")?,
-                messages: get("messages")?,
-            },
-            "exchange_phase" => Event::ExchangePhase {
-                round: get("round")?,
-                phase: get("phase")? as u32,
-                messages: get("messages")?,
-            },
-            "shard_summary" => Event::ShardSummary {
-                shards: get("shards")? as u32,
-                rounds: get("rounds")?,
-                messages: get("messages")?,
-                load_messages: get("load_messages")?,
-                assignment_messages: get("assignment_messages")?,
-                log_hash: get("log_hash")?,
             },
             "delta_batch_applied" => Event::DeltaBatchApplied {
                 deltas: get("deltas")?,
@@ -497,23 +408,6 @@ mod tests {
             Event::BatchScored {
                 batch: 3,
                 nodes: 512,
-            },
-            Event::ShardRound {
-                round: 4,
-                messages: 12,
-            },
-            Event::ExchangePhase {
-                round: 4,
-                phase: 2,
-                messages: 6,
-            },
-            Event::ShardSummary {
-                shards: 4,
-                rounds: 9,
-                messages: 120,
-                load_messages: 80,
-                assignment_messages: 40,
-                log_hash: u64::MAX - 3,
             },
             Event::DeltaBatchApplied {
                 deltas: 200,

@@ -1,18 +1,18 @@
 //! Deterministic runtime observability for the OMS engines.
 //!
-//! Every engine in the workspace (the batch executor, the sharded BSP
-//! engine, the dynamic maintenance service, the edge restream engine, the
-//! traffic replay simulator) reports its milestones through this crate:
+//! Every engine in the workspace (the batch executor, the dynamic
+//! maintenance service, the edge restream engine, the traffic replay
+//! simulator) reports its milestones through this crate:
 //!
 //! * **Events** ([`Event`]) — typed milestones with deterministic scalar
 //!   payloads (counts, cuts, hashes; never wall-clock), recorded into a
 //!   bounded flight-recorder ring ([`FlightRecorder`]) with monotone
 //!   sequence numbers and an FNV-1a event-log hash. Because payloads are
 //!   pure functions of `(stream, seed)`, the hash doubles as a
-//!   determinism oracle, like the sharded engine's message-log hash.
+//!   determinism oracle, like the replay simulator's request-log hash.
 //! * **Metrics** ([`Metrics`]) — allocation-free counters and
 //!   log-bucketed histograms for hot-path signals (nodes scored, fast-path
-//!   hits, per-shard messages, replay queue depths). Recording is one
+//!   hits, replay queue depths). Recording is one
 //!   relaxed atomic op, so instrumented paths still pass the workspace's
 //!   counting-allocator and throughput gates.
 //! * **Exporters** (`export`) — JSON-lines trace, greppable table, and

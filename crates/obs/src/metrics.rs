@@ -22,14 +22,6 @@ pub enum CounterId {
     RestreamPasses,
     /// Restream passes that were reverted.
     RestreamReverts,
-    /// BSP rounds executed by the sharded engine.
-    ShardRounds,
-    /// Messages delivered by the sharded engine (all phases).
-    ShardMessages,
-    /// Load-delta / load-vector messages delivered.
-    ShardLoadMessages,
-    /// Assignment messages delivered.
-    ShardAssignmentMessages,
     /// Deltas applied to maintained partitions.
     DeltasApplied,
     /// Local repair re-scoring steps.
@@ -60,15 +52,11 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 21] = [
+    pub const ALL: [CounterId; 17] = [
         CounterId::NodesScored,
         CounterId::DegLe2FastPath,
         CounterId::RestreamPasses,
         CounterId::RestreamReverts,
-        CounterId::ShardRounds,
-        CounterId::ShardMessages,
-        CounterId::ShardLoadMessages,
-        CounterId::ShardAssignmentMessages,
         CounterId::DeltasApplied,
         CounterId::RepairRescored,
         CounterId::RepairMoves,
@@ -91,10 +79,6 @@ impl CounterId {
             CounterId::DegLe2FastPath => "deg_le2_fast_path",
             CounterId::RestreamPasses => "restream_passes",
             CounterId::RestreamReverts => "restream_reverts",
-            CounterId::ShardRounds => "shard_rounds",
-            CounterId::ShardMessages => "shard_messages",
-            CounterId::ShardLoadMessages => "shard_load_messages",
-            CounterId::ShardAssignmentMessages => "shard_assignment_messages",
             CounterId::DeltasApplied => "deltas_applied",
             CounterId::RepairRescored => "repair_rescored",
             CounterId::RepairMoves => "repair_moves",
@@ -117,8 +101,6 @@ impl CounterId {
 pub enum HistId {
     /// Nodes moved per accepted restream pass.
     PassMoved,
-    /// Messages delivered per sharded BSP round.
-    ShardRoundMessages,
     /// Deltas per applied batch.
     DeltaBatchDeltas,
     /// Entry-block backlog (queue ticks ahead) per admitted replay
@@ -134,9 +116,8 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in registry order.
-    pub const ALL: [HistId; 6] = [
+    pub const ALL: [HistId; 5] = [
         HistId::PassMoved,
-        HistId::ShardRoundMessages,
         HistId::DeltaBatchDeltas,
         HistId::ReplayQueueDepth,
         HistId::ReplayLatencyTicks,
@@ -147,7 +128,6 @@ impl HistId {
     pub fn name(&self) -> &'static str {
         match self {
             HistId::PassMoved => "pass_moved",
-            HistId::ShardRoundMessages => "shard_round_messages",
             HistId::DeltaBatchDeltas => "delta_batch_deltas",
             HistId::ReplayQueueDepth => "replay_queue_depth",
             HistId::ReplayLatencyTicks => "replay_latency_ticks",
@@ -245,7 +225,7 @@ impl Default for HistogramSnapshot {
 impl HistogramSnapshot {
     /// Folds `other` into `self`. Merging is commutative and associative
     /// (sums saturate, and saturating addition stays associative), so
-    /// shard-local histograms can be combined in any order.
+    /// partial histograms can be combined in any order.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *mine = mine.saturating_add(*theirs);

@@ -4,8 +4,7 @@
 //! The ring keeps the newest events (oldest are evicted once the bound is
 //! hit, counted in [`FlightRecorder::dropped`]), while the log hash folds
 //! every event whether or not it survives eviction — so the hash is a pure
-//! function of `(stream, seed)` regardless of the ring's capacity, exactly
-//! like the sharded engine's message-log hash.
+//! function of `(stream, seed)` regardless of the ring's capacity.
 
 use crate::event::{Event, MAX_EVENT_WORDS};
 use crate::metrics::{CounterId, HistId, Metrics};
@@ -13,7 +12,7 @@ use crate::Observer;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// FNV-1a offset basis, shared with the sharded engine's message log.
+/// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x1_0000_0000_01b3;

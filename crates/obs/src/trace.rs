@@ -79,22 +79,24 @@ pub struct ParsedTrace {
 
 /// Parses a full JSON-lines trace (as written by
 /// `crate::export::trace_jsonl`). Unknown event names are an error — a
-/// trace that cannot be reconstructed cannot be verified.
+/// trace that cannot be reconstructed cannot be verified. Every error
+/// starts with the 1-based number of the offending line.
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut events = Vec::new();
     let mut footer = None;
-    for line in text.lines() {
+    for (index, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let (name, fields, seq) = parse_line(line)?;
+        let numbered = |why: String| format!("line {}: {why}", index + 1);
+        let (name, fields, seq) = parse_line(line).map_err(numbered)?;
         if name == "trace_end" {
             let get = |key: &str| -> Result<u64, String> {
                 fields
                     .iter()
                     .find(|(k, _)| k == key)
                     .map(|&(_, v)| v)
-                    .ok_or_else(|| format!("trace_end misses '{key}': {line}"))
+                    .ok_or_else(|| numbered(format!("trace_end misses '{key}': {line}")))
             };
             footer = Some(TraceFooter {
                 events: get("events")?,
@@ -104,9 +106,9 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             continue;
         }
         let event = Event::from_parts(&name, &fields)
-            .ok_or_else(|| format!("unknown or incomplete event '{name}': {line}"))?;
+            .ok_or_else(|| numbered(format!("unknown or incomplete event '{name}': {line}")))?;
         events.push((
-            seq.ok_or_else(|| format!("event line misses seq: {line}"))?,
+            seq.ok_or_else(|| numbered(format!("event line misses seq: {line}")))?,
             event,
         ));
     }
@@ -165,7 +167,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
     let mut nodes_scored = 0u64;
     let mut final_edge_cut = None;
     let mut pass_moved = HistogramSnapshot::default();
-    let mut round_messages = HistogramSnapshot::default();
     let mut batch_deltas = HistogramSnapshot::default();
     let bump = |table: &mut Vec<(&'static str, usize)>, key: &'static str| match table
         .iter_mut()
@@ -195,7 +196,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                 final_edge_cut = Some(edge_cut);
                 observe(&mut pass_moved, moved);
             }
-            Event::ShardRound { messages, .. } => observe(&mut round_messages, messages),
             Event::DeltaBatchApplied {
                 deltas, edge_cut, ..
             } => {
@@ -210,7 +210,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
     }
     let mut histograms: Vec<SummaryHistogram> = [
         ("pass_moved", pass_moved),
-        ("shard_round_messages", round_messages),
         ("delta_batch_deltas", batch_deltas),
     ]
     .into_iter()
@@ -330,9 +329,19 @@ mod tests {
     }
 
     #[test]
-    fn malformed_lines_are_rejected() {
-        assert!(parse_trace("not json").is_err());
-        assert!(parse_trace("{\"seq\":0,\"event\":\"no_such_event\"}").is_err());
-        assert!(parse_trace("{\"seq\":0,\"pass\":1}").is_err());
+    fn malformed_lines_are_rejected_with_their_line_number() {
+        let good = "{\"seq\":0,\"event\":\"pass_start\",\"pass\":0}\n";
+        for bad in [
+            "not json",
+            "{\"seq\":1,\"event\":\"no_such_event\"}",
+            "{\"seq\":1,\"pass\":1}",
+            "{\"event\":\"pass_start\",\"pass\":1}",
+            "{\"event\":\"trace_end\",\"events\":1}",
+            // An event of the removed sharded engine is unknown like any other.
+            "{\"seq\":1,\"event\":\"shard_round\",\"round\":1,\"messages\":4}",
+        ] {
+            let err = parse_trace(&format!("{good}\n{bad}\n")).unwrap_err();
+            assert!(err.starts_with("line 3: "), "{bad}: {err}");
+        }
     }
 }

@@ -109,8 +109,7 @@ impl ReplayReport {
     }
 
     /// Queue-load skew: the heaviest block's load over the mean block
-    /// load (`1.0` = perfectly even, like `message_skew` in
-    /// `oms-metrics`).
+    /// load (`1.0` = perfectly even).
     pub fn load_skew(&self) -> f64 {
         let total: u64 = self.block_load.iter().sum();
         if total == 0 || self.block_load.is_empty() {

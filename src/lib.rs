@@ -10,8 +10,8 @@
 //! * [`gen`] (`oms-gen`) — synthetic benchmark graph generators;
 //! * [`core`](mod@core) (`oms-core`) — the streaming partitioners: Fennel, LDG,
 //!   Hashing, and the paper's online recursive multi-section (OMS / nh-OMS),
-//!   including the shared-memory parallel drivers and restreaming variants,
-//!   plus the unified object-safe [`Partitioner`](prelude::Partitioner) API;
+//!   including the restreaming variants, plus the unified object-safe
+//!   [`Partitioner`](prelude::Partitioner) API;
 //! * [`mapping`] (`oms-mapping`) — hierarchical topologies, the mapping
 //!   objective `J(C, D, Π)`, greedy block→PE construction and local search;
 //! * [`multilevel`] (`oms-multilevel`) — the in-memory multilevel baseline;
@@ -89,8 +89,8 @@ pub mod prelude {
         refine_partition, AlgorithmInfo, AlphaMode, BatchExecutor, BlockId, DistanceSpec, Entry,
         Fennel, FlatObjective, Hashing, HierarchySpec, JobShape, JobSpec, Ldg, NodeSink, OmsConfig,
         OnePassConfig, OnlineMultiSection, Partition, PartitionReport, Partitioner, PassStats,
-        PassTrajectory, Registry, RepairPolicy, RestreamOptions, ScorerKind, ShardStats,
-        ShardedFlat, StreamingPartitioner, ALGORITHMS,
+        PassTrajectory, Registry, RepairPolicy, RestreamOptions, ScorerKind, StreamingPartitioner,
+        ALGORITHMS,
     };
     pub use oms_dynamic::{
         ApplyStats, Checkpoints, DynamicGraph, PartitionState, TraceCursor, WindowStats,
@@ -111,8 +111,8 @@ pub mod prelude {
     };
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
     pub use oms_metrics::{
-        edge_cut, geometric_mean, improvement_percent, max_cut_ratio, message_skew,
-        repair_vs_restream_speedup, CheckpointComparison, ReplayPoint,
+        edge_cut, geometric_mean, improvement_percent, max_cut_ratio, repair_vs_restream_speedup,
+        CheckpointComparison, ReplayPoint,
     };
     pub use oms_multilevel::{
         register_algorithms as register_multilevel_algorithms, BufferedMultilevel,

@@ -6,9 +6,8 @@
 //!    of `(stream, seed)`: the same run produces a byte-identical
 //!    JSON-lines trace and an equal event-log hash no matter whether the
 //!    stream comes from memory (natural or explicit order) or disk — for
-//!    the flat engine, the sharded engine (S ∈ {1, 4}), dynamic
-//!    maintenance and traffic replay. Wall-clock never enters the trace,
-//!    so this holds on any machine.
+//!    the flat engine, dynamic maintenance and traffic replay. Wall-clock
+//!    never enters the trace, so this holds on any machine.
 //! 2. **Bounded recording.** The flight recorder keeps the *newest*
 //!    events when it overflows, counts the evicted ones, and the log hash
 //!    still covers every event ever recorded.
@@ -73,43 +72,6 @@ fn flat_trace_is_identical_across_sources() {
             memory.contains("\"event\":\"pass_end\""),
             "{spec}: no passes traced"
         );
-    }
-}
-
-#[test]
-fn sharded_trace_is_identical_across_sources_and_repeats() {
-    let graph = planted_partition(600, 8, 0.1, 0.005, 11);
-    let path = temp_stream_file(&graph, "shard-sources.oms");
-    let job = JobSpec::parse("fennel:8@seed=3,passes=2").unwrap();
-    for shards in [1usize, 4] {
-        let run = |stream: &mut dyn NodeStream| {
-            let sharded = ShardedFlat::new(8, job.one_pass_config(), FlatObjective::Fennel, shards)
-                .passes(job.passes)
-                .round_nodes(64);
-            record(|| sharded.run(stream).unwrap())
-        };
-        let (_, memory, memory_hash) = run(&mut InMemoryStream::new(&graph));
-        let (_, permuted, _) = run(&mut identity_order(&graph));
-        let (_, disk, _) = run(&mut DiskStream::open(&path).unwrap());
-        let (_, repeat, repeat_hash) = run(&mut InMemoryStream::new(&graph));
-        assert_eq!(memory, permuted, "S={shards}: permuted trace differs");
-        assert_eq!(memory, disk, "S={shards}: disk trace differs");
-        assert_eq!(memory, repeat, "S={shards}: rerun trace differs");
-        assert_eq!(memory_hash, repeat_hash, "S={shards}: rerun hash differs");
-        assert!(
-            memory.contains("\"event\":\"shard_round\""),
-            "S={shards}: no rounds traced"
-        );
-        assert!(
-            memory.contains("\"event\":\"shard_summary\""),
-            "S={shards}: no summary traced"
-        );
-        if shards > 1 {
-            assert!(
-                memory.contains("\"event\":\"exchange_phase\""),
-                "S={shards}: no exchange phases traced"
-            );
-        }
     }
 }
 
