@@ -1133,6 +1133,41 @@ fn a_k_too_large_to_allocate_is_a_usage_error_not_an_abort() {
 }
 
 #[test]
+fn a_huge_epsilon_is_an_unbounded_capacity_not_a_wrapped_one_or_a_panic() {
+    // `t · L_max` used to wrap (release: both top-level capacities 0, every
+    // node through the all-full fallback, exit 0 with a worse cut) or panic
+    // (debug) once ε pushed L_max past 2^63.
+    let dir = temp_dir("huge-eps");
+    let graph_path = dir.join("g.metis");
+    oms()
+        .args(["generate", "er", "2000"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    let run = |epsilon: &str| {
+        let out_path = dir.join(format!("p-{epsilon}.txt"));
+        let output = oms()
+            .arg("partition")
+            .arg(&graph_path)
+            .args(["--job", &format!("oms:2:2@eps={epsilon}"), "--output"])
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "eps={epsilon}: {stderr}");
+        assert!(!stderr.contains("panicked"), "eps={epsilon}: {stderr}");
+        std::fs::read(&out_path).unwrap()
+    };
+    let unbounded = run("1e3");
+    for epsilon in ["1.8446744073709552e16", "1e19"] {
+        assert!(
+            run(epsilon) == unbounded,
+            "eps={epsilon} partitions differently"
+        );
+    }
+}
+
+#[test]
 fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     let dir = temp_dir("hostile-metis");
     for (name, text) in [

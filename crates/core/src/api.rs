@@ -101,9 +101,10 @@ use crate::executor::{measure, PassStats, PassTrajectory};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::knobs::{self, Knob, KNOBS};
 use crate::oms::OnlineMultiSection;
-use crate::onepass::{Fennel, FlatObjective, Hashing, Ldg, StreamingPartitioner};
+use crate::onepass::{Fennel, Hashing, Ldg, StreamingPartitioner};
 use crate::partition::{Partition, UNASSIGNED};
 use crate::registry::{Entry, Registry};
+use crate::scorer::FlatObjective;
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, NodeStream, NodeWeight};
 use oms_obs::Stopwatch;

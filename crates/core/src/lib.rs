@@ -17,7 +17,11 @@
 //! * [`OnlineMultiSection`] is the paper's contribution (§3): each node is
 //!   routed down a *multi-section tree* — either the communication hierarchy
 //!   `S = a1:a2:…:aℓ` (process mapping, "OMS") or an artificial recursive
-//!   `b`-section tree for arbitrary `k` (plain partitioning, "nh-OMS").
+//!   `b`-section tree for arbitrary `k` (plain partitioning, "nh-OMS"). Its
+//!   descent ([`oms`]) is the crate's one scoring kernel: a hierarchy with
+//!   the single layer `S = k` is the flat problem, so [`Ldg`] and [`Fennel`]
+//!   run it on the depth-1 tree, and [`RepairSink`] re-scores single nodes
+//!   on it for dynamic-graph maintenance.
 //! * [`executor`] is the single drive loop behind all of them: the
 //!   [`BatchExecutor`] walks any stream sequentially, in stream order, and
 //!   feeds it node by node to a [`NodeSink`] or batch-wise
@@ -99,10 +103,11 @@ pub use executor::{
 pub use hierarchy::{DistanceSpec, HierarchySpec};
 pub use mstree::MultisectionTree;
 pub use oms::OnlineMultiSection;
-pub use onepass::{Fennel, FlatObjective, Hashing, Ldg, RepairSink, StreamingPartitioner};
+pub use onepass::{Fennel, Hashing, Ldg, RepairSink, StreamingPartitioner};
 pub use partition::{BlockId, Partition, UNASSIGNED};
 pub use registry::{Entry, Registry};
 pub use restream::refine_partition;
+pub use scorer::FlatObjective;
 
 /// Errors produced by the partitioning algorithms.
 #[derive(Debug)]

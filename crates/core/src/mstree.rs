@@ -248,10 +248,17 @@ impl MultisectionTree {
     /// constraint of the original `k`-way problem (§3.2/§3.3).
     pub fn capacities(&self, total_weight: NodeWeight, epsilon: f64) -> Vec<NodeWeight> {
         let lmax = crate::Partition::capacity(total_weight, self.k, epsilon);
-        self.covered
-            .iter()
-            .map(|&t| t as NodeWeight * lmax)
+        (0..self.num_nodes())
+            .map(|node| self.capacity_of(node, lmax))
             .collect()
+    }
+
+    /// `t · L_max` of one tree node. Saturating: a huge `ε` makes `L_max`
+    /// exceed every reachable load, and a capacity above the total weight is
+    /// already "unbounded" — it must not wrap back to a small one.
+    #[inline]
+    pub(crate) fn capacity_of(&self, node: usize, lmax: NodeWeight) -> NodeWeight {
+        (self.covered[node] as NodeWeight).saturating_mul(lmax)
     }
 
     /// Fennel `α` of every tree node seen as a *candidate block* of its
@@ -264,13 +271,19 @@ impl MultisectionTree {
     /// the original `k`-way `α`.
     pub fn alphas(&self, m: usize, n: usize, mode: AlphaMode) -> Vec<f64> {
         let global = fennel_alpha(self.k, m, n);
+        self.alpha_divisors(mode)
+            .iter()
+            .map(|divisor| global / divisor)
+            .collect()
+    }
+
+    /// What the global `α` is divided by per tree node: `√t`, or 1 under
+    /// [`AlphaMode::Global`] (`x / 1.0` is `x` bit for bit). It depends on
+    /// the tree alone, so a caller whose `m` and `n` change keeps it.
+    pub(crate) fn alpha_divisors(&self, mode: AlphaMode) -> Vec<f64> {
         match mode {
-            AlphaMode::Global => vec![global; self.num_nodes()],
-            AlphaMode::Adapted => self
-                .covered
-                .iter()
-                .map(|&t| global / (t as f64).sqrt())
-                .collect(),
+            AlphaMode::Global => vec![1.0; self.num_nodes()],
+            AlphaMode::Adapted => self.covered.iter().map(|&t| (t as f64).sqrt()).collect(),
         }
     }
 }
@@ -413,6 +426,29 @@ mod tests {
         let mut top_caps: Vec<_> = top.map(|c| caps[c as usize]).collect();
         top_caps.sort_unstable();
         assert_eq!(top_caps, vec![40, 60]);
+    }
+
+    #[test]
+    fn capacities_saturate_instead_of_wrapping() {
+        // L_max = 2^63 (ε ≈ 1.8e16 on a small graph): `t · L_max` used to
+        // wrap to 0 for even `t`, closing every top-level block.
+        let h = HierarchySpec::parse("2:2:3").unwrap();
+        for tree in [
+            MultisectionTree::from_hierarchy(&h),
+            MultisectionTree::flat(13, 4),
+        ] {
+            for epsilon in [0.0, 3.0, 1e19] {
+                let caps = tree.capacities(u64::MAX / 2, epsilon);
+                for node in 1..tree.num_nodes() as u32 {
+                    let parent = tree.parent(node).unwrap();
+                    assert!(tree.covered(parent) >= tree.covered(node));
+                    assert!(
+                        caps[parent as usize] >= caps[node as usize] && caps[node as usize] > 0,
+                        "capacity must never decrease with t: {caps:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

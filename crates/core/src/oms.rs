@@ -13,6 +13,16 @@
 //! the bottom layers with Hashing for an additional speedup at some quality
 //! cost (Theorem 3).
 //!
+//! # One kernel, three drivers
+//!
+//! The descent below (`OmsSink`) is the only scoring state in this crate.
+//! A stream pass of [`OnlineMultiSection`] drives it on a hierarchy or a
+//! `b`-section tree; [`Fennel`](crate::Fennel) and [`Ldg`](crate::Ldg) drive
+//! it on the depth-1 tree (one layer `S = k`: the flat problem);
+//! [`refine_partition`](crate::refine_partition) seeds it with an existing
+//! partition first; and [`RepairSink`](crate::RepairSink) re-scores single
+//! nodes on it as a graph changes, retuning `L_max` and `α` in place.
+//!
 //! # Cost per streamed node
 //!
 //! On a tree `a₁:…:aℓ` a node of degree `deg` costs
@@ -31,32 +41,43 @@
 //! * **`ℓ` penalty refreshes**: an assignment changes the weight of exactly
 //!   the `ℓ` tree nodes on one root-to-leaf path, so only those `powf`s are
 //!   paid (not `Σ aᵢ`). Each tree node also remembers its previous
-//!   `(weight, base)` pair, which makes the unassign → reassign round trip
-//!   of a restreaming pass `powf`-free for a node that does not move.
+//!   `(weight, load term)` pair, which makes the unassign → reassign round
+//!   trip of a restreaming pass or a repair step `powf`-free for a node
+//!   that does not move.
+//!
+//! The flat rules are the case `ℓ = 1`, `a₁ = k`: one gather, `k` fused
+//! adds, one refresh — `O(deg + k)` per node, the `O(m + nk)` of §2.2. The
+//! select loop zeroes the connectivity it reads, so no per-node reset pass
+//! over `k` entries exists at any fan-out.
 //!
 //! A hashed layer costs one hash and one weight update; a run whose layers
 //! are all hashed skips the gather.
+//!
+//! Per delta, the repair driver pays one such descent per re-scored node
+//! plus one `retune` — a multiply-add per tree node over the stored load
+//! terms, no `powf`, no allocation.
 //!
 //! # Bit-exactness
 //!
 //! The kernel picks exactly the child that evaluating the objectives
 //! directly (`conn − α·γ·c^{γ−1}`, `conn·(1 − c/L)`) for every child would:
-//! `base` is [`FlatObjective::base`] — the single definition the flat kernel
-//! uses — and a pure function of the tree node's weight and fixed
-//! parameters, so a cached value equals a recomputed one; IEEE 754
-//! guarantees `a − b ≡ a + (−b)`; integer connectivity sums do not depend
-//! on the order or grouping of the additions; and the select loop keeps the
-//! tie-break (higher score, then lighter, then lower index) and the `f64`
-//! least-relative-load fallback. `tests/oms_oracle.rs` checks this against a
-//! naive from-the-pseudocode descent.
+//! `base` is [`FlatObjective::base`] — the single definition of both
+//! objectives — and a pure function of the tree node's weight and the
+//! current parameters, so a cached or rescaled value equals a recomputed
+//! one; IEEE 754 guarantees `a − b ≡ a + (−b)`; integer connectivity sums
+//! do not depend on the order or grouping of the additions; and the select
+//! loop keeps the tie-break (higher score, then lighter, then lower index)
+//! and the `f64` least-relative-load fallback. `tests/oms_oracle.rs` checks
+//! this against a naive from-the-pseudocode descent, on hierarchies and on
+//! the depth-1 tree of the flat rules.
 
 use crate::config::{OmsConfig, ScorerKind};
 use crate::executor::{NodeSink, PassTrajectory};
 use crate::hierarchy::HierarchySpec;
 use crate::mstree::MultisectionTree;
-use crate::onepass::{FlatObjective, StreamingPartitioner};
+use crate::onepass::StreamingPartitioner;
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::select_hashing;
+use crate::scorer::{fennel_alpha, select_hashing, FlatObjective};
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeStream, NodeWeight};
 
@@ -149,30 +170,40 @@ impl OnlineMultiSection {
 /// grows it by doubling, so growth is `O(log Δ)` reallocations per run.
 const GATHER_CAPACITY: usize = 1024;
 
-/// The multi-section descent as a [`NodeSink`]: the per-run mutable state of
-/// an OMS run, kept alive across passes by the restreaming driver. From the
-/// second pass on (restreaming / remapping), each node's previous assignment
-/// is removed along its whole tree path before the descent is re-run.
-pub(crate) struct OmsSink<'a> {
-    tree: &'a MultisectionTree,
-    restreaming: bool,
+/// The multi-section descent as a [`NodeSink`] — the one scoring kernel.
+/// It holds the per-run mutable state of a run on any tree (the paper's
+/// hierarchies, nh-OMS's `b`-section trees, and the depth-1 tree that *is*
+/// flat Fennel / LDG), is kept alive across passes by the restreaming
+/// driver, and is what [`RepairSink`](crate::RepairSink) re-scores single
+/// nodes on. Every streamed node's previous assignment (if it has one: a
+/// later pass, or a seeded run) is removed along its whole tree path before
+/// the descent is re-run.
+pub(crate) struct OmsSink {
+    tree: MultisectionTree,
+    config: OmsConfig,
     assignments: Vec<BlockId>,
     node_weights: Vec<NodeWeight>,
-    /// Weight of every tree node (block or sub-block). Lemma 1: `O(k)` many.
+    /// Weight of every tree node (block or sub-block; the root's is the
+    /// total assigned weight). Lemma 1: `O(k)` many.
     tree_weights: Vec<NodeWeight>,
     capacities: Vec<NodeWeight>,
     alphas: Vec<f64>,
+    /// [`MultisectionTree::alpha_divisors`]: what [`OmsSink::retune`]
+    /// divides a new global `α` by.
+    alpha_divisors: Vec<f64>,
     /// Pre-evaluated penalty of every tree node in a scored layer:
     /// `base[t]` is [`FlatObjective::base`] of `tree_weights[t]`, refreshed
     /// whenever that weight changes. Hashed layers never read theirs.
     base: Vec<f64>,
-    /// The `(weight, base)` pair every tree node held before its last
+    /// `FlatObjective::load_term` of every tree node's weight — the only
+    /// part of `base` that costs a `powf`, and the part a change of `α` or
+    /// `L_max` leaves alone.
+    term: Vec<f64>,
+    /// The `(weight, load term)` pair every tree node held before its last
     /// refresh.
     prev: Vec<(NodeWeight, f64)>,
     /// [`OnlineMultiSection::scoring`], resolved once.
     scoring: Option<(FlatObjective, usize)>,
-    gamma: f64,
-    seed: u64,
     /// Connectivity towards the children of the current tree node and their
     /// scores, sized to the maximum fan-out. `conn` is all-zero between
     /// levels: the select loop zeroes what it reads.
@@ -185,30 +216,39 @@ pub(crate) struct OmsSink<'a> {
     scored: u64,
 }
 
-impl<'a> OmsSink<'a> {
-    pub(crate) fn new<S: NodeStream>(oms: &'a OnlineMultiSection, stream: &S) -> Self {
-        let tree = &oms.tree;
-        let n = stream.num_nodes();
+impl OmsSink {
+    /// The kernel of `oms` (it keeps its own copy of the tree) over an id
+    /// space of `n` nodes, for a graph of `m` edges and total node weight
+    /// `total_weight`. All nodes start unassigned.
+    pub(crate) fn new(
+        oms: &OnlineMultiSection,
+        n: usize,
+        m: usize,
+        total_weight: NodeWeight,
+    ) -> Self {
+        let tree = oms.tree.clone();
+        let nodes = tree.num_nodes();
         let mut sink = OmsSink {
-            tree,
-            restreaming: false,
+            config: oms.config,
             assignments: vec![UNASSIGNED; n],
             node_weights: vec![0; n],
-            tree_weights: vec![0; tree.num_nodes()],
-            capacities: tree.capacities(stream.total_node_weight(), oms.config.epsilon),
-            alphas: tree.alphas(stream.num_edges(), n, oms.config.alpha_mode),
-            base: vec![0.0; tree.num_nodes()],
+            tree_weights: vec![0; nodes],
+            capacities: vec![0; nodes],
+            alphas: vec![0.0; nodes],
+            alpha_divisors: tree.alpha_divisors(oms.config.alpha_mode),
+            base: vec![0.0; nodes],
+            term: vec![0.0; nodes],
             // `NodeWeight::MAX` never matches a real weight.
-            prev: vec![(NodeWeight::MAX, 0.0); tree.num_nodes()],
+            prev: vec![(NodeWeight::MAX, 0.0); nodes],
             scoring: oms.scoring(),
-            gamma: oms.config.gamma,
-            seed: oms.config.seed,
             conn: vec![0; tree.max_fan_out()],
             scores: vec![0.0; tree.max_fan_out()],
             gathered: Vec::with_capacity(GATHER_CAPACITY),
             scored: 0,
+            tree,
         };
-        sink.refresh_all_bases();
+        sink.refresh_terms();
+        sink.retune(n, m, total_weight);
         sink
     }
 
@@ -216,41 +256,151 @@ impl<'a> OmsSink<'a> {
         Partition::from_assignments(self.tree.num_blocks(), self.assignments, &self.node_weights)
     }
 
-    /// Re-evaluates every tree node's penalty (bulk weight changes).
-    fn refresh_all_bases(&mut self) {
+    pub(crate) fn assignments(&self) -> &[BlockId] {
+        &self.assignments
+    }
+
+    /// Where the `k` blocks sit in the per-tree-node arrays when the leaves
+    /// are one sibling group in block order — the depth-1 tree — or the root
+    /// itself (`k = 1`): the shapes the flat rules run on.
+    fn blocks(&self) -> std::ops::Range<usize> {
+        debug_assert!(self.tree.max_depth() <= 1);
+        let first = self.tree.leaf_of_block(0) as usize;
+        first..first + self.tree.num_blocks() as usize
+    }
+
+    /// Current per-block loads of a depth-1 (or single-block) tree.
+    pub(crate) fn block_weights(&self) -> &[NodeWeight] {
+        &self.tree_weights[self.blocks()]
+    }
+
+    /// The balance limit `L_max` of a depth-1 (or single-block) tree.
+    pub(crate) fn block_capacity(&self) -> NodeWeight {
+        self.capacities[self.blocks().start]
+    }
+
+    /// Current per-block penalties of a depth-1 tree.
+    #[cfg(test)]
+    pub(crate) fn block_bases(&self) -> &[f64] {
+        &self.base[self.blocks()]
+    }
+
+    /// Extends the id space to `n` nodes; new slots start unassigned with
+    /// weight 0. Never shrinks.
+    pub(crate) fn grow(&mut self, n: usize) {
+        if n > self.assignments.len() {
+            self.assignments.resize(n, UNASSIGNED);
+            self.node_weights.resize(n, 0);
+        }
+    }
+
+    /// Records the weight of a node that is not assigned (yet, or any more).
+    pub(crate) fn set_node_weight(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
+        self.node_weights[node as usize] = weight;
+    }
+
+    /// Derives every tree node's capacity `t·L_max` and Fennel `α` from the
+    /// graph counts. The loads did not move, so every penalty is rescaled in
+    /// place from its stored load term — bit for bit what a from-scratch
+    /// evaluation computes, without a `powf` per tree node or an allocation.
+    pub(crate) fn retune(&mut self, n: usize, m: usize, total_weight: NodeWeight) {
+        let k = self.tree.num_blocks();
+        let lmax = Partition::capacity(total_weight, k, self.config.epsilon);
+        let global = fennel_alpha(k, m, n);
+        for t in 0..self.base.len() {
+            self.capacities[t] = self.tree.capacity_of(t, lmax);
+            self.alphas[t] = global / self.alpha_divisors[t];
+        }
+        self.rebase();
+    }
+
+    /// Re-evaluates every tree node's penalty from its stored load term
+    /// (the parameters changed).
+    fn rebase(&mut self) {
         if let Some((objective, _)) = self.scoring {
             for t in 0..self.base.len() {
-                self.base[t] = objective.base(
-                    self.tree_weights[t],
+                self.base[t] = objective.base_of_term(
+                    self.term[t],
                     self.capacities[t],
                     self.alphas[t],
-                    self.gamma,
+                    self.config.gamma,
                 );
             }
         }
     }
 
+    /// Re-evaluates every tree node's load term from its weight (bulk weight
+    /// changes); the penalties follow through [`OmsSink::rebase`].
+    fn refresh_terms(&mut self) {
+        if let Some((objective, _)) = self.scoring {
+            for t in 0..self.term.len() {
+                self.term[t] = objective.load_term(self.tree_weights[t], self.config.gamma);
+            }
+        }
+    }
+
     /// Changes the weight of a tree node in a scored layer and refreshes its
-    /// penalty — from the remembered previous pair when the weight merely
-    /// returns to it.
+    /// penalty — from the remembered previous load term when the weight
+    /// merely returns to it.
     #[inline]
     fn set_weight(&mut self, objective: FlatObjective, t: usize, weight: NodeWeight) {
-        let (prev_weight, prev_base) = self.prev[t];
-        let base = if prev_weight == weight {
-            prev_base
+        let gamma = self.config.gamma;
+        let (prev_weight, prev_term) = self.prev[t];
+        let term = if prev_weight == weight {
+            prev_term
         } else {
-            objective.base(weight, self.capacities[t], self.alphas[t], self.gamma)
+            objective.load_term(weight, gamma)
         };
-        self.prev[t] = (self.tree_weights[t], self.base[t]);
-        self.base[t] = base;
+        self.prev[t] = (self.tree_weights[t], self.term[t]);
+        self.term[t] = term;
+        self.base[t] = objective.base_of_term(term, self.capacities[t], self.alphas[t], gamma);
         self.tree_weights[t] = weight;
+    }
+
+    /// Adds `weight` to every tree node above and including `block`'s leaf.
+    fn add_along_path(&mut self, block: BlockId, weight: NodeWeight) {
+        self.tree_weights[self.tree.root() as usize] += weight;
+        for &t in self.tree.path_of_block(block) {
+            self.tree_weights[t as usize] += weight;
+        }
+    }
+
+    /// Adopts an existing partition given by its assignments and per-block
+    /// loads (refinement). The per-node weights fill in as the first pass
+    /// streams them; [`OmsSink::unassign`] takes the weight from the
+    /// streamed node, so they are not needed up front.
+    pub(crate) fn seed(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+        self.assignments.copy_from_slice(assignments);
+        self.tree_weights.fill(0);
+        for (b, &weight) in block_weights.iter().enumerate() {
+            self.add_along_path(b as BlockId, weight);
+        }
+        self.refresh_terms();
+        self.rebase();
+    }
+
+    /// Adopts an existing partition whose node weights are known: the
+    /// tree-node weights are rebuilt from both.
+    pub(crate) fn adopt(&mut self, assignments: &[BlockId], node_weights: &[NodeWeight]) {
+        self.node_weights.copy_from_slice(node_weights);
+        self.restore(assignments);
+    }
+
+    /// Unassigns `node` (if assigned) and routes it down the tree against
+    /// the current assignment: a streamed node of any pass, or one
+    /// restreaming step applied to a single node. Returns its block.
+    #[inline]
+    pub(crate) fn rescore(&mut self, node: oms_graph::StreamedNode<'_>) -> BlockId {
+        self.unassign(node.node, node.weight);
+        self.assign(node);
+        self.assignments[node.node as usize]
     }
 
     /// Routes one streamed node down the tree and records its assignment.
     fn assign(&mut self, node: oms_graph::StreamedNode<'_>) {
         self.scored += 1;
-        let tree = self.tree;
-        let mut cur = tree.root();
+        let mut cur = self.tree.root();
+        self.tree_weights[cur as usize] += node.weight;
         if let Some((objective, scored_layers)) = self.scoring {
             let assignments = &self.assignments;
             self.gathered.clear();
@@ -261,7 +411,7 @@ impl<'a> OmsSink<'a> {
                 }));
             let mut live = self.gathered.len();
             for level in 0..scored_layers {
-                let children = tree.children(cur);
+                let children = self.tree.children(cur);
                 if children.is_empty() {
                     break;
                 }
@@ -272,10 +422,10 @@ impl<'a> OmsSink<'a> {
                 let mut kept = 0;
                 for i in 0..live {
                     let (b, w) = self.gathered[i];
-                    if level > 0 && tree.path_node(b, level - 1) != cur {
+                    if level > 0 && self.tree.path_node(b, level - 1) != cur {
                         continue;
                     }
-                    self.conn[tree.path_node(b, level) as usize - first] += w;
+                    self.conn[self.tree.path_node(b, level) as usize - first] += w;
                     self.gathered[kept] = (b, w);
                     kept += 1;
                 }
@@ -287,15 +437,15 @@ impl<'a> OmsSink<'a> {
         }
         // The hybrid configuration's bottom layers (all layers under the
         // Hashing scorer).
-        while !tree.children(cur).is_empty() {
-            let children = tree.children(cur);
+        while !self.tree.children(cur).is_empty() {
+            let children = self.tree.children(cur);
             // Mix the subproblem id into the seed so different subproblems
             // shuffle nodes independently.
-            let seed = self.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            let seed = self.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
             cur = children.start + select_hashing(children.len(), node.node, seed) as u32;
             self.tree_weights[cur as usize] += node.weight;
         }
-        self.assignments[node.node as usize] = tree.leaf_block_or_unassigned(cur);
+        self.assignments[node.node as usize] = self.tree.leaf_block_or_unassigned(cur);
         self.node_weights[node.node as usize] = node.weight;
     }
 
@@ -304,11 +454,11 @@ impl<'a> OmsSink<'a> {
     /// relatively loaded one when no child can take the node. Consumes
     /// `conn[..fan_out]` and leaves it zeroed.
     ///
-    /// Like the flat kernel's `select_block`, the score is computed for
-    /// infeasible children too and feasibility is folded into the comparison.
-    /// With fan-outs this small the running-best dependency chain dominates,
-    /// so the loop is split in two: an independent-iteration maximum over the
-    /// feasible children, then the tie-break among those that attain it.
+    /// The score is computed for infeasible children too and feasibility is
+    /// folded into the comparison. A running best would chain every
+    /// iteration to the one before it, so the loop is split in two: an
+    /// independent-iteration maximum over the feasible children, then the
+    /// tie-break among those that attain it.
     #[inline(always)]
     fn select_child(
         &mut self,
@@ -336,7 +486,11 @@ impl<'a> OmsSink<'a> {
         if any_fits {
             let mut best_weight = NodeWeight::MAX;
             for i in 0..fan_out {
-                let better = fits(i) && scores[i] == max && weights[i] < best_weight;
+                // "Not below the maximum" is "equal to it" for every real
+                // score; a NaN one (γ < 1 on an edgeless graph: `0·∞`)
+                // counts as tied, so a feasible child always wins.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let better = fits(i) && !(scores[i] < max) && weights[i] < best_weight;
                 best = if better { i } else { best };
                 best_weight = if better { weights[i] } else { best_weight };
             }
@@ -355,43 +509,46 @@ impl<'a> OmsSink<'a> {
         best
     }
 
-    /// Removes a node's previous assignment along its whole tree path.
-    fn unassign(&mut self, node: oms_graph::NodeId) {
+    /// Removes a node of weight `weight` from its block along the whole tree
+    /// path, if it is assigned. The weight comes from the caller (the
+    /// streamed node), so this is correct for a seeded kernel whose nodes
+    /// have not been streamed yet.
+    pub(crate) fn unassign(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
         let b = self.assignments[node as usize];
         if b == UNASSIGNED {
             return;
         }
-        let w = self.node_weights[node as usize];
-        for (level, &t) in self.tree.path_of_block(b).iter().enumerate() {
-            let weight = self.tree_weights[t as usize] - w;
+        self.tree_weights[self.tree.root() as usize] -= weight;
+        for level in 0..self.tree.path_of_block(b).len() {
+            let t = self.tree.path_node(b, level) as usize;
+            let lighter = self.tree_weights[t] - weight;
             match self.scoring {
                 Some((objective, layers)) if level < layers => {
-                    self.set_weight(objective, t as usize, weight)
+                    self.set_weight(objective, t, lighter)
                 }
-                _ => self.tree_weights[t as usize] = weight,
+                _ => self.tree_weights[t] = lighter,
             }
         }
         self.assignments[node as usize] = UNASSIGNED;
     }
-}
 
-impl NodeSink for OmsSink<'_> {
-    fn begin_pass(&mut self, pass: usize) {
-        self.restreaming = pass > 0;
-    }
-
-    fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
-        if self.restreaming {
-            self.unassign(node.node);
-        }
-        self.assign(node);
-    }
-
-    fn end_pass(&mut self, _pass: usize) {
+    /// Drains the hot-path tally into the installed observer's counters (a
+    /// no-op that still zeroes the tally when none is installed).
+    pub(crate) fn flush_hot_counters(&mut self) {
         oms_obs::counter_add(
             oms_obs::CounterId::NodesScored,
             std::mem::take(&mut self.scored),
         );
+    }
+}
+
+impl NodeSink for OmsSink {
+    fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
+        self.rescore(node);
+    }
+
+    fn end_pass(&mut self, _pass: usize) {
+        self.flush_hot_counters();
     }
 
     fn assignments(&self) -> Option<&[BlockId]> {
@@ -403,18 +560,19 @@ impl NodeSink for OmsSink<'_> {
     }
 
     /// Replaces the assignment array and rebuilds every tree-node weight
-    /// along the blocks' paths (the executor's revert-on-worsen guard).
+    /// along the blocks' paths from the recorded node weights (the
+    /// executor's revert-on-worsen guard, and adopting a partition whose
+    /// node weights are known).
     fn restore(&mut self, assignments: &[BlockId]) -> bool {
         self.assignments.copy_from_slice(assignments);
         self.tree_weights.fill(0);
-        for (v, &b) in self.assignments.iter().enumerate() {
-            if b != UNASSIGNED {
-                for &t in self.tree.path_of_block(b) {
-                    self.tree_weights[t as usize] += self.node_weights[v];
-                }
+        for v in 0..self.assignments.len() {
+            if self.assignments[v] != UNASSIGNED {
+                self.add_along_path(self.assignments[v], self.node_weights[v]);
             }
         }
-        self.refresh_all_bases();
+        self.refresh_terms();
+        self.rebase();
         true
     }
 }
@@ -424,7 +582,12 @@ impl StreamingPartitioner for OnlineMultiSection {
         &self,
         stream: &mut S,
     ) -> Result<(Partition, PassTrajectory)> {
-        let mut sink = OmsSink::new(self, stream);
+        let mut sink = OmsSink::new(
+            self,
+            stream.num_nodes(),
+            stream.num_edges(),
+            stream.total_node_weight(),
+        );
         let trajectory = crate::restream::run(stream, &mut sink, self.passes, self.convergence)?;
         Ok((sink.into_partition(), trajectory))
     }
@@ -570,6 +733,31 @@ mod tests {
             assert!(p.block_weights().iter().all(|&w| w <= 1));
             let re = oms.passes(3).partition_graph(&g).unwrap();
             assert!(re.validate(&[1; 10]));
+        }
+    }
+
+    #[test]
+    fn a_huge_epsilon_means_unbounded_blocks_not_wrapped_capacities() {
+        // ε ≈ 1.8e16 makes L_max = 2^63 here: `t · L_max` wrapped to 0 for
+        // even `t` (overflow panic in debug), closing every top-level block
+        // and sending each node through the all-children-full fallback.
+        let g = oms_gen::erdos_renyi_gnm(2_000, 8_000, 3);
+        let h = HierarchySpec::parse("2:2").unwrap();
+        for shape in [
+            OnlineMultiSection::with_hierarchy(h, OmsConfig::default()),
+            OnlineMultiSection::flat(8, OmsConfig::default()).unwrap(),
+        ] {
+            let run = |epsilon: f64| {
+                OnlineMultiSection::with_tree(shape.tree.clone(), shape.config.epsilon(epsilon))
+                    .partition_graph(&g)
+                    .unwrap()
+            };
+            let unbounded = run(1e3);
+            // 500·ε = 2^63: the `eps=1.8446744073709552e16` of the report.
+            let wraps = (1u64 << 63) as f64 / 500.0;
+            for epsilon in [wraps, 2.0 * wraps, 1e19] {
+                assert_eq!(run(epsilon), unbounded, "eps={epsilon}");
+            }
         }
     }
 

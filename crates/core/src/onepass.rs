@@ -8,18 +8,29 @@
 //! * **LDG** maximises `ω(N(v) ∩ Vᵢ)·(1 − c(Vᵢ)/L_max)`; `O(m + nk)` time.
 //! * **Fennel** maximises `ω(N(v) ∩ Vᵢ) − α·γ·c(Vᵢ)^{γ−1}`; `O(m + nk)` time.
 //!
-//! There is one pass-aware type per rule ([`Hashing`], [`Ldg`], [`Fennel`]):
-//! one pass by default, and `.passes(p)` / `.convergence(c)` turn the same
-//! value into its restreaming variant (ReLDG, ReFennel — Nishimura &
-//! Ugander), where from the second pass on a node's previous assignment is
-//! removed before it is re-scored. Every run, one pass or many, goes through
-//! the one engine loop (`restream::run` on
+//! A hierarchy with the single layer `S = k` *is* the flat problem, so LDG
+//! and Fennel are Algorithm 1 on the depth-1 multi-section tree
+//! (`MultisectionTree::flat(k, k)`): every leaf covers one block, hence
+//! `t·L_max` and `α/√t` are the flat `L_max` and `α` bit for bit, and the
+//! one descent kernel (`oms`) scores the root's `k` children. There is no
+//! second scoring state in this file. What is left here: the
+//! [`StreamingPartitioner`] trait, one pass-aware type per rule
+//! ([`Hashing`], [`Ldg`], [`Fennel`]), the stateless Hashing sink, and
+//! [`RepairSink`], the kernel's face for dynamic-graph maintenance.
+//!
+//! The pass-aware types do one pass by default, and `.passes(p)` /
+//! `.convergence(c)` turn the same value into its restreaming variant
+//! (ReLDG, ReFennel — Nishimura & Ugander), where a node's previous
+//! assignment is removed before it is re-scored. Every run, one pass or
+//! many, goes through the one engine loop (`restream::run` on
 //! [`BatchExecutor::run_restream`](crate::executor::BatchExecutor::run_restream)).
 
-use crate::config::OnePassConfig;
+use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
 use crate::executor::{NodeSink, PassTrajectory};
+use crate::mstree::MultisectionTree;
+use crate::oms::{OmsSink, OnlineMultiSection};
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::{fennel_alpha, hash_node};
+use crate::scorer::{hash_node, FlatObjective};
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{CsrGraph, InMemoryStream, NodeStream, NodeWeight};
 
@@ -62,6 +73,29 @@ fn check_k(k: u32) -> Result<()> {
     }
 }
 
+/// A flat rule as the multi-section it is: the depth-1 tree over `k` blocks
+/// (the root alone for `k = 1`), every layer scored with `objective`.
+pub(crate) fn depth_one(
+    k: u32,
+    config: OnePassConfig,
+    objective: FlatObjective,
+) -> Result<OnlineMultiSection> {
+    check_k(k)?;
+    let scorer = match objective {
+        FlatObjective::Fennel => ScorerKind::Fennel,
+        FlatObjective::Ldg => ScorerKind::Ldg,
+    };
+    let config = OmsConfig::default()
+        .epsilon(config.epsilon)
+        .gamma(config.gamma)
+        .seed(config.seed)
+        .scorer(scorer);
+    Ok(OnlineMultiSection::with_tree(
+        MultisectionTree::flat(k, k.max(2)),
+        config,
+    ))
+}
+
 /// The one run of the flat rules (`None` = Hashing): up to `passes` passes
 /// of the rule's sink over `stream`.
 pub(crate) fn run_flat(
@@ -70,10 +104,10 @@ pub(crate) fn run_flat(
     rule: Option<FlatObjective>,
     passes: usize,
     convergence: f64,
-    stream: &mut dyn NodeStream,
+    mut stream: &mut dyn NodeStream,
 ) -> Result<(Partition, PassTrajectory)> {
-    check_k(k)?;
     let Some(objective) = rule else {
+        check_k(k)?;
         let n = stream.num_nodes();
         let mut sink = HashingSink {
             assignments: vec![UNASSIGNED; n],
@@ -85,9 +119,10 @@ pub(crate) fn run_flat(
         let partition = Partition::from_assignments(k, sink.assignments, &sink.node_weights);
         return Ok((partition, trajectory));
     };
-    let mut sink = FlatSink::new(FlatState::new(k, &stream, config, objective));
-    let trajectory = crate::restream::run(stream, &mut sink, passes, convergence)?;
-    Ok((sink.into_partition(k), trajectory))
+    depth_one(k, config, objective)?
+        .passes(passes)
+        .convergence(convergence)
+        .partition_stream_tracked(&mut stream)
 }
 
 /// Defines the pass-aware partitioner type of one flat rule.
@@ -177,107 +212,6 @@ flat_baseline!(
     "refennel"
 );
 
-/// The scoring rule of a flat one-pass algorithm, as a value.
-///
-/// The flat algorithms ([`Fennel`], [`Ldg`]) share one state machine and
-/// differ only in how a candidate block is scored; this enum names the rule
-/// so dynamic maintenance ([`RepairSink`]) can be constructed for whichever
-/// flat algorithm a job selected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlatObjective {
-    /// Fennel's additive objective `conn − α·γ·c(Vᵢ)^{γ−1}`.
-    Fennel,
-    /// LDG's multiplicative objective `conn · (1 − c(Vᵢ)/L_max)`.
-    Ldg,
-}
-
-impl FlatObjective {
-    /// The registry name of the flat algorithm scoring with this rule.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FlatObjective::Fennel => "fennel",
-            FlatObjective::Ldg => "ldg",
-        }
-    }
-
-    /// The objective of the *canonical* algorithm name (aliases must be
-    /// resolved first, e.g. through the registry), or `None` when the
-    /// algorithm is not a flat one-pass scorer and therefore supports no
-    /// incremental repair.
-    pub fn for_algorithm(name: &str) -> Option<FlatObjective> {
-        [FlatObjective::Fennel, FlatObjective::Ldg]
-            .into_iter()
-            .find(|objective| objective.name() == name)
-    }
-
-    /// Scores one candidate block: `conn` is the connectivity towards the
-    /// block, `weight` its current load, `capacity` the balance limit
-    /// `L_max` and `alpha`/`gamma` the Fennel parameters.
-    pub fn score(
-        &self,
-        conn: u64,
-        weight: NodeWeight,
-        capacity: NodeWeight,
-        alpha: f64,
-        gamma: f64,
-    ) -> f64 {
-        self.combine(conn as f64, self.base(weight, capacity, alpha, gamma))
-    }
-
-    /// The pre-evaluated per-block penalty term of the objective: a pure
-    /// function of the block's current load `weight` (and the fixed
-    /// parameters), so callers only need to recompute it when that load
-    /// changes. Combining it with a connectivity via
-    /// [`FlatObjective::combine`] reproduces the direct objective bit for
-    /// bit:
-    ///
-    /// * Fennel: `base = −(α·γ·c(Vᵢ)^{γ−1})`, score `= conn + base`
-    ///   (IEEE 754 guarantees `a − b ≡ a + (−b)`);
-    /// * LDG: `base = 1 − c(Vᵢ)/L_max`, score `= conn · base`
-    ///   (the same operations in the same order as the direct form).
-    ///
-    /// This is the single definition of both objectives; the flat
-    /// `score_base` arena and the OMS per-tree-node arena both evaluate it.
-    /// It factors into `load_term` (the only part that costs a `powf`) and
-    /// `base_of_term`.
-    #[inline]
-    pub fn base(&self, weight: NodeWeight, capacity: NodeWeight, alpha: f64, gamma: f64) -> f64 {
-        self.base_of_term(self.load_term(weight, gamma), capacity, alpha, gamma)
-    }
-
-    /// The part of [`FlatObjective::base`] that depends on the block's load
-    /// and `γ` alone — `c(Vᵢ)^{γ−1}` for Fennel, `c(Vᵢ)` for LDG — so it
-    /// survives a change of `α` or `L_max`.
-    #[inline]
-    fn load_term(&self, weight: NodeWeight, gamma: f64) -> f64 {
-        match self {
-            FlatObjective::Fennel => (weight as f64).powf(gamma - 1.0),
-            FlatObjective::Ldg => weight as f64,
-        }
-    }
-
-    /// [`FlatObjective::base`] from a `load_term`: the same operations in
-    /// the same order as the undivided form (`α·γ·term` associates to the
-    /// left), so the result has the same bits.
-    #[inline]
-    fn base_of_term(&self, term: f64, capacity: NodeWeight, alpha: f64, gamma: f64) -> f64 {
-        match self {
-            FlatObjective::Fennel => -(alpha * gamma * term),
-            FlatObjective::Ldg => 1.0 - term / capacity.max(1) as f64,
-        }
-    }
-
-    /// Combines a connectivity with a penalty base pre-evaluated by
-    /// [`FlatObjective::base`].
-    #[inline]
-    pub fn combine(&self, conn: f64, base: f64) -> f64 {
-        match self {
-            FlatObjective::Fennel => conn + base,
-            FlatObjective::Ldg => conn * base,
-        }
-    }
-}
-
 /// The Hashing algorithm as a [`NodeSink`]: stateless per node, no scoring.
 pub(crate) struct HashingSink {
     pub(crate) assignments: Vec<BlockId>,
@@ -307,390 +241,24 @@ impl NodeSink for HashingSink {
     }
 }
 
-/// A flat one-pass algorithm as a [`NodeSink`]: [`FlatState`] plus its
-/// scoring objective. From the second pass on (restreaming), each node is
-/// unassigned before being re-scored; a *seeded* sink (refinement of an
-/// existing partition) restreams from the very first pass.
-pub(crate) struct FlatSink {
-    state: FlatState,
-    restreaming: bool,
-    seeded: bool,
-}
-
-impl FlatSink {
-    pub(crate) fn new(state: FlatState) -> Self {
-        FlatSink {
-            state,
-            restreaming: false,
-            seeded: false,
-        }
-    }
-
-    /// A sink whose state was seeded from an existing partition: every pass
-    /// (including the first) unassigns each node before re-scoring it.
-    pub(crate) fn seeded(state: FlatState) -> Self {
-        FlatSink {
-            state,
-            restreaming: true,
-            seeded: true,
-        }
-    }
-
-    pub(crate) fn into_partition(self, k: u32) -> Partition {
-        self.state.into_partition(k)
-    }
-}
-
-impl NodeSink for FlatSink {
-    fn begin_pass(&mut self, pass: usize) {
-        self.restreaming = self.seeded || pass > 0;
-    }
-
-    fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
-        if self.restreaming {
-            self.state.unassign(node.node, node.weight);
-        }
-        self.state.assign(node);
-    }
-
-    fn end_pass(&mut self, _pass: usize) {
-        self.state.flush_hot_counters();
-    }
-
-    fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.state.assignments)
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.state.block_weights.len() as u32
-    }
-
-    fn restore(&mut self, assignments: &[BlockId]) -> bool {
-        self.state.restore(assignments);
-        true
-    }
-}
-
-/// Shared mutable state of the flat `O(m + nk)` partitioners.
-///
-/// The per-block penalty term of both objectives depends only on the block's
-/// current load (and the fixed parameters `α`, `γ`, `L_max`), and a node
-/// assignment changes the load of exactly one block — so the penalty is kept
-/// pre-evaluated in the dense `score_base` arena and refreshed incrementally.
-/// This turns Fennel's inner loop from `k` `powf` calls per node into one
-/// `powf` per assignment plus `k` adds, without changing a single bit of the
-/// scores:
-///
-/// * Fennel: `base[b] = −(α·γ·c(Vᵢ)^{γ−1})`, score `= conn + base[b]`
-///   (IEEE 754 guarantees `a − b ≡ a + (−b)`).
-/// * LDG: `base[b] = 1 − c(Vᵢ)/L_max`, score `= conn · base[b]`
-///   (the same operations in the same order as the direct form).
-pub(crate) struct FlatState {
-    pub(crate) assignments: Vec<BlockId>,
-    pub(crate) node_weights: Vec<NodeWeight>,
-    pub(crate) block_weights: Vec<NodeWeight>,
-    objective: FlatObjective,
-    /// Pre-evaluated per-block penalty; `score_base[b]` is a pure function
-    /// of `block_weights[b]`, refreshed whenever that load changes.
-    score_base: Vec<f64>,
-    /// `FlatObjective::load_term` of every block's load, kept next to
-    /// `score_base` so a change of `α` / `L_max` ([`FlatState::retune`])
-    /// rescales the penalties without a `powf`.
-    load_term: Vec<f64>,
-    conn: Vec<u64>,
-    touched: Vec<BlockId>,
-    capacity: NodeWeight,
-    alpha: f64,
-    gamma: f64,
-    /// Hot-path tallies: nodes scored and degree ≤ 2 fast-path hits. Plain
-    /// fields (one register add each on the scoring path) drained into the
-    /// `oms-obs` counter registry at pass boundaries, so per-node work
-    /// never touches the observer slot.
-    scored: u64,
-    fast_path: u64,
-}
-
-impl FlatState {
-    pub(crate) fn new<S: NodeStream>(
-        k: u32,
-        stream: &S,
-        config: OnePassConfig,
-        objective: FlatObjective,
-    ) -> Self {
-        Self::with_counts(
-            k,
-            stream.num_nodes(),
-            stream.num_edges(),
-            stream.total_node_weight(),
-            config,
-            objective,
-        )
-    }
-
-    /// [`FlatState::new`] from explicit counts instead of a stream (used by
-    /// the dynamic layer, whose counts change as deltas arrive).
-    pub(crate) fn with_counts(
-        k: u32,
-        n: usize,
-        m: usize,
-        total_weight: NodeWeight,
-        config: OnePassConfig,
-        objective: FlatObjective,
-    ) -> Self {
-        let mut state = FlatState {
-            assignments: vec![UNASSIGNED; n],
-            node_weights: vec![0; n],
-            block_weights: vec![0; k as usize],
-            objective,
-            score_base: vec![0.0; k as usize],
-            load_term: vec![0.0; k as usize],
-            conn: vec![0; k as usize],
-            touched: Vec::new(),
-            capacity: Partition::capacity(total_weight, k, config.epsilon),
-            alpha: fennel_alpha(k, m, n),
-            gamma: config.gamma,
-            scored: 0,
-            fast_path: 0,
-        };
-        state.refresh_all_bases();
-        state
-    }
-
-    pub(crate) fn objective(&self) -> FlatObjective {
-        self.objective
-    }
-
-    /// Re-evaluates the penalty of one block from its current load.
-    #[inline]
-    fn refresh_base(&mut self, b: usize) {
-        let term = self.objective.load_term(self.block_weights[b], self.gamma);
-        self.load_term[b] = term;
-        self.score_base[b] =
-            self.objective
-                .base_of_term(term, self.capacity, self.alpha, self.gamma);
-    }
-
-    /// Re-evaluates every block's penalty (bulk load changes).
-    fn refresh_all_bases(&mut self) {
-        for b in 0..self.block_weights.len() {
-            self.refresh_base(b);
-        }
-    }
-
-    /// Adopts a new balance limit and Fennel `α`: the loads did not move, so
-    /// every penalty is rescaled from its stored load term — bit for bit
-    /// what [`FlatState::refresh_all_bases`] would compute, minus `k` `powf`
-    /// calls.
-    fn retune(&mut self, capacity: NodeWeight, alpha: f64) {
-        self.capacity = capacity;
-        self.alpha = alpha;
-        for (base, &term) in self.score_base.iter_mut().zip(&self.load_term) {
-            *base = self
-                .objective
-                .base_of_term(term, capacity, alpha, self.gamma);
-        }
-    }
-
-    /// Scores all blocks for `node` under the state's objective and assigns
-    /// it to the best feasible one (least loaded block if every block is
-    /// full). Ties break towards the lighter block, then the lower index —
-    /// identical to evaluating the objective directly for every block.
-    pub(crate) fn assign(&mut self, node: oms_graph::StreamedNode<'_>) {
-        self.scored += 1;
-        // Degree-bucketed fast path: with at most two assigned neighbors the
-        // connectivity fits in registers, skipping the dense gather arena and
-        // its dirty-list reset entirely.
-        if node.neighbors.len() <= 2 {
-            self.fast_path += 1;
-            let mut b0 = UNASSIGNED;
-            let mut w0 = 0u64;
-            let mut b1 = UNASSIGNED;
-            let mut w1 = 0u64;
-            for (u, w) in node.neighbors_weighted() {
-                let b = self.assignments[u as usize];
-                if b == UNASSIGNED {
-                    continue;
-                }
-                if b == b0 {
-                    w0 += w;
-                } else if b0 == UNASSIGNED {
-                    b0 = b;
-                    w0 = w;
-                } else {
-                    b1 = b;
-                    w1 = w;
-                }
-            }
-            // `b` never equals UNASSIGNED inside the scan, so empty slots
-            // contribute zero connectivity.
-            let chosen = self.select_block(node.weight, |b| {
-                (b as BlockId == b0) as u64 * w0 + (b as BlockId == b1) as u64 * w1
-            });
-            self.commit(node, chosen);
-            return;
-        }
-
-        // General path: gather connectivity towards already-assigned
-        // neighbors into the dense arena, tracking touched blocks so the
-        // reset is O(distinct blocks), not O(k).
-        for (u, w) in node.neighbors_weighted() {
-            let b = self.assignments[u as usize];
-            if b != UNASSIGNED {
-                if self.conn[b as usize] == 0 {
-                    self.touched.push(b);
-                }
-                self.conn[b as usize] += w;
-            }
-        }
-
-        let chosen = self.select_block(node.weight, |b| self.conn[b]);
-        self.commit(node, chosen);
-
-        // Reset the connectivity scratchpad for the next node.
-        for &b in &self.touched {
-            self.conn[b as usize] = 0;
-        }
-        self.touched.clear();
-    }
-
-    /// The max-score feasible block (ties: lighter, then lower index), or
-    /// the least relatively loaded block when no block can take the node.
-    /// The select loop is branch-free in its hot comparisons: the score is
-    /// computed for infeasible blocks too (the value is never used) and the
-    /// running best is updated with conditional moves.
-    #[inline(always)]
-    fn select_block<C: Fn(usize) -> u64>(&self, node_weight: NodeWeight, conn_of: C) -> usize {
-        let k = self.block_weights.len();
-        let objective = self.objective;
-        let mut has_best = false;
-        let mut best_b = 0usize;
-        let mut best_s = 0.0f64;
-        let mut best_w: NodeWeight = 0;
-        for b in 0..k {
-            let weight = self.block_weights[b];
-            let conn = conn_of(b) as f64;
-            let s = objective.combine(conn, self.score_base[b]);
-            let feasible = weight + node_weight <= self.capacity;
-            let better = feasible && (!has_best || s > best_s || (s == best_s && weight < best_w));
-            best_b = if better { b } else { best_b };
-            best_s = if better { s } else { best_s };
-            best_w = if better { weight } else { best_w };
-            has_best |= better;
-        }
-        if has_best {
-            best_b
-        } else {
-            self.least_loaded_block()
-        }
-    }
-
-    /// The fallback target when every block is over capacity: the block with
-    /// the smallest relative load, compared in `f64` exactly like the
-    /// original inline scan (a `u64` weight compare could order differently
-    /// for loads that round to the same double).
-    fn least_loaded_block(&self) -> usize {
-        let cap = self.capacity.max(1) as f64;
-        let mut fallback = 0usize;
-        let mut fallback_load = f64::INFINITY;
-        for (b, &weight) in self.block_weights.iter().enumerate() {
-            let load = weight as f64 / cap;
-            if load < fallback_load {
-                fallback_load = load;
-                fallback = b;
-            }
-        }
-        fallback
-    }
-
-    /// Records the assignment and refreshes the chosen block's penalty.
-    #[inline]
-    fn commit(&mut self, node: oms_graph::StreamedNode<'_>, chosen: usize) {
-        self.assignments[node.node as usize] = chosen as BlockId;
-        self.node_weights[node.node as usize] = node.weight;
-        self.block_weights[chosen] += node.weight;
-        self.refresh_base(chosen);
-    }
-
-    /// Removes a node's previous assignment before it is re-scored (used
-    /// by restreaming passes). The weight comes from the streamed node, so
-    /// unassignment is correct even when the state was seeded from an
-    /// existing partition and the node has not been streamed yet.
-    pub(crate) fn unassign(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
-        let b = self.assignments[node as usize];
-        if b != UNASSIGNED {
-            self.block_weights[b as usize] -= weight;
-            self.assignments[node as usize] = UNASSIGNED;
-            self.refresh_base(b as usize);
-        }
-    }
-
-    /// Seeds the state from an existing partition (refinement mode). The
-    /// per-node weights fill in as the first pass streams them;
-    /// [`FlatState::unassign`] takes the weight from the streamed node, so
-    /// they are not needed up front.
-    pub(crate) fn seed_from(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
-        self.assignments.copy_from_slice(assignments);
-        self.block_weights.copy_from_slice(block_weights);
-        self.refresh_all_bases();
-    }
-
-    /// Replaces the assignment array and rebuilds the block weights (the
-    /// executor's revert-on-worsen guard).
-    pub(crate) fn restore(&mut self, assignments: &[BlockId]) {
-        self.assignments.copy_from_slice(assignments);
-        self.rebuild_block_weights();
-    }
-
-    fn rebuild_block_weights(&mut self) {
-        self.block_weights.fill(0);
-        for (v, &b) in self.assignments.iter().enumerate() {
-            if b != UNASSIGNED {
-                self.block_weights[b as usize] += self.node_weights[v];
-            }
-        }
-        self.refresh_all_bases();
-    }
-
-    pub(crate) fn into_partition(self, k: u32) -> Partition {
-        Partition::from_assignments(k, self.assignments, &self.node_weights)
-    }
-
-    /// Drains the hot-path tallies into the installed observer's counters
-    /// (a no-op that still zeroes the tallies when none is installed).
-    pub(crate) fn flush_hot_counters(&mut self) {
-        let scored = std::mem::take(&mut self.scored);
-        let fast_path = std::mem::take(&mut self.fast_path);
-        oms_obs::counter_add(oms_obs::CounterId::NodesScored, scored);
-        oms_obs::counter_add(oms_obs::CounterId::DegLe2FastPath, fast_path);
-    }
-
-    /// Extends the id space to `n` nodes; new slots start unassigned with
-    /// weight 0. Never shrinks.
-    pub(crate) fn grow(&mut self, n: usize) {
-        if n > self.assignments.len() {
-            self.assignments.resize(n, UNASSIGNED);
-            self.node_weights.resize(n, 0);
-        }
-    }
-}
-
 /// The repair-capable face of a flat one-pass algorithm, for dynamic-graph
-/// maintenance: the same `O(k)` scoring state the streaming pass uses
-/// ([`Fennel`] / [`Ldg`]), exposed so single nodes can be re-scored in place
-/// under the balance constraint `L_max` as the graph changes.
+/// maintenance: the scoring kernel the streaming pass uses ([`Fennel`] /
+/// [`Ldg`], i.e. the descent on the depth-1 tree), exposed so single nodes
+/// can be re-scored in place under the balance constraint `L_max` as the
+/// graph changes.
 ///
-/// Differences from the one-shot sinks:
+/// Differences from the one-shot runs:
 ///
 /// * [`RepairSink::rescore`] unassigns and re-scores *one* node against the
 ///   current assignment — the ReFennel step, applied locally.
 /// * [`RepairSink::retune`] re-derives `L_max` and Fennel's `α` when node or
 ///   edge counts change (deltas shift both).
-/// * The [`NodeSink`] impl restreams on *every* pass (seeded semantics), so
-///   the multi-pass engine can run a full restream fallback over the live
-///   graph, guarded against worsening the maintained assignment.
+/// * As a [`NodeSink`] it lets the multi-pass engine run a full restream
+///   fallback over the live graph, guarded against worsening the maintained
+///   assignment.
 pub struct RepairSink {
-    state: FlatState,
-    config: OnePassConfig,
+    kernel: OmsSink,
+    objective: FlatObjective,
 }
 
 impl RepairSink {
@@ -705,125 +273,115 @@ impl RepairSink {
         config: OnePassConfig,
         objective: FlatObjective,
     ) -> Result<Self> {
-        check_k(k)?;
-        Ok(RepairSink {
-            state: FlatState::with_counts(k, n, m, total_weight, config, objective),
-            config,
-        })
+        let kernel = OmsSink::new(&depth_one(k, config, objective)?, n, m, total_weight);
+        Ok(RepairSink { kernel, objective })
     }
 
     /// The scoring rule in use.
     pub fn objective(&self) -> FlatObjective {
-        self.state.objective()
+        self.objective
     }
 
     /// Adopts an existing partition: per-block loads are rebuilt from the
     /// assignments and `node_weights` (one entry per id-space slot; deleted
     /// or unassigned nodes must carry [`UNASSIGNED`]).
     pub fn seed(&mut self, assignments: &[BlockId], node_weights: &[NodeWeight]) {
-        self.state.assignments.copy_from_slice(assignments);
-        self.state.node_weights.copy_from_slice(node_weights);
-        self.state.rebuild_block_weights();
+        self.kernel.adopt(assignments, node_weights);
     }
 
     /// Extends the id space to `n` nodes (new slots unassigned). Never
     /// shrinks: deleted ids stay allocated but unassigned.
     pub fn grow(&mut self, n: usize) {
-        self.state.grow(n);
+        self.kernel.grow(n);
     }
 
     /// Re-derives the balance limit `L_max` and Fennel's `α` from the
     /// current graph counts. Call after deltas changed `n`, `m` or the
     /// total node weight.
     pub fn retune(&mut self, n: usize, m: usize, total_weight: NodeWeight) {
-        let k = self.state.block_weights.len() as u32;
-        let capacity = Partition::capacity(total_weight, k, self.config.epsilon);
-        self.state.retune(capacity, fennel_alpha(k, m, n));
+        self.kernel.retune(n, m, total_weight);
     }
 
     /// Unassigns `node` (if assigned) and re-scores it against the current
     /// assignment, exactly like one restreaming step. Returns the block the
     /// node ends up in.
     pub fn rescore(&mut self, node: oms_graph::StreamedNode<'_>) -> BlockId {
-        self.state.unassign(node.node, node.weight);
-        self.state.assign(node);
-        self.state.assignments[node.node as usize]
+        self.kernel.rescore(node)
     }
 
     /// Records a node that joined the graph with `weight` but has not been
     /// scored yet (its slot must exist, see [`RepairSink::grow`]).
     pub fn admit(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
-        self.state.node_weights[node as usize] = weight;
+        self.kernel.set_node_weight(node, weight);
     }
 
     /// Removes `node` from its block (node deletion); its slot stays
     /// allocated but unassigned.
     pub fn forget(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
-        self.state.unassign(node, weight);
-        self.state.node_weights[node as usize] = 0;
+        self.kernel.unassign(node, weight);
+        self.kernel.set_node_weight(node, 0);
     }
 
     /// The current assignment, one entry per id-space slot ([`UNASSIGNED`]
     /// for deleted or not-yet-scored nodes).
     pub fn assignments(&self) -> &[BlockId] {
-        &self.state.assignments
+        self.kernel.assignments()
     }
 
     /// The block of one node.
     pub fn assignment(&self, node: oms_graph::NodeId) -> BlockId {
-        self.state.assignments[node as usize]
+        self.kernel.assignments()[node as usize]
     }
 
     /// Current per-block loads.
     pub fn block_weights(&self) -> &[NodeWeight] {
-        &self.state.block_weights
+        self.kernel.block_weights()
     }
 
     /// The balance limit `L_max` currently enforced.
     pub fn capacity(&self) -> NodeWeight {
-        self.state.capacity
+        self.kernel.block_capacity()
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> u32 {
-        self.state.block_weights.len() as u32
+        self.kernel.num_blocks()
     }
 
     /// Drains the hot-path scoring tallies into the installed observer's
     /// counters. The dynamic layer calls this at batch boundaries, so
     /// per-delta repair steps pay only register adds.
     pub fn flush_hot_counters(&mut self) {
-        self.state.flush_hot_counters();
+        self.kernel.flush_hot_counters();
     }
 }
 
 impl NodeSink for RepairSink {
     fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
-        self.rescore(node);
+        self.kernel.process(node);
     }
 
-    fn end_pass(&mut self, _pass: usize) {
-        self.state.flush_hot_counters();
+    fn end_pass(&mut self, pass: usize) {
+        self.kernel.end_pass(pass);
     }
 
     fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.state.assignments)
+        Some(self.kernel.assignments())
     }
 
     fn num_blocks(&self) -> u32 {
-        RepairSink::num_blocks(self)
+        self.kernel.num_blocks()
     }
 
     fn restore(&mut self, assignments: &[BlockId]) -> bool {
-        self.state.restore(assignments);
-        true
+        self.kernel.restore(assignments)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_graph::InMemoryStream;
+    use crate::scorer::fennel_alpha;
 
     /// Two 5-cliques joined by a single edge: any sensible 2-way streaming
     /// partitioner should separate the cliques.
@@ -970,10 +528,62 @@ mod tests {
     }
 
     #[test]
+    fn single_block_jobs_and_repair_run_on_the_root_is_leaf_tree() {
+        // k = 1 is the one tree shape where the blocks are not the root's
+        // children: the root is the block.
+        let g = two_cliques();
+        for spec in ["fennel:1", "ldg:1@passes=3"] {
+            let partitioner = crate::JobSpec::parse(spec).unwrap().build().unwrap();
+            let p = partitioner.partition(&mut InMemoryStream::new(&g)).unwrap();
+            assert!(p.assignments().iter().all(|&b| b == 0), "{spec}");
+            assert_eq!(p.block_weights(), &[10], "{spec}");
+        }
+        for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
+            let cfg = OnePassConfig::default();
+            let mut sink = RepairSink::new(1, 10, g.num_edges(), 10, cfg, objective).unwrap();
+            assert_eq!(sink.block_weights(), &[0]);
+            crate::BatchExecutor::default()
+                .run(&mut InMemoryStream::new(&g), &mut sink)
+                .unwrap();
+            assert_eq!(sink.block_weights(), &[10]);
+            sink.forget(3, 1);
+            assert_eq!(
+                (sink.block_weights(), sink.assignment(3)),
+                (&[9][..], UNASSIGNED)
+            );
+            sink.retune(9, g.num_edges() - 4, 9);
+            assert_eq!(sink.capacity(), Partition::capacity(9, 1, cfg.epsilon));
+            sink.admit(3, 1);
+            let block = sink.rescore(oms_graph::StreamedNode {
+                node: 3,
+                weight: 1,
+                neighbors: g.neighbors(3),
+                edge_weights: g.incident_edge_weights(3),
+            });
+            assert_eq!((block, sink.block_weights()), (0, &[10][..]));
+            let assignments = sink.assignments().to_vec();
+            sink.seed(&assignments, &[2; 10]);
+            assert_eq!(sink.block_weights(), &[20]);
+        }
+    }
+
+    #[test]
+    fn nan_scores_never_beat_a_feasible_block() {
+        // γ < 1 on an edgeless graph: α = 0 and an empty block's load term
+        // is ∞, so its score is NaN. Such blocks tie with the best real
+        // score instead of losing to an infeasible block 0.
+        let g = CsrGraph::empty(40);
+        let cfg = OnePassConfig::default().gamma(0.5);
+        let p = Fennel::new(4, cfg).passes(2).partition_graph(&g).unwrap();
+        assert!(p.is_balanced(cfg.epsilon), "{:?}", p.block_weights());
+    }
+
+    #[test]
     fn penalties_match_a_from_scratch_evaluation_after_any_retune_sequence() {
-        // `retune` rescales `score_base` from the stored load terms; every
-        // bit must equal `FlatObjective::base` of the live load under the
-        // live parameters, whatever assignments and retunes came before.
+        // `retune` rescales the kernel's penalties in place from the stored
+        // load terms; every bit must equal `FlatObjective::base` of the live
+        // load under the live parameters, whatever assignments and retunes
+        // came before.
         let g = oms_gen::erdos_renyi_gnm(300, 1500, 4);
         let (k, n) = (7u32, g.num_nodes());
         let cases = [
@@ -1013,14 +623,13 @@ mod tests {
                         });
                     }
                 }
-                let state = &sink.state;
                 let capacity = Partition::capacity(live_weight, k, cfg.epsilon);
-                assert_eq!(state.capacity, capacity);
+                assert_eq!(sink.capacity(), capacity);
                 let alpha = fennel_alpha(k, live_m, live_n);
-                for (b, &load) in state.block_weights.iter().enumerate() {
+                for (b, &load) in sink.block_weights().iter().enumerate() {
                     let expected = objective.base(load, capacity, alpha, gamma);
                     assert_eq!(
-                        state.score_base[b].to_bits(),
+                        sink.kernel.block_bases()[b].to_bits(),
                         expected.to_bits(),
                         "{objective:?} γ={gamma} step {step} block {b} (load {load})"
                     );

@@ -31,8 +31,10 @@ pub struct Entry<T: ?Sized> {
     pub supports_hierarchy: bool,
     /// Whether the `oms-dynamic` layer can maintain this algorithm's
     /// partitions incrementally (ReFennel-style local re-scoring of touched
-    /// nodes). Only the flat one-pass scorers qualify; hierarchical and
-    /// in-memory algorithms need a full re-run.
+    /// nodes). Only the flat one-pass scorers are enabled: their
+    /// [`RepairSink`](crate::RepairSink) is the scoring kernel on the
+    /// depth-1 tree. Hierarchical jobs would run on the same kernel but are
+    /// not wired up; in-memory algorithms need a full re-run.
     pub supports_repair: bool,
     /// Constructor turning a [`JobSpec`] into the boxed algorithm.
     pub build: fn(&JobSpec) -> Result<Box<T>>,

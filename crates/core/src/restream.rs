@@ -20,8 +20,10 @@
 
 use crate::config::OnePassConfig;
 use crate::executor::{BatchExecutor, NodeSink, PassTrajectory, RestreamOptions};
-use crate::onepass::{FlatObjective, FlatSink, FlatState};
+use crate::oms::OmsSink;
+use crate::onepass::depth_one;
 use crate::partition::Partition;
+use crate::scorer::FlatObjective;
 use crate::{PartitionError, Result};
 use oms_graph::NodeStream;
 
@@ -57,8 +59,8 @@ pub(crate) fn run(
 
 /// Restreaming refinement of an existing partition.
 ///
-/// Seeds a Fennel-scored flat sink with `seed`, then runs up to `passes`
-/// unassign-and-re-score passes over the stream under the balance
+/// Seeds the Fennel-scored kernel on the depth-1 tree with `seed`, then runs
+/// up to `passes` unassign-and-re-score passes over the stream under the balance
 /// constraint derived from `config` — the multi-pass bridge for algorithms
 /// that are not themselves streaming (multilevel, rms): the seed becomes
 /// pass 0 of the trajectory and the engine's guard ensures the result is
@@ -72,13 +74,13 @@ pub fn refine_partition(
     convergence: f64,
 ) -> Result<(Partition, PassTrajectory)> {
     check_passes(passes)?;
-    let k = seed.num_blocks();
-    if k == 0 {
-        return Err(PartitionError::InvalidConfig("k must be positive".into()));
-    }
-    let mut state = FlatState::new(k, &stream, config, FlatObjective::Fennel);
-    state.seed_from(seed.assignments(), seed.block_weights());
-    let mut sink = FlatSink::seeded(state);
+    let mut sink = OmsSink::new(
+        &depth_one(seed.num_blocks(), config, FlatObjective::Fennel)?,
+        stream.num_nodes(),
+        stream.num_edges(),
+        stream.total_node_weight(),
+    );
+    sink.seed(seed.assignments(), seed.block_weights());
     let trajectory = BatchExecutor::default().run_restream_seeded(
         stream,
         &mut sink,
@@ -90,7 +92,7 @@ pub fn refine_partition(
         // only refinement pass was reverted): the seed *is* the result.
         return Ok((seed, trajectory));
     }
-    Ok((sink.into_partition(k), trajectory))
+    Ok((sink.into_partition(), trajectory))
 }
 
 #[cfg(test)]

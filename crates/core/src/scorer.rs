@@ -1,13 +1,10 @@
-//! Scoring primitives shared by the flat baselines and the multi-section
-//! subproblems: the deterministic node hash of the Hashing scorer and
-//! Fennel's global `α`.
-//!
-//! The Fennel and LDG objectives themselves have a single definition,
-//! [`crate::FlatObjective`]; both the flat kernel (`onepass`) and the
-//! tree-descent kernel (`oms`) evaluate it through pre-computed per-block
-//! penalty arenas.
+//! Scoring primitives shared by every partitioner: the deterministic node
+//! hash of the Hashing scorer, Fennel's global `α`, and [`FlatObjective`] —
+//! the single definition of the Fennel and LDG objectives, which the one
+//! scoring kernel (`oms`) evaluates through its pre-computed per-tree-node
+//! penalty arena for all of its drivers.
 
-use oms_graph::NodeId;
+use oms_graph::{NodeId, NodeWeight};
 
 /// Deterministic node hash used by the Hashing scorer. Splitmix64 over the
 /// node id and the seed: cheap, uniform, reproducible.
@@ -34,6 +31,114 @@ pub fn fennel_alpha(k: u32, m: usize, n: usize) -> f64 {
         return 0.0;
     }
     (k as f64).sqrt() * m as f64 / (n as f64).powf(1.5)
+}
+
+/// The scoring rule of a flat one-pass algorithm, as a value.
+///
+/// The flat algorithms ([`Fennel`](crate::Fennel), [`Ldg`](crate::Ldg)) and
+/// the scored layers of [`OnlineMultiSection`](crate::OnlineMultiSection) run
+/// one kernel and differ only in how a candidate block is scored; this enum
+/// names the rule, so dynamic maintenance ([`RepairSink`](crate::RepairSink))
+/// can be constructed for whichever flat algorithm a job selected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlatObjective {
+    /// Fennel's additive objective `conn − α·γ·c(Vᵢ)^{γ−1}`.
+    Fennel,
+    /// LDG's multiplicative objective `conn · (1 − c(Vᵢ)/L_max)`.
+    Ldg,
+}
+
+impl FlatObjective {
+    /// The registry name of the flat algorithm scoring with this rule.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FlatObjective::Fennel => "fennel",
+            FlatObjective::Ldg => "ldg",
+        }
+    }
+
+    /// The objective of the *canonical* algorithm name (aliases must be
+    /// resolved first, e.g. through the registry), or `None` when the
+    /// algorithm is not a flat one-pass scorer and therefore supports no
+    /// incremental repair.
+    pub fn for_algorithm(name: &str) -> Option<FlatObjective> {
+        [FlatObjective::Fennel, FlatObjective::Ldg]
+            .into_iter()
+            .find(|objective| objective.name() == name)
+    }
+
+    /// Scores one candidate block: `conn` is the connectivity towards the
+    /// block, `weight` its current load, `capacity` the balance limit
+    /// `L_max` and `alpha`/`gamma` the Fennel parameters.
+    pub fn score(
+        &self,
+        conn: u64,
+        weight: NodeWeight,
+        capacity: NodeWeight,
+        alpha: f64,
+        gamma: f64,
+    ) -> f64 {
+        self.combine(conn as f64, self.base(weight, capacity, alpha, gamma))
+    }
+
+    /// The pre-evaluated per-block penalty term of the objective: a pure
+    /// function of the block's current load `weight` (and the fixed
+    /// parameters), so callers only need to recompute it when that load
+    /// changes. Combining it with a connectivity via
+    /// [`FlatObjective::combine`] reproduces the direct objective bit for
+    /// bit:
+    ///
+    /// * Fennel: `base = −(α·γ·c(Vᵢ)^{γ−1})`, score `= conn + base`
+    ///   (IEEE 754 guarantees `a − b ≡ a + (−b)`);
+    /// * LDG: `base = 1 − c(Vᵢ)/L_max`, score `= conn · base`
+    ///   (the same operations in the same order as the direct form).
+    ///
+    /// This is the single definition of both objectives; the kernel's
+    /// per-tree-node penalty arena evaluates it.
+    /// It factors into `load_term` (the only part that costs a `powf`) and
+    /// `base_of_term`.
+    #[inline]
+    pub fn base(&self, weight: NodeWeight, capacity: NodeWeight, alpha: f64, gamma: f64) -> f64 {
+        self.base_of_term(self.load_term(weight, gamma), capacity, alpha, gamma)
+    }
+
+    /// The part of [`FlatObjective::base`] that depends on the block's load
+    /// and `γ` alone — `c(Vᵢ)^{γ−1}` for Fennel, `c(Vᵢ)` for LDG — so it
+    /// survives a change of `α` or `L_max`.
+    #[inline]
+    pub(crate) fn load_term(&self, weight: NodeWeight, gamma: f64) -> f64 {
+        match self {
+            FlatObjective::Fennel => (weight as f64).powf(gamma - 1.0),
+            FlatObjective::Ldg => weight as f64,
+        }
+    }
+
+    /// [`FlatObjective::base`] from a `load_term`: the same operations in
+    /// the same order as the undivided form (`α·γ·term` associates to the
+    /// left), so the result has the same bits.
+    #[inline]
+    pub(crate) fn base_of_term(
+        &self,
+        term: f64,
+        capacity: NodeWeight,
+        alpha: f64,
+        gamma: f64,
+    ) -> f64 {
+        match self {
+            FlatObjective::Fennel => -(alpha * gamma * term),
+            FlatObjective::Ldg => 1.0 - term / capacity.max(1) as f64,
+        }
+    }
+
+    /// Combines a connectivity with a penalty base pre-evaluated by
+    /// [`FlatObjective::base`].
+    #[inline]
+    pub fn combine(&self, conn: f64, base: f64) -> f64 {
+        match self {
+            FlatObjective::Fennel => conn + base,
+            FlatObjective::Ldg => conn * base,
+        }
+    }
 }
 
 #[cfg(test)]

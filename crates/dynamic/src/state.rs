@@ -1,11 +1,14 @@
 //! The long-lived partition maintenance service.
 //!
 //! [`PartitionState`] wraps a repair-capable streaming algorithm
-//! ([`RepairSink`]) around a [`DynamicGraph`] and keeps the partition valid
-//! as [`DeltaBatch`]es arrive:
+//! ([`RepairSink`] — `oms-core`'s one scoring kernel, the multi-section
+//! descent, on the depth-1 tree that is flat Fennel / LDG) around a
+//! [`DynamicGraph`] and keeps the partition valid as [`DeltaBatch`]es
+//! arrive:
 //!
-//! * every delta mutates the graph and the per-block loads, and the edge cut
-//!   is maintained incrementally (no metric pass per delta);
+//! * every delta mutates the graph and the per-block loads, `L_max` and
+//!   Fennel's `α` are re-derived in place (no `powf`, no allocation), and
+//!   the edge cut is maintained incrementally (no metric pass per delta);
 //! * under [`RepairPolicy::Local`] the nodes a delta touches are re-scored
 //!   in place (one ReFennel step each, under the live balance constraint
 //!   `L_max`); [`RepairPolicy::Boundary`] adds one cascade wave over the

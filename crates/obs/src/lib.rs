@@ -11,9 +11,8 @@
 //!   pure functions of `(stream, seed)`, the hash doubles as a
 //!   determinism oracle, like the replay simulator's request-log hash.
 //! * **Metrics** ([`Metrics`]) — allocation-free counters and
-//!   log-bucketed histograms for hot-path signals (nodes scored, fast-path
-//!   hits, replay queue depths). Recording is one
-//!   relaxed atomic op, so instrumented paths still pass the workspace's
+//!   log-bucketed histograms for hot-path signals (nodes scored, replay
+//!   queue depths). Recording is one relaxed atomic op, so instrumented paths still pass the workspace's
 //!   counting-allocator and throughput gates.
 //! * **Exporters** (`export`) — JSON-lines trace, greppable table, and
 //!   Prometheus-style exposition; `trace` parses a written trace back and
@@ -230,11 +229,11 @@ mod tests {
     #[test]
     fn counters_and_histograms_flow_to_the_core() {
         let (core, guard) = recording(16);
-        counter_add(CounterId::DegLe2FastPath, 3);
-        counter_add(CounterId::DegLe2FastPath, 4);
+        counter_add(CounterId::NodesScored, 3);
+        counter_add(CounterId::NodesScored, 4);
         hist_record(HistId::ReplayQueueDepth, 9);
         drop(guard);
-        assert_eq!(core.metrics().counter(CounterId::DegLe2FastPath), 7);
+        assert_eq!(core.metrics().counter(CounterId::NodesScored), 7);
         let hist = core.metrics().hist(HistId::ReplayQueueDepth);
         assert_eq!(hist.count, 1);
         assert_eq!(hist.sum, 9);

@@ -13,11 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Identifies one monotone counter in the registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CounterId {
-    /// Nodes scored by the flat scoring kernels (including repair
-    /// re-scoring).
+    /// Nodes scored by the scoring kernel, whatever drives it: a streaming
+    /// pass of a flat or multi-section job, refinement, repair re-scoring.
     NodesScored,
-    /// Nodes that took the degree ≤ 2 register fast path.
-    DegLe2FastPath,
     /// Restream passes executed by the batch executor.
     RestreamPasses,
     /// Restream passes that were reverted.
@@ -52,9 +50,8 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 17] = [
+    pub const ALL: [CounterId; 16] = [
         CounterId::NodesScored,
-        CounterId::DegLe2FastPath,
         CounterId::RestreamPasses,
         CounterId::RestreamReverts,
         CounterId::DeltasApplied,
@@ -76,7 +73,6 @@ impl CounterId {
     pub fn name(&self) -> &'static str {
         match self {
             CounterId::NodesScored => "nodes_scored",
-            CounterId::DegLe2FastPath => "deg_le2_fast_path",
             CounterId::RestreamPasses => "restream_passes",
             CounterId::RestreamReverts => "restream_reverts",
             CounterId::DeltasApplied => "deltas_applied",

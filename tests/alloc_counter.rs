@@ -1,10 +1,12 @@
-//! Shim-level allocation counting: proves the flat scoring kernel performs
-//! **zero heap allocations per node** once warm, and that the OMS
-//! tree-descent kernel's allocation count does not depend on `n`.
+//! Shim-level allocation counting: proves the one scoring kernel performs
+//! **zero heap allocations per node** once warm under each of its drivers —
+//! a stream pass of the flat rules, the per-delta repair path
+//! (`retune` / `rescore` / `forget` / `admit`) — and that a one-shot run's
+//! allocation count, flat or multi-section, does not depend on `n`.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
-//! warm pass (which sizes the connectivity arena, the dirty list and the
-//! penalty arena), a second full pass over an in-memory stream must not
+//! warm pass (the kernel sizes its per-tree-node arenas and its gather list
+//! at construction), a second full pass over an in-memory stream must not
 //! allocate at all — the per-node hot path runs entirely on pre-sized
 //! buffers. CI runs this in release, where an accidental allocation in the
 //! inlined kernel would otherwise be invisible.
@@ -20,6 +22,7 @@
 
 use oms::core::{BatchExecutor, FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
 use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
+use oms::graph::StreamedNode;
 use oms::prelude::{erdos_renyi_gnm, planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,8 +81,8 @@ fn peak_live_bytes_during<F: FnOnce()>(f: F) -> u64 {
     PEAK_LIVE_BYTES.load(Ordering::Relaxed) - before
 }
 
-/// Warm steady-state passes of both flat objectives over graphs of two
-/// sizes: the second pass must be allocation-free, independent of `n`.
+/// Warm steady-state passes and per-delta repair steps of both flat
+/// objectives over graphs of two sizes: allocation-free, independent of `n`.
 #[test]
 fn steady_state_scoring_is_allocation_free() {
     let k = 32;
@@ -98,7 +101,7 @@ fn steady_state_scoring_is_allocation_free() {
             )
             .unwrap();
             let executor = BatchExecutor::default();
-            // Warm pass: grows the dirty list / arenas to their final size.
+            // Warm pass: every node assigned, every buffer at its final size.
             executor.run(&mut stream, &mut sink).unwrap();
             let allocs = allocations_during(|| {
                 executor.run(&mut stream, &mut sink).unwrap();
@@ -107,6 +110,33 @@ fn steady_state_scoring_is_allocation_free() {
                 allocs, 0,
                 "{objective:?} steady-state pass over n={n} allocated {allocs} times; \
                  the hot path must run on pre-sized buffers only"
+            );
+            // What `oms-dynamic` does per delta: counts shift, so `L_max`
+            // and `α` are re-derived in place, and the touched nodes are
+            // removed, admitted and re-scored one by one.
+            let allocs = allocations_during(|| {
+                for step in 0..2_000usize {
+                    let v = (step * 7919 % n) as u32;
+                    sink.retune(
+                        n - step % 3,
+                        g.num_edges() + step % 7,
+                        n as u64 + (step % 5) as u64,
+                    );
+                    if step % 4 == 0 {
+                        sink.forget(v, 1);
+                        sink.admit(v, 1);
+                    }
+                    sink.rescore(StreamedNode {
+                        node: v,
+                        weight: 1,
+                        neighbors: g.neighbors(v),
+                        edge_weights: g.incident_edge_weights(v),
+                    });
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "{objective:?} per-delta repair steps over n={n} allocated {allocs} times"
             );
         }
     }

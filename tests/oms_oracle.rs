@@ -1,10 +1,13 @@
-//! Differential oracle for the OMS tree-descent kernel.
+//! Differential oracle for the scoring kernel: the OMS tree descent, and the
+//! flat rules that are its depth-1 case.
 //!
 //! `oms-core`'s production descent is an amortised kernel (per-tree-node
 //! penalty arena, one prefix-filtered neighbour gather, flat tree tables,
 //! split select loop). This suite keeps the formulation it replaced — a
 //! deliberately naive descent written straight from Algorithm 1 — as a
-//! test-only reference and demands **identical assignments**:
+//! test-only reference and demands **identical assignments**, from
+//! `OnlineMultiSection` on hierarchies and `b`-section trees and from the
+//! production `Fennel` / `Ldg` types on the one-layer tree `S = k`:
 //!
 //! * every layer re-walks the streamed node's whole neighbourhood and climbs
 //!   parent links to find which child a neighbour's block lies under
@@ -361,6 +364,74 @@ fn one_shot_entry_point_matches_the_naive_descent() {
         let expected = oracle_assignments(&oms, &graph, 1, &fallbacks);
         let actual = oms.partition_graph(&graph).unwrap();
         assert_eq!(actual.assignments(), &expected[..], "{config:?}");
+    }
+}
+
+/// The flat baselines against the naive descent on the one-layer tree
+/// `S = k` — the only reference `Fennel` and `Ldg` have that is not the
+/// code under test.
+#[test]
+fn flat_rules_match_the_naive_descent_on_the_depth_one_tree() {
+    let fallbacks = Cell::new(0u64);
+    let mut runs = 0;
+    for (graph_name, graph) in graphs() {
+        // 1 is the root-is-leaf tree; 300 exceeds every n in `graphs()`.
+        for k in [1u32, 2, 7, 33, 300] {
+            for (scorer_name, scorer) in [("fennel", ScorerKind::Fennel), ("ldg", ScorerKind::Ldg)]
+            {
+                for epsilon in [0.0, 0.03] {
+                    let reference = OnlineMultiSection::with_tree(
+                        MultisectionTree::flat(k, k.max(2)),
+                        OmsConfig::default().scorer(scorer).epsilon(epsilon),
+                    );
+                    let config = OnePassConfig::default().epsilon(epsilon);
+                    for passes in [1usize, 3] {
+                        let expected = oracle_assignments(&reference, &graph, passes, &fallbacks);
+                        let actual = match scorer {
+                            ScorerKind::Ldg => {
+                                Ldg::new(k, config).passes(passes).partition_graph(&graph)
+                            }
+                            _ => Fennel::new(k, config)
+                                .passes(passes)
+                                .partition_graph(&graph),
+                        }
+                        .unwrap();
+                        assert_eq!(
+                            actual.assignments(),
+                            &expected[..],
+                            "{graph_name} × {scorer_name}:{k} × eps={epsilon} × passes={passes}"
+                        );
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 6 * 5 * 2 * 2 * 2);
+    assert!(
+        fallbacks.get() > 100,
+        "ε = 0 must exercise the all-blocks-full fallback (fired {} times)",
+        fallbacks.get()
+    );
+}
+
+/// The paper's identity, stated through the job grammar: a hierarchy with
+/// the single layer `S = K` is the flat one-pass partitioner.
+#[test]
+fn fennel_is_nh_oms_with_base_k() {
+    let graph = WeightScheme::Full.apply(&planted_partition(1_200, 8, 0.05, 0.004, 21), 3);
+    for k in [8u32, 64, 1000] {
+        for restream in ["", ",passes=3"] {
+            let run = |spec: String| {
+                let partitioner = JobSpec::parse(&spec).unwrap().build().unwrap();
+                partitioner
+                    .partition(&mut InMemoryStream::new(&graph))
+                    .unwrap()
+            };
+            let flat = run(format!("fennel:{k}@eps=0.03{restream}"));
+            let tree = run(format!("nh-oms:{k}@base={k}{restream}"));
+            assert_eq!(flat.assignments(), tree.assignments(), "k={k}{restream}");
+        }
     }
 }
 
