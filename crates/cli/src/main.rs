@@ -44,7 +44,13 @@
 //! `Box<dyn Partitioner>` the registry produces, so new backends registered
 //! by library crates are immediately available here.
 //!
-//! Exit code 0 on success, 1 on user error, 2 on internal error.
+//! Exit code 0 on success, 1 on user error, 2 on internal error. A reader
+//! that closes stdout early (`oms algorithms | head -1`) ends the command
+//! quietly with 141, the status a shell reports for a `SIGPIPE` death.
+
+// Everything printed goes through `emit`, which turns a failed write into an
+// `Error`; `println!` would panic on it.
+#![deny(clippy::print_stdout)]
 
 use oms_core::knobs::{self, KNOBS};
 use oms_core::{JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
@@ -73,6 +79,7 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::from(2)
         }
+        Err(Error::StdoutClosed) => ExitCode::from(141),
     }
 }
 
@@ -109,6 +116,24 @@ fn usage() -> String {
 enum Error {
     Usage(String),
     Internal(String),
+    /// The reader closed stdout; there is nobody left to tell.
+    StdoutClosed,
+}
+
+/// The one path to stdout.
+fn emit(args: std::fmt::Arguments<'_>) -> Result<(), Error> {
+    std::io::stdout()
+        .write_fmt(args)
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Error::StdoutClosed,
+            _ => Error::Internal(format!("cannot write to stdout: {e}")),
+        })
+}
+
+/// `println!` through [`emit`]: evaluates to a `Result` instead of panicking.
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 impl From<oms_graph::GraphError> for Error {
@@ -236,16 +261,16 @@ impl ObsSession {
         if let Some(path) = &self.trace_path {
             std::fs::write(path, oms_obs::trace_jsonl(&core))
                 .map_err(|e| Error::Internal(format!("cannot write {path}: {e}")))?;
-            println!(
+            outln!(
                 "trace      : {path} ({} events, {} dropped, log hash {:016x})",
                 core.recorded(),
                 core.dropped(),
                 core.log_hash()
-            );
+            )?;
         }
         if self.metrics {
-            println!();
-            print!("{}", oms_obs::prometheus(&core));
+            outln!()?;
+            emit(format_args!("{}", oms_obs::prometheus(&core)))?;
         }
         Ok(())
     }
@@ -469,16 +494,21 @@ fn job_from_options(
 
 /// Prints the per-pass quality trajectory of a multi-pass run, one line per
 /// accepted pass.
-fn print_trajectory(trajectory: &[oms_core::PassStats]) {
+fn print_trajectory(trajectory: &[oms_core::PassStats]) -> Result<(), Error> {
     if trajectory.len() < 2 {
-        return;
+        return Ok(());
     }
     for stats in trajectory {
-        println!(
+        outln!(
             "  pass {:>2}  : cut {} (imbalance {:.4}, {} moved, {:.4} s)",
-            stats.pass, stats.edge_cut, stats.imbalance, stats.moved, stats.seconds
-        );
+            stats.pass,
+            stats.edge_cut,
+            stats.imbalance,
+            stats.moved,
+            stats.seconds
+        )?;
     }
+    Ok(())
 }
 
 fn partition_command(args: &[String]) -> Result<(), Error> {
@@ -501,27 +531,27 @@ fn partition_command(args: &[String]) -> Result<(), Error> {
     let report = source.run(partitioner.as_ref())?;
 
     let (n, m) = source.counts();
-    println!("graph      : {path} (n = {n}, m = {m})");
-    println!("job        : {job}");
-    println!(
+    outln!("graph      : {path} (n = {n}, m = {m})")?;
+    outln!("job        : {job}")?;
+    outln!(
         "algorithm  : {}, k = {}",
         report.algorithm,
         report.num_blocks()
-    );
-    println!("edge-cut   : {}", report.edge_cut);
-    println!("imbalance  : {:.4}", report.imbalance);
+    )?;
+    outln!("edge-cut   : {}", report.edge_cut)?;
+    outln!("imbalance  : {:.4}", report.imbalance)?;
     if let Some(total_edge_weight) = source.total_edge_weight_if_weighted(&report)? {
-        println!(
+        outln!(
             "weights    : c(V) = {}, ω(E) = {total_edge_weight}, max block = {}",
             report.total_node_weight(),
             report.max_block_weight()
-        );
+        )?;
     }
-    println!("time       : {:.4} s", report.seconds);
-    print_trajectory(&report.trajectory);
+    outln!("time       : {:.4} s", report.seconds)?;
+    print_trajectory(&report.trajectory)?;
     if let Some(output) = options.get("output") {
         write_assignments(output, report.partition.assignments())?;
-        println!("partition written to {output}");
+        outln!("partition written to {output}")?;
     }
     obs.finish()
 }
@@ -539,41 +569,47 @@ fn edge_partition_command(
     let graph = load_graph_opt(path, options)?;
     let report = partitioner.run(&mut EdgesOf(InMemoryStream::new(&graph)))?;
 
-    println!(
+    outln!(
         "graph       : {path} (n = {}, m = {})",
         graph.num_nodes(),
         graph.num_edges()
-    );
-    println!("job         : {job}");
-    println!(
+    )?;
+    outln!("job         : {job}")?;
+    outln!(
         "algorithm   : {}, k = {} (vertex-cut)",
         report.algorithm,
         report.num_blocks()
-    );
-    println!(
+    )?;
+    outln!(
         "replication : {:.4} (total replicas {}, max {})",
-        report.replication_factor, report.total_replicas, report.max_replicas
-    );
-    println!("edge-balance: {:.4}", report.imbalance);
+        report.replication_factor,
+        report.total_replicas,
+        report.max_replicas
+    )?;
+    outln!("edge-balance: {:.4}", report.imbalance)?;
     if !graph.is_unweighted() {
-        println!(
+        outln!(
             "weights     : ω(E) = {}, max block load = {}",
             report.partition.total_load(),
             report.partition.max_block_load()
-        );
+        )?;
     }
-    println!("time        : {:.4} s", report.seconds);
+    outln!("time        : {:.4} s", report.seconds)?;
     if report.trajectory.len() >= 2 {
         for stats in &report.trajectory {
-            println!(
+            outln!(
                 "  pass {:>2}  : replication {:.4} (imbalance {:.4}, {} moved, {:.4} s)",
-                stats.pass, stats.replication_factor, stats.imbalance, stats.moved, stats.seconds
-            );
+                stats.pass,
+                stats.replication_factor,
+                stats.imbalance,
+                stats.moved,
+                stats.seconds
+            )?;
         }
     }
     if let Some(output) = options.get("output") {
         write_edge_assignments(output, &graph, report.partition.assignments())?;
-        println!("edge partition written to {output}");
+        outln!("edge partition written to {output}")?;
     }
     Ok(())
 }
@@ -613,8 +649,8 @@ fn map_command(args: &[String]) -> Result<(), Error> {
     let report = source.run(partitioner.as_ref())?;
 
     let (n, m) = source.counts();
-    println!("graph        : {path} (n = {n}, m = {m})");
-    println!(
+    outln!("graph        : {path} (n = {n}, m = {m})")?;
+    outln!(
         "topology     : S = {}, D = {}",
         hierarchy.to_string_spec(),
         distances
@@ -623,24 +659,24 @@ fn map_command(args: &[String]) -> Result<(), Error> {
             .map(u64::to_string)
             .collect::<Vec<_>>()
             .join(":")
-    );
-    println!("job          : {job}");
-    println!(
+    )?;
+    outln!("job          : {job}")?;
+    outln!(
         "algorithm    : {}, k = {} PEs",
         report.algorithm,
         report.num_blocks()
-    );
-    println!(
+    )?;
+    outln!(
         "mapping cost : {}",
         report.mapping_cost.expect("distances were attached")
-    );
-    println!("edge-cut     : {}", report.edge_cut);
-    println!("imbalance    : {:.4}", report.imbalance);
-    println!("time         : {:.4} s", report.seconds);
-    print_trajectory(&report.trajectory);
+    )?;
+    outln!("edge-cut     : {}", report.edge_cut)?;
+    outln!("imbalance    : {:.4}", report.imbalance)?;
+    outln!("time         : {:.4} s", report.seconds)?;
+    print_trajectory(&report.trajectory)?;
     if let Some(output) = options.get("output") {
         write_assignments(output, report.partition.assignments())?;
-        println!("mapping written to {output}");
+        outln!("mapping written to {output}")?;
     }
     obs.finish()
 }
@@ -650,7 +686,7 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
     if !positional.is_empty() {
         return Err(Error::Usage("algorithms: takes no arguments".into()));
     }
-    println!("registered algorithms (use with --algo or in a --job spec):\n");
+    outln!("registered algorithms (use with --algo or in a --job spec):\n")?;
     let aliases = |aliases: &[&str]| match aliases {
         [] => String::new(),
         aliases => format!(" (aliases: {})", aliases.join(", ")),
@@ -661,29 +697,29 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
         } else {
             ""
         };
-        println!(
+        outln!(
             "  {:<12} {}{}{marker}",
             algo.name,
             algo.description,
             aliases(algo.aliases)
-        );
+        )?;
     }
-    println!(
+    outln!(
         "\n[repairable] algorithms support incremental repair under `oms apply-deltas` \
          (drift=/repair= job options)."
-    );
-    println!("\nedge (vertex-cut) algorithms — partition edges, report the replication factor:\n");
+    )?;
+    outln!("\nedge (vertex-cut) algorithms — partition edges, report the replication factor:\n")?;
     for algo in oms_edgepart::EDGE_ALGORITHMS.list() {
-        println!(
+        outln!(
             "  {:<12} {}{}",
             algo.name,
             algo.description,
             aliases(algo.aliases)
-        );
+        )?;
     }
-    println!("\njob spec grammar: {}", knobs::grammar());
+    outln!("\njob spec grammar: {}", knobs::grammar())?;
     for line in knobs::help_lines() {
-        println!("  {line}");
+        outln!("  {line}")?;
     }
     Ok(())
 }
@@ -745,12 +781,12 @@ fn convert_command(args: &[String]) -> Result<(), Error> {
             }
         }
     }
-    println!(
+    outln!(
         "wrote {output} (n = {}, m = {}, c(V) = {})",
         graph.num_nodes(),
         graph.num_edges(),
         graph.total_node_weight()
-    );
+    )?;
     Ok(())
 }
 
@@ -790,13 +826,13 @@ fn generate_command(args: &[String]) -> Result<(), Error> {
     };
     let graph = scheme.apply(&graph, seed);
     write_metis(&graph, output)?;
-    println!(
+    outln!(
         "wrote {output} ({family}, weights = {}, n = {}, m = {}, c(V) = {})",
         scheme.name(),
         graph.num_nodes(),
         graph.num_edges(),
         graph.total_node_weight()
-    );
+    )?;
     Ok(())
 }
 
@@ -858,13 +894,13 @@ fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
         }
         let trace = oms_gen::temporal_trace(&graph, &config);
         oms_graph::write_delta_trace(output, &trace)?;
-        println!(
+        outln!(
             "wrote {output} ({} batches, {} deltas, temporal = {:?}, seed = {})",
             trace.len(),
             trace.iter().map(oms_graph::DeltaBatch::len).sum::<usize>(),
             config.scheme,
             config.seed
-        );
+        )?;
         return Ok(());
     }
     if options.contains_key("delete-frac") {
@@ -904,13 +940,13 @@ fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
     };
     let trace = oms_gen::churn_trace(&graph, &config);
     oms_graph::write_delta_trace(output, &trace)?;
-    println!(
+    outln!(
         "wrote {output} ({} batches, {} deltas, scheme = {:?}, seed = {})",
         trace.len(),
         trace.iter().map(oms_graph::DeltaBatch::len).sum::<usize>(),
         config.scheme,
         config.seed
-    );
+    )?;
     Ok(())
 }
 
@@ -943,22 +979,22 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
     let trace = oms_graph::read_delta_trace(trace_path)?;
     let obs = ObsSession::start(&options, metrics);
     let mut state = oms_dynamic::PartitionState::new(&job, &mut InMemoryStream::new(&graph))?;
-    println!(
+    outln!(
         "graph      : {path} (n = {}, m = {})",
         graph.num_nodes(),
         graph.num_edges()
-    );
-    println!(
+    )?;
+    outln!(
         "trace      : {trace_path} ({} batches, {} deltas)",
         trace.len(),
         trace.iter().map(oms_graph::DeltaBatch::len).sum::<usize>()
-    );
-    println!("job        : {job}");
-    println!(
+    )?;
+    outln!("job        : {job}")?;
+    outln!(
         "initial    : cut {} (imbalance {:.4})",
         state.edge_cut(),
         state.imbalance()
-    );
+    )?;
     let cadence = oms_dynamic::Checkpoints::every(job.window);
     let mut checkpoints = Vec::with_capacity(cadence.count(trace.len()));
     let mut window_deltas = 0usize;
@@ -988,32 +1024,32 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
         window_deltas = 0;
         window_seconds = 0.0;
     }
-    println!();
-    print!(
+    outln!()?;
+    emit(format_args!(
         "{}",
         oms_metrics::checkpoint_table("incremental vs cold restream", &checkpoints).to_text()
-    );
+    ))?;
     if reference {
-        println!(
+        outln!(
             "\nmax cut ratio  : {:.3}",
             oms_metrics::max_cut_ratio(&checkpoints)
-        );
-        println!(
+        )?;
+        outln!(
             "repair speedup : {:.1}x",
             oms_metrics::repair_vs_restream_speedup(&checkpoints)
-        );
+        )?;
     }
     let counters = state.counters();
-    println!(
+    outln!(
         "drift          : {:.4} (threshold {}, {} full restreams, {} deltas applied)",
         state.drift(),
         job.drift,
         counters.restreams,
         counters.deltas_applied
-    );
+    )?;
     if let Some(output) = options.get("output") {
         write_assignments(output, state.assignments())?;
-        println!("partition written to {output}");
+        outln!("partition written to {output}")?;
     }
     obs.finish()
 }
@@ -1069,13 +1105,13 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
     }
 
     let graph = load_graph_opt(path, &options)?;
-    println!(
+    outln!(
         "graph      : {path} (n = {}, m = {})",
         graph.num_nodes(),
         graph.num_edges()
-    );
-    println!("job        : {job}");
-    println!(
+    )?;
+    outln!("job        : {job}")?;
+    outln!(
         "workload   : {} requests x {} hops (zipf {:.2}, penalty {}, arrival {}, seed {})",
         config.requests,
         config.hops,
@@ -1083,16 +1119,17 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
         config.hop_penalty,
         config.arrival_every,
         config.seed
-    );
+    )?;
 
     let obs = ObsSession::start(&options, metrics);
     let report = if oms_edgepart::is_edge_algorithm(&job.algorithm) {
         let partitioner = oms_edgepart::build_edge_partitioner(&job)?;
         let part = partitioner.run(&mut EdgesOf(InMemoryStream::new(&graph)))?;
-        println!(
+        outln!(
             "partition  : {} (vertex-cut, replication {:.4})",
-            part.algorithm, part.replication_factor
-        );
+            part.algorithm,
+            part.replication_factor
+        )?;
         oms_workload::replay_edge_partition(
             &graph,
             part.partition.assignments(),
@@ -1102,36 +1139,40 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
     } else {
         let partitioner = job.build()?;
         let part = partitioner.run(&mut InMemoryStream::new(&graph))?;
-        println!(
+        outln!(
             "partition  : {} (cut {}, imbalance {:.4})",
-            part.algorithm, part.edge_cut, part.imbalance
-        );
+            part.algorithm,
+            part.edge_cut,
+            part.imbalance
+        )?;
         oms_workload::replay_graph(&graph, part.partition.assignments(), &config)
     };
 
-    println!(
+    outln!(
         "served     : {} of {} requests ({} rejected, {:.1}% shed)",
         report.served,
         report.requests,
         report.rejected,
         report.rejection_rate() * 100.0
-    );
-    println!(
+    )?;
+    outln!(
         "hop rate   : {:.4} cross-block ({} of {} hops)",
         report.cross_block_hop_rate(),
         report.cross_block_hops,
         report.total_hops
-    );
-    println!(
+    )?;
+    outln!(
         "load skew  : {:.3} (max block over mean; 1.000 = even)",
         report.load_skew()
-    );
-    println!("p50 latency: {} ticks", report.p50_latency);
-    println!("p99 latency: {} ticks", report.p99_latency);
-    println!(
+    )?;
+    outln!("p50 latency: {} ticks", report.p50_latency)?;
+    outln!("p99 latency: {} ticks", report.p99_latency)?;
+    outln!(
         "mean       : {:.1} ticks (makespan {}, log hash {:016x})",
-        report.mean_latency, report.makespan, report.request_log_hash
-    );
+        report.mean_latency,
+        report.makespan,
+        report.request_log_hash
+    )?;
     obs.finish()
 }
 
@@ -1150,8 +1191,8 @@ fn trace_command(args: &[String]) -> Result<(), Error> {
         .map_err(|e| Error::Internal(format!("cannot read {path}: {e}")))?;
     let summary =
         oms_obs::summarize(&text).map_err(|e| Error::Internal(format!("trace error: {e}")))?;
-    println!("trace            {path}");
-    print!("{summary}");
+    outln!("trace            {path}")?;
+    emit(format_args!("{summary}"))?;
     let Some(footer) = summary.footer else {
         return Err(Error::Internal(
             "trace error: no trace_end footer — the file was cut off before the trace was \
@@ -1174,11 +1215,11 @@ fn info_command(args: &[String]) -> Result<(), Error> {
         return Err(Error::Usage("info: missing graph file".into()));
     };
     let graph = load_graph_opt(path, &options)?;
-    println!("file         : {path}");
-    println!("nodes        : {}", graph.num_nodes());
-    println!("edges        : {}", graph.num_edges());
-    println!("max degree   : {}", graph.max_degree());
-    println!("avg degree   : {:.2}", graph.average_degree());
+    outln!("file         : {path}")?;
+    outln!("nodes        : {}", graph.num_nodes())?;
+    outln!("edges        : {}", graph.num_edges())?;
+    outln!("max degree   : {}", graph.max_degree())?;
+    outln!("avg degree   : {:.2}", graph.average_degree())?;
     // Degree skew: a p99/max ratio near 0 means a few hubs dominate — the
     // signal that vertex-cut (e-*) partitioning will beat edge-cut.
     let p99 = graph.degree_percentile(0.99);
@@ -1187,23 +1228,23 @@ fn info_command(args: &[String]) -> Result<(), Error> {
     } else {
         p99 as f64 / graph.max_degree() as f64
     };
-    println!("p99 degree   : {p99}");
-    println!("degree skew  : {skew:.4} (p99/max; small = hub-dominated, favors vertex-cut)");
-    println!("total weight : {}", graph.total_node_weight());
-    println!("edge weight  : {}", graph.total_edge_weight());
-    println!("unweighted   : {}", graph.is_unweighted());
-    println!(
+    outln!("p99 degree   : {p99}")?;
+    outln!("degree skew  : {skew:.4} (p99/max; small = hub-dominated, favors vertex-cut)")?;
+    outln!("total weight : {}", graph.total_node_weight())?;
+    outln!("edge weight  : {}", graph.total_edge_weight())?;
+    outln!("unweighted   : {}", graph.is_unweighted())?;
+    outln!(
         "connected    : {}",
         oms_graph::traversal::is_connected(&graph)
-    );
+    )?;
     // For stream files, break the on-disk layout down by section so the
     // effect of `convert --stream-version` is visible at a glance.
     if input_format(path, &options)? == "stream" {
         let info = oms_graph::io::stream_file_info(path)?;
-        println!("stream format: v{}", info.version.number());
-        println!("  header       : {:>12} B", info.header_bytes);
-        println!("  degrees      : {:>12} B", info.degree_bytes);
-        println!(
+        outln!("stream format: v{}", info.version.number())?;
+        outln!("  header       : {:>12} B", info.header_bytes)?;
+        outln!("  degrees      : {:>12} B", info.degree_bytes)?;
+        outln!(
             "  node weights : {:>12} B{}",
             info.node_weight_bytes,
             if info.has_node_weights {
@@ -1211,9 +1252,9 @@ fn info_command(args: &[String]) -> Result<(), Error> {
             } else {
                 " (unit, omitted)"
             }
-        );
-        println!("  neighbors    : {:>12} B", info.neighbor_bytes);
-        println!(
+        )?;
+        outln!("  neighbors    : {:>12} B", info.neighbor_bytes)?;
+        outln!(
             "  edge weights : {:>12} B{}",
             info.edge_weight_bytes,
             if info.has_edge_weights {
@@ -1221,10 +1262,10 @@ fn info_command(args: &[String]) -> Result<(), Error> {
             } else {
                 " (unit, omitted)"
             }
-        );
-        println!("  padding      : {:>12} B", info.padding_bytes);
-        println!("  trailer      : {:>12} B", info.trailer_bytes);
-        println!("  total        : {:>12} B", info.file_bytes);
+        )?;
+        outln!("  padding      : {:>12} B", info.padding_bytes)?;
+        outln!("  trailer      : {:>12} B", info.trailer_bytes)?;
+        outln!("  total        : {:>12} B", info.file_bytes)?;
     }
     Ok(())
 }

@@ -1183,3 +1183,30 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
         assert_graph_error_everywhere(&path, "oms", "METIS parse error");
     }
 }
+
+/// A reader that goes away (`oms … | head -1`) is nothing the program did
+/// wrong: the first write to the readerless pipe ends the command quietly.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly_not_with_a_panic() {
+    let dir = temp_dir("closed-stdout");
+    let graph = dir.join("er.metis");
+    let generated = oms()
+        .args(["generate", "er", "500"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(generated.status.success());
+    let graph = graph.to_str().unwrap();
+    for args in [
+        vec!["algorithms"],
+        vec!["info", graph],
+        vec!["partition", graph, "--k", "8"],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let output = oms().args(&args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(141), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}

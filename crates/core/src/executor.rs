@@ -601,10 +601,18 @@ pub struct Measurement {
     pub mapping_cost: Option<u64>,
 }
 
-/// The *one* weighted edge walk in the workspace: a single pass over the
+/// The one weighted edge walk production runs: a single pass over the
 /// stream that measures everything a report says about `assignments` —
 /// edge-cut, imbalance over `k` blocks (`k == 0` derives the block count
 /// from the assignments), `ω(E)` and, under a `topology`, the mapping cost.
+///
+/// Three per-edge references stay beside it on purpose, each a loop over a
+/// materialised graph that shares no code with this walk:
+/// [`Partition::edge_cut`](crate::Partition::edge_cut),
+/// `oms_metrics::edge_cut` (tied to each other by `tests/properties.rs` and
+/// to this walk's cut by `tests/weighted_equivalence.rs`) and
+/// `oms_mapping::mapping_cost` (tied to this walk's `J` by
+/// `tests/properties.rs::mapping_cost_bounds` on random hierarchies).
 ///
 /// Each undirected edge is seen from both endpoints, so the doubled sums are
 /// halved. The walk tallies edge weight per *shared level* of the two

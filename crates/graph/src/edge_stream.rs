@@ -193,13 +193,6 @@ impl<E: EdgeStream + ?Sized> EdgeStream for &mut E {
 /// disk streams' re-open-and-revalidate discipline for free.
 pub struct EdgesOf<S>(pub S);
 
-impl<S: NodeStream> EdgesOf<S> {
-    /// The wrapped node stream.
-    pub fn into_inner(self) -> S {
-        self.0
-    }
-}
-
 impl<S: NodeStream> EdgeStream for EdgesOf<S> {
     fn num_nodes(&self) -> usize {
         self.0.num_nodes()

@@ -10,7 +10,6 @@
 use crate::topology::Topology;
 use oms_core::BlockId;
 use oms_graph::CsrGraph;
-use rayon::prelude::*;
 
 /// Total communication cost `J` of assigning node `v` to PE
 /// `assignment[v]`.
@@ -23,22 +22,6 @@ pub fn mapping_cost(graph: &CsrGraph, assignment: &[BlockId], topology: &Topolog
     graph
         .edges()
         .map(|(u, v, w)| w * topology.distance(assignment[u as usize], assignment[v as usize]))
-        .sum()
-}
-
-/// Parallel evaluation of `J` (one rayon task per node, counting each edge
-/// from its smaller endpoint).
-pub fn mapping_cost_parallel(graph: &CsrGraph, assignment: &[BlockId], topology: &Topology) -> u64 {
-    assert!(assignment.len() >= graph.num_nodes());
-    (0..graph.num_nodes() as u32)
-        .into_par_iter()
-        .map(|u| {
-            graph
-                .neighbors_weighted(u)
-                .filter(|&(v, _)| u < v)
-                .map(|(v, w)| w * topology.distance(assignment[u as usize], assignment[v as usize]))
-                .sum::<u64>()
-        })
         .sum()
 }
 
@@ -97,17 +80,6 @@ mod tests {
         let t = Topology::parse("2:2", "1:10").unwrap();
         assert_eq!(mapping_cost(&g, &[0, 2], &t), 70);
         assert_eq!(mapping_cost(&g, &[0, 1], &t), 7);
-    }
-
-    #[test]
-    fn parallel_cost_matches_sequential() {
-        let g = oms_gen::planted_partition(300, 8, 0.1, 0.01, 3);
-        let t = Topology::parse("2:2:2", "1:10:100").unwrap();
-        let assignment: Vec<BlockId> = (0..300).map(|v| (v % 8) as BlockId).collect();
-        assert_eq!(
-            mapping_cost(&g, &assignment, &t),
-            mapping_cost_parallel(&g, &assignment, &t)
-        );
     }
 
     #[test]

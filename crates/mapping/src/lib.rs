@@ -11,8 +11,7 @@
 //!
 //! * [`Topology`] — a hierarchical machine model combining a
 //!   [`oms_core::HierarchySpec`] and a [`oms_core::DistanceSpec`];
-//! * [`cost`] — evaluation of `J` (sequential and parallel) and per-level
-//!   communication statistics;
+//! * [`cost`] — evaluation of `J` and per-level communication statistics;
 //! * [`comm_graph`] — the block-level communication matrix induced by a
 //!   partition, the input of every block→PE mapping algorithm;
 //! * [`greedy`] — the greedy construction heuristic in the spirit of
@@ -34,7 +33,7 @@ pub mod offline;
 pub mod topology;
 
 pub use comm_graph::CommGraph;
-pub use cost::{mapping_cost, mapping_cost_parallel, mapping_cost_per_level};
+pub use cost::{mapping_cost, mapping_cost_per_level};
 pub use greedy::greedy_mapping;
 pub use local_search::pair_exchange;
 pub use offline::{identity_mapping, offline_block_mapping, remap_partition};

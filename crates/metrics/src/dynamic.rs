@@ -42,16 +42,6 @@ impl CheckpointComparison {
             (inc, re) => inc as f64 / re as f64,
         }
     }
-
-    /// Incremental cost as a fraction of the restream cost (`< 1` means the
-    /// repair path was cheaper). `0.0` when the reference took no time.
-    pub fn cost_fraction(&self) -> f64 {
-        if self.restream_seconds > 0.0 {
-            self.incremental_seconds / self.restream_seconds
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The worst (largest) [`CheckpointComparison::cut_ratio`] across the run —

@@ -2,13 +2,11 @@
 
 use oms_core::BlockId;
 use oms_graph::CsrGraph;
-use rayon::prelude::*;
 
 /// Weight of the edges whose endpoints lie in different blocks.
 pub fn edge_cut(graph: &CsrGraph, assignment: &[BlockId]) -> u64 {
     assert!(assignment.len() >= graph.num_nodes());
     (0..graph.num_nodes() as u32)
-        .into_par_iter()
         .map(|u| {
             graph
                 .neighbors_weighted(u)

@@ -1,14 +1,5 @@
 //! Experiment statistics following the paper's methodology (§4).
 
-/// Arithmetic mean (0 for an empty slice), used to average repetitions of the
-/// same instance.
-pub fn arithmetic_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
 /// Geometric mean (0 for an empty slice), used to average across instances so
 /// that every instance has the same influence. Non-positive values are
 /// clamped to a small positive constant, mirroring the usual treatment of
@@ -35,12 +26,6 @@ pub fn speedup(time_a: f64, time_b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arithmetic_mean_basics() {
-        assert_eq!(arithmetic_mean(&[]), 0.0);
-        assert!((arithmetic_mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn geometric_mean_basics() {

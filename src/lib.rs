@@ -112,7 +112,7 @@ pub mod prelude {
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
     pub use oms_metrics::{
         edge_cut, geometric_mean, improvement_percent, max_cut_ratio, repair_vs_restream_speedup,
-        CheckpointComparison, ReplayPoint,
+        CheckpointComparison,
     };
     pub use oms_multilevel::{
         register_algorithms as register_multilevel_algorithms, BufferedMultilevel,

@@ -17,8 +17,9 @@
 //!
 //! Observability must also be *inert*: recording a run must not change
 //! its result, and the disabled (default) observer must leave the engines
-//! untouched — the throughput bench's committed baseline gates the
-//! latter's cost in CI.
+//! untouched — every `pipeline` job runs under it, so its cost is part of
+//! each workload's `wall_cal_s`; `obs.overhead_frac` times the recording
+//! observer against it.
 
 use oms::graph::io::{write_stream_file, DiskStream};
 use oms::obs::{self, CounterId, Event};

@@ -165,6 +165,15 @@ fn mapping_cost_bounds() {
         let d_max = 10u64.pow((factors.len() - 1) as u32);
         assert!(j >= cut);
         assert!(j <= cut * d_max);
+        // The offline reference agrees with the fused walk behind
+        // `PartitionReport::mapping_cost`.
+        let measured = oms::core::measure(
+            &mut InMemoryStream::new(&graph),
+            partition.assignments(),
+            partition.num_blocks(),
+            Some((topology.hierarchy(), topology.distances())),
+        );
+        assert_eq!(measured.unwrap().mapping_cost, Some(j));
     });
 }
 
