@@ -319,10 +319,13 @@ fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGr
 /// Where `partition` / `map` read their graph from. The choice follows from
 /// the job and the file alone: a METIS or vertex-stream file under a job
 /// that reads its input once runs straight off the file in `O(n + batch)`
-/// memory (two scans: the partition pass and the measurement walk);
-/// everything else is materialised — an edge list does not group its edges
-/// by node, and a multi-pass job re-reads its input often enough (two scans
-/// per pass) that decoding it once into a `CsrGraph` is cheaper.
+/// memory — one scan for the five one-pass algorithms, whose report is
+/// tallied while they partition (and which therefore refuse adjacency lists
+/// that are not symmetric), two for `buffered` / `multilevel` / `rms`, which
+/// are measured afterwards; everything else is materialised — an edge list
+/// does not group its edges by node, and a multi-pass job re-reads its input
+/// often enough (two scans per pass) that decoding it once into a `CsrGraph`
+/// is cheaper.
 enum Source {
     /// The file itself.
     Streamed(Box<dyn NodeStream>),
@@ -359,8 +362,8 @@ impl Source {
 
     /// `ω(E)` when some node or edge weight differs from 1, `None` for an
     /// unweighted graph. A streamed source takes `ω(E)` from the run's
-    /// measurement walk (weights are ≥ 1, so unit weights ⇔ `c(V) = n` and
-    /// `ω(E) = m`) and re-reads the file only when the run made none.
+    /// report (weights are ≥ 1, so unit weights ⇔ `c(V) = n` and
+    /// `ω(E) = m`) and re-reads the file only when the run measured none.
     fn total_edge_weight_if_weighted(
         &mut self,
         report: &PartitionReport,

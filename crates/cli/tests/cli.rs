@@ -1038,19 +1038,11 @@ fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() 
     }
 }
 
-/// Every way of reading `path` as a graph — streamed one-pass jobs and
-/// materialising commands alike — must exit 2 with a typed `graph error`
-/// saying `message`, never panic (101) or abort on an allocation (134).
-fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, message: &str) {
-    let converted = path.with_extension(convert_to);
-    for command in [
-        &["partition", "--k", "4"][..],
-        &["partition", "--k", "4", "--algo", "hashing"][..],
-        &["partition", "--k", "4", "--passes", "2"][..],
-        &["map", "--hierarchy", "2:2"][..],
-        &["info"][..],
-        &["convert", converted.to_str().unwrap()][..],
-    ] {
+/// Each of `commands` (`[subcommand, args…]`, `path` goes in between) must
+/// exit 2 with a typed `graph error` saying `message` and print no report —
+/// never panic (101) or abort on an allocation (134).
+fn assert_graph_error(path: &std::path::Path, commands: &[&[&str]], message: &str) {
+    for command in commands {
         let output = oms()
             .arg(command[0])
             .arg(path)
@@ -1068,7 +1060,39 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, messa
             "{path:?} {command:?}: {stderr}"
         );
         assert!(stderr.contains(message), "{path:?} {command:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{path:?} {command:?}: a report");
     }
+}
+
+/// Every way of reading `path` as a graph — streamed one-pass jobs and
+/// materialising commands alike — must fail as [`assert_graph_error`] says.
+fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, message: &str) {
+    let converted = path.with_extension(convert_to);
+    let commands = [
+        &["partition", "--k", "4"][..],
+        &["partition", "--k", "4", "--algo", "hashing"][..],
+        &["partition", "--k", "4", "--passes", "2"][..],
+        &["map", "--hierarchy", "2:2"][..],
+        &["info"][..],
+        &["convert", converted.to_str().unwrap()][..],
+    ];
+    assert_graph_error(path, &commands, message);
+}
+
+/// Every one-pass job — the ones whose report is tallied while they
+/// partition — must refuse adjacency lists that are not symmetric.
+/// (Multi-pass and materialising commands take symmetry as the stream's
+/// contract, as `collect_graph` documents, so they are not in this list.)
+fn assert_one_pass_jobs_refuse_asymmetry(path: &std::path::Path) {
+    let commands = [
+        &["partition", "--job", "hashing:2"][..],
+        &["partition", "--job", "ldg:2"][..],
+        &["partition", "--job", "fennel:2"][..],
+        &["partition", "--job", "nh-oms:3@base=2"][..],
+        &["partition", "--k", "2"][..],
+        &["map", "--hierarchy", "2:2"][..],
+    ];
+    assert_graph_error(path, &commands, "not symmetric");
 }
 
 #[test]
@@ -1106,6 +1130,21 @@ fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
         assert_graph_error_everywhere(&path, "metis", message);
+    }
+    // Two nodes, one edge, two adjacency entries as the header says — but
+    // node 0 lists node 1 twice and node 1 lists nobody (v3: degrees 2 0,
+    // neighbors 1 1). `DiskStream` checks counts and ranges, not symmetry.
+    let mut one_sided_v2 = header(2, 2, 1);
+    one_sided_v2.extend(words([2, 1, 1, 0]));
+    let mut one_sided_v3 = header(3, 2, 1);
+    one_sided_v3.extend(words([2, 0, 1, 1]));
+    for (name, bytes) in [
+        ("one-sided-v2.oms", one_sided_v2),
+        ("one-sided-v3.oms", one_sided_v3),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        assert_one_pass_jobs_refuse_asymmetry(&path);
     }
 }
 
@@ -1182,6 +1221,11 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
         std::fs::write(&path, text).unwrap();
         assert_graph_error_everywhere(&path, "oms", "METIS parse error");
     }
+    // Node 1 lists node 2 four times, node 2 never lists node 1: the right
+    // entry count, and `MetisStream`'s XOR fingerprint cancels in pairs.
+    let path = dir.join("four-times.metis");
+    std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
+    assert_one_pass_jobs_refuse_asymmetry(&path);
 }
 
 /// A reader that goes away (`oms … | head -1`) is nothing the program did

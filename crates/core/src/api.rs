@@ -63,17 +63,24 @@
 //! `Display` renders the canonical form (options at non-default values only,
 //! in the fixed order above), so `JobSpec` round-trips through strings.
 //!
-//! ## Working memory and the measurement walk
+//! ## Working memory: one scan per one-pass job
 //!
 //! [`Partitioner::run`] needs nothing of its stream but passes over it: a
 //! one-pass job holds its own `O(n)` state (the assignment array, `O(k)`
 //! loads) plus one batch of the source, and a disk source bounds its batches
 //! by adjacency entries as well as by nodes
 //! ([`oms_graph::BATCH_ENTRY_BOUND`]) — `O(n + batch)` in total, which is
-//! what lets the CLI run such jobs straight off a stream file. After the
-//! assignment, `run` makes at most **one** more pass: [`measure`] returns
-//! edge-cut, imbalance, `ω(E)` and — under a topology — the mapping cost `J`
-//! from a single walk; [`stream_edge_cut`], [`stream_mapping_cost`] and
+//! what lets the CLI run such jobs straight off a stream file. That one pass
+//! is also the only one: each undirected edge is streamed from both
+//! endpoints and exactly one of the two sightings finds the other endpoint
+//! placed already, so edge-cut, `ω(E)` and — under a topology — the mapping
+//! cost `J` are tallied as the nodes are placed, in `O(k·ℓ)` extra memory.
+//! The identity needs symmetric adjacency lists; the tally proves that with
+//! a multiplicity-exact fingerprint and fails with a typed graph error
+//! otherwise. A job that revises its decisions (`passes > 1`, `buffered`,
+//! `multilevel`, `rms`) is measured afterwards by **one** more walk,
+//! [`measure`], which returns all of the above for any assignment;
+//! [`stream_edge_cut`], [`stream_mapping_cost`] and
 //! [`measure_pass`](crate::executor::measure_pass) are thin wrappers over
 //! it. Algorithms that need random access call [`materialize_stream`] and
 //! give the memory bound up.
@@ -97,7 +104,7 @@
 //! ```
 
 use crate::config::{OmsConfig, OnePassConfig};
-use crate::executor::{measure, PassStats, PassTrajectory};
+use crate::executor::{measure, Measurement, PassStats, PassTrajectory, ReportTopology};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::knobs::{self, Knob, KNOBS};
 use crate::oms::OnlineMultiSection;
@@ -119,7 +126,7 @@ use std::str::FromStr;
 /// partition itself, the edge-cut `cut(Π)`, the imbalance
 /// `max_i c(V_i)/(c(V)/k) − 1`, the process-mapping objective `J(C, D, Π)`
 /// when a topology was attached to the job, and the wall time of the
-/// partitioning pass (metric passes are excluded).
+/// partitioning.
 #[derive(Clone, Debug)]
 pub struct PartitionReport {
     /// Registry name of the algorithm that produced the partition.
@@ -131,11 +138,14 @@ pub struct PartitionReport {
     /// Mapping cost `J`, present when the job carries a topology (`dist=`).
     pub mapping_cost: Option<u64>,
     /// Total edge weight `ω(E)` of the partitioned graph, present when
-    /// [`Partitioner::run`] measured the result with its own walk over the
-    /// stream (it does not when the engine's trajectory already supplies the
-    /// cut and no topology is attached).
+    /// [`Partitioner::run`] measured the result — in the partition pass of a
+    /// one-pass job, else with its own walk over the stream (it makes none
+    /// when the engine's trajectory already supplies the cut and no topology
+    /// is attached).
     pub total_edge_weight: Option<u64>,
-    /// Wall time of the partitioning pass in seconds.
+    /// Wall time of the partitioning in seconds. For a one-pass job this is
+    /// the single pass over the input, report tally included; a measurement
+    /// walk after the last pass is not.
     pub seconds: f64,
     /// Per-pass quality trajectory of a multi-pass (restreaming) run, in
     /// pass order. Empty for algorithms that do not track passes.
@@ -200,32 +210,54 @@ pub trait Partitioner {
         Ok((self.partition(stream)?, PassTrajectory::default()))
     }
 
+    /// [`Partitioner::partition_tracked`] for a caller that reports on the
+    /// result under `topology` ([`Partitioner::run`]): an algorithm whose
+    /// decision is final when the node is streamed — one pass of `hashing`,
+    /// `ldg`, `fennel`, `oms`, `nh-oms` — also returns the [`Measurement`]
+    /// of its partition, tallied as the nodes were placed, so the caller
+    /// need not read the stream again. Everything else (the default) returns
+    /// `None`.
+    fn partition_measured(
+        &self,
+        stream: &mut dyn NodeStream,
+        topology: ReportTopology<'_>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+        let _ = topology;
+        let (partition, trajectory) = self.partition_tracked(stream)?;
+        Ok((partition, trajectory, None))
+    }
+
     /// The topology this job maps onto, when one was specified.
-    fn topology(&self) -> Option<(&HierarchySpec, &DistanceSpec)> {
+    fn topology(&self) -> ReportTopology<'_> {
         None
     }
 
     /// Runs the partitioner and evaluates the result into a
     /// [`PartitionReport`] (edge-cut, imbalance, optional mapping cost `J`,
-    /// wall time). Whatever the engine has not measured itself comes from
-    /// **one** extra walk over the stream ([`measure`]): the cut of an
-    /// untracked run and the `J` of a job with a topology, together. A
-    /// tracked run without a topology pays no walk — its trajectory's last
-    /// accepted pass is the returned partition. `seconds` covers everything
-    /// [`Partitioner::partition_tracked`] does — for multi-pass runs that
-    /// includes the engine's per-pass metric passes (the per-pass
+    /// wall time). A one-pass streaming job is read **once**: its report is
+    /// tallied during the partition pass
+    /// ([`Partitioner::partition_measured`]). For a job that revises its
+    /// decisions, whatever the engine has not measured itself comes from one
+    /// extra walk over the stream ([`measure`]): the cut of an untracked run
+    /// and the `J` of a job with a topology, together; a tracked run without
+    /// a topology pays no walk — its trajectory's last accepted pass is the
+    /// returned partition. `seconds` covers everything
+    /// [`Partitioner::partition_measured`] does — the one-pass tally, and
+    /// for multi-pass runs the engine's per-pass metric passes (the per-pass
     /// [`PassStats::seconds`] exclude them).
     fn run(&self, stream: &mut dyn NodeStream) -> Result<PartitionReport> {
+        let topology = self.topology();
         let clock = Stopwatch::start();
-        let (partition, trajectory) = self.partition_tracked(stream)?;
+        let (partition, trajectory, tallied) = self.partition_measured(stream, topology)?;
         let seconds = clock.seconds();
-        let (tracked_cut, topology) = (trajectory.final_edge_cut(), self.topology());
-        let measured = if tracked_cut.is_none() || topology.is_some() {
-            stream.reset()?;
-            let (assignments, k) = (partition.assignments(), partition.num_blocks());
-            Some(measure(stream, assignments, k, topology)?)
-        } else {
-            None
+        let tracked_cut = trajectory.final_edge_cut();
+        let measured = match tallied {
+            None if tracked_cut.is_none() || topology.is_some() => {
+                stream.reset()?;
+                let (assignments, k) = (partition.assignments(), partition.num_blocks());
+                Some(measure(stream, assignments, k, topology)?)
+            }
+            tallied => tallied,
         };
         Ok(PartitionReport {
             algorithm: self.name(),
@@ -260,6 +292,14 @@ impl<T: StreamingPartitioner> Partitioner for T {
         mut stream: &mut dyn NodeStream,
     ) -> Result<(Partition, PassTrajectory)> {
         self.partition_stream_tracked(&mut stream)
+    }
+
+    fn partition_measured(
+        &self,
+        mut stream: &mut dyn NodeStream,
+        topology: ReportTopology<'_>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+        self.partition_stream_measured(&mut stream, Some(topology))
     }
 }
 
@@ -332,7 +372,15 @@ impl Partitioner for JobPartitioner {
         self.inner.partition_tracked(stream)
     }
 
-    fn topology(&self) -> Option<(&HierarchySpec, &DistanceSpec)> {
+    fn partition_measured(
+        &self,
+        stream: &mut dyn NodeStream,
+        topology: ReportTopology<'_>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+        self.inner.partition_measured(stream, topology)
+    }
+
+    fn topology(&self) -> ReportTopology<'_> {
         self.topology.as_ref().map(|(h, d)| (h, d))
     }
 }

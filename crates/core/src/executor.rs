@@ -21,11 +21,20 @@
 //! partition converges (no node moved, or the edge-cut improvement dropped
 //! below the configured threshold) and reverts a pass that made the cut
 //! worse.
+//!
+//! Reports come out of one level tally (`LevelTally`) with two walks. A
+//! one-pass job decides every node for good as it streams, so its report is
+//! tallied in the drive loop itself, right after each node is placed
+//! (`BatchExecutor::run_measured`): one scan of the input per job. A job
+//! that revises decisions is measured by [`measure`], one more walk over the
+//! rewound stream — the same walk the multi-pass engine makes after every
+//! pass.
 
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
+use crate::scorer::mix64;
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{NodeBatch, NodeStream, StreamedNode};
+use oms_graph::{EdgeWeight, NodeBatch, NodeId, NodeStream, NodeWeight, StreamedNode};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
 
 /// Default number of nodes the executor pulls per batch.
@@ -412,6 +421,39 @@ impl BatchExecutor {
         opts: &RestreamOptions,
         baseline: Option<&[BlockId]>,
     ) -> Result<PassTrajectory> {
+        self.drive(stream, sink, opts, baseline, None)
+    }
+
+    /// The single pass of a one-pass job whose caller reports on the result:
+    /// [`BatchExecutor::run`], with the [`Measurement`] of the assignment
+    /// under `topology` tallied as the nodes are placed — nothing reads the
+    /// stream a second time. `sink` must be fresh (every node
+    /// [`UNASSIGNED`]) and expose its [`NodeSink::assignments`]. The tally
+    /// holds on symmetric adjacency lists only and checks that itself: input
+    /// that lists an edge from one side only fails with a typed graph error
+    /// instead of a wrong report.
+    pub(crate) fn run_measured(
+        &self,
+        stream: &mut dyn NodeStream,
+        sink: &mut dyn NodeSink,
+        topology: ReportTopology<'_>,
+    ) -> Result<Measurement> {
+        let mut tally = LevelTally::new(stream.num_nodes(), sink.num_blocks(), topology)?;
+        let one_pass = RestreamOptions::fixed(1);
+        self.drive(stream, sink, &one_pass, None, Some(&mut tally))?;
+        tally.finish_proven()
+    }
+
+    /// The one drive loop. `placed` is [`BatchExecutor::run_measured`]'s
+    /// tally, fed each node right after the sink placed it.
+    fn drive(
+        &self,
+        stream: &mut dyn NodeStream,
+        sink: &mut dyn NodeSink,
+        opts: &RestreamOptions,
+        baseline: Option<&[BlockId]>,
+        mut placed: Option<&mut LevelTally<'_>>,
+    ) -> Result<PassTrajectory> {
         let passes = opts.passes.max(1);
         let tracked = opts.track_quality && sink.assignments().is_some();
         let mut tracker = PassTracker::new(*opts);
@@ -471,10 +513,21 @@ impl BatchExecutor {
             // borrowed CSR slices with no copy, and file sources implement
             // it on top of their batch decoder anyway.
             let mut pass_nodes = 0u64;
-            stream.for_each_node(&mut |node| {
-                pass_nodes += 1;
-                sink.process(node)
-            })?;
+            // Two closures, not one that branches on `placed`: the tally
+            // inlines into its closure, and a shared one paid that frame on
+            // every node of every untallied pass (≈ 16 ns per node).
+            match placed.as_deref_mut() {
+                None => stream.for_each_node(&mut |node| {
+                    pass_nodes += 1;
+                    sink.process(node)
+                })?,
+                Some(tally) => stream.for_each_node(&mut |node| {
+                    pass_nodes += 1;
+                    sink.process(node);
+                    let assignments = sink.assignments().expect("a measured sink exposes them");
+                    tally.second_sightings(node, assignments);
+                })?,
+            }
             // Flush before the timing stops: a buffering sink's flush is
             // part of the pass's work, and `assignments` below must see the
             // complete pass.
@@ -601,10 +654,253 @@ pub struct Measurement {
     pub mapping_cost: Option<u64>,
 }
 
-/// The one weighted edge walk production runs: a single pass over the
-/// stream that measures everything a report says about `assignments` —
-/// edge-cut, imbalance over `k` blocks (`k == 0` derives the block count
-/// from the assignments), `ω(E)` and, under a `topology`, the mapping cost.
+/// The topology a measurement maps onto — hierarchy and PE distances — or
+/// `None` for a plain `k`-way report.
+pub type ReportTopology<'a> = Option<(&'a HierarchySpec, &'a DistanceSpec)>;
+
+/// Direction-independent hash of one adjacency entry (one [`mix64`] over the
+/// ordered endpoint pair and the weight): `u`'s entry for `v` and `v`'s
+/// entry for `u` hash alike exactly when their weights agree.
+#[inline]
+fn entry_hash(u: NodeId, v: NodeId, w: EdgeWeight) -> u64 {
+    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+    mix64((((lo as u64) << 32) | hi as u64) ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Everything a report says about an assignment, tallied one node at a time:
+/// block weights for the imbalance and edge weight per *shared level* of the
+/// two endpoints' blocks (0 = same block, ℓ = they only share the whole
+/// machine; without a topology, 1 = different blocks) — cut, `ω(E)` and `J`
+/// all fall out of that one histogram.
+///
+/// The histogram counts in adjacency *entries*, two per undirected edge, and
+/// [`LevelTally::finish`] halves it. Two walks fill it:
+///
+/// * [`LevelTally::every_entry`] — the measurement walk ([`measure`]) over a
+///   finished assignment: every entry, as it comes;
+/// * [`LevelTally::second_sightings`] — the drive loop of a one-pass job,
+///   right after each node is placed: of an edge's two entries exactly one
+///   is streamed while the other endpoint is already placed, and that
+///   *second sighting* is tallied for both. This is only the same histogram
+///   when the adjacency lists are symmetric, so the walk proves it as it
+///   goes ([`LevelTally::finish_proven`]).
+///
+/// Under a topology the level comes from [`HierarchySpec::group_table`];
+/// block ids the table does not cover ([`UNASSIGNED`], ids `≥ k`, or every
+/// id when the table would outgrow the assignment array) take
+/// [`HierarchySpec::shared_level`]'s divisions, so any `u32` is a valid
+/// block id here.
+pub(crate) struct LevelTally<'a> {
+    topology: ReportTopology<'a>,
+    levels: usize,
+    /// [`HierarchySpec::group_table`]: `levels` columns per covered block.
+    table: Vec<u32>,
+    k: u32,
+    block_weights: Vec<NodeWeight>,
+    total_node_weight: NodeWeight,
+    level_weights: Vec<EdgeWeight>,
+    /// Entries between two unassigned nodes sit on level 0 (same "block",
+    /// distance 0) yet count as cut.
+    both_unassigned: EdgeWeight,
+    /// The symmetry proof of the second-sightings walk: a wrapping sum of
+    /// `+entry_hash` per first sighting and `−entry_hash` per second, and
+    /// the edge weight seen either way. Unlike an XOR it counts
+    /// multiplicities: an edge listed four times from one side and never
+    /// from the other does not cancel.
+    fingerprint: u64,
+    first_sighted: EdgeWeight,
+    second_sighted: EdgeWeight,
+}
+
+impl<'a> LevelTally<'a> {
+    /// A tally over `k` blocks for an assignment array of `n` nodes.
+    pub(crate) fn new(n: usize, k: u32, topology: ReportTopology<'a>) -> Result<Self> {
+        let levels = match topology {
+            Some((hierarchy, distances)) if distances.num_levels() < hierarchy.num_levels() => {
+                return Err(PartitionError::InvalidSpec(format!(
+                    "the distance spec has {} levels but the hierarchy has {}",
+                    distances.num_levels(),
+                    hierarchy.num_levels()
+                )))
+            }
+            Some((hierarchy, _)) => hierarchy.num_levels(),
+            None => 1,
+        };
+        let table = match topology {
+            Some((hierarchy, _)) if hierarchy.total_blocks() as usize <= n => {
+                hierarchy.group_table()
+            }
+            _ => Vec::new(),
+        };
+        Ok(LevelTally {
+            topology,
+            levels,
+            table,
+            k,
+            block_weights: vec![0; k as usize],
+            total_node_weight: 0,
+            level_weights: vec![0; levels + 1],
+            both_unassigned: 0,
+            fingerprint: 0,
+            first_sighted: 0,
+            second_sighted: 0,
+        })
+    }
+
+    /// Tallies one node of weight `weight` in block `own` and the given
+    /// `(other endpoint's block, entry weight)` pairs of its adjacency.
+    #[inline(always)]
+    fn node(
+        &mut self,
+        own: BlockId,
+        weight: NodeWeight,
+        entries: impl Iterator<Item = (BlockId, EdgeWeight)>,
+    ) {
+        self.total_node_weight += weight;
+        if let Some(block) = self.block_weights.get_mut(own as usize) {
+            *block += weight;
+        }
+        match self.topology {
+            None => {
+                let (mut all, mut cut) = (0u64, 0u64);
+                for (other, w) in entries {
+                    all += w;
+                    if other != own {
+                        cut += w;
+                    }
+                }
+                self.level_weights[0] += all - cut;
+                self.level_weights[1] += cut;
+            }
+            Some((hierarchy, _)) => {
+                let (table, levels) = (&self.table, self.levels);
+                let covered = table.len() / levels;
+                let row = |block: BlockId| {
+                    ((block as usize) < covered)
+                        .then(|| &table[block as usize * levels..][..levels])
+                };
+                let own_row = row(own);
+                for (other, w) in entries {
+                    let level = match (own_row, row(other)) {
+                        (Some(a), Some(b)) => a.iter().zip(b).filter(|(x, y)| x != y).count(),
+                        _ => hierarchy.shared_level(own, other),
+                    };
+                    self.level_weights[level] += w;
+                }
+            }
+        }
+    }
+
+    /// The measurement walk's step: every adjacency entry of `node` under
+    /// the finished `assignments`.
+    #[inline]
+    fn every_entry(&mut self, node: StreamedNode<'_>, assignments: &[BlockId]) {
+        let own = assignments[node.node as usize];
+        let entries = node.neighbors_weighted();
+        self.node(
+            own,
+            node.weight,
+            entries.map(|(u, w)| (assignments[u as usize], w)),
+        );
+        if own == UNASSIGNED {
+            for (u, w) in node.neighbors_weighted() {
+                if assignments[u as usize] == UNASSIGNED {
+                    self.both_unassigned += w;
+                }
+            }
+        }
+    }
+
+    /// The one-pass drive loop's step, right after `node` was placed for
+    /// good: an entry whose other endpoint is placed already is its edge's
+    /// second sighting and stands for both entries of it; one whose other
+    /// endpoint is still [`UNASSIGNED`] is a first sighting, left to the
+    /// other side. A self-loop entry is one entry of the histogram, as
+    /// [`LevelTally::every_entry`] files it.
+    #[inline]
+    pub(crate) fn second_sightings(&mut self, node: StreamedNode<'_>, assignments: &[BlockId]) {
+        let (this, own) = (node.node, assignments[node.node as usize]);
+        let (mut fingerprint, mut first, mut second) = (0u64, 0u64, 0u64);
+        let entries = node.neighbors_weighted().filter_map(|(u, w)| {
+            if u == this {
+                return Some((own, w));
+            }
+            let other = assignments[u as usize];
+            let hash = entry_hash(this, u, w);
+            if other == UNASSIGNED {
+                fingerprint = fingerprint.wrapping_add(hash);
+                first += w;
+                None
+            } else {
+                fingerprint = fingerprint.wrapping_sub(hash);
+                second += w;
+                Some((other, 2 * w))
+            }
+        });
+        self.node(own, node.weight, entries);
+        self.fingerprint = self.fingerprint.wrapping_add(fingerprint);
+        self.first_sighted += first;
+        self.second_sighted += second;
+    }
+
+    /// [`LevelTally::finish`] for the second-sightings walk, which is only
+    /// as good as the symmetry it assumed: every first sighting must have
+    /// met its second.
+    pub(crate) fn finish_proven(self) -> Result<Measurement> {
+        if self.fingerprint != 0 || self.first_sighted != self.second_sighted {
+            return Err(oms_graph::GraphError::Invalid(
+                "adjacency lists are not symmetric: some edge is not listed from both of its \
+                 endpoints equally often with the same weight"
+                    .into(),
+            )
+            .into());
+        }
+        Ok(self.finish())
+    }
+
+    /// Halves the doubled sums into the [`Measurement`].
+    fn finish(self) -> Measurement {
+        let max = self.block_weights.iter().copied().max().unwrap_or(0);
+        let average = self.total_node_weight as f64 / self.k.max(1) as f64;
+        let imbalance = if average > 0.0 {
+            max as f64 / average - 1.0
+        } else {
+            0.0
+        };
+        let twice_cut = self.level_weights[1..].iter().sum::<u64>() + self.both_unassigned;
+        let mapping_cost = self.topology.map(|(_, distances)| {
+            let twice = self.level_weights[1..]
+                .iter()
+                .zip(distances.distances())
+                .fold(0u64, |sum, (&w, &d)| {
+                    sum.saturating_add(w.saturating_mul(d))
+                });
+            twice / 2
+        });
+        Measurement {
+            edge_cut: twice_cut / 2,
+            imbalance,
+            total_edge_weight: self.level_weights.iter().sum::<u64>() / 2,
+            mapping_cost,
+        }
+    }
+}
+
+/// The measurement walk: a single pass over the stream that measures
+/// everything a report says about `assignments` — edge-cut, imbalance over
+/// `k` blocks (`k == 0` derives the block count from the assignments),
+/// `ω(E)` and, under a `topology`, the mapping cost.
+///
+/// A one-pass job does not come here: its decisions are final as each node
+/// streams, so [`Partitioner::run`](crate::Partitioner::run) gets the same
+/// numbers out of the partition pass itself (`LevelTally`'s other walk).
+/// This walk is for what that cannot cover — the per-pass cut of a
+/// multi-pass run and the seed of a refinement (through [`measure_pass`]),
+/// the report of a job that revises its decisions (`passes > 1`, `buffered`,
+/// `multilevel`, `rms`), an assignment that comes from elsewhere
+/// ([`stream_edge_cut`](crate::stream_edge_cut),
+/// [`stream_mapping_cost`](crate::api::stream_mapping_cost)) — and it is the
+/// reference `tests/equivalence.rs` holds the one-pass tally to.
 ///
 /// Three per-edge references stay beside it on purpose, each a loop over a
 /// materialised graph that shares no code with this walk:
@@ -615,21 +911,14 @@ pub struct Measurement {
 /// `tests/properties.rs::mapping_cost_bounds` on random hierarchies).
 ///
 /// Each undirected edge is seen from both endpoints, so the doubled sums are
-/// halved. The walk tallies edge weight per *shared level* of the two
-/// endpoints' blocks (0 = same block, ℓ = they only share the whole
-/// machine; without a topology, 1 = different blocks): cut, `ω(E)` and `J`
-/// all fall out of that one histogram. Under a topology the level comes from
-/// [`HierarchySpec::group_table`]; block ids the table does not cover
-/// ([`UNASSIGNED`], ids `≥ k`, or every id when the table would outgrow the
-/// assignment array) take [`HierarchySpec::shared_level`]'s divisions, so
-/// any `u32` is a valid entry of `assignments`. Nodes without a valid block
-/// count towards no block; an unassigned endpoint makes an edge cut
-/// whatever the other side holds.
+/// halved. Any `u32` is a valid entry of `assignments`: nodes without a
+/// valid block count towards no block, and an unassigned endpoint makes an
+/// edge cut whatever the other side holds.
 pub fn measure(
     stream: &mut dyn NodeStream,
     assignments: &[BlockId],
     k: u32,
-    topology: Option<(&HierarchySpec, &DistanceSpec)>,
+    topology: ReportTopology<'_>,
 ) -> Result<Measurement> {
     let k = if k == 0 {
         assignments
@@ -641,96 +930,9 @@ pub fn measure(
     } else {
         k
     };
-    let levels = match topology {
-        Some((hierarchy, distances)) if distances.num_levels() < hierarchy.num_levels() => {
-            return Err(PartitionError::InvalidSpec(format!(
-                "the distance spec has {} levels but the hierarchy has {}",
-                distances.num_levels(),
-                hierarchy.num_levels()
-            )))
-        }
-        Some((hierarchy, _)) => hierarchy.num_levels(),
-        None => 1,
-    };
-    let table = match topology {
-        Some((hierarchy, _)) if hierarchy.total_blocks() as usize <= assignments.len() => {
-            hierarchy.group_table()
-        }
-        _ => Vec::new(),
-    };
-    let covered = table.len() / levels;
-    let row = |block: BlockId| {
-        ((block as usize) < covered).then(|| &table[block as usize * levels..][..levels])
-    };
-
-    let mut block_weights = vec![0u64; k as usize];
-    let mut total = 0u64;
-    let mut level_weights = vec![0u64; levels + 1];
-    // Entries between two unassigned nodes sit on level 0 (same "block",
-    // distance 0) yet count as cut.
-    let mut both_unassigned = 0u64;
-    stream.for_each_node(&mut |node| {
-        let own = assignments[node.node as usize];
-        total += node.weight;
-        if let Some(weight) = block_weights.get_mut(own as usize) {
-            *weight += node.weight;
-        }
-        match topology {
-            None => {
-                let (mut all, mut cut) = (0u64, 0u64);
-                for (u, w) in node.neighbors_weighted() {
-                    all += w;
-                    if assignments[u as usize] != own {
-                        cut += w;
-                    }
-                }
-                level_weights[0] += all - cut;
-                level_weights[1] += cut;
-            }
-            Some((hierarchy, _)) => {
-                let own_row = row(own);
-                for (u, w) in node.neighbors_weighted() {
-                    let other = assignments[u as usize];
-                    let level = match (own_row, row(other)) {
-                        (Some(a), Some(b)) => a.iter().zip(b).filter(|(x, y)| x != y).count(),
-                        _ => hierarchy.shared_level(own, other),
-                    };
-                    level_weights[level] += w;
-                }
-            }
-        }
-        if own == UNASSIGNED {
-            for (u, w) in node.neighbors_weighted() {
-                if assignments[u as usize] == UNASSIGNED {
-                    both_unassigned += w;
-                }
-            }
-        }
-    })?;
-
-    let max = block_weights.iter().copied().max().unwrap_or(0);
-    let average = total as f64 / k.max(1) as f64;
-    let imbalance = if average > 0.0 {
-        max as f64 / average - 1.0
-    } else {
-        0.0
-    };
-    let twice_cut = level_weights[1..].iter().sum::<u64>() + both_unassigned;
-    let mapping_cost = topology.map(|(_, distances)| {
-        let twice = level_weights[1..]
-            .iter()
-            .zip(distances.distances())
-            .fold(0u64, |sum, (&w, &d)| {
-                sum.saturating_add(w.saturating_mul(d))
-            });
-        twice / 2
-    });
-    Ok(Measurement {
-        edge_cut: twice_cut / 2,
-        imbalance,
-        total_edge_weight: level_weights.iter().sum::<u64>() / 2,
-        mapping_cost,
-    })
+    let mut tally = LevelTally::new(assignments.len(), k, topology)?;
+    stream.for_each_node(&mut |node| tally.every_entry(node, assignments))?;
+    Ok(tally.finish())
 }
 
 /// Edge-cut and imbalance of `assignments` over `k` blocks: [`measure`]

@@ -98,7 +98,7 @@ pub use api::{
 pub use config::{AlphaMode, OmsConfig, OnePassConfig, ScorerKind};
 pub use executor::{
     measure, measure_pass, BatchExecutor, Measurement, NodeSink, PassStats, PassTrajectory,
-    RestreamOptions,
+    ReportTopology, RestreamOptions,
 };
 pub use hierarchy::{DistanceSpec, HierarchySpec};
 pub use mstree::MultisectionTree;

@@ -72,7 +72,7 @@
 //! the depth-1 tree of the flat rules.
 
 use crate::config::{OmsConfig, ScorerKind};
-use crate::executor::{NodeSink, PassTrajectory};
+use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
 use crate::hierarchy::HierarchySpec;
 use crate::mstree::MultisectionTree;
 use crate::onepass::StreamingPartitioner;
@@ -578,18 +578,21 @@ impl NodeSink for OmsSink {
 }
 
 impl StreamingPartitioner for OnlineMultiSection {
-    fn partition_stream_tracked<S: NodeStream>(
+    fn partition_stream_measured<S: NodeStream>(
         &self,
         stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
+        report: Option<ReportTopology<'_>>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
         let mut sink = OmsSink::new(
             self,
             stream.num_nodes(),
             stream.num_edges(),
             stream.total_node_weight(),
         );
-        let trajectory = crate::restream::run(stream, &mut sink, self.passes, self.convergence)?;
-        Ok((sink.into_partition(), trajectory))
+        let (passes, convergence) = (self.passes, self.convergence);
+        let (trajectory, measured) =
+            crate::restream::run(stream, &mut sink, passes, convergence, report)?;
+        Ok((sink.into_partition(), trajectory, measured))
     }
 
     fn num_blocks(&self) -> u32 {

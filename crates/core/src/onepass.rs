@@ -26,7 +26,7 @@
 //! [`BatchExecutor::run_restream`](crate::executor::BatchExecutor::run_restream)).
 
 use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
-use crate::executor::{NodeSink, PassTrajectory};
+use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
 use crate::mstree::MultisectionTree;
 use crate::oms::{OmsSink, OnlineMultiSection};
 use crate::partition::{Partition, UNASSIGNED};
@@ -49,7 +49,22 @@ pub trait StreamingPartitioner {
     fn partition_stream_tracked<S: NodeStream>(
         &self,
         stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)>;
+    ) -> Result<(Partition, PassTrajectory)> {
+        let (partition, trajectory, _) = self.partition_stream_measured(stream, None)?;
+        Ok((partition, trajectory))
+    }
+
+    /// The run behind both methods above and behind
+    /// [`Partitioner::run`](crate::Partitioner::run), which sets `report` to
+    /// the topology it reports under: a one-pass run then also returns the
+    /// [`Measurement`] of its partition, tallied during that pass. A
+    /// multi-pass run returns `None` there, and so does every run with
+    /// `report` unset, which pays nothing for the tally.
+    fn partition_stream_measured<S: NodeStream>(
+        &self,
+        stream: &mut S,
+        report: Option<ReportTopology<'_>>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)>;
 
     /// Number of blocks this partitioner produces.
     fn num_blocks(&self) -> u32;
@@ -105,7 +120,8 @@ pub(crate) fn run_flat(
     passes: usize,
     convergence: f64,
     mut stream: &mut dyn NodeStream,
-) -> Result<(Partition, PassTrajectory)> {
+    report: Option<ReportTopology<'_>>,
+) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
     let Some(objective) = rule else {
         check_k(k)?;
         let n = stream.num_nodes();
@@ -115,14 +131,15 @@ pub(crate) fn run_flat(
             k: k as u64,
             seed: config.seed,
         };
-        let trajectory = crate::restream::run(stream, &mut sink, passes, convergence)?;
+        let (trajectory, measured) =
+            crate::restream::run(stream, &mut sink, passes, convergence, report)?;
         let partition = Partition::from_assignments(k, sink.assignments, &sink.node_weights);
-        return Ok((partition, trajectory));
+        return Ok((partition, trajectory, measured));
     };
     depth_one(k, config, objective)?
         .passes(passes)
         .convergence(convergence)
-        .partition_stream_tracked(&mut stream)
+        .partition_stream_measured(&mut stream, report)
 }
 
 /// Defines the pass-aware partitioner type of one flat rule.
@@ -164,11 +181,13 @@ macro_rules! flat_baseline {
         }
 
         impl StreamingPartitioner for $name {
-            fn partition_stream_tracked<S: NodeStream>(
+            fn partition_stream_measured<S: NodeStream>(
                 &self,
                 stream: &mut S,
-            ) -> Result<(Partition, PassTrajectory)> {
-                run_flat(self.k, self.config, $rule, self.passes, self.convergence, stream)
+                report: Option<ReportTopology<'_>>,
+            ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+                let (passes, convergence) = (self.passes, self.convergence);
+                run_flat(self.k, self.config, $rule, passes, convergence, stream, report)
             }
 
             fn num_blocks(&self) -> u32 {

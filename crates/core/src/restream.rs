@@ -19,7 +19,9 @@
 //! algorithms to support `passes > 1`.
 
 use crate::config::OnePassConfig;
-use crate::executor::{BatchExecutor, NodeSink, PassTrajectory, RestreamOptions};
+use crate::executor::{
+    BatchExecutor, Measurement, NodeSink, PassTrajectory, ReportTopology, RestreamOptions,
+};
 use crate::oms::OmsSink;
 use crate::onepass::depth_one;
 use crate::partition::Partition;
@@ -38,23 +40,38 @@ fn check_passes(passes: usize) -> Result<()> {
 }
 
 /// The one run of the sequential streaming partitioners: up to `passes`
-/// passes of `sink` over `stream`. A single pass is untracked (its
+/// passes of the fresh `sink` over `stream`. A single pass is untracked (its
 /// trajectory is empty); from two passes on every pass is measured, so the
 /// early exit and the revert guard apply no matter how the caller obtains
 /// the partition.
+///
+/// `report` is set by a caller that will report on the result, to the
+/// topology it reports under. A single pass decides every node for good as
+/// it streams, so it then tallies the [`Measurement`] while it partitions
+/// ([`BatchExecutor::run_measured`]); later passes revise decisions, so a
+/// multi-pass run returns `None` and leaves the final assignment to the
+/// measurement walk.
 pub(crate) fn run(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
     passes: usize,
     convergence: f64,
-) -> Result<PassTrajectory> {
+    report: Option<ReportTopology<'_>>,
+) -> Result<(PassTrajectory, Option<Measurement>)> {
     check_passes(passes)?;
-    let options = if passes > 1 {
-        RestreamOptions::tracked(passes, convergence)
-    } else {
-        RestreamOptions::fixed(passes)
+    let executor = BatchExecutor::default();
+    if passes > 1 {
+        let options = RestreamOptions::tracked(passes, convergence);
+        return Ok((executor.run_restream(stream, sink, &options)?, None));
+    }
+    let measured = match report {
+        Some(topology) => Some(executor.run_measured(stream, sink, topology)?),
+        None => {
+            executor.run(stream, sink)?;
+            None
+        }
     };
-    BatchExecutor::default().run_restream(stream, sink, &options)
+    Ok((PassTrajectory::default(), measured))
 }
 
 /// Restreaming refinement of an existing partition.

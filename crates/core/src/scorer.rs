@@ -6,16 +6,23 @@
 
 use oms_graph::{NodeId, NodeWeight};
 
+/// SplitMix64's finaliser: a bijective 64-bit mixer.
+#[inline]
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+    x ^ (x >> 31)
+}
+
 /// Deterministic node hash used by the Hashing scorer. Splitmix64 over the
 /// node id and the seed: cheap, uniform, reproducible.
 #[inline]
 pub fn hash_node(node: NodeId, seed: u64) -> u64 {
-    let mut x = (node as u64)
-        .wrapping_add(seed)
-        .wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+    mix64(
+        (node as u64)
+            .wrapping_add(seed)
+            .wrapping_add(0x9E3779B97F4A7C15),
+    )
 }
 
 /// Picks a candidate uniformly by hashing the node id.

@@ -228,7 +228,9 @@ fn batches_from_graph(
 /// order, or skips ids (a dynamic graph's dead nodes, which become isolated
 /// unit-weight nodes), pays one extra scatter copy at the end. Neighbor ids
 /// are range-checked; the symmetry of the adjacency lists is the stream's
-/// contract, as for every streaming consumer, and is not re-verified.
+/// contract and is not re-verified here (`MetisStream` checks an XOR
+/// fingerprint per pass; the one consumer whose answer depends on it, the
+/// in-pass report tally of `oms-core`'s one-pass jobs, proves it for itself).
 pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     let n = stream.num_nodes();
     let entries = 2 * stream.num_edges();

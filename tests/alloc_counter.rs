@@ -15,7 +15,9 @@
 //! the CLI's `O(n + batch)` working-memory claim into a test: a one-pass job
 //! run straight off a [`DiskStream`] or a [`MetisStream`] must peak below
 //! `c₁·n + c₂` bytes on a dense graph, with constants the materialised run
-//! of the same job exceeds.
+//! of the same job exceeds — report included: the job tallies it while it
+//! partitions, in `O(k·ℓ)` (block weights, the topology's group table, one
+//! weight per shared level) and nothing `O(m)`.
 //!
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
@@ -186,7 +188,8 @@ fn steady_state_scoring_is_allocation_free() {
     // dense the graph — here 2m/n = 70 adjacency entries per node, 8.4 MB as
     // a CSR. The same job over the materialised graph (what the CLI did for
     // every input before it streamed) must exceed the very same bound, so
-    // the constants are shown to separate the two.
+    // the constants are shown to separate the two. `run` reports cut, J and
+    // ω(E) out of that same pass, with and without a topology.
     let n = 10_000usize;
     let dense = erdos_renyi_gnm(n, 35 * n, 5);
     let path = std::env::temp_dir().join("oms-alloc-counter-dense.oms");
@@ -195,7 +198,12 @@ fn steady_state_scoring_is_allocation_free() {
     write_metis(&dense, &metis_path).unwrap();
     drop(dense);
     let bound = 128 * n as u64 + (4 << 20);
-    for spec in ["oms:4:4:4", "fennel:32"] {
+    for spec in [
+        "oms:4:4:4",
+        "fennel:32",
+        "oms:4:4:4@dist=1:10:100",
+        "hashing:32",
+    ] {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let streamed = peak_live_bytes_during(|| {
             let mut stream = DiskStream::open(&path).unwrap();
@@ -223,7 +231,7 @@ fn steady_state_scoring_is_allocation_free() {
     // straight off the text allocate exactly as often on a 4x bigger graph.
     let counts = [&small, &large].map(|graph| {
         write_metis(graph, &metis_path).unwrap();
-        ["oms:4:4:4", "fennel:32"].map(|spec| {
+        ["oms:4:4:4@dist=1:10:100", "fennel:32"].map(|spec| {
             let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
             allocations_during(|| {
                 partitioner

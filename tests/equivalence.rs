@@ -451,3 +451,295 @@ fn a_distance_spec_shorter_than_the_hierarchy_is_a_typed_error() {
     .unwrap_err();
     assert!(err.to_string().contains("levels"), "{err}");
 }
+
+/// A hand-built stream: whatever adjacency lists the test writes down, in
+/// the order it writes them — multi-edges, self-loop entries and lists that
+/// are not symmetric included, none of which a [`CsrGraph`] can hold.
+struct Listed {
+    nodes: Vec<(u32, NodeWeight, Vec<u32>, Vec<u64>)>,
+}
+
+/// One node's `(neighbor, edge weight)` list.
+type Adjacency<'a> = &'a [(u32, u64)];
+
+impl Listed {
+    /// Unit node weights; `lists[v]` is `v`'s list.
+    fn new(lists: &[Adjacency<'_>]) -> Self {
+        let unzip = |list: &Adjacency<'_>| list.iter().copied().unzip();
+        let lists = lists.iter().map(unzip).enumerate();
+        Listed {
+            nodes: lists.map(|(v, (ids, ws))| (v as u32, 1, ids, ws)).collect(),
+        }
+    }
+}
+
+impl NodeStream for Listed {
+    fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+    fn num_edges(&self) -> usize {
+        self.nodes.iter().map(|node| node.2.len()).sum::<usize>() / 2
+    }
+    fn total_node_weight(&self) -> NodeWeight {
+        self.nodes.iter().map(|node| node.1).sum()
+    }
+    fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> oms::graph::Result<()> {
+        for (node, weight, neighbors, edge_weights) in &self.nodes {
+            f(StreamedNode {
+                node: *node,
+                weight: *weight,
+                neighbors,
+                edge_weights,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Counts the passes and rewinds a job asks of its stream.
+struct Counting<S> {
+    inner: S,
+    passes: usize,
+    resets: usize,
+}
+
+impl<S: NodeStream> Counting<S> {
+    fn new(inner: S) -> Self {
+        Counting {
+            inner,
+            passes: 0,
+            resets: 0,
+        }
+    }
+}
+
+impl<S: NodeStream> NodeStream for Counting<S> {
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+    fn num_edges(&self) -> usize {
+        self.inner.num_edges()
+    }
+    fn total_node_weight(&self) -> NodeWeight {
+        self.inner.total_node_weight()
+    }
+    fn reset(&mut self) -> oms::graph::Result<()> {
+        self.resets += 1;
+        self.inner.reset()
+    }
+    fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> oms::graph::Result<()> {
+        self.passes += 1;
+        self.inner.for_each_node(f)
+    }
+    fn for_each_batch(
+        &mut self,
+        batch_size: usize,
+        f: &mut dyn FnMut(&NodeBatch),
+    ) -> oms::graph::Result<()> {
+        self.passes += 1;
+        self.inner.for_each_batch(batch_size, f)
+    }
+}
+
+/// `run()`'s report of `spec` over `stream` against the two-scan reference:
+/// [`oms::core::measure`] of the returned partition on the rewound stream.
+/// Every number must agree exactly.
+fn assert_report_equals_the_measurement_walk(spec: &str, stream: &mut dyn NodeStream, tag: &str) {
+    let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+    let report = partitioner
+        .run(stream)
+        .unwrap_or_else(|e| panic!("{spec} over {tag}: {e}"));
+    stream.reset().unwrap();
+    let (assignments, k) = (report.partition.assignments(), report.num_blocks());
+    let reference = oms::core::measure(stream, assignments, k, partitioner.topology()).unwrap();
+    assert_eq!(
+        (
+            report.edge_cut,
+            report.mapping_cost,
+            report.total_edge_weight,
+            report.imbalance
+        ),
+        (
+            reference.edge_cut,
+            reference.mapping_cost,
+            Some(reference.total_edge_weight),
+            reference.imbalance
+        ),
+        "{spec} over {tag}: (cut, J, ω(E), imbalance) of the report vs. the measurement walk"
+    );
+    assert_eq!(reference.mapping_cost.is_some(), spec.contains("dist="));
+}
+
+/// The one-pass jobs tally their report while they partition; the two-scan
+/// path (partition, rewind, [`oms::core::measure`]) is the reference. Every
+/// per-node registry algorithm × every source × unit and fully weighted
+/// graphs × with and without `dist=` × k ∈ {1, 7, 64, k > n}, plus
+/// hand-built streams with multi-edges and a self-loop entry, which the
+/// measurement walk files under level 0.
+#[test]
+fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
+    use oms::graph::io::{write_stream_file_with, StreamFormatVersion, StreamWriteOptions};
+
+    let dir = std::env::temp_dir().join("oms-equivalence-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = 300;
+    let mut specs: Vec<String> = Vec::new();
+    for k in [1, 7, 64, n + 50] {
+        for algorithm in ["hashing", "ldg", "fennel", "oms", "nh-oms"] {
+            specs.push(format!("{algorithm}:{k}@seed=3"));
+        }
+    }
+    specs.push("nh-oms:24@seed=3,base=3,hybrid=1".into());
+    // `dist=` needs a hierarchy: k = 8, 64 and 512 > n.
+    for (hierarchy, distances) in [
+        ("2:2:2", "1:10:100"),
+        ("4:4:4", "1:10:100"),
+        ("8:8:8", "1:7:50:900"),
+    ] {
+        specs.push(format!("oms:{hierarchy}@seed=3"));
+        specs.push(format!("oms:{hierarchy}@seed=3,dist={distances}"));
+        specs.push(format!("oms:{hierarchy}@seed=3,hybrid=1,dist={distances}"));
+    }
+
+    for scheme in [WeightScheme::Unit, WeightScheme::Full] {
+        let graph = scheme.apply(&erdos_renyi_gnm(n as usize, 5 * n as usize, 41), 9);
+        let name = scheme.name();
+        let metis_path = dir.join(format!("one-pass-{name}.graph"));
+        write_metis(&graph, &metis_path).unwrap();
+        let stream_paths = [StreamFormatVersion::V2, StreamFormatVersion::V3].map(|version| {
+            let path = dir.join(format!("one-pass-{name}-{version:?}.oms"));
+            let options = StreamWriteOptions {
+                version,
+                ..StreamWriteOptions::default()
+            };
+            write_stream_file_with(&graph, &path, options).unwrap();
+            path
+        });
+        for spec in &specs {
+            let mut sources: Vec<(&str, Box<dyn NodeStream + '_>)> = vec![
+                ("memory", Box::new(InMemoryStream::new(&graph))),
+                (
+                    "memory, random order",
+                    Box::new(InMemoryStream::with_ordering(
+                        &graph,
+                        NodeOrdering::Random(5),
+                    )),
+                ),
+                ("METIS", Box::new(MetisStream::open(&metis_path).unwrap())),
+                ("v2", Box::new(DiskStream::open(&stream_paths[0]).unwrap())),
+                ("v3", Box::new(DiskStream::open(&stream_paths[1]).unwrap())),
+            ];
+            for (source, stream) in &mut sources {
+                let tag = format!("{name} weights, {source}");
+                assert_report_equals_the_measurement_walk(spec, stream.as_mut(), &tag);
+            }
+        }
+        std::fs::remove_file(&metis_path).ok();
+        for path in stream_paths {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    // A triangle whose 0–1 edge is listed twice from both sides with
+    // different weights, a doubled 2–3 edge, and self-loop entries on nodes
+    // 1 (once, odd weight: the halved sum rounds) and 3 (twice).
+    let multi: [Adjacency<'_>; 5] = [
+        &[(1, 2), (2, 1), (1, 5)],
+        &[(0, 5), (1, 3), (0, 2), (2, 4)],
+        &[(0, 1), (1, 4), (3, 1), (3, 1)],
+        &[(2, 1), (3, 6), (2, 1), (3, 6)],
+        &[],
+    ];
+    for spec in [
+        "hashing:3@seed=1",
+        "ldg:2",
+        "fennel:3",
+        "fennel:1",
+        "nh-oms:4@base=2",
+        "oms:2:2@dist=1:10",
+        "oms:2:2:2@dist=1:10:100",
+    ] {
+        assert_report_equals_the_measurement_walk(
+            spec,
+            &mut Listed::new(&multi),
+            "multi-edges and self-loops",
+        );
+    }
+}
+
+/// The one-pass tally is only the measurement walk's histogram when every
+/// edge is listed from both endpoints equally often with the same weight,
+/// so it proves that instead of assuming it: a stream that breaks it gets a
+/// typed graph error from every one-pass job, never a wrong report.
+#[test]
+fn one_pass_reports_refuse_adjacency_lists_that_are_not_symmetric() {
+    let cases: [(&str, &[Adjacency<'_>]); 5] = [
+        ("one side only", &[&[(1, 1)], &[]]),
+        // What an XOR fingerprint cannot see: the hashes cancel in pairs.
+        (
+            "four times from one side",
+            &[&[(1, 1), (1, 1), (1, 1), (1, 1)], &[], &[]],
+        ),
+        (
+            "twice from one side, never from the other",
+            &[&[(1, 1), (1, 1)], &[(2, 1)], &[(1, 1)]],
+        ),
+        ("weights disagree", &[&[(1, 2)], &[(0, 3)]]),
+        (
+            "two against one",
+            &[&[(1, 1), (1, 1), (2, 1)], &[(0, 1)], &[(0, 1)]],
+        ),
+    ];
+    for (what, lists) in cases {
+        for spec in [
+            "hashing:2",
+            "ldg:2",
+            "fennel:2",
+            "nh-oms:3@base=2",
+            "oms:2:2@dist=1:10",
+        ] {
+            let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+            let err = partitioner.run(&mut Listed::new(lists)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    oms::core::PartitionError::Graph(oms::graph::GraphError::Invalid(_))
+                ) && err.to_string().contains("not symmetric"),
+                "{what}, {spec}: {err}"
+            );
+            // Nobody asked for a report: nothing is tallied, nothing proven.
+            assert!(partitioner.partition(&mut Listed::new(lists)).is_ok());
+        }
+    }
+}
+
+/// One scan per one-pass job: `run()` makes a single pass and never rewinds,
+/// whatever the algorithm and with or without a topology; jobs that revise
+/// their decisions are still measured by a walk of their own.
+#[test]
+fn a_one_pass_job_reads_its_input_once_and_a_revising_job_still_measures() {
+    register_multilevel_algorithms();
+    let graph = planted_partition(400, 8, 0.1, 0.01, 7);
+    let scans = |spec: &str| {
+        let mut stream = Counting::new(Rebatched(InMemoryStream::new(&graph), 64));
+        let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
+        let report = partitioner.run(&mut stream).unwrap();
+        assert!(report.total_edge_weight.is_some() || !report.trajectory.is_empty());
+        (stream.passes, stream.resets)
+    };
+    for spec in [
+        "hashing:8",
+        "ldg:8",
+        "fennel:8",
+        "oms:2:2:2@dist=1:10:100",
+        "nh-oms:24@base=4",
+    ] {
+        assert_eq!(scans(spec), (1, 0), "{spec}: (passes, rewinds)");
+    }
+    // Two partition passes, a metric pass after each.
+    assert_eq!(scans("fennel:8@passes=2"), (4, 3));
+    // One pass of their own, then the measurement walk.
+    assert_eq!(scans("buffered:16"), (2, 1));
+    assert_eq!(scans("multilevel:16"), (2, 1));
+    assert_eq!(scans("oms:2:2:2@passes=2,dist=1:10:100").1, 4);
+}
