@@ -11,7 +11,6 @@
 //!               [--algo oms|fennel|hashing|rms] [job flags] [--output mapping.txt]
 //! oms algorithms                              # list the registered algorithms
 //! oms convert   <graph.metis> <graph.oms>     # to/from the binary vertex-stream format
-//!               [--stream-version 1|2|3]      # on-disk stream version (default 2; 3 = sectioned)
 //! oms generate  <family> <n> <out.metis>      # rgg | delaunay | ba | rmat | grid | er
 //!               [--weights unit|nodes|edges|full]   # weighted variants
 //! oms gen-deltas <graph> <out.deltas> [--scheme uniform|drift|burst] [--batches B] [--ops O]
@@ -95,7 +94,7 @@ fn usage() -> String {
   oms partition  <graph> --job <spec>  (e.g. \"oms:4:16:8@eps=0.03,passes=3\" or \"e-greedy:256@lambda=1.5\") [--output FILE]
   oms map        <graph> --hierarchy a1:a2:... [--distances 1:10:100] [--algo NAME | --job SPEC] [job flags] [--format F] [--output FILE]
   oms algorithms
-  oms convert    <in> <out>  (out format by extension: .oms = vertex stream, .txt/.edges/.el = edge list, else METIS) [--format F] [--stream-version 1|2|3]
+  oms convert    <in> <out>  (out format by extension: .oms = vertex stream, .txt/.edges/.el = edge list, else METIS) [--format F]
   oms generate   <rgg|delaunay|ba|rmat|grid|er> <n> <out.metis> [--seed S] [--weights unit|nodes|edges|full]
   oms gen-deltas <graph> <out.deltas> [--scheme uniform|drift|burst] [--temporal pa|drift|burst] [--batches B] [--ops O] [--node-churn F] [--insert-frac F] [--delete-frac F] [--seed S] [--format F]
   oms apply-deltas <graph> <trace.deltas> --k <k> [--algo NAME | --job SPEC] [--reference on|off] [job flags] [--format F] [--output FILE]
@@ -728,23 +727,10 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
 }
 
 fn convert_command(args: &[String]) -> Result<(), Error> {
-    let (positional, options) = split_options(args, &["format", "stream-version"])?;
+    let (positional, options) = split_options(args, &["format"])?;
     let (Some(input), Some(output)) = (positional.first(), positional.get(1)) else {
         return Err(Error::Usage("convert: need <input> and <output>".into()));
     };
-    let stream_version = match options.get("stream-version") {
-        None => None,
-        Some(raw) => Some(
-            oms_graph::io::StreamFormatVersion::from_cli(raw).ok_or_else(|| {
-                Error::Usage(format!("--stream-version must be 1, 2 or 3, got '{raw}'"))
-            })?,
-        ),
-    };
-    if stream_version.is_some() && sniff_format(Path::new(output)) != "stream" {
-        return Err(Error::Usage(
-            "convert: --stream-version only applies to .oms outputs".into(),
-        ));
-    }
     let graph = load_graph_opt(input, &options)?;
     // The output format follows the same extension table as input
     // sniffing, so `convert a.metis b.edges && info b.edges` round-trips.
@@ -762,16 +748,7 @@ fn convert_command(args: &[String]) -> Result<(), Error> {
             write_edge_list(&graph, output)?
         }
         _ => {
-            match stream_version {
-                None => write_stream_file(&graph, output)?,
-                Some(version) => {
-                    let options = oms_graph::io::StreamWriteOptions {
-                        version,
-                        ..Default::default()
-                    };
-                    oms_graph::io::write_stream_file_with(&graph, output, options)?;
-                }
-            }
+            write_stream_file(&graph, output)?;
             // Round-trip validation: a stream file that does not decode
             // back to the exact source graph must never leave `convert`.
             let back = oms_graph::io::read_stream_file(output)?;
@@ -1240,11 +1217,10 @@ fn info_command(args: &[String]) -> Result<(), Error> {
         "connected    : {}",
         oms_graph::traversal::is_connected(&graph)
     )?;
-    // For stream files, break the on-disk layout down by section so the
-    // effect of `convert --stream-version` is visible at a glance.
+    // For stream files, break the on-disk layout down by section.
     if input_format(path, &options)? == "stream" {
         let info = oms_graph::io::stream_file_info(path)?;
-        outln!("stream format: v{}", info.version.number())?;
+        outln!("stream format: v3")?;
         outln!("  header       : {:>12} B", info.header_bytes)?;
         outln!("  degrees      : {:>12} B", info.degree_bytes)?;
         outln!(

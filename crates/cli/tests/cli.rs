@@ -593,6 +593,13 @@ fn convert_round_trips_weighted_graphs_through_both_formats() {
     };
     assert_eq!(info(&metis_path), info(&stream_path));
     assert_eq!(info(&metis_path), info(&back_path));
+    assert_eq!(
+        std::fs::read(&metis_path).unwrap(),
+        std::fs::read(&back_path).unwrap()
+    );
+    let output = oms().arg("info").arg(&stream_path).output().unwrap();
+    let text = String::from_utf8_lossy(&output.stdout);
+    assert!(text.contains("stream format: v3"), "{text}");
 }
 
 #[test]
@@ -1066,9 +1073,11 @@ fn assert_graph_error(path: &std::path::Path, commands: &[&[&str]], message: &st
 
 /// Every way of reading `path` as a graph — streamed one-pass jobs and
 /// materialising commands alike — must fail as [`assert_graph_error`] says.
+/// (`apply-deltas` loads its graph before its trace, which need not exist.)
 fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, message: &str) {
     let converted = path.with_extension(convert_to);
     let commands = [
+        &["apply-deltas", "no.deltas", "--k", "4"][..],
         &["partition", "--k", "4"][..],
         &["partition", "--k", "4", "--algo", "hashing"][..],
         &["partition", "--k", "4", "--passes", "2"][..],
@@ -1098,54 +1107,59 @@ fn assert_one_pass_jobs_refuse_asymmetry(path: &std::path::Path) {
 #[test]
 fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     let dir = temp_dir("hostile-streams");
-    let header = |version: u8, n: u64, m: u64| {
-        let mut bytes = format!("OMSSTRM{version}").into_bytes();
-        for field in [n, m, n] {
+    // The 40-byte header: magic, n, m, c(V) = n, the flags byte and its
+    // padding.
+    let header = |n: u64, m: u64| {
+        let mut bytes = b"OMSSTRM3".to_vec();
+        for field in [n, m, n, 0] {
             bytes.extend_from_slice(&field.to_le_bytes());
         }
-        // Flags, then v3's padding to an 8-byte boundary.
-        bytes.resize(if version == 3 { 40 } else { 33 }, 0);
         bytes
     };
     let words = |words: [u32; 4]| words.into_iter().flat_map(u32::to_le_bytes);
-    // 37 bytes: one node whose degree field announces 2^32 - 1 neighbors.
-    let mut degree_bomb = header(2, 1, 1);
-    degree_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+    // One node whose degree field announces 2^32 - 1 neighbors (the degrees
+    // section padded to 48, then the two neighbor ids the header promises).
+    let mut degree_bomb = header(1, 1);
+    degree_bomb.extend(words([u32::MAX, 0, 0, 0]));
     // A header announcing 2^60 nodes.
-    let mut header_bomb = header(2, 1 << 60, 0);
+    let mut header_bomb = header(1 << 60, 0);
     header_bomb.extend_from_slice(&[0; 64]);
-    // 49 bytes: two nodes, one edge, node 0's neighbor is node 7 — and the
-    // same graph sectioned (degrees 1 1, neighbors 7 0).
-    let mut range_v2 = header(2, 2, 1);
-    range_v2.extend(words([1, 7, 1, 0]));
-    let mut range_v3 = header(3, 2, 1);
-    range_v3.extend(words([1, 1, 7, 0]));
-    let out_of_range = "node 7 out of range for graph with 2 nodes";
+    // Two nodes, one edge (degrees 1 1), node 0's neighbor is node 7.
+    let mut range = header(2, 1);
+    range.extend(words([1, 1, 7, 0]));
+    // The same graph intact — but flagged with bits no layout assigns, cut
+    // four bytes short, or under the magic of an interleaved layout.
+    let mut intact = header(2, 1);
+    intact.extend(words([1, 1, 1, 0]));
+    let mut flagged = intact.clone();
+    flagged[32] = 0x84;
+    let cut = intact[..intact.len() - 4].to_vec();
+    let legacy = |version: u8| {
+        let mut bytes = intact.clone();
+        bytes[7] = b'0' + version;
+        bytes
+    };
     for (name, bytes, message) in [
         ("degree.oms", degree_bomb, "count mismatch"),
         ("header.oms", header_bomb, "truncated"),
-        ("range-v2.oms", range_v2, out_of_range),
-        ("range-v3.oms", range_v3, out_of_range),
+        ("range.oms", range, "node 7 out of range for graph with 2"),
+        ("flagged.oms", flagged, "unknown header flag bits 0x84"),
+        ("cut.oms", cut, "truncated"),
+        ("v1.oms", legacy(1), "v1 (interleaved) is no longer read"),
+        ("v2.oms", legacy(2), "v2 (interleaved) is no longer read"),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
         assert_graph_error_everywhere(&path, "metis", message);
     }
     // Two nodes, one edge, two adjacency entries as the header says — but
-    // node 0 lists node 1 twice and node 1 lists nobody (v3: degrees 2 0,
+    // node 0 lists node 1 twice and node 1 lists nobody (degrees 2 0,
     // neighbors 1 1). `DiskStream` checks counts and ranges, not symmetry.
-    let mut one_sided_v2 = header(2, 2, 1);
-    one_sided_v2.extend(words([2, 1, 1, 0]));
-    let mut one_sided_v3 = header(3, 2, 1);
-    one_sided_v3.extend(words([2, 0, 1, 1]));
-    for (name, bytes) in [
-        ("one-sided-v2.oms", one_sided_v2),
-        ("one-sided-v3.oms", one_sided_v3),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, bytes).unwrap();
-        assert_one_pass_jobs_refuse_asymmetry(&path);
-    }
+    let mut one_sided = header(2, 1);
+    one_sided.extend(words([2, 0, 1, 1]));
+    let path = dir.join("one-sided.oms");
+    std::fs::write(&path, one_sided).unwrap();
+    assert_one_pass_jobs_refuse_asymmetry(&path);
 }
 
 #[test]

@@ -18,9 +18,9 @@
 //!   steps under the live `L_max`) per the job's `repair=` policy;
 //! * a drift metric triggers a seeded full-restream fallback through the
 //!   multi-pass engine once the job's `drift=` threshold is exceeded;
-//! * snapshots persist the whole service state as a v2-compatible trailer
-//!   of the stream file, and [`PartitionState::resume`] restores it
-//!   byte-identically from the trailer plus the delta trace.
+//! * snapshots persist the whole service state as a trailer after the
+//!   padded body of the stream file, and [`PartitionState::resume`]
+//!   restores it byte-identically from the trailer plus the delta trace.
 //!
 //! ```
 //! use oms_core::JobSpec;

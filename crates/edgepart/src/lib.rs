@@ -35,7 +35,7 @@
 //! replica count by construction.
 //!
 //! Edges are consumed through [`oms_graph::EdgeStream`] — any node-stream
-//! source (in-memory, disk v1/v2, unit or weighted) adapts via
+//! source (in-memory or disk, unit or weighted) adapts via
 //! [`oms_graph::EdgesOf`], so edge partitioning needs no new on-disk format
 //! and inherits byte-identical behavior across sources.
 //!

@@ -101,7 +101,7 @@ impl NodeBatch {
     }
 
     /// Closes a node whose adjacency was appended straight to the neighbor
-    /// and edge-weight columns (the interleaved stream-format decode path):
+    /// and edge-weight columns (the METIS text decode path):
     /// records its id, weight and end offset.
     pub(crate) fn finish_node(&mut self, id: NodeId, weight: NodeWeight) {
         debug_assert_eq!(self.neighbors.len(), self.edge_weights.len());
@@ -113,7 +113,7 @@ impl NodeBatch {
     /// Bulk-appends `count` nodes with consecutive ids starting at
     /// `first_id`. Only the id column is filled; the caller must follow up
     /// with matching weight / offset / adjacency appends (the sectioned
-    /// stream-format v3 decode path fills each column in one pass).
+    /// stream-format decode path fills each column in one pass).
     pub(crate) fn extend_ids_sequential(&mut self, first_id: NodeId, count: usize) {
         self.ids.extend((0..count).map(|i| first_id + i as NodeId));
     }

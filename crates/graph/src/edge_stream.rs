@@ -9,7 +9,7 @@
 //!
 //! No new on-disk format is required: [`EdgesOf`] adapts *any*
 //! [`crate::NodeStream`] — in-memory or the binary vertex-stream
-//! files on disk (v1 and v2, unit and weighted) — into an edge stream by
+//! files on disk (unit and weighted) — into an edge stream by
 //! emitting each undirected edge exactly once, at the moment its smaller
 //! endpoint is streamed. Because every node-stream source delivers the same
 //! node order, the induced *edge order* is identical across sources too,
@@ -208,8 +208,8 @@ impl<S: NodeStream> EdgeStream for EdgesOf<S> {
 
     fn for_each_edge(&mut self, f: &mut dyn FnMut(StreamedEdge)) -> Result<()> {
         // Drive the batch-level reader rather than the per-node adapter, so
-        // disk sources decode whole batches (sectioned bulk copy on v3,
-        // double-buffered ingest on all versions) before edges are emitted.
+        // disk sources decode whole batches (one bulk copy per section)
+        // before edges are emitted.
         self.0
             .for_each_batch(crate::DEFAULT_BATCH_SIZE, &mut |nodes: &NodeBatch| {
                 for node in nodes.iter() {

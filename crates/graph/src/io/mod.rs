@@ -25,6 +25,6 @@ pub use snapshot::{
     clear_snapshot, read_snapshot, write_snapshot, DriftCounters, PartitionSnapshot, SnapshotPass,
 };
 pub use stream_format::{
-    read_stream_file, stream_file_info, write_stream_file, write_stream_file_v1,
-    write_stream_file_with, DiskStream, StreamFileInfo, StreamFormatVersion, StreamWriteOptions,
+    read_stream_file, stream_file_info, write_stream_file, write_stream_file_with, DiskStream,
+    StreamFileInfo, StreamWriteOptions,
 };

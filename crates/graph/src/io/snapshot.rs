@@ -1,17 +1,18 @@
-//! Partition snapshots as a v2-compatible trailer of the vertex-stream file.
+//! Partition snapshots as a trailer after the padded body of the
+//! vertex-stream file.
 //!
 //! A long-lived dynamic-partitioning service must survive restarts without
 //! losing its state. This module persists the service state — block
 //! assignments, the restream trajectory and the drift counters — *inside*
 //! the stream-format file the service already owns, as a trailer section
-//! appended after the node records. Every existing reader stops decoding
-//! exactly at the node count announced by the header, so a file carrying a
-//! trailer remains a perfectly valid v2 vertex-stream file.
+//! appended after the padded body. The header's counts fix where the body
+//! ends and the reader never looks past it, so a file carrying a trailer
+//! remains a perfectly valid vertex-stream file.
 //!
 //! ## Trailer layout
 //!
-//! All integers are little-endian; the trailer sits between the last node
-//! record and a fixed-size footer at end of file:
+//! All integers are little-endian; the trailer sits between the end of the
+//! body and a fixed-size footer at end of file:
 //!
 //! ```text
 //! trailer:
@@ -31,8 +32,8 @@
 //!   magic          8 bytes "OMSSNAP1"
 //! ```
 //!
-//! The footer makes the trailer discoverable without decoding the node
-//! records; rewriting a snapshot truncates the file at the previous trailer
+//! The footer makes the trailer discoverable without decoding the body;
+//! rewriting a snapshot truncates the file at the previous trailer
 //! offset and appends the new trailer, so the node body is never touched.
 //!
 //! Every entry point first runs [`DiskStream::revalidate`], so a stream file
@@ -40,7 +41,7 @@
 //! as a typed [`GraphError`] instead of being silently misread.
 
 use crate::io::stream_format::{read_u32, read_u64};
-use crate::io::{DiskStream, StreamFormatVersion};
+use crate::io::DiskStream;
 use crate::stream::NodeStream;
 use crate::{GraphError, Result};
 use std::fs::{File, OpenOptions};
@@ -218,20 +219,12 @@ pub fn read_snapshot(stream: &DiskStream) -> Result<Option<PartitionSnapshot>> {
 
 /// Writes (or replaces) the snapshot trailer of `stream`'s file.
 ///
-/// Runs [`DiskStream::revalidate`] first; requires the v2 or v3 format (v1
-/// files predate the total-weight header the dynamic layer depends on) and
-/// at least one assignment per node announced by the header (the dynamic id
-/// space can only grow past the base graph). The node body
-/// is never modified: a previous trailer is truncated away and the new one
-/// appended in its place.
+/// Runs [`DiskStream::revalidate`] first; requires at least one assignment
+/// per node announced by the header (the dynamic id space can only grow past
+/// the base graph). The node body is never modified: a previous trailer is
+/// truncated away and the new one appended in its place.
 pub fn write_snapshot(stream: &DiskStream, snapshot: &PartitionSnapshot) -> Result<()> {
     stream.revalidate()?;
-    if stream.version() == StreamFormatVersion::V1 {
-        return Err(snap_err(
-            "snapshots require the v2 or v3 vertex-stream format (rewrite the file with \
-             write_stream_file)",
-        ));
-    }
     if snapshot.num_blocks == 0 {
         return Err(snap_err("snapshot announces zero blocks"));
     }
@@ -351,51 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_on_a_v3_file() {
-        use crate::io::{StreamFormatVersion, StreamWriteOptions};
-        use crate::stream::NodeStream;
-        let path = temp_path("roundtrip-v3.oms");
-        let graph = ring(16);
-        crate::io::write_stream_file_with(
-            &graph,
-            &path,
-            StreamWriteOptions {
-                version: StreamFormatVersion::V3,
-                ..StreamWriteOptions::default()
-            },
-        )
-        .unwrap();
-        let stream = DiskStream::open(&path).unwrap();
-        assert_eq!(read_snapshot(&stream).unwrap(), None);
-
-        let snap = sample_snapshot(16);
-        write_snapshot(&stream, &snap).unwrap();
-        assert_eq!(read_snapshot(&stream).unwrap(), Some(snap.clone()));
-
-        // The trailer sits past the sectioned body and is invisible to the
-        // bulk reader; replacing it keeps the body byte-identical.
-        let back = read_stream_file(&path).unwrap();
-        assert_eq!(back, graph);
-        let mut reopened = DiskStream::open(&path).unwrap();
-        let mut nodes = 0usize;
-        reopened.stream_nodes(|_| nodes += 1).unwrap();
-        assert_eq!(nodes, 16);
-        write_snapshot(&reopened, &sample_snapshot(16)).unwrap();
-        assert_eq!(read_snapshot(&reopened).unwrap(), Some(snap));
-
-        // A trailer on a *truncated* v3 body still surfaces the truncation.
-        clear_snapshot(&reopened).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        let mut broken = DiskStream::open(&path).unwrap();
-        assert!(matches!(
-            broken.stream_nodes(|_| {}).unwrap_err(),
-            crate::GraphError::Truncated { .. }
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn snapshot_round_trips_and_body_stays_readable() {
         let path = temp_path("roundtrip.oms");
         let graph = ring(16);
@@ -407,10 +355,11 @@ mod tests {
         write_snapshot(&stream, &snap).unwrap();
         assert_eq!(read_snapshot(&stream).unwrap(), Some(snap.clone()));
 
-        // The trailer is invisible to every existing reader.
-        let back = read_stream_file(&path).unwrap();
-        assert_eq!(back.num_nodes(), 16);
-        assert_eq!(back.num_edges(), 16);
+        // The trailer sits past the body and is invisible to the reader,
+        // also through a stream opened on the trailer-bearing file.
+        assert_eq!(read_stream_file(&path).unwrap(), graph);
+        let reopened = DiskStream::open(&path).unwrap();
+        assert_eq!(read_snapshot(&reopened).unwrap(), Some(snap.clone()));
 
         // Rewriting replaces the trailer instead of stacking a second one.
         let len_one = std::fs::metadata(&path).unwrap().len();
@@ -425,6 +374,51 @@ mod tests {
         assert!(clear_snapshot(&stream).unwrap());
         assert!(!clear_snapshot(&stream).unwrap());
         assert_eq!(read_snapshot(&stream).unwrap(), None);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_write_torn_at_any_byte_is_a_typed_error_or_a_whole_stream() {
+        // A small fully weighted file, with and without a trailer, cut at
+        // every byte offset: `open`, one pass and `read_snapshot` must give
+        // a typed error — or, only when the cut spares the whole body, the
+        // intact stream with no snapshot or a typed snapshot error. Never a
+        // panic, never the snapshot of a file that lost bytes.
+        use crate::stream::NodeStream;
+        let mut b = crate::GraphBuilder::new(5);
+        b.set_node_weight(2, 9).unwrap();
+        for (u, v, w) in [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 0, 6)] {
+            b.add_weighted_edge(u, v, w).unwrap();
+        }
+        let graph = b.build();
+        let path = temp_path("torn.oms");
+        write_stream_file(&graph, &path).unwrap();
+        let body_len = std::fs::metadata(&path).unwrap().len() as usize;
+        let snap = sample_snapshot(5);
+        for with_trailer in [false, true] {
+            if with_trailer {
+                write_snapshot(&DiskStream::open(&path).unwrap(), &snap).unwrap();
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            for cut in 0..=bytes.len() {
+                std::fs::write(&path, &bytes[..cut]).unwrap();
+                let Ok(mut stream) = DiskStream::open(&path) else {
+                    assert!(cut < body_len, "cut {cut}: a whole body must open");
+                    continue;
+                };
+                assert!(cut >= body_len, "cut {cut}: opened a torn body");
+                let mut nodes = 0;
+                stream.stream_nodes(|_| nodes += 1).unwrap();
+                assert_eq!(nodes, 5, "cut {cut}");
+                match read_snapshot(&stream) {
+                    Ok(Some(read)) => {
+                        assert_eq!(cut, bytes.len(), "cut {cut}: resumed from a torn trailer");
+                        assert_eq!(read, snap);
+                    }
+                    Ok(None) | Err(_) => assert!(cut < bytes.len() || !with_trailer),
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -24,7 +24,7 @@
 //! `cargo test --test edgepart_quality print_actuals -- --nocapture --ignored`.
 
 use oms::gen::RmatParams;
-use oms::graph::io::{write_stream_file, write_stream_file_v1, DiskStream};
+use oms::graph::io::{write_stream_file, write_stream_file_with, DiskStream, StreamWriteOptions};
 use oms::metrics::vertex_cut::vertex_cut_metrics;
 use oms::prelude::*;
 use std::path::PathBuf;
@@ -246,8 +246,9 @@ fn edge_assignments(job: &str, stream: &mut dyn EdgeStream) -> (Vec<BlockId>, Ve
 
 /// Every edge algorithm × passes ∈ {1, 3} must produce byte-identical edge
 /// assignments (and per-pass replica trajectories) no matter which source
-/// streams the graph — in-memory in natural or explicit order, disk v1,
-/// disk v2 — on unit-weight and weighted graphs alike.
+/// streams the graph — in-memory in natural or explicit order, disk with
+/// implicit or forced weight sections — on unit-weight and weighted graphs
+/// alike.
 #[test]
 fn edge_assignments_are_byte_identical_across_sources_and_passes() {
     let unit = planted_partition(600, 8, 0.1, 0.005, 23);
@@ -257,10 +258,14 @@ fn edge_assignments_are_byte_identical_across_sources_and_passes() {
 
     let dir = temp_dir();
     for (label, graph) in [("unit", &unit), ("weighted", &weighted)] {
-        let v1_path = dir.join(format!("{label}-v1.oms"));
-        let v2_path = dir.join(format!("{label}-v2.oms"));
-        write_stream_file_v1(graph, &v1_path).unwrap();
-        write_stream_file(graph, &v2_path).unwrap();
+        let plain_path = dir.join(format!("{label}.oms"));
+        let forced_path = dir.join(format!("{label}-forced.oms"));
+        write_stream_file(graph, &plain_path).unwrap();
+        let forced = StreamWriteOptions {
+            force_node_weights: true,
+            force_edge_weights: true,
+        };
+        write_stream_file_with(graph, &forced_path, forced).unwrap();
 
         for algo in ["e-hash", "e-dbh", "e-greedy"] {
             for passes in [1usize, 3] {
@@ -272,34 +277,36 @@ fn edge_assignments_are_byte_identical_across_sources_and_passes() {
                 let permuted = edge_assignments(&job, &mut EdgesOf(identity));
                 assert_eq!(reference, permuted, "{label}/{job}: explicit order differs");
 
-                for (name, path) in [("disk v1", &v1_path), ("disk v2", &v2_path)] {
+                for (name, path) in [("disk", &plain_path), ("forced disk", &forced_path)] {
                     let disk = DiskStream::open(path).unwrap();
                     let from_disk = edge_assignments(&job, &mut EdgesOf(disk));
                     assert_eq!(reference, from_disk, "{label}/{job}: {name} differs");
                 }
             }
         }
-        std::fs::remove_file(&v1_path).ok();
-        std::fs::remove_file(&v2_path).ok();
+        std::fs::remove_file(&plain_path).ok();
+        std::fs::remove_file(&forced_path).ok();
     }
 }
 
-/// Multi-pass edge partitioning over a corrupt (truncated) disk file dies
-/// with the typed truncation error — the edge adapter inherits the disk
-/// stream's re-open-and-revalidate discipline.
+/// Multi-pass edge partitioning over a disk file cut under the open stream
+/// (`open` refuses a short file outright) dies with the typed truncation
+/// error — the edge adapter inherits the disk stream's
+/// re-open-and-revalidate discipline.
 #[test]
 fn multi_pass_over_a_corrupt_disk_file_fails_with_the_typed_error() {
     let graph = planted_partition(200, 4, 0.1, 0.01, 31);
     let dir = temp_dir();
     let path = dir.join("corrupt.oms");
     write_stream_file(&graph, &path).unwrap();
+    let stream = DiskStream::open(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
 
     let spec = JobSpec::parse("e-greedy:4@seed=3,passes=3").unwrap();
     let err = build_edge_partitioner(&spec)
         .unwrap()
-        .partition_edges(&mut EdgesOf(DiskStream::open(&path).unwrap()))
+        .partition_edges(&mut EdgesOf(stream))
         .map(|p| p.num_edges())
         .unwrap_err();
     assert!(

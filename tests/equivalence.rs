@@ -284,14 +284,15 @@ fn restreaming_equivalence_holds_across_sources() {
 
 #[test]
 fn multi_pass_over_a_corrupt_disk_file_fails_with_the_typed_error() {
-    // The multi-pass engine rewinds the stream between passes; over a
-    // truncated file every pass must die with the typed truncation error —
-    // never stream short and partition a prefix.
+    // The multi-pass engine rewinds the stream between passes; over a file
+    // cut under the open stream (`open` refuses a short file outright) the
+    // run must die with the typed truncation error — never stream short and
+    // partition a prefix.
     let graph = planted_partition(200, 4, 0.1, 0.01, 31);
     let path = temp_stream_file(&graph, "corrupt-multipass.oms");
+    let mut stream = DiskStream::open(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
-    let mut stream = DiskStream::open(&path).unwrap();
     let partitioner = JobSpec::parse("fennel:4@seed=3,passes=3")
         .unwrap()
         .build()
@@ -578,8 +579,6 @@ fn assert_report_equals_the_measurement_walk(spec: &str, stream: &mut dyn NodeSt
 /// measurement walk files under level 0.
 #[test]
 fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
-    use oms::graph::io::{write_stream_file_with, StreamFormatVersion, StreamWriteOptions};
-
     let dir = std::env::temp_dir().join("oms-equivalence-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let n = 300;
@@ -606,15 +605,8 @@ fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
         let name = scheme.name();
         let metis_path = dir.join(format!("one-pass-{name}.graph"));
         write_metis(&graph, &metis_path).unwrap();
-        let stream_paths = [StreamFormatVersion::V2, StreamFormatVersion::V3].map(|version| {
-            let path = dir.join(format!("one-pass-{name}-{version:?}.oms"));
-            let options = StreamWriteOptions {
-                version,
-                ..StreamWriteOptions::default()
-            };
-            write_stream_file_with(&graph, &path, options).unwrap();
-            path
-        });
+        let stream_path = dir.join(format!("one-pass-{name}.oms"));
+        write_stream_file(&graph, &stream_path).unwrap();
         for spec in &specs {
             let mut sources: Vec<(&str, Box<dyn NodeStream + '_>)> = vec![
                 ("memory", Box::new(InMemoryStream::new(&graph))),
@@ -626,8 +618,7 @@ fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
                     )),
                 ),
                 ("METIS", Box::new(MetisStream::open(&metis_path).unwrap())),
-                ("v2", Box::new(DiskStream::open(&stream_paths[0]).unwrap())),
-                ("v3", Box::new(DiskStream::open(&stream_paths[1]).unwrap())),
+                (".oms", Box::new(DiskStream::open(&stream_path).unwrap())),
             ];
             for (source, stream) in &mut sources {
                 let tag = format!("{name} weights, {source}");
@@ -635,9 +626,7 @@ fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
             }
         }
         std::fs::remove_file(&metis_path).ok();
-        for path in stream_paths {
-            std::fs::remove_file(path).ok();
-        }
+        std::fs::remove_file(&stream_path).ok();
     }
 
     // A triangle whose 0–1 edge is listed twice from both sides with

@@ -10,7 +10,7 @@
 //!   pre-existing unweighted path) or explicit (forced weight sections full
 //!   of 1s, the weighted path),
 //! * which stream source delivers the nodes (in-memory in natural or
-//!   explicit order, disk v1, disk v2), and
+//!   explicit order, disk), and
 //! * how many restreaming passes run (1 or 3).
 //!
 //! On top of the unit-weight contract, the suite checks that *weighted*
@@ -18,10 +18,8 @@
 //! bounds block **weights** (not node counts), and that the one shared
 //! weighted-cut implementation agrees with the in-memory reference.
 
-use oms::graph::io::{
-    write_stream_file, write_stream_file_v1, write_stream_file_with, DiskStream, StreamWriteOptions,
-};
-use oms::graph::{GraphError, NodeWeight};
+use oms::graph::io::{write_stream_file, write_stream_file_with, DiskStream, StreamWriteOptions};
+use oms::graph::GraphError;
 use oms::prelude::*;
 use std::path::PathBuf;
 
@@ -89,11 +87,9 @@ fn unit_weights_are_byte_identical_across_all_sources_and_passes() {
     assert_eq!(graph, explicit);
 
     let dir = temp_dir();
-    let v1_path = dir.join("unit-v1.oms");
-    let v2_path = dir.join("unit-v2.oms");
-    let forced_path = dir.join("unit-v2-forced.oms");
-    write_stream_file_v1(&graph, &v1_path).unwrap();
-    write_stream_file(&graph, &v2_path).unwrap();
+    let plain_path = dir.join("unit.oms");
+    let forced_path = dir.join("unit-forced.oms");
+    write_stream_file(&graph, &plain_path).unwrap();
     // Forced sections: the file carries full weight arrays of 1s, so the
     // decoder takes the weighted path end to end.
     write_stream_file_with(
@@ -102,7 +98,6 @@ fn unit_weights_are_byte_identical_across_all_sources_and_passes() {
         StreamWriteOptions {
             force_node_weights: true,
             force_edge_weights: true,
-            ..StreamWriteOptions::default()
         },
     )
     .unwrap();
@@ -130,9 +125,8 @@ fn unit_weights_are_byte_identical_across_all_sources_and_passes() {
         assert_eq!(reference, permuted, "{spec}: explicit-order stream differs");
 
         for (name, path) in [
-            ("disk v1", &v1_path),
-            ("disk v2", &v2_path),
-            ("disk v2 forced weights", &forced_path),
+            ("disk", &plain_path),
+            ("disk, forced weight sections", &forced_path),
         ] {
             let mut disk = DiskStream::open(path).unwrap();
             assert_eq!(
@@ -142,14 +136,14 @@ fn unit_weights_are_byte_identical_across_all_sources_and_passes() {
             );
         }
     }
-    for path in [&v1_path, &v2_path, &forced_path] {
+    for path in [&plain_path, &forced_path] {
         std::fs::remove_file(path).ok();
     }
 }
 
 /// Genuinely weighted runs must be just as source-independent as
-/// unweighted ones: memory (natural and explicit order) and both disk
-/// versions agree byte for byte on a node- and edge-weighted graph.
+/// unweighted ones: memory (natural and explicit order) and disk agree
+/// byte for byte on a node- and edge-weighted graph.
 #[test]
 fn weighted_runs_are_source_independent() {
     register_multilevel_algorithms();
@@ -158,18 +152,11 @@ fn weighted_runs_are_source_independent() {
     assert!(!graph.is_unweighted());
 
     let dir = temp_dir();
-    let v1_path = dir.join("weighted-v1.oms");
-    let v2_path = dir.join("weighted-v2.oms");
-    write_stream_file_v1(&graph, &v1_path).unwrap();
-    write_stream_file(&graph, &v2_path).unwrap();
-    // v2 states c(V) in the header, v1 derives it with a counting pass —
-    // both must agree before any algorithm runs.
+    let path = dir.join("weighted.oms");
+    write_stream_file(&graph, &path).unwrap();
+    // The header states c(V); it must agree before any algorithm runs.
     assert_eq!(
-        DiskStream::open(&v1_path).unwrap().total_node_weight(),
-        graph.total_node_weight()
-    );
-    assert_eq!(
-        DiskStream::open(&v2_path).unwrap().total_node_weight(),
+        DiskStream::open(&path).unwrap().total_node_weight(),
         graph.total_node_weight()
     );
 
@@ -184,17 +171,14 @@ fn weighted_runs_are_source_independent() {
             reference, permuted,
             "{spec}: explicit order differs on weighted graph"
         );
-        for (name, path) in [("disk v1", &v1_path), ("disk v2", &v2_path)] {
-            let mut disk = DiskStream::open(path).unwrap();
-            assert_eq!(
-                reference,
-                run(&*partitioner, &mut disk),
-                "{spec}: {name} differs on weighted graph"
-            );
-        }
+        let mut disk = DiskStream::open(&path).unwrap();
+        assert_eq!(
+            reference,
+            run(&*partitioner, &mut disk),
+            "{spec}: disk differs on weighted graph"
+        );
     }
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 /// `L_max` is a *weight* capacity: on a weighted graph, the streaming
@@ -274,12 +258,13 @@ fn weighted_multi_pass_over_corrupt_files_is_a_typed_error() {
     let graph = WeightScheme::Full.apply(&base, 5);
     let dir = temp_dir();
 
-    // Truncated weighted v2 file.
+    // Weighted file cut under the open stream (`open` refuses a short file
+    // outright).
     let path = dir.join("weighted-truncated.oms");
     write_stream_file(&graph, &path).unwrap();
+    let mut stream = DiskStream::open(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-    let mut stream = DiskStream::open(&path).unwrap();
     let partitioner = JobSpec::parse("fennel:4@seed=3,passes=3")
         .unwrap()
         .build()
@@ -290,14 +275,14 @@ fn weighted_multi_pass_over_corrupt_files_is_a_typed_error() {
         "expected the typed truncation error, got: {err}"
     );
 
-    // Zero node weight smuggled into the body (header total adjusted so the
-    // zero-weight check, not the total check, fires).
+    // Zero node weight smuggled into the body: node 0's weight opens the
+    // node-weight section, which follows the padded degrees section.
     let zero_path = dir.join("weighted-zero.oms");
     write_stream_file(&graph, &zero_path).unwrap();
+    let info = oms::graph::io::stream_file_info(&zero_path).unwrap();
+    let w0 = (info.header_bytes + info.degree_bytes).div_ceil(8) as usize * 8;
     let mut bytes = std::fs::read(&zero_path).unwrap();
-    let w0 = graph.node_weight(0);
-    bytes[33..41].copy_from_slice(&0u64.to_le_bytes());
-    bytes[24..32].copy_from_slice(&(graph.total_node_weight() - w0).to_le_bytes());
+    bytes[w0..w0 + 8].copy_from_slice(&0u64.to_le_bytes());
     std::fs::write(&zero_path, &bytes).unwrap();
     let mut stream = DiskStream::open(&zero_path).unwrap();
     match partitioner.partition(&mut stream).unwrap_err() {
@@ -326,57 +311,6 @@ fn weighted_metis_roundtrip_preserves_partitioning() {
     let b = partitioner.run(&mut InMemoryStream::new(&reread)).unwrap();
     assert_eq!(a.partition, b.partition);
     assert_eq!(a.edge_cut, b.edge_cut);
-}
-
-/// Legacy v1 files with weight sections keep reading correctly, and a
-/// graph v1 cannot represent (a weight beyond u32) is a typed write error
-/// rather than silent truncation.
-#[test]
-fn v1_compatibility_and_overflow_protection() {
-    let base = erdos_renyi_gnm(200, 800, 9);
-    let graph = WeightScheme::Full.apply(&base, 3);
-    let dir = temp_dir();
-    let path = dir.join("compat-v1.oms");
-    write_stream_file_v1(&graph, &path).unwrap();
-    let back = oms::graph::io::read_stream_file(&path).unwrap();
-    assert_eq!(graph, back);
-
-    let heavy = graph
-        .with_node_weights(
-            (0..graph.num_nodes())
-                .map(|v| {
-                    if v == 0 {
-                        u32::MAX as NodeWeight + 1
-                    } else {
-                        1
-                    }
-                })
-                .collect(),
-        )
-        .unwrap();
-    match write_stream_file_v1(&heavy, dir.join("overflow.oms")).unwrap_err() {
-        GraphError::WeightOutOfRange {
-            what, value, max, ..
-        } => {
-            assert_eq!(what, "node");
-            assert_eq!(value, u32::MAX as u64 + 1);
-            assert_eq!(max, u32::MAX as u64);
-        }
-        other => panic!("expected WeightOutOfRange, got: {other}"),
-    }
-    // v2 handles it losslessly, through the whole pipeline.
-    let heavy_path = dir.join("heavy-v2.oms");
-    write_stream_file(&heavy, &heavy_path).unwrap();
-    let mut stream = DiskStream::open(&heavy_path).unwrap();
-    assert_eq!(stream.total_node_weight(), heavy.total_node_weight());
-    let mut max_seen: NodeWeight = 0;
-    stream
-        .stream_nodes(|n| max_seen = max_seen.max(n.weight))
-        .unwrap();
-    assert_eq!(max_seen, u32::MAX as NodeWeight + 1);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(dir.join("overflow.oms")).ok();
-    std::fs::remove_file(&heavy_path).ok();
 }
 
 /// Edge weights must actually steer the scorers: on a graph whose
