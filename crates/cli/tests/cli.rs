@@ -1104,6 +1104,36 @@ fn assert_one_pass_jobs_refuse_asymmetry(path: &std::path::Path) {
     assert_graph_error(path, &commands, "not symmetric");
 }
 
+/// The vertex-cut jobs stream each edge from its smaller endpoint's list, so
+/// a one-sided list delivers `delivered` edges where the header announced
+/// `announced`: a typed graph error, not a usage error.
+fn assert_edge_jobs_refuse_a_miscounted_edge_stream(
+    path: &std::path::Path,
+    announced: u64,
+    delivered: u64,
+) {
+    let message = format!(
+        "header implies {announced} edges (each undirected edge streamed once) but the body \
+         holds {delivered}"
+    );
+    let commands = [
+        &["partition", "--job", "e-hash:2"][..],
+        &["partition", "--job", "e-greedy:2@passes=2"][..],
+    ];
+    assert_graph_error(path, &commands, &message);
+    // `replay` prints its workload before it partitions, so only stderr and
+    // the exit code are checked here.
+    let output = oms()
+        .arg("replay")
+        .arg(path)
+        .args(["--job", "e-hash:2"])
+        .output();
+    let output = output.unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{path:?} replay: {stderr}");
+    assert!(stderr.starts_with("error: graph error: ") && stderr.contains(&message));
+}
+
 #[test]
 fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     let dir = temp_dir("hostile-streams");
@@ -1160,6 +1190,7 @@ fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     let path = dir.join("one-sided.oms");
     std::fs::write(&path, one_sided).unwrap();
     assert_one_pass_jobs_refuse_asymmetry(&path);
+    assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 1, 2);
 }
 
 #[test]
@@ -1240,6 +1271,7 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     let path = dir.join("four-times.metis");
     std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
     assert_one_pass_jobs_refuse_asymmetry(&path);
+    assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 2, 4);
 }
 
 /// A reader that goes away (`oms … | head -1`) is nothing the program did

@@ -1,44 +1,39 @@
-//! The batch executor: one drive loop for every partitioner.
+//! The executor: one drive loop for every node partitioner.
 //!
-//! `oms.rs`, `onepass.rs` and `restream.rs` plug a [`NodeSink`] (their
-//! scoring/assignment state) into a [`BatchExecutor`] and never touch the
-//! stream themselves. Every run is sequential, in stream order; dispatch
-//! comes in two shapes:
+//! `oms.rs`, `onepass.rs`, `restream.rs` and `oms-multilevel`'s `buffered`
+//! plug a [`NodeSink`] (their scoring/assignment state) into the loop and
+//! never touch the stream themselves. Every run is sequential, in stream
+//! order, node by node through [`NodeStream::for_each_node`]: in-memory
+//! sources hand out borrowed CSR slices with no copy, file sources walk the
+//! batches they decode. A sink that works on batches (`buffered` solves
+//! every `buf` nodes as one model graph) collects them itself.
 //!
-//! * **node by node** ([`BatchExecutor::run_restream`]), feeding the sink
-//!   through [`NodeStream::for_each_node`]: in-memory sources hand out
-//!   borrowed CSR slices with no copy, file sources walk the batches they
-//!   decode;
-//! * **batch-wise** ([`BatchExecutor::run_batches`]), handing whole
-//!   [`NodeBatch`]es to buffered algorithms that solve each batch as a
-//!   model graph.
+//! Three entry points share the loop:
 //!
-//! Restreaming is a first-class concept: [`BatchExecutor::run_restream`]
-//! drives `P` passes over the same (rewound) stream, calling
-//! [`NodeSink::begin_pass`] before each one so multi-pass algorithms reuse
-//! the same sink, and — for sinks that expose their assignment array —
-//! records a per-pass [`PassStats`] trajectory, stops early once the
-//! partition converges (no node moved, or the edge-cut improvement dropped
-//! below the configured threshold) and reverts a pass that made the cut
-//! worse.
+//! * [`run`] — one untracked pass;
+//! * [`run_restream`] — up to `P` passes over the same (rewound) stream,
+//!   calling [`NodeSink::begin_pass`] before each one so multi-pass
+//!   algorithms reuse the same sink. Every pass is measured into a per-pass
+//!   [`PassStats`] trajectory, and [`PassTracker`] decides whether the run
+//!   goes on, has converged (no node moved, or the edge-cut improvement
+//!   dropped below the configured threshold) or reverts a pass that made
+//!   the cut worse;
+//! * [`run_restream_seeded`] — the same over a sink seeded from an existing
+//!   partition, which becomes pass 0.
 //!
 //! Reports come out of one level tally (`LevelTally`) with two walks. A
 //! one-pass job decides every node for good as it streams, so its report is
 //! tallied in the drive loop itself, right after each node is placed
-//! (`BatchExecutor::run_measured`): one scan of the input per job. A job
-//! that revises decisions is measured by [`measure`], one more walk over the
-//! rewound stream — the same walk the multi-pass engine makes after every
-//! pass.
+//! (`run_measured`): one scan of the input per job. A job that revises
+//! decisions is measured by [`measure`], one more walk over the rewound
+//! stream — the same walk the multi-pass engine makes after every pass.
 
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
 use crate::scorer::mix64;
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{EdgeWeight, NodeBatch, NodeId, NodeStream, NodeWeight, StreamedNode};
+use oms_graph::{EdgeWeight, NodeId, NodeStream, NodeWeight, StreamedNode};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
-
-/// Default number of nodes the executor pulls per batch.
-pub const DEFAULT_BATCH_SIZE: usize = oms_graph::DEFAULT_BATCH_SIZE;
 
 /// A consumer of streamed nodes: the per-algorithm scoring/assignment state
 /// that the executor drives.
@@ -54,38 +49,26 @@ pub trait NodeSink {
 
     /// Called once after the last node of each pass, *before* the executor
     /// reads [`NodeSink::assignments`] for the pass's statistics. Sinks
-    /// drain their per-pass tallies into the observer's counters here; the
+    /// that hold nodes back (a pending batch) place them here, and sinks
+    /// drain their per-pass tallies into the observer's counters; the
     /// default does nothing.
     fn end_pass(&mut self, pass: usize) {
         let _ = pass;
     }
 
-    /// The sink's current per-node assignment array, when it maintains one.
-    ///
-    /// Sinks that return `Some` opt into the multi-pass quality machinery of
-    /// [`BatchExecutor::run_restream`]: per-pass edge-cut/imbalance stats,
-    /// moved-node counting, convergence-based early exit and the
-    /// revert-on-worsen guard. Returning `None` (the default) falls back to
-    /// plain fixed-pass execution.
-    fn assignments(&self) -> Option<&[BlockId]> {
-        None
-    }
+    /// The sink's current per-node assignment array ([`UNASSIGNED`] for a
+    /// node not placed yet): what [`run_restream`] measures, counts moved
+    /// nodes against and snapshots for its revert-on-worsen guard.
+    fn assignments(&self) -> &[BlockId];
 
-    /// Number of blocks the sink assigns into (used for the imbalance of
-    /// per-pass stats); `0` when unknown.
-    fn num_blocks(&self) -> u32 {
-        0
-    }
+    /// Number of blocks the sink assigns into (the imbalance of per-pass
+    /// stats is over this many blocks).
+    fn num_blocks(&self) -> u32;
 
     /// Restores a previously observed assignment array (same length as
     /// [`NodeSink::assignments`]), rebuilding any derived state (block or
-    /// tree weights). Returns `false` when the sink does not support
-    /// restoration — the executor then keeps the current (worse) pass
-    /// instead of reverting.
-    fn restore(&mut self, assignments: &[BlockId]) -> bool {
-        let _ = assignments;
-        false
-    }
+    /// tree weights).
+    fn restore(&mut self, assignments: &[BlockId]);
 }
 
 /// Quality and movement statistics of one accepted restreaming pass.
@@ -112,8 +95,8 @@ pub struct PassStats {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PassTrajectory {
     /// Stats of every *accepted* pass, in order. A pass that worsened the
-    /// edge cut is reverted and not recorded. Empty when the sink does not
-    /// expose assignments (untracked run).
+    /// edge cut is reverted and not recorded. Empty for an untracked run
+    /// ([`run`]).
     pub stats: Vec<PassStats>,
     /// Whether the run stopped before its pass budget was exhausted (no
     /// node moved, improvement below the threshold, or a reverted pass).
@@ -148,10 +131,6 @@ pub struct RestreamOptions {
     /// stop once a pass improves the cut by less than 2 %). `0.0` disables
     /// the threshold; the run still stops when no node moves at all.
     pub min_improvement: f64,
-    /// Whether to measure per-pass quality (one extra metric pass over the
-    /// stream per partitioning pass). Without tracking the engine runs the
-    /// fixed number of passes and returns an empty trajectory.
-    pub track_quality: bool,
     /// Known `(edge_cut, imbalance)` of the seed baseline, for callers that
     /// already maintain these incrementally (the dynamic layer). When set,
     /// the seeded engine records them instead of recounting the cut with an
@@ -161,23 +140,12 @@ pub struct RestreamOptions {
 }
 
 impl RestreamOptions {
-    /// A fixed-pass run without quality tracking (the classic behavior of
-    /// multi-pass restreaming).
-    pub fn fixed(passes: usize) -> Self {
-        RestreamOptions {
-            passes: passes.max(1),
-            min_improvement: 0.0,
-            track_quality: false,
-            seed_stats: None,
-        }
-    }
-
-    /// A tracked run: per-pass stats, early exit and the revert guard.
-    pub fn tracked(passes: usize, min_improvement: f64) -> Self {
+    /// A run of up to `passes` passes (at least one) that stops early once a
+    /// pass improves the cut by less than `min_improvement` (relative).
+    pub fn new(passes: usize, min_improvement: f64) -> Self {
         RestreamOptions {
             passes: passes.max(1),
             min_improvement: min_improvement.max(0.0),
-            track_quality: true,
             seed_stats: None,
         }
     }
@@ -200,18 +168,16 @@ pub enum PassOutcome {
     /// a zero cut): stop; the current assignment stands and is recorded.
     Stop,
     /// The pass worsened the cut: restore the contained (best) assignment,
-    /// then stop. A driver whose state cannot be restored must call
-    /// [`PassTracker::accept_unreverted`] with the worsened pass instead,
-    /// so the trajectory still ends on the assignment actually returned.
+    /// then stop.
     Revert(Vec<BlockId>),
 }
 
 /// The accept / converge / revert bookkeeping shared by every multi-pass
-/// driver (the sequential engine, the buffered algorithm): feed it one
-/// measured pass at a time, act on the returned
-/// [`PassOutcome`], and take the trajectory at the end. Keeping the rules
-/// in one place guarantees that `passes=N` means the same thing no matter
-/// how an algorithm drives its passes.
+/// driver (this module's engine and `oms-edgepart`'s vertex-cut engine,
+/// which feeds it the total replica count as its cut): feed it one measured
+/// pass at a time, act on the returned [`PassOutcome`], and take the
+/// trajectory at the end. Keeping the rules in one place guarantees that
+/// `passes=N` means the same thing no matter what is partitioned.
 #[derive(Clone, Debug)]
 pub struct PassTracker {
     opts: RestreamOptions,
@@ -298,22 +264,6 @@ impl PassTracker {
         PassOutcome::Continue
     }
 
-    /// Records a worsened pass whose state could *not* be rolled back
-    /// (the sink does not support [`NodeSink::restore`]): the pass enters
-    /// the trajectory as-is — breaking monotonicity, but keeping the
-    /// invariant that the last recorded entry is the assignment actually
-    /// returned.
-    pub fn accept_unreverted(&mut self, moved: usize, seconds: f64, edge_cut: u64, imbalance: f64) {
-        self.trajectory.stats.push(PassStats {
-            pass: self.pass_no,
-            edge_cut,
-            imbalance,
-            moved,
-            seconds,
-        });
-        self.pass_no += 1;
-    }
-
     /// Edge cut of the best assignment seen so far (the one a revert
     /// restores), when any pass or seed has been recorded.
     pub fn best_cut(&self) -> Option<u64> {
@@ -326,317 +276,202 @@ impl PassTracker {
     }
 }
 
-/// Drives [`NodeSink`]s over node streams in batches.
+/// One untracked pass: feeds `sink` every node of `stream`, in stream order.
+pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
+    drive(stream, sink, None, None, None).map(|_| ())
+}
+
+/// The multi-pass restreaming engine: up to [`RestreamOptions::passes`]
+/// sequential passes over the same stream, rewinding it
+/// ([`NodeStream::reset`]) before every additional pass.
 ///
-/// `batch_size` governs the batch-wise dispatch ([`BatchExecutor::run_batches`],
-/// i.e. how many nodes a buffered algorithm sees per model graph). The
-/// per-node dispatches ([`BatchExecutor::run`] / [`BatchExecutor::run_passes`])
-/// deliver nodes through [`NodeStream::for_each_node`], where a file source
-/// decodes `oms_graph::DEFAULT_BATCH_SIZE` nodes at a time.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchExecutor {
-    batch_size: usize,
+/// From the second pass on, the sink re-scores every node against the
+/// previous pass's assignment (its [`NodeSink::begin_pass`] switches it into
+/// unassign-then-reassign mode). Each pass is followed by one metric pass
+/// measuring edge-cut and imbalance, and the engine
+///
+/// * stops once no node moved in a pass (the run has reached a fixed point —
+///   all further passes would reproduce it exactly),
+/// * stops once the relative cut improvement falls below
+///   [`RestreamOptions::min_improvement`], or the cut is zero, and
+/// * reverts a pass that *worsened* the cut (restreaming is greedy and can
+///   overshoot) through [`NodeSink::restore`], keeping the best assignment
+///   seen.
+///
+/// A single-pass run (`passes == 1`) performs exactly the same stream pass
+/// as [`run`]; tracking only adds the metric pass.
+pub fn run_restream(
+    stream: &mut dyn NodeStream,
+    sink: &mut dyn NodeSink,
+    opts: &RestreamOptions,
+) -> Result<PassTrajectory> {
+    run_restream_seeded(stream, sink, opts, None)
 }
 
-impl Default for BatchExecutor {
-    fn default() -> Self {
-        BatchExecutor {
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
+/// [`run_restream`] for a sink seeded from an existing partition
+/// (`baseline`): the baseline is measured and recorded as pass 0 of the
+/// trajectory, and the revert-on-worsen guard protects it — the run never
+/// returns an assignment worse than the seed. Used by the in-memory
+/// algorithms whose additional passes are restreaming refinement of their
+/// one-shot solution.
+pub fn run_restream_seeded(
+    stream: &mut dyn NodeStream,
+    sink: &mut dyn NodeSink,
+    opts: &RestreamOptions,
+    baseline: Option<&[BlockId]>,
+) -> Result<PassTrajectory> {
+    drive(stream, sink, Some(opts), baseline, None)
 }
 
-impl BatchExecutor {
-    /// An executor handing `batch_size` nodes per batch to the batch-wise
-    /// dispatch ([`BatchExecutor::run_batches`]); the per-node dispatches
-    /// are unaffected (see the type-level docs).
-    pub fn new(batch_size: usize) -> Self {
-        BatchExecutor {
-            batch_size: batch_size.max(1),
+/// The single pass of a one-pass job whose caller reports on the result:
+/// [`run`], with the [`Measurement`] of the assignment under `topology`
+/// tallied as the nodes are placed — nothing reads the stream a second time.
+/// `sink` must be fresh (every node [`UNASSIGNED`]). The tally holds on
+/// symmetric adjacency lists only and checks that itself: input that lists
+/// an edge from one side only fails with a typed graph error instead of a
+/// wrong report.
+pub(crate) fn run_measured(
+    stream: &mut dyn NodeStream,
+    sink: &mut dyn NodeSink,
+    topology: ReportTopology<'_>,
+) -> Result<Measurement> {
+    let mut tally = LevelTally::new(stream.num_nodes(), sink.num_blocks(), topology)?;
+    drive(stream, sink, None, None, Some(&mut tally))?;
+    tally.finish_proven()
+}
+
+/// The one drive loop: one untracked pass without `opts`, a tracked run of
+/// up to `opts.passes` passes with them. `placed` is [`run_measured`]'s
+/// tally, fed each node right after the sink placed it.
+fn drive(
+    stream: &mut dyn NodeStream,
+    sink: &mut dyn NodeSink,
+    opts: Option<&RestreamOptions>,
+    baseline: Option<&[BlockId]>,
+    mut placed: Option<&mut LevelTally<'_>>,
+) -> Result<PassTrajectory> {
+    let mut passes = opts.map_or(1, |opts| opts.passes.max(1));
+    let mut tracker = opts.map(|opts| PassTracker::new(*opts));
+    let mut prev_assign: Vec<BlockId> = Vec::new();
+    // The stream starts rewound; every use after the first must rewind it
+    // again.
+    let mut needs_reset = false;
+    let reset = |stream: &mut dyn NodeStream, needs_reset: &mut bool| -> Result<()> {
+        if *needs_reset {
+            stream.reset()?;
         }
-    }
+        *needs_reset = true;
+        Ok(())
+    };
 
-    /// Nodes handed per batch by [`BatchExecutor::run_batches`].
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// One sequential pass: pulls batches and feeds `sink` in stream order.
-    pub fn run(&self, stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
-        self.run_passes(stream, sink, 1)
-    }
-
-    /// `passes` sequential passes over the same stream (restreaming),
-    /// without quality tracking. See [`BatchExecutor::run_restream`] for the
-    /// converging variant.
-    pub fn run_passes(
-        &self,
-        stream: &mut dyn NodeStream,
-        sink: &mut dyn NodeSink,
-        passes: usize,
-    ) -> Result<()> {
-        self.run_restream(stream, sink, &RestreamOptions::fixed(passes))
-            .map(|_| ())
-    }
-
-    /// The multi-pass restreaming engine: up to [`RestreamOptions::passes`]
-    /// sequential passes over the same stream, rewinding it
-    /// ([`NodeStream::reset`]) before every additional pass.
-    ///
-    /// From the second pass on, the sink re-scores every node against the
-    /// previous pass's assignment (its [`NodeSink::begin_pass`] switches it
-    /// into unassign-then-reassign mode). When quality tracking is enabled
-    /// and the sink exposes its assignments, each pass is followed by one
-    /// metric pass measuring edge-cut and imbalance, and the engine
-    ///
-    /// * stops once no node moved in a pass (the run has reached a fixed
-    ///   point — all further passes would reproduce it exactly),
-    /// * stops once the relative cut improvement falls below
-    ///   [`RestreamOptions::min_improvement`], and
-    /// * reverts a pass that *worsened* the cut (restreaming is greedy and
-    ///   can overshoot) through [`NodeSink::restore`], keeping the best
-    ///   assignment seen.
-    ///
-    /// A single-pass run (`passes == 1`) performs exactly the same stream
-    /// pass as [`BatchExecutor::run`]; tracking only adds the metric pass.
-    pub fn run_restream(
-        &self,
-        stream: &mut dyn NodeStream,
-        sink: &mut dyn NodeSink,
-        opts: &RestreamOptions,
-    ) -> Result<PassTrajectory> {
-        self.run_restream_seeded(stream, sink, opts, None)
-    }
-
-    /// [`BatchExecutor::run_restream`] for a sink seeded from an existing
-    /// partition (`baseline`): the baseline is measured and recorded as
-    /// pass 0 of the trajectory, and the revert-on-worsen guard protects it
-    /// — the run never returns an assignment worse than the seed. Used by
-    /// the in-memory algorithms whose additional passes are restreaming
-    /// refinement of their one-shot solution.
-    pub fn run_restream_seeded(
-        &self,
-        stream: &mut dyn NodeStream,
-        sink: &mut dyn NodeSink,
-        opts: &RestreamOptions,
-        baseline: Option<&[BlockId]>,
-    ) -> Result<PassTrajectory> {
-        self.drive(stream, sink, opts, baseline, None)
-    }
-
-    /// The single pass of a one-pass job whose caller reports on the result:
-    /// [`BatchExecutor::run`], with the [`Measurement`] of the assignment
-    /// under `topology` tallied as the nodes are placed — nothing reads the
-    /// stream a second time. `sink` must be fresh (every node
-    /// [`UNASSIGNED`]) and expose its [`NodeSink::assignments`]. The tally
-    /// holds on symmetric adjacency lists only and checks that itself: input
-    /// that lists an edge from one side only fails with a typed graph error
-    /// instead of a wrong report.
-    pub(crate) fn run_measured(
-        &self,
-        stream: &mut dyn NodeStream,
-        sink: &mut dyn NodeSink,
-        topology: ReportTopology<'_>,
-    ) -> Result<Measurement> {
-        let mut tally = LevelTally::new(stream.num_nodes(), sink.num_blocks(), topology)?;
-        let one_pass = RestreamOptions::fixed(1);
-        self.drive(stream, sink, &one_pass, None, Some(&mut tally))?;
-        tally.finish_proven()
-    }
-
-    /// The one drive loop. `placed` is [`BatchExecutor::run_measured`]'s
-    /// tally, fed each node right after the sink placed it.
-    fn drive(
-        &self,
-        stream: &mut dyn NodeStream,
-        sink: &mut dyn NodeSink,
-        opts: &RestreamOptions,
-        baseline: Option<&[BlockId]>,
-        mut placed: Option<&mut LevelTally<'_>>,
-    ) -> Result<PassTrajectory> {
-        let passes = opts.passes.max(1);
-        let tracked = opts.track_quality && sink.assignments().is_some();
-        let mut tracker = PassTracker::new(*opts);
-        let mut prev_assign: Vec<BlockId> = Vec::new();
-        // The stream starts rewound; every use after the first must rewind
-        // it again.
-        let mut needs_reset = false;
-        let reset = |stream: &mut dyn NodeStream, needs_reset: &mut bool| -> Result<()> {
-            if *needs_reset {
-                stream.reset()?;
-            }
-            *needs_reset = true;
-            Ok(())
-        };
-
-        if tracked {
-            if let Some(seed) = baseline {
-                let (edge_cut, imbalance) = match opts.seed_stats {
-                    Some((cut, imbalance)) => {
-                        // The caller maintains the seed's cut incrementally;
-                        // trust it instead of recounting with a full walk —
-                        // but verify the bookkeeping in debug builds.
-                        #[cfg(debug_assertions)]
-                        {
-                            reset(stream, &mut needs_reset)?;
-                            let (measured, _) = measure_pass(stream, seed, sink.num_blocks())?;
-                            debug_assert_eq!(
-                                measured, cut,
-                                "incrementally maintained seed cut disagrees with a \
-                                 measured metric pass"
-                            );
-                        }
-                        (cut, imbalance)
-                    }
-                    None => {
-                        reset(stream, &mut needs_reset)?;
-                        measure_pass(stream, seed, sink.num_blocks())?
-                    }
-                };
-                if tracker.seed(edge_cut, imbalance, seed) {
-                    return Ok(tracker.finish());
+    if let (Some(tracker), Some(opts), Some(seed)) = (tracker.as_mut(), opts, baseline) {
+        let (edge_cut, imbalance) = match opts.seed_stats {
+            Some((cut, imbalance)) => {
+                // The caller maintains the seed's cut incrementally; trust it
+                // instead of recounting with a full walk — but verify the
+                // bookkeeping in debug builds.
+                #[cfg(debug_assertions)]
+                {
+                    reset(stream, &mut needs_reset)?;
+                    let (measured, _) = measure_pass(stream, seed, sink.num_blocks())?;
+                    debug_assert_eq!(
+                        measured, cut,
+                        "incrementally maintained seed cut disagrees with a measured metric pass"
+                    );
                 }
+                (cut, imbalance)
             }
+            None => {
+                reset(stream, &mut needs_reset)?;
+                measure_pass(stream, seed, sink.num_blocks())?
+            }
+        };
+        if tracker.seed(edge_cut, imbalance, seed) {
+            // The seed is optimal already: no pass runs.
+            passes = 0;
+        }
+    }
+
+    for i in 0..passes {
+        reset(stream, &mut needs_reset)?;
+        if tracker.is_some() {
+            prev_assign.clear();
+            prev_assign.extend_from_slice(sink.assignments());
         }
 
-        for i in 0..passes {
-            reset(stream, &mut needs_reset)?;
-            if tracked {
-                prev_assign.clear();
-                prev_assign.extend_from_slice(sink.assignments().expect("tracked"));
-            }
+        sink.begin_pass(i);
+        oms_obs::observe(Event::PassStart { pass: i as u32 });
+        let clock = Stopwatch::start();
+        // for_each_node, not for_each_batch: in-memory sources serve
+        // borrowed CSR slices with no copy, and file sources implement it on
+        // top of their batch decoder anyway.
+        let mut pass_nodes = 0u64;
+        // Two closures, not one that branches on `placed`: the tally inlines
+        // into its closure, and a shared one paid that frame on every node of
+        // every untallied pass (≈ 16 ns per node).
+        match placed.as_deref_mut() {
+            None => stream.for_each_node(&mut |node| {
+                pass_nodes += 1;
+                sink.process(node)
+            })?,
+            Some(tally) => stream.for_each_node(&mut |node| {
+                pass_nodes += 1;
+                sink.process(node);
+                tally.second_sightings(node, sink.assignments());
+            })?,
+        }
+        // Flush before the timing stops: a buffering sink's flush is part of
+        // the pass's work, and `assignments` below must see the complete
+        // pass.
+        sink.end_pass(i);
+        let seconds = clock.seconds();
+        oms_obs::counter_add(CounterId::RestreamPasses, 1);
+        oms_obs::hist_record(HistId::PassMicros, (seconds * 1e6) as u64);
 
-            sink.begin_pass(i);
-            oms_obs::observe(Event::PassStart { pass: i as u32 });
-            let clock = Stopwatch::start();
-            // for_each_node, not for_each_batch: in-memory sources serve
-            // borrowed CSR slices with no copy, and file sources implement
-            // it on top of their batch decoder anyway.
-            let mut pass_nodes = 0u64;
-            // Two closures, not one that branches on `placed`: the tally
-            // inlines into its closure, and a shared one paid that frame on
-            // every node of every untallied pass (≈ 16 ns per node).
-            match placed.as_deref_mut() {
-                None => stream.for_each_node(&mut |node| {
-                    pass_nodes += 1;
-                    sink.process(node)
-                })?,
-                Some(tally) => stream.for_each_node(&mut |node| {
-                    pass_nodes += 1;
-                    sink.process(node);
-                    let assignments = sink.assignments().expect("a measured sink exposes them");
-                    tally.second_sightings(node, assignments);
-                })?,
+        let Some(tracker) = tracker.as_mut() else {
+            oms_obs::observe(Event::PassEnd {
+                pass: i as u32,
+                nodes: pass_nodes,
+                edge_cut: 0,
+                moved: 0,
+            });
+            continue;
+        };
+        let assignments = sink.assignments();
+        let moved = prev_assign
+            .iter()
+            .zip(assignments)
+            .filter(|(a, b)| a != b)
+            .count();
+        reset(stream, &mut needs_reset)?;
+        let (edge_cut, imbalance) = measure_pass(stream, assignments, sink.num_blocks())?;
+        let last_pass = i + 1 == passes;
+        match tracker.observe(last_pass, moved, seconds, edge_cut, imbalance, assignments) {
+            PassOutcome::Revert(best) => {
+                // The pass overshot; put the best assignment back.
+                sink.restore(&best);
+                oms_obs::counter_add(CounterId::RestreamReverts, 1);
+                oms_obs::observe(Event::PassReverted {
+                    pass: i as u32,
+                    kept_cut: tracker.best_cut().unwrap_or(edge_cut),
+                });
+                break;
             }
-            // Flush before the timing stops: a buffering sink's flush is
-            // part of the pass's work, and `assignments` below must see the
-            // complete pass.
-            sink.end_pass(i);
-            let seconds = clock.seconds();
-            oms_obs::counter_add(CounterId::RestreamPasses, 1);
-            oms_obs::hist_record(HistId::PassMicros, (seconds * 1e6) as u64);
-
-            if !tracked {
+            outcome => {
                 oms_obs::observe(Event::PassEnd {
                     pass: i as u32,
                     nodes: pass_nodes,
-                    edge_cut: 0,
-                    moved: 0,
+                    edge_cut,
+                    moved: moved as u64,
                 });
-                continue;
-            }
-            let assignments = sink.assignments().expect("tracked");
-            let moved = prev_assign
-                .iter()
-                .zip(assignments)
-                .filter(|(a, b)| a != b)
-                .count();
-            reset(stream, &mut needs_reset)?;
-            let (edge_cut, imbalance) = measure_pass(stream, assignments, sink.num_blocks())?;
-            let accepted = Event::PassEnd {
-                pass: i as u32,
-                nodes: pass_nodes,
-                edge_cut,
-                moved: moved as u64,
-            };
-            match tracker.observe(
-                i + 1 == passes,
-                moved,
-                seconds,
-                edge_cut,
-                imbalance,
-                assignments,
-            ) {
-                PassOutcome::Continue => {
-                    oms_obs::observe(accepted);
-                    oms_obs::hist_record(HistId::PassMoved, moved as u64);
-                }
-                PassOutcome::Stop => {
-                    oms_obs::observe(accepted);
-                    oms_obs::hist_record(HistId::PassMoved, moved as u64);
-                    break;
-                }
-                PassOutcome::Revert(best) => {
-                    // The pass overshot; put the best assignment back. A
-                    // sink without restore support keeps the worse state —
-                    // record it so the trajectory ends on what is returned.
-                    if !sink.restore(&best) {
-                        tracker.accept_unreverted(moved, seconds, edge_cut, imbalance);
-                        oms_obs::observe(accepted);
-                    } else {
-                        oms_obs::counter_add(CounterId::RestreamReverts, 1);
-                        oms_obs::observe(Event::PassReverted {
-                            pass: i as u32,
-                            kept_cut: tracker.best_cut().unwrap_or(edge_cut),
-                        });
-                    }
+                oms_obs::hist_record(HistId::PassMoved, moved as u64);
+                if outcome == PassOutcome::Stop {
                     break;
                 }
             }
         }
-        Ok(tracker.finish())
     }
-
-    /// One sequential pass delivering whole batches (used by the buffered
-    /// algorithms, which build a model graph per batch instead of scoring
-    /// node by node).
-    ///
-    /// Here the batch is part of the algorithm, so every batch but the last
-    /// holds *exactly* `batch_size` nodes whatever the source: a source
-    /// batch that was closed early (a disk stream at its entry bound) is
-    /// topped up from the following ones before it is handed on.
-    pub fn run_batches(
-        &self,
-        stream: &mut dyn NodeStream,
-        f: &mut dyn FnMut(&NodeBatch),
-    ) -> Result<()> {
-        let mut batch_index = 0u64;
-        let mut deliver = |batch: &NodeBatch| {
-            f(batch);
-            oms_obs::observe(Event::BatchScored {
-                batch: batch_index,
-                nodes: batch.len() as u64,
-            });
-            batch_index += 1;
-        };
-        let mut partial = NodeBatch::new();
-        stream.for_each_batch(self.batch_size, &mut |batch| {
-            if partial.is_empty() && batch.len() == self.batch_size {
-                return deliver(batch);
-            }
-            for node in batch.iter() {
-                partial.push(node);
-                if partial.len() == self.batch_size {
-                    deliver(&partial);
-                    partial.clear();
-                }
-            }
-        })?;
-        if !partial.is_empty() {
-            deliver(&partial);
-        }
-        Ok(())
-    }
+    Ok(tracker.map_or_else(PassTrajectory::default, PassTracker::finish))
 }
 
 /// What one measurement walk finds for an assignment (see [`measure`]).
@@ -952,72 +787,50 @@ mod tests {
 
     #[test]
     fn executor_feeds_sink_in_stream_order() {
-        struct Collect(Vec<NodeId>, usize);
+        /// Records the stream order and puts node `v` into block
+        /// `(v + pass) % 2`: every pass moves every node and cuts the same
+        /// edges, so a tracked run neither converges nor reverts early.
+        struct Collect {
+            order: Vec<NodeId>,
+            passes: usize,
+            assignments: Vec<BlockId>,
+        }
         impl NodeSink for Collect {
             fn begin_pass(&mut self, pass: usize) {
-                self.1 = pass + 1;
+                self.passes = pass + 1;
             }
             fn process(&mut self, node: StreamedNode<'_>) {
-                self.0.push(node.node);
+                self.order.push(node.node);
+                self.assignments[node.node as usize] = (node.node + self.passes as u32) % 2;
+            }
+            fn assignments(&self) -> &[BlockId] {
+                &self.assignments
+            }
+            fn num_blocks(&self) -> u32 {
+                2
+            }
+            fn restore(&mut self, assignments: &[BlockId]) {
+                self.assignments.copy_from_slice(assignments);
             }
         }
         let g = oms_gen::planted_partition(97, 4, 0.2, 0.02, 1);
-        let mut sink = Collect(Vec::new(), 0);
-        BatchExecutor::new(16)
-            .run(&mut InMemoryStream::new(&g), &mut sink)
-            .unwrap();
-        assert_eq!(sink.0, (0..97).collect::<Vec<NodeId>>());
-        assert_eq!(sink.1, 1);
-
-        sink.0.clear();
-        BatchExecutor::new(10)
-            .run_passes(&mut InMemoryStream::new(&g), &mut sink, 3)
-            .unwrap();
-        assert_eq!(sink.0.len(), 3 * 97);
-        assert_eq!(sink.1, 3);
-    }
-
-    #[test]
-    fn run_batches_hands_on_exact_batches_whatever_the_source_delivers() {
-        /// Closes every batch after at most 3 nodes, as a disk stream does
-        /// at its entry bound.
-        struct Short<'g>(InMemoryStream<'g>);
-        impl NodeStream for Short<'_> {
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn num_edges(&self) -> usize {
-                self.0.num_edges()
-            }
-            fn total_node_weight(&self) -> oms_graph::NodeWeight {
-                self.0.total_node_weight()
-            }
-            fn for_each_node(
-                &mut self,
-                f: &mut dyn FnMut(StreamedNode<'_>),
-            ) -> oms_graph::Result<()> {
-                self.0.for_each_node(f)
-            }
-            fn for_each_batch(
-                &mut self,
-                batch_size: usize,
-                f: &mut dyn FnMut(&NodeBatch),
-            ) -> oms_graph::Result<()> {
-                self.0.for_each_batch(batch_size.min(3), f)
-            }
-        }
-        let g = oms_gen::planted_partition(25, 2, 0.3, 0.05, 1);
-        let batches_of = |stream: &mut dyn NodeStream| {
-            let mut batches: Vec<Vec<NodeId>> = Vec::new();
-            BatchExecutor::new(10)
-                .run_batches(stream, &mut |batch| batches.push(batch.ids().to_vec()))
-                .unwrap();
-            batches
+        let mut sink = Collect {
+            order: Vec::new(),
+            passes: 0,
+            assignments: vec![UNASSIGNED; 97],
         };
-        let exact = batches_of(&mut InMemoryStream::new(&g));
-        let sizes: Vec<usize> = exact.iter().map(Vec::len).collect();
-        assert_eq!(sizes, [10, 10, 5]);
-        assert_eq!(exact.concat(), (0..25).collect::<Vec<NodeId>>());
-        assert_eq!(batches_of(&mut Short(InMemoryStream::new(&g))), exact);
+        run(&mut InMemoryStream::new(&g), &mut sink).unwrap();
+        assert_eq!(sink.order, (0..97).collect::<Vec<NodeId>>());
+        assert_eq!(sink.passes, 1);
+
+        sink.order.clear();
+        sink.assignments.fill(UNASSIGNED);
+        let opts = RestreamOptions::new(3, 0.0);
+        let trajectory = run_restream(&mut InMemoryStream::new(&g), &mut sink, &opts).unwrap();
+        assert_eq!(sink.order.len(), 3 * 97);
+        assert_eq!(sink.passes, 3);
+        assert_eq!(trajectory.num_passes(), 3);
+        assert!(!trajectory.converged);
+        assert!(trajectory.stats.iter().all(|s| s.moved == 97));
     }
 }

@@ -22,10 +22,10 @@
 //!   the single layer `S = k` is the flat problem, so [`Ldg`] and [`Fennel`]
 //!   run it on the depth-1 tree, and [`RepairSink`] re-scores single nodes
 //!   on it for dynamic-graph maintenance.
-//! * [`executor`] is the single drive loop behind all of them: the
-//!   [`BatchExecutor`] walks any stream sequentially, in stream order, and
-//!   feeds it node by node to a [`NodeSink`] or batch-wise
-//!   ([`NodeBatch`](oms_graph::NodeBatch)) to buffered algorithms.
+//! * [`executor`] is the single drive loop behind all of them (and behind
+//!   `oms-multilevel`'s buffered algorithm): [`executor::run`] and
+//!   [`executor::run_restream`] walk any stream sequentially, in stream
+//!   order, and feed it node by node to a [`NodeSink`].
 //! * [`restream`] holds the pass policy of multi-pass restreaming (ReFennel /
 //!   ReLDG style, §3.2). There are no restreaming types: every partitioner
 //!   above carries `passes`/`convergence` and runs through the executor's
@@ -97,8 +97,8 @@ pub use api::{
 };
 pub use config::{AlphaMode, OmsConfig, OnePassConfig, ScorerKind};
 pub use executor::{
-    measure, measure_pass, BatchExecutor, Measurement, NodeSink, PassStats, PassTrajectory,
-    ReportTopology, RestreamOptions,
+    measure, measure_pass, Measurement, NodeSink, PassStats, PassTrajectory, ReportTopology,
+    RestreamOptions,
 };
 pub use hierarchy::{DistanceSpec, HierarchySpec};
 pub use mstree::MultisectionTree;

@@ -256,10 +256,6 @@ impl OmsSink {
         Partition::from_assignments(self.tree.num_blocks(), self.assignments, &self.node_weights)
     }
 
-    pub(crate) fn assignments(&self) -> &[BlockId] {
-        &self.assignments
-    }
-
     /// Where the `k` blocks sit in the per-tree-node arrays when the leaves
     /// are one sibling group in block order — the depth-1 tree — or the root
     /// itself (`k = 1`): the shapes the flat rules run on.
@@ -551,8 +547,8 @@ impl NodeSink for OmsSink {
         self.flush_hot_counters();
     }
 
-    fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.assignments)
+    fn assignments(&self) -> &[BlockId] {
+        &self.assignments
     }
 
     fn num_blocks(&self) -> u32 {
@@ -563,7 +559,7 @@ impl NodeSink for OmsSink {
     /// along the blocks' paths from the recorded node weights (the
     /// executor's revert-on-worsen guard, and adopting a partition whose
     /// node weights are known).
-    fn restore(&mut self, assignments: &[BlockId]) -> bool {
+    fn restore(&mut self, assignments: &[BlockId]) {
         self.assignments.copy_from_slice(assignments);
         self.tree_weights.fill(0);
         for v in 0..self.assignments.len() {
@@ -573,7 +569,6 @@ impl NodeSink for OmsSink {
         }
         self.refresh_terms();
         self.rebase();
-        true
     }
 }
 

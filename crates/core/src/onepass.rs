@@ -23,7 +23,7 @@
 //! (ReLDG, ReFennel — Nishimura & Ugander), where a node's previous
 //! assignment is removed before it is re-scored. Every run, one pass or
 //! many, goes through the one engine loop (`restream::run` on
-//! [`BatchExecutor::run_restream`](crate::executor::BatchExecutor::run_restream)).
+//! [`executor::run_restream`](crate::executor::run_restream)).
 
 use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
 use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
@@ -246,17 +246,16 @@ impl NodeSink for HashingSink {
         self.node_weights[node.node as usize] = node.weight;
     }
 
-    fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.assignments)
+    fn assignments(&self) -> &[BlockId] {
+        &self.assignments
     }
 
     fn num_blocks(&self) -> u32 {
         self.k as u32
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) -> bool {
+    fn restore(&mut self, assignments: &[BlockId]) {
         self.assignments.copy_from_slice(assignments);
-        true
     }
 }
 
@@ -274,7 +273,8 @@ impl NodeSink for HashingSink {
 ///   edge counts change (deltas shift both).
 /// * As a [`NodeSink`] it lets the multi-pass engine run a full restream
 ///   fallback over the live graph, guarded against worsening the maintained
-///   assignment.
+///   assignment; its assignment array and block count are read through
+///   that trait too.
 pub struct RepairSink {
     kernel: OmsSink,
     objective: FlatObjective,
@@ -341,12 +341,6 @@ impl RepairSink {
         self.kernel.set_node_weight(node, 0);
     }
 
-    /// The current assignment, one entry per id-space slot ([`UNASSIGNED`]
-    /// for deleted or not-yet-scored nodes).
-    pub fn assignments(&self) -> &[BlockId] {
-        self.kernel.assignments()
-    }
-
     /// The block of one node.
     pub fn assignment(&self, node: oms_graph::NodeId) -> BlockId {
         self.kernel.assignments()[node as usize]
@@ -360,11 +354,6 @@ impl RepairSink {
     /// The balance limit `L_max` currently enforced.
     pub fn capacity(&self) -> NodeWeight {
         self.kernel.block_capacity()
-    }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> u32 {
-        self.kernel.num_blocks()
     }
 
     /// Drains the hot-path scoring tallies into the installed observer's
@@ -384,16 +373,18 @@ impl NodeSink for RepairSink {
         self.kernel.end_pass(pass);
     }
 
-    fn assignments(&self) -> Option<&[BlockId]> {
-        Some(self.kernel.assignments())
+    /// The current assignment, one entry per id-space slot ([`UNASSIGNED`]
+    /// for deleted or not-yet-scored nodes).
+    fn assignments(&self) -> &[BlockId] {
+        self.kernel.assignments()
     }
 
     fn num_blocks(&self) -> u32 {
         self.kernel.num_blocks()
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) -> bool {
-        self.kernel.restore(assignments)
+    fn restore(&mut self, assignments: &[BlockId]) {
+        self.kernel.restore(assignments);
     }
 }
 
@@ -561,9 +552,7 @@ mod tests {
             let cfg = OnePassConfig::default();
             let mut sink = RepairSink::new(1, 10, g.num_edges(), 10, cfg, objective).unwrap();
             assert_eq!(sink.block_weights(), &[0]);
-            crate::BatchExecutor::default()
-                .run(&mut InMemoryStream::new(&g), &mut sink)
-                .unwrap();
+            crate::executor::run(&mut InMemoryStream::new(&g), &mut sink).unwrap();
             assert_eq!(sink.block_weights(), &[10]);
             sink.forget(3, 1);
             assert_eq!(

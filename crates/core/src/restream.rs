@@ -10,8 +10,8 @@
 //! [`Ldg`](crate::Ldg), [`Fennel`](crate::Fennel) and
 //! [`OnlineMultiSection`](crate::OnlineMultiSection) each carry
 //! `passes`/`convergence` (defaults 1/0) and run through `run` — a
-//! one-pass run *is* the multi-pass engine
-//! ([`BatchExecutor::run_restream`]) with a budget of one. The engine
+//! one-pass run *is* the drive loop of the multi-pass engine
+//! ([`executor::run_restream`]) with a budget of one. The engine
 //! rewinds the stream between passes, records the per-pass quality
 //! trajectory, stops early once the partition converges and reverts a pass
 //! that worsened the edge cut. [`refine_partition`] exposes the same loop as
@@ -20,7 +20,7 @@
 
 use crate::config::OnePassConfig;
 use crate::executor::{
-    BatchExecutor, Measurement, NodeSink, PassTrajectory, ReportTopology, RestreamOptions,
+    self, Measurement, NodeSink, PassTrajectory, ReportTopology, RestreamOptions,
 };
 use crate::oms::OmsSink;
 use crate::onepass::depth_one;
@@ -48,7 +48,7 @@ fn check_passes(passes: usize) -> Result<()> {
 /// `report` is set by a caller that will report on the result, to the
 /// topology it reports under. A single pass decides every node for good as
 /// it streams, so it then tallies the [`Measurement`] while it partitions
-/// ([`BatchExecutor::run_measured`]); later passes revise decisions, so a
+/// (`executor::run_measured`); later passes revise decisions, so a
 /// multi-pass run returns `None` and leaves the final assignment to the
 /// measurement walk.
 pub(crate) fn run(
@@ -59,15 +59,14 @@ pub(crate) fn run(
     report: Option<ReportTopology<'_>>,
 ) -> Result<(PassTrajectory, Option<Measurement>)> {
     check_passes(passes)?;
-    let executor = BatchExecutor::default();
     if passes > 1 {
-        let options = RestreamOptions::tracked(passes, convergence);
-        return Ok((executor.run_restream(stream, sink, &options)?, None));
+        let options = RestreamOptions::new(passes, convergence);
+        return Ok((executor::run_restream(stream, sink, &options)?, None));
     }
     let measured = match report {
-        Some(topology) => Some(executor.run_measured(stream, sink, topology)?),
+        Some(topology) => Some(executor::run_measured(stream, sink, topology)?),
         None => {
-            executor.run(stream, sink)?;
+            executor::run(stream, sink)?;
             None
         }
     };
@@ -98,10 +97,10 @@ pub fn refine_partition(
         stream.total_node_weight(),
     );
     sink.seed(seed.assignments(), seed.block_weights());
-    let trajectory = BatchExecutor::default().run_restream_seeded(
+    let trajectory = executor::run_restream_seeded(
         stream,
         &mut sink,
-        &RestreamOptions::tracked(passes, convergence),
+        &RestreamOptions::new(passes, convergence),
         Some(seed.assignments()),
     )?;
     if trajectory.num_passes() <= 1 {

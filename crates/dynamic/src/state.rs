@@ -28,8 +28,9 @@
 //! the property the `dynamic_quality` suite asserts byte for byte.
 
 use crate::DynamicGraph;
+use oms_core::executor::{run_restream, run_restream_seeded};
 use oms_core::{
-    measure_pass, BatchExecutor, BlockId, FlatObjective, JobSpec, PartitionError, PassStats,
+    measure_pass, BlockId, FlatObjective, JobSpec, NodeSink, PartitionError, PassStats,
     RepairPolicy, RepairSink, RestreamOptions, Result, ALGORITHMS, UNASSIGNED,
 };
 use oms_graph::io::{
@@ -127,8 +128,8 @@ impl PartitionState {
             job.one_pass_config(),
             objective,
         )?;
-        let opts = RestreamOptions::tracked(job.passes, job.convergence);
-        let trajectory = BatchExecutor::default().run_restream(&mut graph, &mut sink, &opts)?;
+        let opts = RestreamOptions::new(job.passes, job.convergence);
+        let trajectory = run_restream(&mut graph, &mut sink, &opts)?;
         let cut = trajectory.final_edge_cut().unwrap_or(0);
         let mut state = PartitionState {
             job: job.clone(),
@@ -469,14 +470,10 @@ impl PartitionState {
         // imbalance are already tracked delta by delta, so hand them to the
         // engine instead of paying a second full metric walk (debug builds
         // re-measure and assert agreement).
-        let opts = RestreamOptions::tracked(self.job.passes, self.job.convergence)
+        let opts = RestreamOptions::new(self.job.passes, self.job.convergence)
             .with_seed_stats(self.cut, self.imbalance());
-        let trajectory = BatchExecutor::default().run_restream_seeded(
-            &mut self.graph,
-            &mut self.sink,
-            &opts,
-            Some(&baseline),
-        )?;
+        let trajectory =
+            run_restream_seeded(&mut self.graph, &mut self.sink, &opts, Some(&baseline))?;
         self.cut = trajectory.final_edge_cut().unwrap_or(self.cut);
         self.trajectory.extend(trajectory.stats);
         self.counters.restreams += 1;
@@ -508,10 +505,9 @@ impl PartitionState {
             self.job.one_pass_config(),
             objective,
         )?;
-        let opts = RestreamOptions::tracked(self.job.passes, self.job.convergence);
+        let opts = RestreamOptions::new(self.job.passes, self.job.convergence);
         let clock = Stopwatch::start();
-        let trajectory =
-            BatchExecutor::default().run_restream(&mut self.graph, &mut sink, &opts)?;
+        let trajectory = run_restream(&mut self.graph, &mut sink, &opts)?;
         let seconds = clock.seconds();
         let last = trajectory.stats.last().copied().unwrap_or(PassStats {
             pass: 0,

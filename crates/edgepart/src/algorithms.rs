@@ -41,17 +41,19 @@
 //!   to more than `m` a feasible block always remains. λ then tunes the
 //!   replication-vs-balance trade-off *inside* the feasible region.
 //!
-//! Multi-pass behavior re-streams edges through the shared engine
-//! ([`crate::engine::run_edge_restream`]): each edge is un-assigned (replica
-//! counts and loads are decremented) and re-scored against the rest of the
-//! current assignment.
+//! Multi-pass behavior re-streams the edges through the sink's pass loop
+//! (rules in [`crate::engine`]): each edge is un-assigned (replica counts
+//! and loads are decremented) and re-scored against the rest of the current
+//! assignment.
 
 use crate::api::EdgePartitioner;
-use crate::engine::{run_edge_restream, EdgePassStats, EdgeQuality, EdgeSink};
+use crate::engine::{EdgePassStats, EdgeQuality};
 use crate::partition::EdgePartition;
+use oms_core::executor::{PassOutcome, PassTracker};
 use oms_core::partition::UNASSIGNED;
 use oms_core::{BlockId, PartitionError, RestreamOptions, Result};
-use oms_graph::{EdgeStream, NodeId, StreamedEdge};
+use oms_graph::{EdgeStream, GraphError, NodeId, StreamedEdge};
+use oms_obs::{CounterId, Event, Stopwatch};
 
 /// Which block-selection rule a [`StreamingEdgePartitioner`] applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,7 +160,7 @@ impl StreamingEdgePartitioner {
                 "the number of blocks k must be positive".into(),
             ));
         }
-        let mut sink = Box::new(AlgoSink::new(
+        let mut sink = AlgoSink::new(
             self.kind,
             self.k,
             self.seed,
@@ -166,9 +168,9 @@ impl StreamingEdgePartitioner {
             self.epsilon,
             stream.num_nodes(),
             stream.num_edges(),
-        ));
-        let opts = RestreamOptions::tracked(self.passes, self.convergence);
-        let trajectory = run_edge_restream(stream, &mut *sink, &opts)?;
+        );
+        let opts = RestreamOptions::new(self.passes, self.convergence);
+        let trajectory = sink.restream(stream, &opts)?;
         Ok((sink.into_partition(), trajectory))
     }
 }
@@ -356,13 +358,9 @@ impl AlgoSink {
             EdgeAlgoKind::Greedy => self.select_greedy(edge),
         }
     }
-}
 
-impl EdgeSink for AlgoSink {
-    fn begin_pass(&mut self, pass: usize) {
-        self.pass = pass;
-    }
-
+    /// Consumes the next edge of the stream; `index` is its stream
+    /// position, stable across passes and sources.
     fn process(&mut self, index: usize, edge: StreamedEdge) {
         if self.pass == 0 {
             // Partial degrees, counted up to and including the current
@@ -376,14 +374,89 @@ impl EdgeSink for AlgoSink {
         self.assign(index, edge, b);
     }
 
-    fn assignments(&self) -> &[BlockId] {
-        &self.assignments
+    /// The pass loop: up to `opts.passes` passes over the stream, which is
+    /// rewound before every pass but the first, with every verdict taken
+    /// from [`PassTracker`] (rules in [`crate::engine`]). Returns the
+    /// trajectory of the accepted passes; the sink is left on the last one.
+    fn restream(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        opts: &RestreamOptions,
+    ) -> Result<Vec<EdgePassStats>> {
+        let m = stream.num_edges();
+        let passes = opts.passes.max(1);
+        let mut tracker = PassTracker::new(*opts);
+        let mut trajectory: Vec<EdgePassStats> = Vec::new();
+        let mut prev: Vec<BlockId> = self.assignments.clone();
+
+        for pass in 0..passes {
+            if pass > 0 {
+                stream.reset()?;
+            }
+            self.pass = pass;
+            let clock = Stopwatch::start();
+            drive_pass(stream, m, &mut |index, edge| self.process(index, edge))?;
+            let seconds = clock.seconds();
+
+            let quality = self.quality();
+            let imbalance = quality.imbalance(self.k);
+            let replicas = quality.total_replicas;
+            let moved = prev
+                .iter()
+                .zip(&self.assignments)
+                .filter(|(a, b)| a != b)
+                .count();
+            let last_pass = pass + 1 == passes;
+            match tracker.observe(
+                last_pass,
+                moved,
+                seconds,
+                replicas,
+                imbalance,
+                &self.assignments,
+            ) {
+                PassOutcome::Revert(best) => {
+                    // The pass overshot: replay the stream once, re-applying
+                    // the best assignment, so the returned state matches the
+                    // last recorded trajectory entry.
+                    stream.reset()?;
+                    self.clear_assignments();
+                    drive_pass(stream, m, &mut |index, edge| {
+                        self.assign(index, edge, best[index])
+                    })?;
+                    oms_obs::observe(Event::EdgePassReverted {
+                        pass: pass as u32,
+                        kept_replicas: tracker.best_cut().unwrap_or(replicas),
+                    });
+                    break;
+                }
+                outcome => {
+                    oms_obs::observe(Event::EdgePassEnd {
+                        pass: pass as u32,
+                        total_replicas: replicas,
+                        moved: moved as u64,
+                    });
+                    oms_obs::counter_add(CounterId::EdgePasses, 1);
+                    trajectory.push(EdgePassStats {
+                        pass,
+                        total_replicas: replicas,
+                        replication_factor: quality.replication_factor(),
+                        imbalance,
+                        moved,
+                        seconds,
+                    });
+                    if outcome == PassOutcome::Stop {
+                        break;
+                    }
+                    prev.clone_from(&self.assignments);
+                }
+            }
+        }
+        Ok(trajectory)
     }
 
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
+    /// The sink's current quality (replicas, loads), maintained
+    /// incrementally.
     fn quality(&self) -> EdgeQuality {
         let covered = self.replicas.iter().filter(|r| !r.is_empty()).count() as u64;
         let max_replicas = self
@@ -401,7 +474,9 @@ impl EdgeSink for AlgoSink {
         }
     }
 
-    fn begin_restore(&mut self) {
+    /// Clears all assignment-derived state before a restore replay (the
+    /// degrees stay: they are exact after the first pass).
+    fn clear_assignments(&mut self) {
         self.assignments.fill(UNASSIGNED);
         self.block_loads.fill(0);
         self.block_counts.fill(0);
@@ -411,11 +486,8 @@ impl EdgeSink for AlgoSink {
         self.total_replicas = 0;
     }
 
-    fn restore_edge(&mut self, index: usize, edge: StreamedEdge, block: BlockId) {
-        self.assign(index, edge, block);
-    }
-
-    fn into_partition(self: Box<Self>) -> EdgePartition {
+    /// Consumes the sink into the finished [`EdgePartition`].
+    fn into_partition(self) -> EdgePartition {
         let quality = self.quality();
         EdgePartition::new(
             self.k,
@@ -427,6 +499,33 @@ impl EdgeSink for AlgoSink {
             quality.max_replicas,
         )
     }
+}
+
+/// One full pass of `stream` through `f`, verifying that the stream
+/// delivered exactly the announced number of edges: a source whose
+/// adjacency lists are not symmetric streams a different count, and its
+/// assignment array could not address them.
+fn drive_pass(
+    stream: &mut dyn EdgeStream,
+    expected_edges: usize,
+    f: &mut dyn FnMut(usize, StreamedEdge),
+) -> Result<()> {
+    let mut index = 0usize;
+    stream.for_each_edge(&mut |edge| {
+        if index < expected_edges {
+            f(index, edge);
+        }
+        index += 1;
+    })?;
+    if index != expected_edges {
+        return Err(GraphError::CountMismatch {
+            what: "edges (each undirected edge streamed once)",
+            expected: expected_edges as u64,
+            found: index as u64,
+        }
+        .into());
+    }
+    Ok(())
 }
 
 /// Re-measures the replication summary of `report` from scratch by replaying
@@ -650,6 +749,66 @@ mod tests {
                 assert!(
                     max <= capacity,
                     "lambda {lambda}, passes {passes}: max block count {max} > L_max {capacity}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_edgeless_graph_stops_after_pass_zero() {
+        // Zero replicas is the zero cut of the node engine's rule: nothing
+        // is left to improve, so no second pass runs.
+        let g = CsrGraph::empty(6);
+        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
+            let (partition, trajectory) = StreamingEdgePartitioner::new(kind, 3)
+                .passes(4)
+                .partition_edges_tracked(&mut EdgesOf(InMemoryStream::new(&g)))
+                .unwrap();
+            assert_eq!(partition.num_edges(), 0, "{kind:?}");
+            assert_eq!(trajectory.len(), 1, "{kind:?}: {trajectory:?}");
+            assert_eq!((trajectory[0].total_replicas, trajectory[0].moved), (0, 0));
+        }
+    }
+
+    #[test]
+    fn an_edge_stream_that_miscounts_its_edges_is_a_graph_error() {
+        /// Announces one edge and delivers it twice, as `EdgesOf` does over
+        /// a node listed twice in one adjacency list and in no other.
+        struct Miscounted;
+        impl EdgeStream for Miscounted {
+            fn num_nodes(&self) -> usize {
+                2
+            }
+            fn num_edges(&self) -> usize {
+                1
+            }
+            fn for_each_edge(&mut self, f: &mut dyn FnMut(StreamedEdge)) -> oms_graph::Result<()> {
+                for _ in 0..2 {
+                    f(StreamedEdge {
+                        u: 0,
+                        v: 1,
+                        weight: 1,
+                    });
+                }
+                Ok(())
+            }
+        }
+        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
+            for passes in [1, 2] {
+                let err = StreamingEdgePartitioner::new(kind, 2)
+                    .passes(passes)
+                    .partition_edges(&mut Miscounted)
+                    .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        PartitionError::Graph(GraphError::CountMismatch {
+                            expected: 1,
+                            found: 2,
+                            ..
+                        })
+                    ),
+                    "{kind:?}, passes={passes}: {err}"
                 );
             }
         }

@@ -1,30 +1,28 @@
-//! The multi-pass re-streaming engine for edge partitioners.
+//! What the multi-pass edge engine records.
 //!
-//! Mirrors the node-side engine in `oms_core::executor`: up to
-//! [`RestreamOptions::passes`] passes over the same (rewound) edge stream
-//! drive an [`EdgeSink`] — the per-algorithm scoring/assignment state. From
-//! the second pass on the sink re-scores every edge against the previous
-//! pass's assignment (un-assign, then re-assign). After every pass the
-//! engine reads the sink's incrementally maintained [`EdgeQuality`] — no
-//! extra metric pass is needed — and
+//! Every `e-*` partitioner runs the vertex-cut pass loop of
+//! [`StreamingEdgePartitioner`](crate::StreamingEdgePartitioner): up to
+//! [`RestreamOptions::passes`](oms_core::RestreamOptions::passes) passes over
+//! the same (rewound) edge stream, re-scoring every edge against the previous
+//! pass's assignment from the second pass on (un-assign, then re-assign).
+//! After every pass the loop reads the sink's incrementally maintained
+//! [`EdgeQuality`] — no extra metric pass is needed — and takes its verdict
+//! from the node engine's [`PassTracker`](oms_core::executor::PassTracker),
+//! so `passes=N` follows the same rules for nodes and edges: the run
 //!
-//! * stops once no edge moved (fixed point),
+//! * stops once no edge moved (fixed point), or the total replica count is
+//!   zero (an edgeless graph),
 //! * stops once the relative improvement of the total replica count falls
-//!   below [`RestreamOptions::min_improvement`], and
+//!   below [`RestreamOptions::min_improvement`](oms_core::RestreamOptions::min_improvement), and
 //! * **reverts** a pass that *increased* the total replica count by
 //!   replaying the stream once with the best assignment seen, so the
-//!   recorded trajectory is non-increasing by construction and always ends
-//!   on the assignment actually returned.
+//!   recorded [`EdgePassStats`] trajectory is non-increasing by construction
+//!   and always ends on the assignment actually returned.
 //!
 //! Quality is compared on the **total replica count** `Σ_v |R(v)|` — an
 //! exact integer — rather than the replication factor (its quotient by the
 //! covered-vertex count), so the accept/revert decisions are free of
 //! floating-point tie ambiguity.
-
-use crate::partition::EdgePartition;
-use oms_core::{BlockId, PartitionError, RestreamOptions, Result};
-use oms_graph::{EdgeStream, StreamedEdge};
-use oms_obs::{CounterId, Event, Stopwatch};
 
 /// Quality snapshot of an edge partition, maintained by the sink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,150 +75,4 @@ pub struct EdgePassStats {
     pub moved: usize,
     /// Wall time of the pass itself, in seconds.
     pub seconds: f64,
-}
-
-/// A consumer of streamed edges: the per-algorithm scoring/assignment state
-/// the engine drives. `index` is the edge's stream position, stable across
-/// passes and sources.
-pub trait EdgeSink {
-    /// Called once before each pass (`pass` counts from 0). Pass ≥ 1 puts
-    /// the sink into unassign-then-reassign mode.
-    fn begin_pass(&mut self, pass: usize);
-
-    /// Consumes the next edge of the stream.
-    fn process(&mut self, index: usize, edge: StreamedEdge);
-
-    /// The sink's current per-edge assignment array.
-    fn assignments(&self) -> &[BlockId];
-
-    /// Number of blocks the sink assigns into.
-    fn num_blocks(&self) -> u32;
-
-    /// The sink's current quality (replicas, loads), maintained
-    /// incrementally.
-    fn quality(&self) -> EdgeQuality;
-
-    /// Clears all assignment-derived state before a restore replay.
-    fn begin_restore(&mut self);
-
-    /// Re-applies a fixed block to one edge during a restore replay,
-    /// rebuilding replica sets and block loads.
-    fn restore_edge(&mut self, index: usize, edge: StreamedEdge, block: BlockId);
-
-    /// Consumes the sink into the finished [`EdgePartition`].
-    fn into_partition(self: Box<Self>) -> EdgePartition;
-}
-
-/// One full pass of `stream` through `sink.process`, verifying that the
-/// stream delivered exactly the announced number of edges.
-fn drive_pass(
-    stream: &mut dyn EdgeStream,
-    expected_edges: usize,
-    f: &mut dyn FnMut(usize, StreamedEdge),
-) -> Result<()> {
-    let mut index = 0usize;
-    stream.for_each_edge(&mut |edge| {
-        if index < expected_edges {
-            f(index, edge);
-        }
-        index += 1;
-    })?;
-    if index != expected_edges {
-        return Err(PartitionError::InvalidConfig(format!(
-            "edge stream announced {expected_edges} edges but delivered {index}"
-        )));
-    }
-    Ok(())
-}
-
-/// The multi-pass edge re-streaming engine (see the [module docs](self)).
-///
-/// Returns the per-pass trajectory; the final sink state is the assignment
-/// of the last recorded entry. The stream is assumed to be rewound on
-/// entry; every pass after the first rewinds it via
-/// [`EdgeStream::reset`], so disk-backed sources re-validate their header
-/// between passes exactly as in the node pipeline.
-pub fn run_edge_restream(
-    stream: &mut dyn EdgeStream,
-    sink: &mut dyn EdgeSink,
-    opts: &RestreamOptions,
-) -> Result<Vec<EdgePassStats>> {
-    let m = stream.num_edges();
-    let k = sink.num_blocks();
-    let passes = opts.passes.max(1);
-    let mut trajectory: Vec<EdgePassStats> = Vec::new();
-    let mut best: Option<(u64, Vec<BlockId>)> = None;
-    let mut prev: Vec<BlockId> = sink.assignments().to_vec();
-    let mut needs_reset = false;
-
-    for pass in 0..passes {
-        if needs_reset {
-            stream.reset()?;
-        }
-        needs_reset = true;
-
-        sink.begin_pass(pass);
-        let clock = Stopwatch::start();
-        drive_pass(stream, m, &mut |index, edge| sink.process(index, edge))?;
-        let seconds = clock.seconds();
-
-        let quality = sink.quality();
-        let assignments = sink.assignments();
-        let moved = prev.iter().zip(assignments).filter(|(a, b)| a != b).count();
-
-        if let Some((best_replicas, best_assign)) = &best {
-            if quality.total_replicas > *best_replicas {
-                // The pass overshot: replay the stream once, re-applying the
-                // best assignment, so the returned state matches the last
-                // recorded trajectory entry.
-                let best_assign = best_assign.clone();
-                stream.reset()?;
-                sink.begin_restore();
-                drive_pass(stream, m, &mut |index, edge| {
-                    sink.restore_edge(index, edge, best_assign[index]);
-                })?;
-                oms_obs::observe(Event::EdgePassReverted {
-                    pass: pass as u32,
-                    kept_replicas: *best_replicas,
-                });
-                break;
-            }
-        }
-
-        oms_obs::observe(Event::EdgePassEnd {
-            pass: pass as u32,
-            total_replicas: quality.total_replicas,
-            moved: moved as u64,
-        });
-        oms_obs::counter_add(CounterId::EdgePasses, 1);
-        trajectory.push(EdgePassStats {
-            pass,
-            total_replicas: quality.total_replicas,
-            replication_factor: quality.replication_factor(),
-            imbalance: quality.imbalance(k),
-            moved,
-            seconds,
-        });
-
-        let improvement_too_small = match &best {
-            Some((best_replicas, _)) => {
-                let gained = best_replicas.saturating_sub(quality.total_replicas) as f64;
-                opts.min_improvement > 0.0
-                    && gained < opts.min_improvement * (*best_replicas).max(1) as f64
-            }
-            None => false,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|(r, _)| quality.total_replicas <= *r)
-        {
-            best = Some((quality.total_replicas, assignments.to_vec()));
-        }
-        if pass > 0 && (moved == 0 || improvement_too_small) {
-            break;
-        }
-        prev.clear();
-        prev.extend_from_slice(assignments);
-    }
-    Ok(trajectory)
 }

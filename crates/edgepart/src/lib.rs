@@ -28,11 +28,13 @@
 //! * `e-greedy` — an HDRF-style greedy: blocks are scored by partial-degree
 //!   replica affinity plus a λ-weighted balance term ([`JobSpec::lambda`]).
 //!
-//! All three run single- or multi-pass: the [`engine`] re-streams the edges,
-//! un-assigns and re-scores each one (the same snapshot / revert / converge
-//! discipline as the node restreaming engine in `oms-core`), and records a
-//! per-pass [`EdgePassStats`] trajectory that is non-increasing in the total
-//! replica count by construction.
+//! All three run single- or multi-pass through one pass loop that re-streams
+//! the edges and un-assigns and re-scores each one. It takes every accept /
+//! converge / revert verdict from `oms-core`'s `PassTracker` — the rules of
+//! the node restreaming engine, with the total replica count as the cut —
+//! and records a per-pass [`EdgePassStats`] trajectory that is
+//! non-increasing in the total replica count by construction ([`engine`]
+//! documents the rules and the recorded types).
 //!
 //! Edges are consumed through [`oms_graph::EdgeStream`] — any node-stream
 //! source (in-memory or disk, unit or weighted) adapts via
@@ -79,5 +81,5 @@ pub use api::{
     build_edge_partitioner, is_edge_algorithm, EdgeAlgorithmInfo, EdgePartitionReport,
     EdgePartitioner, EDGE_ALGORITHMS,
 };
-pub use engine::{run_edge_restream, EdgePassStats, EdgeQuality, EdgeSink};
+pub use engine::{EdgePassStats, EdgeQuality};
 pub use partition::EdgePartition;

@@ -7,12 +7,13 @@
 //! graph* and solved with the multilevel machinery before any of its nodes
 //! is committed.
 //!
-//! [`BufferedMultilevel`] implements the recipe on top of the batch
-//! executor:
+//! [`BufferedMultilevel`] implements the recipe as a private [`NodeSink`] on
+//! the executor's drive loop, so its passes follow the engine's rules
+//! (rewind, measure, converge, revert) and trace the engine's pass events:
 //!
-//! 1. **Accumulate** a batch of `buffer` nodes from the stream (the batch
-//!    layer in `oms-graph` prefetches the next batch from disk while this
-//!    one is being solved).
+//! 1. **Accumulate** a batch of `buffer` nodes as the engine streams them
+//!    in; every batch but the last of a pass holds exactly `buffer` nodes,
+//!    however the source batches its reads.
 //! 2. **Model**: build a [`CsrGraph`](oms_graph::CsrGraph) over the batch's
 //!    nodes with all batch-internal edges and the streamed node weights.
 //! 3. **Partition** the model into `min(k, |batch|)` blocks with the
@@ -30,14 +31,12 @@
 //! `buffer ≥ n` and to a Fennel-flavoured heuristic when `buffer` is tiny.
 
 use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
-use oms_core::executor::{
-    measure_pass, BatchExecutor, PassOutcome, PassTracker, PassTrajectory, RestreamOptions,
-};
+use oms_core::executor::{self, NodeSink, PassTrajectory, RestreamOptions};
 use oms_core::partition::UNASSIGNED;
 use oms_core::scorer::fennel_alpha;
 use oms_core::{BlockId, Partition, PartitionError, Result};
-use oms_graph::{GraphBuilder, NodeBatch, NodeStream, NodeWeight};
-use oms_obs::Stopwatch;
+use oms_graph::{GraphBuilder, NodeBatch, NodeStream, NodeWeight, StreamedNode};
+use oms_obs::Event;
 use std::collections::HashMap;
 
 /// Default buffer size (nodes per model graph).
@@ -98,21 +97,15 @@ impl BufferedMultilevel {
         self.buffer
     }
 
-    /// Partitions the nodes delivered by `stream`, batch by batch.
-    pub fn partition_stream(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        Ok(self.partition_restream(stream, false)?.0)
-    }
-
-    /// Like [`BufferedMultilevel::partition_stream`], returning the
-    /// per-pass quality trajectory of a multi-pass run as well. The pass
-    /// loop follows the engine's rules: the stream is rewound between
-    /// passes, the run stops once no node moved or the relative cut
+    /// Partitions the nodes delivered by `stream` under the executor's
+    /// multi-pass engine ([`executor::run_restream`]) and returns the
+    /// per-pass quality trajectory with the partition: the stream is rewound
+    /// between passes, the run stops once no node moved or the relative cut
     /// improvement fell below the convergence threshold, and a pass that
     /// worsened the cut is rolled back.
-    pub fn partition_restream(
+    pub(crate) fn run_engine(
         &self,
         stream: &mut dyn NodeStream,
-        tracked: bool,
     ) -> Result<(Partition, PassTrajectory)> {
         if self.k == 0 {
             return Err(PartitionError::InvalidConfig(
@@ -120,82 +113,34 @@ impl BufferedMultilevel {
             ));
         }
         let n = stream.num_nodes();
-        let k = self.k as usize;
-        let passes = self.passes.max(1);
-        let capacity = Partition::capacity(stream.total_node_weight(), self.k, self.config.epsilon);
-        let alpha = fennel_alpha(self.k, stream.num_edges(), n);
-
-        let mut state = CommitState {
-            assignments: vec![UNASSIGNED; n],
-            node_weights: vec![0; n],
-            block_weights: vec![0; k],
-            capacity,
-            alpha,
+        let mut sink = BufferedSink {
+            algorithm: self,
+            state: CommitState {
+                assignments: vec![UNASSIGNED; n],
+                node_weights: vec![0; n],
+                block_weights: vec![0; self.k as usize],
+                capacity: Partition::capacity(
+                    stream.total_node_weight(),
+                    self.k,
+                    self.config.epsilon,
+                ),
+                alpha: fennel_alpha(self.k, stream.num_edges(), n),
+            },
+            pending: NodeBatch::new(),
+            local: HashMap::new(),
+            restreaming: false,
+            batch: 0,
+            error: None,
         };
-        let mut local: HashMap<u32, u32> = HashMap::new();
-        let measure = tracked || passes > 1;
-        let mut tracker = PassTracker::new(RestreamOptions::tracked(passes, self.convergence));
-        let mut prev_assign: Vec<BlockId> = Vec::new();
-        let mut needs_reset = false;
-        let reset = |stream: &mut dyn NodeStream, needs_reset: &mut bool| -> Result<()> {
-            if *needs_reset {
-                stream.reset().map_err(PartitionError::Graph)?;
-            }
-            *needs_reset = true;
-            Ok(())
-        };
-
-        for pass in 0..passes {
-            reset(stream, &mut needs_reset)?;
-            if measure {
-                prev_assign.clear();
-                prev_assign.extend_from_slice(&state.assignments);
-            }
-            let restreaming = pass > 0;
-            let mut error: Option<PartitionError> = None;
-            let clock = Stopwatch::start();
-            BatchExecutor::new(self.buffer).run_batches(stream, &mut |batch| {
-                if error.is_some() || batch.is_empty() {
-                    return;
-                }
-                if let Err(e) = self.commit_batch(batch, &mut local, &mut state, restreaming) {
-                    error = Some(e);
-                }
-            })?;
-            if let Some(e) = error {
-                return Err(e);
-            }
-            let seconds = clock.seconds();
-
-            if !measure {
-                continue;
-            }
-            let moved = prev_assign
-                .iter()
-                .zip(&state.assignments)
-                .filter(|(a, b)| a != b)
-                .count();
-            reset(stream, &mut needs_reset)?;
-            let (edge_cut, imbalance) = measure_pass(stream, &state.assignments, self.k)?;
-            match tracker.observe(
-                pass + 1 == passes,
-                moved,
-                seconds,
-                edge_cut,
-                imbalance,
-                &state.assignments,
-            ) {
-                PassOutcome::Continue => {}
-                PassOutcome::Stop => break,
-                PassOutcome::Revert(best) => {
-                    state.restore(&best);
-                    break;
-                }
-            }
+        let opts = RestreamOptions::new(self.passes, self.convergence);
+        let trajectory = executor::run_restream(stream, &mut sink, &opts)?;
+        if let Some(e) = sink.error {
+            return Err(e);
         }
+        let state = sink.state;
         Ok((
             Partition::from_assignments(self.k, state.assignments, &state.node_weights),
-            tracker.finish(),
+            trajectory,
         ))
     }
 
@@ -301,6 +246,76 @@ impl BufferedMultilevel {
     }
 }
 
+/// The buffered algorithm as the engine's [`NodeSink`]: collects the
+/// streamed nodes into batches of `buffer` and solves and commits each one
+/// (steps 2–4 of the module-level recipe) as it fills; the rest of a pass is
+/// committed at its end.
+struct BufferedSink<'a> {
+    algorithm: &'a BufferedMultilevel,
+    state: CommitState,
+    /// The nodes of the batch being collected.
+    pending: NodeBatch,
+    /// Global → model id of the batch being committed.
+    local: HashMap<u32, u32>,
+    /// Whether this pass releases and re-commits (every pass but the first).
+    restreaming: bool,
+    /// Index of the next batch of this pass (for the trace).
+    batch: u64,
+    /// The first commit that failed; later batches are skipped.
+    error: Option<PartitionError>,
+}
+
+impl BufferedSink<'_> {
+    /// Solves and commits the pending batch, then starts the next one.
+    fn commit(&mut self) {
+        if self.error.is_none() {
+            let (local, state) = (&mut self.local, &mut self.state);
+            let committed =
+                self.algorithm
+                    .commit_batch(&self.pending, local, state, self.restreaming);
+            self.error = committed.err();
+        }
+        oms_obs::observe(Event::BatchScored {
+            batch: self.batch,
+            nodes: self.pending.len() as u64,
+        });
+        self.batch += 1;
+        self.pending.clear();
+    }
+}
+
+impl NodeSink for BufferedSink<'_> {
+    fn begin_pass(&mut self, pass: usize) {
+        self.restreaming = pass > 0;
+        self.batch = 0;
+    }
+
+    fn process(&mut self, node: StreamedNode<'_>) {
+        self.pending.push(node);
+        if self.pending.len() == self.algorithm.buffer {
+            self.commit();
+        }
+    }
+
+    fn end_pass(&mut self, _pass: usize) {
+        if !self.pending.is_empty() {
+            self.commit();
+        }
+    }
+
+    fn assignments(&self) -> &[BlockId] {
+        &self.state.assignments
+    }
+
+    fn num_blocks(&self) -> u32 {
+        self.algorithm.k
+    }
+
+    fn restore(&mut self, assignments: &[BlockId]) {
+        self.state.restore(assignments);
+    }
+}
+
 /// Global assignment state shared by all batches.
 struct CommitState {
     assignments: Vec<BlockId>,
@@ -340,8 +355,8 @@ impl CommitState {
         best.map(|(gb, _, _)| gb).unwrap_or(fallback)
     }
 
-    /// Rolls the state back to a previously observed assignment (the pass
-    /// loop's revert-on-worsen guard), rebuilding the block weights.
+    /// Rolls the state back to a previously observed assignment (the
+    /// engine's revert-on-worsen guard), rebuilding the block weights.
     fn restore(&mut self, assignments: &[BlockId]) {
         self.assignments.copy_from_slice(assignments);
         self.block_weights.fill(0);
@@ -356,7 +371,7 @@ impl CommitState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_core::{Hashing, OnePassConfig, StreamingPartitioner};
+    use oms_core::{Hashing, OnePassConfig, Partitioner, StreamingPartitioner};
     use oms_graph::{CsrGraph, InMemoryStream};
 
     fn buffered(k: u32, buffer: usize, seed: u64) -> BufferedMultilevel {
@@ -371,7 +386,7 @@ mod tests {
     }
 
     fn run(p: &BufferedMultilevel, g: &CsrGraph) -> Partition {
-        p.partition_stream(&mut InMemoryStream::new(g)).unwrap()
+        p.partition(&mut InMemoryStream::new(g)).unwrap()
     }
 
     #[test]
@@ -444,7 +459,47 @@ mod tests {
     fn zero_blocks_is_rejected() {
         let g = CsrGraph::empty(5);
         assert!(buffered(0, 64, 0)
-            .partition_stream(&mut InMemoryStream::new(&g))
+            .partition(&mut InMemoryStream::new(&g))
             .is_err());
+    }
+
+    #[test]
+    fn batches_do_not_depend_on_how_the_source_batches_its_reads() {
+        /// Closes every batch after at most 3 nodes, as a disk stream does
+        /// at its entry bound.
+        struct Short<'g>(InMemoryStream<'g>);
+        impl NodeStream for Short<'_> {
+            fn num_nodes(&self) -> usize {
+                self.0.num_nodes()
+            }
+            fn num_edges(&self) -> usize {
+                self.0.num_edges()
+            }
+            fn total_node_weight(&self) -> NodeWeight {
+                self.0.total_node_weight()
+            }
+            fn for_each_node(
+                &mut self,
+                f: &mut dyn FnMut(StreamedNode<'_>),
+            ) -> oms_graph::Result<()> {
+                self.0
+                    .for_each_batch(3, &mut |batch| batch.iter().for_each(&mut *f))
+            }
+            fn for_each_batch(
+                &mut self,
+                batch_size: usize,
+                f: &mut dyn FnMut(&NodeBatch),
+            ) -> oms_graph::Result<()> {
+                self.0.for_each_batch(batch_size.min(3), f)
+            }
+        }
+        let g = oms_gen::planted_partition(250, 4, 0.1, 0.01, 1);
+        for buffer in [7, 100] {
+            for passes in [1, 3] {
+                let p = buffered(4, buffer, 1).passes(passes);
+                let short = p.partition(&mut Short(InMemoryStream::new(&g))).unwrap();
+                assert_eq!(short, run(&p, &g), "buf={buffer}, passes={passes}");
+            }
+        }
     }
 }

@@ -9,13 +9,21 @@
 use crate::refine::{refine, RefineConfig};
 use oms_core::{BlockId, Fennel, OnePassConfig, StreamingPartitioner};
 use oms_graph::CsrGraph;
+use oms_obs::NoopObserver;
+use std::sync::Arc;
 
 /// Computes an initial `k`-way assignment of (the coarsest) `graph`.
+///
+/// The greedy pass is internal to the multilevel solve — it streams the
+/// coarse graph, not the job's input — so it runs unobserved: its passes
+/// and scored nodes stay out of the job's trace and counters.
 pub fn initial_partition(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -> Vec<BlockId> {
     let cfg = OnePassConfig::default().epsilon(epsilon).seed(seed);
+    let unobserved = oms_obs::install(Arc::new(NoopObserver));
     let partition = Fennel::new(k, cfg)
         .partition_graph(graph)
         .expect("k > 0 is validated by the caller");
+    drop(unobserved);
     let mut assignment = partition.assignments().to_vec();
     refine(
         graph,

@@ -22,10 +22,11 @@
 //! result is simultaneously a process mapping.
 //!
 //! [`BufferedMultilevel`] bridges the two worlds: a *buffered streaming*
-//! algorithm (HeiStream-style) that pulls node batches from the batch
-//! executor, solves each batch as an in-memory model graph with the
-//! multilevel machinery and commits the result under the global balance
-//! constraint — streaming memory, multilevel quality.
+//! algorithm (HeiStream-style) that runs as a sink on `oms-core`'s drive
+//! loop, collects the streamed nodes into batches, solves each batch as an
+//! in-memory model graph with the multilevel machinery and commits the
+//! result under the global balance constraint — streaming memory,
+//! multilevel quality.
 //!
 //! Both are orders of magnitude slower and more memory-hungry than the
 //! streaming algorithms in `oms-core` — exactly the trade-off the paper's

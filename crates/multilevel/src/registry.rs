@@ -55,14 +55,14 @@ impl Partitioner for BufferedMultilevel {
     }
 
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        self.partition_stream(stream)
+        Ok(self.run_engine(stream)?.0)
     }
 
     fn partition_tracked(
         &self,
         stream: &mut dyn NodeStream,
     ) -> Result<(Partition, PassTrajectory)> {
-        self.partition_restream(stream, true)
+        self.run_engine(stream)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The strict one-pass model assigns each node the instant it arrives. The
 //! `buffered` algorithm relaxes this to "assign by the end of the batch":
-//! every batch pulled from the batch executor becomes an in-memory *model
+//! every `buf` streamed nodes form a batch that becomes an in-memory *model
 //! graph*, is solved with the multilevel machinery, and is then committed to
 //! the global blocks under the balance constraint. Memory stays
 //! `O(buffer + k)`, but the cut closes much of the gap towards the fully

@@ -86,8 +86,8 @@ pub use oms_workload as workload;
 /// The most common imports in one place.
 pub mod prelude {
     pub use oms_core::{
-        refine_partition, AlgorithmInfo, AlphaMode, BatchExecutor, BlockId, DistanceSpec, Entry,
-        Fennel, FlatObjective, Hashing, HierarchySpec, JobShape, JobSpec, Ldg, NodeSink, OmsConfig,
+        refine_partition, AlgorithmInfo, AlphaMode, BlockId, DistanceSpec, Entry, Fennel,
+        FlatObjective, Hashing, HierarchySpec, JobShape, JobSpec, Ldg, NodeSink, OmsConfig,
         OnePassConfig, OnlineMultiSection, Partition, PartitionReport, Partitioner, PassStats,
         PassTrajectory, Registry, RepairPolicy, RestreamOptions, ScorerKind, StreamingPartitioner,
         ALGORITHMS,

@@ -22,7 +22,8 @@
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
 
-use oms::core::{BatchExecutor, FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
+use oms::core::executor::run;
+use oms::core::{FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
 use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
 use oms::graph::StreamedNode;
 use oms::prelude::{erdos_renyi_gnm, planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
@@ -102,11 +103,10 @@ fn steady_state_scoring_is_allocation_free() {
                 objective,
             )
             .unwrap();
-            let executor = BatchExecutor::default();
             // Warm pass: every node assigned, every buffer at its final size.
-            executor.run(&mut stream, &mut sink).unwrap();
+            run(&mut stream, &mut sink).unwrap();
             let allocs = allocations_during(|| {
-                executor.run(&mut stream, &mut sink).unwrap();
+                run(&mut stream, &mut sink).unwrap();
             });
             assert_eq!(
                 allocs, 0,

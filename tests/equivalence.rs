@@ -23,9 +23,11 @@ fn temp_stream_file(graph: &CsrGraph, name: &str) -> PathBuf {
     path
 }
 
-/// The per-node algorithm families, pinned to a fixed seed. Their scorers
-/// only ever see one node at a time, so batching must not change anything.
-fn per_node_algorithm_specs() -> Vec<&'static str> {
+/// The registry's algorithm families, pinned to a fixed seed. The drive loop
+/// feeds every one of them node by node — `buffered` collects its own
+/// batches of `buf` — so how the source batches its reads must not change
+/// anything.
+fn algorithm_specs() -> Vec<&'static str> {
     vec![
         "fennel:8@seed=3",
         "ldg:8@seed=3",
@@ -40,17 +42,9 @@ fn per_node_algorithm_specs() -> Vec<&'static str> {
         "multilevel:8@seed=3",
         "multilevel:8@seed=3,passes=2",
         "rms:2:2:2@seed=3",
+        "buffered:8@seed=3,buf=100",
+        "buffered:8@seed=3,buf=100,passes=2",
     ]
-}
-
-/// Everything above plus `buffered`, whose batches are part of the
-/// algorithm (the batch is the model graph) — it is therefore only included
-/// where the batch size is held fixed, i.e. the cross-source checks.
-fn all_algorithm_specs() -> Vec<&'static str> {
-    let mut specs = per_node_algorithm_specs();
-    specs.push("buffered:8@seed=3,buf=100");
-    specs.push("buffered:8@seed=3,buf=100,passes=2");
-    specs
 }
 
 fn assignments(partitioner: &dyn Partitioner, stream: &mut dyn NodeStream) -> Vec<BlockId> {
@@ -65,7 +59,7 @@ fn assignments(partitioner: &dyn Partitioner, stream: &mut dyn NodeStream) -> Ve
 fn batch_executor_matches_per_node_path_for_every_algorithm() {
     register_multilevel_algorithms();
     let graph = planted_partition(700, 8, 0.1, 0.005, 17);
-    for spec in per_node_algorithm_specs() {
+    for spec in algorithm_specs() {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let batched = assignments(&*partitioner, &mut InMemoryStream::new(&graph));
         let per_node = assignments(
@@ -84,7 +78,7 @@ fn all_stream_sources_produce_identical_assignments() {
     register_multilevel_algorithms();
     let graph = planted_partition(600, 8, 0.1, 0.005, 23);
     let path = temp_stream_file(&graph, "sources.oms");
-    for spec in all_algorithm_specs() {
+    for spec in algorithm_specs() {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let reference = assignments(&*partitioner, &mut InMemoryStream::new(&graph));
 

@@ -54,25 +54,39 @@ fn record<T>(f: impl FnOnce() -> T) -> (T, String, u64) {
 
 #[test]
 fn flat_trace_is_identical_across_sources() {
+    register_multilevel_algorithms();
     let graph = planted_partition(600, 8, 0.1, 0.005, 11);
     let path = temp_stream_file(&graph, "flat-sources.oms");
-    for spec in ["fennel:8@seed=3,passes=3", "ldg:8@seed=5,passes=2"] {
+    for spec in [
+        "fennel:8@seed=3,passes=3",
+        "ldg:8@seed=5,passes=2",
+        "buffered:8@seed=3,buf=100,passes=3",
+    ] {
         let job = JobSpec::parse(spec).unwrap();
         let run = |stream: &mut dyn NodeStream| {
             let partitioner = job.build().unwrap();
             record(|| partitioner.run(stream).unwrap())
         };
-        let (_, memory, memory_hash) = run(&mut InMemoryStream::new(&graph));
+        let (report, memory, memory_hash) = run(&mut InMemoryStream::new(&graph));
         let (_, permuted, permuted_hash) = run(&mut identity_order(&graph));
         let (_, disk, disk_hash) = run(&mut DiskStream::open(&path).unwrap());
         assert_eq!(memory, permuted, "{spec}: permuted trace differs");
         assert_eq!(memory, disk, "{spec}: disk trace differs");
         assert_eq!(memory_hash, permuted_hash, "{spec}: permuted hash differs");
         assert_eq!(memory_hash, disk_hash, "{spec}: disk hash differs");
-        assert!(
-            memory.contains("\"event\":\"pass_end\""),
-            "{spec}: no passes traced"
-        );
+        // The trace records the job's own passes and nothing else: one
+        // `pass_end` per accepted pass, the last one at the reported cut.
+        let cuts: Vec<u64> = memory
+            .lines()
+            .filter(|line| line.contains("\"event\":\"pass_end\""))
+            .map(|line| {
+                let (_, rest) = line.split_once("\"edge_cut\":").unwrap();
+                let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+                digits.unwrap().parse().unwrap()
+            })
+            .collect();
+        assert_eq!(cuts.len(), report.trajectory.len(), "{spec}: {memory}");
+        assert_eq!(cuts.last(), Some(&report.edge_cut), "{spec}: {memory}");
     }
 }
 

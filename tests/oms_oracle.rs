@@ -19,10 +19,11 @@
 //!   relative load, first minimum.
 //!
 //! Both sides run under the same multi-pass engine
-//! (`BatchExecutor::run_restream`), so restreaming, convergence exit and the
+//! (`executor::run_restream`), so restreaming, convergence exit and the
 //! revert-on-worsen guard are exercised too. CI runs this in release next to
 //! `weighted_equivalence`.
 
+use oms::core::executor;
 use oms::core::scorer::hash_node;
 use oms::core::MultisectionTree;
 use oms::graph::{EdgeWeight, NodeWeight, StreamedNode};
@@ -215,15 +216,15 @@ impl NodeSink for NaiveOms<'_> {
         self.node_weights[v] = node.weight;
     }
 
-    fn assignments(&self) -> Option<&[BlockId]> {
-        Some(&self.assignments)
+    fn assignments(&self) -> &[BlockId] {
+        &self.assignments
     }
 
     fn num_blocks(&self) -> u32 {
         self.tree.num_blocks()
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) -> bool {
+    fn restore(&mut self, assignments: &[BlockId]) {
         self.assignments.copy_from_slice(assignments);
         self.tree_weights.fill(0);
         for v in 0..self.assignments.len() {
@@ -231,7 +232,6 @@ impl NodeSink for NaiveOms<'_> {
                 self.shift_path(self.assignments[v], self.node_weights[v], true);
             }
         }
-        true
     }
 }
 
@@ -243,16 +243,14 @@ fn oracle_assignments(
 ) -> Vec<BlockId> {
     let mut stream = InMemoryStream::new(graph);
     let mut sink = NaiveOms::new(oms, &stream, fallbacks);
-    // What `OnlineMultiSection` asks of the engine: tracked quality from two
-    // passes on.
-    let options = if passes > 1 {
-        RestreamOptions::tracked(passes, 0.0)
+    // What `OnlineMultiSection` asks of the engine: one untracked pass, or a
+    // tracked run from two passes on.
+    if passes > 1 {
+        let options = RestreamOptions::new(passes, 0.0);
+        executor::run_restream(&mut stream, &mut sink, &options).unwrap();
     } else {
-        RestreamOptions::fixed(passes)
-    };
-    BatchExecutor::default()
-        .run_restream(&mut stream, &mut sink, &options)
-        .unwrap();
+        executor::run(&mut stream, &mut sink).unwrap();
+    }
     sink.assignments
 }
 
