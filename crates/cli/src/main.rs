@@ -316,15 +316,13 @@ fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGr
 }
 
 /// Where `partition` / `map` read their graph from. The choice follows from
-/// the job and the file alone: a METIS or vertex-stream file under a job
-/// that reads its input once runs straight off the file in `O(n + batch)`
-/// memory — one scan for the five one-pass algorithms, whose report is
-/// tallied while they partition (and which therefore refuse adjacency lists
-/// that are not symmetric), two for `buffered` / `multilevel` / `rms`, which
-/// are measured afterwards; everything else is materialised — an edge list
-/// does not group its edges by node, and a multi-pass job re-reads its input
-/// often enough (two scans per pass) that decoding it once into a `CsrGraph`
-/// is cheaper.
+/// the file alone: a METIS or vertex-stream file runs straight off the file
+/// in `O(n + batch)` memory, whatever the job — one scan per pass for the
+/// five streaming algorithms, whose report is tallied while they partition
+/// (and which therefore refuse adjacency lists that are not symmetric), and
+/// one more walk for `buffered` / `multilevel` / `rms`, which are measured
+/// afterwards. An edge list does not group its edges by node, so it is
+/// materialised.
 enum Source {
     /// The file itself.
     Streamed(Box<dyn NodeStream>),
@@ -332,16 +330,12 @@ enum Source {
 }
 
 impl Source {
-    fn open(path: &str, options: &HashMap<String, String>, job: &JobSpec) -> Result<Self, Error> {
-        let format = input_format(path, options)?;
-        if job.passes != 1 || format == "edgelist" {
-            return Ok(Source::Materialised(load_graph_opt(path, options)?));
-        }
-        Ok(Source::Streamed(if format == "stream" {
-            Box::new(DiskStream::open(path)?)
-        } else {
-            Box::new(MetisStream::open(path)?)
-        }))
+    fn open(path: &str, options: &HashMap<String, String>) -> Result<Self, Error> {
+        Ok(match input_format(path, options)? {
+            "edgelist" => Source::Materialised(read_edge_list(path, None)?),
+            "stream" => Source::Streamed(Box::new(DiskStream::open(path)?)),
+            _ => Source::Streamed(Box::new(MetisStream::open(path)?)),
+        })
     }
 
     fn run(&mut self, partitioner: &dyn Partitioner) -> Result<PartitionReport, Error> {
@@ -529,7 +523,7 @@ fn partition_command(args: &[String]) -> Result<(), Error> {
     }
     let partitioner = job.build()?;
 
-    let mut source = Source::open(path, &options, &job)?;
+    let mut source = Source::open(path, &options)?;
     let report = source.run(partitioner.as_ref())?;
 
     let (n, m) = source.counts();
@@ -647,7 +641,7 @@ fn map_command(args: &[String]) -> Result<(), Error> {
     let obs = ObsSession::start(&options, metrics);
     let partitioner = job.build()?;
 
-    let mut source = Source::open(path, &options, &job)?;
+    let mut source = Source::open(path, &options)?;
     let report = source.run(partitioner.as_ref())?;
 
     let (n, m) = source.counts();

@@ -969,10 +969,10 @@ fn job_outputs(
 
 #[test]
 fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() {
-    // A one-pass job runs straight off its input, METIS text or `.oms`; a
-    // multi-pass job materialises either first. Nothing a user can see may
-    // tell the sources apart, and the streamed runs must say what the
-    // library says about the materialised graph.
+    // Every job runs straight off its input, METIS text or `.oms`, one pass
+    // or two. Nothing a user can see may tell the sources apart, and the
+    // streamed runs must say what the library says about the materialised
+    // graph.
     let dir = temp_dir("streamed-vs-materialised");
     for weights in ["unit", "full"] {
         let metis = format!("{weights}.metis");
@@ -1014,32 +1014,33 @@ fn streamed_and_materialised_inputs_give_identical_reports_outputs_and_traces() 
                 outputs.push(on_metis);
             }
 
-            // The materialised leg of the one-pass job: the library run over
-            // the loaded graph.
-            let partitioner = one_pass.parse::<oms_core::JobSpec>().unwrap();
-            let partitioner = partitioner.build().unwrap();
-            let report = partitioner
-                .run(&mut oms_graph::InMemoryStream::new(&graph))
-                .unwrap();
-            let (text, assignments, _) = &outputs[0];
-            let lines: String = report
-                .partition
-                .assignments()
-                .iter()
-                .map(|block| format!("{block}\n"))
-                .collect();
-            assert_eq!(assignments, lines.as_bytes(), "{weights} {one_pass}");
-            let printed = |label: &str| {
-                let line = text.lines().find(|line| line.starts_with(label));
-                let value = line.and_then(|line| line.split(": ").nth(1));
-                value.map(|value| value.parse::<u64>().unwrap())
-            };
-            assert_eq!(printed("edge-cut"), Some(report.edge_cut), "{text}");
-            assert_eq!(printed("mapping cost"), report.mapping_cost, "{text}");
+            // The materialised leg of both jobs: the library run over the
+            // loaded graph.
+            for (job, (text, assignments, _)) in [one_pass, two_passes].iter().zip(&outputs) {
+                let partitioner = job.parse::<oms_core::JobSpec>().unwrap();
+                let partitioner = partitioner.build().unwrap();
+                let report = partitioner
+                    .run(&mut oms_graph::InMemoryStream::new(&graph))
+                    .unwrap();
+                let lines: String = report
+                    .partition
+                    .assignments()
+                    .iter()
+                    .map(|block| format!("{block}\n"))
+                    .collect();
+                assert_eq!(assignments, lines.as_bytes(), "{weights} {job}");
+                let printed = |label: &str| {
+                    let line = text.lines().find(|line| line.starts_with(label));
+                    let value = line.and_then(|line| line.split(": ").nth(1));
+                    value.map(|value| value.parse::<u64>().unwrap())
+                };
+                assert_eq!(printed("edge-cut"), Some(report.edge_cut), "{text}");
+                assert_eq!(printed("mapping cost"), report.mapping_cost, "{text}");
+            }
             if one_pass.starts_with("hashing") {
-                // Hashing is a function of the node id: its second pass —
-                // over the materialised graph — moves nothing.
-                assert_eq!(assignments, &outputs[1].1, "{weights} hashing passes=2");
+                // Hashing is a function of the node id: its second pass
+                // moves nothing.
+                assert_eq!(outputs[0].1, outputs[1].1, "{weights} hashing passes=2");
             }
         }
     }
@@ -1088,11 +1089,12 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, messa
     assert_graph_error(path, &commands, message);
 }
 
-/// Every one-pass job — the ones whose report is tallied while they
-/// partition — must refuse adjacency lists that are not symmetric.
-/// (Multi-pass and materialising commands take symmetry as the stream's
-/// contract, as `collect_graph` documents, so they are not in this list.)
-fn assert_one_pass_jobs_refuse_asymmetry(path: &std::path::Path) {
+/// Every streaming job — one pass or several, each tallied while it
+/// partitions — must refuse adjacency lists that are not symmetric.
+/// (`buffered`, `multilevel` and the materialising commands take symmetry
+/// as the stream's contract, as `collect_graph` documents, so they are not
+/// in this list.)
+fn assert_streaming_jobs_refuse_asymmetry(path: &std::path::Path) {
     let commands = [
         &["partition", "--job", "hashing:2"][..],
         &["partition", "--job", "ldg:2"][..],
@@ -1100,6 +1102,17 @@ fn assert_one_pass_jobs_refuse_asymmetry(path: &std::path::Path) {
         &["partition", "--job", "nh-oms:3@base=2"][..],
         &["partition", "--k", "2"][..],
         &["map", "--hierarchy", "2:2"][..],
+        &["partition", "--job", "fennel:2@passes=2"][..],
+        &["partition", "--job", "oms:2@passes=3"][..],
+        &[
+            "map",
+            "--hierarchy",
+            "2:2",
+            "--distances",
+            "1:10",
+            "--passes",
+            "2",
+        ][..],
     ];
     assert_graph_error(path, &commands, "not symmetric");
 }
@@ -1189,7 +1202,7 @@ fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     one_sided.extend(words([2, 0, 1, 1]));
     let path = dir.join("one-sided.oms");
     std::fs::write(&path, one_sided).unwrap();
-    assert_one_pass_jobs_refuse_asymmetry(&path);
+    assert_streaming_jobs_refuse_asymmetry(&path);
     assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 1, 2);
 }
 
@@ -1270,7 +1283,7 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     // entry count, and `MetisStream`'s XOR fingerprint cancels in pairs.
     let path = dir.join("four-times.metis");
     std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
-    assert_one_pass_jobs_refuse_asymmetry(&path);
+    assert_streaming_jobs_refuse_asymmetry(&path);
     assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 2, 4);
 }
 

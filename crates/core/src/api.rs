@@ -63,23 +63,27 @@
 //! `Display` renders the canonical form (options at non-default values only,
 //! in the fixed order above), so `JobSpec` round-trips through strings.
 //!
-//! ## Working memory: one scan per one-pass job
+//! ## Working memory: one scan per pass
 //!
 //! [`Partitioner::run`] needs nothing of its stream but passes over it: a
-//! one-pass job holds its own `O(n)` state (the assignment array, `O(k)`
-//! loads) plus one batch of the source, and a disk source bounds its batches
+//! streaming job holds its own `O(n)` state (the assignment array, `O(k)`
+//! loads, for a multi-pass run the best pass's assignment and one bit per
+//! node) plus one batch of the source, and a disk source bounds its batches
 //! by adjacency entries as well as by nodes
 //! ([`oms_graph::BATCH_ENTRY_BOUND`]) — `O(n + batch)` in total, which is
-//! what lets the CLI run such jobs straight off a stream file. That one pass
-//! is also the only one: each undirected edge is streamed from both
-//! endpoints and exactly one of the two sightings finds the other endpoint
-//! placed already, so edge-cut, `ω(E)` and — under a topology — the mapping
-//! cost `J` are tallied as the nodes are placed, in `O(k·ℓ)` extra memory.
-//! The identity needs symmetric adjacency lists; the tally proves that with
-//! a multiplicity-exact fingerprint and fails with a typed graph error
-//! otherwise. A job that revises its decisions (`passes > 1`, `buffered`,
-//! `multilevel`, `rms`) is measured afterwards by **one** more walk,
-//! [`measure`], which returns all of the above for any assignment;
+//! what lets the CLI run such jobs straight off a stream file, one pass or
+//! many. Each pass reads the input once: a node keeps the block a pass
+//! places it in until the next pass, each undirected edge is streamed from
+//! both endpoints, and exactly one of the two sightings finds the other
+//! endpoint visited in this pass already — so edge-cut, imbalance, `ω(E)`
+//! and, under a topology, the mapping cost `J` are tallied as the nodes are
+//! placed, in `O(k·ℓ)` extra memory. That is the report of a one-pass job
+//! and every per-pass measurement of a multi-pass one, whose report is its
+//! last accepted pass. The identity needs symmetric adjacency lists; the
+//! first pass proves that with a multiplicity-exact fingerprint and fails
+//! with a typed graph error otherwise. A job that is not a streaming pass
+//! (`buffered`, `multilevel`, `rms`) is measured afterwards by **one** more
+//! walk, [`measure`], which returns all of the above for any assignment;
 //! [`stream_edge_cut`], [`stream_mapping_cost`] and
 //! [`measure_pass`](crate::executor::measure_pass) are thin wrappers over
 //! it. Algorithms that need random access call [`materialize_stream`] and
@@ -138,14 +142,13 @@ pub struct PartitionReport {
     /// Mapping cost `J`, present when the job carries a topology (`dist=`).
     pub mapping_cost: Option<u64>,
     /// Total edge weight `ω(E)` of the partitioned graph, present when
-    /// [`Partitioner::run`] measured the result — in the partition pass of a
-    /// one-pass job, else with its own walk over the stream (it makes none
+    /// [`Partitioner::run`] measured the result — in the passes of a
+    /// streaming job, else with its own walk over the stream (it makes none
     /// when the engine's trajectory already supplies the cut and no topology
     /// is attached).
     pub total_edge_weight: Option<u64>,
-    /// Wall time of the partitioning in seconds. For a one-pass job this is
-    /// the single pass over the input, report tally included; a measurement
-    /// walk after the last pass is not.
+    /// Wall time of the partitioning in seconds: every pass over the input,
+    /// its tally included. A measurement walk after the last pass is not.
     pub seconds: f64,
     /// Per-pass quality trajectory of a multi-pass (restreaming) run, in
     /// pass order. Empty for algorithms that do not track passes.
@@ -212,11 +215,11 @@ pub trait Partitioner {
 
     /// [`Partitioner::partition_tracked`] for a caller that reports on the
     /// result under `topology` ([`Partitioner::run`]): an algorithm whose
-    /// decision is final when the node is streamed — one pass of `hashing`,
-    /// `ldg`, `fennel`, `oms`, `nh-oms` — also returns the [`Measurement`]
-    /// of its partition, tallied as the nodes were placed, so the caller
-    /// need not read the stream again. Everything else (the default) returns
-    /// `None`.
+    /// decision is final for the pass when the node is streamed — any
+    /// number of passes of `hashing`, `ldg`, `fennel`, `oms`, `nh-oms` —
+    /// also returns the [`Measurement`] of its partition, tallied as the
+    /// nodes were placed, so the caller need not read the stream again.
+    /// Everything else (the default) returns `None`.
     fn partition_measured(
         &self,
         stream: &mut dyn NodeStream,
@@ -234,17 +237,18 @@ pub trait Partitioner {
 
     /// Runs the partitioner and evaluates the result into a
     /// [`PartitionReport`] (edge-cut, imbalance, optional mapping cost `J`,
-    /// wall time). A one-pass streaming job is read **once**: its report is
-    /// tallied during the partition pass
-    /// ([`Partitioner::partition_measured`]). For a job that revises its
-    /// decisions, whatever the engine has not measured itself comes from one
-    /// extra walk over the stream ([`measure`]): the cut of an untracked run
-    /// and the `J` of a job with a topology, together; a tracked run without
-    /// a topology pays no walk — its trajectory's last accepted pass is the
-    /// returned partition. `seconds` covers everything
-    /// [`Partitioner::partition_measured`] does — the one-pass tally, and
-    /// for multi-pass runs the engine's per-pass metric passes (the per-pass
-    /// [`PassStats::seconds`] exclude them).
+    /// wall time). A streaming job reads its input **once per pass**: its
+    /// report is tallied during the passes
+    /// ([`Partitioner::partition_measured`]), with or without a topology.
+    /// For any other job, whatever the engine has not measured itself comes
+    /// from one extra walk over the stream ([`measure`]): the cut of an
+    /// untracked run and the `J` of a job with a topology, together; a
+    /// tracked run without a topology pays no walk — its trajectory's last
+    /// accepted pass is the returned partition. `seconds` covers everything
+    /// [`Partitioner::partition_measured`] does — the passes with their
+    /// tallies, and a walk the engine makes after each pass of a sink that
+    /// does not commit per node (the per-pass [`PassStats::seconds`] exclude
+    /// that walk).
     fn run(&self, stream: &mut dyn NodeStream) -> Result<PartitionReport> {
         let topology = self.topology();
         let clock = Stopwatch::start();

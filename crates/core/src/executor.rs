@@ -21,12 +21,15 @@
 //! * [`run_restream_seeded`] — the same over a sink seeded from an existing
 //!   partition, which becomes pass 0.
 //!
-//! Reports come out of one level tally (`LevelTally`) with two walks. A
-//! one-pass job decides every node for good as it streams, so its report is
-//! tallied in the drive loop itself, right after each node is placed
-//! (`run_measured`): one scan of the input per job. A job that revises
-//! decisions is measured by [`measure`], one more walk over the rewound
-//! stream — the same walk the multi-pass engine makes after every pass.
+//! Reports come out of one level tally (`LevelTally`) with two walks. Within
+//! a pass every node is placed exactly once and keeps its block until the
+//! next pass, so a measured pass — every pass of a tracked run, and the one
+//! pass of a one-pass job whose caller reports on it — is tallied in the
+//! drive loop itself, right after each node is placed (`PassTally`): one
+//! scan of the input per pass. [`measure`] is one more walk over the rewound
+//! stream, for what that cannot cover: a sink that commits later than
+//! [`NodeSink::process`] (`buffered`, see [`NodeSink::commits_per_node`]),
+//! the seed of a refinement, and assignments that come from elsewhere.
 
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
@@ -69,6 +72,17 @@ pub trait NodeSink {
     /// [`NodeSink::assignments`]), rebuilding any derived state (block or
     /// tree weights).
     fn restore(&mut self, assignments: &[BlockId]);
+
+    /// Whether [`NodeSink::process`] settles the streamed node's block for
+    /// the rest of the pass, as every sink that places a node when it
+    /// arrives does (the default): the drive loop then tallies a pass while
+    /// it streams. A sink that holds nodes back and commits them later (a
+    /// pending batch) returns `false`, and each of its measured passes
+    /// costs one more walk over the rewound stream after
+    /// [`NodeSink::end_pass`].
+    fn commits_per_node(&self) -> bool {
+        true
+    }
 }
 
 /// Quality and movement statistics of one accepted restreaming pass.
@@ -85,8 +99,10 @@ pub struct PassStats {
     /// where every node goes from unassigned to assigned; `0` for a
     /// measured seed partition).
     pub moved: usize,
-    /// Wall time of the pass itself (metric passes excluded), in seconds
-    /// (`0.0` for a measured seed partition).
+    /// Wall time of the pass in seconds, including the tally of its own
+    /// cut and imbalance as its nodes are placed (`0.0` for a measured seed
+    /// partition). The walk that measures a sink which does not commit per
+    /// node ([`NodeSink::commits_per_node`]) is not included.
     pub seconds: f64,
 }
 
@@ -159,7 +175,7 @@ impl RestreamOptions {
 }
 
 /// The verdict of [`PassTracker::observe`] for one measured pass.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PassOutcome {
     /// The pass kept or improved the best cut and the run has budget left:
     /// keep going.
@@ -167,9 +183,9 @@ pub enum PassOutcome {
     /// The run converged (fixed point, improvement below the threshold, or
     /// a zero cut): stop; the current assignment stands and is recorded.
     Stop,
-    /// The pass worsened the cut: restore the contained (best) assignment,
-    /// then stop.
-    Revert(Vec<BlockId>),
+    /// The pass worsened the cut: restore
+    /// [`PassTracker::best_assignment`], then stop.
+    Revert,
 }
 
 /// The accept / converge / revert bookkeeping shared by every multi-pass
@@ -178,11 +194,18 @@ pub enum PassOutcome {
 /// pass at a time, act on the returned [`PassOutcome`], and take the
 /// trajectory at the end. Keeping the rules in one place guarantees that
 /// `passes=N` means the same thing no matter what is partitioned.
+///
+/// A pass is accepted only if it keeps or improves the best cut, so the
+/// best assignment is always the last accepted one — the state the next
+/// pass starts from, which [`PassTracker::moved`] counts against.
 #[derive(Clone, Debug)]
 pub struct PassTracker {
     opts: RestreamOptions,
     trajectory: PassTrajectory,
-    best: Option<(u64, Vec<BlockId>)>,
+    /// Cut of the best (last accepted) assignment, once there is one.
+    best_cut: Option<u64>,
+    /// That assignment, overwritten in place by every accepted pass.
+    best: Vec<BlockId>,
     pass_no: usize,
 }
 
@@ -192,9 +215,17 @@ impl PassTracker {
         PassTracker {
             opts,
             trajectory: PassTrajectory::default(),
-            best: None,
+            best_cut: None,
+            best: Vec::new(),
             pass_no: 0,
         }
+    }
+
+    /// Records `snapshot` as the best assignment, reusing the buffer.
+    fn keep(&mut self, edge_cut: u64, snapshot: &[BlockId]) {
+        self.best_cut = Some(edge_cut);
+        self.best.clear();
+        self.best.extend_from_slice(snapshot);
     }
 
     /// Records a pre-existing partition as pass 0 of the trajectory (used
@@ -209,7 +240,7 @@ impl PassTracker {
             moved: 0,
             seconds: 0.0,
         });
-        self.best = Some((edge_cut, snapshot.to_vec()));
+        self.keep(edge_cut, snapshot);
         self.pass_no = 1;
         if edge_cut == 0 {
             self.trajectory.converged = true;
@@ -231,11 +262,9 @@ impl PassTracker {
         imbalance: f64,
         snapshot: &[BlockId],
     ) -> PassOutcome {
-        if let Some((best_cut, best_assign)) = &self.best {
-            if edge_cut > *best_cut {
-                self.trajectory.converged = true;
-                return PassOutcome::Revert(best_assign.clone());
-            }
+        if self.best_cut.is_some_and(|best_cut| edge_cut > best_cut) {
+            self.trajectory.converged = true;
+            return PassOutcome::Revert;
         }
         self.trajectory.stats.push(PassStats {
             pass: self.pass_no,
@@ -244,17 +273,12 @@ impl PassTracker {
             moved,
             seconds,
         });
-        let improvement_too_small = match &self.best {
-            Some((best_cut, _)) => {
-                let gained = best_cut.saturating_sub(edge_cut) as f64;
-                self.opts.min_improvement > 0.0
-                    && gained < self.opts.min_improvement * (*best_cut).max(1) as f64
-            }
-            None => false,
-        };
-        if self.best.as_ref().is_none_or(|(c, _)| edge_cut <= *c) {
-            self.best = Some((edge_cut, snapshot.to_vec()));
-        }
+        let improvement_too_small = self.best_cut.is_some_and(|best_cut| {
+            let gained = best_cut.saturating_sub(edge_cut) as f64;
+            self.opts.min_improvement > 0.0
+                && gained < self.opts.min_improvement * best_cut.max(1) as f64
+        });
+        self.keep(edge_cut, snapshot);
         let has_prev_state = self.pass_no > 0;
         self.pass_no += 1;
         if has_prev_state && (moved == 0 || improvement_too_small) || edge_cut == 0 {
@@ -267,7 +291,29 @@ impl PassTracker {
     /// Edge cut of the best assignment seen so far (the one a revert
     /// restores), when any pass or seed has been recorded.
     pub fn best_cut(&self) -> Option<u64> {
-        self.best.as_ref().map(|(cut, _)| *cut)
+        self.best_cut
+    }
+
+    /// The best assignment seen so far — what a [`PassOutcome::Revert`]
+    /// restores; empty before any pass or seed was recorded.
+    pub fn best_assignment(&self) -> &[BlockId] {
+        &self.best
+    }
+
+    /// The number of entries of `assignments` — the state a pass left —
+    /// that differ from the best assignment, which is the state the pass
+    /// started from. Before anything was recorded the run started from
+    /// scratch, and every assigned entry counts.
+    pub fn moved(&self, assignments: &[BlockId]) -> usize {
+        match self.best_cut {
+            Some(_) => self
+                .best
+                .iter()
+                .zip(assignments)
+                .filter(|(a, b)| a != b)
+                .count(),
+            None => assignments.iter().filter(|&&b| b != UNASSIGNED).count(),
+        }
     }
 
     /// The recorded trajectory.
@@ -287,8 +333,9 @@ pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
 ///
 /// From the second pass on, the sink re-scores every node against the
 /// previous pass's assignment (its [`NodeSink::begin_pass`] switches it into
-/// unassign-then-reassign mode). Each pass is followed by one metric pass
-/// measuring edge-cut and imbalance, and the engine
+/// unassign-then-reassign mode). Each pass tallies its own edge-cut and
+/// imbalance while its nodes are placed — a sink that does not commit per
+/// node is measured by a walk after the pass instead — and the engine
 ///
 /// * stops once no node moved in a pass (the run has reached a fixed point —
 ///   all further passes would reproduce it exactly),
@@ -298,8 +345,13 @@ pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
 ///   overshoot) through [`NodeSink::restore`], keeping the best assignment
 ///   seen.
 ///
-/// A single-pass run (`passes == 1`) performs exactly the same stream pass
-/// as [`run`]; tracking only adds the metric pass.
+/// The tally holds on symmetric adjacency lists only, and the first pass
+/// proves that (later passes replay the same stream, see
+/// [`NodeStream::reset`], and are proven again in debug builds only): input
+/// that lists an edge from one side only fails with a typed graph error.
+///
+/// A single-pass run (`passes == 1`) places exactly the nodes [`run`] does;
+/// tracking only adds the tally.
 pub fn run_restream(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
@@ -320,39 +372,38 @@ pub fn run_restream_seeded(
     opts: &RestreamOptions,
     baseline: Option<&[BlockId]>,
 ) -> Result<PassTrajectory> {
-    drive(stream, sink, Some(opts), baseline, None)
-}
-
-/// The single pass of a one-pass job whose caller reports on the result:
-/// [`run`], with the [`Measurement`] of the assignment under `topology`
-/// tallied as the nodes are placed — nothing reads the stream a second time.
-/// `sink` must be fresh (every node [`UNASSIGNED`]). The tally holds on
-/// symmetric adjacency lists only and checks that itself: input that lists
-/// an edge from one side only fails with a typed graph error instead of a
-/// wrong report.
-pub(crate) fn run_measured(
-    stream: &mut dyn NodeStream,
-    sink: &mut dyn NodeSink,
-    topology: ReportTopology<'_>,
-) -> Result<Measurement> {
-    let mut tally = LevelTally::new(stream.num_nodes(), sink.num_blocks(), topology)?;
-    drive(stream, sink, None, None, Some(&mut tally))?;
-    tally.finish_proven()
+    drive(stream, sink, Some(opts), baseline, None).map(|(trajectory, _)| trajectory)
 }
 
 /// The one drive loop: one untracked pass without `opts`, a tracked run of
-/// up to `opts.passes` passes with them. `placed` is [`run_measured`]'s
-/// tally, fed each node right after the sink placed it.
-fn drive(
+/// up to `opts.passes` passes with them, refining `baseline` when one is
+/// given.
+///
+/// `report` asks for the [`Measurement`] of the result under its topology:
+/// the one pass of an untracked run is then tallied as its nodes are
+/// placed, and a tracked run — which measures every pass
+/// anyway — tallies its passes under that topology and returns the
+/// measurement of the last accepted pass, the one it leaves in `sink`
+/// (`None` when no pass was accepted over a seed). Nothing reads the stream
+/// a second time for it. Without `report` the returned measurement is
+/// `None`, and an untracked pass tallies nothing.
+pub(crate) fn drive(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
     opts: Option<&RestreamOptions>,
     baseline: Option<&[BlockId]>,
-    mut placed: Option<&mut LevelTally<'_>>,
-) -> Result<PassTrajectory> {
+    report: Option<ReportTopology<'_>>,
+) -> Result<(PassTrajectory, Option<Measurement>)> {
     let mut passes = opts.map_or(1, |opts| opts.passes.max(1));
     let mut tracker = opts.map(|opts| PassTracker::new(*opts));
-    let mut prev_assign: Vec<BlockId> = Vec::new();
+    let topology = report.flatten();
+    let (n, k) = (sink.assignments().len(), sink.num_blocks());
+    let mut tally = match (opts, report) {
+        (None, None) => None,
+        _ => Some(PassTally::new(n, k, topology)?),
+    };
+    let commits_per_node = sink.commits_per_node();
+    let mut accepted: Option<Measurement> = None;
     // The stream starts rewound; every use after the first must rewind it
     // again.
     let mut needs_reset = false;
@@ -373,7 +424,7 @@ fn drive(
                 #[cfg(debug_assertions)]
                 {
                     reset(stream, &mut needs_reset)?;
-                    let (measured, _) = measure_pass(stream, seed, sink.num_blocks())?;
+                    let (measured, _) = measure_pass(stream, seed, k)?;
                     debug_assert_eq!(
                         measured, cut,
                         "incrementally maintained seed cut disagrees with a measured metric pass"
@@ -383,7 +434,7 @@ fn drive(
             }
             None => {
                 reset(stream, &mut needs_reset)?;
-                measure_pass(stream, seed, sink.num_blocks())?
+                measure_pass(stream, seed, k)?
             }
         };
         if tracker.seed(edge_cut, imbalance, seed) {
@@ -394,11 +445,6 @@ fn drive(
 
     for i in 0..passes {
         reset(stream, &mut needs_reset)?;
-        if tracker.is_some() {
-            prev_assign.clear();
-            prev_assign.extend_from_slice(sink.assignments());
-        }
-
         sink.begin_pass(i);
         oms_obs::observe(Event::PassStart { pass: i as u32 });
         let clock = Stopwatch::start();
@@ -406,19 +452,34 @@ fn drive(
         // borrowed CSR slices with no copy, and file sources implement it on
         // top of their batch decoder anyway.
         let mut pass_nodes = 0u64;
-        // Two closures, not one that branches on `placed`: the tally inlines
-        // into its closure, and a shared one paid that frame on every node of
-        // every untallied pass (≈ 16 ns per node).
-        match placed.as_deref_mut() {
+        // The first pass proves the symmetry the tally relies on; later
+        // passes replay the same stream, so only debug builds prove them
+        // again.
+        let proving = i == 0 || cfg!(debug_assertions);
+        // One closure per case, not one that branches per node: the tally
+        // inlines into its closure, and a shared one paid that frame on every
+        // node of every untallied pass (≈ 16 ns per node).
+        match tally.as_mut().filter(|_| commits_per_node) {
             None => stream.for_each_node(&mut |node| {
                 pass_nodes += 1;
                 sink.process(node)
             })?,
-            Some(tally) => stream.for_each_node(&mut |node| {
-                pass_nodes += 1;
-                sink.process(node);
-                tally.second_sightings(node, sink.assignments());
-            })?,
+            Some(tally) if proving => {
+                tally.begin_pass();
+                stream.for_each_node(&mut |node| {
+                    pass_nodes += 1;
+                    sink.process(node);
+                    tally.second_sightings::<true>(node, sink.assignments());
+                })?
+            }
+            Some(tally) => {
+                tally.begin_pass();
+                stream.for_each_node(&mut |node| {
+                    pass_nodes += 1;
+                    sink.process(node);
+                    tally.second_sightings::<false>(node, sink.assignments());
+                })?
+            }
         }
         // Flush before the timing stops: a buffering sink's flush is part of
         // the pass's work, and `assignments` below must see the complete
@@ -428,28 +489,39 @@ fn drive(
         oms_obs::counter_add(CounterId::RestreamPasses, 1);
         oms_obs::hist_record(HistId::PassMicros, (seconds * 1e6) as u64);
 
-        let Some(tracker) = tracker.as_mut() else {
+        let untracked_end = || {
             oms_obs::observe(Event::PassEnd {
                 pass: i as u32,
                 nodes: pass_nodes,
                 edge_cut: 0,
                 moved: 0,
-            });
+            })
+        };
+        let measured = match &tally {
+            None => {
+                untracked_end();
+                continue;
+            }
+            Some(tally) if commits_per_node => tally.finish()?,
+            Some(_) => {
+                reset(stream, &mut needs_reset)?;
+                measure(stream, sink.assignments(), k, topology)?
+            }
+        };
+        let Some(tracker) = tracker.as_mut() else {
+            accepted = Some(measured);
+            untracked_end();
             continue;
         };
         let assignments = sink.assignments();
-        let moved = prev_assign
-            .iter()
-            .zip(assignments)
-            .filter(|(a, b)| a != b)
-            .count();
-        reset(stream, &mut needs_reset)?;
-        let (edge_cut, imbalance) = measure_pass(stream, assignments, sink.num_blocks())?;
+        let moved = tracker.moved(assignments);
+        let (edge_cut, imbalance) = (measured.edge_cut, measured.imbalance);
         let last_pass = i + 1 == passes;
         match tracker.observe(last_pass, moved, seconds, edge_cut, imbalance, assignments) {
-            PassOutcome::Revert(best) => {
-                // The pass overshot; put the best assignment back.
-                sink.restore(&best);
+            PassOutcome::Revert => {
+                // The pass overshot; put the best assignment back. It is the
+                // last accepted one, whose measurement is kept already.
+                sink.restore(tracker.best_assignment());
                 oms_obs::counter_add(CounterId::RestreamReverts, 1);
                 oms_obs::observe(Event::PassReverted {
                     pass: i as u32,
@@ -458,6 +530,7 @@ fn drive(
                 break;
             }
             outcome => {
+                accepted = Some(measured);
                 oms_obs::observe(Event::PassEnd {
                     pass: i as u32,
                     nodes: pass_nodes,
@@ -471,7 +544,8 @@ fn drive(
             }
         }
     }
-    Ok(tracker.map_or_else(PassTrajectory::default, PassTracker::finish))
+    let trajectory = tracker.map_or_else(PassTrajectory::default, PassTracker::finish);
+    Ok((trajectory, report.and(accepted)))
 }
 
 /// What one measurement walk finds for an assignment (see [`measure`]).
@@ -513,12 +587,10 @@ fn entry_hash(u: NodeId, v: NodeId, w: EdgeWeight) -> u64 {
 ///
 /// * [`LevelTally::every_entry`] — the measurement walk ([`measure`]) over a
 ///   finished assignment: every entry, as it comes;
-/// * [`LevelTally::second_sightings`] — the drive loop of a one-pass job,
-///   right after each node is placed: of an edge's two entries exactly one
-///   is streamed while the other endpoint is already placed, and that
-///   *second sighting* is tallied for both. This is only the same histogram
-///   when the adjacency lists are symmetric, so the walk proves it as it
-///   goes ([`LevelTally::finish_proven`]).
+/// * [`PassTally::second_sightings`] — the drive loop, right after each node
+///   is placed: of an edge's two entries exactly one is streamed while the
+///   other endpoint is already placed in this pass, and that *second
+///   sighting* is tallied for both.
 ///
 /// Under a topology the level comes from [`HierarchySpec::group_table`];
 /// block ids the table does not cover ([`UNASSIGNED`], ids `≥ k`, or every
@@ -537,14 +609,6 @@ pub(crate) struct LevelTally<'a> {
     /// Entries between two unassigned nodes sit on level 0 (same "block",
     /// distance 0) yet count as cut.
     both_unassigned: EdgeWeight,
-    /// The symmetry proof of the second-sightings walk: a wrapping sum of
-    /// `+entry_hash` per first sighting and `−entry_hash` per second, and
-    /// the edge weight seen either way. Unlike an XOR it counts
-    /// multiplicities: an edge listed four times from one side and never
-    /// from the other does not cancel.
-    fingerprint: u64,
-    first_sighted: EdgeWeight,
-    second_sighted: EdgeWeight,
 }
 
 impl<'a> LevelTally<'a> {
@@ -576,10 +640,15 @@ impl<'a> LevelTally<'a> {
             total_node_weight: 0,
             level_weights: vec![0; levels + 1],
             both_unassigned: 0,
-            fingerprint: 0,
-            first_sighted: 0,
-            second_sighted: 0,
         })
+    }
+
+    /// Empties the histogram for another assignment.
+    fn clear(&mut self) {
+        self.block_weights.fill(0);
+        self.total_node_weight = 0;
+        self.level_weights.fill(0);
+        self.both_unassigned = 0;
     }
 
     /// Tallies one node of weight `weight` in block `own` and the given
@@ -646,55 +715,8 @@ impl<'a> LevelTally<'a> {
         }
     }
 
-    /// The one-pass drive loop's step, right after `node` was placed for
-    /// good: an entry whose other endpoint is placed already is its edge's
-    /// second sighting and stands for both entries of it; one whose other
-    /// endpoint is still [`UNASSIGNED`] is a first sighting, left to the
-    /// other side. A self-loop entry is one entry of the histogram, as
-    /// [`LevelTally::every_entry`] files it.
-    #[inline]
-    pub(crate) fn second_sightings(&mut self, node: StreamedNode<'_>, assignments: &[BlockId]) {
-        let (this, own) = (node.node, assignments[node.node as usize]);
-        let (mut fingerprint, mut first, mut second) = (0u64, 0u64, 0u64);
-        let entries = node.neighbors_weighted().filter_map(|(u, w)| {
-            if u == this {
-                return Some((own, w));
-            }
-            let other = assignments[u as usize];
-            let hash = entry_hash(this, u, w);
-            if other == UNASSIGNED {
-                fingerprint = fingerprint.wrapping_add(hash);
-                first += w;
-                None
-            } else {
-                fingerprint = fingerprint.wrapping_sub(hash);
-                second += w;
-                Some((other, 2 * w))
-            }
-        });
-        self.node(own, node.weight, entries);
-        self.fingerprint = self.fingerprint.wrapping_add(fingerprint);
-        self.first_sighted += first;
-        self.second_sighted += second;
-    }
-
-    /// [`LevelTally::finish`] for the second-sightings walk, which is only
-    /// as good as the symmetry it assumed: every first sighting must have
-    /// met its second.
-    pub(crate) fn finish_proven(self) -> Result<Measurement> {
-        if self.fingerprint != 0 || self.first_sighted != self.second_sighted {
-            return Err(oms_graph::GraphError::Invalid(
-                "adjacency lists are not symmetric: some edge is not listed from both of its \
-                 endpoints equally often with the same weight"
-                    .into(),
-            )
-            .into());
-        }
-        Ok(self.finish())
-    }
-
     /// Halves the doubled sums into the [`Measurement`].
-    fn finish(self) -> Measurement {
+    fn finish(&self) -> Measurement {
         let max = self.block_weights.iter().copied().max().unwrap_or(0);
         let average = self.total_node_weight as f64 / self.k.max(1) as f64;
         let imbalance = if average > 0.0 {
@@ -721,21 +743,139 @@ impl<'a> LevelTally<'a> {
     }
 }
 
+/// The drive loop's tally of one pass: a [`LevelTally`] fed right after each
+/// node is placed, with the one rule that makes that the measurement of the
+/// pass — *visited this pass*. Within a pass every node is processed exactly
+/// once and keeps its block until the next pass, so an entry whose other
+/// endpoint was visited already sees both endpoints' final blocks for the
+/// pass: that second sighting stands for both entries of its edge, and the
+/// first one is left to the other side. The rule needs no particular
+/// starting state: it holds for a fresh sink, for later passes and for a
+/// seeded one alike.
+///
+/// This is only the measurement walk's histogram when the adjacency lists
+/// are symmetric, so a proving pass checks it as it goes
+/// ([`PassTally::finish`]).
+pub(crate) struct PassTally<'a> {
+    levels: LevelTally<'a>,
+    /// One bit per slot of the assignment array: processed in this pass.
+    visited: Vec<u64>,
+    /// The symmetry proof: a wrapping sum of `+entry_hash` per first
+    /// sighting and `−entry_hash` per second, and the edge weight seen
+    /// either way. Unlike an XOR it counts multiplicities: an edge listed
+    /// four times from one side and never from the other does not cancel.
+    /// All three stay zero in a pass that does not prove.
+    fingerprint: u64,
+    first_sighted: EdgeWeight,
+    second_sighted: EdgeWeight,
+}
+
+impl<'a> PassTally<'a> {
+    /// A pass tally over `k` blocks for an assignment array of `n` slots
+    /// (the sink's, which may exceed the stream's live node count).
+    fn new(n: usize, k: u32, topology: ReportTopology<'a>) -> Result<Self> {
+        Ok(PassTally {
+            levels: LevelTally::new(n, k, topology)?,
+            visited: vec![0; n.div_ceil(64)],
+            fingerprint: 0,
+            first_sighted: 0,
+            second_sighted: 0,
+        })
+    }
+
+    /// Starts a pass: nothing tallied, nothing visited.
+    fn begin_pass(&mut self) {
+        self.levels.clear();
+        self.visited.fill(0);
+        self.fingerprint = 0;
+        self.first_sighted = 0;
+        self.second_sighted = 0;
+    }
+
+    /// The drive loop's step, right after `node` was placed for this pass.
+    /// An entry whose other endpoint was visited this pass is a second
+    /// sighting, one whose other endpoint was not is a first; a self-loop
+    /// entry is one entry of the histogram, as [`LevelTally::every_entry`]
+    /// files it. `PROVE` adds the entries to the symmetry proof.
+    #[inline]
+    fn second_sightings<const PROVE: bool>(
+        &mut self,
+        node: StreamedNode<'_>,
+        assignments: &[BlockId],
+    ) {
+        let (this, own) = (node.node, assignments[node.node as usize]);
+        let visited = &self.visited;
+        let seen = |u: NodeId| visited[u as usize / 64] & (1 << (u % 64)) != 0;
+        let (mut fingerprint, mut first, mut second) = (0u64, 0u64, 0u64);
+        let entries = node.neighbors_weighted().filter_map(|(u, w)| {
+            if u == this {
+                return Some((own, w));
+            }
+            let placed = seen(u);
+            if PROVE {
+                let hash = entry_hash(this, u, w);
+                if placed {
+                    fingerprint = fingerprint.wrapping_sub(hash);
+                    second += w;
+                } else {
+                    fingerprint = fingerprint.wrapping_add(hash);
+                    first += w;
+                }
+            }
+            placed.then(|| (assignments[u as usize], 2 * w))
+        });
+        self.levels.node(own, node.weight, entries);
+        if own == UNASSIGNED {
+            // What `every_entry` files under `both_unassigned`, doubled for a
+            // second sighting like the rest.
+            for (u, w) in node.neighbors_weighted() {
+                if u == this {
+                    self.levels.both_unassigned += w;
+                } else if seen(u) && assignments[u as usize] == UNASSIGNED {
+                    self.levels.both_unassigned += 2 * w;
+                }
+            }
+        }
+        if PROVE {
+            self.fingerprint = self.fingerprint.wrapping_add(fingerprint);
+            self.first_sighted += first;
+            self.second_sighted += second;
+        }
+        self.visited[this as usize / 64] |= 1 << (this % 64);
+    }
+
+    /// The pass's [`Measurement`] — only as good as the symmetry the tally
+    /// assumed, so a proving pass fails with a typed graph error unless
+    /// every first sighting met its second.
+    fn finish(&self) -> Result<Measurement> {
+        if self.fingerprint != 0 || self.first_sighted != self.second_sighted {
+            return Err(oms_graph::GraphError::Invalid(
+                "adjacency lists are not symmetric: some edge is not listed from both of its \
+                 endpoints equally often with the same weight"
+                    .into(),
+            )
+            .into());
+        }
+        Ok(self.levels.finish())
+    }
+}
+
 /// The measurement walk: a single pass over the stream that measures
 /// everything a report says about `assignments` — edge-cut, imbalance over
 /// `k` blocks (`k == 0` derives the block count from the assignments),
 /// `ω(E)` and, under a `topology`, the mapping cost.
 ///
-/// A one-pass job does not come here: its decisions are final as each node
-/// streams, so [`Partitioner::run`](crate::Partitioner::run) gets the same
-/// numbers out of the partition pass itself (`LevelTally`'s other walk).
-/// This walk is for what that cannot cover — the per-pass cut of a
-/// multi-pass run and the seed of a refinement (through [`measure_pass`]),
-/// the report of a job that revises its decisions (`passes > 1`, `buffered`,
-/// `multilevel`, `rms`), an assignment that comes from elsewhere
+/// A streaming pass does not come here: every node keeps the block it is
+/// placed in until the next pass, so the drive loop tallies the same
+/// numbers while it places them (`PassTally`) — the report of a one-pass
+/// job and every pass of a multi-pass run. This walk is for what that
+/// cannot cover: the seed of a refinement (through [`measure_pass`]), the
+/// passes of a sink that commits later than it is fed (`buffered`), the
+/// report of a job that is not a streaming pass (`buffered`, `multilevel`,
+/// `rms`), an assignment that comes from elsewhere
 /// ([`stream_edge_cut`](crate::stream_edge_cut),
 /// [`stream_mapping_cost`](crate::api::stream_mapping_cost)) — and it is the
-/// reference `tests/equivalence.rs` holds the one-pass tally to.
+/// reference `tests/equivalence.rs` holds the in-pass tally to.
 ///
 /// Three per-edge references stay beside it on purpose, each a loop over a
 /// materialised graph that shares no code with this walk:
@@ -832,5 +972,235 @@ mod tests {
         assert_eq!(trajectory.num_passes(), 3);
         assert!(!trajectory.converged);
         assert!(trajectory.stats.iter().all(|s| s.moved == 97));
+    }
+
+    /// Snapshots the wrapped sink's assignment at every `end_pass`: the
+    /// assignment each pass left, reverted passes included.
+    struct Recording<S> {
+        inner: S,
+        snapshots: Vec<Vec<BlockId>>,
+    }
+
+    impl<S: NodeSink> NodeSink for Recording<S> {
+        fn begin_pass(&mut self, pass: usize) {
+            self.inner.begin_pass(pass);
+        }
+        fn process(&mut self, node: StreamedNode<'_>) {
+            self.inner.process(node);
+        }
+        fn end_pass(&mut self, pass: usize) {
+            self.inner.end_pass(pass);
+            self.snapshots.push(self.inner.assignments().to_vec());
+        }
+        fn assignments(&self) -> &[BlockId] {
+            self.inner.assignments()
+        }
+        fn num_blocks(&self) -> u32 {
+            self.inner.num_blocks()
+        }
+        fn restore(&mut self, assignments: &[BlockId]) {
+            self.inner.restore(assignments);
+        }
+        fn commits_per_node(&self) -> bool {
+            self.inner.commits_per_node()
+        }
+    }
+
+    /// Places node `v` in block `(v + pass) % 3` but leaves every fifth node
+    /// unassigned, over an id space `extra` slots larger than the stream (as
+    /// a dynamic graph's is): edges between two unassigned nodes count as
+    /// cut, and slots nobody streams count towards nothing.
+    struct Sparse {
+        pass: u32,
+        assignments: Vec<BlockId>,
+    }
+
+    impl NodeSink for Sparse {
+        fn begin_pass(&mut self, pass: usize) {
+            self.pass = pass as u32;
+        }
+        fn process(&mut self, node: StreamedNode<'_>) {
+            let v = node.node;
+            self.assignments[v as usize] = if v.is_multiple_of(5) {
+                UNASSIGNED
+            } else {
+                (v + self.pass) % 3
+            };
+        }
+        fn assignments(&self) -> &[BlockId] {
+            &self.assignments
+        }
+        fn num_blocks(&self) -> u32 {
+            3
+        }
+        fn restore(&mut self, assignments: &[BlockId]) {
+            self.assignments.copy_from_slice(assignments);
+        }
+    }
+
+    /// Every tracked pass tallies its own cut and imbalance while it places
+    /// its nodes; the measurement walk over the assignment that pass left
+    /// (snapshotted at `end_pass`) is the reference, exactly — for the flat
+    /// rules and tree descents of the one kernel, fresh and seeded (the
+    /// refinement behind `multilevel:…@passes=`), over every source, unit
+    /// and fully weighted. The returned report is the walk over the final
+    /// assignment, `J` included, and a reverted pass leaves the last
+    /// accepted one in place; at least one run of the matrix reverts.
+    #[test]
+    fn every_tracked_pass_tallies_what_the_measurement_walk_finds() {
+        use crate::config::OmsConfig;
+        use crate::oms::{OmsSink, OnlineMultiSection};
+        use crate::onepass::{depth_one, Hashing, StreamingPartitioner};
+        use crate::scorer::FlatObjective;
+        use crate::{DistanceSpec, HierarchySpec, OnePassConfig};
+        use oms_gen::{barabasi_albert, erdos_renyi_gnm, WeightScheme};
+        use oms_graph::io::{write_metis, write_stream_file, DiskStream, MetisStream};
+        use oms_graph::NodeOrdering;
+
+        let dir = std::env::temp_dir().join("oms-core-executor-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (h444, h222) = (HierarchySpec::parse("4:4:4"), HierarchySpec::parse("2:2:2"));
+        let (h444, h222) = (h444.unwrap(), h222.unwrap());
+        let distances = DistanceSpec::parse("1:10:100").unwrap();
+        let cfg = OnePassConfig::default().seed(3);
+        let oms_cfg = OmsConfig::default().seed(3);
+        let kernels: [(&str, OnlineMultiSection, ReportTopology<'_>); 4] = [
+            (
+                "fennel:7",
+                depth_one(7, cfg, FlatObjective::Fennel).unwrap(),
+                None,
+            ),
+            (
+                "ldg:3",
+                depth_one(3, cfg, FlatObjective::Ldg).unwrap(),
+                None,
+            ),
+            (
+                "oms:4:4:4",
+                OnlineMultiSection::with_hierarchy(h444, oms_cfg),
+                None,
+            ),
+            (
+                "oms:2:2:2@dist=1:10:100",
+                OnlineMultiSection::with_hierarchy(h222.clone(), oms_cfg),
+                Some((&h222, &distances)),
+            ),
+        ];
+        let refine = depth_one(16, cfg, FlatObjective::Fennel).unwrap();
+        let graphs = [
+            ("er", erdos_renyi_gnm(300, 1500, 41)),
+            (
+                "ba",
+                WeightScheme::Full.apply(&barabasi_albert(300, 3, 7), 9),
+            ),
+        ];
+        let opts = RestreamOptions::new(4, 0.0);
+        let mut reverts = 0;
+        for (name, graph) in &graphs {
+            let metis_path = dir.join(format!("{name}.graph"));
+            let stream_path = dir.join(format!("{name}.oms"));
+            write_metis(graph, &metis_path).unwrap();
+            write_stream_file(graph, &stream_path).unwrap();
+            let seed = Hashing::new(16, cfg).partition_graph(graph).unwrap();
+            let (n, m, weight) = (
+                graph.num_nodes(),
+                graph.num_edges(),
+                graph.total_node_weight(),
+            );
+            let mut sources: Vec<(&str, Box<dyn NodeStream + '_>)> = vec![
+                ("memory", Box::new(InMemoryStream::new(graph))),
+                (
+                    "memory, random order",
+                    Box::new(InMemoryStream::with_ordering(
+                        graph,
+                        NodeOrdering::Random(5),
+                    )),
+                ),
+                ("METIS", Box::new(MetisStream::open(&metis_path).unwrap())),
+                (".oms", Box::new(DiskStream::open(&stream_path).unwrap())),
+            ];
+            for (source, stream) in &mut sources {
+                let runs = kernels
+                    .iter()
+                    .map(|(spec, oms, topology)| (*spec, oms, *topology, None))
+                    .chain([("refined fennel:16", &refine, None, Some(&seed))]);
+                for (spec, oms, topology, seeded) in runs {
+                    let tag = format!("{spec} over {name}, {source}");
+                    let mut sink = Recording {
+                        inner: OmsSink::new(oms, n, m, weight),
+                        snapshots: Vec::new(),
+                    };
+                    let baseline = seeded.map(|seed| {
+                        sink.inner.seed(seed.assignments(), seed.block_weights());
+                        seed.assignments()
+                    });
+                    stream.reset().unwrap();
+                    let (trajectory, report) = drive(
+                        stream.as_mut(),
+                        &mut sink,
+                        Some(&opts),
+                        baseline,
+                        Some(topology),
+                    )
+                    .unwrap();
+                    let k = sink.num_blocks();
+                    let mut walk = |assignments: &[BlockId], topology| {
+                        stream.reset().unwrap();
+                        measure(stream.as_mut(), assignments, k, topology).unwrap()
+                    };
+                    // A seed is pass 0 of the trajectory; the loop's passes
+                    // follow it.
+                    let first = baseline.is_some() as usize;
+                    let accepted = &trajectory.stats[first..];
+                    let mut before = baseline.map_or(vec![UNASSIGNED; n], <[_]>::to_vec);
+                    for stats in accepted {
+                        let snapshot = &sink.snapshots[stats.pass - first];
+                        let measured = walk(snapshot, None);
+                        assert_eq!(
+                            (stats.edge_cut, stats.imbalance),
+                            (measured.edge_cut, measured.imbalance),
+                            "{tag}, pass {}",
+                            stats.pass
+                        );
+                        let moved = before.iter().zip(snapshot).filter(|(a, b)| a != b);
+                        assert_eq!(stats.moved, moved.count(), "{tag}, pass {}", stats.pass);
+                        before.clone_from(snapshot);
+                    }
+                    if sink.snapshots.len() > accepted.len() {
+                        assert_eq!(sink.snapshots.len(), accepted.len() + 1, "{tag}");
+                        assert_eq!(sink.assignments(), &before[..], "{tag}: reverted");
+                        reverts += 1;
+                    }
+                    let last = sink.assignments().to_vec();
+                    let expected = (!accepted.is_empty()).then(|| walk(&last, topology));
+                    assert_eq!(report, expected, "{tag}: the report");
+                }
+            }
+            std::fs::remove_file(&metis_path).ok();
+            std::fs::remove_file(&stream_path).ok();
+        }
+        assert!(reverts > 0, "no run of the matrix reverted a pass");
+
+        // Unassigned nodes, and an id space larger than the stream.
+        let graph = erdos_renyi_gnm(120, 600, 5);
+        for extra in [0, 70] {
+            let mut sink = Recording {
+                inner: Sparse {
+                    pass: 0,
+                    assignments: vec![UNASSIGNED; 120 + extra],
+                },
+                snapshots: Vec::new(),
+            };
+            let stream = &mut InMemoryStream::new(&graph);
+            let (trajectory, report) =
+                drive(stream, &mut sink, Some(&opts), None, Some(None)).unwrap();
+            for (stats, snapshot) in trajectory.stats.iter().zip(&sink.snapshots) {
+                let measured = measure(stream, snapshot, 3, None).unwrap();
+                let tally = (stats.edge_cut, stats.imbalance);
+                assert_eq!(tally, (measured.edge_cut, measured.imbalance), "{stats:?}");
+            }
+            let last = measure(stream, sink.assignments(), 3, None).unwrap();
+            assert_eq!(report, Some(last));
+        }
     }
 }

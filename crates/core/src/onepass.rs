@@ -56,10 +56,10 @@ pub trait StreamingPartitioner {
 
     /// The run behind both methods above and behind
     /// [`Partitioner::run`](crate::Partitioner::run), which sets `report` to
-    /// the topology it reports under: a one-pass run then also returns the
-    /// [`Measurement`] of its partition, tallied during that pass. A
-    /// multi-pass run returns `None` there, and so does every run with
-    /// `report` unset, which pays nothing for the tally.
+    /// the topology it reports under: the run then also returns the
+    /// [`Measurement`] of its partition, tallied during its passes. A run
+    /// with `report` unset returns `None` there; a one-pass one pays nothing
+    /// for a tally.
     fn partition_stream_measured<S: NodeStream>(
         &self,
         stream: &mut S,

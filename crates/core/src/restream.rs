@@ -12,9 +12,10 @@
 //! `passes`/`convergence` (defaults 1/0) and run through `run` — a
 //! one-pass run *is* the drive loop of the multi-pass engine
 //! ([`executor::run_restream`]) with a budget of one. The engine
-//! rewinds the stream between passes, records the per-pass quality
-//! trajectory, stops early once the partition converges and reverts a pass
-//! that worsened the edge cut. [`refine_partition`] exposes the same loop as
+//! rewinds the stream between passes, tallies each pass's quality while
+//! the pass places its nodes, records the per-pass trajectory, stops early
+//! once the partition converges and reverts a pass that worsened the edge
+//! cut. [`refine_partition`] exposes the same loop as
 //! restreaming *refinement* of an existing partition, used by the in-memory
 //! algorithms to support `passes > 1`.
 
@@ -46,11 +47,11 @@ fn check_passes(passes: usize) -> Result<()> {
 /// the partition.
 ///
 /// `report` is set by a caller that will report on the result, to the
-/// topology it reports under. A single pass decides every node for good as
-/// it streams, so it then tallies the [`Measurement`] while it partitions
-/// (`executor::run_measured`); later passes revise decisions, so a
-/// multi-pass run returns `None` and leaves the final assignment to the
-/// measurement walk.
+/// topology it reports under. Every pass places each node for good until
+/// the next one, so the run then returns the [`Measurement`] of its result
+/// tallied while it partitioned: the single pass of a one-pass run, or the
+/// last accepted pass of a multi-pass run (`executor::drive`). Nothing reads
+/// the stream again for the report.
 pub(crate) fn run(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
@@ -59,18 +60,8 @@ pub(crate) fn run(
     report: Option<ReportTopology<'_>>,
 ) -> Result<(PassTrajectory, Option<Measurement>)> {
     check_passes(passes)?;
-    if passes > 1 {
-        let options = RestreamOptions::new(passes, convergence);
-        return Ok((executor::run_restream(stream, sink, &options)?, None));
-    }
-    let measured = match report {
-        Some(topology) => Some(executor::run_measured(stream, sink, topology)?),
-        None => {
-            executor::run(stream, sink)?;
-            None
-        }
-    };
-    Ok((PassTrajectory::default(), measured))
+    let options = (passes > 1).then(|| RestreamOptions::new(passes, convergence));
+    executor::drive(stream, sink, options.as_ref(), None, report)
 }
 
 /// Restreaming refinement of an existing partition.

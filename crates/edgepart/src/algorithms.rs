@@ -387,7 +387,6 @@ impl AlgoSink {
         let passes = opts.passes.max(1);
         let mut tracker = PassTracker::new(*opts);
         let mut trajectory: Vec<EdgePassStats> = Vec::new();
-        let mut prev: Vec<BlockId> = self.assignments.clone();
 
         for pass in 0..passes {
             if pass > 0 {
@@ -401,11 +400,7 @@ impl AlgoSink {
             let quality = self.quality();
             let imbalance = quality.imbalance(self.k);
             let replicas = quality.total_replicas;
-            let moved = prev
-                .iter()
-                .zip(&self.assignments)
-                .filter(|(a, b)| a != b)
-                .count();
+            let moved = tracker.moved(&self.assignments);
             let last_pass = pass + 1 == passes;
             match tracker.observe(
                 last_pass,
@@ -415,12 +410,13 @@ impl AlgoSink {
                 imbalance,
                 &self.assignments,
             ) {
-                PassOutcome::Revert(best) => {
+                PassOutcome::Revert => {
                     // The pass overshot: replay the stream once, re-applying
                     // the best assignment, so the returned state matches the
                     // last recorded trajectory entry.
                     stream.reset()?;
                     self.clear_assignments();
+                    let best = tracker.best_assignment();
                     drive_pass(stream, m, &mut |index, edge| {
                         self.assign(index, edge, best[index])
                     })?;
@@ -448,7 +444,6 @@ impl AlgoSink {
                     if outcome == PassOutcome::Stop {
                         break;
                     }
-                    prev.clone_from(&self.assignments);
                 }
             }
         }

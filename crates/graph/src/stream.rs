@@ -102,8 +102,11 @@ pub trait NodeStream {
     /// [`NodeStream::for_each_node`] / [`NodeStream::for_each_batch`] call
     /// delivers a full pass starting from the first node.
     ///
-    /// Multi-pass (restreaming) drivers call this between passes. In-memory
-    /// sources rewind trivially (every pass starts from the front anyway);
+    /// Multi-pass (restreaming) drivers call this between passes and rely on
+    /// every pass delivering the same nodes, adjacency lists and weights in
+    /// the same order (`oms-core` proves the stream's symmetry on a run's
+    /// first pass only). In-memory sources rewind trivially (every pass
+    /// starts from the front anyway);
     /// sources with external state re-open and re-validate it — e.g.
     /// [`crate::io::DiskStream`] re-opens the file and checks that its header
     /// still matches the counts announced when the stream was first opened,

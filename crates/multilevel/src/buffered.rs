@@ -314,6 +314,12 @@ impl NodeSink for BufferedSink<'_> {
     fn restore(&mut self, assignments: &[BlockId]) {
         self.state.restore(assignments);
     }
+
+    /// A node's block is decided when its batch commits, not when it is
+    /// fed, so the engine measures every pass with a walk after it.
+    fn commits_per_node(&self) -> bool {
+        false
+    }
 }
 
 /// Global assignment state shared by all batches.

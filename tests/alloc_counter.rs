@@ -2,7 +2,8 @@
 //! **zero heap allocations per node** once warm under each of its drivers —
 //! a stream pass of the flat rules, the per-delta repair path
 //! (`retune` / `rescore` / `forget` / `admit`) — and that a one-shot run's
-//! allocation count, flat or multi-section, does not depend on `n`.
+//! allocation count, flat or multi-section, one pass or several, does not
+//! depend on `n`.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
 //! warm pass (the kernel sizes its per-tree-node arenas and its gather list
@@ -12,12 +13,13 @@
 //! inlined kernel would otherwise be invisible.
 //!
 //! The same allocator tracks **live bytes** (current and peak), which turns
-//! the CLI's `O(n + batch)` working-memory claim into a test: a one-pass job
-//! run straight off a [`DiskStream`] or a [`MetisStream`] must peak below
-//! `c₁·n + c₂` bytes on a dense graph, with constants the materialised run
-//! of the same job exceeds — report included: the job tallies it while it
-//! partitions, in `O(k·ℓ)` (block weights, the topology's group table, one
-//! weight per shared level) and nothing `O(m)`.
+//! the CLI's `O(n + batch)` working-memory claim into a test: a one-pass or
+//! multi-pass job run straight off a [`DiskStream`] or a [`MetisStream`]
+//! must peak below `c₁·n + c₂` bytes on a dense graph, with constants the
+//! materialised run of the same job exceeds — report included: every pass
+//! tallies itself while it partitions, in `O(k·ℓ)` (block weights, the
+//! topology's group table, one weight per shared level) plus one bit per
+//! node, and nothing `O(m)`.
 //!
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
@@ -167,29 +169,41 @@ fn steady_state_scoring_is_allocation_free() {
 
     // The tree-descent kernel sizes its arenas, path table and gather list
     // once per run: OMS and nh-OMS allocate *exactly* as often on a 4x
-    // bigger graph (O(1) set-up allocations, zero per node).
-    for spec in ["oms:4:4:4", "nh-oms:32"] {
+    // bigger graph (O(1) set-up allocations, zero per node). So does a
+    // multi-pass run, report included: its pass tally and visited bits are
+    // sized once, and every accepted pass overwrites the one best snapshot
+    // in place — no pass allocates O(n).
+    for spec in [
+        "oms:4:4:4",
+        "nh-oms:32",
+        "oms:4:4:4@passes=4",
+        "fennel:32@passes=3",
+        "oms:4:4:4@passes=2,dist=1:10:100",
+    ] {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let count = |g: &oms::graph::CsrGraph| {
             allocations_during(|| {
-                partitioner.partition(&mut InMemoryStream::new(g)).unwrap();
+                partitioner.run(&mut InMemoryStream::new(g)).unwrap();
             })
         };
         let (a_small, a_large) = (count(&small), count(&large));
         assert_eq!(
             a_small, a_large,
             "{spec}: allocation count depends on n ({a_small} for n=2000, {a_large} for \
-             n=8000): a per-node allocation crept into the tree-descent kernel"
+             n=8000): a per-node or per-pass allocation crept into the tree-descent kernel \
+             or the pass loop"
         );
     }
 
-    // The CLI's working-memory contract: a one-pass job run straight off the
-    // stream file holds O(n) state plus one edge-bounded batch, however
-    // dense the graph — here 2m/n = 70 adjacency entries per node, 8.4 MB as
-    // a CSR. The same job over the materialised graph (what the CLI did for
-    // every input before it streamed) must exceed the very same bound, so
-    // the constants are shown to separate the two. `run` reports cut, J and
-    // ω(E) out of that same pass, with and without a topology.
+    // The CLI's working-memory contract: a job run straight off the stream
+    // file holds O(n) state plus one edge-bounded batch, however dense the
+    // graph — here 2m/n = 70 adjacency entries per node, 8.4 MB as a CSR —
+    // one pass or several. The same job over the materialised graph (what
+    // the CLI did for every input before it streamed, and for every
+    // multi-pass job before each pass tallied itself) must exceed the very
+    // same bound, so the constants are shown to separate the two. `run`
+    // reports cut, J and ω(E) out of the passes, with and without a
+    // topology.
     let n = 10_000usize;
     let dense = erdos_renyi_gnm(n, 35 * n, 5);
     let path = std::env::temp_dir().join("oms-alloc-counter-dense.oms");
@@ -203,6 +217,9 @@ fn steady_state_scoring_is_allocation_free() {
         "fennel:32",
         "oms:4:4:4@dist=1:10:100",
         "hashing:32",
+        "oms:4:4:4@passes=4",
+        "fennel:32@passes=3",
+        "oms:4:4:4@passes=2,dist=1:10:100",
     ] {
         let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
         let streamed = peak_live_bytes_during(|| {

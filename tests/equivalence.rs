@@ -457,6 +457,17 @@ struct Listed {
 /// One node's `(neighbor, edge weight)` list.
 type Adjacency<'a> = &'a [(u32, u64)];
 
+/// A triangle whose 0–1 edge is listed twice from both sides with different
+/// weights, a doubled 2–3 edge, and self-loop entries on nodes 1 (once, odd
+/// weight: the halved sum rounds) and 3 (twice).
+const MULTI_EDGES_AND_SELF_LOOPS: [Adjacency<'static>; 5] = [
+    &[(1, 2), (2, 1), (1, 5)],
+    &[(0, 5), (1, 3), (0, 2), (2, 4)],
+    &[(0, 1), (1, 4), (3, 1), (3, 1)],
+    &[(2, 1), (3, 6), (2, 1), (3, 6)],
+    &[],
+];
+
 impl Listed {
     /// Unit node weights; `lists[v]` is `v`'s list.
     fn new(lists: &[Adjacency<'_>]) -> Self {
@@ -623,16 +634,6 @@ fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
         std::fs::remove_file(&stream_path).ok();
     }
 
-    // A triangle whose 0–1 edge is listed twice from both sides with
-    // different weights, a doubled 2–3 edge, and self-loop entries on nodes
-    // 1 (once, odd weight: the halved sum rounds) and 3 (twice).
-    let multi: [Adjacency<'_>; 5] = [
-        &[(1, 2), (2, 1), (1, 5)],
-        &[(0, 5), (1, 3), (0, 2), (2, 4)],
-        &[(0, 1), (1, 4), (3, 1), (3, 1)],
-        &[(2, 1), (3, 6), (2, 1), (3, 6)],
-        &[],
-    ];
     for spec in [
         "hashing:3@seed=1",
         "ldg:2",
@@ -644,16 +645,110 @@ fn one_pass_reports_equal_the_measurement_walk_on_the_rewound_stream() {
     ] {
         assert_report_equals_the_measurement_walk(
             spec,
-            &mut Listed::new(&multi),
+            &mut Listed::new(&MULTI_EDGES_AND_SELF_LOOPS),
             "multi-edges and self-loops",
         );
     }
 }
 
-/// The one-pass tally is only the measurement walk's histogram when every
-/// edge is listed from both endpoints equally often with the same weight,
-/// so it proves that instead of assuming it: a stream that breaks it gets a
-/// typed graph error from every one-pass job, never a wrong report.
+/// Multi-pass runs tally every pass inside the pass, and their report is
+/// their last accepted pass. The measurement walk over the rewound stream is
+/// the reference for both:
+///
+/// * the report of every streaming algorithm × every source × unit and
+///   fully weighted graphs × with and without `dist=`, plus the hand-built
+///   stream with multi-edges and self-loop entries;
+/// * every pass of the trajectory, `multilevel`'s seeded refinement
+///   included: a run with a budget of `p` passes makes the first `p` passes
+///   of the full run, so the walk over its result must find the full run's
+///   last accepted pass among them.
+#[test]
+fn multi_pass_reports_and_trajectories_equal_the_measurement_walk() {
+    register_multilevel_algorithms();
+    let dir = std::env::temp_dir().join("oms-equivalence-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let specs = [
+        "fennel:7@seed=3,passes=3",
+        "ldg:7@seed=3,passes=3",
+        "oms:4:4:4@seed=3,passes=3",
+        "oms:2:2:2@seed=3,passes=3,dist=1:10:100",
+        "multilevel:16@seed=3,passes=3",
+    ];
+    for scheme in [WeightScheme::Unit, WeightScheme::Full] {
+        let graph = scheme.apply(&erdos_renyi_gnm(300, 1500, 43), 9);
+        let name = scheme.name();
+        let metis_path = dir.join(format!("multi-pass-{name}.graph"));
+        write_metis(&graph, &metis_path).unwrap();
+        let stream_path = dir.join(format!("multi-pass-{name}.oms"));
+        write_stream_file(&graph, &stream_path).unwrap();
+        for spec in specs {
+            let mut sources: Vec<(&str, Box<dyn NodeStream + '_>)> = vec![
+                ("memory", Box::new(InMemoryStream::new(&graph))),
+                (
+                    "memory, random order",
+                    Box::new(InMemoryStream::with_ordering(
+                        &graph,
+                        NodeOrdering::Random(5),
+                    )),
+                ),
+                ("METIS", Box::new(MetisStream::open(&metis_path).unwrap())),
+                (".oms", Box::new(DiskStream::open(&stream_path).unwrap())),
+            ];
+            for (source, stream) in &mut sources {
+                let tag = format!("{name} weights, {source}");
+                let stream = stream.as_mut();
+                if !spec.starts_with("multilevel") {
+                    assert_report_equals_the_measurement_walk(spec, stream, &tag);
+                }
+                let job = JobSpec::parse(spec).unwrap();
+                stream.reset().unwrap();
+                let (_, full) = job.build().unwrap().partition_tracked(stream).unwrap();
+                for budget in 1..=job.passes {
+                    let partitioner = job.clone().passes(budget).build().unwrap();
+                    stream.reset().unwrap();
+                    let partition = partitioner.partition(stream).unwrap();
+                    stream.reset().unwrap();
+                    let (assignments, k) = (partition.assignments(), partition.num_blocks());
+                    let walk = oms::core::measure(stream, assignments, k, None).unwrap();
+                    let pass = full
+                        .stats
+                        .iter()
+                        .rfind(|stats| stats.pass < budget)
+                        .unwrap();
+                    assert_eq!(
+                        (pass.edge_cut, pass.imbalance),
+                        (walk.edge_cut, walk.imbalance),
+                        "{spec} over {tag}: pass {} vs. a budget of {budget}",
+                        pass.pass
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(&metis_path).ok();
+        std::fs::remove_file(&stream_path).ok();
+    }
+
+    for spec in [
+        "ldg:2@passes=3",
+        "fennel:3@passes=3",
+        "nh-oms:4@base=2,passes=3",
+        "oms:2:2:2@passes=3,dist=1:10:100",
+    ] {
+        assert_report_equals_the_measurement_walk(
+            spec,
+            &mut Listed::new(&MULTI_EDGES_AND_SELF_LOOPS),
+            "multi-edges and self-loops",
+        );
+    }
+}
+
+/// The tally is only the measurement walk's histogram when every edge is
+/// listed from both endpoints equally often with the same weight, so it
+/// proves that instead of assuming it: a stream that breaks it gets a typed
+/// graph error from every streaming job, never a wrong report. A one-pass
+/// job tallies only when a report is asked for; a multi-pass run tallies
+/// every pass for its own verdicts, so `partition()` refuses such a stream
+/// too.
 #[test]
 fn one_pass_reports_refuse_adjacency_lists_that_are_not_symmetric() {
     let cases: [(&str, &[Adjacency<'_>]); 5] = [
@@ -680,27 +775,37 @@ fn one_pass_reports_refuse_adjacency_lists_that_are_not_symmetric() {
             "fennel:2",
             "nh-oms:3@base=2",
             "oms:2:2@dist=1:10",
+            "fennel:2@passes=2",
+            "oms:2:2@passes=3,dist=1:10",
         ] {
             let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
-            let err = partitioner.run(&mut Listed::new(lists)).unwrap_err();
-            assert!(
+            let refused = |err: oms::core::PartitionError| {
                 matches!(
                     err,
                     oms::core::PartitionError::Graph(oms::graph::GraphError::Invalid(_))
-                ) && err.to_string().contains("not symmetric"),
-                "{what}, {spec}: {err}"
-            );
-            // Nobody asked for a report: nothing is tallied, nothing proven.
-            assert!(partitioner.partition(&mut Listed::new(lists)).is_ok());
+                ) && err.to_string().contains("not symmetric")
+            };
+            let err = partitioner.run(&mut Listed::new(lists)).unwrap_err();
+            assert!(refused(err), "{what}, {spec}: run");
+            let partitioned = partitioner.partition(&mut Listed::new(lists));
+            if spec.contains("passes=") {
+                assert!(partitioned.is_err_and(refused), "{what}, {spec}: partition");
+            } else {
+                // Nobody asked for a report: nothing is tallied, nothing
+                // proven.
+                assert!(partitioned.is_ok(), "{what}, {spec}: partition");
+            }
         }
     }
 }
 
-/// One scan per one-pass job: `run()` makes a single pass and never rewinds,
-/// whatever the algorithm and with or without a topology; jobs that revise
-/// their decisions are still measured by a walk of their own.
+/// One scan per pass: `run()` of a streaming job reads its input once per
+/// pass and rewinds only between passes, whatever the algorithm and with or
+/// without a topology — cut, `J` and ω(E) come out of the passes. `buffered`
+/// commits per batch, not per node, so each of its passes is still followed
+/// by a measurement walk, and `multilevel` is measured by a walk of its own.
 #[test]
-fn a_one_pass_job_reads_its_input_once_and_a_revising_job_still_measures() {
+fn every_streaming_pass_reads_its_input_once_and_buffered_still_measures() {
     register_multilevel_algorithms();
     let graph = planted_partition(400, 8, 0.1, 0.01, 7);
     let scans = |spec: &str| {
@@ -719,10 +824,11 @@ fn a_one_pass_job_reads_its_input_once_and_a_revising_job_still_measures() {
     ] {
         assert_eq!(scans(spec), (1, 0), "{spec}: (passes, rewinds)");
     }
-    // Two partition passes, a metric pass after each.
-    assert_eq!(scans("fennel:8@passes=2"), (4, 3));
+    assert_eq!(scans("fennel:8@passes=2"), (2, 1));
+    assert_eq!(scans("oms:2:2:2@passes=2,dist=1:10:100"), (2, 1));
+    // Two batch-committing passes, a measurement walk after each.
+    assert_eq!(scans("buffered:16@passes=2"), (4, 3));
     // One pass of their own, then the measurement walk.
     assert_eq!(scans("buffered:16"), (2, 1));
     assert_eq!(scans("multilevel:16"), (2, 1));
-    assert_eq!(scans("oms:2:2:2@passes=2,dist=1:10:100").1, 4);
 }
