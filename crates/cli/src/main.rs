@@ -315,14 +315,15 @@ fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGr
     })
 }
 
-/// Where `partition` / `map` read their graph from. The choice follows from
-/// the file alone: a METIS or vertex-stream file runs straight off the file
-/// in `O(n + batch)` memory, whatever the job — one scan per pass for the
-/// five streaming algorithms, whose report is tallied while they partition
-/// (and which therefore refuse adjacency lists that are not symmetric), and
-/// one more walk for `buffered` / `multilevel` / `rms`, which are measured
-/// afterwards. An edge list does not group its edges by node, so it is
-/// materialised.
+/// Where `partition` / `map` / `apply-deltas` read their graph from. The
+/// choice follows from the file alone: a METIS or vertex-stream file runs
+/// straight off the file in `O(n + batch)` memory, whatever the job — one
+/// scan per pass for the five streaming algorithms, whose report is tallied
+/// while they partition (and which therefore refuse adjacency lists that are
+/// not symmetric), and one more walk for `buffered` / `multilevel` / `rms`,
+/// which are measured afterwards. `apply-deltas` reads it once, into the
+/// dynamic graph's one `O(n + m)` slab. An edge list does not group its
+/// edges by node, so it is materialised.
 enum Source {
     /// The file itself.
     Streamed(Box<dyn NodeStream>),
@@ -338,11 +339,16 @@ impl Source {
         })
     }
 
+    /// Calls `f` with the graph as a node stream.
+    fn with_stream<T>(&mut self, f: impl FnOnce(&mut dyn NodeStream) -> T) -> T {
+        match self {
+            Source::Streamed(stream) => f(stream.as_mut()),
+            Source::Materialised(graph) => f(&mut InMemoryStream::new(graph)),
+        }
+    }
+
     fn run(&mut self, partitioner: &dyn Partitioner) -> Result<PartitionReport, Error> {
-        Ok(match self {
-            Source::Streamed(stream) => partitioner.run(stream.as_mut())?,
-            Source::Materialised(graph) => partitioner.run(&mut InMemoryStream::new(graph))?,
-        })
+        Ok(self.with_stream(|stream| partitioner.run(stream))?)
     }
 
     /// `(n, m)` of the graph.
@@ -925,7 +931,8 @@ fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
 }
 
 /// The dynamic-maintenance pipeline behind `apply-deltas`: builds a
-/// long-lived [`oms_dynamic::PartitionState`] over the graph, applies the
+/// long-lived [`oms_dynamic::PartitionState`] over the graph (read once from
+/// the [`Source`] into the state's slab, then dropped), applies the
 /// trace batch by batch and prints one checkpoint row per `--window` batches
 /// (default 1; the final batch always checkpoints) comparing the
 /// incrementally maintained partition against a cold restream of the same
@@ -949,15 +956,15 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
             )))
         }
     };
-    let graph = load_graph_opt(path, &options)?;
-    let trace = oms_graph::read_delta_trace(trace_path)?;
+    let mut source = Source::open(path, &options)?;
+    let (n, m) = source.counts();
     let obs = ObsSession::start(&options, metrics);
-    let mut state = oms_dynamic::PartitionState::new(&job, &mut InMemoryStream::new(&graph))?;
-    outln!(
-        "graph      : {path} (n = {}, m = {})",
-        graph.num_nodes(),
-        graph.num_edges()
-    )?;
+    let mut state = source.with_stream(|stream| oms_dynamic::PartitionState::new(&job, stream))?;
+    // The state holds the graph now; an edge list's CSR goes with the source.
+    drop(source);
+    // Read after the graph, so a bad graph is reported before a bad trace.
+    let trace = oms_graph::read_delta_trace(trace_path)?;
+    outln!("graph      : {path} (n = {n}, m = {m})")?;
     outln!(
         "trace      : {trace_path} ({} batches, {} deltas)",
         trace.len(),

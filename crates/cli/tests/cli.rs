@@ -1090,12 +1090,13 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, messa
 }
 
 /// Every streaming job — one pass or several, each tallied while it
-/// partitions — must refuse adjacency lists that are not symmetric.
-/// (`buffered`, `multilevel` and the materialising commands take symmetry
-/// as the stream's contract, as `collect_graph` documents, so they are not
-/// in this list.)
+/// partitions, `apply-deltas`' initial run included — must refuse adjacency
+/// lists that are not symmetric. (`buffered`, `multilevel` and the
+/// materialising commands take symmetry as the stream's contract, as
+/// `collect_graph` documents, so they are not in this list.)
 fn assert_streaming_jobs_refuse_asymmetry(path: &std::path::Path) {
     let commands = [
+        &["apply-deltas", "no.deltas", "--k", "2"][..],
         &["partition", "--job", "hashing:2"][..],
         &["partition", "--job", "ldg:2"][..],
         &["partition", "--job", "fennel:2"][..],
@@ -1285,6 +1286,71 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
     assert_streaming_jobs_refuse_asymmetry(&path);
     assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 2, 4);
+}
+
+/// `apply-deltas` streams a METIS or `.oms` graph into its slab and
+/// materialises only an edge list; the three give one partition.
+#[test]
+fn apply_deltas_gives_one_partition_off_every_source() {
+    let dir = temp_dir("apply-deltas-sources");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (metis, deltas) = (path("g.metis"), path("g.deltas"));
+    let run = |args: &[&str]| {
+        let output = oms().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+    };
+    run(&["generate", "er", "3000", &metis]);
+    let churn = ["--scheme", "drift", "--batches", "4", "--ops", "300"];
+    run(&[&["gen-deltas", &metis, &deltas][..], &churn].concat());
+    let mut outputs = Vec::new();
+    for ext in ["metis", "oms", "el"] {
+        let graph = path(&format!("g.{ext}"));
+        if ext != "metis" {
+            run(&["convert", &metis, &graph]);
+        }
+        let out = path(&format!("p-{ext}.txt"));
+        run(&[
+            "apply-deltas",
+            &graph,
+            &deltas,
+            "--k",
+            "8",
+            "--repair",
+            "boundary",
+            "--output",
+            &out,
+        ]);
+        outputs.push(std::fs::read(&out).unwrap());
+    }
+    assert!(!outputs[0].is_empty());
+    assert!(outputs[0] == outputs[1], "METIS vs .oms");
+    assert!(outputs[0] == outputs[2], "METIS vs edge list");
+}
+
+/// `+n v` must revive a dead id or take the next fresh one. A trace line
+/// naming a far larger id used to size every per-id column from it and
+/// abort on the allocation (exit 134).
+#[test]
+fn a_node_insert_that_skips_ids_is_a_graph_error_not_an_abort() {
+    let dir = temp_dir("apply-deltas-huge-id");
+    let graph = dir.join("g.metis");
+    let deltas = dir.join("huge.deltas");
+    std::fs::write(&graph, "3 2\n2\n1 3\n2\n").unwrap();
+    std::fs::write(&deltas, "+n 4000000000\n!\n").unwrap();
+    let output = oms()
+        .arg("apply-deltas")
+        .arg(&graph)
+        .arg(&deltas)
+        .args(["--k", "2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: graph error: ") && stderr.contains("next fresh one, 3"),
+        "{stderr}"
+    );
 }
 
 /// A reader that goes away (`oms … | head -1`) is nothing the program did

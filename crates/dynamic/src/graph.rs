@@ -18,18 +18,60 @@
 //! * Every mutation validates its preconditions and fails with a typed
 //!   [`GraphError`] — a delta stream that inserts an existing edge or
 //!   touches a dead node is corrupt and must not be half-applied.
+//!
+//! # Layout: one pooled slab
+//!
+//! The graph is one `O(n + m)` copy: every adjacency list is a *span* of
+//! two pools indexed alike, neighbour ids and the aligned edge weights
+//! (unit weights are stored, as [`CsrGraph`] stores them), and each id owns
+//! one 16-byte span `{ start, len, cap }`. [`DynamicGraph::from_stream`]
+//! appends each streamed list at the pool's tail with `cap = len`, so the
+//! pools hold exactly the entries the stream delivered.
+//!
+//! * An insert into a span with room writes at `start + len`. A full span
+//!   grows to `len + 1 + len/8`: in place when it ends at the pool's tail,
+//!   else by moving to the tail, which abandons its old slots.
+//! * A delete swap-removes inside the span, so every list keeps the order
+//!   a `Vec` with `push` / `swap_remove` would give it (the order repair
+//!   visits neighbours in). A deleted node abandons its whole span.
+//! * Once the abandoned slots exceed 1/8 of the pool, the live spans slide
+//!   to the front in pool order, each keeping its `cap`, and the pool is
+//!   truncated: compaction needs no second pool.
 
 use oms_graph::{
     CsrGraph, EdgeWeight, GraphError, NodeId, NodeStream, NodeWeight, Result, StreamedNode,
 };
+use std::ops::Range;
 
-/// A mutable graph under churn: adjacency lists plus live/dead marks.
+/// One id's slice of the pools: `len` live entries from `start`, room for
+/// `cap`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    fn live(self) -> Range<usize> {
+        self.start..self.start + self.len as usize
+    }
+}
+
+/// A mutable graph under churn: one pooled adjacency slab plus live/dead
+/// marks. Each id owns a span of two pools (neighbour ids, edge weights); a
+/// full span grows to `len + 1 + len/8`, in place at the pool's tail or by
+/// moving there, and the pools compact in place once more than 1/8 of them
+/// is abandoned. The docs of the `graph` module give the details.
 ///
 /// See the [crate docs](crate) for the id-space conventions.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicGraph {
-    nbrs: Vec<Vec<NodeId>>,
-    wts: Vec<Vec<EdgeWeight>>,
+    spans: Vec<Span>,
+    nbrs: Vec<NodeId>,
+    wts: Vec<EdgeWeight>,
+    /// Pool slots no span owns (left behind by moves and node deletes).
+    abandoned: usize,
     node_weights: Vec<NodeWeight>,
     alive: Vec<bool>,
     live_nodes: usize,
@@ -47,26 +89,43 @@ impl DynamicGraph {
         DynamicGraph::default()
     }
 
-    /// Materialises the current state of `stream` (one full pass). Every
-    /// streamed node starts live.
+    /// Materialises the current state of `stream` (one full pass) into the
+    /// slab. Every streamed node starts live.
     pub fn from_stream(stream: &mut dyn NodeStream) -> Result<Self> {
         let n = stream.num_nodes();
         let mut g = DynamicGraph {
-            nbrs: vec![Vec::new(); n],
-            wts: vec![Vec::new(); n],
+            spans: vec![Span::default(); n],
             node_weights: vec![0; n],
             alive: vec![true; n],
             live_nodes: n,
             live_edges: stream.num_edges(),
             total_weight: stream.total_node_weight(),
+            ..DynamicGraph::default()
         };
+        let mut too_long = None;
         stream.reset()?;
         stream.for_each_node(&mut |node| {
             let v = node.node as usize;
+            let Ok(len) = u32::try_from(node.neighbors.len()) else {
+                too_long.get_or_insert(node.node);
+                return;
+            };
             g.node_weights[v] = node.weight;
-            g.nbrs[v] = node.neighbors.to_vec();
-            g.wts[v] = node.edge_weights.to_vec();
+            // An empty list owns no slots and keeps the default span, which
+            // compaction never has to move.
+            if len > 0 {
+                g.spans[v] = Span {
+                    start: g.nbrs.len(),
+                    len,
+                    cap: len,
+                };
+            }
+            g.nbrs.extend_from_slice(node.neighbors);
+            g.wts.extend_from_slice(node.edge_weights);
         })?;
+        if let Some(v) = too_long {
+            return Err(invalid(format!("node {v} has 2^32 or more neighbors")));
+        }
         Ok(g)
     }
 
@@ -79,7 +138,7 @@ impl DynamicGraph {
     /// Size of the id space (live and dead ids). Assignment arrays over this
     /// graph must have exactly this length.
     pub fn id_space(&self) -> usize {
-        self.nbrs.len()
+        self.spans.len()
     }
 
     /// Number of live nodes.
@@ -109,29 +168,33 @@ impl DynamicGraph {
 
     /// Degree of node `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.nbrs.get(v as usize).map_or(0, Vec::len)
+        self.spans
+            .get(v as usize)
+            .map_or(0, |span| span.len as usize)
     }
 
     /// Adjacency of `v`: neighbor ids and the aligned edge weights.
     pub fn neighbors(&self, v: NodeId) -> (&[NodeId], &[EdgeWeight]) {
-        (&self.nbrs[v as usize], &self.wts[v as usize])
+        let live = self.spans[v as usize].live();
+        (&self.nbrs[live.clone()], &self.wts[live])
     }
 
     /// The [`StreamedNode`] view of live node `v`.
     pub fn streamed(&self, v: NodeId) -> StreamedNode<'_> {
+        let (neighbors, edge_weights) = self.neighbors(v);
         StreamedNode {
             node: v,
             weight: self.node_weights[v as usize],
-            neighbors: &self.nbrs[v as usize],
-            edge_weights: &self.wts[v as usize],
+            neighbors,
+            edge_weights,
         }
     }
 
     /// Whether the live edge `{u, v}` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.nbrs
+        self.spans
             .get(u as usize)
-            .is_some_and(|list| list.contains(&v))
+            .is_some_and(|span| self.nbrs[span.live()].contains(&v))
     }
 
     fn require_alive(&self, v: NodeId) -> Result<()> {
@@ -160,19 +223,89 @@ impl DynamicGraph {
         if self.has_edge(u, v) {
             return Err(invalid(format!("edge {u}-{v} already exists")));
         }
-        self.nbrs[u as usize].push(v);
-        self.wts[u as usize].push(w);
-        self.nbrs[v as usize].push(u);
-        self.wts[v as usize].push(w);
+        self.push(u, v, w);
+        self.push(v, u, w);
         self.live_edges += 1;
         Ok(())
     }
 
+    /// Appends `(to, w)` to `from`'s list, growing its span when full.
+    fn push(&mut self, from: NodeId, to: NodeId, w: EdgeWeight) {
+        let slot = from as usize;
+        if self.spans[slot].len == self.spans[slot].cap {
+            self.grow(slot);
+        }
+        let span = &mut self.spans[slot];
+        let at = span.start + span.len as usize;
+        span.len += 1;
+        self.nbrs[at] = to;
+        self.wts[at] = w;
+    }
+
+    /// Gives the full span of `slot` room for `len + 1 + len/8` entries: in
+    /// place at the pool's tail, else by moving it there.
+    fn grow(&mut self, slot: usize) {
+        let Span { start, len, cap } = self.spans[slot];
+        let new_cap = u32::try_from(len as usize + 1 + len as usize / 8).unwrap_or(u32::MAX);
+        let tail = self.nbrs.len();
+        if start + cap as usize == tail {
+            self.nbrs.resize(start + new_cap as usize, 0);
+            self.wts.resize(start + new_cap as usize, 0);
+            self.spans[slot].cap = new_cap;
+            return;
+        }
+        self.nbrs.extend_from_within(start..start + len as usize);
+        self.wts.extend_from_within(start..start + len as usize);
+        self.nbrs.resize(tail + new_cap as usize, 0);
+        self.wts.resize(tail + new_cap as usize, 0);
+        self.spans[slot] = Span {
+            start: tail,
+            len,
+            cap: new_cap,
+        };
+        self.abandon(cap as usize);
+    }
+
+    /// Records `slots` more abandoned pool slots and compacts the pool once
+    /// they exceed 1/8 of it.
+    fn abandon(&mut self, slots: usize) {
+        self.abandoned += slots;
+        if self.abandoned * 8 > self.nbrs.len() {
+            self.compact();
+        }
+    }
+
+    /// Slides every span with room to the front, in pool order, keeping its
+    /// `cap`; the pool then holds no abandoned slot.
+    fn compact(&mut self) {
+        let mut order: Vec<NodeId> = (0..self.spans.len() as NodeId)
+            .filter(|&v| self.spans[v as usize].cap > 0)
+            .collect();
+        order.sort_unstable_by_key(|&v| self.spans[v as usize].start);
+        let mut to = 0;
+        for v in order {
+            let span = &mut self.spans[v as usize];
+            let live = span.live();
+            span.start = to;
+            to += span.cap as usize;
+            self.nbrs.copy_within(live.clone(), span.start);
+            self.wts.copy_within(live, span.start);
+        }
+        self.nbrs.truncate(to);
+        self.wts.truncate(to);
+        self.abandoned = 0;
+    }
+
+    /// Swap-removes `to` from `from`'s list, returning the edge's weight.
     fn detach(&mut self, from: NodeId, to: NodeId) -> Option<EdgeWeight> {
-        let list = &mut self.nbrs[from as usize];
-        let pos = list.iter().position(|&x| x == to)?;
-        list.swap_remove(pos);
-        Some(self.wts[from as usize].swap_remove(pos))
+        let live = self.spans[from as usize].live();
+        let pos = live.start + self.nbrs[live.clone()].iter().position(|&x| x == to)?;
+        let last = live.end - 1;
+        let w = self.wts[pos];
+        self.nbrs[pos] = self.nbrs[last];
+        self.wts[pos] = self.wts[last];
+        self.spans[from as usize].len -= 1;
+        Some(w)
     }
 
     /// Deletes the undirected edge `{u, v}`, returning its weight.
@@ -188,22 +321,29 @@ impl DynamicGraph {
         Ok(w)
     }
 
-    /// Inserts node `id` with `weight`, growing the id space if needed.
-    /// Ids skipped by the growth stay dead. Re-inserting a previously
-    /// deleted id revives it as a fresh isolated node.
+    /// Inserts node `id` with `weight`: either a dead id, which is revived
+    /// as a fresh isolated node, or exactly [`DynamicGraph::id_space`],
+    /// which grows the id space by one. Any larger id is an error — it would
+    /// size every per-id column from one line of the delta trace.
     pub fn insert_node(&mut self, id: NodeId, weight: NodeWeight) -> Result<()> {
         if weight == 0 {
             return Err(invalid(format!("zero-weight node {id}")));
         }
         let slot = id as usize;
-        if slot < self.alive.len() && self.alive[slot] {
+        if slot < self.id_space() && self.alive[slot] {
             return Err(invalid(format!("node {id} is already alive")));
         }
-        if slot >= self.alive.len() {
-            self.nbrs.resize_with(slot + 1, Vec::new);
-            self.wts.resize_with(slot + 1, Vec::new);
-            self.node_weights.resize(slot + 1, 0);
-            self.alive.resize(slot + 1, false);
+        if slot > self.id_space() {
+            return Err(invalid(format!(
+                "node insert {id} skips ids: a new node must revive a dead id or take the \
+                 next fresh one, {}",
+                self.id_space()
+            )));
+        }
+        if slot == self.id_space() {
+            self.spans.push(Span::default());
+            self.node_weights.push(0);
+            self.alive.push(false);
         }
         self.alive[slot] = true;
         self.node_weights[slot] = weight;
@@ -212,29 +352,37 @@ impl DynamicGraph {
         Ok(())
     }
 
-    /// Deletes node `id` with all incident edges; returns the removed
-    /// `(neighbor, edge weight)` pairs so the caller can adjust derived
-    /// state (cut, boundary) before the adjacency is gone.
-    pub fn delete_node(&mut self, id: NodeId) -> Result<Vec<(NodeId, EdgeWeight)>> {
+    /// Deletes node `id` with all incident edges. `removed` is cleared and
+    /// receives the removed `(neighbor, edge weight)` pairs, in list order,
+    /// so the caller can adjust derived state (cut, boundary) — into a
+    /// buffer it reuses from delete to delete.
+    pub fn delete_node(
+        &mut self,
+        id: NodeId,
+        removed: &mut Vec<(NodeId, EdgeWeight)>,
+    ) -> Result<()> {
         self.require_alive(id)?;
         let slot = id as usize;
-        let removed: Vec<(NodeId, EdgeWeight)> = self.nbrs[slot]
-            .iter()
-            .copied()
-            .zip(self.wts[slot].iter().copied())
-            .collect();
-        for &(nbr, _) in &removed {
+        let span = self.spans[slot];
+        removed.clear();
+        removed.extend(
+            self.nbrs[span.live()]
+                .iter()
+                .copied()
+                .zip(self.wts[span.live()].iter().copied()),
+        );
+        for &(nbr, _) in removed.iter() {
             self.detach(nbr, id)
                 .expect("adjacency lists out of sync (edge present on one side only)");
         }
-        self.nbrs[slot].clear();
-        self.wts[slot].clear();
+        self.spans[slot] = Span::default();
         self.live_edges -= removed.len();
         self.total_weight -= self.node_weights[slot];
         self.node_weights[slot] = 0;
         self.alive[slot] = false;
         self.live_nodes -= 1;
-        Ok(removed)
+        self.abandon(span.cap as usize);
+        Ok(())
     }
 }
 
@@ -254,14 +402,9 @@ impl NodeStream for DynamicGraph {
     }
 
     fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
-        for v in 0..self.nbrs.len() {
+        for v in 0..self.id_space() {
             if self.alive[v] {
-                f(StreamedNode {
-                    node: v as NodeId,
-                    weight: self.node_weights[v],
-                    neighbors: &self.nbrs[v],
-                    edge_weights: &self.wts[v],
-                });
+                f(self.streamed(v as NodeId));
             }
         }
         Ok(())
@@ -271,6 +414,8 @@ impl NodeStream for DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn path3() -> DynamicGraph {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
@@ -286,6 +431,8 @@ mod tests {
         assert_eq!(g.live_weight(), 3);
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
+        // The pools hold exactly the streamed entries.
+        assert_eq!((g.nbrs.len(), g.wts.len()), (4, 4));
     }
 
     #[test]
@@ -307,20 +454,26 @@ mod tests {
     #[test]
     fn node_churn_grows_id_space_and_keeps_dead_ids() {
         let mut g = path3();
-        g.insert_node(5, 4).unwrap();
-        assert_eq!(g.id_space(), 6);
+        g.insert_node(3, 4).unwrap();
+        assert_eq!(g.id_space(), 4);
         assert_eq!(g.num_live_nodes(), 4);
-        assert!(!g.is_alive(4)); // skipped id stays dead
         assert_eq!(g.live_weight(), 7);
-        g.insert_edge(5, 1, 2).unwrap();
+        g.insert_edge(3, 1, 2).unwrap();
+        // An id past the next fresh one would skip ids: refused, and the id
+        // space stays as it was.
+        let err = g.insert_node(5, 1).unwrap_err().to_string();
+        assert!(err.contains("next fresh one, 4"), "{err}");
+        assert!(g.insert_node(4_000_000_000, 1).is_err());
+        assert_eq!(g.id_space(), 4);
 
-        let removed = g.delete_node(1).unwrap();
-        assert_eq!(removed.len(), 3); // edges to 0, 2, 5
+        let mut removed = Vec::new();
+        g.delete_node(1, &mut removed).unwrap();
+        assert_eq!(removed, vec![(0, 1), (2, 1), (3, 2)]);
         assert_eq!(g.num_live_edges(), 0);
         assert_eq!(g.num_live_nodes(), 3);
-        assert_eq!(g.id_space(), 6); // ids never disappear
+        assert_eq!(g.id_space(), 4); // ids never disappear
         assert!(g.insert_edge(0, 1, 1).is_err()); // dead endpoint
-        assert!(g.delete_node(1).is_err()); // already dead
+        assert!(g.delete_node(1, &mut removed).is_err()); // already dead
 
         // A deleted id can be revived as a fresh node.
         g.insert_node(1, 9).unwrap();
@@ -331,10 +484,158 @@ mod tests {
     #[test]
     fn streaming_skips_dead_nodes() {
         let mut g = path3();
-        g.delete_node(1).unwrap();
+        g.delete_node(1, &mut Vec::new()).unwrap();
         let mut seen = Vec::new();
         g.for_each_node(&mut |node| seen.push(node.node)).unwrap();
         assert_eq!(seen, vec![0, 2]);
         assert_eq!(g.num_nodes(), 3); // id space, not live count
+    }
+
+    /// An empty list owns no slots: a node streamed isolated after every
+    /// other list must stay readable and growable once compaction has
+    /// truncated the pool below where it was streamed.
+    #[test]
+    fn an_isolated_node_streamed_last_survives_compaction() {
+        let csr = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2)]).unwrap();
+        let mut g = DynamicGraph::from_graph(&csr);
+        g.delete_node(0, &mut Vec::new()).unwrap(); // 2 of 6 slots abandoned
+        assert_eq!(g.nbrs.len(), 4, "compacted");
+        assert_eq!(g.neighbors(3), (&[][..], &[][..]));
+        g.insert_edge(3, 1, 7).unwrap();
+        assert_eq!(g.neighbors(3), (&[1][..], &[7][..]));
+        assert_eq!(g.neighbors(1), (&[2, 3][..], &[1, 7][..]));
+    }
+
+    /// The naive reference: one `Vec` per id, mutated with `push` and
+    /// `swap_remove` as the slab's lists must behave.
+    #[derive(Clone, Default)]
+    struct ModelNode {
+        alive: bool,
+        weight: NodeWeight,
+        adjacency: Vec<(NodeId, EdgeWeight)>,
+    }
+
+    fn model_detach(model: &mut [ModelNode], from: NodeId, to: NodeId) -> EdgeWeight {
+        let list = &mut model[from as usize].adjacency;
+        let pos = list.iter().position(|&(x, _)| x == to).unwrap();
+        list.swap_remove(pos).1
+    }
+
+    fn assert_matches(g: &mut DynamicGraph, model: &[ModelNode]) {
+        assert_eq!(g.id_space(), model.len());
+        for (v, node) in model.iter().enumerate() {
+            let (nbrs, wts) = g.neighbors(v as NodeId);
+            let (want_nbrs, want_wts): (Vec<NodeId>, Vec<EdgeWeight>) =
+                node.adjacency.iter().copied().unzip();
+            assert_eq!((nbrs, wts), (&want_nbrs[..], &want_wts[..]), "node {v}");
+            assert_eq!(g.is_alive(v as NodeId), node.alive, "node {v}");
+        }
+        let mut streamed = Vec::new();
+        g.for_each_node(&mut |node| {
+            let adjacency = node.neighbors_weighted().collect::<Vec<_>>();
+            streamed.push((node.node, node.weight, adjacency));
+        })
+        .unwrap();
+        let expected: Vec<_> = (0..model.len() as NodeId)
+            .zip(model)
+            .filter(|(_, node)| node.alive)
+            .map(|(v, node)| (v, node.weight, node.adjacency.clone()))
+            .collect();
+        assert_eq!(streamed, expected);
+    }
+
+    /// Seeded churn — edge inserts and deletes, node deletes, revivals and
+    /// fresh ids — on the slab and on the naive model: every list matches,
+    /// order included, after every operation, through span moves and
+    /// compactions.
+    #[test]
+    fn the_slab_matches_a_vec_per_node_model_under_churn() {
+        let n = 60;
+        let edges: Vec<(NodeId, NodeId)> = (0..n as NodeId)
+            .flat_map(|v| [(v, (v + 1) % n as NodeId), (v, (v + 7) % n as NodeId)])
+            .collect();
+        let mut g = DynamicGraph::from_graph(&CsrGraph::from_edges(n, &edges).unwrap());
+        let mut model: Vec<ModelNode> = (0..n as NodeId)
+            .map(|v| ModelNode {
+                alive: true,
+                weight: 1,
+                adjacency: g.neighbors(v).0.iter().map(|&u| (u, 1)).collect(),
+            })
+            .collect();
+        assert_matches(&mut g, &model);
+
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let (mut moves, mut compactions) = (0, 0);
+        let mut removed = Vec::new();
+        for _ in 0..6_000 {
+            let (pool, starts) = (g.nbrs.len(), g.spans.iter().map(|s| s.start).sum::<usize>());
+            let alive: Vec<NodeId> = (0..model.len() as NodeId)
+                .filter(|&v| model[v as usize].alive)
+                .collect();
+            let pick = |rng: &mut ChaCha8Rng| alive[rng.gen_range(0..alive.len())];
+            match rng.gen_range(0..20u32) {
+                0 if alive.len() > 10 => {
+                    let v = pick(&mut rng);
+                    g.delete_node(v, &mut removed).unwrap();
+                    let list = std::mem::take(&mut model[v as usize].adjacency);
+                    assert_eq!(removed, list);
+                    for &(u, _) in &list {
+                        model_detach(&mut model, u, v);
+                    }
+                    model[v as usize] = ModelNode::default();
+                }
+                1 => {
+                    let dead: Vec<usize> = (0..model.len()).filter(|&v| !model[v].alive).collect();
+                    let id = if dead.is_empty() || rng.gen_range(0..2u32) == 0 {
+                        model.len()
+                    } else {
+                        dead[rng.gen_range(0..dead.len())]
+                    };
+                    let weight = rng.gen_range(1..4u64);
+                    g.insert_node(id as NodeId, weight).unwrap();
+                    if id == model.len() {
+                        model.push(ModelNode::default());
+                    }
+                    model[id] = ModelNode {
+                        alive: true,
+                        weight,
+                        adjacency: Vec::new(),
+                    };
+                }
+                2..=8 => {
+                    let u = pick(&mut rng);
+                    let list = &model[u as usize].adjacency;
+                    if !list.is_empty() {
+                        let v = list[rng.gen_range(0..list.len())].0;
+                        let w = g.delete_edge(u, v).unwrap();
+                        assert_eq!(w, model_detach(&mut model, u, v));
+                        model_detach(&mut model, v, u);
+                    }
+                }
+                _ => {
+                    let (u, v) = (pick(&mut rng), pick(&mut rng));
+                    let w = rng.gen_range(1..5u64);
+                    let absent =
+                        u != v && !model[u as usize].adjacency.iter().any(|&(x, _)| x == v);
+                    assert_eq!(g.insert_edge(u, v, w).is_ok(), absent);
+                    if absent {
+                        model[u as usize].adjacency.push((v, w));
+                        model[v as usize].adjacency.push((u, w));
+                    }
+                }
+            }
+            if g.nbrs.len() < pool {
+                compactions += 1;
+            } else if g.spans.iter().map(|s| s.start).sum::<usize>() != starts {
+                moves += 1;
+            }
+            assert_eq!(g.wts.len(), g.nbrs.len());
+            assert!(g.abandoned * 8 <= g.nbrs.len());
+            assert_matches(&mut g, &model);
+        }
+        assert!(moves > 100, "{moves} span moves");
+        assert!(compactions >= 2, "{compactions} compactions");
+        let live: usize = model.iter().map(|node| node.adjacency.len()).sum();
+        assert_eq!(g.num_live_edges() * 2, live);
     }
 }

@@ -11,11 +11,16 @@
 //! then ingests [`DeltaBatch`](oms_graph::DeltaBatch)es of edge/node
 //! insertions and deletions:
 //!
-//! * the [`DynamicGraph`] absorbs each mutation and streams the live graph
-//!   on demand (it implements [`NodeStream`](oms_graph::NodeStream));
+//! * the [`DynamicGraph`] holds the graph once, in one pooled `O(n + m)`
+//!   adjacency slab built in a single pass straight off any
+//!   [`NodeStream`](oms_graph::NodeStream) (`oms apply-deltas` hands it the
+//!   METIS or `.oms` file itself); it absorbs each mutation and streams the
+//!   live graph on demand;
 //! * per-block loads, the boundary set and the edge cut are maintained
 //!   incrementally, and touched nodes are re-scored in place (ReFennel
-//!   steps under the live `L_max`) per the job's `repair=` policy;
+//!   steps under the live `L_max`) per the job's `repair=` policy — on
+//!   reused scratch buffers, so a warm delta allocates nothing but slab
+//!   growth;
 //! * a drift metric triggers a seeded full-restream fallback through the
 //!   multi-pass engine once the job's `drift=` threshold is exceeded;
 //! * snapshots persist the whole service state as a trailer after the
@@ -101,7 +106,7 @@ mod tests {
                 }
                 1 if alive.len() > 4 => {
                     let v = alive[rng.gen_range(0..alive.len())];
-                    graph.delete_node(v).unwrap();
+                    graph.delete_node(v, &mut Vec::new()).unwrap();
                     batch.delete_node(v);
                 }
                 2 | 3 if graph.num_live_edges() > 0 => {

@@ -36,7 +36,7 @@ use oms_core::{
 use oms_graph::io::{
     read_snapshot, write_snapshot, DiskStream, DriftCounters, PartitionSnapshot, SnapshotPass,
 };
-use oms_graph::{Delta, DeltaBatch, NodeId, NodeStream, NodeWeight};
+use oms_graph::{Delta, DeltaBatch, EdgeWeight, NodeId, NodeStream, NodeWeight};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
 
 /// Bookkeeping of one [`PartitionState::apply`] call.
@@ -79,6 +79,10 @@ pub struct PartitionState {
     trajectory: Vec<PassStats>,
     boundary: Vec<bool>,
     boundary_count: usize,
+    /// Per-delta scratch, reused so a warm delta allocates nothing: the
+    /// adjacency a node delete removed, and the cascade wave of a repair.
+    removed: Vec<(NodeId, EdgeWeight)>,
+    wave: Vec<NodeId>,
 }
 
 impl std::fmt::Debug for PartitionState {
@@ -114,9 +118,11 @@ impl PartitionState {
         Ok((objective, job.num_blocks()))
     }
 
-    /// Brings up the service: materialises `stream`, runs the initial
-    /// (re)streaming passes of `job`'s algorithm, and records the resulting
-    /// cut as the drift baseline.
+    /// Brings up the service: reads `stream` once into the graph's slab,
+    /// runs the initial (re)streaming passes of `job`'s algorithm over it —
+    /// whose first pass proves the adjacency symmetric, so a one-sided input
+    /// is a graph error here — and records the resulting cut as the drift
+    /// baseline.
     pub fn new(job: &JobSpec, stream: &mut dyn NodeStream) -> Result<Self> {
         let (objective, k) = Self::repair_objective(job)?;
         let mut graph = DynamicGraph::from_stream(stream)?;
@@ -145,6 +151,8 @@ impl PartitionState {
             trajectory: trajectory.stats,
             boundary: Vec::new(),
             boundary_count: 0,
+            removed: Vec::new(),
+            wave: Vec::new(),
         };
         state.rebuild_boundary();
         Ok(state)
@@ -302,7 +310,7 @@ impl PartitionState {
                 self.refresh_boundary(u);
                 self.refresh_boundary(v);
                 if self.policy != RepairPolicy::Off {
-                    self.repair(&[u, v], stats);
+                    self.repair([u, v], stats);
                 }
             }
             Delta::EdgeDelete { u, v } => {
@@ -314,7 +322,7 @@ impl PartitionState {
                 self.refresh_boundary(u);
                 self.refresh_boundary(v);
                 if self.policy != RepairPolicy::Off {
-                    self.repair(&[u, v], stats);
+                    self.repair([u, v], stats);
                 }
             }
             Delta::NodeInsert { node, weight } => {
@@ -328,14 +336,10 @@ impl PartitionState {
                 self.rescore_node(node, stats);
             }
             Delta::NodeDelete { node } => {
-                if !self.graph.is_alive(node) {
-                    // Delegate for the typed error; nothing was mutated.
-                    self.graph.delete_node(node)?;
-                    unreachable!("delete_node accepted a dead node");
-                }
-                let block = self.sink.assignment(node);
                 let weight = self.graph.node_weight(node);
-                let removed = self.graph.delete_node(node)?;
+                self.graph.delete_node(node, &mut self.removed)?;
+                let block = self.sink.assignment(node);
+                let removed = std::mem::take(&mut self.removed);
                 for &(nbr, w) in &removed {
                     if self.sink.assignment(nbr) != block {
                         self.cut -= w;
@@ -344,13 +348,13 @@ impl PartitionState {
                 self.sink.forget(node, weight);
                 self.retune();
                 self.refresh_boundary(node);
-                let targets: Vec<NodeId> = removed.iter().map(|&(nbr, _)| nbr).collect();
-                for &nbr in &targets {
+                for &(nbr, _) in &removed {
                     self.refresh_boundary(nbr);
                 }
                 if self.policy != RepairPolicy::Off {
-                    self.repair(&targets, stats);
+                    self.repair(removed.iter().map(|&(nbr, _)| nbr), stats);
                 }
+                self.removed = removed;
             }
         }
         Ok(())
@@ -396,9 +400,9 @@ impl PartitionState {
         stats.moved += 1;
         self.counters.moved_weight += self.graph.node_weight(v);
         self.refresh_boundary(v);
-        let nbrs: Vec<NodeId> = self.graph.neighbors(v).0.to_vec();
-        for u in nbrs {
-            self.refresh_boundary(u);
+        // Refreshing boundary flags leaves the adjacency as it is.
+        for i in 0..self.graph.degree(v) {
+            self.refresh_boundary(self.graph.neighbors(v).0[i]);
         }
         true
     }
@@ -406,9 +410,10 @@ impl PartitionState {
     /// Local repair: one ReFennel step per seed; under
     /// [`RepairPolicy::Boundary`], boundary neighbors of every moved seed
     /// form one deterministic cascade wave.
-    fn repair(&mut self, seeds: &[NodeId], stats: &mut ApplyStats) {
-        let mut wave: Vec<NodeId> = Vec::new();
-        for &v in seeds {
+    fn repair(&mut self, seeds: impl IntoIterator<Item = NodeId>, stats: &mut ApplyStats) {
+        let mut wave = std::mem::take(&mut self.wave);
+        wave.clear();
+        for v in seeds {
             let moved = self.rescore_node(v, stats);
             if moved && self.policy == RepairPolicy::Boundary {
                 wave.extend_from_slice(self.graph.neighbors(v).0);
@@ -416,11 +421,12 @@ impl PartitionState {
         }
         wave.sort_unstable();
         wave.dedup();
-        for u in wave {
+        for &u in &wave {
             if self.boundary.get(u as usize).copied().unwrap_or(false) {
                 self.rescore_node(u, stats);
             }
         }
+        self.wave = wave;
     }
 
     // ------------------------------------------------------------ boundary
@@ -580,6 +586,7 @@ impl PartitionState {
             )));
         }
         let mut graph = DynamicGraph::from_stream(stream)?;
+        let mut removed = Vec::new();
         let mut remaining = snap.counters.deltas_applied;
         let mut cursor = TraceCursor {
             batch: trace.len(),
@@ -591,7 +598,7 @@ impl PartitionState {
                     cursor = TraceCursor { batch: bi, op };
                     break 'outer;
                 }
-                Self::replay_delta(&mut graph, batch.get(op))?;
+                Self::replay_delta(&mut graph, batch.get(op), &mut removed)?;
                 remaining -= 1;
             }
         }
@@ -653,6 +660,8 @@ impl PartitionState {
             trajectory,
             boundary: Vec::new(),
             boundary_count: 0,
+            removed: Vec::new(),
+            wave: Vec::new(),
         };
         state.retune();
         state.rebuild_boundary();
@@ -674,16 +683,18 @@ impl PartitionState {
 
     /// Replays one delta as a pure graph mutation (resume path: the
     /// partition state comes from the snapshot, not from repair).
-    fn replay_delta(graph: &mut DynamicGraph, delta: Delta) -> Result<()> {
+    fn replay_delta(
+        graph: &mut DynamicGraph,
+        delta: Delta,
+        removed: &mut Vec<(NodeId, EdgeWeight)>,
+    ) -> Result<()> {
         match delta {
             Delta::EdgeInsert { u, v, w } => graph.insert_edge(u, v, w)?,
             Delta::EdgeDelete { u, v } => {
                 graph.delete_edge(u, v)?;
             }
             Delta::NodeInsert { node, weight } => graph.insert_node(node, weight)?,
-            Delta::NodeDelete { node } => {
-                graph.delete_node(node)?;
-            }
+            Delta::NodeDelete { node } => graph.delete_node(node, removed)?,
         }
         Ok(())
     }

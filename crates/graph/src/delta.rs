@@ -60,8 +60,9 @@ pub enum Delta {
         /// Second endpoint.
         v: NodeId,
     },
-    /// Insert node `node` with weight `weight`. The node starts isolated;
-    /// subsequent edge inserts attach it.
+    /// Insert node `node` with weight `weight`: a dead id, which is revived,
+    /// or the graph's next fresh id. The node starts isolated; subsequent
+    /// edge inserts attach it.
     NodeInsert {
         /// The new node id.
         node: NodeId,

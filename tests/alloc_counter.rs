@@ -12,6 +12,10 @@
 //! buffers. CI runs this in release, where an accidental allocation in the
 //! inlined kernel would otherwise be invisible.
 //!
+//! `oms-dynamic`'s per-delta path — edge churn with boundary repair — is held
+//! to the same rule once warm, and its set-up to an allocation count that
+//! does not depend on `n`.
+//!
 //! The same allocator tracks **live bytes** (current and peak), which turns
 //! the CLI's `O(n + batch)` working-memory claim into a test: a one-pass or
 //! multi-pass job run straight off a [`DiskStream`] or a [`MetisStream`]
@@ -19,15 +23,18 @@
 //! materialised run of the same job exceeds — report included: every pass
 //! tallies itself while it partitions, in `O(k·ℓ)` (block weights, the
 //! topology's group table, one weight per shared level) plus one bit per
-//! node, and nothing `O(m)`.
+//! node, and nothing `O(m)`. The dynamic service holds the graph once: its
+//! set-up off a [`DiskStream`] stays under a per-entry bound that loading a
+//! CSR and copying it exceeds.
 //!
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
 
 use oms::core::executor::run;
 use oms::core::{FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
+use oms::dynamic::PartitionState;
 use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
-use oms::graph::StreamedNode;
+use oms::graph::{DeltaBatch, StreamedNode};
 use oms::prelude::{erdos_renyi_gnm, planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,7 +249,78 @@ fn steady_state_scoring_is_allocation_free() {
              {bound} B"
         );
     }
+
+    // `apply-deltas` holds the graph once: `PartitionState::new` streams the
+    // file into the dynamic graph's slab, 12 B per adjacency entry in pools
+    // that grow by doubling (the allocator briefly holds a pool's old half
+    // as it doubles). Loading a CSR first and copying it — what the CLI did
+    // before — holds another 12 B per entry, which the bound has no room
+    // for.
+    let job = JobSpec::parse("fennel:32").unwrap();
+    let entries = 2 * 35 * n as u64;
+    let bound = 28 * entries + 128 * n as u64 + (4 << 20);
+    let slab = peak_live_bytes_during(|| {
+        PartitionState::new(&job, &mut DiskStream::open(&path).unwrap()).unwrap();
+    });
+    let twice = peak_live_bytes_during(|| {
+        let graph = read_stream_file(&path).unwrap();
+        PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
+    });
+    assert!(
+        slab < bound && bound < twice,
+        "PartitionState::new peaked at {slab} B off the file and at {twice} B over a loaded \
+         CSR; the one-copy bound for n = {n}, {entries} adjacency entries is {bound} B"
+    );
     std::fs::remove_file(&path).ok();
+
+    // Its set-up allocates per pool growth, not per node: one slab, no
+    // list per id.
+    let dynamic_path = std::env::temp_dir().join("oms-alloc-counter-dynamic.oms");
+    let [a_small, a_large] = [&small, &large].map(|graph| {
+        write_stream_file(graph, &dynamic_path).unwrap();
+        allocations_during(|| {
+            PartitionState::new(&job, &mut DiskStream::open(&dynamic_path).unwrap()).unwrap();
+        })
+    });
+    std::fs::remove_file(&dynamic_path).ok();
+    assert!(
+        a_large < a_small + 64,
+        "PartitionState::new: allocation count grew with n ({a_small} for n=2000, {a_large} \
+         for n=8000): a per-node allocation crept into the slab build"
+    );
+
+    // A warm batch of edge churn under `repair=boundary` — graph mutation,
+    // cut and boundary upkeep, re-scoring and the cascade wave — runs on
+    // the state's reused scratch: only a growing pool may allocate.
+    let job = JobSpec::parse("fennel:32@repair=boundary,drift=1000").unwrap();
+    let mut state = PartitionState::new(&job, &mut InMemoryStream::new(&large)).unwrap();
+    let churn = |state: &PartitionState, offset: u32| {
+        let mut batch = DeltaBatch::new();
+        let pairs: Vec<(u32, u32)> = (0..1_000u32)
+            .map(|u| (u, u + offset))
+            .filter(|&(u, v)| !state.graph().has_edge(u, v))
+            .collect();
+        for &(u, v) in &pairs {
+            batch.insert_edge(u, v, 1);
+        }
+        for &(u, v) in &pairs {
+            batch.delete_edge(u, v);
+        }
+        batch
+    };
+    let warm = churn(&state, 4_000);
+    state.apply(&warm).unwrap();
+    let batch = churn(&state, 4_001);
+    assert!(batch.len() > 1_900);
+    let allocs = allocations_during(|| {
+        state.apply(&batch).unwrap();
+    });
+    assert!(
+        allocs < 64,
+        "a warm batch of {} edge deltas allocated {allocs} times; the per-delta path must \
+         reuse its buffers",
+        batch.len()
+    );
 
     // A METIS pass sizes its read buffer and its batch once: the same jobs
     // straight off the text allocate exactly as often on a 4x bigger graph.
