@@ -892,6 +892,57 @@ fn options_the_algorithm_does_not_read_are_usage_errors() {
     }
 }
 
+/// An infinite or NaN value of a float option is refused as not finite —
+/// through `--job` and through the option's flag — not as out of range.
+#[test]
+fn non_finite_float_options_are_refused_as_not_finite() {
+    let dir = temp_dir("non-finite");
+    let graph_path = dir.join("g.metis");
+    oms()
+        .args(["generate", "grid", "100"])
+        .arg(&graph_path)
+        .output()
+        .unwrap();
+    let mut checked = 0;
+    for knob in &oms_core::knobs::KNOBS {
+        if knob.value_hint() != "<float>" {
+            continue;
+        }
+        let flag = knob.flag.expect("every float option has a flag");
+        let range = if knob.key == "drift" {
+            "positive"
+        } else {
+            "non-negative"
+        };
+        let why = format!("{} must be a finite {range} number", knob.key);
+        for value in ["inf", "-inf", "nan"] {
+            let job = format!("fennel:8@{}={value}", knob.key);
+            let by_job = ["--job", job.as_str()];
+            let by_flag = ["--k", "8", &format!("--{flag}"), value];
+            for (args, said) in [
+                (
+                    &by_job[..],
+                    format!("job option '{}={value}': {why}", knob.key),
+                ),
+                (&by_flag[..], format!("--{flag} {value}: {why}")),
+            ] {
+                let output = oms()
+                    .arg("partition")
+                    .arg(&graph_path)
+                    .args(args)
+                    .output()
+                    .unwrap();
+                let stderr = String::from_utf8_lossy(&output.stderr);
+                assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+                assert!(stderr.contains(&said), "{args:?}: {stderr}");
+                checked += 1;
+            }
+        }
+    }
+    // eps, conv, lambda, drift.
+    assert_eq!(checked, 4 * 3 * 2);
+}
+
 /// Every row of the job-option table shows up wherever the CLI describes
 /// the grammar: the usage text and the `oms algorithms` listing.
 #[test]

@@ -154,7 +154,7 @@ impl Knob {
             return Ok(());
         }
         let range = if positive { "positive" } else { "non-negative" };
-        Err(format!("{} must be {range}", self.key))
+        Err(format!("{} must be a finite {range} number", self.key))
     }
 
     /// Parses `value` and stores it in the option's field of `spec`; `Err`
@@ -336,6 +336,20 @@ mod tests {
                     msg.contains(&format!("'{}={bad}'", knob.key)),
                     "{text}: {msg}"
                 );
+            }
+            // Infinite and NaN floats are refused as not finite, not as out
+            // of range.
+            if let Field::Float { positive, .. } = knob.field {
+                let range = if positive { "positive" } else { "non-negative" };
+                for bad in ["inf", "-inf", "nan"] {
+                    assert_eq!(
+                        parse_error(&format!("fennel:8@{}={bad}", knob.key)),
+                        format!(
+                            "job option '{}={bad}': {} must be a finite {range} number",
+                            knob.key, knob.key
+                        )
+                    );
+                }
             }
         }
     }

@@ -94,12 +94,12 @@ fn peak_live_bytes_during<F: FnOnce()>(f: F) -> u64 {
 }
 
 /// Warm steady-state passes and per-delta repair steps of both flat
-/// objectives over graphs of two sizes: allocation-free, independent of `n`.
+/// objectives over graphs of two sizes, at a `k` under the kernel's wide
+/// select and at one over it: allocation-free, independent of `n`.
 #[test]
 fn steady_state_scoring_is_allocation_free() {
-    let k = 32;
     let cfg = OnePassConfig::default();
-    for n in [2_000usize, 8_000] {
+    for (k, n) in [(32, 2_000usize), (32, 8_000), (1024, 2_000), (1024, 8_000)] {
         let g = planted_partition(n, 8, 0.05, 0.005, 11);
         for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
             let mut stream = InMemoryStream::new(&g);
@@ -119,7 +119,7 @@ fn steady_state_scoring_is_allocation_free() {
             });
             assert_eq!(
                 allocs, 0,
-                "{objective:?} steady-state pass over n={n} allocated {allocs} times; \
+                "{objective:?}:{k} steady-state pass over n={n} allocated {allocs} times; \
                  the hot path must run on pre-sized buffers only"
             );
             // What `oms-dynamic` does per delta: counts shift, so `L_max`
@@ -147,10 +147,11 @@ fn steady_state_scoring_is_allocation_free() {
             });
             assert_eq!(
                 allocs, 0,
-                "{objective:?} per-delta repair steps over n={n} allocated {allocs} times"
+                "{objective:?}:{k} per-delta repair steps over n={n} allocated {allocs} times"
             );
         }
     }
+    let k = 32;
 
     // The one-shot partitioners allocate their state per call, but that
     // setup must stay O(k + n) one-time work, not O(n) *per-node* churn: a

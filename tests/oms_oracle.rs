@@ -186,19 +186,24 @@ impl NodeSink for NaiveOms<'_> {
                 let seed = self.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
                 (hash_node(node.node, seed) % children.len() as u64) as usize
             } else {
+                // One walk of the whole neighbourhood for this layer.
+                let mut connectivity = vec![0; children.len()];
+                for (u, w) in node.neighbors_weighted() {
+                    let b = self.assignments[u as usize];
+                    if b == UNASSIGNED {
+                        continue;
+                    }
+                    if let Some(child) = self.child_towards(cur, b) {
+                        connectivity[(child - children[0]) as usize] += w;
+                    }
+                }
                 let candidates: Vec<Candidate> = children
                     .iter()
-                    .map(|&child| Candidate {
+                    .zip(connectivity)
+                    .map(|(&child, connectivity)| Candidate {
                         weight: self.tree_weights[child as usize],
                         capacity: self.capacities[child as usize],
-                        connectivity: node
-                            .neighbors_weighted()
-                            .filter(|&(u, _)| {
-                                let b = self.assignments[u as usize];
-                                b != UNASSIGNED && self.child_towards(cur, b) == Some(child)
-                            })
-                            .map(|(_, w)| w)
-                            .sum(),
+                        connectivity,
                         alpha: self.alphas[child as usize],
                     })
                     .collect();
@@ -258,7 +263,9 @@ fn oracle_assignments(
 
 fn trees() -> Vec<(String, OnlineMultiSection)> {
     let mut out = Vec::new();
-    for spec in ["2:2:2", "4:16:16", "3:5"] {
+    // `2:128` and `3:101` have one level wide enough for the kernel's wide
+    // select (101 children: no multiple of its lane or probe width).
+    for spec in ["2:2:2", "4:16:16", "3:5", "2:128", "3:101"] {
         let h = HierarchySpec::parse(spec).unwrap();
         out.push((
             spec.to_string(),
@@ -332,7 +339,7 @@ fn production_kernel_matches_the_naive_descent() {
             }
         }
     }
-    assert_eq!(runs, 6 * 11 * 3 * 2 * 2);
+    assert_eq!(runs, 6 * 13 * 3 * 2 * 2);
     assert!(
         fallbacks.get() > 1_000,
         "the matrix must exercise the all-children-full fallback (fired {} times)",
@@ -410,6 +417,62 @@ fn flat_rules_match_the_naive_descent_on_the_depth_one_tree() {
         fallbacks.get() > 100,
         "ε = 0 must exercise the all-blocks-full fallback (fired {} times)",
         fallbacks.get()
+    );
+}
+
+/// The flat rules at `k` wide enough for the kernel's wide select, on graphs
+/// with `n = 8k` nodes — so most decisions are made among blocks with room,
+/// not by the all-full fallback — unit and weighted, under both objectives,
+/// one pass and three, and Fennel with `γ = 0.5` (empty blocks score `−∞`,
+/// which hands the decision back to the exact loop).
+#[test]
+fn flat_rules_match_the_naive_descent_on_wide_sibling_groups() {
+    let fallbacks = Cell::new(0u64);
+    let mut runs = 0;
+    for k in [64u32, 256, 1024] {
+        let n = 8 * k as usize;
+        let unit = erdos_renyi_gnm(n, 3 * n, u64::from(k));
+        let weighted = WeightScheme::Full.apply(&unit, 7);
+        for (graph_name, graph) in [("unit", &unit), ("weighted", &weighted)] {
+            for (scorer_name, scorer, epsilon, gamma) in [
+                ("fennel", ScorerKind::Fennel, 0.0, 1.5),
+                ("fennel", ScorerKind::Fennel, 0.03, 1.5),
+                ("fennel", ScorerKind::Fennel, 0.03, 0.5),
+                ("ldg", ScorerKind::Ldg, 0.0, 1.5),
+                ("ldg", ScorerKind::Ldg, 0.03, 1.5),
+            ] {
+                let reference = OnlineMultiSection::with_tree(
+                    MultisectionTree::flat(k, k),
+                    OmsConfig::default()
+                        .scorer(scorer)
+                        .epsilon(epsilon)
+                        .gamma(gamma),
+                );
+                let config = OnePassConfig::default().epsilon(epsilon).gamma(gamma);
+                for passes in [1usize, 3] {
+                    let expected = oracle_assignments(&reference, graph, passes, &fallbacks);
+                    let actual = match scorer {
+                        ScorerKind::Ldg => {
+                            Ldg::new(k, config).passes(passes).partition_graph(graph)
+                        }
+                        _ => Fennel::new(k, config).passes(passes).partition_graph(graph),
+                    }
+                    .unwrap();
+                    assert_eq!(
+                        actual.assignments(),
+                        &expected[..],
+                        "{graph_name} n={n} × {scorer_name}:{k} × eps={epsilon} × gamma={gamma} \
+                         × passes={passes}"
+                    );
+                    runs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 3 * 2 * 5 * 2);
+    assert!(
+        fallbacks.get() > 0,
+        "ε = 0 must reach the all-blocks-full fallback"
     );
 }
 
