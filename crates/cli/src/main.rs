@@ -319,9 +319,10 @@ fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGr
 /// choice follows from the file alone: a METIS or vertex-stream file runs
 /// straight off the file in `O(n + batch)` memory, whatever the job — one
 /// scan per pass for the five streaming algorithms, whose report is tallied
-/// while they partition (and which therefore refuse adjacency lists that are
-/// not symmetric), and one more walk for `buffered` / `multilevel` / `rms`,
-/// which are measured afterwards. `apply-deltas` reads it once, into the
+/// while they partition, and one more walk for `buffered` / `multilevel` /
+/// `rms`, which are measured afterwards. Every one of those walks proves the
+/// adjacency lists symmetric, so each job refuses a file that is not.
+/// `apply-deltas` reads it once, into the
 /// dynamic graph's one `O(n + m)` slab. An edge list does not group its
 /// edges by node, so it is materialised.
 enum Source {

@@ -1140,13 +1140,24 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, messa
     assert_graph_error(path, &commands, message);
 }
 
-/// Every streaming job — one pass or several, each tallied while it
-/// partitions, `apply-deltas`' initial run included — must refuse adjacency
-/// lists that are not symmetric. (`buffered`, `multilevel` and the
-/// materialising commands take symmetry as the stream's contract, as
-/// `collect_graph` documents, so they are not in this list.)
-fn assert_streaming_jobs_refuse_asymmetry(path: &std::path::Path) {
+/// Every way of reading `path` as a graph must refuse adjacency lists that
+/// are not symmetric: every streaming job — one pass or several, each
+/// tallied while it partitions, `apply-deltas`' initial run included —
+/// `buffered`, whose passes the measurement walk measures, and everything
+/// that materialises the graph through `collect_graph`: `multilevel`,
+/// `info`, `convert` and the vertex-cut jobs of `partition` and `replay`.
+fn assert_every_leg_refuses_asymmetry(path: &std::path::Path, convert_to: &str) {
+    let converted = path.with_extension(convert_to);
     let commands = [
+        &["partition", "--job", "buffered:2"][..],
+        &["partition", "--job", "buffered:2@passes=2"][..],
+        &["partition", "--job", "multilevel:2"][..],
+        &["partition", "--job", "multilevel:2@passes=2"][..],
+        &["info"][..],
+        &["convert", converted.to_str().unwrap()][..],
+        &["partition", "--job", "e-hash:2"][..],
+        &["partition", "--job", "e-greedy:2@passes=2"][..],
+        &["replay", "--job", "e-hash:2"][..],
         &["apply-deltas", "no.deltas", "--k", "2"][..],
         &["partition", "--job", "hashing:2"][..],
         &["partition", "--job", "ldg:2"][..],
@@ -1167,36 +1178,6 @@ fn assert_streaming_jobs_refuse_asymmetry(path: &std::path::Path) {
         ][..],
     ];
     assert_graph_error(path, &commands, "not symmetric");
-}
-
-/// The vertex-cut jobs stream each edge from its smaller endpoint's list, so
-/// a one-sided list delivers `delivered` edges where the header announced
-/// `announced`: a typed graph error, not a usage error.
-fn assert_edge_jobs_refuse_a_miscounted_edge_stream(
-    path: &std::path::Path,
-    announced: u64,
-    delivered: u64,
-) {
-    let message = format!(
-        "header implies {announced} edges (each undirected edge streamed once) but the body \
-         holds {delivered}"
-    );
-    let commands = [
-        &["partition", "--job", "e-hash:2"][..],
-        &["partition", "--job", "e-greedy:2@passes=2"][..],
-    ];
-    assert_graph_error(path, &commands, &message);
-    // `replay` prints its workload before it partitions, so only stderr and
-    // the exit code are checked here.
-    let output = oms()
-        .arg("replay")
-        .arg(path)
-        .args(["--job", "e-hash:2"])
-        .output();
-    let output = output.unwrap();
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(2), "{path:?} replay: {stderr}");
-    assert!(stderr.starts_with("error: graph error: ") && stderr.contains(&message));
 }
 
 #[test]
@@ -1254,8 +1235,7 @@ fn hostile_stream_files_are_typed_errors_not_panics_or_aborts() {
     one_sided.extend(words([2, 0, 1, 1]));
     let path = dir.join("one-sided.oms");
     std::fs::write(&path, one_sided).unwrap();
-    assert_streaming_jobs_refuse_asymmetry(&path);
-    assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 1, 2);
+    assert_every_leg_refuses_asymmetry(&path, "metis");
 }
 
 #[test]
@@ -1335,8 +1315,7 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     // entry count, and `MetisStream`'s XOR fingerprint cancels in pairs.
     let path = dir.join("four-times.metis");
     std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
-    assert_streaming_jobs_refuse_asymmetry(&path);
-    assert_edge_jobs_refuse_a_miscounted_edge_stream(&path, 2, 4);
+    assert_every_leg_refuses_asymmetry(&path, "oms");
 }
 
 /// `apply-deltas` streams a METIS or `.oms` graph into its slab and

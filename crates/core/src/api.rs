@@ -66,9 +66,10 @@
 //! ## Working memory: one scan per pass
 //!
 //! [`Partitioner::run`] needs nothing of its stream but passes over it: a
-//! streaming job holds its own `O(n)` state (the assignment array, `O(k)`
-//! loads, for a multi-pass run the best pass's assignment and one bit per
-//! node) plus one batch of the source, and a disk source bounds its batches
+//! streaming job holds its own `O(n)` state (the assignment array — one block
+//! id per node, no node weight — `O(k)` loads, one bit per node for the
+//! in-pass tally, for a multi-pass run the best pass's assignment) plus one
+//! batch of the source, and a disk source bounds its batches
 //! by adjacency entries as well as by nodes
 //! ([`oms_graph::BATCH_ENTRY_BOUND`]) — `O(n + batch)` in total, which is
 //! what lets the CLI run such jobs straight off a stream file, one pass or
@@ -83,7 +84,8 @@
 //! first pass proves that with a multiplicity-exact fingerprint and fails
 //! with a typed graph error otherwise. A job that is not a streaming pass
 //! (`buffered`, `multilevel`, `rms`) is measured afterwards by **one** more
-//! walk, [`measure`], which returns all of the above for any assignment;
+//! walk, [`measure`], which returns all of the above for any assignment and
+//! proves the symmetry it counts on as well;
 //! [`stream_edge_cut`], [`stream_mapping_cost`] and
 //! [`measure_pass`](crate::executor::measure_pass) are thin wrappers over
 //! it. Algorithms that need random access call [`materialize_stream`] and

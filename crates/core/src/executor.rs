@@ -33,9 +33,8 @@
 
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
-use crate::scorer::mix64;
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{EdgeWeight, NodeId, NodeStream, NodeWeight, StreamedNode};
+use oms_graph::{EdgeWeight, NodeId, NodeStream, NodeWeight, StreamedNode, SymmetryProof};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
 
 /// A consumer of streamed nodes: the per-algorithm scoring/assignment state
@@ -68,10 +67,20 @@ pub trait NodeSink {
     /// stats is over this many blocks).
     fn num_blocks(&self) -> u32;
 
-    /// Restores a previously observed assignment array (same length as
-    /// [`NodeSink::assignments`]), rebuilding any derived state (block or
-    /// tree weights).
-    fn restore(&mut self, assignments: &[BlockId]);
+    /// Writes the sink's current per-block loads `c(V_i)` — the
+    /// [`NodeSink::num_blocks`] weights the sink keeps in `O(k)` state
+    /// anyway — into `out`, replacing what it held.
+    fn block_weights(&self, out: &mut Vec<NodeWeight>);
+
+    /// Puts back a state the sink held before: `assignments` (as long as
+    /// [`NodeSink::assignments`]) and the per-block loads
+    /// [`NodeSink::block_weights`] reported for them then. A sink keeps one
+    /// word per node, its block id, so the loads cannot be re-summed from
+    /// node weights; everything else it derives from them (the tree weights
+    /// and penalties of the scoring kernel) is rebuilt in `O(k)`. The drive
+    /// loop's revert-on-worsen guard is the caller: it keeps the accepted
+    /// pass's loads beside its best assignment.
+    fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]);
 
     /// Whether [`NodeSink::process`] settles the streamed node's block for
     /// the rest of the pass, as every sink that places a node when it
@@ -343,7 +352,7 @@ pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
 ///   [`RestreamOptions::min_improvement`], or the cut is zero, and
 /// * reverts a pass that *worsened* the cut (restreaming is greedy and can
 ///   overshoot) through [`NodeSink::restore`], keeping the best assignment
-///   seen.
+///   seen and its `k` block loads.
 ///
 /// The tally holds on symmetric adjacency lists only, and the first pass
 /// proves that (later passes replay the same stream, see
@@ -366,6 +375,10 @@ pub fn run_restream(
 /// returns an assignment worse than the seed. Used by the in-memory
 /// algorithms whose additional passes are restreaming refinement of their
 /// one-shot solution.
+///
+/// The caller seeds `sink` with the baseline first (its assignments *are*
+/// `baseline`; debug builds assert it): the guard takes the baseline's block
+/// loads from the sink.
 pub fn run_restream_seeded(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
@@ -404,6 +417,9 @@ pub(crate) fn drive(
     };
     let commits_per_node = sink.commits_per_node();
     let mut accepted: Option<Measurement> = None;
+    // The block loads of the tracker's best assignment, overwritten in place
+    // like it: what a revert hands back to the sink.
+    let mut best_loads: Vec<NodeWeight> = Vec::new();
     // The stream starts rewound; every use after the first must rewind it
     // again.
     let mut needs_reset = false;
@@ -416,6 +432,11 @@ pub(crate) fn drive(
     };
 
     if let (Some(tracker), Some(opts), Some(seed)) = (tracker.as_mut(), opts, baseline) {
+        debug_assert!(
+            sink.assignments() == seed,
+            "a seeded run's sink must hold the baseline when the run starts"
+        );
+        sink.block_weights(&mut best_loads);
         let (edge_cut, imbalance) = match opts.seed_stats {
             Some((cut, imbalance)) => {
                 // The caller maintains the seed's cut incrementally; trust it
@@ -519,9 +540,10 @@ pub(crate) fn drive(
         let last_pass = i + 1 == passes;
         match tracker.observe(last_pass, moved, seconds, edge_cut, imbalance, assignments) {
             PassOutcome::Revert => {
-                // The pass overshot; put the best assignment back. It is the
-                // last accepted one, whose measurement is kept already.
-                sink.restore(tracker.best_assignment());
+                // The pass overshot; put the best assignment and its loads
+                // back. It is the last accepted one, whose measurement is kept
+                // already.
+                sink.restore(tracker.best_assignment(), &best_loads);
                 oms_obs::counter_add(CounterId::RestreamReverts, 1);
                 oms_obs::observe(Event::PassReverted {
                     pass: i as u32,
@@ -531,6 +553,7 @@ pub(crate) fn drive(
             }
             outcome => {
                 accepted = Some(measured);
+                sink.block_weights(&mut best_loads);
                 oms_obs::observe(Event::PassEnd {
                     pass: i as u32,
                     nodes: pass_nodes,
@@ -566,15 +589,6 @@ pub struct Measurement {
 /// The topology a measurement maps onto — hierarchy and PE distances — or
 /// `None` for a plain `k`-way report.
 pub type ReportTopology<'a> = Option<(&'a HierarchySpec, &'a DistanceSpec)>;
-
-/// Direction-independent hash of one adjacency entry (one [`mix64`] over the
-/// ordered endpoint pair and the weight): `u`'s entry for `v` and `v`'s
-/// entry for `u` hash alike exactly when their weights agree.
-#[inline]
-fn entry_hash(u: NodeId, v: NodeId, w: EdgeWeight) -> u64 {
-    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-    mix64((((lo as u64) << 32) | hi as u64) ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// Everything a report says about an assignment, tallied one node at a time:
 /// block weights for the imbalance and edge weight per *shared level* of the
@@ -696,16 +710,20 @@ impl<'a> LevelTally<'a> {
     }
 
     /// The measurement walk's step: every adjacency entry of `node` under
-    /// the finished `assignments`.
+    /// the finished `assignments`, each filed in `proof` as well.
     #[inline]
-    fn every_entry(&mut self, node: StreamedNode<'_>, assignments: &[BlockId]) {
-        let own = assignments[node.node as usize];
-        let entries = node.neighbors_weighted();
-        self.node(
-            own,
-            node.weight,
-            entries.map(|(u, w)| (assignments[u as usize], w)),
-        );
+    fn every_entry(
+        &mut self,
+        node: StreamedNode<'_>,
+        assignments: &[BlockId],
+        proof: &mut SymmetryProof,
+    ) {
+        let (this, own) = (node.node, assignments[node.node as usize]);
+        let entries = node.neighbors_weighted().map(|(u, w)| {
+            proof.walk_entry(this, u, w);
+            (assignments[u as usize], w)
+        });
+        self.node(own, node.weight, entries);
         if own == UNASSIGNED {
             for (u, w) in node.neighbors_weighted() {
                 if assignments[u as usize] == UNASSIGNED {
@@ -760,14 +778,10 @@ pub(crate) struct PassTally<'a> {
     levels: LevelTally<'a>,
     /// One bit per slot of the assignment array: processed in this pass.
     visited: Vec<u64>,
-    /// The symmetry proof: a wrapping sum of `+entry_hash` per first
-    /// sighting and `−entry_hash` per second, and the edge weight seen
-    /// either way. Unlike an XOR it counts multiplicities: an edge listed
-    /// four times from one side and never from the other does not cancel.
-    /// All three stay zero in a pass that does not prove.
-    fingerprint: u64,
-    first_sighted: EdgeWeight,
-    second_sighted: EdgeWeight,
+    /// The symmetry proof, an entry being the second sighting of its edge
+    /// when its other endpoint was visited this pass; empty in a pass that
+    /// does not prove.
+    proof: SymmetryProof,
 }
 
 impl<'a> PassTally<'a> {
@@ -777,9 +791,7 @@ impl<'a> PassTally<'a> {
         Ok(PassTally {
             levels: LevelTally::new(n, k, topology)?,
             visited: vec![0; n.div_ceil(64)],
-            fingerprint: 0,
-            first_sighted: 0,
-            second_sighted: 0,
+            proof: SymmetryProof::default(),
         })
     }
 
@@ -787,9 +799,7 @@ impl<'a> PassTally<'a> {
     fn begin_pass(&mut self) {
         self.levels.clear();
         self.visited.fill(0);
-        self.fingerprint = 0;
-        self.first_sighted = 0;
-        self.second_sighted = 0;
+        self.proof = SymmetryProof::default();
     }
 
     /// The drive loop's step, right after `node` was placed for this pass.
@@ -806,21 +816,14 @@ impl<'a> PassTally<'a> {
         let (this, own) = (node.node, assignments[node.node as usize]);
         let visited = &self.visited;
         let seen = |u: NodeId| visited[u as usize / 64] & (1 << (u % 64)) != 0;
-        let (mut fingerprint, mut first, mut second) = (0u64, 0u64, 0u64);
+        let mut sightings = SymmetryProof::default();
         let entries = node.neighbors_weighted().filter_map(|(u, w)| {
             if u == this {
                 return Some((own, w));
             }
             let placed = seen(u);
             if PROVE {
-                let hash = entry_hash(this, u, w);
-                if placed {
-                    fingerprint = fingerprint.wrapping_sub(hash);
-                    second += w;
-                } else {
-                    fingerprint = fingerprint.wrapping_add(hash);
-                    first += w;
-                }
+                sightings.sight(this, u, w, placed);
             }
             placed.then(|| (assignments[u as usize], 2 * w))
         });
@@ -837,9 +840,7 @@ impl<'a> PassTally<'a> {
             }
         }
         if PROVE {
-            self.fingerprint = self.fingerprint.wrapping_add(fingerprint);
-            self.first_sighted += first;
-            self.second_sighted += second;
+            self.proof.merge(sightings);
         }
         self.visited[this as usize / 64] |= 1 << (this % 64);
     }
@@ -848,14 +849,7 @@ impl<'a> PassTally<'a> {
     /// assumed, so a proving pass fails with a typed graph error unless
     /// every first sighting met its second.
     fn finish(&self) -> Result<Measurement> {
-        if self.fingerprint != 0 || self.first_sighted != self.second_sighted {
-            return Err(oms_graph::GraphError::Invalid(
-                "adjacency lists are not symmetric: some edge is not listed from both of its \
-                 endpoints equally often with the same weight"
-                    .into(),
-            )
-            .into());
-        }
+        self.proof.check()?;
         Ok(self.levels.finish())
     }
 }
@@ -886,9 +880,11 @@ impl<'a> PassTally<'a> {
 /// `tests/properties.rs::mapping_cost_bounds` on random hierarchies).
 ///
 /// Each undirected edge is seen from both endpoints, so the doubled sums are
-/// halved. Any `u32` is a valid entry of `assignments`: nodes without a
-/// valid block count towards no block, and an unassigned endpoint makes an
-/// edge cut whatever the other side holds.
+/// halved — which holds on symmetric adjacency lists only, so the walk proves
+/// them symmetric as it goes ([`SymmetryProof::walk_entry`]) and fails with a
+/// typed graph error otherwise. Any `u32` is a valid entry of `assignments`:
+/// nodes without a valid block count towards no block, and an unassigned
+/// endpoint makes an edge cut whatever the other side holds.
 pub fn measure(
     stream: &mut dyn NodeStream,
     assignments: &[BlockId],
@@ -906,7 +902,9 @@ pub fn measure(
         k
     };
     let mut tally = LevelTally::new(assignments.len(), k, topology)?;
-    stream.for_each_node(&mut |node| tally.every_entry(node, assignments))?;
+    let mut proof = SymmetryProof::default();
+    stream.for_each_node(&mut |node| tally.every_entry(node, assignments, &mut proof))?;
+    proof.check()?;
     Ok(tally.finish())
 }
 
@@ -949,7 +947,11 @@ mod tests {
             fn num_blocks(&self) -> u32 {
                 2
             }
-            fn restore(&mut self, assignments: &[BlockId]) {
+            /// No loads are kept.
+            fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+                out.clear();
+            }
+            fn restore(&mut self, assignments: &[BlockId], _: &[NodeWeight]) {
                 self.assignments.copy_from_slice(assignments);
             }
         }
@@ -998,12 +1000,49 @@ mod tests {
         fn num_blocks(&self) -> u32 {
             self.inner.num_blocks()
         }
-        fn restore(&mut self, assignments: &[BlockId]) {
-            self.inner.restore(assignments);
+        fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+            self.inner.block_weights(out);
+        }
+        fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+            self.inner.restore(assignments, block_weights);
         }
         fn commits_per_node(&self) -> bool {
             self.inner.commits_per_node()
         }
+    }
+
+    /// What a revert must leave in `restored`: the loads its assignment adds
+    /// up to under `graph`'s node weights, and a state from which one more
+    /// pass over `stream` places every node as it does from `fresh(assignment,
+    /// loads)`, a sink seeded with that assignment from scratch.
+    fn assert_restored_exactly<S: NodeSink>(
+        stream: &mut dyn NodeStream,
+        graph: &oms_graph::CsrGraph,
+        restored: &mut S,
+        fresh: impl FnOnce(&[BlockId], &[NodeWeight]) -> S,
+        tag: &str,
+    ) {
+        let assignments = restored.assignments().to_vec();
+        let mut recounted = vec![0; restored.num_blocks() as usize];
+        for v in graph.nodes() {
+            recounted[assignments[v as usize] as usize] += graph.node_weight(v);
+        }
+        let mut loads = Vec::new();
+        restored.block_weights(&mut loads);
+        assert_eq!(loads, recounted, "{tag}: the loads a revert restores");
+        let mut fresh = fresh(&assignments, &recounted);
+        let mut after = Vec::new();
+        for sink in [&mut *restored, &mut fresh] {
+            stream.reset().unwrap();
+            sink.begin_pass(1);
+            stream
+                .for_each_node(&mut |node| sink.process(node))
+                .unwrap();
+            sink.end_pass(1);
+            sink.block_weights(&mut loads);
+            after.push((sink.assignments().to_vec(), loads.clone()));
+        }
+        assert!(after[0] == after[1], "{tag}: a pass from the restored sink");
     }
 
     /// Places node `v` in block `(v + pass) % 3` but leaves every fifth node
@@ -1033,7 +1072,11 @@ mod tests {
         fn num_blocks(&self) -> u32 {
             3
         }
-        fn restore(&mut self, assignments: &[BlockId]) {
+        /// No loads are kept.
+        fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+            out.clear();
+        }
+        fn restore(&mut self, assignments: &[BlockId], _: &[NodeWeight]) {
             self.assignments.copy_from_slice(assignments);
         }
     }
@@ -1045,12 +1088,16 @@ mod tests {
     /// refinement behind `multilevel:…@passes=`), over every source, unit
     /// and fully weighted. The returned report is the walk over the final
     /// assignment, `J` included, and a reverted pass leaves the last
-    /// accepted one in place; at least one run of the matrix reverts.
+    /// accepted one in place. On the fully weighted graph a revert restores
+    /// the loads exactly, from the `k` the drive loop kept rather than from
+    /// node weights (see `assert_restored_exactly`): flat and tree kernels
+    /// revert there, and so does the Hashing sink, seeded with a partition
+    /// its pass can only cut worse.
     #[test]
     fn every_tracked_pass_tallies_what_the_measurement_walk_finds() {
         use crate::config::OmsConfig;
         use crate::oms::{OmsSink, OnlineMultiSection};
-        use crate::onepass::{depth_one, Hashing, StreamingPartitioner};
+        use crate::onepass::{depth_one, Fennel, Hashing, HashingSink, StreamingPartitioner};
         use crate::scorer::FlatObjective;
         use crate::{DistanceSpec, HierarchySpec, OnePassConfig};
         use oms_gen::{barabasi_albert, erdos_renyi_gnm, WeightScheme};
@@ -1096,7 +1143,11 @@ mod tests {
         ];
         let opts = RestreamOptions::new(4, 0.0);
         let mut reverts = 0;
+        // Reverts on the fully weighted graph: (flat kernel, tree kernel,
+        // Hashing sink).
+        let mut weighted_reverts = (0, 0, 0);
         for (name, graph) in &graphs {
+            let weighted = *name == "ba";
             let metis_path = dir.join(format!("{name}.graph"));
             let stream_path = dir.join(format!("{name}.oms"));
             write_metis(graph, &metis_path).unwrap();
@@ -1166,20 +1217,59 @@ mod tests {
                         assert_eq!(stats.moved, moved.count(), "{tag}, pass {}", stats.pass);
                         before.clone_from(snapshot);
                     }
+                    let last = sink.assignments().to_vec();
+                    let expected = (!accepted.is_empty()).then(|| walk(&last, topology));
+                    assert_eq!(report, expected, "{tag}: the report");
                     if sink.snapshots.len() > accepted.len() {
                         assert_eq!(sink.snapshots.len(), accepted.len() + 1, "{tag}");
                         assert_eq!(sink.assignments(), &before[..], "{tag}: reverted");
                         reverts += 1;
+                        if weighted {
+                            let fresh = |assignments: &[BlockId], loads: &[NodeWeight]| {
+                                let mut fresh = OmsSink::new(oms, n, m, weight);
+                                fresh.seed(assignments, loads);
+                                fresh
+                            };
+                            let (stream, restored) = (stream.as_mut(), &mut sink.inner);
+                            assert_restored_exactly(stream, graph, restored, fresh, &tag);
+                            match spec.starts_with("oms") {
+                                false => weighted_reverts.0 += 1,
+                                true => weighted_reverts.1 += 1,
+                            }
+                        }
                     }
-                    let last = sink.assignments().to_vec();
-                    let expected = (!accepted.is_empty()).then(|| walk(&last, topology));
-                    assert_eq!(report, expected, "{tag}: the report");
+                }
+                if weighted {
+                    // A Hashing pass over Fennel's partition cuts far more:
+                    // it reverts, and the Fennel loads come back.
+                    let fennel = Fennel::new(16, cfg).partition_graph(graph).unwrap();
+                    let seeded = |assignments: &[BlockId], loads: &[NodeWeight]| HashingSink {
+                        assignments: assignments.to_vec(),
+                        block_weights: loads.to_vec(),
+                        seed: 3,
+                    };
+                    let (assignments, loads) = (fennel.assignments(), fennel.block_weights());
+                    let mut sink = seeded(assignments, loads);
+                    stream.reset().unwrap();
+                    let stream = stream.as_mut();
+                    let (trajectory, _) =
+                        drive(stream, &mut sink, Some(&opts), Some(assignments), None).unwrap();
+                    assert_eq!(trajectory.num_passes(), 1, "hashing over {name}, {source}");
+                    assert_eq!(sink.assignments(), assignments);
+                    let tag = format!("hashing over {name}, {source}");
+                    assert_restored_exactly(stream, graph, &mut sink, seeded, &tag);
+                    weighted_reverts.2 += 1;
                 }
             }
             std::fs::remove_file(&metis_path).ok();
             std::fs::remove_file(&stream_path).ok();
         }
         assert!(reverts > 0, "no run of the matrix reverted a pass");
+        let (flat, tree, hashing) = weighted_reverts;
+        assert!(
+            flat > 0 && tree > 0 && hashing > 0,
+            "reverts on the weighted graph: {flat} flat, {tree} tree, {hashing} hashing"
+        );
 
         // Unassigned nodes, and an id space larger than the stream.
         let graph = erdos_renyi_gnm(120, 600, 5);

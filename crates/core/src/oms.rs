@@ -240,12 +240,15 @@ const PROBE: usize = 8;
 /// driver, and is what [`RepairSink`](crate::RepairSink) re-scores single
 /// nodes on. Every streamed node's previous assignment (if it has one: a
 /// later pass, or a seeded run) is removed along its whole tree path before
-/// the descent is re-run.
+/// the descent is re-run, with the weight the stream hands over again.
+///
+/// Per node the kernel keeps one word, the block id; everything else is
+/// `O(k)`. The leaves' tree weights are the block loads, so a revert, a seed
+/// and the final [`Partition`] all come from them.
 pub(crate) struct OmsSink {
     tree: MultisectionTree,
     config: OmsConfig,
     assignments: Vec<BlockId>,
-    node_weights: Vec<NodeWeight>,
     /// Weight of every tree node (block or sub-block; the root's is the
     /// total assigned weight). Lemma 1: `O(k)` many.
     tree_weights: Vec<NodeWeight>,
@@ -302,7 +305,6 @@ impl OmsSink {
         let mut sink = OmsSink {
             config: oms.config,
             assignments: vec![UNASSIGNED; n],
-            node_weights: vec![0; n],
             tree_weights: vec![0; nodes],
             capacities: vec![0; nodes],
             alphas: vec![0.0; nodes],
@@ -325,8 +327,11 @@ impl OmsSink {
         sink
     }
 
+    /// The partition the kernel holds; every node must be assigned.
     pub(crate) fn into_partition(self) -> Partition {
-        Partition::from_assignments(self.tree.num_blocks(), self.assignments, &self.node_weights)
+        let mut loads = Vec::new();
+        NodeSink::block_weights(&self, &mut loads);
+        Partition::from_block_weights(self.tree.num_blocks(), self.assignments, loads)
     }
 
     /// Where the `k` blocks sit in the per-tree-node arrays when the leaves
@@ -338,8 +343,9 @@ impl OmsSink {
         first..first + self.tree.num_blocks() as usize
     }
 
-    /// Current per-block loads of a depth-1 (or single-block) tree.
-    pub(crate) fn block_weights(&self) -> &[NodeWeight] {
+    /// Current per-block loads of a depth-1 (or single-block) tree, in
+    /// place.
+    pub(crate) fn flat_loads(&self) -> &[NodeWeight] {
         &self.tree_weights[self.blocks()]
     }
 
@@ -354,18 +360,12 @@ impl OmsSink {
         &self.base[self.blocks()]
     }
 
-    /// Extends the id space to `n` nodes; new slots start unassigned with
-    /// weight 0. Never shrinks.
+    /// Extends the id space to `n` nodes; new slots start unassigned. Never
+    /// shrinks.
     pub(crate) fn grow(&mut self, n: usize) {
         if n > self.assignments.len() {
             self.assignments.resize(n, UNASSIGNED);
-            self.node_weights.resize(n, 0);
         }
-    }
-
-    /// Records the weight of a node that is not assigned (yet, or any more).
-    pub(crate) fn set_node_weight(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
-        self.node_weights[node as usize] = weight;
     }
 
     /// Derives every tree node's capacity `t·L_max` and Fennel `α` from the
@@ -444,24 +444,42 @@ impl OmsSink {
     }
 
     /// Adopts an existing partition given by its assignments and per-block
-    /// loads (refinement). The per-node weights fill in as the first pass
-    /// streams them; [`OmsSink::unassign`] takes the weight from the
-    /// streamed node, so they are not needed up front.
+    /// loads: a refinement's seed, or a revert. `O(k·ℓ)` beside the copy of
+    /// the assignments — [`OmsSink::unassign`] takes a node's weight from the
+    /// streamed node, so no per-node weight is needed.
     pub(crate) fn seed(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+        let loads = block_weights.iter().enumerate();
+        self.reload(
+            assignments,
+            loads.map(|(b, &weight)| (b as BlockId, weight)),
+        );
+    }
+
+    /// Adopts an existing partition whose node weights are known (one entry
+    /// per id-space slot): each assigned node's weight is folded into its
+    /// block's path as it is read.
+    pub(crate) fn adopt(&mut self, assignments: &[BlockId], node_weights: &[NodeWeight]) {
+        let placed = assignments
+            .iter()
+            .copied()
+            .zip(node_weights.iter().copied());
+        self.reload(assignments, placed.filter(|&(b, _)| b != UNASSIGNED));
+    }
+
+    /// Takes `assignments` and rebuilds every tree-node weight from
+    /// `(block, weight)` pairs, then every load term, headroom and penalty.
+    fn reload(
+        &mut self,
+        assignments: &[BlockId],
+        loads: impl Iterator<Item = (BlockId, NodeWeight)>,
+    ) {
         self.assignments.copy_from_slice(assignments);
         self.tree_weights.fill(0);
-        for (b, &weight) in block_weights.iter().enumerate() {
-            self.add_along_path(b as BlockId, weight);
+        for (b, weight) in loads {
+            self.add_along_path(b, weight);
         }
         self.refresh_terms();
         self.rebase();
-    }
-
-    /// Adopts an existing partition whose node weights are known: the
-    /// tree-node weights are rebuilt from both.
-    pub(crate) fn adopt(&mut self, assignments: &[BlockId], node_weights: &[NodeWeight]) {
-        self.node_weights.copy_from_slice(node_weights);
-        self.restore(assignments);
     }
 
     /// Unassigns `node` (if assigned) and routes it down the tree against
@@ -525,7 +543,6 @@ impl OmsSink {
             self.tree_weights[cur as usize] += node.weight;
         }
         self.assignments[node.node as usize] = self.tree.leaf_block_or_unassigned(cur);
-        self.node_weights[node.node as usize] = node.weight;
     }
 
     /// The max-score feasible child among the sibling group starting at
@@ -846,20 +863,17 @@ impl NodeSink for OmsSink {
         self.tree.num_blocks()
     }
 
-    /// Replaces the assignment array and rebuilds every tree-node weight
-    /// along the blocks' paths from the recorded node weights (the
-    /// executor's revert-on-worsen guard, and adopting a partition whose
-    /// node weights are known).
-    fn restore(&mut self, assignments: &[BlockId]) {
-        self.assignments.copy_from_slice(assignments);
-        self.tree_weights.fill(0);
-        for v in 0..self.assignments.len() {
-            if self.assignments[v] != UNASSIGNED {
-                self.add_along_path(self.assignments[v], self.node_weights[v]);
-            }
-        }
-        self.refresh_terms();
-        self.rebase();
+    /// The leaves' tree weights, in block order.
+    fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+        let leaves = (0..self.tree.num_blocks()).map(|b| self.tree.leaf_of_block(b));
+        out.clear();
+        out.extend(leaves.map(|leaf| self.tree_weights[leaf as usize]));
+    }
+
+    /// [`OmsSink::seed`]: the tree-node weights are rebuilt along the blocks'
+    /// paths from the `k` loads.
+    fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+        self.seed(assignments, block_weights);
     }
 }
 
@@ -1301,9 +1315,9 @@ mod tests {
         for width in WIDTHS {
             for (objective, scorer) in OBJECTIVES {
                 let n = 4 * width as usize;
-                let node_weights: Vec<NodeWeight> = (0..n)
+                let node_weights = (0..n)
                     .map(|_| rng.pick(&[1, 1, 1, 1, 2, 0, F64_EXACT - 1, F64_EXACT]))
-                    .collect();
+                    .collect::<Vec<NodeWeight>>();
                 let adjacency: Vec<(Vec<u32>, Vec<EdgeWeight>)> = (0..n)
                     .map(|_| {
                         let degree = rng.draw() % 9;

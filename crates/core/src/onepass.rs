@@ -124,16 +124,14 @@ pub(crate) fn run_flat(
 ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
     let Some(objective) = rule else {
         check_k(k)?;
-        let n = stream.num_nodes();
         let mut sink = HashingSink {
-            assignments: vec![UNASSIGNED; n],
-            node_weights: vec![0; n],
-            k: k as u64,
+            assignments: vec![UNASSIGNED; stream.num_nodes()],
+            block_weights: vec![0; k as usize],
             seed: config.seed,
         };
         let (trajectory, measured) =
             crate::restream::run(stream, &mut sink, passes, convergence, report)?;
-        let partition = Partition::from_assignments(k, sink.assignments, &sink.node_weights);
+        let partition = Partition::from_block_weights(k, sink.assignments, sink.block_weights);
         return Ok((partition, trajectory, measured));
     };
     depth_one(k, config, objective)?
@@ -231,19 +229,26 @@ flat_baseline!(
     "refennel"
 );
 
-/// The Hashing algorithm as a [`NodeSink`]: stateless per node, no scoring.
+/// The Hashing algorithm as a [`NodeSink`]: no scoring, one block id per
+/// node and the `k` block loads.
 pub(crate) struct HashingSink {
     pub(crate) assignments: Vec<BlockId>,
-    pub(crate) node_weights: Vec<NodeWeight>,
-    pub(crate) k: u64,
+    pub(crate) block_weights: Vec<NodeWeight>,
     pub(crate) seed: u64,
 }
 
 impl NodeSink for HashingSink {
+    /// Hashes the node into its block, moving its weight there from the
+    /// block a previous pass (or a seed) put it in.
     fn process(&mut self, node: oms_graph::StreamedNode<'_>) {
-        self.assignments[node.node as usize] =
-            (hash_node(node.node, self.seed) % self.k) as BlockId;
-        self.node_weights[node.node as usize] = node.weight;
+        let k = self.block_weights.len() as u64;
+        let block = (hash_node(node.node, self.seed) % k) as BlockId;
+        let slot = &mut self.assignments[node.node as usize];
+        if *slot != UNASSIGNED {
+            self.block_weights[*slot as usize] -= node.weight;
+        }
+        self.block_weights[block as usize] += node.weight;
+        *slot = block;
     }
 
     fn assignments(&self) -> &[BlockId] {
@@ -251,11 +256,16 @@ impl NodeSink for HashingSink {
     }
 
     fn num_blocks(&self) -> u32 {
-        self.k as u32
+        self.block_weights.len() as u32
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) {
+    fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+        out.clone_from(&self.block_weights);
+    }
+
+    fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
         self.assignments.copy_from_slice(assignments);
+        self.block_weights.copy_from_slice(block_weights);
     }
 }
 
@@ -328,17 +338,10 @@ impl RepairSink {
         self.kernel.rescore(node)
     }
 
-    /// Records a node that joined the graph with `weight` but has not been
-    /// scored yet (its slot must exist, see [`RepairSink::grow`]).
-    pub fn admit(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
-        self.kernel.set_node_weight(node, weight);
-    }
-
-    /// Removes `node` from its block (node deletion); its slot stays
-    /// allocated but unassigned.
+    /// Removes `node`, of weight `weight`, from its block (node deletion);
+    /// its slot stays allocated but unassigned.
     pub fn forget(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
         self.kernel.unassign(node, weight);
-        self.kernel.set_node_weight(node, 0);
     }
 
     /// The block of one node.
@@ -348,7 +351,7 @@ impl RepairSink {
 
     /// Current per-block loads.
     pub fn block_weights(&self) -> &[NodeWeight] {
-        self.kernel.block_weights()
+        self.kernel.flat_loads()
     }
 
     /// The balance limit `L_max` currently enforced.
@@ -383,8 +386,12 @@ impl NodeSink for RepairSink {
         self.kernel.num_blocks()
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) {
-        self.kernel.restore(assignments);
+    fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+        NodeSink::block_weights(&self.kernel, out);
+    }
+
+    fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+        self.kernel.restore(assignments, block_weights);
     }
 }
 
@@ -561,7 +568,6 @@ mod tests {
             );
             sink.retune(9, g.num_edges() - 4, 9);
             assert_eq!(sink.capacity(), Partition::capacity(9, 1, cfg.epsilon));
-            sink.admit(3, 1);
             let block = sink.rescore(oms_graph::StreamedNode {
                 node: 3,
                 weight: 1,

@@ -49,6 +49,33 @@ impl Partition {
         }
     }
 
+    /// Creates a partition from raw assignments and the block weights `c(V_i)`
+    /// they add up to — what a sink that keeps one block id per node and its
+    /// loads in `O(k)` state hands over without a walk over node weights.
+    /// The caller vouches for the loads; [`Partition::validate`] checks them
+    /// against node weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_weights` does not hold `k` loads, and in debug builds
+    /// if an assignment is `≥ k`.
+    pub fn from_block_weights(
+        k: u32,
+        assignments: Vec<BlockId>,
+        block_weights: Vec<NodeWeight>,
+    ) -> Self {
+        assert_eq!(block_weights.len(), k as usize, "one load per block");
+        debug_assert!(
+            assignments.iter().all(|&b| b < k),
+            "every node assigned to a block below k = {k}"
+        );
+        Partition {
+            k,
+            assignments,
+            block_weights,
+        }
+    }
+
     /// Creates a partition for a graph with unit node weights.
     pub fn from_assignments_unit(k: u32, assignments: Vec<BlockId>) -> Self {
         let weights = vec![1; assignments.len()];

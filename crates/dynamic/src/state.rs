@@ -329,7 +329,6 @@ impl PartitionState {
                 self.graph.insert_node(node, weight)?;
                 self.sink.grow(self.graph.id_space());
                 self.boundary.resize(self.graph.id_space(), false);
-                self.sink.admit(node, weight);
                 self.retune();
                 // A new node must be placed even under `repair=off` — an
                 // unassigned live node would leave the partition invalid.

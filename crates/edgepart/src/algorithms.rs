@@ -612,6 +612,52 @@ mod tests {
         }
     }
 
+    /// Node 0 lists node 1 twice and node 1 lists nobody, under a header of
+    /// one edge: the edge view streams each edge from its smaller endpoint,
+    /// so it delivers two.
+    struct OneSided;
+
+    impl oms_graph::NodeStream for OneSided {
+        fn num_nodes(&self) -> usize {
+            2
+        }
+        fn num_edges(&self) -> usize {
+            1
+        }
+        fn total_node_weight(&self) -> u64 {
+            2
+        }
+        fn for_each_node(
+            &mut self,
+            f: &mut dyn FnMut(oms_graph::StreamedNode<'_>),
+        ) -> oms_graph::Result<()> {
+            let lists: [&[u32]; 2] = [&[1, 1], &[]];
+            for (node, neighbors) in (0..).zip(lists) {
+                let edge_weights = &[1, 1][..neighbors.len()];
+                f(oms_graph::StreamedNode {
+                    node,
+                    weight: 1,
+                    neighbors,
+                    edge_weights,
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_edge_stream_longer_than_its_header_is_a_typed_error() {
+        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
+            let err = StreamingEdgePartitioner::new(kind, 2)
+                .partition_edges(&mut EdgesOf(OneSided))
+                .unwrap_err()
+                .to_string();
+            let expected = "header implies 1 edges (each undirected edge streamed once) but the \
+                            body holds 2";
+            assert!(err.contains(expected), "{kind:?}: {err}");
+        }
+    }
+
     #[test]
     fn deterministic_per_seed() {
         let g = star_plus_path();

@@ -135,6 +135,15 @@ impl NodeBatch {
         }
     }
 
+    /// Makes room for `entries` more adjacency entries in both adjacency
+    /// columns, exactly: a decoder that knows the size of every batch before
+    /// it decodes one grows the columns to the largest batch it has seen,
+    /// never to twice a smaller one.
+    pub(crate) fn reserve_entries_exact(&mut self, entries: usize) {
+        self.neighbors.reserve_exact(entries);
+        self.edge_weights.reserve_exact(entries);
+    }
+
     /// Pads the edge-weight column with unit weights up to the neighbor
     /// column's length (decode of a file without edge weights).
     pub(crate) fn unit_fill_edge_weights(&mut self) {

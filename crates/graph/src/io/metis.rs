@@ -43,7 +43,7 @@
 
 use crate::batch::NodeBatch;
 use crate::stream::{
-    collect_graph, NodeStream, StreamedNode, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
+    collect_graph, mix64, NodeStream, StreamedNode, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
 };
 use crate::{CsrGraph, EdgeWeight, GraphError, NodeId, NodeWeight, Result};
 use std::fs::File;
@@ -228,16 +228,6 @@ fn is_blank(b: u8) -> bool {
 #[inline]
 fn is_delimiter(b: u8) -> bool {
     b == b'\n' || is_blank(b)
-}
-
-/// SplitMix64's finaliser.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Direction-independent hash of one adjacency entry: `u`'s entry for `v`

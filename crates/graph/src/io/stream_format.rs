@@ -40,13 +40,14 @@
 //!
 //! ## Working memory and hostile headers
 //!
-//! A pass holds one [`NodeBatch`] plus a byte scratch of the same order,
-//! and a batch closes at `batch_size` nodes or [`BATCH_ENTRY_BOUND`]
-//! adjacency entries, so a pass runs in `O(batch)` memory whatever the
-//! degree distribution — with the consumer's own `O(n)` state that is the
+//! A pass holds one [`NodeBatch`] plus a fixed 64 KiB staging buffer, and a
+//! batch closes at `batch_size` nodes or [`BATCH_ENTRY_BOUND`] adjacency
+//! entries, so a pass runs in `O(batch)` memory whatever the degree
+//! distribution — with the consumer's own `O(n)` state that is the
 //! `O(n + batch)` contract of the CLI's one-pass jobs. The body is decoded
-//! column-wise: one `read_exact` per column per batch, straight from the
-//! file into the scratch, and a bulk little-endian copy into the batch.
+//! column-wise: each column of a batch is read from the file in chunks of at
+//! most 64 KiB into the staging buffer, and each chunk is decoded into the
+//! batch by a bulk little-endian copy as it lands.
 //!
 //! Nothing is sized from a count the file has not backed: the header's `n`
 //! and `m` fix the length of the body, and [`DiskStream::open`] rejects a
@@ -488,16 +489,19 @@ fn check_neighbor_range(neighbors: &[NodeId], num_nodes: usize) -> Result<()> {
     })
 }
 
+/// Bytes of the one staging buffer a pass reads every column through: a
+/// multiple of both value widths, so no value straddles two reads.
+const STAGING_BYTES: usize = 1 << 16;
+
 /// The decode state of one pass: one independent sequential cursor per
-/// section, one `read_exact` per batch per column. Decode is a
-/// little-endian widening copy into the batch's SoA columns — no per-node
-/// field dispatch, no per-value reads.
+/// section. Decode is a little-endian widening copy into the batch's SoA
+/// columns — no per-node field dispatch, no per-value reads.
 ///
-/// The bulk columns are read from the file straight into the scratch (a
-/// buffer in between would only hold a second copy of a read that is
-/// already batch-sized); the degrees cursor is buffered because a batch
-/// that closes on the entry bound hands its unused degrees back with a
-/// seek inside that buffer.
+/// Every column is read through one fixed [`STAGING_BYTES`] buffer, in
+/// chunks of at most its size, and decoded chunk by chunk into the batch:
+/// the bytes of a batch are never held whole beside its decoded columns. The
+/// degrees cursor is buffered as well, because a batch that closes on the
+/// entry bound hands its unused degrees back with a seek inside that buffer.
 struct SectionedReader {
     degrees: BufReader<File>,
     node_weights: Option<File>,
@@ -510,7 +514,7 @@ struct SectionedReader {
     next_node: usize,
     edge_entries: u64,
     weight_sum: NodeWeight,
-    scratch_bytes: Vec<u8>,
+    staging: Vec<u8>,
     scratch_degrees: Vec<u32>,
 }
 
@@ -565,23 +569,28 @@ impl SectionedReader {
             next_node: 0,
             edge_entries: 0,
             weight_sum: 0,
-            scratch_bytes: Vec::new(),
+            staging: vec![0; STAGING_BYTES],
             scratch_degrees: Vec::new(),
         })
     }
 
-    /// Reads exactly `len` bytes from `reader` into the front of `scratch`
-    /// (grown on demand, never shrunk) and returns them.
-    fn read_column<'a>(
+    /// Reads exactly `len` bytes from `reader` through `staging`, handing
+    /// each chunk of at most `staging.len()` bytes to `decode` as it lands.
+    fn read_column(
         reader: &mut impl Read,
-        scratch: &'a mut Vec<u8>,
+        staging: &mut [u8],
         len: usize,
-    ) -> std::io::Result<&'a [u8]> {
-        if scratch.len() < len {
-            scratch.resize(len, 0);
+        mut decode: impl FnMut(&[u8]),
+    ) -> std::io::Result<()> {
+        let mut left = len;
+        while left > 0 {
+            let size = left.min(staging.len());
+            let chunk = &mut staging[..size];
+            reader.read_exact(chunk)?;
+            decode(chunk);
+            left -= chunk.len();
         }
-        reader.read_exact(&mut scratch[..len])?;
-        Ok(&scratch[..len])
+        Ok(())
     }
 
     /// Clears `batch` and refills it with decoded nodes until it holds
@@ -597,10 +606,12 @@ impl SectionedReader {
             // Degrees column → ids + CSR offsets. The batch takes degrees
             // until it reaches the entry bound; the rest go back to the
             // cursor (a seek within its buffer).
-            let bytes = Self::read_column(&mut self.degrees, &mut self.scratch_bytes, 4 * wanted)
-                .map_err(truncated)?;
             self.scratch_degrees.clear();
-            decode_u32s(bytes, &mut self.scratch_degrees);
+            let degrees = &mut self.scratch_degrees;
+            Self::read_column(&mut self.degrees, &mut self.staging, 4 * wanted, |bytes| {
+                decode_u32s(bytes, degrees)
+            })
+            .map_err(truncated)?;
             let (mut count, mut batch_entries) = (0, 0u64);
             while count < wanted && batch_entries < BATCH_ENTRY_BOUND as u64 {
                 batch_entries += self.scratch_degrees[count] as u64;
@@ -621,12 +632,15 @@ impl SectionedReader {
             }
             batch.extend_ids_sequential(self.next_node as NodeId, count);
             batch.extend_offsets_from_degrees(&self.scratch_degrees);
+            batch.reserve_entries_exact(batch_entries as usize);
 
             // Node-weight column.
             if let Some(reader) = self.node_weights.as_mut() {
-                let bytes = Self::read_column(reader, &mut self.scratch_bytes, 8 * count)
-                    .map_err(truncated)?;
-                decode_u64s(bytes, batch.weights_vec_mut());
+                let weights = batch.weights_vec_mut();
+                Self::read_column(reader, &mut self.staging, 8 * count, |bytes| {
+                    decode_u64s(bytes, weights)
+                })
+                .map_err(truncated)?;
                 let weights = &batch.weights_vec_mut()[..];
                 let mut sum = self.weight_sum;
                 for (i, &w) in weights.iter().enumerate() {
@@ -658,20 +672,23 @@ impl SectionedReader {
 
             // Neighbor column.
             let batch_entries = batch_entries as usize;
-            let bytes = Self::read_column(
+            let neighbors = batch.neighbors_vec_mut();
+            Self::read_column(
                 &mut self.neighbors,
-                &mut self.scratch_bytes,
+                &mut self.staging,
                 4 * batch_entries,
+                |bytes| decode_u32s(bytes, neighbors),
             )
             .map_err(truncated)?;
-            decode_u32s(bytes, batch.neighbors_vec_mut());
             check_neighbor_range(batch.neighbors_vec_mut(), self.expected_nodes)?;
 
             // Edge-weight column.
             if let Some(reader) = self.edge_weights.as_mut() {
-                let bytes = Self::read_column(reader, &mut self.scratch_bytes, 8 * batch_entries)
-                    .map_err(truncated)?;
-                decode_u64s(bytes, batch.edge_weights_vec_mut());
+                let edge_weights = batch.edge_weights_vec_mut();
+                Self::read_column(reader, &mut self.staging, 8 * batch_entries, |bytes| {
+                    decode_u64s(bytes, edge_weights)
+                })
+                .map_err(truncated)?;
                 let ews = &batch.edge_weights_vec_mut()[..];
                 if let Some(j) = ews.iter().position(|&w| w == 0) {
                     // Walk the degree prefix sums only on the error path to

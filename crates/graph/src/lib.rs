@@ -52,7 +52,8 @@ pub use delta::{
 pub use edge_stream::{EdgeBatch, EdgeStream, EdgesOf, StreamedEdge, DEFAULT_EDGE_BATCH_SIZE};
 pub use ordering::NodeOrdering;
 pub use stream::{
-    collect_graph, InMemoryStream, NodeStream, StreamedNode, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
+    collect_graph, InMemoryStream, NodeStream, StreamedNode, SymmetryProof, BATCH_ENTRY_BOUND,
+    DEFAULT_BATCH_SIZE,
 };
 
 /// Identifier of a node. Graphs in this project are laptop-scale (tens of

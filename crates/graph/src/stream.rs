@@ -14,15 +14,18 @@
 //!
 //! ## Working memory
 //!
-//! A consumer of a [`NodeStream`] holds `O(n)` state of its own (the
-//! assignment array) plus **one batch** of the source. A disk source closes
-//! a batch at `batch_size` nodes *or* once it holds [`BATCH_ENTRY_BOUND`]
-//! adjacency entries, whichever comes first, so a batch is at most
-//! `BATCH_ENTRY_BOUND + Δ` entries however the degrees are distributed
-//! (RMAT-style inputs keep their hubs at the low ids: bounded by node count
-//! alone, the first 4096-node batch of a scale-18 RMAT is ≈ 14 MiB). That is
-//! the `O(n + batch)` contract the CLI's one-pass jobs run under.
-//! [`collect_graph`] is the one place that trades it for a whole
+//! A consumer of a [`NodeStream`] holds `O(n)` state of its own — for the
+//! sinks of `oms-core`, the assignment array: one 4-byte block id per node,
+//! every weight a node carries being handed over again by the stream — plus
+//! **one batch** of the source and the fixed buffer a file source reads
+//! through (64 KiB for the vertex-stream format, 1 MiB for METIS text). A
+//! disk source closes a batch at `batch_size` nodes *or* once it holds
+//! [`BATCH_ENTRY_BOUND`] adjacency entries, whichever comes first, so a
+//! batch is at most `BATCH_ENTRY_BOUND + Δ` entries however the degrees are
+//! distributed (RMAT-style inputs keep their hubs at the low ids: bounded by
+//! node count alone, the first 4096-node batch of a scale-18 RMAT is
+//! ≈ 14 MiB). That is the `O(n + batch)` contract the CLI's one-pass jobs
+//! run under. [`collect_graph`] is the one place that trades it for a whole
 //! [`CsrGraph`].
 
 use crate::batch::NodeBatch;
@@ -222,6 +225,96 @@ fn batches_from_graph(
     }
 }
 
+/// SplitMix64's finaliser: a bijective 64-bit mixer.
+#[inline]
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The proof that a pass over adjacency lists saw every edge listed from both
+/// of its endpoints equally often with the same weight — what a walk that
+/// counts each undirected edge once per endpoint, and halves, relies on.
+///
+/// Every non-loop entry is filed either as the *first* or as the *second*
+/// sighting of its edge, by a rule that gives the two endpoints' entries of a
+/// symmetric edge opposite sides: a wrapping sum adds a direction-independent
+/// hash of the endpoints and the weight for a first sighting and subtracts it
+/// for a second, and the entry weights seen either way are summed. Unlike an
+/// XOR the sum counts multiplicities: an edge listed four times from one side
+/// and never from the other does not cancel. Two rules are in use:
+///
+/// * [`SymmetryProof::sight`] takes the side from the caller — `oms-core`'s
+///   in-pass tally files an entry as the second sighting when its other
+///   endpoint was visited earlier in the pass;
+/// * [`SymmetryProof::walk_entry`] needs no state per node: the entry from
+///   the endpoint with the larger id is the second sighting. [`collect_graph`]
+///   and `oms-core`'s measurement walk prove with it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SymmetryProof {
+    fingerprint: u64,
+    first: EdgeWeight,
+    second: EdgeWeight,
+}
+
+/// Direction-independent hash of one adjacency entry (one [`mix64`] over the
+/// ordered endpoint pair and the weight): `u`'s entry for `v` and `v`'s entry
+/// for `u` hash alike exactly when their weights agree.
+#[inline]
+fn entry_hash(u: NodeId, v: NodeId, w: EdgeWeight) -> u64 {
+    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+    mix64((((lo as u64) << 32) | hi as u64) ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+impl SymmetryProof {
+    /// Files `this`'s entry for `other` (weight `w`) as the `second` sighting
+    /// of its edge, or as the first.
+    #[inline(always)]
+    pub fn sight(&mut self, this: NodeId, other: NodeId, w: EdgeWeight, second: bool) {
+        let hash = entry_hash(this, other, w);
+        if second {
+            self.fingerprint = self.fingerprint.wrapping_sub(hash);
+            self.second = self.second.wrapping_add(w);
+        } else {
+            self.fingerprint = self.fingerprint.wrapping_add(hash);
+            self.first = self.first.wrapping_add(w);
+        }
+    }
+
+    /// Files `this`'s entry for `other` by id order (see the type docs); a
+    /// self-loop entry is nobody's sighting.
+    #[inline(always)]
+    pub fn walk_entry(&mut self, this: NodeId, other: NodeId, w: EdgeWeight) {
+        if other != this {
+            self.sight(this, other, w, other < this);
+        }
+    }
+
+    /// Adds the sightings of `other` (one node's, accumulated apart).
+    #[inline(always)]
+    pub fn merge(&mut self, other: SymmetryProof) {
+        self.fingerprint = self.fingerprint.wrapping_add(other.fingerprint);
+        self.first = self.first.wrapping_add(other.first);
+        self.second = self.second.wrapping_add(other.second);
+    }
+
+    /// A typed [`GraphError::Invalid`] unless every first sighting met its
+    /// second.
+    pub fn check(&self) -> Result<()> {
+        if self.fingerprint != 0 || self.first != self.second {
+            return Err(GraphError::Invalid(
+                "adjacency lists are not symmetric: some edge is not listed from both of its \
+                 endpoints equally often with the same weight"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Collects one pass of `stream` into a [`CsrGraph`] — the single
 /// materialisation path behind `read_stream_file`, `read_metis` and
 /// `oms-core`'s `materialize_stream`.
@@ -230,10 +323,11 @@ fn batches_from_graph(
 /// are appended as they arrive. A stream that delivers its nodes out of id
 /// order, or skips ids (a dynamic graph's dead nodes, which become isolated
 /// unit-weight nodes), pays one extra scatter copy at the end. Neighbor ids
-/// are range-checked; the symmetry of the adjacency lists is the stream's
-/// contract and is not re-verified here (`MetisStream` checks an XOR
-/// fingerprint per pass; the one consumer whose answer depends on it, the
-/// in-pass report tally of `oms-core`'s one-pass jobs, proves it for itself).
+/// are range-checked, and the pass proves the adjacency lists symmetric
+/// ([`SymmetryProof::walk_entry`]): a [`CsrGraph`] counts each undirected
+/// edge once per endpoint, so a list that holds an edge its other endpoint
+/// does not list would become a graph whose edge count, cut and output files
+/// are wrong. Such a stream is a typed [`GraphError::Invalid`].
 pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     let n = stream.num_nodes();
     let entries = 2 * stream.num_edges();
@@ -243,12 +337,16 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     xadj.push(0);
     let mut adjncy: Vec<NodeId> = Vec::with_capacity(entries);
     let mut eweights: Vec<EdgeWeight> = Vec::with_capacity(entries);
+    let mut proof = SymmetryProof::default();
     stream.for_each_node(&mut |node| {
         ids.push(node.node);
         nweights.push(node.weight);
         adjncy.extend_from_slice(node.neighbors);
         eweights.extend_from_slice(node.edge_weights);
         xadj.push(adjncy.len());
+        for (u, w) in node.neighbors_weighted() {
+            proof.walk_entry(node.node, u, w);
+        }
     })?;
     let out_of_range = |node: NodeId| GraphError::NodeOutOfRange {
         node: node as u64,
@@ -258,6 +356,7 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
         return Err(out_of_range(u));
     }
     if ids.len() == n && ids.iter().enumerate().all(|(i, &v)| v as usize == i) {
+        proof.check()?;
         return Ok(CsrGraph::from_csr_unchecked(
             xadj, adjncy, eweights, nweights,
         ));
@@ -272,6 +371,7 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
         }
         *slot = i;
     }
+    proof.check()?;
     let mut sorted_xadj = Vec::with_capacity(n + 1);
     sorted_xadj.push(0);
     let mut sorted_adjncy = Vec::with_capacity(adjncy.len());
@@ -538,17 +638,14 @@ mod tests {
 
     #[test]
     fn collect_graph_fills_skipped_ids_with_isolated_unit_nodes() {
-        // An id that is never streamed (a dynamic graph's dead node) comes
-        // out isolated with unit weight, wherever it sits in the id range.
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let collected = collect_graph(&mut Wrapper(InMemoryStream::new(&g), Some(4))).unwrap();
-        assert_eq!(collected, g);
-        let skipped_middle = collect_graph(&mut Wrapper(InMemoryStream::new(&g), Some(0)));
-        let skipped_middle = skipped_middle.unwrap();
-        assert_eq!(skipped_middle.num_nodes(), 5);
-        assert_eq!(skipped_middle.degree(0), 0);
-        assert_eq!(skipped_middle.node_weight(0), 1);
-        assert_eq!(skipped_middle.neighbors(2), g.neighbors(2));
+        // An id that is never streamed (a dynamic graph's dead node, which
+        // no live node lists) comes out isolated with unit weight, wherever
+        // it sits in the id range.
+        let g = CsrGraph::from_edges(6, &[(1, 3), (3, 4), (4, 1)]).unwrap();
+        for skipped in [0, 2, 5] {
+            let stream = &mut Wrapper(InMemoryStream::new(&g), Some(skipped));
+            assert_eq!(collect_graph(stream).unwrap(), g, "node {skipped} skipped");
+        }
     }
 
     #[test]
@@ -585,6 +682,59 @@ mod tests {
         }
         let twice = collect_graph(&mut Bogus(vec![(1, vec![0]), (1, vec![0])])).unwrap_err();
         assert!(matches!(twice, GraphError::Invalid(_)), "{twice}");
+    }
+
+    /// A hand-written stream of adjacency lists, in id order.
+    struct Lists(Vec<Vec<(NodeId, EdgeWeight)>>);
+
+    impl NodeStream for Lists {
+        fn num_nodes(&self) -> usize {
+            self.0.len()
+        }
+        fn num_edges(&self) -> usize {
+            self.0.iter().map(Vec::len).sum::<usize>() / 2
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.0.len() as NodeWeight
+        }
+        fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
+            for (v, list) in self.0.iter().enumerate() {
+                let (neighbors, edge_weights): (Vec<_>, Vec<_>) = list.iter().copied().unzip();
+                f(StreamedNode {
+                    node: v as NodeId,
+                    weight: 1,
+                    neighbors: &neighbors,
+                    edge_weights: &edge_weights,
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn collect_graph_refuses_adjacency_lists_that_are_not_symmetric() {
+        let one_sided: [Vec<Vec<(NodeId, EdgeWeight)>>; 4] = [
+            // Node 0 lists node 1 twice, node 1 lists nobody.
+            vec![vec![(1, 1), (1, 1)], vec![]],
+            // Four times from one side: an XOR of the entries cancels.
+            vec![vec![(1, 1); 4], vec![], vec![]],
+            vec![vec![(1, 2)], vec![(0, 3)]],
+            vec![vec![(1, 1), (1, 1), (2, 1)], vec![(0, 1)], vec![(0, 1)]],
+        ];
+        for lists in one_sided {
+            let err = collect_graph(&mut Lists(lists.clone())).unwrap_err();
+            let refused =
+                matches!(err, GraphError::Invalid(ref msg) if msg.contains("not symmetric"));
+            assert!(refused, "{lists:?}: {err}");
+        }
+        // Multi-edges listed equally often from both sides, with their
+        // weights, and self-loop entries are symmetric.
+        let symmetric = vec![
+            vec![(1, 2), (1, 5), (0, 4)],
+            vec![(0, 5), (2, 1), (0, 2)],
+            vec![(1, 1)],
+        ];
+        assert!(collect_graph(&mut Lists(symmetric)).is_ok());
     }
 
     #[test]

@@ -112,12 +112,26 @@ impl BufferedMultilevel {
                 "the number of blocks k must be positive".into(),
             ));
         }
+        let mut sink = self.sink(stream);
+        let opts = RestreamOptions::new(self.passes, self.convergence);
+        let trajectory = executor::run_restream(stream, &mut sink, &opts)?;
+        if let Some(e) = sink.error {
+            return Err(e);
+        }
+        let state = sink.state;
+        Ok((
+            Partition::from_block_weights(self.k, state.assignments, state.block_weights),
+            trajectory,
+        ))
+    }
+
+    /// A fresh sink for `stream`: every node unassigned, every block empty.
+    fn sink(&self, stream: &dyn NodeStream) -> BufferedSink<'_> {
         let n = stream.num_nodes();
-        let mut sink = BufferedSink {
+        BufferedSink {
             algorithm: self,
             state: CommitState {
                 assignments: vec![UNASSIGNED; n],
-                node_weights: vec![0; n],
                 block_weights: vec![0; self.k as usize],
                 capacity: Partition::capacity(
                     stream.total_node_weight(),
@@ -131,17 +145,7 @@ impl BufferedMultilevel {
             restreaming: false,
             batch: 0,
             error: None,
-        };
-        let opts = RestreamOptions::new(self.passes, self.convergence);
-        let trajectory = executor::run_restream(stream, &mut sink, &opts)?;
-        if let Some(e) = sink.error {
-            return Err(e);
         }
-        let state = sink.state;
-        Ok((
-            Partition::from_assignments(self.k, state.assignments, &state.node_weights),
-            trajectory,
-        ))
     }
 
     /// Solves one batch (steps 2–4 of the module-level recipe). In a
@@ -166,11 +170,13 @@ impl BufferedMultilevel {
         if restreaming {
             // Release the whole batch from its previous blocks before
             // re-deciding: the re-commit must see block weights without the
-            // batch, or full blocks could never be re-entered (or left).
+            // batch, or full blocks could never be re-entered (or left). A
+            // pass replays the stream, so the weight streamed now is the one
+            // committed then.
             for node in batch.iter() {
                 let b = state.assignments[node.node as usize];
                 if b != UNASSIGNED {
-                    state.block_weights[b as usize] -= state.node_weights[node.node as usize];
+                    state.block_weights[b as usize] -= node.weight;
                     state.assignments[node.node as usize] = UNASSIGNED;
                 }
             }
@@ -237,9 +243,7 @@ impl BufferedMultilevel {
             let chosen = state.choose_block(&conn[mb * k..(mb + 1) * k], mb_weight[mb]);
             state.block_weights[chosen] += mb_weight[mb];
             for &i in &members[mb] {
-                let node = batch.get(i);
-                state.assignments[node.node as usize] = chosen as BlockId;
-                state.node_weights[node.node as usize] = node.weight;
+                state.assignments[batch.get(i).node as usize] = chosen as BlockId;
             }
         }
         Ok(())
@@ -311,8 +315,13 @@ impl NodeSink for BufferedSink<'_> {
         self.algorithm.k
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) {
-        self.state.restore(assignments);
+    fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+        out.clone_from(&self.state.block_weights);
+    }
+
+    fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+        self.state.assignments.copy_from_slice(assignments);
+        self.state.block_weights.copy_from_slice(block_weights);
     }
 
     /// A node's block is decided when its batch commits, not when it is
@@ -322,10 +331,10 @@ impl NodeSink for BufferedSink<'_> {
     }
 }
 
-/// Global assignment state shared by all batches.
+/// Global assignment state shared by all batches: one block id per node and
+/// the `k` block loads.
 struct CommitState {
     assignments: Vec<BlockId>,
-    node_weights: Vec<NodeWeight>,
     block_weights: Vec<NodeWeight>,
     capacity: NodeWeight,
     alpha: f64,
@@ -359,18 +368,6 @@ impl CommitState {
             }
         }
         best.map(|(gb, _, _)| gb).unwrap_or(fallback)
-    }
-
-    /// Rolls the state back to a previously observed assignment (the
-    /// engine's revert-on-worsen guard), rebuilding the block weights.
-    fn restore(&mut self, assignments: &[BlockId]) {
-        self.assignments.copy_from_slice(assignments);
-        self.block_weights.fill(0);
-        for (v, &b) in self.assignments.iter().enumerate() {
-            if b != UNASSIGNED {
-                self.block_weights[b as usize] += self.node_weights[v];
-            }
-        }
     }
 }
 
@@ -467,6 +464,70 @@ mod tests {
         assert!(buffered(0, 64, 0)
             .partition(&mut InMemoryStream::new(&g))
             .is_err());
+    }
+
+    /// A reverted pass puts back the loads of the last accepted one from the
+    /// `k` the drive loop kept: they are what the restored assignment adds
+    /// up to under the graph's node weights, and one more pass from the
+    /// restored sink commits every batch as it does from a sink seeded with
+    /// that assignment and those loads from scratch.
+    #[test]
+    fn a_revert_restores_the_accepted_loads_exactly() {
+        /// Counts the passes the engine runs.
+        struct Passes<'a>(BufferedSink<'a>, usize);
+        impl NodeSink for Passes<'_> {
+            fn begin_pass(&mut self, pass: usize) {
+                self.1 += 1;
+                self.0.begin_pass(pass);
+            }
+            fn process(&mut self, node: StreamedNode<'_>) {
+                self.0.process(node);
+            }
+            fn end_pass(&mut self, pass: usize) {
+                self.0.end_pass(pass);
+            }
+            fn assignments(&self) -> &[BlockId] {
+                self.0.assignments()
+            }
+            fn num_blocks(&self) -> u32 {
+                self.0.num_blocks()
+            }
+            fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+                self.0.block_weights(out);
+            }
+            fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
+                self.0.restore(assignments, block_weights);
+            }
+            fn commits_per_node(&self) -> bool {
+                self.0.commits_per_node()
+            }
+        }
+        let graph = oms_gen::WeightScheme::Full.apply(&oms_gen::erdos_renyi_gnm(300, 900, 0), 9);
+        let algorithm = buffered(8, 32, 0).passes(4);
+        let mut stream = InMemoryStream::new(&graph);
+        let mut sink = Passes(algorithm.sink(&stream), 0);
+        let opts = RestreamOptions::new(4, 0.0);
+        let trajectory = executor::run_restream(&mut stream, &mut sink, &opts).unwrap();
+        let accepted = trajectory.num_passes();
+        assert!(accepted > 1 && sink.1 == accepted + 1, "{trajectory:?}");
+
+        let restored = &mut sink.0;
+        let mut recounted = vec![0; 8];
+        for v in graph.nodes() {
+            recounted[restored.assignments()[v as usize] as usize] += graph.node_weight(v);
+        }
+        assert_eq!(restored.state.block_weights, recounted);
+        let mut fresh = algorithm.sink(&stream);
+        fresh.restore(restored.assignments(), &recounted);
+        for sink in [&mut *restored, &mut fresh] {
+            sink.begin_pass(accepted);
+            stream
+                .for_each_node(&mut |node| sink.process(node))
+                .unwrap();
+            sink.end_pass(accepted);
+        }
+        assert_eq!(restored.assignments(), fresh.assignments());
+        assert_eq!(restored.state.block_weights, fresh.state.block_weights);
     }
 
     #[test]

@@ -748,9 +748,12 @@ fn multi_pass_reports_and_trajectories_equal_the_measurement_walk() {
 /// graph error from every streaming job, never a wrong report. A one-pass
 /// job tallies only when a report is asked for; a multi-pass run tallies
 /// every pass for its own verdicts, so `partition()` refuses such a stream
-/// too.
+/// too. So do `buffered`, whose passes the measurement walk measures, and
+/// `multilevel`, which materialises the stream through `collect_graph`:
+/// both walks prove the symmetry they count on.
 #[test]
 fn one_pass_reports_refuse_adjacency_lists_that_are_not_symmetric() {
+    register_multilevel_algorithms();
     let cases: [(&str, &[Adjacency<'_>]); 5] = [
         ("one side only", &[&[(1, 1)], &[]]),
         // What an XOR fingerprint cannot see: the hashes cancel in pairs.
@@ -777,6 +780,10 @@ fn one_pass_reports_refuse_adjacency_lists_that_are_not_symmetric() {
             "oms:2:2@dist=1:10",
             "fennel:2@passes=2",
             "oms:2:2@passes=3,dist=1:10",
+            "buffered:2",
+            "buffered:2@passes=2",
+            "multilevel:2",
+            "multilevel:2@passes=2",
         ] {
             let partitioner = JobSpec::parse(spec).unwrap().build().unwrap();
             let refused = |err: oms::core::PartitionError| {
@@ -788,7 +795,10 @@ fn one_pass_reports_refuse_adjacency_lists_that_are_not_symmetric() {
             let err = partitioner.run(&mut Listed::new(lists)).unwrap_err();
             assert!(refused(err), "{what}, {spec}: run");
             let partitioned = partitioner.partition(&mut Listed::new(lists));
-            if spec.contains("passes=") {
+            let walks_anyway = ["buffered", "multilevel"]
+                .iter()
+                .any(|a| spec.starts_with(a));
+            if spec.contains("passes=") || walks_anyway {
                 assert!(partitioned.is_err_and(refused), "{what}, {spec}: partition");
             } else {
                 // Nobody asked for a report: nothing is tallied, nothing

@@ -229,7 +229,16 @@ impl NodeSink for NaiveOms<'_> {
         self.tree.num_blocks()
     }
 
-    fn restore(&mut self, assignments: &[BlockId]) {
+    fn block_weights(&self, out: &mut Vec<NodeWeight>) {
+        let leaves = (0..self.tree.num_blocks()).map(|b| self.tree.leaf_of_block(b));
+        *out = leaves
+            .map(|leaf| self.tree_weights[leaf as usize])
+            .collect();
+    }
+
+    /// Re-sums the tree weights from the oracle's own node weights, and
+    /// holds the loads the engine kept to them.
+    fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
         self.assignments.copy_from_slice(assignments);
         self.tree_weights.fill(0);
         for v in 0..self.assignments.len() {
@@ -237,6 +246,9 @@ impl NodeSink for NaiveOms<'_> {
                 self.shift_path(self.assignments[v], self.node_weights[v], true);
             }
         }
+        let mut recounted = Vec::new();
+        self.block_weights(&mut recounted);
+        assert_eq!(recounted, block_weights, "the loads a revert restores");
     }
 }
 
