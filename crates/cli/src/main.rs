@@ -933,8 +933,10 @@ fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
 
 /// The dynamic-maintenance pipeline behind `apply-deltas`: builds a
 /// long-lived [`oms_dynamic::PartitionState`] over the graph (read once from
-/// the [`Source`] into the state's slab, then dropped), applies the
-/// trace batch by batch and prints one checkpoint row per `--window` batches
+/// the [`Source`] into the state's slab, then dropped), applies the trace
+/// through the one checkpoint loop
+/// ([`oms_dynamic::PartitionState::drive_windows`]) and prints one checkpoint
+/// row per `--window` batches
 /// (default 1; the final batch always checkpoints) comparing the
 /// incrementally maintained partition against a cold restream of the same
 /// graph state (unless `--reference off`).
@@ -977,48 +979,22 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
         state.edge_cut(),
         state.imbalance()
     )?;
-    let cadence = oms_dynamic::Checkpoints::every(job.window);
-    let mut checkpoints = Vec::with_capacity(cadence.count(trace.len()));
-    let mut window_deltas = 0usize;
-    let mut window_seconds = 0.0f64;
-    for (i, batch) in trace.iter().enumerate() {
-        let stats = state.apply(batch)?;
-        window_deltas += stats.deltas;
-        window_seconds += stats.seconds;
-        if !cadence.is_checkpoint(i, trace.len()) {
-            continue;
+    let curve = state.drive_windows(&trace, |state, window| {
+        if reference {
+            window.reference = Some(state.cold_restream_reference()?);
         }
-        let (restream_cut, restream_imbalance, restream_seconds) = if reference {
-            state.cold_restream_reference()?
-        } else {
-            (state.edge_cut(), state.imbalance(), 0.0)
-        };
-        checkpoints.push(oms_metrics::CheckpointComparison {
-            checkpoint: checkpoints.len(),
-            deltas: window_deltas,
-            incremental_cut: state.edge_cut(),
-            incremental_imbalance: state.imbalance(),
-            incremental_seconds: window_seconds,
-            restream_cut,
-            restream_imbalance,
-            restream_seconds,
-        });
-        window_deltas = 0;
-        window_seconds = 0.0;
-    }
+        Ok(())
+    })?;
     outln!()?;
-    emit(format_args!(
-        "{}",
-        oms_metrics::checkpoint_table("incremental vs cold restream", &checkpoints).to_text()
-    ))?;
+    emit(format_args!("{}", checkpoint_table(&curve)))?;
     if reference {
         outln!(
             "\nmax cut ratio  : {:.3}",
-            oms_metrics::max_cut_ratio(&checkpoints)
+            oms_dynamic::max_cut_ratio(&curve)
         )?;
         outln!(
             "repair speedup : {:.1}x",
-            oms_metrics::repair_vs_restream_speedup(&checkpoints)
+            oms_dynamic::repair_vs_restream_speedup(&curve)
         )?;
     }
     let counters = state.counters();
@@ -1034,6 +1010,63 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
         outln!("partition written to {output}")?;
     }
     obs.finish()
+}
+
+/// `apply-deltas`' checkpoint table: one right-aligned row per window, the
+/// maintained partition next to its cold-restream reference (under
+/// `--reference off`, the maintained numbers again at 0 s).
+fn checkpoint_table(curve: &[oms_dynamic::WindowStats]) -> String {
+    let header = [
+        "checkpoint",
+        "deltas",
+        "inc_cut",
+        "re_cut",
+        "ratio",
+        "inc_imb",
+        "re_imb",
+        "inc_sec",
+        "re_sec",
+    ]
+    .map(String::from);
+    let rows: Vec<[String; 9]> = std::iter::once(header)
+        .chain(curve.iter().map(|w| {
+            let re = w.reference.unwrap_or(oms_dynamic::ColdRestream {
+                edge_cut: w.edge_cut,
+                imbalance: w.imbalance,
+                seconds: 0.0,
+            });
+            [
+                w.checkpoint.to_string(),
+                w.deltas.to_string(),
+                w.edge_cut.to_string(),
+                re.edge_cut.to_string(),
+                format!("{:.3}", w.cut_ratio()),
+                format!("{:.4}", w.imbalance),
+                format!("{:.4}", re.imbalance),
+                format!("{:.4}", w.seconds),
+                format!("{:.4}", re.seconds),
+            ]
+        }))
+        .collect();
+    let mut widths = [0usize; 9];
+    for row in &rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let mut table = String::from("== incremental vs cold restream ==\n");
+    for (i, row) in rows.iter().enumerate() {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(widths)
+            .map(|(cell, width)| format!("{cell:>width$}"))
+            .collect();
+        table += &(cells.join("  ") + "\n");
+        if i == 0 {
+            table += &("-".repeat(widths.iter().sum::<usize>() + 2 * 8) + "\n");
+        }
+    }
+    table
 }
 
 /// The traffic-replay pipeline behind `replay`: partitions the graph with

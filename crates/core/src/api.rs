@@ -128,8 +128,7 @@ use std::str::FromStr;
 
 /// The unified result of one partitioning run.
 ///
-/// Fields mirror what the `oms-metrics` evaluation pipeline consumes: the
-/// partition itself, the edge-cut `cut(Π)`, the imbalance
+/// The partition itself, the edge-cut `cut(Π)`, the imbalance
 /// `max_i c(V_i)/(c(V)/k) − 1`, the process-mapping objective `J(C, D, Π)`
 /// when a topology was attached to the job, and the wall time of the
 /// partitioning.

@@ -871,13 +871,13 @@ impl<'a> PassTally<'a> {
 /// [`stream_mapping_cost`](crate::api::stream_mapping_cost)) — and it is the
 /// reference `tests/equivalence.rs` holds the in-pass tally to.
 ///
-/// Three per-edge references stay beside it on purpose, each a loop over a
+/// Per-edge references stay beside it on purpose, each a loop over a
 /// materialised graph that shares no code with this walk:
-/// [`Partition::edge_cut`](crate::Partition::edge_cut),
-/// `oms_metrics::edge_cut` (tied to each other by `tests/properties.rs` and
-/// to this walk's cut by `tests/weighted_equivalence.rs`) and
-/// `oms_mapping::mapping_cost` (tied to this walk's `J` by
-/// `tests/properties.rs::mapping_cost_bounds` on random hierarchies).
+/// [`Partition::edge_cut`](crate::Partition::edge_cut) (tied to this walk's
+/// cut by `tests/properties.rs` and `tests/weighted_equivalence.rs`, which
+/// also recounts it per adjacency entry) and `oms_mapping::mapping_cost`
+/// (tied to this walk's `J` by `tests/properties.rs::mapping_cost_bounds` on
+/// random hierarchies).
 ///
 /// Each undirected edge is seen from both endpoints, so the doubled sums are
 /// halved — which holds on symmetric adjacency lists only, so the walk proves

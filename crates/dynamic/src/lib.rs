@@ -51,7 +51,9 @@ mod checkpoints;
 mod graph;
 mod state;
 
-pub use checkpoints::{Checkpoints, WindowStats};
+pub use checkpoints::{
+    max_cut_ratio, repair_vs_restream_speedup, Checkpoints, ColdRestream, WindowStats,
+};
 pub use graph::DynamicGraph;
 pub use state::{ApplyStats, PartitionState, TraceCursor};
 

@@ -27,7 +27,7 @@
 //! a resumed service continues exactly as the uninterrupted one would —
 //! the property the `dynamic_quality` suite asserts byte for byte.
 
-use crate::DynamicGraph;
+use crate::{ColdRestream, DynamicGraph};
 use oms_core::executor::{run_restream, run_restream_seeded};
 use oms_core::{
     measure_pass, BlockId, FlatObjective, JobSpec, NodeSink, PartitionError, PassStats,
@@ -496,11 +496,10 @@ impl PartitionState {
 
     /// A cold reference solution for the *current* graph: a fresh sink of
     /// the same algorithm, streamed from scratch with the job's pass
-    /// budget. Returns `(edge_cut, imbalance, seconds)`. This is the
-    /// quality yardstick incremental maintenance is compared against (and
-    /// the cost yardstick: its time is what a restream-per-checkpoint
-    /// strategy would pay).
-    pub fn cold_restream_reference(&mut self) -> Result<(u64, f64, f64)> {
+    /// budget. This is the quality yardstick incremental maintenance is
+    /// compared against (and the cost yardstick: its time is what a
+    /// restream-per-checkpoint strategy would pay).
+    pub fn cold_restream_reference(&mut self) -> Result<ColdRestream> {
         let (objective, k) = Self::repair_objective(&self.job)?;
         let mut sink = RepairSink::new(
             k,
@@ -521,7 +520,11 @@ impl PartitionState {
             moved: 0,
             seconds: 0.0,
         });
-        Ok((last.edge_cut, last.imbalance, seconds))
+        Ok(ColdRestream {
+            edge_cut: last.edge_cut,
+            imbalance: last.imbalance,
+            seconds,
+        })
     }
 
     // ------------------------------------------------------------ snapshot

@@ -12,7 +12,6 @@
 //! ```
 
 use oms::graph::io::{write_stream_file, DiskStream};
-use oms::metrics::{graph_memory_bytes, streaming_memory_bytes};
 use oms::prelude::*;
 
 fn main() {
@@ -50,14 +49,17 @@ fn main() {
         from_disk.edge_cut, from_disk.imbalance
     );
 
-    // The memory argument of §4.1: streaming state vs the whole CSR graph.
+    // The memory argument of §4.1: one block id per node plus a weight per
+    // tree node (Lemma 1), vs. the whole CSR graph.
     let tree_nodes = oms::core::MultisectionTree::flat(k, 4).num_nodes();
-    let streaming = streaming_memory_bytes(graph.num_nodes(), tree_nodes);
-    let in_memory = graph_memory_bytes(&graph, k as usize);
+    let assignment_bytes = graph.num_nodes() * std::mem::size_of::<BlockId>();
+    let streaming = assignment_bytes + tree_nodes * std::mem::size_of::<u64>();
+    let in_memory = graph.memory_bytes() + assignment_bytes;
+    let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
     println!(
         "streaming working set ≈ {:.2} MiB  vs  in-memory graph ≈ {:.2} MiB",
-        streaming.total_mib(),
-        in_memory.total_mib()
+        mib(streaming),
+        mib(in_memory)
     );
 
     std::fs::remove_file(&path).ok();

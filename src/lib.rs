@@ -21,8 +21,6 @@
 //! * [`dynamic`] (`oms-dynamic`) — long-lived partition maintenance on
 //!   evolving graphs: delta ingestion, local repair, drift-triggered
 //!   restream fallback and warm restart from on-disk snapshots;
-//! * [`metrics`] (`oms-metrics`) — evaluation statistics, performance
-//!   profiles, memory accounting and reporting;
 //! * [`workload`] (`oms-workload`) — the seeded traffic-replay simulator:
 //!   Zipf-skewed random-walk requests with per-block queueing, measuring a
 //!   partition by the latency users would see;
@@ -78,7 +76,6 @@ pub use oms_edgepart as edgepart;
 pub use oms_gen as gen;
 pub use oms_graph as graph;
 pub use oms_mapping as mapping;
-pub use oms_metrics as metrics;
 pub use oms_multilevel as multilevel;
 pub use oms_obs as obs;
 pub use oms_workload as workload;
@@ -93,7 +90,8 @@ pub mod prelude {
         ALGORITHMS,
     };
     pub use oms_dynamic::{
-        ApplyStats, Checkpoints, DynamicGraph, PartitionState, TraceCursor, WindowStats,
+        max_cut_ratio, repair_vs_restream_speedup, ApplyStats, Checkpoints, ColdRestream,
+        DynamicGraph, PartitionState, TraceCursor, WindowStats,
     };
     pub use oms_edgepart::{
         build_edge_partitioner, is_edge_algorithm, EdgePartition, EdgePartitionReport,
@@ -110,10 +108,6 @@ pub mod prelude {
         EdgesOf, GraphBuilder, InMemoryStream, NodeBatch, NodeOrdering, NodeStream, StreamedEdge,
     };
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
-    pub use oms_metrics::{
-        edge_cut, geometric_mean, improvement_percent, max_cut_ratio, repair_vs_restream_speedup,
-        CheckpointComparison,
-    };
     pub use oms_multilevel::{
         register_algorithms as register_multilevel_algorithms, BufferedMultilevel,
         MultilevelConfig, MultilevelPartitioner, RecursiveMultisection,

@@ -48,7 +48,7 @@ fn run_churn(
     batches: usize,
     ops: usize,
     seed: u64,
-) -> (PartitionState, Vec<CheckpointComparison>) {
+) -> (PartitionState, Vec<WindowStats>) {
     let trace = churn_trace(
         graph,
         &ChurnConfig {
@@ -60,35 +60,15 @@ fn run_churn(
         },
     );
     let mut state = PartitionState::new(job, &mut InMemoryStream::new(graph)).unwrap();
-    // The job's `window=` knob drives the shared checkpoint cadence (the
-    // same helper the CLI and `drive_windows` use), so the final batch is
-    // always compared even when the trace length is not a multiple of it.
-    let cadence = Checkpoints::every(job.window);
-    let mut checkpoints = Vec::new();
-    let mut window_deltas = 0usize;
-    let mut window_seconds = 0.0;
-    for (i, batch) in trace.iter().enumerate() {
-        let stats = state.apply(batch).unwrap();
-        window_deltas += stats.deltas;
-        window_seconds += stats.seconds;
-        if !cadence.is_checkpoint(i, trace.len()) {
-            continue;
-        }
-        let (restream_cut, restream_imbalance, restream_seconds) =
-            state.cold_restream_reference().unwrap();
-        checkpoints.push(CheckpointComparison {
-            checkpoint: checkpoints.len(),
-            deltas: window_deltas,
-            incremental_cut: state.edge_cut(),
-            incremental_imbalance: state.imbalance(),
-            incremental_seconds: window_seconds,
-            restream_cut,
-            restream_imbalance,
-            restream_seconds,
-        });
-        window_deltas = 0;
-        window_seconds = 0.0;
-    }
+    // The job's `window=` knob drives the one checkpoint loop (the one
+    // `apply-deltas` runs), so the final batch is always compared even when
+    // the trace length is not a multiple of it.
+    let checkpoints = state
+        .drive_windows(&trace, |state, window| {
+            window.reference = Some(state.cold_restream_reference()?);
+            Ok(())
+        })
+        .unwrap();
     (state, checkpoints)
 }
 
@@ -105,14 +85,14 @@ fn churn_quality_tracks_cold_restream() {
                 c.cut_ratio() <= CUT_FACTOR,
                 "{name}: checkpoint {} cut {} exceeds {CUT_FACTOR}x the cold-restream cut {}",
                 c.checkpoint,
-                c.incremental_cut,
-                c.restream_cut
+                c.edge_cut,
+                c.reference.unwrap().edge_cut
             );
             assert!(
-                c.incremental_imbalance <= 0.25,
+                c.imbalance <= 0.25,
                 "{name}: checkpoint {} imbalance {} out of bounds",
                 c.checkpoint,
-                c.incremental_imbalance
+                c.imbalance
             );
         }
         assert!(
@@ -126,7 +106,8 @@ fn churn_quality_tracks_cold_restream() {
 /// cadence, the final partial window still closes with a checkpoint, so no
 /// trailing deltas escape the quality comparison. (The old hard-coded
 /// cadence compared after every batch and could not express this case at
-/// all; the shared [`Checkpoints`] helper pins the corrected rule.)
+/// all; the shared [`Checkpoints`] cadence of the one checkpoint loop pins
+/// the corrected rule.)
 #[test]
 fn partial_final_window_still_checkpoints() {
     let graph = erdos_renyi_gnm(400, 1_600, 31);

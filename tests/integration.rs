@@ -37,7 +37,7 @@ fn quality_ordering_matches_the_paper() {
         .unwrap();
 
     // Edge-cut ordering (Fig. 2b).
-    let cut = |p: &Partition| edge_cut(&graph, p.assignments());
+    let cut = |p: &Partition| p.edge_cut(&graph);
     assert!(
         cut(&multilevel) <= cut(&fennel),
         "multilevel must beat fennel"
@@ -263,7 +263,7 @@ fn restreaming_improves_or_matches_single_pass() {
         .partition_graph(&graph)
         .unwrap();
     assert!(
-        edge_cut(&graph, restreamed.assignments()) <= edge_cut(&graph, single.assignments()),
+        restreamed.edge_cut(&graph) <= single.edge_cut(&graph),
         "restreaming must not worsen the cut"
     );
 }

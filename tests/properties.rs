@@ -103,8 +103,8 @@ fn arbitrary_factors(rng: &mut ChaCha8Rng, len_min: usize, len_max: usize, max: 
     (0..len).map(|_| rng.gen_range(2u32..max)).collect()
 }
 
-/// OMS along a hierarchy assigns within range and matches the edge-cut
-/// computed independently by the metrics crate.
+/// OMS along a hierarchy assigns within range, and its partition's edge
+/// cut matches the one the measurement walk finds on the stream.
 #[test]
 fn oms_hierarchy_consistent_with_metrics() {
     run_cases(48, |rng| {
@@ -118,7 +118,8 @@ fn oms_hierarchy_consistent_with_metrics() {
         assert_eq!(partition.num_blocks(), k);
         assert_eq!(
             partition.edge_cut(&graph),
-            edge_cut(&graph, partition.assignments())
+            oms::core::stream_edge_cut(&mut InMemoryStream::new(&graph), partition.assignments())
+                .unwrap()
         );
     });
 }
@@ -160,7 +161,7 @@ fn mapping_cost_bounds() {
         let oms = OnlineMultiSection::with_hierarchy(hierarchy, OmsConfig::default());
         let partition = oms.partition_graph(&graph).unwrap();
 
-        let cut = edge_cut(&graph, partition.assignments());
+        let cut = partition.edge_cut(&graph);
         let j = mapping_cost(&graph, partition.assignments(), &topology);
         let d_max = 10u64.pow((factors.len() - 1) as u32);
         assert!(j >= cut);
@@ -241,7 +242,7 @@ fn restreaming_monotone() {
             .passes(2)
             .partition_graph(&graph)
             .unwrap();
-        assert!(edge_cut(&graph, re.assignments()) <= edge_cut(&graph, single.assignments()));
+        assert!(re.edge_cut(&graph) <= single.edge_cut(&graph));
     });
 }
 

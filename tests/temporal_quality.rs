@@ -2,15 +2,15 @@
 //!
 //! The temporal generators (`oms-gen`'s preferential attachment, community
 //! drift and burst arrivals) produce timestamped delta traces; the dynamic
-//! maintenance layer ingests them through the shared sliding-window
-//! cadence (`oms-dynamic`'s [`Checkpoints`]). At every window close the
-//! suite pins:
+//! maintenance layer ingests them through the one checkpoint loop
+//! ([`PartitionState::drive_windows`] on the [`Checkpoints`] cadence). At
+//! every window close the suite pins:
 //!
 //! * **cut tracking** — the incrementally maintained cut stays within a
 //!   committed factor of a cold restream of the same graph state, so
 //!   quality cannot silently erode as the graph evolves;
-//! * **curve agreement** — the one-call [`PartitionState::drive_windows`]
-//!   curve matches a hand-rolled apply loop field for field;
+//! * **curve agreement** — the checkpoint loop's curve matches a
+//!   hand-rolled apply loop field for field;
 //! * **monotone counters** — cumulative drift counters only ever grow, and
 //!   every traced operation is accounted for;
 //! * **served quality over time** (release builds) — replaying a Zipf
@@ -72,39 +72,41 @@ fn temporal_windows_track_cold_restream() {
     for (name, graph, scheme) in corpus() {
         let trace = trace_for(&graph, scheme);
         let job = job();
-        let cadence = Checkpoints::every(job.window);
         let mut state = PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
-        let mut windows = 0usize;
-        for (i, batch) in trace.iter().enumerate() {
-            state.apply(batch).unwrap();
-            if !cadence.is_checkpoint(i, trace.len()) {
-                continue;
-            }
-            windows += 1;
-            let (restream_cut, _, _) = state.cold_restream_reference().unwrap();
+        let curve = state
+            .drive_windows(&trace, |state, window| {
+                window.reference = Some(state.cold_restream_reference()?);
+                Ok(())
+            })
+            .unwrap();
+        for w in &curve {
+            let restream_cut = w.reference.unwrap().edge_cut;
             let bound = (restream_cut as f64 * CUT_FACTOR).max(1.0);
             assert!(
-                (state.edge_cut() as f64) <= bound,
-                "{name}: window at batch {i} cut {} exceeds {CUT_FACTOR}x \
+                (w.edge_cut as f64) <= bound,
+                "{name}: window at batch {} cut {} exceeds {CUT_FACTOR}x \
                  the cold-restream cut {restream_cut}",
-                state.edge_cut()
+                w.batch_index,
+                w.edge_cut
             );
             assert!(
-                state.imbalance() <= 0.25,
-                "{name}: window at batch {i} imbalance {} out of bounds",
-                state.imbalance()
+                w.imbalance <= 0.25,
+                "{name}: window at batch {} imbalance {} out of bounds",
+                w.batch_index,
+                w.imbalance
             );
         }
         assert_eq!(
-            windows,
-            cadence.count(trace.len()),
-            "{name}: cadence helper and manual loop disagree on window count"
+            curve.len(),
+            Checkpoints::every(job.window).count(trace.len()),
+            "{name}: cadence helper and checkpoint loop disagree on window count"
         );
     }
 }
 
-/// `drive_windows` is the one-call version of the manual loop above: same
-/// cadence, same deterministic per-window fields.
+/// `drive_windows`, the one checkpoint loop, against a hand-rolled apply
+/// loop: same cadence, same deterministic per-window fields, every delta in
+/// some window, and the last window closing on the last batch.
 #[test]
 fn drive_windows_matches_manual_apply_loop() {
     for (name, graph, scheme) in corpus() {
@@ -120,20 +122,34 @@ fn drive_windows_matches_manual_apply_loop() {
             let stats = state.apply(batch).unwrap();
             window_deltas += stats.deltas;
             if cadence.is_checkpoint(i, trace.len()) {
-                manual.push((manual.len(), i, window_deltas, state.edge_cut()));
+                manual.push((
+                    manual.len(),
+                    i,
+                    window_deltas,
+                    state.edge_cut(),
+                    state.imbalance(),
+                ));
                 window_deltas = 0;
             }
         }
 
         let mut fresh = PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
-        let curve = fresh.drive_windows(&trace).unwrap();
+        let curve = fresh.drive_windows(&trace, |_, _| Ok(())).unwrap();
         assert_eq!(curve.len(), manual.len(), "{name}: window counts differ");
-        for (w, (checkpoint, batch_index, deltas, cut)) in curve.iter().zip(&manual) {
+        for (w, (checkpoint, batch_index, deltas, cut, imbalance)) in curve.iter().zip(&manual) {
             assert_eq!(w.checkpoint, *checkpoint, "{name}: checkpoint index");
             assert_eq!(w.batch_index, *batch_index, "{name}: batch index");
             assert_eq!(w.deltas, *deltas, "{name}: window delta count");
             assert_eq!(w.edge_cut, *cut, "{name}: window edge cut");
+            assert_eq!(w.imbalance, *imbalance, "{name}: window imbalance");
+            assert_eq!(w.reference, None, "{name}: nobody asked for a reference");
         }
+        assert_eq!(
+            curve.iter().map(|w| w.deltas).sum::<usize>(),
+            trace.iter().map(DeltaBatch::len).sum::<usize>(),
+            "{name}: every delta falls in some window"
+        );
+        assert_eq!(curve.last().unwrap().batch_index, trace.len() - 1);
     }
 }
 
@@ -188,26 +204,25 @@ fn replay_p99_stays_bounded_across_windows() {
             .map(|(_, p)| *p)
             .unwrap();
         let trace = trace_for(&graph, scheme);
-        let job = job();
-        let cadence = Checkpoints::every(job.window);
-        let mut state = PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
-        for (i, batch) in trace.iter().enumerate() {
-            state.apply(batch).unwrap();
-            if !cadence.is_checkpoint(i, trace.len()) {
-                continue;
-            }
-            let assignments = state.assignments().to_vec();
-            let report = replay_stream(state.graph_stream(), &assignments, &replay_config).unwrap();
-            println!(
-                "{name}: batch {i} replay p99 {} (<= {ceiling}), hop rate {:.4}",
-                report.p99_latency,
-                report.cross_block_hop_rate()
-            );
-            assert!(
-                report.p99_latency <= ceiling,
-                "{name}: replay p99 {} at batch {i} exceeds ceiling {ceiling}",
-                report.p99_latency
-            );
-        }
+        let mut state = PartitionState::new(&job(), &mut InMemoryStream::new(&graph)).unwrap();
+        state
+            .drive_windows(&trace, |state, window| {
+                let i = window.batch_index;
+                let assignments = state.assignments().to_vec();
+                let report =
+                    replay_stream(state.graph_stream(), &assignments, &replay_config).unwrap();
+                println!(
+                    "{name}: batch {i} replay p99 {} (<= {ceiling}), hop rate {:.4}",
+                    report.p99_latency,
+                    report.cross_block_hop_rate()
+                );
+                assert!(
+                    report.p99_latency <= ceiling,
+                    "{name}: replay p99 {} at batch {i} exceeds ceiling {ceiling}",
+                    report.p99_latency
+                );
+                Ok(())
+            })
+            .unwrap();
     }
 }
