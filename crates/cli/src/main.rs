@@ -1,34 +1,14 @@
 //! `oms` — command-line streaming graph partitioning and process mapping.
 //!
-//! ```text
-//! oms partition <graph.metis|graph.oms> --k 256 [--algo oms|fennel|ldg|hashing|buffered|multilevel|...]
-//!               [job flags] [--format metis|edgelist|stream] [--output partition.txt]
-//! oms partition <graph> --k 256 --algo e-hash|e-dbh|e-greedy [--lambda 1.0] [--passes P]
-//!               # vertex-cut edge partitioning: reports the replication factor and
-//!               # writes one "u v block" line per edge
-//! oms partition <graph> --job "oms:4:16:8@eps=0.03,passes=3" [--output FILE]
-//! oms map       <graph.metis|graph.oms> --hierarchy 4:16:8 [--distances 1:10:100]
-//!               [--algo oms|fennel|hashing|rms] [job flags] [--output mapping.txt]
-//! oms algorithms                              # list the registered algorithms
-//! oms convert   <graph.metis> <graph.oms>     # to/from the binary vertex-stream format
-//! oms generate  <family> <n> <out.metis>      # rgg | delaunay | ba | rmat | grid | er
-//!               [--weights unit|nodes|edges|full]   # weighted variants
-//! oms gen-deltas <graph> <out.deltas> [--scheme uniform|drift|burst] [--batches B] [--ops O]
-//!               [--temporal pa|drift|burst]    # timestamped temporal streams instead of churn
-//! oms apply-deltas <graph> <trace.deltas> --k 8 [--algo fennel|ldg|...] [--drift 0.2]
-//!               [--repair off|local|boundary] [--window W]  # incremental maintenance vs cold restream
-//! oms replay    <graph> --k 8 [--algo fennel|hashing|e-greedy|...] [--requests N] [--hops H]
-//!               [--zipf S] [--penalty P] [--replay-seed S]  # traffic replay: hop rate + latency
-//! oms trace     <trace.jsonl>                 # summarize a recorded trace, verify its hash
-//! oms info      <graph.metis|graph.oms>
-//! ```
+//! Every subcommand is one row of [`COMMANDS`]: its name, positional
+//! arguments, flags, switches, help line and handler. [`run`] parses a
+//! command line against its row once — arity, unknown flags, missing values
+//! — and `oms` without arguments prints the usage text the table generates.
 //!
 //! The four job commands (`partition`, `map`, `apply-deltas`, `replay`)
 //! share one flag set, derived from the job-option table
 //! (`oms_core::knobs`): `--job SPEC` or `--algo NAME` plus one `--flag` per
-//! option that has one (`--epsilon`, `--seed`, `--passes`, `--converge`,
-//! `--buffer`, `--lambda`, `--drift`, `--repair`, `--window`,
-//! `--distances`); `--job` excludes all the others. They also accept
+//! option that has one; `--job` excludes all the others. They also accept
 //! `--trace FILE` (record the run's deterministic JSON-lines event trace)
 //! and `--metrics` (print a Prometheus-style exposition after the run).
 //!
@@ -53,11 +33,8 @@
 
 use oms_core::knobs::{self, KNOBS};
 use oms_core::{JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
-use oms_graph::io::{
-    read_edge_list, read_metis, read_stream_file, write_edge_list, write_metis, write_stream_file,
-    DiskStream, MetisStream,
-};
-use oms_graph::{CsrGraph, EdgesOf, InMemoryStream, NodeStream};
+use oms_graph::io::{write_edge_list, write_metis, write_stream_file, DiskStream, MetisStream};
+use oms_graph::{CsrGraph, EdgesOf, InMemoryStream, NodeId, NodeStream};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
@@ -82,34 +59,122 @@ fn main() -> ExitCode {
     }
 }
 
-/// The usage text; the job flags and the job grammar come from the
-/// job-option table.
-fn usage() -> String {
-    let job_flags: Vec<String> = knob_flags()
-        .map(|(knob, flag)| format!("[--{flag} {}]", knob.value_hint()))
-        .collect();
-    format!(
-        "usage:
-  oms partition  <graph> --k <k> [--algo NAME] [job flags] [--format F] [--output FILE]
-  oms partition  <graph> --job <spec>  (e.g. \"oms:4:16:8@eps=0.03,passes=3\" or \"e-greedy:256@lambda=1.5\") [--output FILE]
-  oms map        <graph> --hierarchy a1:a2:... [--distances 1:10:100] [--algo NAME | --job SPEC] [job flags] [--format F] [--output FILE]
-  oms algorithms
-  oms convert    <in> <out>  (out format by extension: .oms = vertex stream, .txt/.edges/.el = edge list, else METIS) [--format F]
-  oms generate   <rgg|delaunay|ba|rmat|grid|er> <n> <out.metis> [--seed S] [--weights unit|nodes|edges|full]
-  oms gen-deltas <graph> <out.deltas> [--scheme uniform|drift|burst] [--temporal pa|drift|burst] [--batches B] [--ops O] [--node-churn F] [--insert-frac F] [--delete-frac F] [--seed S] [--format F]
-  oms apply-deltas <graph> <trace.deltas> --k <k> [--algo NAME | --job SPEC] [--reference on|off] [job flags] [--format F] [--output FILE]
-  oms replay     <graph> --k <k> [--algo NAME | --job SPEC] [--requests N] [--hops H] [--zipf S] [--penalty P] [--arrival T] [--max-backlog B] [--replay-seed S] [job flags] [--format F]
-  oms trace      <trace.jsonl>  (summarize a trace recorded with --trace and verify its event-log hash)
-  oms info       <graph> [--format F]
+/// One subcommand: what [`Args::parse`] checks a command line against, what
+/// [`usage`] prints, and the handler that runs it.
+struct Command {
+    name: &'static str,
+    /// The positional arguments, all required, in order.
+    positional: &'static [&'static str],
+    /// The command's own `--flag value` options, with the value the usage
+    /// text shows.
+    flags: &'static [(&'static str, &'static str)],
+    /// Valueless `--flag`s.
+    switches: &'static [&'static str],
+    /// The job a job command builds from its flags; such a command also
+    /// takes `--job`, `--algo`, the job-option table's flags and `--trace`.
+    job: Option<JobRow>,
+    help: &'static str,
+    handler: fn(&Args) -> Result<(), Error>,
+}
 
-  job flags: {}
-  job spec : {}  (--job replaces --algo, the shape and every job flag)
+/// How a job command reads the job's shape and algorithm.
+struct JobRow {
+    /// The flag that gives the shape: `k`, or `hierarchy` for `map`.
+    shape: &'static str,
+    /// `--algo` when the command line names none.
+    algo: &'static str,
+}
+
+const GRAPH: &[&str] = &["graph"];
+const FORMAT: (&str, &str) = ("format", "F");
+const OUTPUT: (&str, &str) = ("output", "FILE");
+const METRICS: &[&str] = &["metrics"];
+
+/// The subcommands, in the order the usage text lists them.
+#[rustfmt::skip] // one row per command, so the table reads column-wise
+static COMMANDS: [Command; 10] = [
+    Command { name: "partition",    positional: GRAPH, flags: &[("k", "<k>"), FORMAT, OUTPUT], switches: METRICS, job: Some(JobRow { shape: "k", algo: "oms" }), handler: job_command,
+              help: "k blocks (--k or --job); e-* algorithms partition the edges (vertex-cut)" },
+    Command { name: "map",          positional: GRAPH, flags: &[("hierarchy", "a1:a2:..."), FORMAT, OUTPUT], switches: METRICS, job: Some(JobRow { shape: "hierarchy", algo: "oms" }), handler: job_command,
+              help: "process mapping onto S = a1:a2:...; PE distances default to 1:10:100" },
+    Command { name: "algorithms",   positional: &[], flags: &[], switches: &[], job: None, handler: algorithms_command,
+              help: "list the registered algorithms and the job options" },
+    Command { name: "convert",      positional: &["input", "output"], flags: &[FORMAT], switches: &[], job: None, handler: convert_command,
+              help: "the output's extension picks its format, as --format auto does for the input" },
+    Command { name: "generate",     positional: &["family", "n", "output"], flags: &[("seed", "S"), ("weights", "unit|nodes|edges|full")], switches: &[], job: None, handler: generate_command,
+              help: "a METIS graph of the family rgg, delaunay, ba, rmat, grid or er" },
+    Command { name: "gen-deltas",   positional: &["graph", "out.deltas"], flags: &[("scheme", "uniform|drift|burst"), ("temporal", "pa|drift|burst"), ("batches", "B"), ("ops", "O"), ("node-churn", "F"), ("insert-frac", "F"), ("delete-frac", "F"), ("seed", "S"), FORMAT], switches: &[], job: None, handler: gen_deltas_command,
+              help: "a churn trace, or with --temporal a timestamped one, for apply-deltas" },
+    Command { name: "apply-deltas", positional: &["graph", "trace.deltas"], flags: &[("k", "<k>"), ("reference", "on|off"), FORMAT, OUTPUT], switches: METRICS, job: Some(JobRow { shape: "k", algo: "fennel" }), handler: apply_deltas_command,
+              help: "incremental maintenance under the trace vs. a cold restream per checkpoint" },
+    Command { name: "replay",       positional: GRAPH, flags: &[("k", "<k>"), ("requests", "N"), ("hops", "H"), ("zipf", "S"), ("penalty", "P"), ("arrival", "T"), ("max-backlog", "B"), ("replay-seed", "S"), FORMAT], switches: METRICS, job: Some(JobRow { shape: "k", algo: "fennel" }), handler: replay_command,
+              help: "partition, then replay random-walk requests: hop rate, load skew, latency" },
+    Command { name: "trace",        positional: &["trace.jsonl"], flags: &[], switches: &[], job: None, handler: trace_command,
+              help: "summarize a trace recorded with --trace and verify its event-log hash" },
+    Command { name: "info",         positional: GRAPH, flags: &[FORMAT], switches: &[], job: None, handler: info_command,
+              help: "size, degrees, weights and connectivity (and a .oms file's layout)" },
+];
+
+/// The flags every job command takes beside the job-option table's.
+const JOB_FLAGS: [(&str, &str); 3] = [("job", "SPEC"), ("algo", "NAME"), ("trace", "FILE")];
+
+/// The `--flag value` options of a job command that are not its own, with
+/// the value the usage text shows.
+fn job_flags() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let knobs = KNOBS
+        .iter()
+        .filter_map(|knob| Some((knob.flag?, knob.value_hint())));
+    JOB_FLAGS.into_iter().chain(knobs)
+}
+
+/// `<name>` for each positional argument.
+fn placeholders(names: &[&str]) -> Vec<String> {
+    names.iter().map(|name| format!("<{name}>")).collect()
+}
+
+/// The usage text, generated from [`COMMANDS`] and the job-option table.
+fn usage() -> String {
+    let mut text = String::from("usage: oms <command> <arguments> [flags]\n");
+    for command in &COMMANDS {
+        let flags = command.flags.iter();
+        let words: Vec<String> = (placeholders(command.positional).into_iter())
+            .chain(flags.map(|(flag, hint)| format!("[--{flag} {hint}]")))
+            .chain(command.job.iter().map(|_| "[job flags]".to_string()))
+            .chain(command.switches.iter().map(|s| format!("[--{s}]")))
+            .collect();
+        text += &wrap(&format!("\n  oms {:<12}", command.name), &words);
+        text += &format!("{:19}{}\n", "", command.help);
+    }
+    let flags: Vec<String> = job_flags()
+        .map(|(flag, hint)| format!("[--{flag} {hint}]"))
+        .collect();
+    text += &wrap("\n  job flags:", &flags);
+    text += &format!(
+        "  job spec : {}
+             e.g. \"oms:4:16:8@eps=0.03,passes=3\"; --job replaces --algo, the shape and every job flag
   --format F selects the input format (auto | metis | edgelist | stream); auto sniffs the extension.
-  partition, map, apply-deltas and replay also accept --trace FILE (record a JSON-lines event trace)
-  and --metrics (print a Prometheus-style exposition of the run's counters and histograms).",
-        job_flags.join(" "),
+  --metrics prints a Prometheus-style exposition of the run's counters and histograms.",
         knobs::grammar()
-    )
+    );
+    text
+}
+
+/// `head` and then `words`, broken before a word that would pass column
+/// 100; continuation lines start under the first word.
+fn wrap(head: &str, words: &[String]) -> String {
+    let indent = head.trim_start_matches('\n').len();
+    let mut text = head.to_string();
+    let mut column = indent;
+    for word in words {
+        if column > indent && column + 1 + word.len() > 100 {
+            text += &format!("\n{:indent$}", "");
+            column = indent;
+        }
+        text += &format!(" {word}");
+        column += 1 + word.len();
+    }
+    text.truncate(text.trim_end().len());
+    text + "\n"
 }
 
 enum Error {
@@ -154,48 +219,61 @@ impl From<oms_core::PartitionError> for Error {
     }
 }
 
+/// Looks up the command's row, parses the rest of the line against it and
+/// runs its handler.
 fn run(args: &[String]) -> Result<(), Error> {
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         return Err(Error::Usage("missing command".into()));
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "partition" => partition_command(rest),
-        "map" => map_command(rest),
-        "algorithms" => algorithms_command(rest),
-        "convert" => convert_command(rest),
-        "generate" => generate_command(rest),
-        "gen-deltas" => gen_deltas_command(rest),
-        "apply-deltas" => apply_deltas_command(rest),
-        "replay" => replay_command(rest),
-        "trace" => trace_command(rest),
-        "info" => info_command(rest),
-        other => Err(Error::Usage(format!("unknown command '{other}'"))),
-    }
+    let Some(command) = COMMANDS.iter().find(|command| command.name == name) else {
+        return Err(Error::Usage(format!("unknown command '{name}'")));
+    };
+    (command.handler)(&Args::parse(command, &args[1..])?)
 }
 
-/// Splits positional arguments from `--flag value` options.
-///
-/// Every option must carry a value and appear in `allowed`; a dangling
-/// `--flag` or an unknown flag is a usage error rather than being silently
-/// swallowed.
-fn split_options(
-    args: &[String],
-    allowed: &[&str],
-) -> Result<(Vec<String>, HashMap<String, String>), Error> {
-    let mut positional = Vec::new();
-    let mut options = HashMap::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(name) = arg.strip_prefix("--") {
+/// A command line parsed against its row: exactly the row's positional
+/// arguments and the options given.
+struct Args {
+    command: &'static Command,
+    positional: Vec<String>,
+    options: HashMap<String, String>,
+}
+
+impl Args {
+    /// Switches may stand anywhere; every other `--flag` must be one of the
+    /// row's and carry a value, and the positional arguments must number
+    /// exactly the row's.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Args, Error> {
+        let switch = |arg: &&String| {
+            let name = arg.strip_prefix("--");
+            name.is_some_and(|name| command.switches.contains(&name))
+        };
+        let shared = job_flags().filter(|_| command.job.is_some());
+        let allowed: Vec<&str> = shared
+            .chain(command.flags.iter().copied())
+            .map(|f| f.0)
+            .collect();
+        let mut parsed = Args {
+            command,
+            positional: Vec::new(),
+            // A switch is an option with an empty value.
+            options: args
+                .iter()
+                .filter(switch)
+                .map(|s| (s[2..].to_string(), String::new()))
+                .collect(),
+        };
+        let mut iter = args.iter().filter(|arg| !switch(arg));
+        while let Some(arg) = iter.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                parsed.positional.push(arg.clone());
+                continue;
+            };
             if !allowed.contains(&name) {
+                let allowed: Vec<String> = allowed.iter().map(|o| format!("--{o}")).collect();
                 return Err(Error::Usage(format!(
                     "unknown option '--{name}' (allowed here: {})",
-                    allowed
-                        .iter()
-                        .map(|o| format!("--{o}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    allowed.join(", ")
                 )));
             }
             let Some(value) = iter.next() else {
@@ -206,27 +284,92 @@ fn split_options(
                     "option '--{name}' requires a value, found '{value}'"
                 )));
             }
-            options.insert(name.to_string(), value.clone());
-        } else {
-            positional.push(arg.clone());
+            parsed.options.insert(name.to_string(), value.clone());
         }
+        if parsed.positional.len() != command.positional.len() {
+            let (name, want) = (command.name, placeholders(command.positional));
+            return Err(Error::Usage(match want.is_empty() {
+                true => format!("{name}: takes no arguments"),
+                false => format!("{name}: takes {}", want.join(" ")),
+            }));
+        }
+        Ok(parsed)
     }
-    Ok((positional, options))
-}
 
-/// Strips a valueless `--flag` from the raw argument list before
-/// [`split_options`] (which requires every option to carry a value).
-fn take_flag(args: &[String], flag: &str) -> (Vec<String>, bool) {
-    let mut present = false;
-    let mut rest = Vec::with_capacity(args.len());
-    for arg in args {
-        if arg == flag {
-            present = true;
-        } else {
-            rest.push(arg.clone());
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.options.get(flag).map(String::as_str)
+    }
+
+    /// `--flag` parsed as a `T` that passes `valid`; a usage error says the
+    /// value must be `what`.
+    fn flag_if<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        what: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, Error> {
+        let Some(raw) = self.get(flag) else {
+            return Ok(None);
+        };
+        match raw.parse() {
+            Ok(value) if valid(&value) => Ok(Some(value)),
+            _ => Err(Error::Usage(format!(
+                "--{flag} must be {what}, got '{raw}'"
+            ))),
         }
     }
-    (rest, present)
+
+    fn flag<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Result<Option<T>, Error> {
+        self.flag_if(flag, what, |_| true)
+    }
+
+    fn flag_or<T: std::str::FromStr>(&self, flag: &str, what: &str, or: T) -> Result<T, Error> {
+        Ok(self.flag(flag, what)?.unwrap_or(or))
+    }
+
+    /// The job part of a job command's row.
+    fn row(&self) -> &'static JobRow {
+        let job = self.command.job.as_ref();
+        job.expect("only the handlers of job commands, whose rows have one, ask")
+    }
+
+    /// The job of a job command: `--job` verbatim, or `--algo` (default
+    /// the row's) with the shape from the row's shape flag and one option
+    /// per job flag given.
+    fn job(&self) -> Result<JobSpec, Error> {
+        let row = self.row();
+        if let Some(spec) = self.get("job") {
+            let knob_flags = KNOBS.iter().filter_map(|knob| knob.flag);
+            let mut encoded = ["algo", row.shape].into_iter().chain(knob_flags);
+            if let Some(flag) = encoded.find(|flag| self.get(flag).is_some()) {
+                return Err(Error::Usage(format!(
+                    "--job already encodes the whole job; drop --{flag}"
+                )));
+            }
+            return Ok(spec.parse()?);
+        }
+        let shape = if row.shape == "hierarchy" {
+            let hierarchy = self.get("hierarchy").map(oms_core::HierarchySpec::parse);
+            hierarchy.transpose()?.map(JobShape::Hierarchy)
+        } else {
+            self.flag("k", "a positive integer")?.map(JobShape::Flat)
+        };
+        let Some(shape) = shape else {
+            return Err(Error::Usage(format!(
+                "{}: --{} (or --job) is required",
+                self.command.name, row.shape
+            )));
+        };
+        let mut job = JobSpec::flat(self.get("algo").unwrap_or(row.algo), 0);
+        job.shape = shape;
+        for knob in &KNOBS {
+            if let Some((flag, raw)) = knob.flag.and_then(|flag| Some((flag, self.get(flag)?))) {
+                knob.set(&mut job, raw)
+                    .map_err(|why| Error::Usage(format!("--{flag} {raw}: {why}")))?;
+            }
+        }
+        Ok(job)
+    }
 }
 
 /// Observability wiring behind `--trace FILE` / `--metrics`: installs a
@@ -241,8 +384,9 @@ struct ObsSession {
 }
 
 impl ObsSession {
-    fn start(options: &HashMap<String, String>, metrics: bool) -> ObsSession {
-        let trace_path = options.get("trace").cloned();
+    fn start(args: &Args) -> ObsSession {
+        let trace_path = args.get("trace").map(String::from);
+        let metrics = args.get("metrics").is_some();
         let recording = (trace_path.is_some() || metrics)
             .then(|| oms_obs::recording(oms_obs::DEFAULT_CAPACITY));
         ObsSession {
@@ -293,8 +437,8 @@ fn sniff_format(path: &Path) -> &'static str {
 
 /// The input format of `path`: `--format` when given (and not `auto`), else
 /// sniffed from the extension.
-fn input_format(path: &str, options: &HashMap<String, String>) -> Result<&'static str, Error> {
-    let explicit = options.get("format").map(|f| f.to_ascii_lowercase());
+fn input_format(path: &str, args: &Args) -> Result<&'static str, Error> {
+    let explicit = args.get("format").map(|f| f.to_ascii_lowercase());
     match explicit.as_deref().unwrap_or("auto") {
         "auto" => Ok(sniff_format(Path::new(path))),
         explicit => match FORMATS.iter().find(|&&known| known == explicit) {
@@ -307,23 +451,15 @@ fn input_format(path: &str, options: &HashMap<String, String>) -> Result<&'stati
     }
 }
 
-fn load_graph_opt(path: &str, options: &HashMap<String, String>) -> Result<CsrGraph, Error> {
-    Ok(match input_format(path, options)? {
-        "stream" => read_stream_file(path)?,
-        "edgelist" => read_edge_list(path, None)?,
-        _ => read_metis(path)?,
-    })
-}
-
-/// Where `partition` / `map` / `apply-deltas` read their graph from. The
-/// choice follows from the file alone: a METIS or vertex-stream file runs
-/// straight off the file in `O(n + batch)` memory, whatever the job — one
-/// scan per pass for the five streaming algorithms, whose report is tallied
-/// while they partition, and one more walk for `buffered` / `multilevel` /
-/// `rms`, which are measured afterwards. Every one of those walks proves the
-/// adjacency lists symmetric, so each job refuses a file that is not.
-/// `apply-deltas` reads it once, into the
-/// dynamic graph's one `O(n + m)` slab. An edge list does not group its
+/// Where every command reads its graph from. The choice follows from the
+/// file alone: a METIS or vertex-stream file runs straight off the file in
+/// `O(n + batch)` memory, whatever the job — one scan per pass for the five
+/// streaming algorithms, whose report is tallied while they partition, and
+/// one more walk for `buffered` / `multilevel` / `rms`, which are measured
+/// afterwards. Every one of those walks proves the adjacency lists
+/// symmetric, so each job refuses a file that is not. `apply-deltas` reads
+/// it once, into the dynamic graph's one `O(n + m)` slab; the commands that
+/// need a CSR take [`Source::into_graph`]. An edge list does not group its
 /// edges by node, so it is materialised.
 enum Source {
     /// The file itself.
@@ -332,11 +468,20 @@ enum Source {
 }
 
 impl Source {
-    fn open(path: &str, options: &HashMap<String, String>) -> Result<Self, Error> {
-        Ok(match input_format(path, options)? {
-            "edgelist" => Source::Materialised(read_edge_list(path, None)?),
+    fn open(path: &str, args: &Args) -> Result<Self, Error> {
+        Ok(match input_format(path, args)? {
+            "edgelist" => Source::Materialised(oms_graph::io::read_edge_list(path, None)?),
             "stream" => Source::Streamed(Box::new(DiskStream::open(path)?)),
             _ => Source::Streamed(Box::new(MetisStream::open(path)?)),
+        })
+    }
+
+    /// The graph as a CSR: a streamed file is collected (`collect_graph`,
+    /// which proves it symmetric), an edge list already is one.
+    fn into_graph(self) -> Result<CsrGraph, Error> {
+        Ok(match self {
+            Source::Streamed(mut stream) => oms_graph::collect_graph(stream.as_mut())?,
+            Source::Materialised(graph) => graph,
         })
     }
 
@@ -389,19 +534,27 @@ impl Source {
     }
 }
 
-/// Writes one block id per line through a sizeable buffer with manual
-/// itoa-style integer encoding, skipping the `fmt` machinery on the
-/// per-node hot path of million-node partitions.
-fn write_assignments(path: &str, assignments: &[u32]) -> Result<(), Error> {
+/// Creates `path` and lets `lines` write it through one 1 MiB buffer.
+fn write_buffered(
+    path: &str,
+    lines: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), Error> {
     let io_err = |e: std::io::Error| Error::Internal(format!("cannot write {path}: {e}"));
     let file = std::fs::File::create(path).map_err(io_err)?;
     let mut w = std::io::BufWriter::with_capacity(1 << 20, file);
-    let mut digits = [0u8; 11]; // u32::MAX has 10 digits, plus the newline
-    for &block in assignments {
-        w.write_all(encode_line(block, &mut digits))
-            .map_err(io_err)?;
-    }
-    w.flush().map_err(io_err)
+    lines(&mut w).and_then(|()| w.flush()).map_err(io_err)
+}
+
+/// Writes one block id per line with manual itoa-style integer encoding,
+/// skipping the `fmt` machinery on the per-node hot path of million-node
+/// partitions.
+fn write_assignments(path: &str, assignments: &[u32]) -> Result<(), Error> {
+    write_buffered(path, |w| {
+        let mut digits = [0u8; 11]; // u32::MAX has 10 digits, plus the newline
+        assignments
+            .iter()
+            .try_for_each(|&block| w.write_all(encode_line(block, &mut digits)))
+    })
 }
 
 /// Encodes `value` as decimal digits followed by `\n`, filling `buf` from
@@ -418,81 +571,6 @@ fn encode_line(mut value: u32, buf: &mut [u8; 11]) -> &[u8] {
         }
     }
     &buf[start..]
-}
-
-fn parse_option<T: std::str::FromStr>(
-    options: &HashMap<String, String>,
-    key: &str,
-    what: &str,
-) -> Result<Option<T>, Error> {
-    match options.get(key) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| Error::Usage(format!("--{key} must be {what}, got '{raw}'"))),
-    }
-}
-
-/// The job-option table rows that have a CLI flag, with that flag.
-fn knob_flags() -> impl Iterator<Item = (&'static knobs::Knob, &'static str)> {
-    KNOBS
-        .iter()
-        .filter_map(|knob| knob.flag.map(|flag| (knob, flag)))
-}
-
-/// The flags a job command accepts: `--job`/`--algo`, the job-option
-/// table's flags, `--trace`, and the command's `own`.
-fn job_flags(own: &[&'static str]) -> Vec<&'static str> {
-    let shared = ["job", "algo", "trace"].into_iter();
-    shared
-        .chain(knob_flags().map(|(_, flag)| flag))
-        .chain(own.iter().copied())
-        .collect()
-}
-
-/// Builds the job of `command` from its flags: `--job` verbatim, or
-/// `--algo` (default `default_algo`) with the shape from `--<shape_flag>`
-/// (`k` or `hierarchy`) and one option per job flag given.
-fn job_from_options(
-    options: &HashMap<String, String>,
-    command: &str,
-    shape_flag: &str,
-    default_algo: &str,
-) -> Result<JobSpec, Error> {
-    if let Some(spec) = options.get("job") {
-        let mut encoded = ["algo", shape_flag]
-            .into_iter()
-            .chain(knob_flags().map(|(_, flag)| flag));
-        if let Some(flag) = encoded.find(|flag| options.contains_key(*flag)) {
-            return Err(Error::Usage(format!(
-                "--job already encodes the whole job; drop --{flag}"
-            )));
-        }
-        return Ok(spec.parse()?);
-    }
-    let shape = if shape_flag == "hierarchy" {
-        let hierarchy = options.get("hierarchy");
-        let hierarchy = hierarchy.map(|h| oms_core::HierarchySpec::parse(h));
-        hierarchy.transpose()?.map(JobShape::Hierarchy)
-    } else {
-        parse_option(options, "k", "a positive integer")?.map(JobShape::Flat)
-    };
-    let Some(shape) = shape else {
-        return Err(Error::Usage(format!(
-            "{command}: --{shape_flag} (or --job) is required"
-        )));
-    };
-    let algo = options.get("algo").map_or(default_algo, String::as_str);
-    let mut job = JobSpec::flat(algo, 0);
-    job.shape = shape;
-    for (knob, flag) in knob_flags() {
-        if let Some(raw) = options.get(flag) {
-            knob.set(&mut job, raw)
-                .map_err(|why| Error::Usage(format!("--{flag} {raw}: {why}")))?;
-        }
-    }
-    Ok(job)
 }
 
 /// Prints the per-pass quality trajectory of a multi-pass run, one line per
@@ -514,75 +592,105 @@ fn print_trajectory(trajectory: &[oms_core::PassStats]) -> Result<(), Error> {
     Ok(())
 }
 
-fn partition_command(args: &[String]) -> Result<(), Error> {
-    let (args, metrics) = take_flag(args, "--metrics");
-    let (positional, options) = split_options(&args, &job_flags(&["k", "format", "output"]))?;
-    let Some(path) = positional.first() else {
-        return Err(Error::Usage("partition: missing graph file".into()));
-    };
-    let job = job_from_options(&options, "partition", "k", "oms")?;
-    let obs = ObsSession::start(&options, metrics);
-    if oms_edgepart::is_edge_algorithm(&job.algorithm) {
-        // The e-* algorithms partition *edges* (vertex-cut objective);
-        // they report the replication factor instead of the edge-cut.
-        edge_partition_command(path, &options, &job)?;
+/// `partition` and `map`: one job off the graph file and its report. A row
+/// whose shape is a hierarchy is `map`: its job gets the paper's PE
+/// distances unless `--job` names its own, and its report adds the topology
+/// and the mapping cost. On `partition` the `e-*` algorithms partition the
+/// graph's edges instead.
+fn job_command(args: &Args) -> Result<(), Error> {
+    let path = &args.positional[0];
+    let mapping = args.row().shape == "hierarchy";
+    let mut job = args.job()?;
+    if mapping {
+        if job.distances.is_none() && args.get("job").is_none() {
+            job = job.distances(oms_core::DistanceSpec::paper_default());
+        }
+        if job.shape.hierarchy().is_none() || job.distances.is_none() {
+            return Err(Error::Usage(
+                "map: the job needs a hierarchy and PE distances (dist= in --job)".into(),
+            ));
+        }
+    }
+    let obs = ObsSession::start(args);
+    if !mapping && oms_edgepart::is_edge_algorithm(&job.algorithm) {
+        let graph = Source::open(path, args)?.into_graph()?;
+        let report = edge_run(&job, &graph)?;
+        print_edge_report(path, &graph, &job, &report, args.get("output"))?;
         return obs.finish();
     }
     let partitioner = job.build()?;
-
-    let mut source = Source::open(path, &options)?;
+    let mut source = Source::open(path, args)?;
     let report = source.run(partitioner.as_ref())?;
-
-    let (n, m) = source.counts();
-    outln!("graph      : {path} (n = {n}, m = {m})")?;
-    outln!("job        : {job}")?;
-    outln!(
-        "algorithm  : {}, k = {}",
-        report.algorithm,
-        report.num_blocks()
-    )?;
-    outln!("edge-cut   : {}", report.edge_cut)?;
-    outln!("imbalance  : {:.4}", report.imbalance)?;
-    if let Some(total_edge_weight) = source.total_edge_weight_if_weighted(&report)? {
-        outln!(
-            "weights    : c(V) = {}, ω(E) = {total_edge_weight}, max block = {}",
-            report.total_node_weight(),
-            report.max_block_weight()
-        )?;
-    }
-    outln!("time       : {:.4} s", report.seconds)?;
-    print_trajectory(&report.trajectory)?;
-    if let Some(output) = options.get("output") {
+    let weights = source.total_edge_weight_if_weighted(&report)?;
+    print_job_report(path, source.counts(), &job, &report, weights, mapping)?;
+    if let Some(output) = args.get("output") {
         write_assignments(output, report.partition.assignments())?;
-        outln!("partition written to {output}")?;
+        let what = if mapping { "mapping" } else { "partition" };
+        outln!("{what} written to {output}")?;
     }
     obs.finish()
 }
 
-/// The vertex-cut pipeline behind `partition --algo e-*`: runs an edge
-/// partitioner from the `oms-edgepart` registry, reports the replication
-/// factor and (with `--output`) writes one `u v block` line per edge in
-/// stream order.
-fn edge_partition_command(
+/// The report of a node job; a mapping's adds the topology and the mapping
+/// cost and pads its labels to the longer "mapping cost".
+fn print_job_report(
     path: &str,
-    options: &HashMap<String, String>,
+    (n, m): (usize, usize),
     job: &JobSpec,
+    report: &PartitionReport,
+    total_edge_weight: Option<u64>,
+    mapping: bool,
 ) -> Result<(), Error> {
-    let partitioner = oms_edgepart::build_edge_partitioner(job)?;
-    let graph = load_graph_opt(path, options)?;
-    let report = partitioner.run(&mut EdgesOf(InMemoryStream::new(&graph)))?;
+    let w = if mapping { 13 } else { 11 };
+    outln!("{:<w$}: {path} (n = {n}, m = {m})", "graph")?;
+    if let (true, Some(hierarchy), Some(distances)) =
+        (mapping, job.shape.hierarchy(), &job.distances)
+    {
+        let d: Vec<String> = distances.distances().iter().map(u64::to_string).collect();
+        let s = hierarchy.to_string_spec();
+        outln!("{:<w$}: S = {s}, D = {}", "topology", d.join(":"))?;
+    }
+    outln!("{:<w$}: {job}", "job")?;
+    let (algorithm, k) = (&report.algorithm, report.num_blocks());
+    let pes = if mapping { " PEs" } else { "" };
+    outln!("{:<w$}: {algorithm}, k = {k}{pes}", "algorithm")?;
+    if let (true, Some(cost)) = (mapping, report.mapping_cost) {
+        outln!("{:<w$}: {cost}", "mapping cost")?;
+    }
+    outln!("{:<w$}: {}", "edge-cut", report.edge_cut)?;
+    outln!("{:<w$}: {:.4}", "imbalance", report.imbalance)?;
+    if let Some(total) = total_edge_weight {
+        let (c, max) = (report.total_node_weight(), report.max_block_weight());
+        outln!(
+            "{:<w$}: c(V) = {c}, ω(E) = {total}, max block = {max}",
+            "weights"
+        )?;
+    }
+    outln!("{:<w$}: {:.4} s", "time", report.seconds)?;
+    print_trajectory(&report.trajectory)
+}
 
-    outln!(
-        "graph       : {path} (n = {}, m = {})",
-        graph.num_nodes(),
-        graph.num_edges()
-    )?;
+/// The vertex-cut run behind `partition --algo e-*` and `replay --algo e-*`:
+/// the job's edge partitioner over the graph's edges, in CSR order.
+fn edge_run(job: &JobSpec, graph: &CsrGraph) -> Result<oms_edgepart::EdgePartitionReport, Error> {
+    let partitioner = oms_edgepart::build_edge_partitioner(job)?;
+    Ok(partitioner.run(&mut EdgesOf(InMemoryStream::new(graph)))?)
+}
+
+/// The report of an edge job: the replication factor instead of the
+/// edge-cut; with `output`, one `u v block` line per edge in stream order.
+fn print_edge_report(
+    path: &str,
+    graph: &CsrGraph,
+    job: &JobSpec,
+    report: &oms_edgepart::EdgePartitionReport,
+    output: Option<&str>,
+) -> Result<(), Error> {
+    let (n, m) = (graph.num_nodes(), graph.num_edges());
+    outln!("graph       : {path} (n = {n}, m = {m})")?;
     outln!("job         : {job}")?;
-    outln!(
-        "algorithm   : {}, k = {} (vertex-cut)",
-        report.algorithm,
-        report.num_blocks()
-    )?;
+    let (algorithm, k) = (&report.algorithm, report.num_blocks());
+    outln!("algorithm   : {algorithm}, k = {k} (vertex-cut)")?;
     outln!(
         "replication : {:.4} (total replicas {}, max {})",
         report.replication_factor,
@@ -591,11 +699,11 @@ fn edge_partition_command(
     )?;
     outln!("edge-balance: {:.4}", report.imbalance)?;
     if !graph.is_unweighted() {
-        outln!(
-            "weights     : ω(E) = {}, max block load = {}",
+        let (total, max) = (
             report.partition.total_load(),
-            report.partition.max_block_load()
-        )?;
+            report.partition.max_block_load(),
+        );
+        outln!("weights     : ω(E) = {total}, max block load = {max}")?;
     }
     outln!("time        : {:.4} s", report.seconds)?;
     if report.trajectory.len() >= 2 {
@@ -610,85 +718,18 @@ fn edge_partition_command(
             )?;
         }
     }
-    if let Some(output) = options.get("output") {
-        write_edge_assignments(output, &graph, report.partition.assignments())?;
+    if let Some(output) = output {
+        let blocks = report.partition.assignments();
+        write_buffered(output, |w| {
+            let mut edges = graph.edges().zip(blocks);
+            edges.try_for_each(|((u, v, _), block)| writeln!(w, "{u} {v} {block}"))
+        })?;
         outln!("edge partition written to {output}")?;
     }
     Ok(())
 }
 
-/// Writes one `u v block` line per edge, in the edge-stream order the
-/// assignment was produced in.
-fn write_edge_assignments(path: &str, graph: &CsrGraph, assignments: &[u32]) -> Result<(), Error> {
-    let io_err = |e: std::io::Error| Error::Internal(format!("cannot write {path}: {e}"));
-    let file = std::fs::File::create(path).map_err(io_err)?;
-    let mut w = std::io::BufWriter::with_capacity(1 << 20, file);
-    for (i, (u, v, _)) in graph.edges().enumerate() {
-        writeln!(w, "{u} {v} {}", assignments[i]).map_err(io_err)?;
-    }
-    w.flush().map_err(io_err)
-}
-
-fn map_command(args: &[String]) -> Result<(), Error> {
-    let (args, metrics) = take_flag(args, "--metrics");
-    let (positional, options) =
-        split_options(&args, &job_flags(&["hierarchy", "format", "output"]))?;
-    let Some(path) = positional.first() else {
-        return Err(Error::Usage("map: missing graph file".into()));
-    };
-    let mut job = job_from_options(&options, "map", "hierarchy", "oms")?;
-    if job.distances.is_none() && !options.contains_key("job") {
-        job = job.distances(oms_core::DistanceSpec::paper_default());
-    }
-    let (Some(hierarchy), Some(distances)) = (job.shape.hierarchy(), &job.distances) else {
-        return Err(Error::Usage(
-            "map: the job needs a hierarchy and PE distances (dist= in --job)".into(),
-        ));
-    };
-    let obs = ObsSession::start(&options, metrics);
-    let partitioner = job.build()?;
-
-    let mut source = Source::open(path, &options)?;
-    let report = source.run(partitioner.as_ref())?;
-
-    let (n, m) = source.counts();
-    outln!("graph        : {path} (n = {n}, m = {m})")?;
-    outln!(
-        "topology     : S = {}, D = {}",
-        hierarchy.to_string_spec(),
-        distances
-            .distances()
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(":")
-    )?;
-    outln!("job          : {job}")?;
-    outln!(
-        "algorithm    : {}, k = {} PEs",
-        report.algorithm,
-        report.num_blocks()
-    )?;
-    outln!(
-        "mapping cost : {}",
-        report.mapping_cost.expect("distances were attached")
-    )?;
-    outln!("edge-cut     : {}", report.edge_cut)?;
-    outln!("imbalance    : {:.4}", report.imbalance)?;
-    outln!("time         : {:.4} s", report.seconds)?;
-    print_trajectory(&report.trajectory)?;
-    if let Some(output) = options.get("output") {
-        write_assignments(output, report.partition.assignments())?;
-        outln!("mapping written to {output}")?;
-    }
-    obs.finish()
-}
-
-fn algorithms_command(args: &[String]) -> Result<(), Error> {
-    let (positional, _) = split_options(args, &[])?;
-    if !positional.is_empty() {
-        return Err(Error::Usage("algorithms: takes no arguments".into()));
-    }
+fn algorithms_command(_: &Args) -> Result<(), Error> {
     outln!("registered algorithms (use with --algo or in a --job spec):\n")?;
     let aliases = |aliases: &[&str]| match aliases {
         [] => String::new(),
@@ -727,12 +768,9 @@ fn algorithms_command(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn convert_command(args: &[String]) -> Result<(), Error> {
-    let (positional, options) = split_options(args, &["format"])?;
-    let (Some(input), Some(output)) = (positional.first(), positional.get(1)) else {
-        return Err(Error::Usage("convert: need <input> and <output>".into()));
-    };
-    let graph = load_graph_opt(input, &options)?;
+fn convert_command(args: &Args) -> Result<(), Error> {
+    let (input, output) = (&args.positional[0], &args.positional[1]);
+    let graph = Source::open(input, args)?.into_graph()?;
     // The output format follows the same extension table as input
     // sniffing, so `convert a.metis b.edges && info b.edges` round-trips.
     match sniff_format(Path::new(output)) {
@@ -771,18 +809,41 @@ fn convert_command(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn generate_command(args: &[String]) -> Result<(), Error> {
-    let (positional, options) = split_options(args, &["seed", "weights"])?;
-    let (Some(family), Some(n), Some(output)) =
-        (positional.first(), positional.get(1), positional.get(2))
-    else {
-        return Err(Error::Usage("generate: need <family> <n> <output>".into()));
-    };
-    let n: usize = n
+/// The largest node count a `NodeId` can number.
+const MAX_NODES: u64 = NodeId::MAX as u64;
+
+type Generator = fn(usize, u64) -> CsrGraph;
+
+/// The `generate` families: name, the `<n>` range it accepts and its
+/// generator. Below the range the generator has no graph; above it the node
+/// count made of `n` does not fit a `NodeId` — `grid` rounds `n` up to a
+/// square side², `rmat` to a power of two that its generator caps at 2^30.
+const FAMILIES: [(&str, u64, u64, Generator); 6] = [
+    ("rgg", 2, MAX_NODES, oms_gen::random_geometric_graph),
+    ("delaunay", 3, MAX_NODES, oms_gen::delaunay_graph),
+    ("ba", 0, MAX_NODES, |n, seed| {
+        oms_gen::barabasi_albert(n.max(5), 4, seed)
+    }),
+    ("rmat", 0, 1 << 30, |n, seed| {
+        let scale = (n as f64).log2().ceil() as u32;
+        oms_gen::rmat_graph(scale, n * 8, oms_gen::RmatParams::GRAPH500, seed)
+    }),
+    ("grid", 0, 65_535 * 65_535, |n, _| {
+        let side = (n as f64).sqrt().ceil() as usize;
+        oms_gen::grid_2d(side, side)
+    }),
+    ("er", 0, MAX_NODES, |n, seed| {
+        oms_gen::erdos_renyi_gnm(n, n * 4, seed)
+    }),
+];
+
+fn generate_command(args: &Args) -> Result<(), Error> {
+    let (family, output) = (&args.positional[0], &args.positional[2]);
+    let n: u64 = args.positional[1]
         .parse()
         .map_err(|_| Error::Usage("generate: <n> must be an integer".into()))?;
-    let seed: u64 = parse_option(&options, "seed", "an integer")?.unwrap_or(42);
-    let scheme = match options.get("weights") {
+    let seed: u64 = args.flag_or("seed", "an integer", 42)?;
+    let scheme = match args.get("weights") {
         None => oms_gen::WeightScheme::Unit,
         Some(raw) => oms_gen::WeightScheme::parse(raw).ok_or_else(|| {
             Error::Usage(format!(
@@ -790,22 +851,15 @@ fn generate_command(args: &[String]) -> Result<(), Error> {
             ))
         })?,
     };
-    let graph = match family.as_str() {
-        "rgg" => oms_gen::random_geometric_graph(n, seed),
-        "delaunay" => oms_gen::delaunay_graph(n, seed),
-        "ba" => oms_gen::barabasi_albert(n.max(5), 4, seed),
-        "rmat" => {
-            let scale = (n as f64).log2().ceil() as u32;
-            oms_gen::rmat_graph(scale, n * 8, oms_gen::RmatParams::GRAPH500, seed)
-        }
-        "grid" => {
-            let side = (n as f64).sqrt().ceil() as usize;
-            oms_gen::grid_2d(side, side)
-        }
-        "er" => oms_gen::erdos_renyi_gnm(n, n * 4, seed),
-        other => return Err(Error::Usage(format!("unknown graph family '{other}'"))),
+    let Some(&(_, min, max, generator)) = FAMILIES.iter().find(|row| row.0 == family) else {
+        return Err(Error::Usage(format!("unknown graph family '{family}'")));
     };
-    let graph = scheme.apply(&graph, seed);
+    if !(min..=max).contains(&n) {
+        return Err(Error::Usage(format!(
+            "generate {family}: <n> must be between {min} and {max}, got {n}"
+        )));
+    }
+    let graph = scheme.apply(&generator(n as usize, seed), seed);
     write_metis(&graph, output)?;
     outln!(
         "wrote {output} ({family}, weights = {}, n = {}, m = {}, c(V) = {})",
@@ -823,112 +877,80 @@ fn generate_command(args: &[String]) -> Result<(), Error> {
 /// library's `read_delta_trace`. `--temporal pa|drift|burst` switches from
 /// churn noise to timestamped temporal streams (one batch per timestamp
 /// window).
-fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
-    let (positional, options) = split_options(
-        args,
-        &[
-            "scheme",
-            "temporal",
-            "batches",
-            "ops",
-            "node-churn",
-            "insert-frac",
-            "delete-frac",
-            "seed",
-            "format",
-        ],
-    )?;
-    let (Some(path), Some(output)) = (positional.first(), positional.get(1)) else {
-        return Err(Error::Usage(
-            "gen-deltas: need <graph> and <out.deltas>".into(),
-        ));
+fn gen_deltas_command(args: &Args) -> Result<(), Error> {
+    let (path, output) = (&args.positional[0], &args.positional[1]);
+    let graph = Source::open(path, args)?.into_graph()?;
+    let seed = args.flag_or("seed", "an integer", 42)?;
+    let batches = args.flag("batches", "a positive integer")?;
+    let ops = args.flag("ops", "a positive integer")?;
+    let fraction = |flag: &str| {
+        args.flag_if(flag, "a fraction in [0, 1]", |f: &f64| {
+            (0.0..=1.0).contains(f)
+        })
     };
-    let graph = load_graph_opt(path, &options)?;
-    if let Some(shape) = options.get("temporal") {
-        if options.contains_key("scheme") {
+    let (node_churn, insert, delete) = (
+        fraction("node-churn")?,
+        fraction("insert-frac")?,
+        fraction("delete-frac")?,
+    );
+    let (trace, kind, scheme) = if let Some(shape) = args.get("temporal") {
+        if args.get("scheme").is_some() {
             return Err(Error::Usage(
                 "--temporal replaces --scheme; drop one of them".into(),
             ));
         }
-        let mut config = oms_gen::TemporalConfig {
-            seed: parse_option(&options, "seed", "an integer")?.unwrap_or(42),
-            ..oms_gen::TemporalConfig::default()
+        let defaults = oms_gen::TemporalConfig::default();
+        let config = oms_gen::TemporalConfig {
+            seed,
+            scheme: match shape {
+                "pa" => oms_gen::TemporalScheme::PreferentialAttachment { edges_per_node: 3 },
+                "drift" => oms_gen::TemporalScheme::CommunityDrift { communities: 8 },
+                "burst" => oms_gen::TemporalScheme::BurstArrivals { period: 4 },
+                other => {
+                    return Err(Error::Usage(format!(
+                        "--temporal must be pa, drift or burst, got '{other}'"
+                    )))
+                }
+            },
+            batches: batches.unwrap_or(defaults.batches),
+            ops_per_batch: ops.unwrap_or(defaults.ops_per_batch),
+            delete_fraction: delete.unwrap_or(defaults.delete_fraction),
         };
-        config.scheme = match shape.as_str() {
-            "pa" => oms_gen::TemporalScheme::PreferentialAttachment { edges_per_node: 3 },
-            "drift" => oms_gen::TemporalScheme::CommunityDrift { communities: 8 },
-            "burst" => oms_gen::TemporalScheme::BurstArrivals { period: 4 },
-            other => {
-                return Err(Error::Usage(format!(
-                    "--temporal must be pa, drift or burst, got '{other}'"
-                )))
-            }
+        let scheme = format!("{:?}", config.scheme);
+        (oms_gen::temporal_trace(&graph, &config), "temporal", scheme)
+    } else {
+        if delete.is_some() {
+            return Err(Error::Usage(
+                "--delete-frac only applies to --temporal traces".into(),
+            ));
+        }
+        let defaults = oms_gen::ChurnConfig::default();
+        let config = oms_gen::ChurnConfig {
+            seed,
+            scheme: match args.get("scheme").unwrap_or("uniform") {
+                "uniform" => oms_gen::ChurnScheme::Uniform,
+                "drift" => oms_gen::ChurnScheme::CommunityDrift { communities: 8 },
+                "burst" => oms_gen::ChurnScheme::Burst { window: 0.05 },
+                other => {
+                    return Err(Error::Usage(format!(
+                        "--scheme must be uniform, drift or burst, got '{other}'"
+                    )))
+                }
+            },
+            batches: batches.unwrap_or(defaults.batches),
+            ops_per_batch: ops.unwrap_or(defaults.ops_per_batch),
+            node_churn_fraction: node_churn.unwrap_or(defaults.node_churn_fraction),
+            insert_fraction: insert.unwrap_or(defaults.insert_fraction),
         };
-        if let Some(batches) = parse_option(&options, "batches", "a positive integer")? {
-            config.batches = batches;
-        }
-        if let Some(ops) = parse_option(&options, "ops", "a positive integer")? {
-            config.ops_per_batch = ops;
-        }
-        if let Some(frac) = parse_option(&options, "delete-frac", "a fraction in [0, 1]")? {
-            config.delete_fraction = frac;
-        }
-        let trace = oms_gen::temporal_trace(&graph, &config);
-        oms_graph::write_delta_trace(output, &trace)?;
-        outln!(
-            "wrote {output} ({} batches, {} deltas, temporal = {:?}, seed = {})",
-            trace.len(),
-            trace.iter().map(oms_graph::DeltaBatch::len).sum::<usize>(),
-            config.scheme,
-            config.seed
-        )?;
-        return Ok(());
-    }
-    if options.contains_key("delete-frac") {
-        return Err(Error::Usage(
-            "--delete-frac only applies to --temporal traces".into(),
-        ));
-    }
-    let mut config = oms_gen::ChurnConfig {
-        seed: parse_option(&options, "seed", "an integer")?.unwrap_or(42),
-        ..oms_gen::ChurnConfig::default()
+        let scheme = format!("{:?}", config.scheme);
+        (oms_gen::churn_trace(&graph, &config), "scheme", scheme)
     };
-    if let Some(batches) = parse_option(&options, "batches", "a positive integer")? {
-        config.batches = batches;
-    }
-    if let Some(ops) = parse_option(&options, "ops", "a positive integer")? {
-        config.ops_per_batch = ops;
-    }
-    if let Some(frac) = parse_option(&options, "node-churn", "a fraction in [0, 1]")? {
-        config.node_churn_fraction = frac;
-    }
-    if let Some(frac) = parse_option(&options, "insert-frac", "a fraction in [0, 1]")? {
-        config.insert_fraction = frac;
-    }
-    config.scheme = match options
-        .get("scheme")
-        .map(|s| s.as_str())
-        .unwrap_or("uniform")
-    {
-        "uniform" => oms_gen::ChurnScheme::Uniform,
-        "drift" => oms_gen::ChurnScheme::CommunityDrift { communities: 8 },
-        "burst" => oms_gen::ChurnScheme::Burst { window: 0.05 },
-        other => {
-            return Err(Error::Usage(format!(
-                "--scheme must be uniform, drift or burst, got '{other}'"
-            )))
-        }
-    };
-    let trace = oms_gen::churn_trace(&graph, &config);
     oms_graph::write_delta_trace(output, &trace)?;
+    let deltas: usize = trace.iter().map(oms_graph::DeltaBatch::len).sum();
     outln!(
-        "wrote {output} ({} batches, {} deltas, scheme = {:?}, seed = {})",
-        trace.len(),
-        trace.iter().map(oms_graph::DeltaBatch::len).sum::<usize>(),
-        config.scheme,
-        config.seed
-    )?;
-    Ok(())
+        "wrote {output} ({} batches, {deltas} deltas, {kind} = {scheme}, seed = {seed})",
+        trace.len()
+    )
 }
 
 /// The dynamic-maintenance pipeline behind `apply-deltas`: builds a
@@ -940,17 +962,10 @@ fn gen_deltas_command(args: &[String]) -> Result<(), Error> {
 /// (default 1; the final batch always checkpoints) comparing the
 /// incrementally maintained partition against a cold restream of the same
 /// graph state (unless `--reference off`).
-fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
-    let (args, metrics) = take_flag(args, "--metrics");
-    let (positional, options) =
-        split_options(&args, &job_flags(&["k", "reference", "format", "output"]))?;
-    let (Some(path), Some(trace_path)) = (positional.first(), positional.get(1)) else {
-        return Err(Error::Usage(
-            "apply-deltas: need <graph> and <trace.deltas>".into(),
-        ));
-    };
-    let job = job_from_options(&options, "apply-deltas", "k", "fennel")?;
-    let reference = match options.get("reference").map(|s| s.as_str()).unwrap_or("on") {
+fn apply_deltas_command(args: &Args) -> Result<(), Error> {
+    let (path, trace_path) = (&args.positional[0], &args.positional[1]);
+    let job = args.job()?;
+    let reference = match args.get("reference").unwrap_or("on") {
         "on" => true,
         "off" => false,
         other => {
@@ -959,9 +974,9 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
             )))
         }
     };
-    let mut source = Source::open(path, &options)?;
+    let mut source = Source::open(path, args)?;
     let (n, m) = source.counts();
-    let obs = ObsSession::start(&options, metrics);
+    let obs = ObsSession::start(args);
     let mut state = source.with_stream(|stream| oms_dynamic::PartitionState::new(&job, stream))?;
     // The state holds the graph now; an edge list's CSR goes with the source.
     drop(source);
@@ -1005,7 +1020,7 @@ fn apply_deltas_command(args: &[String]) -> Result<(), Error> {
         counters.restreams,
         counters.deltas_applied
     )?;
-    if let Some(output) = options.get("output") {
+    if let Some(output) = args.get("output") {
         write_assignments(output, state.assignments())?;
         outln!("partition written to {output}")?;
     }
@@ -1075,51 +1090,24 @@ fn checkpoint_table(curve: &[oms_dynamic::WindowStats]) -> String {
 /// cross-block hop rate, queue-load skew and p50/p99 latency. Both
 /// node-partition algorithms and the vertex-cut `e-*` family are supported;
 /// the latter serves each hop at the block owning the traversed edge.
-fn replay_command(args: &[String]) -> Result<(), Error> {
-    let (args, metrics) = take_flag(args, "--metrics");
-    let (positional, options) = split_options(
-        &args,
-        &job_flags(&[
-            "k",
-            "requests",
-            "hops",
-            "zipf",
-            "penalty",
-            "arrival",
-            "max-backlog",
-            "replay-seed",
-            "format",
-        ]),
-    )?;
-    let Some(path) = positional.first() else {
-        return Err(Error::Usage("replay: missing graph file".into()));
+fn replay_command(args: &Args) -> Result<(), Error> {
+    let path = &args.positional[0];
+    let job = args.job()?;
+    let d = oms_workload::ReplayConfig::default();
+    let count = "a non-negative integer";
+    let zipf = |z: &f64| z.is_finite() && *z >= 0.0;
+    let config = oms_workload::ReplayConfig {
+        seed: args.flag_or("replay-seed", "an integer", 0)?,
+        requests: args.flag_or("requests", "a positive integer", d.requests)?,
+        hops: args.flag_or("hops", count, d.hops)?,
+        zipf_exponent: (args.flag_if("zipf", "a non-negative number", zipf)?)
+            .unwrap_or(d.zipf_exponent),
+        hop_penalty: args.flag_or("penalty", count, d.hop_penalty)?,
+        arrival_every: args.flag_or("arrival", count, d.arrival_every)?,
+        max_backlog: args.flag_or("max-backlog", count, d.max_backlog)?,
     };
-    let job = job_from_options(&options, "replay", "k", "fennel")?;
 
-    let mut config = oms_workload::ReplayConfig {
-        seed: parse_option(&options, "replay-seed", "an integer")?.unwrap_or(0),
-        ..oms_workload::ReplayConfig::default()
-    };
-    if let Some(requests) = parse_option(&options, "requests", "a positive integer")? {
-        config.requests = requests;
-    }
-    if let Some(hops) = parse_option(&options, "hops", "a non-negative integer")? {
-        config.hops = hops;
-    }
-    if let Some(zipf) = parse_option(&options, "zipf", "a non-negative number")? {
-        config.zipf_exponent = zipf;
-    }
-    if let Some(penalty) = parse_option(&options, "penalty", "a non-negative integer")? {
-        config.hop_penalty = penalty;
-    }
-    if let Some(arrival) = parse_option(&options, "arrival", "a non-negative integer")? {
-        config.arrival_every = arrival;
-    }
-    if let Some(backlog) = parse_option(&options, "max-backlog", "a non-negative integer")? {
-        config.max_backlog = backlog;
-    }
-
-    let graph = load_graph_opt(path, &options)?;
+    let graph = Source::open(path, args)?.into_graph()?;
     outln!(
         "graph      : {path} (n = {}, m = {})",
         graph.num_nodes(),
@@ -1136,10 +1124,9 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
         config.seed
     )?;
 
-    let obs = ObsSession::start(&options, metrics);
+    let obs = ObsSession::start(args);
     let report = if oms_edgepart::is_edge_algorithm(&job.algorithm) {
-        let partitioner = oms_edgepart::build_edge_partitioner(&job)?;
-        let part = partitioner.run(&mut EdgesOf(InMemoryStream::new(&graph)))?;
+        let part = edge_run(&job, &graph)?;
         outln!(
             "partition  : {} (vertex-cut, replication {:.4})",
             part.algorithm,
@@ -1197,11 +1184,8 @@ fn replay_command(args: &[String]) -> Result<(), Error> {
 /// outside the grammar, a missing footer (a torn write), a hash mismatch —
 /// is an internal error (exit 2): the file does not describe the run it
 /// claims to.
-fn trace_command(args: &[String]) -> Result<(), Error> {
-    let (positional, _options) = split_options(args, &[])?;
-    let Some(path) = positional.first() else {
-        return Err(Error::Usage("trace: missing trace file".into()));
-    };
+fn trace_command(args: &Args) -> Result<(), Error> {
+    let path = &args.positional[0];
     let text = std::fs::read_to_string(path)
         .map_err(|e| Error::Internal(format!("cannot read {path}: {e}")))?;
     let summary =
@@ -1224,12 +1208,9 @@ fn trace_command(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn info_command(args: &[String]) -> Result<(), Error> {
-    let (positional, options) = split_options(args, &["format"])?;
-    let Some(path) = positional.first() else {
-        return Err(Error::Usage("info: missing graph file".into()));
-    };
-    let graph = load_graph_opt(path, &options)?;
+fn info_command(args: &Args) -> Result<(), Error> {
+    let path = &args.positional[0];
+    let graph = Source::open(path, args)?.into_graph()?;
     outln!("file         : {path}")?;
     outln!("nodes        : {}", graph.num_nodes())?;
     outln!("edges        : {}", graph.num_edges())?;
@@ -1253,29 +1234,24 @@ fn info_command(args: &[String]) -> Result<(), Error> {
         oms_graph::traversal::is_connected(&graph)
     )?;
     // For stream files, break the on-disk layout down by section.
-    if input_format(path, &options)? == "stream" {
+    if input_format(path, args)? == "stream" {
         let info = oms_graph::io::stream_file_info(path)?;
         outln!("stream format: v3")?;
         outln!("  header       : {:>12} B", info.header_bytes)?;
         outln!("  degrees      : {:>12} B", info.degree_bytes)?;
+        let omitted = |present| if present { "" } else { " (unit, omitted)" };
+        let node_weights = (info.node_weight_bytes, omitted(info.has_node_weights));
         outln!(
             "  node weights : {:>12} B{}",
-            info.node_weight_bytes,
-            if info.has_node_weights {
-                ""
-            } else {
-                " (unit, omitted)"
-            }
+            node_weights.0,
+            node_weights.1
         )?;
         outln!("  neighbors    : {:>12} B", info.neighbor_bytes)?;
+        let edge_weights = (info.edge_weight_bytes, omitted(info.has_edge_weights));
         outln!(
             "  edge weights : {:>12} B{}",
-            info.edge_weight_bytes,
-            if info.has_edge_weights {
-                ""
-            } else {
-                " (unit, omitted)"
-            }
+            edge_weights.0,
+            edge_weights.1
         )?;
         outln!("  padding      : {:>12} B", info.padding_bytes)?;
         outln!("  trailer      : {:>12} B", info.trailer_bytes)?;

@@ -1409,3 +1409,286 @@ fn a_closed_stdout_ends_the_command_quietly_not_with_a_panic() {
         assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
 }
+
+/// Runs `oms <args>` and returns (exit code, stdout, stderr).
+fn run_oms(args: &[&str]) -> (Option<i32>, String, String) {
+    let output = oms().args(args).output().unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout).to_string();
+    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+    (output.status.code(), stdout, stderr)
+}
+
+/// The usage text `oms` prints without arguments, from its `usage:` line on.
+fn usage_text() -> String {
+    let (_, _, stderr) = run_oms(&[]);
+    let start = stderr.find("usage:").expect("oms prints its usage");
+    stderr[start..].trim_end().to_string()
+}
+
+/// The `[--flag VALUE]` (value flags) and `[--switch]` (switches) names in
+/// `text`.
+fn bracketed_flags(text: &str) -> (Vec<String>, Vec<String>) {
+    let (mut flags, mut switches) = (Vec::new(), Vec::new());
+    for piece in text.split("[--").skip(1) {
+        let inside = &piece[..piece.find(']').unwrap()];
+        let mut words = inside.split_whitespace();
+        let name = words.next().unwrap().to_string();
+        match words.next() {
+            Some(_) => flags.push(name),
+            None => switches.push(name),
+        }
+    }
+    (flags, switches)
+}
+
+/// Every command the usage text names parses its command line against the
+/// row it is listed with: an unknown flag is refused with exactly the flags
+/// that row lists (its own and, on a job command, the job flags), and too
+/// few or too many positional arguments are usage errors, never a panic.
+#[test]
+fn every_command_in_the_usage_text_refuses_unknown_flags_and_a_wrong_arity() {
+    let usage = usage_text();
+    let job_flags_at = usage
+        .find("\n  job flags:")
+        .expect("usage lists the job flags");
+    let job_flags_text = &usage[job_flags_at..usage.find("\n  job spec").unwrap()];
+    let (job_flags, _) = bracketed_flags(job_flags_text);
+    let mut commands: Vec<(String, usize, String)> = Vec::new();
+    for line in usage[..job_flags_at].lines() {
+        if let Some(rest) = line.strip_prefix("  oms ") {
+            let mut words = rest.split_whitespace();
+            let name = words.next().unwrap().to_string();
+            let positional = words.take_while(|w| w.starts_with('<')).count();
+            commands.push((name, positional, String::new()));
+        }
+        if let Some((_, _, block)) = commands.last_mut() {
+            *block += line;
+        }
+    }
+    let names: Vec<&str> = commands.iter().map(|(name, ..)| name.as_str()).collect();
+    for expected in ["partition", "map", "algorithms", "convert", "generate"] {
+        assert!(
+            names.contains(&expected),
+            "{expected} missing from {names:?}"
+        );
+    }
+    assert_eq!(names.len(), 10, "{names:?}");
+    for (name, positional, block) in &commands {
+        let (mut expected, _) = bracketed_flags(block);
+        if block.contains("[job flags]") {
+            expected.extend(job_flags.iter().cloned());
+        }
+        expected.sort();
+
+        let (code, _, stderr) = run_oms(&[name, "--no-such-flag", "x"]);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        let prefix = "error: unknown option '--no-such-flag' (allowed here: ";
+        let listed = stderr
+            .strip_prefix(prefix)
+            .and_then(|rest| rest.split_once(")\n"))
+            .unwrap_or_else(|| panic!("{name}: {stderr}"))
+            .0;
+        let mut listed: Vec<String> = listed
+            .split(", ")
+            .filter(|flag| !flag.is_empty())
+            .map(|flag| flag.trim_start_matches("--").to_string())
+            .collect();
+        listed.sort();
+        assert_eq!(listed, expected, "{name}");
+
+        let dummies = vec!["x"; positional + 1];
+        let mut arities = vec![&dummies[..*positional + 1]];
+        if *positional > 0 {
+            arities.push(&dummies[..positional - 1]);
+        }
+        for given in arities {
+            let mut args = vec![name.as_str()];
+            args.extend(given);
+            let (code, _, stderr) = run_oms(&args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+}
+
+/// README's "Command line" section shows the usage text the program prints.
+#[test]
+fn readme_shows_the_generated_usage() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md at the workspace root");
+    let usage = usage_text();
+    assert!(
+        readme.contains(&format!("```text\n{usage}\n```")),
+        "README.md's usage block differs from `oms`'s:\n{usage}"
+    );
+}
+
+/// `generate` refuses an `<n>` outside its family's range — below the
+/// generator's minimum, or a node count (after `grid` rounds up to side²
+/// and `rmat` to a power of two) past what a `NodeId` numbers — as a usage
+/// error, never an assertion panic or an allocation abort.
+#[test]
+fn generate_refuses_sizes_outside_each_familys_range_without_panicking() {
+    let dir = temp_dir("generate-sizes");
+    let huge = (u64::MAX).to_string();
+    let past_u32 = ((1u64 << 32) + 1).to_string();
+    for family in ["rgg", "delaunay", "ba", "rmat", "grid", "er"] {
+        for n in ["0", "1", "2", &past_u32, &huge] {
+            let out = dir.join(format!("{family}-{n}.metis"));
+            let output = oms()
+                .args(["generate", family, n])
+                .arg(&out)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let code = output.status.code();
+            assert!(
+                code == Some(0) || code == Some(1),
+                "{family} {n}: {code:?} {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{family} {n}: {stderr}");
+            if code == Some(1) {
+                let message = format!("error: generate {family}: <n> must be between ");
+                assert!(stderr.starts_with(&message), "{family} {n}: {stderr}");
+            }
+            if n == past_u32 || n == huge {
+                assert_eq!(code, Some(1), "{family} {n}: {stderr}");
+            }
+        }
+    }
+}
+
+/// A small ER graph for the flag-value tests.
+fn small_graph(name: &str) -> (PathBuf, String) {
+    let dir = temp_dir(name);
+    let graph = dir.join("er.metis");
+    let output = oms()
+        .args(["generate", "er", "300"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    let graph = graph.to_str().unwrap().to_string();
+    (dir, graph)
+}
+
+/// `gen-deltas <graph> <out> <extra…> --<flag> <value>` for every value in
+/// `bad` is a usage error that prints `message`; `good` still runs.
+fn assert_gen_deltas_refuses(flag: &str, extra: &[&str], bad: &[&str], good: &str) {
+    let (dir, graph) = small_graph(&format!("gen-deltas-{flag}"));
+    let out = dir.join("out.deltas");
+    let out = out.to_str().unwrap();
+    let flag = format!("--{flag}");
+    let args = |value| {
+        let mut args = vec!["gen-deltas", &graph, out, "--batches", "2", "--ops", "10"];
+        args.extend(extra);
+        args.extend([flag.as_str(), value]);
+        args
+    };
+    for &value in bad {
+        let (code, _, stderr) = run_oms(&args(value));
+        assert_eq!(code, Some(1), "{flag} {value}: {stderr}");
+        let message = format!("error: {flag} must be a fraction in [0, 1], got '{value}'");
+        assert!(stderr.starts_with(&message), "{flag} {value}: {stderr}");
+    }
+    let (code, _, stderr) = run_oms(&args(good));
+    assert_eq!(code, Some(0), "{flag} {good}: {stderr}");
+}
+
+#[test]
+fn gen_deltas_refuses_a_node_churn_outside_the_unit_interval() {
+    assert_gen_deltas_refuses("node-churn", &[], &["5", "-1", "nan"], "0.5");
+}
+
+#[test]
+fn gen_deltas_refuses_an_insert_fraction_outside_the_unit_interval() {
+    assert_gen_deltas_refuses("insert-frac", &[], &["5", "-1", "nan"], "0.5");
+}
+
+#[test]
+fn gen_deltas_refuses_a_delete_fraction_outside_the_unit_interval() {
+    let temporal = ["--temporal", "pa"];
+    assert_gen_deltas_refuses("delete-frac", &temporal, &["5", "-1", "nan"], "0.5");
+}
+
+#[test]
+fn replay_refuses_a_zipf_exponent_that_is_negative_or_not_finite() {
+    let (_dir, graph) = small_graph("replay-zipf");
+    let args = |zipf| {
+        [
+            "replay",
+            &graph,
+            "--k",
+            "4",
+            "--requests",
+            "50",
+            "--zipf",
+            zipf,
+        ]
+    };
+    for zipf in ["-1", "nan", "inf"] {
+        let (code, _, stderr) = run_oms(&args(zipf));
+        assert_eq!(code, Some(1), "--zipf {zipf}: {stderr}");
+        let message = format!("error: --zipf must be a non-negative number, got '{zipf}'");
+        assert!(stderr.starts_with(&message), "--zipf {zipf}: {stderr}");
+    }
+    let (code, _, stderr) = run_oms(&args("1.5"));
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// `map` is `partition` with a hierarchy and the paper's distances: the same
+/// job written either way gives the same mapping.
+#[test]
+fn map_and_the_same_partition_job_write_identical_files() {
+    let (dir, graph) = small_graph("map-is-partition");
+    let (mapped, partitioned) = (dir.join("map.txt"), dir.join("partition.txt"));
+    let (mapped, partitioned) = (mapped.to_str().unwrap(), partitioned.to_str().unwrap());
+    let map = ["map", &graph, "--hierarchy", "4:4:4", "--output", mapped];
+    let (code, _, stderr) = run_oms(&map);
+    assert_eq!(code, Some(0), "{stderr}");
+    let job = "oms:4:4:4@dist=1:10:100";
+    let partition = ["partition", &graph, "--job", job, "--output", partitioned];
+    let (code, _, stderr) = run_oms(&partition);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (mapped, partitioned) = (std::fs::read(mapped), std::fs::read(partitioned));
+    assert_eq!(mapped.unwrap(), partitioned.unwrap());
+}
+
+/// `map` reports `c(V)`, `ω(E)` and the heaviest block on a weighted graph
+/// (RMAT merges its duplicate edges into edge weights), as `partition` does,
+/// and no weights line on an unweighted one.
+#[test]
+fn map_reports_the_weights_of_a_weighted_graph() {
+    let (dir, unweighted) = small_graph("map-weights");
+    let weighted = dir.join("rmat.metis");
+    let weighted = weighted.to_str().unwrap();
+    let (code, _, stderr) = run_oms(&["generate", "rmat", "2048", weighted, "--seed", "7"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let weights_of = |stdout: &str| -> Option<String> {
+        let line = stdout.lines().find(|line| line.starts_with("weights"))?;
+        // c(V) and ω(E) belong to the graph; the heaviest block to the job.
+        Some(
+            line.split_once(": ")?
+                .1
+                .split(", max block")
+                .next()?
+                .to_string(),
+        )
+    };
+    let (code, mapped, stderr) = run_oms(&["map", weighted, "--hierarchy", "2:2:4"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (code, partitioned, stderr) = run_oms(&["partition", weighted, "--k", "16"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let weights = weights_of(&mapped).unwrap_or_else(|| panic!("no weights line: {mapped}"));
+    assert!(
+        mapped.contains("\nweights      : c(V) = 2048, ω(E) = "),
+        "{mapped}"
+    );
+    assert_eq!(Some(weights), weights_of(&partitioned), "{partitioned}");
+
+    let (code, mapped, stderr) = run_oms(&["map", &unweighted, "--hierarchy", "2:2:4"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(weights_of(&mapped), None, "{mapped}");
+}
