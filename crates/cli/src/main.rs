@@ -32,7 +32,7 @@
 #![deny(clippy::print_stdout)]
 
 use oms_core::knobs::{self, KNOBS};
-use oms_core::{JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
+use oms_core::{FlatObjective, JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
 use oms_graph::io::{write_edge_list, write_metis, write_stream_file, DiskStream, MetisStream};
 use oms_graph::{CsrGraph, EdgesOf, InMemoryStream, NodeId, NodeStream};
 use std::collections::HashMap;
@@ -736,7 +736,7 @@ fn algorithms_command(_: &Args) -> Result<(), Error> {
         aliases => format!(" (aliases: {})", aliases.join(", ")),
     };
     for algo in ALGORITHMS.list() {
-        let marker = if algo.supports_repair {
+        let marker = if FlatObjective::for_algorithm(algo.name).is_some() {
             " [repairable]"
         } else {
             ""

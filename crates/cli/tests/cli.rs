@@ -1297,6 +1297,72 @@ fn a_huge_epsilon_is_an_unbounded_capacity_not_a_wrapped_one_or_a_panic() {
 }
 
 #[test]
+fn report_sums_are_exact_up_to_u64_max_and_a_typed_error_past_it() {
+    // A report tallies every edge from both endpoints and halves the sums.
+    // They wrapped (the path below: cut, ω(E) and J of 0) or saturated (the
+    // RMAT map: J = 2^63 − 1 for 9 500 000 000 000 000 489), with exit 0.
+    let dir = temp_dir("report-sums");
+    let path = dir.join("path.metis");
+    let w = 1u64 << 62;
+    std::fs::write(&path, format!("3 2 1\n2 {w}\n1 {w} 3 {w}\n2 {w}\n")).unwrap();
+    let report = |command: &str, graph: &std::path::Path, job: &str| {
+        let output = oms()
+            .arg(command)
+            .arg(graph)
+            .args(["--job", job])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+        let stdout = String::from_utf8_lossy(&output.stdout).to_string();
+        (output.status.code(), stdout, stderr)
+    };
+    let field = |stdout: &str, name: &str| {
+        let line = stdout.lines().find(|l| l.starts_with(name));
+        let line = line.unwrap_or_else(|| panic!("no {name} in {stdout}"));
+        line.split_once(':').unwrap().1.trim().to_string()
+    };
+    let twice = (2 * w).to_string();
+    for (command, job, mapped) in [
+        // Blocks 1 2 1: both edges cut.
+        ("partition", "hashing:3", false),
+        ("partition", "fennel:3", false),
+        ("map", "oms:3:2@dist=1:10", true),
+    ] {
+        let (code, stdout, stderr) = report(command, &path, job);
+        assert_eq!(code, Some(0), "{job}: {stderr}");
+        assert!(
+            stdout.contains(&format!("ω(E) = {twice},")),
+            "{job}: {stdout}"
+        );
+        if job != "fennel:3" {
+            assert_eq!(field(&stdout, "edge-cut"), twice, "{job}");
+        }
+        if mapped {
+            assert_eq!(field(&stdout, "mapping cost"), twice, "{job}");
+        }
+    }
+
+    // J = 19·D + 489 on this graph: 19 489 at D = 1000.
+    let rmat = dir.join("rmat.metis");
+    let (code, _, stderr) = run_oms(&["generate", "rmat", "14", rmat.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    for (d, expected) in [
+        ("1000", "19489"),
+        ("500000000000000000", "9500000000000000489"),
+    ] {
+        let (code, stdout, stderr) = report("map", &rmat, &format!("oms:4:4:4@dist=1:10:{d}"));
+        assert_eq!(code, Some(0), "D = {d}: {stderr}");
+        assert_eq!(field(&stdout, "mapping cost"), expected, "D = {d}");
+    }
+    // Ten times that does not fit in a u64.
+    assert_graph_error(
+        &rmat,
+        &[&["map", "--job", "oms:4:4:4@dist=1:10:5000000000000000000"]],
+        "the mapping cost J exceeds u64::MAX",
+    );
+}
+
+#[test]
 fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     let dir = temp_dir("hostile-metis");
     for (name, text) in [

@@ -1,19 +1,19 @@
 //! The unified, object-safe partitioning API.
 //!
-//! Every algorithm family in this workspace — the flat baselines
-//! ([`Hashing`], [`Ldg`], [`Fennel`]), online recursive multi-section
-//! ([`OnlineMultiSection`], both OMS and nh-OMS), their restreaming runs
-//! and the in-memory multilevel baseline (registered by `oms-multilevel`) —
-//! is reachable through three pieces:
+//! Every algorithm family in this workspace — the flat baselines (`hashing`,
+//! `ldg`, `fennel`), online recursive multi-section (`oms`, `nh-oms`), their
+//! restreaming runs and the in-memory multilevel baseline (registered by
+//! `oms-multilevel`) — is reachable through three pieces:
 //!
 //! * [`Partitioner`] — a dyn-compatible trait: `run` takes any
-//!   `&mut dyn NodeStream` and returns a [`PartitionReport`]. It is
-//!   blanket-implemented for every [`StreamingPartitioner`], so existing
-//!   algorithms participate for free.
+//!   `&mut dyn NodeStream` and returns a [`PartitionReport`].
 //! * [`JobSpec`] — a parseable, round-trippable description of a
 //!   partitioning job (`"oms:4:16:8@eps=0.03,passes=3"`), with
-//!   [`JobSpec::build`] as the factory producing a `Box<dyn Partitioner>`.
-//!   Its options are the rows of the job-option table ([`crate::knobs`]).
+//!   [`JobSpec::build`] as the factory producing a `Box<dyn Partitioner>` —
+//!   the only way to build one. The five built-in streaming rows build one
+//!   job type, OMS on the tree the row picks (`oms`'s
+//!   `OnlineMultiSection`). Its options are the rows of the job-option
+//!   table ([`crate::knobs`]).
 //! * The **dispatch registry** [`ALGORITHMS`] — a shared name → constructor
 //!   table ([`Registry`]) that downstream crates extend
 //!   (`oms_multilevel::register_algorithms()` adds the `multilevel` and
@@ -109,12 +109,11 @@
 //! assert!(report.mapping_cost.unwrap() >= report.edge_cut);
 //! ```
 
-use crate::config::{OmsConfig, OnePassConfig};
 use crate::executor::{measure, Measurement, PassStats, PassTrajectory, ReportTopology};
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::knobs::{self, Knob, KNOBS};
+use crate::mstree::MultisectionTree;
 use crate::oms::OnlineMultiSection;
-use crate::onepass::{Fennel, Hashing, Ldg, StreamingPartitioner};
 use crate::partition::{Partition, UNASSIGNED};
 use crate::registry::{Entry, Registry};
 use crate::scorer::FlatObjective;
@@ -189,9 +188,7 @@ impl PartitionReport {
 /// The trait is deliberately dyn-compatible so heterogeneous frontends can
 /// hold `Box<dyn Partitioner>` built from a [`JobSpec`] and drive any
 /// algorithm — streaming, restreaming or in-memory — through one entry
-/// point. It is blanket-implemented for every [`StreamingPartitioner`];
-/// algorithms that need random access to the graph (multilevel) implement
-/// it directly and use
+/// point. Algorithms that need random access to the graph (multilevel) use
 /// [`NodeStream::as_graph`] / [`materialize_stream`] to obtain one.
 pub trait Partitioner {
     /// Registry name of the algorithm (used in reports).
@@ -276,35 +273,6 @@ pub trait Partitioner {
             trajectory: trajectory.stats,
             partition,
         })
-    }
-}
-
-impl<T: StreamingPartitioner> Partitioner for T {
-    fn name(&self) -> String {
-        StreamingPartitioner::name(self).to_string()
-    }
-
-    fn num_blocks(&self) -> u32 {
-        StreamingPartitioner::num_blocks(self)
-    }
-
-    fn partition(&self, mut stream: &mut dyn NodeStream) -> Result<Partition> {
-        self.partition_stream(&mut stream)
-    }
-
-    fn partition_tracked(
-        &self,
-        mut stream: &mut dyn NodeStream,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.partition_stream_tracked(&mut stream)
-    }
-
-    fn partition_measured(
-        &self,
-        mut stream: &mut dyn NodeStream,
-        topology: ReportTopology<'_>,
-    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
-        self.partition_stream_measured(&mut stream, Some(topology))
     }
 }
 
@@ -622,22 +590,6 @@ impl JobSpec {
         self.shape.num_blocks()
     }
 
-    /// The flat one-pass configuration corresponding to this job.
-    pub fn one_pass_config(&self) -> OnePassConfig {
-        OnePassConfig::default()
-            .epsilon(self.epsilon)
-            .seed(self.seed)
-    }
-
-    /// The OMS configuration corresponding to this job.
-    pub fn oms_config(&self) -> OmsConfig {
-        OmsConfig::default()
-            .epsilon(self.epsilon)
-            .seed(self.seed)
-            .base_b(self.base_b)
-            .hashing_bottom_layers(self.hashing_bottom_layers)
-    }
-
     /// Checks the job's options on their own, whatever algorithm runs them:
     /// every option within the range its [`knobs`] row declares, `k > 0`
     /// and small enough that per-block state can be allocated, and the
@@ -797,33 +749,26 @@ pub type AlgorithmInfo = Entry<dyn Partitioner>;
 pub static ALGORITHMS: Registry<dyn Partitioner> =
     Registry::new("algorithm", &["dist"], builtin_algorithms);
 
-/// The pass-aware flat baseline of `rule` (`None` = Hashing) the job
-/// describes.
-fn build_flat(spec: &JobSpec, rule: Option<FlatObjective>) -> Result<Box<dyn Partitioner>> {
-    let (k, config) = (spec.num_blocks(), spec.one_pass_config());
-    let (passes, convergence) = (spec.passes, spec.convergence);
-    Ok(match rule {
-        None => Box::new(
-            Hashing::new(k, config)
-                .passes(passes)
-                .convergence(convergence),
-        ),
-        Some(FlatObjective::Ldg) => {
-            Box::new(Ldg::new(k, config).passes(passes).convergence(convergence))
-        }
-        Some(FlatObjective::Fennel) => Box::new(
-            Fennel::new(k, config)
-                .passes(passes)
-                .convergence(convergence),
-        ),
-    })
+/// OMS on `tree`, its layers scored with Fennel.
+fn oms_on(spec: &JobSpec, tree: MultisectionTree) -> Result<Box<dyn Partitioner>> {
+    let objective = Some(FlatObjective::Fennel);
+    Ok(Box::new(OnlineMultiSection::new(spec, tree, objective)))
 }
 
-/// OMS over the tree of `oms`, with the job's pass budget.
-fn build_oms(spec: &JobSpec, oms: OnlineMultiSection) -> Result<Box<dyn Partitioner>> {
-    Ok(Box::new(
-        oms.passes(spec.passes).convergence(spec.convergence),
-    ))
+/// The flat rule `objective` (`None` = Hashing) on the depth-1 tree; a
+/// hierarchical shape is flattened to its `k`.
+fn flat(spec: &JobSpec, objective: Option<FlatObjective>) -> Result<Box<dyn Partitioner>> {
+    Ok(Box::new(OnlineMultiSection::flat(spec, objective)))
+}
+
+/// nh-OMS's artificial recursive `base=`-section tree over `k` blocks.
+fn b_section(k: u32, base: u32) -> Result<MultisectionTree> {
+    if base < 2 {
+        return Err(PartitionError::InvalidConfig(
+            "the multi-section base must be at least 2".into(),
+        ));
+    }
+    Ok(MultisectionTree::flat(k, base))
 }
 
 fn builtin_algorithms() -> Vec<AlgorithmInfo> {
@@ -833,43 +778,33 @@ fn builtin_algorithms() -> Vec<AlgorithmInfo> {
             aliases: &["hash"],
             description: "random hash assignment (fastest, worst quality)",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: false,
-            build: |spec| build_flat(spec, None),
+            build: |spec| flat(spec, None),
         },
         Entry {
             name: "ldg",
             aliases: &["reldg"],
             description: "linear deterministic greedy; passes>1 = ReLDG",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: true,
-            build: |spec| build_flat(spec, Some(FlatObjective::Ldg)),
+            build: |spec| flat(spec, Some(FlatObjective::Ldg)),
         },
         Entry {
             name: "fennel",
             aliases: &["refennel"],
             description: "Fennel one-pass; passes>1 = ReFennel",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: true,
-            build: |spec| build_flat(spec, Some(FlatObjective::Fennel)),
+            build: |spec| flat(spec, Some(FlatObjective::Fennel)),
         },
         Entry {
             name: "oms",
             aliases: &["reoms"],
             description: "online recursive multi-section (hierarchy shape = OMS, flat k = nh-OMS)",
             reads: &["base", "hybrid"],
-            supports_hierarchy: true,
-            supports_repair: false,
-            build: |spec| match &spec.shape {
-                JobShape::Hierarchy(h) => build_oms(
-                    spec,
-                    OnlineMultiSection::with_hierarchy(h.clone(), spec.oms_config()),
-                ),
-                JobShape::Flat(k) => {
-                    build_oms(spec, OnlineMultiSection::flat(*k, spec.oms_config())?)
-                }
+            build: |spec| {
+                let tree = match &spec.shape {
+                    JobShape::Hierarchy(h) => MultisectionTree::from_hierarchy(h),
+                    JobShape::Flat(k) => b_section(*k, spec.base_b)?,
+                };
+                oms_on(spec, tree)
             },
         },
         Entry {
@@ -877,14 +812,9 @@ fn builtin_algorithms() -> Vec<AlgorithmInfo> {
             aliases: &["nhoms"],
             description: "nh-OMS: k-way partitioning through the artificial base-b tree",
             reads: &["base", "hybrid"],
-            supports_hierarchy: false,
-            supports_repair: false,
             // Always the artificial base-b tree, even when the shape was
             // written as a hierarchy (only the product k matters).
-            build: |spec| {
-                let oms = OnlineMultiSection::flat(spec.num_blocks(), spec.oms_config())?;
-                build_oms(spec, oms)
-            },
+            build: |spec| oms_on(spec, b_section(spec.num_blocks(), spec.base_b)?),
         },
     ]
 }
@@ -1186,18 +1116,13 @@ mod tests {
     #[test]
     fn registry_can_be_extended_and_replaced() {
         fn build_dummy(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-            Ok(Box::new(crate::Hashing::new(
-                spec.num_blocks(),
-                OnePassConfig::default(),
-            )))
+            JobSpec::flat("hashing", spec.num_blocks()).build()
         }
         ALGORITHMS.register(Entry {
             name: "dummy-test-algo",
             aliases: &[],
             description: "test-only",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: false,
             build: build_dummy,
         });
         assert!(ALGORITHMS.find("dummy-test-algo").is_some());
@@ -1212,8 +1137,6 @@ mod tests {
             aliases: &[],
             description: "replaced",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: false,
             build: build_dummy,
         });
         let count = ALGORITHMS

@@ -34,7 +34,7 @@
 use crate::hierarchy::{DistanceSpec, HierarchySpec};
 use crate::partition::UNASSIGNED;
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{EdgeWeight, NodeId, NodeStream, NodeWeight, StreamedNode, SymmetryProof};
+use oms_graph::{GraphError, NodeId, NodeStream, NodeWeight, StreamedNode, SymmetryProof};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
 
 /// A consumer of streamed nodes: the per-algorithm scoring/assignment state
@@ -582,7 +582,7 @@ pub struct Measurement {
     /// Total edge weight `ω(E)` of the streamed graph.
     pub total_edge_weight: u64,
     /// Mapping cost `J(C, D, Π) = Σ ω(u,v) · D(Π(u), Π(v))`, when a
-    /// topology was given (saturating at `u64::MAX`).
+    /// topology was given.
     pub mapping_cost: Option<u64>,
 }
 
@@ -597,7 +597,9 @@ pub type ReportTopology<'a> = Option<(&'a HierarchySpec, &'a DistanceSpec)>;
 /// all fall out of that one histogram.
 ///
 /// The histogram counts in adjacency *entries*, two per undirected edge, and
-/// [`LevelTally::finish`] halves it. Two walks fill it:
+/// [`LevelTally::finish`] halves it. Its sums are `u128`, so a doubled sum
+/// never wraps: every reported value is exact up to `u64::MAX`, and one past
+/// it is a typed graph error. Two walks fill it:
 ///
 /// * [`LevelTally::every_entry`] — the measurement walk ([`measure`]) over a
 ///   finished assignment: every entry, as it comes;
@@ -619,10 +621,10 @@ pub(crate) struct LevelTally<'a> {
     k: u32,
     block_weights: Vec<NodeWeight>,
     total_node_weight: NodeWeight,
-    level_weights: Vec<EdgeWeight>,
+    level_weights: Vec<u128>,
     /// Entries between two unassigned nodes sit on level 0 (same "block",
     /// distance 0) yet count as cut.
-    both_unassigned: EdgeWeight,
+    both_unassigned: u128,
 }
 
 impl<'a> LevelTally<'a> {
@@ -672,7 +674,7 @@ impl<'a> LevelTally<'a> {
         &mut self,
         own: BlockId,
         weight: NodeWeight,
-        entries: impl Iterator<Item = (BlockId, EdgeWeight)>,
+        entries: impl Iterator<Item = (BlockId, u128)>,
     ) {
         self.total_node_weight += weight;
         if let Some(block) = self.block_weights.get_mut(own as usize) {
@@ -680,7 +682,7 @@ impl<'a> LevelTally<'a> {
         }
         match self.topology {
             None => {
-                let (mut all, mut cut) = (0u64, 0u64);
+                let (mut all, mut cut) = (0u128, 0u128);
                 for (other, w) in entries {
                     all += w;
                     if other != own {
@@ -721,20 +723,21 @@ impl<'a> LevelTally<'a> {
         let (this, own) = (node.node, assignments[node.node as usize]);
         let entries = node.neighbors_weighted().map(|(u, w)| {
             proof.walk_entry(this, u, w);
-            (assignments[u as usize], w)
+            (assignments[u as usize], u128::from(w))
         });
         self.node(own, node.weight, entries);
         if own == UNASSIGNED {
             for (u, w) in node.neighbors_weighted() {
                 if assignments[u as usize] == UNASSIGNED {
-                    self.both_unassigned += w;
+                    self.both_unassigned += u128::from(w);
                 }
             }
         }
     }
 
-    /// Halves the doubled sums into the [`Measurement`].
-    fn finish(&self) -> Measurement {
+    /// Halves the doubled sums into the [`Measurement`], or fails with a
+    /// typed graph error naming a value that exceeds `u64::MAX`.
+    fn finish(&self) -> Result<Measurement> {
         let max = self.block_weights.iter().copied().max().unwrap_or(0);
         let average = self.total_node_weight as f64 / self.k.max(1) as f64;
         let imbalance = if average > 0.0 {
@@ -742,23 +745,31 @@ impl<'a> LevelTally<'a> {
         } else {
             0.0
         };
-        let twice_cut = self.level_weights[1..].iter().sum::<u64>() + self.both_unassigned;
+        let twice_cut = self.level_weights[1..].iter().sum::<u128>() + self.both_unassigned;
         let mapping_cost = self.topology.map(|(_, distances)| {
+            // Saturated, the sum is still beyond `2 · u64::MAX`.
             let twice = self.level_weights[1..]
                 .iter()
                 .zip(distances.distances())
-                .fold(0u64, |sum, (&w, &d)| {
-                    sum.saturating_add(w.saturating_mul(d))
+                .fold(0u128, |sum, (&w, &d)| {
+                    sum.saturating_add(w.saturating_mul(u128::from(d)))
                 });
-            twice / 2
+            halve(twice, "mapping cost J")
         });
-        Measurement {
-            edge_cut: twice_cut / 2,
+        Ok(Measurement {
+            edge_cut: halve(twice_cut, "edge-cut")?,
             imbalance,
-            total_edge_weight: self.level_weights.iter().sum::<u64>() / 2,
-            mapping_cost,
-        }
+            total_edge_weight: halve(self.level_weights.iter().sum(), "total edge weight ω(E)")?,
+            mapping_cost: mapping_cost.transpose()?,
+        })
     }
+}
+
+/// Half of a doubled sum, or a typed graph error naming the `quantity` when
+/// the half does not fit in a `u64`.
+fn halve(twice: u128, quantity: &str) -> Result<u64> {
+    u64::try_from(twice / 2)
+        .map_err(|_| GraphError::Invalid(format!("the {quantity} exceeds u64::MAX")).into())
 }
 
 /// The drive loop's tally of one pass: a [`LevelTally`] fed right after each
@@ -819,13 +830,13 @@ impl<'a> PassTally<'a> {
         let mut sightings = SymmetryProof::default();
         let entries = node.neighbors_weighted().filter_map(|(u, w)| {
             if u == this {
-                return Some((own, w));
+                return Some((own, u128::from(w)));
             }
             let placed = seen(u);
             if PROVE {
                 sightings.sight(this, u, w, placed);
             }
-            placed.then(|| (assignments[u as usize], 2 * w))
+            placed.then(|| (assignments[u as usize], 2 * u128::from(w)))
         });
         self.levels.node(own, node.weight, entries);
         if own == UNASSIGNED {
@@ -833,9 +844,9 @@ impl<'a> PassTally<'a> {
             // second sighting like the rest.
             for (u, w) in node.neighbors_weighted() {
                 if u == this {
-                    self.levels.both_unassigned += w;
+                    self.levels.both_unassigned += u128::from(w);
                 } else if seen(u) && assignments[u as usize] == UNASSIGNED {
-                    self.levels.both_unassigned += 2 * w;
+                    self.levels.both_unassigned += 2 * u128::from(w);
                 }
             }
         }
@@ -850,7 +861,7 @@ impl<'a> PassTally<'a> {
     /// every first sighting met its second.
     fn finish(&self) -> Result<Measurement> {
         self.proof.check()?;
-        Ok(self.levels.finish())
+        self.levels.finish()
     }
 }
 
@@ -905,7 +916,7 @@ pub fn measure(
     let mut proof = SymmetryProof::default();
     stream.for_each_node(&mut |node| tally.every_entry(node, assignments, &mut proof))?;
     proof.check()?;
-    Ok(tally.finish())
+    tally.finish()
 }
 
 /// Edge-cut and imbalance of `assignments` over `k` blocks: [`measure`]
@@ -1095,11 +1106,11 @@ mod tests {
     /// its pass can only cut worse.
     #[test]
     fn every_tracked_pass_tallies_what_the_measurement_walk_finds() {
-        use crate::config::OmsConfig;
+        use crate::mstree::MultisectionTree;
         use crate::oms::{OmsSink, OnlineMultiSection};
-        use crate::onepass::{depth_one, Fennel, Hashing, HashingSink, StreamingPartitioner};
+        use crate::onepass::HashingSink;
         use crate::scorer::FlatObjective;
-        use crate::{DistanceSpec, HierarchySpec, OnePassConfig};
+        use crate::{DistanceSpec, HierarchySpec, JobSpec};
         use oms_gen::{barabasi_albert, erdos_renyi_gnm, WeightScheme};
         use oms_graph::io::{write_metis, write_stream_file, DiskStream, MetisStream};
         use oms_graph::NodeOrdering;
@@ -1109,31 +1120,29 @@ mod tests {
         let (h444, h222) = (HierarchySpec::parse("4:4:4"), HierarchySpec::parse("2:2:2"));
         let (h444, h222) = (h444.unwrap(), h222.unwrap());
         let distances = DistanceSpec::parse("1:10:100").unwrap();
-        let cfg = OnePassConfig::default().seed(3);
-        let oms_cfg = OmsConfig::default().seed(3);
+        let job = |text: &str| JobSpec::parse(text).unwrap().seed(3);
+        let flat = |text: &str, objective| OnlineMultiSection::flat(&job(text), Some(objective));
+        let tree = |text: &str, h: &HierarchySpec| {
+            let tree = MultisectionTree::from_hierarchy(h);
+            OnlineMultiSection::new(&job(text), tree, Some(FlatObjective::Fennel))
+        };
         let kernels: [(&str, OnlineMultiSection, ReportTopology<'_>); 4] = [
-            (
-                "fennel:7",
-                depth_one(7, cfg, FlatObjective::Fennel).unwrap(),
-                None,
-            ),
-            (
-                "ldg:3",
-                depth_one(3, cfg, FlatObjective::Ldg).unwrap(),
-                None,
-            ),
-            (
-                "oms:4:4:4",
-                OnlineMultiSection::with_hierarchy(h444, oms_cfg),
-                None,
-            ),
+            ("fennel:7", flat("fennel:7", FlatObjective::Fennel), None),
+            ("ldg:3", flat("ldg:3", FlatObjective::Ldg), None),
+            ("oms:4:4:4", tree("oms:4:4:4", &h444), None),
             (
                 "oms:2:2:2@dist=1:10:100",
-                OnlineMultiSection::with_hierarchy(h222.clone(), oms_cfg),
+                tree("oms:2:2:2", &h222),
                 Some((&h222, &distances)),
             ),
         ];
-        let refine = depth_one(16, cfg, FlatObjective::Fennel).unwrap();
+        let refine = flat("fennel:16", FlatObjective::Fennel);
+        let partition = |text: &str, graph| {
+            let partitioner = job(text).build().unwrap();
+            partitioner
+                .partition(&mut InMemoryStream::new(graph))
+                .unwrap()
+        };
         let graphs = [
             ("er", erdos_renyi_gnm(300, 1500, 41)),
             (
@@ -1152,7 +1161,7 @@ mod tests {
             let stream_path = dir.join(format!("{name}.oms"));
             write_metis(graph, &metis_path).unwrap();
             write_stream_file(graph, &stream_path).unwrap();
-            let seed = Hashing::new(16, cfg).partition_graph(graph).unwrap();
+            let seed = partition("hashing:16", graph);
             let (n, m, weight) = (
                 graph.num_nodes(),
                 graph.num_edges(),
@@ -1242,7 +1251,7 @@ mod tests {
                 if weighted {
                     // A Hashing pass over Fennel's partition cuts far more:
                     // it reverts, and the Fennel loads come back.
-                    let fennel = Fennel::new(16, cfg).partition_graph(graph).unwrap();
+                    let fennel = partition("fennel:16", graph);
                     let seeded = |assignments: &[BlockId], loads: &[NodeWeight]| HashingSink {
                         assignments: assignments.to_vec(),
                         block_weights: loads.to_vec(),
@@ -1292,5 +1301,58 @@ mod tests {
             let last = measure(stream, sink.assignments(), 3, None).unwrap();
             assert_eq!(report, Some(last));
         }
+    }
+
+    /// The path 0–1–2 with both edges of weight `w`.
+    fn heavy_path(w: oms_graph::EdgeWeight) -> oms_graph::CsrGraph {
+        let mut builder = oms_graph::GraphBuilder::new(3);
+        builder.add_weighted_edge(0, 1, w).unwrap();
+        builder.add_weighted_edge(1, 2, w).unwrap();
+        builder.build()
+    }
+
+    /// Each edge is tallied from both endpoints, and the doubled sums of
+    /// edges of weight `2^62` reach `2^64`: they must not wrap (they gave
+    /// a cut, `ω(E)` and `J` of 0), and a value that does not fit in a `u64`
+    /// is a typed error naming it, not a saturated `2^64 − 1`. Both walks:
+    /// `measure`, and the tally of a job's pass.
+    #[test]
+    fn measure_is_exact_up_to_u64_max_and_refuses_larger_values() {
+        use crate::{DistanceSpec, HierarchySpec, JobSpec};
+        let big = 1u64 << 62;
+        let path = heavy_path(big);
+        let stream = &mut InMemoryStream::new(&path);
+        // Blocks 1 2 1: both edges cut.
+        let m = measure(stream, &[1, 2, 1], 3, None).unwrap();
+        assert_eq!((m.edge_cut, m.total_edge_weight), (2 * big, 2 * big));
+        let report = JobSpec::parse("hashing:3").unwrap().build().unwrap();
+        let report = report.run(stream).unwrap();
+        assert_eq!(report.partition.assignments(), &[1, 2, 1]);
+        assert_eq!(report.edge_cut, 2 * big);
+        assert_eq!(report.total_edge_weight, Some(2 * big));
+
+        let h = HierarchySpec::parse("3:2").unwrap();
+        for (dist, exact) in [("1:1", true), ("1:2", false)] {
+            let d = DistanceSpec::parse(dist).unwrap();
+            // Blocks 0 and 3 sit in different groups of 3: distance 1 or 2.
+            let measured = measure(stream, &[0, 3, 0], 6, Some((&h, &d)));
+            match measured {
+                Ok(m) if exact => assert_eq!(m.mapping_cost, Some(2 * big), "{dist}"),
+                Err(PartitionError::Graph(e)) if !exact => {
+                    assert!(e.to_string().contains("mapping cost J"), "{e}")
+                }
+                other => panic!("dist={dist}: {other:?}"),
+            }
+        }
+
+        // ω(E) = 2^64.
+        let heavier = heavy_path(1 << 63);
+        let stream = &mut InMemoryStream::new(&heavier);
+        let Err(PartitionError::Graph(e)) = measure(stream, &[0, 0, 0], 1, None) else {
+            panic!("ω(E) = 2^64 must not fit");
+        };
+        assert!(e.to_string().contains("total edge weight ω(E)"), "{e}");
+        let fennel = JobSpec::parse("fennel:1").unwrap().build().unwrap();
+        assert!(matches!(fennel.run(stream), Err(PartitionError::Graph(_))));
     }
 }

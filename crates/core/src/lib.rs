@@ -12,30 +12,32 @@
 //! assigned to a block. The only global quantities available are `n`, `m`
 //! and the total node weight.
 //!
-//! * [`Hashing`], [`Ldg`] and [`Fennel`] are the flat `k`-way baselines
+//! * The `hashing`, `ldg` and `fennel` jobs are the flat `k`-way baselines
 //!   (§2.2 of the paper).
-//! * [`OnlineMultiSection`] is the paper's contribution (§3): each node is
-//!   routed down a *multi-section tree* — either the communication hierarchy
-//!   `S = a1:a2:…:aℓ` (process mapping, "OMS") or an artificial recursive
-//!   `b`-section tree for arbitrary `k` (plain partitioning, "nh-OMS"). Its
-//!   descent ([`oms`]) is the crate's one scoring kernel: a hierarchy with
-//!   the single layer `S = k` is the flat problem, so [`Ldg`] and [`Fennel`]
-//!   run it on the depth-1 tree, and [`RepairSink`] re-scores single nodes
-//!   on it for dynamic-graph maintenance.
+//! * The `oms` and `nh-oms` jobs are the paper's contribution (§3): each
+//!   node is routed down a *multi-section tree* — either the communication
+//!   hierarchy `S = a1:a2:…:aℓ` (process mapping, "OMS") or an artificial
+//!   recursive `b`-section tree for arbitrary `k` (plain partitioning,
+//!   "nh-OMS"). Its descent ([`oms`]) is the crate's one scoring kernel: a
+//!   hierarchy with the single layer `S = k` is the flat problem, so `ldg`
+//!   and `fennel` run it on the depth-1 tree, and [`RepairSink`] re-scores
+//!   single nodes on it for dynamic-graph maintenance. All five are one job
+//!   type, OMS on the tree their registry row picks.
 //! * [`executor`] is the single drive loop behind all of them (and behind
 //!   `oms-multilevel`'s buffered algorithm): [`executor::run`] and
 //!   [`executor::run_restream`] walk any stream sequentially, in stream
 //!   order, and feed it node by node to a [`NodeSink`].
 //! * [`restream`] holds the pass policy of multi-pass restreaming (ReFennel /
-//!   ReLDG style, §3.2). There are no restreaming types: every partitioner
-//!   above carries `passes`/`convergence` and runs through the executor's
+//!   ReLDG style, §3.2). There are no restreaming types: every job above
+//!   carries `passes=`/`conv=` and runs through the executor's
 //!   multi-pass engine — the stream is rewound between passes, a per-pass
 //!   quality trajectory is recorded, runs stop early on convergence, and a
 //!   pass that worsened the cut is reverted. [`refine_partition`] reuses
 //!   the same loop to refine partitions of non-streaming algorithms.
-//! * [`api`] is the unified entry point: an object-safe [`Partitioner`]
-//!   trait, the [`JobSpec`] string format + factory, and the shared
-//!   dispatch registry every frontend resolves algorithms against.
+//! * [`api`] is the unified entry point and the only way to build a
+//!   partitioner: an object-safe [`Partitioner`] trait, the [`JobSpec`]
+//!   string format + factory, and the shared dispatch registry every
+//!   frontend resolves algorithms against.
 //!   [`knobs`] is the one table of the job grammar's options, from which
 //!   parsing, display, validation, help texts and the CLI's job flags are
 //!   derived; [`registry`] is the generic name → constructor store that
@@ -62,24 +64,11 @@
 //! assert_eq!(report.partition.assignments().len(), 8);
 //! assert!(report.mapping_cost.unwrap() >= report.edge_cut);
 //! ```
-//!
-//! The concrete types remain available for compile-time dispatch:
-//!
-//! ```
-//! use oms_core::{OnlineMultiSection, OmsConfig, HierarchySpec, StreamingPartitioner};
-//! # use oms_graph::{CsrGraph, InMemoryStream};
-//! # let graph = CsrGraph::from_edges(2, &[(0, 1)]).unwrap();
-//! let hierarchy = HierarchySpec::parse("2:2").unwrap();   // k = 4 PEs
-//! let oms = OnlineMultiSection::with_hierarchy(hierarchy, OmsConfig::default());
-//! let partition = oms.partition_stream(&mut InMemoryStream::new(&graph)).unwrap();
-//! assert_eq!(partition.num_blocks(), 4);
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod config;
 pub mod executor;
 pub mod hierarchy;
 pub mod knobs;
@@ -95,15 +84,13 @@ pub use api::{
     materialize_stream, stream_edge_cut, AlgorithmInfo, JobShape, JobSpec, PartitionReport,
     Partitioner, RepairPolicy, ALGORITHMS,
 };
-pub use config::{AlphaMode, OmsConfig, OnePassConfig, ScorerKind};
 pub use executor::{
     measure, measure_pass, Measurement, NodeSink, PassStats, PassTrajectory, ReportTopology,
     RestreamOptions,
 };
 pub use hierarchy::{DistanceSpec, HierarchySpec};
 pub use mstree::MultisectionTree;
-pub use oms::OnlineMultiSection;
-pub use onepass::{Fennel, Hashing, Ldg, RepairSink, StreamingPartitioner};
+pub use onepass::RepairSink;
 pub use partition::{BlockId, Partition, UNASSIGNED};
 pub use registry::{Entry, Registry};
 pub use restream::refine_partition;

@@ -29,7 +29,7 @@
 
 use crate::hierarchy::HierarchySpec;
 use crate::scorer::fennel_alpha;
-use crate::{AlphaMode, BlockId, UNASSIGNED};
+use crate::{BlockId, UNASSIGNED};
 use oms_graph::NodeWeight;
 use std::ops::Range;
 
@@ -262,29 +262,22 @@ impl MultisectionTree {
     }
 
     /// Fennel `α` of every tree node seen as a *candidate block* of its
-    /// parent's subproblem.
-    ///
-    /// With [`AlphaMode::Adapted`] the value is `√(k/t)·m/n^{3/2}`, which
-    /// specialises to the paper's `αᵢ = α/√(Π_{r<i} a_r)` for homogeneous
-    /// hierarchies and to the `√t`-scaled correction of §3.3 for
-    /// heterogeneous subproblems. With [`AlphaMode::Global`] every node gets
-    /// the original `k`-way `α`.
-    pub fn alphas(&self, m: usize, n: usize, mode: AlphaMode) -> Vec<f64> {
+    /// parent's subproblem: `√(k/t)·m/n^{3/2}`, which specialises to the
+    /// paper's adapted `αᵢ = α/√(Π_{r<i} a_r)` for homogeneous hierarchies
+    /// and to the `√t`-scaled correction of §3.3 for heterogeneous
+    /// subproblems.
+    pub fn alphas(&self, m: usize, n: usize) -> Vec<f64> {
         let global = fennel_alpha(self.k, m, n);
-        self.alpha_divisors(mode)
+        self.alpha_divisors()
             .iter()
             .map(|divisor| global / divisor)
             .collect()
     }
 
-    /// What the global `α` is divided by per tree node: `√t`, or 1 under
-    /// [`AlphaMode::Global`] (`x / 1.0` is `x` bit for bit). It depends on
+    /// What the global `α` is divided by per tree node: `√t`. It depends on
     /// the tree alone, so a caller whose `m` and `n` change keeps it.
-    pub(crate) fn alpha_divisors(&self, mode: AlphaMode) -> Vec<f64> {
-        match mode {
-            AlphaMode::Global => vec![1.0; self.num_nodes()],
-            AlphaMode::Adapted => self.covered.iter().map(|&t| (t as f64).sqrt()).collect(),
-        }
+    pub(crate) fn alpha_divisors(&self) -> Vec<f64> {
+        self.covered.iter().map(|&t| (t as f64).sqrt()).collect()
     }
 }
 
@@ -459,20 +452,12 @@ mod tests {
         let tree = MultisectionTree::from_hierarchy(&h);
         let m = 10_000;
         let n = 1_000;
-        let alphas = tree.alphas(m, n, AlphaMode::Adapted);
+        let alphas = tree.alphas(m, n);
         let global = fennel_alpha(16, m, n);
         let top_child = tree.children(tree.root()).start;
         assert!((alphas[top_child as usize] - global / 2.0).abs() < 1e-12);
         let leaf = tree.leaf_of_block(0);
         assert!((alphas[leaf as usize] - global).abs() < 1e-12);
-    }
-
-    #[test]
-    fn global_alpha_is_constant() {
-        let tree = MultisectionTree::flat(7, 2);
-        let alphas = tree.alphas(100, 50, AlphaMode::Global);
-        let first = alphas[0];
-        assert!(alphas.iter().all(|&a| (a - first).abs() < 1e-15));
     }
 
     #[test]

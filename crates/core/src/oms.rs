@@ -8,20 +8,24 @@
 //! to running `ℓ` successive passes of the per-layer partitioner, but needs
 //! only a single pass.
 //!
-//! Per layer the candidate children are scored with Fennel (using the
-//! adapted `αᵢ` of §3.2 by default), LDG or Hashing; the hybrid mode solves
-//! the bottom layers with Hashing for an additional speedup at some quality
-//! cost (Theorem 3).
+//! Per layer the candidate children are scored with Fennel (the adapted `αᵢ`
+//! of §3.2, `γ = 1.5`), or with LDG on the depth-1 tree of the `ldg` job;
+//! the hybrid mode (`hybrid=`) solves the bottom layers with Hashing for an
+//! additional speedup at some quality cost (Theorem 3).
 //!
 //! # One kernel, three drivers
 //!
 //! The descent below (`OmsSink`) is the only scoring state in this crate.
-//! A stream pass of [`OnlineMultiSection`] drives it on a hierarchy or a
-//! `b`-section tree; [`Fennel`](crate::Fennel) and [`Ldg`](crate::Ldg) drive
-//! it on the depth-1 tree (one layer `S = k`: the flat problem);
-//! [`refine_partition`](crate::refine_partition) seeds it with an existing
-//! partition first; and [`RepairSink`](crate::RepairSink) re-scores single
-//! nodes on it as a graph changes, retuning `L_max` and `α` in place.
+//! Every streaming job is OMS on some tree, so the five built-in registry
+//! rows build one job type, `OnlineMultiSection`: `oms` on a hierarchy,
+//! `nh-oms` (and `oms` with a flat `k`) on a `b`-section tree, and `fennel`,
+//! `ldg` and `hashing` on the depth-1 tree (one layer `S = k`: the flat
+//! problem). A stream pass of that job drives the kernel — `hashing`
+//! excepted, which needs no scoring state and runs the stateless
+//! `HashingSink`; [`refine_partition`](crate::refine_partition) seeds the
+//! kernel with an existing partition first; and
+//! [`RepairSink`](crate::RepairSink) re-scores single nodes on it as a graph
+//! changes, retuning `L_max` and `α` in place.
 //!
 //! # Cost per streamed node
 //!
@@ -107,102 +111,130 @@
 //! from `2^53` on skips the wide select, gathered weight from `2^53` on is
 //! bucketed again in `u64`, and the wide select declines when a feasible
 //! score is NaN (the exact loop counts it as tied) or the maximum is `−∞`
-//! (no child fits, or `γ < 1` gives every feasible child an infinite
-//! penalty). The unit tests in this module hold the two selects to the
-//! same child on adversarial groups.
+//! (no child fits). No job's parameters give a feasible child a NaN or an
+//! infinite penalty, but the selects do not rely on that: the unit tests in
+//! this module hold the two to the same child on adversarial groups that
+//! carry both.
 
-use crate::config::{OmsConfig, ScorerKind};
+use crate::api::{JobSpec, Partitioner};
 use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
-use crate::hierarchy::HierarchySpec;
 use crate::mstree::MultisectionTree;
-use crate::onepass::StreamingPartitioner;
+use crate::onepass::HashingSink;
 use crate::partition::{Partition, UNASSIGNED};
-use crate::scorer::{fennel_alpha, select_hashing, FlatObjective};
-use crate::{BlockId, PartitionError, Result};
-use oms_graph::{CsrGraph, EdgeWeight, InMemoryStream, NodeStream, NodeWeight};
+use crate::scorer::{fennel_alpha, select_hashing, FlatObjective, FENNEL_GAMMA};
+use crate::{BlockId, Result};
+use oms_graph::{EdgeWeight, NodeStream, NodeWeight};
 
-/// The online recursive multi-section partitioner (OMS / nh-OMS).
+/// A streaming job: online recursive multi-section on one tree, which is
+/// what [`JobSpec::build`] makes of every built-in row (`hashing`, `ldg`,
+/// `fennel`, `oms`, `nh-oms`). The registry row picks the tree and the
+/// objective; everything else comes from the job.
 #[derive(Clone, Debug)]
-pub struct OnlineMultiSection {
+pub(crate) struct OnlineMultiSection {
     tree: MultisectionTree,
-    config: OmsConfig,
+    /// The objective of the scored layers and their number — decisions among
+    /// children at tree depths `1..=layers` use the objective, deeper ones
+    /// (the hybrid configuration's bottom layers) use Hashing — or `None`
+    /// when every layer is hashed.
+    scoring: Option<(FlatObjective, usize)>,
+    /// The `hashing` row: its one hashed layer runs on the stateless
+    /// [`HashingSink`], which places every node where the kernel would
+    /// without the kernel's `O(k)` arrays.
+    hashing: bool,
+    epsilon: f64,
+    seed: u64,
     passes: usize,
     convergence: f64,
 }
 
 impl OnlineMultiSection {
-    /// OMS: multi-section along an explicit communication hierarchy.
-    pub fn with_hierarchy(hierarchy: HierarchySpec, config: OmsConfig) -> Self {
-        Self::with_tree(MultisectionTree::from_hierarchy(&hierarchy), config)
-    }
-
-    /// nh-OMS: plain `k`-way partitioning through an artificial recursive
-    /// `b`-section hierarchy (`b` comes from [`OmsConfig::base_b`]).
-    pub fn flat(k: u32, config: OmsConfig) -> Result<Self> {
-        if k == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "the number of blocks k must be positive".into(),
-            ));
-        }
-        if config.base_b < 2 {
-            return Err(PartitionError::InvalidConfig(
-                "the multi-section base must be at least 2".into(),
-            ));
-        }
-        Ok(Self::with_tree(
-            MultisectionTree::flat(k, config.base_b),
-            config,
-        ))
-    }
-
-    /// Builds an OMS instance from an explicit, pre-built multi-section tree.
-    pub fn with_tree(tree: MultisectionTree, config: OmsConfig) -> Self {
+    /// The job `spec` describes on `tree`, its layers scored with
+    /// `objective` (all but the bottom `hybrid=` ones) — or, for `None`, the
+    /// `hashing` row.
+    pub(crate) fn new(
+        spec: &JobSpec,
+        tree: MultisectionTree,
+        objective: Option<FlatObjective>,
+    ) -> Self {
+        let (layers, hashed) = (tree.max_depth(), spec.hashing_bottom_layers);
         OnlineMultiSection {
+            scoring: objective
+                .filter(|_| layers > hashed)
+                .map(|objective| (objective, layers - hashed)),
+            hashing: objective.is_none(),
             tree,
-            config,
-            passes: 1,
-            convergence: 0.0,
+            epsilon: spec.epsilon,
+            seed: spec.seed,
+            passes: spec.passes,
+            convergence: spec.convergence,
         }
     }
 
-    /// Restreams ("remapping", §3.2): runs up to `passes` passes, removing
-    /// each node's previous assignment along its whole tree path before the
-    /// descent is re-run.
-    pub fn passes(mut self, passes: usize) -> Self {
-        self.passes = passes;
-        self
+    /// A flat rule (`None` = Hashing) as the multi-section it is: the job
+    /// `spec` on the depth-1 tree over `k` blocks (the root alone for
+    /// `k = 1`).
+    pub(crate) fn flat(spec: &JobSpec, objective: Option<FlatObjective>) -> Self {
+        let k = spec.num_blocks();
+        Self::new(spec, MultisectionTree::flat(k, k.max(2)), objective)
     }
 
-    /// Sets the relative edge-cut improvement below which a multi-pass run
-    /// stops.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
+    /// Up to `passes` passes of the job's sink over `stream`; see
+    /// [`Partitioner::partition_measured`] for `report`.
+    fn run(
+        &self,
+        stream: &mut dyn NodeStream,
+        report: Option<ReportTopology<'_>>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+        let (passes, convergence) = (self.passes, self.convergence);
+        let k = self.tree.num_blocks();
+        if self.hashing {
+            let mut sink = HashingSink {
+                assignments: vec![UNASSIGNED; stream.num_nodes()],
+                block_weights: vec![0; k as usize],
+                seed: self.seed,
+            };
+            let (trajectory, measured) =
+                crate::restream::run(stream, &mut sink, passes, convergence, report)?;
+            let partition = Partition::from_block_weights(k, sink.assignments, sink.block_weights);
+            return Ok((partition, trajectory, measured));
+        }
+        let (n, m) = (stream.num_nodes(), stream.num_edges());
+        let mut sink = OmsSink::new(self, n, m, stream.total_node_weight());
+        let (trajectory, measured) =
+            crate::restream::run(stream, &mut sink, passes, convergence, report)?;
+        Ok((sink.into_partition(), trajectory, measured))
+    }
+}
+
+/// [`JobSpec::build`] wraps the job, and the wrapper reports the registry
+/// name.
+impl Partitioner for OnlineMultiSection {
+    fn name(&self) -> String {
+        "oms".into()
     }
 
-    /// The underlying multi-section tree.
-    pub fn tree(&self) -> &MultisectionTree {
-        &self.tree
+    fn num_blocks(&self) -> u32 {
+        self.tree.num_blocks()
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &OmsConfig {
-        &self.config
+    fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
+        Ok(self.run(stream, None)?.0)
     }
 
-    /// The objective of the scored layers and their number — decisions among
-    /// children at tree depths `1..=layers` use the objective, deeper ones
-    /// (the hybrid configuration's bottom layers) use Hashing — or `None`
-    /// when every layer is hashed.
-    pub(crate) fn scoring(&self) -> Option<(FlatObjective, usize)> {
-        let objective = match self.config.scorer {
-            ScorerKind::Fennel => FlatObjective::Fennel,
-            ScorerKind::Ldg => FlatObjective::Ldg,
-            ScorerKind::Hashing => return None,
-        };
-        let layers = self.tree.max_depth();
-        (layers > self.config.hashing_bottom_layers)
-            .then(|| (objective, layers - self.config.hashing_bottom_layers))
+    fn partition_tracked(
+        &self,
+        stream: &mut dyn NodeStream,
+    ) -> Result<(Partition, PassTrajectory)> {
+        let (partition, trajectory, _) = self.run(stream, None)?;
+        Ok((partition, trajectory))
+    }
+
+    fn partition_measured(
+        &self,
+        stream: &mut dyn NodeStream,
+        topology: ReportTopology<'_>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+        self.run(stream, Some(topology))
     }
 }
 
@@ -247,7 +279,13 @@ const PROBE: usize = 8;
 /// and the final [`Partition`] all come from them.
 pub(crate) struct OmsSink {
     tree: MultisectionTree,
-    config: OmsConfig,
+    epsilon: f64,
+    /// Fennel's `γ`, read at run time: a constant would let the compiler
+    /// lower `powf(w, γ − 1)` to a square root, which differs from `powf` in
+    /// the last bit for some loads — enough to move a node.
+    gamma: f64,
+    /// Seed of the hashed layers.
+    seed: u64,
     assignments: Vec<BlockId>,
     /// Weight of every tree node (block or sub-block; the root's is the
     /// total assigned weight). Lemma 1: `O(k)` many.
@@ -273,7 +311,7 @@ pub(crate) struct OmsSink {
     /// with its weight and its capacity: a node of weight `1 ≤ w < 2^53`
     /// fits under `t` exactly when `w as f64 <= room[t]`.
     room: Vec<f64>,
-    /// [`OnlineMultiSection::scoring`], resolved once.
+    /// [`OnlineMultiSection`]'s scoring.
     scoring: Option<(FlatObjective, usize)>,
     /// Connectivity towards the children of the current tree node and their
     /// scores, sized to the maximum fan-out. `conn` is all-zero between
@@ -291,9 +329,9 @@ pub(crate) struct OmsSink {
 }
 
 impl OmsSink {
-    /// The kernel of `oms` (it keeps its own copy of the tree) over an id
-    /// space of `n` nodes, for a graph of `m` edges and total node weight
-    /// `total_weight`. All nodes start unassigned.
+    /// The kernel of the job `oms` (it keeps its own copy of the tree) over
+    /// an id space of `n` nodes, for a graph of `m` edges and total node
+    /// weight `total_weight`. All nodes start unassigned.
     pub(crate) fn new(
         oms: &OnlineMultiSection,
         n: usize,
@@ -303,18 +341,20 @@ impl OmsSink {
         let tree = oms.tree.clone();
         let nodes = tree.num_nodes();
         let mut sink = OmsSink {
-            config: oms.config,
+            epsilon: oms.epsilon,
+            gamma: std::hint::black_box(FENNEL_GAMMA),
+            seed: oms.seed,
             assignments: vec![UNASSIGNED; n],
             tree_weights: vec![0; nodes],
             capacities: vec![0; nodes],
             alphas: vec![0.0; nodes],
-            alpha_divisors: tree.alpha_divisors(oms.config.alpha_mode),
+            alpha_divisors: tree.alpha_divisors(),
             base: vec![0.0; nodes],
             term: vec![0.0; nodes],
             // `NodeWeight::MAX` never matches a real weight.
             prev: vec![(NodeWeight::MAX, 0.0); nodes],
             room: vec![0.0; nodes],
-            scoring: oms.scoring(),
+            scoring: oms.scoring,
             conn: vec![0; tree.max_fan_out()],
             scores: vec![0.0; tree.max_fan_out()],
             conn_f: vec![0.0; tree.max_fan_out()],
@@ -375,7 +415,7 @@ impl OmsSink {
     /// — and a headroom is refreshed only where its capacity moved.
     pub(crate) fn retune(&mut self, n: usize, m: usize, total_weight: NodeWeight) {
         let k = self.tree.num_blocks();
-        let lmax = Partition::capacity(total_weight, k, self.config.epsilon);
+        let lmax = Partition::capacity(total_weight, k, self.epsilon);
         let global = fennel_alpha(k, m, n);
         for t in 0..self.base.len() {
             let capacity = self.tree.capacity_of(t, lmax);
@@ -397,7 +437,7 @@ impl OmsSink {
                     self.term[t],
                     self.capacities[t],
                     self.alphas[t],
-                    self.config.gamma,
+                    self.gamma,
                 );
             }
         }
@@ -410,7 +450,7 @@ impl OmsSink {
         if let Some((objective, _)) = self.scoring {
             for t in 0..self.term.len() {
                 let weight = self.tree_weights[t];
-                self.term[t] = objective.load_term(weight, self.config.gamma);
+                self.term[t] = objective.load_term(weight, self.gamma);
                 self.room[t] = headroom(self.capacities[t], weight);
             }
         }
@@ -421,7 +461,7 @@ impl OmsSink {
     /// merely returns to it — and its headroom.
     #[inline]
     fn set_weight(&mut self, objective: FlatObjective, t: usize, weight: NodeWeight) {
-        let gamma = self.config.gamma;
+        let gamma = self.gamma;
         let (prev_weight, prev_term) = self.prev[t];
         let term = if prev_weight == weight {
             prev_term
@@ -532,13 +572,13 @@ impl OmsSink {
                 cur = chosen as u32;
             }
         }
-        // The hybrid configuration's bottom layers (all layers under the
-        // Hashing scorer).
+        // The hybrid configuration's bottom layers (every layer when
+        // nothing is scored).
         while !self.tree.children(cur).is_empty() {
             let children = self.tree.children(cur);
             // Mix the subproblem id into the seed so different subproblems
             // shuffle nodes independently.
-            let seed = self.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            let seed = self.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
             cur = children.start + select_hashing(children.len(), node.node, seed) as u32;
             self.tree_weights[cur as usize] += node.weight;
         }
@@ -583,8 +623,8 @@ impl OmsSink {
             let mut best_weight = NodeWeight::MAX;
             for i in 0..fan_out {
                 // "Not below the maximum" is "equal to it" for every real
-                // score; a NaN one (γ < 1 on an edgeless graph: `0·∞`)
-                // counts as tied, so a feasible child always wins.
+                // score; a NaN one (no job's parameters produce one) counts
+                // as tied, so a feasible child always wins.
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 let better = fits(i) && !(scores[i] < max) && weights[i] < best_weight;
                 best = if better { i } else { best };
@@ -877,51 +917,12 @@ impl NodeSink for OmsSink {
     }
 }
 
-impl StreamingPartitioner for OnlineMultiSection {
-    fn partition_stream_measured<S: NodeStream>(
-        &self,
-        stream: &mut S,
-        report: Option<ReportTopology<'_>>,
-    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
-        let mut sink = OmsSink::new(
-            self,
-            stream.num_nodes(),
-            stream.num_edges(),
-            stream.total_node_weight(),
-        );
-        let (passes, convergence) = (self.passes, self.convergence);
-        let (trajectory, measured) =
-            crate::restream::run(stream, &mut sink, passes, convergence, report)?;
-        Ok((sink.into_partition(), trajectory, measured))
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.tree.num_blocks()
-    }
-
-    fn name(&self) -> &'static str {
-        if self.passes > 1 {
-            "reoms"
-        } else {
-            "oms"
-        }
-    }
-}
-
-impl OnlineMultiSection {
-    /// Convenience wrapper streaming an in-memory graph in natural order.
-    pub fn partition_graph(&self, graph: &CsrGraph) -> Result<Partition> {
-        self.partition_stream(&mut InMemoryStream::new(graph))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AlphaMode, OmsConfig, ScorerKind};
-    use crate::onepass::{Fennel, Hashing};
-    use crate::OnePassConfig;
+    use crate::HierarchySpec;
     use oms_gen::planted_partition;
+    use oms_graph::{CsrGraph, InMemoryStream};
 
     fn two_cliques() -> CsrGraph {
         let mut edges = Vec::new();
@@ -935,12 +936,21 @@ mod tests {
         CsrGraph::from_edges(10, &edges).unwrap()
     }
 
+    /// The partition the job `spec` computes for `g`.
+    fn run(spec: &JobSpec, g: &CsrGraph) -> Partition {
+        let partitioner = spec.build().unwrap_or_else(|e| panic!("{spec}: {e}"));
+        partitioner.partition(&mut InMemoryStream::new(g)).unwrap()
+    }
+
+    /// [`run`] of a job string.
+    fn run_text(text: &str, g: &CsrGraph) -> Partition {
+        run(&JobSpec::parse(text).unwrap(), g)
+    }
+
     #[test]
     fn oms_with_hierarchy_produces_valid_partition() {
         let g = planted_partition(200, 8, 0.2, 0.01, 3);
-        let h = HierarchySpec::parse("2:2:2").unwrap();
-        let oms = OnlineMultiSection::with_hierarchy(h, OmsConfig::default());
-        let p = oms.partition_graph(&g).unwrap();
+        let p = run_text("oms:2:2:2", &g);
         assert_eq!(p.num_blocks(), 8);
         assert_eq!(p.num_nodes(), 200);
         assert!(p.validate(&vec![1; 200]));
@@ -951,8 +961,7 @@ mod tests {
     fn oms_flat_produces_valid_partition_for_non_power_of_base() {
         let g = planted_partition(300, 10, 0.15, 0.01, 5);
         for k in [3u32, 5, 10, 13, 37] {
-            let oms = OnlineMultiSection::flat(k, OmsConfig::default()).unwrap();
-            let p = oms.partition_graph(&g).unwrap();
+            let p = run_text(&format!("nh-oms:{k}"), &g);
             assert_eq!(p.num_blocks(), k);
             assert!(
                 p.is_balanced(0.03 + 1e-9),
@@ -964,36 +973,13 @@ mod tests {
     }
 
     #[test]
-    fn oms_separates_two_cliques_with_ldg_scorer() {
-        // With the LDG scorer and ε = 0, the first clique exactly fills one
-        // block and the second clique is forced into the other, cutting only
-        // the bridge edge (the Fennel scorer's additive penalty spreads the
-        // first few nodes on such tiny graphs — see the baseline tests).
-        let g = two_cliques();
-        let oms =
-            OnlineMultiSection::flat(2, OmsConfig::default().epsilon(0.0).scorer(ScorerKind::Ldg))
-                .unwrap();
-        let p = oms.partition_graph(&g).unwrap();
-        assert_eq!(p.edge_cut(&g), 1);
-        assert!(p.is_balanced(0.0));
-    }
-
-    #[test]
     fn nh_oms_cut_is_close_to_fennel_and_better_than_hashing() {
         // Headline relationship of the paper (Fig. 2b): Fennel cuts slightly
         // fewer edges than nh-OMS; both cut far fewer than Hashing.
         let g = planted_partition(600, 16, 0.12, 0.004, 11);
-        let k = 16;
-        let fennel = Fennel::new(k, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
-        let hashing = Hashing::new(k, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
-        let oms = OnlineMultiSection::flat(k, OmsConfig::default())
-            .unwrap()
-            .partition_graph(&g)
-            .unwrap();
+        let fennel = run_text("fennel:16", &g);
+        let hashing = run_text("hashing:16", &g);
+        let oms = run_text("nh-oms:16", &g);
         let (c_f, c_h, c_o) = (fennel.edge_cut(&g), hashing.edge_cut(&g), oms.edge_cut(&g));
         assert!(c_o < c_h, "oms {c_o} must beat hashing {c_h}");
         // nh-OMS may cut somewhat more than Fennel (paper: ~5 % more); allow
@@ -1007,16 +993,26 @@ mod tests {
     #[test]
     fn oms_single_block_assigns_everything_to_block_zero() {
         // `nh-oms:1`: the root is the leaf, every block path is empty and no
-        // layer is ever scored or hashed — under every scorer, and across
-        // the unassign → reassign round trip of restreaming passes.
+        // layer is ever scored or hashed — whatever the job, and across the
+        // unassign → reassign round trip of restreaming passes.
+        let root_only = MultisectionTree::flat(1, 2);
+        for objective in [Some(FlatObjective::Fennel), Some(FlatObjective::Ldg), None] {
+            let job =
+                OnlineMultiSection::new(&JobSpec::flat("oms", 1), root_only.clone(), objective);
+            assert_eq!(job.scoring, None);
+        }
         let g = two_cliques();
-        for scorer in [ScorerKind::Fennel, ScorerKind::Ldg, ScorerKind::Hashing] {
-            let oms = OnlineMultiSection::flat(1, OmsConfig::default().scorer(scorer)).unwrap();
-            assert_eq!(oms.scoring(), None);
-            let p = oms.partition_graph(&g).unwrap();
-            assert!(p.assignments().iter().all(|&b| b == 0));
-            let re = oms.passes(3).partition_graph(&g).unwrap();
-            assert_eq!(re, p);
+        for text in [
+            "nh-oms:1",
+            "oms:1@hybrid=1",
+            "fennel:1",
+            "ldg:1",
+            "hashing:1",
+        ] {
+            let spec = JobSpec::parse(text).unwrap();
+            let p = run(&spec, &g);
+            assert!(p.assignments().iter().all(|&b| b == 0), "{text}");
+            assert_eq!(run(&spec.clone().passes(3), &g), p, "{text}");
         }
     }
 
@@ -1025,16 +1021,13 @@ mod tests {
         // k = 64 > n = 10: most leaves stay empty, L_max is 1, and every node
         // still lands in a real block without overloading any.
         let g = two_cliques();
-        let h = HierarchySpec::parse("4:4:4").unwrap();
-        for oms in [
-            OnlineMultiSection::with_hierarchy(h, OmsConfig::default()),
-            OnlineMultiSection::flat(64, OmsConfig::default().scorer(ScorerKind::Ldg)).unwrap(),
-        ] {
-            let p = oms.partition_graph(&g).unwrap();
+        for text in ["oms:4:4:4", "ldg:64"] {
+            let spec = JobSpec::parse(text).unwrap();
+            let p = run(&spec, &g);
             assert_eq!(p.num_blocks(), 64);
             assert!(p.validate(&[1; 10]));
             assert!(p.block_weights().iter().all(|&w| w <= 1));
-            let re = oms.passes(3).partition_graph(&g).unwrap();
+            let re = run(&spec.passes(3), &g);
             assert!(re.validate(&[1; 10]));
         }
     }
@@ -1045,129 +1038,77 @@ mod tests {
         // even `t` (overflow panic in debug), closing every top-level block
         // and sending each node through the all-children-full fallback.
         let g = oms_gen::erdos_renyi_gnm(2_000, 8_000, 3);
-        let h = HierarchySpec::parse("2:2").unwrap();
-        for shape in [
-            OnlineMultiSection::with_hierarchy(h, OmsConfig::default()),
-            OnlineMultiSection::flat(8, OmsConfig::default()).unwrap(),
-        ] {
-            let run = |epsilon: f64| {
-                OnlineMultiSection::with_tree(shape.tree.clone(), shape.config.epsilon(epsilon))
-                    .partition_graph(&g)
-                    .unwrap()
-            };
+        for shape in ["oms:2:2", "nh-oms:8"] {
+            let run = |epsilon: f64| run(&JobSpec::parse(shape).unwrap().epsilon(epsilon), &g);
             let unbounded = run(1e3);
             // 500·ε = 2^63: the `eps=1.8446744073709552e16` of the report.
             let wraps = (1u64 << 63) as f64 / 500.0;
             for epsilon in [wraps, 2.0 * wraps, 1e19] {
-                assert_eq!(run(epsilon), unbounded, "eps={epsilon}");
+                assert_eq!(run(epsilon), unbounded, "{shape} eps={epsilon}");
             }
         }
     }
 
     #[test]
-    fn oms_with_ldg_scorer_works() {
-        let g = planted_partition(200, 8, 0.2, 0.01, 7);
-        let oms =
-            OnlineMultiSection::flat(8, OmsConfig::default().scorer(ScorerKind::Ldg)).unwrap();
-        let p = oms.partition_graph(&g).unwrap();
-        assert!(p.is_balanced(0.03 + 1e-9));
-        let hashing = Hashing::new(8, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
-        assert!(p.edge_cut(&g) <= hashing.edge_cut(&g));
-    }
-
-    #[test]
-    fn oms_with_hashing_scorer_matches_multi_level_hashing_balance() {
+    fn all_hashed_layers_stay_statistically_balanced() {
+        // `hybrid=` at least the tree depth hashes every layer, which
+        // ignores the balance constraint.
         let g = planted_partition(400, 8, 0.1, 0.01, 9);
-        let oms =
-            OnlineMultiSection::flat(8, OmsConfig::default().scorer(ScorerKind::Hashing)).unwrap();
-        let p = oms.partition_graph(&g).unwrap();
+        let p = run_text("nh-oms:8@hybrid=2", &g);
         assert_eq!(p.num_nodes(), 400);
-        // Hashing ignores balance constraints but should remain statistically
-        // balanced.
         assert!(p.imbalance() < 0.5, "imbalance {}", p.imbalance());
     }
 
     #[test]
     fn hybrid_hashing_layers_degrade_quality_but_keep_validity() {
         let g = planted_partition(500, 16, 0.12, 0.004, 13);
-        let h = HierarchySpec::parse("2:2:2:2").unwrap();
-        let pure = OnlineMultiSection::with_hierarchy(h.clone(), OmsConfig::default())
-            .partition_graph(&g)
-            .unwrap();
-        let hybrid =
-            OnlineMultiSection::with_hierarchy(h, OmsConfig::default().hashing_bottom_layers(2))
-                .partition_graph(&g)
-                .unwrap();
+        let pure = run_text("oms:2:2:2:2", &g);
+        let hybrid = run_text("oms:2:2:2:2@hybrid=2", &g);
         assert_eq!(hybrid.num_nodes(), 500);
         assert!(hybrid.edge_cut(&g) >= pure.edge_cut(&g));
     }
 
     #[test]
     fn hybrid_layer_selection_counts_from_bottom() {
-        let h = HierarchySpec::parse("2:2:2").unwrap();
-        let oms =
-            OnlineMultiSection::with_hierarchy(h, OmsConfig::default().hashing_bottom_layers(2));
+        let tree = MultisectionTree::from_hierarchy(&HierarchySpec::parse("2:2:2").unwrap());
+        let job = |text: &str, objective| {
+            let spec = JobSpec::parse(text).unwrap();
+            OnlineMultiSection::new(&spec, tree.clone(), objective).scoring
+        };
         // Tree depth 3: the decision at child depth 1 (top layer) stays with
         // Fennel, the ones at depths 2 and 3 use Hashing.
-        assert_eq!(oms.scoring(), Some((FlatObjective::Fennel, 1)));
-        // More hashing layers than the tree has, or the Hashing scorer
-        // itself: nothing is scored.
-        let h = HierarchySpec::parse("2:2:2").unwrap();
-        let all = OmsConfig::default().hashing_bottom_layers(7);
+        let fennel = Some(FlatObjective::Fennel);
         assert_eq!(
-            OnlineMultiSection::with_hierarchy(h.clone(), all).scoring(),
-            None
+            job("oms:2:2:2@hybrid=2", fennel),
+            Some((FlatObjective::Fennel, 1))
         );
-        let hashing = OmsConfig::default().scorer(ScorerKind::Hashing);
-        assert_eq!(
-            OnlineMultiSection::with_hierarchy(h, hashing).scoring(),
-            None
-        );
-    }
-
-    #[test]
-    fn adapted_alpha_differs_from_global_alpha_in_results_or_quality() {
-        let g = planted_partition(400, 16, 0.1, 0.01, 17);
-        let h = HierarchySpec::parse("4:4").unwrap();
-        let adapted = OnlineMultiSection::with_hierarchy(h.clone(), OmsConfig::default())
-            .partition_graph(&g)
-            .unwrap();
-        let global = OnlineMultiSection::with_hierarchy(
-            h,
-            OmsConfig::default().alpha_mode(AlphaMode::Global),
-        )
-        .partition_graph(&g)
-        .unwrap();
-        // Both must be valid; they will usually differ.
-        assert!(adapted.is_balanced(0.031));
-        assert_eq!(global.num_nodes(), 400);
+        // More hashing layers than the tree has, or the Hashing row itself:
+        // nothing is scored.
+        assert_eq!(job("oms:2:2:2@hybrid=7", fennel), None);
+        assert_eq!(job("hashing:2:2:2", None), None);
     }
 
     #[test]
     fn oms_is_deterministic() {
         let g = planted_partition(300, 8, 0.15, 0.01, 19);
-        let make = || {
-            OnlineMultiSection::flat(8, OmsConfig::default().seed(5))
-                .unwrap()
-                .partition_graph(&g)
-                .unwrap()
-        };
+        let make = || run_text("nh-oms:8@seed=5", &g);
         assert_eq!(make(), make());
     }
 
     #[test]
-    fn zero_blocks_is_rejected() {
-        assert!(OnlineMultiSection::flat(0, OmsConfig::default()).is_err());
-        assert!(OnlineMultiSection::flat(4, OmsConfig::default().base_b(1)).is_err());
+    fn zero_blocks_and_a_base_below_two_are_rejected() {
+        for text in ["nh-oms:0", "oms:0", "nh-oms:4@base=1", "oms:4@base=0"] {
+            assert!(JobSpec::parse(text).unwrap().build().is_err(), "{text}");
+        }
     }
 
     #[test]
-    fn streaming_partitioner_trait_is_implemented() {
-        let oms = OnlineMultiSection::flat(4, OmsConfig::default()).unwrap();
-        assert_eq!(oms.name(), "oms");
-        assert_eq!(oms.num_blocks(), 4);
+    fn jobs_report_their_registry_name_and_block_count() {
+        for (text, name) in [("nh-oms:4", "nh-oms"), ("reoms:4@passes=2", "oms")] {
+            let partitioner = JobSpec::parse(text).unwrap().build().unwrap();
+            assert_eq!(partitioner.name(), name);
+            assert_eq!(partitioner.num_blocks(), 4);
+        }
     }
 
     /// A seeded SplitMix64 stream.
@@ -1194,17 +1135,23 @@ mod tests {
         1024,
     ];
 
-    const OBJECTIVES: [(FlatObjective, ScorerKind); 2] = [
-        (FlatObjective::Fennel, ScorerKind::Fennel),
-        (FlatObjective::Ldg, ScorerKind::Ldg),
-    ];
+    const OBJECTIVES: [FlatObjective; 2] = [FlatObjective::Fennel, FlatObjective::Ldg];
 
     /// The depth-1 kernel of `width` blocks: one sibling group, block `i`
     /// at child `i`.
-    fn depth_one(width: u32, scorer: ScorerKind, n: usize, total_weight: NodeWeight) -> OmsSink {
-        let config = OmsConfig::default().scorer(scorer);
-        let oms = OnlineMultiSection::with_tree(MultisectionTree::flat(width, width), config);
-        OmsSink::new(&oms, n, 4 * n, total_weight)
+    fn depth_one(
+        width: u32,
+        objective: FlatObjective,
+        n: usize,
+        total_weight: NodeWeight,
+    ) -> OmsSink {
+        let spec = JobSpec::flat(objective.name(), width);
+        OmsSink::new(
+            &OnlineMultiSection::flat(&spec, Some(objective)),
+            n,
+            4 * n,
+            total_weight,
+        )
     }
 
     /// The wide select against the exact loop on one sibling group, over
@@ -1217,8 +1164,8 @@ mod tests {
         let mut rng = Rng(7);
         let (mut decided, mut declined) = (0, 0);
         for width in WIDTHS {
-            for (objective, scorer) in OBJECTIVES {
-                let mut sink = depth_one(width, scorer, 1, 0);
+            for objective in OBJECTIVES {
+                let mut sink = depth_one(width, objective, 1, 0);
                 let width = width as usize;
                 let group = sink.blocks();
                 let first = group.start;
@@ -1313,7 +1260,7 @@ mod tests {
     fn wide_levels_route_nodes_like_the_exact_loop() {
         let mut rng = Rng(11);
         for width in WIDTHS {
-            for (objective, scorer) in OBJECTIVES {
+            for objective in OBJECTIVES {
                 let n = 4 * width as usize;
                 let node_weights = (0..n)
                     .map(|_| rng.pick(&[1, 1, 1, 1, 2, 0, F64_EXACT - 1, F64_EXACT]))
@@ -1328,7 +1275,7 @@ mod tests {
                     })
                     .collect();
                 let total = node_weights.iter().sum();
-                let mut sink = depth_one(width, scorer, n, total);
+                let mut sink = depth_one(width, objective, n, total);
                 let first = sink.blocks().start;
                 for pass in 0..2 {
                     for v in 0..n {
@@ -1367,8 +1314,8 @@ mod tests {
     /// 0's down to `2^53` and hand the node to block 1.
     #[test]
     fn gathered_sums_from_two_to_the_53_are_bucketed_in_u64() {
-        for (objective, scorer) in OBJECTIVES {
-            let mut sink = depth_one(WIDE_SELECT as u32, scorer, 8, 100 * WIDE_SELECT as u64);
+        for objective in OBJECTIVES {
+            let mut sink = depth_one(WIDE_SELECT as u32, objective, 8, 100 * WIDE_SELECT as u64);
             // Three nodes in each of blocks 0 and 1: equal loads and
             // penalties.
             let assignments = [0, 0, 0, 1, 1, 1, UNASSIGNED, UNASSIGNED];
@@ -1397,12 +1344,8 @@ mod tests {
                 .map(|(u, v, w)| w * d.distance(&h, p.block_of(u), p.block_of(v)))
                 .sum()
         };
-        let oms = OnlineMultiSection::with_hierarchy(h.clone(), OmsConfig::default())
-            .partition_graph(&g)
-            .unwrap();
-        let hashing = Hashing::new(8, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let oms = run_text("oms:2:2:2", &g);
+        let hashing = run_text("hashing:8", &g);
         assert!(
             cost(&oms) < cost(&hashing),
             "OMS mapping cost {} must beat Hashing {}",

@@ -8,226 +8,48 @@
 //! * **LDG** maximises `ω(N(v) ∩ Vᵢ)·(1 − c(Vᵢ)/L_max)`; `O(m + nk)` time.
 //! * **Fennel** maximises `ω(N(v) ∩ Vᵢ) − α·γ·c(Vᵢ)^{γ−1}`; `O(m + nk)` time.
 //!
-//! A hierarchy with the single layer `S = k` *is* the flat problem, so LDG
-//! and Fennel are Algorithm 1 on the depth-1 multi-section tree
-//! (`MultisectionTree::flat(k, k)`): every leaf covers one block, hence
-//! `t·L_max` and `α/√t` are the flat `L_max` and `α` bit for bit, and the
-//! one descent kernel (`oms`) scores the root's `k` children. There is no
-//! second scoring state in this file. What is left here: the
-//! [`StreamingPartitioner`] trait, one pass-aware type per rule
-//! ([`Hashing`], [`Ldg`], [`Fennel`]), the stateless Hashing sink, and
+//! A hierarchy with the single layer `S = k` *is* the flat problem, so the
+//! `hashing`, `ldg` and `fennel` jobs are Algorithm 1 on the depth-1
+//! multi-section tree (`MultisectionTree::flat(k, k)`): every leaf covers
+//! one block, hence `t·L_max` and `α/√t` are the flat `L_max` and `α` bit
+//! for bit, and the one descent kernel (`oms`) scores the root's `k`
+//! children. [`JobSpec::build`](crate::JobSpec::build) makes them the job
+//! type every streaming row builds (`oms`'s `OnlineMultiSection`), and
+//! there is no second scoring state in this file. What is left here: the
+//! stateless Hashing sink the `hashing` job runs instead of the kernel, and
 //! [`RepairSink`], the kernel's face for dynamic-graph maintenance.
 //!
-//! The pass-aware types do one pass by default, and `.passes(p)` /
-//! `.convergence(c)` turn the same value into its restreaming variant
-//! (ReLDG, ReFennel — Nishimura & Ugander), where a node's previous
-//! assignment is removed before it is re-scored. Every run, one pass or
-//! many, goes through the one engine loop (`restream::run` on
+//! A job does one pass by default, and `passes=` / `conv=` turn it into its
+//! restreaming variant (ReLDG, ReFennel — Nishimura & Ugander), where a
+//! node's previous assignment is removed before it is re-scored. Every run,
+//! one pass or many, goes through the one engine loop (`restream::run` on
 //! [`executor::run_restream`](crate::executor::run_restream)).
 
-use crate::config::{OmsConfig, OnePassConfig, ScorerKind};
-use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
-use crate::mstree::MultisectionTree;
+use crate::api::JobSpec;
+use crate::executor::NodeSink;
 use crate::oms::{OmsSink, OnlineMultiSection};
-use crate::partition::{Partition, UNASSIGNED};
+use crate::partition::UNASSIGNED;
 use crate::scorer::{hash_node, FlatObjective};
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{CsrGraph, InMemoryStream, NodeStream, NodeWeight};
+use oms_graph::NodeWeight;
 
-/// Common interface of all sequential streaming partitioners, flat or
-/// hierarchical.
-pub trait StreamingPartitioner {
-    /// Partitions the nodes delivered by `stream` in the partitioner's
-    /// configured number of passes (one unless it was asked to restream).
-    fn partition_stream<S: NodeStream>(&self, stream: &mut S) -> Result<Partition> {
-        Ok(self.partition_stream_tracked(stream)?.0)
-    }
-
-    /// Like [`StreamingPartitioner::partition_stream`], but additionally
-    /// returns the per-pass quality trajectory recorded by the multi-pass
-    /// engine — empty for a one-pass run, which is not quality-tracked.
-    fn partition_stream_tracked<S: NodeStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<(Partition, PassTrajectory)> {
-        let (partition, trajectory, _) = self.partition_stream_measured(stream, None)?;
-        Ok((partition, trajectory))
-    }
-
-    /// The run behind both methods above and behind
-    /// [`Partitioner::run`](crate::Partitioner::run), which sets `report` to
-    /// the topology it reports under: the run then also returns the
-    /// [`Measurement`] of its partition, tallied during its passes. A run
-    /// with `report` unset returns `None` there; a one-pass one pays nothing
-    /// for a tally.
-    fn partition_stream_measured<S: NodeStream>(
-        &self,
-        stream: &mut S,
-        report: Option<ReportTopology<'_>>,
-    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)>;
-
-    /// Number of blocks this partitioner produces.
-    fn num_blocks(&self) -> u32;
-
-    /// Short algorithm name used in experiment reports.
-    fn name(&self) -> &'static str;
-
-    /// Convenience wrapper streaming an in-memory graph in natural order.
-    fn partition_graph(&self, graph: &CsrGraph) -> Result<Partition> {
-        self.partition_stream(&mut InMemoryStream::new(graph))
-    }
-}
-
-fn check_k(k: u32) -> Result<()> {
-    if k == 0 {
-        Err(PartitionError::InvalidConfig(
-            "the number of blocks k must be positive".into(),
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-/// A flat rule as the multi-section it is: the depth-1 tree over `k` blocks
-/// (the root alone for `k = 1`), every layer scored with `objective`.
+/// The flat rule `objective` under the imbalance `epsilon` on the depth-1
+/// tree over `k` blocks: what [`RepairSink`] and
+/// [`refine_partition`](crate::refine_partition) score with. No layer is
+/// hashed, so neither needs a seed.
 pub(crate) fn depth_one(
     k: u32,
-    config: OnePassConfig,
+    epsilon: f64,
     objective: FlatObjective,
 ) -> Result<OnlineMultiSection> {
-    check_k(k)?;
-    let scorer = match objective {
-        FlatObjective::Fennel => ScorerKind::Fennel,
-        FlatObjective::Ldg => ScorerKind::Ldg,
-    };
-    let config = OmsConfig::default()
-        .epsilon(config.epsilon)
-        .gamma(config.gamma)
-        .seed(config.seed)
-        .scorer(scorer);
-    Ok(OnlineMultiSection::with_tree(
-        MultisectionTree::flat(k, k.max(2)),
-        config,
-    ))
+    if k == 0 {
+        return Err(PartitionError::InvalidConfig(
+            "the number of blocks k must be positive".into(),
+        ));
+    }
+    let spec = JobSpec::flat(objective.name(), k).epsilon(epsilon);
+    Ok(OnlineMultiSection::flat(&spec, Some(objective)))
 }
-
-/// The one run of the flat rules (`None` = Hashing): up to `passes` passes
-/// of the rule's sink over `stream`.
-pub(crate) fn run_flat(
-    k: u32,
-    config: OnePassConfig,
-    rule: Option<FlatObjective>,
-    passes: usize,
-    convergence: f64,
-    mut stream: &mut dyn NodeStream,
-    report: Option<ReportTopology<'_>>,
-) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
-    let Some(objective) = rule else {
-        check_k(k)?;
-        let mut sink = HashingSink {
-            assignments: vec![UNASSIGNED; stream.num_nodes()],
-            block_weights: vec![0; k as usize],
-            seed: config.seed,
-        };
-        let (trajectory, measured) =
-            crate::restream::run(stream, &mut sink, passes, convergence, report)?;
-        let partition = Partition::from_block_weights(k, sink.assignments, sink.block_weights);
-        return Ok((partition, trajectory, measured));
-    };
-    depth_one(k, config, objective)?
-        .passes(passes)
-        .convergence(convergence)
-        .partition_stream_measured(&mut stream, report)
-}
-
-/// Defines the pass-aware partitioner type of one flat rule.
-macro_rules! flat_baseline {
-    ($(#[$doc:meta])* $name:ident, $rule:expr, $one_pass:literal, $restreamed:literal) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug)]
-        pub struct $name {
-            k: u32,
-            config: OnePassConfig,
-            passes: usize,
-            convergence: f64,
-        }
-
-        impl $name {
-            /// Creates the one-pass partitioner for `k` blocks.
-            pub fn new(k: u32, config: OnePassConfig) -> Self {
-                $name {
-                    k,
-                    config,
-                    passes: 1,
-                    convergence: 0.0,
-                }
-            }
-
-            /// Restreams: runs up to `passes` passes, unassigning each node
-            /// before re-scoring it from the second pass on.
-            pub fn passes(mut self, passes: usize) -> Self {
-                self.passes = passes;
-                self
-            }
-
-            /// Sets the relative edge-cut improvement below which a
-            /// multi-pass run stops.
-            pub fn convergence(mut self, min_improvement: f64) -> Self {
-                self.convergence = min_improvement.max(0.0);
-                self
-            }
-        }
-
-        impl StreamingPartitioner for $name {
-            fn partition_stream_measured<S: NodeStream>(
-                &self,
-                stream: &mut S,
-                report: Option<ReportTopology<'_>>,
-            ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
-                let (passes, convergence) = (self.passes, self.convergence);
-                run_flat(self.k, self.config, $rule, passes, convergence, stream, report)
-            }
-
-            fn num_blocks(&self) -> u32 {
-                self.k
-            }
-
-            fn name(&self) -> &'static str {
-                if self.passes > 1 {
-                    $restreamed
-                } else {
-                    $one_pass
-                }
-            }
-        }
-    };
-}
-
-flat_baseline!(
-    /// The Hashing baseline: `block(v) = hash(v) mod k`. `passes > 1` is
-    /// provided for uniformity: the hash of a node never changes, so the
-    /// second pass moves nothing and the engine's fixed-point exit fires.
-    Hashing,
-    None,
-    "hashing",
-    "rehashing"
-);
-flat_baseline!(
-    /// The linear deterministic greedy (LDG) baseline; ReLDG with
-    /// `passes > 1`.
-    Ldg,
-    Some(FlatObjective::Ldg),
-    "ldg",
-    "reldg"
-);
-flat_baseline!(
-    /// The Fennel baseline (Tsourakakis et al.) with
-    /// `α = √k·m/n^{3/2}`, `γ = 1.5`; ReFennel with `passes > 1`.
-    Fennel,
-    Some(FlatObjective::Fennel),
-    "fennel",
-    "refennel"
-);
 
 /// The Hashing algorithm as a [`NodeSink`]: no scoring, one block id per
 /// node and the `k` block loads.
@@ -270,10 +92,10 @@ impl NodeSink for HashingSink {
 }
 
 /// The repair-capable face of a flat one-pass algorithm, for dynamic-graph
-/// maintenance: the scoring kernel the streaming pass uses ([`Fennel`] /
-/// [`Ldg`], i.e. the descent on the depth-1 tree), exposed so single nodes
-/// can be re-scored in place under the balance constraint `L_max` as the
-/// graph changes.
+/// maintenance: the scoring kernel the streaming pass of the `fennel` /
+/// `ldg` job uses (the descent on the depth-1 tree), exposed so single
+/// nodes can be re-scored in place under the balance constraint `L_max` as
+/// the graph changes.
 ///
 /// Differences from the one-shot runs:
 ///
@@ -292,17 +114,18 @@ pub struct RepairSink {
 
 impl RepairSink {
     /// A repair sink for `k` blocks over an id space of `n` nodes with `m`
-    /// edges and total node weight `total_weight`. All nodes start
-    /// unassigned; use [`RepairSink::seed`] to adopt an existing partition.
+    /// edges and total node weight `total_weight`, under the allowed
+    /// imbalance `epsilon`. All nodes start unassigned; use
+    /// [`RepairSink::seed`] to adopt an existing partition.
     pub fn new(
         k: u32,
         n: usize,
         m: usize,
         total_weight: NodeWeight,
-        config: OnePassConfig,
+        epsilon: f64,
         objective: FlatObjective,
     ) -> Result<Self> {
-        let kernel = OmsSink::new(&depth_one(k, config, objective)?, n, m, total_weight);
+        let kernel = OmsSink::new(&depth_one(k, epsilon, objective)?, n, m, total_weight);
         Ok(RepairSink { kernel, objective })
     }
 
@@ -398,7 +221,10 @@ impl NodeSink for RepairSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::fennel_alpha;
+    use crate::api::DEFAULT_EPSILON;
+    use crate::scorer::{fennel_alpha, FENNEL_GAMMA};
+    use crate::Partition;
+    use oms_graph::{CsrGraph, InMemoryStream};
 
     /// Two 5-cliques joined by a single edge: any sensible 2-way streaming
     /// partitioner should separate the cliques.
@@ -414,12 +240,16 @@ mod tests {
         CsrGraph::from_edges(10, &edges).unwrap()
     }
 
+    /// The partition the job `text` computes for `g`.
+    fn run(text: &str, g: &CsrGraph) -> Result<Partition> {
+        let partitioner = JobSpec::parse(text)?.build()?;
+        partitioner.partition(&mut InMemoryStream::new(g))
+    }
+
     #[test]
     fn hashing_assigns_every_node() {
         let g = two_cliques();
-        let p = Hashing::new(4, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let p = run("hashing:4", &g).unwrap();
         assert_eq!(p.num_nodes(), 10);
         assert_eq!(p.num_blocks(), 4);
         assert!(p.validate(&[1; 10]));
@@ -428,12 +258,8 @@ mod tests {
     #[test]
     fn hashing_is_deterministic_per_seed() {
         let g = two_cliques();
-        let a = Hashing::new(4, OnePassConfig::default().seed(3))
-            .partition_graph(&g)
-            .unwrap();
-        let b = Hashing::new(4, OnePassConfig::default().seed(3))
-            .partition_graph(&g)
-            .unwrap();
+        let a = run("hashing:4@seed=3", &g).unwrap();
+        let b = run("hashing:4@seed=3", &g).unwrap();
         assert_eq!(a, b);
     }
 
@@ -441,8 +267,7 @@ mod tests {
     fn fennel_respects_strict_balance_with_zero_epsilon() {
         // ε = 0 forces a perfect 5/5 split on ten unit-weight nodes.
         let g = two_cliques();
-        let cfg = OnePassConfig::default().epsilon(0.0);
-        let p = Fennel::new(2, cfg).partition_graph(&g).unwrap();
+        let p = run("fennel:2@eps=0", &g).unwrap();
         assert!(p.is_balanced(0.0));
         assert_eq!(p.block_weights(), &[5, 5]);
     }
@@ -453,8 +278,7 @@ mod tests {
         // more of its neighbors, so the two cliques end up separated and only
         // the single bridge edge is cut.
         let g = two_cliques();
-        let cfg = OnePassConfig::default().epsilon(0.0);
-        let p = Ldg::new(2, cfg).partition_graph(&g).unwrap();
+        let p = run("ldg:2@eps=0", &g).unwrap();
         assert_eq!(p.edge_cut(&g), 1);
         assert!(p.is_balanced(0.0));
     }
@@ -462,9 +286,8 @@ mod tests {
     #[test]
     fn fennel_beats_hashing_on_structured_graph() {
         let g = oms_gen::planted_partition(400, 8, 0.15, 0.005, 5);
-        let cfg = OnePassConfig::default();
-        let fennel = Fennel::new(8, cfg).partition_graph(&g).unwrap();
-        let hashing = Hashing::new(8, cfg).partition_graph(&g).unwrap();
+        let fennel = run("fennel:8", &g).unwrap();
+        let hashing = run("hashing:8", &g).unwrap();
         assert!(
             fennel.edge_cut(&g) < hashing.edge_cut(&g),
             "fennel {} vs hashing {}",
@@ -476,9 +299,8 @@ mod tests {
     #[test]
     fn ldg_beats_hashing_on_structured_graph() {
         let g = oms_gen::planted_partition(400, 8, 0.15, 0.005, 6);
-        let cfg = OnePassConfig::default();
-        let ldg = Ldg::new(8, cfg).partition_graph(&g).unwrap();
-        let hashing = Hashing::new(8, cfg).partition_graph(&g).unwrap();
+        let ldg = run("ldg:8", &g).unwrap();
+        let hashing = run("hashing:8", &g).unwrap();
         assert!(ldg.edge_cut(&g) < hashing.edge_cut(&g));
     }
 
@@ -486,10 +308,9 @@ mod tests {
     fn all_baselines_respect_balance_on_random_graph() {
         let g = oms_gen::erdos_renyi_gnm(600, 3000, 9);
         for k in [2u32, 7, 16, 33] {
-            let cfg = OnePassConfig::default();
             for p in [
-                Fennel::new(k, cfg).partition_graph(&g).unwrap(),
-                Ldg::new(k, cfg).partition_graph(&g).unwrap(),
+                run(&format!("fennel:{k}"), &g).unwrap(),
+                run(&format!("ldg:{k}"), &g).unwrap(),
             ] {
                 assert!(
                     p.is_balanced(0.03 + 1e-9) || p.max_block_weight() <= (600 / k as u64) + 2,
@@ -504,32 +325,18 @@ mod tests {
     #[test]
     fn zero_blocks_is_rejected() {
         let g = two_cliques();
-        assert!(Fennel::new(0, OnePassConfig::default())
-            .partition_graph(&g)
-            .is_err());
-        assert!(Ldg::new(0, OnePassConfig::default())
-            .partition_graph(&g)
-            .is_err());
-        assert!(Hashing::new(0, OnePassConfig::default())
-            .partition_graph(&g)
-            .is_err());
-    }
-
-    #[test]
-    fn partitioner_names() {
-        let cfg = OnePassConfig::default();
-        assert_eq!(Fennel::new(2, cfg).name(), "fennel");
-        assert_eq!(Ldg::new(2, cfg).name(), "ldg");
-        assert_eq!(Hashing::new(2, cfg).name(), "hashing");
-        assert_eq!(Fennel::new(5, cfg).num_blocks(), 5);
+        for text in ["fennel:0", "ldg:0", "hashing:0"] {
+            assert!(run(text, &g).is_err(), "{text}");
+        }
+        for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
+            assert!(RepairSink::new(0, 10, 11, 10, DEFAULT_EPSILON, objective).is_err());
+        }
     }
 
     #[test]
     fn works_on_streams_with_isolated_nodes() {
         let g = CsrGraph::empty(20);
-        let p = Fennel::new(4, OnePassConfig::default())
-            .partition_stream(&mut InMemoryStream::new(&g))
-            .unwrap();
+        let p = run("fennel:4", &g).unwrap();
         assert_eq!(p.num_nodes(), 20);
         assert!(p.is_balanced(0.03));
     }
@@ -537,9 +344,7 @@ mod tests {
     #[test]
     fn single_block_puts_everything_together() {
         let g = two_cliques();
-        let p = Fennel::new(1, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let p = run("fennel:1", &g).unwrap();
         assert_eq!(p.edge_cut(&g), 0);
         assert_eq!(p.used_blocks(), 1);
     }
@@ -550,14 +355,13 @@ mod tests {
         // children: the root is the block.
         let g = two_cliques();
         for spec in ["fennel:1", "ldg:1@passes=3"] {
-            let partitioner = crate::JobSpec::parse(spec).unwrap().build().unwrap();
-            let p = partitioner.partition(&mut InMemoryStream::new(&g)).unwrap();
+            let p = run(spec, &g).unwrap();
             assert!(p.assignments().iter().all(|&b| b == 0), "{spec}");
             assert_eq!(p.block_weights(), &[10], "{spec}");
         }
         for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
-            let cfg = OnePassConfig::default();
-            let mut sink = RepairSink::new(1, 10, g.num_edges(), 10, cfg, objective).unwrap();
+            let epsilon = DEFAULT_EPSILON;
+            let mut sink = RepairSink::new(1, 10, g.num_edges(), 10, epsilon, objective).unwrap();
             assert_eq!(sink.block_weights(), &[0]);
             crate::executor::run(&mut InMemoryStream::new(&g), &mut sink).unwrap();
             assert_eq!(sink.block_weights(), &[10]);
@@ -567,7 +371,7 @@ mod tests {
                 (&[9][..], UNASSIGNED)
             );
             sink.retune(9, g.num_edges() - 4, 9);
-            assert_eq!(sink.capacity(), Partition::capacity(9, 1, cfg.epsilon));
+            assert_eq!(sink.capacity(), Partition::capacity(9, 1, epsilon));
             let block = sink.rescore(oms_graph::StreamedNode {
                 node: 3,
                 weight: 1,
@@ -582,33 +386,16 @@ mod tests {
     }
 
     #[test]
-    fn nan_scores_never_beat_a_feasible_block() {
-        // γ < 1 on an edgeless graph: α = 0 and an empty block's load term
-        // is ∞, so its score is NaN. Such blocks tie with the best real
-        // score instead of losing to an infeasible block 0.
-        let g = CsrGraph::empty(40);
-        let cfg = OnePassConfig::default().gamma(0.5);
-        let p = Fennel::new(4, cfg).passes(2).partition_graph(&g).unwrap();
-        assert!(p.is_balanced(cfg.epsilon), "{:?}", p.block_weights());
-    }
-
-    #[test]
     fn penalties_match_a_from_scratch_evaluation_after_any_retune_sequence() {
         // `retune` rescales the kernel's penalties in place from the stored
         // load terms; every bit must equal `FlatObjective::base` of the live
         // load under the live parameters, whatever assignments and retunes
         // came before.
         let g = oms_gen::erdos_renyi_gnm(300, 1500, 4);
-        let (k, n) = (7u32, g.num_nodes());
-        let cases = [
-            (FlatObjective::Fennel, 1.5),
-            (FlatObjective::Fennel, 2.0),
-            (FlatObjective::Fennel, 0.5),
-            (FlatObjective::Ldg, 1.5),
-        ];
-        for (objective, gamma) in cases {
-            let cfg = OnePassConfig::default().gamma(gamma);
-            let mut sink = RepairSink::new(k, n, g.num_edges(), n as u64, cfg, objective).unwrap();
+        let (k, n, epsilon) = (7u32, g.num_nodes(), DEFAULT_EPSILON);
+        for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
+            let mut sink =
+                RepairSink::new(k, n, g.num_edges(), n as u64, epsilon, objective).unwrap();
             let mut rng = 0x9e37_79b9_7f4a_7c15u64;
             let mut next = |bound: u64| {
                 rng = rng
@@ -637,15 +424,15 @@ mod tests {
                         });
                     }
                 }
-                let capacity = Partition::capacity(live_weight, k, cfg.epsilon);
+                let capacity = Partition::capacity(live_weight, k, epsilon);
                 assert_eq!(sink.capacity(), capacity);
                 let alpha = fennel_alpha(k, live_m, live_n);
                 for (b, &load) in sink.block_weights().iter().enumerate() {
-                    let expected = objective.base(load, capacity, alpha, gamma);
+                    let expected = objective.base(load, capacity, alpha, FENNEL_GAMMA);
                     assert_eq!(
                         sink.kernel.block_bases()[b].to_bits(),
                         expected.to_bits(),
-                        "{objective:?} γ={gamma} step {step} block {b} (load {load})"
+                        "{objective:?} step {step} block {b} (load {load})"
                     );
                 }
             }

@@ -26,16 +26,6 @@ pub struct Entry<T: ?Sized> {
     /// ([`Scope::Algorithm`]) this algorithm reads, beyond the ones its
     /// whole registry takes. A job that sets any other one is rejected.
     pub reads: &'static [&'static str],
-    /// Whether the algorithm exploits a hierarchical shape (rather than just
-    /// flattening it to `k`).
-    pub supports_hierarchy: bool,
-    /// Whether the `oms-dynamic` layer can maintain this algorithm's
-    /// partitions incrementally (ReFennel-style local re-scoring of touched
-    /// nodes). Only the flat one-pass scorers are enabled: their
-    /// [`RepairSink`](crate::RepairSink) is the scoring kernel on the
-    /// depth-1 tree. Hierarchical jobs would run on the same kernel but are
-    /// not wired up; in-memory algorithms need a full re-run.
-    pub supports_repair: bool,
     /// Constructor turning a [`JobSpec`] into the boxed algorithm.
     pub build: fn(&JobSpec) -> Result<Box<T>>,
 }

@@ -6,12 +6,10 @@
 //! available to the previous one. The paper lists remapping through
 //! restreaming as a natural extension of OMS (§3.2).
 //!
-//! There are no restreaming *types*: [`Hashing`](crate::Hashing),
-//! [`Ldg`](crate::Ldg), [`Fennel`](crate::Fennel) and
-//! [`OnlineMultiSection`](crate::OnlineMultiSection) each carry
-//! `passes`/`convergence` (defaults 1/0) and run through `run` — a
-//! one-pass run *is* the drive loop of the multi-pass engine
-//! ([`executor::run_restream`]) with a budget of one. The engine
+//! There are no restreaming *types*: every streaming job (`hashing`, `ldg`,
+//! `fennel`, `oms`, `nh-oms`) carries the job's `passes=`/`conv=` (defaults
+//! 1/0) and runs through `run` — a one-pass run *is* the drive loop of the
+//! multi-pass engine ([`executor::run_restream`]) with a budget of one. The engine
 //! rewinds the stream between passes, tallies each pass's quality while
 //! the pass places its nodes, records the per-pass trajectory, stops early
 //! once the partition converges and reverts a pass that worsened the edge
@@ -19,7 +17,6 @@
 //! restreaming *refinement* of an existing partition, used by the in-memory
 //! algorithms to support `passes > 1`.
 
-use crate::config::OnePassConfig;
 use crate::executor::{
     self, Measurement, NodeSink, PassTrajectory, ReportTopology, RestreamOptions,
 };
@@ -30,18 +27,9 @@ use crate::scorer::FlatObjective;
 use crate::{PartitionError, Result};
 use oms_graph::NodeStream;
 
-fn check_passes(passes: usize) -> Result<()> {
-    if passes == 0 {
-        Err(PartitionError::InvalidConfig(
-            "restreaming needs at least one pass".into(),
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-/// The one run of the sequential streaming partitioners: up to `passes`
-/// passes of the fresh `sink` over `stream`. A single pass is untracked (its
+/// The one run of the streaming jobs: up to `passes` (at least one, as
+/// [`JobSpec::validate`](crate::JobSpec::validate) demands) passes of the
+/// fresh `sink` over `stream`. A single pass is untracked (its
 /// trajectory is empty); from two passes on every pass is measured, so the
 /// early exit and the revert guard apply no matter how the caller obtains
 /// the partition.
@@ -59,7 +47,6 @@ pub(crate) fn run(
     convergence: f64,
     report: Option<ReportTopology<'_>>,
 ) -> Result<(PassTrajectory, Option<Measurement>)> {
-    check_passes(passes)?;
     let options = (passes > 1).then(|| RestreamOptions::new(passes, convergence));
     executor::drive(stream, sink, options.as_ref(), None, report)
 }
@@ -67,22 +54,26 @@ pub(crate) fn run(
 /// Restreaming refinement of an existing partition.
 ///
 /// Seeds the Fennel-scored kernel on the depth-1 tree with `seed`, then runs
-/// up to `passes` unassign-and-re-score passes over the stream under the balance
-/// constraint derived from `config` — the multi-pass bridge for algorithms
-/// that are not themselves streaming (multilevel, rms): the seed becomes
-/// pass 0 of the trajectory and the engine's guard ensures the result is
-/// never worse than it. Works on any stream source (the graph is never
-/// materialised here).
+/// up to `passes` unassign-and-re-score passes over the stream under the
+/// balance constraint of the allowed imbalance `epsilon` — the multi-pass
+/// bridge for algorithms that are not themselves streaming (multilevel,
+/// rms): the seed becomes pass 0 of the trajectory and the engine's guard
+/// ensures the result is never worse than it. Works on any stream source
+/// (the graph is never materialised here).
 pub fn refine_partition(
     stream: &mut dyn NodeStream,
     seed: Partition,
-    config: OnePassConfig,
+    epsilon: f64,
     passes: usize,
     convergence: f64,
 ) -> Result<(Partition, PassTrajectory)> {
-    check_passes(passes)?;
+    if passes == 0 {
+        return Err(PartitionError::InvalidConfig(
+            "restreaming needs at least one pass".into(),
+        ));
+    }
     let mut sink = OmsSink::new(
-        &depth_one(seed.num_blocks(), config, FlatObjective::Fennel)?,
+        &depth_one(seed.num_blocks(), epsilon, FlatObjective::Fennel)?,
         stream.num_nodes(),
         stream.num_edges(),
         stream.total_node_weight(),
@@ -105,27 +96,31 @@ pub fn refine_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OmsConfig;
-    use crate::oms::OnlineMultiSection;
-    use crate::onepass::{Fennel, Hashing, Ldg, StreamingPartitioner};
+    use crate::api::{JobSpec, DEFAULT_EPSILON};
     use oms_gen::planted_partition;
-    use oms_graph::InMemoryStream;
+    use oms_graph::{CsrGraph, InMemoryStream};
+
+    /// The partition and trajectory the job `text` computes for `g`.
+    fn run_tracked(text: &str, g: &CsrGraph) -> Result<(Partition, PassTrajectory)> {
+        let partitioner = JobSpec::parse(text)?.build()?;
+        partitioner.partition_tracked(&mut InMemoryStream::new(g))
+    }
+
+    fn run(text: &str, g: &CsrGraph) -> Partition {
+        run_tracked(text, g).unwrap().0
+    }
 
     #[test]
     fn refennel_with_one_pass_equals_fennel() {
         let g = planted_partition(300, 8, 0.12, 0.01, 3);
-        let cfg = OnePassConfig::default();
-        let once = Fennel::new(8, cfg).partition_graph(&g).unwrap();
-        let re = Fennel::new(8, cfg).passes(1).partition_graph(&g).unwrap();
-        assert_eq!(once, re);
+        assert_eq!(run("fennel:8", &g), run("fennel:8@passes=1", &g));
     }
 
     #[test]
     fn refennel_never_worsens_the_cut() {
         let g = planted_partition(500, 8, 0.1, 0.01, 5);
-        let cfg = OnePassConfig::default();
-        let once = Fennel::new(8, cfg).partition_graph(&g).unwrap();
-        let re = Fennel::new(8, cfg).passes(3).partition_graph(&g).unwrap();
+        let once = run("fennel:8", &g);
+        let re = run("fennel:8@passes=3", &g);
         assert!(
             re.edge_cut(&g) <= once.edge_cut(&g),
             "restreaming should not worsen the cut: {} vs {}",
@@ -138,10 +133,7 @@ mod tests {
     #[test]
     fn reldg_multiple_passes_stay_balanced() {
         let g = planted_partition(400, 4, 0.1, 0.01, 7);
-        let p = Ldg::new(4, OnePassConfig::default())
-            .passes(3)
-            .partition_graph(&g)
-            .unwrap();
+        let p = run("ldg:4@passes=3", &g);
         assert!(p.is_balanced(0.031));
         assert_eq!(p.num_nodes(), 400);
     }
@@ -149,24 +141,14 @@ mod tests {
     #[test]
     fn reoms_one_pass_equals_oms() {
         let g = planted_partition(300, 8, 0.12, 0.01, 9);
-        let oms = OnlineMultiSection::flat(8, OmsConfig::default()).unwrap();
-        let once = oms.partition_graph(&g).unwrap();
-        let re = oms.passes(1).partition_graph(&g).unwrap();
-        assert_eq!(once, re);
+        assert_eq!(run("nh-oms:8", &g), run("nh-oms:8@passes=1", &g));
     }
 
     #[test]
     fn reoms_improves_or_matches_cut() {
         let g = planted_partition(600, 16, 0.08, 0.004, 11);
-        let once = OnlineMultiSection::flat(16, OmsConfig::default())
-            .unwrap()
-            .partition_graph(&g)
-            .unwrap();
-        let re = OnlineMultiSection::flat(16, OmsConfig::default())
-            .unwrap()
-            .passes(3)
-            .partition_graph(&g)
-            .unwrap();
+        let once = run("nh-oms:16", &g);
+        let re = run("nh-oms:16@passes=3", &g);
         // The engine's revert guard makes this a hard guarantee now.
         assert!(re.edge_cut(&g) <= once.edge_cut(&g));
         assert!(re.is_balanced(0.031));
@@ -175,12 +157,8 @@ mod tests {
     #[test]
     fn rehashing_is_a_fixed_point_after_one_pass() {
         let g = planted_partition(300, 4, 0.1, 0.01, 13);
-        let cfg = OnePassConfig::default().seed(5);
-        let once = Hashing::new(8, cfg).partition_graph(&g).unwrap();
-        let re = Hashing::new(8, cfg).passes(4);
-        let (p, trajectory) = re
-            .partition_stream_tracked(&mut InMemoryStream::new(&g))
-            .unwrap();
+        let once = run("hashing:8@seed=5", &g);
+        let (p, trajectory) = run_tracked("hashing:8@seed=5,passes=4", &g).unwrap();
         assert_eq!(once, p, "hashing never moves a node across passes");
         assert!(
             trajectory.converged,
@@ -192,11 +170,7 @@ mod tests {
     #[test]
     fn tracked_trajectories_are_non_increasing_and_balanced() {
         let g = planted_partition(500, 8, 0.1, 0.008, 17);
-        let cfg = OnePassConfig::default();
-        let (p, trajectory) = Fennel::new(8, cfg)
-            .passes(4)
-            .partition_stream_tracked(&mut InMemoryStream::new(&g))
-            .unwrap();
+        let (p, trajectory) = run_tracked("fennel:8@passes=4", &g).unwrap();
         assert!(!trajectory.stats.is_empty());
         assert!(trajectory.is_non_increasing(), "{trajectory:?}");
         assert_eq!(
@@ -215,14 +189,9 @@ mod tests {
     #[test]
     fn convergence_threshold_stops_early() {
         let g = planted_partition(500, 8, 0.1, 0.008, 19);
-        let cfg = OnePassConfig::default();
         // A 100 % improvement requirement can never be met: exactly one
         // additional pass runs, then the threshold exit fires.
-        let (_, trajectory) = Fennel::new(8, cfg)
-            .passes(6)
-            .convergence(1.0)
-            .partition_stream_tracked(&mut InMemoryStream::new(&g))
-            .unwrap();
+        let (_, trajectory) = run_tracked("fennel:8@passes=6,conv=1", &g).unwrap();
         assert!(trajectory.num_passes() <= 2, "{trajectory:?}");
         assert!(trajectory.converged);
     }
@@ -230,14 +199,12 @@ mod tests {
     #[test]
     fn refinement_never_worsens_the_seed() {
         let g = planted_partition(400, 8, 0.1, 0.01, 23);
-        let seed_partition = Hashing::new(8, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let seed_partition = run("hashing:8", &g);
         let seed_cut = seed_partition.edge_cut(&g);
         let (refined, trajectory) = refine_partition(
             &mut InMemoryStream::new(&g),
             seed_partition,
-            OnePassConfig::default(),
+            DEFAULT_EPSILON,
             3,
             0.0,
         )
@@ -254,45 +221,12 @@ mod tests {
     #[test]
     fn zero_passes_is_rejected() {
         let g = planted_partition(100, 4, 0.1, 0.01, 13);
-        assert!(Fennel::new(4, OnePassConfig::default())
-            .passes(0)
-            .partition_graph(&g)
-            .is_err());
-        assert!(Ldg::new(4, OnePassConfig::default())
-            .passes(0)
-            .partition_graph(&g)
-            .is_err());
-        assert!(Hashing::new(4, OnePassConfig::default())
-            .passes(0)
-            .partition_graph(&g)
-            .is_err());
-        assert!(OnlineMultiSection::flat(4, OmsConfig::default())
-            .unwrap()
-            .passes(0)
-            .partition_graph(&g)
-            .is_err());
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        assert_eq!(
-            Fennel::new(2, OnePassConfig::default()).passes(2).name(),
-            "refennel"
-        );
-        assert_eq!(
-            Ldg::new(2, OnePassConfig::default()).passes(2).name(),
-            "reldg"
-        );
-        assert_eq!(
-            Hashing::new(2, OnePassConfig::default()).passes(2).name(),
-            "rehashing"
-        );
-        assert_eq!(
-            OnlineMultiSection::flat(2, OmsConfig::default())
-                .unwrap()
-                .passes(2)
-                .name(),
-            "reoms"
-        );
+        for text in ["fennel:4", "ldg:4", "hashing:4", "nh-oms:4"] {
+            let spec = JobSpec::parse(text).unwrap().passes(0);
+            assert!(spec.build().is_err(), "{text}");
+        }
+        let seed = run("hashing:4", &g);
+        let mut stream = InMemoryStream::new(&g);
+        assert!(refine_partition(&mut stream, seed, DEFAULT_EPSILON, 0, 0.0).is_err());
     }
 }

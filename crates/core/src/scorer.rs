@@ -1,8 +1,8 @@
 //! Scoring primitives shared by every partitioner: the deterministic node
-//! hash of the Hashing scorer, Fennel's global `α`, and [`FlatObjective`] —
-//! the single definition of the Fennel and LDG objectives, which the one
-//! scoring kernel (`oms`) evaluates through its pre-computed per-tree-node
-//! penalty arena for all of its drivers.
+//! hash of the Hashing scorer, Fennel's global `α` and exponent `γ`, and
+//! [`FlatObjective`] — the single definition of the Fennel and LDG
+//! objectives, which the one scoring kernel (`oms`) evaluates through its
+//! pre-computed per-tree-node penalty arena for all of its drivers.
 
 use oms_graph::{NodeId, NodeWeight};
 
@@ -40,13 +40,18 @@ pub fn fennel_alpha(k: u32, m: usize, n: usize) -> f64 {
     (k as f64).sqrt() * m as f64 / (n as f64).powf(1.5)
 }
 
-/// The scoring rule of a flat one-pass algorithm, as a value.
+/// Fennel's exponent γ; the paper (following Tsourakakis et al.) uses 1.5
+/// and so does every job.
+pub(crate) const FENNEL_GAMMA: f64 = 1.5;
+
+/// The scoring rule of a scored layer, as a value.
 ///
-/// The flat algorithms ([`Fennel`](crate::Fennel), [`Ldg`](crate::Ldg)) and
-/// the scored layers of [`OnlineMultiSection`](crate::OnlineMultiSection) run
-/// one kernel and differ only in how a candidate block is scored; this enum
-/// names the rule, so dynamic maintenance ([`RepairSink`](crate::RepairSink))
-/// can be constructed for whichever flat algorithm a job selected.
+/// The `fennel` and `ldg` jobs and the scored layers of the `oms` and
+/// `nh-oms` jobs run one kernel and differ only in how a candidate block is
+/// scored; this enum names the rule, so dynamic maintenance
+/// ([`RepairSink`](crate::RepairSink)) and refinement
+/// ([`refine_partition`](crate::refine_partition)) can be constructed for
+/// whichever flat job was selected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlatObjective {
     /// Fennel's additive objective `conn − α·γ·c(Vᵢ)^{γ−1}`.

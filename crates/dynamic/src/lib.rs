@@ -6,10 +6,11 @@
 //! The streaming partitioners of `oms-core` answer "partition this graph
 //! once"; this crate answers "*keep* it partitioned". A
 //! [`PartitionState`] runs a registered repair-capable algorithm (`fennel`
-//! or `ldg`, see the `supports_repair` flag of
-//! [`AlgorithmInfo`](oms_core::AlgorithmInfo)) once over the initial graph,
-//! then ingests [`DeltaBatch`](oms_graph::DeltaBatch)es of edge/node
-//! insertions and deletions:
+//! or `ldg`, the ones
+//! [`FlatObjective::for_algorithm`](oms_core::FlatObjective::for_algorithm)
+//! knows) once over the initial graph, then ingests
+//! [`DeltaBatch`](oms_graph::DeltaBatch)es of edge/node insertions and
+//! deletions:
 //!
 //! * the [`DynamicGraph`] holds the graph once, in one pooled `O(n + m)`
 //!   adjacency slab built in a single pass straight off any

@@ -104,11 +104,7 @@ impl PartitionState {
     /// cannot be maintained incrementally.
     fn repair_objective(job: &JobSpec) -> Result<(FlatObjective, u32)> {
         let entry = ALGORITHMS.resolve(job)?;
-        let objective = entry
-            .supports_repair
-            .then(|| FlatObjective::for_algorithm(entry.name))
-            .flatten();
-        let Some(objective) = objective else {
+        let Some(objective) = FlatObjective::for_algorithm(entry.name) else {
             return Err(PartitionError::InvalidConfig(format!(
                 "algorithm '{}' does not support incremental repair (see `oms algorithms` \
                  for the ones that do)",
@@ -131,7 +127,7 @@ impl PartitionState {
             graph.id_space(),
             graph.num_live_edges(),
             graph.live_weight(),
-            job.one_pass_config(),
+            job.epsilon,
             objective,
         )?;
         let opts = RestreamOptions::new(job.passes, job.convergence);
@@ -506,7 +502,7 @@ impl PartitionState {
             self.graph.id_space(),
             self.graph.num_live_edges(),
             self.graph.live_weight(),
-            self.job.one_pass_config(),
+            self.job.epsilon,
             objective,
         )?;
         let opts = RestreamOptions::new(self.job.passes, self.job.convergence);
@@ -637,7 +633,7 @@ impl PartitionState {
             graph.id_space(),
             graph.num_live_edges(),
             graph.live_weight(),
-            job.one_pass_config(),
+            job.epsilon,
             objective,
         )?;
         sink.seed(&snap.assignments, &weights);

@@ -133,8 +133,6 @@ fn builtin_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
             aliases: &["ehash"],
             description: "edge hashing (vertex-cut; balanced, worst replication)",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: false,
             build: |spec| configured(StreamingEdgePartitioner::hashing(spec.num_blocks()), spec),
         },
         Entry {
@@ -142,8 +140,6 @@ fn builtin_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
             aliases: &["edbh", "dbh"],
             description: "degree-based hashing (vertex-cut; hashes the lower-degree endpoint)",
             reads: &[],
-            supports_hierarchy: false,
-            supports_repair: false,
             build: |spec| {
                 configured(
                     StreamingEdgePartitioner::degree_hashing(spec.num_blocks()),
@@ -157,8 +153,6 @@ fn builtin_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
             description:
                 "HDRF-style greedy (vertex-cut; replica affinity + lambda-weighted balance)",
             reads: &["lambda"],
-            supports_hierarchy: false,
-            supports_repair: false,
             build: |spec| configured(StreamingEdgePartitioner::greedy(spec.num_blocks()), spec),
         },
     ]

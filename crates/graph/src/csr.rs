@@ -26,6 +26,14 @@ pub struct CsrGraph {
     total_edge_weight: EdgeWeight,
 }
 
+/// Half the sum of the adjacency entries' weights — every undirected edge
+/// is stored from both endpoints — summed without wrapping and saturating
+/// at `u64::MAX`.
+fn half_sum(eweights: &[EdgeWeight]) -> EdgeWeight {
+    let twice = eweights.iter().map(|&w| u128::from(w)).sum::<u128>();
+    EdgeWeight::try_from(twice / 2).unwrap_or(EdgeWeight::MAX)
+}
+
 impl CsrGraph {
     /// Builds a graph directly from CSR arrays.
     ///
@@ -39,7 +47,7 @@ impl CsrGraph {
         nweights: Vec<NodeWeight>,
     ) -> Result<Self> {
         let total_node_weight = nweights.iter().sum();
-        let total_edge_weight = eweights.iter().sum::<EdgeWeight>() / 2;
+        let total_edge_weight = half_sum(&eweights);
         let g = CsrGraph {
             xadj,
             adjncy,
@@ -65,7 +73,7 @@ impl CsrGraph {
         debug_assert_eq!(xadj.len(), nweights.len() + 1);
         debug_assert_eq!(adjncy.len(), eweights.len());
         let total_node_weight = nweights.iter().sum();
-        let total_edge_weight = eweights.iter().sum::<EdgeWeight>() / 2;
+        let total_edge_weight = half_sum(&eweights);
         CsrGraph {
             xadj,
             adjncy,
@@ -124,7 +132,7 @@ impl CsrGraph {
         self.total_node_weight
     }
 
-    /// Sum of all edge weights `ω(E)`.
+    /// Sum of all edge weights `ω(E)`, saturating at `u64::MAX`.
     #[inline]
     pub fn total_edge_weight(&self) -> EdgeWeight {
         self.total_edge_weight
@@ -431,7 +439,7 @@ impl CsrGraph {
                 eweights[self.xadj[v as usize] + i] = nw;
             }
         }
-        let total_edge_weight = eweights.iter().sum::<EdgeWeight>() / 2;
+        let total_edge_weight = half_sum(&eweights);
         Ok(CsrGraph {
             xadj: self.xadj.clone(),
             adjncy: self.adjncy.clone(),

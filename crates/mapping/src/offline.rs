@@ -67,7 +67,14 @@ pub fn remap_partition(partition: &Partition, pe_of_block: &[BlockId]) -> Vec<Bl
 mod tests {
     use super::*;
     use crate::cost::mapping_cost;
-    use oms_core::{OnePassConfig, StreamingPartitioner};
+    use oms_core::JobSpec;
+    use oms_graph::{CsrGraph, InMemoryStream};
+
+    /// The partition the job `text` computes for `g`.
+    fn run(text: &str, g: &CsrGraph) -> Partition {
+        let partitioner = JobSpec::parse(text).unwrap().build().unwrap();
+        partitioner.partition(&mut InMemoryStream::new(g)).unwrap()
+    }
 
     #[test]
     fn identity_mapping_is_the_identity() {
@@ -89,9 +96,7 @@ mod tests {
         // relative to the identity mapping.
         let g = oms_gen::planted_partition(400, 16, 0.1, 0.01, 3);
         let t = Topology::parse("2:2:2:2", "1:10:100:1000").unwrap();
-        let p = oms_core::Fennel::new(16, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let p = run("fennel:16", &g);
         let identity_cost = mapping_cost(&g, p.assignments(), &t);
         let mapping = offline_block_mapping(&g, &p, &t);
         let remapped = remap_partition(&p, &mapping);
@@ -106,9 +111,7 @@ mod tests {
     fn offline_mapping_is_a_permutation() {
         let g = oms_gen::planted_partition(200, 8, 0.15, 0.01, 7);
         let t = Topology::parse("2:2:2", "1:10:100").unwrap();
-        let p = oms_core::Hashing::new(8, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let p = run("hashing:8", &g);
         let mut mapping = offline_block_mapping(&g, &p, &t);
         mapping.sort_unstable();
         mapping.dedup();

@@ -374,7 +374,7 @@ impl CommitState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_core::{Hashing, OnePassConfig, Partitioner, StreamingPartitioner};
+    use oms_core::{JobSpec, Partitioner};
     use oms_graph::{CsrGraph, InMemoryStream};
 
     fn buffered(k: u32, buffer: usize, seed: u64) -> BufferedMultilevel {
@@ -407,9 +407,8 @@ mod tests {
     fn beats_hashing_on_community_graphs() {
         let g = oms_gen::planted_partition(600, 8, 0.12, 0.005, 7);
         let buf = run(&buffered(8, 200, 0), &g);
-        let hash = Hashing::new(8, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let hash = JobSpec::flat("hashing", 8).build().unwrap();
+        let hash = hash.partition(&mut InMemoryStream::new(&g)).unwrap();
         assert!(
             buf.edge_cut(&g) < hash.edge_cut(&g),
             "buffered {} vs hashing {}",

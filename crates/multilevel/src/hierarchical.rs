@@ -126,15 +126,18 @@ mod tests {
     fn offline_mapping_beats_streaming_oms_on_quality() {
         // The in-memory baseline exists to show what quality is attainable
         // with full graph access (paper: IntMap/KaMinPar ≫ streaming tools).
-        use oms_core::{OmsConfig, OnlineMultiSection};
+        use oms_core::JobSpec;
+        use oms_graph::InMemoryStream;
         let g = oms_gen::planted_partition(600, 16, 0.1, 0.004, 7);
         let h = HierarchySpec::parse("2:2:4").unwrap();
         let d = DistanceSpec::paper_default();
         let offline = RecursiveMultisection::new(h.clone(), MultilevelConfig::default())
             .partition(&g)
             .unwrap();
-        let streaming = OnlineMultiSection::with_hierarchy(h.clone(), OmsConfig::default())
-            .partition_graph(&g)
+        let streaming = JobSpec::hierarchical("oms", h.clone())
+            .build()
+            .unwrap()
+            .partition(&mut InMemoryStream::new(&g))
             .unwrap();
         let off_cost = mapping_cost(&g, offline.assignments(), &h, &d);
         let on_cost = mapping_cost(&g, streaming.assignments(), &h, &d);

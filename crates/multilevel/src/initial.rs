@@ -7,8 +7,8 @@
 //! simple greedy + refinement" design of fast multilevel partitioners.
 
 use crate::refine::{refine, RefineConfig};
-use oms_core::{BlockId, Fennel, OnePassConfig, StreamingPartitioner};
-use oms_graph::CsrGraph;
+use oms_core::{BlockId, JobSpec};
+use oms_graph::{CsrGraph, InMemoryStream};
 use oms_obs::NoopObserver;
 use std::sync::Arc;
 
@@ -18,11 +18,12 @@ use std::sync::Arc;
 /// coarse graph, not the job's input — so it runs unobserved: its passes
 /// and scored nodes stay out of the job's trace and counters.
 pub fn initial_partition(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -> Vec<BlockId> {
-    let cfg = OnePassConfig::default().epsilon(epsilon).seed(seed);
+    let fennel = JobSpec::flat("fennel", k).epsilon(epsilon).seed(seed);
+    let fennel = fennel.build().expect("the caller validated k and ε");
     let unobserved = oms_obs::install(Arc::new(NoopObserver));
-    let partition = Fennel::new(k, cfg)
-        .partition_graph(graph)
-        .expect("k > 0 is validated by the caller");
+    let partition = fennel
+        .partition(&mut InMemoryStream::new(graph))
+        .expect("an in-memory graph is symmetric");
     drop(unobserved);
     let mut assignment = partition.assignments().to_vec();
     refine(

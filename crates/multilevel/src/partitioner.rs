@@ -122,7 +122,8 @@ impl MultilevelPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_core::{Fennel, OnePassConfig, StreamingPartitioner};
+    use oms_core::JobSpec;
+    use oms_graph::InMemoryStream;
 
     #[test]
     fn multilevel_produces_valid_balanced_partition() {
@@ -143,9 +144,8 @@ mod tests {
         let ml = MultilevelPartitioner::new(16, MultilevelConfig::default())
             .partition(&g)
             .unwrap();
-        let fennel = Fennel::new(16, OnePassConfig::default())
-            .partition_graph(&g)
-            .unwrap();
+        let fennel = JobSpec::flat("fennel", 16).build().unwrap();
+        let fennel = fennel.partition(&mut InMemoryStream::new(&g)).unwrap();
         assert!(
             ml.edge_cut(&g) < fennel.edge_cut(&g),
             "multilevel {} vs fennel {}",

@@ -11,7 +11,7 @@ use crate::hierarchical::RecursiveMultisection;
 use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
 use oms_core::api::{materialize_stream, JobSpec, Partitioner, ALGORITHMS};
 use oms_core::executor::PassTrajectory;
-use oms_core::{refine_partition, Entry, OnePassConfig, Partition, PartitionError, Result};
+use oms_core::{refine_partition, Entry, Partition, PartitionError, Result};
 use oms_graph::NodeStream;
 use oms_obs::Stopwatch;
 
@@ -73,7 +73,7 @@ impl Partitioner for BufferedMultilevel {
 /// base solve.
 struct RefinedInMemory {
     base: Box<dyn Partitioner>,
-    config: OnePassConfig,
+    epsilon: f64,
     passes: usize,
     convergence: f64,
 }
@@ -86,8 +86,13 @@ impl RefinedInMemory {
         // The base solve consumed (at least) one pass; the refinement
         // streams the same source from the top.
         stream.reset()?;
-        let (refined, mut trajectory) =
-            refine_partition(stream, seed, self.config, self.passes - 1, self.convergence)?;
+        let (refined, mut trajectory) = refine_partition(
+            stream,
+            seed,
+            self.epsilon,
+            self.passes - 1,
+            self.convergence,
+        )?;
         if let Some(first) = trajectory.stats.first_mut() {
             first.seconds = solve_seconds;
         }
@@ -124,7 +129,7 @@ fn with_refinement(base: Box<dyn Partitioner>, spec: &JobSpec) -> Box<dyn Partit
     }
     Box::new(RefinedInMemory {
         base,
-        config: spec.one_pass_config(),
+        epsilon: spec.epsilon,
         passes: spec.passes,
         convergence: spec.convergence,
     })
@@ -190,8 +195,6 @@ pub fn register_algorithms() {
         aliases: &["ml", "kaminpar"],
         description: "in-memory multilevel k-way baseline; passes>1 adds restream refinement",
         reads: &[],
-        supports_hierarchy: false,
-        supports_repair: false,
         build: build_multilevel,
     });
     ALGORITHMS.register(Entry {
@@ -199,8 +202,6 @@ pub fn register_algorithms() {
         aliases: &["offline-oms", "intmap"],
         description: "offline recursive multi-section along a hierarchy; passes>1 refines",
         reads: &[],
-        supports_hierarchy: true,
-        supports_repair: false,
         build: build_rms,
     });
     ALGORITHMS.register(Entry {
@@ -209,8 +210,6 @@ pub fn register_algorithms() {
         description:
             "buffered streaming: per-batch multilevel solves (buf=<nodes>); passes>1 re-commits",
         reads: &["buf"],
-        supports_hierarchy: false,
-        supports_repair: false,
         build: build_buffered,
     });
 }

@@ -8,10 +8,10 @@
 //!
 //! * [`graph`] (`oms-graph`) — CSR graphs, builders, streaming iterators, I/O;
 //! * [`gen`] (`oms-gen`) — synthetic benchmark graph generators;
-//! * [`core`](mod@core) (`oms-core`) — the streaming partitioners: Fennel, LDG,
-//!   Hashing, and the paper's online recursive multi-section (OMS / nh-OMS),
-//!   including the restreaming variants, plus the unified object-safe
-//!   [`Partitioner`](prelude::Partitioner) API;
+//! * [`core`](mod@core) (`oms-core`) — the streaming jobs `fennel`, `ldg`,
+//!   `hashing` and the paper's online recursive multi-section (`oms` /
+//!   `nh-oms`), including the restreaming variants, behind the unified
+//!   object-safe [`Partitioner`](prelude::Partitioner) API;
 //! * [`mapping`] (`oms-mapping`) — hierarchical topologies, the mapping
 //!   objective `J(C, D, Π)`, greedy block→PE construction and local search;
 //! * [`multilevel`] (`oms-multilevel`) — the in-memory multilevel baseline;
@@ -31,7 +31,7 @@
 //!
 //! ## Quickstart
 //!
-//! Any algorithm in the workspace can be driven from one
+//! Every algorithm in the workspace is built from one
 //! [`JobSpec`](prelude::JobSpec) string through the shared dispatch
 //! registry:
 //!
@@ -61,11 +61,6 @@
 //!     .run(&mut InMemoryStream::new(&graph)).unwrap();
 //! assert_eq!(baseline.partition.num_nodes(), 8);
 //! ```
-//!
-//! The classic concrete-type APIs
-//! ([`OnlineMultiSection`](prelude::OnlineMultiSection),
-//! [`Fennel`](prelude::Fennel), …) remain available for callers that want
-//! compile-time dispatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,11 +78,9 @@ pub use oms_workload as workload;
 /// The most common imports in one place.
 pub mod prelude {
     pub use oms_core::{
-        refine_partition, AlgorithmInfo, AlphaMode, BlockId, DistanceSpec, Entry, Fennel,
-        FlatObjective, Hashing, HierarchySpec, JobShape, JobSpec, Ldg, NodeSink, OmsConfig,
-        OnePassConfig, OnlineMultiSection, Partition, PartitionReport, Partitioner, PassStats,
-        PassTrajectory, Registry, RepairPolicy, RestreamOptions, ScorerKind, StreamingPartitioner,
-        ALGORITHMS,
+        refine_partition, AlgorithmInfo, BlockId, DistanceSpec, Entry, FlatObjective,
+        HierarchySpec, JobShape, JobSpec, NodeSink, Partition, PartitionReport, Partitioner,
+        PassStats, PassTrajectory, Registry, RepairPolicy, RestreamOptions, ALGORITHMS,
     };
     pub use oms_dynamic::{
         max_cut_ratio, repair_vs_restream_speedup, ApplyStats, Checkpoints, ColdRestream,

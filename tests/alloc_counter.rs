@@ -33,12 +33,13 @@
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
 
+use oms::core::api::DEFAULT_EPSILON;
 use oms::core::executor::run;
-use oms::core::{FlatObjective, OnePassConfig, RepairSink, StreamingPartitioner};
+use oms::core::{FlatObjective, RepairSink};
 use oms::dynamic::PartitionState;
 use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
 use oms::graph::{DeltaBatch, StreamedNode};
-use oms::prelude::{erdos_renyi_gnm, planted_partition, Fennel, InMemoryStream, JobSpec, Ldg};
+use oms::prelude::{erdos_renyi_gnm, planted_partition, InMemoryStream, JobSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,7 +102,6 @@ fn peak_live_bytes_during<F: FnOnce()>(f: F) -> u64 {
 /// select and at one over it: allocation-free, independent of `n`.
 #[test]
 fn steady_state_scoring_is_allocation_free() {
-    let cfg = OnePassConfig::default();
     for (k, n) in [(32, 2_000usize), (32, 8_000), (1024, 2_000), (1024, 8_000)] {
         let g = planted_partition(n, 8, 0.05, 0.005, 11);
         for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
@@ -111,7 +111,7 @@ fn steady_state_scoring_is_allocation_free() {
                 g.num_nodes(),
                 g.num_edges(),
                 g.total_node_weight(),
-                cfg,
+                DEFAULT_EPSILON,
                 objective,
             )
             .unwrap();
@@ -160,14 +160,12 @@ fn steady_state_scoring_is_allocation_free() {
     // 4x bigger graph may not cost 4x the allocations.
     let small = planted_partition(2_000, 8, 0.05, 0.005, 11);
     let large = planted_partition(8_000, 8, 0.05, 0.005, 11);
+    let fennel = JobSpec::flat("fennel", k).build().unwrap();
+    let ldg = JobSpec::flat("ldg", k).build().unwrap();
     let count = |g: &oms::graph::CsrGraph| {
         allocations_during(|| {
-            Fennel::new(k, cfg)
-                .partition_stream(&mut InMemoryStream::new(g))
-                .unwrap();
-            Ldg::new(k, cfg)
-                .partition_stream(&mut InMemoryStream::new(g))
-                .unwrap();
+            fennel.partition(&mut InMemoryStream::new(g)).unwrap();
+            ldg.partition(&mut InMemoryStream::new(g)).unwrap();
         })
     };
     let (a_small, a_large) = (count(&small), count(&large));

@@ -240,9 +240,9 @@ fn batch_size_does_not_change_sequential_results() {
     // loop; streaming scorers only ever see one node at a time, so any
     // batching must yield the same partition.
     let graph = planted_partition(500, 8, 0.12, 0.005, 29);
-    let fennel = Fennel::new(8, OnePassConfig::default().seed(7));
+    let fennel = JobSpec::parse("fennel:8@seed=7").unwrap().build().unwrap();
     let reference = fennel
-        .partition_stream(&mut Rebatched(InMemoryStream::new(&graph), 1))
+        .partition(&mut Rebatched(InMemoryStream::new(&graph), 1))
         .unwrap();
     for permuted in [false, true] {
         let mut stream = if permuted {
@@ -250,7 +250,7 @@ fn batch_size_does_not_change_sequential_results() {
         } else {
             InMemoryStream::new(&graph)
         };
-        let batched = fennel.partition_stream(&mut stream).unwrap();
+        let batched = fennel.partition(&mut stream).unwrap();
         if !permuted {
             assert_eq!(reference, batched);
         } else {

@@ -6,6 +6,19 @@
 use oms::graph::io::{read_metis_str, write_metis_string, write_stream_file, DiskStream};
 use oms::prelude::*;
 
+/// The partition the job `text` computes for the stream.
+fn partition(text: &str, stream: &mut dyn NodeStream) -> Partition {
+    let partitioner = JobSpec::parse(text).unwrap().build().unwrap();
+    partitioner
+        .partition(stream)
+        .unwrap_or_else(|e| panic!("{text}: {e}"))
+}
+
+/// The partition the job `text` computes for `graph`.
+fn run(text: &str, graph: &CsrGraph) -> Partition {
+    partition(text, &mut InMemoryStream::new(graph))
+}
+
 /// The relationships of Fig. 2a/2b on a single structured instance:
 /// in-memory multilevel ≤ streaming (Fennel/OMS) ≤ Hashing for both
 /// objectives.
@@ -16,19 +29,10 @@ fn quality_ordering_matches_the_paper() {
     let hierarchy = HierarchySpec::parse("4:4:4").unwrap();
     let topology = Topology::parse("4:4:4", "1:10:100").unwrap();
 
-    let hashing = Hashing::new(k, OnePassConfig::default())
-        .partition_graph(&graph)
-        .unwrap();
-    let fennel = Fennel::new(k, OnePassConfig::default())
-        .partition_graph(&graph)
-        .unwrap();
-    let nh_oms = OnlineMultiSection::flat(k, OmsConfig::default())
-        .unwrap()
-        .partition_graph(&graph)
-        .unwrap();
-    let oms = OnlineMultiSection::with_hierarchy(hierarchy.clone(), OmsConfig::default())
-        .partition_graph(&graph)
-        .unwrap();
+    let hashing = run(&format!("hashing:{k}"), &graph);
+    let fennel = run(&format!("fennel:{k}"), &graph);
+    let nh_oms = run(&format!("nh-oms:{k}"), &graph);
+    let oms = run("oms:4:4:4", &graph);
     let multilevel = MultilevelPartitioner::new(k, MultilevelConfig::default())
         .partition(&graph)
         .unwrap();
@@ -71,15 +75,8 @@ fn oms_mapping_not_worse_than_fennel_identity_mapping() {
     let topology = Topology::parse("4:4:4", "1:10:100").unwrap();
     let k = topology.num_pes();
 
-    let fennel = Fennel::new(k, OnePassConfig::default())
-        .partition_graph(&graph)
-        .unwrap();
-    let oms = OnlineMultiSection::with_hierarchy(
-        HierarchySpec::parse("4:4:4").unwrap(),
-        OmsConfig::default(),
-    )
-    .partition_graph(&graph)
-    .unwrap();
+    let fennel = run(&format!("fennel:{k}"), &graph);
+    let oms = run("oms:4:4:4", &graph);
 
     let fennel_j = mapping_cost(&graph, fennel.assignments(), &topology);
     let oms_j = mapping_cost(&graph, oms.assignments(), &topology);
@@ -97,18 +94,11 @@ fn disk_stream_and_memory_stream_agree() {
     let path = std::env::temp_dir().join("oms-integration-disk-stream.oms");
     write_stream_file(&graph, &path).unwrap();
 
-    let oms = OnlineMultiSection::flat(128, OmsConfig::default()).unwrap();
-    let from_memory = oms.partition_graph(&graph).unwrap();
-    let mut disk = DiskStream::open(&path).unwrap();
-    let from_disk = oms.partition_stream(&mut disk).unwrap();
-    assert_eq!(from_memory, from_disk);
-
-    let fennel = Fennel::new(128, OnePassConfig::default());
-    let mut disk = DiskStream::open(&path).unwrap();
-    assert_eq!(
-        fennel.partition_graph(&graph).unwrap(),
-        fennel.partition_stream(&mut disk).unwrap()
-    );
+    for text in ["nh-oms:128", "fennel:128"] {
+        let from_memory = run(text, &graph);
+        let from_disk = partition(text, &mut DiskStream::open(&path).unwrap());
+        assert_eq!(from_memory, from_disk, "{text}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -121,11 +111,7 @@ fn metis_roundtrip_preserves_partitioning() {
     let reread = read_metis_str(&text).unwrap();
     assert_eq!(graph, reread);
 
-    let oms = OnlineMultiSection::flat(32, OmsConfig::default()).unwrap();
-    assert_eq!(
-        oms.partition_graph(&graph).unwrap(),
-        oms.partition_graph(&reread).unwrap()
-    );
+    assert_eq!(run("nh-oms:32", &graph), run("nh-oms:32", &reread));
 }
 
 /// Offline remapping of a hierarchy-oblivious partition (greedy + local
@@ -136,9 +122,7 @@ fn offline_remapping_improves_fennel() {
     let graph = rmat_graph(12, 40_000, oms::gen::RmatParams::GRAPH500, 3);
     let topology = Topology::parse("2:2:2:2:2:2", "1:2:4:8:16:32").unwrap();
     let k = topology.num_pes();
-    let fennel = Fennel::new(k, OnePassConfig::default())
-        .partition_graph(&graph)
-        .unwrap();
+    let fennel = run(&format!("fennel:{k}"), &graph);
     let before = mapping_cost(&graph, fennel.assignments(), &topology);
     let remapped = remap_partition(&fennel, &offline_block_mapping(&graph, &fennel, &topology));
     let after = mapping_cost(&graph, &remapped, &topology);
@@ -154,10 +138,7 @@ fn offline_remapping_improves_fennel() {
 fn corpus_smoke_test() {
     for (name, _class, graph) in oms::gen::scaled_corpus(0.01, 7) {
         let k = 16;
-        let p = OnlineMultiSection::flat(k, OmsConfig::default())
-            .unwrap()
-            .partition_graph(&graph)
-            .unwrap();
+        let p = run(&format!("nh-oms:{k}"), &graph);
         assert_eq!(p.num_nodes(), graph.num_nodes(), "{name}");
         assert!(p.is_balanced(0.031), "{name}: imbalance {}", p.imbalance());
     }
@@ -193,9 +174,9 @@ fn every_registered_algorithm_partitions_the_quickstart_graph() {
     }
 
     for algo in ALGORITHMS.list() {
-        // rms insists on a hierarchy; give every hierarchy-aware algorithm
-        // one and the rest a flat k = 8.
-        let spec = if algo.supports_hierarchy {
+        // rms insists on a hierarchy and oms maps onto one; the rest get a
+        // flat k = 8.
+        let spec = if matches!(algo.name, "rms" | "oms") {
             format!("{}:2:2:2", algo.name)
         } else {
             format!("{}:8", algo.name)
@@ -255,13 +236,8 @@ fn jobspec_modifiers_drive_restreaming_and_parallel_variants() {
 fn restreaming_improves_or_matches_single_pass() {
     let graph = planted_partition(1_200, 8, 0.05, 0.002, 23);
     let k = 32;
-    let single = Fennel::new(k, OnePassConfig::default())
-        .partition_graph(&graph)
-        .unwrap();
-    let restreamed = Fennel::new(k, OnePassConfig::default())
-        .passes(3)
-        .partition_graph(&graph)
-        .unwrap();
+    let single = run(&format!("fennel:{k}"), &graph);
+    let restreamed = run(&format!("fennel:{k}@passes=3"), &graph);
     assert!(
         restreamed.edge_cut(&graph) <= single.edge_cut(&graph),
         "restreaming must not worsen the cut"

@@ -5,9 +5,13 @@
 //! penalty arena, one prefix-filtered neighbour gather, flat tree tables,
 //! split select loop). This suite keeps the formulation it replaced — a
 //! deliberately naive descent written straight from Algorithm 1 — as a
-//! test-only reference and demands **identical assignments**, from
-//! `OnlineMultiSection` on hierarchies and `b`-section trees and from the
-//! production `Fennel` / `Ldg` types on the one-layer tree `S = k`:
+//! test-only reference and demands **identical assignments**. Production
+//! is built only through `JobSpec::build`, like every other caller builds
+//! it; the reference derives its tree, capacities, `α` and hashed layers
+//! from the same spec, not from the object it checks. It covers `oms` on
+//! hierarchies, `nh-oms` on `b`-section trees, `fennel` and `ldg` on the
+//! one-layer tree `S = k`, and `hashing` — whose production sink does not
+//! run the kernel — as the hashed layer of that tree:
 //!
 //! * every layer re-walks the streamed node's whole neighbourhood and climbs
 //!   parent links to find which child a neighbour's block lies under
@@ -20,7 +24,9 @@
 //!
 //! Both sides run under the same multi-pass engine
 //! (`executor::run_restream`), so restreaming, convergence exit and the
-//! revert-on-worsen guard are exercised too. CI runs this in release next to
+//! revert-on-worsen guard are exercised too: on a fixed grid, and on
+//! seeded random jobs whose failure message is the spec string `oms
+//! partition --job` reproduces. CI runs this in release next to
 //! `weighted_equivalence`.
 
 use oms::core::executor;
@@ -28,6 +34,8 @@ use oms::core::scorer::hash_node;
 use oms::core::MultisectionTree;
 use oms::graph::{EdgeWeight, NodeWeight, StreamedNode};
 use oms::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
 
 const UNASSIGNED: BlockId = oms::core::UNASSIGNED;
@@ -101,10 +109,57 @@ fn select_ldg(candidates: &[Candidate], node_weight: NodeWeight) -> (usize, bool
     select_by(candidates, node_weight, ldg_score)
 }
 
+/// How a job's layers decide.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Rule {
+    Fennel,
+    Ldg,
+    /// Every layer hashed: the `hashing` job.
+    Hashing,
+}
+
+/// What Algorithm 1 needs of a job, read off its spec: the tree the
+/// algorithm runs on and how each layer decides.
+struct Job {
+    tree: MultisectionTree,
+    rule: Rule,
+    /// Bottom layers decided by hashing (`hybrid=`).
+    hashed_layers: usize,
+}
+
+impl Job {
+    /// The job `spec` names: the flat rules on the depth-1 tree over their
+    /// `k` blocks (a hierarchy is flattened), `oms` on its hierarchy or, for
+    /// a flat `k`, on the `base=`-section tree like `nh-oms`.
+    fn of(spec: &JobSpec) -> Job {
+        let k = spec.num_blocks();
+        let depth_one = MultisectionTree::flat(k, k.max(2));
+        let b_section = MultisectionTree::flat(k, spec.base_b);
+        let (tree, rule) = match (spec.algorithm.as_str(), &spec.shape) {
+            ("hashing", _) => (depth_one, Rule::Hashing),
+            ("ldg", _) => (depth_one, Rule::Ldg),
+            ("fennel", _) => (depth_one, Rule::Fennel),
+            ("oms", JobShape::Hierarchy(h)) => (MultisectionTree::from_hierarchy(h), Rule::Fennel),
+            ("oms" | "nh-oms", _) => (b_section, Rule::Fennel),
+            (other, _) => panic!("no reference for '{other}'"),
+        };
+        let hashed_layers = spec.hashing_bottom_layers;
+        Job {
+            tree,
+            rule,
+            hashed_layers,
+        }
+    }
+}
+
 /// Algorithm 1, naively, as a [`NodeSink`].
 struct NaiveOms<'a> {
-    tree: &'a MultisectionTree,
-    config: OmsConfig,
+    job: Job,
+    seed: u64,
+    /// Fennel's `γ`, held at run time like production holds it: as a
+    /// constant, `powf(w, γ − 1)` may compile to a square root that differs
+    /// from `powf` in the last bit.
+    gamma: f64,
     assignments: Vec<BlockId>,
     node_weights: Vec<NodeWeight>,
     tree_weights: Vec<NodeWeight>,
@@ -115,28 +170,34 @@ struct NaiveOms<'a> {
 }
 
 impl<'a> NaiveOms<'a> {
-    fn new(oms: &'a OnlineMultiSection, stream: &dyn NodeStream, fallbacks: &'a Cell<u64>) -> Self {
-        let tree = oms.tree();
-        let config = *oms.config();
+    fn new(spec: &JobSpec, stream: &dyn NodeStream, fallbacks: &'a Cell<u64>) -> Self {
+        let job = Job::of(spec);
         let n = stream.num_nodes();
         NaiveOms {
-            tree,
-            config,
+            seed: spec.seed,
+            gamma: std::hint::black_box(1.5),
             assignments: vec![UNASSIGNED; n],
             node_weights: vec![0; n],
-            tree_weights: vec![0; tree.num_nodes()],
-            capacities: tree.capacities(stream.total_node_weight(), config.epsilon),
-            alphas: tree.alphas(stream.num_edges(), n, config.alpha_mode),
+            tree_weights: vec![0; job.tree.num_nodes()],
+            capacities: job
+                .tree
+                .capacities(stream.total_node_weight(), spec.epsilon),
+            alphas: job.tree.alphas(stream.num_edges(), n),
+            job,
             restreaming: false,
             fallbacks,
         }
     }
 
+    fn tree(&self) -> &MultisectionTree {
+        &self.job.tree
+    }
+
     /// The ancestor of `block`'s leaf whose parent is `cur`, if the leaf lies
     /// strictly below `cur`.
     fn child_towards(&self, cur: u32, block: BlockId) -> Option<u32> {
-        let mut node = self.tree.leaf_of_block(block);
-        while let Some(parent) = self.tree.parent(node) {
+        let mut node = self.tree().leaf_of_block(block);
+        while let Some(parent) = self.tree().parent(node) {
             if parent == cur {
                 return Some(node);
             }
@@ -146,17 +207,17 @@ impl<'a> NaiveOms<'a> {
     }
 
     /// Whether the decision among children at `child_depth` is hashed:
-    /// always under the Hashing scorer, else for the configured number of
+    /// always for the `hashing` job, else for the configured number of
     /// layers counted from the bottom (the deepest decision is layer 1).
     fn uses_hashing(&self, child_depth: usize) -> bool {
-        self.config.scorer == ScorerKind::Hashing
-            || self.tree.max_depth() + 1 - child_depth <= self.config.hashing_bottom_layers
+        self.job.rule == Rule::Hashing
+            || self.tree().max_depth() + 1 - child_depth <= self.job.hashed_layers
     }
 
     /// Adds (or removes) `weight` along the tree path of `block`.
     fn shift_path(&mut self, block: BlockId, weight: NodeWeight, add: bool) {
-        let mut node = self.tree.leaf_of_block(block);
-        while let Some(parent) = self.tree.parent(node) {
+        let mut node = self.tree().leaf_of_block(block);
+        while let Some(parent) = self.tree().parent(node) {
             if add {
                 self.tree_weights[node as usize] += weight;
             } else {
@@ -178,12 +239,12 @@ impl NodeSink for NaiveOms<'_> {
             self.shift_path(self.assignments[v], self.node_weights[v], false);
             self.assignments[v] = UNASSIGNED;
         }
-        let mut cur = self.tree.root();
-        while !self.tree.children(cur).is_empty() {
-            let children: Vec<u32> = self.tree.children(cur).collect();
-            let child_depth = self.tree.depth(cur) as usize + 1;
+        let mut cur = self.tree().root();
+        while !self.tree().children(cur).is_empty() {
+            let children: Vec<u32> = self.tree().children(cur).collect();
+            let child_depth = self.tree().depth(cur) as usize + 1;
             let chosen_idx = if self.uses_hashing(child_depth) {
-                let seed = self.config.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                let seed = self.seed ^ (cur as u64).wrapping_mul(0x9E3779B97F4A7C15);
                 (hash_node(node.node, seed) % children.len() as u64) as usize
             } else {
                 // One walk of the whole neighbourhood for this layer.
@@ -207,9 +268,9 @@ impl NodeSink for NaiveOms<'_> {
                         alpha: self.alphas[child as usize],
                     })
                     .collect();
-                let (idx, fell_back) = match self.config.scorer {
-                    ScorerKind::Ldg => select_ldg(&candidates, node.weight),
-                    _ => select_fennel(&candidates, node.weight, self.config.gamma),
+                let (idx, fell_back) = match self.job.rule {
+                    Rule::Ldg => select_ldg(&candidates, node.weight),
+                    _ => select_fennel(&candidates, node.weight, self.gamma),
                 };
                 self.fallbacks.set(self.fallbacks.get() + fell_back as u64);
                 idx
@@ -217,7 +278,10 @@ impl NodeSink for NaiveOms<'_> {
             cur = children[chosen_idx];
             self.tree_weights[cur as usize] += node.weight;
         }
-        self.assignments[v] = self.tree.leaf_block(cur).expect("leaves carry a block id");
+        self.assignments[v] = self
+            .tree()
+            .leaf_block(cur)
+            .expect("leaves carry a block id");
         self.node_weights[v] = node.weight;
     }
 
@@ -226,11 +290,11 @@ impl NodeSink for NaiveOms<'_> {
     }
 
     fn num_blocks(&self) -> u32 {
-        self.tree.num_blocks()
+        self.tree().num_blocks()
     }
 
     fn block_weights(&self, out: &mut Vec<NodeWeight>) {
-        let leaves = (0..self.tree.num_blocks()).map(|b| self.tree.leaf_of_block(b));
+        let leaves = (0..self.tree().num_blocks()).map(|b| self.tree().leaf_of_block(b));
         *out = leaves
             .map(|leaf| self.tree_weights[leaf as usize])
             .collect();
@@ -252,18 +316,14 @@ impl NodeSink for NaiveOms<'_> {
     }
 }
 
-fn oracle_assignments(
-    oms: &OnlineMultiSection,
-    graph: &CsrGraph,
-    passes: usize,
-    fallbacks: &Cell<u64>,
-) -> Vec<BlockId> {
+/// The reference's assignment for the job `spec` on `graph`, under the
+/// engine options the job asks for: one untracked pass, or a tracked run
+/// from two passes on.
+fn oracle_assignments(spec: &JobSpec, graph: &CsrGraph, fallbacks: &Cell<u64>) -> Vec<BlockId> {
     let mut stream = InMemoryStream::new(graph);
-    let mut sink = NaiveOms::new(oms, &stream, fallbacks);
-    // What `OnlineMultiSection` asks of the engine: one untracked pass, or a
-    // tracked run from two passes on.
-    if passes > 1 {
-        let options = RestreamOptions::new(passes, 0.0);
+    let mut sink = NaiveOms::new(spec, &stream, fallbacks);
+    if spec.passes > 1 {
+        let options = RestreamOptions::new(spec.passes, spec.convergence);
         executor::run_restream(&mut stream, &mut sink, &options).unwrap();
     } else {
         executor::run(&mut stream, &mut sink).unwrap();
@@ -271,37 +331,43 @@ fn oracle_assignments(
     sink.assignments
 }
 
+/// Production's assignment for the job `spec` on `graph`.
+fn production_assignments(spec: &JobSpec, graph: &CsrGraph) -> Vec<BlockId> {
+    let partitioner = spec.build().unwrap_or_else(|e| panic!("{spec}: {e}"));
+    let partition = partitioner.partition(&mut InMemoryStream::new(graph));
+    partition.unwrap().assignments().to_vec()
+}
+
+/// Production against the reference on one job; `context` says where the
+/// graph came from.
+fn assert_matches(spec: &JobSpec, graph: &CsrGraph, fallbacks: &Cell<u64>, context: &str) {
+    let before = fallbacks.get();
+    let expected = oracle_assignments(spec, graph, fallbacks);
+    assert_eq!(
+        production_assignments(spec, graph),
+        expected,
+        "--job '{spec}' on {context} ({} oracle fallbacks in this run)",
+        fallbacks.get() - before
+    );
+}
+
 // ------------------------------------------------------------------ matrix
 
-fn trees() -> Vec<(String, OnlineMultiSection)> {
+/// The tree jobs of the grid: `oms` on hierarchies and `nh-oms`.
+fn tree_jobs() -> Vec<JobSpec> {
     let mut out = Vec::new();
     // `2:128` and `3:101` have one level wide enough for the kernel's wide
     // select (101 children: no multiple of its lane or probe width).
-    for spec in ["2:2:2", "4:16:16", "3:5", "2:128", "3:101"] {
-        let h = HierarchySpec::parse(spec).unwrap();
-        out.push((
-            spec.to_string(),
-            OnlineMultiSection::with_hierarchy(h, OmsConfig::default()),
-        ));
+    for shape in ["2:2:2", "4:16:16", "3:5", "2:128", "3:101"] {
+        out.push(JobSpec::parse(&format!("oms:{shape}")).unwrap());
     }
     for k in [1u32, 3, 13, 37] {
         for base in [2u32, 4] {
-            let config = OmsConfig::default().base_b(base);
-            out.push((
-                format!("nh-oms:{k}@base={base}"),
-                OnlineMultiSection::flat(k, config).unwrap(),
-            ));
+            out.push(JobSpec::flat("nh-oms", k).base_b(base));
         }
     }
     out
 }
-
-/// `(label, scorer, hashing_bottom_layers)`.
-const SCORERS: [(&str, ScorerKind, usize); 3] = [
-    ("fennel", ScorerKind::Fennel, 0),
-    ("ldg", ScorerKind::Ldg, 0),
-    ("hybrid=1", ScorerKind::Fennel, 1),
-];
 
 fn graphs() -> Vec<(String, CsrGraph)> {
     let mut out = Vec::new();
@@ -324,34 +390,24 @@ fn production_kernel_matches_the_naive_descent() {
     let fallbacks = Cell::new(0u64);
     let mut runs = 0;
     for (graph_name, graph) in graphs() {
-        for (tree_name, shape) in trees() {
-            for (scorer_name, scorer, hybrid) in SCORERS {
+        for job in tree_jobs() {
+            for hybrid in [0, 1] {
                 for epsilon in [0.0, 0.03] {
-                    let config = shape
-                        .config()
-                        .scorer(scorer)
-                        .hashing_bottom_layers(hybrid)
-                        .epsilon(epsilon)
-                        .seed(11);
-                    let oms = OnlineMultiSection::with_tree(shape.tree().clone(), config);
                     for passes in [1usize, 3] {
-                        let before = fallbacks.get();
-                        let expected = oracle_assignments(&oms, &graph, passes, &fallbacks);
-                        let actual = oms.clone().passes(passes).partition_graph(&graph).unwrap();
-                        assert_eq!(
-                            actual.assignments(),
-                            &expected[..],
-                            "{graph_name} × {tree_name} × {scorer_name} × eps={epsilon} × \
-                             passes={passes} ({} oracle fallbacks in this run)",
-                            fallbacks.get() - before
-                        );
+                        let spec = job
+                            .clone()
+                            .hashing_bottom_layers(hybrid)
+                            .epsilon(epsilon)
+                            .seed(11)
+                            .passes(passes);
+                        assert_matches(&spec, &graph, &fallbacks, &graph_name);
                         runs += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(runs, 6 * 13 * 3 * 2 * 2);
+    assert_eq!(runs, 6 * 13 * 2 * 2 * 2);
     assert!(
         fallbacks.get() > 1_000,
         "the matrix must exercise the all-children-full fallback (fired {} times)",
@@ -359,33 +415,25 @@ fn production_kernel_matches_the_naive_descent() {
     );
 }
 
-/// One pass through the one-shot entry point (no multi-pass engine) on a
-/// larger graph, including the Hashing scorer, deeper hybrids and a
-/// degenerate γ.
+/// One pass through the one-shot entry point on a larger graph, with more
+/// hashed layers than the kernel scores (`hybrid=3`: every layer).
 #[test]
 fn one_shot_entry_point_matches_the_naive_descent() {
     let graph = WeightScheme::Nodes.apply(&planted_partition(1_200, 8, 0.05, 0.004, 21), 3);
     let fallbacks = Cell::new(0u64);
-    let h = HierarchySpec::parse("2:3:4").unwrap();
-    for config in [
-        OmsConfig::default(),
-        OmsConfig::default().alpha_mode(AlphaMode::Global),
-        OmsConfig::default().scorer(ScorerKind::Hashing),
-        OmsConfig::default().hashing_bottom_layers(2),
-        OmsConfig::default().hashing_bottom_layers(5),
-        // γ < 1 makes an empty block's penalty infinite: feasible children
-        // then score −∞.
-        OmsConfig::default().gamma(0.5),
+    for text in [
+        "oms:2:3:4",
+        "oms:2:3:4@hybrid=2",
+        "oms:2:3:4@hybrid=3",
+        "oms:2:3:4@hybrid=5",
     ] {
-        let oms = OnlineMultiSection::with_hierarchy(h.clone(), config);
-        let expected = oracle_assignments(&oms, &graph, 1, &fallbacks);
-        let actual = oms.partition_graph(&graph).unwrap();
-        assert_eq!(actual.assignments(), &expected[..], "{config:?}");
+        let spec = JobSpec::parse(text).unwrap();
+        assert_matches(&spec, &graph, &fallbacks, "planted-1200/nodes");
     }
 }
 
-/// The flat baselines against the naive descent on the one-layer tree
-/// `S = k` — the only reference `Fennel` and `Ldg` have that is not the
+/// The flat jobs against the naive descent on the one-layer tree `S = k`
+/// — the only reference `fennel`, `ldg` and `hashing` have that is not the
 /// code under test.
 #[test]
 fn flat_rules_match_the_naive_descent_on_the_depth_one_tree() {
@@ -394,37 +442,18 @@ fn flat_rules_match_the_naive_descent_on_the_depth_one_tree() {
     for (graph_name, graph) in graphs() {
         // 1 is the root-is-leaf tree; 300 exceeds every n in `graphs()`.
         for k in [1u32, 2, 7, 33, 300] {
-            for (scorer_name, scorer) in [("fennel", ScorerKind::Fennel), ("ldg", ScorerKind::Ldg)]
-            {
+            for rule in ["fennel", "ldg", "hashing"] {
                 for epsilon in [0.0, 0.03] {
-                    let reference = OnlineMultiSection::with_tree(
-                        MultisectionTree::flat(k, k.max(2)),
-                        OmsConfig::default().scorer(scorer).epsilon(epsilon),
-                    );
-                    let config = OnePassConfig::default().epsilon(epsilon);
                     for passes in [1usize, 3] {
-                        let expected = oracle_assignments(&reference, &graph, passes, &fallbacks);
-                        let actual = match scorer {
-                            ScorerKind::Ldg => {
-                                Ldg::new(k, config).passes(passes).partition_graph(&graph)
-                            }
-                            _ => Fennel::new(k, config)
-                                .passes(passes)
-                                .partition_graph(&graph),
-                        }
-                        .unwrap();
-                        assert_eq!(
-                            actual.assignments(),
-                            &expected[..],
-                            "{graph_name} × {scorer_name}:{k} × eps={epsilon} × passes={passes}"
-                        );
+                        let spec = JobSpec::flat(rule, k).epsilon(epsilon).passes(passes);
+                        assert_matches(&spec, &graph, &fallbacks, &graph_name);
                         runs += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(runs, 6 * 5 * 2 * 2 * 2);
+    assert_eq!(runs, 6 * 5 * 3 * 2 * 2);
     assert!(
         fallbacks.get() > 100,
         "ε = 0 must exercise the all-blocks-full fallback (fired {} times)",
@@ -435,8 +464,7 @@ fn flat_rules_match_the_naive_descent_on_the_depth_one_tree() {
 /// The flat rules at `k` wide enough for the kernel's wide select, on graphs
 /// with `n = 8k` nodes — so most decisions are made among blocks with room,
 /// not by the all-full fallback — unit and weighted, under both objectives,
-/// one pass and three, and Fennel with `γ = 0.5` (empty blocks score `−∞`,
-/// which hands the decision back to the exact loop).
+/// one pass and three.
 #[test]
 fn flat_rules_match_the_naive_descent_on_wide_sibling_groups() {
     let fallbacks = Cell::new(0u64);
@@ -446,46 +474,95 @@ fn flat_rules_match_the_naive_descent_on_wide_sibling_groups() {
         let unit = erdos_renyi_gnm(n, 3 * n, u64::from(k));
         let weighted = WeightScheme::Full.apply(&unit, 7);
         for (graph_name, graph) in [("unit", &unit), ("weighted", &weighted)] {
-            for (scorer_name, scorer, epsilon, gamma) in [
-                ("fennel", ScorerKind::Fennel, 0.0, 1.5),
-                ("fennel", ScorerKind::Fennel, 0.03, 1.5),
-                ("fennel", ScorerKind::Fennel, 0.03, 0.5),
-                ("ldg", ScorerKind::Ldg, 0.0, 1.5),
-                ("ldg", ScorerKind::Ldg, 0.03, 1.5),
-            ] {
-                let reference = OnlineMultiSection::with_tree(
-                    MultisectionTree::flat(k, k),
-                    OmsConfig::default()
-                        .scorer(scorer)
-                        .epsilon(epsilon)
-                        .gamma(gamma),
-                );
-                let config = OnePassConfig::default().epsilon(epsilon).gamma(gamma);
-                for passes in [1usize, 3] {
-                    let expected = oracle_assignments(&reference, graph, passes, &fallbacks);
-                    let actual = match scorer {
-                        ScorerKind::Ldg => {
-                            Ldg::new(k, config).passes(passes).partition_graph(graph)
-                        }
-                        _ => Fennel::new(k, config).passes(passes).partition_graph(graph),
+            for rule in ["fennel", "ldg"] {
+                for epsilon in [0.0, 0.03] {
+                    for passes in [1usize, 3] {
+                        let spec = JobSpec::flat(rule, k).epsilon(epsilon).passes(passes);
+                        let context = format!("{graph_name} n={n}");
+                        assert_matches(&spec, graph, &fallbacks, &context);
+                        runs += 1;
                     }
-                    .unwrap();
-                    assert_eq!(
-                        actual.assignments(),
-                        &expected[..],
-                        "{graph_name} n={n} × {scorer_name}:{k} × eps={epsilon} × gamma={gamma} \
-                         × passes={passes}"
-                    );
-                    runs += 1;
                 }
             }
         }
     }
-    assert_eq!(runs, 3 * 2 * 5 * 2);
+    assert_eq!(runs, 3 * 2 * 2 * 2 * 2);
     assert!(
         fallbacks.get() > 0,
         "ε = 0 must reach the all-blocks-full fallback"
     );
+}
+
+/// Seeded random jobs against the reference: an ER or planted graph of at
+/// most 300 nodes, unit or fully weighted, and any streaming job — a flat
+/// `k ≤ 64` or one to four hierarchy factors of 2..=6, `eps` (0 included),
+/// `seed`, 1–4 passes, `conv`, and for the tree jobs `base` and `hybrid`
+/// up to one past the tree's depth.
+#[test]
+fn random_jobs_match_the_naive_descent() {
+    const DRAWS: u64 = 400;
+    let fallbacks = Cell::new(0u64);
+    let mut per_algorithm = std::collections::HashMap::<&str, usize>::new();
+    let (mut hierarchies, mut multi_pass, mut hybrids) = (0, 0, 0);
+    for draw in 0..DRAWS {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0AC1E ^ draw);
+        let n = rng.gen_range(1..=300usize);
+        let graph_seed = rng.gen_range(0..1_000u64);
+        let (name, graph) = if rng.gen_bool(0.5) {
+            let m = rng.gen_range(0..=3 * n);
+            ("er", erdos_renyi_gnm(n, m, graph_seed))
+        } else {
+            let blocks = rng.gen_range(1..=8usize);
+            (
+                "planted",
+                planted_partition(n, blocks, 0.2, 0.01, graph_seed),
+            )
+        };
+        let (graph, weights) = if rng.gen_bool(0.5) {
+            (WeightScheme::Full.apply(&graph, graph_seed), "weighted")
+        } else {
+            (graph, "unit")
+        };
+        let algorithm = ["hashing", "ldg", "fennel", "oms", "nh-oms"][rng.gen_range(0..5usize)];
+        let shape = if rng.gen_bool(0.5) {
+            rng.gen_range(1..=64u32).to_string()
+        } else {
+            let levels = rng.gen_range(1..=4usize);
+            let factors: Vec<String> = (0..levels)
+                .map(|_| rng.gen_range(2..=6u32).to_string())
+                .collect();
+            factors.join(":")
+        };
+        let epsilon = [0.0, 0.01, 0.03, 0.1, 0.5][rng.gen_range(0..5usize)];
+        let passes = rng.gen_range(1..=4usize);
+        let mut text = format!(
+            "{algorithm}:{shape}@eps={epsilon},seed={},passes={passes}",
+            rng.gen_range(0..1_000u64)
+        );
+        if passes > 1 {
+            let convergence = [0.0, 0.001, 0.05][rng.gen_range(0..3usize)];
+            text += &format!(",conv={convergence}");
+        }
+        if matches!(algorithm, "oms" | "nh-oms") {
+            text += &format!(",base={}", rng.gen_range(2..=6u32));
+            let depth = Job::of(&JobSpec::parse(&text).unwrap()).tree.max_depth();
+            let hybrid = rng.gen_range(0..=depth + 1);
+            text += &format!(",hybrid={hybrid}");
+            hybrids += (hybrid > 0) as usize;
+        }
+        let spec = JobSpec::parse(&text).unwrap();
+        let context = format!("{name} n={n} {weights} (seed {graph_seed}), draw {draw}");
+        assert_matches(&spec, &graph, &fallbacks, &context);
+        *per_algorithm.entry(algorithm).or_default() += 1;
+        hierarchies += matches!(spec.shape, JobShape::Hierarchy(_)) as usize;
+        multi_pass += (passes > 1) as usize;
+    }
+    assert!(
+        per_algorithm.len() == 5 && per_algorithm.values().all(|&c| c >= 30),
+        "{per_algorithm:?}"
+    );
+    assert!(hierarchies >= 60 && multi_pass >= 120 && hybrids >= 30);
+    assert!(fallbacks.get() > 0);
 }
 
 /// The paper's identity, stated through the job grammar: a hierarchy with

@@ -29,6 +29,19 @@ fn run_cases(cases: u64, test: impl Fn(&mut ChaCha8Rng)) {
     }
 }
 
+/// The partition the job `text` computes for `stream`.
+fn partition(text: &str, stream: &mut dyn NodeStream) -> Partition {
+    let partitioner = JobSpec::parse(text).unwrap().build().unwrap();
+    partitioner
+        .partition(stream)
+        .unwrap_or_else(|e| panic!("{text}: {e}"))
+}
+
+/// The partition the job `text` computes for `graph`.
+fn run(text: &str, graph: &CsrGraph) -> Partition {
+    partition(text, &mut InMemoryStream::new(graph))
+}
+
 /// A random undirected graph with `n ∈ [nmin, nmax]` nodes and a random edge
 /// list (self loops and duplicates are removed by the builder).
 fn arbitrary_graph(rng: &mut ChaCha8Rng, nmin: usize, nmax: usize) -> CsrGraph {
@@ -48,12 +61,8 @@ fn streaming_partitioners_assign_every_node() {
         let graph = arbitrary_graph(rng, 1, 120);
         let k = rng.gen_range(1u32..20);
         let seed = rng.gen_range(0u64..1000);
-        let cfg = OnePassConfig::default().seed(seed);
-        for partition in [
-            Hashing::new(k, cfg).partition_graph(&graph).unwrap(),
-            Ldg::new(k, cfg).partition_graph(&graph).unwrap(),
-            Fennel::new(k, cfg).partition_graph(&graph).unwrap(),
-        ] {
+        for algorithm in ["hashing", "ldg", "fennel"] {
+            let partition = run(&format!("{algorithm}:{k}@seed={seed}"), &graph);
             assert_eq!(partition.num_nodes(), graph.num_nodes());
             assert!(partition.assignments().iter().all(|&b| b < k));
             assert!(partition.validate(graph.node_weights()));
@@ -69,12 +78,9 @@ fn one_pass_baselines_respect_balance() {
     run_cases(48, |rng| {
         let graph = arbitrary_graph(rng, 20, 150);
         let k = rng.gen_range(2u32..10);
-        let cfg = OnePassConfig::default();
         let capacity = Partition::capacity(graph.total_node_weight(), k, 0.03);
-        for partition in [
-            Ldg::new(k, cfg).partition_graph(&graph).unwrap(),
-            Fennel::new(k, cfg).partition_graph(&graph).unwrap(),
-        ] {
+        for algorithm in ["ldg", "fennel"] {
+            let partition = run(&format!("{algorithm}:{k}"), &graph);
             assert!(partition.max_block_weight() <= capacity);
         }
     });
@@ -88,8 +94,7 @@ fn nh_oms_valid_for_arbitrary_k_and_base() {
         let graph = arbitrary_graph(rng, 30, 150);
         let k = rng.gen_range(1u32..40);
         let base = rng.gen_range(2u32..6);
-        let oms = OnlineMultiSection::flat(k, OmsConfig::default().base_b(base)).unwrap();
-        let partition = oms.partition_graph(&graph).unwrap();
+        let partition = run(&format!("nh-oms:{k}@base={base}"), &graph);
         assert_eq!(partition.num_blocks(), k);
         assert_eq!(partition.num_nodes(), graph.num_nodes());
         assert!(partition.assignments().iter().all(|&b| b < k));
@@ -113,8 +118,8 @@ fn oms_hierarchy_consistent_with_metrics() {
         let seed = rng.gen_range(0u64..100);
         let hierarchy = HierarchySpec::new(factors).unwrap();
         let k = hierarchy.total_blocks();
-        let oms = OnlineMultiSection::with_hierarchy(hierarchy, OmsConfig::default().seed(seed));
-        let partition = oms.partition_graph(&graph).unwrap();
+        let shape = hierarchy.to_string_spec();
+        let partition = run(&format!("oms:{shape}@seed={seed}"), &graph);
         assert_eq!(partition.num_blocks(), k);
         assert_eq!(
             partition.edge_cut(&graph),
@@ -130,7 +135,6 @@ fn stream_order_does_not_break_validity() {
     run_cases(32, |rng| {
         let graph = arbitrary_graph(rng, 10, 100);
         let seed = rng.gen_range(0u64..500);
-        let oms = OnlineMultiSection::flat(8, OmsConfig::default()).unwrap();
         for ordering in [
             NodeOrdering::Natural,
             NodeOrdering::Random(seed),
@@ -138,7 +142,7 @@ fn stream_order_does_not_break_validity() {
             NodeOrdering::DegreeDescending,
         ] {
             let mut stream = InMemoryStream::with_ordering(&graph, ordering);
-            let partition = oms.partition_stream(&mut stream).unwrap();
+            let partition = partition("nh-oms:8", &mut stream);
             assert_eq!(partition.num_nodes(), graph.num_nodes());
             assert!(partition.validate(graph.node_weights()));
         }
@@ -158,8 +162,7 @@ fn mapping_cost_bounds() {
             .map(|i| (10u64.pow(i as u32)).to_string())
             .collect();
         let topology = Topology::parse(&spec, &distances.join(":")).unwrap();
-        let oms = OnlineMultiSection::with_hierarchy(hierarchy, OmsConfig::default());
-        let partition = oms.partition_graph(&graph).unwrap();
+        let partition = run(&format!("oms:{spec}"), &graph);
 
         let cut = partition.edge_cut(&graph);
         let j = mapping_cost(&graph, partition.assignments(), &topology);
@@ -236,12 +239,8 @@ fn restreaming_monotone() {
     run_cases(24, |rng| {
         let graph = arbitrary_graph(rng, 30, 120);
         let k = rng.gen_range(2u32..10);
-        let cfg = OnePassConfig::default();
-        let single = Fennel::new(k, cfg).partition_graph(&graph).unwrap();
-        let re = Fennel::new(k, cfg)
-            .passes(2)
-            .partition_graph(&graph)
-            .unwrap();
+        let single = run(&format!("fennel:{k}"), &graph);
+        let re = run(&format!("fennel:{k}@passes=2"), &graph);
         assert!(re.edge_cut(&graph) <= single.edge_cut(&graph));
     });
 }
