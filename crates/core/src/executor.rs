@@ -31,7 +31,7 @@
 //! [`NodeSink::process`] (`buffered`, see [`NodeSink::commits_per_node`]),
 //! the seed of a refinement, and assignments that come from elsewhere.
 
-use crate::hierarchy::{DistanceSpec, HierarchySpec};
+use crate::hierarchy::{DistanceSpec, HierarchySpec, LevelCodes};
 use crate::partition::UNASSIGNED;
 use crate::{BlockId, PartitionError, Result};
 use oms_graph::{GraphError, NodeId, NodeStream, NodeWeight, StreamedNode, SymmetryProof};
@@ -608,16 +608,16 @@ pub type ReportTopology<'a> = Option<(&'a HierarchySpec, &'a DistanceSpec)>;
 ///   other endpoint is already placed in this pass, and that *second
 ///   sighting* is tallied for both.
 ///
-/// Under a topology the level comes from [`HierarchySpec::group_table`];
-/// block ids the table does not cover ([`UNASSIGNED`], ids `≥ k`, or every
-/// id when the table would outgrow the assignment array) take
-/// [`HierarchySpec::shared_level`]'s divisions, so any `u32` is a valid
+/// Under a topology the level comes from the XOR of the two blocks'
+/// [`HierarchySpec::level_codes`]; block ids without a code ([`UNASSIGNED`],
+/// ids `≥ k`, or every id when the codes would outgrow the assignment array)
+/// take [`HierarchySpec::shared_level`]'s divisions, so any `u32` is a valid
 /// block id here.
 pub(crate) struct LevelTally<'a> {
     topology: ReportTopology<'a>,
-    levels: usize,
-    /// [`HierarchySpec::group_table`]: `levels` columns per covered block.
-    table: Vec<u32>,
+    /// [`HierarchySpec::level_codes`], or [`LevelCodes::NONE`] without a
+    /// topology or when `k` exceeds the assignment array.
+    codes: LevelCodes,
     k: u32,
     block_weights: Vec<NodeWeight>,
     total_node_weight: NodeWeight,
@@ -641,16 +641,15 @@ impl<'a> LevelTally<'a> {
             Some((hierarchy, _)) => hierarchy.num_levels(),
             None => 1,
         };
-        let table = match topology {
+        let codes = match topology {
             Some((hierarchy, _)) if hierarchy.total_blocks() as usize <= n => {
-                hierarchy.group_table()
+                hierarchy.level_codes()
             }
-            _ => Vec::new(),
+            _ => LevelCodes::NONE,
         };
         Ok(LevelTally {
             topology,
-            levels,
-            table,
+            codes,
             k,
             block_weights: vec![0; k as usize],
             total_node_weight: 0,
@@ -693,16 +692,11 @@ impl<'a> LevelTally<'a> {
                 self.level_weights[1] += cut;
             }
             Some((hierarchy, _)) => {
-                let (table, levels) = (&self.table, self.levels);
-                let covered = table.len() / levels;
-                let row = |block: BlockId| {
-                    ((block as usize) < covered)
-                        .then(|| &table[block as usize * levels..][..levels])
-                };
-                let own_row = row(own);
+                let codes = &self.codes;
+                let own_code = codes.code(own);
                 for (other, w) in entries {
-                    let level = match (own_row, row(other)) {
-                        (Some(a), Some(b)) => a.iter().zip(b).filter(|(x, y)| x != y).count(),
+                    let level = match (own_code, codes.code(other)) {
+                        (Some(a), Some(b)) => codes.shared_level(a, b),
                         _ => hierarchy.shared_level(own, other),
                     };
                     self.level_weights[level] += w;
@@ -1300,6 +1294,31 @@ mod tests {
             }
             let last = measure(stream, sink.assignments(), 3, None).unwrap();
             assert_eq!(report, Some(last));
+        }
+    }
+
+    /// Ids without a level code — `UNASSIGNED`, ids from `k` on, and every
+    /// id of a tally over more blocks than nodes, which builds no codes —
+    /// file their entries at `HierarchySpec::shared_level`, as coded ids do.
+    #[test]
+    fn ids_without_a_level_code_take_the_division_fallback() {
+        use crate::{DistanceSpec, HierarchySpec};
+        let h = HierarchySpec::parse("3:5:2").unwrap();
+        let d = DistanceSpec::parse("1:10:100").unwrap();
+        let k = h.total_blocks();
+        let ids = [0, 1, 4, 7, 15, 29, k, k + 1, 1000, UNASSIGNED];
+        for n in [k as usize, k as usize - 1] {
+            let mut tally = LevelTally::new(n, k, Some((&h, &d))).unwrap();
+            assert_eq!(tally.codes.code(0).is_some(), n >= k as usize);
+            let mut expected = [0u128; 4];
+            for (i, &own) in ids.iter().enumerate() {
+                let entries = ids.iter().map(|&other| (other, 1 << i));
+                tally.node(own, 1, entries);
+                for &other in &ids {
+                    expected[h.shared_level(own, other)] += 1 << i;
+                }
+            }
+            assert_eq!(tally.level_weights, expected, "n = {n}");
         }
     }
 

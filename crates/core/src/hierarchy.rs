@@ -119,24 +119,39 @@ impl HierarchySpec {
         self.num_levels()
     }
 
-    /// The table behind the measurement walk's `J`: row `b` of the row-major
-    /// `k × ℓ` result holds PE `b` itself followed by its group ids on
-    /// levels `1..ℓ` (`b / a1`, `b / (a1·a2)`, …). Groups nest, so
-    /// [`HierarchySpec::shared_level`] of two PEs is the number of columns
-    /// in which their rows differ — ℓ compares on an L1-resident table
-    /// instead of up to 2ℓ divisions per edge entry.
-    pub fn group_table(&self) -> Vec<u32> {
-        let levels = self.num_levels();
-        let mut table = Vec::with_capacity(self.total_blocks() as usize * levels);
-        for pe in 0..self.total_blocks() {
-            let mut group = pe;
-            table.push(group);
-            for &a in &self.factors[..levels - 1] {
-                group /= a;
-                table.push(group);
+    /// The codes behind the measurement walk's `J`: PE `b`'s per-level
+    /// coordinates `(x1, …, xℓ)` packed into one `u64`, `x1` lowest, each in
+    /// a field of `⌈log₂ aᵢ⌉` bits. Two PEs first differ in the coordinate
+    /// of their shared level, so [`HierarchySpec::shared_level`] is the field
+    /// that holds the highest bit of the two codes' XOR — one XOR, one
+    /// leading-zero count and one lookup in place of up to 2ℓ divisions per
+    /// edge entry. Every factor is at least 2, so the fields take at most
+    /// `2·log₂ k ≤ 64` bits.
+    pub(crate) fn level_codes(&self) -> LevelCodes {
+        let widths: Vec<u32> = self
+            .factors
+            .iter()
+            .map(|&a| a.next_power_of_two().trailing_zeros())
+            .collect();
+        let codes = (0..self.total_blocks())
+            .map(|pe| {
+                let fields = self.coordinates(pe).into_iter().zip(&widths).rev();
+                fields.fold(0u64, |code, (coord, &width)| {
+                    code << width | u64::from(coord)
+                })
+            })
+            .collect();
+        // `levels[z]`: the level whose field holds bit `63 − z`; `z = 64` is
+        // an XOR of 0, the same PE.
+        let mut levels = [0u8; 65];
+        let mut low = 0;
+        for (level, &width) in widths.iter().enumerate() {
+            for bit in low..low + width {
+                levels[63 - bit as usize] = level as u8 + 1;
             }
+            low += width;
         }
-        table
+        LevelCodes { codes, levels }
     }
 
     /// Human-readable `a1:a2:…:aℓ` form.
@@ -146,6 +161,33 @@ impl HierarchySpec {
             .map(|a| a.to_string())
             .collect::<Vec<_>>()
             .join(":")
+    }
+}
+
+/// [`HierarchySpec::level_codes`]: one code per PE and the level of each
+/// leading-zero count of an XOR of two codes.
+pub(crate) struct LevelCodes {
+    codes: Vec<u64>,
+    levels: [u8; 65],
+}
+
+impl LevelCodes {
+    /// No codes: every id takes [`HierarchySpec::shared_level`].
+    pub(crate) const NONE: LevelCodes = LevelCodes {
+        codes: Vec::new(),
+        levels: [0; 65],
+    };
+
+    /// The code of `block`, or `None` for an id that is not a PE.
+    #[inline]
+    pub(crate) fn code(&self, block: BlockId) -> Option<u64> {
+        self.codes.get(block as usize).copied()
+    }
+
+    /// The shared level of the two PEs with these codes.
+    #[inline]
+    pub(crate) fn shared_level(&self, a: u64, b: u64) -> usize {
+        self.levels[(a ^ b).leading_zeros() as usize] as usize
     }
 }
 
@@ -260,20 +302,40 @@ mod tests {
         assert_eq!(h.shared_level(1, 3), 2);
     }
 
+    /// The XOR of two PEs' level codes names their shared level, for every
+    /// pair of PEs: on fixed hierarchies and on seeded random ones with
+    /// factors 2..=9 (non-powers of two included), up to six levels and
+    /// `k ≤ 4096`. An id beyond the PEs has no code.
     #[test]
-    fn group_table_rows_differ_in_shared_level_many_columns() {
-        for spec in ["2:2", "4:16:2", "3:5:2", "7"] {
-            let h = HierarchySpec::parse(spec).unwrap();
-            let (k, levels) = (h.total_blocks(), h.num_levels());
-            let table = h.group_table();
-            assert_eq!(table.len(), k as usize * levels);
-            let row = |b: u32| &table[b as usize * levels..][..levels];
+    fn level_codes_give_the_shared_level_of_every_pair() {
+        let mut hierarchies: Vec<HierarchySpec> = ["2:2", "4:16:2", "3:5:2", "7", "4:16:16"]
+            .into_iter()
+            .map(|spec| HierarchySpec::parse(spec).unwrap())
+            .collect();
+        let mut state = 5u64;
+        let mut draw = |below: u64| {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            crate::scorer::mix64(state) % below
+        };
+        while hierarchies.len() < 17 {
+            let levels = 1 + draw(6) as usize;
+            let factors: Vec<u32> = (0..levels).map(|_| 2 + draw(8) as u32).collect();
+            if factors.iter().product::<u32>() <= 4096 {
+                hierarchies.push(HierarchySpec::new(factors).unwrap());
+            }
+        }
+        for h in hierarchies {
+            let codes = h.level_codes();
+            let k = h.total_blocks();
             for a in 0..k {
+                let code_a = codes.code(a).unwrap();
                 for b in 0..k {
-                    let differing = row(a).iter().zip(row(b)).filter(|(x, y)| x != y).count();
-                    assert_eq!(differing, h.shared_level(a, b), "{spec}: {a} vs {b}");
+                    let level = codes.shared_level(code_a, codes.code(b).unwrap());
+                    assert_eq!(level, h.shared_level(a, b), "{h:?}: {a} vs {b}");
                 }
             }
+            assert_eq!(codes.code(k), None, "{h:?}");
+            assert_eq!(codes.code(crate::partition::UNASSIGNED), None, "{h:?}");
         }
     }
 

@@ -41,9 +41,15 @@
 //! * **`Σ aᵢ` fused adds** (multiplies for LDG) in the select loops: the
 //!   objective of a child is `conn ⊕ base`, where the penalty `base` of
 //!   every tree node lives pre-evaluated in a dense arena that is contiguous
-//!   over each sibling group. A group narrower than `WIDE_SELECT` (48) runs
-//!   the exact loop: one pass that scores every child and folds the `u64`
-//!   feasibility test into a maximum, and one tie-break pass. A wider group
+//!   over each sibling group. A group of fewer than `NARROW_SELECT` (8)
+//!   children runs the exact loop (`select_child`): one pass that scores
+//!   every child and folds the `u64` feasibility test into a maximum, and
+//!   one tie-break pass. A group of 8 to 47 runs the **narrow select**
+//!   (`pick_narrow`): connectivity bucketed in `u64` and converted once per
+//!   child, feasibility read off a per-tree-node `f64` headroom, one pass of
+//!   four independent lane maxima and one tie-break pass that takes the
+//!   least `(load, index)` key among the children at the maximum, both free
+//!   of data-dependent branches. A group of at least `WIDE_SELECT` (48)
 //!   runs the **wide select** (`pick_wide`) on connectivity bucketed as
 //!   `f64` and on a per-tree-node `f64` headroom: a read-only pass of four
 //!   independent lane maxima, with no store, no integer compare and no
@@ -52,20 +58,25 @@
 //!   compares eight scores at a time with the maximum and resolves ties in
 //!   scalar code only where one is equal. In a microbenchmark at
 //!   `k = 1024` (2-vCPU x86-64 box) that is ≈ 0.8 ns per candidate, against
-//!   ≈ 3 ns for the exact loop;
+//!   ≈ 3 ns for the exact loop. Both fall back to the exact loop where they
+//!   cannot decide;
 //! * **`ℓ` penalty refreshes**: an assignment changes the weight of exactly
-//!   the `ℓ` tree nodes on one root-to-leaf path, so only those `powf`s are
-//!   paid (not `Σ aᵢ`). Each tree node also remembers its previous
-//!   `(weight, load term)` pair, which makes the unassign → reassign round
-//!   trip of a restreaming pass or a repair step `powf`-free for a node
-//!   that does not move. A refresh also rewrites the tree node's headroom;
-//!   a `retune` rewrites only the headrooms whose capacity moved.
+//!   the `ℓ` tree nodes on one root-to-leaf path, so only those penalties
+//!   are refreshed (not `Σ aᵢ`). The load term behind a penalty — Fennel's
+//!   `powf` — comes from a direct-mapped memo of the last `(weight, term)`
+//!   pair per slot: sibling loads grow in lockstep and the unassign →
+//!   reassign round trip of a restreaming pass or a repair step returns a
+//!   weight to a value it just had, so one pass of `4:16:16` on the
+//!   benchmark's RMAT graph evaluates a `powf` for 70 810 of its 787 729
+//!   refreshes. A refresh also rewrites the tree node's headroom; a
+//!   `retune` rewrites only the headrooms whose capacity moved.
 //!
 //! The flat rules are the case `ℓ = 1`, `a₁ = k`: one gather, `k` fused
 //! adds, one refresh — `O(deg + k)` per node, the `O(m + nk)` of §2.2. The
-//! exact loop zeroes the connectivity it reads, and the wide select zeroes
-//! its `f64` row through the `≤ deg` gathered neighbours, so no per-node
-//! reset pass over `k` entries exists at any fan-out.
+//! narrow select and the exact loop zero the connectivity they read, and the
+//! wide select zeroes its `f64` row through the `≤ deg` gathered
+//! neighbours, so no per-node reset pass over `k` entries exists at any
+//! fan-out.
 //!
 //! A hashed layer costs one hash and one weight update; a run whose layers
 //! are all hashed skips the gather.
@@ -88,13 +99,16 @@
 //! this against a naive from-the-pseudocode descent, on hierarchies and on
 //! the depth-1 tree of the flat rules.
 //!
-//! The wide select picks the same child as the exact loop, for these
-//! reasons:
+//! The narrow and the wide select pick the same child as the exact loop, for
+//! these reasons:
 //!
-//! * **Connectivity.** Integers below `2^53`, and sums of them that stay
-//!   below it, are exact in `f64`. The bucketing walk also sums the weight
-//!   it buckets, so while that sum is `< 2^53` every `f64` bucket equals
-//!   the `conn as f64` the exact loop scores.
+//! * **Connectivity.** The narrow select converts the `u64` sums the exact
+//!   loop scores, through `i64`: below `2^63` that is the same integer,
+//!   rounded the same way. The wide one sums in `f64`: integers below
+//!   `2^53`, and sums of them that stay below it, are exact in `f64`. Its
+//!   bucketing walk also sums the weight it buckets, so while that sum is
+//!   `< 2^53` every `f64` bucket equals the `conn as f64` the exact loop
+//!   scores.
 //! * **Feasibility.** For a node weight `1 ≤ w < 2^53` and
 //!   `room = capacity.saturating_sub(weight) as f64`, `w as f64 <= room`
 //!   holds exactly when `weight + w <= capacity`: `w` is exact and rounding
@@ -104,17 +118,20 @@
 //!   maximum of a set does not depend on the order it is taken in, and `±0`
 //!   compare equal in both selects.
 //! * **Ties.** With no NaN and a maximum above `−∞`, "not below the
-//!   maximum" is "equal to it", and the scan keeps the exact loop's order:
-//!   lighter, then lower index.
+//!   maximum" is "equal to it", and both keep the exact loop's order:
+//!   lighter, then lower index. The wide select scans in that order; the
+//!   narrow one takes the least key `load · 2^6 + index`, which orders
+//!   the same way and is exact in `f64` for loads below `2^47`.
 //!
 //! Every other case falls back to the exact loop: a node weight of 0 or
-//! from `2^53` on skips the wide select, gathered weight from `2^53` on is
-//! bucketed again in `u64`, and the wide select declines when a feasible
-//! score is NaN (the exact loop counts it as tied) or the maximum is `−∞`
-//! (no child fits). No job's parameters give a feasible child a NaN or an
-//! infinite penalty, but the selects do not rely on that: the unit tests in
-//! this module hold the two to the same child on adversarial groups that
-//! carry both.
+//! from `2^53` on skips both, gathered weight from `2^53` on is bucketed
+//! again in `u64` at a wide level, and either select declines when a
+//! feasible score is NaN (the exact loop counts it as tied) or the maximum
+//! is `−∞` (no child fits) — the narrow one also on a connectivity from
+//! `2^63` or a load from `2^47` on. No job's parameters give a feasible
+//! child a NaN or an infinite penalty, but the selects do not rely on that:
+//! the unit tests in this module hold each of them to the exact loop on
+//! adversarial groups that carry both.
 
 use crate::api::{JobSpec, Partitioner};
 use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
@@ -243,15 +260,31 @@ impl Partitioner for OnlineMultiSection {
 const GATHER_CAPACITY: usize = 1024;
 
 /// Sibling groups at least this wide are scored by the wide select
-/// ([`pick_wide`]); narrower ones by the exact loop alone. From a sweep of
-/// flat Fennel with every group on the wide select against the exact loop
-/// (wall time, RMAT scale 18, seed 11, direct CLI runs, 8 alternating pairs
-/// per `k` on a 2-vCPU x86-64 box). Four passes, to lift the kernel above
-/// the I/O: k = 8 +23 %, 16 +4 %, 24 +6 %, 32 −4 % (faster in 7 of 8
-/// pairs), 48 −7.5 % (8/8), 64 −15 % (8/8). One pass: 96 −15 %, 128
-/// −20 %, 256 −34 %, 1024 −50 % (all 8/8). 48 is the narrowest width that
-/// won every pair; at 32 the gain is inside the noise.
+/// ([`pick_wide`]); narrower ones by the narrow select ([`pick_narrow`]).
+/// From a sweep of flat Fennel with every group on the wide select against
+/// every group on the narrow one (wall time, RMAT scale 18, seed 11, direct
+/// CLI runs, 8 alternating pairs per `k` on a 2-vCPU x86-64 box, four
+/// passes to lift the kernel above the I/O; the wide select's change): k =
+/// 8 +6.7 %, 16 +6.1 %, 24 +2.5 %, 32 +2.0 %, 36 +0.4 %, 40 −1.6 % (faster
+/// in 7 of 8 pairs), 44 −1.3 % (6/8), 48 −3.5 % (7/8), 64 −11 % (8/8); one
+/// pass at 96: −7.5 % (8/8). Against the exact loop the wide select gained
+/// from 32 on; the narrow select moves the crossover to 36–48, and 48 is
+/// still the narrowest width with a gain outside the noise.
 const WIDE_SELECT: usize = 48;
+
+/// Sibling groups at least this wide (and narrower than [`WIDE_SELECT`])
+/// are scored by the narrow select ([`pick_narrow`]); narrower ones by the
+/// exact loop alone, whose branches a group of a few children predicts
+/// well. From flat Fennel with every narrow group on the narrow select
+/// against every one on the exact loop (wall time, RMAT scale 18, seed 11,
+/// four passes, direct CLI runs, 8 alternating pairs per `k` on a 2-vCPU
+/// x86-64 box; the narrow select's change): k = 4 +5.6 %, 6 +2.2 %, 8
+/// −0.1 % (faster in 6 of 8 pairs), 12 −2.4 % (8/8), 16 −6.1 % (8/8). 8 is
+/// the narrowest width at which it does not lose.
+const NARROW_SELECT: usize = 8;
+
+/// Slots of the load-term memo ([`OmsSink::load_term`]).
+const MEMO: usize = 256;
 
 /// Integers below `2^53` — and sums of them that stay below it — are exact
 /// in `f64`.
@@ -303,9 +336,9 @@ pub(crate) struct OmsSink {
     /// part of `base` that costs a `powf`, and the part a change of `α` or
     /// `L_max` leaves alone.
     term: Vec<f64>,
-    /// The `(weight, load term)` pair every tree node held before its last
-    /// refresh.
-    prev: Vec<(NodeWeight, f64)>,
+    /// The load-term memo of [`OmsSink::load_term`]: slot `w % MEMO` holds
+    /// the last `(w, term)` pair evaluated there.
+    memo: Vec<(NodeWeight, f64)>,
     /// Headroom of every tree node in a scored layer,
     /// `capacities[t].saturating_sub(tree_weights[t]) as f64`, refreshed
     /// with its weight and its capacity: a node of weight `1 ≤ w < 2^53`
@@ -315,7 +348,7 @@ pub(crate) struct OmsSink {
     scoring: Option<(FlatObjective, usize)>,
     /// Connectivity towards the children of the current tree node and their
     /// scores, sized to the maximum fan-out. `conn` is all-zero between
-    /// levels: the select loop zeroes what it reads.
+    /// levels: the narrow select and the exact loop zero what they read.
     conn: Vec<EdgeWeight>,
     scores: Vec<f64>,
     /// The connectivity of a wide sibling group, bucketed as `f64`; all-zero
@@ -351,8 +384,9 @@ impl OmsSink {
             alpha_divisors: tree.alpha_divisors(),
             base: vec![0.0; nodes],
             term: vec![0.0; nodes],
-            // `NodeWeight::MAX` never matches a real weight.
-            prev: vec![(NodeWeight::MAX, 0.0); nodes],
+            // Slot `i` starts with the weight `i + 1`, which maps to another
+            // slot, so no lookup matches it.
+            memo: (1..=MEMO as NodeWeight).map(|w| (w, 0.0)).collect(),
             room: vec![0.0; nodes],
             scoring: oms.scoring,
             conn: vec![0; tree.max_fan_out()],
@@ -450,27 +484,34 @@ impl OmsSink {
         if let Some((objective, _)) = self.scoring {
             for t in 0..self.term.len() {
                 let weight = self.tree_weights[t];
-                self.term[t] = objective.load_term(weight, self.gamma);
+                self.term[t] = self.load_term(objective, weight);
                 self.room[t] = headroom(self.capacities[t], weight);
             }
         }
     }
 
+    /// `objective`'s load term of `weight` through the memo, which evaluates
+    /// it (a `powf` for Fennel) only when the weight's slot holds another
+    /// one. Sibling loads grow in lockstep, and a node that is unassigned
+    /// and placed again returns a weight to a value it just had, so a few
+    /// hundred slots answer nearly every call; a hit returns the stored
+    /// result of the same evaluation, so the bits are the same.
+    #[inline]
+    fn load_term(&mut self, objective: FlatObjective, weight: NodeWeight) -> f64 {
+        let slot = &mut self.memo[(weight % MEMO as NodeWeight) as usize];
+        if slot.0 != weight {
+            *slot = (weight, objective.load_term(weight, self.gamma));
+        }
+        slot.1
+    }
+
     /// Changes the weight of a tree node in a scored layer and refreshes its
-    /// penalty — from the remembered previous load term when the weight
-    /// merely returns to it — and its headroom.
+    /// penalty and headroom.
     #[inline]
     fn set_weight(&mut self, objective: FlatObjective, t: usize, weight: NodeWeight) {
-        let gamma = self.gamma;
-        let (prev_weight, prev_term) = self.prev[t];
-        let term = if prev_weight == weight {
-            prev_term
-        } else {
-            objective.load_term(weight, gamma)
-        };
-        self.prev[t] = (self.tree_weights[t], self.term[t]);
+        let term = self.load_term(objective, weight);
         self.term[t] = term;
-        self.base[t] = objective.base_of_term(term, self.capacities[t], self.alphas[t], gamma);
+        self.base[t] = objective.base_of_term(term, self.capacities[t], self.alphas[t], self.gamma);
         self.room[t] = headroom(self.capacities[t], weight);
         self.tree_weights[t] = weight;
     }
@@ -552,21 +593,19 @@ impl OmsSink {
                     break;
                 }
                 let (first, fan_out) = (children.start as usize, children.len());
-                let chosen = if fan_out >= WIDE_SELECT && (1..F64_EXACT).contains(&node.weight) {
+                let in_f64 = (1..F64_EXACT).contains(&node.weight);
+                let chosen = if fan_out >= WIDE_SELECT && in_f64 {
                     let (chosen, kept) = self.select_wide(objective, level, cur, live, node.weight);
                     live = kept;
                     chosen
                 } else {
-                    let gathered = &mut self.gathered[..live];
-                    live = bucket_by_child(
-                        &self.tree,
-                        gathered,
-                        level,
-                        cur,
-                        &mut self.conn,
-                        |c, w| *c += w,
-                    );
-                    first + self.select_child(objective, first, fan_out, node.weight)
+                    live = self.bucket_u64(level, cur, live);
+                    first
+                        + if in_f64 && fan_out >= NARROW_SELECT {
+                            self.select_narrow(objective, level, first, fan_out, live, node.weight)
+                        } else {
+                            self.select_child(objective, first, fan_out, node.weight)
+                        }
                 };
                 self.set_weight(objective, chosen, self.tree_weights[chosen] + node.weight);
                 cur = chosen as u32;
@@ -643,6 +682,58 @@ impl OmsSink {
             }
         }
         best
+    }
+
+    /// [`bucket_by_child`] of the `live` surviving neighbours into `conn`,
+    /// for the narrow select or the exact loop at tree `level` under `cur`.
+    ///
+    /// Not inlined: inlined into the descent, the loop kept its count of
+    /// survivors on the stack (a store-to-load chain on every entry), which
+    /// cost `oms:4:4:4@passes=2` and `oms:4:16:16` ≈ 2 % of wall time (2-vCPU
+    /// x86-64 box).
+    #[inline(never)]
+    fn bucket_u64(&mut self, level: usize, cur: u32, live: usize) -> usize {
+        let gathered = &mut self.gathered[..live];
+        bucket_by_child(&self.tree, gathered, level, cur, &mut self.conn, |c, w| {
+            *c += w
+        })
+    }
+
+    /// [`OmsSink::select_child`] for the narrow sibling group of `fan_out`
+    /// children starting at tree node `first`, at tree `level`, for a node of
+    /// weight `1 ≤ node_weight < 2^53`: [`pick_narrow`] decides, or declines
+    /// after consuming `conn`, which is then bucketed again from the `live`
+    /// surviving neighbours for the exact loop. Leaves `conn` zeroed.
+    ///
+    /// Not inlined, like [`OmsSink::bucket_u64`]: inlined into the descent, it
+    /// cost `oms:4:4:4@passes=4` ≈ 4 % and `oms:4:16:16` ≈ 1 % of wall
+    /// time (2-vCPU x86-64 box).
+    #[inline(never)]
+    fn select_narrow(
+        &mut self,
+        objective: FlatObjective,
+        level: usize,
+        first: usize,
+        fan_out: usize,
+        live: usize,
+        node_weight: NodeWeight,
+    ) -> usize {
+        let group = first..first + fan_out;
+        let picked = pick_narrow(
+            objective,
+            &mut self.conn[..fan_out],
+            &self.base[group.clone()],
+            &self.room[group.clone()],
+            &self.tree_weights[group],
+            node_weight,
+            &mut self.scores[..fan_out],
+        );
+        picked.unwrap_or_else(|| {
+            for &(b, w) in &self.gathered[..live] {
+                self.conn[self.tree.path_node(b, level) as usize - first] += w;
+            }
+            self.select_child(objective, first, fan_out, node_weight)
+        })
     }
 
     /// [`OmsSink::select_child`] for the wide sibling group under `cur`, at
@@ -804,6 +895,134 @@ fn pick_wide(
             node_weight,
         ),
     }
+}
+
+/// The narrow select over one sibling group of fewer than [`WIDE_SELECT`]
+/// children: the child the exact loop ([`OmsSink::select_child`]) picks, or
+/// `None` where that loop must decide.
+///
+/// `conn` is each child's connectivity, consumed (zeroed) whatever the
+/// outcome; `bases`, `room` and `weights` are the children's penalties,
+/// headrooms and loads; `scores` is scratch. The node weighs `1 ≤
+/// node_weight < 2^53`, so "fits" is `node_weight as f64 <= room` exactly.
+/// `None` where the wide select declines (a feasible NaN score, a maximum of
+/// `−∞`), for a connectivity from `2^63` on or a load from `2^47` on.
+#[inline(always)]
+fn pick_narrow(
+    objective: FlatObjective,
+    conn: &mut [EdgeWeight],
+    bases: &[f64],
+    room: &[f64],
+    weights: &[NodeWeight],
+    node_weight: NodeWeight,
+    scores: &mut [f64],
+) -> Option<usize> {
+    // One copy per objective, so neither pass branches on it.
+    match objective {
+        FlatObjective::Fennel => pick_narrow_by(
+            |conn, base| FlatObjective::Fennel.combine(conn, base),
+            conn,
+            bases,
+            room,
+            weights,
+            node_weight,
+            scores,
+        ),
+        FlatObjective::Ldg => pick_narrow_by(
+            |conn, base| FlatObjective::Ldg.combine(conn, base),
+            conn,
+            bases,
+            room,
+            weights,
+            node_weight,
+            scores,
+        ),
+    }
+}
+
+/// Bits of the child index in a tie-break key of [`pick_narrow_by`]; loads
+/// below `2^(53 − INDEX_BITS)` leave the key exact in `f64`.
+const INDEX_BITS: u32 = 6;
+const _: () = assert!(WIDE_SELECT <= 1 << INDEX_BITS);
+
+/// [`pick_narrow`] for one objective's `combine`.
+///
+/// The first pass scores every child — masked to `−∞` where the node does
+/// not fit — and takes their maximum; it is the only pass that reads `conn`.
+/// Below `2^63` the signed conversion gives the `f64` the exact loop's
+/// unsigned one does, in one instruction on the baseline target instead of
+/// several. The second pass finds the lightest, then lowest-index, child
+/// that attains the maximum as the least key `load · 2^INDEX_BITS + index`
+/// among the children whose score `==` it: `f64` compares and minima, which
+/// compile to no branch, where a branch on the position of the maximum
+/// mispredicts. Both passes keep [`LANES`] independent running extrema, so
+/// no chain of `maxsd` / `minsd` latencies runs through the group.
+#[inline(always)]
+fn pick_narrow_by(
+    combine: impl Fn(f64, f64) -> f64,
+    conn: &mut [EdgeWeight],
+    bases: &[f64],
+    room: &[f64],
+    weights: &[NodeWeight],
+    node_weight: NodeWeight,
+    scores: &mut [f64],
+) -> Option<usize> {
+    let fan_out = conn.len();
+    let (bases, room) = (&bases[..fan_out], &room[..fan_out]);
+    let (weights, scores) = (&weights[..fan_out], &mut scores[..fan_out]);
+    let need = node_weight as f64;
+    let (mut max, mut nan) = ([f64::NEG_INFINITY; LANES], [false; LANES]);
+    let (mut conn_bits, mut weight_bits) = (0, 0);
+    by_lane(fan_out, |i, lane| {
+        let c = conn[i];
+        conn[i] = 0;
+        let s = combine(c as i64 as f64, bases[i]);
+        let s = if need <= room[i] {
+            s
+        } else {
+            f64::NEG_INFINITY
+        };
+        scores[i] = s;
+        nan[lane] |= s.is_nan();
+        conn_bits |= c;
+        weight_bits |= weights[i];
+        max[lane] = if s > max[lane] { s } else { max[lane] };
+    });
+    let max = across_lanes(max, |a, b| if b > a { b } else { a });
+    let exact = conn_bits <= i64::MAX as u64 && weight_bits < F64_EXACT >> INDEX_BITS;
+    if nan.contains(&true) || max == f64::NEG_INFINITY || !exact {
+        return None;
+    }
+    // No feasible score is NaN and `max > −∞`: a child attains the maximum
+    // exactly when its score `==` it.
+    let mut least = [f64::INFINITY; LANES];
+    by_lane(fan_out, |i, lane| {
+        let key = ((weights[i] << INDEX_BITS) | i as u64) as i64 as f64;
+        let key = if scores[i] == max { key } else { f64::INFINITY };
+        least[lane] = if key < least[lane] { key } else { least[lane] };
+    });
+    let least = across_lanes(least, |a, b| if b < a { b } else { a });
+    Some((least as i64 & ((1 << INDEX_BITS) - 1)) as usize)
+}
+
+/// Calls `f(i, lane)` for every child `i < fan_out`: `lane = i % LANES`,
+/// except that the last `fan_out % LANES` children all go to lane 0.
+#[inline(always)]
+fn by_lane(fan_out: usize, mut f: impl FnMut(usize, usize)) {
+    for chunk in 0..fan_out / LANES {
+        for lane in 0..LANES {
+            f(chunk * LANES + lane, lane);
+        }
+    }
+    for i in fan_out - fan_out % LANES..fan_out {
+        f(i, 0);
+    }
+}
+
+/// The extremum `pick` of the [`LANES`] lane extrema, as a tree of depth 2.
+#[inline(always)]
+fn across_lanes(lanes: [f64; LANES], pick: impl Fn(f64, f64) -> f64) -> f64 {
+    pick(pick(lanes[0], lanes[1]), pick(lanes[2], lanes[3]))
 }
 
 /// [`pick_wide`] for one objective's `combine`.
@@ -1125,9 +1344,14 @@ mod tests {
         }
     }
 
-    /// Either side of the wide select's threshold, and two widths that are
-    /// not multiples of its lane or probe width.
-    const WIDTHS: [u32; 5] = [
+    /// Narrow widths below and above the lane width, either side of the
+    /// wide select's threshold, and two widths that are not multiples of its
+    /// lane or probe width.
+    const WIDTHS: [u32; 9] = [
+        2,
+        3,
+        5,
+        16,
         WIDE_SELECT as u32 - 1,
         WIDE_SELECT as u32,
         WIDE_SELECT as u32 + 1,
@@ -1154,27 +1378,42 @@ mod tests {
         )
     }
 
-    /// The wide select against the exact loop on one sibling group, over
-    /// seeded groups full of exact ties and of the values IEEE 754 and the
-    /// `f64` headroom could get wrong: it decides exactly where the exact
-    /// loop's answer does not rest on a NaN or on `−∞`, and then agrees.
+    /// The narrow select at every width below [`WIDE_SELECT`] and the wide
+    /// select on [`WIDTHS`] from the threshold on, against the exact loop on
+    /// one sibling group, over seeded groups full of exact ties and of the
+    /// values IEEE 754, the `f64` headroom and the narrow select's
+    /// conversions could get wrong: each decides exactly where the exact
+    /// loop's answer does not rest on a NaN or on `−∞` (and, for the narrow
+    /// select, no connectivity reaches `2^63` and no load `2^47`), and then
+    /// agrees.
     #[test]
-    fn wide_select_picks_the_child_the_exact_loop_picks() {
+    fn f64_selects_pick_the_child_the_exact_loop_picks() {
         const BIG: u64 = F64_EXACT - 1;
         let mut rng = Rng(7);
         let (mut decided, mut declined) = (0, 0);
-        for width in WIDTHS {
+        let narrow = 1..WIDE_SELECT as u32;
+        let wide = WIDTHS.into_iter().filter(|&w| w >= WIDE_SELECT as u32);
+        for width in narrow.chain(wide) {
             for objective in OBJECTIVES {
-                let mut sink = depth_one(width, objective, 1, 0);
+                // No tree has a group of one child: take the first child of
+                // two.
+                let mut sink = depth_one(width.max(2), objective, 1, 0);
                 let width = width as usize;
-                let group = sink.blocks();
-                let first = group.start;
+                let first = sink.blocks().start;
+                let group = first..first + width;
                 for trial in 0..300 {
                     // Few distinct values per trial, so that equal scores —
                     // at equal and at different weights — are common.
-                    let loads: [NodeWeight; 2] =
+                    let mut loads: [NodeWeight; 2] =
                         [rng.pick(&[0, 1, 7, 250]), rng.pick(&[263, 264, 1 << 40])];
-                    let links = [0, rng.pick(&[0, 1, 2]), rng.pick(&[3, 1 << 52, BIG])];
+                    let mut links = [0, rng.pick(&[0, 1, 2]), rng.pick(&[3, 1 << 52, BIG])];
+                    // What the narrow select's conversions cannot take.
+                    if trial % 13 == 0 {
+                        loads[1] = 1 << 47;
+                    }
+                    if trial % 17 == 0 {
+                        links[2] = 1 << 63;
+                    }
                     let need = rng.pick(&[1, 1, 1, 3, BIG]);
                     let specials: &[f64] = match trial % 3 {
                         0 => &[-0.0, 0.0, -3.5],
@@ -1220,20 +1459,34 @@ mod tests {
                         .filter(|&i| fits(i))
                         .map(score)
                         .fold(f64::NEG_INFINITY, f64::max);
-                    let picked = pick_wide(
-                        objective,
-                        &conn_f,
-                        &sink.base[group.clone()],
-                        &sink.room[group.clone()],
-                        &sink.tree_weights[group.clone()],
-                        need,
-                    );
+                    let (bases, room) = (&sink.base[group.clone()], &sink.room[group.clone()]);
+                    let weights = &sink.tree_weights[group.clone()];
+                    let (picked, converts) = if width < WIDE_SELECT {
+                        let mut conn = sink.conn[..width].to_vec();
+                        let converts = conn.iter().all(|&c| c < 1 << 63)
+                            && weights.iter().all(|&w| w < 1 << 47);
+                        let mut scores = vec![0.0; width];
+                        let picked = pick_narrow(
+                            objective,
+                            &mut conn,
+                            bases,
+                            room,
+                            weights,
+                            need,
+                            &mut scores,
+                        );
+                        assert!(conn.iter().all(|&c| c == 0));
+                        (picked, converts)
+                    } else {
+                        let picked = pick_wide(objective, &conn_f, bases, room, weights, need);
+                        (picked, true)
+                    };
                     let expected = sink.select_child(objective, first, width, need);
                     let case = format!("{objective:?} width {width} trial {trial} need {need}");
                     assert_eq!(
                         picked.is_none(),
-                        nan || top == f64::NEG_INFINITY,
-                        "{case}: declines exactly on NaN or −∞"
+                        nan || top == f64::NEG_INFINITY || !converts,
+                        "{case}: declines exactly on NaN, −∞ or a value it cannot convert"
                     );
                     if let Some(i) = picked {
                         assert_eq!(i, expected, "{case}");
@@ -1251,13 +1504,14 @@ mod tests {
         );
     }
 
-    /// Whole descents on wide depth-1 kernels — both passes of a
-    /// restreaming run — against the exact loop on the same state: node
-    /// weights 0, `2^53 − 1` and `2^53` (which skip the wide select), and
-    /// edge weights whose gathered sums reach `2^53` (which re-bucket in
-    /// `u64`). Both connectivity rows are zero again after every node.
+    /// Whole descents on narrow and wide depth-1 kernels — both passes of
+    /// a restreaming run — against the exact loop on the same state: node
+    /// weights 0, `2^53 − 1` and `2^53` (which skip both `f64` selects), and
+    /// edge weights whose gathered sums reach `2^53` (which a wide level
+    /// re-buckets in `u64`). Both connectivity rows are zero again after
+    /// every node.
     #[test]
-    fn wide_levels_route_nodes_like_the_exact_loop() {
+    fn f64_levels_route_nodes_like_the_exact_loop() {
         let mut rng = Rng(11);
         for width in WIDTHS {
             for objective in OBJECTIVES {
@@ -1304,6 +1558,83 @@ mod tests {
                         assert!(sink.conn_f.iter().all(|&c| c == 0.0));
                     }
                 }
+            }
+        }
+    }
+
+    /// The memoised load term is [`FlatObjective::load_term`] — Fennel's
+    /// `powf` — bit for bit: for weights that share a memo slot, taken in
+    /// turns, and for weights from `2^53` on; and so is every tree node's
+    /// stored term, and its penalty [`FlatObjective::base`], after `seed`,
+    /// `retune`, `adopt`, `restore` and a restreaming pass.
+    #[test]
+    fn memoised_load_terms_are_the_evaluated_bits() {
+        let spec = JobSpec::parse("oms:2:3").unwrap();
+        let tree = MultisectionTree::from_hierarchy(&HierarchySpec::parse("2:3").unwrap());
+        let slot = MEMO as NodeWeight;
+        for objective in OBJECTIVES {
+            let job = OnlineMultiSection::new(&spec, tree.clone(), Some(objective));
+            let mut sink = OmsSink::new(&job, 8, 12, 8);
+            let gamma = sink.gamma;
+            let bits = |w: NodeWeight| objective.load_term(w, gamma).to_bits();
+            for w in [
+                0,
+                1,
+                5,
+                slot - 1,
+                1 << 40,
+                F64_EXACT - 1,
+                F64_EXACT,
+                F64_EXACT + 1,
+            ] {
+                for w in [w, w + slot, w, w + slot, w] {
+                    assert_eq!(sink.load_term(objective, w).to_bits(), bits(w), "{w}");
+                }
+            }
+            for w in [
+                NodeWeight::MAX - slot,
+                NodeWeight::MAX,
+                NodeWeight::MAX - slot,
+            ] {
+                assert_eq!(sink.load_term(objective, w).to_bits(), bits(w), "{w}");
+            }
+            // Every tree node but the root, whose weight the descent moves
+            // without a penalty: no select reads it.
+            let stored = |sink: &OmsSink, when: &str| {
+                let root = sink.tree.root() as usize;
+                for t in (0..sink.term.len()).filter(|&t| t != root) {
+                    let w = sink.tree_weights[t];
+                    let base = objective.base(w, sink.capacities[t], sink.alphas[t], gamma);
+                    let case = format!("{objective:?} {when}: node {t}, weight {w}");
+                    assert_eq!(sink.term[t].to_bits(), bits(w), "{case}");
+                    assert_eq!(sink.base[t].to_bits(), base.to_bits(), "{case}");
+                }
+            };
+            let assignments = [0, 1, 2, 3, 4, 5, UNASSIGNED, 1];
+            let loads = [F64_EXACT, F64_EXACT + 1, 3, slot, 2 * slot, 1 << 40];
+            sink.seed(&assignments, &loads);
+            stored(&sink, "seed");
+            sink.retune(8, 20, loads.iter().sum());
+            stored(&sink, "retune");
+            let node_weights = [1, 2, 1 + slot, 1, F64_EXACT, 7, 0, 1];
+            sink.adopt(&assignments, &node_weights);
+            stored(&sink, "adopt");
+            // The loads of the adopted partition, which the rescoring below
+            // takes the node weights out of again.
+            let mut adopted = Vec::new();
+            NodeSink::block_weights(&sink, &mut adopted);
+            sink.seed(&assignments, &loads);
+            NodeSink::restore(&mut sink, &assignments, &adopted);
+            stored(&sink, "restore");
+            for v in [0u32, 2, 4, 6, 7] {
+                let node = oms_graph::StreamedNode {
+                    node: v,
+                    weight: node_weights[v as usize],
+                    neighbors: &[0, 3, 5],
+                    edge_weights: &[1, 2, 3],
+                };
+                sink.rescore(node);
+                stored(&sink, &format!("rescoring node {v}"));
             }
         }
     }

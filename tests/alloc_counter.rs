@@ -22,7 +22,7 @@
 //! must peak below `c₁·n + c₂` bytes on a dense graph, with constants the
 //! materialised run of the same job exceeds — report included: every pass
 //! tallies itself while it partitions, in `O(k·ℓ)` (block weights, the
-//! topology's group table, one weight per shared level) plus one bit per
+//! topology's level codes, one weight per shared level) plus one bit per
 //! node, and nothing `O(m)`. Per node that is one word: the peak grows by at
 //! most 4.5 B per node from `n` to `4n` nodes (8.5 B for a multi-pass run,
 //! which keeps its best pass), so no sink holds a node weight beside the

@@ -347,18 +347,23 @@ fn multi_pass_trajectories_agree_across_stream_sources() {
 /// way: the cut straight from its definition and `J` as the sum of
 /// [`DistanceSpec::distance`] over every edge entry (the separate walk
 /// `stream_mapping_cost` used to be), on random weighted graphs ×
-/// hierarchies × distance specs with ℓ and ℓ+1 levels — including
-/// assignments with unassigned nodes and a block id beyond `k`, which the
-/// walk's group table does not cover.
+/// hierarchies (powers of two and not) × distance specs with ℓ and ℓ+1
+/// levels — including assignments with unassigned nodes and block ids
+/// beyond `k`, which have no level code, and graphs with fewer nodes than
+/// blocks, whose walk builds no codes at all.
 #[test]
 fn fused_measurement_walk_matches_the_per_edge_references() {
     use oms::core::api::stream_mapping_cost;
     use oms::core::{measure, measure_pass, stream_edge_cut, UNASSIGNED};
 
-    for (seed, hierarchy) in ["2:2", "4:16:16", "3:5:2"].into_iter().enumerate() {
+    for (seed, hierarchy) in ["2:2", "4:16:16", "3:5:2", "3:7:2:5"]
+        .into_iter()
+        .enumerate()
+    {
         let hierarchy = HierarchySpec::parse(hierarchy).unwrap();
         let (k, levels) = (hierarchy.total_blocks(), hierarchy.num_levels());
-        // More nodes than blocks (the table is used) and fewer (it is not).
+        // More nodes than blocks (the codes are used) and fewer (they are
+        // not).
         for n in [3 * k as usize + 50, (k as usize / 2).max(6)] {
             let seed = seed as u64 + n as u64;
             let graph = WeightScheme::Full.apply(&erdos_renyi_gnm(n, 4 * n, seed), seed);
