@@ -1362,6 +1362,31 @@ fn report_sums_are_exact_up_to_u64_max_and_a_typed_error_past_it() {
     );
 }
 
+/// Vertex-cut jobs add edge weights into block loads. On a graph whose
+/// total edge weight passes `u64::MAX` those sums wrapped (`ω(E) = 0` in the
+/// report, exit 0; a panic in debug builds); now such a graph is the typed
+/// error the node jobs give, under `partition` and `replay` alike.
+#[test]
+fn edge_jobs_refuse_a_total_edge_weight_past_u64_max() {
+    let dir = temp_dir("edge-weight-sum");
+    let path = dir.join("heavy.metis");
+    let w = 1u64 << 63;
+    std::fs::write(&path, format!("3 2 001\n2 {w}\n1 {w} 3 {w}\n2 {w}\n")).unwrap();
+    let message = "the total edge weight ω(E) exceeds u64::MAX";
+    let jobs = ["fennel:1", "e-hash:1", "e-dbh:2", "e-greedy:2@passes=3"];
+    let partitions: Vec<[&str; 3]> = jobs.iter().map(|job| ["partition", "--job", job]).collect();
+    let commands: Vec<&[&str]> = partitions.iter().map(|c| &c[..]).collect();
+    assert_graph_error(&path, &commands, message);
+    for job in ["e-hash:1", "e-dbh:2", "e-greedy:2"] {
+        let (code, _, stderr) = run_oms(&["replay", path.to_str().unwrap(), "--job", job]);
+        assert_eq!(code, Some(2), "replay {job}: {stderr}");
+        assert!(
+            stderr.starts_with("error: graph error: ") && stderr.contains(message),
+            "replay {job}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
     let dir = temp_dir("hostile-metis");

@@ -25,7 +25,7 @@
 //! one pass or many, goes through the one engine loop (`restream::run` on
 //! [`executor::run_restream`](crate::executor::run_restream)).
 
-use crate::api::JobSpec;
+use crate::api::{JobSpec, ALGORITHMS};
 use crate::executor::NodeSink;
 use crate::oms::{OmsSink, OnlineMultiSection};
 use crate::partition::UNASSIGNED;
@@ -109,29 +109,29 @@ impl NodeSink for HashingSink {
 ///   that trait too.
 pub struct RepairSink {
     kernel: OmsSink,
-    objective: FlatObjective,
 }
 
 impl RepairSink {
-    /// A repair sink for `k` blocks over an id space of `n` nodes with `m`
-    /// edges and total node weight `total_weight`, under the allowed
-    /// imbalance `epsilon`. All nodes start unassigned; use
-    /// [`RepairSink::seed`] to adopt an existing partition.
-    pub fn new(
-        k: u32,
-        n: usize,
-        m: usize,
-        total_weight: NodeWeight,
-        epsilon: f64,
-        objective: FlatObjective,
-    ) -> Result<Self> {
-        let kernel = OmsSink::new(&depth_one(k, epsilon, objective)?, n, m, total_weight);
-        Ok(RepairSink { kernel, objective })
-    }
-
-    /// The scoring rule in use.
-    pub fn objective(&self) -> FlatObjective {
-        self.objective
+    /// The repair sink of `job` over an id space of `n` nodes with `m` edges
+    /// and total node weight `total_weight`: the job's `k` blocks under its
+    /// allowed imbalance ε, scored by the flat rule of its algorithm. The
+    /// job is resolved and validated through [`ALGORITHMS`]; an algorithm
+    /// without a flat rule ([`FlatObjective::for_algorithm`]) is a typed
+    /// error, as it cannot be repaired incrementally. All nodes start
+    /// unassigned; use [`RepairSink::seed`] to adopt an existing partition.
+    pub fn new(job: &JobSpec, n: usize, m: usize, total_weight: NodeWeight) -> Result<Self> {
+        let entry = ALGORITHMS.resolve(job)?;
+        let Some(objective) = FlatObjective::for_algorithm(entry.name) else {
+            return Err(PartitionError::InvalidConfig(format!(
+                "algorithm '{}' does not support incremental repair (see `oms algorithms` \
+                 for the ones that do)",
+                entry.name
+            )));
+        };
+        let tree = depth_one(job.num_blocks(), job.epsilon, objective)?;
+        Ok(RepairSink {
+            kernel: OmsSink::new(&tree, n, m, total_weight),
+        })
     }
 
     /// Adopts an existing partition: per-block loads are rebuilt from the
@@ -328,8 +328,25 @@ mod tests {
         for text in ["fennel:0", "ldg:0", "hashing:0"] {
             assert!(run(text, &g).is_err(), "{text}");
         }
-        for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
-            assert!(RepairSink::new(0, 10, 11, 10, DEFAULT_EPSILON, objective).is_err());
+        for text in ["fennel:0", "ldg:0"] {
+            let err = RepairSink::new(&JobSpec::parse(text).unwrap(), 10, 11, 10).err();
+            assert!(err.unwrap().to_string().contains("positive"), "{text}");
+        }
+    }
+
+    #[test]
+    fn only_jobs_with_a_flat_rule_build_a_repair_sink() {
+        for text in ["fennel:4@eps=0.1", "ldg:4@drift=0.5,repair=boundary"] {
+            let job = JobSpec::parse(text).unwrap();
+            assert_eq!(RepairSink::new(&job, 10, 11, 10).unwrap().num_blocks(), 4);
+        }
+        for text in ["hashing:4", "oms:2:2", "nh-oms:8"] {
+            let err = RepairSink::new(&JobSpec::parse(text).unwrap(), 10, 11, 10).err();
+            let err = err.unwrap().to_string();
+            assert!(
+                err.contains("does not support incremental repair"),
+                "{text}: {err}"
+            );
         }
     }
 
@@ -361,7 +378,8 @@ mod tests {
         }
         for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
             let epsilon = DEFAULT_EPSILON;
-            let mut sink = RepairSink::new(1, 10, g.num_edges(), 10, epsilon, objective).unwrap();
+            let job = JobSpec::flat(objective.name(), 1);
+            let mut sink = RepairSink::new(&job, 10, g.num_edges(), 10).unwrap();
             assert_eq!(sink.block_weights(), &[0]);
             crate::executor::run(&mut InMemoryStream::new(&g), &mut sink).unwrap();
             assert_eq!(sink.block_weights(), &[10]);
@@ -394,8 +412,8 @@ mod tests {
         let g = oms_gen::erdos_renyi_gnm(300, 1500, 4);
         let (k, n, epsilon) = (7u32, g.num_nodes(), DEFAULT_EPSILON);
         for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
-            let mut sink =
-                RepairSink::new(k, n, g.num_edges(), n as u64, epsilon, objective).unwrap();
+            let job = JobSpec::flat(objective.name(), k);
+            let mut sink = RepairSink::new(&job, n, g.num_edges(), n as u64).unwrap();
             let mut rng = 0x9e37_79b9_7f4a_7c15u64;
             let mut next = |bound: u64| {
                 rng = rng

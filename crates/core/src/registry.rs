@@ -3,11 +3,13 @@
 //! A [`Registry<T>`] maps algorithm names to [`Entry<T>`] rows whose `build`
 //! turns a [`JobSpec`] into a `Box<T>`. The node pipeline instantiates it
 //! for `dyn Partitioner` ([`crate::api::ALGORITHMS`]), `oms-edgepart` for
-//! its `dyn EdgePartitioner`; downstream crates add rows with
-//! [`Registry::register`]. Every frontend resolves a job through
+//! its one concrete `StreamingEdgePartitioner`; downstream crates add rows
+//! with [`Registry::register`]. A row's `build` is the only constructor of
+//! its algorithm: every frontend resolves a job through
 //! [`Registry::resolve`], which is also where the job's options are
 //! validated and checked against what the chosen algorithm reads — so both
-//! pipelines reject a stray option the same way.
+//! pipelines reject a stray option the same way, and no constructor
+//! clamps an option validation already bounds.
 
 use crate::api::JobSpec;
 use crate::knobs::{Scope, KNOBS};

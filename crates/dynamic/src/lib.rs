@@ -6,9 +6,10 @@
 //! The streaming partitioners of `oms-core` answer "partition this graph
 //! once"; this crate answers "*keep* it partitioned". A
 //! [`PartitionState`] runs a registered repair-capable algorithm (`fennel`
-//! or `ldg`, the ones
-//! [`FlatObjective::for_algorithm`](oms_core::FlatObjective::for_algorithm)
-//! knows) once over the initial graph, then ingests
+//! or `ldg`: the jobs
+//! [`RepairSink::new`](oms_core::RepairSink::new) builds a repair sink
+//! from, refusing any other with a typed error) once over the initial
+//! graph, then ingests
 //! [`DeltaBatch`](oms_graph::DeltaBatch)es of edge/node insertions and
 //! deletions:
 //!

@@ -30,8 +30,8 @@
 use crate::{ColdRestream, DynamicGraph};
 use oms_core::executor::{run_restream, run_restream_seeded};
 use oms_core::{
-    measure_pass, BlockId, FlatObjective, JobSpec, NodeSink, PartitionError, PassStats,
-    RepairPolicy, RepairSink, RestreamOptions, Result, ALGORITHMS, UNASSIGNED,
+    measure_pass, BlockId, JobSpec, NodeSink, PartitionError, PassStats, RepairPolicy, RepairSink,
+    RestreamOptions, Result, UNASSIGNED,
 };
 use oms_graph::io::{
     read_snapshot, write_snapshot, DiskStream, DriftCounters, PartitionSnapshot, SnapshotPass,
@@ -99,37 +99,18 @@ impl std::fmt::Debug for PartitionState {
 }
 
 impl PartitionState {
-    /// Resolves `job` (validated like every other consumer of a job does)
-    /// to a repair-capable flat objective, or explains why the algorithm
-    /// cannot be maintained incrementally.
-    fn repair_objective(job: &JobSpec) -> Result<(FlatObjective, u32)> {
-        let entry = ALGORITHMS.resolve(job)?;
-        let Some(objective) = FlatObjective::for_algorithm(entry.name) else {
-            return Err(PartitionError::InvalidConfig(format!(
-                "algorithm '{}' does not support incremental repair (see `oms algorithms` \
-                 for the ones that do)",
-                entry.name
-            )));
-        };
-        Ok((objective, job.num_blocks()))
-    }
-
     /// Brings up the service: reads `stream` once into the graph's slab,
     /// runs the initial (re)streaming passes of `job`'s algorithm over it —
     /// whose first pass proves the adjacency symmetric, so a one-sided input
     /// is a graph error here — and records the resulting cut as the drift
     /// baseline.
     pub fn new(job: &JobSpec, stream: &mut dyn NodeStream) -> Result<Self> {
-        let (objective, k) = Self::repair_objective(job)?;
+        // `DynamicGraph::from_stream` takes its counts from the stream
+        // header, so the sink is built — and a job that cannot be repaired
+        // refused — before the input is read.
+        let (n, m) = (stream.num_nodes(), stream.num_edges());
+        let mut sink = RepairSink::new(job, n, m, stream.total_node_weight())?;
         let mut graph = DynamicGraph::from_stream(stream)?;
-        let mut sink = RepairSink::new(
-            k,
-            graph.id_space(),
-            graph.num_live_edges(),
-            graph.live_weight(),
-            job.epsilon,
-            objective,
-        )?;
         let opts = RestreamOptions::new(job.passes, job.convergence);
         let trajectory = run_restream(&mut graph, &mut sink, &opts)?;
         let cut = trajectory.final_edge_cut().unwrap_or(0);
@@ -496,14 +477,11 @@ impl PartitionState {
     /// compared against (and the cost yardstick: its time is what a
     /// restream-per-checkpoint strategy would pay).
     pub fn cold_restream_reference(&mut self) -> Result<ColdRestream> {
-        let (objective, k) = Self::repair_objective(&self.job)?;
         let mut sink = RepairSink::new(
-            k,
+            &self.job,
             self.graph.id_space(),
             self.graph.num_live_edges(),
             self.graph.live_weight(),
-            self.job.epsilon,
-            objective,
         )?;
         let opts = RestreamOptions::new(self.job.passes, self.job.convergence);
         let clock = Stopwatch::start();
@@ -571,7 +549,7 @@ impl PartitionState {
         stream: &mut DiskStream,
         trace: &[DeltaBatch],
     ) -> Result<(Self, TraceCursor)> {
-        let (objective, k) = Self::repair_objective(job)?;
+        let k = job.num_blocks();
         let snap = read_snapshot(stream)?.ok_or_else(|| {
             PartitionError::InvalidConfig(
                 "stream file carries no snapshot trailer to resume from".into(),
@@ -629,12 +607,10 @@ impl PartitionState {
             weights.push(graph.node_weight(v));
         }
         let mut sink = RepairSink::new(
-            k,
+            job,
             graph.id_space(),
             graph.num_live_edges(),
             graph.live_weight(),
-            job.epsilon,
-            objective,
         )?;
         sink.seed(&snap.assignments, &weights);
         let trajectory = snap

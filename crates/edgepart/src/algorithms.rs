@@ -46,18 +46,18 @@
 //! and loads are decremented) and re-scored against the rest of the current
 //! assignment.
 
-use crate::api::EdgePartitioner;
+use crate::api::EdgePartitionReport;
 use crate::engine::{EdgePassStats, EdgeQuality};
 use crate::partition::EdgePartition;
 use oms_core::executor::{PassOutcome, PassTracker};
 use oms_core::partition::UNASSIGNED;
-use oms_core::{BlockId, PartitionError, RestreamOptions, Result};
+use oms_core::{BlockId, JobSpec, PartitionError, RestreamOptions, Result};
 use oms_graph::{EdgeStream, GraphError, NodeId, StreamedEdge};
 use oms_obs::{CounterId, Event, Stopwatch};
 
 /// Which block-selection rule a [`StreamingEdgePartitioner`] applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeAlgoKind {
+pub(crate) enum EdgeAlgoKind {
     /// Uniform hashing of the edge key (`e-hash`).
     Hash,
     /// Degree-based hashing of the lower-degree endpoint (`e-dbh`).
@@ -68,7 +68,7 @@ pub enum EdgeAlgoKind {
 
 impl EdgeAlgoKind {
     /// Registry name of the rule.
-    pub fn name(&self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             EdgeAlgoKind::Hash => "e-hash",
             EdgeAlgoKind::Dbh => "e-dbh",
@@ -77,7 +77,10 @@ impl EdgeAlgoKind {
     }
 }
 
-/// A configured streaming edge partitioner (any of the three rules).
+/// A streaming edge partitioner (any of the three rules), as
+/// [`build_edge_partitioner`](crate::build_edge_partitioner) builds it from
+/// a [`JobSpec`]: the job's `k`, seed, λ, ε, pass budget and convergence
+/// threshold, validated by the registry.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamingEdgePartitioner {
     kind: EdgeAlgoKind,
@@ -90,76 +93,30 @@ pub struct StreamingEdgePartitioner {
 }
 
 impl StreamingEdgePartitioner {
-    /// A partitioner of the given `kind` into `k` blocks, with default
-    /// options (seed 0, λ = 1, a single pass).
-    pub fn new(kind: EdgeAlgoKind, k: u32) -> Self {
+    /// The `kind` rule with the options of `spec`.
+    pub(crate) fn new(kind: EdgeAlgoKind, spec: &JobSpec) -> Self {
         StreamingEdgePartitioner {
             kind,
-            k,
-            seed: 0,
-            lambda: oms_core::api::DEFAULT_LAMBDA,
-            epsilon: oms_core::api::DEFAULT_EPSILON,
-            passes: 1,
-            convergence: 0.0,
+            k: spec.num_blocks(),
+            seed: spec.seed,
+            lambda: spec.lambda,
+            epsilon: spec.epsilon,
+            passes: spec.passes,
+            convergence: spec.convergence,
         }
     }
 
-    /// The `e-hash` rule for `k` blocks.
-    pub fn hashing(k: u32) -> Self {
-        Self::new(EdgeAlgoKind::Hash, k)
-    }
-
-    /// The `e-dbh` rule for `k` blocks.
-    pub fn degree_hashing(k: u32) -> Self {
-        Self::new(EdgeAlgoKind::Dbh, k)
-    }
-
-    /// The `e-greedy` (HDRF) rule for `k` blocks.
-    pub fn greedy(k: u32) -> Self {
-        Self::new(EdgeAlgoKind::Greedy, k)
-    }
-
-    /// Sets the hash seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the balance weight λ (only `e-greedy` reads it).
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
-    /// Sets the allowed edge-count imbalance ε of `e-greedy`'s hard
-    /// capacity `L_max = ⌈(1+ε)·m/k⌉`.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon.max(0.0);
-        self
-    }
-
-    /// Sets the re-streaming pass budget.
-    pub fn passes(mut self, passes: usize) -> Self {
-        self.passes = passes.max(1);
-        self
-    }
-
-    /// Sets the relative total-replica improvement below which a multi-pass
-    /// run stops early.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
-    }
-
-    fn run_engine(
-        &self,
-        stream: &mut dyn EdgeStream,
-    ) -> Result<(EdgePartition, Vec<EdgePassStats>)> {
+    /// Partitions the edges delivered by `stream` — up to the job's pass
+    /// budget, rewinding the stream between passes — into an
+    /// [`EdgePartitionReport`]. All quality numbers come from the sink's
+    /// incrementally maintained state; no extra metric pass is paid.
+    pub fn run(&self, stream: &mut dyn EdgeStream) -> Result<EdgePartitionReport> {
         if self.k == 0 {
             return Err(PartitionError::InvalidConfig(
                 "the number of blocks k must be positive".into(),
             ));
         }
+        let clock = Stopwatch::start();
         let mut sink = AlgoSink::new(
             self.kind,
             self.k,
@@ -171,28 +128,17 @@ impl StreamingEdgePartitioner {
         );
         let opts = RestreamOptions::new(self.passes, self.convergence);
         let trajectory = sink.restream(stream, &opts)?;
-        Ok((sink.into_partition(), trajectory))
-    }
-}
-
-impl EdgePartitioner for StreamingEdgePartitioner {
-    fn name(&self) -> String {
-        self.kind.name().to_string()
-    }
-
-    fn num_blocks(&self) -> u32 {
-        self.k
-    }
-
-    fn partition_edges(&self, stream: &mut dyn EdgeStream) -> Result<EdgePartition> {
-        Ok(self.run_engine(stream)?.0)
-    }
-
-    fn partition_edges_tracked(
-        &self,
-        stream: &mut dyn EdgeStream,
-    ) -> Result<(EdgePartition, Vec<EdgePassStats>)> {
-        self.run_engine(stream)
+        let partition = sink.into_partition();
+        Ok(EdgePartitionReport {
+            algorithm: self.kind.name().to_string(),
+            replication_factor: partition.replication_factor(),
+            total_replicas: partition.total_replicas(),
+            max_replicas: partition.max_replicas(),
+            imbalance: partition.imbalance(),
+            seconds: clock.seconds(),
+            trajectory,
+            partition,
+        })
     }
 }
 
@@ -224,7 +170,6 @@ struct AlgoSink {
     seed: u64,
     lambda: f64,
     pass: usize,
-    num_nodes: usize,
     assignments: Vec<BlockId>,
     block_loads: Vec<u64>,
     /// Edges per block (`e-greedy`'s hard capacity counts edges, so it is
@@ -235,6 +180,10 @@ struct AlgoSink {
     degrees: Vec<u64>,
     replicas: Vec<Vec<(BlockId, u32)>>,
     total_replicas: u64,
+    /// ω(E) of the edges pass 0 has seen, `None` once it passed
+    /// `u64::MAX`. No block load exceeds it, so while it fits every load
+    /// does.
+    total_weight: Option<u64>,
 }
 
 impl AlgoSink {
@@ -253,7 +202,6 @@ impl AlgoSink {
             seed,
             lambda,
             pass: 0,
-            num_nodes: n,
             assignments: vec![UNASSIGNED; m],
             block_loads: vec![0; k as usize],
             block_counts: vec![0; k as usize],
@@ -261,6 +209,7 @@ impl AlgoSink {
             degrees: vec![0; n],
             replicas: vec![Vec::new(); n],
             total_replicas: 0,
+            total_weight: Some(0),
         }
     }
 
@@ -363,6 +312,12 @@ impl AlgoSink {
     /// position, stable across passes and sources.
     fn process(&mut self, index: usize, edge: StreamedEdge) {
         if self.pass == 0 {
+            // From the edge that takes ω(E) past `u64::MAX` on, no edge is
+            // placed, and the pass ends in a typed error.
+            self.total_weight = self.total_weight.and_then(|t| t.checked_add(edge.weight));
+            if self.total_weight.is_none() {
+                return;
+            }
             // Partial degrees, counted up to and including the current
             // edge; after the first pass they are exact and stay fixed.
             self.degrees[edge.u as usize] += 1;
@@ -396,6 +351,12 @@ impl AlgoSink {
             let clock = Stopwatch::start();
             drive_pass(stream, m, &mut |index, edge| self.process(index, edge))?;
             let seconds = clock.seconds();
+            if self.total_weight.is_none() {
+                return Err(GraphError::Invalid(
+                    "the total edge weight ω(E) exceeds u64::MAX".into(),
+                )
+                .into());
+            }
 
             let quality = self.quality();
             let imbalance = quality.imbalance(self.k);
@@ -486,7 +447,6 @@ impl AlgoSink {
         let quality = self.quality();
         EdgePartition::new(
             self.k,
-            self.num_nodes,
             self.assignments,
             self.block_loads,
             quality.total_replicas,
@@ -523,53 +483,13 @@ fn drive_pass(
     Ok(())
 }
 
-/// Re-measures the replication summary of `report` from scratch by replaying
-/// `stream` against the recorded assignment — a cross-check used by tests
-/// (the incremental sink state must agree with a cold recount).
-pub fn recount_replicas(
-    stream: &mut dyn EdgeStream,
-    assignments: &[BlockId],
-    k: u32,
-) -> Result<EdgeQuality> {
-    if assignments.len() < stream.num_edges() {
-        return Err(PartitionError::InvalidConfig(format!(
-            "assignment covers {} edges but the stream announces {}",
-            assignments.len(),
-            stream.num_edges()
-        )));
-    }
-    let n = stream.num_nodes();
-    let mut replicas: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    let mut block_loads = vec![0u64; k as usize];
-    let mut index = 0usize;
-    stream.for_each_edge(&mut |edge| {
-        let b = assignments[index];
-        index += 1;
-        if b == UNASSIGNED {
-            return;
-        }
-        block_loads[b as usize] += edge.weight;
-        for x in [edge.u, edge.v] {
-            let set = &mut replicas[x as usize];
-            if !set.contains(&b) {
-                set.push(b);
-            }
-        }
-    })?;
-    let total_replicas: u64 = replicas.iter().map(|r| r.len() as u64).sum();
-    Ok(EdgeQuality {
-        total_replicas,
-        covered_vertices: replicas.iter().filter(|r| !r.is_empty()).count() as u64,
-        max_replicas: replicas.iter().map(|r| r.len() as u32).max().unwrap_or(0),
-        max_load: block_loads.iter().copied().max().unwrap_or(0),
-        total_load: block_loads.iter().sum(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_edge_partitioner;
     use oms_graph::{CsrGraph, EdgesOf, InMemoryStream};
+
+    const KINDS: [&str; 3] = ["e-hash", "e-dbh", "e-greedy"];
 
     fn star_plus_path() -> CsrGraph {
         // Node 0 is a hub; 6..9 form a path appended to keep some
@@ -591,20 +511,63 @@ mod tests {
         .unwrap()
     }
 
-    fn run(p: &StreamingEdgePartitioner, g: &CsrGraph) -> EdgePartition {
-        p.partition_edges(&mut EdgesOf(InMemoryStream::new(g)))
-            .unwrap()
+    /// The report of `job` over the edges of `stream`.
+    fn report(job: &str, stream: &mut dyn EdgeStream) -> Result<EdgePartitionReport> {
+        build_edge_partitioner(&JobSpec::parse(job).unwrap())?.run(stream)
+    }
+
+    fn run(job: &str, g: &CsrGraph) -> EdgePartitionReport {
+        report(job, &mut EdgesOf(InMemoryStream::new(g))).unwrap_or_else(|e| panic!("{job}: {e}"))
+    }
+
+    /// Re-measures the replication summary of `report` from scratch by replaying
+    /// `stream` against the recorded assignment — a cross-check used by tests
+    /// (the incremental sink state must agree with a cold recount).
+    fn recount_replicas(
+        stream: &mut dyn EdgeStream,
+        assignments: &[BlockId],
+        k: u32,
+    ) -> Result<EdgeQuality> {
+        if assignments.len() < stream.num_edges() {
+            return Err(PartitionError::InvalidConfig(format!(
+                "assignment covers {} edges but the stream announces {}",
+                assignments.len(),
+                stream.num_edges()
+            )));
+        }
+        let n = stream.num_nodes();
+        let mut replicas: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        let mut block_loads = vec![0u64; k as usize];
+        let mut index = 0usize;
+        stream.for_each_edge(&mut |edge| {
+            let b = assignments[index];
+            index += 1;
+            if b == UNASSIGNED {
+                return;
+            }
+            block_loads[b as usize] += edge.weight;
+            for x in [edge.u, edge.v] {
+                let set = &mut replicas[x as usize];
+                if !set.contains(&b) {
+                    set.push(b);
+                }
+            }
+        })?;
+        let total_replicas: u64 = replicas.iter().map(|r| r.len() as u64).sum();
+        Ok(EdgeQuality {
+            total_replicas,
+            covered_vertices: replicas.iter().filter(|r| !r.is_empty()).count() as u64,
+            max_replicas: replicas.iter().map(|r| r.len() as u32).max().unwrap_or(0),
+            max_load: block_loads.iter().copied().max().unwrap_or(0),
+            total_load: block_loads.iter().sum(),
+        })
     }
 
     #[test]
     fn every_algorithm_assigns_every_edge() {
         let g = star_plus_path();
-        for p in [
-            StreamingEdgePartitioner::hashing(3),
-            StreamingEdgePartitioner::degree_hashing(3),
-            StreamingEdgePartitioner::greedy(3),
-        ] {
-            let partition = run(&p, &g);
+        for kind in KINDS {
+            let partition = run(&format!("{kind}:3"), &g).partition;
             assert_eq!(partition.num_edges(), g.num_edges());
             assert!(partition.validate());
             assert_eq!(partition.total_load(), g.total_edge_weight());
@@ -647,35 +610,33 @@ mod tests {
 
     #[test]
     fn an_edge_stream_longer_than_its_header_is_a_typed_error() {
-        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
-            let err = StreamingEdgePartitioner::new(kind, 2)
-                .partition_edges(&mut EdgesOf(OneSided))
+        for kind in KINDS {
+            let err = report(&format!("{kind}:2"), &mut EdgesOf(OneSided))
                 .unwrap_err()
                 .to_string();
             let expected = "header implies 1 edges (each undirected edge streamed once) but the \
                             body holds 2";
-            assert!(err.contains(expected), "{kind:?}: {err}");
+            assert!(err.contains(expected), "{kind}: {err}");
         }
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = star_plus_path();
-        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
-            let a = run(&StreamingEdgePartitioner::new(kind, 4).seed(9), &g);
-            let b = run(&StreamingEdgePartitioner::new(kind, 4).seed(9), &g);
-            assert_eq!(a, b, "{kind:?}");
+        for kind in KINDS {
+            let job = format!("{kind}:4@seed=9");
+            assert_eq!(run(&job, &g).partition, run(&job, &g).partition, "{kind}");
         }
     }
 
     #[test]
     fn k_equals_one_gives_replication_factor_one() {
         let g = star_plus_path();
-        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
-            let partition = run(&StreamingEdgePartitioner::new(kind, 1), &g);
+        for kind in KINDS {
+            let partition = run(&format!("{kind}:1"), &g).partition;
             assert!(
                 (partition.replication_factor() - 1.0).abs() < 1e-12,
-                "{kind:?}"
+                "{kind}"
             );
             assert_eq!(partition.max_replicas(), 1);
         }
@@ -687,47 +648,43 @@ mod tests {
         // degree-2 vertex without need: its replication factor must beat
         // plain hashing on this structure-rich graph.
         let g = star_plus_path();
-        let greedy = run(&StreamingEdgePartitioner::greedy(3), &g);
-        let hash = run(&StreamingEdgePartitioner::hashing(3), &g);
+        let greedy = run("e-greedy:3", &g);
+        let hash = run("e-hash:3", &g);
         assert!(
-            greedy.total_replicas() <= hash.total_replicas(),
+            greedy.total_replicas <= hash.total_replicas,
             "greedy {} vs hash {}",
-            greedy.total_replicas(),
-            hash.total_replicas()
+            greedy.total_replicas,
+            hash.total_replicas
         );
     }
 
     #[test]
     fn hash_reaches_its_fixed_point_after_one_extra_pass() {
         let g = star_plus_path();
-        let p = StreamingEdgePartitioner::hashing(4).passes(6);
-        let (partition, trajectory) = p
-            .partition_edges_tracked(&mut EdgesOf(InMemoryStream::new(&g)))
-            .unwrap();
+        let report = run("e-hash:4@passes=6", &g);
+        let trajectory = &report.trajectory;
         assert!(trajectory.len() <= 2, "{trajectory:?}");
         assert_eq!(trajectory.last().unwrap().moved, 0);
-        assert_eq!(partition, run(&StreamingEdgePartitioner::hashing(4), &g));
+        assert_eq!(report.partition, run("e-hash:4", &g).partition);
     }
 
     #[test]
     fn multi_pass_trajectory_is_non_increasing_and_ends_on_the_result() {
         let g = oms_gen::barabasi_albert(300, 4, 11);
-        for kind in [EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
-            let p = StreamingEdgePartitioner::new(kind, 8).passes(4);
-            let (partition, trajectory) = p
-                .partition_edges_tracked(&mut EdgesOf(InMemoryStream::new(&g)))
-                .unwrap();
+        for kind in ["e-dbh", "e-greedy"] {
+            let report = run(&format!("{kind}:8@passes=4"), &g);
+            let trajectory = &report.trajectory;
             assert!(!trajectory.is_empty());
             assert!(
                 trajectory
                     .windows(2)
                     .all(|w| w[1].total_replicas <= w[0].total_replicas),
-                "{kind:?}: {trajectory:?}"
+                "{kind}: {trajectory:?}"
             );
             assert_eq!(
                 trajectory.last().unwrap().total_replicas,
-                partition.total_replicas(),
-                "{kind:?}: the trajectory must end on the returned assignment"
+                report.partition.total_replicas(),
+                "{kind}: the trajectory must end on the returned assignment"
             );
         }
     }
@@ -735,27 +692,22 @@ mod tests {
     #[test]
     fn incremental_state_agrees_with_a_cold_recount() {
         let g = oms_gen::rmat_graph(9, 4096, oms_gen::RmatParams::GRAPH500, 5);
-        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
-            let p = StreamingEdgePartitioner::new(kind, 8).passes(2);
-            let partition = run(&p, &g);
+        for kind in KINDS {
+            let partition = run(&format!("{kind}:8@passes=2"), &g).partition;
             let recount = recount_replicas(
                 &mut EdgesOf(InMemoryStream::new(&g)),
                 partition.assignments(),
                 8,
             )
             .unwrap();
-            assert_eq!(
-                recount.total_replicas,
-                partition.total_replicas(),
-                "{kind:?}"
-            );
-            assert_eq!(recount.max_replicas, partition.max_replicas(), "{kind:?}");
+            assert_eq!(recount.total_replicas, partition.total_replicas(), "{kind}");
+            assert_eq!(recount.max_replicas, partition.max_replicas(), "{kind}");
             assert_eq!(
                 recount.covered_vertices,
                 partition.covered_vertices(),
-                "{kind:?}"
+                "{kind}"
             );
-            assert_eq!(recount.total_load, partition.total_load(), "{kind:?}");
+            assert_eq!(recount.total_load, partition.total_load(), "{kind}");
         }
     }
 
@@ -766,8 +718,7 @@ mod tests {
         // still forces the stream to spill into fresh blocks instead of
         // collapsing into block 0.
         let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let p = StreamingEdgePartitioner::greedy(4).lambda(0.0);
-        let partition = run(&p, &g);
+        let partition = run("e-greedy:4@lambda=0", &g).partition;
         // m = 2, k = 4 → capacity 1: the two edges must use two blocks.
         assert_eq!(partition.assignments(), &[0, 1]);
     }
@@ -777,10 +728,8 @@ mod tests {
         let g = oms_gen::barabasi_albert(400, 3, 7);
         for lambda in [0.0, 0.1, 1.0, 10.0] {
             for passes in [1, 3] {
-                let p = StreamingEdgePartitioner::greedy(8)
-                    .lambda(lambda)
-                    .passes(passes);
-                let partition = run(&p, &g);
+                let job = format!("e-greedy:8@lambda={lambda},passes={passes}");
+                let partition = run(&job, &g).partition;
                 let capacity = oms_core::Partition::capacity(g.num_edges() as u64, 8, 0.03);
                 let mut counts = [0u64; 8];
                 for &b in partition.assignments() {
@@ -789,7 +738,7 @@ mod tests {
                 let max = counts.iter().copied().max().unwrap();
                 assert!(
                     max <= capacity,
-                    "lambda {lambda}, passes {passes}: max block count {max} > L_max {capacity}"
+                    "{job}: max block count {max} > L_max {capacity}"
                 );
             }
         }
@@ -800,14 +749,49 @@ mod tests {
         // Zero replicas is the zero cut of the node engine's rule: nothing
         // is left to improve, so no second pass runs.
         let g = CsrGraph::empty(6);
-        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
-            let (partition, trajectory) = StreamingEdgePartitioner::new(kind, 3)
-                .passes(4)
-                .partition_edges_tracked(&mut EdgesOf(InMemoryStream::new(&g)))
-                .unwrap();
-            assert_eq!(partition.num_edges(), 0, "{kind:?}");
-            assert_eq!(trajectory.len(), 1, "{kind:?}: {trajectory:?}");
+        for kind in KINDS {
+            let report = run(&format!("{kind}:3@passes=4"), &g);
+            let trajectory = &report.trajectory;
+            assert_eq!(report.partition.num_edges(), 0, "{kind}");
+            assert_eq!(trajectory.len(), 1, "{kind}: {trajectory:?}");
             assert_eq!((trajectory[0].total_replicas, trajectory[0].moved), (0, 0));
+        }
+    }
+
+    /// Streams the listed weighted edges of a three-node graph.
+    struct Edges(&'static [(NodeId, NodeId, u64)]);
+
+    impl EdgeStream for Edges {
+        fn num_nodes(&self) -> usize {
+            3
+        }
+        fn num_edges(&self) -> usize {
+            self.0.len()
+        }
+        fn for_each_edge(&mut self, f: &mut dyn FnMut(StreamedEdge)) -> oms_graph::Result<()> {
+            for &(u, v, weight) in self.0 {
+                f(StreamedEdge { u, v, weight });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_edge_weight_sum_past_u64_max_is_a_typed_error() {
+        const HALF: u64 = 1 << 63;
+        for kind in KINDS {
+            for (k, passes) in [(1, 1), (2, 1), (2, 3)] {
+                let job = format!("{kind}:{k}@passes={passes}");
+                let err = report(&job, &mut Edges(&[(0, 1, HALF), (1, 2, HALF)])).unwrap_err();
+                assert!(
+                    matches!(&err, PartitionError::Graph(GraphError::Invalid(message))
+                        if message == "the total edge weight ω(E) exceeds u64::MAX"),
+                    "{job}: {err}"
+                );
+                // Exactly u64::MAX still fits, in any block.
+                let fits = report(&job, &mut Edges(&[(0, 1, HALF), (1, 2, HALF - 1)])).unwrap();
+                assert_eq!(fits.partition.total_load(), u64::MAX, "{job}");
+            }
         }
     }
 
@@ -834,12 +818,10 @@ mod tests {
                 Ok(())
             }
         }
-        for kind in [EdgeAlgoKind::Hash, EdgeAlgoKind::Dbh, EdgeAlgoKind::Greedy] {
+        for kind in KINDS {
             for passes in [1, 2] {
-                let err = StreamingEdgePartitioner::new(kind, 2)
-                    .passes(passes)
-                    .partition_edges(&mut Miscounted)
-                    .unwrap_err();
+                let err =
+                    report(&format!("{kind}:2@passes={passes}"), &mut Miscounted).unwrap_err();
                 assert!(
                     matches!(
                         err,
@@ -849,7 +831,7 @@ mod tests {
                             ..
                         })
                     ),
-                    "{kind:?}, passes={passes}: {err}"
+                    "{kind}, passes={passes}: {err}"
                 );
             }
         }
@@ -857,9 +839,13 @@ mod tests {
 
     #[test]
     fn zero_blocks_is_a_typed_error() {
-        let g = star_plus_path();
-        let err = StreamingEdgePartitioner::hashing(0)
-            .partition_edges(&mut EdgesOf(InMemoryStream::new(&g)))
+        // The registry's validation refuses k = 0; a row's constructor
+        // called past it still does not divide by zero.
+        let spec = JobSpec::flat("e-hash", 0);
+        let build = crate::EDGE_ALGORITHMS.find("e-hash").unwrap().build;
+        let err = build(&spec)
+            .unwrap()
+            .run(&mut EdgesOf(InMemoryStream::new(&star_plus_path())))
             .unwrap_err();
         assert!(err.to_string().contains("positive"), "{err}");
     }

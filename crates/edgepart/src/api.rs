@@ -1,20 +1,18 @@
-//! The object-safe edge-partitioner API and the `e-*` dispatch registry.
+//! The edge-job report and the `e-*` dispatch registry.
 //!
-//! Mirrors `oms_core::api` for the vertex-cut objective: frontends hold a
-//! `Box<dyn EdgePartitioner>` built from the same [`JobSpec`] strings the
-//! node pipeline uses (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and
-//! [`EDGE_ALGORITHMS`] — `oms-core`'s generic [`Registry`] instantiated for
-//! edge partitioners — is the one name → constructor table every frontend
-//! resolves `e-*` jobs against. [`build_edge_partitioner`] is the factory;
-//! [`is_edge_algorithm`] is the routing predicate frontends use to decide
-//! between the node and the edge pipeline.
+//! Mirrors `oms_core::api` for the vertex-cut objective: a job is built from
+//! the same [`JobSpec`] strings the node pipeline uses
+//! (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and [`EDGE_ALGORITHMS`] —
+//! `oms-core`'s generic [`Registry`] instantiated for the one edge
+//! partitioner type — is the one name → constructor table every frontend
+//! resolves `e-*` jobs against. [`build_edge_partitioner`] is the only
+//! constructor; [`is_edge_algorithm`] is the routing predicate frontends use
+//! to decide between the node and the edge pipeline.
 
-use crate::algorithms::StreamingEdgePartitioner;
+use crate::algorithms::{EdgeAlgoKind, StreamingEdgePartitioner};
 use crate::engine::EdgePassStats;
 use crate::partition::EdgePartition;
 use oms_core::{Entry, JobSpec, PartitionError, Registry, Result};
-use oms_graph::EdgeStream;
-use oms_obs::Stopwatch;
 
 /// The unified result of one edge-partitioning run.
 #[derive(Clone, Debug)]
@@ -45,53 +43,12 @@ impl EdgePartitionReport {
     }
 }
 
-/// An object-safe edge partitioner: any algorithm that can turn an edge
-/// stream into an [`EdgePartition`].
-pub trait EdgePartitioner {
-    /// Registry name of the algorithm (used in reports).
-    fn name(&self) -> String;
-
-    /// Number of blocks this partitioner produces.
-    fn num_blocks(&self) -> u32;
-
-    /// Computes the edge partition for the edges delivered by `stream`.
-    fn partition_edges(&self, stream: &mut dyn EdgeStream) -> Result<EdgePartition>;
-
-    /// Like [`EdgePartitioner::partition_edges`], but additionally returns
-    /// the per-pass quality trajectory.
-    fn partition_edges_tracked(
-        &self,
-        stream: &mut dyn EdgeStream,
-    ) -> Result<(EdgePartition, Vec<EdgePassStats>)>;
-
-    /// Runs the partitioner and evaluates the result into an
-    /// [`EdgePartitionReport`]. All quality numbers come from the sink's
-    /// incrementally maintained state — no extra metric pass is paid.
-    fn run(&self, stream: &mut dyn EdgeStream) -> Result<EdgePartitionReport> {
-        let clock = Stopwatch::start();
-        let (partition, trajectory) = self.partition_edges_tracked(stream)?;
-        let seconds = clock.seconds();
-        Ok(EdgePartitionReport {
-            algorithm: self.name(),
-            replication_factor: partition.replication_factor(),
-            total_replicas: partition.total_replicas(),
-            max_replicas: partition.max_replicas(),
-            imbalance: partition.imbalance(),
-            seconds,
-            trajectory,
-            partition,
-        })
-    }
-}
-
 // ----------------------------------------------------------------- registry
 
-/// One entry of the edge-algorithm registry (names are `e-`-prefixed).
-pub type EdgeAlgorithmInfo = Entry<dyn EdgePartitioner>;
-
-/// The edge-algorithm registry. Edge partitioners are sequential and flat:
-/// no algorithm-scoped option applies to all of them.
-pub static EDGE_ALGORITHMS: Registry<dyn EdgePartitioner> =
+/// The edge-algorithm registry (names are `e-`-prefixed). Edge partitioners
+/// are sequential and flat: no algorithm-scoped option applies to all of
+/// them.
+pub static EDGE_ALGORITHMS: Registry<StreamingEdgePartitioner> =
     Registry::new("edge algorithm", &[], builtin_edge_algorithms);
 
 /// Whether `name` resolves to a registered edge (vertex-cut) algorithm —
@@ -106,46 +63,37 @@ pub fn is_edge_algorithm(name: &str) -> bool {
 /// the chosen vertex-cut algorithm (`dist=`, `buf=`, `base=`, `hybrid=`;
 /// `lambda=` outside `e-greedy`) or a hierarchical shape are rejected
 /// rather than silently ignored.
-pub fn build_edge_partitioner(spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
+pub fn build_edge_partitioner(spec: &JobSpec) -> Result<StreamingEdgePartitioner> {
     let entry = EDGE_ALGORITHMS.resolve(spec)?;
     if spec.shape.hierarchy().is_some() {
         return Err(PartitionError::InvalidConfig(
             "edge partitioners are flat; write the shape as a plain block count k".into(),
         ));
     }
-    (entry.build)(spec)
+    Ok(*(entry.build)(spec)?)
 }
 
-fn configured(p: StreamingEdgePartitioner, spec: &JobSpec) -> Result<Box<dyn EdgePartitioner>> {
-    Ok(Box::new(
-        p.seed(spec.seed)
-            .lambda(spec.lambda)
-            .epsilon(spec.epsilon)
-            .passes(spec.passes)
-            .convergence(spec.convergence),
-    ))
+/// The constructor of the `kind` row, which `build_edge_partitioner` calls
+/// on a validated job.
+fn row(kind: EdgeAlgoKind, spec: &JobSpec) -> Result<Box<StreamingEdgePartitioner>> {
+    Ok(Box::new(StreamingEdgePartitioner::new(kind, spec)))
 }
 
-fn builtin_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
+fn builtin_edge_algorithms() -> Vec<Entry<StreamingEdgePartitioner>> {
     vec![
         Entry {
             name: "e-hash",
             aliases: &["ehash"],
             description: "edge hashing (vertex-cut; balanced, worst replication)",
             reads: &[],
-            build: |spec| configured(StreamingEdgePartitioner::hashing(spec.num_blocks()), spec),
+            build: |spec| row(EdgeAlgoKind::Hash, spec),
         },
         Entry {
             name: "e-dbh",
             aliases: &["edbh", "dbh"],
             description: "degree-based hashing (vertex-cut; hashes the lower-degree endpoint)",
             reads: &[],
-            build: |spec| {
-                configured(
-                    StreamingEdgePartitioner::degree_hashing(spec.num_blocks()),
-                    spec,
-                )
-            },
+            build: |spec| row(EdgeAlgoKind::Dbh, spec),
         },
         Entry {
             name: "e-greedy",
@@ -153,7 +101,7 @@ fn builtin_edge_algorithms() -> Vec<EdgeAlgorithmInfo> {
             description:
                 "HDRF-style greedy (vertex-cut; replica affinity + lambda-weighted balance)",
             reads: &["lambda"],
-            build: |spec| configured(StreamingEdgePartitioner::greedy(spec.num_blocks()), spec),
+            build: |spec| row(EdgeAlgoKind::Greedy, spec),
         },
     ]
 }
@@ -196,12 +144,10 @@ mod tests {
             "e-dbh:8@passes=4,conv=0.01",
         ] {
             let spec = JobSpec::parse(text).unwrap();
-            let partitioner =
-                build_edge_partitioner(&spec).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert_eq!(partitioner.num_blocks(), 8, "{text}");
-            let report = partitioner
-                .run(&mut EdgesOf(InMemoryStream::new(&graph)))
+            let report = build_edge_partitioner(&spec)
+                .and_then(|p| p.run(&mut EdgesOf(InMemoryStream::new(&graph))))
                 .unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(report.num_blocks(), 8, "{text}");
             assert_eq!(report.partition.num_edges(), graph.num_edges(), "{text}");
             assert!(report.partition.validate(), "{text}");
             assert!(report.replication_factor >= 1.0, "{text}");

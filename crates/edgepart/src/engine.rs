@@ -1,19 +1,20 @@
 //! What the multi-pass edge engine records.
 //!
-//! Every `e-*` partitioner runs the vertex-cut pass loop of
-//! [`StreamingEdgePartitioner`](crate::StreamingEdgePartitioner): up to
-//! [`RestreamOptions::passes`](oms_core::RestreamOptions::passes) passes over
-//! the same (rewound) edge stream, re-scoring every edge against the previous
-//! pass's assignment from the second pass on (un-assign, then re-assign).
-//! After every pass the loop reads the sink's incrementally maintained
-//! [`EdgeQuality`] — no extra metric pass is needed — and takes its verdict
-//! from the node engine's [`PassTracker`](oms_core::executor::PassTracker),
-//! so `passes=N` follows the same rules for nodes and edges: the run
+//! Every `e-*` job runs one vertex-cut pass loop
+//! ([`StreamingEdgePartitioner::run`](crate::StreamingEdgePartitioner::run),
+//! built from the job by [`build_edge_partitioner`](crate::build_edge_partitioner)):
+//! up to the job's `passes=` budget of passes over the same (rewound) edge
+//! stream, re-scoring every edge against the previous pass's assignment
+//! from the second pass on (un-assign, then re-assign). After every pass the
+//! loop reads the sink's incrementally maintained quality — no extra metric
+//! pass is needed — and takes its verdict from the node engine's
+//! [`PassTracker`](oms_core::executor::PassTracker), so `passes=N` follows
+//! the same rules for nodes and edges: the run
 //!
 //! * stops once no edge moved (fixed point), or the total replica count is
 //!   zero (an edgeless graph),
 //! * stops once the relative improvement of the total replica count falls
-//!   below [`RestreamOptions::min_improvement`](oms_core::RestreamOptions::min_improvement), and
+//!   below the job's `conv=` threshold, and
 //! * **reverts** a pass that *increased* the total replica count by
 //!   replaying the stream once with the best assignment seen, so the
 //!   recorded [`EdgePassStats`] trajectory is non-increasing by construction
@@ -26,22 +27,22 @@
 
 /// Quality snapshot of an edge partition, maintained by the sink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeQuality {
+pub(crate) struct EdgeQuality {
     /// Total replica count `Σ_v |R(v)|`.
-    pub total_replicas: u64,
+    pub(crate) total_replicas: u64,
     /// Number of vertices with at least one replica (non-isolated).
-    pub covered_vertices: u64,
+    pub(crate) covered_vertices: u64,
     /// Largest per-vertex replica set.
-    pub max_replicas: u32,
+    pub(crate) max_replicas: u32,
     /// Heaviest block load (assigned edge weight).
-    pub max_load: u64,
+    pub(crate) max_load: u64,
     /// Total assigned edge weight.
-    pub total_load: u64,
+    pub(crate) total_load: u64,
 }
 
 impl EdgeQuality {
     /// The replication factor `Σ_v |R(v)| / covered` (`1.0` when empty).
-    pub fn replication_factor(&self) -> f64 {
+    pub(crate) fn replication_factor(&self) -> f64 {
         if self.covered_vertices == 0 {
             return 1.0;
         }
@@ -49,7 +50,7 @@ impl EdgeQuality {
     }
 
     /// Edge-load imbalance over `k` blocks.
-    pub fn imbalance(&self, k: u32) -> f64 {
+    pub(crate) fn imbalance(&self, k: u32) -> f64 {
         if self.total_load == 0 {
             return 0.0;
         }

@@ -33,20 +33,21 @@
 //! converge / revert verdict from `oms-core`'s `PassTracker` — the rules of
 //! the node restreaming engine, with the total replica count as the cut —
 //! and records a per-pass [`EdgePassStats`] trajectory that is
-//! non-increasing in the total replica count by construction ([`engine`]
-//! documents the rules and the recorded types).
+//! non-increasing in the total replica count by construction.
 //!
 //! Edges are consumed through [`oms_graph::EdgeStream`] — any node-stream
 //! source (in-memory or disk, unit or weighted) adapts via
 //! [`oms_graph::EdgesOf`], so edge partitioning needs no new on-disk format
 //! and inherits byte-identical behavior across sources.
 //!
-//! Jobs are described by the same [`JobSpec`] grammar as the node
-//! partitioners (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`) and dispatched
-//! through this crate's instance of the generic registry:
-//! [`build_edge_partitioner`] turns a spec into a `Box<dyn EdgePartitioner>`,
-//! and [`EDGE_ALGORITHMS`] / [`is_edge_algorithm`] let frontends (CLI, bench)
-//! enumerate and route `e-*` algorithm names.
+//! A job is described by the same [`JobSpec`] grammar as the node
+//! partitioners (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and a
+//! `JobSpec` is the only way to build one: [`build_edge_partitioner`]
+//! resolves it through this crate's instance of the generic registry,
+//! validates its options and returns the [`StreamingEdgePartitioner`] whose
+//! [`run`](StreamingEdgePartitioner::run) yields an [`EdgePartitionReport`].
+//! [`EDGE_ALGORITHMS`] / [`is_edge_algorithm`] let frontends enumerate and
+//! route `e-*` algorithm names.
 //!
 //! ## Example
 //!
@@ -71,15 +72,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algorithms;
-pub mod api;
-pub mod engine;
-pub mod partition;
+mod algorithms;
+mod api;
+mod engine;
+mod partition;
 
-pub use algorithms::{EdgeAlgoKind, StreamingEdgePartitioner};
-pub use api::{
-    build_edge_partitioner, is_edge_algorithm, EdgeAlgorithmInfo, EdgePartitionReport,
-    EdgePartitioner, EDGE_ALGORITHMS,
-};
-pub use engine::{EdgePassStats, EdgeQuality};
+pub use algorithms::StreamingEdgePartitioner;
+pub use api::{build_edge_partitioner, is_edge_algorithm, EdgePartitionReport, EDGE_ALGORITHMS};
+pub use engine::EdgePassStats;
 pub use partition::EdgePartition;

@@ -18,7 +18,6 @@ use oms_core::BlockId;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EdgePartition {
     k: u32,
-    num_nodes: usize,
     assignments: Vec<BlockId>,
     block_loads: Vec<u64>,
     total_replicas: u64,
@@ -30,7 +29,6 @@ impl EdgePartition {
     /// Assembles a partition from the sink state (crate-internal).
     pub(crate) fn new(
         k: u32,
-        num_nodes: usize,
         assignments: Vec<BlockId>,
         block_loads: Vec<u64>,
         total_replicas: u64,
@@ -39,7 +37,6 @@ impl EdgePartition {
     ) -> Self {
         EdgePartition {
             k,
-            num_nodes,
             assignments,
             block_loads,
             total_replicas,
@@ -49,23 +46,13 @@ impl EdgePartition {
     }
 
     /// Number of blocks of the partition.
-    pub fn num_blocks(&self) -> u32 {
+    pub(crate) fn num_blocks(&self) -> u32 {
         self.k
-    }
-
-    /// Number of nodes of the partitioned graph.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
     }
 
     /// Number of partitioned edges.
     pub fn num_edges(&self) -> usize {
         self.assignments.len()
-    }
-
-    /// Block of the `i`-th streamed edge.
-    pub fn block_of(&self, edge_index: usize) -> BlockId {
-        self.assignments[edge_index]
     }
 
     /// The per-edge block assignment, in edge-stream order.
@@ -96,18 +83,19 @@ impl EdgePartition {
 
     /// Number of vertices with at least one incident edge (the denominator
     /// of the replication factor).
-    pub fn covered_vertices(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn covered_vertices(&self) -> u64 {
         self.covered_vertices
     }
 
     /// Largest per-vertex replica set, `max_v |R(v)|`.
-    pub fn max_replicas(&self) -> u32 {
+    pub(crate) fn max_replicas(&self) -> u32 {
         self.max_replicas
     }
 
     /// The replication factor `RF(Π) = Σ_v |R(v)| / |{v : deg(v) > 0}|`
     /// (`1.0` for graphs without edges: nothing is replicated).
-    pub fn replication_factor(&self) -> f64 {
+    pub(crate) fn replication_factor(&self) -> f64 {
         if self.covered_vertices == 0 {
             return 1.0;
         }
@@ -115,7 +103,7 @@ impl EdgePartition {
     }
 
     /// Edge-load imbalance `max_b ω(E_b) / (ω(E)/k) − 1`.
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         let total = self.total_load();
         if total == 0 {
             return 0.0;
@@ -136,7 +124,7 @@ mod tests {
 
     #[test]
     fn metrics_derive_from_the_summary() {
-        let p = EdgePartition::new(2, 4, vec![0, 1, 0], vec![2, 1], 5, 4, 2);
+        let p = EdgePartition::new(2, vec![0, 1, 0], vec![2, 1], 5, 4, 2);
         assert_eq!(p.num_blocks(), 2);
         assert_eq!(p.num_edges(), 3);
         assert_eq!(p.total_load(), 3);
@@ -148,7 +136,7 @@ mod tests {
 
     #[test]
     fn empty_partition_is_unreplicated_and_balanced() {
-        let p = EdgePartition::new(4, 0, Vec::new(), vec![0; 4], 0, 0, 0);
+        let p = EdgePartition::new(4, Vec::new(), vec![0; 4], 0, 0, 0);
         assert_eq!(p.replication_factor(), 1.0);
         assert_eq!(p.imbalance(), 0.0);
         assert!(p.validate());

@@ -30,17 +30,17 @@
 //! so the algorithm degrades gracefully to plain multilevel when
 //! `buffer ≥ n` and to a Fennel-flavoured heuristic when `buffer` is tiny.
 
-use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
+use crate::partitioner::MultilevelPartitioner;
 use oms_core::executor::{self, NodeSink, PassTrajectory, RestreamOptions};
 use oms_core::partition::UNASSIGNED;
 use oms_core::scorer::fennel_alpha;
-use oms_core::{BlockId, Partition, PartitionError, Result};
+use oms_core::{BlockId, JobSpec, Partition, PartitionError, Result};
 use oms_graph::{GraphBuilder, NodeBatch, NodeStream, NodeWeight, StreamedNode};
 use oms_obs::Event;
 use std::collections::HashMap;
 
-/// Default buffer size (nodes per model graph).
-pub const DEFAULT_BUFFER: usize = 4096;
+/// Default buffer size (nodes per model graph), what `buf=0` selects.
+const DEFAULT_BUFFER: usize = 4096;
 
 /// Fennel's γ, reused for the commit score.
 const GAMMA: f64 = 1.5;
@@ -52,49 +52,37 @@ const GAMMA: f64 = 1.5;
 /// balance constraint, now seeing the connectivity of the whole previous
 /// assignment instead of only the prefix streamed so far.
 #[derive(Clone, Copy, Debug)]
-pub struct BufferedMultilevel {
+pub(crate) struct BufferedMultilevel {
     k: u32,
     buffer: usize,
     passes: usize,
     convergence: f64,
-    config: MultilevelConfig,
+    epsilon: f64,
+    seed: u64,
 }
 
 impl BufferedMultilevel {
-    /// Creates a buffered partitioner for `k` blocks with a buffer of
-    /// `buffer` nodes (`0` selects [`DEFAULT_BUFFER`]). `config` drives the
-    /// per-batch multilevel solves and carries ε and the seed.
-    pub fn new(k: u32, buffer: usize, config: MultilevelConfig) -> Self {
+    /// The `buffered` job `spec`: its `k`, buffer (`buf=0` selects
+    /// [`DEFAULT_BUFFER`]), pass budget and convergence threshold; ε and the
+    /// seed also drive the per-batch multilevel solves.
+    pub(crate) fn new(spec: &JobSpec) -> Self {
         BufferedMultilevel {
-            k,
-            buffer: if buffer == 0 { DEFAULT_BUFFER } else { buffer },
-            passes: 1,
-            convergence: 0.0,
-            config,
+            k: spec.num_blocks(),
+            buffer: if spec.buffer == 0 {
+                DEFAULT_BUFFER
+            } else {
+                spec.buffer
+            },
+            passes: spec.passes,
+            convergence: spec.convergence,
+            epsilon: spec.epsilon,
+            seed: spec.seed,
         }
     }
 
-    /// Sets the number of restreaming passes (≥ 1).
-    pub fn passes(mut self, passes: usize) -> Self {
-        self.passes = passes.max(1);
-        self
-    }
-
-    /// Sets the relative edge-cut improvement below which a multi-pass run
-    /// stops early.
-    pub fn convergence(mut self, min_improvement: f64) -> Self {
-        self.convergence = min_improvement.max(0.0);
-        self
-    }
-
     /// Number of blocks.
-    pub fn num_blocks(&self) -> u32 {
+    pub(crate) fn num_blocks(&self) -> u32 {
         self.k
-    }
-
-    /// Buffer size in nodes.
-    pub fn buffer(&self) -> usize {
-        self.buffer
     }
 
     /// Partitions the nodes delivered by `stream` under the executor's
@@ -133,11 +121,7 @@ impl BufferedMultilevel {
             state: CommitState {
                 assignments: vec![UNASSIGNED; n],
                 block_weights: vec![0; self.k as usize],
-                capacity: Partition::capacity(
-                    stream.total_node_weight(),
-                    self.k,
-                    self.config.epsilon,
-                ),
+                capacity: Partition::capacity(stream.total_node_weight(), self.k, self.epsilon),
                 alpha: fennel_alpha(self.k, stream.num_edges(), n),
             },
             pending: NodeBatch::new(),
@@ -205,7 +189,7 @@ impl BufferedMultilevel {
         let model_blocks: Vec<BlockId> = if q == 1 {
             vec![0; b]
         } else {
-            MultilevelPartitioner::new(q as u32, self.config)
+            MultilevelPartitioner::new(q as u32, self.epsilon, self.seed)
                 .partition(&model)?
                 .assignments()
                 .to_vec()
@@ -374,29 +358,19 @@ impl CommitState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_core::{JobSpec, Partitioner};
+    use crate::{partition, register_algorithms};
     use oms_graph::{CsrGraph, InMemoryStream};
 
-    fn buffered(k: u32, buffer: usize, seed: u64) -> BufferedMultilevel {
-        BufferedMultilevel::new(
-            k,
-            buffer,
-            MultilevelConfig {
-                seed,
-                ..MultilevelConfig::default()
-            },
-        )
-    }
-
-    fn run(p: &BufferedMultilevel, g: &CsrGraph) -> Partition {
-        p.partition(&mut InMemoryStream::new(g)).unwrap()
+    /// The `buffered` job `text`, as its registry row builds it.
+    fn buffered(text: &str) -> BufferedMultilevel {
+        BufferedMultilevel::new(&JobSpec::parse(text).unwrap())
     }
 
     #[test]
     fn produces_a_valid_complete_partition() {
         let g = oms_gen::planted_partition(500, 8, 0.1, 0.01, 3);
         for buffer in [32, 100, 4096] {
-            let p = run(&buffered(8, buffer, 0), &g);
+            let p = partition(&format!("buffered:8@buf={buffer}"), &g);
             assert_eq!(p.num_nodes(), 500);
             assert_eq!(p.num_blocks(), 8);
             assert!(p.validate(&vec![1; 500]), "buffer {buffer}");
@@ -406,9 +380,8 @@ mod tests {
     #[test]
     fn beats_hashing_on_community_graphs() {
         let g = oms_gen::planted_partition(600, 8, 0.12, 0.005, 7);
-        let buf = run(&buffered(8, 200, 0), &g);
-        let hash = JobSpec::flat("hashing", 8).build().unwrap();
-        let hash = hash.partition(&mut InMemoryStream::new(&g)).unwrap();
+        let buf = partition("buffered:8@buf=200", &g);
+        let hash = partition("hashing:8", &g);
         assert!(
             buf.edge_cut(&g) < hash.edge_cut(&g),
             "buffered {} vs hashing {}",
@@ -420,49 +393,55 @@ mod tests {
     #[test]
     fn stays_reasonably_balanced() {
         let g = oms_gen::planted_partition(800, 16, 0.08, 0.004, 9);
-        let p = run(&buffered(16, 256, 0), &g);
+        let p = partition("buffered:16@buf=256", &g);
         assert!(p.imbalance() < 0.25, "imbalance {}", p.imbalance());
     }
 
     #[test]
     fn is_deterministic_for_a_fixed_seed() {
         let g = oms_gen::planted_partition(400, 8, 0.1, 0.01, 11);
-        let a = run(&buffered(8, 128, 5), &g);
-        let b = run(&buffered(8, 128, 5), &g);
-        assert_eq!(a, b);
+        let job = "buffered:8@seed=5,buf=128";
+        assert_eq!(partition(job, &g), partition(job, &g));
     }
 
     #[test]
     fn single_block_and_tiny_batches_work() {
         let g = oms_gen::planted_partition(50, 2, 0.3, 0.05, 13);
-        let p = run(&buffered(1, 7, 0), &g);
+        let p = partition("buffered:1@buf=7", &g);
         assert_eq!(p.edge_cut(&g), 0);
         assert!(p.assignments().iter().all(|&b| b == 0));
         // More blocks than nodes per batch (q = |batch|).
-        let p = run(&buffered(16, 4, 0), &g);
+        let p = partition("buffered:16@buf=4", &g);
         assert_eq!(p.num_nodes(), 50);
         assert!(p.validate(&vec![1; 50]));
     }
 
+    /// A job without `buf=` solves batches of [`DEFAULT_BUFFER`] nodes: on
+    /// a graph of more than one such batch it partitions exactly like
+    /// `buf=4096`, and unlike a job with batches half that size.
     #[test]
-    fn zero_buffer_selects_the_default() {
-        assert_eq!(buffered(4, 0, 0).buffer(), DEFAULT_BUFFER);
-        assert_eq!(buffered(4, 123, 0).buffer(), 123);
+    fn the_default_buffer_is_what_buf_4096_selects() {
+        let g = oms_gen::planted_partition(5000, 8, 0.01, 0.001, 17);
+        let default = partition("buffered:8", &g);
+        assert_eq!(default, partition("buffered:8@buf=4096", &g));
+        assert_ne!(default, partition("buffered:8@buf=2048", &g));
     }
 
     #[test]
     fn empty_graph_yields_empty_partition() {
         let g = CsrGraph::empty(0);
-        let p = run(&buffered(4, 64, 0), &g);
-        assert_eq!(p.num_nodes(), 0);
+        assert_eq!(partition("buffered:4@buf=64", &g).num_nodes(), 0);
     }
 
     #[test]
     fn zero_blocks_is_rejected() {
+        register_algorithms();
+        let spec = JobSpec::flat("buffered", 0);
+        assert!(spec.build().is_err());
+        // Past the registry's validation the sink still refuses k = 0.
         let g = CsrGraph::empty(5);
-        assert!(buffered(0, 64, 0)
-            .partition(&mut InMemoryStream::new(&g))
-            .is_err());
+        let direct = BufferedMultilevel::new(&spec).run_engine(&mut InMemoryStream::new(&g));
+        assert!(direct.is_err());
     }
 
     /// A reverted pass puts back the loads of the last accepted one from the
@@ -502,7 +481,7 @@ mod tests {
             }
         }
         let graph = oms_gen::WeightScheme::Full.apply(&oms_gen::erdos_renyi_gnm(300, 900, 0), 9);
-        let algorithm = buffered(8, 32, 0).passes(4);
+        let algorithm = buffered("buffered:8@buf=32,passes=4");
         let mut stream = InMemoryStream::new(&graph);
         let mut sink = Passes(algorithm.sink(&stream), 0);
         let opts = RestreamOptions::new(4, 0.0);
@@ -559,12 +538,16 @@ mod tests {
                 self.0.for_each_batch(batch_size.min(3), f)
             }
         }
+        register_algorithms();
         let g = oms_gen::planted_partition(250, 4, 0.1, 0.01, 1);
         for buffer in [7, 100] {
             for passes in [1, 3] {
-                let p = buffered(4, buffer, 1).passes(passes);
-                let short = p.partition(&mut Short(InMemoryStream::new(&g))).unwrap();
-                assert_eq!(short, run(&p, &g), "buf={buffer}, passes={passes}");
+                let job = format!("buffered:4@seed=1,buf={buffer},passes={passes}");
+                let built = JobSpec::parse(&job).unwrap().build().unwrap();
+                let short = built
+                    .partition(&mut Short(InMemoryStream::new(&g)))
+                    .unwrap();
+                assert_eq!(short, partition(&job, &g), "{job}");
             }
         }
     }

@@ -15,13 +15,13 @@ use std::collections::HashMap;
 
 /// Options of the label propagation clustering.
 #[derive(Clone, Copy, Debug)]
-pub struct ClusteringConfig {
+pub(crate) struct ClusteringConfig {
     /// Upper bound on the weight of a cluster.
-    pub max_cluster_weight: NodeWeight,
+    pub(crate) max_cluster_weight: NodeWeight,
     /// Number of label propagation rounds.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Seed for the node visit order.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for ClusteringConfig {
@@ -38,7 +38,7 @@ impl Default for ClusteringConfig {
 ///
 /// Cluster ids are arbitrary node ids (the "label" that won); use
 /// [`crate::contract::relabel`] to compact them before contraction.
-pub fn label_propagation(graph: &CsrGraph, config: &ClusteringConfig) -> Vec<NodeId> {
+pub(crate) fn label_propagation(graph: &CsrGraph, config: &ClusteringConfig) -> Vec<NodeId> {
     let n = graph.num_nodes();
     let mut cluster: Vec<NodeId> = (0..n as NodeId).collect();
     let mut cluster_weight: Vec<NodeWeight> =

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 ///
 /// Returns `(compact_label_per_node, num_clusters)`; the compact ids are
 /// assigned in order of first appearance.
-pub fn relabel(cluster: &[NodeId]) -> (Vec<NodeId>, usize) {
+pub(crate) fn relabel(cluster: &[NodeId]) -> (Vec<NodeId>, usize) {
     let mut mapping: HashMap<NodeId, NodeId> = HashMap::new();
     let mut compact = Vec::with_capacity(cluster.len());
     for &c in cluster {
@@ -27,7 +27,7 @@ pub fn relabel(cluster: &[NodeId]) -> (Vec<NodeId>, usize) {
 /// Returns the coarse graph; `cluster[v]` is the coarse node of fine node
 /// `v`, which is all the information needed to project a coarse partition
 /// back onto the fine graph.
-pub fn contract(graph: &CsrGraph, cluster: &[NodeId], num_clusters: usize) -> CsrGraph {
+pub(crate) fn contract(graph: &CsrGraph, cluster: &[NodeId], num_clusters: usize) -> CsrGraph {
     assert_eq!(cluster.len(), graph.num_nodes());
     let mut builder = GraphBuilder::with_capacity(num_clusters, graph.num_edges());
     // Coarse node weights.

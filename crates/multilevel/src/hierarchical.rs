@@ -7,30 +7,37 @@
 //! leaf numbering matches [`oms_core::HierarchySpec`], so the result is a
 //! process mapping onto the hierarchical machine.
 
-use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
+use crate::partitioner::MultilevelPartitioner;
 use oms_core::{BlockId, HierarchySpec, Partition, Result};
 use oms_graph::{CsrGraph, NodeId};
 
-/// Offline recursive multi-section along a communication hierarchy.
+/// Offline recursive multi-section along a communication hierarchy (the
+/// `rms` job).
 #[derive(Clone, Debug)]
-pub struct RecursiveMultisection {
+pub(crate) struct RecursiveMultisection {
     hierarchy: HierarchySpec,
-    config: MultilevelConfig,
+    epsilon: f64,
+    seed: u64,
 }
 
 impl RecursiveMultisection {
-    /// Creates an offline recursive multi-section mapper.
-    pub fn new(hierarchy: HierarchySpec, config: MultilevelConfig) -> Self {
-        RecursiveMultisection { hierarchy, config }
+    /// A mapper onto `hierarchy` whose every split is a multilevel solve
+    /// under the allowed imbalance `epsilon` and `seed`.
+    pub(crate) fn new(hierarchy: HierarchySpec, epsilon: f64, seed: u64) -> Self {
+        RecursiveMultisection {
+            hierarchy,
+            epsilon,
+            seed,
+        }
     }
 
     /// Total number of PEs.
-    pub fn num_blocks(&self) -> u32 {
+    pub(crate) fn num_blocks(&self) -> u32 {
         self.hierarchy.total_blocks()
     }
 
     /// Computes the hierarchical partition / process mapping of `graph`.
-    pub fn partition(&self, graph: &CsrGraph) -> Result<Partition> {
+    pub(crate) fn partition(&self, graph: &CsrGraph) -> Result<Partition> {
         let k = self.hierarchy.total_blocks();
         let n = graph.num_nodes();
         let mut assignment: Vec<BlockId> = vec![0; n];
@@ -69,7 +76,8 @@ impl RecursiveMultisection {
         let sub_span = pe_span / fan_out;
 
         let (subgraph, mapping) = graph.induced_subgraph(nodes);
-        let partition = MultilevelPartitioner::new(fan_out, self.config).partition(&subgraph)?;
+        let partition =
+            MultilevelPartitioner::new(fan_out, self.epsilon, self.seed).partition(&subgraph)?;
         // Group the nodes by their block and recurse.
         let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); fan_out as usize];
         for (local, &original) in mapping.iter().enumerate() {
@@ -92,6 +100,7 @@ impl RecursiveMultisection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition;
     use oms_core::DistanceSpec;
 
     fn mapping_cost(
@@ -111,9 +120,7 @@ mod tests {
     #[test]
     fn recursive_multisection_produces_valid_partition() {
         let g = oms_gen::planted_partition(400, 8, 0.12, 0.005, 3);
-        let h = HierarchySpec::parse("2:2:2").unwrap();
-        let rms = RecursiveMultisection::new(h, MultilevelConfig::default());
-        let p = rms.partition(&g).unwrap();
+        let p = partition("rms:2:2:2", &g);
         assert_eq!(p.num_blocks(), 8);
         assert_eq!(p.num_nodes(), 400);
         assert!(p.validate(&vec![1; 400]));
@@ -126,19 +133,11 @@ mod tests {
     fn offline_mapping_beats_streaming_oms_on_quality() {
         // The in-memory baseline exists to show what quality is attainable
         // with full graph access (paper: IntMap/KaMinPar ≫ streaming tools).
-        use oms_core::JobSpec;
-        use oms_graph::InMemoryStream;
         let g = oms_gen::planted_partition(600, 16, 0.1, 0.004, 7);
         let h = HierarchySpec::parse("2:2:4").unwrap();
         let d = DistanceSpec::paper_default();
-        let offline = RecursiveMultisection::new(h.clone(), MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
-        let streaming = JobSpec::hierarchical("oms", h.clone())
-            .build()
-            .unwrap()
-            .partition(&mut InMemoryStream::new(&g))
-            .unwrap();
+        let offline = partition("rms:2:2:4", &g);
+        let streaming = partition("oms:2:2:4", &g);
         let off_cost = mapping_cost(&g, offline.assignments(), &h, &d);
         let on_cost = mapping_cost(&g, streaming.assignments(), &h, &d);
         assert!(
@@ -150,8 +149,10 @@ mod tests {
     #[test]
     fn single_level_hierarchy_reduces_to_flat_partitioning() {
         let g = oms_gen::planted_partition(200, 4, 0.15, 0.01, 9);
+        // A job's one-number shape is flat (`rms:4` is refused), so the
+        // one-level hierarchy is built here directly.
         let h = HierarchySpec::parse("4").unwrap();
-        let p = RecursiveMultisection::new(h, MultilevelConfig::default())
+        let p = RecursiveMultisection::new(h, 0.03, 0)
             .partition(&g)
             .unwrap();
         assert_eq!(p.num_blocks(), 4);
@@ -161,10 +162,6 @@ mod tests {
     #[test]
     fn empty_graph_is_handled() {
         let g = CsrGraph::empty(0);
-        let h = HierarchySpec::parse("2:2").unwrap();
-        let p = RecursiveMultisection::new(h, MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
-        assert_eq!(p.num_nodes(), 0);
+        assert_eq!(partition("rms:2:2", &g).num_nodes(), 0);
     }
 }

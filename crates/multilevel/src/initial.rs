@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// The greedy pass is internal to the multilevel solve — it streams the
 /// coarse graph, not the job's input — so it runs unobserved: its passes
 /// and scored nodes stay out of the job's trace and counters.
-pub fn initial_partition(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -> Vec<BlockId> {
+pub(crate) fn initial_partition(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -> Vec<BlockId> {
     let fennel = JobSpec::flat("fennel", k).epsilon(epsilon).seed(seed);
     let fennel = fennel.build().expect("the caller validated k and ε");
     let unobserved = oms_obs::install(Arc::new(NoopObserver));

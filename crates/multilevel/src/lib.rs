@@ -10,41 +10,65 @@
 //! recipe from scratch:
 //!
 //! 1. **Coarsening** by size-constrained label propagation clustering and
-//!    graph contraction ([`clustering`], [`contract`]);
+//!    graph contraction;
 //! 2. **Initial partitioning** of the coarsest graph with a greedy streaming
-//!    pass followed by refinement ([`initial`]);
+//!    pass followed by refinement;
 //! 3. **Uncoarsening** with size-constrained label-propagation refinement at
-//!    every level ([`refine`]).
+//!    every level.
 //!
-//! [`MultilevelPartitioner`] (the KaMinPar stand-in) solves plain `k`-way
-//! partitioning; [`hierarchical::RecursiveMultisection`] (the IntMap
-//! stand-in) applies it recursively along a communication hierarchy so the
-//! result is simultaneously a process mapping.
+//! Three jobs run it, each built from a [`JobSpec`](oms_core::JobSpec) like
+//! every other algorithm once [`register_algorithms`] has added their rows
+//! to `oms-core`'s registry — the crate's whole public surface:
 //!
-//! [`BufferedMultilevel`] bridges the two worlds: a *buffered streaming*
-//! algorithm (HeiStream-style) that runs as a sink on `oms-core`'s drive
-//! loop, collects the streamed nodes into batches, solves each batch as an
-//! in-memory model graph with the multilevel machinery and commits the
-//! result under the global balance constraint — streaming memory,
-//! multilevel quality.
+//! * `multilevel:k` (the KaMinPar stand-in) solves plain `k`-way
+//!   partitioning;
+//! * `rms:a1:…:al` (the IntMap stand-in) applies it recursively along a
+//!   communication hierarchy, so the result is simultaneously a process
+//!   mapping;
+//! * `buffered:k@buf=N` bridges the two worlds: a *buffered streaming*
+//!   algorithm (HeiStream-style) that runs as a sink on `oms-core`'s drive
+//!   loop, collects the streamed nodes into batches, solves each batch as an
+//!   in-memory model graph with the multilevel machinery and commits the
+//!   result under the global balance constraint — streaming memory,
+//!   multilevel quality.
 //!
-//! Both are orders of magnitude slower and more memory-hungry than the
-//! streaming algorithms in `oms-core` — exactly the trade-off the paper's
-//! Figure 2 illustrates — but produce much better cuts and mappings.
+//! ε and the seed come from the job; the solver's round counts and its
+//! coarsening limit are constants. `multilevel` and `rms` are orders of
+//! magnitude slower and more memory-hungry than the streaming algorithms in
+//! `oms-core` — exactly the trade-off the paper's Figure 2 illustrates — but
+//! produce much better cuts and mappings.
+//!
+//! ```
+//! use oms_core::JobSpec;
+//! use oms_graph::InMemoryStream;
+//!
+//! oms_multilevel::register_algorithms();
+//! let graph = oms_gen::planted_partition(400, 8, 0.1, 0.01, 3);
+//! let report = JobSpec::parse("rms:2:4@dist=1:10").unwrap().build().unwrap()
+//!     .run(&mut InMemoryStream::new(&graph)).unwrap();
+//! assert_eq!(report.num_blocks(), 8);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffered;
-pub mod clustering;
-pub mod contract;
-pub mod hierarchical;
-pub mod initial;
-pub mod partitioner;
-pub mod refine;
-pub mod registry;
+mod buffered;
+mod clustering;
+mod contract;
+mod hierarchical;
+mod initial;
+mod partitioner;
+mod refine;
+mod registry;
 
-pub use buffered::BufferedMultilevel;
-pub use hierarchical::RecursiveMultisection;
-pub use partitioner::{MultilevelConfig, MultilevelPartitioner};
 pub use registry::register_algorithms;
+
+/// The partition the registered job `job` computes for `graph`.
+#[cfg(test)]
+fn partition(job: &str, graph: &oms_graph::CsrGraph) -> oms_core::Partition {
+    register_algorithms();
+    oms_core::JobSpec::parse(job)
+        .and_then(|job| job.build())
+        .and_then(|p| p.partition(&mut oms_graph::InMemoryStream::new(graph)))
+        .unwrap_or_else(|e| panic!("{job}: {e}"))
+}

@@ -7,60 +7,43 @@ use crate::refine::{refine, RefineConfig};
 use oms_core::{BlockId, Partition, PartitionError, Result};
 use oms_graph::{CsrGraph, NodeId};
 
-/// Configuration of the multilevel partitioner.
-#[derive(Clone, Copy, Debug)]
-pub struct MultilevelConfig {
-    /// Allowed imbalance ε.
-    pub epsilon: f64,
-    /// Number of label propagation rounds per coarsening level.
-    pub lp_rounds: usize,
-    /// Number of refinement rounds per uncoarsening level.
-    pub refine_rounds: usize,
-    /// Coarsening stops once the graph has at most `coarse_factor · k` nodes.
-    pub coarse_factor: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Label-propagation rounds per coarsening level.
+const LP_ROUNDS: usize = 3;
+/// Refinement rounds per uncoarsening level.
+const REFINE_ROUNDS: usize = 3;
+/// Coarsening stops once the graph has at most `COARSE_FACTOR · k` nodes
+/// (and never below 512).
+const COARSE_FACTOR: usize = 40;
 
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        MultilevelConfig {
-            epsilon: 0.03,
-            lp_rounds: 3,
-            refine_rounds: 3,
-            coarse_factor: 40,
-            seed: 0,
-        }
-    }
-}
-
-/// The in-memory multilevel `k`-way partitioner (KaMinPar stand-in).
+/// The in-memory multilevel `k`-way partitioner (KaMinPar stand-in): the
+/// `multilevel` job, and the solver inside `rms` and `buffered`.
 #[derive(Clone, Copy, Debug)]
-pub struct MultilevelPartitioner {
+pub(crate) struct MultilevelPartitioner {
     k: u32,
-    config: MultilevelConfig,
+    epsilon: f64,
+    seed: u64,
 }
 
 impl MultilevelPartitioner {
-    /// Creates a partitioner for `k` blocks.
-    pub fn new(k: u32, config: MultilevelConfig) -> Self {
-        MultilevelPartitioner { k, config }
+    /// A partitioner for `k` blocks under the allowed imbalance `epsilon`;
+    /// `seed` drives the coarsening's visit order and the initial pass.
+    pub(crate) fn new(k: u32, epsilon: f64, seed: u64) -> Self {
+        MultilevelPartitioner { k, epsilon, seed }
     }
 
     /// Number of blocks.
-    pub fn num_blocks(&self) -> u32 {
+    pub(crate) fn num_blocks(&self) -> u32 {
         self.k
     }
 
     /// Partitions `graph` into `k` blocks.
-    pub fn partition(&self, graph: &CsrGraph) -> Result<Partition> {
+    pub(crate) fn partition(&self, graph: &CsrGraph) -> Result<Partition> {
         if self.k == 0 {
             return Err(PartitionError::InvalidConfig(
                 "the number of blocks k must be positive".into(),
             ));
         }
-        let k = self.k;
-        let cfg = &self.config;
+        let (k, epsilon, seed) = (self.k, self.epsilon, self.seed);
         if graph.num_nodes() == 0 {
             return Ok(Partition::from_assignments(k, Vec::new(), &[]));
         }
@@ -68,8 +51,8 @@ impl MultilevelPartitioner {
         // ---- Coarsening ------------------------------------------------
         // Keep contracting until the graph is small relative to k or label
         // propagation stops making progress.
-        let coarse_limit = (cfg.coarse_factor * k as usize).max(512);
-        let max_cluster_weight = (graph.total_node_weight() as f64 * (1.0 + cfg.epsilon)
+        let coarse_limit = (COARSE_FACTOR * k as usize).max(512);
+        let max_cluster_weight = (graph.total_node_weight() as f64 * (1.0 + epsilon)
             / (k as f64 * 4.0))
             .ceil()
             .max(1.0) as u64;
@@ -79,8 +62,8 @@ impl MultilevelPartitioner {
         while current.num_nodes() > coarse_limit {
             let clustering_cfg = ClusteringConfig {
                 max_cluster_weight,
-                rounds: cfg.lp_rounds,
-                seed: cfg.seed.wrapping_add(levels.len() as u64),
+                rounds: LP_ROUNDS,
+                seed: seed.wrapping_add(levels.len() as u64),
             };
             let cluster = label_propagation(&current, &clustering_cfg);
             let (compact, num_clusters) = relabel(&cluster);
@@ -94,12 +77,12 @@ impl MultilevelPartitioner {
         }
 
         // ---- Initial partitioning --------------------------------------
-        let mut assignment = initial_partition(&current, k, cfg.epsilon, cfg.seed);
+        let mut assignment = initial_partition(&current, k, epsilon, seed);
 
         // ---- Uncoarsening + refinement ----------------------------------
         let refine_cfg = RefineConfig {
-            epsilon: cfg.epsilon,
-            rounds: cfg.refine_rounds,
+            epsilon,
+            rounds: REFINE_ROUNDS,
         };
         refine(&current, &mut assignment, k, &refine_cfg);
         while let Some((fine, mapping)) = levels.pop() {
@@ -122,15 +105,13 @@ impl MultilevelPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{partition, register_algorithms};
     use oms_core::JobSpec;
-    use oms_graph::InMemoryStream;
 
     #[test]
     fn multilevel_produces_valid_balanced_partition() {
         let g = oms_gen::planted_partition(600, 8, 0.1, 0.005, 3);
-        let p = MultilevelPartitioner::new(8, MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
+        let p = partition("multilevel:8", &g);
         assert_eq!(p.num_nodes(), 600);
         assert!(p.validate(&vec![1; 600]));
         assert!(p.is_balanced(0.03 + 1e-9), "imbalance {}", p.imbalance());
@@ -141,11 +122,8 @@ mod tests {
         // The whole point of the in-memory baseline: much better cuts than
         // one-pass streaming (Fig. 2b shows KaMinPar far ahead of Fennel).
         let g = oms_gen::planted_partition(800, 16, 0.08, 0.004, 7);
-        let ml = MultilevelPartitioner::new(16, MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
-        let fennel = JobSpec::flat("fennel", 16).build().unwrap();
-        let fennel = fennel.partition(&mut InMemoryStream::new(&g)).unwrap();
+        let ml = partition("multilevel:16", &g);
+        let fennel = partition("fennel:16", &g);
         assert!(
             ml.edge_cut(&g) < fennel.edge_cut(&g),
             "multilevel {} vs fennel {}",
@@ -157,9 +135,7 @@ mod tests {
     #[test]
     fn multilevel_works_when_graph_is_already_small() {
         let g = oms_gen::erdos_renyi_gnm(100, 300, 5);
-        let p = MultilevelPartitioner::new(4, MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
+        let p = partition("multilevel:4", &g);
         assert_eq!(p.num_nodes(), 100);
         assert!(p.is_balanced(0.04));
     }
@@ -167,9 +143,7 @@ mod tests {
     #[test]
     fn multilevel_on_mesh_graphs() {
         let g = oms_gen::grid_2d(40, 40);
-        let p = MultilevelPartitioner::new(4, MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
+        let p = partition("multilevel:4", &g);
         assert!(p.is_balanced(0.031));
         // A 40×40 grid split into 4 balanced parts needs to cut roughly 2×40
         // edges; accept anything clearly below a random assignment.
@@ -179,12 +153,13 @@ mod tests {
     #[test]
     fn zero_blocks_is_rejected_and_empty_graph_is_fine() {
         let g = CsrGraph::empty(0);
-        assert!(MultilevelPartitioner::new(0, MultilevelConfig::default())
+        register_algorithms();
+        assert!(JobSpec::flat("multilevel", 0).build().is_err());
+        // The solver itself refuses k = 0 too, should a row's constructor
+        // be called past the registry's validation.
+        assert!(MultilevelPartitioner::new(0, 0.03, 0)
             .partition(&g)
             .is_err());
-        let p = MultilevelPartitioner::new(4, MultilevelConfig::default())
-            .partition(&g)
-            .unwrap();
-        assert_eq!(p.num_nodes(), 0);
+        assert_eq!(partition("multilevel:4", &g).num_nodes(), 0);
     }
 }

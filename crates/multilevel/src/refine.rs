@@ -10,11 +10,11 @@ use oms_graph::CsrGraph;
 
 /// Options for the refinement.
 #[derive(Clone, Copy, Debug)]
-pub struct RefineConfig {
+pub(crate) struct RefineConfig {
     /// Allowed imbalance ε.
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// Number of refinement rounds.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
 }
 
 impl Default for RefineConfig {
@@ -27,7 +27,7 @@ impl Default for RefineConfig {
 }
 
 /// Refines `assignment` in place; returns the number of nodes moved.
-pub fn refine(
+pub(crate) fn refine(
     graph: &CsrGraph,
     assignment: &mut [BlockId],
     k: u32,

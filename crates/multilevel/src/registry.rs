@@ -8,7 +8,7 @@
 
 use crate::buffered::BufferedMultilevel;
 use crate::hierarchical::RecursiveMultisection;
-use crate::partitioner::{MultilevelConfig, MultilevelPartitioner};
+use crate::partitioner::MultilevelPartitioner;
 use oms_core::api::{materialize_stream, JobSpec, Partitioner, ALGORITHMS};
 use oms_core::executor::PassTrajectory;
 use oms_core::{refine_partition, Entry, Partition, PartitionError, Result};
@@ -135,19 +135,12 @@ fn with_refinement(base: Box<dyn Partitioner>, spec: &JobSpec) -> Box<dyn Partit
     })
 }
 
-fn multilevel_config(spec: &JobSpec) -> MultilevelConfig {
-    MultilevelConfig {
-        epsilon: spec.epsilon,
-        seed: spec.seed,
-        ..MultilevelConfig::default()
-    }
-}
-
 fn build_multilevel(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
     Ok(with_refinement(
         Box::new(MultilevelPartitioner::new(
             spec.num_blocks(),
-            multilevel_config(spec),
+            spec.epsilon,
+            spec.seed,
         )),
         spec,
     ))
@@ -172,18 +165,15 @@ fn build_rms(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
     Ok(with_refinement(
         Box::new(RecursiveMultisection::new(
             hierarchy.clone(),
-            multilevel_config(spec),
+            spec.epsilon,
+            spec.seed,
         )),
         spec,
     ))
 }
 
 fn build_buffered(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    Ok(Box::new(
-        BufferedMultilevel::new(spec.num_blocks(), spec.buffer, multilevel_config(spec))
-            .passes(spec.passes)
-            .convergence(spec.convergence),
-    ))
+    Ok(Box::new(BufferedMultilevel::new(spec)))
 }
 
 /// Registers the in-memory baselines (`multilevel`, `rms`) and the buffered

@@ -14,10 +14,14 @@
 //!   object-safe [`Partitioner`](prelude::Partitioner) API;
 //! * [`mapping`] (`oms-mapping`) — hierarchical topologies, the mapping
 //!   objective `J(C, D, Π)`, greedy block→PE construction and local search;
-//! * [`multilevel`] (`oms-multilevel`) — the in-memory multilevel baseline;
+//! * [`multilevel`] (`oms-multilevel`) — the in-memory `multilevel` and
+//!   `rms` baselines and the `buffered` streaming job, whose registry rows
+//!   [`register_multilevel_algorithms`](prelude::register_multilevel_algorithms)
+//!   adds (the crate's whole public surface);
 //! * [`edgepart`] (`oms-edgepart`) — streaming **vertex-cut** edge
 //!   partitioning (`e-hash`, `e-dbh`, the HDRF-style `e-greedy`) with
-//!   replication-factor tracking and multi-pass re-streaming;
+//!   replication-factor tracking and multi-pass re-streaming, built from a
+//!   job by [`build_edge_partitioner`](prelude::build_edge_partitioner);
 //! * [`dynamic`] (`oms-dynamic`) — long-lived partition maintenance on
 //!   evolving graphs: delta ingestion, local repair, drift-triggered
 //!   restream fallback and warm restart from on-disk snapshots;
@@ -31,9 +35,16 @@
 //!
 //! ## Quickstart
 //!
-//! Every algorithm in the workspace is built from one
-//! [`JobSpec`](prelude::JobSpec) string through the shared dispatch
-//! registry:
+//! Every algorithm in the workspace is built from a
+//! [`JobSpec`](prelude::JobSpec) string and from nothing else: node and
+//! mapping jobs through the shared dispatch registry
+//! ([`JobSpec::build`](prelude::JobSpec::build)), `e-*` jobs through the
+//! edge registry ([`build_edge_partitioner`](prelude::build_edge_partitioner))
+//! and maintained jobs through
+//! [`PartitionState::new`](prelude::PartitionState::new); no registered
+//! algorithm has a typed constructor of its own. The [`prelude`] is the
+//! supported surface; the per-crate modules above re-export the rest (disk
+//! I/O, the drive loop, the trace exporters) for tools and tests.
 //!
 //! ```
 //! use oms::prelude::*;
@@ -88,7 +99,7 @@ pub mod prelude {
     };
     pub use oms_edgepart::{
         build_edge_partitioner, is_edge_algorithm, EdgePartition, EdgePartitionReport,
-        EdgePartitioner, EdgePassStats, StreamingEdgePartitioner, EDGE_ALGORITHMS,
+        EdgePassStats, EDGE_ALGORITHMS,
     };
     pub use oms_gen::{
         barabasi_albert, churn_trace, degree_proportional_edge_weights, delaunay_graph,
@@ -101,10 +112,7 @@ pub mod prelude {
         EdgesOf, GraphBuilder, InMemoryStream, NodeBatch, NodeOrdering, NodeStream, StreamedEdge,
     };
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
-    pub use oms_multilevel::{
-        register_algorithms as register_multilevel_algorithms, BufferedMultilevel,
-        MultilevelConfig, MultilevelPartitioner, RecursiveMultisection,
-    };
+    pub use oms_multilevel::register_algorithms as register_multilevel_algorithms;
     pub use oms_obs::{
         CounterId, Event, FlightRecorder, HistId, Histogram, HistogramSnapshot, Metrics,
         NoopObserver, ObsCore, ObsGuard, Observer, Stopwatch, TraceSummary,

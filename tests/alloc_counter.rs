@@ -33,9 +33,8 @@
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
 
-use oms::core::api::DEFAULT_EPSILON;
 use oms::core::executor::run;
-use oms::core::{FlatObjective, RepairSink};
+use oms::core::RepairSink;
 use oms::dynamic::PartitionState;
 use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
 use oms::graph::{DeltaBatch, StreamedNode};
@@ -104,17 +103,11 @@ fn peak_live_bytes_during<F: FnOnce()>(f: F) -> u64 {
 fn steady_state_scoring_is_allocation_free() {
     for (k, n) in [(32, 2_000usize), (32, 8_000), (1024, 2_000), (1024, 8_000)] {
         let g = planted_partition(n, 8, 0.05, 0.005, 11);
-        for objective in [FlatObjective::Fennel, FlatObjective::Ldg] {
+        for objective in ["fennel", "ldg"] {
             let mut stream = InMemoryStream::new(&g);
-            let mut sink = RepairSink::new(
-                k,
-                g.num_nodes(),
-                g.num_edges(),
-                g.total_node_weight(),
-                DEFAULT_EPSILON,
-                objective,
-            )
-            .unwrap();
+            let job = JobSpec::flat(objective, k);
+            let (m, weight) = (g.num_edges(), g.total_node_weight());
+            let mut sink = RepairSink::new(&job, g.num_nodes(), m, weight).unwrap();
             // Warm pass: every node assigned, every buffer at its final size.
             run(&mut stream, &mut sink).unwrap();
             let allocs = allocations_during(|| {
@@ -122,7 +115,7 @@ fn steady_state_scoring_is_allocation_free() {
             });
             assert_eq!(
                 allocs, 0,
-                "{objective:?}:{k} steady-state pass over n={n} allocated {allocs} times; \
+                "{objective}:{k} steady-state pass over n={n} allocated {allocs} times; \
                  the hot path must run on pre-sized buffers only"
             );
             // What `oms-dynamic` does per delta: counts shift, so `L_max`
@@ -149,7 +142,7 @@ fn steady_state_scoring_is_allocation_free() {
             });
             assert_eq!(
                 allocs, 0,
-                "{objective:?}:{k} per-delta repair steps over n={n} allocated {allocs} times"
+                "{objective}:{k} per-delta repair steps over n={n} allocated {allocs} times"
             );
         }
     }

@@ -284,12 +284,12 @@ fn temp_dir() -> PathBuf {
 
 fn edge_assignments(job: &str, stream: &mut dyn EdgeStream) -> (Vec<BlockId>, Vec<u64>) {
     let spec = JobSpec::parse(job).unwrap();
-    let (partition, trajectory) = build_edge_partitioner(&spec)
+    let report = build_edge_partitioner(&spec)
         .unwrap()
-        .partition_edges_tracked(stream)
+        .run(stream)
         .unwrap_or_else(|e| panic!("{job}: {e}"));
-    let replicas: Vec<u64> = trajectory.iter().map(|s| s.total_replicas).collect();
-    (partition.assignments().to_vec(), replicas)
+    let replicas: Vec<u64> = report.trajectory.iter().map(|s| s.total_replicas).collect();
+    (report.partition.assignments().to_vec(), replicas)
 }
 
 /// Every edge algorithm × passes ∈ {1, 3} must produce byte-identical edge
@@ -354,8 +354,8 @@ fn multi_pass_over_a_corrupt_disk_file_fails_with_the_typed_error() {
     let spec = JobSpec::parse("e-greedy:4@seed=3,passes=3").unwrap();
     let err = build_edge_partitioner(&spec)
         .unwrap()
-        .partition_edges(&mut EdgesOf(stream))
-        .map(|p| p.num_edges())
+        .run(&mut EdgesOf(stream))
+        .map(|report| report.partition.num_edges())
         .unwrap_err();
     assert!(
         err.to_string().contains("truncated"),

@@ -24,21 +24,17 @@ fn run(text: &str, graph: &CsrGraph) -> Partition {
 /// objectives.
 #[test]
 fn quality_ordering_matches_the_paper() {
+    register_multilevel_algorithms();
     let graph = planted_partition(1_500, 16, 0.04, 0.001, 11);
     let k = 64u32;
-    let hierarchy = HierarchySpec::parse("4:4:4").unwrap();
     let topology = Topology::parse("4:4:4", "1:10:100").unwrap();
 
     let hashing = run(&format!("hashing:{k}"), &graph);
     let fennel = run(&format!("fennel:{k}"), &graph);
     let nh_oms = run(&format!("nh-oms:{k}"), &graph);
     let oms = run("oms:4:4:4", &graph);
-    let multilevel = MultilevelPartitioner::new(k, MultilevelConfig::default())
-        .partition(&graph)
-        .unwrap();
-    let offline = RecursiveMultisection::new(hierarchy, MultilevelConfig::default())
-        .partition(&graph)
-        .unwrap();
+    let multilevel = run(&format!("multilevel:{k}"), &graph);
+    let offline = run("rms:4:4:4", &graph);
 
     // Edge-cut ordering (Fig. 2b).
     let cut = |p: &Partition| p.edge_cut(&graph);

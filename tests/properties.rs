@@ -314,11 +314,13 @@ fn jobspec_display_parse_round_trip() {
 /// The multilevel baseline produces valid partitions on arbitrary graphs.
 #[test]
 fn multilevel_valid_on_arbitrary_graphs() {
+    register_multilevel_algorithms();
     run_cases(24, |rng| {
         let graph = arbitrary_graph(rng, 40, 150);
         let k = rng.gen_range(2u32..8);
-        let p = MultilevelPartitioner::new(k, MultilevelConfig::default())
-            .partition(&graph)
+        let p = JobSpec::flat("multilevel", k)
+            .build()
+            .and_then(|p| p.partition(&mut InMemoryStream::new(&graph)))
             .unwrap();
         assert_eq!(p.num_nodes(), graph.num_nodes());
         assert!(p.validate(graph.node_weights()));
