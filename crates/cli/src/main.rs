@@ -34,7 +34,7 @@
 use oms_core::knobs::{self, KNOBS};
 use oms_core::{FlatObjective, JobShape, JobSpec, PartitionReport, Partitioner, ALGORITHMS};
 use oms_graph::io::{write_edge_list, write_metis, write_stream_file, DiskStream, MetisStream};
-use oms_graph::{CsrGraph, EdgesOf, InMemoryStream, NodeId, NodeStream};
+use oms_graph::{CsrGraph, InMemoryStream, NodeId, NodeStream};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
@@ -674,7 +674,7 @@ fn print_job_report(
 /// the job's edge partitioner over the graph's edges, in CSR order.
 fn edge_run(job: &JobSpec, graph: &CsrGraph) -> Result<oms_edgepart::EdgePartitionReport, Error> {
     let partitioner = oms_edgepart::build_edge_partitioner(job)?;
-    Ok(partitioner.run(&mut EdgesOf(InMemoryStream::new(graph)))?)
+    Ok(partitioner.run(&mut InMemoryStream::new(graph))?)
 }
 
 /// The report of an edge job: the replication factor instead of the

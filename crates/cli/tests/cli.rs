@@ -1403,7 +1403,7 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
         assert_graph_error_everywhere(&path, "oms", "METIS parse error");
     }
     // Node 1 lists node 2 four times, node 2 never lists node 1: the right
-    // entry count, and `MetisStream`'s XOR fingerprint cancels in pairs.
+    // entry count, and an XOR of the entries cancels in pairs.
     let path = dir.join("four-times.metis");
     std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
     assert_every_leg_refuses_asymmetry(&path, "oms");

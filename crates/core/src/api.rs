@@ -70,8 +70,7 @@
 //! id per node, no node weight — `O(k)` loads, one bit per node for the
 //! in-pass tally, for a multi-pass run the best pass's assignment) plus one
 //! batch of the source, and a disk source bounds its batches
-//! by adjacency entries as well as by nodes
-//! ([`oms_graph::BATCH_ENTRY_BOUND`]) — `O(n + batch)` in total, which is
+//! by adjacency entries (64 Ki) as well as by nodes — `O(n + batch)` in total, which is
 //! what lets the CLI run such jobs straight off a stream file, one pass or
 //! many. Each pass reads the input once: a node keeps the block a pass
 //! places it in until the next pass, each undirected edge is streamed from

@@ -269,7 +269,10 @@ const GATHER_CAPACITY: usize = 1024;
 /// in 7 of 8 pairs), 44 −1.3 % (6/8), 48 −3.5 % (7/8), 64 −11 % (8/8); one
 /// pass at 96: −7.5 % (8/8). Against the exact loop the wide select gained
 /// from 32 on; the narrow select moves the crossover to 36–48, and 48 is
-/// still the narrowest width with a gain outside the noise.
+/// still the narrowest width with a gain outside the noise. The two selects
+/// stay two because each loses on the other's widths: every group of 8 or
+/// more on the wide select made `fennel:16@passes=4` 9.1 % slower, and every
+/// group on the narrow select made `fennel:1024` 86 % slower.
 const WIDE_SELECT: usize = 48;
 
 /// Sibling groups at least this wide (and narrower than [`WIDE_SELECT`])

@@ -52,7 +52,7 @@ use crate::partition::EdgePartition;
 use oms_core::executor::{PassOutcome, PassTracker};
 use oms_core::partition::UNASSIGNED;
 use oms_core::{BlockId, JobSpec, PartitionError, RestreamOptions, Result};
-use oms_graph::{EdgeStream, GraphError, NodeId, StreamedEdge};
+use oms_graph::{EdgeWeight, GraphError, NodeId, NodeStream, SymmetryProof};
 use oms_obs::{CounterId, Event, Stopwatch};
 
 /// Which block-selection rule a [`StreamingEdgePartitioner`] applies.
@@ -75,6 +75,15 @@ impl EdgeAlgoKind {
             EdgeAlgoKind::Greedy => "e-greedy",
         }
     }
+}
+
+/// An undirected edge as a pass hands it to the sink: both endpoints, the
+/// smaller first, and the weight.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    u: NodeId,
+    v: NodeId,
+    weight: EdgeWeight,
 }
 
 /// A streaming edge partitioner (any of the three rules), as
@@ -106,11 +115,14 @@ impl StreamingEdgePartitioner {
         }
     }
 
-    /// Partitions the edges delivered by `stream` — up to the job's pass
-    /// budget, rewinding the stream between passes — into an
-    /// [`EdgePartitionReport`]. All quality numbers come from the sink's
-    /// incrementally maintained state; no extra metric pass is paid.
-    pub fn run(&self, stream: &mut dyn EdgeStream) -> Result<EdgePartitionReport> {
+    /// Partitions the edges of the graph `stream` delivers — each at its
+    /// smaller endpoint, up to the job's pass budget, rewinding the stream
+    /// between passes — into an [`EdgePartitionReport`]. All quality numbers
+    /// come from the sink's incrementally maintained state; no extra metric
+    /// pass is paid. Adjacency lists that are not symmetric, or that hold a
+    /// different number of edges than the stream announces, are a typed
+    /// graph error.
+    pub fn run(&self, stream: &mut dyn NodeStream) -> Result<EdgePartitionReport> {
         if self.k == 0 {
             return Err(PartitionError::InvalidConfig(
                 "the number of blocks k must be positive".into(),
@@ -241,7 +253,7 @@ impl AlgoSink {
         }
     }
 
-    fn assign(&mut self, index: usize, edge: StreamedEdge, b: BlockId) {
+    fn assign(&mut self, index: usize, edge: Edge, b: BlockId) {
         self.assignments[index] = b;
         self.block_loads[b as usize] += edge.weight;
         self.block_counts[b as usize] += 1;
@@ -249,7 +261,7 @@ impl AlgoSink {
         self.add_replica(edge.v, b);
     }
 
-    fn unassign(&mut self, index: usize, edge: StreamedEdge) {
+    fn unassign(&mut self, index: usize, edge: Edge) {
         let b = self.assignments[index];
         self.assignments[index] = UNASSIGNED;
         self.block_loads[b as usize] -= edge.weight;
@@ -259,7 +271,7 @@ impl AlgoSink {
     }
 
     /// HDRF block selection (see the [module docs](self)).
-    fn select_greedy(&self, edge: StreamedEdge) -> BlockId {
+    fn select_greedy(&self, edge: Edge) -> BlockId {
         let du = self.degrees[edge.u as usize] as f64;
         let dv = self.degrees[edge.v as usize] as f64;
         // Both degrees count the current edge, so du + dv ≥ 2.
@@ -291,7 +303,7 @@ impl AlgoSink {
         best
     }
 
-    fn select(&self, edge: StreamedEdge) -> BlockId {
+    fn select(&self, edge: Edge) -> BlockId {
         match self.kind {
             EdgeAlgoKind::Hash => (hash_edge(edge.u, edge.v, self.seed) % self.k as u64) as BlockId,
             EdgeAlgoKind::Dbh => {
@@ -310,7 +322,7 @@ impl AlgoSink {
 
     /// Consumes the next edge of the stream; `index` is its stream
     /// position, stable across passes and sources.
-    fn process(&mut self, index: usize, edge: StreamedEdge) {
+    fn process(&mut self, index: usize, edge: Edge) {
         if self.pass == 0 {
             // From the edge that takes ω(E) past `u64::MAX` on, no edge is
             // placed, and the pass ends in a typed error.
@@ -335,7 +347,7 @@ impl AlgoSink {
     /// trajectory of the accepted passes; the sink is left on the last one.
     fn restream(
         &mut self,
-        stream: &mut dyn EdgeStream,
+        stream: &mut dyn NodeStream,
         opts: &RestreamOptions,
     ) -> Result<Vec<EdgePassStats>> {
         let m = stream.num_edges();
@@ -456,21 +468,34 @@ impl AlgoSink {
     }
 }
 
-/// One full pass of `stream` through `f`, verifying that the stream
-/// delivered exactly the announced number of edges: a source whose
-/// adjacency lists are not symmetric streams a different count, and its
-/// assignment array could not address them.
+/// One full pass of `stream` through `f`: every undirected edge once, at its
+/// smaller endpoint (`u < v`), numbered by its position in the pass — a pure
+/// function of the node order, so identical across every source that streams
+/// the same nodes and stable across passes.
+///
+/// The pass verifies that it delivered exactly the announced number of edges
+/// (the assignment array could not address more) and then proves the
+/// adjacency lists symmetric ([`SymmetryProof::walk_entry`]): an edge listed
+/// only from one endpoint would otherwise be placed once or never, whatever
+/// the count says.
 fn drive_pass(
-    stream: &mut dyn EdgeStream,
+    stream: &mut dyn NodeStream,
     expected_edges: usize,
-    f: &mut dyn FnMut(usize, StreamedEdge),
+    f: &mut dyn FnMut(usize, Edge),
 ) -> Result<()> {
     let mut index = 0usize;
-    stream.for_each_edge(&mut |edge| {
-        if index < expected_edges {
-            f(index, edge);
+    let mut proof = SymmetryProof::default();
+    stream.for_each_node(&mut |node| {
+        let u = node.node;
+        for (v, weight) in node.neighbors_weighted() {
+            proof.walk_entry(u, v, weight);
+            if u < v {
+                if index < expected_edges {
+                    f(index, Edge { u, v, weight });
+                }
+                index += 1;
+            }
         }
-        index += 1;
     })?;
     if index != expected_edges {
         return Err(GraphError::CountMismatch {
@@ -480,6 +505,7 @@ fn drive_pass(
         }
         .into());
     }
+    proof.check()?;
     Ok(())
 }
 
@@ -487,7 +513,8 @@ fn drive_pass(
 mod tests {
     use super::*;
     use crate::build_edge_partitioner;
-    use oms_graph::{CsrGraph, EdgesOf, InMemoryStream};
+    use oms_graph::io::{write_stream_file, DiskStream};
+    use oms_graph::{CsrGraph, InMemoryStream, StreamedNode};
 
     const KINDS: [&str; 3] = ["e-hash", "e-dbh", "e-greedy"];
 
@@ -512,96 +539,70 @@ mod tests {
     }
 
     /// The report of `job` over the edges of `stream`.
-    fn report(job: &str, stream: &mut dyn EdgeStream) -> Result<EdgePartitionReport> {
+    fn report(job: &str, stream: &mut dyn NodeStream) -> Result<EdgePartitionReport> {
         build_edge_partitioner(&JobSpec::parse(job).unwrap())?.run(stream)
     }
 
     fn run(job: &str, g: &CsrGraph) -> EdgePartitionReport {
-        report(job, &mut EdgesOf(InMemoryStream::new(g))).unwrap_or_else(|e| panic!("{job}: {e}"))
+        report(job, &mut InMemoryStream::new(g)).unwrap_or_else(|e| panic!("{job}: {e}"))
     }
 
-    /// Re-measures the replication summary of `report` from scratch by replaying
-    /// `stream` against the recorded assignment — a cross-check used by tests
-    /// (the incremental sink state must agree with a cold recount).
-    fn recount_replicas(
-        stream: &mut dyn EdgeStream,
-        assignments: &[BlockId],
-        k: u32,
-    ) -> Result<EdgeQuality> {
-        if assignments.len() < stream.num_edges() {
-            return Err(PartitionError::InvalidConfig(format!(
-                "assignment covers {} edges but the stream announces {}",
-                assignments.len(),
-                stream.num_edges()
-            )));
-        }
-        let n = stream.num_nodes();
-        let mut replicas: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    /// Re-measures the replication summary of an assignment of `g`'s edges,
+    /// in [`CsrGraph::edges`] order (the order a natural-order pass hands
+    /// them out), from scratch — a cross-check of the sink's incremental
+    /// state that shares no code with it.
+    fn recount_replicas(g: &CsrGraph, assignments: &[BlockId], k: u32) -> EdgeQuality {
+        assert_eq!(assignments.len(), g.num_edges());
+        let mut replicas: Vec<Vec<BlockId>> = vec![Vec::new(); g.num_nodes()];
         let mut block_loads = vec![0u64; k as usize];
-        let mut index = 0usize;
-        stream.for_each_edge(&mut |edge| {
-            let b = assignments[index];
-            index += 1;
-            if b == UNASSIGNED {
-                return;
-            }
-            block_loads[b as usize] += edge.weight;
-            for x in [edge.u, edge.v] {
+        for ((u, v, w), &b) in g.edges().zip(assignments) {
+            block_loads[b as usize] += w;
+            for x in [u, v] {
                 let set = &mut replicas[x as usize];
                 if !set.contains(&b) {
                     set.push(b);
                 }
             }
-        })?;
-        let total_replicas: u64 = replicas.iter().map(|r| r.len() as u64).sum();
-        Ok(EdgeQuality {
-            total_replicas,
+        }
+        EdgeQuality {
+            total_replicas: replicas.iter().map(|r| r.len() as u64).sum(),
             covered_vertices: replicas.iter().filter(|r| !r.is_empty()).count() as u64,
             max_replicas: replicas.iter().map(|r| r.len() as u32).max().unwrap_or(0),
             max_load: block_loads.iter().copied().max().unwrap_or(0),
             total_load: block_loads.iter().sum(),
-        })
-    }
-
-    #[test]
-    fn every_algorithm_assigns_every_edge() {
-        let g = star_plus_path();
-        for kind in KINDS {
-            let partition = run(&format!("{kind}:3"), &g).partition;
-            assert_eq!(partition.num_edges(), g.num_edges());
-            assert!(partition.validate());
-            assert_eq!(partition.total_load(), g.total_edge_weight());
-            assert!(partition.replication_factor() >= 1.0);
         }
     }
 
-    /// Node 0 lists node 1 twice and node 1 lists nobody, under a header of
-    /// one edge: the edge view streams each edge from its smaller endpoint,
-    /// so it delivers two.
-    struct OneSided;
+    /// Hand-written adjacency lists of nodes `0..lists.len()` under a header
+    /// of `m` edges, every entry `(neighbor, weight)`.
+    struct Lists {
+        m: usize,
+        lists: Vec<Vec<(NodeId, EdgeWeight)>>,
+    }
 
-    impl oms_graph::NodeStream for OneSided {
+    fn lists(m: usize, lists: &[&[(NodeId, EdgeWeight)]]) -> Lists {
+        let lists = lists.iter().map(|list| list.to_vec()).collect();
+        Lists { m, lists }
+    }
+
+    impl NodeStream for Lists {
         fn num_nodes(&self) -> usize {
-            2
+            self.lists.len()
         }
         fn num_edges(&self) -> usize {
-            1
+            self.m
         }
         fn total_node_weight(&self) -> u64 {
-            2
+            self.lists.len() as u64
         }
-        fn for_each_node(
-            &mut self,
-            f: &mut dyn FnMut(oms_graph::StreamedNode<'_>),
-        ) -> oms_graph::Result<()> {
-            let lists: [&[u32]; 2] = [&[1, 1], &[]];
-            for (node, neighbors) in (0..).zip(lists) {
-                let edge_weights = &[1, 1][..neighbors.len()];
-                f(oms_graph::StreamedNode {
+        fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> oms_graph::Result<()> {
+            for (node, list) in (0..).zip(&self.lists) {
+                let (neighbors, edge_weights): (Vec<_>, Vec<_>) = list.iter().copied().unzip();
+                f(StreamedNode {
                     node,
                     weight: 1,
-                    neighbors,
-                    edge_weights,
+                    neighbors: &neighbors,
+                    edge_weights: &edge_weights,
                 });
             }
             Ok(())
@@ -609,9 +610,31 @@ mod tests {
     }
 
     #[test]
+    fn every_algorithm_assigns_every_edge() {
+        // A weighted graph too: every edge's weight reaches its block.
+        let mut weighted = oms_graph::GraphBuilder::new(4);
+        for (u, v, w) in [(0, 1, 7), (1, 2, 9), (2, 3, 2), (3, 0, 5)] {
+            weighted.add_weighted_edge(u, v, w).unwrap();
+        }
+        for g in [star_plus_path(), weighted.build()] {
+            for kind in KINDS {
+                let partition = run(&format!("{kind}:3"), &g).partition;
+                assert_eq!(partition.num_edges(), g.num_edges());
+                assert!(partition.validate());
+                assert_eq!(partition.total_load(), g.total_edge_weight());
+                assert!(partition.replication_factor() >= 1.0);
+            }
+        }
+    }
+
+    #[test]
     fn an_edge_stream_longer_than_its_header_is_a_typed_error() {
+        // Node 0 lists node 1 twice and node 1 lists nobody, under a header
+        // of one edge: the pass hands out each edge from its smaller
+        // endpoint, so it delivers two.
+        let one_sided = || lists(1, &[&[(1, 1), (1, 1)], &[]]);
         for kind in KINDS {
-            let err = report(&format!("{kind}:2"), &mut EdgesOf(OneSided))
+            let err = report(&format!("{kind}:2"), &mut one_sided())
                 .unwrap_err()
                 .to_string();
             let expected = "header implies 1 edges (each undirected edge streamed once) but the \
@@ -621,12 +644,42 @@ mod tests {
     }
 
     #[test]
+    fn one_sided_adjacency_lists_are_a_typed_error() {
+        // Node 0 lists 1 and 2, node 3 lists 0 and 1, nobody lists them
+        // back: 2m entries and m of them with `u < v`, so both counts agree
+        // with the header, and only the symmetry proof refuses the lists.
+        let one_sided = || lists(2, &[&[(1, 1), (2, 1)], &[], &[], &[(0, 1), (1, 1)]]);
+        for kind in KINDS {
+            for passes in [1, 3] {
+                let job = format!("{kind}:2@passes={passes}");
+                let err = report(&job, &mut one_sided()).unwrap_err();
+                assert!(
+                    matches!(&err, PartitionError::Graph(GraphError::Invalid(message))
+                        if message.contains("not symmetric")),
+                    "{job}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let g = star_plus_path();
+        // A disk stream run twice, rewound in between, gives the same pass.
+        let path = std::env::temp_dir().join(format!(
+            "oms-edgepart-deterministic-{}.oms",
+            std::process::id()
+        ));
+        write_stream_file(&g, &path).unwrap();
+        let mut disk = DiskStream::open(&path).unwrap();
         for kind in KINDS {
             let job = format!("{kind}:4@seed=9");
-            assert_eq!(run(&job, &g).partition, run(&job, &g).partition, "{kind}");
+            let first = run(&job, &g).partition;
+            assert_eq!(first, run(&job, &g).partition, "{kind}");
+            disk.reset().unwrap();
+            assert_eq!(first, report(&job, &mut disk).unwrap().partition, "{kind}");
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -694,12 +747,7 @@ mod tests {
         let g = oms_gen::rmat_graph(9, 4096, oms_gen::RmatParams::GRAPH500, 5);
         for kind in KINDS {
             let partition = run(&format!("{kind}:8@passes=2"), &g).partition;
-            let recount = recount_replicas(
-                &mut EdgesOf(InMemoryStream::new(&g)),
-                partition.assignments(),
-                8,
-            )
-            .unwrap();
+            let recount = recount_replicas(&g, partition.assignments(), 8);
             assert_eq!(recount.total_replicas, partition.total_replicas(), "{kind}");
             assert_eq!(recount.max_replicas, partition.max_replicas(), "{kind}");
             assert_eq!(
@@ -758,38 +806,22 @@ mod tests {
         }
     }
 
-    /// Streams the listed weighted edges of a three-node graph.
-    struct Edges(&'static [(NodeId, NodeId, u64)]);
-
-    impl EdgeStream for Edges {
-        fn num_nodes(&self) -> usize {
-            3
-        }
-        fn num_edges(&self) -> usize {
-            self.0.len()
-        }
-        fn for_each_edge(&mut self, f: &mut dyn FnMut(StreamedEdge)) -> oms_graph::Result<()> {
-            for &(u, v, weight) in self.0 {
-                f(StreamedEdge { u, v, weight });
-            }
-            Ok(())
-        }
-    }
-
     #[test]
     fn an_edge_weight_sum_past_u64_max_is_a_typed_error() {
         const HALF: u64 = 1 << 63;
+        // The path 0 - 1 - 2 with edge weights `w01` and `w12`.
+        let path = |w01, w12| lists(2, &[&[(1, w01)], &[(0, w01), (2, w12)], &[(1, w12)]]);
         for kind in KINDS {
             for (k, passes) in [(1, 1), (2, 1), (2, 3)] {
                 let job = format!("{kind}:{k}@passes={passes}");
-                let err = report(&job, &mut Edges(&[(0, 1, HALF), (1, 2, HALF)])).unwrap_err();
+                let err = report(&job, &mut path(HALF, HALF)).unwrap_err();
                 assert!(
                     matches!(&err, PartitionError::Graph(GraphError::Invalid(message))
                         if message == "the total edge weight ω(E) exceeds u64::MAX"),
                     "{job}: {err}"
                 );
                 // Exactly u64::MAX still fits, in any block.
-                let fits = report(&job, &mut Edges(&[(0, 1, HALF), (1, 2, HALF - 1)])).unwrap();
+                let fits = report(&job, &mut path(HALF, HALF - 1)).unwrap();
                 assert_eq!(fits.partition.total_load(), u64::MAX, "{job}");
             }
         }
@@ -797,37 +829,17 @@ mod tests {
 
     #[test]
     fn an_edge_stream_that_miscounts_its_edges_is_a_graph_error() {
-        /// Announces one edge and delivers it twice, as `EdgesOf` does over
-        /// a node listed twice in one adjacency list and in no other.
-        struct Miscounted;
-        impl EdgeStream for Miscounted {
-            fn num_nodes(&self) -> usize {
-                2
-            }
-            fn num_edges(&self) -> usize {
-                1
-            }
-            fn for_each_edge(&mut self, f: &mut dyn FnMut(StreamedEdge)) -> oms_graph::Result<()> {
-                for _ in 0..2 {
-                    f(StreamedEdge {
-                        u: 0,
-                        v: 1,
-                        weight: 1,
-                    });
-                }
-                Ok(())
-            }
-        }
+        // One edge, listed from both endpoints, under a header of two.
+        let short = || lists(2, &[&[(1, 1)], &[(0, 1)]]);
         for kind in KINDS {
             for passes in [1, 2] {
-                let err =
-                    report(&format!("{kind}:2@passes={passes}"), &mut Miscounted).unwrap_err();
+                let err = report(&format!("{kind}:2@passes={passes}"), &mut short()).unwrap_err();
                 assert!(
                     matches!(
                         err,
                         PartitionError::Graph(GraphError::CountMismatch {
-                            expected: 1,
-                            found: 2,
+                            expected: 2,
+                            found: 1,
                             ..
                         })
                     ),
@@ -845,7 +857,7 @@ mod tests {
         let build = crate::EDGE_ALGORITHMS.find("e-hash").unwrap().build;
         let err = build(&spec)
             .unwrap()
-            .run(&mut EdgesOf(InMemoryStream::new(&star_plus_path())))
+            .run(&mut InMemoryStream::new(&star_plus_path()))
             .unwrap_err();
         assert!(err.to_string().contains("positive"), "{err}");
     }

@@ -109,7 +109,7 @@ fn builtin_edge_algorithms() -> Vec<Entry<StreamingEdgePartitioner>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oms_graph::{CsrGraph, EdgesOf, InMemoryStream};
+    use oms_graph::{CsrGraph, InMemoryStream};
 
     fn sample() -> CsrGraph {
         oms_gen::planted_partition(300, 4, 0.1, 0.01, 3)
@@ -145,7 +145,7 @@ mod tests {
         ] {
             let spec = JobSpec::parse(text).unwrap();
             let report = build_edge_partitioner(&spec)
-                .and_then(|p| p.run(&mut EdgesOf(InMemoryStream::new(&graph))))
+                .and_then(|p| p.run(&mut InMemoryStream::new(&graph)))
                 .unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(report.num_blocks(), 8, "{text}");
             assert_eq!(report.partition.num_edges(), graph.num_edges(), "{text}");

@@ -35,10 +35,12 @@
 //! and records a per-pass [`EdgePassStats`] trajectory that is
 //! non-increasing in the total replica count by construction.
 //!
-//! Edges are consumed through [`oms_graph::EdgeStream`] — any node-stream
-//! source (in-memory or disk, unit or weighted) adapts via
-//! [`oms_graph::EdgesOf`], so edge partitioning needs no new on-disk format
-//! and inherits byte-identical behavior across sources.
+//! A job reads the same [`oms_graph::NodeStream`] the node partitioners
+//! read — in-memory, `.oms` or METIS text, unit or weighted — and takes each
+//! undirected edge at its smaller endpoint, so edge partitioning needs no
+//! edge format of its own and its assignments are byte-identical across
+//! sources. Each pass proves the adjacency lists symmetric, as the node
+//! engine's first pass does: one-sided lists are a typed graph error.
 //!
 //! A job is described by the same [`JobSpec`] grammar as the node
 //! partitioners (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and a
@@ -54,14 +56,14 @@
 //! ```
 //! use oms_core::JobSpec;
 //! use oms_edgepart::build_edge_partitioner;
-//! use oms_graph::{CsrGraph, EdgesOf, InMemoryStream};
+//! use oms_graph::{CsrGraph, InMemoryStream};
 //!
 //! let graph = CsrGraph::from_edges(6, &[
 //!     (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4),
 //! ]).unwrap();
 //! let job: JobSpec = "e-greedy:2@lambda=1".parse().unwrap();
 //! let partitioner = build_edge_partitioner(&job).unwrap();
-//! let report = partitioner.run(&mut EdgesOf(InMemoryStream::new(&graph))).unwrap();
+//! let report = partitioner.run(&mut InMemoryStream::new(&graph)).unwrap();
 //! assert_eq!(report.partition.num_edges(), 7);
 //! assert!(report.replication_factor >= 1.0);
 //! ```

@@ -5,10 +5,11 @@ use oms_core::BlockId;
 /// A partition of the **edges** of a graph into `k` blocks (a vertex-cut).
 ///
 /// Assignments are indexed by *stream position*: the `i`-th entry is the
-/// block of the `i`-th edge delivered by the [`oms_graph::EdgeStream`] the
-/// partitioner consumed. Since every stream source induces the same edge
-/// order (see [`oms_graph::EdgesOf`]), the index is stable across sources
-/// and passes.
+/// block of the `i`-th edge of the pass, each edge taken at its smaller
+/// endpoint as the [`oms_graph::NodeStream`] delivers the nodes. The order
+/// is a pure function of the node order, so the index is stable across
+/// sources and passes (in natural order it is [`oms_graph::CsrGraph::edges`]
+/// order).
 ///
 /// Alongside the assignment the partition carries the replication summary
 /// the producing sink maintained incrementally: the total replica count

@@ -40,7 +40,7 @@ impl NodeBatch {
 
     /// An empty batch with room for `nodes` nodes and `edge_entries`
     /// adjacency entries.
-    pub fn with_capacity(nodes: usize, edge_entries: usize) -> Self {
+    pub(crate) fn with_capacity(nodes: usize, edge_entries: usize) -> Self {
         let mut offsets = Vec::with_capacity(nodes + 1);
         offsets.push(0);
         NodeBatch {
@@ -85,7 +85,7 @@ impl NodeBatch {
 
     /// Appends a node given as raw parts. `neighbors` and `edge_weights`
     /// must be aligned.
-    pub fn push_parts(
+    pub(crate) fn push_parts(
         &mut self,
         id: NodeId,
         weight: NodeWeight,
@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(first.edge_weights, &[10, 20, 30]);
 
         let second = batch.get(1);
-        assert_eq!(second.degree(), 0);
+        assert!(second.neighbors.is_empty());
 
         let third = batch.get(2);
         assert_eq!(third.neighbors, &[4]);

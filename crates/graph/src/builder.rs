@@ -39,16 +39,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes this builder was created for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of edges added so far (before deduplication).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Sets the weight of node `v`.
     pub fn set_node_weight(&mut self, v: NodeId, w: NodeWeight) -> Result<()> {
         self.check_node(v)?;
@@ -211,8 +201,8 @@ mod tests {
 
     #[test]
     fn capacity_constructor_counts_nodes() {
-        let b = GraphBuilder::with_capacity(7, 100);
-        assert_eq!(b.num_nodes(), 7);
-        assert_eq!(b.num_pending_edges(), 0);
+        let g = GraphBuilder::with_capacity(7, 100).build();
+        assert_eq!(g.num_nodes(), 7);
+        assert_eq!(g.num_edges(), 0);
     }
 }

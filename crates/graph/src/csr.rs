@@ -35,31 +35,6 @@ fn half_sum(eweights: &[EdgeWeight]) -> EdgeWeight {
 }
 
 impl CsrGraph {
-    /// Builds a graph directly from CSR arrays.
-    ///
-    /// The arrays are taken as-is; callers that cannot guarantee the CSR
-    /// invariants should go through [`crate::GraphBuilder`] instead. The
-    /// invariants are checked and an error is returned if they do not hold.
-    pub fn from_csr(
-        xadj: Vec<usize>,
-        adjncy: Vec<NodeId>,
-        eweights: Vec<EdgeWeight>,
-        nweights: Vec<NodeWeight>,
-    ) -> Result<Self> {
-        let total_node_weight = nweights.iter().sum();
-        let total_edge_weight = half_sum(&eweights);
-        let g = CsrGraph {
-            xadj,
-            adjncy,
-            eweights,
-            nweights,
-            total_node_weight,
-            total_edge_weight,
-        };
-        g.validate()?;
-        Ok(g)
-    }
-
     /// Builds a graph from CSR arrays without validating symmetry.
     ///
     /// Used internally by builders that construct the arrays in a way that is
@@ -122,7 +97,7 @@ impl CsrGraph {
 
     /// Number of directed arcs stored (`2m`).
     #[inline]
-    pub fn num_arcs(&self) -> usize {
+    pub(crate) fn num_arcs(&self) -> usize {
         self.adjncy.len()
     }
 
@@ -149,13 +124,6 @@ impl CsrGraph {
     pub fn degree(&self, v: NodeId) -> usize {
         let v = v as usize;
         self.xadj[v + 1] - self.xadj[v]
-    }
-
-    /// Sum of the weights of edges incident to `v`.
-    #[inline]
-    pub fn weighted_degree(&self, v: NodeId) -> EdgeWeight {
-        let v = v as usize;
-        self.eweights[self.xadj[v]..self.xadj[v + 1]].iter().sum()
     }
 
     /// Maximum degree `Δ` of the graph.
@@ -248,11 +216,6 @@ impl CsrGraph {
         self.neighbors_weighted(u)
             .find(|&(x, _)| x == v)
             .map(|(_, w)| w)
-    }
-
-    /// Whether the edge `{u, v}` exists.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_weight(u, v).is_some()
     }
 
     /// Raw CSR offsets (mostly useful for I/O and tests).
@@ -380,8 +343,7 @@ impl CsrGraph {
     /// Returns a copy of this graph with the node weights replaced.
     ///
     /// The adjacency arrays are copied as-is — an `O(n + m)` memcpy with
-    /// **no** symmetry re-check (unlike [`CsrGraph::from_csr`], which walks
-    /// every arc twice). Errors when the weight slice length differs from
+    /// **no** symmetry re-check. Errors when the weight slice length differs from
     /// the node count or a weight is zero.
     pub fn with_node_weights(&self, nweights: Vec<NodeWeight>) -> Result<Self> {
         if nweights.len() != self.num_nodes() {
@@ -490,8 +452,8 @@ mod tests {
         assert_eq!(g.num_arcs(), 6);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.max_degree(), 2);
-        assert!(g.has_edge(0, 2));
-        assert!(!g.has_edge(0, 0));
+        assert!(g.edge_weight(0, 2).is_some());
+        assert!(g.edge_weight(0, 0).is_none());
         assert_eq!(g.edge_weight(1, 2), Some(1));
         assert!((g.average_degree() - 2.0).abs() < 1e-12);
         g.validate().unwrap();
@@ -537,9 +499,9 @@ mod tests {
         assert_eq!(s.num_nodes(), 3);
         assert_eq!(s.num_edges(), 2);
         assert_eq!(mapping, vec![0, 1, 2]);
-        assert!(s.has_edge(0, 1));
-        assert!(s.has_edge(1, 2));
-        assert!(!s.has_edge(0, 2));
+        assert!(s.edge_weight(0, 1).is_some());
+        assert!(s.edge_weight(1, 2).is_some());
+        assert!(s.edge_weight(0, 2).is_none());
         s.validate().unwrap();
     }
 
@@ -549,7 +511,7 @@ mod tests {
         let (s, mapping) = g.induced_subgraph(&[2, 2, 3, 2]);
         assert_eq!(s.num_nodes(), 2);
         assert_eq!(mapping, vec![2, 3]);
-        assert!(s.has_edge(0, 1));
+        assert!(s.edge_weight(0, 1).is_some());
     }
 
     #[test]
@@ -621,13 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn weighted_degree_sums_incident_weights() {
+    fn incident_weights_sum_to_the_weighted_degree() {
         let mut b = crate::GraphBuilder::new(3);
         b.add_weighted_edge(0, 1, 5).unwrap();
         b.add_weighted_edge(0, 2, 7).unwrap();
         let g = b.build();
-        assert_eq!(g.weighted_degree(0), 12);
-        assert_eq!(g.weighted_degree(1), 5);
+        assert_eq!(g.incident_edge_weights(0).iter().sum::<u64>(), 12);
+        assert_eq!(g.incident_edge_weights(1), &[5]);
         assert_eq!(g.total_edge_weight(), 12);
     }
 

@@ -30,7 +30,7 @@ use std::path::Path;
 
 /// The kind of one graph mutation in a [`DeltaBatch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeltaKind {
+pub(crate) enum DeltaKind {
     /// Insert an undirected edge `{u, v}` with a weight.
     EdgeInsert,
     /// Delete the edge `{u, v}`.
@@ -78,8 +78,7 @@ pub enum Delta {
 
 /// A batch of graph mutations in structure-of-arrays layout, mirroring
 /// [`NodeBatch`](crate::NodeBatch): four parallel arrays (kind, two node
-/// operands, weight) that recycle their allocations across batches via
-/// [`DeltaBatch::clear`]. One batch is the unit of ingestion — the dynamic
+/// operands, weight). One batch is the unit of ingestion — the dynamic
 /// layer applies a whole batch, then reports quality at the checkpoint.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaBatch {
@@ -115,16 +114,8 @@ impl DeltaBatch {
         self.kinds.is_empty()
     }
 
-    /// Empties the batch, keeping its allocations for reuse.
-    pub fn clear(&mut self) {
-        self.kinds.clear();
-        self.a.clear();
-        self.b.clear();
-        self.weights.clear();
-    }
-
     /// Appends one operation.
-    pub fn push(&mut self, delta: Delta) {
+    pub(crate) fn push(&mut self, delta: Delta) {
         let (kind, a, b, w) = match delta {
             Delta::EdgeInsert { u, v, w } => (DeltaKind::EdgeInsert, u, v, w),
             Delta::EdgeDelete { u, v } => (DeltaKind::EdgeDelete, u, v, 0),
@@ -292,7 +283,7 @@ fn parse_line(text: &str, line: u64) -> Result<Option<Delta>> {
 /// Parses a delta trace from text, splitting it at `!` checkpoints into one
 /// [`DeltaBatch`] per section. A final section without a trailing `!` forms
 /// a last batch; empty sections are dropped.
-pub fn parse_delta_trace(text: &str) -> Result<Vec<DeltaBatch>> {
+pub(crate) fn parse_delta_trace(text: &str) -> Result<Vec<DeltaBatch>> {
     let mut batches = Vec::new();
     let mut current = DeltaBatch::new();
     for (i, raw) in text.lines().enumerate() {
@@ -315,7 +306,8 @@ pub fn parse_delta_trace(text: &str) -> Result<Vec<DeltaBatch>> {
     Ok(batches)
 }
 
-/// Reads a delta trace file (see the [module docs](self) for the grammar).
+/// Reads a delta trace file: one operation per line (`+e u v [w]`, `-e u v`,
+/// `+n v [w]`, `-n v`; `#` starts a comment), `!` ending a batch.
 pub fn read_delta_trace(path: impl AsRef<Path>) -> Result<Vec<DeltaBatch>> {
     let mut text = String::new();
     BufReader::new(File::open(path)?).read_to_string(&mut text)?;
@@ -324,7 +316,7 @@ pub fn read_delta_trace(path: impl AsRef<Path>) -> Result<Vec<DeltaBatch>> {
 
 /// Serializes batches into the trace text format; every batch ends with a
 /// `!` checkpoint line.
-pub fn format_delta_trace(batches: &[DeltaBatch]) -> String {
+pub(crate) fn format_delta_trace(batches: &[DeltaBatch]) -> String {
     let mut out = String::new();
     for batch in batches {
         for delta in batch.iter() {
@@ -360,8 +352,8 @@ mod tests {
         assert_eq!(batch.get(1), Delta::EdgeDelete { u: 3, v: 4 });
         assert_eq!(batch.get(2), Delta::NodeInsert { node: 9, weight: 2 });
         assert_eq!(batch.get(3), Delta::NodeDelete { node: 7 });
-        batch.clear();
-        assert!(batch.is_empty());
+        assert!(!batch.is_empty());
+        assert!(DeltaBatch::new().is_empty());
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub fn read_edge_list<P: AsRef<Path>>(path: P, num_nodes: Option<usize>) -> Resu
     read_edge_list_from(BufReader::new(file), num_nodes)
 }
 
-/// Reads an edge list from a string. See [`read_edge_list`].
-pub fn read_edge_list_str(contents: &str, num_nodes: Option<usize>) -> Result<CsrGraph> {
-    read_edge_list_from(BufReader::new(contents.as_bytes()), num_nodes)
-}
-
 fn read_edge_list_from<R: BufRead>(reader: R, num_nodes: Option<usize>) -> Result<CsrGraph> {
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     let mut max_id: u64 = 0;
@@ -91,40 +86,40 @@ mod tests {
     #[test]
     fn parses_simple_edge_list() {
         let text = "# comment\n0 1\n1 2\n2 0\n";
-        let g = read_edge_list_str(text, None).unwrap();
+        let g = read_edge_list_from(text.as_bytes(), None).unwrap();
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 3);
     }
 
     #[test]
     fn infers_node_count_from_max_id() {
-        let g = read_edge_list_str("0 9\n", None).unwrap();
+        let g = read_edge_list_from("0 9\n".as_bytes(), None).unwrap();
         assert_eq!(g.num_nodes(), 10);
         assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn explicit_node_count_allows_isolated_nodes() {
-        let g = read_edge_list_str("0 1\n", Some(5)).unwrap();
+        let g = read_edge_list_from("0 1\n".as_bytes(), Some(5)).unwrap();
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.degree(4), 0);
     }
 
     #[test]
     fn removes_directions_and_duplicates() {
-        let g = read_edge_list_str("0 1\n1 0\n0 1\n1 1\n", None).unwrap();
+        let g = read_edge_list_from("0 1\n1 0\n0 1\n1 1\n".as_bytes(), None).unwrap();
         assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn malformed_line_is_error() {
-        assert!(read_edge_list_str("0\n", None).is_err());
-        assert!(read_edge_list_str("0 x\n", None).is_err());
+        assert!(read_edge_list_from("0\n".as_bytes(), None).is_err());
+        assert!(read_edge_list_from("0 x\n".as_bytes(), None).is_err());
     }
 
     #[test]
     fn empty_input_gives_empty_graph() {
-        let g = read_edge_list_str("", None).unwrap();
+        let g = read_edge_list_from("".as_bytes(), None).unwrap();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
     }

@@ -33,17 +33,16 @@
 //! * **Per token:** ids in `1..=n`, weights positive and within `u64`.
 //! * **At the end of every pass,** what one pass can verify in `O(1)`
 //!   memory: the node-line count is `n`, the adjacency entries sum to `2m`,
-//!   and the lists are symmetric — an XOR fingerprint of
-//!   `hash(min(u,v), max(u,v), ω)` over all entries must cancel to zero,
-//!   which it does when every undirected edge is listed from both endpoints
-//!   with the same weight (a fingerprint: an edge listed four times cancels
-//!   too).
+//!   and the lists are symmetric — every entry is filed in a
+//!   [`SymmetryProof`](crate::SymmetryProof), which balances when every
+//!   undirected edge is listed from both endpoints equally often with the
+//!   same weight.
 //! * **Between passes:** [`NodeStream::reset`] re-opens the input and
 //!   compares its length and header with what [`MetisStream::open`] saw.
 
 use crate::batch::NodeBatch;
 use crate::stream::{
-    collect_graph, mix64, NodeStream, StreamedNode, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
+    collect_graph, NodeStream, StreamedNode, SymmetryProof, BATCH_ENTRY_BOUND, DEFAULT_BATCH_SIZE,
 };
 use crate::{CsrGraph, EdgeWeight, GraphError, NodeId, NodeWeight, Result};
 use std::fs::File;
@@ -96,8 +95,9 @@ enum Input<'a> {
 }
 
 /// A one-pass stream over METIS text, read straight off the file in
-/// `O(batch)` memory (see the [module docs](self) for what each pass
-/// checks).
+/// `O(batch)` memory. Every pass checks the node-line count, the entry count
+/// and the symmetry of the lists; [`NodeStream::reset`] re-opens the input
+/// and compares it with what [`MetisStream::open`] saw.
 ///
 /// The header is parsed — and bounded against the input's length — when the
 /// stream is opened, so `num_nodes`/`num_edges` are safe to size buffers
@@ -127,7 +127,7 @@ impl MetisStream<'static> {
 impl<'a> MetisStream<'a> {
     /// Streams METIS text held in memory; otherwise like
     /// [`MetisStream::open`].
-    pub fn from_text(text: &'a str) -> Result<Self> {
+    pub(crate) fn from_text(text: &'a str) -> Result<Self> {
         Self::new(Input::Text(text.as_bytes()))
     }
 
@@ -230,14 +230,6 @@ fn is_delimiter(b: u8) -> bool {
     b == b'\n' || is_blank(b)
 }
 
-/// Direction-independent hash of one adjacency entry: `u`'s entry for `v`
-/// and `v`'s entry for `u` hash alike exactly when their weights agree.
-#[inline]
-fn entry_hash(u: NodeId, v: NodeId, w: EdgeWeight) -> u64 {
-    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-    mix64((((lo as u64) << 32) | hi as u64) ^ mix64(w))
-}
-
 /// The decode state of one pass: a chunked reader, the byte-level tokenizer
 /// on top of it, and the running totals the end-of-pass checks compare
 /// with the header.
@@ -267,8 +259,8 @@ struct Scanner<'a> {
     node: usize,
     /// Adjacency entries read so far (self-loops excluded).
     entries: u64,
-    /// XOR of [`entry_hash`] over those entries.
-    fingerprint: u64,
+    /// Those entries, filed by id order.
+    proof: SymmetryProof,
     weight_sum: NodeWeight,
 }
 
@@ -301,7 +293,7 @@ impl<'a> Scanner<'a> {
             bytes,
             node: 0,
             entries: 0,
-            fingerprint: 0,
+            proof: SymmetryProof::default(),
             weight_sum: 0,
         })
     }
@@ -636,7 +628,7 @@ impl<'a> Scanner<'a> {
                     continue; // self-loops are dropped
                 }
                 self.entries += 1;
-                self.fingerprint ^= entry_hash(node, neighbor, edge_weight);
+                self.proof.walk_entry(node, neighbor, edge_weight);
                 batch.neighbors_vec_mut().push(neighbor);
                 if edge_weights {
                     batch.edge_weights_vec_mut().push(edge_weight);
@@ -677,7 +669,7 @@ impl<'a> Scanner<'a> {
                 ),
             ));
         }
-        if self.fingerprint != 0 {
+        if self.proof.check().is_err() {
             return Err(metis_err(
                 0,
                 "adjacency lists are not symmetric: some edge is not listed from both of \
@@ -958,7 +950,7 @@ mod tests {
 
     #[test]
     fn zero_weight_graph_is_rejected_at_write_time() {
-        let g = CsrGraph::from_csr(vec![0, 1, 2], vec![1, 0], vec![0, 0], vec![1, 1]).unwrap();
+        let g = CsrGraph::from_csr_unchecked(vec![0, 1, 2], vec![1, 0], vec![0, 0], vec![1, 1]);
         match write_metis_string(&g).unwrap_err() {
             GraphError::WeightOutOfRange { what, value, .. } => {
                 assert_eq!(what, "edge");
@@ -974,8 +966,8 @@ mod tests {
         let g = parse(text).unwrap();
         assert_eq!(g.num_nodes(), 4);
         assert_eq!(g.num_edges(), 4);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 3));
+        assert!(g.edge_weight(0, 1).is_some());
+        assert!(g.edge_weight(1, 3).is_some());
     }
 
     #[test]
@@ -1051,6 +1043,10 @@ mod tests {
         assert!(msg.contains("not symmetric"), "{msg}");
         // Both directions listed, with different weights.
         let (line, msg) = expect_metis_err("2 1 1\n2 5\n1 6\n");
+        assert_eq!(line, 0);
+        assert!(msg.contains("not symmetric"), "{msg}");
+        // Four times from one side: an XOR of the entries cancels.
+        let (line, msg) = expect_metis_err("3 2\n2 2 2 2\n\n\n");
         assert_eq!(line, 0);
         assert!(msg.contains("not symmetric"), "{msg}");
     }

@@ -90,8 +90,8 @@ pub struct SnapshotPass {
 }
 
 /// The persisted state of a dynamic partition: assignments, restream
-/// trajectory and drift counters. See the [module docs](self) for the
-/// on-disk layout.
+/// trajectory and drift counters, kept as a trailer behind the node body of
+/// the `.oms` file ([`write_snapshot`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PartitionSnapshot {
     /// Number of blocks.
@@ -134,7 +134,8 @@ fn trailer_offset(file: &mut File) -> Result<Option<u64>> {
 
 /// Reads the snapshot trailer of `stream`'s file, if present.
 ///
-/// Runs [`DiskStream::revalidate`] first, so a swapped or rewritten stream
+/// Checks first that the file still matches the header [`DiskStream::open`]
+/// read, so a swapped or rewritten stream
 /// file is a typed error rather than a stale snapshot. Returns `Ok(None)`
 /// for a file without a trailer.
 pub fn read_snapshot(stream: &DiskStream) -> Result<Option<PartitionSnapshot>> {
@@ -219,7 +220,8 @@ pub fn read_snapshot(stream: &DiskStream) -> Result<Option<PartitionSnapshot>> {
 
 /// Writes (or replaces) the snapshot trailer of `stream`'s file.
 ///
-/// Runs [`DiskStream::revalidate`] first; requires at least one assignment
+/// Checks first that the file still matches the header [`DiskStream::open`]
+/// read; requires at least one assignment
 /// per node announced by the header (the dynamic id space can only grow past
 /// the base graph). The node body is never modified: a previous trailer is
 /// truncated away and the new one appended in its place.
@@ -279,7 +281,8 @@ pub fn write_snapshot(stream: &DiskStream, snapshot: &PartitionSnapshot) -> Resu
 }
 
 /// Removes the snapshot trailer of `stream`'s file, if present; returns
-/// whether one was removed. Runs [`DiskStream::revalidate`] first.
+/// whether one was removed. Checks first that the file still matches the
+/// header [`DiskStream::open`] read.
 pub fn clear_snapshot(stream: &DiskStream) -> Result<bool> {
     stream.revalidate()?;
     let mut file = OpenOptions::new()
@@ -408,7 +411,7 @@ mod tests {
                 };
                 assert!(cut >= body_len, "cut {cut}: opened a torn body");
                 let mut nodes = 0;
-                stream.stream_nodes(|_| nodes += 1).unwrap();
+                stream.for_each_node(&mut |_| nodes += 1).unwrap();
                 assert_eq!(nodes, 5, "cut {cut}");
                 match read_snapshot(&stream) {
                     Ok(Some(read)) => {

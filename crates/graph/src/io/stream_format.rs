@@ -397,9 +397,8 @@ fn read_header<R: Read>(r: &mut R) -> Result<Header> {
 impl DiskStream {
     /// Opens a vertex-stream file and reads its header.
     ///
-    /// The header's counts are checked against the file's length (see the
-    /// [module docs](self)), so `num_nodes`/`num_edges` are safe to size
-    /// buffers from.
+    /// The header's counts are checked against the file's length, so
+    /// `num_nodes`/`num_edges` are safe to size buffers from.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let (header, layout, _) = read_checked_header(&path)?;
@@ -414,7 +413,7 @@ impl DiskStream {
     }
 
     /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
@@ -428,7 +427,7 @@ impl DiskStream {
     /// the trailer section, so a stream file that was truncated or swapped
     /// between a warm resume and the next delta ingest surfaces as a typed
     /// [`GraphError`] instead of silently reading a different graph.
-    pub fn revalidate(&self) -> Result<()> {
+    pub(crate) fn revalidate(&self) -> Result<()> {
         let (header, _, _) = read_checked_header(&self.path)?;
         if header.n != self.num_nodes {
             return Err(GraphError::CountMismatch {
@@ -880,7 +879,7 @@ mod tests {
             let mut seen: Vec<(NodeId, NodeWeight, Vec<NodeId>, Vec<EdgeWeight>)> = Vec::new();
             DiskStream::open(path)
                 .unwrap()
-                .stream_nodes(|n| {
+                .for_each_node(&mut |n| {
                     seen.push((
                         n.node,
                         n.weight,
@@ -904,7 +903,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
         assert_eq!(stream.total_node_weight(), 99);
-        match stream.stream_nodes(|_| {}).unwrap_err() {
+        match stream.for_each_node(&mut |_| {}).unwrap_err() {
             GraphError::CountMismatch {
                 what,
                 expected,
@@ -951,7 +950,7 @@ mod tests {
             bytes[offset as usize..offset as usize + 8].copy_from_slice(&0u64.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             let mut stream = DiskStream::open(&path).unwrap();
-            match stream.stream_nodes(|_| {}).unwrap_err() {
+            match stream.for_each_node(&mut |_| {}).unwrap_err() {
                 GraphError::WeightOutOfRange {
                     what: found,
                     node,
@@ -980,7 +979,7 @@ mod tests {
         bytes[56..64].copy_from_slice(&half.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
-        match stream.stream_nodes(|_| {}).unwrap_err() {
+        match stream.for_each_node(&mut |_| {}).unwrap_err() {
             GraphError::Parse(msg) => assert!(msg.contains("overflow"), "{msg}"),
             other => panic!("expected a typed overflow error, got: {other}"),
         }
@@ -990,7 +989,7 @@ mod tests {
     #[test]
     fn zero_weight_graph_is_rejected_at_write_time() {
         // A hand-built graph with a zero edge weight must not produce a file.
-        let g = CsrGraph::from_csr(vec![0, 1, 2], vec![1, 0], vec![0, 0], vec![1, 1]).unwrap();
+        let g = CsrGraph::from_csr_unchecked(vec![0, 1, 2], vec![1, 0], vec![0, 0], vec![1, 1]);
         let path = temp_path("zero-write.oms");
         std::fs::remove_file(&path).ok();
         match write_stream_file(&g, &path).unwrap_err() {
@@ -1036,9 +1035,9 @@ mod tests {
         write_stream_file(&g, &path).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
         let mut first = Vec::new();
-        stream.stream_nodes(|n| first.push(n.node)).unwrap();
+        stream.for_each_node(&mut |n| first.push(n.node)).unwrap();
         let mut second = Vec::new();
-        stream.stream_nodes(|n| second.push(n.node)).unwrap();
+        stream.for_each_node(&mut |n| second.push(n.node)).unwrap();
         assert_eq!(first, second);
         assert_eq!(first, vec![0, 1, 2, 3]);
         std::fs::remove_file(&path).ok();
@@ -1111,7 +1110,7 @@ mod tests {
         let mut reference = Vec::new();
         let mut stream = DiskStream::open(&path).unwrap();
         stream
-            .stream_nodes(|n| {
+            .for_each_node(&mut |n| {
                 reference.push((
                     n.node,
                     n.weight,
@@ -1185,10 +1184,14 @@ mod tests {
         let mut stream = DiskStream::open(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 6]).unwrap();
         let mut count_first = 0usize;
-        let first = expect_truncated(stream.stream_nodes(|_| count_first += 1).unwrap_err());
+        let first = expect_truncated(stream.for_each_node(&mut |_| count_first += 1).unwrap_err());
         assert_eq!(expect_truncated(stream.reset().unwrap_err()).0, 6);
         let mut count_second = 0usize;
-        let second = expect_truncated(stream.stream_nodes(|_| count_second += 1).unwrap_err());
+        let second = expect_truncated(
+            stream
+                .for_each_node(&mut |_| count_second += 1)
+                .unwrap_err(),
+        );
         assert_eq!(first, second, "second pass must restart from the top");
         assert_eq!(
             count_first, count_second,
@@ -1213,9 +1216,9 @@ mod tests {
             } => (what, expected, found),
             other => panic!("expected CountMismatch, got: {other}"),
         };
-        let first = as_mismatch(stream.stream_nodes(|_| {}).unwrap_err());
+        let first = as_mismatch(stream.for_each_node(&mut |_| {}).unwrap_err());
         stream.reset().unwrap();
-        let second = as_mismatch(stream.stream_nodes(|_| {}).unwrap_err());
+        let second = as_mismatch(stream.for_each_node(&mut |_| {}).unwrap_err());
         assert_eq!(first, second);
         std::fs::remove_file(&path).ok();
     }
@@ -1226,7 +1229,7 @@ mod tests {
         let path = temp_path("swapped.oms");
         write_stream_file(&g, &path).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
-        stream.stream_nodes(|_| {}).unwrap();
+        stream.for_each_node(&mut |_| {}).unwrap();
         // Swap in a file with a different node count under the same path.
         let other = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         write_stream_file(&other, &path).unwrap();
@@ -1253,7 +1256,7 @@ mod tests {
         let path = temp_path("version-swap.oms");
         write_stream_file(&g, &path).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
-        stream.stream_nodes(|_| {}).unwrap();
+        stream.for_each_node(&mut |_| {}).unwrap();
         std::fs::write(&path, legacy_file(2)).unwrap();
         match stream.reset().unwrap_err() {
             GraphError::Parse(msg) => assert!(msg.contains("format v2"), "{msg}"),
@@ -1269,10 +1272,10 @@ mod tests {
         write_stream_file(&g, &path).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
         let mut first = Vec::new();
-        stream.stream_nodes(|n| first.push(n.node)).unwrap();
+        stream.for_each_node(&mut |n| first.push(n.node)).unwrap();
         stream.reset().unwrap();
         let mut second = Vec::new();
-        stream.stream_nodes(|n| second.push(n.node)).unwrap();
+        stream.for_each_node(&mut |n| second.push(n.node)).unwrap();
         assert_eq!(first, second);
         std::fs::remove_file(&path).ok();
     }
@@ -1331,7 +1334,7 @@ mod tests {
         let path = temp_path("degree-bomb.oms");
         std::fs::write(&path, &bytes).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
-        match stream.stream_nodes(|_| {}).unwrap_err() {
+        match stream.for_each_node(&mut |_| {}).unwrap_err() {
             GraphError::CountMismatch {
                 what,
                 expected,
@@ -1493,7 +1496,7 @@ mod tests {
         bytes[16..24].copy_from_slice(&2u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
-        match stream.stream_nodes(|_| {}).unwrap_err() {
+        match stream.for_each_node(&mut |_| {}).unwrap_err() {
             GraphError::CountMismatch {
                 what,
                 expected,
@@ -1506,7 +1509,7 @@ mod tests {
         bytes[40..44].copy_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let mut stream = DiskStream::open(&path).unwrap();
-        match stream.stream_nodes(|_| {}).unwrap_err() {
+        match stream.for_each_node(&mut |_| {}).unwrap_err() {
             GraphError::CountMismatch {
                 what,
                 expected,

@@ -11,16 +11,17 @@
 //! * [`GraphBuilder`] — an edge-list accumulator that deduplicates parallel
 //!   edges, drops self loops and produces a [`CsrGraph`].
 //! * [`NodeStream`] and its implementations — the *one-pass streaming model*
-//!   used throughout the paper: nodes arrive one at a time together with
-//!   their adjacency lists and must be assigned to blocks immediately.
+//!   used throughout the paper, and the crate's one stream model: nodes
+//!   arrive one at a time together with their adjacency lists and must be
+//!   assigned to blocks immediately. Vertex-cut (edge) partitioners read the
+//!   same stream and take each edge at its smaller endpoint, so no source
+//!   needs an edge format of its own.
 //! * [`NodeBatch`] and [`NodeStream::for_each_batch`] — the bulk face of
 //!   the same contract: sources fill reusable structure-of-arrays batches
 //!   ([`io::DiskStream`] and [`io::MetisStream`] decode straight into their
-//!   columns), which the buffered partitioners and [`EdgesOf`] consume whole.
-//! * [`EdgeStream`] and the [`EdgesOf`] adapter — the streaming
-//!   *edge*-partitioning (vertex-cut) face of the same sources: every
-//!   [`NodeStream`] becomes a batched `(u, v, w)` edge stream with
-//!   multi-pass `reset()`, no separate on-disk format required.
+//!   columns), and the buffered partitioner collects its buffer in one.
+//! * [`SymmetryProof`] — the proof, filed entry by entry during a pass, that
+//!   every edge is listed from both of its endpoints alike.
 //! * Graph I/O — the METIS text format, plain edge lists and a compact
 //!   binary *vertex-stream* format that can be streamed from disk.
 //! * [`NodeOrdering`] — stream orders (natural, random, BFS, DFS, degree)
@@ -32,28 +33,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod builder;
-pub mod csr;
-pub mod delta;
-pub mod edge_stream;
+mod batch;
+mod builder;
+mod csr;
+mod delta;
 pub mod io;
-pub mod ordering;
-pub mod stream;
+mod ordering;
+mod stream;
 pub mod traversal;
 
 pub use batch::NodeBatch;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use delta::{
-    format_delta_trace, parse_delta_trace, read_delta_trace, write_delta_trace, Delta, DeltaBatch,
-    DeltaKind,
-};
-pub use edge_stream::{EdgeBatch, EdgeStream, EdgesOf, StreamedEdge, DEFAULT_EDGE_BATCH_SIZE};
+pub use delta::{read_delta_trace, write_delta_trace, Delta, DeltaBatch};
 pub use ordering::NodeOrdering;
 pub use stream::{
-    collect_graph, InMemoryStream, NodeStream, StreamedNode, SymmetryProof, BATCH_ENTRY_BOUND,
-    DEFAULT_BATCH_SIZE,
+    collect_graph, InMemoryStream, NodeStream, StreamedNode, SymmetryProof, DEFAULT_BATCH_SIZE,
 };
 
 /// Identifier of a node. Graphs in this project are laptop-scale (tens of

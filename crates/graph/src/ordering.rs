@@ -33,7 +33,7 @@ impl NodeOrdering {
     /// Computes the permutation of node ids realising this ordering for the
     /// given graph. The result has length `n` and contains every node id
     /// exactly once.
-    pub fn permutation(&self, graph: &CsrGraph) -> Vec<NodeId> {
+    pub(crate) fn permutation(&self, graph: &CsrGraph) -> Vec<NodeId> {
         let n = graph.num_nodes();
         match self {
             NodeOrdering::Natural => (0..n as NodeId).collect(),
@@ -55,18 +55,6 @@ impl NodeOrdering {
                 perm.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
                 perm
             }
-        }
-    }
-
-    /// Short human-readable name used in experiment reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            NodeOrdering::Natural => "natural",
-            NodeOrdering::Random(_) => "random",
-            NodeOrdering::Bfs => "bfs",
-            NodeOrdering::Dfs => "dfs",
-            NodeOrdering::DegreeAscending => "degree-asc",
-            NodeOrdering::DegreeDescending => "degree-desc",
         }
     }
 }
@@ -143,9 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn names_are_stable() {
-        assert_eq!(NodeOrdering::Natural.name(), "natural");
-        assert_eq!(NodeOrdering::Random(7).name(), "random");
+    fn natural_is_the_default_order() {
         assert_eq!(NodeOrdering::default(), NodeOrdering::Natural);
     }
 }

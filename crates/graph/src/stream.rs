@@ -37,7 +37,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// Adjacency entries after which a disk source closes a batch early (see the
 /// [module docs](self)): 64 Ki entries = 768 KiB of neighbor ids and edge
 /// weights, the size of a default batch at average degree 16.
-pub const BATCH_ENTRY_BOUND: usize = 1 << 16;
+pub(crate) const BATCH_ENTRY_BOUND: usize = 1 << 16;
 
 /// A node as it appears on the stream: its id, weight and adjacency list.
 #[derive(Clone, Copy, Debug)]
@@ -53,11 +53,6 @@ pub struct StreamedNode<'a> {
 }
 
 impl<'a> StreamedNode<'a> {
-    /// Degree of the streamed node.
-    pub fn degree(&self) -> usize {
-        self.neighbors.len()
-    }
-
     /// Iterator over `(neighbor, edge weight)` pairs.
     pub fn neighbors_weighted(&self) -> impl Iterator<Item = (NodeId, EdgeWeight)> + 'a {
         self.neighbors
@@ -76,21 +71,20 @@ impl<'a> StreamedNode<'a> {
 /// A pass has two faces, and both are part of the contract:
 ///
 /// * [`NodeStream::for_each_node`] is the **drive contract**: the drive loop
-///   and the measurement walk in `oms-core`, [`collect_graph`] and the
-///   dynamic graph all consume it. A memory source serves each node as
+///   and the measurement walk in `oms-core`, the `e-*` edge jobs (each edge
+///   at its smaller endpoint), [`collect_graph`] and the dynamic graph all
+///   consume it. A memory source serves each node as
 ///   borrowed slices of its CSR arrays, so a per-node pass copies nothing —
 ///   routing those consumers through [`NodeBatch`]es instead would copy
 ///   12 bytes per adjacency entry on every in-memory pass.
 /// * [`NodeStream::for_each_batch`] is the **bulk face**, for consumers that
-///   need a run of nodes at once (the buffered partitioners' model graphs,
-///   [`crate::EdgesOf`]). It is the native face of the disk and METIS
+///   need a run of nodes at once. It is the native face of the disk and METIS
 ///   sources, which decode straight into batch columns and serve
 ///   `for_each_node` by walking those batches.
 ///
 /// The trait is dyn-compatible (`for_each_node` takes `&mut dyn FnMut`), so
 /// heterogeneous frontends can pass `&mut dyn NodeStream` to the object-safe
-/// partitioner API in `oms-core` without monomorphising per stream type. Use
-/// [`NodeStream::stream_nodes`] at call sites to keep passing plain closures.
+/// partitioner API in `oms-core` without monomorphising per stream type.
 pub trait NodeStream {
     /// Number of nodes `n` of the streamed graph.
     fn num_nodes(&self) -> usize;
@@ -125,8 +119,8 @@ pub trait NodeStream {
     /// Performs one pass delivering the stream in [`NodeBatch`]es of up to
     /// `batch_size` nodes (in stream order; concatenating all batches yields
     /// exactly one full pass). A source may close a batch early — disk
-    /// sources do at [`BATCH_ENTRY_BOUND`] adjacency entries — so only the
-    /// upper bound is part of the contract.
+    /// sources do at 64 Ki adjacency entries — so only the upper bound is
+    /// part of the contract.
     ///
     /// The default implementation accumulates `for_each_node` output into a
     /// reused batch buffer; sources override it to fill batches directly
@@ -155,16 +149,6 @@ pub trait NodeStream {
     /// return `None` and are materialised on demand.
     fn as_graph(&self) -> Option<&CsrGraph> {
         None
-    }
-
-    /// Convenience wrapper around [`NodeStream::for_each_node`] accepting a
-    /// plain closure (no `&mut` at the call site).
-    fn stream_nodes<F>(&mut self, mut f: F) -> Result<()>
-    where
-        F: FnMut(StreamedNode<'_>),
-        Self: Sized,
-    {
-        self.for_each_node(&mut f)
     }
 }
 
@@ -227,7 +211,7 @@ fn batches_from_graph(
 
 /// SplitMix64's finaliser: a bijective 64-bit mixer.
 #[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -251,8 +235,9 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 ///   in-pass tally files an entry as the second sighting when its other
 ///   endpoint was visited earlier in the pass;
 /// * [`SymmetryProof::walk_entry`] needs no state per node: the entry from
-///   the endpoint with the larger id is the second sighting. [`collect_graph`]
-///   and `oms-core`'s measurement walk prove with it.
+///   the endpoint with the larger id is the second sighting. [`collect_graph`],
+///   [`MetisStream`](crate::io::MetisStream)'s end-of-pass check, the `e-*`
+///   edge jobs' passes and `oms-core`'s measurement walk prove with it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SymmetryProof {
     fingerprint: u64,
@@ -427,11 +412,6 @@ impl<'g> InMemoryStream<'g> {
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
-    }
-
     fn streamed(&self, v: NodeId) -> StreamedNode<'_> {
         StreamedNode {
             node: v,
@@ -498,9 +478,9 @@ mod tests {
         let mut stream = InMemoryStream::new(&g);
         let mut seen = Vec::new();
         stream
-            .stream_nodes(|node| {
+            .for_each_node(&mut |node| {
                 seen.push(node.node);
-                assert_eq!(node.degree(), g.degree(node.node));
+                assert_eq!(node.neighbors.len(), g.degree(node.node));
             })
             .unwrap();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
@@ -521,7 +501,9 @@ mod tests {
         let perm = vec![4, 3, 2, 1, 0];
         let mut stream = InMemoryStream::with_permutation(&g, perm.clone());
         let mut seen = Vec::new();
-        stream.stream_nodes(|node| seen.push(node.node)).unwrap();
+        stream
+            .for_each_node(&mut |node| seen.push(node.node))
+            .unwrap();
         assert_eq!(seen, perm);
     }
 
@@ -530,7 +512,9 @@ mod tests {
         let g = sample();
         let mut stream = InMemoryStream::with_ordering(&g, NodeOrdering::Random(9));
         let mut seen = Vec::new();
-        stream.stream_nodes(|node| seen.push(node.node)).unwrap();
+        stream
+            .for_each_node(&mut |node| seen.push(node.node))
+            .unwrap();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
@@ -540,7 +524,7 @@ mod tests {
         let g = sample();
         let mut stream = InMemoryStream::new(&g);
         stream
-            .stream_nodes(|node| {
+            .for_each_node(&mut |node| {
                 if node.node == 1 {
                     let pairs: Vec<_> = node.neighbors_weighted().collect();
                     assert_eq!(pairs.len(), 3);

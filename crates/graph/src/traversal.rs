@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 /// Breadth-first order of all nodes, starting new searches from the smallest
 /// unvisited node id so that disconnected graphs are fully covered.
-pub fn bfs_order(graph: &CsrGraph) -> Vec<NodeId> {
+pub(crate) fn bfs_order(graph: &CsrGraph) -> Vec<NodeId> {
     let n = graph.num_nodes();
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
@@ -36,7 +36,7 @@ pub fn bfs_order(graph: &CsrGraph) -> Vec<NodeId> {
 /// Depth-first (pre-)order of all nodes, restarting from the smallest
 /// unvisited node id for disconnected graphs. Iterative to avoid stack
 /// overflows on path-like graphs.
-pub fn dfs_order(graph: &CsrGraph) -> Vec<NodeId> {
+pub(crate) fn dfs_order(graph: &CsrGraph) -> Vec<NodeId> {
     let n = graph.num_nodes();
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);

@@ -20,14 +20,13 @@
 
 use oms::edgepart::build_edge_partitioner;
 use oms::graph::io::{write_stream_file, DiskStream};
-use oms::graph::EdgesOf;
 use oms::prelude::*;
 
 fn run(job: &str, graph: &CsrGraph) -> oms::edgepart::EdgePartitionReport {
     let spec = JobSpec::parse(job).unwrap();
     build_edge_partitioner(&spec)
         .unwrap()
-        .run(&mut EdgesOf(InMemoryStream::new(graph)))
+        .run(&mut InMemoryStream::new(graph))
         .unwrap_or_else(|e| panic!("{job}: {e}"))
 }
 
@@ -79,7 +78,7 @@ fn main() {
     let spec = JobSpec::parse(&format!("e-greedy:{k}@seed=3,passes=2")).unwrap();
     let report = build_edge_partitioner(&spec)
         .unwrap()
-        .run(&mut EdgesOf(DiskStream::open(&path).unwrap()))
+        .run(&mut DiskStream::open(&path).unwrap())
         .unwrap();
     println!(
         "e-greedy (disk): RF {:.4} over {} passes ({:.3} s)",

@@ -108,8 +108,8 @@ pub mod prelude {
         TemporalConfig, TemporalScheme, WeightScheme,
     };
     pub use oms_graph::{
-        read_delta_trace, write_delta_trace, CsrGraph, Delta, DeltaBatch, EdgeBatch, EdgeStream,
-        EdgesOf, GraphBuilder, InMemoryStream, NodeBatch, NodeOrdering, NodeStream, StreamedEdge,
+        read_delta_trace, write_delta_trace, CsrGraph, Delta, DeltaBatch, GraphBuilder,
+        InMemoryStream, NodeBatch, NodeOrdering, NodeStream,
     };
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
     pub use oms_multilevel::register_algorithms as register_multilevel_algorithms;

@@ -12,9 +12,10 @@
 //! * multi-pass trajectories are non-increasing in the total replica count
 //!   and end on the returned assignment;
 //! * all three edge partitioners produce **byte-identical** edge
-//!   assignments across memory (natural and explicit order) / disk (v1
-//!   and v2) sources at 1 and 3 passes, on unit-weight and weighted graphs
-//!   alike;
+//!   assignments across memory (natural and explicit order) / disk (implicit
+//!   and forced weight sections) / METIS text sources at 1 and 3 passes, on
+//!   unit-weight and weighted graphs alike, and a random node order still
+//!   assigns every edge exactly once;
 //! * the incrementally maintained replication summary agrees with an
 //!   independent recount from the edge assignment.
 //!
@@ -24,7 +25,11 @@
 //! `cargo test --test edgepart_quality print_actuals -- --nocapture --ignored`.
 
 use oms::gen::RmatParams;
-use oms::graph::io::{write_stream_file, write_stream_file_with, DiskStream, StreamWriteOptions};
+use oms::graph::io::{
+    write_metis, write_stream_file, write_stream_file_with, DiskStream, MetisStream,
+    StreamWriteOptions,
+};
+use oms::graph::NodeId;
 use oms::prelude::*;
 use std::path::PathBuf;
 
@@ -91,7 +96,7 @@ fn report_for(job: &str, graph: &CsrGraph) -> EdgePartitionReport {
     let spec = JobSpec::parse(job).unwrap();
     build_edge_partitioner(&spec)
         .unwrap()
-        .run(&mut EdgesOf(InMemoryStream::new(graph)))
+        .run(&mut InMemoryStream::new(graph))
         .unwrap_or_else(|e| panic!("{job}: {e}"))
 }
 
@@ -194,9 +199,9 @@ fn multi_pass_trajectories_are_non_increasing_on_the_corpus() {
     }
 }
 
-/// The replication summary of an edge assignment into `k` blocks, recounted
-/// from scratch: per-vertex replica sets built edge by edge in
-/// [`CsrGraph::edges`] order (the order every `EdgesOf` stream induces). It
+/// The replication summary of an assignment of `edges` (the edges of a graph
+/// on `n` nodes, in the order the job numbered them) into `k` blocks,
+/// recounted from scratch: per-vertex replica sets built edge by edge. It
 /// shares no code with the sinks' incremental upkeep.
 struct Recount {
     total_replicas: u64,
@@ -206,11 +211,11 @@ struct Recount {
     block_loads: Vec<u64>,
 }
 
-fn recount(graph: &CsrGraph, assignments: &[BlockId], k: u32) -> Recount {
-    assert_eq!(assignments.len(), graph.num_edges());
-    let mut replicas: Vec<Vec<BlockId>> = vec![Vec::new(); graph.num_nodes()];
+fn recount(n: usize, edges: &[(NodeId, NodeId, u64)], assignments: &[BlockId], k: u32) -> Recount {
+    assert_eq!(assignments.len(), edges.len());
+    let mut replicas: Vec<Vec<BlockId>> = vec![Vec::new(); n];
     let mut block_loads = vec![0u64; k as usize];
-    for ((u, v, w), &b) in graph.edges().zip(assignments) {
+    for (&(u, v, w), &b) in edges.iter().zip(assignments) {
         block_loads[b as usize] += w;
         for x in [u, v] {
             if !replicas[x as usize].contains(&b) {
@@ -251,7 +256,10 @@ fn incremental_summary_agrees_with_an_independent_recount() {
                 report.max_replicas as usize <= graph.max_degree().min(8),
                 "({name}, {job})"
             );
-            let metrics = recount(&graph, report.partition.assignments(), 8);
+            // A natural-order pass numbers the edges in `CsrGraph::edges`
+            // order.
+            let edges: Vec<_> = graph.edges().collect();
+            let metrics = recount(graph.num_nodes(), &edges, report.partition.assignments(), 8);
             assert_eq!(
                 metrics.total_replicas, report.total_replicas,
                 "({name}, {job})"
@@ -282,7 +290,7 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
-fn edge_assignments(job: &str, stream: &mut dyn EdgeStream) -> (Vec<BlockId>, Vec<u64>) {
+fn edge_assignments(job: &str, stream: &mut dyn NodeStream) -> (Vec<BlockId>, Vec<u64>) {
     let spec = JobSpec::parse(job).unwrap();
     let report = build_edge_partitioner(&spec)
         .unwrap()
@@ -295,8 +303,9 @@ fn edge_assignments(job: &str, stream: &mut dyn EdgeStream) -> (Vec<BlockId>, Ve
 /// Every edge algorithm × passes ∈ {1, 3} must produce byte-identical edge
 /// assignments (and per-pass replica trajectories) no matter which source
 /// streams the graph — in-memory in natural or explicit order, disk with
-/// implicit or forced weight sections — on unit-weight and weighted graphs
-/// alike.
+/// implicit or forced weight sections, METIS text — on unit-weight and
+/// weighted graphs alike. A random node order numbers the edges differently,
+/// but still assigns every edge exactly once.
 #[test]
 fn edge_assignments_are_byte_identical_across_sources_and_passes() {
     let unit = planted_partition(600, 8, 0.1, 0.005, 23);
@@ -308,7 +317,9 @@ fn edge_assignments_are_byte_identical_across_sources_and_passes() {
     for (label, graph) in [("unit", &unit), ("weighted", &weighted)] {
         let plain_path = dir.join(format!("{label}.oms"));
         let forced_path = dir.join(format!("{label}-forced.oms"));
+        let metis_path = dir.join(format!("{label}.metis"));
         write_stream_file(graph, &plain_path).unwrap();
+        write_metis(graph, &metis_path).unwrap();
         let forced = StreamWriteOptions {
             force_node_weights: true,
             force_edge_weights: true,
@@ -318,43 +329,77 @@ fn edge_assignments_are_byte_identical_across_sources_and_passes() {
         for algo in ["e-hash", "e-dbh", "e-greedy"] {
             for passes in [1usize, 3] {
                 let job = format!("{algo}:8@seed=3,passes={passes}");
-                let reference = edge_assignments(&job, &mut EdgesOf(InMemoryStream::new(graph)));
+                let reference = edge_assignments(&job, &mut InMemoryStream::new(graph));
                 assert_eq!(reference.0.len(), graph.num_edges(), "{label}/{job}");
 
-                let identity = InMemoryStream::with_permutation(graph, graph.nodes().collect());
-                let permuted = edge_assignments(&job, &mut EdgesOf(identity));
+                let mut identity = InMemoryStream::with_permutation(graph, graph.nodes().collect());
+                let permuted = edge_assignments(&job, &mut identity);
                 assert_eq!(reference, permuted, "{label}/{job}: explicit order differs");
 
                 for (name, path) in [("disk", &plain_path), ("forced disk", &forced_path)] {
-                    let disk = DiskStream::open(path).unwrap();
-                    let from_disk = edge_assignments(&job, &mut EdgesOf(disk));
+                    let mut disk = DiskStream::open(path).unwrap();
+                    let from_disk = edge_assignments(&job, &mut disk);
                     assert_eq!(reference, from_disk, "{label}/{job}: {name} differs");
                 }
+                let mut metis = MetisStream::open(&metis_path).unwrap();
+                let from_metis = edge_assignments(&job, &mut metis);
+                assert_eq!(reference, from_metis, "{label}/{job}: METIS text differs");
+
+                // A random order: the edges, each at its smaller endpoint in
+                // the order the nodes arrive, are every edge of the graph
+                // once, and the assignment recounts to the reported summary.
+                let mut random = InMemoryStream::with_ordering(graph, NodeOrdering::Random(5));
+                let mut edges = Vec::new();
+                random
+                    .for_each_node(&mut |node| {
+                        let u = node.node;
+                        let later = node.neighbors_weighted().filter(|&(v, _)| u < v);
+                        edges.extend(later.map(|(v, w)| (u, v, w)));
+                    })
+                    .unwrap();
+                let mut sorted = edges.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, graph.edges().collect::<Vec<_>>(), "{label}/{job}");
+                let report = build_edge_partitioner(&JobSpec::parse(&job).unwrap())
+                    .and_then(|p| p.run(&mut random))
+                    .unwrap_or_else(|e| panic!("{label}/{job}, random order: {e}"));
+                let assignments = report.partition.assignments();
+                let metrics = recount(graph.num_nodes(), &edges, assignments, 8);
+                assert_eq!(
+                    metrics.total_replicas, report.total_replicas,
+                    "{label}/{job}"
+                );
+                assert_eq!(
+                    metrics.block_loads,
+                    report.partition.block_loads(),
+                    "{label}/{job}"
+                );
             }
         }
-        std::fs::remove_file(&plain_path).ok();
-        std::fs::remove_file(&forced_path).ok();
+        for path in [plain_path, forced_path, metis_path] {
+            std::fs::remove_file(path).ok();
+        }
     }
 }
 
 /// Multi-pass edge partitioning over a disk file cut under the open stream
 /// (`open` refuses a short file outright) dies with the typed truncation
-/// error — the edge adapter inherits the disk stream's
-/// re-open-and-revalidate discipline.
+/// error — an edge job rewinds the node stream itself, so it inherits the
+/// disk stream's re-open-and-revalidate discipline.
 #[test]
 fn multi_pass_over_a_corrupt_disk_file_fails_with_the_typed_error() {
     let graph = planted_partition(200, 4, 0.1, 0.01, 31);
     let dir = temp_dir();
     let path = dir.join("corrupt.oms");
     write_stream_file(&graph, &path).unwrap();
-    let stream = DiskStream::open(&path).unwrap();
+    let mut stream = DiskStream::open(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
 
     let spec = JobSpec::parse("e-greedy:4@seed=3,passes=3").unwrap();
     let err = build_edge_partitioner(&spec)
         .unwrap()
-        .run(&mut EdgesOf(stream))
+        .run(&mut stream)
         .map(|report| report.partition.num_edges())
         .unwrap_err();
     assert!(
