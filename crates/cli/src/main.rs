@@ -375,10 +375,10 @@ impl Args {
 /// Observability wiring behind `--trace FILE` / `--metrics`: installs a
 /// recording observer for the duration of the command; [`ObsSession::finish`]
 /// writes the JSON-lines trace and/or prints the Prometheus exposition.
-/// With neither flag set, nothing is installed and the engines run with the
-/// free no-op observer.
+/// With neither flag set, nothing is installed and the engines run
+/// unobserved, which is free.
 struct ObsSession {
-    recording: Option<(std::sync::Arc<oms_obs::ObsCore>, oms_obs::ObsGuard)>,
+    recording: Option<(std::rc::Rc<oms_obs::ObsCore>, oms_obs::ObsGuard)>,
     trace_path: Option<String>,
     metrics: bool,
 }

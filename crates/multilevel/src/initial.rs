@@ -9,8 +9,6 @@
 use crate::refine::{refine, RefineConfig};
 use oms_core::{BlockId, JobSpec};
 use oms_graph::{CsrGraph, InMemoryStream};
-use oms_obs::NoopObserver;
-use std::sync::Arc;
 
 /// Computes an initial `k`-way assignment of (the coarsest) `graph`.
 ///
@@ -20,7 +18,7 @@ use std::sync::Arc;
 pub(crate) fn initial_partition(graph: &CsrGraph, k: u32, epsilon: f64, seed: u64) -> Vec<BlockId> {
     let fennel = JobSpec::flat("fennel", k).epsilon(epsilon).seed(seed);
     let fennel = fennel.build().expect("the caller validated k and ε");
-    let unobserved = oms_obs::install(Arc::new(NoopObserver));
+    let unobserved = oms_obs::unobserved();
     let partition = fennel
         .partition(&mut InMemoryStream::new(graph))
         .expect("an in-memory graph is symmetric");

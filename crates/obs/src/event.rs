@@ -12,12 +12,13 @@
 //! cannot drift between writer and reader.
 
 /// Maximum number of `u64` words one event encodes to (tag + fields).
-pub const MAX_EVENT_WORDS: usize = 8;
+pub(crate) const MAX_EVENT_WORDS: usize = 8;
 
 /// One engine milestone with its deterministic payload.
 ///
 /// Field values are counts, ids and quality scalars; wall-clock durations
-/// are deliberately impossible to carry (see the [module docs](self)).
+/// are deliberately impossible to carry, so a recorded event log is a pure
+/// function of `(stream, seed)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A restream pass over the node stream is starting.
@@ -261,13 +262,13 @@ macro_rules! event_table {
 
 impl Event {
     /// The event's snake_case name, as it appears in every exporter.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         event_table!(self, |_tag, name, _fields: &[(&'static str, u64)]| name)
     }
 
     /// The engine family the event belongs to — the grouping `oms trace`
     /// summarizes by.
-    pub fn engine(&self) -> &'static str {
+    pub(crate) fn engine(&self) -> &'static str {
         match self {
             Event::PassStart { .. }
             | Event::PassEnd { .. }
@@ -284,16 +285,19 @@ impl Event {
     }
 
     /// Calls `visit` with the event's name and `(field, value)` table.
-    pub fn parts<R>(&self, visit: impl FnOnce(&'static str, &[(&'static str, u64)]) -> R) -> R {
+    pub(crate) fn parts<R>(
+        &self,
+        visit: impl FnOnce(&'static str, &[(&'static str, u64)]) -> R,
+    ) -> R {
         event_table!(self, |_tag, name, fields: &[(&'static str, u64)]| visit(
             name, fields
         ))
     }
 
     /// Encodes the event as `u64` words (tag followed by field values) —
-    /// the representation the flight recorder's FNV-1a log hash folds.
+    /// the representation the recorder's event-log hash folds.
     /// Returns the filled prefix of the buffer. Never allocates.
-    pub fn encode(&self, buf: &mut [u64; MAX_EVENT_WORDS]) -> usize {
+    pub(crate) fn encode(&self, buf: &mut [u64; MAX_EVENT_WORDS]) -> usize {
         event_table!(self, |tag: u64, _name, fields: &[(&'static str, u64)]| {
             buf[0] = tag;
             for (i, &(_, value)) in fields.iter().enumerate() {
@@ -305,7 +309,7 @@ impl Event {
 
     /// Appends the event as one flat JSON object line
     /// (`{"seq":N,"event":"...","field":value,...}\n`) to `out`.
-    pub fn write_jsonl(&self, seq: u64, out: &mut String) {
+    pub(crate) fn write_jsonl(&self, seq: u64, out: &mut String) {
         use std::fmt::Write;
         self.parts(|name, fields| {
             let _ = write!(out, "{{\"seq\":{seq},\"event\":\"{name}\"");
@@ -319,21 +323,21 @@ impl Event {
     /// Reconstructs an event from its name and parsed `(field, value)`
     /// pairs — the inverse of [`Event::write_jsonl`]. Returns `None` for
     /// unknown names or missing fields (extra fields are ignored).
-    pub fn from_parts(name: &str, fields: &[(String, u64)]) -> Option<Event> {
+    pub(crate) fn from_parts(name: &str, fields: &[(String, u64)]) -> Option<Event> {
         let get =
             |key: &str| -> Option<u64> { fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v) };
+        // A pass index outside `u32` is not an event the writer can emit.
+        let pass = || u32::try_from(get("pass")?).ok();
         let event = match name {
-            "pass_start" => Event::PassStart {
-                pass: get("pass")? as u32,
-            },
+            "pass_start" => Event::PassStart { pass: pass()? },
             "pass_end" => Event::PassEnd {
-                pass: get("pass")? as u32,
+                pass: pass()?,
                 nodes: get("nodes")?,
                 edge_cut: get("edge_cut")?,
                 moved: get("moved")?,
             },
             "pass_reverted" => Event::PassReverted {
-                pass: get("pass")? as u32,
+                pass: pass()?,
                 kept_cut: get("kept_cut")?,
             },
             "batch_scored" => Event::BatchScored {
@@ -366,12 +370,12 @@ impl Event {
                 edge_cut: get("edge_cut")?,
             },
             "edge_pass_end" => Event::EdgePassEnd {
-                pass: get("pass")? as u32,
+                pass: pass()?,
                 total_replicas: get("total_replicas")?,
                 moved: get("moved")?,
             },
             "edge_pass_reverted" => Event::EdgePassReverted {
-                pass: get("pass")? as u32,
+                pass: pass()?,
                 kept_replicas: get("kept_replicas")?,
             },
             "replay_summary" => Event::ReplaySummary {

@@ -1,5 +1,4 @@
-//! Exporters: JSON-lines trace, greppable text table, and
-//! Prometheus-style text exposition.
+//! Exporters: JSON-lines trace and Prometheus-style text exposition.
 //!
 //! Trace grammar (one JSON object per line, fixed key order):
 //!
@@ -36,50 +35,26 @@ pub fn trace_jsonl(core: &ObsCore) -> String {
     out
 }
 
-/// Renders the recorder's retained events as a greppable text table
-/// (`seq  engine  event  field=value ...`).
-pub fn trace_table(core: &ObsCore) -> String {
-    let mut out = String::new();
-    for (seq, event) in core.events() {
-        event.parts(|name, fields| {
-            let _ = write!(out, "{seq:>8}  {:<8}  {name:<20}", event.engine());
-            for &(key, value) in fields {
-                let _ = write!(out, "  {key}={value}");
-            }
-            out.push('\n');
-        });
-    }
-    let _ = writeln!(
-        out,
-        "   total  events={} dropped={} log_hash={:#018x}",
-        core.recorded(),
-        core.dropped(),
-        core.log_hash()
-    );
-    out
-}
-
 /// Renders the metrics registry as a Prometheus-style text exposition:
 /// `# TYPE` lines, `oms_<name>_total` counters, and cumulative
 /// `oms_<name>_bucket{le="..."}` histogram series with `_sum` and
 /// `_count`. Zero-valued counters and empty histograms are included, so
 /// the exposition's shape is workload-independent.
 pub fn prometheus(core: &ObsCore) -> String {
-    let metrics = core.metrics();
     let mut out = String::new();
     for id in CounterId::ALL {
         let name = id.name();
         let _ = writeln!(out, "# TYPE oms_{name}_total counter");
-        let _ = writeln!(out, "oms_{name}_total {}", metrics.counter(id));
+        let _ = writeln!(out, "oms_{name}_total {}", core.counter(id));
     }
     for id in HistId::ALL {
         let name = id.name();
-        let snap = metrics.hist(id);
+        let hist = core.hist(id);
         let _ = writeln!(out, "# TYPE oms_{name} histogram");
         let mut cumulative = 0u64;
         for b in 0..HIST_BUCKETS {
-            cumulative += snap.buckets[b];
-            if snap.buckets[b] > 0 || b == 0 {
+            cumulative += hist.buckets[b];
+            if hist.buckets[b] > 0 || b == 0 {
                 let _ = writeln!(
                     out,
                     "oms_{name}_bucket{{le=\"{}\"}} {cumulative}",
@@ -87,9 +62,9 @@ pub fn prometheus(core: &ObsCore) -> String {
                 );
             }
         }
-        let _ = writeln!(out, "oms_{name}_bucket{{le=\"+Inf\"}} {}", snap.count);
-        let _ = writeln!(out, "oms_{name}_sum {}", snap.sum);
-        let _ = writeln!(out, "oms_{name}_count {}", snap.count);
+        let _ = writeln!(out, "oms_{name}_bucket{{le=\"+Inf\"}} {}", hist.count);
+        let _ = writeln!(out, "oms_{name}_sum {}", hist.sum);
+        let _ = writeln!(out, "oms_{name}_count {}", hist.count);
     }
     out
 }
@@ -97,10 +72,11 @@ pub fn prometheus(core: &ObsCore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, Observer};
+    use crate::recorder::DEFAULT_CAPACITY;
+    use crate::Event;
 
     fn sample_core() -> ObsCore {
-        let core = ObsCore::new();
+        let core = ObsCore::with_capacity(DEFAULT_CAPACITY);
         core.record(Event::PassStart { pass: 0 });
         core.record(Event::PassEnd {
             pass: 0,
@@ -121,14 +97,6 @@ mod tests {
         assert!(lines[0].starts_with("{\"seq\":0,\"event\":\"pass_start\""));
         assert!(lines[2].contains("\"event\":\"trace_end\""));
         assert!(lines[2].contains("\"events\":2"));
-    }
-
-    #[test]
-    fn table_is_greppable() {
-        let text = trace_table(&sample_core());
-        assert!(text.contains("pass_end"));
-        assert!(text.contains("edge_cut=42"));
-        assert!(text.contains("log_hash=0x"));
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //! simulator) reports its milestones through this crate:
 //!
 //! * **Events** ([`Event`]) — typed milestones with deterministic scalar
-//!   payloads (counts, cuts, hashes; never wall-clock), recorded into a
-//!   bounded flight-recorder ring ([`FlightRecorder`]) with monotone
-//!   sequence numbers and an FNV-1a event-log hash. Because payloads are
-//!   pure functions of `(stream, seed)`, the hash doubles as a
-//!   determinism oracle, like the replay simulator's request-log hash.
-//! * **Metrics** ([`Metrics`]) — allocation-free counters and
-//!   log-bucketed histograms for hot-path signals (nodes scored, replay
-//!   queue depths). Recording is one relaxed atomic op, so instrumented paths still pass the workspace's
-//!   counting-allocator and throughput gates.
-//! * **Exporters** (`export`) — JSON-lines trace, greppable table, and
-//!   Prometheus-style exposition; `trace` parses a written trace back and
-//!   verifies its hash.
+//!   payloads (counts, cuts, hashes; never wall-clock), recorded into the
+//!   bounded ring of an [`ObsCore`] with monotone sequence numbers and an
+//!   FNV-1a-style event-log hash. Because payloads are pure functions of
+//!   `(stream, seed)`, the hash doubles as a determinism oracle, like the
+//!   replay simulator's request-log hash.
+//! * **Metrics** ([`CounterId`], [`HistId`]) — allocation-free counters
+//!   and log-bucketed histograms for hot-path signals (nodes scored,
+//!   replay queue depths), kept in fixed arrays of the same [`ObsCore`],
+//!   so instrumented paths still pass the workspace's counting-allocator
+//!   and throughput gates.
+//! * **Exporters** — the JSON-lines trace ([`trace_jsonl`]) and a
+//!   Prometheus-style exposition ([`prometheus`]); [`summarize`] parses a
+//!   written trace back and verifies its hash.
 //! * **[`Stopwatch`]** — the one wall-clock source every report and bench
 //!   shares. Wall time feeds reports and `--metrics` only, never the
 //!   event trace.
@@ -25,10 +26,10 @@
 //!
 //! Observability is **off by default and free when off**: engines call the
 //! [`observe`] / [`counter_add`] / [`hist_record`] free functions, which
-//! consult a thread-local observer slot. With nothing installed (or with
-//! [`NoopObserver`] installed) the call is a thread-local load and a
-//! branch — no allocation, no locking, no event construction cost beyond
-//! a few scalar copies. To record, install an observer for a scope:
+//! consult a thread-local slot. With nothing installed the call is a
+//! thread-local load and a branch — no allocation, no locking, no event
+//! construction cost beyond a few scalar copies. To record, install a core
+//! for a scope:
 //!
 //! ```
 //! use oms_obs::{recording, Event};
@@ -39,143 +40,110 @@
 //! assert_eq!(core.recorded(), 1);
 //! ```
 //!
-//! The slot is thread-local, so concurrent tests (and engines on other
-//! threads) never observe each other's runs; engines emit events from
-//! their driving thread.
+//! [`unobserved`] empties the slot for a scope instead. The slot is
+//! thread-local and neither an [`ObsCore`] handle nor an [`ObsGuard`] can
+//! leave its thread, so concurrent tests never observe each other's runs;
+//! engines emit events from their driving thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod export;
-pub mod metrics;
-pub mod recorder;
-pub mod stopwatch;
-pub mod trace;
+mod event;
+mod export;
+mod metrics;
+mod recorder;
+mod stopwatch;
+mod trace;
 
 pub use event::Event;
-pub use export::{prometheus, trace_jsonl, trace_table};
-pub use metrics::{
-    bucket_bound, bucket_index, CounterId, HistId, Histogram, HistogramSnapshot, Metrics,
-    HIST_BUCKETS,
-};
-pub use recorder::{replay_hash, FlightRecorder, ObsCore, DEFAULT_CAPACITY};
-pub use stopwatch::{time, Stopwatch};
-pub use trace::{parse_trace, summarize, ParsedTrace, TraceFooter, TraceSummary};
+pub use export::{prometheus, trace_jsonl};
+pub use metrics::{bucket_bound, bucket_index, CounterId, HistId, HIST_BUCKETS};
+pub use recorder::{ObsCore, DEFAULT_CAPACITY};
+pub use stopwatch::Stopwatch;
+pub use trace::{summarize, TraceFooter, TraceSummary};
 
 use std::cell::RefCell;
-use std::sync::Arc;
-
-/// A consumer of engine telemetry. [`ObsCore`] is the standard recording
-/// implementation; [`NoopObserver`] discards everything.
-///
-/// Implementations must not call back into [`observe`] /
-/// [`counter_add`] / [`hist_record`] (the thread-local slot is borrowed
-/// while an observer runs).
-pub trait Observer: Send + Sync {
-    /// Consumes one event.
-    fn record(&self, event: Event);
-
-    /// Adds `n` to a counter. Defaults to discarding.
-    fn counter_add(&self, id: CounterId, n: u64) {
-        let _ = (id, n);
-    }
-
-    /// Records one histogram sample. Defaults to discarding.
-    fn hist_record(&self, id: HistId, value: u64) {
-        let _ = (id, value);
-    }
-}
-
-/// The observer that discards everything — behaviorally identical to
-/// having no observer installed, and just as free on the hot path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
-
-impl Observer for NoopObserver {
-    fn record(&self, _event: Event) {}
-}
+use std::rc::Rc;
 
 thread_local! {
-    static OBSERVER: RefCell<Option<Arc<dyn Observer>>> = const { RefCell::new(None) };
+    static OBSERVER: RefCell<Option<Rc<ObsCore>>> = const { RefCell::new(None) };
 }
 
-/// Restores the previously installed observer (if any) when dropped.
-#[must_use = "dropping the guard immediately uninstalls the observer"]
+/// Restores the previously installed core (if any) when dropped.
+///
+/// The guard belongs to the thread whose slot it changed:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// let (_core, guard) = oms_obs::recording(16);
+/// send(guard);
+/// ```
+#[must_use = "dropping the guard immediately restores the previous slot"]
+#[derive(Debug)]
 pub struct ObsGuard {
-    prev: Option<Arc<dyn Observer>>,
-    done: bool,
-}
-
-impl std::fmt::Debug for ObsGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsGuard")
-            .field("restores_previous", &self.prev.is_some())
-            .finish()
-    }
+    prev: Option<Rc<ObsCore>>,
 }
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        if !self.done {
-            self.done = true;
-            let prev = self.prev.take();
-            OBSERVER.with(|slot| *slot.borrow_mut() = prev);
-        }
+        let prev = self.prev.take();
+        OBSERVER.with(|slot| *slot.borrow_mut() = prev);
     }
 }
 
-/// Installs `observer` in this thread's slot for the guard's lifetime;
-/// the previous observer (if any) is restored when the guard drops.
-pub fn install(observer: Arc<dyn Observer>) -> ObsGuard {
-    let prev = OBSERVER.with(|slot| slot.borrow_mut().replace(observer));
-    ObsGuard { prev, done: false }
+/// Puts `core` in this thread's slot for the guard's lifetime.
+fn install(core: Option<Rc<ObsCore>>) -> ObsGuard {
+    let prev = OBSERVER.with(|slot| slot.replace(core));
+    ObsGuard { prev }
 }
 
 /// Builds an [`ObsCore`] with the given ring capacity and installs it,
 /// returning the core (for export) and the install guard.
-pub fn recording(capacity: usize) -> (Arc<ObsCore>, ObsGuard) {
-    let core = Arc::new(ObsCore::with_capacity(capacity));
-    let guard = install(core.clone());
+pub fn recording(capacity: usize) -> (Rc<ObsCore>, ObsGuard) {
+    let core = Rc::new(ObsCore::with_capacity(capacity));
+    let guard = install(Some(core.clone()));
     (core, guard)
 }
 
-/// Whether an observer is installed on this thread.
+/// Empties this thread's slot for the guard's lifetime, so a nested
+/// computation stays out of an enclosing recording.
+pub fn unobserved() -> ObsGuard {
+    install(None)
+}
+
+/// Whether a core is installed on this thread.
 #[inline]
 pub fn is_enabled() -> bool {
     OBSERVER.with(|slot| slot.borrow().is_some())
 }
 
-/// Sends one event to the installed observer; free no-op when none is.
+/// Runs `f` on the installed core; a free no-op when none is.
+#[inline]
+fn with_core(f: impl FnOnce(&ObsCore)) {
+    OBSERVER.with(|slot| {
+        if let Some(core) = slot.borrow().as_deref() {
+            f(core);
+        }
+    });
+}
+
+/// Sends one event to the installed core; free no-op when none is.
 #[inline]
 pub fn observe(event: Event) {
-    OBSERVER.with(|slot| {
-        if let Some(observer) = slot.borrow().as_ref() {
-            observer.record(event);
-        }
-    });
+    with_core(|core| core.record(event));
 }
 
-/// Adds `n` to a counter of the installed observer; free no-op when none
-/// is.
+/// Adds `n` to a counter of the installed core; free no-op when none is.
 #[inline]
 pub fn counter_add(id: CounterId, n: u64) {
-    OBSERVER.with(|slot| {
-        if let Some(observer) = slot.borrow().as_ref() {
-            observer.counter_add(id, n);
-        }
-    });
+    with_core(|core| core.counter_add(id, n));
 }
 
-/// Records a histogram sample on the installed observer; free no-op when
-/// none is.
+/// Records a histogram sample on the installed core; free no-op when none
+/// is.
 #[inline]
 pub fn hist_record(id: HistId, value: u64) {
-    OBSERVER.with(|slot| {
-        if let Some(observer) = slot.borrow().as_ref() {
-            observer.hist_record(id, value);
-        }
-    });
+    with_core(|core| core.hist_record(id, value));
 }
 
 #[cfg(test)]
@@ -201,6 +169,15 @@ mod tests {
             assert_eq!(inner.recorded(), 1);
             drop(inner_guard);
         }
+        {
+            let silent = unobserved();
+            assert!(!is_enabled());
+            observe(Event::PassStart { pass: 9 });
+            counter_add(CounterId::NodesScored, 1);
+            hist_record(HistId::PassMoved, 1);
+            drop(silent);
+        }
+        assert!(is_enabled());
         observe(Event::PassStart { pass: 2 });
         drop(outer_guard);
         observe(Event::PassStart { pass: 3 });
@@ -211,19 +188,11 @@ mod tests {
                 .map(|(_, e)| e)
                 .collect::<Vec<_>>(),
             vec![Event::PassStart { pass: 0 }, Event::PassStart { pass: 2 }],
-            "the outer observer must miss the inner scope and everything after its guard"
+            "the outer core must miss the inner and unobserved scopes and everything after its guard"
         );
+        assert_eq!(outer.counter(CounterId::NodesScored), 0);
+        assert_eq!(outer.hist(HistId::PassMoved).count, 0);
         assert!(!is_enabled());
-    }
-
-    #[test]
-    fn noop_observer_records_nothing_observable() {
-        let guard = install(Arc::new(NoopObserver));
-        assert!(is_enabled());
-        observe(Event::PassStart { pass: 0 });
-        counter_add(CounterId::NodesScored, 1);
-        hist_record(HistId::PassMoved, 1);
-        drop(guard);
     }
 
     #[test]
@@ -233,8 +202,8 @@ mod tests {
         counter_add(CounterId::NodesScored, 4);
         hist_record(HistId::ReplayQueueDepth, 9);
         drop(guard);
-        assert_eq!(core.metrics().counter(CounterId::NodesScored), 7);
-        let hist = core.metrics().hist(HistId::ReplayQueueDepth);
+        assert_eq!(core.counter(CounterId::NodesScored), 7);
+        let hist = core.hist(HistId::ReplayQueueDepth);
         assert_eq!(hist.count, 1);
         assert_eq!(hist.sum, 9);
     }

@@ -1,14 +1,12 @@
-//! The allocation-free metrics registry: named counters and log-bucketed
-//! histograms for hot-path signals.
+//! The metric vocabulary: named counters and log-bucketed histograms for
+//! hot-path signals.
 //!
-//! Counters and histogram cells are plain `AtomicU64`s in fixed arrays —
-//! recording never allocates, never locks, and costs one relaxed atomic
-//! add, so instrumented hot paths still pass the counting-allocator gate
-//! and the throughput regression gate. Histograms use power-of-two
-//! (HDR-style) buckets: value `v` lands in bucket `bit_length(v)`, so 65
-//! buckets cover the full `u64` range with ≤ 2× relative error.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`crate::ObsCore`] keeps one `u64` per [`CounterId`] and one
+//! [`Histogram`] per [`HistId`] in fixed arrays, so recording never
+//! allocates and instrumented hot paths still pass the counting-allocator
+//! gate. Histograms use power-of-two (HDR-style) buckets: value `v` lands
+//! in bucket `bit_length(v)`, so 65 buckets cover the full `u64` range
+//! with ≤ 2× relative error.
 
 /// Identifies one monotone counter in the registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +48,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 16] = [
+    pub(crate) const ALL: [CounterId; 16] = [
         CounterId::NodesScored,
         CounterId::RestreamPasses,
         CounterId::RestreamReverts,
@@ -70,7 +68,7 @@ impl CounterId {
     ];
 
     /// The counter's snake_case name (also its Prometheus base name).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             CounterId::NodesScored => "nodes_scored",
             CounterId::RestreamPasses => "restream_passes",
@@ -112,7 +110,7 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in registry order.
-    pub const ALL: [HistId; 5] = [
+    pub(crate) const ALL: [HistId; 5] = [
         HistId::PassMoved,
         HistId::DeltaBatchDeltas,
         HistId::ReplayQueueDepth,
@@ -121,7 +119,7 @@ impl HistId {
     ];
 
     /// The histogram's snake_case name (also its Prometheus base name).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             HistId::PassMoved => "pass_moved",
             HistId::DeltaBatchDeltas => "delta_batch_deltas",
@@ -156,61 +154,20 @@ pub fn bucket_bound(index: usize) -> u64 {
 }
 
 /// One log-bucketed histogram of `u64` samples, recordable without
-/// allocation or locking.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+/// allocation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Histogram {
+    /// Sample count per log₂ bucket (see [`bucket_index`]).
+    pub(crate) buckets: [u64; HIST_BUCKETS],
+    /// Total samples recorded.
+    pub(crate) count: u64,
+    /// Sum of all recorded values, saturating rather than wrapping.
+    pub(crate) sum: u64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample. The running sum saturates rather than wraps,
-    /// so extreme samples cannot corrupt the mean's sign.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(value))
-            })
-            .ok();
-    }
-
-    /// A plain-value copy of the histogram's current state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value histogram state: per-bucket counts, total count and sum.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Sample count per log₂ bucket (see [`bucket_index`]).
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all recorded values.
-    pub sum: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
             buckets: [0; HIST_BUCKETS],
             count: 0,
             sum: 0,
@@ -218,22 +175,19 @@ impl Default for HistogramSnapshot {
     }
 }
 
-impl HistogramSnapshot {
-    /// Folds `other` into `self`. Merging is commutative and associative
-    /// (sums saturate, and saturating addition stays associative), so
-    /// partial histograms can be combined in any order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
+impl Histogram {
+    /// Records one sample. The running sum saturates rather than wraps,
+    /// so extreme samples cannot corrupt the mean's sign.
+    pub(crate) fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
     }
 
     /// The smallest bucket upper bound at or above quantile `q` of the
     /// recorded samples (0 when empty) — a ≤ 2× overestimate of the true
     /// quantile, like any log-bucketed sketch.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -249,60 +203,12 @@ impl HistogramSnapshot {
     }
 
     /// Arithmetic mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-}
-
-/// The full metrics registry: one cell per [`CounterId`], one histogram
-/// per [`HistId`].
-#[derive(Debug, Default)]
-pub struct Metrics {
-    counters: [AtomicU64; CounterId::ALL.len()],
-    hists: [Histogram; HistId::ALL.len()],
-}
-
-impl Metrics {
-    /// A zeroed registry.
-    pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Adds `n` to a counter (relaxed; never allocates).
-    pub fn counter_add(&self, id: CounterId, n: u64) {
-        self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value of a counter.
-    pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters[id as usize].load(Ordering::Relaxed)
-    }
-
-    /// Records one histogram sample (relaxed; never allocates).
-    pub fn hist_record(&self, id: HistId, value: u64) {
-        self.hists[id as usize].record(value);
-    }
-
-    /// A plain-value copy of one histogram.
-    pub fn hist(&self, id: HistId) -> HistogramSnapshot {
-        self.hists[id as usize].snapshot()
-    }
-
-    /// Every `(counter, value)` pair, in registry order.
-    pub fn counters(&self) -> Vec<(CounterId, u64)> {
-        CounterId::ALL
-            .iter()
-            .map(|&id| (id, self.counter(id)))
-            .collect()
-    }
-
-    /// Every `(histogram, snapshot)` pair, in registry order.
-    pub fn histograms(&self) -> Vec<(HistId, HistogramSnapshot)> {
-        HistId::ALL.iter().map(|&id| (id, self.hist(id))).collect()
     }
 }
 
@@ -337,15 +243,14 @@ mod tests {
 
     #[test]
     fn quantile_bound_brackets_samples() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         for v in [1u64, 2, 3, 100, 1000] {
             h.record(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.sum, 1106);
-        assert!(snap.quantile_bound(0.5) >= 3);
-        assert!(snap.quantile_bound(1.0) >= 1000);
-        assert!(snap.quantile_bound(1.0) < 2048);
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 1106);
+        assert!(h.quantile_bound(0.5) >= 3);
+        assert!(h.quantile_bound(1.0) >= 1000);
+        assert!(h.quantile_bound(1.0) < 2048);
     }
 }

@@ -8,16 +8,16 @@
 //! `trace_end` footer — the trace file proves its own integrity.
 
 use crate::event::Event;
-use crate::metrics::HistogramSnapshot;
+use crate::metrics::Histogram;
 use crate::recorder::replay_hash;
 use std::fmt;
 
 /// One parsed trace line: `(event name, numeric fields, seq)`.
-pub type ParsedLine = (String, Vec<(String, u64)>, Option<u64>);
+pub(crate) type ParsedLine = (String, Vec<(String, u64)>, Option<u64>);
 
 /// Splits one flat JSON object line into `(event name, numeric fields,
 /// seq)`. Returns an error message for lines outside the trace grammar.
-pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
+pub(crate) fn parse_line(line: &str) -> Result<ParsedLine, String> {
     let inner = line
         .trim()
         .strip_prefix('{')
@@ -63,25 +63,25 @@ pub struct TraceFooter {
     /// Total events the recorder saw (retained + dropped).
     pub events: u64,
     /// Events evicted from the ring before export.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// The recorder's event-log hash.
     pub log_hash: u64,
 }
 
 /// A parsed trace: the retained events and the footer.
 #[derive(Clone, Debug)]
-pub struct ParsedTrace {
+pub(crate) struct ParsedTrace {
     /// Retained `(seq, event)` pairs, oldest first.
-    pub events: Vec<(u64, Event)>,
+    pub(crate) events: Vec<(u64, Event)>,
     /// The `trace_end` footer, when the trace was fully written.
-    pub footer: Option<TraceFooter>,
+    pub(crate) footer: Option<TraceFooter>,
 }
 
 /// Parses a full JSON-lines trace (as written by
 /// `crate::export::trace_jsonl`). Unknown event names are an error — a
 /// trace that cannot be reconstructed cannot be verified. Every error
 /// starts with the 1-based number of the offending line.
-pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
+pub(crate) fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut events = Vec::new();
     let mut footer = None;
     for (index, line) in text.lines().enumerate() {
@@ -118,11 +118,11 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
 /// One derived histogram row of a [`TraceSummary`]: a signal rebuilt from
 /// event payloads.
 #[derive(Clone, Debug)]
-pub struct SummaryHistogram {
+pub(crate) struct SummaryHistogram {
     /// Signal name.
-    pub name: &'static str,
+    name: &'static str,
     /// The log-bucketed sketch of the signal.
-    pub snapshot: HistogramSnapshot,
+    hist: Histogram,
 }
 
 /// What `oms trace` prints: totals, integrity, per-engine and per-kind
@@ -138,15 +138,16 @@ pub struct TraceSummary {
     /// exactly when the trace is complete (`dropped == 0`).
     pub recomputed_hash: u64,
     /// `(engine, events)` counts, in first-seen order.
-    pub engines: Vec<(&'static str, usize)>,
+    pub(crate) engines: Vec<(&'static str, usize)>,
     /// `(event name, count)` counts, in first-seen order.
-    pub kinds: Vec<(&'static str, usize)>,
-    /// Sum of nodes over `pass_end` events.
-    pub nodes_scored: u64,
+    pub(crate) kinds: Vec<(&'static str, usize)>,
+    /// Sum of nodes over `pass_end` events (a `u128`, so no count of
+    /// `u64` payloads can overflow it).
+    pub nodes_scored: u128,
     /// Edge cut of the last `pass_end` / maintained event carrying one.
     pub final_edge_cut: Option<u64>,
     /// Histograms rebuilt from event payloads, densest first.
-    pub histograms: Vec<SummaryHistogram>,
+    pub(crate) histograms: Vec<SummaryHistogram>,
 }
 
 impl TraceSummary {
@@ -164,23 +165,16 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
     let parsed = parse_trace(text)?;
     let mut engines: Vec<(&'static str, usize)> = Vec::new();
     let mut kinds: Vec<(&'static str, usize)> = Vec::new();
-    let mut nodes_scored = 0u64;
+    let mut nodes_scored = 0u128;
     let mut final_edge_cut = None;
-    let mut pass_moved = HistogramSnapshot::default();
-    let mut batch_deltas = HistogramSnapshot::default();
+    let mut pass_moved = Histogram::default();
+    let mut batch_deltas = Histogram::default();
     let bump = |table: &mut Vec<(&'static str, usize)>, key: &'static str| match table
         .iter_mut()
         .find(|(k, _)| *k == key)
     {
         Some((_, n)) => *n += 1,
         None => table.push((key, 1)),
-    };
-    let observe = |hist: &mut HistogramSnapshot, value: u64| {
-        let mut one = HistogramSnapshot::default();
-        one.buckets[crate::metrics::bucket_index(value)] = 1;
-        one.count = 1;
-        one.sum = value;
-        hist.merge(&one);
     };
     for &(_, event) in &parsed.events {
         bump(&mut engines, event.engine());
@@ -192,14 +186,14 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                 moved,
                 ..
             } => {
-                nodes_scored += nodes;
+                nodes_scored += u128::from(nodes);
                 final_edge_cut = Some(edge_cut);
-                observe(&mut pass_moved, moved);
+                pass_moved.record(moved);
             }
             Event::DeltaBatchApplied {
                 deltas, edge_cut, ..
             } => {
-                observe(&mut batch_deltas, deltas);
+                batch_deltas.record(deltas);
                 final_edge_cut = Some(edge_cut);
             }
             Event::WindowClosed { edge_cut, .. } | Event::DriftFallback { edge_cut, .. } => {
@@ -213,10 +207,10 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
         ("delta_batch_deltas", batch_deltas),
     ]
     .into_iter()
-    .filter(|(_, snapshot)| snapshot.count > 0)
-    .map(|(name, snapshot)| SummaryHistogram { name, snapshot })
+    .filter(|(_, hist)| hist.count > 0)
+    .map(|(name, hist)| SummaryHistogram { name, hist })
     .collect();
-    histograms.sort_by_key(|h| std::cmp::Reverse(h.snapshot.count));
+    histograms.sort_by_key(|h| std::cmp::Reverse(h.hist.count));
     Ok(TraceSummary {
         retained: parsed.events.len(),
         footer: parsed.footer,
@@ -265,10 +259,10 @@ impl fmt::Display for TraceSummary {
                     f,
                     "  {:<22} count={} mean={:.1} p50<={} p99<={}",
                     row.name,
-                    row.snapshot.count,
-                    row.snapshot.mean(),
-                    row.snapshot.quantile_bound(0.5),
-                    row.snapshot.quantile_bound(0.99),
+                    row.hist.count,
+                    row.hist.mean(),
+                    row.hist.quantile_bound(0.5),
+                    row.hist.quantile_bound(0.99),
                 )?;
             }
         }
@@ -280,12 +274,11 @@ impl fmt::Display for TraceSummary {
 mod tests {
     use super::*;
     use crate::export::trace_jsonl;
-    use crate::recorder::ObsCore;
-    use crate::Observer;
+    use crate::recorder::{ObsCore, DEFAULT_CAPACITY};
 
     #[test]
     fn summary_round_trips_a_recorded_trace() {
-        let core = ObsCore::new();
+        let core = ObsCore::with_capacity(DEFAULT_CAPACITY);
         core.record(Event::PassStart { pass: 0 });
         core.record(Event::PassEnd {
             pass: 0,
@@ -316,7 +309,7 @@ mod tests {
 
     #[test]
     fn tampered_trace_fails_the_hash_check() {
-        let core = ObsCore::new();
+        let core = ObsCore::with_capacity(DEFAULT_CAPACITY);
         core.record(Event::PassEnd {
             pass: 0,
             nodes: 500,
@@ -339,9 +332,32 @@ mod tests {
             "{\"event\":\"trace_end\",\"events\":1}",
             // An event of the removed sharded engine is unknown like any other.
             "{\"seq\":1,\"event\":\"shard_round\",\"round\":1,\"messages\":4}",
+            // A pass index must fit the `u32` the event carries.
+            "{\"seq\":1,\"event\":\"pass_start\",\"pass\":4294967296}",
         ] {
             let err = parse_trace(&format!("{good}\n{bad}\n")).unwrap_err();
             assert!(err.starts_with("line 3: "), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn node_sums_cannot_overflow() {
+        let events = [0, 1].map(|pass| Event::PassEnd {
+            pass,
+            nodes: u64::MAX,
+            edge_cut: 1,
+            moved: 1,
+        });
+        let mut text = String::new();
+        for (seq, event) in events.iter().enumerate() {
+            event.write_jsonl(seq as u64, &mut text);
+        }
+        text.push_str(&format!(
+            "{{\"event\":\"trace_end\",\"events\":2,\"dropped\":0,\"log_hash\":{}}}\n",
+            replay_hash(events)
+        ));
+        let summary = summarize(&text).expect("summary parses");
+        assert_eq!(summary.hash_verified(), Some(true));
+        assert_eq!(summary.nodes_scored, 2 * u128::from(u64::MAX));
     }
 }

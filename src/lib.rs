@@ -113,10 +113,7 @@ pub mod prelude {
     };
     pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
     pub use oms_multilevel::register_algorithms as register_multilevel_algorithms;
-    pub use oms_obs::{
-        CounterId, Event, FlightRecorder, HistId, Histogram, HistogramSnapshot, Metrics,
-        NoopObserver, ObsCore, ObsGuard, Observer, Stopwatch, TraceSummary,
-    };
+    pub use oms_obs::{CounterId, Event, HistId, ObsCore, ObsGuard, Stopwatch, TraceSummary};
     pub use oms_workload::{
         replay_edge_partition, replay_graph, replay_stream, replica_sets, ReplayConfig,
         ReplayReport, ZipfSampler,
