@@ -603,6 +603,42 @@ fn convert_round_trips_weighted_graphs_through_both_formats() {
 }
 
 #[test]
+fn an_edge_list_drops_directions_and_repeats_and_round_trips() {
+    let dir = temp_dir("edge-list-repeats");
+    let input = dir.join("dup.el");
+    let back = dir.join("back.el");
+    // Two edges, {0, 1} listed both ways and {1, 2} three times.
+    std::fs::write(&input, "0 1\n1 0\n1 2\n1 2\n1 2\n").unwrap();
+
+    let output = oms().arg("info").arg(&input).output().unwrap();
+    assert!(output.status.success());
+    let text = String::from_utf8_lossy(&output.stdout);
+    for line in [
+        "edges        : 2",
+        "edge weight  : 2",
+        "unweighted   : true",
+    ] {
+        assert!(text.contains(line), "missing '{line}' in\n{text}");
+    }
+
+    let output = oms()
+        .arg("convert")
+        .arg(&input)
+        .arg(&back)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        std::fs::read_to_string(&back).unwrap(),
+        "# nodes 3 edges 2\n0 1\n1 2\n"
+    );
+}
+
+#[test]
 fn partition_passes_works_for_in_memory_and_buffered_algorithms() {
     let dir = temp_dir("passes-registry");
     let graph_path = dir.join("er.metis");

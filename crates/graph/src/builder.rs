@@ -1,9 +1,11 @@
 //! Edge-list accumulator producing [`CsrGraph`]s.
 //!
 //! The paper preprocesses every benchmark graph by removing parallel edges,
-//! self loops and edge directions and assigning unit weights; this builder
-//! performs exactly that normalisation (weights of parallel edges are summed
-//! when they are explicitly weighted).
+//! self loops and edge directions and assigning unit weights. This builder
+//! removes self loops and directions and merges parallel edges into one edge
+//! whose weight is the sum of theirs — so unit edges added `r` times become
+//! one edge of weight `r`. A reader that must drop parallel edges (the
+//! edge-list reader) dedups its pairs before adding them.
 
 use crate::{CsrGraph, EdgeWeight, GraphError, NodeId, NodeWeight, Result};
 
@@ -16,25 +18,31 @@ use crate::{CsrGraph, EdgeWeight, GraphError, NodeId, NodeWeight, Result};
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     num_nodes: usize,
-    edges: Vec<(NodeId, NodeId, EdgeWeight)>,
+    edges: Edges,
     node_weights: Vec<NodeWeight>,
+}
+
+/// The canonical edges `{u < v}`, each as the packed key `u << 32 | v`,
+/// whose order is the lexicographic `(u, v)` order.
+#[derive(Clone, Debug)]
+enum Edges {
+    /// Every edge added so far has weight 1: the keys alone.
+    Unit(Vec<u64>),
+    /// Some edge has another weight: every key with its weight.
+    Weighted(Vec<(u64, EdgeWeight)>),
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph with `n` nodes of unit weight.
     pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            num_nodes: n,
-            edges: Vec::new(),
-            node_weights: vec![1; n],
-        }
+        Self::with_capacity(n, 0)
     }
 
     /// Creates a builder with a capacity hint for the number of edges.
     pub fn with_capacity(n: usize, m: usize) -> Self {
         GraphBuilder {
             num_nodes: n,
-            edges: Vec::with_capacity(m),
+            edges: Edges::Unit(Vec::with_capacity(m)),
             node_weights: vec![1; n],
         }
     }
@@ -61,8 +69,16 @@ impl GraphBuilder {
         if u == v {
             return Ok(());
         }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.push((a, b, w));
+        let key = (u.min(v) as u64) << 32 | u.max(v) as u64;
+        match &mut self.edges {
+            Edges::Unit(keys) if w == 1 => keys.push(key),
+            Edges::Unit(keys) => {
+                let mut edges: Vec<_> = keys.iter().map(|&k| (k, 1)).collect();
+                edges.push((key, w));
+                self.edges = Edges::Weighted(edges);
+            }
+            Edges::Weighted(edges) => edges.push((key, w)),
+        }
         Ok(())
     }
 
@@ -78,65 +94,80 @@ impl GraphBuilder {
     }
 
     /// Consumes the builder and produces the CSR graph.
-    pub fn build(mut self) -> CsrGraph {
-        // Deduplicate: sort canonical (u < v) edges and merge weights.
-        self.edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        let mut dedup: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::with_capacity(self.edges.len());
-        for (u, v, w) in self.edges {
-            match dedup.last_mut() {
-                Some(last) if last.0 == u && last.1 == v => last.2 += w,
-                _ => dedup.push((u, v, w)),
+    pub fn build(self) -> CsrGraph {
+        let (n, node_weights) = (self.num_nodes, self.node_weights);
+        match self.edges {
+            Edges::Unit(mut keys) => {
+                keys.sort_unstable();
+                from_sorted(n, &keys, |&k| (k, 1), node_weights)
+            }
+            Edges::Weighted(mut edges) => {
+                edges.sort_unstable_by_key(|&(k, _)| k);
+                from_sorted(n, &edges, |&e| e, node_weights)
             }
         }
-
-        // Counting sort into CSR.
-        let n = self.num_nodes;
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in &dedup {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut xadj = Vec::with_capacity(n + 1);
-        xadj.push(0usize);
-        for d in &degree {
-            xadj.push(xadj.last().unwrap() + d);
-        }
-        let mut cursor = xadj.clone();
-        let mut adjncy = vec![0 as NodeId; 2 * dedup.len()];
-        let mut eweights = vec![0 as EdgeWeight; 2 * dedup.len()];
-        for &(u, v, w) in &dedup {
-            let cu = cursor[u as usize];
-            adjncy[cu] = v;
-            eweights[cu] = w;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize];
-            adjncy[cv] = u;
-            eweights[cv] = w;
-            cursor[v as usize] += 1;
-        }
-        // Keep each adjacency list sorted for deterministic iteration and
-        // O(log d) membership queries if ever needed.
-        for v in 0..n {
-            let range = xadj[v]..xadj[v + 1];
-            let mut pairs: Vec<(NodeId, EdgeWeight)> = adjncy[range.clone()]
-                .iter()
-                .copied()
-                .zip(eweights[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(x, _)| x);
-            for (i, (x, w)) in pairs.into_iter().enumerate() {
-                adjncy[xadj[v] + i] = x;
-                eweights[xadj[v] + i] = w;
-            }
-        }
-
-        CsrGraph::from_csr_unchecked(xadj, adjncy, eweights, self.node_weights)
     }
+}
+
+/// The CSR graph of canonical edges sorted by key. Each run of equal keys is
+/// one edge carrying the sum of the run's weights (the order of a run does
+/// not change a sum, so an unstable sort gives the same graph).
+fn from_sorted<T>(
+    n: usize,
+    sorted: &[T],
+    edge: impl Fn(&T) -> (u64, EdgeWeight),
+    node_weights: Vec<NodeWeight>,
+) -> CsrGraph {
+    let key = |e: &T| edge(e).0;
+    let merged = || {
+        sorted.chunk_by(|a, b| key(a) == key(b)).map(|run| {
+            let k = key(&run[0]);
+            let w: EdgeWeight = run.iter().map(|e| edge(e).1).sum();
+            ((k >> 32) as NodeId, k as NodeId, w)
+        })
+    };
+
+    // Counting sort into CSR.
+    let mut xadj = vec![0usize; n + 1];
+    for (u, v, _) in merged() {
+        xadj[u as usize + 1] += 1;
+        xadj[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        xadj[v + 1] += xadj[v];
+    }
+    let mut cursor = xadj[..n].to_vec();
+    let mut adjncy = vec![0 as NodeId; xadj[n]];
+    let mut eweights = vec![0 as EdgeWeight; xadj[n]];
+    // Filled in sorted `(u, v)` order, every list comes out sorted: a node
+    // `x`'s smaller neighbours arrive from the runs of the nodes `u < x`, in
+    // increasing `u`, before the runs of `x` itself append its larger
+    // neighbours in increasing `v`.
+    for (u, v, w) in merged() {
+        let cu = cursor[u as usize];
+        adjncy[cu] = v;
+        eweights[cu] = w;
+        cursor[u as usize] += 1;
+        let cv = cursor[v as usize];
+        adjncy[cv] = u;
+        eweights[cv] = w;
+        cursor[v as usize] += 1;
+    }
+    debug_assert!(
+        (0..n).all(|v| adjncy[xadj[v]..xadj[v + 1]].windows(2).all(|p| p[0] < p[1])),
+        "every adjacency list comes out strictly increasing"
+    );
+
+    CsrGraph::from_csr_unchecked(xadj, adjncy, eweights, node_weights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn build_simple_square() {
@@ -204,5 +235,84 @@ mod tests {
         let g = GraphBuilder::with_capacity(7, 100).build();
         assert_eq!(g.num_nodes(), 7);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The CSR arrays a `BTreeMap<(u, v), w>` of the canonical edges gives,
+    /// built the naive way: one sorted `Vec` per node.
+    fn reference_csr(
+        n: usize,
+        edges: &BTreeMap<(NodeId, NodeId), EdgeWeight>,
+    ) -> (Vec<usize>, Vec<NodeId>, Vec<EdgeWeight>) {
+        let mut lists = vec![Vec::new(); n];
+        for (&(u, v), &w) in edges {
+            lists[u as usize].push((v, w));
+            lists[v as usize].push((u, w));
+        }
+        let mut xadj = vec![0];
+        let (mut adjncy, mut eweights) = (Vec::new(), Vec::new());
+        for mut list in lists {
+            list.sort_unstable();
+            xadj.push(xadj.last().unwrap() + list.len());
+            adjncy.extend(list.iter().map(|&(v, _)| v));
+            eweights.extend(list.iter().map(|&(_, w)| w));
+        }
+        (xadj, adjncy, eweights)
+    }
+
+    #[test]
+    fn build_equals_the_btreemap_reference_on_random_multisets() {
+        for seed in 0..300u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..40);
+            // Even seeds add unit edges only, odd ones switch to explicit
+            // weights part-way through.
+            let weighted = seed % 2 == 1;
+            let mut builder = GraphBuilder::new(n);
+            let mut node_weights = vec![1; n];
+            let mut edges = BTreeMap::new();
+            let mut added: Vec<(NodeId, NodeId)> = Vec::new();
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let node = |rng: &mut ChaCha8Rng| rng.gen_range(0..n) as NodeId;
+                // Self loops, and repeats of earlier pairs in either
+                // orientation.
+                let (u, v) = match rng.gen_range(0..10u32) {
+                    0 => {
+                        let u = node(&mut rng);
+                        (u, u)
+                    }
+                    1..=3 if !added.is_empty() => {
+                        let (a, b) = *added.choose(&mut rng).unwrap();
+                        if rng.gen_bool(0.5) {
+                            (b, a)
+                        } else {
+                            (a, b)
+                        }
+                    }
+                    _ => (node(&mut rng), node(&mut rng)),
+                };
+                added.push((u, v));
+                let w = if weighted && rng.gen_bool(0.5) {
+                    rng.gen_range(1..1000u64)
+                } else {
+                    1
+                };
+                builder.add_weighted_edge(u, v, w).unwrap();
+                if u != v {
+                    *edges.entry((u.min(v), u.max(v))).or_insert(0) += w;
+                }
+                if rng.gen_bool(0.1) {
+                    let w = rng.gen_range(1..100u64);
+                    node_weights[u as usize] = w;
+                    builder.set_node_weight(u, w).unwrap();
+                }
+            }
+            let g = builder.build();
+            let (xadj, adjncy, eweights) = reference_csr(n, &edges);
+            assert_eq!(g.xadj(), &xadj[..], "seed {seed}");
+            assert_eq!(g.adjncy(), &adjncy[..], "seed {seed}");
+            assert_eq!(g.edge_weights(), &eweights[..], "seed {seed}");
+            assert_eq!(g.node_weights(), &node_weights[..], "seed {seed}");
+            g.validate().unwrap();
+        }
     }
 }

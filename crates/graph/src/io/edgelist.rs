@@ -3,7 +3,8 @@
 //! Most SNAP graphs ship as whitespace-separated `u v` pairs with `#`
 //! comments. Node ids are 0-based; the number of nodes is either given by the
 //! caller or inferred as `max id + 1`. Directions, self loops and parallel
-//! edges are removed, matching the paper's preprocessing.
+//! edges are removed, matching the paper's preprocessing: `0 1`, `1 0` and a
+//! repeated `0 1` are one edge of weight 1, so the graph read is unweighted.
 
 use crate::{CsrGraph, GraphBuilder, GraphError, NodeId, Result};
 use std::fs::File;
@@ -13,15 +14,19 @@ use std::path::Path;
 /// Reads an edge list from `path`.
 ///
 /// If `num_nodes` is `None` the node count is inferred from the largest id
-/// seen. Lines starting with `#` or `%` are treated as comments.
+/// seen (a self loop's id counts). Lines starting with `#` or `%` are
+/// treated as comments. Every edge of the result has weight 1, however often
+/// and in whichever direction its pair is listed.
 pub fn read_edge_list<P: AsRef<Path>>(path: P, num_nodes: Option<usize>) -> Result<CsrGraph> {
     let file = File::open(path)?;
     read_edge_list_from(BufReader::new(file), num_nodes)
 }
 
 fn read_edge_list_from<R: BufRead>(reader: R, num_nodes: Option<usize>) -> Result<CsrGraph> {
+    // Canonical pairs `u < v`; self loops are dropped here, and repeats
+    // after the sort, so the builder sums no weights.
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut max_id: u64 = 0;
+    let mut max_id: Option<u64> = None;
     for line in reader.lines() {
         let line = line?;
         let trimmed = line.trim();
@@ -31,24 +36,19 @@ fn read_edge_list_from<R: BufRead>(reader: R, num_nodes: Option<usize>) -> Resul
         let mut parts = trimmed.split_whitespace();
         let u: u64 = parse_id(parts.next(), trimmed)?;
         let v: u64 = parse_id(parts.next(), trimmed)?;
-        max_id = max_id.max(u).max(v);
+        max_id = max_id.max(Some(u.max(v)));
         if u > u32::MAX as u64 || v > u32::MAX as u64 {
             return Err(GraphError::Parse(format!(
                 "node id too large for u32 on line '{trimmed}'"
             )));
         }
-        edges.push((u as NodeId, v as NodeId));
-    }
-    let n = match num_nodes {
-        Some(n) => n,
-        None => {
-            if edges.is_empty() {
-                0
-            } else {
-                (max_id + 1) as usize
-            }
+        if u != v {
+            edges.push((u.min(v) as NodeId, u.max(v) as NodeId));
         }
-    };
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let n = num_nodes.unwrap_or_else(|| max_id.map_or(0, |id| id as usize + 1));
     let mut builder = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         builder.add_edge(u, v)?;
@@ -109,6 +109,14 @@ mod tests {
     fn removes_directions_and_duplicates() {
         let g = read_edge_list_from("0 1\n1 0\n0 1\n1 1\n".as_bytes(), None).unwrap();
         assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edge_weight(0, 1), Some(1));
+        assert!(g.is_unweighted());
+    }
+
+    #[test]
+    fn a_self_loop_counts_towards_the_inferred_node_count() {
+        let g = read_edge_list_from("0 1\n4 4\n".as_bytes(), None).unwrap();
+        assert_eq!((g.num_nodes(), g.num_edges()), (5, 1));
     }
 
     #[test]

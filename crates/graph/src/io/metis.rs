@@ -737,25 +737,42 @@ fn write_metis_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<()> {
             fmt
         )?;
     }
-    let mut line = String::new();
+    let mut line = Vec::new();
     for v in graph.nodes() {
         line.clear();
         if has_node_weights {
-            line.push_str(&graph.node_weight(v).to_string());
+            push_decimal(&mut line, graph.node_weight(v));
         }
         for (u, w) in graph.neighbors_weighted(v) {
             if !line.is_empty() {
-                line.push(' ');
+                line.push(b' ');
             }
-            line.push_str(&(u + 1).to_string());
+            push_decimal(&mut line, u as u64 + 1);
             if has_edge_weights {
-                line.push(' ');
-                line.push_str(&w.to_string());
+                line.push(b' ');
+                push_decimal(&mut line, w);
             }
         }
-        writeln!(writer, "{line}")?;
+        line.push(b'\n');
+        writer.write_all(&line)?;
     }
     Ok(())
+}
+
+/// Appends the decimal digits of `x` to `line`, as `x.to_string()` spells
+/// them, without allocating.
+fn push_decimal(line: &mut Vec<u8>, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    line.extend_from_slice(&digits[start..]);
 }
 
 #[cfg(test)]

@@ -66,8 +66,10 @@ pub trait Standard: Sized {
 
 impl Standard for f64 {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        // 53 random mantissa bits in [0, 1), as in rand's Standard.
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        // 53 random mantissa bits in [0, 1), as in rand's Standard. The
+        // value fits in an `i64`, whose conversion is exact and one
+        // instruction on baseline x86-64 (the `u64` one is a sequence).
+        ((rng.next_u64() >> 11) as i64) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -227,6 +229,23 @@ mod tests {
         for _ in 0..1000 {
             let x: f64 = rng.gen();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn floats_are_the_top_53_bits_over_two_to_the_53() {
+        struct Fixed(u64);
+        impl RngCore for Fixed {
+            fn next_u32(&mut self) -> u32 {
+                self.0 as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        for word in [0, 1 << 11, 1 << 63, u64::MAX, 0x1234_5678_9abc_def0] {
+            let x: f64 = Fixed(word).gen();
+            assert_eq!(x, (word >> 11) as f64 / (1u64 << 53) as f64, "{word:#x}");
         }
     }
 

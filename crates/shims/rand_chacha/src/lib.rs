@@ -1,11 +1,11 @@
 //! Offline stand-in for the [`rand_chacha`](https://crates.io/crates/rand_chacha) crate providing [`ChaCha8Rng`].
 //!
 //! The ChaCha8 block function itself is the real Bernstein construction
-//! (8 rounds, 64-byte blocks, 64-bit block counter), so the stream has the
-//! expected statistical quality; the word-level output order is not
-//! guaranteed to match upstream `rand_chacha` bit for bit. Determinism in
-//! this workspace is internal only: the same seed always produces the same
-//! stream.
+//! (8 rounds, 64-byte blocks, 64-bit block counter): the all-zero key gives
+//! the published ChaCha8 keystream, which a unit test pins. The word-level
+//! output order is not guaranteed to match upstream `rand_chacha` bit for
+//! bit. Determinism in this workspace is internal only: the same seed always
+//! produces the same stream, and every seeded input depends on it.
 
 use rand::{RngCore, SeedableRng};
 
@@ -72,6 +72,18 @@ impl RngCore for ChaCha8Rng {
         self.index += 1;
         word
     }
+
+    fn next_u64(&mut self) -> u64 {
+        // The trait's order, high word first, read in one step while both
+        // words are in the current block.
+        if self.index < 15 {
+            let word = (self.block[self.index] as u64) << 32 | self.block[self.index + 1] as u64;
+            self.index += 2;
+            word
+        } else {
+            (self.next_u32() as u64) << 32 | self.next_u32() as u64
+        }
+    }
 }
 
 impl SeedableRng for ChaCha8Rng {
@@ -122,6 +134,54 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mean: f64 = (0..10_000).map(|_| rng.gen::<f64>()).sum::<f64>() / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    fn the_all_zero_key_gives_the_published_chacha8_keystream() {
+        // As little-endian bytes: 3e00ef2f 895f40d6 … 387bfdb8 0e0cfe42, the
+        // ChaCha8 test vector for the all-zero key and nonce.
+        let mut rng = ChaCha8Rng::from_seed([0; 32]);
+        let words: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
+        assert_eq!(
+            words,
+            [
+                0x2fef003e, 0xd6405f89, 0xe8b85b7f, 0xa1a5091f, 0xc30e842c, 0x3b7f9ace, 0x88e11b18,
+                0x1e1a71ef, 0x72e14c98, 0x416f21b9, 0x6753449f, 0x19566d45, 0xa3424a31, 0x01b086da,
+                0xb8fd7b38, 0x42fe0c0e,
+            ]
+        );
+    }
+
+    #[test]
+    fn the_block_counter_carries_from_word_12_into_word_13() {
+        let block = |rng: &mut ChaCha8Rng| (0..16).map(|_| rng.next_u32()).collect::<Vec<_>>();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        rng.input[12] = u32::MAX;
+        block(&mut rng);
+        assert_eq!((rng.input[12], rng.input[13]), (0, 1));
+        let mut reference = ChaCha8Rng::seed_from_u64(5);
+        reference.input[13] = 1;
+        assert_eq!(block(&mut rng), block(&mut reference));
+    }
+
+    #[test]
+    fn next_u64_is_two_words_high_first_at_every_offset() {
+        for skip in 0..16 {
+            let mut words = ChaCha8Rng::seed_from_u64(3);
+            let mut pairs = words.clone();
+            for _ in 0..skip {
+                words.next_u32();
+                pairs.next_u32();
+            }
+            for _ in 0..40 {
+                let (hi, lo) = (words.next_u32(), words.next_u32());
+                assert_eq!(
+                    pairs.next_u64(),
+                    (hi as u64) << 32 | lo as u64,
+                    "skip {skip}"
+                );
+            }
+        }
     }
 
     #[test]
