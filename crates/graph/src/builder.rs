@@ -26,7 +26,8 @@ pub struct GraphBuilder {
 /// whose order is the lexicographic `(u, v)` order.
 #[derive(Clone, Debug)]
 enum Edges {
-    /// Every edge added so far has weight 1: the keys alone.
+    /// Every edge added so far has weight 1: the keys alone, half the bytes
+    /// to hold and sort (generated graphs never leave this variant).
     Unit(Vec<u64>),
     /// Some edge has another weight: every key with its weight.
     Weighted(Vec<(u64, EdgeWeight)>),

@@ -73,8 +73,9 @@ impl CsrGraph {
 
     /// Convenience constructor from an undirected edge list with unit weights.
     ///
-    /// Parallel edges and self loops are removed, matching the preprocessing
-    /// applied to every benchmark graph in the paper.
+    /// Self loops are dropped; a pair listed more than once, in either
+    /// direction, becomes one edge whose weight is its multiplicity (see
+    /// [`GraphBuilder`](crate::GraphBuilder)).
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self> {
         let mut b = crate::GraphBuilder::new(n);
         for &(u, v) in edges {

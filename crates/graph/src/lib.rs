@@ -8,8 +8,9 @@
 //!
 //! * [`CsrGraph`] — a compact, immutable, undirected graph in compressed
 //!   sparse row form with node and edge weights.
-//! * [`GraphBuilder`] — an edge-list accumulator that deduplicates parallel
-//!   edges, drops self loops and produces a [`CsrGraph`].
+//! * [`GraphBuilder`] — an edge-list accumulator that merges parallel
+//!   edges (summing their weights), drops self loops and produces a
+//!   [`CsrGraph`].
 //! * [`NodeStream`] and its implementations — the *one-pass streaming model*
 //!   used throughout the paper, and the crate's one stream model: nodes
 //!   arrive one at a time together with their adjacency lists and must be
