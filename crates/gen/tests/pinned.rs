@@ -8,14 +8,15 @@
 //! speed-up of any of these layers must leave every digest unchanged.
 //!
 //! Run them in release (`cargo test --release -p oms-gen --test pinned`); the
-//! R-MAT graph has 2^14 nodes and the trace 37 500 operations.
+//! R-MAT graph has 2^14 nodes and each churn trace 37 500 operations.
 
 use oms_gen::{
-    barabasi_albert, churn_trace, delaunay_graph, erdos_renyi_gnm, grid_2d, random_geometric_graph,
-    rmat_graph, ChurnConfig, ChurnScheme, RmatParams, WeightScheme,
+    barabasi_albert, churn_trace, delaunay_graph, erdos_renyi_gnm, grid_2d, planted_partition,
+    random_geometric_graph, rmat_graph, scaled_corpus, temporal_trace, ChurnConfig, ChurnScheme,
+    RmatParams, TemporalConfig, TemporalScheme, WeightScheme,
 };
 use oms_graph::io::write_metis_string;
-use oms_graph::{write_delta_trace, CsrGraph};
+use oms_graph::{write_delta_trace, CsrGraph, DeltaBatch};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -129,23 +130,105 @@ fn metis_bytes_of_rmat_are_pinned() {
     );
 }
 
-#[test]
-fn drift_trace_bytes_are_pinned() {
-    let config = ChurnConfig {
-        scheme: ChurnScheme::CommunityDrift { communities: 8 },
-        batches: 60,
-        ops_per_batch: 625,
-        seed: 11,
-        ..ChurnConfig::default()
-    };
-    let trace = churn_trace(&er(), &config);
-    let path = std::env::temp_dir().join(format!("oms-gen-pinned-{}.deltas", std::process::id()));
-    write_delta_trace(&path, &trace).unwrap();
+/// FNV-1a over the bytes `write_delta_trace` writes for `trace`.
+fn trace_digest(trace: &[DeltaBatch]) -> u64 {
+    let path = std::env::temp_dir().join(format!(
+        "oms-gen-pinned-{}-{:?}.deltas",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    write_delta_trace(&path, trace).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
+    fnv1a(FNV_OFFSET, &bytes)
+}
+
+#[test]
+fn churn_trace_bytes_are_pinned() {
+    for (scheme, want) in [
+        (
+            ChurnScheme::CommunityDrift { communities: 8 },
+            0x1fb2_523d_755c_9c70,
+        ),
+        (ChurnScheme::Uniform, 0xc4f1_faa2_8641_83a2),
+        (ChurnScheme::Burst { window: 0.05 }, 0x56a2_5711_29f6_1138),
+    ] {
+        let config = ChurnConfig {
+            scheme,
+            batches: 60,
+            ops_per_batch: 625,
+            seed: 11,
+            ..ChurnConfig::default()
+        };
+        pin(
+            &format!("write_delta_trace of the {scheme:?} churn trace"),
+            trace_digest(&churn_trace(&er(), &config)),
+            want,
+        );
+    }
+}
+
+#[test]
+fn temporal_trace_bytes_are_pinned() {
+    let graph = barabasi_albert(3_000, 3, 9);
+    for (scheme, want) in [
+        (
+            TemporalScheme::PreferentialAttachment { edges_per_node: 3 },
+            0x61b0_4695_bda9_50ae,
+        ),
+        (
+            TemporalScheme::CommunityDrift { communities: 8 },
+            0x3327_e72b_2158_3c29,
+        ),
+        (
+            TemporalScheme::BurstArrivals { period: 4 },
+            0x2197_04fa_5b45_1be4,
+        ),
+    ] {
+        let config = TemporalConfig {
+            scheme,
+            batches: 20,
+            ops_per_batch: 200,
+            delete_fraction: 0.25,
+            seed: 13,
+        };
+        pin(
+            &format!("write_delta_trace of the {scheme:?} temporal trace"),
+            trace_digest(&temporal_trace(&graph, &config)),
+            want,
+        );
+    }
+}
+
+#[test]
+fn planted_partition_is_pinned() {
     pin(
-        "write_delta_trace of the drift trace",
-        fnv1a(FNV_OFFSET, &bytes),
-        0x1fb2_523d_755c_9c70,
+        "planted_partition(2 000, 8, 0.05, 0.002, 5)",
+        csr_digest(&planted_partition(2_000, 8, 0.05, 0.002, 5)),
+        0xeb38_4545_27da_ca58,
+    );
+}
+
+/// FNV-1a over each corpus entry's name bytes followed by its
+/// [`csr_digest`] as little-endian bytes, in corpus order.
+fn corpus_digest(scale: f64, seed: u64) -> u64 {
+    scaled_corpus(scale, seed)
+        .iter()
+        .fold(FNV_OFFSET, |h, (name, _class, graph)| {
+            fnv1a(fnv1a(h, name.as_bytes()), &csr_digest(graph).to_le_bytes())
+        })
+}
+
+#[test]
+fn scaled_corpus_is_pinned() {
+    pin(
+        "scaled_corpus(0.01, 7)",
+        corpus_digest(0.01, 7),
+        0x6921_6eb5_df81_af16,
+    );
+    pin(
+        "scaled_corpus(0.05, 3)",
+        corpus_digest(0.05, 3),
+        0xa70e_c3c9_9847_2169,
     );
 }
