@@ -1740,6 +1740,33 @@ fn gen_deltas_refuses_a_delete_fraction_outside_the_unit_interval() {
     assert_gen_deltas_refuses("delete-frac", &temporal, &["5", "-1", "nan"], "0.5");
 }
 
+/// Every churn and temporal shape writes a trace for a graph without
+/// nodes: there is no live node to draw and no id window to fill.
+#[test]
+fn gen_deltas_runs_every_shape_on_an_empty_graph() {
+    let dir = temp_dir("gen-deltas-empty");
+    let graph = dir.join("empty.metis");
+    std::fs::write(&graph, "0 0\n").unwrap();
+    let (graph, out) = (graph.to_str().unwrap(), dir.join("out.deltas"));
+    let out = out.to_str().unwrap();
+    for shape in [
+        ["--scheme", "uniform"],
+        ["--scheme", "drift"],
+        ["--scheme", "burst"],
+        ["--temporal", "pa"],
+        ["--temporal", "drift"],
+        ["--temporal", "burst"],
+    ] {
+        let args = [
+            &["gen-deltas", graph, out, "--batches", "6", "--ops", "20"][..],
+            &shape,
+        ]
+        .concat();
+        let (code, _, stderr) = run_oms(&args);
+        assert_eq!(code, Some(0), "{shape:?}: {stderr}");
+    }
+}
+
 #[test]
 fn replay_refuses_a_zipf_exponent_that_is_negative_or_not_finite() {
     let (_dir, graph) = small_graph("replay-zipf");

@@ -27,7 +27,7 @@ use oms_graph::{CsrGraph, DeltaBatch, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// How churn endpoints are chosen (see the [module docs](self)).
+/// How churn endpoints are chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChurnScheme {
     /// Uniformly random live endpoints.
@@ -83,8 +83,9 @@ impl Default for ChurnConfig {
 /// Never delete nodes below this live count — a churned-to-nothing graph
 /// makes no workload.
 const MIN_LIVE_NODES: usize = 8;
-/// Retries when rejection-sampling an endpoint with a constraint.
-const RETRIES: usize = 64;
+/// Retries when rejection-sampling an endpoint with a constraint, an absent
+/// pair or an edge; shared with [`crate::temporal`].
+pub(crate) const RETRIES: usize = 64;
 
 /// The generator's mirror of the evolving graph: adjacency, liveness and an
 /// O(1)-sample list of live ids. Shared with the temporal generators in
@@ -120,6 +121,41 @@ impl Mirror {
             return None;
         }
         Some(self.live_ids[rng.gen_range(0..self.live_ids.len())])
+    }
+
+    /// Rejection-samples a live node satisfying `want`; after [`RETRIES`]
+    /// misses, any live node. `None` when no node is live.
+    pub(crate) fn sample_live_where(
+        &self,
+        rng: &mut ChaCha8Rng,
+        want: impl Fn(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        for _ in 0..RETRIES {
+            let v = self.sample_live(rng)?;
+            if want(v) {
+                return Some(v);
+            }
+        }
+        self.sample_live(rng)
+    }
+
+    /// Draws endpoint pairs, `u` under `u_in` and `v` under `v_in` (see
+    /// [`Mirror::sample_live_where`]), until one is an absent, non-loop
+    /// edge; `None` after [`RETRIES`] misses or when no node is live.
+    pub(crate) fn absent_pair(
+        &self,
+        rng: &mut ChaCha8Rng,
+        u_in: impl Fn(NodeId) -> bool,
+        v_in: impl Fn(NodeId) -> bool,
+    ) -> Option<(NodeId, NodeId)> {
+        for _ in 0..RETRIES {
+            let u = self.sample_live_where(rng, &u_in)?;
+            let v = self.sample_live_where(rng, &v_in)?;
+            if u != v && !self.has_edge(u, v) {
+                return Some((u, v));
+            }
+        }
+        None
     }
 
     pub(crate) fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
@@ -174,51 +210,58 @@ fn sample_insert(
     batch_no: usize,
     rng: &mut ChaCha8Rng,
 ) -> Option<(NodeId, NodeId)> {
-    let constrained = |mirror: &Mirror, rng: &mut ChaCha8Rng, want: &dyn Fn(NodeId) -> bool| {
-        for _ in 0..RETRIES {
-            let v = mirror.sample_live(rng)?;
-            if want(v) {
-                return Some(v);
-            }
+    match scheme {
+        ChurnScheme::Uniform => mirror.absent_pair(rng, |_| true, |_| true),
+        ChurnScheme::CommunityDrift { communities } => {
+            drift_edge(mirror, communities, batch_no, rng)
         }
-        mirror.sample_live(rng)
-    };
-    for _ in 0..RETRIES {
-        let (u, v) = match scheme {
-            ChurnScheme::Uniform => (mirror.sample_live(rng)?, mirror.sample_live(rng)?),
-            ChurnScheme::CommunityDrift { communities } => {
-                let c = communities.max(2);
-                let a = (batch_no as u32) % c;
-                let b = (batch_no as u32 + 1) % c;
-                (
-                    constrained(mirror, rng, &|v| v % c == a)?,
-                    constrained(mirror, rng, &|v| v % c == b)?,
-                )
-            }
-            ChurnScheme::Burst { window } => {
-                let n = mirror.id_space();
-                let w = ((window.clamp(0.0, 1.0) * n as f64) as usize).max(2).min(n);
-                let start = (batch_no * w) % n;
-                let inside = |v: NodeId| {
-                    let v = v as usize;
-                    let end = start + w;
-                    if end <= n {
-                        v >= start && v < end
-                    } else {
-                        v >= start || v < end - n
-                    }
-                };
-                (
-                    constrained(mirror, rng, &inside)?,
-                    constrained(mirror, rng, &inside)?,
-                )
-            }
-        };
-        if u != v && !mirror.has_edge(u, v) {
-            return Some((u, v));
+        ChurnScheme::Burst { window } => {
+            let width = (window.clamp(0.0, 1.0) * mirror.id_space() as f64) as usize;
+            window_edge(mirror, width, batch_no, rng)
         }
     }
-    None
+}
+
+/// Drift insertion: an absent edge between the batch's active community
+/// pair (`batch_no % c` and `(batch_no + 1) % c` of `c` id-modulo
+/// communities).
+pub(crate) fn drift_edge(
+    mirror: &Mirror,
+    communities: u32,
+    batch_no: usize,
+    rng: &mut ChaCha8Rng,
+) -> Option<(NodeId, NodeId)> {
+    let c = communities.max(2);
+    let (a, b) = ((batch_no as u32) % c, (batch_no as u32 + 1) % c);
+    mirror.absent_pair(rng, |v| v % c == a, |v| v % c == b)
+}
+
+/// Hotspot insertion: an absent edge inside the batch's sliding window of
+/// `w` ids (`width` clamped to `2..=n`), which starts `batch_no · w` ids
+/// into the id space and wraps around it. An empty id space has no window
+/// and no edge.
+pub(crate) fn window_edge(
+    mirror: &Mirror,
+    width: usize,
+    batch_no: usize,
+    rng: &mut ChaCha8Rng,
+) -> Option<(NodeId, NodeId)> {
+    let n = mirror.id_space();
+    if n == 0 {
+        return None;
+    }
+    let w = width.max(2).min(n);
+    let start = (batch_no * w) % n;
+    let end = start + w;
+    let inside = |v: NodeId| {
+        let v = v as usize;
+        if end <= n {
+            v >= start && v < end
+        } else {
+            v >= start || v < end - n
+        }
+    };
+    mirror.absent_pair(rng, inside, inside)
 }
 
 /// Samples an existing edge to delete; under [`ChurnScheme::CommunityDrift`]
@@ -250,8 +293,9 @@ fn sample_delete(
 }
 
 /// Generates a churn trace over `graph`: `config.batches` delta batches,
-/// each valid against the graph state left by its predecessors. See the
-/// [module docs](self) for the guarantees.
+/// each valid against the graph state left by its predecessors (no
+/// duplicate edge inserts, no deletes of absent edges, no references to
+/// dead nodes) and fully determined by `(graph, config)`.
 pub fn churn_trace(graph: &CsrGraph, config: &ChurnConfig) -> Vec<DeltaBatch> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut mirror = Mirror::new(graph);

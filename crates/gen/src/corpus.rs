@@ -19,129 +19,34 @@ use crate::{
 };
 use oms_graph::CsrGraph;
 
-/// Structural class of a corpus instance, following Table 1's "Type" column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CorpusClass {
-    /// Finite-element meshes (`Dubcova1`, `ML_Laplace`, `HV15R`, …).
-    Meshes,
-    /// Circuit netlists (`hcircuit`, `FullChip`, `circuit5M`).
-    Circuit,
-    /// Citation / co-authorship networks (`coAuthorsDBLP`, `cit-Patents`, …).
-    Citations,
-    /// Web crawls (`Web-NotreDame`, `eu-2005`, `web-Google`).
-    Web,
-    /// Social networks (`soc-orkut-dir`, `soc-LiveJournal1`, `Ljournal-2008`).
-    Social,
-    /// Road networks (`italy-osm`, `great-britain-osm`, `ca-hollywood-2009`¹).
-    ///
-    /// ¹ the paper lists `ca-hollywood-2009` under "Roads"; we follow the
-    /// table verbatim.
-    Roads,
-    /// Similarity graphs (`Amazon-2008`).
-    Similarity,
-    /// Artificial families (`del21`, `rgg21`).
-    Artificial,
-}
-
-impl CorpusClass {
-    /// Whether instances of this class have heavy-tailed (hub-dominated)
-    /// degree distributions — preferential attachment and skewed-RMAT
-    /// families. These are the graphs on which balanced edge-cut
-    /// partitioning turns pathological and vertex-cut (edge) partitioning
-    /// is the right model; the `edgepart` bench uses this to annotate its
-    /// tables.
-    pub fn hub_heavy(&self) -> bool {
-        matches!(
-            self,
-            CorpusClass::Citations | CorpusClass::Web | CorpusClass::Social
-        )
-    }
-
-    /// Short lowercase name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CorpusClass::Meshes => "meshes",
-            CorpusClass::Circuit => "circuit",
-            CorpusClass::Citations => "citations",
-            CorpusClass::Web => "web",
-            CorpusClass::Social => "social",
-            CorpusClass::Roads => "roads",
-            CorpusClass::Similarity => "similarity",
-            CorpusClass::Artificial => "artificial",
-        }
-    }
-}
-
 /// Recipe used to synthesise one corpus instance.
 #[derive(Clone, Copy, Debug)]
 enum GenSpec {
-    Grid2D {
-        width: usize,
-        height: usize,
-    },
-    Grid3D {
-        nx: usize,
-        ny: usize,
-        nz: usize,
-    },
-    Rgg {
-        n: usize,
-    },
-    Delaunay {
-        n: usize,
-    },
-    BarabasiAlbert {
-        n: usize,
-        attach: usize,
-    },
-    Rmat {
-        scale_exp: u32,
-        edge_factor: usize,
-        skewed: bool,
-    },
-    ErGnm {
-        n: usize,
-        m: usize,
-    },
-    Planted {
-        n: usize,
-        blocks: usize,
-    },
+    Grid2D { width: usize, height: usize },
+    Grid3D { nx: usize, ny: usize, nz: usize },
+    Rgg { n: usize },
+    Delaunay { n: usize },
+    BarabasiAlbert { n: usize, attach: usize },
+    Rmat { scale_exp: u32, edge_factor: usize },
+    ErGnm { n: usize, m: usize },
+    Planted { n: usize, blocks: usize },
 }
 
 /// One named instance of the synthetic corpus.
 #[derive(Clone, Copy, Debug)]
-pub struct CorpusEntry {
+struct CorpusEntry {
     /// Instance name; matches the corresponding Table 1 name with a `syn-`
     /// prefix to make the substitution explicit.
-    pub name: &'static str,
-    /// Structural class.
-    pub class: CorpusClass,
+    name: &'static str,
     spec: GenSpec,
 }
 
-impl CorpusEntry {
-    /// Approximate number of nodes of the instance at scale 1.0.
-    pub fn base_nodes(&self) -> usize {
-        match self.spec {
-            GenSpec::Grid2D { width, height } => width * height,
-            GenSpec::Grid3D { nx, ny, nz } => nx * ny * nz,
-            GenSpec::Rgg { n }
-            | GenSpec::Delaunay { n }
-            | GenSpec::BarabasiAlbert { n, .. }
-            | GenSpec::ErGnm { n, .. }
-            | GenSpec::Planted { n, .. } => n,
-            GenSpec::Rmat { scale_exp, .. } => 1usize << scale_exp,
-        }
-    }
-}
-
-/// The full corpus specification (14 instances covering every class of
-/// Table 1 plus the two artificial families).
-pub const CORPUS: &[CorpusEntry] = &[
+/// The full corpus specification (15 instances covering every class of
+/// Table 1 — meshes, circuits, citations, web, social, roads, similarity —
+/// plus the two artificial families), in Table 1 order.
+const CORPUS: &[CorpusEntry] = &[
     CorpusEntry {
         name: "syn-Dubcova1",
-        class: CorpusClass::Meshes,
         spec: GenSpec::Grid2D {
             width: 128,
             height: 126,
@@ -149,7 +54,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-ML_Laplace",
-        class: CorpusClass::Meshes,
         spec: GenSpec::Grid3D {
             nx: 32,
             ny: 32,
@@ -158,7 +62,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-HV15R",
-        class: CorpusClass::Meshes,
         spec: GenSpec::Grid3D {
             nx: 40,
             ny: 36,
@@ -167,7 +70,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-hcircuit",
-        class: CorpusClass::Circuit,
         spec: GenSpec::ErGnm {
             n: 26_000,
             m: 52_000,
@@ -175,7 +77,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-FullChip",
-        class: CorpusClass::Circuit,
         spec: GenSpec::ErGnm {
             n: 48_000,
             m: 190_000,
@@ -183,7 +84,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-coAuthorsDBLP",
-        class: CorpusClass::Citations,
         spec: GenSpec::BarabasiAlbert {
             n: 30_000,
             attach: 3,
@@ -191,7 +91,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-cit-Patents",
-        class: CorpusClass::Citations,
         spec: GenSpec::BarabasiAlbert {
             n: 60_000,
             attach: 4,
@@ -199,48 +98,38 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-web-Google",
-        class: CorpusClass::Web,
         spec: GenSpec::Rmat {
             scale_exp: 15,
             edge_factor: 5,
-            skewed: true,
         },
     },
     CorpusEntry {
         name: "syn-eu-2005",
-        class: CorpusClass::Web,
         spec: GenSpec::Rmat {
             scale_exp: 14,
             edge_factor: 18,
-            skewed: true,
         },
     },
     CorpusEntry {
         name: "syn-soc-LiveJournal1",
-        class: CorpusClass::Social,
         spec: GenSpec::Rmat {
             scale_exp: 16,
             edge_factor: 9,
-            skewed: true,
         },
     },
     CorpusEntry {
         name: "syn-soc-orkut-dir",
-        class: CorpusClass::Social,
         spec: GenSpec::Rmat {
             scale_exp: 15,
             edge_factor: 38,
-            skewed: true,
         },
     },
     CorpusEntry {
         name: "syn-italy-osm",
-        class: CorpusClass::Roads,
         spec: GenSpec::Rgg { n: 65_000 },
     },
     CorpusEntry {
         name: "syn-Amazon-2008",
-        class: CorpusClass::Similarity,
         spec: GenSpec::Planted {
             n: 40_000,
             blocks: 64,
@@ -248,12 +137,10 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "syn-del18",
-        class: CorpusClass::Artificial,
         spec: GenSpec::Delaunay { n: 50_000 },
     },
     CorpusEntry {
         name: "syn-rgg18",
-        class: CorpusClass::Artificial,
         spec: GenSpec::Rgg { n: 60_000 },
     },
 ];
@@ -262,7 +149,7 @@ pub const CORPUS: &[CorpusEntry] = &[
 ///
 /// `scale` multiplies the number of nodes (and edges where applicable);
 /// `seed` makes the instance reproducible.
-pub fn corpus_graph(entry: &CorpusEntry, scale: f64, seed: u64) -> CsrGraph {
+fn corpus_graph(entry: &CorpusEntry, scale: f64, seed: u64) -> CsrGraph {
     assert!(scale > 0.0, "scale must be positive");
     let s = |x: usize| ((x as f64 * scale).round() as usize).max(4);
     let sdim = |x: usize| ((x as f64 * scale.cbrt()).round() as usize).max(2);
@@ -276,98 +163,41 @@ pub fn corpus_graph(entry: &CorpusEntry, scale: f64, seed: u64) -> CsrGraph {
         GenSpec::Rmat {
             scale_exp,
             edge_factor,
-            skewed,
         } => {
             // Scale the implicit node count 2^scale_exp by adjusting the
             // exponent with log2(scale); edges follow the edge factor.
             let extra = scale.log2().round() as i32;
             let exp = (scale_exp as i32 + extra).clamp(8, 26) as u32;
             let n = 1usize << exp;
-            let params = if skewed {
-                RmatParams::GRAPH500
-            } else {
-                RmatParams::UNIFORM
-            };
-            rmat_graph(exp, n * edge_factor, params, seed)
+            rmat_graph(exp, n * edge_factor, RmatParams::GRAPH500, seed)
         }
         GenSpec::ErGnm { n, m } => erdos_renyi_gnm(s(n), s(m), seed),
-        GenSpec::Planted { n, blocks } => planted_partition(s(n), blocks, 0.004, 0.00002, seed)
-            .max_by_edges(erdos_renyi_gnm(s(n), 2 * s(n), seed.wrapping_add(1))),
-    }
-}
-
-/// Builds a single corpus instance at the given `scale` and reweights it
-/// with `scheme` (the `weights=` corpus knob).
-///
-/// The topology is byte-identical to [`corpus_graph`] at the same
-/// `(scale, seed)` — only the weights change — so weighted and unweighted
-/// runs of the same instance see the same stream order.
-pub fn corpus_graph_weighted(
-    entry: &CorpusEntry,
-    scale: f64,
-    seed: u64,
-    scheme: crate::weights::WeightScheme,
-) -> CsrGraph {
-    let graph = corpus_graph(entry, scale, seed);
-    // Unit is the identity; skip WeightScheme::apply's clone so unweighted
-    // corpus builds (every pre-existing caller) stay copy-free.
-    match scheme {
-        crate::weights::WeightScheme::Unit => graph,
-        scheme => scheme.apply(&graph, seed),
-    }
-}
-
-/// Helper trait used by [`corpus_graph`] to pick the denser of two candidate
-/// graphs (the planted-partition generator can come out too sparse at very
-/// small scales).
-trait MaxByEdges {
-    fn max_by_edges(self, other: CsrGraph) -> CsrGraph;
-}
-
-impl MaxByEdges for CsrGraph {
-    fn max_by_edges(self, other: CsrGraph) -> CsrGraph {
-        if self.num_edges() >= other.num_edges() {
-            self
-        } else {
-            other
+        GenSpec::Planted { n, blocks } => {
+            // The planted partition can come out too sparse at very small
+            // scales; keep the denser of it and a G(n, 2n) graph.
+            let planted = planted_partition(s(n), blocks, 0.004, 0.00002, seed);
+            let fallback = erdos_renyi_gnm(s(n), 2 * s(n), seed.wrapping_add(1));
+            if planted.num_edges() >= fallback.num_edges() {
+                planted
+            } else {
+                fallback
+            }
         }
     }
 }
 
-/// Builds the whole corpus at the given scale. Returns `(name, class, graph)`
-/// triples in Table 1 order.
-pub fn scaled_corpus(scale: f64, seed: u64) -> Vec<(String, CorpusClass, CsrGraph)> {
-    scaled_corpus_weighted(scale, seed, crate::weights::WeightScheme::Unit)
-}
-
-/// [`scaled_corpus`] with the `weights=` knob applied to every instance.
-pub fn scaled_corpus_weighted(
-    scale: f64,
-    seed: u64,
-    scheme: crate::weights::WeightScheme,
-) -> Vec<(String, CorpusClass, CsrGraph)> {
+/// Builds the whole corpus at the given scale. Returns `(name, graph)` pairs
+/// in Table 1 order.
+pub fn scaled_corpus(scale: f64, seed: u64) -> Vec<(&'static str, CsrGraph)> {
     CORPUS
         .iter()
-        .map(|entry| {
-            (
-                entry.name.to_string(),
-                entry.class,
-                corpus_graph_weighted(entry, scale, seed, scheme),
-            )
-        })
+        .map(|entry| (entry.name, corpus_graph(entry, scale, seed)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corpus_covers_every_class() {
-        use std::collections::HashSet;
-        let classes: HashSet<_> = CORPUS.iter().map(|e| e.class).collect();
-        assert_eq!(classes.len(), 8);
-    }
 
     #[test]
     fn tiny_scale_corpus_builds_and_validates() {
@@ -391,22 +221,15 @@ mod tests {
     fn corpus_is_deterministic() {
         let entry = CORPUS
             .iter()
-            .find(|e| e.class == CorpusClass::Citations)
+            .find(|e| e.name == "syn-coAuthorsDBLP")
             .unwrap();
         assert_eq!(corpus_graph(entry, 0.05, 3), corpus_graph(entry, 0.05, 3));
-    }
-
-    #[test]
-    fn base_nodes_reported() {
-        for entry in CORPUS {
-            assert!(entry.base_nodes() >= 1000, "{}", entry.name);
-        }
     }
 
     #[test]
     fn scaled_corpus_returns_all_entries() {
         let corpus = scaled_corpus(0.02, 5);
         assert_eq!(corpus.len(), CORPUS.len());
-        assert!(corpus.iter().all(|(_, _, g)| g.num_nodes() > 0));
+        assert!(corpus.iter().all(|(_, g)| g.num_nodes() > 0));
     }
 }

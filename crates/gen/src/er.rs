@@ -40,47 +40,6 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
     builder.build()
 }
 
-/// Generates a `G(n, p)` graph: every pair of nodes is connected
-/// independently with probability `p`.
-///
-/// Uses the standard geometric skipping technique, so the running time is
-/// `O(n + m)` rather than `O(n²)`.
-pub fn erdos_renyi_gnp(n: usize, p: f64, seed: u64) -> CsrGraph {
-    assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-    let mut builder = GraphBuilder::new(n);
-    if n == 0 || p == 0.0 {
-        return builder.build();
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    if p >= 1.0 {
-        for u in 0..n as NodeId {
-            for v in (u + 1)..n as NodeId {
-                builder.add_edge(u, v).unwrap();
-            }
-        }
-        return builder.build();
-    }
-    // Batagelj–Brandes geometric skipping over the implicit enumeration of
-    // pairs (v, w) with w < v.
-    let log1p = (1.0 - p).ln();
-    let n = n as i64;
-    let mut v: i64 = 1;
-    let mut w: i64 = -1;
-    while v < n {
-        let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let skip = ((1.0 - r).ln() / log1p).floor() as i64;
-        w += 1 + skip;
-        while w >= v && v < n {
-            w -= v;
-            v += 1;
-        }
-        if v < n {
-            builder.add_edge(v as NodeId, w as NodeId).unwrap();
-        }
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,38 +71,5 @@ mod tests {
     fn gnm_empty() {
         let g = erdos_renyi_gnm(10, 0, 1);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn gnp_zero_probability_has_no_edges() {
-        let g = erdos_renyi_gnp(100, 0.0, 1);
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn gnp_full_probability_is_complete() {
-        let g = erdos_renyi_gnp(10, 1.0, 1);
-        assert_eq!(g.num_edges(), 45);
-    }
-
-    #[test]
-    fn gnp_edge_count_is_close_to_expectation() {
-        let n = 400;
-        let p = 0.05;
-        let g = erdos_renyi_gnp(n, p, 11);
-        let expected = (n * (n - 1) / 2) as f64 * p;
-        let actual = g.num_edges() as f64;
-        // 4 standard deviations of slack.
-        let sd = (expected * (1.0 - p)).sqrt();
-        assert!(
-            (actual - expected).abs() < 4.0 * sd + 1.0,
-            "expected ~{expected}, got {actual}"
-        );
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn gnp_is_deterministic_per_seed() {
-        assert_eq!(erdos_renyi_gnp(80, 0.1, 5), erdos_renyi_gnp(80, 0.1, 5));
     }
 }

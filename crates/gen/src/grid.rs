@@ -1,4 +1,4 @@
-//! Regular grid and torus meshes.
+//! Regular grid meshes.
 //!
 //! Structured meshes stand in for the finite-element matrices of the paper's
 //! corpus (`Dubcova1`, `ML_Laplace`, `Flan_1565`, `HV15R`, `Bump_2911`): low,
@@ -29,25 +29,10 @@ pub fn grid_2d(width: usize, height: usize) -> CsrGraph {
     builder.build()
 }
 
-/// Generates a `width × height` torus (grid with wrap-around edges).
-pub fn torus_2d(width: usize, height: usize) -> CsrGraph {
-    assert!(width >= 3 && height >= 3, "torus needs both dimensions ≥ 3");
-    let n = width * height;
-    let mut builder = GraphBuilder::with_capacity(n, 2 * n);
-    let id = |x: usize, y: usize| (y * width + x) as NodeId;
-    for y in 0..height {
-        for x in 0..width {
-            builder.add_edge(id(x, y), id((x + 1) % width, y)).unwrap();
-            builder.add_edge(id(x, y), id(x, (y + 1) % height)).unwrap();
-        }
-    }
-    builder.build()
-}
-
 /// Generates an `nx × ny × nz` 6-connected 3D grid graph.
 ///
 /// Node `(x, y, z)` has id `z * nx * ny + y * nx + x`.
-pub fn grid_3d(nx: usize, ny: usize, nz: usize) -> CsrGraph {
+pub(crate) fn grid_3d(nx: usize, ny: usize, nz: usize) -> CsrGraph {
     let n = nx * ny * nz;
     let mut builder = GraphBuilder::with_capacity(n, 3 * n);
     let id = |x: usize, y: usize, z: usize| (z * nx * ny + y * nx + x) as NodeId;
@@ -93,14 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_is_4_regular() {
-        let g = torus_2d(6, 5);
-        assert!(g.nodes().all(|v| g.degree(v) == 4));
-        assert_eq!(g.num_edges(), 2 * 30);
-        assert!(is_connected(&g));
-    }
-
-    #[test]
     fn grid_3d_counts() {
         let g = grid_3d(4, 3, 2);
         assert_eq!(g.num_nodes(), 24);
@@ -117,11 +94,5 @@ mod tests {
         let single = grid_2d(1, 1);
         assert_eq!(single.num_nodes(), 1);
         assert_eq!(single.num_edges(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn tiny_torus_panics() {
-        torus_2d(2, 5);
     }
 }

@@ -11,51 +11,48 @@
 //! one-pass streaming partitioners (degree distribution, locality of the
 //! natural stream order, density):
 //!
-//! * [`rgg::random_geometric_graph`] — the paper's `rggX` family.
-//! * [`delaunay::delaunay_graph`] — the paper's `delX` family (Bowyer–Watson).
-//! * [`grid`] — 2D/3D meshes (stand-in for the FE meshes such as `HV15R`).
-//! * [`ba::barabasi_albert`] and [`rmat::rmat_graph`] — heavy-tailed social /
-//!   web / citation-like graphs.
-//! * [`er::erdos_renyi_gnm`] — sparse quasi-regular graphs (circuit-like).
-//! * [`sbm::planted_partition`] — community-structured graphs with a known
+//! * [`random_geometric_graph`] — the paper's `rggX` family.
+//! * [`delaunay_graph`] — the paper's `delX` family (Bowyer–Watson).
+//! * [`grid_2d`] — 2D meshes (stand-in for the FE meshes such as `HV15R`).
+//! * [`barabasi_albert`] and [`rmat_graph`] — heavy-tailed social / web /
+//!   citation-like graphs.
+//! * [`erdos_renyi_gnm`] — sparse quasi-regular graphs (circuit-like).
+//! * [`planted_partition`] — community-structured graphs with a known
 //!   ground truth, useful for sanity-checking partition quality.
-//! * [`corpus`] — a named benchmark corpus mirroring Table 1 of the paper,
-//!   scaled by a user-chosen factor.
-//! * [`weights`] — deterministic reweighting schemes (power-law node
-//!   weights, degree-proportional edge weights) behind the `weights=` corpus
-//!   knob, opening the weighted workload axis on any generated graph.
-//! * [`churn`] — seeded, valid-by-construction delta traces (uniform,
+//! * [`scaled_corpus`] — a named benchmark corpus mirroring Table 1 of the
+//!   paper, scaled by a user-chosen factor.
+//! * [`WeightScheme`] — deterministic reweighting (power-law node weights,
+//!   degree-proportional edge weights) behind `oms generate --weights`,
+//!   opening the weighted workload axis on any generated graph.
+//! * [`churn_trace`] — seeded, valid-by-construction delta traces (uniform,
 //!   community-drift, burst) feeding the `oms-dynamic` maintenance layer.
-//! * [`temporal`] — timestamped temporal edge streams (preferential
+//! * [`temporal_trace`] — timestamped temporal edge streams (preferential
 //!   attachment over time, migrating communities, burst arrivals) emitted
 //!   as delta traces, one batch per timestamp window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ba;
-pub mod churn;
-pub mod corpus;
-pub mod delaunay;
-pub mod er;
-pub mod grid;
-pub mod rgg;
-pub mod rmat;
-pub mod sbm;
-pub mod temporal;
-pub mod weights;
+mod ba;
+mod churn;
+mod corpus;
+mod delaunay;
+mod er;
+mod grid;
+mod rgg;
+mod rmat;
+mod sbm;
+mod temporal;
+mod weights;
 
 pub use ba::barabasi_albert;
 pub use churn::{churn_trace, ChurnConfig, ChurnScheme};
-pub use corpus::{
-    corpus_graph, corpus_graph_weighted, scaled_corpus, scaled_corpus_weighted, CorpusClass,
-    CorpusEntry,
-};
+pub use corpus::scaled_corpus;
 pub use delaunay::delaunay_graph;
-pub use er::{erdos_renyi_gnm, erdos_renyi_gnp};
-pub use grid::{grid_2d, grid_3d, torus_2d};
+pub use er::erdos_renyi_gnm;
+pub use grid::grid_2d;
 pub use rgg::random_geometric_graph;
 pub use rmat::{rmat_graph, RmatParams};
 pub use sbm::planted_partition;
 pub use temporal::{temporal_trace, TemporalConfig, TemporalScheme};
-pub use weights::{degree_proportional_edge_weights, power_law_node_weights, WeightScheme};
+pub use weights::{WeightScheme, DEFAULT_MAX_NODE_WEIGHT};

@@ -16,50 +16,61 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The connection radius used by the paper for `n` nodes.
-pub fn rgg_radius(n: usize) -> f64 {
+fn rgg_radius(n: usize) -> f64 {
     assert!(n >= 2, "radius undefined for fewer than two nodes");
     0.55 * ((n as f64).ln() / n as f64).sqrt()
 }
 
-/// Generates a random geometric graph with `n` nodes in the unit square and
-/// the paper's default radius.
-pub fn random_geometric_graph(n: usize, seed: u64) -> CsrGraph {
-    random_geometric_graph_with_radius(n, rgg_radius(n), seed)
+/// Cells per side of the neighbour-search grid: cells of side at least
+/// `radius`, so every pair within the radius lies in adjacent cells.
+fn cells_per_side(radius: f64) -> usize {
+    (1.0 / radius).floor().max(1.0) as usize
 }
 
-/// Generates a random geometric graph with an explicit connection `radius`.
-pub fn random_geometric_graph_with_radius(n: usize, radius: f64, seed: u64) -> CsrGraph {
-    assert!(radius > 0.0 && radius <= 1.0, "radius must be in (0, 1]");
+/// The grid cell `(x, y)` of point `p`.
+fn cell_of(p: (f64, f64), cells: usize) -> (usize, usize) {
+    let cx = ((p.0 * cells as f64) as usize).min(cells - 1);
+    let cy = ((p.1 * cells as f64) as usize).min(cells - 1);
+    (cx, cy)
+}
+
+/// The `n` seeded points in node-id order: sorted by grid cell (row-major),
+/// so that node ids are spatially coherent, then by position.
+fn sorted_points(n: usize, cells: usize, seed: u64) -> Vec<(f64, f64)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut points: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-
-    // Sort points by their grid cell (row-major) so that node ids are
-    // spatially coherent.
-    let cells_per_side = (1.0 / radius).floor().max(1.0) as usize;
-    let cell_of = |p: (f64, f64)| -> (usize, usize) {
-        let cx = ((p.0 * cells_per_side as f64) as usize).min(cells_per_side - 1);
-        let cy = ((p.1 * cells_per_side as f64) as usize).min(cells_per_side - 1);
-        (cx, cy)
-    };
     points.sort_by(|a, b| {
-        let ca = cell_of(*a);
-        let cb = cell_of(*b);
+        let ca = cell_of(*a, cells);
+        let cb = cell_of(*b, cells);
         (ca.1, ca.0)
             .cmp(&(cb.1, cb.0))
             .then(a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
     });
+    points
+}
+
+/// Generates a random geometric graph with `n` nodes in the unit square and
+/// the paper's radius.
+///
+/// # Panics
+///
+/// Panics if `n < 2`.
+pub fn random_geometric_graph(n: usize, seed: u64) -> CsrGraph {
+    let radius = rgg_radius(n);
+    let cells_per_side = cells_per_side(radius);
+    let points = sorted_points(n, cells_per_side, seed);
 
     // Bucket points per cell.
     let mut cell_points: Vec<Vec<u32>> = vec![Vec::new(); cells_per_side * cells_per_side];
     for (i, &p) in points.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
+        let (cx, cy) = cell_of(p, cells_per_side);
         cell_points[cy * cells_per_side + cx].push(i as u32);
     }
 
     let r2 = radius * radius;
     let mut builder = GraphBuilder::new(n);
     for (i, &p) in points.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
+        let (cx, cy) = cell_of(p, cells_per_side);
         for dy in -1i64..=1 {
             for dx in -1i64..=1 {
                 let nx = cx as i64 + dx;
@@ -122,33 +133,26 @@ mod tests {
     }
 
     #[test]
-    fn all_edges_respect_radius_with_explicit_radius() {
-        // With a big radius on few nodes the grid has a single cell, so the
-        // brute-force check is exact.
-        let n = 60;
-        let radius = 0.3;
-        let g = random_geometric_graph_with_radius(n, radius, 5);
-        // Regenerate the same points to verify distances.
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut points: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
-        let cells_per_side = (1.0 / radius).floor().max(1.0) as usize;
-        let cell_of = |p: (f64, f64)| -> (usize, usize) {
-            let cx = ((p.0 * cells_per_side as f64) as usize).min(cells_per_side - 1);
-            let cy = ((p.1 * cells_per_side as f64) as usize).min(cells_per_side - 1);
-            (cx, cy)
-        };
-        points.sort_by(|a, b| {
-            let ca = cell_of(*a);
-            let cb = cell_of(*b);
-            (ca.1, ca.0)
-                .cmp(&(cb.1, cb.0))
-                .then(a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-        });
-        for (u, v, _) in g.edges() {
-            let p = points[u as usize];
-            let q = points[v as usize];
-            let d2 = (p.0 - q.0) * (p.0 - q.0) + (p.1 - q.1) * (p.1 - q.1);
-            assert!(d2 <= radius * radius + 1e-12);
+    fn edges_are_exactly_the_pairs_within_the_radius() {
+        // O(n²) oracle: every pair of points within the radius, and no other
+        // pair, is an edge.
+        for n in [2, 3, 60, 500, 2_000] {
+            for seed in [5, 17] {
+                let radius = rgg_radius(n);
+                let points = sorted_points(n, cells_per_side(radius), seed);
+                let mut want = Vec::new();
+                for (i, p) in points.iter().enumerate() {
+                    for (j, q) in points.iter().enumerate().skip(i + 1) {
+                        let d2 = (p.0 - q.0) * (p.0 - q.0) + (p.1 - q.1) * (p.1 - q.1);
+                        if d2 <= radius * radius {
+                            want.push((i as NodeId, j as NodeId));
+                        }
+                    }
+                }
+                let g = random_geometric_graph(n, seed);
+                let got: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+                assert_eq!(got, want, "n = {n}, seed = {seed}");
+            }
         }
     }
 
@@ -171,7 +175,7 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn zero_radius_panics() {
-        random_geometric_graph_with_radius(10, 0.0, 1);
+    fn fewer_than_two_nodes_panics() {
+        random_geometric_graph(1, 1);
     }
 }

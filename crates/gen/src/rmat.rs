@@ -13,13 +13,13 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Clone, Copy, Debug)]
 pub struct RmatParams {
     /// Probability of the top-left quadrant.
-    pub a: f64,
+    a: f64,
     /// Probability of the top-right quadrant.
-    pub b: f64,
+    b: f64,
     /// Probability of the bottom-left quadrant.
-    pub c: f64,
+    c: f64,
     /// Probability of the bottom-right quadrant.
-    pub d: f64,
+    d: f64,
 }
 
 impl RmatParams {
@@ -32,14 +32,6 @@ impl RmatParams {
         d: 0.05,
     };
 
-    /// Uniform parameters, equivalent to an Erdős–Rényi graph.
-    pub const UNIFORM: RmatParams = RmatParams {
-        a: 0.25,
-        b: 0.25,
-        c: 0.25,
-        d: 0.25,
-    };
-
     fn validate(&self) {
         let sum = self.a + self.b + self.c + self.d;
         assert!(
@@ -47,12 +39,6 @@ impl RmatParams {
             "R-MAT probabilities must sum to 1 (got {sum})"
         );
         assert!(self.a >= 0.0 && self.b >= 0.0 && self.c >= 0.0 && self.d >= 0.0);
-    }
-}
-
-impl Default for RmatParams {
-    fn default() -> Self {
-        RmatParams::GRAPH500
     }
 }
 
@@ -111,14 +97,14 @@ mod tests {
 
     #[test]
     fn node_count_is_power_of_two() {
-        let g = rmat_graph(10, 4000, RmatParams::default(), 3);
+        let g = rmat_graph(10, 4000, RmatParams::GRAPH500, 3);
         assert_eq!(g.num_nodes(), 1024);
         g.validate().unwrap();
     }
 
     #[test]
     fn edge_count_is_close_to_requested() {
-        let g = rmat_graph(12, 20_000, RmatParams::default(), 17);
+        let g = rmat_graph(12, 20_000, RmatParams::GRAPH500, 17);
         assert!(g.num_edges() <= 20_000);
         // Duplicate collisions remove some edges but the bulk must survive.
         assert!(g.num_edges() > 15_000, "only {} edges", g.num_edges());
@@ -134,14 +120,20 @@ mod tests {
     #[test]
     fn uniform_parameters_give_flat_degrees() {
         let skewed = rmat_graph(12, 30_000, RmatParams::GRAPH500, 23);
-        let uniform = rmat_graph(12, 30_000, RmatParams::UNIFORM, 23);
+        let flat = RmatParams {
+            a: 0.25,
+            b: 0.25,
+            c: 0.25,
+            d: 0.25,
+        };
+        let uniform = rmat_graph(12, 30_000, flat, 23);
         assert!(uniform.max_degree() < skewed.max_degree());
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = rmat_graph(8, 1000, RmatParams::default(), 5);
-        let b = rmat_graph(8, 1000, RmatParams::default(), 5);
+        let a = rmat_graph(8, 1000, RmatParams::GRAPH500, 5);
+        let b = rmat_graph(8, 1000, RmatParams::GRAPH500, 5);
         assert_eq!(a, b);
     }
 

@@ -20,10 +20,9 @@ pub fn planted_partition(n: usize, blocks: usize, p_in: f64, p_out: f64, seed: u
     assert!((0.0..=1.0).contains(&p_in) && (0.0..=1.0).contains(&p_out));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut builder = GraphBuilder::new(n);
-    let block_of = |v: usize| (v * blocks / n.max(1)).min(blocks - 1);
     for u in 0..n {
         for v in (u + 1)..n {
-            let p = if block_of(u) == block_of(v) {
+            let p = if block_of(u, n, blocks) == block_of(v, n, blocks) {
                 p_in
             } else {
                 p_out
@@ -36,10 +35,10 @@ pub fn planted_partition(n: usize, blocks: usize, p_in: f64, p_out: f64, seed: u
     builder.build()
 }
 
-/// Ground-truth community of node `v` for a graph generated by
-/// [`planted_partition`] with the same `n` and `blocks`.
-pub fn planted_block_of(v: NodeId, n: usize, blocks: usize) -> u32 {
-    ((v as usize * blocks) / n.max(1)).min(blocks - 1) as u32
+/// Ground-truth community of node `v` in a planted partition of `n` nodes
+/// into `blocks` communities.
+fn block_of(v: usize, n: usize, blocks: usize) -> usize {
+    (v * blocks / n.max(1)).min(blocks - 1)
 }
 
 #[cfg(test)]
@@ -54,7 +53,7 @@ mod tests {
         let mut internal = 0usize;
         let mut external = 0usize;
         for (u, v, _) in g.edges() {
-            if planted_block_of(u, n, blocks) == planted_block_of(v, n, blocks) {
+            if block_of(u as usize, n, blocks) == block_of(v as usize, n, blocks) {
                 internal += 1;
             } else {
                 external += 1;
@@ -80,7 +79,7 @@ mod tests {
         let blocks = 5;
         let mut counts = vec![0usize; blocks];
         for v in 0..n {
-            counts[planted_block_of(v as NodeId, n, blocks) as usize] += 1;
+            counts[block_of(v, n, blocks)] += 1;
         }
         assert!(counts.iter().all(|&c| c == 20));
     }

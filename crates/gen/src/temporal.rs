@@ -26,13 +26,12 @@
 //! guarantee as [`crate::churn`]) and fully determined by
 //! `(graph, config)` — one `ChaCha8` stream per trace.
 
-use crate::churn::Mirror;
+use crate::churn::{drift_edge, window_edge, Mirror, RETRIES};
 use oms_graph::{CsrGraph, DeltaBatch, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// How a temporal window's edges are produced (see the
-/// [module docs](self)).
+/// How a temporal window's edges are produced.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TemporalScheme {
     /// New nodes arrive and attach degree-proportionally.
@@ -82,9 +81,6 @@ impl Default for TemporalConfig {
         }
     }
 }
-
-/// Retries when rejection-sampling a constrained endpoint.
-const RETRIES: usize = 64;
 
 /// Oldest-first queue of live edges: insertion order is age, deletions are
 /// lazily skipped on pop.
@@ -169,7 +165,8 @@ fn window_budget(scheme: TemporalScheme, batch_no: usize, ops: usize) -> usize {
 
 /// Generates a temporal trace over `graph`: `config.batches` timestamp
 /// windows, each a [`DeltaBatch`] valid against the graph state left by
-/// its predecessors. See the [module docs](self) for the shapes.
+/// its predecessors. A `delete_fraction` of each window's operations ages
+/// out the oldest live edges.
 pub fn temporal_trace(graph: &CsrGraph, config: &TemporalConfig) -> Vec<DeltaBatch> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut mirror = Mirror::new(graph);
@@ -201,41 +198,41 @@ pub fn temporal_trace(graph: &CsrGraph, config: &TemporalConfig) -> Vec<DeltaBat
                 continue;
             }
 
-            match config.scheme {
+            let edge = match config.scheme {
                 TemporalScheme::PreferentialAttachment { edges_per_node } => {
                     if pending_attach == 0 {
                         // A new node arrives at this timestamp.
                         newest = mirror.insert_node();
                         batch.insert_node(newest, 1);
                         pending_attach = edges_per_node.max(1);
-                    } else if let Some((u, v)) = attach_edge(&mirror, &endpoints, newest, &mut rng)
-                    {
-                        mirror.insert_edge(u, v);
-                        endpoints.push(u, v);
-                        ages.push(u, v);
-                        batch.insert_edge(u, v, 1);
-                        pending_attach -= 1;
+                        None
                     } else {
-                        pending_attach = 0;
+                        let edge = attach_edge(&mirror, &endpoints, newest, &mut rng);
+                        pending_attach = if edge.is_some() {
+                            pending_attach - 1
+                        } else {
+                            0
+                        };
+                        edge
                     }
                 }
                 TemporalScheme::CommunityDrift { communities } => {
-                    if let Some((u, v)) = drift_edge(&mirror, communities, batch_no, &mut rng) {
-                        mirror.insert_edge(u, v);
-                        endpoints.push(u, v);
-                        ages.push(u, v);
-                        batch.insert_edge(u, v, 1);
-                    }
+                    drift_edge(&mirror, communities, batch_no, &mut rng)
                 }
                 TemporalScheme::BurstArrivals { period } => {
-                    let bursting = (batch_no + 1) % period.max(1) == 0;
-                    if let Some((u, v)) = burst_edge(&mirror, bursting, batch_no, &mut rng) {
-                        mirror.insert_edge(u, v);
-                        endpoints.push(u, v);
-                        ages.push(u, v);
-                        batch.insert_edge(u, v, 1);
+                    if (batch_no + 1).is_multiple_of(period.max(1)) {
+                        // A tenth of the id space is the hotspot.
+                        window_edge(&mirror, mirror.id_space() / 10, batch_no, &mut rng)
+                    } else {
+                        mirror.absent_pair(&mut rng, |_| true, |_| true)
                     }
                 }
+            };
+            if let Some((u, v)) = edge {
+                mirror.insert_edge(u, v);
+                endpoints.push(u, v);
+                ages.push(u, v);
+                batch.insert_edge(u, v, 1);
             }
         }
         trace.push(batch);
@@ -255,34 +252,6 @@ fn attach_edge(
         let partner = endpoints.sample(mirror, rng)?;
         if partner != newest && !mirror.has_edge(newest, partner) {
             return Some((newest, partner));
-        }
-    }
-    None
-}
-
-/// Drift insertion: an absent edge between the window's active community
-/// pair (`batch_no % c`, `batch_no + 1 % c`).
-fn drift_edge(
-    mirror: &Mirror,
-    communities: u32,
-    batch_no: usize,
-    rng: &mut ChaCha8Rng,
-) -> Option<(NodeId, NodeId)> {
-    let c = communities.max(2);
-    let (a, b) = ((batch_no as u32) % c, (batch_no as u32 + 1) % c);
-    let pick = |want: u32, mirror: &Mirror, rng: &mut ChaCha8Rng| -> Option<NodeId> {
-        for _ in 0..RETRIES {
-            let v = mirror.sample_live(rng)?;
-            if v % c == want {
-                return Some(v);
-            }
-        }
-        mirror.sample_live(rng)
-    };
-    for _ in 0..RETRIES {
-        let (u, v) = (pick(a, mirror, rng)?, pick(b, mirror, rng)?);
-        if u != v && !mirror.has_edge(u, v) {
-            return Some((u, v));
         }
     }
     None
@@ -308,47 +277,6 @@ fn age_in_community(
         ages.push(u, v); // recycle: no longer oldest, but still live
     }
     ages.pop_oldest(mirror)
-}
-
-/// Burst insertion: endpoints inside a sliding tenth-of-the-id-space
-/// hotspot during bursts, uniform background otherwise.
-fn burst_edge(
-    mirror: &Mirror,
-    bursting: bool,
-    batch_no: usize,
-    rng: &mut ChaCha8Rng,
-) -> Option<(NodeId, NodeId)> {
-    let n = mirror.id_space();
-    let w = (n / 10).max(2).min(n);
-    let start = (batch_no * w) % n;
-    let inside = |v: NodeId| {
-        let v = v as usize;
-        let end = start + w;
-        if end <= n {
-            v >= start && v < end
-        } else {
-            v >= start || v < end - n
-        }
-    };
-    let pick = |mirror: &Mirror, rng: &mut ChaCha8Rng| -> Option<NodeId> {
-        if !bursting {
-            return mirror.sample_live(rng);
-        }
-        for _ in 0..RETRIES {
-            let v = mirror.sample_live(rng)?;
-            if inside(v) {
-                return Some(v);
-            }
-        }
-        mirror.sample_live(rng)
-    };
-    for _ in 0..RETRIES {
-        let (u, v) = (pick(mirror, rng)?, pick(mirror, rng)?);
-        if u != v && !mirror.has_edge(u, v) {
-            return Some((u, v));
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! Both schemes reuse the unweighted graph's topology unchanged, so a
 //! weighted instance is streamed in exactly the same node order as its
 //! unweighted twin — which is what makes weighted-vs-unweighted quality
-//! comparisons meaningful. [`WeightScheme`] packages the schemes behind the
-//! `weights=` corpus knob used by the CLI and the golden quality suite.
+//! comparisons meaningful. [`WeightScheme`] (`oms generate --weights`) is the
+//! one public way to apply them.
 
 use oms_graph::{CsrGraph, NodeWeight};
 use rand::{Rng, SeedableRng};
@@ -31,21 +31,16 @@ pub const DEFAULT_MAX_NODE_WEIGHT: NodeWeight = 64;
 const PARETO_SHAPE: f64 = 1.5;
 
 /// Replaces every node weight with a bounded power-law sample in
-/// `1..=max_weight` (deterministic in `seed`); the adjacency structure and
-/// edge weights are untouched.
-///
-/// # Panics
-///
-/// Panics if `max_weight` is zero.
-pub fn power_law_node_weights(graph: &CsrGraph, max_weight: NodeWeight, seed: u64) -> CsrGraph {
-    assert!(max_weight >= 1, "max_weight must be positive");
+/// `1..=DEFAULT_MAX_NODE_WEIGHT` (deterministic in `seed`); the adjacency
+/// structure and edge weights are untouched.
+fn power_law_node_weights(graph: &CsrGraph, seed: u64) -> CsrGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let weights: Vec<NodeWeight> = (0..graph.num_nodes())
         .map(|_| {
             // Bounded Pareto via inversion: w = 1 / u^(1/shape), clamped.
             let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
             let w = u.powf(-1.0 / PARETO_SHAPE);
-            (w.floor() as NodeWeight).clamp(1, max_weight)
+            (w.floor() as NodeWeight).clamp(1, DEFAULT_MAX_NODE_WEIGHT)
         })
         .collect();
     graph
@@ -56,18 +51,16 @@ pub fn power_law_node_weights(graph: &CsrGraph, max_weight: NodeWeight, seed: u6
 /// Replaces every edge weight `{u, v}` with
 /// `1 + (deg(u) + deg(v)) / 2` (deterministic, symmetric); node weights are
 /// untouched.
-pub fn degree_proportional_edge_weights(graph: &CsrGraph) -> CsrGraph {
+fn degree_proportional_edge_weights(graph: &CsrGraph) -> CsrGraph {
     graph
         .map_edge_weights(|u, v, _| 1 + (graph.degree(u) + graph.degree(v)) as u64 / 2)
         .expect("degree-derived weights are positive")
 }
 
-/// The `weights=` knob: how a corpus instance is reweighted after
-/// generation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How a generated graph is reweighted (`oms generate --weights`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WeightScheme {
     /// Keep unit weights (the unweighted baseline).
-    #[default]
     Unit,
     /// Power-law node weights, unit edge weights.
     Nodes,
@@ -78,7 +71,7 @@ pub enum WeightScheme {
 }
 
 impl WeightScheme {
-    /// Parses the knob value: `unit`/`none`, `nodes`, `edges` or `full`.
+    /// Parses a scheme name: `unit`/`none`, `nodes`, `edges` or `full`.
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "unit" | "none" => Some(WeightScheme::Unit),
@@ -89,7 +82,7 @@ impl WeightScheme {
         }
     }
 
-    /// Canonical knob value.
+    /// Canonical scheme name.
     pub fn name(&self) -> &'static str {
         match self {
             WeightScheme::Unit => "unit",
@@ -103,10 +96,10 @@ impl WeightScheme {
     pub fn apply(&self, graph: &CsrGraph, seed: u64) -> CsrGraph {
         match self {
             WeightScheme::Unit => graph.clone(),
-            WeightScheme::Nodes => power_law_node_weights(graph, DEFAULT_MAX_NODE_WEIGHT, seed),
+            WeightScheme::Nodes => power_law_node_weights(graph, seed),
             WeightScheme::Edges => degree_proportional_edge_weights(graph),
             WeightScheme::Full => {
-                let nodes = power_law_node_weights(graph, DEFAULT_MAX_NODE_WEIGHT, seed);
+                let nodes = power_law_node_weights(graph, seed);
                 degree_proportional_edge_weights(&nodes)
             }
         }
@@ -121,15 +114,18 @@ mod tests {
     #[test]
     fn power_law_weights_are_bounded_deterministic_and_skewed() {
         let g = erdos_renyi_gnm(2000, 6000, 7);
-        let a = power_law_node_weights(&g, 64, 9);
-        let b = power_law_node_weights(&g, 64, 9);
+        let a = power_law_node_weights(&g, 9);
+        let b = power_law_node_weights(&g, 9);
         assert_eq!(a, b, "same seed, same weights");
         assert_ne!(
             a.node_weights(),
-            power_law_node_weights(&g, 64, 10).node_weights(),
+            power_law_node_weights(&g, 10).node_weights(),
             "different seed, different weights"
         );
-        assert!(a.node_weights().iter().all(|&w| (1..=64).contains(&w)));
+        assert!(a
+            .node_weights()
+            .iter()
+            .all(|&w| (1..=DEFAULT_MAX_NODE_WEIGHT).contains(&w)));
         // Skew: at least half the nodes stay at weight 1 under shape 1.5
         // (P(w = 1) = 1 - 2^{-1.5} ≈ 0.65), and a tail above 8 exists.
         let ones = a.node_weights().iter().filter(|&&w| w == 1).count();

@@ -214,7 +214,7 @@ fn planted_partition_is_pinned() {
 fn corpus_digest(scale: f64, seed: u64) -> u64 {
     scaled_corpus(scale, seed)
         .iter()
-        .fold(FNV_OFFSET, |h, (name, _class, graph)| {
+        .fold(FNV_OFFSET, |h, (name, graph)| {
             fnv1a(fnv1a(h, name.as_bytes()), &csr_digest(graph).to_le_bytes())
         })
 }

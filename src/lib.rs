@@ -102,8 +102,7 @@ pub mod prelude {
         EdgePassStats, EDGE_ALGORITHMS,
     };
     pub use oms_gen::{
-        barabasi_albert, churn_trace, degree_proportional_edge_weights, delaunay_graph,
-        erdos_renyi_gnm, grid_2d, planted_partition, power_law_node_weights,
+        barabasi_albert, churn_trace, delaunay_graph, erdos_renyi_gnm, grid_2d, planted_partition,
         random_geometric_graph, rmat_graph, temporal_trace, ChurnConfig, ChurnScheme,
         TemporalConfig, TemporalScheme, WeightScheme,
     };

@@ -128,11 +128,11 @@ fn offline_remapping_improves_fennel() {
     );
 }
 
-/// The whole synthetic corpus can be generated, streamed and partitioned —
-/// the smoke test behind every benchmark binary.
+/// Every instance of the synthetic corpus (one per Table 1 class and
+/// artificial family) can be generated, streamed and partitioned.
 #[test]
 fn corpus_smoke_test() {
-    for (name, _class, graph) in oms::gen::scaled_corpus(0.01, 7) {
+    for (name, graph) in oms::gen::scaled_corpus(0.01, 7) {
         let k = 16;
         let p = run(&format!("nh-oms:{k}"), &graph);
         assert_eq!(p.num_nodes(), graph.num_nodes(), "{name}");

@@ -205,7 +205,7 @@ fn balance_constraint_bounds_block_weights() {
         );
         // A single node may weigh up to DEFAULT_MAX_NODE_WEIGHT; the greedy
         // fallback can overfill by at most one node's weight.
-        let slack = oms::gen::weights::DEFAULT_MAX_NODE_WEIGHT;
+        let slack = oms::gen::DEFAULT_MAX_NODE_WEIGHT;
         assert!(
             report.max_block_weight() <= capacity + slack,
             "{spec}: max block weight {} far exceeds L_max {capacity}",
