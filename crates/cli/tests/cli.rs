@@ -712,6 +712,45 @@ fn map_records_a_trace_that_verifies() {
     assert!(stdout.contains("pass_end"), "{stdout}");
 }
 
+/// `--metrics` prints how many children the kernel scored. A one-pass
+/// `oms:4:16:16` scores every child of the three groups on each node's path,
+/// exactly 4 + 16 + 16 = 36 per node; flat `fennel:1024` scores a node's
+/// touched blocks and one champion where the exact loop would score all
+/// 1024, so its count stays far below `1024 · n`.
+#[test]
+fn metrics_count_the_candidates_the_kernel_scores() {
+    let dir = temp_dir("candidates");
+    let graph_path = dir.join("rmat.metis");
+    let n = 16_384u64;
+    let output = oms()
+        .args(["generate", "rmat", &n.to_string()])
+        .arg(&graph_path)
+        .args(["--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    let counter = |job: &str, name: &str| -> u64 {
+        let output = oms()
+            .arg("partition")
+            .arg(&graph_path)
+            .args(["--job", job, "--metrics"])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{job}");
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        let line = stdout.lines().find_map(|l| l.strip_prefix(name));
+        let value = line.unwrap_or_else(|| panic!("{job}: no {name} in {stdout}"));
+        value.trim().parse().unwrap()
+    };
+    assert_eq!(counter("oms:4:16:16", "oms_nodes_scored_total "), n);
+    assert_eq!(
+        counter("oms:4:16:16", "oms_candidates_scored_total "),
+        36 * n
+    );
+    let fennel = counter("fennel:1024", "oms_candidates_scored_total ");
+    assert!(fennel >= n && fennel <= 1024 * n / 32, "{fennel}");
+}
+
 /// What `oms trace` finds wrong with a file's *content* is exit 2 with one
 /// `error: trace error: …` line and no usage text: a line outside the
 /// grammar, an event of the removed sharded engine (unknown like any other,

@@ -38,28 +38,27 @@
 //!   the entries outside the chosen child's subtree, so the list shrinks to
 //!   the chosen path prefix instead of the neighbourhood being re-read `ℓ`
 //!   times;
-//! * **`Σ aᵢ` fused adds** (multiplies for LDG) in the select loops: the
-//!   objective of a child is `conn ⊕ base`, where the penalty `base` of
-//!   every tree node lives pre-evaluated in a dense arena that is contiguous
-//!   over each sibling group. A group of fewer than `NARROW_SELECT` (8)
-//!   children runs the exact loop (`select_child`): one pass that scores
-//!   every child and folds the `u64` feasibility test into a maximum, and
-//!   one tie-break pass. A group of 8 to 47 runs the **narrow select**
-//!   (`pick_narrow`): connectivity bucketed in `u64` and converted once per
-//!   child, feasibility read off a per-tree-node `f64` headroom, one pass of
-//!   four independent lane maxima and one tie-break pass that takes the
-//!   least `(load, index)` key among the children at the maximum, both free
-//!   of data-dependent branches. A group of at least `WIDE_SELECT` (48)
-//!   runs the **wide select** (`pick_wide`) on connectivity bucketed as
-//!   `f64` and on a per-tree-node `f64` headroom: a read-only pass of four
-//!   independent lane maxima, with no store, no integer compare and no
-//!   `u64 → f64` conversion, which vectorises on the baseline x86-64 target
-//!   (safe Rust only: no intrinsics, no target feature), then a pass that
-//!   compares eight scores at a time with the maximum and resolves ties in
-//!   scalar code only where one is equal. In a microbenchmark at
-//!   `k = 1024` (2-vCPU x86-64 box) that is ≈ 0.8 ns per candidate, against
-//!   ≈ 3 ns for the exact loop. Both fall back to the exact loop where they
-//!   cannot decide;
+//! * **at most `Σ aᵢ` fused adds** (multiplies for LDG) in the select
+//!   loops: the objective of a child is `conn ⊕ base`, where the penalty
+//!   `base` of every tree node lives pre-evaluated in a dense arena that is
+//!   contiguous over each sibling group. A group of fewer than
+//!   `NARROW_SELECT` (8) children runs the exact loop (`select_child`): one
+//!   pass that scores every child and folds the `u64` feasibility test into
+//!   a maximum, and one tie-break pass. A group of 8 to 47 runs the
+//!   **narrow select** (`pick_narrow`): connectivity bucketed in `u64` and
+//!   converted once per child, feasibility read off a per-tree-node `f64`
+//!   headroom, one pass of four independent lane maxima and one tie-break
+//!   pass that takes the least `(load, index)` key among the children at
+//!   the maximum, both free of data-dependent branches. A group of at least
+//!   `WIDE_SELECT` (48) keeps a **champion tree** and runs the **champion
+//!   select** (`select_champion`), which scores only the children the
+//!   node's neighbours touch, the champion and, on a rescore, the child the
+//!   node left: `O(deg)` candidates instead of the group's width, plus one
+//!   `O(log aᵢ)` replay of the champion tree when the node changes a
+//!   child's load. Where the champion cannot stand in for the untouched
+//!   children it falls back to the exact loop, as the narrow select does
+//!   where it cannot decide. `--metrics` counts the candidates
+//!   (`oms_candidates_scored_total`);
 //! * **`ℓ` penalty refreshes**: an assignment changes the weight of exactly
 //!   the `ℓ` tree nodes on one root-to-leaf path, so only those penalties
 //!   are refreshed (not `Σ aᵢ`). The load term behind a penalty — Fennel's
@@ -69,21 +68,27 @@
 //!   weight to a value it just had, so one pass of `4:16:16` on the
 //!   benchmark's RMAT graph evaluates a `powf` for 70 810 of its 787 729
 //!   refreshes. A refresh also rewrites the tree node's headroom; a
-//!   `retune` rewrites only the headrooms whose capacity moved.
+//!   `retune` rewrites only the headrooms whose capacity moved, and
+//!   rebuilds every champion tree.
 //!
-//! The flat rules are the case `ℓ = 1`, `a₁ = k`: one gather, `k` fused
-//! adds, one refresh — `O(deg + k)` per node, the `O(m + nk)` of §2.2. The
-//! narrow select and the exact loop zero the connectivity they read, and the
-//! wide select zeroes its `f64` row through the `≤ deg` gathered
-//! neighbours, so no per-node reset pass over `k` entries exists at any
-//! fan-out.
+//! The flat rules are the case `ℓ = 1`, `a₁ = k`: one gather, one refresh
+//! and, for `k ≥ 48`, the champion select — `O(deg + log k)` per node where
+//! the champion stands in, instead of the `O(deg + k)` of a Fennel that
+//! scores every block (the `O(m + nk)` of §2.2). This is FREIGHT's
+//! observation (Eyubov, Faraj & Schulz, SEA 2023): a block no neighbour
+//! lies in scores its penalty alone, so among those only the best-penalty
+//! block can win. The assignments are the same as the full scan's. The
+//! narrow select and the exact loop zero the connectivity they read, and
+//! the champion select zeroes the touched children's, so no per-node reset
+//! pass over `k` entries exists at any fan-out.
 //!
 //! A hashed layer costs one hash and one weight update; a run whose layers
 //! are all hashed skips the gather.
 //!
 //! Per delta, the repair driver pays one such descent per re-scored node
 //! plus one `retune` — a multiply-add per tree node over the stored load
-//! terms, no `powf`, no allocation.
+//! terms and a rebuild of the champion trees (one match per tree node of
+//! a wide group), no `powf`, no allocation.
 //!
 //! # Bit-exactness
 //!
@@ -99,16 +104,12 @@
 //! this against a naive from-the-pseudocode descent, on hierarchies and on
 //! the depth-1 tree of the flat rules.
 //!
-//! The narrow and the wide select pick the same child as the exact loop, for
-//! these reasons:
+//! The narrow select picks the same child as the exact loop, for these
+//! reasons:
 //!
-//! * **Connectivity.** The narrow select converts the `u64` sums the exact
-//!   loop scores, through `i64`: below `2^63` that is the same integer,
-//!   rounded the same way. The wide one sums in `f64`: integers below
-//!   `2^53`, and sums of them that stay below it, are exact in `f64`. Its
-//!   bucketing walk also sums the weight it buckets, so while that sum is
-//!   `< 2^53` every `f64` bucket equals the `conn as f64` the exact loop
-//!   scores.
+//! * **Connectivity.** It converts the `u64` sums the exact loop scores,
+//!   through `i64`: below `2^63` that is the same integer, rounded the same
+//!   way.
 //! * **Feasibility.** For a node weight `1 ≤ w < 2^53` and
 //!   `room = capacity.saturating_sub(weight) as f64`, `w as f64 <= room`
 //!   holds exactly when `weight + w <= capacity`: `w` is exact and rounding
@@ -116,22 +117,49 @@
 //! * **Maximum.** An infeasible child scores `−∞` and a NaN is flagged, so
 //!   with no NaN the lane maxima give the exact loop's maximum; the
 //!   maximum of a set does not depend on the order it is taken in, and `±0`
-//!   compare equal in both selects.
+//!   compare equal in both.
 //! * **Ties.** With no NaN and a maximum above `−∞`, "not below the
-//!   maximum" is "equal to it", and both keep the exact loop's order:
-//!   lighter, then lower index. The wide select scans in that order; the
-//!   narrow one takes the least key `load · 2^6 + index`, which orders
-//!   the same way and is exact in `f64` for loads below `2^47`.
+//!   maximum" is "equal to it", and the least key `load · 2^6 + index`
+//!   orders the children at the maximum as the exact loop does — lighter,
+//!   then lower index — exactly in `f64` for loads below `2^47`.
 //!
 //! Every other case falls back to the exact loop: a node weight of 0 or
-//! from `2^53` on skips both, gathered weight from `2^53` on is bucketed
-//! again in `u64` at a wide level, and either select declines when a
-//! feasible score is NaN (the exact loop counts it as tied) or the maximum
-//! is `−∞` (no child fits) — the narrow one also on a connectivity from
-//! `2^63` or a load from `2^47` on. No job's parameters give a feasible
-//! child a NaN or an infinite penalty, but the selects do not rely on that:
-//! the unit tests in this module hold each of them to the exact loop on
-//! adversarial groups that carry both.
+//! from `2^53` on skips it, and it declines when a feasible score is NaN
+//! (the exact loop counts it as tied), the maximum is `−∞` (no child fits),
+//! a connectivity reaches `2^63` or a load `2^47`.
+//!
+//! The champion select scores with the exact loop's own `u64` sums, `u64`
+//! feasibility test and rules, only over fewer children; it picks the same
+//! child because the children it skips cannot win. Let `K_j =
+//! combine(0, base_j)` be child `j`'s key, what it scores untouched, and
+//! `T` the champion: the first child in the order (key descending, load
+//! ascending, index ascending), which `±0` keys treat as equal, as the
+//! exact loop does. When the group holds no NaN key, `T` fits and
+//! `score(T) ≥ K_T`, every untouched child `j` that fits scores
+//! `K_j ≤ K_T ≤ score(T) ≤ max`; it reaches the maximum only when all four
+//! are equal, and then `T`, a candidate, is lighter or as light with a
+//! lower index, so the exact loop's tie-break prefers `T` to `j`. Where
+//! any of the three conditions fails (a NaN key, which the exact loop
+//! counts as tied; a champion that does not fit; an LDG champion with a
+//! negative penalty, whose connectivity lowers its score below its key) the
+//! exact loop decides over the whole group.
+//!
+//! A rescore defers the champion tree's update for the child the node
+//! leaves, the stale leaf, when its key did not drop (under a job's
+//! parameters it never does: a lighter load has a higher Fennel penalty and
+//! the same LDG key): the tree then ranks that child by its
+//! old key and load, which the select makes harmless by scoring it as a
+//! candidate. If the tree's champion is the stale leaf itself, its new key
+//! is at least the old one and its load lower, so it still precedes every
+//! child the old ranking put behind it. A node that lands back in the same
+//! child restores exactly the load and key the tree holds (the penalty is a
+//! pure function of the load), so the tree needs no update; otherwise the
+//! stale leaf is replayed after the descent. No job's parameters give a
+//! child a NaN or an infinite penalty, but no select relies on that: the
+//! unit tests in this module hold each of them to the exact loop on
+//! adversarial groups that carry both, and the champion trees to a
+//! brute-force argmax after random rescores, `forget`s, `retune`s, `seed`s
+//! and `adopt`s.
 
 use crate::api::{JobSpec, Partitioner};
 use crate::executor::{Measurement, NodeSink, PassTrajectory, ReportTopology};
@@ -259,20 +287,25 @@ impl Partitioner for OnlineMultiSection {
 /// grows it by doubling, so growth is `O(log Δ)` reallocations per run.
 const GATHER_CAPACITY: usize = 1024;
 
-/// Sibling groups at least this wide are scored by the wide select
-/// ([`pick_wide`]); narrower ones by the narrow select ([`pick_narrow`]).
-/// From a sweep of flat Fennel with every group on the wide select against
-/// every group on the narrow one (wall time, RMAT scale 18, seed 11, direct
-/// CLI runs, 8 alternating pairs per `k` on a 2-vCPU x86-64 box, four
-/// passes to lift the kernel above the I/O; the wide select's change): k =
-/// 8 +6.7 %, 16 +6.1 %, 24 +2.5 %, 32 +2.0 %, 36 +0.4 %, 40 −1.6 % (faster
-/// in 7 of 8 pairs), 44 −1.3 % (6/8), 48 −3.5 % (7/8), 64 −11 % (8/8); one
-/// pass at 96: −7.5 % (8/8). Against the exact loop the wide select gained
-/// from 32 on; the narrow select moves the crossover to 36–48, and 48 is
-/// still the narrowest width with a gain outside the noise. The two selects
-/// stay two because each loses on the other's widths: every group of 8 or
-/// more on the wide select made `fennel:16@passes=4` 9.1 % slower, and every
-/// group on the narrow select made `fennel:1024` 86 % slower.
+/// Sibling groups at least this wide keep a champion tree ([`Champions`])
+/// and are scored by the champion select ([`OmsSink::select_champion`]):
+/// the touched children, the champion and a rescore's stale leaf, with the
+/// exact loop as the fallback. Narrower ones go to the narrow select
+/// ([`pick_narrow`]) or the exact loop.
+///
+/// 48 is where the `f64` wide select that the champion select replaced
+/// took over from the narrow select, and every width from it on gained
+/// again: flat jobs against that wide select (wall time, RMAT scale 18, seed
+/// 11, direct CLI runs, 8 alternating pairs per job on a 2-vCPU x86-64 box;
+/// the champion select's change; one pass / `passes=4`): `fennel` at k = 48
+/// −20 % / −12 %, 64 −16 % / −14 %, 96 −18 % / −18 %, 128 −32 % / −22 %,
+/// 256 −47 % / −39 %, 1024 −76 % / −72 %; `ldg` at 48 −9 % / −8 %, 64
+/// −10 % / −14 %, 96 −23 % / −18 %, 128 −31 % / −27 %, 256 −50 % / −50 %,
+/// 1024 −81 % / −80 %, faster in at least 6 of 8 pairs each. A `retune`
+/// rebuilds every champion tree, and `apply-deltas` retunes on every delta:
+/// on the benchmark's churn trace (`fennel`, ER n = 200 000, 60 batches of
+/// 2 500 deltas) `--k 64` got 11 % slower (faster in 1 of 8 pairs), while
+/// `--k 256` gained 4 % and `--k 1024` 15 %.
 const WIDE_SELECT: usize = 48;
 
 /// Sibling groups at least this wide (and narrower than [`WIDE_SELECT`])
@@ -293,13 +326,34 @@ const MEMO: usize = 256;
 /// in `f64`.
 const F64_EXACT: u64 = 1 << 53;
 
-/// Lanes of the wide select's maximum: four independent running maxima,
-/// two SSE2 registers on the baseline x86-64 target.
+/// Lanes of the narrow select's extrema: four independent running
+/// extrema, two SSE2 registers on the baseline x86-64 target.
 const LANES: usize = 4;
 
-/// Candidates per tie-break probe of the wide select: a chunk is resolved in
-/// scalar code only when one of them attains the maximum.
-const PROBE: usize = 8;
+/// No tree node: the stale-leaf slot of a level without one.
+const NO_LEAF: u32 = u32::MAX;
+
+/// A tree node outside every champion group.
+const NO_GROUP: u32 = u32::MAX;
+
+/// One scored sibling group of at least [`WIDE_SELECT`] children and its
+/// champion tree: a tournament over the children, ordered by key
+/// `objective.combine(0.0, base)` descending, then load ascending, then
+/// index ascending ([`ahead`]). The key is what an untouched child — one no
+/// assigned neighbour lies under — scores.
+#[derive(Clone, Copy, Debug)]
+struct Champions {
+    /// The group's first tree node.
+    first: usize,
+    fan_out: usize,
+    /// Where the group's slice of [`OmsSink::winners`] starts. Entry `p` of
+    /// the slice, `1 ≤ p < fan_out`, is the winner (a child index) of the
+    /// match between entrants `2p` and `2p + 1`, where entrant `c ≥ fan_out`
+    /// is child `c − fan_out`; entry 1 is the champion, entry 0 is unused.
+    offset: usize,
+    /// Children whose key is NaN: the order is not total while one is.
+    nans: usize,
+}
 
 /// The multi-section descent as a [`NodeSink`] — the one scoring kernel.
 /// It holds the per-run mutable state of a run on any tree (the paper's
@@ -354,14 +408,29 @@ pub(crate) struct OmsSink {
     /// levels: the narrow select and the exact loop zero what they read.
     conn: Vec<EdgeWeight>,
     scores: Vec<f64>,
-    /// The connectivity of a wide sibling group, bucketed as `f64`; all-zero
-    /// between levels, zeroed through the gather list.
-    conn_f: Vec<f64>,
+    /// The children of the current wide group that a neighbour with a
+    /// nonzero edge weight lies under, each once; sized to the maximum
+    /// fan-out, so it never grows.
+    touched: Vec<u32>,
+    /// Every scored sibling group of at least [`WIDE_SELECT`] children.
+    champions: Vec<Champions>,
+    /// The index into `champions` of every tree node's sibling group, or
+    /// [`NO_GROUP`].
+    group_of: Vec<u32>,
+    /// The champion trees' winners, one slice per group.
+    winners: Vec<u32>,
+    /// Per level, the wide-group child a rescored node left whose champion
+    /// tree still holds its old load and key ([`NO_LEAF`] for none).
+    stale: Vec<u32>,
+    /// How many levels hold a stale leaf; 0 between nodes.
+    pending: usize,
     /// The streamed node's already-assigned neighbours, compacted to the
     /// chosen subtree layer by layer.
     gathered: Vec<(BlockId, EdgeWeight)>,
-    /// Hot-path tally drained into the `oms-obs` counters at pass ends.
+    /// Hot-path tallies drained into the `oms-obs` counters at pass ends:
+    /// nodes scored, and children scored over all their decisions.
     scored: u64,
+    candidates: u64,
 }
 
 impl OmsSink {
@@ -376,6 +445,23 @@ impl OmsSink {
     ) -> Self {
         let tree = oms.tree.clone();
         let nodes = tree.num_nodes();
+        let (mut champions, mut group_of, mut width) = (Vec::new(), vec![NO_GROUP; nodes], 0);
+        let layers = oms.scoring.map_or(0, |(_, layers)| layers);
+        for parent in 0..nodes as u32 {
+            let children = tree.children(parent);
+            if children.len() >= WIDE_SELECT && (tree.depth(parent) as usize) < layers {
+                for t in children.clone() {
+                    group_of[t as usize] = champions.len() as u32;
+                }
+                champions.push(Champions {
+                    first: children.start as usize,
+                    fan_out: children.len(),
+                    offset: width,
+                    nans: 0,
+                });
+                width += children.len();
+            }
+        }
         let mut sink = OmsSink {
             epsilon: oms.epsilon,
             gamma: std::hint::black_box(FENNEL_GAMMA),
@@ -394,9 +480,15 @@ impl OmsSink {
             scoring: oms.scoring,
             conn: vec![0; tree.max_fan_out()],
             scores: vec![0.0; tree.max_fan_out()],
-            conn_f: vec![0.0; tree.max_fan_out()],
+            touched: Vec::with_capacity(tree.max_fan_out()),
+            champions,
+            group_of,
+            winners: vec![0; width],
+            stale: vec![NO_LEAF; tree.max_depth()],
+            pending: 0,
             gathered: Vec::with_capacity(GATHER_CAPACITY),
             scored: 0,
+            candidates: 0,
             tree,
         };
         sink.refresh_terms();
@@ -466,7 +558,8 @@ impl OmsSink {
     }
 
     /// Re-evaluates every tree node's penalty from its stored load term
-    /// (the parameters changed).
+    /// (the parameters changed or the loads were rebuilt), then every
+    /// champion tree.
     fn rebase(&mut self) {
         if let Some((objective, _)) = self.scoring {
             for t in 0..self.base.len() {
@@ -477,6 +570,52 @@ impl OmsSink {
                     self.gamma,
                 );
             }
+            self.rebuild_champions(objective);
+        }
+    }
+
+    /// Plays every champion tree's matches again from the leaves up, and
+    /// recounts each group's NaN keys.
+    fn rebuild_champions(&mut self, objective: FlatObjective) {
+        for group in &mut self.champions {
+            let Champions {
+                first,
+                fan_out,
+                offset,
+                ..
+            } = *group;
+            let bases = &self.base[first..first + fan_out];
+            let weights = &self.tree_weights[first..first + fan_out];
+            let winners = &mut self.winners[offset..offset + fan_out];
+            for p in (1..fan_out).rev() {
+                winners[p] = play(objective, bases, weights, winners, p) as u32;
+            }
+            group.nans = bases
+                .iter()
+                .filter(|&&base| objective.combine(0.0, base).is_nan())
+                .count();
+        }
+    }
+
+    /// Replays the matches on the path of tree node `t`'s leaf in its
+    /// group's champion tree, whose key or load changed. A match whose
+    /// winner stays the same child, and that child is not `t`, decides
+    /// nothing above it anew, so the replay stops there.
+    fn replay(&mut self, objective: FlatObjective, t: usize) {
+        let group = self.champions[self.group_of[t] as usize];
+        let (first, fan_out) = (group.first, group.fan_out);
+        let bases = &self.base[first..first + fan_out];
+        let weights = &self.tree_weights[first..first + fan_out];
+        let winners = &mut self.winners[group.offset..group.offset + fan_out];
+        let leaf = t - first;
+        let mut p = (fan_out + leaf) / 2;
+        while p > 0 {
+            let winner = play(objective, bases, weights, winners, p);
+            if winners[p] as usize == winner && winner != leaf {
+                break;
+            }
+            winners[p] = winner as u32;
+            p /= 2;
         }
     }
 
@@ -509,14 +648,40 @@ impl OmsSink {
     }
 
     /// Changes the weight of a tree node in a scored layer and refreshes its
-    /// penalty and headroom.
+    /// penalty, its headroom and, in a wide group, its champion tree. A
+    /// scored tree node's weight changes only here and, where a rescore
+    /// defers the champion tree's update, in [`OmsSink::reweigh`].
     #[inline]
     fn set_weight(&mut self, objective: FlatObjective, t: usize, weight: NodeWeight) {
+        if self.group_of[t] == NO_GROUP {
+            return self.reweigh(objective, t, weight);
+        }
+        let before = self.base[t];
+        self.reweigh(objective, t, weight);
+        self.settle(objective, t, before);
+    }
+
+    /// [`OmsSink::set_weight`] without the champion tree.
+    #[inline]
+    fn reweigh(&mut self, objective: FlatObjective, t: usize, weight: NodeWeight) {
         let term = self.load_term(objective, weight);
         self.term[t] = term;
         self.base[t] = objective.base_of_term(term, self.capacities[t], self.alphas[t], self.gamma);
         self.room[t] = headroom(self.capacities[t], weight);
         self.tree_weights[t] = weight;
+    }
+
+    /// Brings the champion tree of wide-group node `t`, whose penalty was
+    /// `before`, up to its current penalty and load.
+    ///
+    /// Not inlined, so that the descent of a tree without a wide group,
+    /// which never calls it, does not carry its code.
+    #[inline(never)]
+    fn settle(&mut self, objective: FlatObjective, t: usize, before: f64) {
+        let nan = |base: f64| objective.combine(0.0, base).is_nan() as usize;
+        let group = &mut self.champions[self.group_of[t] as usize];
+        group.nans = group.nans + nan(self.base[t]) - nan(before);
+        self.replay(objective, t);
     }
 
     /// Adds `weight` to every tree node above and including `block`'s leaf.
@@ -571,7 +736,7 @@ impl OmsSink {
     /// restreaming step applied to a single node. Returns its block.
     #[inline]
     pub(crate) fn rescore(&mut self, node: oms_graph::StreamedNode<'_>) -> BlockId {
-        self.unassign(node.node, node.weight);
+        self.take_out(node.node, node.weight, true);
         self.assign(node);
         self.assignments[node.node as usize]
     }
@@ -596,22 +761,27 @@ impl OmsSink {
                     break;
                 }
                 let (first, fan_out) = (children.start as usize, children.len());
-                let in_f64 = (1..F64_EXACT).contains(&node.weight);
-                let chosen = if fan_out >= WIDE_SELECT && in_f64 {
-                    let (chosen, kept) = self.select_wide(objective, level, cur, live, node.weight);
+                cur = if fan_out >= WIDE_SELECT {
+                    let (chosen, kept) =
+                        self.select_champion(objective, level, cur, live, node.weight);
                     live = kept;
+                    self.commit_wide(objective, level, chosen, node.weight);
                     chosen
                 } else {
+                    self.candidates += fan_out as u64;
                     live = self.bucket_u64(level, cur, live);
-                    first
-                        + if in_f64 && fan_out >= NARROW_SELECT {
+                    let chosen = first
+                        + if (1..F64_EXACT).contains(&node.weight) && fan_out >= NARROW_SELECT {
                             self.select_narrow(objective, level, first, fan_out, live, node.weight)
                         } else {
                             self.select_child(objective, first, fan_out, node.weight)
-                        }
-                };
-                self.set_weight(objective, chosen, self.tree_weights[chosen] + node.weight);
-                cur = chosen as u32;
+                        };
+                    self.set_weight(objective, chosen, self.tree_weights[chosen] + node.weight);
+                    chosen
+                } as u32;
+            }
+            if self.pending > 0 {
+                self.flush_stale(objective);
             }
         }
         // The hybrid configuration's bottom layers (every layer when
@@ -696,9 +866,9 @@ impl OmsSink {
     /// x86-64 box).
     #[inline(never)]
     fn bucket_u64(&mut self, level: usize, cur: u32, live: usize) -> usize {
-        let gathered = &mut self.gathered[..live];
-        bucket_by_child(&self.tree, gathered, level, cur, &mut self.conn, |c, w| {
-            *c += w
+        let (gathered, conn) = (&mut self.gathered[..live], &mut self.conn);
+        bucket_by_child(&self.tree, gathered, level, cur, |child, w| {
+            conn[child] += w
         })
     }
 
@@ -740,13 +910,19 @@ impl OmsSink {
     }
 
     /// [`OmsSink::select_child`] for the wide sibling group under `cur`, at
-    /// tree `level`, for a node of weight `1 ≤ node_weight < 2^53`: buckets
-    /// the `live` surviving neighbours as `f64` and lets [`pick_wide`]
-    /// decide while their weight sums are exact; otherwise, or where it
-    /// declines, re-buckets them in `u64` for the exact loop. Returns the
-    /// chosen tree node and how many neighbours survive; leaves `conn_f`
-    /// zeroed.
-    fn select_wide(
+    /// tree `level`: the champion select. Buckets the `live` surviving
+    /// neighbours into `conn`, noting the children they touch, and applies
+    /// the exact loop's rules — the feasible maximum, then lighter, then
+    /// lower index — to those children, the group's champion and a
+    /// rescored node's stale leaf at this level. Falls back to the exact
+    /// loop over the whole group where the champion cannot stand in for
+    /// the untouched children: it does not fit, the group holds a NaN key,
+    /// or it scores below its key. Returns the chosen tree node and how
+    /// many neighbours survive; leaves `conn` zeroed.
+    ///
+    /// Not inlined, like [`OmsSink::bucket_u64`].
+    #[inline(never)]
+    fn select_champion(
         &mut self,
         objective: FlatObjective,
         level: usize,
@@ -754,44 +930,88 @@ impl OmsSink {
         live: usize,
         node_weight: NodeWeight,
     ) -> (usize, usize) {
-        let children = self.tree.children(cur);
-        let group = children.start as usize..children.end as usize;
-        let (first, fan_out) = (group.start, group.len());
-        let mut bucketed = 0u64;
+        let first = self.tree.children(cur).start as usize;
+        let (conn, touched) = (&mut self.conn, &mut self.touched);
+        touched.clear();
         let gathered = &mut self.gathered[..live];
-        let live = bucket_by_child(
-            &self.tree,
-            gathered,
-            level,
-            cur,
-            &mut self.conn_f,
-            |c, w| {
-                *c += w as f64;
-                bucketed = bucketed.saturating_add(w);
-            },
-        );
-        let picked = (bucketed < F64_EXACT)
-            .then(|| {
-                pick_wide(
-                    objective,
-                    &self.conn_f[..fan_out],
-                    &self.base[group.clone()],
-                    &self.room[group.clone()],
-                    &self.tree_weights[group],
-                    node_weight,
-                )
-            })
-            .flatten();
-        for &(b, w) in &self.gathered[..live] {
-            let child = self.tree.path_node(b, level) as usize - first;
-            self.conn_f[child] = 0.0;
-            if picked.is_none() {
-                self.conn[child] += w;
+        let live = bucket_by_child(&self.tree, gathered, level, cur, |child, w| {
+            if conn[child] == 0 && w != 0 {
+                touched.push(child as u32);
+            }
+            conn[child] += w;
+        });
+        let group = self.champions[self.group_of[first] as usize];
+        let fan_out = group.fan_out;
+        let weights = &self.tree_weights[first..first + fan_out];
+        let capacities = &self.capacities[first..first + fan_out];
+        let bases = &self.base[first..first + fan_out];
+        let conn = &self.conn[..fan_out];
+        let fits = |i: usize| weights[i] + node_weight <= capacities[i];
+        let score = |i: usize| objective.combine(conn[i] as f64, bases[i]);
+        let champion = self.winners[group.offset + 1] as usize;
+        self.candidates += self.touched.len() as u64 + 1;
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let stands_in = group.nans == 0
+            && fits(champion)
+            && !(score(champion) < objective.combine(0.0, bases[champion]));
+        if !stands_in {
+            self.candidates += fan_out as u64;
+            let chosen = self.select_child(objective, first, fan_out, node_weight);
+            return (first + chosen, live);
+        }
+        // A stale leaf of another group is not a candidate here.
+        let stale = (self.stale[level] as usize).wrapping_sub(first);
+        let stale = (stale < fan_out).then_some(stale);
+        self.candidates += stale.is_some() as u64;
+        // The exact loop's rules as one running best, from the champion,
+        // which fits: no score is NaN, so the maximum is the highest score
+        // and the children at it are those whose score equals it.
+        let mut best = (score(champion), champion);
+        for i in self.touched.iter().map(|&c| c as usize).chain(stale) {
+            let s = score(i);
+            let lighter = (weights[i], i) < (weights[best.1], best.1);
+            if fits(i) && (s > best.0 || (s == best.0 && lighter)) {
+                best = (s, i);
             }
         }
-        let chosen =
-            picked.unwrap_or_else(|| self.select_child(objective, first, fan_out, node_weight));
+        let chosen = best.1;
+        for &c in &self.touched {
+            self.conn[c as usize] = 0;
+        }
         (first + chosen, live)
+    }
+
+    /// Adds a node of weight `node_weight` to tree node `chosen` of a wide
+    /// group at `level`. A rescored node that lands back in the leaf it
+    /// left, its level's stale leaf, restores the load and key that leaf's
+    /// champion tree holds, so the tree needs no update.
+    fn commit_wide(
+        &mut self,
+        objective: FlatObjective,
+        level: usize,
+        chosen: usize,
+        node_weight: NodeWeight,
+    ) {
+        let weight = self.tree_weights[chosen] + node_weight;
+        if self.stale[level] as usize == chosen {
+            self.stale[level] = NO_LEAF;
+            self.pending -= 1;
+            self.reweigh(objective, chosen, weight);
+        } else {
+            self.set_weight(objective, chosen, weight);
+        }
+    }
+
+    /// Replays every stale leaf the descent did not land back in.
+    #[inline(never)]
+    fn flush_stale(&mut self, objective: FlatObjective) {
+        for level in 0..self.stale.len() {
+            let stale = std::mem::replace(&mut self.stale[level], NO_LEAF);
+            if stale != NO_LEAF {
+                self.replay(objective, stale as usize);
+            }
+        }
+        self.pending = 0;
     }
 
     /// Removes a node of weight `weight` from its block along the whole tree
@@ -799,6 +1019,13 @@ impl OmsSink {
     /// streamed node), so this is correct for a seeded kernel whose nodes
     /// have not been streamed yet.
     pub(crate) fn unassign(&mut self, node: oms_graph::NodeId, weight: NodeWeight) {
+        self.take_out(node, weight, false);
+    }
+
+    /// [`OmsSink::unassign`]; for a rescore (`defer`), the wide-group
+    /// children on the node's path go through [`OmsSink::leave_wide`].
+    fn take_out(&mut self, node: oms_graph::NodeId, weight: NodeWeight, defer: bool) {
+        debug_assert_eq!(self.pending, 0);
         let b = self.assignments[node as usize];
         if b == UNASSIGNED {
             return;
@@ -809,12 +1036,34 @@ impl OmsSink {
             let lighter = self.tree_weights[t] - weight;
             match self.scoring {
                 Some((objective, layers)) if level < layers => {
-                    self.set_weight(objective, t, lighter)
+                    if defer && self.group_of[t] != NO_GROUP {
+                        self.leave_wide(objective, level, t, lighter)
+                    } else {
+                        self.set_weight(objective, t, lighter)
+                    }
                 }
                 _ => self.tree_weights[t] = lighter,
             }
         }
         self.assignments[node as usize] = UNASSIGNED;
+    }
+
+    /// [`OmsSink::set_weight`] for the wide-group child `t` at `level` that a
+    /// rescored node leaves. A child whose key did not drop becomes the
+    /// level's stale leaf instead of being replayed: it joins the select's
+    /// candidates, which keeps the champion exact, and the descent settles
+    /// it. A key that dropped would let the champion tree overrate the
+    /// child, so that one is replayed at once.
+    #[inline(never)]
+    fn leave_wide(&mut self, objective: FlatObjective, level: usize, t: usize, weight: NodeWeight) {
+        let before = self.base[t];
+        self.reweigh(objective, t, weight);
+        if objective.combine(0.0, self.base[t]) >= objective.combine(0.0, before) {
+            self.stale[level] = t as u32;
+            self.pending += 1;
+        } else {
+            self.settle(objective, t, before);
+        }
     }
 
     /// Drains the hot-path tally into the installed observer's counters (a
@@ -824,21 +1073,25 @@ impl OmsSink {
             oms_obs::CounterId::NodesScored,
             std::mem::take(&mut self.scored),
         );
+        oms_obs::counter_add(
+            oms_obs::CounterId::CandidatesScored,
+            std::mem::take(&mut self.candidates),
+        );
     }
 }
 
 /// One walk over the surviving neighbours `gathered` of a node descending
 /// from tree node `cur` at tree `level`: drops those outside `cur`'s
-/// subtree, `add`s the rest into the bucket of the child on their block's
-/// path, and compacts them to the front. Returns how many survive.
+/// subtree, `add`s the rest's edge weight to the child (its index among
+/// `cur`'s children) on their block's path, and compacts them to the front.
+/// Returns how many survive.
 #[inline(always)]
-fn bucket_by_child<T>(
+fn bucket_by_child(
     tree: &MultisectionTree,
     gathered: &mut [(BlockId, EdgeWeight)],
     level: usize,
     cur: u32,
-    buckets: &mut [T],
-    mut add: impl FnMut(&mut T, EdgeWeight),
+    mut add: impl FnMut(usize, EdgeWeight),
 ) -> usize {
     let first = tree.children(cur).start as usize;
     let mut kept = 0;
@@ -847,7 +1100,7 @@ fn bucket_by_child<T>(
         if level > 0 && tree.path_node(b, level - 1) != cur {
             continue;
         }
-        add(&mut buckets[tree.path_node(b, level) as usize - first], w);
+        add(tree.path_node(b, level) as usize - first, w);
         gathered[kept] = (b, w);
         kept += 1;
     }
@@ -861,42 +1114,55 @@ fn headroom(capacity: NodeWeight, weight: NodeWeight) -> f64 {
     capacity.saturating_sub(weight) as f64
 }
 
-/// The wide select over one sibling group: the child the exact loop
-/// ([`OmsSink::select_child`]) picks, or `None` where that loop must decide.
-///
-/// `conn` is each child's connectivity, exact in `f64`; `bases`, `room` and
-/// `weights` are the children's penalties, headrooms and loads; the node
-/// weighs `1 ≤ node_weight < 2^53`, so "fits" is `node_weight as f64 <=
-/// room` exactly. `None` when a feasible score is NaN (the exact loop counts
-/// it as tied) or the maximum is `−∞` (no child fits, or every one that
-/// does scores `−∞`).
+/// Whether child `a` of a champion group ranks ahead of child `b`: a higher
+/// key `objective.combine(0.0, base)`, then a lighter load, then a lower
+/// index. `±0` keys are equal, as in the exact loop; with no NaN key this is
+/// a strict total order.
 #[inline(always)]
-fn pick_wide(
+fn ahead(
     objective: FlatObjective,
-    conn: &[f64],
     bases: &[f64],
-    room: &[f64],
     weights: &[NodeWeight],
-    node_weight: NodeWeight,
-) -> Option<usize> {
-    // One copy per objective, so neither pass branches on it.
-    match objective {
-        FlatObjective::Fennel => pick_wide_by(
-            |conn, base| FlatObjective::Fennel.combine(conn, base),
-            conn,
-            bases,
-            room,
-            weights,
-            node_weight,
-        ),
-        FlatObjective::Ldg => pick_wide_by(
-            |conn, base| FlatObjective::Ldg.combine(conn, base),
-            conn,
-            bases,
-            room,
-            weights,
-            node_weight,
-        ),
+    a: usize,
+    b: usize,
+) -> bool {
+    let (key_a, key_b) = (
+        objective.combine(0.0, bases[a]),
+        objective.combine(0.0, bases[b]),
+    );
+    let (load_a, load_b) = (weights[a], weights[b]);
+    // Non-short-circuit operators: the outcome is data-dependent, so a
+    // branch per operand would mispredict.
+    let lighter = (load_a < load_b) | ((load_a == load_b) & (a < b));
+    // A NaN key ties with every key, so the order stays deterministic.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let not_behind = !(key_b > key_a);
+    (key_a > key_b) | (not_behind & lighter)
+}
+
+/// The winner of the match at internal node `p` of a champion tree over the
+/// children with penalties `bases` and loads `weights` ([`Champions`]).
+#[inline(always)]
+fn play(
+    objective: FlatObjective,
+    bases: &[f64],
+    weights: &[NodeWeight],
+    winners: &[u32],
+    p: usize,
+) -> usize {
+    let fan_out = bases.len();
+    let entrant = |c: usize| {
+        if c >= fan_out {
+            c - fan_out
+        } else {
+            winners[c] as usize
+        }
+    };
+    let (a, b) = (entrant(2 * p), entrant(2 * p + 1));
+    if ahead(objective, bases, weights, a, b) {
+        a
+    } else {
+        b
     }
 }
 
@@ -908,8 +1174,8 @@ fn pick_wide(
 /// outcome; `bases`, `room` and `weights` are the children's penalties,
 /// headrooms and loads; `scores` is scratch. The node weighs `1 ≤
 /// node_weight < 2^53`, so "fits" is `node_weight as f64 <= room` exactly.
-/// `None` where the wide select declines (a feasible NaN score, a maximum of
-/// `−∞`), for a connectivity from `2^63` on or a load from `2^47` on.
+/// `None` where a feasible score is NaN, the maximum is `−∞`, a
+/// connectivity reaches `2^63` or a load `2^47`.
 #[inline(always)]
 fn pick_narrow(
     objective: FlatObjective,
@@ -1026,86 +1292,6 @@ fn by_lane(fan_out: usize, mut f: impl FnMut(usize, usize)) {
 #[inline(always)]
 fn across_lanes(lanes: [f64; LANES], pick: impl Fn(f64, f64) -> f64) -> f64 {
     pick(pick(lanes[0], lanes[1]), pick(lanes[2], lanes[3]))
-}
-
-/// [`pick_wide`] for one objective's `combine`.
-///
-/// Pass A is read-only and lane-parallel: [`LANES`] independent maxima of
-/// the scores, each masked to `−∞` where the node does not fit, with no
-/// store, no integer compare and no loop-carried dependency but the maxima
-/// — so it vectorises on the baseline target. Pass B finds the lightest,
-/// then lowest-index, feasible child that attains the maximum: it tests
-/// [`PROBE`] scores at a time for equality with it and resolves in scalar
-/// code only the chunks where one is equal.
-#[inline(always)]
-fn pick_wide_by(
-    combine: impl Fn(f64, f64) -> f64,
-    conn: &[f64],
-    bases: &[f64],
-    room: &[f64],
-    weights: &[NodeWeight],
-    node_weight: NodeWeight,
-) -> Option<usize> {
-    let fan_out = conn.len();
-    let (bases, room, weights) = (&bases[..fan_out], &room[..fan_out], &weights[..fan_out]);
-    let need = node_weight as f64;
-    let score = |conn: f64, base: f64, room: f64| {
-        let s = combine(conn, base);
-        if need <= room {
-            s
-        } else {
-            f64::NEG_INFINITY
-        }
-    };
-
-    // Pass A.
-    let mut max = [f64::NEG_INFINITY; LANES];
-    let mut nan = [false; LANES];
-    let lanes = conn
-        .chunks_exact(LANES)
-        .zip(bases.chunks_exact(LANES))
-        .zip(room.chunks_exact(LANES));
-    for ((conn, bases), room) in lanes {
-        for j in 0..LANES {
-            let s = score(conn[j], bases[j], room[j]);
-            nan[j] |= s.is_nan();
-            max[j] = if s > max[j] { s } else { max[j] };
-        }
-    }
-    for i in fan_out - fan_out % LANES..fan_out {
-        let s = score(conn[i], bases[i], room[i]);
-        nan[0] |= s.is_nan();
-        max[0] = if s > max[0] { s } else { max[0] };
-    }
-    let max = max.into_iter().fold(f64::NEG_INFINITY, f64::max);
-    if nan.contains(&true) || max == f64::NEG_INFINITY {
-        return None;
-    }
-
-    // Pass B. No feasible score is NaN and `max > −∞`, so a feasible child
-    // attains the maximum exactly when its score `==` it.
-    let (mut best, mut best_weight) = (0, NodeWeight::MAX);
-    let mut resolve = |range: std::ops::Range<usize>| {
-        for i in range {
-            if score(conn[i], bases[i], room[i]) == max && weights[i] < best_weight {
-                best = i;
-                best_weight = weights[i];
-            }
-        }
-    };
-    let probes = conn.chunks_exact(PROBE).zip(bases.chunks_exact(PROBE));
-    for (c, (conn, bases)) in probes.enumerate() {
-        // Unmasked: a child that does not fit may only cost a resolve.
-        let mut equal = [false; PROBE];
-        for j in 0..PROBE {
-            equal[j] = combine(conn[j], bases[j]) == max;
-        }
-        if equal.contains(&true) {
-            resolve(c * PROBE..(c + 1) * PROBE);
-        }
-    }
-    resolve(fan_out - fan_out % PROBE..fan_out);
-    Some(best)
 }
 
 impl NodeSink for OmsSink {
@@ -1348,8 +1534,8 @@ mod tests {
     }
 
     /// Narrow widths below and above the lane width, either side of the
-    /// wide select's threshold, and two widths that are not multiples of its
-    /// lane or probe width.
+    /// champion select's threshold, and two wide widths that are not powers
+    /// of two, so their champion trees are not complete.
     const WIDTHS: [u32; 9] = [
         2,
         3,
@@ -1381,22 +1567,18 @@ mod tests {
         )
     }
 
-    /// The narrow select at every width below [`WIDE_SELECT`] and the wide
-    /// select on [`WIDTHS`] from the threshold on, against the exact loop on
-    /// one sibling group, over seeded groups full of exact ties and of the
-    /// values IEEE 754, the `f64` headroom and the narrow select's
-    /// conversions could get wrong: each decides exactly where the exact
-    /// loop's answer does not rest on a NaN or on `−∞` (and, for the narrow
-    /// select, no connectivity reaches `2^63` and no load `2^47`), and then
-    /// agrees.
+    /// The narrow select at every width below [`WIDE_SELECT`] against the
+    /// exact loop on one sibling group, over seeded groups full of exact
+    /// ties and of the values IEEE 754, the `f64` headroom and the narrow
+    /// select's conversions could get wrong: it decides exactly where the
+    /// exact loop's answer does not rest on a NaN or on `−∞`, no
+    /// connectivity reaches `2^63` and no load `2^47`, and then agrees.
     #[test]
-    fn f64_selects_pick_the_child_the_exact_loop_picks() {
+    fn narrow_select_picks_the_child_the_exact_loop_picks() {
         const BIG: u64 = F64_EXACT - 1;
         let mut rng = Rng(7);
         let (mut decided, mut declined) = (0, 0);
-        let narrow = 1..WIDE_SELECT as u32;
-        let wide = WIDTHS.into_iter().filter(|&w| w >= WIDE_SELECT as u32);
-        for width in narrow.chain(wide) {
+        for width in 1..WIDE_SELECT as u32 {
             for objective in OBJECTIVES {
                 // No tree has a group of one child: take the first child of
                 // two.
@@ -1452,10 +1634,10 @@ mod tests {
                         // One NaN penalty, on a child that may or may not fit.
                         sink.base[first + (rng.draw() % width as u64) as usize] = f64::NAN;
                     }
-                    let conn_f: Vec<f64> = sink.conn[..width].iter().map(|&c| c as f64).collect();
                     // What the exact loop's answer rests on.
                     let fits = |i: usize| sink.tree_weights[i] + need <= sink.capacities[i];
-                    let score = |i: usize| objective.combine(conn_f[i - first], sink.base[i]);
+                    let score =
+                        |i: usize| objective.combine(sink.conn[i - first] as f64, sink.base[i]);
                     let nan = group.clone().any(|i| fits(i) && score(i).is_nan());
                     let top = group
                         .clone()
@@ -1464,26 +1646,20 @@ mod tests {
                         .fold(f64::NEG_INFINITY, f64::max);
                     let (bases, room) = (&sink.base[group.clone()], &sink.room[group.clone()]);
                     let weights = &sink.tree_weights[group.clone()];
-                    let (picked, converts) = if width < WIDE_SELECT {
-                        let mut conn = sink.conn[..width].to_vec();
-                        let converts = conn.iter().all(|&c| c < 1 << 63)
-                            && weights.iter().all(|&w| w < 1 << 47);
-                        let mut scores = vec![0.0; width];
-                        let picked = pick_narrow(
-                            objective,
-                            &mut conn,
-                            bases,
-                            room,
-                            weights,
-                            need,
-                            &mut scores,
-                        );
-                        assert!(conn.iter().all(|&c| c == 0));
-                        (picked, converts)
-                    } else {
-                        let picked = pick_wide(objective, &conn_f, bases, room, weights, need);
-                        (picked, true)
-                    };
+                    let mut conn = sink.conn[..width].to_vec();
+                    let converts =
+                        conn.iter().all(|&c| c < 1 << 63) && weights.iter().all(|&w| w < 1 << 47);
+                    let mut scores = vec![0.0; width];
+                    let picked = pick_narrow(
+                        objective,
+                        &mut conn,
+                        bases,
+                        room,
+                        weights,
+                        need,
+                        &mut scores,
+                    );
+                    assert!(conn.iter().all(|&c| c == 0));
                     let expected = sink.select_child(objective, first, width, need);
                     let case = format!("{objective:?} width {width} trial {trial} need {need}");
                     assert_eq!(
@@ -1509,15 +1685,26 @@ mod tests {
 
     /// Whole descents on narrow and wide depth-1 kernels — both passes of
     /// a restreaming run — against the exact loop on the same state: node
-    /// weights 0, `2^53 − 1` and `2^53` (which skip both `f64` selects), and
-    /// edge weights whose gathered sums reach `2^53` (which a wide level
-    /// re-buckets in `u64`). Both connectivity rows are zero again after
-    /// every node.
+    /// weights 0, `2^53 − 1` and `2^53` (which skip the narrow select), and
+    /// edge weights whose gathered sums reach `2^53`. `sink` rescores each
+    /// node as a pass does, on the deferred path of a wide group; `exact`
+    /// unassigns it first, so the exact loop scores the state both start
+    /// from, and then rescores it too. The connectivity row is zero again
+    /// after every node.
+    ///
+    /// A third leg negates Fennel's `α`, which no job does: the penalty then
+    /// rises as the load falls, so a child's key drops when the node leaves
+    /// it, and the rescore replays that child's tree path at once.
     #[test]
-    fn f64_levels_route_nodes_like_the_exact_loop() {
+    fn levels_route_nodes_like_the_exact_loop() {
         let mut rng = Rng(11);
+        let legs = [
+            (FlatObjective::Fennel, false),
+            (FlatObjective::Ldg, false),
+            (FlatObjective::Fennel, true),
+        ];
         for width in WIDTHS {
-            for objective in OBJECTIVES {
+            for (objective, negated) in legs {
                 let n = 4 * width as usize;
                 let node_weights = (0..n)
                     .map(|_| rng.pick(&[1, 1, 1, 1, 2, 0, F64_EXACT - 1, F64_EXACT]))
@@ -1533,32 +1720,316 @@ mod tests {
                     .collect();
                 let total = node_weights.iter().sum();
                 let mut sink = depth_one(width, objective, n, total);
-                let first = sink.blocks().start;
+                let mut exact = depth_one(width, objective, n, total);
+                if negated {
+                    for kernel in [&mut sink, &mut exact] {
+                        kernel.alphas.iter_mut().for_each(|alpha| *alpha = -*alpha);
+                        kernel.rebase();
+                    }
+                }
+                let first = exact.blocks().start;
                 for pass in 0..2 {
                     for v in 0..n {
                         let (neighbors, edge_weights) = &adjacency[v];
                         let weight = node_weights[v];
-                        sink.unassign(v as u32, weight);
+                        exact.unassign(v as u32, weight);
                         for (&u, &w) in neighbors.iter().zip(edge_weights) {
-                            let b = sink.assignments[u as usize];
+                            let b = exact.assignments[u as usize];
                             if b != UNASSIGNED {
-                                sink.conn[b as usize] += w;
+                                exact.conn[b as usize] += w;
                             }
                         }
-                        let expected = sink.select_child(objective, first, width as usize, weight);
+                        let expected = exact.select_child(objective, first, width as usize, weight);
                         let node = oms_graph::StreamedNode {
                             node: v as u32,
                             weight,
                             neighbors,
                             edge_weights,
                         };
-                        assert_eq!(
-                            sink.rescore(node),
-                            expected as BlockId,
-                            "{objective:?} width {width} pass {pass} node {v}"
-                        );
+                        let case = format!("{objective:?} (α negated: {negated}) width {width} pass {pass} node {v}");
+                        assert_eq!(exact.rescore(node), expected as BlockId, "{case}");
+                        assert_eq!(sink.rescore(node), expected as BlockId, "{case}");
                         assert!(sink.conn.iter().all(|&c| c == 0));
-                        assert!(sink.conn_f.iter().all(|&c| c == 0.0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The key an untouched child of a champion group scores.
+    fn key(sink: &OmsSink, objective: FlatObjective, t: usize) -> f64 {
+        objective.combine(0.0, sink.base[t])
+    }
+
+    /// The champion select against the exact loop on one wide sibling group,
+    /// over seeded adversarial groups: equal penalties at different loads,
+    /// `±0`, `±∞` and negative penalties, NaN penalties (which must fall
+    /// back), a champion that does not fit, a champion among the touched
+    /// children, LDG with an overloaded champion, and loads and node weights from
+    /// `2^53` on. It picks the exact loop's child every time, falls back
+    /// exactly where the champion cannot stand in for the untouched
+    /// children, and counts its candidates as `CandidatesScored` says.
+    #[test]
+    fn champion_select_picks_the_child_the_exact_loop_picks() {
+        const BIG: u64 = F64_EXACT - 1;
+        let mut rng = Rng(5);
+        // Trials per case: decided by the candidates, fell back, a tie at
+        // the maximum between different loads, a ±0 or ±∞ penalty decided,
+        // NaN, a full champion, a touched champion decided, LDG with a
+        // champion whose penalty is negative (an overloaded block's, or one
+        // that scores below its key once touched), a load or node weight
+        // from 2^53 on decided.
+        let mut seen = [0usize; 9];
+        for width in WIDTHS.into_iter().filter(|&w| w >= WIDE_SELECT as u32) {
+            for objective in OBJECTIVES {
+                let mut sink = depth_one(width, objective, 1, 0);
+                let (width, root) = (width as usize, sink.tree.root());
+                let group = sink.blocks();
+                let first = group.start;
+                for trial in 0..400 {
+                    let mut loads: [NodeWeight; 3] = [
+                        rng.pick(&[0, 1, 7, 250]),
+                        rng.pick(&[263, 264, 1 << 40]),
+                        rng.pick(&[250, 263]),
+                    ];
+                    if trial % 9 == 0 {
+                        loads[1] = F64_EXACT + 1;
+                    }
+                    let links = [
+                        rng.pick(&[1, 2]),
+                        rng.pick(&[3, 1 << 52, BIG, F64_EXACT + 2]),
+                    ];
+                    let need = rng.pick(&[0, 1, 1, 1, 3, BIG, F64_EXACT, F64_EXACT + 1]);
+                    let specials: &[f64] = match trial % 4 {
+                        0 => &[-0.0, 0.0, -3.5],
+                        1 => &[f64::INFINITY, f64::NEG_INFINITY],
+                        2 => &[f64::NAN],
+                        _ => &[],
+                    };
+                    let touched_share = rng.pick(&[0, 2, 8, 64]);
+                    let (saturated, full) = (trial % 7 == 0, trial % 11 == 0);
+                    let mut conn = vec![0; width];
+                    for i in group.clone() {
+                        let weight = rng.pick(&loads);
+                        let capacity = if full {
+                            weight
+                        } else if saturated {
+                            NodeWeight::MAX / 2
+                        } else {
+                            let edge = weight + need;
+                            let plain = rng.pick(&[264, F64_EXACT + 3]);
+                            rng.pick(&[plain, plain, edge.saturating_sub(1), edge, edge + 1, 0])
+                        };
+                        sink.tree_weights[i] = weight;
+                        sink.capacities[i] = capacity;
+                        sink.room[i] = headroom(capacity, weight);
+                        sink.base[i] = if !specials.is_empty() && rng.draw().is_multiple_of(16) {
+                            rng.pick(specials)
+                        } else {
+                            objective.base(weight, capacity, 0.47, 1.5)
+                        };
+                        if touched_share > 0 && rng.draw().is_multiple_of(touched_share) {
+                            conn[i - first] = rng.pick(&links);
+                        }
+                    }
+                    sink.rebuild_champions(objective);
+                    let champion = sink.winners[1] as usize;
+                    if trial % 5 == 0 {
+                        // Touch the champion.
+                        conn[champion] = rng.pick(&links);
+                    }
+                    // Every touched child's connectivity over two neighbours,
+                    // one of them of edge weight 0, in a seeded order.
+                    sink.gathered.clear();
+                    for (child, &c) in conn.iter().enumerate().filter(|(_, &c)| c > 0) {
+                        let b = child as BlockId;
+                        sink.gathered.extend([(b, c / 2), (b, 0), (b, c - c / 2)]);
+                    }
+                    let live = sink.gathered.len();
+                    for i in (1..live).rev() {
+                        sink.gathered
+                            .swap(i, (rng.draw() % (i as u64 + 1)) as usize);
+                    }
+                    sink.conn[..width].copy_from_slice(&conn);
+                    let expected = sink.select_child(objective, first, width, need);
+                    let before = sink.candidates;
+                    let (chosen, kept) = sink.select_champion(objective, 0, root, live, need);
+                    let case = format!("{objective:?} width {width} trial {trial} need {need}");
+                    assert_eq!(chosen - first, expected, "{case}");
+                    assert_eq!(kept, live, "{case}");
+                    assert!(sink.conn.iter().all(|&c| c == 0), "{case}");
+                    // What the proof needs of the champion.
+                    let t = first + champion;
+                    let fits = sink.tree_weights[t] + need <= sink.capacities[t];
+                    let score = objective.combine(conn[champion] as f64, sink.base[t]);
+                    let nan = group.clone().any(|i| key(&sink, objective, i).is_nan());
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    let stands_in = !nan && fits && !(score < key(&sink, objective, t));
+                    let touched = conn.iter().filter(|&&c| c > 0).count() as u64;
+                    let fallback = if stands_in { 0 } else { width as u64 };
+                    assert_eq!(sink.candidates - before, touched + 1 + fallback, "{case}");
+                    let bases = &sink.base[group.clone()];
+                    let scores = group.clone().map(|i| {
+                        let fits = sink.tree_weights[i] + need <= sink.capacities[i];
+                        fits.then(|| objective.combine(conn[i - first] as f64, sink.base[i]))
+                    });
+                    let scores: Vec<Option<f64>> = scores.collect();
+                    let top = scores
+                        .iter()
+                        .flatten()
+                        .fold(f64::NEG_INFINITY, |m, &s| m.max(s));
+                    let mut at_top = group.clone().filter(|&i| scores[i - first] == Some(top));
+                    let tied = at_top.next().is_some_and(|i| {
+                        at_top.any(|j| sink.tree_weights[j] != sink.tree_weights[i])
+                    });
+                    let special = bases.iter().any(|&b| b == 0.0 || b.is_infinite());
+                    let big = need >= F64_EXACT || loads.iter().any(|&w| w >= F64_EXACT);
+                    let cases = [
+                        stands_in,
+                        !stands_in,
+                        stands_in && tied,
+                        stands_in && special,
+                        nan,
+                        !fits,
+                        stands_in && conn[champion] > 0,
+                        objective == FlatObjective::Ldg && sink.base[t] < 0.0,
+                        stands_in && big,
+                    ];
+                    for (count, case) in seen.iter_mut().zip(cases) {
+                        *count += case as usize;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 100), "{seen:?}");
+    }
+
+    /// A rescored node whose leaving lowers its old child's key — which no
+    /// job's parameters do; a negated Fennel `α` does — has that child
+    /// replayed at once: deferred, the champion tree would still rank the
+    /// child by its old key above a sibling that now beats it. Blocks 0 and
+    /// 1 both weigh 2, block 0 ranks first on the index, and once node 0
+    /// leaves it, block 1's higher load scores higher.
+    #[test]
+    fn a_key_that_drops_is_replayed_at_once() {
+        let mut sink = depth_one(WIDE_SELECT as u32, FlatObjective::Fennel, 4, 48_000);
+        sink.alphas.iter_mut().for_each(|alpha| *alpha = -*alpha);
+        sink.adopt(&[0, 0, 1, 1], &[1; 4]);
+        assert_eq!(sink.winners[1], 0);
+        let node = oms_graph::StreamedNode {
+            node: 0,
+            weight: 1,
+            neighbors: &[],
+            edge_weights: &[],
+        };
+        assert_eq!(sink.rescore(node), 1);
+    }
+
+    /// The root of `sink`'s champion group `g`, and the child a brute-force
+    /// scan ranks first by key, load and index.
+    fn champion_and_argmax(sink: &OmsSink, objective: FlatObjective, g: usize) -> (usize, usize) {
+        let Champions {
+            first,
+            fan_out,
+            offset,
+            nans,
+        } = sink.champions[g];
+        assert_eq!(nans, 0, "no job's parameters give a NaN key");
+        let mut best = 0;
+        for i in 1..fan_out {
+            let (k_i, k_b) = (
+                key(sink, objective, first + i),
+                key(sink, objective, first + best),
+            );
+            let (w_i, w_b) = (
+                sink.tree_weights[first + i],
+                sink.tree_weights[first + best],
+            );
+            if k_i > k_b || (k_i == k_b && w_i < w_b) {
+                best = i;
+            }
+        }
+        (sink.winners[offset + 1] as usize, best)
+    }
+
+    /// Every champion tree holds the brute-force argmax of its group after
+    /// every step of seeded random sequences of rescores (the deferred
+    /// path), `forget`s, `retune`s, `seed`s and `adopt`s, on depth-1 trees,
+    /// a hierarchy with wide lower groups and an irregular `b`-section tree
+    /// whose leaves sit at two depths; and no stale leaf outlives a step.
+    #[test]
+    fn champion_trees_hold_the_brute_force_argmax() {
+        let mut rng = Rng(23);
+        let shapes: [(&str, MultisectionTree); 4] = [
+            ("flat 48", MultisectionTree::flat(48, 48)),
+            ("flat 100", MultisectionTree::flat(100, 100)),
+            (
+                "3:50",
+                MultisectionTree::from_hierarchy(&HierarchySpec::parse("3:50").unwrap()),
+            ),
+            ("4000 base 60", MultisectionTree::flat(4000, 60)),
+        ];
+        for (shape, tree) in shapes {
+            for objective in OBJECTIVES {
+                let job = OnlineMultiSection::new(
+                    &JobSpec::flat("oms", 1),
+                    tree.clone(),
+                    Some(objective),
+                );
+                let n = 600;
+                let node_weights: Vec<NodeWeight> =
+                    (0..n).map(|_| rng.pick(&[0, 1, 1, 2, 5])).collect();
+                let total: NodeWeight = node_weights.iter().sum();
+                let adjacency: Vec<(Vec<u32>, Vec<EdgeWeight>)> = (0..n)
+                    .map(|_| {
+                        let degree = rng.draw() % 12;
+                        let neighbors = (0..degree).map(|_| (rng.draw() % n as u64) as u32);
+                        let neighbors = neighbors.collect();
+                        let weights = (0..degree).map(|_| rng.pick(&[0, 1, 1, 4]));
+                        (neighbors, weights.collect())
+                    })
+                    .collect();
+                let mut sink = OmsSink::new(&job, n, 4 * n, total);
+                assert!(!sink.champions.is_empty(), "{shape}");
+                for step in 0..3000 {
+                    let v = (rng.draw() % n as u64) as usize;
+                    let op = rng.draw() % 100;
+                    if op < 85 {
+                        let (neighbors, edge_weights) = &adjacency[v];
+                        sink.rescore(oms_graph::StreamedNode {
+                            node: v as u32,
+                            weight: node_weights[v],
+                            neighbors,
+                            edge_weights,
+                        });
+                    } else if op < 92 {
+                        sink.unassign(v as u32, node_weights[v]);
+                    } else if op < 95 {
+                        let m = (rng.draw() % (8 * n as u64)) as usize;
+                        sink.retune(n, m, total + rng.draw() % 64);
+                    } else if op < 98 {
+                        let mut loads = Vec::new();
+                        NodeSink::block_weights(&sink, &mut loads);
+                        let assignments = sink.assignments.clone();
+                        sink.seed(&assignments, &loads);
+                    } else {
+                        let k = sink.tree.num_blocks() as u64;
+                        let assignments: Vec<BlockId> = (0..n)
+                            .map(|_| match rng.draw() % (k + 4) {
+                                b if b < k => b as BlockId,
+                                _ => UNASSIGNED,
+                            })
+                            .collect();
+                        sink.adopt(&assignments, &node_weights);
+                    }
+                    assert_eq!(sink.pending, 0);
+                    assert!(sink.stale.iter().all(|&t| t == NO_LEAF));
+                    for g in 0..sink.champions.len() {
+                        let (champion, argmax) = champion_and_argmax(&sink, objective, g);
+                        assert_eq!(
+                            champion, argmax,
+                            "{shape} {objective:?} step {step} group {g}"
+                        );
                     }
                 }
             }
@@ -1642,10 +2113,10 @@ mod tests {
         }
     }
 
-    /// Gathered weight from `2^53` on is not summed in `f64`: block 0 gets
-    /// `2^53 + 1 + 1` and block 1 gets `2^53 + 2`, equal in `u64`, so the
-    /// lower index wins the tie; step-by-step `f64` sums would round block
-    /// 0's down to `2^53` and hand the node to block 1.
+    /// Gathered weight from `2^53` on is summed in `u64` at a wide level:
+    /// block 0 gets `2^53 + 1 + 1` and block 1 gets `2^53 + 2`, equal in
+    /// `u64`, so the lower index wins the tie; step-by-step `f64` sums would
+    /// round block 0's down to `2^53` and hand the node to block 1.
     #[test]
     fn gathered_sums_from_two_to_the_53_are_bucketed_in_u64() {
         for objective in OBJECTIVES {

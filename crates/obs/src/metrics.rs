@@ -14,6 +14,12 @@ pub enum CounterId {
     /// Nodes scored by the scoring kernel, whatever drives it: a streaming
     /// pass of a flat or multi-section job, refinement, repair re-scoring.
     NodesScored,
+    /// Children scored by the scoring kernel over all its decisions: a
+    /// sibling group's fan-out where the exact loop or the narrow select
+    /// decides; the touched children plus the champion (and a rescore's
+    /// stale leaf) where the champion select does, plus the fan-out when it
+    /// falls back to the exact loop.
+    CandidatesScored,
     /// Restream passes executed by the batch executor.
     RestreamPasses,
     /// Restream passes that were reverted.
@@ -48,8 +54,9 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub(crate) const ALL: [CounterId; 16] = [
+    pub(crate) const ALL: [CounterId; 17] = [
         CounterId::NodesScored,
+        CounterId::CandidatesScored,
         CounterId::RestreamPasses,
         CounterId::RestreamReverts,
         CounterId::DeltasApplied,
@@ -71,6 +78,7 @@ impl CounterId {
     pub(crate) fn name(&self) -> &'static str {
         match self {
             CounterId::NodesScored => "nodes_scored",
+            CounterId::CandidatesScored => "candidates_scored",
             CounterId::RestreamPasses => "restream_passes",
             CounterId::RestreamReverts => "restream_reverts",
             CounterId::DeltasApplied => "deltas_applied",

@@ -26,12 +26,13 @@
 //! (`executor::run_restream`), so restreaming, convergence exit and the
 //! revert-on-worsen guard are exercised too: on a fixed grid, and on
 //! seeded random jobs whose failure message is the spec string `oms
-//! partition --job` reproduces. CI runs this in release next to
+//! partition --job` reproduces. A last leg rescores single nodes of a warm
+//! `RepairSink` against the reference. CI runs this in release next to
 //! `weighted_equivalence`.
 
 use oms::core::executor;
 use oms::core::scorer::hash_node;
-use oms::core::MultisectionTree;
+use oms::core::{MultisectionTree, RepairSink};
 use oms::graph::{EdgeWeight, NodeWeight, StreamedNode};
 use oms::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -356,8 +357,8 @@ fn assert_matches(spec: &JobSpec, graph: &CsrGraph, fallbacks: &Cell<u64>, conte
 /// The tree jobs of the grid: `oms` on hierarchies and `nh-oms`.
 fn tree_jobs() -> Vec<JobSpec> {
     let mut out = Vec::new();
-    // `2:128` and `3:101` have one level wide enough for the kernel's wide
-    // select (101 children: no multiple of its lane or probe width).
+    // `2:128` and `3:101` have one level wide enough for the kernel's
+    // champion select (101 children: an incomplete champion tree).
     for shape in ["2:2:2", "4:16:16", "3:5", "2:128", "3:101"] {
         out.push(JobSpec::parse(&format!("oms:{shape}")).unwrap());
     }
@@ -461,7 +462,7 @@ fn flat_rules_match_the_naive_descent_on_the_depth_one_tree() {
     );
 }
 
-/// The flat rules at `k` wide enough for the kernel's wide select, on graphs
+/// The flat rules at `k` wide enough for the kernel's champion select, on graphs
 /// with `n = 8k` nodes — so most decisions are made among blocks with room,
 /// not by the all-full fallback — unit and weighted, under both objectives,
 /// one pass and three.
@@ -495,15 +496,17 @@ fn flat_rules_match_the_naive_descent_on_wide_sibling_groups() {
 
 /// Seeded random jobs against the reference: an ER or planted graph of at
 /// most 300 nodes, unit or fully weighted, and any streaming job — a flat
-/// `k ≤ 64` or one to four hierarchy factors of 2..=6, `eps` (0 included),
-/// `seed`, 1–4 passes, `conv`, and for the tree jobs `base` and `hybrid`
-/// up to one past the tree's depth.
+/// `k ≤ 64` or `48 ≤ k ≤ 1024`, or one to four hierarchy factors of 2..=6,
+/// one of them sometimes 48..=96, `eps` (0 included), `seed`, 1–4 passes,
+/// `conv`, and for the tree jobs `base` (2..=6, or 48..=64) and `hybrid` up
+/// to one past the tree's depth. Wide sibling groups take the kernel's
+/// champion select, and restreamed nodes its deferred tree updates.
 #[test]
 fn random_jobs_match_the_naive_descent() {
     const DRAWS: u64 = 400;
     let fallbacks = Cell::new(0u64);
     let mut per_algorithm = std::collections::HashMap::<&str, usize>::new();
-    let (mut hierarchies, mut multi_pass, mut hybrids) = (0, 0, 0);
+    let (mut hierarchies, mut multi_pass, mut hybrids, mut wide) = (0, 0, 0, 0);
     for draw in 0..DRAWS {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0AC1E ^ draw);
         let n = rng.gen_range(1..=300usize);
@@ -525,11 +528,24 @@ fn random_jobs_match_the_naive_descent() {
         };
         let algorithm = ["hashing", "ldg", "fennel", "oms", "nh-oms"][rng.gen_range(0..5usize)];
         let shape = if rng.gen_bool(0.5) {
-            rng.gen_range(1..=64u32).to_string()
+            let k = if rng.gen_bool(0.5) {
+                rng.gen_range(1..=64u32)
+            } else {
+                rng.gen_range(48..=1024u32)
+            };
+            k.to_string()
         } else {
             let levels = rng.gen_range(1..=4usize);
+            let wide_level = rng.gen_range(0..3 * levels);
             let factors: Vec<String> = (0..levels)
-                .map(|_| rng.gen_range(2..=6u32).to_string())
+                .map(|level| {
+                    let factor = if level == wide_level {
+                        rng.gen_range(48..=96u32)
+                    } else {
+                        rng.gen_range(2..=6u32)
+                    };
+                    factor.to_string()
+                })
                 .collect();
             factors.join(":")
         };
@@ -544,7 +560,12 @@ fn random_jobs_match_the_naive_descent() {
             text += &format!(",conv={convergence}");
         }
         if matches!(algorithm, "oms" | "nh-oms") {
-            text += &format!(",base={}", rng.gen_range(2..=6u32));
+            let base = if rng.gen_bool(0.25) {
+                rng.gen_range(48..=64u32)
+            } else {
+                rng.gen_range(2..=6u32)
+            };
+            text += &format!(",base={base}");
             let depth = Job::of(&JobSpec::parse(&text).unwrap()).tree.max_depth();
             let hybrid = rng.gen_range(0..=depth + 1);
             text += &format!(",hybrid={hybrid}");
@@ -556,13 +577,73 @@ fn random_jobs_match_the_naive_descent() {
         *per_algorithm.entry(algorithm).or_default() += 1;
         hierarchies += matches!(spec.shape, JobShape::Hierarchy(_)) as usize;
         multi_pass += (passes > 1) as usize;
+        wide += (algorithm != "hashing" && has_wide_scored_group(&Job::of(&spec))) as usize;
     }
     assert!(
         per_algorithm.len() == 5 && per_algorithm.values().all(|&c| c >= 30),
         "{per_algorithm:?}"
     );
-    assert!(hierarchies >= 60 && multi_pass >= 120 && hybrids >= 30);
+    assert!(hierarchies >= 60 && multi_pass >= 120 && hybrids >= 30 && wide >= 80);
     assert!(fallbacks.get() > 0);
+}
+
+/// Whether a scored layer of `job` decides among at least 48 children: a
+/// group the kernel scores with its champion select.
+fn has_wide_scored_group(job: &Job) -> bool {
+    let tree = &job.tree;
+    (0..tree.num_nodes() as u32).any(|t| {
+        let child_depth = tree.depth(t) as usize + 1;
+        let scored = tree.max_depth() + 1 - child_depth > job.hashed_layers;
+        scored && tree.children(t).len() >= 48
+    })
+}
+
+/// The streamed form of node `v` of `graph`.
+fn streamed(graph: &CsrGraph, v: u32) -> StreamedNode<'_> {
+    StreamedNode {
+        node: v,
+        weight: graph.node_weight(v),
+        neighbors: graph.neighbors(v),
+        edge_weights: graph.incident_edge_weights(v),
+    }
+}
+
+/// A warm repair sink against the reference, one node at a time: on the
+/// flat jobs at `k` = 32 (the narrow select), 64 and 1024 (the champion
+/// select), unit and weighted, `RepairSink::rescore` first places every
+/// node once, then re-scores seeded single nodes — the rescore of a repair
+/// step, whose wide-group tree update is deferred — and each time picks the
+/// block the naive sink picks for the same assignment and loads.
+#[test]
+fn repair_rescores_pick_the_naive_block() {
+    for k in [32u32, 64, 1024] {
+        let n = 8 * k as usize;
+        let unit = erdos_renyi_gnm(n, 3 * n, u64::from(k) + 1);
+        let weighted = WeightScheme::Full.apply(&unit, 5);
+        for (graph_name, graph) in [("unit", &unit), ("weighted", &weighted)] {
+            for rule in ["fennel", "ldg"] {
+                let spec = JobSpec::flat(rule, k);
+                let stream = InMemoryStream::new(graph);
+                let fallbacks = Cell::new(0u64);
+                let mut naive = NaiveOms::new(&spec, &stream, &fallbacks);
+                let (m, total) = (graph.num_edges(), graph.total_node_weight());
+                let mut repair = RepairSink::new(&spec, n, m, total).unwrap();
+                let mut rng = ChaCha8Rng::seed_from_u64(u64::from(k));
+                let warm = (0..n as u32).map(|v| (0, v));
+                let steps = (0..n).map(|step| (step + 1, rng.gen_range(0..n as u32)));
+                for (step, v) in warm.collect::<Vec<_>>().into_iter().chain(steps) {
+                    naive.begin_pass(step.min(1));
+                    naive.process(streamed(graph, v));
+                    let expected = naive.assignments[v as usize];
+                    assert_eq!(
+                        repair.rescore(streamed(graph, v)),
+                        expected,
+                        "--job '{spec}' on {graph_name} n={n}: step {step}, node {v}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The paper's identity, stated through the job grammar: a hierarchy with

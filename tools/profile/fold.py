@@ -17,9 +17,11 @@ import sys
 # Innermost match wins: the select, bucket and commit helpers are inlined
 # into `OmsSink::assign`, whose own remaining body is the neighbour gather.
 RULES = [
-    ("select", ("select_child", "select_wide", "pick_wide", "select_narrow", "pick_narrow")),
+    ("select", ("select_child", "select_champion", "select_narrow", "pick_narrow")),
     ("bucket", ("bucket_by_child", "bucket_u64")),
-    ("commit", ("set_weight", "OmsSink::unassign", "add_along_path", "load_term")),
+    ("commit", ("set_weight", "reweigh", "OmsSink::take_out", "leave_wide", "commit_wide",
+                "flush_stale", "settle", "replay", "rebuild_champions", "add_along_path",
+                "load_term")),
     ("tally", ("LevelTally", "PassTally", "SymmetryProof", "executor::measure")),
     ("gather", ("OmsSink::assign",)),
     ("decode", ("oms_graph::io", "oms_graph::stream", "oms_graph::batch")),
