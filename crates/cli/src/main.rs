@@ -456,8 +456,9 @@ fn input_format(path: &str, args: &Args) -> Result<&'static str, Error> {
 /// `O(n + batch)` memory, whatever the job — one scan per pass for the five
 /// streaming algorithms, whose report is tallied while they partition, and
 /// one more walk for `buffered` / `multilevel` / `rms`, which are measured
-/// afterwards. Every one of those walks proves the adjacency lists
-/// symmetric, so each job refuses a file that is not. `apply-deltas` reads
+/// afterwards. Every one of those walks is proven symmetric — by the METIS
+/// reader itself, or by its consumer off a `.oms` file — so each job
+/// refuses a file that is not. `apply-deltas` reads
 /// it once, into the dynamic graph's one `O(n + m)` slab; the commands that
 /// need a CSR take [`Source::into_graph`]. An edge list does not group its
 /// edges by node, so it is materialised.
@@ -477,7 +478,8 @@ impl Source {
     }
 
     /// The graph as a CSR: a streamed file is collected (`collect_graph`,
-    /// which proves it symmetric), an edge list already is one.
+    /// which proves it symmetric unless the stream does), an edge list
+    /// already is one.
     fn into_graph(self) -> Result<CsrGraph, Error> {
         Ok(match self {
             Source::Streamed(mut stream) => oms_graph::collect_graph(stream.as_mut())?,

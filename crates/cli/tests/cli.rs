@@ -1221,6 +1221,8 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, messa
 /// `buffered`, whose passes the measurement walk measures, and everything
 /// that materialises the graph through `collect_graph`: `multilevel`,
 /// `info`, `convert` and the vertex-cut jobs of `partition` and `replay`.
+/// Off METIS text every leg leaves the proof to the reader, which proves
+/// each pass itself; off a `.oms` file each leg proves the lists.
 fn assert_every_leg_refuses_asymmetry(path: &std::path::Path, convert_to: &str) {
     let converted = path.with_extension(convert_to);
     let commands = [
@@ -1477,11 +1479,21 @@ fn hostile_metis_files_are_typed_errors_not_panics_or_aborts() {
         std::fs::write(&path, text).unwrap();
         assert_graph_error_everywhere(&path, "oms", "METIS parse error");
     }
-    // Node 1 lists node 2 four times, node 2 never lists node 1: the right
-    // entry count, and an XOR of the entries cancels in pairs.
-    let path = dir.join("four-times.metis");
-    std::fs::write(&path, "3 2\n2 2 2 2\n\n\n").unwrap();
-    assert_every_leg_refuses_asymmetry(&path, "oms");
+    // Each with the entry count its header declares, so only the symmetry
+    // proof of the METIS reader, which every leg relies on, refuses it.
+    for (name, text) in [
+        // Node 1 lists node 2 four times, node 2 never lists node 1: an XOR
+        // of the entries cancels in pairs.
+        ("four-times.metis", "3 2\n2 2 2 2\n\n\n"),
+        // Node 1 lists 3 and node 3 lists 2, neither the other way round.
+        ("one-side-only.metis", "3 2\n2 3\n1\n2\n"),
+        // Both endpoints list the edge, with weights 5 and 6.
+        ("weights-disagree.metis", "2 1 1\n2 5\n1 6\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        assert_every_leg_refuses_asymmetry(&path, "oms");
+    }
 }
 
 /// `apply-deltas` streams a METIS or `.oms` graph into its slab and

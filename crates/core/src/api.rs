@@ -84,7 +84,9 @@
 //! with a typed graph error otherwise. A job that is not a streaming pass
 //! (`buffered`, `multilevel`, `rms`) is measured afterwards by **one** more
 //! walk, [`measure`], which returns all of the above for any assignment and
-//! proves the symmetry it counts on as well;
+//! proves the symmetry it counts on as well. Neither proves a stream that
+//! proves each pass itself ([`NodeStream::proves_symmetry`]: METIS text),
+//! whose pass fails on one-sided lists before its tally is read;
 //! [`stream_edge_cut`], [`stream_mapping_cost`] and
 //! [`measure_pass`](crate::executor::measure_pass) are thin wrappers over
 //! it. Algorithms that need random access call [`materialize_stream`] and

@@ -416,6 +416,7 @@ pub(crate) fn drive(
         _ => Some(PassTally::new(n, k, topology)?),
     };
     let commits_per_node = sink.commits_per_node();
+    let stream_proves = stream.proves_symmetry();
     let mut accepted: Option<Measurement> = None;
     // The block loads of the tracker's best assignment, overwritten in place
     // like it: what a revert hands back to the sink.
@@ -475,8 +476,9 @@ pub(crate) fn drive(
         let mut pass_nodes = 0u64;
         // The first pass proves the symmetry the tally relies on; later
         // passes replay the same stream, so only debug builds prove them
-        // again.
-        let proving = i == 0 || cfg!(debug_assertions);
+        // again. A stream that proves each pass itself fails the pass
+        // through `for_each_node` instead, before the tally is read.
+        let proving = !stream_proves && (i == 0 || cfg!(debug_assertions));
         // One closure per case, not one that branches per node: the tally
         // inlines into its closure, and a shared one paid that frame on every
         // node of every untallied pass (≈ 16 ns per node).
@@ -706,9 +708,9 @@ impl<'a> LevelTally<'a> {
     }
 
     /// The measurement walk's step: every adjacency entry of `node` under
-    /// the finished `assignments`, each filed in `proof` as well.
+    /// the finished `assignments`; `PROVE` files each in `proof` as well.
     #[inline]
-    fn every_entry(
+    fn every_entry<const PROVE: bool>(
         &mut self,
         node: StreamedNode<'_>,
         assignments: &[BlockId],
@@ -716,7 +718,9 @@ impl<'a> LevelTally<'a> {
     ) {
         let (this, own) = (node.node, assignments[node.node as usize]);
         let entries = node.neighbors_weighted().map(|(u, w)| {
-            proof.walk_entry(this, u, w);
+            if PROVE {
+                proof.walk_entry(this, u, w);
+            }
             (assignments[u as usize], u128::from(w))
         });
         self.node(own, node.weight, entries);
@@ -778,7 +782,9 @@ fn halve(twice: u128, quantity: &str) -> Result<u64> {
 ///
 /// This is only the measurement walk's histogram when the adjacency lists
 /// are symmetric, so a proving pass checks it as it goes
-/// ([`PassTally::finish`]).
+/// ([`PassTally::finish`]) — unless the stream proves its passes itself
+/// ([`NodeStream::proves_symmetry`]), and a pass over one-sided lists fails
+/// before its tally is finished.
 pub(crate) struct PassTally<'a> {
     levels: LevelTally<'a>,
     /// One bit per slot of the assignment array: processed in this pass.
@@ -887,7 +893,9 @@ impl<'a> PassTally<'a> {
 /// Each undirected edge is seen from both endpoints, so the doubled sums are
 /// halved — which holds on symmetric adjacency lists only, so the walk proves
 /// them symmetric as it goes ([`SymmetryProof::walk_entry`]) and fails with a
-/// typed graph error otherwise. Any `u32` is a valid entry of `assignments`:
+/// typed graph error otherwise; over a stream that proves its passes itself
+/// ([`NodeStream::proves_symmetry`]) the stream's pass fails instead. Any
+/// `u32` is a valid entry of `assignments`:
 /// nodes without a valid block count towards no block, and an unassigned
 /// endpoint makes an edge cut whatever the other side holds.
 pub fn measure(
@@ -908,8 +916,14 @@ pub fn measure(
     };
     let mut tally = LevelTally::new(assignments.len(), k, topology)?;
     let mut proof = SymmetryProof::default();
-    stream.for_each_node(&mut |node| tally.every_entry(node, assignments, &mut proof))?;
-    proof.check()?;
+    if stream.proves_symmetry() {
+        stream
+            .for_each_node(&mut |node| tally.every_entry::<false>(node, assignments, &mut proof))?;
+    } else {
+        stream
+            .for_each_node(&mut |node| tally.every_entry::<true>(node, assignments, &mut proof))?;
+        proof.check()?;
+    }
     tally.finish()
 }
 
@@ -1294,6 +1308,79 @@ mod tests {
             }
             let last = measure(stream, sink.assignments(), 3, None).unwrap();
             assert_eq!(report, Some(last));
+        }
+    }
+
+    /// Each pass is proven symmetric once (`NodeStream::proves_symmetry`).
+    /// Over one asymmetric adjacency list, the drive loop's tally — one
+    /// pass with a report, or every pass of a tracked run — and the
+    /// measurement walk refuse a stream that does not prove its passes, and
+    /// leave one that says it does to prove itself: this one says so and
+    /// proves nothing, so nothing refuses it.
+    #[test]
+    fn only_a_stream_that_does_not_prove_itself_is_proven_by_its_consumer() {
+        /// Node 0 lists node 1 twice, node 1 lists nobody: two entries for
+        /// the one edge the header announces.
+        struct OneSided {
+            proves: bool,
+        }
+        impl NodeStream for OneSided {
+            fn num_nodes(&self) -> usize {
+                2
+            }
+            fn num_edges(&self) -> usize {
+                1
+            }
+            fn total_node_weight(&self) -> NodeWeight {
+                2
+            }
+            fn for_each_node(
+                &mut self,
+                f: &mut dyn FnMut(StreamedNode<'_>),
+            ) -> oms_graph::Result<()> {
+                for (node, neighbors) in [(0, &[1, 1][..]), (1, &[][..])] {
+                    f(StreamedNode {
+                        node,
+                        weight: 1,
+                        neighbors,
+                        edge_weights: &[1, 1][..neighbors.len()],
+                    });
+                }
+                Ok(())
+            }
+            fn proves_symmetry(&self) -> bool {
+                self.proves
+            }
+        }
+        for proves in [false, true] {
+            let sink = || Sparse {
+                pass: 0,
+                assignments: vec![UNASSIGNED; 2],
+            };
+            let report = drive(
+                &mut OneSided { proves },
+                &mut sink(),
+                None,
+                None,
+                Some(None),
+            );
+            let opts = RestreamOptions::new(2, 0.0);
+            let tracked = run_restream(&mut OneSided { proves }, &mut sink(), &opts);
+            let walk = measure(&mut OneSided { proves }, &[0, 1], 2, None);
+            let outcomes = [
+                ("one reported pass", report.map(drop)),
+                ("a tracked run", tracked.map(drop)),
+                ("the measurement walk", walk.map(drop)),
+            ];
+            for (what, outcome) in outcomes {
+                match outcome {
+                    Ok(()) => assert!(proves, "{what} accepted one-sided lists"),
+                    Err(err) => {
+                        assert!(!proves, "{what} proved a stream that proves itself: {err}");
+                        assert!(err.to_string().contains("not symmetric"), "{what}: {err}");
+                    }
+                }
+            }
         }
     }
 

@@ -68,8 +68,9 @@
 //!   weight to a value it just had, so one pass of `4:16:16` on the
 //!   benchmark's RMAT graph evaluates a `powf` for 70 810 of its 787 729
 //!   refreshes. A refresh also rewrites the tree node's headroom; a
-//!   `retune` rewrites only the headrooms whose capacity moved, and
-//!   rebuilds every champion tree.
+//!   `retune` rewrites only the headrooms whose capacity moved, and under
+//!   Fennel rebuilds every champion tree (an LDG group's order does not
+//!   depend on the parameters a retune changes).
 //!
 //! The flat rules are the case `ℓ = 1`, `a₁ = k`: one gather, one refresh
 //! and, for `k ≥ 48`, the champion select — `O(deg + log k)` per node where
@@ -87,8 +88,8 @@
 //!
 //! Per delta, the repair driver pays one such descent per re-scored node
 //! plus one `retune` — a multiply-add per tree node over the stored load
-//! terms and a rebuild of the champion trees (one match per tree node of
-//! a wide group), no `powf`, no allocation.
+//! terms and, under Fennel, a rebuild of the champion trees (one match per
+//! tree node of a wide group), no `powf`, no allocation.
 //!
 //! # Bit-exactness
 //!
@@ -301,11 +302,14 @@ const GATHER_CAPACITY: usize = 1024;
 /// −20 % / −12 %, 64 −16 % / −14 %, 96 −18 % / −18 %, 128 −32 % / −22 %,
 /// 256 −47 % / −39 %, 1024 −76 % / −72 %; `ldg` at 48 −9 % / −8 %, 64
 /// −10 % / −14 %, 96 −23 % / −18 %, 128 −31 % / −27 %, 256 −50 % / −50 %,
-/// 1024 −81 % / −80 %, faster in at least 6 of 8 pairs each. A `retune`
-/// rebuilds every champion tree, and `apply-deltas` retunes on every delta:
-/// on the benchmark's churn trace (`fennel`, ER n = 200 000, 60 batches of
-/// 2 500 deltas) `--k 64` got 11 % slower (faster in 1 of 8 pairs), while
-/// `--k 256` gained 4 % and `--k 1024` 15 %.
+/// 1024 −81 % / −80 %, faster in at least 6 of 8 pairs each. A Fennel
+/// `retune` rebuilds every champion tree, and `apply-deltas` retunes on every
+/// delta: on the benchmark's churn trace (`fennel`, ER n = 200 000, 60
+/// batches of 2 500 deltas) `--k 64` got 11 % slower (faster in 1 of 8
+/// pairs), while `--k 256` gained 4 % and `--k 1024` 15 %. An LDG `retune`
+/// rebuilds none ([`OmsSink::retune`]): against rebuilding them, `--algo ldg
+/// --k 64 --reference off` on that trace (seed 7) is 4.2 % faster (10
+/// alternating pairs, 8 faster).
 const WIDE_SELECT: usize = 48;
 
 /// Sibling groups at least this wide (and narrower than [`WIDE_SELECT`])
@@ -492,7 +496,8 @@ impl OmsSink {
             tree,
         };
         sink.refresh_terms();
-        sink.retune(n, m, total_weight);
+        sink.tune(n, m, total_weight);
+        sink.rebase(true);
         sink
     }
 
@@ -542,7 +547,18 @@ impl OmsSink {
     /// place from its stored load term — bit for bit what a from-scratch
     /// evaluation computes, without a `powf` per tree node or an allocation
     /// — and a headroom is refreshed only where its capacity moved.
+    ///
+    /// Only Fennel's champion trees are rebuilt. An LDG penalty `1 − load /
+    /// capacity` is finite, so every LDG key is `0 × base = ±0`: a group's
+    /// order is (load, index), which a retune leaves as it is.
     pub(crate) fn retune(&mut self, n: usize, m: usize, total_weight: NodeWeight) {
+        self.tune(n, m, total_weight);
+        self.rebase(matches!(self.scoring, Some((FlatObjective::Fennel, _))));
+    }
+
+    /// [`OmsSink::retune`]'s capacities, headrooms and `α`s, without the
+    /// penalties.
+    fn tune(&mut self, n: usize, m: usize, total_weight: NodeWeight) {
         let k = self.tree.num_blocks();
         let lmax = Partition::capacity(total_weight, k, self.epsilon);
         let global = fennel_alpha(k, m, n);
@@ -554,13 +570,12 @@ impl OmsSink {
             }
             self.alphas[t] = global / self.alpha_divisors[t];
         }
-        self.rebase();
     }
 
     /// Re-evaluates every tree node's penalty from its stored load term
-    /// (the parameters changed or the loads were rebuilt), then every
-    /// champion tree.
-    fn rebase(&mut self) {
+    /// (the parameters changed or the loads were rebuilt), then, with
+    /// `champions`, every champion tree.
+    fn rebase(&mut self, champions: bool) {
         if let Some((objective, _)) = self.scoring {
             for t in 0..self.base.len() {
                 self.base[t] = objective.base_of_term(
@@ -570,7 +585,9 @@ impl OmsSink {
                     self.gamma,
                 );
             }
-            self.rebuild_champions(objective);
+            if champions {
+                self.rebuild_champions(objective);
+            }
         }
     }
 
@@ -728,7 +745,7 @@ impl OmsSink {
             self.add_along_path(b, weight);
         }
         self.refresh_terms();
-        self.rebase();
+        self.rebase(true);
     }
 
     /// Unassigns `node` (if assigned) and routes it down the tree against
@@ -1724,7 +1741,7 @@ mod tests {
                 if negated {
                     for kernel in [&mut sink, &mut exact] {
                         kernel.alphas.iter_mut().for_each(|alpha| *alpha = -*alpha);
-                        kernel.rebase();
+                        kernel.rebase(true);
                     }
                 }
                 let first = exact.blocks().start;

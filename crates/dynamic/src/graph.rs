@@ -354,8 +354,8 @@ impl DynamicGraph {
 
     /// Deletes node `id` with all incident edges. `removed` is cleared and
     /// receives the removed `(neighbor, edge weight)` pairs, in list order,
-    /// so the caller can adjust derived state (cut, boundary) — into a
-    /// buffer it reuses from delete to delete.
+    /// so the caller can adjust derived state (the cut, the repair seeds) —
+    /// into a buffer it reuses from delete to delete.
     pub fn delete_node(
         &mut self,
         id: NodeId,

@@ -18,11 +18,12 @@
 //!   [`NodeStream`](oms_graph::NodeStream) (`oms apply-deltas` hands it the
 //!   METIS or `.oms` file itself); it absorbs each mutation and streams the
 //!   live graph on demand;
-//! * per-block loads, the boundary set and the edge cut are maintained
-//!   incrementally, and touched nodes are re-scored in place (ReFennel
-//!   steps under the live `L_max`) per the job's `repair=` policy — on
-//!   reused scratch buffers, so a warm delta allocates nothing but slab
-//!   growth;
+//! * per-block loads and the edge cut are maintained incrementally, and
+//!   touched nodes are re-scored in place (ReFennel steps under the live
+//!   `L_max`) per the job's `repair=` policy — on reused scratch buffers,
+//!   so a warm delta allocates nothing but slab growth. No boundary set is
+//!   kept: `repair=boundary` reads from a neighbor's adjacency whether it
+//!   sits on a block boundary when its cascade reaches it;
 //! * a drift metric triggers a seeded full-restream fallback through the
 //!   multi-pass engine once the job's `drift=` threshold is exceeded;
 //! * snapshots persist the whole service state as a trailer after the
@@ -65,7 +66,7 @@ mod tests {
     use oms_core::{measure_pass, JobSpec, RepairPolicy, UNASSIGNED};
     use oms_gen::erdos_renyi_gnm;
     use oms_graph::io::{write_stream_file, DiskStream};
-    use oms_graph::{CsrGraph, DeltaBatch, InMemoryStream};
+    use oms_graph::{CsrGraph, Delta, DeltaBatch, InMemoryStream, NodeId};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -149,7 +150,6 @@ mod tests {
         assert!(state.edge_cut() > 0);
         assert!(!state.trajectory().is_empty());
         assert_eq!(state.counters().baseline_cut, state.edge_cut());
-        assert!(state.boundary_size() > 0);
         assert_cut_consistent(&mut state);
         // Every live node is assigned, dead ids do not exist yet.
         assert!(state.assignments().iter().all(|&b| b != UNASSIGNED));
@@ -187,25 +187,56 @@ mod tests {
         }
     }
 
+    /// `repair=boundary`'s cascade rescores the neighbors of a moved seed
+    /// that sit on a block boundary when the wave reaches them, and no
+    /// others. In an edge delta that moved exactly one node — a seed, since
+    /// a wave only follows a seed's move — the wave ran over the state the
+    /// delta left, so its rescores are the two seeds plus that seed's
+    /// boundary neighbors in the final assignment.
     #[test]
-    fn boundary_set_stays_exact_under_churn() {
-        let graph = er_graph(120, 5);
-        let mut state = PartitionState::new(&job(3), &mut InMemoryStream::new(&graph)).unwrap();
+    fn boundary_wave_rescores_boundary_neighbors_and_no_interior_ones() {
+        let graph = oms_gen::planted_partition(400, 4, 0.08, 0.004, 3);
+        let mut spec = job(4);
+        spec.repair = RepairPolicy::Boundary;
+        spec.drift = 1e9; // never fall back
+        let mut state = PartitionState::new(&spec, &mut InMemoryStream::new(&graph)).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for _ in 0..6 {
-            let batch = random_batch(&state, &mut rng, 30);
-            state.apply(&batch).unwrap();
-            let expected: usize = (0..state.graph().id_space() as u32)
-                .filter(|&v| {
-                    state.graph().is_alive(v) && {
-                        let b = state.assignments()[v as usize];
-                        let (nbrs, _) = state.graph().neighbors(v);
-                        nbrs.iter().any(|&u| state.assignments()[u as usize] != b)
-                    }
-                })
-                .count();
-            assert_eq!(state.boundary_size(), expected);
+        let (mut cases, mut boundary, mut interior) = (0, 0, 0);
+        for _ in 0..1500 {
+            let batch = random_batch(&state, &mut rng, 1);
+            let seeds = match batch.get(0) {
+                Delta::EdgeInsert { u, v, .. } | Delta::EdgeDelete { u, v } => [u, v],
+                _ => {
+                    state.apply(&batch).unwrap();
+                    continue;
+                }
+            };
+            let before = state.assignments().to_vec();
+            let stats = state.apply(&batch).unwrap();
+            if stats.moved != 1 {
+                continue;
+            }
+            let after = state.assignments();
+            let moved: Vec<NodeId> = (0..after.len() as NodeId)
+                .filter(|&v| before[v as usize] != after[v as usize])
+                .collect();
+            assert!(moved.len() == 1 && seeds.contains(&moved[0]), "{moved:?}");
+            let on_boundary = |w: NodeId| {
+                let (nbrs, _) = state.graph().neighbors(w);
+                nbrs.iter().any(|&x| after[x as usize] != after[w as usize])
+            };
+            let (nbrs, _) = state.graph().neighbors(moved[0]);
+            let rescored_neighbors = nbrs.iter().filter(|&&w| on_boundary(w)).count();
+            assert_eq!(stats.rescored, 2 + rescored_neighbors, "seeds {seeds:?}");
+            cases += 1;
+            boundary += rescored_neighbors;
+            interior += nbrs.len() - rescored_neighbors;
         }
+        assert_cut_consistent(&mut state);
+        assert!(
+            cases >= 20 && boundary > 0 && interior > 0,
+            "{cases} single-move deltas, {boundary} boundary and {interior} interior neighbors"
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * under [`RepairPolicy::Local`] the nodes a delta touches are re-scored
 //!   in place (one ReFennel step each, under the live balance constraint
 //!   `L_max`); [`RepairPolicy::Boundary`] adds one cascade wave over the
-//!   boundary neighbors of every node that changed blocks;
+//!   neighbors of every node that changed blocks, rescoring those that are
+//!   boundary nodes (a neighbor in another block) when the wave reaches
+//!   them — checked from their adjacency then, not kept per node;
 //! * a *drift* metric — cumulative moved node mass plus cut regression
 //!   since the last full pass — triggers a full restream fallback through
 //!   the multi-pass engine once it exceeds the job's `drift=` threshold.
@@ -77,8 +79,6 @@ pub struct PartitionState {
     cut: u64,
     counters: DriftCounters,
     trajectory: Vec<PassStats>,
-    boundary: Vec<bool>,
-    boundary_count: usize,
     /// Per-delta scratch, reused so a warm delta allocates nothing: the
     /// adjacency a node delete removed, and the cascade wave of a repair.
     removed: Vec<(NodeId, EdgeWeight)>,
@@ -114,7 +114,7 @@ impl PartitionState {
         let opts = RestreamOptions::new(job.passes, job.convergence);
         let trajectory = run_restream(&mut graph, &mut sink, &opts)?;
         let cut = trajectory.final_edge_cut().unwrap_or(0);
-        let mut state = PartitionState {
+        Ok(PartitionState {
             job: job.clone(),
             policy: job.repair,
             graph,
@@ -126,13 +126,9 @@ impl PartitionState {
                 ..DriftCounters::default()
             },
             trajectory: trajectory.stats,
-            boundary: Vec::new(),
-            boundary_count: 0,
             removed: Vec::new(),
             wave: Vec::new(),
-        };
-        state.rebuild_boundary();
-        Ok(state)
+        })
     }
 
     // ------------------------------------------------------------ accessors
@@ -185,12 +181,6 @@ impl PartitionState {
     /// Number of blocks.
     pub fn num_blocks(&self) -> u32 {
         self.sink.num_blocks()
-    }
-
-    /// Number of live boundary nodes (nodes with a neighbor in another
-    /// block) — the candidate set of cascade repair.
-    pub fn boundary_size(&self) -> usize {
-        self.boundary_count
     }
 
     /// The drift counters (cumulative, as persisted in snapshots).
@@ -284,8 +274,6 @@ impl PartitionState {
                     self.cut += w;
                 }
                 self.retune();
-                self.refresh_boundary(u);
-                self.refresh_boundary(v);
                 if self.policy != RepairPolicy::Off {
                     self.repair([u, v], stats);
                 }
@@ -296,8 +284,6 @@ impl PartitionState {
                     self.cut -= w;
                 }
                 self.retune();
-                self.refresh_boundary(u);
-                self.refresh_boundary(v);
                 if self.policy != RepairPolicy::Off {
                     self.repair([u, v], stats);
                 }
@@ -305,7 +291,6 @@ impl PartitionState {
             Delta::NodeInsert { node, weight } => {
                 self.graph.insert_node(node, weight)?;
                 self.sink.grow(self.graph.id_space());
-                self.boundary.resize(self.graph.id_space(), false);
                 self.retune();
                 // A new node must be placed even under `repair=off` — an
                 // unassigned live node would leave the partition invalid.
@@ -323,10 +308,6 @@ impl PartitionState {
                 }
                 self.sink.forget(node, weight);
                 self.retune();
-                self.refresh_boundary(node);
-                for &(nbr, _) in &removed {
-                    self.refresh_boundary(nbr);
-                }
                 if self.policy != RepairPolicy::Off {
                     self.repair(removed.iter().map(|&(nbr, _)| nbr), stats);
                 }
@@ -356,7 +337,7 @@ impl PartitionState {
     }
 
     /// One ReFennel step on `v`: unassign, re-score under the live `L_max`,
-    /// and fold the (possible) move into cut, drift and boundary state.
+    /// and fold the (possible) move into cut and drift.
     /// Returns whether `v` changed blocks.
     fn rescore_node(&mut self, v: NodeId, stats: &mut ApplyStats) -> bool {
         if !self.graph.is_alive(v) {
@@ -375,17 +356,13 @@ impl PartitionState {
         self.cut = self.cut - before + after;
         stats.moved += 1;
         self.counters.moved_weight += self.graph.node_weight(v);
-        self.refresh_boundary(v);
-        // Refreshing boundary flags leaves the adjacency as it is.
-        for i in 0..self.graph.degree(v) {
-            self.refresh_boundary(self.graph.neighbors(v).0[i]);
-        }
         true
     }
 
     /// Local repair: one ReFennel step per seed; under
-    /// [`RepairPolicy::Boundary`], boundary neighbors of every moved seed
-    /// form one deterministic cascade wave.
+    /// [`RepairPolicy::Boundary`], the neighbors of every moved seed form
+    /// one deterministic cascade wave (in id order), which rescores each
+    /// that is a boundary node when its turn comes.
     fn repair(&mut self, seeds: impl IntoIterator<Item = NodeId>, stats: &mut ApplyStats) {
         let mut wave = std::mem::take(&mut self.wave);
         wave.clear();
@@ -398,45 +375,21 @@ impl PartitionState {
         wave.sort_unstable();
         wave.dedup();
         for &u in &wave {
-            if self.boundary.get(u as usize).copied().unwrap_or(false) {
+            if self.is_boundary(u) {
                 self.rescore_node(u, stats);
             }
         }
         self.wave = wave;
     }
 
-    // ------------------------------------------------------------ boundary
-
-    fn compute_boundary(&self, v: NodeId) -> bool {
+    /// Whether `v` is a live node with a neighbor in another block.
+    fn is_boundary(&self, v: NodeId) -> bool {
         if !self.graph.is_alive(v) {
             return false;
         }
         let b = self.sink.assignment(v);
         let (nbrs, _) = self.graph.neighbors(v);
         nbrs.iter().any(|&u| self.sink.assignment(u) != b)
-    }
-
-    fn refresh_boundary(&mut self, v: NodeId) {
-        let now = self.compute_boundary(v);
-        let slot = &mut self.boundary[v as usize];
-        if now != *slot {
-            *slot = now;
-            if now {
-                self.boundary_count += 1;
-            } else {
-                self.boundary_count -= 1;
-            }
-        }
-    }
-
-    fn rebuild_boundary(&mut self) {
-        self.boundary = vec![false; self.graph.id_space()];
-        self.boundary_count = 0;
-        for v in 0..self.graph.id_space() {
-            let flag = self.compute_boundary(v as NodeId);
-            self.boundary[v] = flag;
-            self.boundary_count += flag as usize;
-        }
     }
 
     // ------------------------------------------------------------ fallback
@@ -462,7 +415,6 @@ impl PartitionState {
         self.counters.moved_weight = 0;
         self.counters.baseline_cut = self.cut;
         self.counters.current_cut = self.cut;
-        self.rebuild_boundary();
         oms_obs::observe(Event::DriftFallback {
             restreams: self.counters.restreams,
             edge_cut: self.cut,
@@ -632,13 +584,10 @@ impl PartitionState {
             cut: snap.counters.current_cut,
             counters: snap.counters,
             trajectory,
-            boundary: Vec::new(),
-            boundary_count: 0,
             removed: Vec::new(),
             wave: Vec::new(),
         };
         state.retune();
-        state.rebuild_boundary();
         let (measured, _) = measure_pass(&mut state.graph, state.sink.assignments(), k)?;
         if measured != state.cut {
             return Err(PartitionError::InvalidConfig(format!(

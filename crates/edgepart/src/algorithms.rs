@@ -475,20 +475,24 @@ impl AlgoSink {
 ///
 /// The pass verifies that it delivered exactly the announced number of edges
 /// (the assignment array could not address more) and then proves the
-/// adjacency lists symmetric ([`SymmetryProof::walk_entry`]): an edge listed
-/// only from one endpoint would otherwise be placed once or never, whatever
-/// the count says.
+/// adjacency lists symmetric ([`SymmetryProof::walk_entry`]) — unless the
+/// stream proves its passes itself ([`NodeStream::proves_symmetry`]) and
+/// has failed this one already: an edge listed only from one endpoint would
+/// otherwise be placed once or never, whatever the count says.
 fn drive_pass(
     stream: &mut dyn NodeStream,
     expected_edges: usize,
     f: &mut dyn FnMut(usize, Edge),
 ) -> Result<()> {
     let mut index = 0usize;
+    let prove = !stream.proves_symmetry();
     let mut proof = SymmetryProof::default();
     stream.for_each_node(&mut |node| {
         let u = node.node;
         for (v, weight) in node.neighbors_weighted() {
-            proof.walk_entry(u, v, weight);
+            if prove {
+                proof.walk_entry(u, v, weight);
+            }
             if u < v {
                 if index < expected_edges {
                     f(index, Edge { u, v, weight });

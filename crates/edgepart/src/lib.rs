@@ -39,8 +39,9 @@
 //! read — in-memory, `.oms` or METIS text, unit or weighted — and takes each
 //! undirected edge at its smaller endpoint, so edge partitioning needs no
 //! edge format of its own and its assignments are byte-identical across
-//! sources. Each pass proves the adjacency lists symmetric, as the node
-//! engine's first pass does: one-sided lists are a typed graph error.
+//! sources. Each pass is proven symmetric, as the node engine's first pass
+//! is — by the job, or by a stream that proves its passes itself (METIS
+//! text): one-sided lists are a typed graph error.
 //!
 //! A job is described by the same [`JobSpec`] grammar as the node
 //! partitioners (`"e-greedy:32@seed=3,passes=3,lambda=1.5"`), and a

@@ -36,7 +36,12 @@
 //!   and the lists are symmetric — every entry is filed in a
 //!   [`SymmetryProof`](crate::SymmetryProof), which balances when every
 //!   undirected edge is listed from both endpoints equally often with the
-//!   same weight.
+//!   same weight. The stream says so ([`NodeStream::proves_symmetry`]), and
+//!   its consumers — the drive loop's tally and the measurement walk in
+//!   `oms-core`, [`collect_graph`], the `e-*` edge jobs — rely on this
+//!   proof instead of making their own: a pass over lists that are not
+//!   symmetric fails here, through the `for_each_node` / `for_each_batch`
+//!   that delivered it, before any of them reads what it tallied.
 //! * **Between passes:** [`NodeStream::reset`] re-opens the input and
 //!   compares its length and header with what [`MetisStream::open`] saw.
 
@@ -189,6 +194,13 @@ impl NodeStream for MetisStream<'_> {
         // The header sits in the first few bytes; the pass itself re-checks
         // it with the full buffer.
         self.open_pass(MIN_BUFFER_BYTES).map(drop)
+    }
+
+    /// Every pass files its entries in a [`SymmetryProof`] and fails at its
+    /// end, with a [`GraphError::MetisParse`] on line 0, unless the proof
+    /// balances.
+    fn proves_symmetry(&self) -> bool {
+        true
     }
 
     fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {

@@ -101,9 +101,10 @@ pub trait NodeStream {
     ///
     /// Multi-pass (restreaming) drivers call this between passes and rely on
     /// every pass delivering the same nodes, adjacency lists and weights in
-    /// the same order (`oms-core` proves the stream's symmetry on a run's
-    /// first pass only). In-memory sources rewind trivially (every pass
-    /// starts from the front anyway);
+    /// the same order (`oms-core` proves the symmetry of a stream that does
+    /// not prove it itself on a run's first pass only — see
+    /// [`NodeStream::proves_symmetry`]). In-memory sources rewind trivially
+    /// (every pass starts from the front anyway);
     /// sources with external state re-open and re-validate it — e.g.
     /// [`crate::io::DiskStream`] re-opens the file and checks that its header
     /// still matches the counts announced when the stream was first opened,
@@ -144,11 +145,24 @@ pub trait NodeStream {
 
     /// The in-memory graph behind this stream, when there is one.
     ///
-    /// Random-access drivers (the shared-memory parallel partitioners, the
-    /// multilevel baseline) use this to skip materialisation; disk streams
-    /// return `None` and are materialised on demand.
+    /// Random-access drivers (the multilevel baseline) use this to skip
+    /// materialisation; disk streams return `None` and are materialised on
+    /// demand.
     fn as_graph(&self) -> Option<&CsrGraph> {
         None
+    }
+
+    /// Whether every pass proves its own adjacency lists symmetric and fails
+    /// — through the [`NodeStream::for_each_node`] / [`NodeStream::for_each_batch`]
+    /// that delivered them — when they are not (see [`SymmetryProof`]).
+    ///
+    /// A consumer that needs symmetric lists proves them itself unless this
+    /// says the stream does, so each pass is proven exactly once: by
+    /// [`crate::io::MetisStream`], which files every entry it parses, or
+    /// else by the consumer. The default is `false`, and a wrapper that
+    /// could change the adjacency it passes on keeps it.
+    fn proves_symmetry(&self) -> bool {
+        false
     }
 }
 
@@ -179,6 +193,10 @@ impl<S: NodeStream + ?Sized> NodeStream for &mut S {
 
     fn as_graph(&self) -> Option<&CsrGraph> {
         (**self).as_graph()
+    }
+
+    fn proves_symmetry(&self) -> bool {
+        (**self).proves_symmetry()
     }
 }
 
@@ -238,6 +256,11 @@ fn mix64(mut x: u64) -> u64 {
 ///   the endpoint with the larger id is the second sighting. [`collect_graph`],
 ///   [`MetisStream`](crate::io::MetisStream)'s end-of-pass check, the `e-*`
 ///   edge jobs' passes and `oms-core`'s measurement walk prove with it.
+///
+/// Each pass is proven once. The stream proves it when it can — a
+/// [`MetisStream`](crate::io::MetisStream) files every entry it parses and
+/// says so through [`NodeStream::proves_symmetry`] — and otherwise the
+/// consumer does; never both.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SymmetryProof {
     fingerprint: u64,
@@ -308,11 +331,13 @@ impl SymmetryProof {
 /// are appended as they arrive. A stream that delivers its nodes out of id
 /// order, or skips ids (a dynamic graph's dead nodes, which become isolated
 /// unit-weight nodes), pays one extra scatter copy at the end. Neighbor ids
-/// are range-checked, and the pass proves the adjacency lists symmetric
-/// ([`SymmetryProof::walk_entry`]): a [`CsrGraph`] counts each undirected
-/// edge once per endpoint, so a list that holds an edge its other endpoint
-/// does not list would become a graph whose edge count, cut and output files
-/// are wrong. Such a stream is a typed [`GraphError::Invalid`].
+/// are range-checked, and the adjacency lists must be symmetric: a
+/// [`CsrGraph`] counts each undirected edge once per endpoint, so a list
+/// that holds an edge its other endpoint does not list would become a graph
+/// whose edge count, cut and output files are wrong. Such a stream is a
+/// typed error — the stream's own when it
+/// [proves its passes](NodeStream::proves_symmetry), otherwise a
+/// [`GraphError::Invalid`] from this pass's [`SymmetryProof::walk_entry`].
 pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     let n = stream.num_nodes();
     let entries = 2 * stream.num_edges();
@@ -322,6 +347,7 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     xadj.push(0);
     let mut adjncy: Vec<NodeId> = Vec::with_capacity(entries);
     let mut eweights: Vec<EdgeWeight> = Vec::with_capacity(entries);
+    let prove = !stream.proves_symmetry();
     let mut proof = SymmetryProof::default();
     stream.for_each_node(&mut |node| {
         ids.push(node.node);
@@ -329,8 +355,10 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
         adjncy.extend_from_slice(node.neighbors);
         eweights.extend_from_slice(node.edge_weights);
         xadj.push(adjncy.len());
-        for (u, w) in node.neighbors_weighted() {
-            proof.walk_entry(node.node, u, w);
+        if prove {
+            for (u, w) in node.neighbors_weighted() {
+                proof.walk_entry(node.node, u, w);
+            }
         }
     })?;
     let out_of_range = |node: NodeId| GraphError::NodeOutOfRange {
