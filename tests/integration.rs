@@ -128,6 +128,68 @@ fn offline_remapping_improves_fennel() {
     );
 }
 
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u32]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The offline comparator is pinned bit for bit: the FNV-1a digest of its
+/// `pe_of_block` and the J of the remapped partition, on three fixed
+/// instances. k = 512 > 256 takes the windowed pair exchange.
+#[test]
+fn offline_block_mapping_is_pinned() {
+    let cases = [
+        (
+            planted_partition(400, 8, 0.1, 0.01, 3),
+            "fennel:8",
+            "2:2:2",
+            0xca66_0902_7ae3_01f5,
+            55_942,
+        ),
+        (
+            barabasi_albert(2_000, 4, 5),
+            "hashing:64",
+            "4:4:4",
+            0x09b2_e066_2069_a9b5,
+            576_206,
+        ),
+        (
+            rmat_graph(11, 16_000, oms::gen::RmatParams::GRAPH500, 7),
+            "fennel:512",
+            "8:8:8",
+            0x8073_1633_d055_28e9,
+            886_986,
+        ),
+    ];
+    for (graph, job, hierarchy, digest, j) in cases {
+        let p = run(job, &graph);
+        let topology = Topology::parse(hierarchy, "1:10:100").unwrap();
+        let pe_of_block = offline_block_mapping(&graph, &p, &topology);
+        let remapped: Vec<BlockId> = p
+            .assignments()
+            .iter()
+            .map(|&b| pe_of_block[b as usize])
+            .collect();
+        let remapped_j = oms::core::api::stream_mapping_cost(
+            &mut InMemoryStream::new(&graph),
+            &remapped,
+            topology.hierarchy(),
+            topology.distances(),
+        )
+        .unwrap();
+        assert_eq!(
+            (fnv1a(&pe_of_block), remapped_j),
+            (digest, j),
+            "{job} on {hierarchy}"
+        );
+    }
+}
+
 /// Every instance of the synthetic corpus (one per Table 1 class and
 /// artificial family) can be generated, streamed and partitioned.
 #[test]
