@@ -886,9 +886,9 @@ impl<'a> PassTally<'a> {
 /// materialised graph that shares no code with this walk:
 /// [`Partition::edge_cut`](crate::Partition::edge_cut) (tied to this walk's
 /// cut by `tests/properties.rs` and `tests/weighted_equivalence.rs`, which
-/// also recounts it per adjacency entry) and `oms_mapping::mapping_cost`
-/// (tied to this walk's `J` by `tests/properties.rs::mapping_cost_bounds` on
-/// random hierarchies).
+/// also recounts it per adjacency entry) and the naive `J` loop `naive_j` in
+/// `tests/properties.rs` (tied to this walk's `J` by `mapping_cost_bounds`
+/// on random hierarchies). This walk is the one production `J`.
 ///
 /// Each undirected edge is seen from both endpoints, so the doubled sums are
 /// halved — which holds on symmetric adjacency lists only, so the walk proves

@@ -75,14 +75,6 @@ impl HierarchySpec {
         self.factors.iter().product()
     }
 
-    /// Number of level-`i` groups a single PE is contained in, i.e. the
-    /// number of PEs sharing a level-`i` group: `Π_{r≤i} a_r`.
-    /// `i` is 1-based, matching the paper's notation.
-    pub fn pes_per_group(&self, level: usize) -> u32 {
-        assert!(level >= 1 && level <= self.num_levels());
-        self.factors[..level].iter().product()
-    }
-
     /// Decomposes a PE id into its per-level coordinates
     /// `(x1, …, xℓ)` with `id = x1 + a1·(x2 + a2·(x3 + …))`.
     pub fn coordinates(&self, pe: BlockId) -> Vec<u32> {
@@ -337,14 +329,6 @@ mod tests {
             assert_eq!(codes.code(k), None, "{h:?}");
             assert_eq!(codes.code(crate::partition::UNASSIGNED), None, "{h:?}");
         }
-    }
-
-    #[test]
-    fn pes_per_group_products() {
-        let h = HierarchySpec::parse("4:16:8").unwrap();
-        assert_eq!(h.pes_per_group(1), 4);
-        assert_eq!(h.pes_per_group(2), 64);
-        assert_eq!(h.pes_per_group(3), 512);
     }
 
     #[test]

@@ -49,6 +49,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod checkpoints;
 mod graph;

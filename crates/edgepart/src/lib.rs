@@ -74,6 +74,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod algorithms;
 mod api;

@@ -132,7 +132,7 @@ mod tests {
         assert!(ones * 2 > a.num_nodes(), "expected ≥50% weight-1 nodes");
         assert!(a.node_weights().iter().any(|&w| w > 8), "expected a tail");
         a.validate().unwrap();
-        // Topology untouched.
+        // Adjacency untouched.
         assert_eq!(a.xadj(), g.xadj());
         assert_eq!(a.adjncy(), g.adjncy());
         assert_eq!(a.edge_weights(), g.edge_weights());

@@ -101,21 +101,9 @@ impl RecursiveMultisection {
 mod tests {
     use super::*;
     use crate::partition;
+    use oms_core::api::stream_mapping_cost;
     use oms_core::DistanceSpec;
-
-    fn mapping_cost(
-        graph: &CsrGraph,
-        assignment: &[BlockId],
-        hierarchy: &HierarchySpec,
-        distances: &DistanceSpec,
-    ) -> u64 {
-        graph
-            .edges()
-            .map(|(u, v, w)| {
-                w * distances.distance(hierarchy, assignment[u as usize], assignment[v as usize])
-            })
-            .sum()
-    }
+    use oms_graph::InMemoryStream;
 
     #[test]
     fn recursive_multisection_produces_valid_partition() {
@@ -136,10 +124,11 @@ mod tests {
         let g = oms_gen::planted_partition(600, 16, 0.1, 0.004, 7);
         let h = HierarchySpec::parse("2:2:4").unwrap();
         let d = DistanceSpec::paper_default();
-        let offline = partition("rms:2:2:4", &g);
-        let streaming = partition("oms:2:2:4", &g);
-        let off_cost = mapping_cost(&g, offline.assignments(), &h, &d);
-        let on_cost = mapping_cost(&g, streaming.assignments(), &h, &d);
+        let j = |job: &str| {
+            let p = partition(job, &g);
+            stream_mapping_cost(&mut InMemoryStream::new(&g), p.assignments(), &h, &d).unwrap()
+        };
+        let (off_cost, on_cost) = (j("rms:2:2:4"), j("oms:2:2:4"));
         assert!(
             off_cost <= on_cost,
             "offline {off_cost} should not be worse than streaming {on_cost}"

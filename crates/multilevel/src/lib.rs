@@ -18,7 +18,7 @@
 //!
 //! Three jobs run it, each built from a [`JobSpec`](oms_core::JobSpec) like
 //! every other algorithm once [`register_algorithms`] has added their rows
-//! to `oms-core`'s registry — the crate's whole public surface:
+//! to `oms-core`'s registry:
 //!
 //! * `multilevel:k` (the KaMinPar stand-in) solves plain `k`-way
 //!   partitioning;
@@ -31,6 +31,13 @@
 //!   in-memory model graph with the multilevel machinery and commits the
 //!   result under the global balance constraint — streaming memory,
 //!   multilevel quality.
+//!
+//! Beside `rms`, [`offline_block_mapping`] is the other route from a whole
+//! graph to a process mapping: it places the blocks of any finished
+//! partition on the PEs afterwards (greedy construction, then pair exchange
+//! on the quotient graph) — the "partition first, then map" comparator that
+//! the paper's on-the-fly mapping is measured against. The two functions are
+//! the crate's whole public surface.
 //!
 //! ε and the seed come from the job; the solver's round counts and its
 //! coarsening limit are constants. `multilevel` and `rms` are orders of
@@ -51,7 +58,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
+mod block_mapping;
 mod buffered;
 mod clustering;
 mod contract;
@@ -61,6 +70,7 @@ mod partitioner;
 mod refine;
 mod registry;
 
+pub use block_mapping::offline_block_mapping;
 pub use registry::register_algorithms;
 
 /// The partition the registered job `job` computes for `graph`.

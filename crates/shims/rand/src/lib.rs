@@ -9,6 +9,8 @@
 //! promise with upstream `rand` — all determinism guarantees in this
 //! repository are *internal* (same seed ⇒ same stream on every run).
 
+#![deny(unreachable_pub)]
+
 /// A source of random 32/64-bit words.
 pub trait RngCore {
     /// Next 32 random bits.

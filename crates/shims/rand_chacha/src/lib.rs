@@ -7,6 +7,8 @@
 //! bit. Determinism in this workspace is internal only: the same seed always
 //! produces the same stream, and every seeded input depends on it.
 
+#![deny(unreachable_pub)]
+
 use rand::{RngCore, SeedableRng};
 
 /// A ChaCha random number generator with 8 rounds.

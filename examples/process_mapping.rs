@@ -52,15 +52,29 @@ fn main() {
     }
 
     // A plain partitioner can be turned into a mapper after the fact by
-    // assigning its blocks to PEs (greedy + local search) — still worse than
-    // building the hierarchy into the streaming pass itself.
-    let topology = Topology::parse("4:8:4", "1:10:100").unwrap();
+    // assigning its blocks to PEs (greedy construction, then pair exchange
+    // on the quotient graph) — still worse than building the hierarchy into
+    // the streaming pass itself.
+    let hierarchy = HierarchySpec::parse("4:8:4").unwrap();
+    let distances = DistanceSpec::parse("1:10:100").unwrap();
     let fennel = fennel_partition.expect("fennel ran");
-    let remapped = remap_partition(&fennel, &offline_block_mapping(&graph, &fennel, &topology));
+    let pe_of_block = offline_block_mapping(&graph, &fennel, &hierarchy, &distances);
+    let remapped: Vec<BlockId> = fennel
+        .assignments()
+        .iter()
+        .map(|&b| pe_of_block[b as usize])
+        .collect();
+    let j = oms::core::api::stream_mapping_cost(
+        &mut InMemoryStream::new(&graph),
+        &remapped,
+        &hierarchy,
+        &distances,
+    )
+    .expect("an in-memory graph measures");
     println!(
         "{:<24} {:>14} {:>10}",
         "Fennel + block remap",
-        mapping_cost(&graph, &remapped, &topology),
+        j,
         // Remapping relabels blocks, so the cut is Fennel's.
         fennel.edge_cut(&graph),
     );

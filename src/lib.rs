@@ -12,12 +12,16 @@
 //!   `hashing` and the paper's online recursive multi-section (`oms` /
 //!   `nh-oms`), including the restreaming variants, behind the unified
 //!   object-safe [`Partitioner`](prelude::Partitioner) API;
-//! * [`mapping`] (`oms-mapping`) — hierarchical topologies, the mapping
-//!   objective `J(C, D, Π)`, greedy block→PE construction and local search;
 //! * [`multilevel`] (`oms-multilevel`) — the in-memory `multilevel` and
 //!   `rms` baselines and the `buffered` streaming job, whose registry rows
 //!   [`register_multilevel_algorithms`](prelude::register_multilevel_algorithms)
-//!   adds (the crate's whole public surface);
+//!   adds, and the offline comparator
+//!   [`offline_block_mapping`](prelude::offline_block_mapping), which places
+//!   the blocks of a finished partition on the PEs of a hierarchy (the
+//!   crate's whole public surface). The mapping cost `J(C, D, Π)` of any
+//!   assignment is [`PartitionReport::mapping_cost`](prelude::PartitionReport)
+//!   of a job with `@dist=`, or
+//!   [`stream_mapping_cost`](crate::core::api::stream_mapping_cost);
 //! * [`edgepart`] (`oms-edgepart`) — streaming **vertex-cut** edge
 //!   partitioning (`e-hash`, `e-dbh`, the HDRF-style `e-greedy`) with
 //!   replication-factor tracking and multi-pass re-streaming, built from a
@@ -75,13 +79,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub use oms_core as core;
 pub use oms_dynamic as dynamic;
 pub use oms_edgepart as edgepart;
 pub use oms_gen as gen;
 pub use oms_graph as graph;
-pub use oms_mapping as mapping;
 pub use oms_multilevel as multilevel;
 pub use oms_obs as obs;
 pub use oms_workload as workload;
@@ -110,8 +114,9 @@ pub mod prelude {
         read_delta_trace, write_delta_trace, CsrGraph, Delta, DeltaBatch, GraphBuilder,
         InMemoryStream, NodeBatch, NodeOrdering, NodeStream,
     };
-    pub use oms_mapping::{mapping_cost, offline_block_mapping, remap_partition, Topology};
-    pub use oms_multilevel::register_algorithms as register_multilevel_algorithms;
+    pub use oms_multilevel::{
+        offline_block_mapping, register_algorithms as register_multilevel_algorithms,
+    };
     pub use oms_obs::{CounterId, Event, HistId, ObsCore, ObsGuard, Stopwatch, TraceSummary};
     pub use oms_workload::{
         replay_edge_partition, replay_graph, replay_stream, replica_sets, ReplayConfig,

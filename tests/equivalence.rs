@@ -344,13 +344,13 @@ fn multi_pass_trajectories_agree_across_stream_sources() {
 }
 
 /// The fused measurement walk against per-edge references written the slow
-/// way: the cut straight from its definition and `J` as the sum of
-/// [`DistanceSpec::distance`] over every edge entry (the separate walk
-/// `stream_mapping_cost` used to be), on random weighted graphs ×
-/// hierarchies (powers of two and not) × distance specs with ℓ and ℓ+1
-/// levels — including assignments with unassigned nodes and block ids
-/// beyond `k`, which have no level code, and graphs with fewer nodes than
-/// blocks, whose walk builds no codes at all.
+/// way: the cut and the imbalance straight from their definitions, on random
+/// weighted graphs × hierarchies (powers of two and not) × distance specs
+/// with ℓ and ℓ+1 levels — including assignments with unassigned nodes and
+/// block ids beyond `k`, which have no level code, and graphs with fewer
+/// nodes than blocks, whose walk builds no codes at all. The walk's `J` on
+/// such assignments is held to the one naive `J` reference in
+/// `tests/properties.rs`.
 #[test]
 fn fused_measurement_walk_matches_the_per_edge_references() {
     use oms::core::api::stream_mapping_cost;
@@ -400,13 +400,6 @@ fn fused_measurement_walk_matches_the_per_edge_references() {
                         .map(|level| 10u64.pow(level as u32) + level as u64)
                         .collect();
                     let distances = DistanceSpec::new(distances).unwrap();
-                    let mut twice_j = 0u64;
-                    for v in graph.nodes() {
-                        for (u, w) in graph.neighbors_weighted(v) {
-                            let (a, b) = (assignments[v as usize], assignments[u as usize]);
-                            twice_j += w * distances.distance(&hierarchy, a, b);
-                        }
-                    }
 
                     let stream = &mut InMemoryStream::new(&graph);
                     let topology = Some((&hierarchy, &distances));
@@ -414,7 +407,6 @@ fn fused_measurement_walk_matches_the_per_edge_references() {
                     assert_eq!(fused.edge_cut, twice_cut / 2);
                     assert_eq!(fused.imbalance, imbalance);
                     assert_eq!(fused.total_edge_weight, graph.total_edge_weight());
-                    assert_eq!(fused.mapping_cost, Some(twice_j / 2));
 
                     // The wrappers the benchmark calls read the same walk.
                     assert_eq!(
@@ -422,8 +414,8 @@ fn fused_measurement_walk_matches_the_per_edge_references() {
                         (fused.edge_cut, fused.imbalance)
                     );
                     assert_eq!(
-                        stream_mapping_cost(stream, assignments, &hierarchy, &distances).unwrap(),
-                        twice_j / 2
+                        stream_mapping_cost(stream, assignments, &hierarchy, &distances).ok(),
+                        fused.mapping_cost
                     );
                 }
                 if assignments == &clean {

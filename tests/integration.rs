@@ -19,6 +19,28 @@ fn run(text: &str, graph: &CsrGraph) -> Partition {
     partition(text, &mut InMemoryStream::new(graph))
 }
 
+/// The machine of `"4:4:4"`-style hierarchy and distance strings.
+fn machine(hierarchy: &str, distances: &str) -> (HierarchySpec, DistanceSpec) {
+    (
+        HierarchySpec::parse(hierarchy).unwrap(),
+        DistanceSpec::parse(distances).unwrap(),
+    )
+}
+
+/// The mapping cost `J` of running node `v` of `graph` on PE `pe[v]`, through
+/// the production measurement walk.
+fn j_of(graph: &CsrGraph, pe: &[BlockId], h: &HierarchySpec, d: &DistanceSpec) -> u64 {
+    oms::core::api::stream_mapping_cost(&mut InMemoryStream::new(graph), pe, h, d).unwrap()
+}
+
+/// Node `v` on PE `pe_of_block[p.block_of(v)]`.
+fn remap(p: &Partition, pe_of_block: &[BlockId]) -> Vec<BlockId> {
+    p.assignments()
+        .iter()
+        .map(|&b| pe_of_block[b as usize])
+        .collect()
+}
+
 /// The relationships of Fig. 2a/2b on a single structured instance:
 /// in-memory multilevel ≤ streaming (Fennel/OMS) ≤ Hashing for both
 /// objectives.
@@ -27,7 +49,7 @@ fn quality_ordering_matches_the_paper() {
     register_multilevel_algorithms();
     let graph = planted_partition(1_500, 16, 0.04, 0.001, 11);
     let k = 64u32;
-    let topology = Topology::parse("4:4:4", "1:10:100").unwrap();
+    let (h, d) = machine("4:4:4", "1:10:100");
 
     let hashing = run(&format!("hashing:{k}"), &graph);
     let fennel = run(&format!("fennel:{k}"), &graph);
@@ -46,7 +68,7 @@ fn quality_ordering_matches_the_paper() {
     assert!(cut(&nh_oms) < cut(&hashing), "nh-oms must beat hashing");
 
     // Mapping-cost ordering (Fig. 2a).
-    let j = |p: &Partition| mapping_cost(&graph, p.assignments(), &topology);
+    let j = |p: &Partition| j_of(&graph, p.assignments(), &h, &d);
     assert!(
         j(&offline) <= j(&oms),
         "offline mapping must beat streaming OMS"
@@ -62,23 +84,22 @@ fn quality_ordering_matches_the_paper() {
     }
 }
 
-/// OMS exploits the hierarchy: its mapping cost should not be worse than the
+/// OMS exploits the hierarchy: its mapping cost is below that of the
 /// hierarchy-oblivious Fennel partition evaluated under the same topology
-/// (the paper reports 41 % better on average).
+/// (the paper reports 41 % better on average; this instance, 6.6 %).
 #[test]
 fn oms_mapping_not_worse_than_fennel_identity_mapping() {
     let graph = barabasi_albert(3_000, 5, 3);
-    let topology = Topology::parse("4:4:4", "1:10:100").unwrap();
-    let k = topology.num_pes();
-
-    let fennel = run(&format!("fennel:{k}"), &graph);
-    let oms = run("oms:4:4:4", &graph);
-
-    let fennel_j = mapping_cost(&graph, fennel.assignments(), &topology);
-    let oms_j = mapping_cost(&graph, oms.assignments(), &topology);
+    let j = |job: &str| {
+        let report = JobSpec::parse(job).unwrap().build().unwrap();
+        let report = report.run(&mut InMemoryStream::new(&graph)).unwrap();
+        report.mapping_cost.expect("dist= given")
+    };
+    let fennel_j = j("fennel:4:4:4@dist=1:10:100");
+    let oms_j = j("oms:4:4:4@dist=1:10:100");
     assert!(
-        oms_j as f64 <= 1.1 * fennel_j as f64,
-        "OMS mapping {oms_j} should be at least comparable to Fennel {fennel_j}"
+        oms_j < fennel_j,
+        "OMS mapping {oms_j} must beat Fennel's {fennel_j}"
     );
 }
 
@@ -116,12 +137,11 @@ fn metis_roundtrip_preserves_partitioning() {
 #[test]
 fn offline_remapping_improves_fennel() {
     let graph = rmat_graph(12, 40_000, oms::gen::RmatParams::GRAPH500, 3);
-    let topology = Topology::parse("2:2:2:2:2:2", "1:2:4:8:16:32").unwrap();
-    let k = topology.num_pes();
-    let fennel = run(&format!("fennel:{k}"), &graph);
-    let before = mapping_cost(&graph, fennel.assignments(), &topology);
-    let remapped = remap_partition(&fennel, &offline_block_mapping(&graph, &fennel, &topology));
-    let after = mapping_cost(&graph, &remapped, &topology);
+    let (h, d) = machine("2:2:2:2:2:2", "1:2:4:8:16:32");
+    let fennel = run("fennel:64", &graph);
+    let before = j_of(&graph, fennel.assignments(), &h, &d);
+    let pe_of_block = offline_block_mapping(&graph, &fennel, &h, &d);
+    let after = j_of(&graph, &remap(&fennel, &pe_of_block), &h, &d);
     assert!(
         after <= before,
         "remapping {after} must not exceed {before}"
@@ -143,45 +163,21 @@ fn fnv1a(words: &[u32]) -> u64 {
 /// instances. k = 512 > 256 takes the windowed pair exchange.
 #[test]
 fn offline_block_mapping_is_pinned() {
-    let cases = [
-        (
-            planted_partition(400, 8, 0.1, 0.01, 3),
-            "fennel:8",
-            "2:2:2",
-            0xca66_0902_7ae3_01f5,
-            55_942,
-        ),
-        (
-            barabasi_albert(2_000, 4, 5),
-            "hashing:64",
-            "4:4:4",
-            0x09b2_e066_2069_a9b5,
-            576_206,
-        ),
-        (
-            rmat_graph(11, 16_000, oms::gen::RmatParams::GRAPH500, 7),
-            "fennel:512",
-            "8:8:8",
-            0x8073_1633_d055_28e9,
-            886_986,
-        ),
+    let graphs = [
+        planted_partition(400, 8, 0.1, 0.01, 3),
+        barabasi_albert(2_000, 4, 5),
+        rmat_graph(11, 16_000, oms::gen::RmatParams::GRAPH500, 7),
     ];
-    for (graph, job, hierarchy, digest, j) in cases {
-        let p = run(job, &graph);
-        let topology = Topology::parse(hierarchy, "1:10:100").unwrap();
-        let pe_of_block = offline_block_mapping(&graph, &p, &topology);
-        let remapped: Vec<BlockId> = p
-            .assignments()
-            .iter()
-            .map(|&b| pe_of_block[b as usize])
-            .collect();
-        let remapped_j = oms::core::api::stream_mapping_cost(
-            &mut InMemoryStream::new(&graph),
-            &remapped,
-            topology.hierarchy(),
-            topology.distances(),
-        )
-        .unwrap();
+    let pins = [
+        ("fennel:8", "2:2:2", 0xca66_0902_7ae3_01f5, 55_942),
+        ("hashing:64", "4:4:4", 0x09b2_e066_2069_a9b5, 576_206),
+        ("fennel:512", "8:8:8", 0x8073_1633_d055_28e9, 886_986),
+    ];
+    for (graph, (job, hierarchy, digest, j)) in graphs.iter().zip(pins) {
+        let p = run(job, graph);
+        let (h, d) = machine(hierarchy, "1:10:100");
+        let pe_of_block = offline_block_mapping(graph, &p, &h, &d);
+        let remapped_j = j_of(graph, &remap(&p, &pe_of_block), &h, &d);
         assert_eq!(
             (fnv1a(&pe_of_block), remapped_j),
             (digest, j),

@@ -149,6 +149,27 @@ fn stream_order_does_not_break_validity() {
     });
 }
 
+/// The test reference for the mapping cost `J`: every undirected edge
+/// `{u, v}` once, at the distance `d_l` of the lowest level `l` whose group
+/// holds the PEs of both endpoints (the top level when none does: an id
+/// past `k`). It reads only the factors and distances, and shares no code
+/// with the production walk behind `PartitionReport::mapping_cost`.
+fn naive_j(graph: &CsrGraph, pe: &[BlockId], h: &HierarchySpec, d: &DistanceSpec) -> u64 {
+    let (factors, distances) = (h.factors(), d.distances());
+    let mut j = 0;
+    for (u, v, w) in graph.edges() {
+        let (mut a, mut b, mut level) = (pe[u as usize], pe[v as usize], 0);
+        while a != b && level < factors.len() {
+            (a, b) = (a / factors[level], b / factors[level]);
+            level += 1;
+        }
+        if level > 0 {
+            j += w * distances[level - 1];
+        }
+    }
+    j
+}
+
 /// Mapping cost is bounded below by the edge-cut (every cut edge pays at
 /// least the smallest distance d1 ≥ 1) and above by cut · d_max.
 #[test]
@@ -158,26 +179,58 @@ fn mapping_cost_bounds() {
         let factors = arbitrary_factors(rng, 2, 4, 4);
         let hierarchy = HierarchySpec::new(factors.clone()).unwrap();
         let spec = hierarchy.to_string_spec();
-        let distances: Vec<String> = (0..factors.len())
-            .map(|i| (10u64.pow(i as u32)).to_string())
-            .collect();
-        let topology = Topology::parse(&spec, &distances.join(":")).unwrap();
+        let distances = (0..factors.len()).map(|i| 10u64.pow(i as u32)).collect();
+        let distances = DistanceSpec::new(distances).unwrap();
         let partition = run(&format!("oms:{spec}"), &graph);
 
         let cut = partition.edge_cut(&graph);
-        let j = mapping_cost(&graph, partition.assignments(), &topology);
+        let j = naive_j(&graph, partition.assignments(), &hierarchy, &distances);
         let d_max = 10u64.pow((factors.len() - 1) as u32);
         assert!(j >= cut);
         assert!(j <= cut * d_max);
-        // The offline reference agrees with the fused walk behind
+        // The naive reference agrees with the fused walk behind
         // `PartitionReport::mapping_cost`.
         let measured = oms::core::measure(
             &mut InMemoryStream::new(&graph),
             partition.assignments(),
             partition.num_blocks(),
-            Some((topology.hierarchy(), topology.distances())),
+            Some((&hierarchy, &distances)),
         );
         assert_eq!(measured.unwrap().mapping_cost, Some(j));
+    });
+}
+
+/// The walk's `J` is the naive reference's on random weighted graphs ×
+/// hierarchies (powers of two and not) × distance specs with ℓ and ℓ + 1
+/// levels, under any assignment: unassigned nodes and block ids past `k`
+/// have no level code, and a graph with fewer nodes than blocks builds no
+/// codes at all.
+#[test]
+fn mapping_cost_matches_the_naive_reference_on_any_assignment() {
+    run_cases(32, |rng| {
+        let shape = ["2:2", "4:16:16", "3:5:2", "3:7:2:5"][rng.gen_range(0..4usize)];
+        let h = HierarchySpec::parse(shape).unwrap();
+        let k = h.total_blocks();
+        let n = if rng.gen() {
+            3 * k as usize + 50
+        } else {
+            (k as usize / 2).max(6)
+        };
+        let graph = erdos_renyi_gnm(n, 4 * n, rng.gen_range(0..1000));
+        let graph = WeightScheme::Full.apply(&graph, rng.gen_range(0..1000));
+        let levels = h.num_levels() + rng.gen_range(0..2usize);
+        let d = DistanceSpec::new((0..levels).map(|_| rng.gen_range(1..1000)).collect()).unwrap();
+        let assignments: Vec<BlockId> = (0..n)
+            .map(|_| match rng.gen_range(0..k + 4) {
+                b if b < k => b,
+                b if b == k => oms::core::UNASSIGNED,
+                b => b + 5,
+            })
+            .collect();
+        let stream = &mut InMemoryStream::new(&graph);
+        let measured = oms::core::measure(stream, &assignments, k, Some((&h, &d))).unwrap();
+        let expected = naive_j(&graph, &assignments, &h, &d);
+        assert_eq!(measured.mapping_cost, Some(expected), "{shape}, n = {n}");
     });
 }
 
