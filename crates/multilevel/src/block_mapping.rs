@@ -61,7 +61,7 @@ fn greedy(
     hierarchy: &HierarchySpec,
     distances: &DistanceSpec,
 ) -> Vec<BlockId> {
-    let distance = |a, b| distances.distance(hierarchy, a, b);
+    let distance = |p, q| distances.distance(hierarchy, p, q);
     let (k, num_pes) = (quotient.num_nodes(), hierarchy.total_blocks() as usize);
     assert!(
         k <= num_pes,
@@ -145,7 +145,7 @@ fn swap_gain(
     a: usize,
     b: usize,
 ) -> i64 {
-    let distance = |a, b| distances.distance(hierarchy, a, b);
+    let distance = |p, q| distances.distance(hierarchy, p, q);
     // What moving `x` from PE `from` to PE `to` saves on its edges, the one
     // to `other` aside.
     let saved = |x: usize, other: usize, from: BlockId, to: BlockId| -> i64 {
