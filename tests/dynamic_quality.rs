@@ -8,6 +8,7 @@
 
 use oms::gen::RmatParams;
 use oms::graph::io::{write_stream_file, DiskStream};
+use oms::graph::NodeId;
 use oms::prelude::*;
 
 /// The committed quality bound: incremental cut ≤ `CUT_FACTOR` × the
@@ -214,4 +215,124 @@ fn incremental_apply_is_at_least_5x_faster_than_restreaming() {
         speedup >= MIN_SPEEDUP,
         "delta ingestion is only {speedup:.1}x faster than restreaming"
     );
+}
+
+/// FNV-1a over the maintained assignment, each block id as four
+/// little-endian bytes, then the cut as eight.
+fn state_digest(state: &PartitionState) -> u64 {
+    let bytes = state
+        .assignments()
+        .iter()
+        .flat_map(|b| b.to_le_bytes())
+        .chain(state.edge_cut().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Applies `trace` batch by batch; with `upgrade`, a batch of one weight-3
+/// edge insert goes in after the first half of the trace, between the
+/// first two live ids `u < v` that are not adjacent and that no later
+/// insert names.
+fn maintain(graph: &CsrGraph, trace: &[DeltaBatch], job: &str, upgrade: bool) -> PartitionState {
+    let job: JobSpec = job.parse().unwrap();
+    let mut state = PartitionState::new(&job, &mut InMemoryStream::new(graph)).unwrap();
+    let mid = trace.len() / 2;
+    for batch in &trace[..mid] {
+        state.apply(batch).unwrap();
+    }
+    if upgrade {
+        let later: Vec<(NodeId, NodeId)> = trace[mid..]
+            .iter()
+            .flat_map(|batch| batch.iter())
+            .filter_map(|delta| match delta {
+                Delta::EdgeInsert { u, v, .. } => Some((u.min(v), u.max(v))),
+                _ => None,
+            })
+            .collect();
+        let g = state.graph();
+        let live = (0..g.id_space() as NodeId).filter(|&v| g.is_alive(v));
+        let (u, v) = live
+            .clone()
+            .flat_map(|u| live.clone().filter(move |&v| u < v).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(u, v) && !later.contains(&(u, v)))
+            .unwrap();
+        let mut batch = DeltaBatch::new();
+        batch.insert_edge(u, v, 3);
+        state.apply(&batch).unwrap();
+    }
+    for batch in &trace[mid..] {
+        state.apply(batch).unwrap();
+    }
+    state
+}
+
+/// The maintained partition is pinned bit for bit: the digest of the
+/// assignment and the final cut after a full drift-churn trace, for
+/// `fennel` and `ldg` under `repair=boundary` and `repair=off`, on a unit
+/// ER graph, on the same graph with degree-proportional edge weights, and
+/// on the unit graph with one weight-3 edge insert in the middle of its
+/// trace. How the graph stores its adjacency must not move any of them.
+/// (On the unit graph `fennel` and `ldg` place every node alike, so their
+/// `repair=off` digests agree there.)
+#[test]
+fn maintained_partition_is_pinned() {
+    let unit = erdos_renyi_gnm(3_000, 12_000, 17);
+    let weighted = WeightScheme::Edges.apply(&unit, 17);
+    let trace_of = |graph: &CsrGraph| {
+        churn_trace(
+            graph,
+            &ChurnConfig {
+                scheme: ChurnScheme::CommunityDrift { communities: 8 },
+                batches: 8,
+                ops_per_batch: 250,
+                seed: 0x5EED,
+                ..ChurnConfig::default()
+            },
+        )
+    };
+    let (unit_trace, weighted_trace) = (trace_of(&unit), trace_of(&weighted));
+    let pins: [(&str, [u64; 3]); 4] = [
+        (
+            "fennel:16@repair=boundary",
+            [
+                0xb735_b769_7dc1_bbc5,
+                0x1424_cc72_cc34_9698,
+                0x91aa_dd27_a36d_a36a,
+            ],
+        ),
+        (
+            "fennel:16@repair=off",
+            [
+                0x1498_d235_d213_b16a,
+                0x822b_341b_4291_bac5,
+                0xb7a8_7d1a_b145_d307,
+            ],
+        ),
+        (
+            "ldg:16@repair=boundary",
+            [
+                0xa5a9_7918_1f16_7de7,
+                0x0ebc_da58_c1bb_b4a4,
+                0xe07e_4183_40b9_e1ae,
+            ],
+        ),
+        (
+            "ldg:16@repair=off",
+            [
+                0x1498_d235_d213_b16a,
+                0x5eb3_3f55_bf61_cb4b,
+                0xb7a8_7d1a_b145_d307,
+            ],
+        ),
+    ];
+    for (job, digests) in pins {
+        let got = [
+            maintain(&unit, &unit_trace, job, false),
+            maintain(&weighted, &weighted_trace, job, false),
+            maintain(&unit, &unit_trace, job, true),
+        ]
+        .map(|state| state_digest(&state));
+        assert_eq!(got, digests, "{job}: unit, edge-weighted, upgraded");
+    }
 }
