@@ -22,11 +22,19 @@
 //! # Layout: one pooled slab
 //!
 //! The graph is one `O(n + m)` copy: every adjacency list is a *span* of
-//! two pools indexed alike, neighbour ids and the aligned edge weights
-//! (unit weights are stored, as [`CsrGraph`] stores them), and each id owns
-//! one 16-byte span `{ start, len, cap }`. [`DynamicGraph::from_stream`]
-//! appends each streamed list at the pool's tail with `cap = len`, so the
-//! pools hold exactly the entries the stream delivered.
+//! the neighbour-id pool, and each id owns one 16-byte span
+//! `{ start, len, cap }`. [`DynamicGraph::from_stream`] appends each
+//! streamed list at the pool's tail with `cap = len`, so the pool holds
+//! exactly the entries the stream delivered.
+//!
+//! A *unit* slab — every edge weight 1, as on an unweighted input — stores
+//! no weights: 4 B per adjacency entry. [`DynamicGraph::neighbors`] serves
+//! its weights as a prefix of one shared buffer of 1s, at least as long as
+//! the longest span, which grows only when a span outgrows it. The first
+//! weight that is not 1, streamed or inserted, materialises a second pool
+//! indexed like the first (filled with 1s, then 12 B per entry), and the
+//! slab stays weighted from then on. Every rule below moves a weighted
+//! slab's weights along with its ids.
 //!
 //! * An insert into a span with room writes at `start + len`. A full span
 //!   grows to `len + 1 + len/8`: in place when it ends at the pool's tail,
@@ -59,17 +67,23 @@ impl Span {
 }
 
 /// A mutable graph under churn: one pooled adjacency slab plus live/dead
-/// marks. Each id owns a span of two pools (neighbour ids, edge weights); a
-/// full span grows to `len + 1 + len/8`, in place at the pool's tail or by
-/// moving there, and the pools compact in place once more than 1/8 of them
-/// is abandoned. The docs of the `graph` module give the details.
+/// marks. Each id owns a span of the neighbour-id pool, and of an aligned
+/// edge-weight pool once some weight is not 1; a full span grows to
+/// `len + 1 + len/8`, in place at the pool's tail or by moving there, and
+/// the pools compact in place once more than 1/8 of them is abandoned. The
+/// docs of the `graph` module give the details.
 ///
 /// See the [crate docs](crate) for the id-space conventions.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicGraph {
     spans: Vec<Span>,
     nbrs: Vec<NodeId>,
+    /// Edge weights aligned with `nbrs` once `weighted`; empty before.
     wts: Vec<EdgeWeight>,
+    /// Whether some edge weight has not been 1, i.e. `wts` is in use.
+    weighted: bool,
+    /// A unit slab's weights: 1s, at least as many as the longest span.
+    ones: Vec<EdgeWeight>,
     /// Pool slots no span owns (left behind by moves and node deletes).
     abandoned: usize,
     node_weights: Vec<NodeWeight>,
@@ -102,7 +116,7 @@ impl DynamicGraph {
             total_weight: stream.total_node_weight(),
             ..DynamicGraph::default()
         };
-        let mut too_long = None;
+        let (mut too_long, mut longest) = (None, 0);
         stream.reset()?;
         stream.for_each_node(&mut |node| {
             let v = node.node as usize;
@@ -120,11 +134,20 @@ impl DynamicGraph {
                     cap: len,
                 };
             }
+            longest = longest.max(len as usize);
+            if !g.weighted && node.edge_weights.iter().any(|&w| w != 1) {
+                g.weigh();
+            }
             g.nbrs.extend_from_slice(node.neighbors);
-            g.wts.extend_from_slice(node.edge_weights);
+            if g.weighted {
+                g.wts.extend_from_slice(node.edge_weights);
+            }
         })?;
         if let Some(v) = too_long {
             return Err(invalid(format!("node {v} has 2^32 or more neighbors")));
+        }
+        if !g.weighted {
+            g.ones = vec![1; longest];
         }
         Ok(g)
     }
@@ -176,7 +199,22 @@ impl DynamicGraph {
     /// Adjacency of `v`: neighbor ids and the aligned edge weights.
     pub fn neighbors(&self, v: NodeId) -> (&[NodeId], &[EdgeWeight]) {
         let live = self.spans[v as usize].live();
-        (&self.nbrs[live.clone()], &self.wts[live])
+        let wts = if self.weighted {
+            &self.wts[live.clone()]
+        } else {
+            &self.ones[..live.len()]
+        };
+        (&self.nbrs[live], wts)
+    }
+
+    /// Materialises the weight pool, one 1 per pool slot so far; the slab
+    /// is weighted from then on.
+    fn weigh(&mut self) {
+        if !self.weighted {
+            self.weighted = true;
+            self.wts = vec![1; self.nbrs.len()];
+            self.ones = Vec::new();
+        }
     }
 
     /// The [`StreamedNode`] view of live node `v`.
@@ -229,8 +267,12 @@ impl DynamicGraph {
         Ok(())
     }
 
-    /// Appends `(to, w)` to `from`'s list, growing its span when full.
+    /// Appends `(to, w)` to `from`'s list, growing its span when full; a
+    /// weight that is not 1 makes the slab weighted.
     fn push(&mut self, from: NodeId, to: NodeId, w: EdgeWeight) {
+        if w != 1 {
+            self.weigh();
+        }
         let slot = from as usize;
         if self.spans[slot].len == self.spans[slot].cap {
             self.grow(slot);
@@ -239,7 +281,11 @@ impl DynamicGraph {
         let at = span.start + span.len as usize;
         span.len += 1;
         self.nbrs[at] = to;
-        self.wts[at] = w;
+        if self.weighted {
+            self.wts[at] = w;
+        } else if span.len as usize > self.ones.len() {
+            self.ones.push(1);
+        }
     }
 
     /// Gives the full span of `slot` room for `len + 1 + len/8` entries: in
@@ -250,14 +296,18 @@ impl DynamicGraph {
         let tail = self.nbrs.len();
         if start + cap as usize == tail {
             self.nbrs.resize(start + new_cap as usize, 0);
-            self.wts.resize(start + new_cap as usize, 0);
+            if self.weighted {
+                self.wts.resize(start + new_cap as usize, 0);
+            }
             self.spans[slot].cap = new_cap;
             return;
         }
         self.nbrs.extend_from_within(start..start + len as usize);
-        self.wts.extend_from_within(start..start + len as usize);
         self.nbrs.resize(tail + new_cap as usize, 0);
-        self.wts.resize(tail + new_cap as usize, 0);
+        if self.weighted {
+            self.wts.extend_from_within(start..start + len as usize);
+            self.wts.resize(tail + new_cap as usize, 0);
+        }
         self.spans[slot] = Span {
             start: tail,
             len,
@@ -289,7 +339,9 @@ impl DynamicGraph {
             span.start = to;
             to += span.cap as usize;
             self.nbrs.copy_within(live.clone(), span.start);
-            self.wts.copy_within(live, span.start);
+            if self.weighted {
+                self.wts.copy_within(live, span.start);
+            }
         }
         self.nbrs.truncate(to);
         self.wts.truncate(to);
@@ -301,10 +353,13 @@ impl DynamicGraph {
         let live = self.spans[from as usize].live();
         let pos = live.start + self.nbrs[live.clone()].iter().position(|&x| x == to)?;
         let last = live.end - 1;
-        let w = self.wts[pos];
         self.nbrs[pos] = self.nbrs[last];
-        self.wts[pos] = self.wts[last];
         self.spans[from as usize].len -= 1;
+        if !self.weighted {
+            return Some(1);
+        }
+        let w = self.wts[pos];
+        self.wts[pos] = self.wts[last];
         Some(w)
     }
 
@@ -364,13 +419,9 @@ impl DynamicGraph {
         self.require_alive(id)?;
         let slot = id as usize;
         let span = self.spans[slot];
+        let (nbrs, wts) = self.neighbors(id);
         removed.clear();
-        removed.extend(
-            self.nbrs[span.live()]
-                .iter()
-                .copied()
-                .zip(self.wts[span.live()].iter().copied()),
-        );
+        removed.extend(nbrs.iter().copied().zip(wts.iter().copied()));
         for &(nbr, _) in removed.iter() {
             self.detach(nbr, id)
                 .expect("adjacency lists out of sync (edge present on one side only)");
@@ -431,14 +482,26 @@ mod tests {
         assert_eq!(g.live_weight(), 3);
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
-        // The pools hold exactly the streamed entries.
-        assert_eq!((g.nbrs.len(), g.wts.len()), (4, 4));
+        // The id pool holds exactly the streamed entries; a unit slab holds
+        // no weight pool, and its 1s cover the longest span.
+        assert_eq!((g.nbrs.len(), g.wts.len(), g.ones.len()), (4, 0, 2));
+        assert_eq!(g.neighbors(1), (&[0, 2][..], &[1, 1][..]));
+
+        // A weight that is not 1 in the stream materialises the pool,
+        // aligned with the ids (1s included).
+        let mut builder = oms_graph::GraphBuilder::new(3);
+        builder.add_edge(0, 1).unwrap();
+        builder.add_weighted_edge(1, 2, 4).unwrap();
+        let g = DynamicGraph::from_graph(&builder.build());
+        assert_eq!((g.nbrs.len(), g.wts.len(), g.ones.len()), (4, 4, 0));
+        assert_eq!(g.neighbors(1), (&[0, 2][..], &[1, 4][..]));
     }
 
     #[test]
     fn edge_churn_updates_counts_and_adjacency() {
         let mut g = path3();
         g.insert_edge(0, 2, 5).unwrap();
+        assert_eq!(g.neighbors(0), (&[1, 2][..], &[1, 5][..]), "upgraded");
         assert_eq!(g.num_live_edges(), 3);
         assert!(g.has_edge(2, 0));
         assert_eq!(g.delete_edge(0, 1).unwrap(), 1);
@@ -544,27 +607,60 @@ mod tests {
         assert_eq!(streamed, expected);
     }
 
+    /// How the churn test's edge weights come about.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Regime {
+        /// Every weight is 1, streamed and inserted.
+        Unit,
+        /// Weights 1 to 4 in the stream and in every insert.
+        Weighted,
+        /// A unit slab until a weight-3 insert after its first compaction,
+        /// weights 1 to 4 after that.
+        Upgraded,
+    }
+
     /// Seeded churn — edge inserts and deletes, node deletes, revivals and
     /// fresh ids — on the slab and on the naive model: every list matches,
     /// order included, after every operation, through span moves and
-    /// compactions.
+    /// compactions. A unit slab holds no weight pool and 1s for its longest
+    /// span; a weighted one holds a pool aligned with the ids.
     #[test]
     fn the_slab_matches_a_vec_per_node_model_under_churn() {
+        for regime in [Regime::Unit, Regime::Weighted, Regime::Upgraded] {
+            churn_against_the_model(regime);
+        }
+    }
+
+    fn churn_against_the_model(regime: Regime) {
         let n = 60;
-        let edges: Vec<(NodeId, NodeId)> = (0..n as NodeId)
-            .flat_map(|v| [(v, (v + 1) % n as NodeId), (v, (v + 7) % n as NodeId)])
-            .collect();
-        let mut g = DynamicGraph::from_graph(&CsrGraph::from_edges(n, &edges).unwrap());
+        let mut builder = oms_graph::GraphBuilder::new(n);
+        for v in 0..n as NodeId {
+            for (i, u) in [(v + 1) % n as NodeId, (v + 7) % n as NodeId]
+                .into_iter()
+                .enumerate()
+            {
+                let w = match regime {
+                    Regime::Weighted => 1 + (v as EdgeWeight + i as EdgeWeight) % 4,
+                    _ => 1,
+                };
+                builder.add_weighted_edge(v, u, w).unwrap();
+            }
+        }
+        let mut g = DynamicGraph::from_graph(&builder.build());
         let mut model: Vec<ModelNode> = (0..n as NodeId)
-            .map(|v| ModelNode {
-                alive: true,
-                weight: 1,
-                adjacency: g.neighbors(v).0.iter().map(|&u| (u, 1)).collect(),
+            .map(|v| {
+                let (nbrs, wts) = g.neighbors(v);
+                ModelNode {
+                    alive: true,
+                    weight: 1,
+                    adjacency: nbrs.iter().copied().zip(wts.iter().copied()).collect(),
+                }
             })
             .collect();
         assert_matches(&mut g, &model);
 
         let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut weighted = regime == Regime::Weighted;
         let (mut moves, mut compactions) = (0, 0);
         let mut removed = Vec::new();
         for _ in 0..6_000 {
@@ -614,9 +710,17 @@ mod tests {
                 }
                 _ => {
                     let (u, v) = (pick(&mut rng), pick(&mut rng));
-                    let w = rng.gen_range(1..5u64);
+                    let drawn = rng.gen_range(1..5u64);
                     let absent =
                         u != v && !model[u as usize].adjacency.iter().any(|&(x, _)| x == v);
+                    let w = match regime {
+                        _ if weighted => drawn,
+                        Regime::Upgraded if absent && compactions > 0 => {
+                            weighted = true;
+                            3
+                        }
+                        _ => 1,
+                    };
                     assert_eq!(g.insert_edge(u, v, w).is_ok(), absent);
                     if absent {
                         model[u as usize].adjacency.push((v, w));
@@ -629,12 +733,18 @@ mod tests {
             } else if g.spans.iter().map(|s| s.start).sum::<usize>() != starts {
                 moves += 1;
             }
-            assert_eq!(g.wts.len(), g.nbrs.len());
+            if weighted {
+                assert_eq!(g.wts.len(), g.nbrs.len(), "{regime:?}");
+            } else {
+                let longest = g.spans.iter().map(|s| s.len as usize).max().unwrap_or(0);
+                assert!(g.wts.is_empty() && g.ones.len() >= longest, "{regime:?}");
+            }
             assert!(g.abandoned * 8 <= g.nbrs.len());
             assert_matches(&mut g, &model);
         }
-        assert!(moves > 100, "{moves} span moves");
-        assert!(compactions >= 2, "{compactions} compactions");
+        assert_eq!(weighted, regime != Regime::Unit, "{regime:?}");
+        assert!(moves > 100, "{regime:?}: {moves} span moves");
+        assert!(compactions >= 2, "{regime:?}: {compactions} compactions");
         let live: usize = model.iter().map(|node| node.adjacency.len()).sum();
         assert_eq!(g.num_live_edges() * 2, live);
     }

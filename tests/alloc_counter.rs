@@ -28,7 +28,9 @@
 //! which keeps its best pass), so no sink holds a node weight beside the
 //! block id. The dynamic service holds the graph once: its
 //! set-up off a [`DiskStream`] stays under a per-entry bound that loading a
-//! CSR and copying it exceeds.
+//! CSR and copying it exceeds, and off an unweighted file, whose slab
+//! stores no edge weights, under a tighter one that an edge-weighted
+//! slab exceeds.
 //!
 //! Everything lives in a single `#[test]` because the counters are global:
 //! parallel test threads would attribute each other's allocations.
@@ -38,7 +40,7 @@ use oms::core::RepairSink;
 use oms::dynamic::PartitionState;
 use oms::graph::io::{read_stream_file, write_metis, write_stream_file, DiskStream, MetisStream};
 use oms::graph::{DeltaBatch, StreamedNode};
-use oms::prelude::{erdos_renyi_gnm, planted_partition, InMemoryStream, JobSpec};
+use oms::prelude::{erdos_renyi_gnm, planted_partition, InMemoryStream, JobSpec, WeightScheme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,8 +211,10 @@ fn steady_state_scoring_is_allocation_free() {
     let dense = erdos_renyi_gnm(n, 35 * n, 5);
     let path = std::env::temp_dir().join("oms-alloc-counter-dense.oms");
     let metis_path = std::env::temp_dir().join("oms-alloc-counter-dense.graph");
+    let weighted_path = std::env::temp_dir().join("oms-alloc-counter-dense-weighted.oms");
     write_stream_file(&dense, &path).unwrap();
     write_metis(&dense, &metis_path).unwrap();
+    write_stream_file(&WeightScheme::Edges.apply(&dense, 5), &weighted_path).unwrap();
     drop(dense);
     let bound = 128 * n as u64 + (4 << 20);
     for spec in [
@@ -302,27 +306,48 @@ fn steady_state_scoring_is_allocation_free() {
     }
 
     // `apply-deltas` holds the graph once: `PartitionState::new` streams the
-    // file into the dynamic graph's slab, 12 B per adjacency entry in pools
-    // that grow by doubling (the allocator briefly holds a pool's old half
-    // as it doubles). Loading a CSR first and copying it — what the CLI did
-    // before — holds another 12 B per entry, which the bound has no room
-    // for.
+    // file into the dynamic graph's slab, in pools that grow by doubling
+    // (the allocator briefly holds a pool's old half as it doubles). The
+    // edge-weighted graph's slab stores 12 B per adjacency entry, ids and
+    // weights, and stays under 28 B per entry. The unweighted graph's unit
+    // slab stores the 4 B ids alone and stays under a bound of 12 B per
+    // entry, which the weighted slab — what every slab stored before unit
+    // weights went unstored — exceeds. Loading a CSR first and copying it —
+    // what the CLI did before it streamed — holds another 12 B per entry,
+    // which neither bound has room for.
     let job = JobSpec::parse("fennel:32").unwrap();
     let entries = 2 * 35 * n as u64;
-    let bound = 28 * entries + 128 * n as u64 + (4 << 20);
-    let slab = peak_live_bytes_during(|| {
-        PartitionState::new(&job, &mut DiskStream::open(&path).unwrap()).unwrap();
-    });
-    let twice = peak_live_bytes_during(|| {
-        let graph = read_stream_file(&path).unwrap();
-        PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
+    let [unit_bound, weighted_bound] =
+        [12, 28].map(|per_entry| per_entry * entries + 128 * n as u64 + (4 << 20));
+    let [unit, weighted] = [&path, &weighted_path].map(|file| {
+        let slab = peak_live_bytes_during(|| {
+            PartitionState::new(&job, &mut DiskStream::open(file).unwrap()).unwrap();
+        });
+        let twice = peak_live_bytes_during(|| {
+            let graph = read_stream_file(file).unwrap();
+            PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
+        });
+        (slab, twice)
     });
     assert!(
-        slab < bound && bound < twice,
-        "PartitionState::new peaked at {slab} B off the file and at {twice} B over a loaded \
-         CSR; the one-copy bound for n = {n}, {entries} adjacency entries is {bound} B"
+        unit.0 < unit_bound && unit_bound < unit.1 && unit_bound < weighted.0,
+        "PartitionState::new peaked at {} B off the unit file, {} B off the edge-weighted \
+         one and {} B over a loaded unit CSR; the unit slab's bound for n = {n}, {entries} \
+         adjacency entries is {unit_bound} B",
+        unit.0,
+        weighted.0,
+        unit.1
+    );
+    assert!(
+        weighted.0 < weighted_bound && weighted_bound < weighted.1,
+        "PartitionState::new peaked at {} B off the edge-weighted file and at {} B over a \
+         loaded CSR; the one-copy bound for n = {n}, {entries} adjacency entries is \
+         {weighted_bound} B",
+        weighted.0,
+        weighted.1
     );
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&weighted_path).ok();
 
     // Its set-up allocates per pool growth, not per node: one slab, no
     // list per id.
@@ -342,9 +367,9 @@ fn steady_state_scoring_is_allocation_free() {
 
     // A warm batch of edge churn under `repair=boundary` — graph mutation,
     // cut and boundary upkeep, re-scoring and the cascade wave — runs on
-    // the state's reused scratch: only a growing pool may allocate.
+    // the state's reused scratch: only a growing pool (or a unit slab's
+    // buffer of 1s) may allocate, on a unit slab and on a weighted one.
     let job = JobSpec::parse("fennel:32@repair=boundary,drift=1000").unwrap();
-    let mut state = PartitionState::new(&job, &mut InMemoryStream::new(&large)).unwrap();
     let churn = |state: &PartitionState, offset: u32| {
         let mut batch = DeltaBatch::new();
         let pairs: Vec<(u32, u32)> = (0..1_000u32)
@@ -359,19 +384,25 @@ fn steady_state_scoring_is_allocation_free() {
         }
         batch
     };
-    let warm = churn(&state, 4_000);
-    state.apply(&warm).unwrap();
-    let batch = churn(&state, 4_001);
-    assert!(batch.len() > 1_900);
-    let allocs = allocations_during(|| {
-        state.apply(&batch).unwrap();
-    });
-    assert!(
-        allocs < 64,
-        "a warm batch of {} edge deltas allocated {allocs} times; the per-delta path must \
-         reuse its buffers",
-        batch.len()
-    );
+    for (name, graph) in [
+        ("unit", large.clone()),
+        ("edge-weighted", WeightScheme::Edges.apply(&large, 11)),
+    ] {
+        let mut state = PartitionState::new(&job, &mut InMemoryStream::new(&graph)).unwrap();
+        let warm = churn(&state, 4_000);
+        state.apply(&warm).unwrap();
+        let batch = churn(&state, 4_001);
+        assert!(batch.len() > 1_900);
+        let allocs = allocations_during(|| {
+            state.apply(&batch).unwrap();
+        });
+        assert!(
+            allocs < 64,
+            "a warm batch of {} edge deltas on the {name} graph allocated {allocs} times; the \
+             per-delta path must reuse its buffers",
+            batch.len()
+        );
+    }
 
     // A METIS pass sizes its read buffer and its batch once: the same jobs
     // straight off the text allocate exactly as often on a 4x bigger graph.
