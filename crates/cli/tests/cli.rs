@@ -1217,8 +1217,8 @@ fn assert_graph_error_everywhere(path: &std::path::Path, convert_to: &str, messa
 
 /// Every way of reading `path` as a graph must refuse adjacency lists that
 /// are not symmetric: every streaming job — one pass or several, each
-/// tallied while it partitions, `apply-deltas`' initial run included —
-/// `buffered`, whose passes the measurement walk measures, and everything
+/// tallied while it partitions — `apply-deltas`, whose slab is proven when
+/// it loads, `buffered`, whose passes the measurement walk measures, and everything
 /// that materialises the graph through `collect_graph`: `multilevel`,
 /// `info`, `convert` and the vertex-cut jobs of `partition` and `replay`.
 /// Off METIS text every leg leaves the proof to the reader, which proves

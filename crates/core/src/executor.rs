@@ -21,15 +21,19 @@
 //! * [`run_restream_seeded`] — the same over a sink seeded from an existing
 //!   partition, which becomes pass 0.
 //!
-//! Reports come out of one level tally (`LevelTally`) with two walks. Within
-//! a pass every node is placed exactly once and keeps its block until the
-//! next pass, so a measured pass — every pass of a tracked run, and the one
-//! pass of a one-pass job whose caller reports on it — is tallied in the
-//! drive loop itself, right after each node is placed (`PassTally`): one
-//! scan of the input per pass. [`measure`] is one more walk over the rewound
-//! stream, for what that cannot cover: a sink that commits later than
-//! [`NodeSink::process`] (`buffered`, see [`NodeSink::commits_per_node`]),
-//! the seed of a refinement, and assignments that come from elsewhere.
+//! Reports come out of one level tally (`LevelTally`). Within a pass every
+//! node is placed exactly once and keeps its block until the next pass, so a
+//! measured pass — every pass of a tracked run, and the one pass of a
+//! one-pass job whose caller reports on it — is tallied in the drive loop
+//! itself (`PassTally`), with no scan of its own. The first walk of a run
+//! fills the whole histogram: pass 0, right after each node is placed, or
+//! the measurement of a seed. Every later pass starts from the last accepted
+//! histogram and moves only the entries of the nodes it moves, so a pass
+//! that has nearly converged costs `O(Σ deg(moved))` to measure, not
+//! `O(m)`. [`measure`] is one more walk over the rewound stream, for what
+//! that cannot cover: a sink that commits later than [`NodeSink::process`]
+//! (`buffered`, see [`NodeSink::commits_per_node`]), the seed of a
+//! refinement, and assignments that come from elsewhere.
 
 use crate::hierarchy::{DistanceSpec, HierarchySpec, LevelCodes};
 use crate::partition::UNASSIGNED;
@@ -83,11 +87,14 @@ pub trait NodeSink {
     fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]);
 
     /// Whether [`NodeSink::process`] settles the streamed node's block for
-    /// the rest of the pass, as every sink that places a node when it
-    /// arrives does (the default): the drive loop then tallies a pass while
-    /// it streams. A sink that holds nodes back and commits them later (a
-    /// pending batch) returns `false`, and each of its measured passes
-    /// costs one more walk over the rewound stream after
+    /// the rest of the pass and changes no assignment but that node's own,
+    /// as every sink that places a node when it arrives does (the default).
+    /// The drive loop then measures a pass while it streams: it reads the
+    /// node's block before and after `process(node)`, and when the two
+    /// differ it moves that node's adjacency entries in the histogram of the
+    /// assignment the pass started from. A sink that holds nodes back and
+    /// commits them later (a pending batch) returns `false`, and each of its
+    /// measured passes costs one more walk over the rewound stream after
     /// [`NodeSink::end_pass`].
     fn commits_per_node(&self) -> bool {
         true
@@ -109,8 +116,8 @@ pub struct PassStats {
     /// measured seed partition).
     pub moved: usize,
     /// Wall time of the pass in seconds, including the tally of its own
-    /// cut and imbalance as its nodes are placed (`0.0` for a measured seed
-    /// partition). The walk that measures a sink which does not commit per
+    /// cut and imbalance as its nodes are placed or moved (`0.0` for a
+    /// measured seed partition). The walk that measures a sink which does not commit per
     /// node ([`NodeSink::commits_per_node`]) is not included.
     pub seconds: f64,
 }
@@ -156,12 +163,20 @@ pub struct RestreamOptions {
     /// stop once a pass improves the cut by less than 2 %). `0.0` disables
     /// the threshold; the run still stops when no node moves at all.
     pub min_improvement: f64,
-    /// Known `(edge_cut, imbalance)` of the seed baseline, for callers that
-    /// already maintain these incrementally (the dynamic layer). When set,
-    /// the seeded engine records them instead of recounting the cut with an
-    /// extra full metric pass; debug builds still walk the stream once and
-    /// assert agreement.
-    pub seed_stats: Option<(u64, f64)>,
+    /// The seed baseline's statistics, when the caller maintains them
+    /// incrementally ([`RestreamOptions::with_seed_stats`]).
+    seed_stats: Option<SeedStats>,
+}
+
+/// What a caller that maintains its seed partition incrementally (the
+/// dynamic layer) knows about it: enough for a complete flat histogram.
+#[derive(Clone, Copy, Debug)]
+struct SeedStats {
+    edge_cut: u64,
+    imbalance: f64,
+    /// The weight of all adjacency entries: `2 · ω(E)`, a self-loop entry
+    /// counted once.
+    entry_weight: u128,
 }
 
 impl RestreamOptions {
@@ -175,10 +190,21 @@ impl RestreamOptions {
         }
     }
 
-    /// Declares the seed baseline's already-known `(edge_cut, imbalance)`,
-    /// eliminating the engine's seed-measurement pass.
-    pub fn with_seed_stats(mut self, edge_cut: u64, imbalance: f64) -> Self {
-        self.seed_stats = Some((edge_cut, imbalance));
+    /// Declares what the caller already knows of the seed baseline: its
+    /// edge cut and imbalance, and `entry_weight`, the weight of all
+    /// adjacency entries of the stream (`2 · ω(E)`, a self-loop entry
+    /// counted once). The seed must place every streamed node in one of the
+    /// `k` blocks. A flat run (no report topology) over a stream that proves
+    /// its own symmetry ([`NodeStream::proves_symmetry`]) then builds its
+    /// histogram from these and the sink's block loads, and walks no entry
+    /// to measure the seed; any other run walks the seed as without them.
+    /// Debug builds walk it either way and assert that the two agree.
+    pub fn with_seed_stats(mut self, edge_cut: u64, imbalance: f64, entry_weight: u128) -> Self {
+        self.seed_stats = Some(SeedStats {
+            edge_cut,
+            imbalance,
+            entry_weight,
+        });
         self
     }
 }
@@ -342,9 +368,11 @@ pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
 ///
 /// From the second pass on, the sink re-scores every node against the
 /// previous pass's assignment (its [`NodeSink::begin_pass`] switches it into
-/// unassign-then-reassign mode). Each pass tallies its own edge-cut and
-/// imbalance while its nodes are placed — a sink that does not commit per
-/// node is measured by a walk after the pass instead — and the engine
+/// unassign-then-reassign mode). Each pass is measured — edge-cut and
+/// imbalance — while it places its nodes: the first one tallies every
+/// adjacency entry, and each later one updates the histogram of the last
+/// accepted pass for the nodes it moves alone (a sink that does not commit
+/// per node is measured by a walk after the pass instead). The engine
 ///
 /// * stops once no node moved in a pass (the run has reached a fixed point —
 ///   all further passes would reproduce it exactly),
@@ -374,7 +402,11 @@ pub fn run_restream(
 /// trajectory, and the revert-on-worsen guard protects it — the run never
 /// returns an assignment worse than the seed. Used by the in-memory
 /// algorithms whose additional passes are restreaming refinement of their
-/// one-shot solution.
+/// one-shot solution. The seed's measurement walk is the run's full tally
+/// (and its symmetry proof): every pass after it measures only the nodes it
+/// moves. Seed statistics the caller maintains
+/// ([`RestreamOptions::with_seed_stats`]) replace that walk where they make
+/// a complete histogram.
 ///
 /// The caller seeds `sink` with the baseline first (its assignments *are*
 /// `baseline`; debug builds assert it): the guard takes the baseline's block
@@ -400,6 +432,17 @@ pub fn run_restream_seeded(
 /// (`None` when no pass was accepted over a seed). Nothing reads the stream
 /// a second time for it. Without `report` the returned measurement is
 /// `None`, and an untracked pass tallies nothing.
+///
+/// A tracked run fills its histogram once, in its first walk over the
+/// stream — pass 0's tally ([`PassTally::second_sightings`]), or the seed's
+/// measurement walk — which also proves the lists symmetric. From then on
+/// the histogram is the full tally of the sink's current assignment, and a
+/// pass keeps it so by moving the entries of each node whose block
+/// `process` changed ([`PassTally::moved`]); after an accepted pass it is
+/// that pass's histogram. Debug builds tally each such pass the first way
+/// as well, proving it, and assert that both give the same [`Measurement`].
+/// `oms_tally_entries_total` counts the entries the histogram reads: all of
+/// them in the first walk, a mover's in a later pass.
 pub(crate) fn drive(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
@@ -417,6 +460,19 @@ pub(crate) fn drive(
     };
     let commits_per_node = sink.commits_per_node();
     let stream_proves = stream.proves_symmetry();
+    // A full tally proves the symmetry it relies on, unless the stream
+    // proves each pass itself and fails it through `for_each_node`, before
+    // the tally is read.
+    let proving = !stream_proves;
+    // Whether the tally's histogram is the full tally of the sink's current
+    // assignment, so that a pass measures itself by its movers.
+    let mut primed = false;
+    // The debug builds' second tally of a pass measured by its movers.
+    #[cfg(debug_assertions)]
+    let mut cross_check = match &tally {
+        Some(_) if commits_per_node && opts.is_some() => Some(PassTally::new(n, k, topology)?),
+        _ => None,
+    };
     let mut accepted: Option<Measurement> = None;
     // The block loads of the tracker's best assignment, overwritten in place
     // like it: what a revert hands back to the sink.
@@ -432,33 +488,55 @@ pub(crate) fn drive(
         Ok(())
     };
 
-    if let (Some(tracker), Some(opts), Some(seed)) = (tracker.as_mut(), opts, baseline) {
+    if let (Some(tracker), Some(opts), Some(seed), Some(tally)) =
+        (tracker.as_mut(), opts, baseline, tally.as_mut())
+    {
         debug_assert!(
             sink.assignments() == seed,
             "a seeded run's sink must hold the baseline when the run starts"
         );
         sink.block_weights(&mut best_loads);
+        let levels = &mut tally.levels;
         let (edge_cut, imbalance) = match opts.seed_stats {
-            Some((cut, imbalance)) => {
-                // The caller maintains the seed's cut incrementally; trust it
-                // instead of recounting with a full walk — but verify the
-                // bookkeeping in debug builds.
+            // The caller maintains the seed's statistics incrementally, and
+            // they make the whole flat histogram: trust them instead of
+            // walking — but check them in debug builds.
+            Some(stats) if topology.is_none() && stream_proves => {
+                levels.prime(
+                    &best_loads,
+                    stream.total_node_weight(),
+                    stats.edge_cut,
+                    stats.entry_weight,
+                );
                 #[cfg(debug_assertions)]
                 {
                     reset(stream, &mut needs_reset)?;
-                    let (measured, _) = measure_pass(stream, seed, k)?;
-                    debug_assert_eq!(
-                        measured, cut,
-                        "incrementally maintained seed cut disagrees with a measured metric pass"
+                    let mut walked = LevelTally::new(n, k, None)?;
+                    walked.walk(stream, seed)?;
+                    assert!(
+                        walked.histogram() == levels.histogram(),
+                        "incrementally maintained seed statistics disagree with a measured walk"
                     );
                 }
-                (cut, imbalance)
+                (stats.edge_cut, stats.imbalance)
             }
-            None => {
+            stats => {
                 reset(stream, &mut needs_reset)?;
-                measure_pass(stream, seed, k)?
+                levels.walk(stream, seed)?;
+                let measured = levels.flat()?;
+                if let Some(stats) = stats {
+                    let entry_weight = levels.histogram().2.iter().sum::<u128>();
+                    debug_assert_eq!(
+                        (stats.edge_cut, stats.entry_weight),
+                        (measured.edge_cut, entry_weight),
+                        "incrementally maintained seed statistics disagree with a measured walk"
+                    );
+                }
+                (measured.edge_cut, measured.imbalance)
             }
         };
+        oms_obs::counter_add(CounterId::TallyEntries, levels.take_entries());
+        primed = true;
         if tracker.seed(edge_cut, imbalance, seed) {
             // The seed is optimal already: no pass runs.
             passes = 0;
@@ -474,11 +552,6 @@ pub(crate) fn drive(
         // borrowed CSR slices with no copy, and file sources implement it on
         // top of their batch decoder anyway.
         let mut pass_nodes = 0u64;
-        // The first pass proves the symmetry the tally relies on; later
-        // passes replay the same stream, so only debug builds prove them
-        // again. A stream that proves each pass itself fails the pass
-        // through `for_each_node` instead, before the tally is read.
-        let proving = !stream_proves && (i == 0 || cfg!(debug_assertions));
         // One closure per case, not one that branches per node: the tally
         // inlines into its closure, and a shared one paid that frame on every
         // node of every untallied pass (≈ 16 ns per node).
@@ -487,6 +560,25 @@ pub(crate) fn drive(
                 pass_nodes += 1;
                 sink.process(node)
             })?,
+            Some(tally) if primed => {
+                #[cfg(debug_assertions)]
+                let check = {
+                    let check = cross_check.as_mut().expect("a tracked run's cross-check");
+                    check.begin_pass();
+                    check
+                };
+                stream.for_each_node(&mut |node| {
+                    pass_nodes += 1;
+                    let old = sink.assignments()[node.node as usize];
+                    sink.process(node);
+                    tally.moved(node, old, sink.assignments());
+                    #[cfg(debug_assertions)]
+                    match proving {
+                        true => check.second_sightings::<true>(node, sink.assignments()),
+                        false => check.second_sightings::<false>(node, sink.assignments()),
+                    }
+                })?
+            }
             Some(tally) if proving => {
                 tally.begin_pass();
                 stream.for_each_node(&mut |node| {
@@ -520,12 +612,26 @@ pub(crate) fn drive(
                 moved: 0,
             })
         };
-        let measured = match &tally {
+        let measured = match tally.as_mut() {
             None => {
                 untracked_end();
                 continue;
             }
-            Some(tally) if commits_per_node => tally.finish()?,
+            Some(tally) if commits_per_node => {
+                oms_obs::counter_add(CounterId::TallyEntries, tally.levels.take_entries());
+                let measured = tally.finish()?;
+                #[cfg(debug_assertions)]
+                if primed {
+                    let check = cross_check.as_ref().expect("a tracked run's cross-check");
+                    assert_eq!(
+                        measured,
+                        check.finish()?,
+                        "pass {i}: the movers' update disagrees with the full tally"
+                    );
+                }
+                primed = true;
+                measured
+            }
             Some(_) => {
                 reset(stream, &mut needs_reset)?;
                 measure(stream, sink.assignments(), k, topology)?
@@ -544,7 +650,8 @@ pub(crate) fn drive(
             PassOutcome::Revert => {
                 // The pass overshot; put the best assignment and its loads
                 // back. It is the last accepted one, whose measurement is kept
-                // already.
+                // already. The histogram now describes the reverted pass, but
+                // no pass follows to read it.
                 sink.restore(tracker.best_assignment(), &best_loads);
                 oms_obs::counter_add(CounterId::RestreamReverts, 1);
                 oms_obs::observe(Event::PassReverted {
@@ -603,12 +710,16 @@ pub type ReportTopology<'a> = Option<(&'a HierarchySpec, &'a DistanceSpec)>;
 /// never wraps: every reported value is exact up to `u64::MAX`, and one past
 /// it is a typed graph error. Two walks fill it:
 ///
-/// * [`LevelTally::every_entry`] — the measurement walk ([`measure`]) over a
-///   finished assignment: every entry, as it comes;
+/// * [`LevelTally::every_entry`] — the measurement walk ([`LevelTally::walk`],
+///   [`measure`]) over a finished assignment: every entry, as it comes;
 /// * [`PassTally::second_sightings`] — the drive loop, right after each node
 ///   is placed: of an edge's two entries exactly one is streamed while the
 ///   other endpoint is already placed in this pass, and that *second
 ///   sighting* is tallied for both.
+///
+/// Once full, [`LevelTally::move_node`] keeps it the full tally of an
+/// assignment in which one node changes its block, from that node's
+/// adjacency alone.
 ///
 /// Under a topology the level comes from the XOR of the two blocks'
 /// [`HierarchySpec::level_codes`]; block ids without a code ([`UNASSIGNED`],
@@ -627,6 +738,9 @@ pub(crate) struct LevelTally<'a> {
     /// Entries between two unassigned nodes sit on level 0 (same "block",
     /// distance 0) yet count as cut.
     both_unassigned: u128,
+    /// Adjacency entries read into the histogram since the drive loop last
+    /// flushed them to `oms_tally_entries_total`.
+    entries: u64,
 }
 
 impl<'a> LevelTally<'a> {
@@ -657,6 +771,7 @@ impl<'a> LevelTally<'a> {
             total_node_weight: 0,
             level_weights: vec![0; levels + 1],
             both_unassigned: 0,
+            entries: 0,
         })
     }
 
@@ -666,6 +781,31 @@ impl<'a> LevelTally<'a> {
         self.total_node_weight = 0;
         self.level_weights.fill(0);
         self.both_unassigned = 0;
+    }
+
+    /// The histogram itself: block weights, total node weight, edge weight
+    /// per level and between two unassigned nodes.
+    fn histogram(&self) -> (&[NodeWeight], NodeWeight, &[u128], u128) {
+        let (blocks, levels) = (&self.block_weights[..], &self.level_weights[..]);
+        (blocks, self.total_node_weight, levels, self.both_unassigned)
+    }
+
+    /// The entries read since the last call.
+    fn take_entries(&mut self) -> u64 {
+        std::mem::take(&mut self.entries)
+    }
+
+    /// The shared level at which an entry between blocks `own` and `other`
+    /// is filed; symmetric in the two.
+    #[inline(always)]
+    fn level(&self, own: BlockId, other: BlockId) -> usize {
+        match self.topology {
+            None => usize::from(own != other),
+            Some((hierarchy, _)) => match (self.codes.code(own), self.codes.code(other)) {
+                (Some(a), Some(b)) => self.codes.shared_level(a, b),
+                _ => hierarchy.shared_level(own, other),
+            },
+        }
     }
 
     /// Tallies one node of weight `weight` in block `own` and the given
@@ -717,6 +857,7 @@ impl<'a> LevelTally<'a> {
         proof: &mut SymmetryProof,
     ) {
         let (this, own) = (node.node, assignments[node.node as usize]);
+        self.entries += node.neighbors.len() as u64;
         let entries = node.neighbors_weighted().map(|(u, w)| {
             if PROVE {
                 proof.walk_entry(this, u, w);
@@ -733,9 +874,102 @@ impl<'a> LevelTally<'a> {
         }
     }
 
-    /// Halves the doubled sums into the [`Measurement`], or fails with a
-    /// typed graph error naming a value that exceeds `u64::MAX`.
-    fn finish(&self) -> Result<Measurement> {
+    /// The measurement walk: the full histogram of `assignments` over one
+    /// pass of `stream`, proven symmetric unless the stream proves its
+    /// passes itself.
+    fn walk(&mut self, stream: &mut dyn NodeStream, assignments: &[BlockId]) -> Result<()> {
+        self.clear();
+        let mut proof = SymmetryProof::default();
+        if stream.proves_symmetry() {
+            stream.for_each_node(&mut |node| {
+                self.every_entry::<false>(node, assignments, &mut proof)
+            })?;
+        } else {
+            stream.for_each_node(&mut |node| {
+                self.every_entry::<true>(node, assignments, &mut proof)
+            })?;
+            proof.check()?;
+        }
+        Ok(())
+    }
+
+    /// The full histogram of an assignment known from elsewhere, without a
+    /// walk: a flat one that places every node of a stream of total node
+    /// weight `total_node_weight` in one of the `k` blocks, whose loads are
+    /// `block_weights`, and cuts `edge_cut` of edges whose entries weigh
+    /// `entry_weight` in all. Nothing is unassigned, so every entry sits on
+    /// level 0 or, cut, on level 1.
+    fn prime(
+        &mut self,
+        block_weights: &[NodeWeight],
+        total_node_weight: NodeWeight,
+        edge_cut: u64,
+        entry_weight: u128,
+    ) {
+        debug_assert!(self.topology.is_none(), "a primed histogram is flat");
+        self.block_weights.copy_from_slice(block_weights);
+        self.total_node_weight = total_node_weight;
+        let twice_cut = 2 * u128::from(edge_cut);
+        self.level_weights[0] = entry_weight - twice_cut;
+        self.level_weights[1] = twice_cut;
+        self.both_unassigned = 0;
+    }
+
+    /// Moves `node` of the tallied assignment from block `old` to block
+    /// `new`; `assignments` is the assignment after the move. The histogram
+    /// must be the full tally of the assignment before it, which differs
+    /// from `assignments` in `node`'s entry alone: each entry then leaves
+    /// the level it was filed at, so no sum can underflow, and afterwards
+    /// the histogram is the full tally of `assignments`.
+    ///
+    /// An edge to another node was filed twice at `level(old, b_u)`, once
+    /// from each end, and moves to `level(new, b_u)`; a self-loop entry was
+    /// filed once at level 0 and stays. Both count towards
+    /// `both_unassigned` the way [`LevelTally::every_entry`] counts them.
+    #[inline]
+    fn move_node(
+        &mut self,
+        node: StreamedNode<'_>,
+        old: BlockId,
+        new: BlockId,
+        assignments: &[BlockId],
+    ) {
+        self.entries += node.neighbors.len() as u64;
+        if let Some(block) = self.block_weights.get_mut(old as usize) {
+            *block -= node.weight;
+        }
+        if let Some(block) = self.block_weights.get_mut(new as usize) {
+            *block += node.weight;
+        }
+        let this = node.node;
+        for (u, w) in node.neighbors_weighted() {
+            let (w, other_unassigned) = if u == this {
+                (u128::from(w), true)
+            } else {
+                let other = assignments[u as usize];
+                let w = 2 * u128::from(w);
+                let (from, to) = (self.level(old, other), self.level(new, other));
+                self.level_weights[from] -= w;
+                self.level_weights[to] += w;
+                (w, other == UNASSIGNED)
+            };
+            // Between two unassigned nodes; a self-loop entry is, while its
+            // node is.
+            if other_unassigned {
+                if old == UNASSIGNED {
+                    self.both_unassigned -= w;
+                }
+                if new == UNASSIGNED {
+                    self.both_unassigned += w;
+                }
+            }
+        }
+    }
+
+    /// Edge-cut, imbalance and `ω(E)` of the tallied assignment — the
+    /// [`Measurement`] without `J` — or a typed graph error naming a value
+    /// that exceeds `u64::MAX`.
+    fn flat(&self) -> Result<Measurement> {
         let max = self.block_weights.iter().copied().max().unwrap_or(0);
         let average = self.total_node_weight as f64 / self.k.max(1) as f64;
         let imbalance = if average > 0.0 {
@@ -744,22 +978,32 @@ impl<'a> LevelTally<'a> {
             0.0
         };
         let twice_cut = self.level_weights[1..].iter().sum::<u128>() + self.both_unassigned;
-        let mapping_cost = self.topology.map(|(_, distances)| {
-            // Saturated, the sum is still beyond `2 · u64::MAX`.
-            let twice = self.level_weights[1..]
-                .iter()
-                .zip(distances.distances())
-                .fold(0u128, |sum, (&w, &d)| {
-                    sum.saturating_add(w.saturating_mul(u128::from(d)))
-                });
-            halve(twice, "mapping cost J")
-        });
         Ok(Measurement {
             edge_cut: halve(twice_cut, "edge-cut")?,
             imbalance,
             total_edge_weight: halve(self.level_weights.iter().sum(), "total edge weight ω(E)")?,
-            mapping_cost: mapping_cost.transpose()?,
+            mapping_cost: None,
         })
+    }
+
+    /// Halves the doubled sums into the [`Measurement`], or fails with a
+    /// typed graph error naming a value that exceeds `u64::MAX`.
+    fn finish(&self) -> Result<Measurement> {
+        let mut measurement = self.flat()?;
+        measurement.mapping_cost = self
+            .topology
+            .map(|(_, distances)| {
+                // Saturated, the sum is still beyond `2 · u64::MAX`.
+                let twice = self.level_weights[1..]
+                    .iter()
+                    .zip(distances.distances())
+                    .fold(0u128, |sum, (&w, &d)| {
+                        sum.saturating_add(w.saturating_mul(u128::from(d)))
+                    });
+                halve(twice, "mapping cost J")
+            })
+            .transpose()?;
+        Ok(measurement)
     }
 }
 
@@ -770,21 +1014,29 @@ fn halve(twice: u128, quantity: &str) -> Result<u64> {
         .map_err(|_| GraphError::Invalid(format!("the {quantity} exceeds u64::MAX")).into())
 }
 
-/// The drive loop's tally of one pass: a [`LevelTally`] fed right after each
-/// node is placed, with the one rule that makes that the measurement of the
-/// pass — *visited this pass*. Within a pass every node is processed exactly
-/// once and keeps its block until the next pass, so an entry whose other
-/// endpoint was visited already sees both endpoints' final blocks for the
-/// pass: that second sighting stands for both entries of its edge, and the
-/// first one is left to the other side. The rule needs no particular
-/// starting state: it holds for a fresh sink, for later passes and for a
-/// seeded one alike.
+/// The drive loop's tally: a [`LevelTally`] fed while a pass places its
+/// nodes, in one of two ways.
 ///
-/// This is only the measurement walk's histogram when the adjacency lists
-/// are symmetric, so a proving pass checks it as it goes
-/// ([`PassTally::finish`]) — unless the stream proves its passes itself
-/// ([`NodeStream::proves_symmetry`]), and a pass over one-sided lists fails
-/// before its tally is finished.
+/// * A full pass ([`PassTally::second_sightings`], right after each node is
+///   placed) fills the histogram from empty with the one rule that makes
+///   that the measurement of the pass — *visited this pass*. Within a pass
+///   every node is processed exactly once and keeps its block until the
+///   next pass, so an entry whose other endpoint was visited already sees
+///   both endpoints' final blocks for the pass: that second sighting stands
+///   for both entries of its edge, and the first one is left to the other
+///   side. The rule needs no particular starting state: it holds for a
+///   fresh sink, for later passes and for a seeded one alike. This is only
+///   the measurement walk's histogram when the adjacency lists are
+///   symmetric, so a proving pass checks it as it goes
+///   ([`PassTally::finish`]) — unless the stream proves its passes itself
+///   ([`NodeStream::proves_symmetry`]), and a pass over one-sided lists
+///   fails before its tally is finished.
+/// * A pass over a full histogram ([`PassTally::moved`], around each
+///   node's `process`) moves the entries of each node that changed its
+///   block ([`LevelTally::move_node`]) and reads no other: a
+///   [`NodeSink::commits_per_node`] sink changes no assignment but the
+///   processed node's, so the histogram stays the full tally of the sink's
+///   assignment.
 pub(crate) struct PassTally<'a> {
     levels: LevelTally<'a>,
     /// One bit per slot of the assignment array: processed in this pass.
@@ -806,14 +1058,14 @@ impl<'a> PassTally<'a> {
         })
     }
 
-    /// Starts a pass: nothing tallied, nothing visited.
+    /// Starts a full pass: nothing tallied, nothing visited.
     fn begin_pass(&mut self) {
         self.levels.clear();
         self.visited.fill(0);
         self.proof = SymmetryProof::default();
     }
 
-    /// The drive loop's step, right after `node` was placed for this pass.
+    /// The full pass's step, right after `node` was placed for this pass.
     /// An entry whose other endpoint was visited this pass is a second
     /// sighting, one whose other endpoint was not is a first; a self-loop
     /// entry is one entry of the histogram, as [`LevelTally::every_entry`]
@@ -825,6 +1077,7 @@ impl<'a> PassTally<'a> {
         assignments: &[BlockId],
     ) {
         let (this, own) = (node.node, assignments[node.node as usize]);
+        self.levels.entries += node.neighbors.len() as u64;
         let visited = &self.visited;
         let seen = |u: NodeId| visited[u as usize / 64] & (1 << (u % 64)) != 0;
         let mut sightings = SymmetryProof::default();
@@ -856,6 +1109,17 @@ impl<'a> PassTally<'a> {
         self.visited[this as usize / 64] |= 1 << (this % 64);
     }
 
+    /// The step of a pass over a full histogram, right after `node` was
+    /// processed: `old` is its block before, `assignments` the sink's
+    /// assignment after.
+    #[inline]
+    fn moved(&mut self, node: StreamedNode<'_>, old: BlockId, assignments: &[BlockId]) {
+        let new = assignments[node.node as usize];
+        if new != old {
+            self.levels.move_node(node, old, new, assignments);
+        }
+    }
+
     /// The pass's [`Measurement`] — only as good as the symmetry the tally
     /// assumed, so a proving pass fails with a typed graph error unless
     /// every first sighting met its second.
@@ -873,12 +1137,12 @@ impl<'a> PassTally<'a> {
 /// A streaming pass does not come here: every node keeps the block it is
 /// placed in until the next pass, so the drive loop tallies the same
 /// numbers while it places them (`PassTally`) — the report of a one-pass
-/// job and every pass of a multi-pass run. This walk is for what that
-/// cannot cover: the seed of a refinement (through [`measure_pass`]), the
-/// passes of a sink that commits later than it is fed (`buffered`), the
-/// report of a job that is not a streaming pass (`buffered`, `multilevel`,
-/// `rms`), an assignment that comes from elsewhere
-/// ([`stream_edge_cut`](crate::stream_edge_cut),
+/// job and every pass of a multi-pass run — and walks the seed of a
+/// refinement into that tally itself. This walk is for what that cannot
+/// cover: the passes of a sink that commits later than it is fed
+/// (`buffered`), the report of a job that is not a streaming pass
+/// (`buffered`, `multilevel`, `rms`), an assignment that comes from
+/// elsewhere ([`stream_edge_cut`](crate::stream_edge_cut),
 /// [`stream_mapping_cost`](crate::api::stream_mapping_cost)) — and it is the
 /// reference `tests/equivalence.rs` holds the in-pass tally to.
 ///
@@ -915,15 +1179,7 @@ pub fn measure(
         k
     };
     let mut tally = LevelTally::new(assignments.len(), k, topology)?;
-    let mut proof = SymmetryProof::default();
-    if stream.proves_symmetry() {
-        stream
-            .for_each_node(&mut |node| tally.every_entry::<false>(node, assignments, &mut proof))?;
-    } else {
-        stream
-            .for_each_node(&mut |node| tally.every_entry::<true>(node, assignments, &mut proof))?;
-        proof.check()?;
-    }
+    tally.walk(stream, assignments)?;
     tally.finish()
 }
 
@@ -996,10 +1252,25 @@ mod tests {
     }
 
     /// Snapshots the wrapped sink's assignment at every `end_pass`: the
-    /// assignment each pass left, reverted passes included.
+    /// assignment each pass left, reverted passes included. It also checks
+    /// the invariant the drive loop's update by movers relies on: a sink
+    /// that commits per node changes no assignment in `process(node)` but
+    /// `node`'s own.
     struct Recording<S> {
         inner: S,
         snapshots: Vec<Vec<BlockId>>,
+        /// The assignment before the current `process`.
+        before: Vec<BlockId>,
+    }
+
+    impl<S> Recording<S> {
+        fn new(inner: S) -> Self {
+            Recording {
+                inner,
+                snapshots: Vec::new(),
+                before: Vec::new(),
+            }
+        }
     }
 
     impl<S: NodeSink> NodeSink for Recording<S> {
@@ -1007,7 +1278,18 @@ mod tests {
             self.inner.begin_pass(pass);
         }
         fn process(&mut self, node: StreamedNode<'_>) {
+            self.before.clear();
+            self.before.extend_from_slice(self.inner.assignments());
             self.inner.process(node);
+            if self.inner.commits_per_node() {
+                let after = self.inner.assignments().iter().enumerate();
+                let mut changed = after.filter(|&(v, b)| *b != self.before[v]);
+                assert!(
+                    changed.all(|(v, _)| v == node.node as usize),
+                    "processing node {} changed another node's assignment",
+                    node.node
+                );
+            }
         }
         fn end_pass(&mut self, pass: usize) {
             self.inner.end_pass(pass);
@@ -1100,12 +1382,39 @@ mod tests {
         }
     }
 
+    /// A stream that says it proves its passes, over a graph that is
+    /// symmetric by construction; everything else is the wrapped stream's.
+    struct Proven<'s>(&'s mut dyn NodeStream);
+
+    impl NodeStream for Proven<'_> {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn num_edges(&self) -> usize {
+            self.0.num_edges()
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.0.total_node_weight()
+        }
+        fn reset(&mut self) -> oms_graph::Result<()> {
+            self.0.reset()
+        }
+        fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> oms_graph::Result<()> {
+            self.0.for_each_node(f)
+        }
+        fn proves_symmetry(&self) -> bool {
+            true
+        }
+    }
+
     /// Every tracked pass tallies its own cut and imbalance while it places
     /// its nodes; the measurement walk over the assignment that pass left
     /// (snapshotted at `end_pass`) is the reference, exactly — for the flat
     /// rules and tree descents of the one kernel, fresh and seeded (the
-    /// refinement behind `multilevel:…@passes=`), over every source, unit
-    /// and fully weighted. The returned report is the walk over the final
+    /// refinement behind `multilevel:…@passes=`), seeded with the seed's
+    /// statistics handed in (the dynamic layer's fallback restream, whose
+    /// flat histogram is built from them without a walk), over every
+    /// source, unit and fully weighted. The returned report is the walk over the final
     /// assignment, `J` included, and a reverted pass leaves the last
     /// accepted one in place. On the fully weighted graph a revert restores
     /// the loads exactly, from the `k` the drive loop kept rather than from
@@ -1170,6 +1479,7 @@ mod tests {
             write_metis(graph, &metis_path).unwrap();
             write_stream_file(graph, &stream_path).unwrap();
             let seed = partition("hashing:16", graph);
+            let seed8 = partition("hashing:8", graph);
             let (n, m, weight) = (
                 graph.num_nodes(),
                 graph.num_edges(),
@@ -1188,30 +1498,49 @@ mod tests {
                 (".oms", Box::new(DiskStream::open(&stream_path).unwrap())),
             ];
             for (source, stream) in &mut sources {
+                // The seed-stats legs hand the seed's cut, imbalance and
+                // entry weight in, as the dynamic layer does, over a stream
+                // that says it proves itself: the flat run builds its
+                // histogram from them, and the one under a topology walks.
+                let dist222 = kernels[3].2;
                 let runs = kernels
                     .iter()
-                    .map(|(spec, oms, topology)| (*spec, oms, *topology, None))
-                    .chain([("refined fennel:16", &refine, None, Some(&seed))]);
-                for (spec, oms, topology, seeded) in runs {
+                    .map(|(spec, oms, topology)| (*spec, oms, *topology, None, false))
+                    .chain([
+                        ("refined fennel:16", &refine, None, Some(&seed), false),
+                        ("fennel:16, seed stats", &refine, None, Some(&seed), true),
+                        (
+                            "oms:2:2:2, seed stats",
+                            &kernels[3].1,
+                            dist222,
+                            Some(&seed8),
+                            true,
+                        ),
+                    ]);
+                for (spec, oms, topology, seeded, seed_stats) in runs {
                     let tag = format!("{spec} over {name}, {source}");
-                    let mut sink = Recording {
-                        inner: OmsSink::new(oms, n, m, weight),
-                        snapshots: Vec::new(),
-                    };
+                    let mut sink = Recording::new(OmsSink::new(oms, n, m, weight));
                     let baseline = seeded.map(|seed| {
                         sink.inner.seed(seed.assignments(), seed.block_weights());
                         seed.assignments()
                     });
-                    stream.reset().unwrap();
-                    let (trajectory, report) = drive(
-                        stream.as_mut(),
-                        &mut sink,
-                        Some(&opts),
-                        baseline,
-                        Some(topology),
-                    )
-                    .unwrap();
                     let k = sink.num_blocks();
+                    let mut opts = opts;
+                    if let (Some(seed), true) = (baseline, seed_stats) {
+                        stream.reset().unwrap();
+                        let seed = measure(stream.as_mut(), seed, k, None).unwrap();
+                        let entry_weight = 2 * u128::from(seed.total_edge_weight);
+                        opts = opts.with_seed_stats(seed.edge_cut, seed.imbalance, entry_weight);
+                    }
+                    stream.reset().unwrap();
+                    let mut proven = Proven(stream.as_mut());
+                    let run_stream: &mut dyn NodeStream = match seed_stats {
+                        true => &mut proven,
+                        false => proven.0,
+                    };
+                    let (trajectory, report) =
+                        drive(run_stream, &mut sink, Some(&opts), baseline, Some(topology))
+                            .unwrap();
                     let mut walk = |assignments: &[BlockId], topology| {
                         stream.reset().unwrap();
                         measure(stream.as_mut(), assignments, k, topology).unwrap()
@@ -1291,13 +1620,10 @@ mod tests {
         // Unassigned nodes, and an id space larger than the stream.
         let graph = erdos_renyi_gnm(120, 600, 5);
         for extra in [0, 70] {
-            let mut sink = Recording {
-                inner: Sparse {
-                    pass: 0,
-                    assignments: vec![UNASSIGNED; 120 + extra],
-                },
-                snapshots: Vec::new(),
-            };
+            let mut sink = Recording::new(Sparse {
+                pass: 0,
+                assignments: vec![UNASSIGNED; 120 + extra],
+            });
             let stream = &mut InMemoryStream::new(&graph);
             let (trajectory, report) =
                 drive(stream, &mut sink, Some(&opts), None, Some(None)).unwrap();
@@ -1380,6 +1706,199 @@ mod tests {
                         assert!(err.to_string().contains("not symmetric"), "{what}: {err}");
                     }
                 }
+            }
+        }
+    }
+
+    /// A full histogram kept by single moves (`LevelTally::move_node`) is
+    /// the measurement walk's histogram of the current assignment, exactly,
+    /// after every move: random moves on a random assignment of adjacency
+    /// lists with self-loops, repeated entries and weighted edges, to and
+    /// from `UNASSIGNED` and ids `≥ k`, flat and under the 4:4:4 (more
+    /// blocks than nodes: no level codes) and 3:5:2 topologies, `J`
+    /// included.
+    #[test]
+    fn a_full_histogram_follows_single_moves_exactly() {
+        use crate::{DistanceSpec, HierarchySpec};
+        use oms_graph::EdgeWeight;
+        /// Adjacency lists as built, streamed in id order.
+        struct Lists(Vec<(NodeWeight, Vec<NodeId>, Vec<EdgeWeight>)>);
+        impl Lists {
+            fn node(&self, v: NodeId) -> StreamedNode<'_> {
+                let (weight, neighbors, edge_weights) = &self.0[v as usize];
+                StreamedNode {
+                    node: v,
+                    weight: *weight,
+                    neighbors,
+                    edge_weights,
+                }
+            }
+        }
+        impl NodeStream for Lists {
+            fn num_nodes(&self) -> usize {
+                self.0.len()
+            }
+            fn num_edges(&self) -> usize {
+                self.0.iter().map(|list| list.1.len()).sum::<usize>() / 2
+            }
+            fn total_node_weight(&self) -> NodeWeight {
+                self.0.iter().map(|list| list.0).sum()
+            }
+            fn for_each_node(
+                &mut self,
+                f: &mut dyn FnMut(StreamedNode<'_>),
+            ) -> oms_graph::Result<()> {
+                for v in 0..self.0.len() as NodeId {
+                    f(self.node(v));
+                }
+                Ok(())
+            }
+        }
+        /// xorshift64: a number below `below`.
+        fn draw(state: &mut u64, below: u64) -> u64 {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state % below
+        }
+        /// `UNASSIGNED`, `k` or `k + 1` (no block), or a block.
+        fn block(state: &mut u64, k: u32) -> BlockId {
+            match draw(state, 4) {
+                0 => UNASSIGNED,
+                1 => k + draw(state, 2) as BlockId,
+                _ => draw(state, u64::from(k)) as BlockId,
+            }
+        }
+
+        let (n, mut state) = (48u64, 0x2545_f491_4f6c_dd1d);
+        let mut lists = Lists(
+            (0..n)
+                .map(|_| (1 + draw(&mut state, 3), Vec::new(), Vec::new()))
+                .collect(),
+        );
+        for _ in 0..160 {
+            let (u, v) = (draw(&mut state, n) as usize, draw(&mut state, n) as usize);
+            let w = 1 + draw(&mut state, 5);
+            lists.0[u].1.push(v as NodeId);
+            lists.0[u].2.push(w);
+            if u != v {
+                lists.0[v].1.push(u as NodeId);
+                lists.0[v].2.push(w);
+            }
+        }
+        let self_loops = (0..n as usize).filter(|&v| lists.0[v].1.contains(&(v as NodeId)));
+        assert!(self_loops.count() > 0);
+        let d = DistanceSpec::parse("1:10:100").unwrap();
+        let h444 = HierarchySpec::parse("4:4:4").unwrap();
+        let h352 = HierarchySpec::parse("3:5:2").unwrap();
+        let cases: [(u32, ReportTopology<'_>); 3] =
+            [(7, None), (64, Some((&h444, &d))), (30, Some((&h352, &d)))];
+        for (k, topology) in cases {
+            let mut assignments: Vec<BlockId> = (0..n).map(|_| block(&mut state, k)).collect();
+            let mut tally = LevelTally::new(n as usize, k, topology).unwrap();
+            tally.walk(&mut lists, &assignments).unwrap();
+            let (mut moves, mut both_unassigned) = (0, 0);
+            for step in 0..400 {
+                let v = draw(&mut state, n) as NodeId;
+                let (old, new) = (assignments[v as usize], block(&mut state, k));
+                assignments[v as usize] = new;
+                if old != new {
+                    tally.move_node(lists.node(v), old, new, &assignments);
+                    moves += 1;
+                }
+                let mut walked = LevelTally::new(n as usize, k, topology).unwrap();
+                walked.walk(&mut lists, &assignments).unwrap();
+                let tag = format!("k = {k}, step {step}: node {v} from {old} to {new}");
+                assert!(tally.histogram() == walked.histogram(), "{tag}");
+                let measured = measure(&mut lists, &assignments, k, topology).unwrap();
+                assert_eq!(tally.finish().unwrap(), measured, "{tag}");
+                both_unassigned += usize::from(tally.both_unassigned > 0);
+            }
+            assert!(moves > 250 && both_unassigned > 100, "k = {k}");
+        }
+    }
+
+    /// `oms_tally_entries_total` counts what the drive loop's tally reads:
+    /// under `oms:4:4:4@passes=4`, every entry (2m) in pass 0 and the degree
+    /// sum of the nodes each later pass moved, from the pass snapshots — less
+    /// than half the entries per later pass on this graph. A
+    /// seeded run walks its seed's 2m entries, unless it is handed the
+    /// seed's statistics over a stream that proves itself; then it reads the
+    /// movers' entries alone.
+    #[test]
+    fn tally_entries_count_the_first_walk_and_the_movers() {
+        use crate::mstree::MultisectionTree;
+        use crate::oms::{OmsSink, OnlineMultiSection};
+        use crate::scorer::FlatObjective;
+        use crate::{HierarchySpec, JobSpec};
+
+        let graph = oms_gen::erdos_renyi_gnm(3000, 15000, 11);
+        let (n, m) = (graph.num_nodes(), graph.num_edges());
+        let job = JobSpec::parse("oms:4:4:4@passes=4").unwrap().seed(3);
+        let tree = MultisectionTree::from_hierarchy(&HierarchySpec::parse("4:4:4").unwrap());
+        let oms = OnlineMultiSection::new(&job, tree, Some(FlatObjective::Fennel));
+        let opts = RestreamOptions::new(job.passes, 0.0);
+        let moved_entries = |from: &[BlockId], snapshots: &[Vec<BlockId>]| -> u64 {
+            let mut before = from;
+            let mut entries = 0;
+            for snapshot in snapshots {
+                let moved = graph
+                    .nodes()
+                    .filter(|&v| before[v as usize] != snapshot[v as usize]);
+                entries += moved.map(|v| graph.degree(v) as u64).sum::<u64>();
+                before = snapshot;
+            }
+            entries
+        };
+        let seed = JobSpec::parse("hashing:64").unwrap().build().unwrap();
+        let seed = seed.partition(&mut InMemoryStream::new(&graph)).unwrap();
+        let runs = [
+            ("fresh", None, false),
+            ("seeded", Some(&seed), false),
+            ("seeded with its statistics", Some(&seed), true),
+        ];
+        for (run, seeded, seed_stats) in runs {
+            let mut sink = Recording::new(OmsSink::new(&oms, n, m, graph.total_node_weight()));
+            let baseline = seeded.map(|seed| {
+                sink.inner.seed(seed.assignments(), seed.block_weights());
+                seed.assignments()
+            });
+            let mut opts = opts;
+            if seed_stats {
+                let seed = measure(
+                    &mut InMemoryStream::new(&graph),
+                    seed.assignments(),
+                    64,
+                    None,
+                );
+                let seed = seed.unwrap();
+                let entry_weight = 2 * u128::from(seed.total_edge_weight);
+                opts = opts.with_seed_stats(seed.edge_cut, seed.imbalance, entry_weight);
+            }
+            let stream = &mut Proven(&mut InMemoryStream::new(&graph));
+            let (core, guard) = oms_obs::recording(oms_obs::DEFAULT_CAPACITY);
+            let (trajectory, _) = drive(stream, &mut sink, Some(&opts), baseline, None).unwrap();
+            drop(guard);
+            let snapshots = &sink.snapshots;
+            assert!(snapshots.len() >= 3, "{run}: {trajectory:?}");
+            let (first_walk, from) = match baseline {
+                Some(seed) if seed_stats => (0, seed.to_vec()),
+                Some(seed) => (2 * m as u64, seed.to_vec()),
+                None => (2 * m as u64, snapshots[0].clone()),
+            };
+            let later = if baseline.is_some() {
+                &snapshots[..]
+            } else {
+                &snapshots[1..]
+            };
+            let expected = first_walk + moved_entries(&from, later);
+            let read = core.counter(oms_obs::CounterId::TallyEntries);
+            assert_eq!(read, expected, "{run}");
+            if baseline.is_none() {
+                // The later passes of the fresh run read fewer than half the
+                // entries each.
+                let later = (snapshots.len() - 1) as u64;
+                assert!(read - 2 * m as u64 <= later * m as u64, "{read} entries");
             }
         }
     }

@@ -2001,9 +2001,9 @@ mod tests {
                     Some(objective),
                 );
                 let n = 600;
-                let node_weights: Vec<NodeWeight> =
+                let weight_of: Vec<NodeWeight> =
                     (0..n).map(|_| rng.pick(&[0, 1, 1, 2, 5])).collect();
-                let total: NodeWeight = node_weights.iter().sum();
+                let total: NodeWeight = weight_of.iter().sum();
                 let adjacency: Vec<(Vec<u32>, Vec<EdgeWeight>)> = (0..n)
                     .map(|_| {
                         let degree = rng.draw() % 12;
@@ -2040,12 +2040,12 @@ mod tests {
                         let (neighbors, edge_weights) = &adjacency[v];
                         sink.rescore(oms_graph::StreamedNode {
                             node: v as u32,
-                            weight: node_weights[v],
+                            weight: weight_of[v],
                             neighbors,
                             edge_weights,
                         });
                     } else if op < 92 {
-                        sink.unassign(v as u32, node_weights[v]);
+                        sink.unassign(v as u32, weight_of[v]);
                     } else if op < 95 {
                         let m = (rng.draw() % (8 * n as u64)) as usize;
                         sink.retune(n, m, total + rng.draw() % 64);
@@ -2062,7 +2062,7 @@ mod tests {
                                 _ => UNASSIGNED,
                             })
                             .collect();
-                        sink.adopt(&assignments, &node_weights);
+                        sink.adopt(&assignments, &weight_of);
                     }
                     assert_eq!(sink.pending, 0);
                     assert!(sink.stale.iter().all(|&t| t == NO_LEAF));

@@ -10,10 +10,13 @@
 //! `fennel`, `oms`, `nh-oms`) carries the job's `passes=`/`conv=` (defaults
 //! 1/0) and runs through `run` — a one-pass run *is* the drive loop of the
 //! multi-pass engine ([`executor::run_restream`]) with a budget of one. The engine
-//! rewinds the stream between passes, tallies each pass's quality while
-//! the pass places its nodes, records the per-pass trajectory, stops early
-//! once the partition converges and reverts a pass that worsened the edge
-//! cut. [`refine_partition`] exposes the same loop as
+//! rewinds the stream between passes and measures each pass's quality while
+//! the pass places its nodes: the first pass tallies every adjacency entry,
+//! and each later one moves only the entries of the nodes it moves in the
+//! last accepted pass's histogram, so a pass near convergence costs
+//! `O(Σ deg(moved))` to measure. It records the per-pass trajectory, stops
+//! early once the partition converges and reverts a pass that worsened the
+//! edge cut. [`refine_partition`] exposes the same loop as
 //! restreaming *refinement* of an existing partition, used by the in-memory
 //! algorithms to support `passes > 1`.
 

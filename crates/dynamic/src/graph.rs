@@ -18,6 +18,12 @@
 //! * Every mutation validates its preconditions and fails with a typed
 //!   [`GraphError`] — a delta stream that inserts an existing edge or
 //!   touches a dead node is corrupt and must not be half-applied.
+//! * The slab is symmetric: [`DynamicGraph::from_stream`] proves the
+//!   streamed lists symmetric (unless the source proves its passes itself)
+//!   and refuses one-sided ones, and every mutation writes or removes both
+//!   entries of an edge, with the same weight. So the graph
+//!   [proves its own passes](NodeStream::proves_symmetry), and nothing that
+//!   streams it proves them again.
 //!
 //! # Layout: one pooled slab
 //!
@@ -48,6 +54,7 @@
 
 use oms_graph::{
     CsrGraph, EdgeWeight, GraphError, NodeId, NodeStream, NodeWeight, Result, StreamedNode,
+    SymmetryProof,
 };
 use std::ops::Range;
 
@@ -91,6 +98,9 @@ pub struct DynamicGraph {
     live_nodes: usize,
     live_edges: usize,
     total_weight: NodeWeight,
+    /// The weight of all live adjacency entries (see
+    /// [`DynamicGraph::entry_weight`]).
+    entry_weight: u128,
 }
 
 fn invalid(msg: impl Into<String>) -> GraphError {
@@ -104,7 +114,9 @@ impl DynamicGraph {
     }
 
     /// Materialises the current state of `stream` (one full pass) into the
-    /// slab. Every streamed node starts live.
+    /// slab. Every streamed node starts live. Lists that are not symmetric
+    /// are a typed error: the pass is proven here unless the stream proves
+    /// it itself.
     pub fn from_stream(stream: &mut dyn NodeStream) -> Result<Self> {
         let n = stream.num_nodes();
         let mut g = DynamicGraph {
@@ -118,7 +130,7 @@ impl DynamicGraph {
         };
         let (mut too_long, mut longest) = (None, 0);
         stream.reset()?;
-        stream.for_each_node(&mut |node| {
+        let proof = SymmetryProof::walk_pass(stream, |node| {
             let v = node.node as usize;
             let Ok(len) = u32::try_from(node.neighbors.len()) else {
                 too_long.get_or_insert(node.node);
@@ -146,16 +158,21 @@ impl DynamicGraph {
         if let Some(v) = too_long {
             return Err(invalid(format!("node {v} has 2^32 or more neighbors")));
         }
-        if !g.weighted {
+        proof.check()?;
+        g.entry_weight = if g.weighted {
+            g.wts.iter().map(|&w| u128::from(w)).sum()
+        } else {
             g.ones = vec![1; longest];
-        }
+            g.nbrs.len() as u128
+        };
         Ok(g)
     }
 
     /// Materialises a [`CsrGraph`].
     pub fn from_graph(graph: &CsrGraph) -> Self {
         let mut stream = oms_graph::InMemoryStream::new(graph);
-        DynamicGraph::from_stream(&mut stream).expect("in-memory streams cannot fail")
+        DynamicGraph::from_stream(&mut stream)
+            .expect("a CsrGraph's lists are symmetric, and in-memory streams cannot fail")
     }
 
     /// Size of the id space (live and dead ids). Assignment arrays over this
@@ -177,6 +194,13 @@ impl DynamicGraph {
     /// Total weight of the live nodes.
     pub fn live_weight(&self) -> NodeWeight {
         self.total_weight
+    }
+
+    /// The weight of all live adjacency entries: `2 · ω(E)`, each edge
+    /// counted from both of its ends and a self-loop entry once — what
+    /// `oms-core`'s measurement walk sums before it halves.
+    pub fn entry_weight(&self) -> u128 {
+        self.entry_weight
     }
 
     /// Whether `v` is inside the id space and live.
@@ -264,6 +288,7 @@ impl DynamicGraph {
         self.push(u, v, w);
         self.push(v, u, w);
         self.live_edges += 1;
+        self.entry_weight += 2 * u128::from(w);
         Ok(())
     }
 
@@ -348,10 +373,26 @@ impl DynamicGraph {
         self.abandoned = 0;
     }
 
-    /// Swap-removes `to` from `from`'s list, returning the edge's weight.
-    fn detach(&mut self, from: NodeId, to: NodeId) -> Option<EdgeWeight> {
+    /// Swap-removes `to` from `from`'s list, returning the edge's weight:
+    /// the first entry for `to`, or with `weight`, the first of that weight
+    /// — the far side of an entry already removed, which keeps the slab
+    /// symmetric when an edge is listed more than once.
+    fn detach(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        weight: Option<EdgeWeight>,
+    ) -> Option<EdgeWeight> {
         let live = self.spans[from as usize].live();
-        let pos = live.start + self.nbrs[live.clone()].iter().position(|&x| x == to)?;
+        let nbrs = &self.nbrs[live.clone()];
+        let offset = match weight.filter(|_| self.weighted) {
+            None => nbrs.iter().position(|&x| x == to),
+            Some(w) => {
+                let mut entries = nbrs.iter().zip(&self.wts[live.clone()]);
+                entries.position(|(&x, &y)| (x, y) == (to, w))
+            }
+        };
+        let pos = live.start + offset?;
         let last = live.end - 1;
         self.nbrs[pos] = self.nbrs[last];
         self.spans[from as usize].len -= 1;
@@ -367,12 +408,13 @@ impl DynamicGraph {
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeWeight> {
         self.require_alive(u)?;
         self.require_alive(v)?;
-        let Some(w) = self.detach(u, v) else {
+        let Some(w) = self.detach(u, v, None) else {
             return Err(invalid(format!("edge {u}-{v} does not exist")));
         };
-        self.detach(v, u)
+        self.detach(v, u, Some(w))
             .expect("adjacency lists out of sync (edge present on one side only)");
         self.live_edges -= 1;
+        self.entry_weight -= 2 * u128::from(w);
         Ok(w)
     }
 
@@ -422,9 +464,12 @@ impl DynamicGraph {
         let (nbrs, wts) = self.neighbors(id);
         removed.clear();
         removed.extend(nbrs.iter().copied().zip(wts.iter().copied()));
-        for &(nbr, _) in removed.iter() {
-            self.detach(nbr, id)
+        for &(nbr, w) in removed.iter() {
+            self.detach(nbr, id, Some(w))
                 .expect("adjacency lists out of sync (edge present on one side only)");
+            // A self-loop entry is one entry; any other edge has two.
+            let entries = if nbr == id { 1 } else { 2 };
+            self.entry_weight -= entries * u128::from(w);
         }
         self.spans[slot] = Span::default();
         self.live_edges -= removed.len();
@@ -450,6 +495,13 @@ impl NodeStream for DynamicGraph {
 
     fn total_node_weight(&self) -> NodeWeight {
         self.total_weight
+    }
+
+    /// The slab was proven symmetric when it loaded
+    /// ([`DynamicGraph::from_stream`]), and every mutation writes or removes
+    /// both entries of an edge, with the same weight.
+    fn proves_symmetry(&self) -> bool {
+        true
     }
 
     fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
@@ -569,6 +621,72 @@ mod tests {
         assert_eq!(g.neighbors(1), (&[2, 3][..], &[1, 7][..]));
     }
 
+    /// Lists as given, streamed in id order.
+    struct Lists(Vec<Vec<(NodeId, EdgeWeight)>>);
+
+    impl NodeStream for Lists {
+        fn num_nodes(&self) -> usize {
+            self.0.len()
+        }
+        fn num_edges(&self) -> usize {
+            self.0.iter().map(Vec::len).sum::<usize>() / 2
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.0.len() as NodeWeight
+        }
+        fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> Result<()> {
+            for (v, list) in self.0.iter().enumerate() {
+                let (neighbors, edge_weights): (Vec<_>, Vec<_>) = list.iter().copied().unzip();
+                f(StreamedNode {
+                    node: v as NodeId,
+                    weight: 1,
+                    neighbors: &neighbors,
+                    edge_weights: &edge_weights,
+                });
+            }
+            Ok(())
+        }
+    }
+
+    /// The slab is proven symmetric when it loads and stays so: one-sided
+    /// lists are refused, and deleting an edge listed twice with two
+    /// weights removes one entry of the same weight from each side. The
+    /// entry weight counts a self-loop entry once and the rest from both
+    /// ends.
+    #[test]
+    fn the_slab_is_proven_at_load_and_stays_symmetric() {
+        let one_sided = DynamicGraph::from_stream(&mut Lists(vec![vec![(1, 1), (1, 1)], vec![]]));
+        let err = one_sided.unwrap_err().to_string();
+        assert!(err.contains("not symmetric"), "{err}");
+
+        let lists = vec![
+            vec![(1, 5), (1, 7)],
+            vec![(0, 7), (0, 5), (2, 2)],
+            vec![(1, 2), (2, 3)],
+        ];
+        let mut g = DynamicGraph::from_stream(&mut Lists(lists)).unwrap();
+        assert!(g.proves_symmetry());
+        assert_eq!(g.entry_weight(), 2 * (5 + 7 + 2) + 3);
+        assert_eq!(g.delete_edge(0, 1).unwrap(), 5);
+        assert_eq!(g.neighbors(0), (&[1][..], &[7][..]));
+        assert_eq!(g.neighbors(1), (&[0, 2][..], &[7, 2][..]));
+        assert_eq!(g.entry_weight(), 2 * (7 + 2) + 3);
+        let mut removed = Vec::new();
+        g.delete_node(2, &mut removed).unwrap();
+        assert_eq!(removed, vec![(1, 2), (2, 3)]);
+        assert_eq!(g.entry_weight(), 2 * 7);
+        g.insert_edge(0, 2, 4).unwrap_err(); // 2 is dead
+        g.insert_node(2, 1).unwrap();
+        g.insert_edge(0, 2, 4).unwrap();
+        assert_eq!(g.entry_weight(), 2 * (7 + 4));
+        // The lists the slab streams load again, proven.
+        let mut lists = Lists(vec![Vec::new(); g.id_space()]);
+        g.for_each_node(&mut |node| lists.0[node.node as usize].extend(node.neighbors_weighted()))
+            .unwrap();
+        let again = DynamicGraph::from_stream(&mut lists).unwrap();
+        assert_eq!(again.entry_weight(), g.entry_weight());
+    }
+
     /// The naive reference: one `Vec` per id, mutated with `push` and
     /// `swap_remove` as the slab's lists must behave.
     #[derive(Clone, Default)]
@@ -605,6 +723,9 @@ mod tests {
             .map(|(v, node)| (v, node.weight, node.adjacency.clone()))
             .collect();
         assert_eq!(streamed, expected);
+        let entries = model.iter().flat_map(|node| &node.adjacency);
+        let entry_weight = entries.map(|&(_, w)| u128::from(w)).sum::<u128>();
+        assert_eq!(g.entry_weight(), entry_weight);
     }
 
     /// How the churn test's edge weights come about.

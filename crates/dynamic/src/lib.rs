@@ -325,6 +325,40 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One-sided adjacency lists are refused when the slab loads: by
+    /// `PartitionState::new`, and by `resume` under a valid snapshot.
+    #[test]
+    fn one_sided_lists_fail_new_and_resume() {
+        use oms_graph::io::{write_snapshot, PartitionSnapshot};
+        let dir = std::env::temp_dir().join("oms-dynamic-test-one-sided");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("one-sided.oms");
+        // n = 2, m = 1, c(V) = 2, no flags; degrees 2 0; node 0 lists node 1
+        // twice and node 1 lists nobody.
+        let mut bytes = b"OMSSTRM3".to_vec();
+        for field in [2u64, 1, 2, 0] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        for word in [2u32, 0, 1, 1] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        std::fs::write(&path, bytes).unwrap();
+        let mut stream = DiskStream::open(&path).unwrap();
+        let err = PartitionState::new(&job(2), &mut stream).unwrap_err();
+        assert!(err.to_string().contains("not symmetric"), "{err}");
+        let snapshot = PartitionSnapshot {
+            num_blocks: 2,
+            assignments: vec![0, 1],
+            counters: Default::default(),
+            trajectory: Vec::new(),
+        };
+        write_snapshot(&stream, &snapshot).unwrap();
+        let mut stream = DiskStream::open(&path).unwrap();
+        let err = PartitionState::resume(&job(2), &mut stream, &[]).unwrap_err();
+        assert!(err.to_string().contains("not symmetric"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn resume_with_wrong_trace_is_rejected() {
         let dir = std::env::temp_dir().join("oms-dynamic-test-badtrace");

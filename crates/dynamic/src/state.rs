@@ -99,10 +99,10 @@ impl std::fmt::Debug for PartitionState {
 }
 
 impl PartitionState {
-    /// Brings up the service: reads `stream` once into the graph's slab,
-    /// runs the initial (re)streaming passes of `job`'s algorithm over it —
-    /// whose first pass proves the adjacency symmetric, so a one-sided input
-    /// is a graph error here — and records the resulting cut as the drift
+    /// Brings up the service: reads `stream` once into the graph's slab —
+    /// which proves the adjacency symmetric, so a one-sided input is a
+    /// graph error here — runs the initial (re)streaming passes of `job`'s
+    /// algorithm over it and records the resulting cut as the drift
     /// baseline.
     pub fn new(job: &JobSpec, stream: &mut dyn NodeStream) -> Result<Self> {
         // `DynamicGraph::from_stream` takes its counts from the stream
@@ -402,11 +402,16 @@ impl PartitionState {
     pub fn full_restream(&mut self) -> Result<()> {
         let baseline: Vec<BlockId> = self.sink.assignments().to_vec();
         // The seed is the partition this service maintains: its cut and
-        // imbalance are already tracked delta by delta, so hand them to the
-        // engine instead of paying a second full metric walk (debug builds
+        // imbalance are tracked delta by delta, and the graph keeps its
+        // entry weight, which together with the loads is the seed's whole
+        // histogram. So the engine walks no entry to measure the seed, and
+        // its passes measure only the nodes they move (debug builds
         // re-measure and assert agreement).
-        let opts = RestreamOptions::new(self.job.passes, self.job.convergence)
-            .with_seed_stats(self.cut, self.imbalance());
+        let opts = RestreamOptions::new(self.job.passes, self.job.convergence).with_seed_stats(
+            self.cut,
+            self.imbalance(),
+            self.graph.entry_weight(),
+        );
         let trajectory =
             run_restream_seeded(&mut self.graph, &mut self.sink, &opts, Some(&baseline))?;
         self.cut = trajectory.final_edge_cut().unwrap_or(self.cut);

@@ -159,8 +159,12 @@ pub trait NodeStream {
     /// A consumer that needs symmetric lists proves them itself unless this
     /// says the stream does, so each pass is proven exactly once: by
     /// [`crate::io::MetisStream`], which files every entry it parses, or
-    /// else by the consumer. The default is `false`, and a wrapper that
-    /// could change the adjacency it passes on keeps it.
+    /// else by the consumer. A stream may also prove its lists once, when
+    /// it loads them, if they stay symmetric by construction from then on:
+    /// `oms-dynamic`'s `DynamicGraph` proves its slab when it loads it
+    /// ([`SymmetryProof::walk_pass`]) and keeps it symmetric through every
+    /// mutation. The default is `false`, and a wrapper that could change the
+    /// adjacency it passes on keeps it.
     fn proves_symmetry(&self) -> bool {
         false
     }
@@ -253,9 +257,11 @@ fn mix64(mut x: u64) -> u64 {
 ///   in-pass tally files an entry as the second sighting when its other
 ///   endpoint was visited earlier in the pass;
 /// * [`SymmetryProof::walk_entry`] needs no state per node: the entry from
-///   the endpoint with the larger id is the second sighting. [`collect_graph`],
-///   [`MetisStream`](crate::io::MetisStream)'s end-of-pass check, the `e-*`
-///   edge jobs' passes and `oms-core`'s measurement walk prove with it.
+///   the endpoint with the larger id is the second sighting.
+///   [`SymmetryProof::walk_pass`] (behind [`collect_graph`] and the load of
+///   `oms-dynamic`'s slab), [`MetisStream`](crate::io::MetisStream)'s
+///   end-of-pass check, the `e-*` edge jobs' passes and `oms-core`'s
+///   measurement walk prove with it.
 ///
 /// Each pass is proven once. The stream proves it when it can — a
 /// [`MetisStream`](crate::io::MetisStream) files every entry it parses and
@@ -301,6 +307,29 @@ impl SymmetryProof {
         }
     }
 
+    /// One pass of `stream` through `f`, every entry filed by
+    /// [`SymmetryProof::walk_entry`] as it goes — unless the stream
+    /// [proves its passes](NodeStream::proves_symmetry) itself, which fails
+    /// the pass instead. The returned proof is for the caller to
+    /// [`check`](SymmetryProof::check) once it has made its own checks of
+    /// the pass (an empty one checks).
+    pub fn walk_pass(
+        stream: &mut dyn NodeStream,
+        mut f: impl FnMut(StreamedNode<'_>),
+    ) -> Result<SymmetryProof> {
+        let prove = !stream.proves_symmetry();
+        let mut proof = SymmetryProof::default();
+        stream.for_each_node(&mut |node| {
+            if prove {
+                for (u, w) in node.neighbors_weighted() {
+                    proof.walk_entry(node.node, u, w);
+                }
+            }
+            f(node);
+        })?;
+        Ok(proof)
+    }
+
     /// Adds the sightings of `other` (one node's, accumulated apart).
     #[inline(always)]
     pub fn merge(&mut self, other: SymmetryProof) {
@@ -337,7 +366,7 @@ impl SymmetryProof {
 /// whose edge count, cut and output files are wrong. Such a stream is a
 /// typed error — the stream's own when it
 /// [proves its passes](NodeStream::proves_symmetry), otherwise a
-/// [`GraphError::Invalid`] from this pass's [`SymmetryProof::walk_entry`].
+/// [`GraphError::Invalid`] from this pass's [`SymmetryProof::walk_pass`].
 pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     let n = stream.num_nodes();
     let entries = 2 * stream.num_edges();
@@ -347,19 +376,12 @@ pub fn collect_graph(stream: &mut dyn NodeStream) -> Result<CsrGraph> {
     xadj.push(0);
     let mut adjncy: Vec<NodeId> = Vec::with_capacity(entries);
     let mut eweights: Vec<EdgeWeight> = Vec::with_capacity(entries);
-    let prove = !stream.proves_symmetry();
-    let mut proof = SymmetryProof::default();
-    stream.for_each_node(&mut |node| {
+    let proof = SymmetryProof::walk_pass(stream, |node| {
         ids.push(node.node);
         nweights.push(node.weight);
         adjncy.extend_from_slice(node.neighbors);
         eweights.extend_from_slice(node.edge_weights);
         xadj.push(adjncy.len());
-        if prove {
-            for (u, w) in node.neighbors_weighted() {
-                proof.walk_entry(node.node, u, w);
-            }
-        }
     })?;
     let out_of_range = |node: NodeId| GraphError::NodeOutOfRange {
         node: node as u64,

@@ -24,6 +24,11 @@ pub enum CounterId {
     RestreamPasses,
     /// Restream passes that were reverted.
     RestreamReverts,
+    /// Adjacency entries the drive loop's tally read to measure its passes:
+    /// every entry in a run's first walk (pass 0, or a seed's measurement),
+    /// a moved node's entries in each later pass. Flushed once per pass;
+    /// debug builds' second tally of a pass is not counted.
+    TallyEntries,
     /// Deltas applied to maintained partitions.
     DeltasApplied,
     /// Local repair re-scoring steps.
@@ -54,11 +59,12 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub(crate) const ALL: [CounterId; 17] = [
+    pub(crate) const ALL: [CounterId; 18] = [
         CounterId::NodesScored,
         CounterId::CandidatesScored,
         CounterId::RestreamPasses,
         CounterId::RestreamReverts,
+        CounterId::TallyEntries,
         CounterId::DeltasApplied,
         CounterId::RepairRescored,
         CounterId::RepairMoves,
@@ -81,6 +87,7 @@ impl CounterId {
             CounterId::CandidatesScored => "candidates_scored",
             CounterId::RestreamPasses => "restream_passes",
             CounterId::RestreamReverts => "restream_reverts",
+            CounterId::TallyEntries => "tally_entries",
             CounterId::DeltasApplied => "deltas_applied",
             CounterId::RepairRescored => "repair_rescored",
             CounterId::RepairMoves => "repair_moves",
