@@ -21,7 +21,8 @@
 //! * [`run_restream_seeded`] — the same over a sink seeded from an existing
 //!   partition, which becomes pass 0.
 //!
-//! Reports come out of one level tally (`LevelTally`). Within a pass every
+//! Reports come out of one level tally ([`LevelTally`]; the dynamic layer
+//! keeps one across its deltas). Within a pass every
 //! node is placed exactly once and keeps its block until the next pass, so a
 //! measured pass — every pass of a tracked run, and the one pass of a
 //! one-pass job whose caller reports on it — is tallied in the drive loop
@@ -38,7 +39,9 @@
 use crate::hierarchy::{DistanceSpec, HierarchySpec, LevelCodes};
 use crate::partition::UNASSIGNED;
 use crate::{BlockId, PartitionError, Result};
-use oms_graph::{GraphError, NodeId, NodeStream, NodeWeight, StreamedNode, SymmetryProof};
+use oms_graph::{
+    EdgeWeight, GraphError, NodeId, NodeStream, NodeWeight, StreamedNode, SymmetryProof,
+};
 use oms_obs::{CounterId, Event, HistId, Stopwatch};
 
 /// A consumer of streamed nodes: the per-algorithm scoring/assignment state
@@ -163,20 +166,6 @@ pub struct RestreamOptions {
     /// stop once a pass improves the cut by less than 2 %). `0.0` disables
     /// the threshold; the run still stops when no node moves at all.
     pub min_improvement: f64,
-    /// The seed baseline's statistics, when the caller maintains them
-    /// incrementally ([`RestreamOptions::with_seed_stats`]).
-    seed_stats: Option<SeedStats>,
-}
-
-/// What a caller that maintains its seed partition incrementally (the
-/// dynamic layer) knows about it: enough for a complete flat histogram.
-#[derive(Clone, Copy, Debug)]
-struct SeedStats {
-    edge_cut: u64,
-    imbalance: f64,
-    /// The weight of all adjacency entries: `2 · ω(E)`, a self-loop entry
-    /// counted once.
-    entry_weight: u128,
 }
 
 impl RestreamOptions {
@@ -186,26 +175,7 @@ impl RestreamOptions {
         RestreamOptions {
             passes: passes.max(1),
             min_improvement: min_improvement.max(0.0),
-            seed_stats: None,
         }
-    }
-
-    /// Declares what the caller already knows of the seed baseline: its
-    /// edge cut and imbalance, and `entry_weight`, the weight of all
-    /// adjacency entries of the stream (`2 · ω(E)`, a self-loop entry
-    /// counted once). The seed must place every streamed node in one of the
-    /// `k` blocks. A flat run (no report topology) over a stream that proves
-    /// its own symmetry ([`NodeStream::proves_symmetry`]) then builds its
-    /// histogram from these and the sink's block loads, and walks no entry
-    /// to measure the seed; any other run walks the seed as without them.
-    /// Debug builds walk it either way and assert that the two agree.
-    pub fn with_seed_stats(mut self, edge_cut: u64, imbalance: f64, entry_weight: u128) -> Self {
-        self.seed_stats = Some(SeedStats {
-            edge_cut,
-            imbalance,
-            entry_weight,
-        });
-        self
     }
 }
 
@@ -359,7 +329,7 @@ impl PassTracker {
 
 /// One untracked pass: feeds `sink` every node of `stream`, in stream order.
 pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
-    drive(stream, sink, None, None, None).map(|_| ())
+    drive(stream, sink, None, None, None, None).map(|_| ())
 }
 
 /// The multi-pass restreaming engine: up to [`RestreamOptions::passes`]
@@ -394,7 +364,7 @@ pub fn run_restream(
     sink: &mut dyn NodeSink,
     opts: &RestreamOptions,
 ) -> Result<PassTrajectory> {
-    run_restream_seeded(stream, sink, opts, None)
+    run_restream_seeded(stream, sink, opts, None, None)
 }
 
 /// [`run_restream`] for a sink seeded from an existing partition
@@ -404,9 +374,11 @@ pub fn run_restream(
 /// algorithms whose additional passes are restreaming refinement of their
 /// one-shot solution. The seed's measurement walk is the run's full tally
 /// (and its symmetry proof): every pass after it measures only the nodes it
-/// moves. Seed statistics the caller maintains
-/// ([`RestreamOptions::with_seed_stats`]) replace that walk where they make
-/// a complete histogram.
+/// moves. A `histogram` the caller keeps (the dynamic layer) replaces that
+/// walk over a stream that proves its passes ([`NodeStream::proves_symmetry`];
+/// debug builds walk the seed and compare), and receives the histogram of the
+/// assignment the run leaves in `sink`, copied as each pass is accepted, so a
+/// revert walks nothing. Without a baseline it only receives.
 ///
 /// The caller seeds `sink` with the baseline first (its assignments *are*
 /// `baseline`; debug builds assert it): the guard takes the baseline's block
@@ -416,8 +388,9 @@ pub fn run_restream_seeded(
     sink: &mut dyn NodeSink,
     opts: &RestreamOptions,
     baseline: Option<&[BlockId]>,
+    histogram: Option<&mut LevelTally<'_>>,
 ) -> Result<PassTrajectory> {
-    drive(stream, sink, Some(opts), baseline, None).map(|(trajectory, _)| trajectory)
+    drive(stream, sink, Some(opts), baseline, None, histogram).map(|(trajectory, _)| trajectory)
 }
 
 /// The one drive loop: one untracked pass without `opts`, a tracked run of
@@ -442,17 +415,21 @@ pub fn run_restream_seeded(
 /// that pass's histogram. Debug builds tally each such pass the first way
 /// as well, proving it, and assert that both give the same [`Measurement`].
 /// `oms_tally_entries_total` counts the entries the histogram reads: all of
-/// them in the first walk, a mover's in a later pass.
+/// them in the first walk, a mover's in a later pass, none of a handed-in
+/// `histogram` ([`run_restream_seeded`]; its topology is the run's).
 pub(crate) fn drive(
     stream: &mut dyn NodeStream,
     sink: &mut dyn NodeSink,
     opts: Option<&RestreamOptions>,
     baseline: Option<&[BlockId]>,
     report: Option<ReportTopology<'_>>,
+    mut histogram: Option<&mut LevelTally<'_>>,
 ) -> Result<(PassTrajectory, Option<Measurement>)> {
     let mut passes = opts.map_or(1, |opts| opts.passes.max(1));
     let mut tracker = opts.map(|opts| PassTracker::new(*opts));
-    let topology = report.flatten();
+    let topology = histogram
+        .as_ref()
+        .map_or(report.flatten(), |histogram| histogram.topology);
     let (n, k) = (sink.assignments().len(), sink.num_blocks());
     let mut tally = match (opts, report) {
         (None, None) => None,
@@ -488,56 +465,41 @@ pub(crate) fn drive(
         Ok(())
     };
 
-    if let (Some(tracker), Some(opts), Some(seed), Some(tally)) =
-        (tracker.as_mut(), opts, baseline, tally.as_mut())
-    {
+    if let (Some(tracker), Some(seed), Some(tally)) = (tracker.as_mut(), baseline, tally.as_mut()) {
         debug_assert!(
             sink.assignments() == seed,
             "a seeded run's sink must hold the baseline when the run starts"
         );
         sink.block_weights(&mut best_loads);
         let levels = &mut tally.levels;
-        let (edge_cut, imbalance) = match opts.seed_stats {
-            // The caller maintains the seed's statistics incrementally, and
-            // they make the whole flat histogram: trust them instead of
-            // walking — but check them in debug builds.
-            Some(stats) if topology.is_none() && stream_proves => {
-                levels.prime(
-                    &best_loads,
-                    stream.total_node_weight(),
-                    stats.edge_cut,
-                    stats.entry_weight,
-                );
+        match histogram.as_deref_mut() {
+            // The caller keeps the seed's histogram: take it instead of
+            // walking — but check it in debug builds.
+            Some(histogram) if stream_proves => {
+                levels.copy_from(histogram);
                 #[cfg(debug_assertions)]
                 {
                     reset(stream, &mut needs_reset)?;
-                    let mut walked = LevelTally::new(n, k, None)?;
+                    let mut walked = LevelTally::new(n, k, topology)?;
                     walked.walk(stream, seed)?;
                     assert!(
                         walked.histogram() == levels.histogram(),
-                        "incrementally maintained seed statistics disagree with a measured walk"
+                        "the histogram handed in disagrees with a walk of the seed"
                     );
                 }
-                (stats.edge_cut, stats.imbalance)
             }
-            stats => {
+            histogram => {
                 reset(stream, &mut needs_reset)?;
                 levels.walk(stream, seed)?;
-                let measured = levels.flat()?;
-                if let Some(stats) = stats {
-                    let entry_weight = levels.histogram().2.iter().sum::<u128>();
-                    debug_assert_eq!(
-                        (stats.edge_cut, stats.entry_weight),
-                        (measured.edge_cut, entry_weight),
-                        "incrementally maintained seed statistics disagree with a measured walk"
-                    );
+                if let Some(histogram) = histogram {
+                    histogram.copy_from(levels);
                 }
-                (measured.edge_cut, measured.imbalance)
             }
-        };
+        }
+        let measured = levels.flat()?;
         oms_obs::counter_add(CounterId::TallyEntries, levels.take_entries());
         primed = true;
-        if tracker.seed(edge_cut, imbalance, seed) {
+        if tracker.seed(measured.edge_cut, measured.imbalance, seed) {
             // The seed is optimal already: no pass runs.
             passes = 0;
         }
@@ -632,9 +594,10 @@ pub(crate) fn drive(
                 primed = true;
                 measured
             }
-            Some(_) => {
+            Some(tally) => {
                 reset(stream, &mut needs_reset)?;
-                measure(stream, sink.assignments(), k, topology)?
+                tally.levels.walk(stream, sink.assignments())?;
+                tally.levels.finish()?
             }
         };
         let Some(tracker) = tracker.as_mut() else {
@@ -649,9 +612,10 @@ pub(crate) fn drive(
         match tracker.observe(last_pass, moved, seconds, edge_cut, imbalance, assignments) {
             PassOutcome::Revert => {
                 // The pass overshot; put the best assignment and its loads
-                // back. It is the last accepted one, whose measurement is kept
-                // already. The histogram now describes the reverted pass, but
-                // no pass follows to read it.
+                // back. It is the last accepted one, whose measurement — and
+                // histogram, when the caller keeps one — is kept already. The
+                // tally now describes the reverted pass, but no pass follows
+                // to read it.
                 sink.restore(tracker.best_assignment(), &best_loads);
                 oms_obs::counter_add(CounterId::RestreamReverts, 1);
                 oms_obs::observe(Event::PassReverted {
@@ -663,6 +627,9 @@ pub(crate) fn drive(
             outcome => {
                 accepted = Some(measured);
                 sink.block_weights(&mut best_loads);
+                if let (Some(histogram), Some(tally)) = (histogram.as_deref_mut(), &tally) {
+                    histogram.copy_from(&tally.levels);
+                }
                 oms_obs::observe(Event::PassEnd {
                     pass: i as u32,
                     nodes: pass_nodes,
@@ -706,27 +673,28 @@ pub type ReportTopology<'a> = Option<(&'a HierarchySpec, &'a DistanceSpec)>;
 /// all fall out of that one histogram.
 ///
 /// The histogram counts in adjacency *entries*, two per undirected edge, and
-/// [`LevelTally::finish`] halves it. Its sums are `u128`, so a doubled sum
-/// never wraps: every reported value is exact up to `u64::MAX`, and one past
-/// it is a typed graph error. Two walks fill it:
+/// `finish` halves it. Its sums are `u128`, so a doubled sum never wraps:
+/// every reported value is exact up to `u64::MAX`, and one past it is a
+/// typed graph error. Two walks fill it:
 ///
-/// * [`LevelTally::every_entry`] — the measurement walk ([`LevelTally::walk`],
-///   [`measure`]) over a finished assignment: every entry, as it comes;
-/// * [`PassTally::second_sightings`] — the drive loop, right after each node
+/// * `every_entry` — the measurement walk ([`LevelTally::walk`], [`measure`])
+///   over a finished assignment: every entry, as it comes;
+/// * `PassTally::second_sightings` — the drive loop, right after each node
 ///   is placed: of an edge's two entries exactly one is streamed while the
 ///   other endpoint is already placed in this pass, and that *second
 ///   sighting* is tallied for both.
 ///
 /// Once full, [`LevelTally::move_node`] keeps it the full tally of an
 /// assignment in which one node changes its block, from that node's
-/// adjacency alone.
+/// adjacency alone, and the `insert_*` / `delete_*` methods keep it that of
+/// a graph that changes under the assignment (the dynamic layer's deltas).
 ///
 /// Under a topology the level comes from the XOR of the two blocks'
-/// [`HierarchySpec::level_codes`]; block ids without a code ([`UNASSIGNED`],
+/// `HierarchySpec::level_codes`; block ids without a code ([`UNASSIGNED`],
 /// ids `≥ k`, or every id when the codes would outgrow the assignment array)
 /// take [`HierarchySpec::shared_level`]'s divisions, so any `u32` is a valid
 /// block id here.
-pub(crate) struct LevelTally<'a> {
+pub struct LevelTally<'a> {
     topology: ReportTopology<'a>,
     /// [`HierarchySpec::level_codes`], or [`LevelCodes::NONE`] without a
     /// topology or when `k` exceeds the assignment array.
@@ -744,8 +712,9 @@ pub(crate) struct LevelTally<'a> {
 }
 
 impl<'a> LevelTally<'a> {
-    /// A tally over `k` blocks for an assignment array of `n` nodes.
-    pub(crate) fn new(n: usize, k: u32, topology: ReportTopology<'a>) -> Result<Self> {
+    /// An empty tally over `k` blocks for an assignment array of `n` nodes,
+    /// under `topology` (`None`: a plain `k`-way histogram).
+    pub fn new(n: usize, k: u32, topology: ReportTopology<'a>) -> Result<Self> {
         let levels = match topology {
             Some((hierarchy, distances)) if distances.num_levels() < hierarchy.num_levels() => {
                 return Err(PartitionError::InvalidSpec(format!(
@@ -785,6 +754,7 @@ impl<'a> LevelTally<'a> {
 
     /// The histogram itself: block weights, total node weight, edge weight
     /// per level and between two unassigned nodes.
+    #[cfg(any(test, debug_assertions))]
     fn histogram(&self) -> (&[NodeWeight], NodeWeight, &[u128], u128) {
         let (blocks, levels) = (&self.block_weights[..], &self.level_weights[..]);
         (blocks, self.total_node_weight, levels, self.both_unassigned)
@@ -793,6 +763,15 @@ impl<'a> LevelTally<'a> {
     /// The entries read since the last call.
     fn take_entries(&mut self) -> u64 {
         std::mem::take(&mut self.entries)
+    }
+
+    /// Makes this histogram a copy of `other`'s, a tally over the same
+    /// blocks and levels: `k` plus `ℓ` plus three words, no walk.
+    fn copy_from(&mut self, other: &LevelTally<'_>) {
+        self.block_weights.copy_from_slice(&other.block_weights);
+        self.total_node_weight = other.total_node_weight;
+        self.level_weights.copy_from_slice(&other.level_weights);
+        self.both_unassigned = other.both_unassigned;
     }
 
     /// The shared level at which an entry between blocks `own` and `other`
@@ -877,7 +856,7 @@ impl<'a> LevelTally<'a> {
     /// The measurement walk: the full histogram of `assignments` over one
     /// pass of `stream`, proven symmetric unless the stream proves its
     /// passes itself.
-    fn walk(&mut self, stream: &mut dyn NodeStream, assignments: &[BlockId]) -> Result<()> {
+    pub fn walk(&mut self, stream: &mut dyn NodeStream, assignments: &[BlockId]) -> Result<()> {
         self.clear();
         let mut proof = SymmetryProof::default();
         if stream.proves_symmetry() {
@@ -893,28 +872,6 @@ impl<'a> LevelTally<'a> {
         Ok(())
     }
 
-    /// The full histogram of an assignment known from elsewhere, without a
-    /// walk: a flat one that places every node of a stream of total node
-    /// weight `total_node_weight` in one of the `k` blocks, whose loads are
-    /// `block_weights`, and cuts `edge_cut` of edges whose entries weigh
-    /// `entry_weight` in all. Nothing is unassigned, so every entry sits on
-    /// level 0 or, cut, on level 1.
-    fn prime(
-        &mut self,
-        block_weights: &[NodeWeight],
-        total_node_weight: NodeWeight,
-        edge_cut: u64,
-        entry_weight: u128,
-    ) {
-        debug_assert!(self.topology.is_none(), "a primed histogram is flat");
-        self.block_weights.copy_from_slice(block_weights);
-        self.total_node_weight = total_node_weight;
-        let twice_cut = 2 * u128::from(edge_cut);
-        self.level_weights[0] = entry_weight - twice_cut;
-        self.level_weights[1] = twice_cut;
-        self.both_unassigned = 0;
-    }
-
     /// Moves `node` of the tallied assignment from block `old` to block
     /// `new`; `assignments` is the assignment after the move. The histogram
     /// must be the full tally of the assignment before it, which differs
@@ -925,9 +882,9 @@ impl<'a> LevelTally<'a> {
     /// An edge to another node was filed twice at `level(old, b_u)`, once
     /// from each end, and moves to `level(new, b_u)`; a self-loop entry was
     /// filed once at level 0 and stays. Both count towards
-    /// `both_unassigned` the way [`LevelTally::every_entry`] counts them.
+    /// `both_unassigned` the way the measurement walk counts them.
     #[inline]
-    fn move_node(
+    pub fn move_node(
         &mut self,
         node: StreamedNode<'_>,
         old: BlockId,
@@ -966,21 +923,86 @@ impl<'a> LevelTally<'a> {
         }
     }
 
+    /// Files (`insert`) or unfiles `w` of adjacency entries between blocks
+    /// `own` and `other`, where [`LevelTally::every_entry`] files them.
+    fn file(&mut self, own: BlockId, other: BlockId, w: u128, insert: bool) {
+        let level = self.level(own, other);
+        let both_unassigned = w * u128::from(own == UNASSIGNED && other == UNASSIGNED);
+        if insert {
+            self.level_weights[level] += w;
+            self.both_unassigned += both_unassigned;
+        } else {
+            self.level_weights[level] -= w;
+            self.both_unassigned -= both_unassigned;
+        }
+    }
+
+    /// Files the two entries of a new edge of weight `w` between a node in
+    /// block `own` and one in block `other`.
+    pub fn insert_edge(&mut self, own: BlockId, other: BlockId, w: EdgeWeight) {
+        self.file(own, other, 2 * u128::from(w), true);
+    }
+
+    /// Unfiles the two entries of a deleted edge of weight `w` between a
+    /// node in block `own` and one in block `other`.
+    pub fn delete_edge(&mut self, own: BlockId, other: BlockId, w: EdgeWeight) {
+        self.file(own, other, 2 * u128::from(w), false);
+    }
+
+    /// Adds a new node of weight `weight`: unassigned, without adjacency.
+    pub fn insert_node(&mut self, weight: NodeWeight) {
+        self.total_node_weight += weight;
+    }
+
+    /// Takes `node` out — its weight `weight`, its block `own` and its
+    /// adjacency `entries`, as `(neighbor, edge weight)` pairs (a self-loop
+    /// is one entry, filed once); `assignments` holds the neighbors' blocks.
+    pub fn delete_node(
+        &mut self,
+        node: NodeId,
+        own: BlockId,
+        weight: NodeWeight,
+        entries: &[(NodeId, EdgeWeight)],
+        assignments: &[BlockId],
+    ) {
+        self.total_node_weight -= weight;
+        if let Some(block) = self.block_weights.get_mut(own as usize) {
+            *block -= weight;
+        }
+        for &(u, w) in entries {
+            match u == node {
+                true => self.file(own, own, u128::from(w), false),
+                false => self.file(own, assignments[u as usize], 2 * u128::from(w), false),
+            }
+        }
+    }
+
+    /// The edge-cut of the tallied assignment, read in `O(ℓ)`, or a typed
+    /// graph error when it exceeds `u64::MAX`.
+    pub fn edge_cut(&self) -> Result<u64> {
+        let twice_cut = self.level_weights[1..].iter().sum::<u128>() + self.both_unassigned;
+        halve(twice_cut, "edge-cut")
+    }
+
+    /// The imbalance `max_i c(V_i)/(c(V)/k) − 1` of the tallied assignment
+    /// (0 without node weight), read in `O(k)`.
+    pub fn imbalance(&self) -> f64 {
+        let max = self.block_weights.iter().copied().max().unwrap_or(0);
+        let average = self.total_node_weight as f64 / self.k.max(1) as f64;
+        if average > 0.0 {
+            max as f64 / average - 1.0
+        } else {
+            0.0
+        }
+    }
+
     /// Edge-cut, imbalance and `ω(E)` of the tallied assignment — the
     /// [`Measurement`] without `J` — or a typed graph error naming a value
     /// that exceeds `u64::MAX`.
     fn flat(&self) -> Result<Measurement> {
-        let max = self.block_weights.iter().copied().max().unwrap_or(0);
-        let average = self.total_node_weight as f64 / self.k.max(1) as f64;
-        let imbalance = if average > 0.0 {
-            max as f64 / average - 1.0
-        } else {
-            0.0
-        };
-        let twice_cut = self.level_weights[1..].iter().sum::<u128>() + self.both_unassigned;
         Ok(Measurement {
-            edge_cut: halve(twice_cut, "edge-cut")?,
-            imbalance,
+            edge_cut: self.edge_cut()?,
+            imbalance: self.imbalance(),
             total_edge_weight: halve(self.level_weights.iter().sum(), "total edge weight ω(E)")?,
             mapping_cost: None,
         })
@@ -1412,11 +1434,13 @@ mod tests {
     /// (snapshotted at `end_pass`) is the reference, exactly — for the flat
     /// rules and tree descents of the one kernel, fresh and seeded (the
     /// refinement behind `multilevel:…@passes=`), seeded with the seed's
-    /// statistics handed in (the dynamic layer's fallback restream, whose
-    /// flat histogram is built from them without a walk), over every
-    /// source, unit and fully weighted. The returned report is the walk over the final
-    /// assignment, `J` included, and a reverted pass leaves the last
-    /// accepted one in place. On the fully weighted graph a revert restores
+    /// histogram handed in (the dynamic layer's fallback restream, which
+    /// walks no entry for its seed), over every source, unit and fully
+    /// weighted. The returned report is the walk over the final
+    /// assignment, `J` included, a reverted pass leaves the last accepted
+    /// one in place, and a histogram handed to a fresh or seeded run comes
+    /// back as the walk's histogram of the assignment the run left — after a
+    /// revert too. On the fully weighted graph a revert restores
     /// the loads exactly, from the `k` the drive loop kept rather than from
     /// node weights (see `assert_restored_exactly`): flat and tree kernels
     /// revert there, and so does the Hashing sink, seeded with a partition
@@ -1468,7 +1492,7 @@ mod tests {
             ),
         ];
         let opts = RestreamOptions::new(4, 0.0);
-        let mut reverts = 0;
+        let (mut reverts, mut handed_reverts) = (0, 0);
         // Reverts on the fully weighted graph: (flat kernel, tree kernel,
         // Hashing sink).
         let mut weighted_reverts = (0, 0, 0);
@@ -1498,26 +1522,26 @@ mod tests {
                 (".oms", Box::new(DiskStream::open(&stream_path).unwrap())),
             ];
             for (source, stream) in &mut sources {
-                // The seed-stats legs hand the seed's cut, imbalance and
-                // entry weight in, as the dynamic layer does, over a stream
-                // that says it proves itself: the flat run builds its
-                // histogram from them, and the one under a topology walks.
+                // The fresh runs take a histogram back. The handed-in legs
+                // give the seed's histogram as well, as the dynamic layer
+                // does, over a stream that says it proves itself, so neither
+                // walks its seed; the plain refinement walks it.
                 let dist222 = kernels[3].2;
                 let runs = kernels
                     .iter()
-                    .map(|(spec, oms, topology)| (*spec, oms, *topology, None, false))
+                    .map(|(spec, oms, topology)| (*spec, oms, *topology, None, true))
                     .chain([
                         ("refined fennel:16", &refine, None, Some(&seed), false),
-                        ("fennel:16, seed stats", &refine, None, Some(&seed), true),
+                        ("fennel:16, handed in", &refine, None, Some(&seed), true),
                         (
-                            "oms:2:2:2, seed stats",
+                            "oms:2:2:2, handed in",
                             &kernels[3].1,
                             dist222,
                             Some(&seed8),
                             true,
                         ),
                     ]);
-                for (spec, oms, topology, seeded, seed_stats) in runs {
+                for (spec, oms, topology, seeded, handed) in runs {
                     let tag = format!("{spec} over {name}, {source}");
                     let mut sink = Recording::new(OmsSink::new(oms, n, m, weight));
                     let baseline = seeded.map(|seed| {
@@ -1525,22 +1549,27 @@ mod tests {
                         seed.assignments()
                     });
                     let k = sink.num_blocks();
-                    let mut opts = opts;
-                    if let (Some(seed), true) = (baseline, seed_stats) {
+                    let mut histogram = LevelTally::new(n, k, topology).unwrap();
+                    if let (Some(seed), true) = (baseline, handed) {
                         stream.reset().unwrap();
-                        let seed = measure(stream.as_mut(), seed, k, None).unwrap();
-                        let entry_weight = 2 * u128::from(seed.total_edge_weight);
-                        opts = opts.with_seed_stats(seed.edge_cut, seed.imbalance, entry_weight);
+                        histogram.walk(stream.as_mut(), seed).unwrap();
                     }
                     stream.reset().unwrap();
                     let mut proven = Proven(stream.as_mut());
-                    let run_stream: &mut dyn NodeStream = match seed_stats {
+                    let run_stream: &mut dyn NodeStream = match handed && seeded.is_some() {
                         true => &mut proven,
                         false => proven.0,
                     };
-                    let (trajectory, report) =
-                        drive(run_stream, &mut sink, Some(&opts), baseline, Some(topology))
-                            .unwrap();
+                    let handed_in = handed.then_some(&mut histogram);
+                    let (trajectory, report) = drive(
+                        run_stream,
+                        &mut sink,
+                        Some(&opts),
+                        baseline,
+                        Some(topology),
+                        handed_in,
+                    )
+                    .unwrap();
                     let mut walk = |assignments: &[BlockId], topology| {
                         stream.reset().unwrap();
                         measure(stream.as_mut(), assignments, k, topology).unwrap()
@@ -1566,10 +1595,18 @@ mod tests {
                     let last = sink.assignments().to_vec();
                     let expected = (!accepted.is_empty()).then(|| walk(&last, topology));
                     assert_eq!(report, expected, "{tag}: the report");
+                    if handed {
+                        let mut walked = LevelTally::new(n, k, topology).unwrap();
+                        stream.reset().unwrap();
+                        walked.walk(stream.as_mut(), &last).unwrap();
+                        let tag = format!("{tag}: the histogram handed back");
+                        assert!(histogram.histogram() == walked.histogram(), "{tag}");
+                    }
                     if sink.snapshots.len() > accepted.len() {
                         assert_eq!(sink.snapshots.len(), accepted.len() + 1, "{tag}");
                         assert_eq!(sink.assignments(), &before[..], "{tag}: reverted");
                         reverts += 1;
+                        handed_reverts += usize::from(handed);
                         if weighted {
                             let fresh = |assignments: &[BlockId], loads: &[NodeWeight]| {
                                 let mut fresh = OmsSink::new(oms, n, m, weight);
@@ -1598,8 +1635,15 @@ mod tests {
                     let mut sink = seeded(assignments, loads);
                     stream.reset().unwrap();
                     let stream = stream.as_mut();
-                    let (trajectory, _) =
-                        drive(stream, &mut sink, Some(&opts), Some(assignments), None).unwrap();
+                    let (trajectory, _) = drive(
+                        stream,
+                        &mut sink,
+                        Some(&opts),
+                        Some(assignments),
+                        None,
+                        None,
+                    )
+                    .unwrap();
                     assert_eq!(trajectory.num_passes(), 1, "hashing over {name}, {source}");
                     assert_eq!(sink.assignments(), assignments);
                     let tag = format!("hashing over {name}, {source}");
@@ -1611,6 +1655,10 @@ mod tests {
             std::fs::remove_file(&stream_path).ok();
         }
         assert!(reverts > 0, "no run of the matrix reverted a pass");
+        assert!(
+            handed_reverts > 0,
+            "no run that took a histogram back reverted"
+        );
         let (flat, tree, hashing) = weighted_reverts;
         assert!(
             flat > 0 && tree > 0 && hashing > 0,
@@ -1626,7 +1674,7 @@ mod tests {
             });
             let stream = &mut InMemoryStream::new(&graph);
             let (trajectory, report) =
-                drive(stream, &mut sink, Some(&opts), None, Some(None)).unwrap();
+                drive(stream, &mut sink, Some(&opts), None, Some(None), None).unwrap();
             for (stats, snapshot) in trajectory.stats.iter().zip(&sink.snapshots) {
                 let measured = measure(stream, snapshot, 3, None).unwrap();
                 let tally = (stats.edge_cut, stats.imbalance);
@@ -1689,6 +1737,7 @@ mod tests {
                 None,
                 None,
                 Some(None),
+                None,
             );
             let opts = RestreamOptions::new(2, 0.0);
             let tracked = run_restream(&mut OneSided { proves }, &mut sink(), &opts);
@@ -1710,20 +1759,31 @@ mod tests {
         }
     }
 
-    /// A full histogram kept by single moves (`LevelTally::move_node`) is
-    /// the measurement walk's histogram of the current assignment, exactly,
-    /// after every move: random moves on a random assignment of adjacency
-    /// lists with self-loops, repeated entries and weighted edges, to and
-    /// from `UNASSIGNED` and ids `≥ k`, flat and under the 4:4:4 (more
-    /// blocks than nodes: no level codes) and 3:5:2 topologies, `J`
-    /// included.
+    /// A full histogram kept by single moves (`LevelTally::move_node`) and
+    /// the dynamic layer's graph deltas (edge and node inserts and deletes)
+    /// is the measurement walk's histogram of the current assignment and
+    /// graph, exactly, after every step: random moves and deltas on a random
+    /// assignment of adjacency lists with self-loops, repeated entries and
+    /// weighted edges, to and from `UNASSIGNED` and ids `≥ k` (edges between
+    /// them too), flat and under the 4:4:4 (more blocks than nodes: no level
+    /// codes) and 3:5:2 topologies, `J` included. A deleted node weighs 0,
+    /// keeps no entry and is unassigned until an insert revives it.
     #[test]
     fn a_full_histogram_follows_single_moves_exactly() {
         use crate::{DistanceSpec, HierarchySpec};
         use oms_graph::EdgeWeight;
         /// Adjacency lists as built, streamed in id order.
+        #[derive(Clone)]
         struct Lists(Vec<(NodeWeight, Vec<NodeId>, Vec<EdgeWeight>)>);
         impl Lists {
+            /// Removes one entry `(to, w)` from `from`'s list.
+            fn detach(&mut self, from: NodeId, to: NodeId, w: EdgeWeight) {
+                let (_, nbrs, wts) = &mut self.0[from as usize];
+                let j = (0..nbrs.len()).find(|&j| (nbrs[j], wts[j]) == (to, w));
+                let j = j.unwrap();
+                nbrs.swap_remove(j);
+                wts.swap_remove(j);
+            }
             fn node(&self, v: NodeId) -> StreamedNode<'_> {
                 let (weight, neighbors, edge_weights) = &self.0[v as usize];
                 StreamedNode {
@@ -1771,7 +1831,7 @@ mod tests {
         }
 
         let (n, mut state) = (48u64, 0x2545_f491_4f6c_dd1d);
-        let mut lists = Lists(
+        let mut built = Lists(
             (0..n)
                 .map(|_| (1 + draw(&mut state, 3), Vec::new(), Vec::new()))
                 .collect(),
@@ -1779,14 +1839,14 @@ mod tests {
         for _ in 0..160 {
             let (u, v) = (draw(&mut state, n) as usize, draw(&mut state, n) as usize);
             let w = 1 + draw(&mut state, 5);
-            lists.0[u].1.push(v as NodeId);
-            lists.0[u].2.push(w);
+            built.0[u].1.push(v as NodeId);
+            built.0[u].2.push(w);
             if u != v {
-                lists.0[v].1.push(u as NodeId);
-                lists.0[v].2.push(w);
+                built.0[v].1.push(u as NodeId);
+                built.0[v].2.push(w);
             }
         }
-        let self_loops = (0..n as usize).filter(|&v| lists.0[v].1.contains(&(v as NodeId)));
+        let self_loops = (0..n as usize).filter(|&v| built.0[v].1.contains(&(v as NodeId)));
         assert!(self_loops.count() > 0);
         let d = DistanceSpec::parse("1:10:100").unwrap();
         let h444 = HierarchySpec::parse("4:4:4").unwrap();
@@ -1794,27 +1854,91 @@ mod tests {
         let cases: [(u32, ReportTopology<'_>); 3] =
             [(7, None), (64, Some((&h444, &d))), (30, Some((&h352, &d)))];
         for (k, topology) in cases {
+            let mut lists = built.clone();
             let mut assignments: Vec<BlockId> = (0..n).map(|_| block(&mut state, k)).collect();
             let mut tally = LevelTally::new(n as usize, k, topology).unwrap();
             tally.walk(&mut lists, &assignments).unwrap();
-            let (mut moves, mut both_unassigned) = (0, 0);
-            for step in 0..400 {
+            let (mut moves, mut deltas, mut both_unassigned) = (0, [0; 4], 0);
+            for step in 0..1000 {
                 let v = draw(&mut state, n) as NodeId;
-                let (old, new) = (assignments[v as usize], block(&mut state, k));
-                assignments[v as usize] = new;
-                if old != new {
-                    tally.move_node(lists.node(v), old, new, &assignments);
-                    moves += 1;
+                // Edge inserts, edge deletes, node deletes, node inserts and
+                // moves, the inserts twice as likely as the deletes.
+                let kind = [0, 0, 1, 2, 3, 3][..].get(draw(&mut state, 16) as usize);
+                let kind = kind.copied().unwrap_or(4);
+                let (weight, nbrs, wts) = &mut lists.0[v as usize];
+                let own = assignments[v as usize];
+                let tag = match kind {
+                    0 | 1 if *weight == 0 => continue,
+                    0 => {
+                        let u = draw(&mut state, n) as NodeId;
+                        let w = 1 + draw(&mut state, 5);
+                        if u == v || lists.0[u as usize].0 == 0 {
+                            continue;
+                        }
+                        for (a, b) in [(u, v), (v, u)] {
+                            lists.0[a as usize].1.push(b);
+                            lists.0[a as usize].2.push(w);
+                        }
+                        tally.insert_edge(own, assignments[u as usize], w);
+                        format!("edge {v}-{u} of weight {w} inserted")
+                    }
+                    1 => {
+                        let others: Vec<usize> =
+                            (0..nbrs.len()).filter(|&i| nbrs[i] != v).collect();
+                        if others.is_empty() {
+                            continue;
+                        }
+                        let i = others[draw(&mut state, others.len() as u64) as usize];
+                        let (u, w) = (nbrs[i], wts[i]);
+                        lists.detach(v, u, w);
+                        lists.detach(u, v, w);
+                        tally.delete_edge(own, assignments[u as usize], w);
+                        format!("edge {v}-{u} of weight {w} deleted")
+                    }
+                    2 if *weight > 0 => {
+                        let entries: Vec<(NodeId, EdgeWeight)> =
+                            nbrs.drain(..).zip(wts.drain(..)).collect();
+                        let removed = std::mem::take(weight);
+                        for &(u, w) in entries.iter().filter(|&&(u, _)| u != v) {
+                            lists.detach(u, v, w);
+                        }
+                        tally.delete_node(v, own, removed, &entries, &assignments);
+                        assignments[v as usize] = UNASSIGNED;
+                        format!("node {v} of weight {removed} in {own} deleted")
+                    }
+                    3 if *weight == 0 => {
+                        *weight = 1 + draw(&mut state, 3);
+                        tally.insert_node(*weight);
+                        format!("node {v} of weight {weight} inserted")
+                    }
+                    2 | 3 => continue,
+                    _ if *weight == 0 => continue,
+                    _ => {
+                        let new = block(&mut state, k);
+                        assignments[v as usize] = new;
+                        if own != new {
+                            tally.move_node(lists.node(v), own, new, &assignments);
+                            moves += 1;
+                        }
+                        format!("node {v} from {own} to {new}")
+                    }
+                };
+                if let Some(count) = deltas.get_mut(kind) {
+                    *count += 1;
                 }
                 let mut walked = LevelTally::new(n as usize, k, topology).unwrap();
                 walked.walk(&mut lists, &assignments).unwrap();
-                let tag = format!("k = {k}, step {step}: node {v} from {old} to {new}");
+                let tag = format!("k = {k}, step {step}: {tag}");
                 assert!(tally.histogram() == walked.histogram(), "{tag}");
                 let measured = measure(&mut lists, &assignments, k, topology).unwrap();
                 assert_eq!(tally.finish().unwrap(), measured, "{tag}");
                 both_unassigned += usize::from(tally.both_unassigned > 0);
             }
-            assert!(moves > 250 && both_unassigned > 100, "k = {k}");
+            assert!(
+                moves > 250 && both_unassigned > 100,
+                "k = {k}: {moves} moves"
+            );
+            assert!(deltas.iter().all(|&d| d > 10), "k = {k}: deltas {deltas:?}");
         }
     }
 
@@ -1823,8 +1947,9 @@ mod tests {
     /// sum of the nodes each later pass moved, from the pass snapshots — less
     /// than half the entries per later pass on this graph. A
     /// seeded run walks its seed's 2m entries, unless it is handed the
-    /// seed's statistics over a stream that proves itself; then it reads the
-    /// movers' entries alone.
+    /// seed's histogram over a stream that proves itself; then it reads the
+    /// movers' entries alone — not the entries the caller's walk read into
+    /// that histogram either.
     #[test]
     fn tally_entries_count_the_first_walk_and_the_movers() {
         use crate::mstree::MultisectionTree;
@@ -1855,34 +1980,29 @@ mod tests {
         let runs = [
             ("fresh", None, false),
             ("seeded", Some(&seed), false),
-            ("seeded with its statistics", Some(&seed), true),
+            ("seeded with its histogram", Some(&seed), true),
         ];
-        for (run, seeded, seed_stats) in runs {
+        for (run, seeded, handed) in runs {
             let mut sink = Recording::new(OmsSink::new(&oms, n, m, graph.total_node_weight()));
             let baseline = seeded.map(|seed| {
                 sink.inner.seed(seed.assignments(), seed.block_weights());
                 seed.assignments()
             });
-            let mut opts = opts;
-            if seed_stats {
-                let seed = measure(
-                    &mut InMemoryStream::new(&graph),
-                    seed.assignments(),
-                    64,
-                    None,
-                );
-                let seed = seed.unwrap();
-                let entry_weight = 2 * u128::from(seed.total_edge_weight);
-                opts = opts.with_seed_stats(seed.edge_cut, seed.imbalance, entry_weight);
-            }
+            let mut histogram = LevelTally::new(n, 64, None).unwrap();
+            let histogram = handed.then(|| {
+                let stream = &mut InMemoryStream::new(&graph);
+                histogram.walk(stream, seed.assignments()).unwrap();
+                &mut histogram
+            });
             let stream = &mut Proven(&mut InMemoryStream::new(&graph));
             let (core, guard) = oms_obs::recording(oms_obs::DEFAULT_CAPACITY);
-            let (trajectory, _) = drive(stream, &mut sink, Some(&opts), baseline, None).unwrap();
+            let (trajectory, _) =
+                drive(stream, &mut sink, Some(&opts), baseline, None, histogram).unwrap();
             drop(guard);
             let snapshots = &sink.snapshots;
             assert!(snapshots.len() >= 3, "{run}: {trajectory:?}");
             let (first_walk, from) = match baseline {
-                Some(seed) if seed_stats => (0, seed.to_vec()),
+                Some(seed) if handed => (0, seed.to_vec()),
                 Some(seed) => (2 * m as u64, seed.to_vec()),
                 None => (2 * m as u64, snapshots[0].clone()),
             };

@@ -51,7 +51,7 @@ pub(crate) fn run(
     report: Option<ReportTopology<'_>>,
 ) -> Result<(PassTrajectory, Option<Measurement>)> {
     let options = (passes > 1).then(|| RestreamOptions::new(passes, convergence));
-    executor::drive(stream, sink, options.as_ref(), None, report)
+    executor::drive(stream, sink, options.as_ref(), None, report, None)
 }
 
 /// Restreaming refinement of an existing partition.
@@ -87,6 +87,7 @@ pub fn refine_partition(
         &mut sink,
         &RestreamOptions::new(passes, convergence),
         Some(seed.assignments()),
+        None,
     )?;
     if trajectory.num_passes() <= 1 {
         // Nothing beyond the seed was accepted (already optimal, or the

@@ -98,9 +98,6 @@ pub struct DynamicGraph {
     live_nodes: usize,
     live_edges: usize,
     total_weight: NodeWeight,
-    /// The weight of all live adjacency entries (see
-    /// [`DynamicGraph::entry_weight`]).
-    entry_weight: u128,
 }
 
 fn invalid(msg: impl Into<String>) -> GraphError {
@@ -159,12 +156,9 @@ impl DynamicGraph {
             return Err(invalid(format!("node {v} has 2^32 or more neighbors")));
         }
         proof.check()?;
-        g.entry_weight = if g.weighted {
-            g.wts.iter().map(|&w| u128::from(w)).sum()
-        } else {
+        if !g.weighted {
             g.ones = vec![1; longest];
-            g.nbrs.len() as u128
-        };
+        }
         Ok(g)
     }
 
@@ -194,13 +188,6 @@ impl DynamicGraph {
     /// Total weight of the live nodes.
     pub fn live_weight(&self) -> NodeWeight {
         self.total_weight
-    }
-
-    /// The weight of all live adjacency entries: `2 · ω(E)`, each edge
-    /// counted from both of its ends and a self-loop entry once — what
-    /// `oms-core`'s measurement walk sums before it halves.
-    pub fn entry_weight(&self) -> u128 {
-        self.entry_weight
     }
 
     /// Whether `v` is inside the id space and live.
@@ -288,7 +275,6 @@ impl DynamicGraph {
         self.push(u, v, w);
         self.push(v, u, w);
         self.live_edges += 1;
-        self.entry_weight += 2 * u128::from(w);
         Ok(())
     }
 
@@ -405,7 +391,13 @@ impl DynamicGraph {
     }
 
     /// Deletes the undirected edge `{u, v}`, returning its weight.
+    ///
+    /// Fails on self-loops (a loop the base graph carried goes with its
+    /// node), dead endpoints and absent edges.
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeWeight> {
+        if u == v {
+            return Err(invalid(format!("self-loop delete on node {u}")));
+        }
         self.require_alive(u)?;
         self.require_alive(v)?;
         let Some(w) = self.detach(u, v, None) else {
@@ -414,7 +406,6 @@ impl DynamicGraph {
         self.detach(v, u, Some(w))
             .expect("adjacency lists out of sync (edge present on one side only)");
         self.live_edges -= 1;
-        self.entry_weight -= 2 * u128::from(w);
         Ok(w)
     }
 
@@ -467,9 +458,6 @@ impl DynamicGraph {
         for &(nbr, w) in removed.iter() {
             self.detach(nbr, id, Some(w))
                 .expect("adjacency lists out of sync (edge present on one side only)");
-            // A self-loop entry is one entry; any other edge has two.
-            let entries = if nbr == id { 1 } else { 2 };
-            self.entry_weight -= entries * u128::from(w);
         }
         self.spans[slot] = Span::default();
         self.live_edges -= removed.len();
@@ -650,9 +638,8 @@ mod tests {
 
     /// The slab is proven symmetric when it loads and stays so: one-sided
     /// lists are refused, and deleting an edge listed twice with two
-    /// weights removes one entry of the same weight from each side. The
-    /// entry weight counts a self-loop entry once and the rest from both
-    /// ends.
+    /// weights removes one entry of the same weight from each side, and a
+    /// self-loop delete is refused, not half applied.
     #[test]
     fn the_slab_is_proven_at_load_and_stays_symmetric() {
         let one_sided = DynamicGraph::from_stream(&mut Lists(vec![vec![(1, 1), (1, 1)], vec![]]));
@@ -666,25 +653,23 @@ mod tests {
         ];
         let mut g = DynamicGraph::from_stream(&mut Lists(lists)).unwrap();
         assert!(g.proves_symmetry());
-        assert_eq!(g.entry_weight(), 2 * (5 + 7 + 2) + 3);
         assert_eq!(g.delete_edge(0, 1).unwrap(), 5);
         assert_eq!(g.neighbors(0), (&[1][..], &[7][..]));
         assert_eq!(g.neighbors(1), (&[0, 2][..], &[7, 2][..]));
-        assert_eq!(g.entry_weight(), 2 * (7 + 2) + 3);
+        let err = g.delete_edge(2, 2).unwrap_err().to_string();
+        assert!(err.contains("self-loop delete on node 2"), "{err}");
+        assert_eq!(g.neighbors(2), (&[1, 2][..], &[2, 3][..]));
         let mut removed = Vec::new();
         g.delete_node(2, &mut removed).unwrap();
         assert_eq!(removed, vec![(1, 2), (2, 3)]);
-        assert_eq!(g.entry_weight(), 2 * 7);
         g.insert_edge(0, 2, 4).unwrap_err(); // 2 is dead
         g.insert_node(2, 1).unwrap();
         g.insert_edge(0, 2, 4).unwrap();
-        assert_eq!(g.entry_weight(), 2 * (7 + 4));
         // The lists the slab streams load again, proven.
         let mut lists = Lists(vec![Vec::new(); g.id_space()]);
         g.for_each_node(&mut |node| lists.0[node.node as usize].extend(node.neighbors_weighted()))
             .unwrap();
-        let again = DynamicGraph::from_stream(&mut lists).unwrap();
-        assert_eq!(again.entry_weight(), g.entry_weight());
+        DynamicGraph::from_stream(&mut lists).unwrap();
     }
 
     /// The naive reference: one `Vec` per id, mutated with `push` and
@@ -723,9 +708,6 @@ mod tests {
             .map(|(v, node)| (v, node.weight, node.adjacency.clone()))
             .collect();
         assert_eq!(streamed, expected);
-        let entries = model.iter().flat_map(|node| &node.adjacency);
-        let entry_weight = entries.map(|&(_, w)| u128::from(w)).sum::<u128>();
-        assert_eq!(g.entry_weight(), entry_weight);
     }
 
     /// How the churn test's edge weights come about.

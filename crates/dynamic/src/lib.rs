@@ -18,14 +18,16 @@
 //!   [`NodeStream`](oms_graph::NodeStream) (`oms apply-deltas` hands it the
 //!   METIS or `.oms` file itself); it absorbs each mutation and streams the
 //!   live graph on demand;
-//! * per-block loads and the edge cut are maintained incrementally, and
-//!   touched nodes are re-scored in place (ReFennel steps under the live
-//!   `L_max`) per the job's `repair=` policy — on reused scratch buffers,
-//!   so a warm delta allocates nothing but slab growth. No boundary set is
-//!   kept: `repair=boundary` reads from a neighbor's adjacency whether it
-//!   sits on a block boundary when its cascade reaches it;
+//! * every delta is filed in the drive loop's histogram (`oms-core`'s
+//!   `LevelTally`), which the cut and imbalance are read off, and touched
+//!   nodes are re-scored in place (ReFennel steps under the live `L_max`)
+//!   per the job's `repair=` policy — on reused scratch buffers, so a warm
+//!   delta allocates nothing but slab growth. No boundary set is kept:
+//!   `repair=boundary` reads from a neighbor's adjacency whether it sits on
+//!   a block boundary when its cascade reaches it;
 //! * a drift metric triggers a seeded full-restream fallback through the
-//!   multi-pass engine once the job's `drift=` threshold is exceeded;
+//!   multi-pass engine once the job's `drift=` threshold is exceeded; it
+//!   takes the histogram in place of a walk of its seed;
 //! * snapshots persist the whole service state as a trailer after the
 //!   padded body of the stream file, and [`PartitionState::resume`]
 //!   restores it byte-identically from the trailer plus the delta trace.
@@ -67,7 +69,10 @@ mod tests {
     use oms_core::{measure_pass, JobSpec, RepairPolicy, UNASSIGNED};
     use oms_gen::erdos_renyi_gnm;
     use oms_graph::io::{write_stream_file, DiskStream};
-    use oms_graph::{CsrGraph, Delta, DeltaBatch, InMemoryStream, NodeId};
+    use oms_graph::{
+        CsrGraph, Delta, DeltaBatch, EdgeWeight, InMemoryStream, NodeId, NodeStream, NodeWeight,
+        StreamedNode,
+    };
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -84,15 +89,61 @@ mod tests {
         PartitionState::new(&job(k), &mut InMemoryStream::new(&graph)).unwrap()
     }
 
-    /// The maintained cut must equal a from-scratch metric pass at all
-    /// times — this is the invariant everything else (drift, fallback,
-    /// snapshots) is built on.
+    /// A graph with a self-loop of weight 3 on every node, which a
+    /// `CsrGraph` does not keep (a `.oms` file does): its lists, streamed in
+    /// id order.
+    struct Looped(Vec<(NodeWeight, Vec<NodeId>, Vec<EdgeWeight>)>);
+
+    impl Looped {
+        fn new(graph: &CsrGraph) -> Self {
+            Looped(
+                graph
+                    .nodes()
+                    .map(|v| {
+                        let (mut nbrs, mut wts): (Vec<_>, Vec<_>) =
+                            graph.neighbors_weighted(v).unzip();
+                        nbrs.push(v);
+                        wts.push(3);
+                        (graph.node_weight(v), nbrs, wts)
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    impl NodeStream for Looped {
+        fn num_nodes(&self) -> usize {
+            self.0.len()
+        }
+        /// Every edge, a loop counted once.
+        fn num_edges(&self) -> usize {
+            self.0.iter().map(|list| list.1.len() + 1).sum::<usize>() / 2
+        }
+        fn total_node_weight(&self) -> NodeWeight {
+            self.0.iter().map(|list| list.0).sum()
+        }
+        fn for_each_node(&mut self, f: &mut dyn FnMut(StreamedNode<'_>)) -> oms_graph::Result<()> {
+            for (v, (weight, neighbors, edge_weights)) in self.0.iter().enumerate() {
+                f(StreamedNode {
+                    node: v as NodeId,
+                    weight: *weight,
+                    neighbors,
+                    edge_weights,
+                });
+            }
+            Ok(())
+        }
+    }
+
+    /// The maintained cut and imbalance must equal a from-scratch metric
+    /// pass at all times — this is the invariant everything else (drift,
+    /// fallback, snapshots) is built on.
     fn assert_cut_consistent(state: &mut PartitionState) {
-        let maintained = state.edge_cut();
+        let maintained = (state.edge_cut(), state.imbalance());
         let k = state.num_blocks();
         let assignments = state.assignments().to_vec();
-        let (measured, _) = measure_pass(state.graph_stream(), &assignments, k).unwrap();
-        assert_eq!(maintained, measured, "maintained cut diverged");
+        let measured = measure_pass(state.graph_stream(), &assignments, k).unwrap();
+        assert_eq!(maintained, measured, "maintained cut or imbalance diverged");
     }
 
     /// A random but always-valid churn batch over the live graph.
@@ -125,8 +176,12 @@ mod tests {
                     let u = with_edges[rng.gen_range(0..with_edges.len())];
                     let (nbrs, _) = graph.neighbors(u);
                     let v = nbrs[rng.gen_range(0..nbrs.len())];
-                    graph.delete_edge(u, v).unwrap();
-                    batch.delete_edge(u, v);
+                    // A loop is not deleted on its own (it goes with its
+                    // node).
+                    if v != u {
+                        graph.delete_edge(u, v).unwrap();
+                        batch.delete_edge(u, v);
+                    }
                 }
                 _ => {
                     // insert a random absent edge
@@ -167,23 +222,34 @@ mod tests {
         }
     }
 
+    /// The maintained cut is the measured one after every batch, under
+    /// every repair policy — also on a graph whose nodes carry self-loops,
+    /// whose entries a moving node keeps on its own side (counted as cut
+    /// before a move and not after, they dropped the cut by 3 per move).
     #[test]
     fn incremental_cut_stays_exact_under_churn() {
-        for policy in [
-            RepairPolicy::Off,
-            RepairPolicy::Local,
-            RepairPolicy::Boundary,
-        ] {
-            let graph = er_graph(150, 11);
-            let mut spec = job(4);
-            spec.repair = policy;
-            spec.drift = 1e9; // never fall back: stress the incremental path
-            let mut state = PartitionState::new(&spec, &mut InMemoryStream::new(&graph)).unwrap();
-            let mut rng = ChaCha8Rng::seed_from_u64(42);
-            for _ in 0..8 {
-                let batch = random_batch(&state, &mut rng, 40);
-                state.apply(&batch).unwrap();
-                assert_cut_consistent(&mut state);
+        let graph = er_graph(150, 11);
+        for looped in [false, true] {
+            for policy in [
+                RepairPolicy::Off,
+                RepairPolicy::Local,
+                RepairPolicy::Boundary,
+            ] {
+                let mut spec = job(4);
+                spec.repair = policy;
+                spec.drift = 1e9; // never fall back: stress the incremental path
+                let mut state = match looped {
+                    false => PartitionState::new(&spec, &mut InMemoryStream::new(&graph)),
+                    true => PartitionState::new(&spec, &mut Looped::new(&graph)),
+                }
+                .unwrap();
+                assert_eq!(state.graph().has_edge(0, 0), looped);
+                let mut rng = ChaCha8Rng::seed_from_u64(42);
+                for _ in 0..8 {
+                    let batch = random_batch(&state, &mut rng, 40);
+                    state.apply(&batch).unwrap();
+                    assert_cut_consistent(&mut state);
+                }
             }
         }
     }
@@ -257,30 +323,55 @@ mod tests {
         assert_cut_consistent(&mut state);
     }
 
+    /// Over a graph without loops and over one whose nodes carry them: a
+    /// delete of the loop `0–0` deletes an absent edge in the first and is
+    /// refused in the second, where it would have removed one entry of two.
+    /// An insert that leaves a cut past `u64::MAX` is refused as well.
     #[test]
     fn inconsistent_deltas_are_typed_errors() {
-        let mut state = state_over(50, 2, 2);
+        let graph = er_graph(50, 2);
+        for looped in [false, true] {
+            let mut state = match looped {
+                false => state_over(50, 2, 2),
+                true => PartitionState::new(&job(2), &mut Looped::new(&graph)).unwrap(),
+            };
+            assert_eq!(state.graph().has_edge(0, 0), looped);
 
-        let mut dup = DeltaBatch::new();
-        let (nbrs, _) = state.graph().neighbors(0);
-        let existing = nbrs.first().copied();
-        if let Some(v) = existing {
-            dup.insert_edge(0, v, 1);
-            assert!(state.apply(&dup).is_err());
+            let mut dup = DeltaBatch::new();
+            let (nbrs, _) = state.graph().neighbors(0);
+            let existing = nbrs.first().copied();
+            if let Some(v) = existing.filter(|&v| v != 0) {
+                dup.insert_edge(0, v, 1);
+                assert!(state.apply(&dup).is_err());
+            }
+            let mut missing = DeltaBatch::new();
+            missing.delete_edge(0, 0);
+            assert!(state.apply(&missing).is_err());
+            assert_eq!(state.graph().has_edge(0, 0), looped);
+
+            let mut dead = DeltaBatch::new();
+            dead.delete_node(49);
+            state.apply(&dead).unwrap();
+            let mut again = DeltaBatch::new();
+            again.delete_node(49);
+            assert!(state.apply(&again).is_err());
+
+            // The maintained state is still sound after the failures.
+            assert_cut_consistent(&mut state);
         }
-        let mut missing = DeltaBatch::new();
-        missing.delete_edge(0, 0);
-        assert!(state.apply(&missing).is_err());
 
-        let mut dead = DeltaBatch::new();
-        dead.delete_node(49);
-        state.apply(&dead).unwrap();
-        let mut again = DeltaBatch::new();
-        again.delete_node(49);
-        assert!(state.apply(&again).is_err());
-
-        // The maintained state is still sound after the failures.
-        assert_cut_consistent(&mut state);
+        // So is a delta after which the cut no longer fits in a u64.
+        let mut spec = job(2);
+        spec.repair = RepairPolicy::Off;
+        let mut state = PartitionState::new(&spec, &mut InMemoryStream::new(&graph)).unwrap();
+        let blocks = state.assignments();
+        let pairs = (0..50).flat_map(|u| (0..50).map(move |v| (u, v)));
+        let mut cut = pairs.filter(|&(u, v)| blocks[u as usize] != blocks[v as usize]);
+        let (u, v) = cut.find(|&(u, v)| !state.graph().has_edge(u, v)).unwrap();
+        let mut heavy = DeltaBatch::new();
+        heavy.insert_edge(u, v, u64::MAX);
+        let err = state.apply(&heavy).unwrap_err().to_string();
+        assert!(err.contains("edge-cut exceeds u64::MAX"), "{err}");
     }
 
     #[test]

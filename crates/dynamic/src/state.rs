@@ -8,7 +8,8 @@
 //!
 //! * every delta mutates the graph and the per-block loads, `L_max` and
 //!   Fennel's `α` are re-derived in place (no `powf`, no allocation), and
-//!   the edge cut is maintained incrementally (no metric pass per delta);
+//!   the delta is filed in the drive loop's histogram ([`LevelTally`]),
+//!   which the cut and imbalance are read off (no metric pass per delta);
 //! * under [`RepairPolicy::Local`] the nodes a delta touches are re-scored
 //!   in place (one ReFennel step each, under the live balance constraint
 //!   `L_max`); [`RepairPolicy::Boundary`] adds one cascade wave over the
@@ -18,8 +19,8 @@
 //! * a *drift* metric — cumulative moved node mass plus cut regression
 //!   since the last full pass — triggers a full restream fallback through
 //!   the multi-pass engine once it exceeds the job's `drift=` threshold.
-//!   The fallback is seeded with the maintained assignment, so the engine's
-//!   revert guard ensures it never returns something worse;
+//!   The fallback is seeded with the maintained assignment and histogram,
+//!   so the engine's revert guard ensures it never returns something worse;
 //! * [`PartitionState::save`] persists assignments, trajectory and drift
 //!   counters as a trailer of the service's stream file, and
 //!   [`PartitionState::resume`] restores a byte-identical service state
@@ -30,9 +31,9 @@
 //! the property the `dynamic_quality` suite asserts byte for byte.
 
 use crate::{ColdRestream, DynamicGraph};
-use oms_core::executor::{run_restream, run_restream_seeded};
+use oms_core::executor::{run_restream, run_restream_seeded, LevelTally};
 use oms_core::{
-    measure_pass, BlockId, JobSpec, NodeSink, PartitionError, PassStats, RepairPolicy, RepairSink,
+    BlockId, JobSpec, NodeSink, PartitionError, PassStats, RepairPolicy, RepairSink,
     RestreamOptions, Result, UNASSIGNED,
 };
 use oms_graph::io::{
@@ -69,14 +70,16 @@ pub struct TraceCursor {
     pub op: usize,
 }
 
-/// A maintained partition: the dynamic graph, the repair sink and the drift
-/// bookkeeping. See the [crate docs](crate).
+/// A maintained partition: the dynamic graph, the repair sink, its
+/// histogram and the drift bookkeeping. See the [crate docs](crate).
 pub struct PartitionState {
     job: JobSpec,
     graph: DynamicGraph,
     sink: RepairSink,
     policy: RepairPolicy,
-    cut: u64,
+    /// The flat histogram of the sink's assignment over the live graph.
+    tally: LevelTally<'static>,
+    /// The drift counters but `current_cut`, which is read off `tally`.
     counters: DriftCounters,
     trajectory: Vec<PassStats>,
     /// Per-delta scratch, reused so a warm delta allocates nothing: the
@@ -92,7 +95,7 @@ impl std::fmt::Debug for PartitionState {
             .field("num_blocks", &self.sink.num_blocks())
             .field("live_nodes", &self.graph.num_live_nodes())
             .field("live_edges", &self.graph.num_live_edges())
-            .field("edge_cut", &self.cut)
+            .field("edge_cut", &self.edge_cut())
             .field("drift", &self.drift())
             .finish_non_exhaustive()
     }
@@ -102,8 +105,8 @@ impl PartitionState {
     /// Brings up the service: reads `stream` once into the graph's slab —
     /// which proves the adjacency symmetric, so a one-sided input is a
     /// graph error here — runs the initial (re)streaming passes of `job`'s
-    /// algorithm over it and records the resulting cut as the drift
-    /// baseline.
+    /// algorithm over it, keeps the histogram they tallied and records the
+    /// resulting cut as the drift baseline.
     pub fn new(job: &JobSpec, stream: &mut dyn NodeStream) -> Result<Self> {
         // `DynamicGraph::from_stream` takes its counts from the stream
         // header, so the sink is built — and a job that cannot be repaired
@@ -112,17 +115,17 @@ impl PartitionState {
         let mut sink = RepairSink::new(job, n, m, stream.total_node_weight())?;
         let mut graph = DynamicGraph::from_stream(stream)?;
         let opts = RestreamOptions::new(job.passes, job.convergence);
-        let trajectory = run_restream(&mut graph, &mut sink, &opts)?;
-        let cut = trajectory.final_edge_cut().unwrap_or(0);
+        let mut tally = LevelTally::new(n, sink.num_blocks(), None)?;
+        let trajectory = run_restream_seeded(&mut graph, &mut sink, &opts, None, Some(&mut tally))?;
+        let cut = tally.edge_cut()?;
         Ok(PartitionState {
             job: job.clone(),
             policy: job.repair,
             graph,
             sink,
-            cut,
+            tally,
             counters: DriftCounters {
                 baseline_cut: cut,
-                current_cut: cut,
                 ..DriftCounters::default()
             },
             trajectory: trajectory.stats,
@@ -153,18 +156,14 @@ impl PartitionState {
 
     /// The maintained edge cut.
     pub fn edge_cut(&self) -> u64 {
-        self.cut
+        self.tally
+            .edge_cut()
+            .expect("`apply` refuses a cut past u64::MAX")
     }
 
     /// The maintained imbalance `max_i c(V_i)/(c(V)/k) − 1`.
     pub fn imbalance(&self) -> f64 {
-        let total = self.graph.live_weight();
-        if total == 0 {
-            return 0.0;
-        }
-        let avg = total as f64 / self.sink.num_blocks() as f64;
-        let max = self.sink.block_weights().iter().copied().max().unwrap_or(0);
-        max as f64 / avg - 1.0
+        self.tally.imbalance()
     }
 
     /// The maintained assignment, one entry per id-space slot
@@ -186,7 +185,7 @@ impl PartitionState {
     /// The drift counters (cumulative, as persisted in snapshots).
     pub fn counters(&self) -> DriftCounters {
         DriftCounters {
-            current_cut: self.cut,
+            current_cut: self.edge_cut(),
             ..self.counters
         }
     }
@@ -209,27 +208,28 @@ impl PartitionState {
             self.counters.moved_weight as f64 / total as f64
         };
         let regression = if self.counters.baseline_cut == 0 {
-            if self.cut > 0 {
+            if self.edge_cut() > 0 {
                 f64::INFINITY
             } else {
                 0.0
             }
         } else {
-            (self.cut as f64 / self.counters.baseline_cut as f64 - 1.0).max(0.0)
+            (self.edge_cut() as f64 / self.counters.baseline_cut as f64 - 1.0).max(0.0)
         };
         moved + regression
     }
 
     // -------------------------------------------------------------- ingest
 
-    /// Applies every delta of `batch`: graph mutation, incremental cut and
-    /// load maintenance, local repair per the job's `repair=` policy, and —
+    /// Applies every delta of `batch`: graph mutation, histogram and load
+    /// maintenance, local repair per the job's `repair=` policy, and —
     /// checked after every delta — the drift-triggered full-restream
     /// fallback.
     ///
     /// Fails with a typed error (and stops at the offending delta) when the
     /// batch is inconsistent with the graph: duplicate edge inserts,
-    /// deletes of absent edges, references to dead nodes.
+    /// deletes of absent edges, self-loop inserts or deletes, references to
+    /// dead nodes — or when a delta leaves an edge cut past `u64::MAX`.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyStats> {
         self.apply_from(batch, 0)
     }
@@ -242,6 +242,8 @@ impl PartitionState {
         let mut stats = ApplyStats::default();
         for i in start..batch.len() {
             self.apply_delta(batch.get(i), &mut stats)?;
+            // The cut's readers (`edge_cut`, `drift`) rely on this check.
+            self.tally.edge_cut()?;
             self.counters.deltas_applied += 1;
             stats.deltas += 1;
             if self.drift() > self.job.drift {
@@ -249,7 +251,6 @@ impl PartitionState {
                 stats.restreams += 1;
             }
         }
-        self.counters.current_cut = self.cut;
         stats.seconds = clock.seconds();
         self.sink.flush_hot_counters();
         oms_obs::observe(Event::DeltaBatchApplied {
@@ -257,7 +258,7 @@ impl PartitionState {
             rescored: stats.rescored as u64,
             moved: stats.moved as u64,
             restreams: stats.restreams as u64,
-            edge_cut: self.cut,
+            edge_cut: self.edge_cut(),
         });
         oms_obs::counter_add(CounterId::DeltasApplied, stats.deltas as u64);
         oms_obs::counter_add(CounterId::RepairRescored, stats.rescored as u64);
@@ -270,9 +271,8 @@ impl PartitionState {
         match delta {
             Delta::EdgeInsert { u, v, w } => {
                 self.graph.insert_edge(u, v, w)?;
-                if self.sink.assignment(u) != self.sink.assignment(v) {
-                    self.cut += w;
-                }
+                self.tally
+                    .insert_edge(self.sink.assignment(u), self.sink.assignment(v), w);
                 self.retune();
                 if self.policy != RepairPolicy::Off {
                     self.repair([u, v], stats);
@@ -280,9 +280,8 @@ impl PartitionState {
             }
             Delta::EdgeDelete { u, v } => {
                 let w = self.graph.delete_edge(u, v)?;
-                if self.sink.assignment(u) != self.sink.assignment(v) {
-                    self.cut -= w;
-                }
+                self.tally
+                    .delete_edge(self.sink.assignment(u), self.sink.assignment(v), w);
                 self.retune();
                 if self.policy != RepairPolicy::Off {
                     self.repair([u, v], stats);
@@ -290,6 +289,7 @@ impl PartitionState {
             }
             Delta::NodeInsert { node, weight } => {
                 self.graph.insert_node(node, weight)?;
+                self.tally.insert_node(weight);
                 self.sink.grow(self.graph.id_space());
                 self.retune();
                 // A new node must be placed even under `repair=off` — an
@@ -301,11 +301,9 @@ impl PartitionState {
                 self.graph.delete_node(node, &mut self.removed)?;
                 let block = self.sink.assignment(node);
                 let removed = std::mem::take(&mut self.removed);
-                for &(nbr, w) in &removed {
-                    if self.sink.assignment(nbr) != block {
-                        self.cut -= w;
-                    }
-                }
+                let assignments = self.sink.assignments();
+                self.tally
+                    .delete_node(node, block, weight, &removed, assignments);
                 self.sink.forget(node, weight);
                 self.retune();
                 if self.policy != RepairPolicy::Off {
@@ -326,18 +324,8 @@ impl PartitionState {
         );
     }
 
-    /// Weight of `v`'s incident edges that cross out of block `b`.
-    fn cross_weight(&self, v: NodeId, b: BlockId) -> u64 {
-        let (nbrs, wts) = self.graph.neighbors(v);
-        nbrs.iter()
-            .zip(wts)
-            .filter(|&(&u, _)| b == UNASSIGNED || self.sink.assignment(u) != b)
-            .map(|(_, &w)| w)
-            .sum()
-    }
-
     /// One ReFennel step on `v`: unassign, re-score under the live `L_max`,
-    /// and fold the (possible) move into cut and drift.
+    /// and fold the (possible) move into the histogram and the drift.
     /// Returns whether `v` changed blocks.
     fn rescore_node(&mut self, v: NodeId, stats: &mut ApplyStats) -> bool {
         if !self.graph.is_alive(v) {
@@ -349,11 +337,10 @@ impl PartitionState {
         if new == old {
             return false;
         }
-        // Neighbor assignments are untouched by v's move, so the cut shifts
-        // by exactly v's cross-weight difference.
-        let before = self.cross_weight(v, old);
-        let after = self.cross_weight(v, new);
-        self.cut = self.cut - before + after;
+        // Neighbor assignments are untouched by v's move, so moving v's own
+        // entries keeps the histogram that of the sink's assignment.
+        let (node, assignments) = (self.graph.streamed(v), self.sink.assignments());
+        self.tally.move_node(node, old, new, assignments);
         stats.moved += 1;
         self.counters.moved_weight += self.graph.node_weight(v);
         true
@@ -401,28 +388,23 @@ impl PartitionState {
     /// so a service can force a full pass (e.g. before a planned shutdown).
     pub fn full_restream(&mut self) -> Result<()> {
         let baseline: Vec<BlockId> = self.sink.assignments().to_vec();
-        // The seed is the partition this service maintains: its cut and
-        // imbalance are tracked delta by delta, and the graph keeps its
-        // entry weight, which together with the loads is the seed's whole
-        // histogram. So the engine walks no entry to measure the seed, and
-        // its passes measure only the nodes they move (debug builds
-        // re-measure and assert agreement).
-        let opts = RestreamOptions::new(self.job.passes, self.job.convergence).with_seed_stats(
-            self.cut,
-            self.imbalance(),
-            self.graph.entry_weight(),
-        );
-        let trajectory =
-            run_restream_seeded(&mut self.graph, &mut self.sink, &opts, Some(&baseline))?;
-        self.cut = trajectory.final_edge_cut().unwrap_or(self.cut);
+        // The engine takes the seed's histogram in place of a walk and hands
+        // back the one of the partition it leaves.
+        let opts = RestreamOptions::new(self.job.passes, self.job.convergence);
+        let trajectory = run_restream_seeded(
+            &mut self.graph,
+            &mut self.sink,
+            &opts,
+            Some(&baseline),
+            Some(&mut self.tally),
+        )?;
         self.trajectory.extend(trajectory.stats);
         self.counters.restreams += 1;
         self.counters.moved_weight = 0;
-        self.counters.baseline_cut = self.cut;
-        self.counters.current_cut = self.cut;
+        self.counters.baseline_cut = self.tally.edge_cut()?;
         oms_obs::observe(Event::DriftFallback {
             restreams: self.counters.restreams,
-            edge_cut: self.cut,
+            edge_cut: self.counters.baseline_cut,
         });
         oms_obs::counter_add(CounterId::DriftFallbacks, 1);
         Ok(())
@@ -486,7 +468,7 @@ impl PartitionState {
         write_snapshot(stream, &self.snapshot())?;
         oms_obs::observe(Event::SnapshotWritten {
             deltas_applied: self.counters.deltas_applied,
-            edge_cut: self.cut,
+            edge_cut: self.edge_cut(),
         });
         oms_obs::counter_add(CounterId::SnapshotsWritten, 1);
         Ok(())
@@ -495,9 +477,10 @@ impl PartitionState {
     /// Restores a service from `stream`'s snapshot trailer plus the delta
     /// trace it had been fed: the base graph is re-materialised, the first
     /// `deltas_applied` trace operations are replayed as pure graph
-    /// mutations (assignments come from the snapshot), and the maintained
-    /// cut is re-measured as a consistency check. Returns the state and the
-    /// [`TraceCursor`] where ingest should continue.
+    /// mutations (assignments come from the snapshot), and the histogram is
+    /// walked from the assignments, its cut checked against the snapshot's.
+    /// Returns the state and the [`TraceCursor`] where ingest should
+    /// continue.
     ///
     /// Because repair is deterministic, the resumed service is
     /// byte-identical to one that never stopped.
@@ -570,6 +553,16 @@ impl PartitionState {
             graph.live_weight(),
         )?;
         sink.seed(&snap.assignments, &weights);
+        let mut tally = LevelTally::new(graph.id_space(), k, None)?;
+        tally.walk(&mut graph, &snap.assignments)?;
+        let measured = tally.edge_cut()?;
+        if measured != snap.counters.current_cut {
+            return Err(PartitionError::InvalidConfig(format!(
+                "snapshot cut {} does not match the replayed graph (measured {measured}) — \
+                 the trace is not the one the snapshot was taken under",
+                snap.counters.current_cut
+            )));
+        }
         let trajectory = snap
             .trajectory
             .iter()
@@ -586,24 +579,16 @@ impl PartitionState {
             policy: job.repair,
             graph,
             sink,
-            cut: snap.counters.current_cut,
+            tally,
             counters: snap.counters,
             trajectory,
             removed: Vec::new(),
             wave: Vec::new(),
         };
         state.retune();
-        let (measured, _) = measure_pass(&mut state.graph, state.sink.assignments(), k)?;
-        if measured != state.cut {
-            return Err(PartitionError::InvalidConfig(format!(
-                "snapshot cut {} does not match the replayed graph (measured {measured}) — \
-                 the trace is not the one the snapshot was taken under",
-                state.cut
-            )));
-        }
         oms_obs::observe(Event::SnapshotResumed {
             deltas_applied: state.counters.deltas_applied,
-            edge_cut: state.cut,
+            edge_cut: measured,
         });
         oms_obs::counter_add(CounterId::SnapshotsResumed, 1);
         Ok((state, cursor))
