@@ -45,11 +45,14 @@
 //!   `NARROW_SELECT` (8) children runs the exact loop (`select_child`): one
 //!   pass that scores every child and folds the `u64` feasibility test into
 //!   a maximum, and one tie-break pass. A group of 8 to 47 runs the
-//!   **narrow select** (`pick_narrow`): connectivity bucketed in `u64` and
-//!   converted once per child, feasibility read off a per-tree-node `f64`
-//!   headroom, one pass of four independent lane maxima and one tie-break
-//!   pass that takes the least `(load, index)` key among the children at
-//!   the maximum, both free of data-dependent branches. A group of at least
+//!   **narrow select** (`pick_narrow`): connectivity bucketed in `u64`,
+//!   then three passes over the group's slices, free of bounds checks and
+//!   of data-dependent branches, which LLVM packs into SSE2 registers on
+//!   the baseline x86-64 target: one scores every child, its connectivity
+//!   converted exactly through the `2^52` constant and its feasibility read
+//!   off a per-tree-node `f64` headroom; one takes four independent lane
+//!   maxima; one takes the least `(load, index)` key among the children at
+//!   the maximum. A group of at least
 //!   `WIDE_SELECT` (48) keeps a **champion tree** and runs the **champion
 //!   select** (`select_champion`), which scores only the children the
 //!   node's neighbours touch, the champion and, on a rescore, the child the
@@ -108,9 +111,10 @@
 //! The narrow select picks the same child as the exact loop, for these
 //! reasons:
 //!
-//! * **Connectivity.** It converts the `u64` sums the exact loop scores,
-//!   through `i64`: below `2^63` that is the same integer, rounded the same
-//!   way.
+//! * **Connectivity.** It converts each `u64` sum `c` the exact loop
+//!   scores as the `f64` whose bits are those of `2^52` ORed with `c`,
+//!   minus `2^52`: below `2^52` that is `2^52 + c − 2^52`, every term exact,
+//!   so `c` itself, as the exact loop's conversion gives it.
 //! * **Feasibility.** For a node weight `1 ≤ w < 2^53` and
 //!   `room = capacity.saturating_sub(weight) as f64`, `w as f64 <= room`
 //!   holds exactly when `weight + w <= capacity`: `w` is exact and rounding
@@ -122,12 +126,13 @@
 //! * **Ties.** With no NaN and a maximum above `−∞`, "not below the
 //!   maximum" is "equal to it", and the least key `load · 2^6 + index`
 //!   orders the children at the maximum as the exact loop does — lighter,
-//!   then lower index — exactly in `f64` for loads below `2^47`.
+//!   then lower index — and stays below `2^52`, where the connectivity's
+//!   conversion is exact, for loads below `2^46`.
 //!
 //! Every other case falls back to the exact loop: a node weight of 0 or
 //! from `2^53` on skips it, and it declines when a feasible score is NaN
 //! (the exact loop counts it as tied), the maximum is `−∞` (no child fits),
-//! a connectivity reaches `2^63` or a load `2^47`.
+//! a connectivity reaches `2^52` or a load `2^46`.
 //!
 //! The champion select scores with the exact loop's own `u64` sums, `u64`
 //! feasibility test and rules, only over fewer children; it picks the same
@@ -330,8 +335,9 @@ const MEMO: usize = 256;
 /// in `f64`.
 const F64_EXACT: u64 = 1 << 53;
 
-/// Lanes of the narrow select's extrema: four independent running
-/// extrema, two SSE2 registers on the baseline x86-64 target.
+/// Lanes of the narrow select's maxima and least keys: four independent
+/// running extrema per pass, taken chunk by chunk (`as_chunks`), two SSE2
+/// registers on the baseline x86-64 target.
 const LANES: usize = 4;
 
 /// No tree node: the stale-leaf slot of a level without one.
@@ -1192,7 +1198,7 @@ fn play(
 /// headrooms and loads; `scores` is scratch. The node weighs `1 ≤
 /// node_weight < 2^53`, so "fits" is `node_weight as f64 <= room` exactly.
 /// `None` where a feasible score is NaN, the maximum is `−∞`, a
-/// connectivity reaches `2^63` or a load `2^47`.
+/// connectivity reaches `2^52` or a load `2^46`.
 #[inline(always)]
 fn pick_narrow(
     objective: FlatObjective,
@@ -1227,22 +1233,44 @@ fn pick_narrow(
 }
 
 /// Bits of the child index in a tie-break key of [`pick_narrow_by`]; loads
-/// below `2^(53 − INDEX_BITS)` leave the key exact in `f64`.
+/// below `2^(52 − INDEX_BITS)` leave the key below `2^52`, where [`small`]
+/// converts it exactly.
 const INDEX_BITS: u32 = 6;
 const _: () = assert!(WIDE_SELECT <= 1 << INDEX_BITS);
 
+/// The bits of `2^52` as an `f64`. ORed into an integer `c < 2^52` they
+/// make the `f64` `2^52 + c`: the exponent of `2^52` and `c` as the
+/// mantissa.
+const TWO_52_BITS: u64 = 0x4330_0000_0000_0000;
+
+/// `c` as an `f64`, exactly for `c < 2^52`; meaningless (NaN or infinite,
+/// possibly) from `2^52` on, where every caller declines. An OR and a
+/// subtraction, which pack into SSE2 registers where the baseline x86-64
+/// target has no packed `u64 → f64` conversion.
+#[inline(always)]
+fn small(c: u64) -> f64 {
+    f64::from_bits(c | TWO_52_BITS) - f64::from_bits(TWO_52_BITS)
+}
+
 /// [`pick_narrow`] for one objective's `combine`.
 ///
-/// The first pass scores every child — masked to `−∞` where the node does
-/// not fit — and takes their maximum; it is the only pass that reads `conn`.
-/// Below `2^63` the signed conversion gives the `f64` the exact loop's
-/// unsigned one does, in one instruction on the baseline target instead of
-/// several. The second pass finds the lightest, then lowest-index, child
-/// that attains the maximum as the least key `load · 2^INDEX_BITS + index`
-/// among the children whose score `==` it: `f64` compares and minima, which
-/// compile to no branch, where a branch on the position of the maximum
-/// mispredicts. Both passes keep [`LANES`] independent running extrema, so
-/// no chain of `maxsd` / `minsd` latencies runs through the group.
+/// Three passes over zipped slices and their [`LANES`]-wide chunks, with
+/// no bounds check, each of which LLVM packs on its own:
+///
+/// 1. score every child — connectivity consumed and converted by [`small`],
+///    masked to `−∞` where the node does not fit — into `scores`, and OR
+///    the connectivities together;
+/// 2. take [`LANES`] lane maxima and NaN flags over `scores`, and OR the
+///    loads together;
+/// 3. take the least key `small(load << INDEX_BITS | index)` among the
+///    children whose score `==` the maximum: the lightest, then
+///    lowest-index, child that attains it, by `f64` compares and minima,
+///    which compile to no branch, where a branch on the position of the
+///    maximum mispredicts.
+///
+/// A connectivity from `2^52` on or a load from `2^(52 − INDEX_BITS)` on
+/// makes it decline. The passes stay apart: one loop that kept each lane's
+/// maximum and least key together was not packed.
 #[inline(always)]
 fn pick_narrow_by(
     combine: impl Fn(f64, f64) -> f64,
@@ -1253,62 +1281,72 @@ fn pick_narrow_by(
     node_weight: NodeWeight,
     scores: &mut [f64],
 ) -> Option<usize> {
-    let fan_out = conn.len();
-    let (bases, room) = (&bases[..fan_out], &room[..fan_out]);
-    let (weights, scores) = (&weights[..fan_out], &mut scores[..fan_out]);
     let need = node_weight as f64;
-    let (mut max, mut nan) = ([f64::NEG_INFINITY; LANES], [false; LANES]);
-    let (mut conn_bits, mut weight_bits) = (0, 0);
-    by_lane(fan_out, |i, lane| {
-        let c = conn[i];
-        conn[i] = 0;
-        let s = combine(c as i64 as f64, bases[i]);
-        let s = if need <= room[i] {
-            s
-        } else {
-            f64::NEG_INFINITY
-        };
-        scores[i] = s;
-        nan[lane] |= s.is_nan();
+    let mut conn_bits = 0;
+    let children = conn.iter_mut().zip(bases).zip(room);
+    for (((c, &base), &room), score) in children.zip(scores.iter_mut()) {
+        let c = std::mem::take(c);
         conn_bits |= c;
-        weight_bits |= weights[i];
-        max[lane] = if s > max[lane] { s } else { max[lane] };
-    });
+        let s = combine(small(c), base);
+        *score = if need <= room { s } else { f64::NEG_INFINITY };
+    }
+    let scores = &scores[..conn.len()];
+    let (mut max, mut nan) = ([f64::NEG_INFINITY; LANES], [false; LANES]);
+    let (chunks, tail) = scores.as_chunks::<LANES>();
+    for chunk in chunks {
+        for ((max, nan), &s) in max.iter_mut().zip(&mut nan).zip(chunk) {
+            *max = if s > *max { s } else { *max };
+            *nan |= s.is_nan();
+        }
+    }
+    for &s in tail {
+        max[0] = if s > max[0] { s } else { max[0] };
+        nan[0] |= s.is_nan();
+    }
+    let weights = &weights[..conn.len()];
+    let weight_bits = weights.iter().fold(0, |bits, &w| bits | w);
     let max = across_lanes(max, |a, b| if b > a { b } else { a });
-    let exact = conn_bits <= i64::MAX as u64 && weight_bits < F64_EXACT >> INDEX_BITS;
+    let exact = conn_bits < 1 << 52 && weight_bits < 1 << (52 - INDEX_BITS);
     if nan.contains(&true) || max == f64::NEG_INFINITY || !exact {
         return None;
     }
     // No feasible score is NaN and `max > −∞`: a child attains the maximum
     // exactly when its score `==` it.
+    let key = |s: f64, w: NodeWeight, i: u64| {
+        let key = small((w << INDEX_BITS) | i);
+        if s == max {
+            key
+        } else {
+            f64::INFINITY
+        }
+    };
     let mut least = [f64::INFINITY; LANES];
-    by_lane(fan_out, |i, lane| {
-        let key = ((weights[i] << INDEX_BITS) | i as u64) as i64 as f64;
-        let key = if scores[i] == max { key } else { f64::INFINITY };
-        least[lane] = if key < least[lane] { key } else { least[lane] };
-    });
-    let least = across_lanes(least, |a, b| if b < a { b } else { a });
-    Some((least as i64 & ((1 << INDEX_BITS) - 1)) as usize)
-}
-
-/// Calls `f(i, lane)` for every child `i < fan_out`: `lane = i % LANES`,
-/// except that the last `fan_out % LANES` children all go to lane 0.
-#[inline(always)]
-fn by_lane(fan_out: usize, mut f: impl FnMut(usize, usize)) {
-    for chunk in 0..fan_out / LANES {
+    let mut index: [u64; LANES] = std::array::from_fn(|lane| lane as u64);
+    let (score_chunks, score_tail) = scores.as_chunks::<LANES>();
+    let (weight_chunks, weight_tail) = weights.as_chunks::<LANES>();
+    for (s, w) in score_chunks.iter().zip(weight_chunks) {
         for lane in 0..LANES {
-            f(chunk * LANES + lane, lane);
+            let k = key(s[lane], w[lane], index[lane]);
+            least[lane] = if k < least[lane] { k } else { least[lane] };
+            index[lane] += LANES as u64;
         }
     }
-    for i in fan_out - fan_out % LANES..fan_out {
-        f(i, 0);
+    for ((&s, &w), i) in score_tail.iter().zip(weight_tail).zip(index[0]..) {
+        let k = key(s, w, i);
+        least[0] = if k < least[0] { k } else { least[0] };
     }
+    let least = across_lanes(least, |a, b| if b < a { b } else { a });
+    Some(least as usize & ((1 << INDEX_BITS) - 1))
 }
 
 /// The extremum `pick` of the [`LANES`] lane extrema, as a tree of depth 2.
+/// Lanes 0 and 1 share one SSE2 register and lanes 2 and 3 the other, so
+/// pairing lane `i` with `i + 2` first is one packed `pick` of the two
+/// registers; the tie-break pass's lanes, paired the other way, were
+/// packed from shuffled loads.
 #[inline(always)]
 fn across_lanes(lanes: [f64; LANES], pick: impl Fn(f64, f64) -> f64) -> f64 {
-    pick(pick(lanes[0], lanes[1]), pick(lanes[2], lanes[3]))
+    pick(pick(lanes[0], lanes[2]), pick(lanes[1], lanes[3]))
 }
 
 impl NodeSink for OmsSink {
@@ -1589,7 +1627,8 @@ mod tests {
     /// ties and of the values IEEE 754, the `f64` headroom and the narrow
     /// select's conversions could get wrong: it decides exactly where the
     /// exact loop's answer does not rest on a NaN or on `−∞`, no
-    /// connectivity reaches `2^63` and no load `2^47`, and then agrees.
+    /// connectivity reaches `2^52` and no load `2^46`, and then agrees.
+    /// The draws sit on both sides of both limits.
     #[test]
     fn narrow_select_picks_the_child_the_exact_loop_picks() {
         const BIG: u64 = F64_EXACT - 1;
@@ -1605,16 +1644,21 @@ mod tests {
                 let group = first..first + width;
                 for trial in 0..300 {
                     // Few distinct values per trial, so that equal scores —
-                    // at equal and at different weights — are common.
-                    let mut loads: [NodeWeight; 2] =
-                        [rng.pick(&[0, 1, 7, 250]), rng.pick(&[263, 264, 1 << 40])];
-                    let mut links = [0, rng.pick(&[0, 1, 2]), rng.pick(&[3, 1 << 52, BIG])];
-                    // What the narrow select's conversions cannot take.
+                    // at equal and at different weights — are common, among
+                    // them the largest load and connectivity it converts.
+                    let mut loads: [NodeWeight; 2] = [
+                        rng.pick(&[0, 1, 7, 250]),
+                        rng.pick(&[263, 264, (1 << 46) - 1]),
+                    ];
+                    let mut links = [0, rng.pick(&[0, 1, 2]), rng.pick(&[3, (1 << 52) - 1])];
+                    // The least it cannot, and far beyond.
                     if trial % 13 == 0 {
-                        loads[1] = 1 << 47;
+                        loads[1] = 1 << 46;
                     }
                     if trial % 17 == 0 {
-                        links[2] = 1 << 63;
+                        links[2] = 1 << 52;
+                    } else if trial % 19 == 0 {
+                        links[2] = rng.pick(&[BIG, 1 << 63]);
                     }
                     let need = rng.pick(&[1, 1, 1, 3, BIG]);
                     let specials: &[f64] = match trial % 3 {
@@ -1665,7 +1709,7 @@ mod tests {
                     let weights = &sink.tree_weights[group.clone()];
                     let mut conn = sink.conn[..width].to_vec();
                     let converts =
-                        conn.iter().all(|&c| c < 1 << 63) && weights.iter().all(|&w| w < 1 << 47);
+                        conn.iter().all(|&c| c < 1 << 52) && weights.iter().all(|&w| w < 1 << 46);
                     let mut scores = vec![0.0; width];
                     let picked = pick_narrow(
                         objective,
@@ -1702,12 +1746,13 @@ mod tests {
 
     /// Whole descents on narrow and wide depth-1 kernels — both passes of
     /// a restreaming run — against the exact loop on the same state: node
-    /// weights 0, `2^53 − 1` and `2^53` (which skip the narrow select), and
-    /// edge weights whose gathered sums reach `2^53`. `sink` rescores each
-    /// node as a pass does, on the deferred path of a wide group; `exact`
-    /// unassigns it first, so the exact loop scores the state both start
-    /// from, and then rescores it too. The connectivity row is zero again
-    /// after every node.
+    /// weights 0, `2^53 − 1` and `2^53` (which skip the narrow select) and
+    /// `2^45` (whose block loads cross its `2^46`), and edge weights
+    /// `2^52 − 1` and `2^52`, whose gathered sums fall on both sides of its
+    /// `2^52` and reach `2^53`. `sink` rescores each node as a pass does,
+    /// on the deferred path of a wide group; `exact` unassigns it first, so
+    /// the exact loop scores the state both start from, and then rescores
+    /// it too. The connectivity row is zero again after every node.
     ///
     /// A third leg negates Fennel's `α`, which no job does: the penalty then
     /// rises as the load falls, so a child's key drops when the node leaves
@@ -1724,14 +1769,15 @@ mod tests {
             for (objective, negated) in legs {
                 let n = 4 * width as usize;
                 let node_weights = (0..n)
-                    .map(|_| rng.pick(&[1, 1, 1, 1, 2, 0, F64_EXACT - 1, F64_EXACT]))
+                    .map(|_| rng.pick(&[1, 1, 1, 1, 2, 0, 1 << 45, F64_EXACT - 1, F64_EXACT]))
                     .collect::<Vec<NodeWeight>>();
                 let adjacency: Vec<(Vec<u32>, Vec<EdgeWeight>)> = (0..n)
                     .map(|_| {
                         let degree = rng.draw() % 9;
                         let neighbors = (0..degree).map(|_| (rng.draw() % n as u64) as u32);
                         let neighbors = neighbors.collect();
-                        let weights = (0..degree).map(|_| rng.pick(&[1, 1, 3, 1 << 52]));
+                        let weights =
+                            (0..degree).map(|_| rng.pick(&[1, 1, 3, (1 << 52) - 1, 1 << 52]));
                         (neighbors, weights.collect())
                     })
                     .collect();

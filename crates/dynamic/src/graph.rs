@@ -96,7 +96,9 @@ pub struct DynamicGraph {
     node_weights: Vec<NodeWeight>,
     alive: Vec<bool>,
     live_nodes: usize,
-    live_edges: usize,
+    /// Live adjacency entries: two per edge, one per listed self-loop, so
+    /// half of them is the edge count a stream's header gives.
+    entries: usize,
     total_weight: NodeWeight,
 }
 
@@ -121,7 +123,6 @@ impl DynamicGraph {
             node_weights: vec![0; n],
             alive: vec![true; n],
             live_nodes: n,
-            live_edges: stream.num_edges(),
             total_weight: stream.total_node_weight(),
             ..DynamicGraph::default()
         };
@@ -144,6 +145,7 @@ impl DynamicGraph {
                 };
             }
             longest = longest.max(len as usize);
+            g.entries += len as usize;
             if !g.weighted && node.edge_weights.iter().any(|&w| w != 1) {
                 g.weigh();
             }
@@ -180,9 +182,10 @@ impl DynamicGraph {
         self.live_nodes
     }
 
-    /// Number of live undirected edges.
+    /// Number of live undirected edges, a self-loop counting as half of
+    /// one (rounded down), as in a stream's header.
     pub fn num_live_edges(&self) -> usize {
-        self.live_edges
+        self.entries / 2
     }
 
     /// Total weight of the live nodes.
@@ -274,7 +277,7 @@ impl DynamicGraph {
         }
         self.push(u, v, w);
         self.push(v, u, w);
-        self.live_edges += 1;
+        self.entries += 2;
         Ok(())
     }
 
@@ -405,7 +408,7 @@ impl DynamicGraph {
         };
         self.detach(v, u, Some(w))
             .expect("adjacency lists out of sync (edge present on one side only)");
-        self.live_edges -= 1;
+        self.entries -= 2;
         Ok(w)
     }
 
@@ -460,7 +463,9 @@ impl DynamicGraph {
                 .expect("adjacency lists out of sync (edge present on one side only)");
         }
         self.spans[slot] = Span::default();
-        self.live_edges -= removed.len();
+        // An edge goes with both its entries, a self-loop with its one.
+        let loops = removed.iter().filter(|&&(nbr, _)| nbr == id).count();
+        self.entries -= 2 * removed.len() - loops;
         self.total_weight -= self.node_weights[slot];
         self.node_weights[slot] = 0;
         self.alive[slot] = false;
@@ -478,7 +483,7 @@ impl NodeStream for DynamicGraph {
     }
 
     fn num_edges(&self) -> usize {
-        self.live_edges
+        self.num_live_edges()
     }
 
     fn total_node_weight(&self) -> NodeWeight {
@@ -670,6 +675,33 @@ mod tests {
         g.for_each_node(&mut |node| lists.0[node.node as usize].extend(node.neighbors_weighted()))
             .unwrap();
         DynamicGraph::from_stream(&mut lists).unwrap();
+    }
+
+    /// A self-loop is one adjacency entry, half an edge as a stream's header
+    /// counts it, and a node delete takes away that half, not a whole edge:
+    /// the live edge count stays half the entries the slab streams as the
+    /// nodes of a 6-node graph with two self-loops are deleted.
+    #[test]
+    fn a_node_delete_counts_a_self_loop_as_half_an_edge() {
+        let lists = [
+            vec![0, 1, 2],
+            vec![1, 0, 2],
+            vec![0, 1, 3],
+            vec![2, 4, 5],
+            vec![3, 5],
+            vec![3, 4],
+        ];
+        let lists = lists.map(|list| list.into_iter().map(|u| (u, 1)).collect());
+        let mut g = DynamicGraph::from_stream(&mut Lists(lists.to_vec())).unwrap();
+        assert_eq!(g.num_live_edges(), 8);
+        let mut removed = Vec::new();
+        for v in 0..5 {
+            g.delete_node(v, &mut removed).unwrap();
+            let mut entries = 0;
+            g.for_each_node(&mut |node| entries += node.neighbors.len())
+                .unwrap();
+            assert_eq!(g.num_live_edges(), entries / 2, "after deleting node {v}");
+        }
     }
 
     /// The naive reference: one `Vec` per id, mutated with `push` and
