@@ -602,6 +602,70 @@ fn convert_round_trips_weighted_graphs_through_both_formats() {
     assert!(text.contains("stream format: v3"), "{text}");
 }
 
+/// A `.oms` file keeps self-loop entries; the METIS text `convert` writes
+/// from it carries none, and its header counts the other edges, so `info`
+/// reads it back as n = 6, m = 7 — what the METIS reader makes of the
+/// same lists written with their loops.
+#[test]
+fn convert_writes_a_looped_stream_file_as_metis_without_its_loops() {
+    let dir = temp_dir("looped-convert");
+    // n = 6, m = 8 (two loops counted as half an edge each), c(V) = 6; node
+    // 0 lists itself, and so does node 1.
+    let lists: [&[u32]; 6] = [
+        &[0, 1, 2],
+        &[1, 0, 2],
+        &[0, 1, 3],
+        &[2, 4, 5],
+        &[3, 5],
+        &[3, 4],
+    ];
+    let mut bytes = b"OMSSTRM3".to_vec();
+    for field in [6u64, 8, 6, 0] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    let degrees = lists.iter().map(|list| list.len() as u32);
+    for word in degrees.chain(lists.iter().flat_map(|list| list.iter().copied())) {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    assert_eq!(bytes.len(), 128);
+    let looped = dir.join("looped.oms");
+    std::fs::write(&looped, bytes).unwrap();
+    let converted = dir.join("converted.metis");
+    let output = oms()
+        .arg("convert")
+        .arg(&looped)
+        .arg(&converted)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&converted).unwrap();
+    assert_eq!(text, "6 7\n2 3\n1 3\n1 2 4\n3 5 6\n4 6\n4 5\n");
+
+    let with_loops = dir.join("with-loops.metis");
+    std::fs::write(&with_loops, "6 7\n1 2 3\n2 1 3\n1 2 4\n3 5 6\n4 6\n4 5\n").unwrap();
+    let info = |path: &std::path::Path| {
+        let output = oms().arg("info").arg(path).output().unwrap();
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let text = String::from_utf8_lossy(&output.stdout).to_string();
+        text.lines()
+            .filter(|line| !line.starts_with("file"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let read_back = info(&converted);
+    assert!(read_back.contains("nodes        : 6"), "{read_back}");
+    assert!(read_back.contains("edges        : 7"), "{read_back}");
+    assert_eq!(read_back, info(&with_loops));
+}
+
 #[test]
 fn an_edge_list_drops_directions_and_repeats_and_round_trips() {
     let dir = temp_dir("edge-list-repeats");

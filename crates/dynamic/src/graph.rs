@@ -221,6 +221,40 @@ impl DynamicGraph {
         (&self.nbrs[live], wts)
     }
 
+    /// Reads ahead of the work on `nodes`: first the span of every node,
+    /// then each node's first adjacency entry and its weight, and returns a
+    /// value folded from all of them, which the caller hands to
+    /// [`std::hint::black_box`] so the loads stay. No load in either run
+    /// depends on another of the same run, so the core keeps many misses
+    /// in flight at once where the work that follows would take them one
+    /// dependent chain (span, adjacency line, weight) at a time.
+    ///
+    /// It only reads, and tolerates any id: an id past the id space is
+    /// skipped, and a dead id or an empty span has no adjacency entry to
+    /// read. So a caller may pass ids no mutation has validated yet — even
+    /// a valid trace does, when an edge delta names a node that a node
+    /// insert earlier in the same look-ahead window creates.
+    pub(crate) fn read_ahead(&self, nodes: &[NodeId]) -> u64 {
+        let mut folded = 0u64;
+        for &v in nodes {
+            if let Some(span) = self.spans.get(v as usize) {
+                folded = folded.wrapping_add(span.start as u64);
+            }
+        }
+        for &v in nodes {
+            let Some(span) = self.spans.get(v as usize) else {
+                continue;
+            };
+            if span.len > 0 {
+                let first = self.nbrs.get(span.start).copied().unwrap_or(0);
+                folded = folded.wrapping_add(first as u64);
+            }
+            let weight = self.node_weights.get(v as usize).copied().unwrap_or(0);
+            folded = folded.wrapping_add(weight);
+        }
+        folded
+    }
+
     /// Materialises the weight pool, one 1 per pool slot so far; the slab
     /// is weighted from then on.
     fn weigh(&mut self) {
@@ -612,6 +646,40 @@ mod tests {
         g.insert_edge(3, 1, 7).unwrap();
         assert_eq!(g.neighbors(3), (&[1][..], &[7][..]));
         assert_eq!(g.neighbors(1), (&[2, 3][..], &[1, 7][..]));
+    }
+
+    /// `read_ahead` takes ids nothing has validated: ids past the id space,
+    /// dead ids and empty spans are read past, and every list, weight and
+    /// count stays as it was.
+    #[test]
+    fn read_ahead_tolerates_any_id_and_changes_nothing() {
+        // Nodes 3 and 4 are isolated; node 2 dies and abandons its span.
+        let csr = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (1, 2)]).unwrap();
+        let mut g = DynamicGraph::from_graph(&csr);
+        g.delete_node(2, &mut Vec::new()).unwrap();
+        let view = |g: &DynamicGraph| {
+            let ids = 0..g.id_space() as NodeId;
+            let lists: Vec<_> = ids
+                .map(|v| {
+                    let (nbrs, wts) = g.neighbors(v);
+                    let node = g.streamed(v);
+                    (g.is_alive(v), node.weight, nbrs.to_vec(), wts.to_vec())
+                })
+                .collect();
+            let counts = (g.num_live_nodes(), g.num_live_edges(), g.live_weight());
+            (g.id_space(), counts, (g.nbrs.len(), g.abandoned), lists)
+        };
+        let before = view(&g);
+        assert_eq!(g.read_ahead(&[]), 0);
+        assert_eq!(g.read_ahead(&[5, NodeId::MAX]), 0, "past the id space");
+        // Dead node 2 and isolated node 3 fold their span starts (0) and
+        // weights (0 and 1); live node 1 its start 2, first entry 0 and
+        // weight 1.
+        assert_eq!(g.read_ahead(&[2, 3]), 1);
+        assert_eq!(g.read_ahead(&[1]), 3);
+        let hostile = [NodeId::MAX, 5, 2, 3, 4, 0, 1, 2, NodeId::MAX - 1, 0];
+        g.read_ahead(&hostile);
+        assert_eq!(view(&g), before);
     }
 
     /// Lists as given, streamed in id order.

@@ -24,7 +24,10 @@
 //!   per the job's `repair=` policy — on reused scratch buffers, so a warm
 //!   delta allocates nothing but slab growth. No boundary set is kept:
 //!   `repair=boundary` reads from a neighbor's adjacency whether it sits on
-//!   a block boundary when its cascade reaches it;
+//!   a block boundary when its cascade reaches it. The slab is read ahead
+//!   of each run of deltas and of each cascade wave, in independent loads
+//!   whose misses overlap; the read-ahead only reads, allocates nothing and
+//!   tolerates ids that no mutation has validated yet;
 //! * a drift metric triggers a seeded full-restream fallback through the
 //!   multi-pass engine once the job's `drift=` threshold is exceeded; it
 //!   takes the histogram in place of a walk of its seed;
@@ -372,6 +375,69 @@ mod tests {
         heavy.insert_edge(u, v, u64::MAX);
         let err = state.apply(&heavy).unwrap_err().to_string();
         assert!(err.contains("edge-cut exceeds u64::MAX"), "{err}");
+    }
+
+    fn append(batch: &mut DeltaBatch, delta: Delta) {
+        match delta {
+            Delta::EdgeInsert { u, v, w } => batch.insert_edge(u, v, w),
+            Delta::EdgeDelete { u, v } => batch.delete_edge(u, v),
+            Delta::NodeInsert { node, weight } => batch.insert_node(node, weight),
+            Delta::NodeDelete { node } => batch.delete_node(node),
+        }
+    }
+
+    /// `apply` reads the slab ahead for deltas it has not validated yet. A
+    /// delta inside the window read ahead — in the first window and in the
+    /// second — that names an id past the id space, a node deleted earlier
+    /// in the batch, or one node as both endpoints is still the typed error
+    /// at that delta: the deltas before it are applied, as by a batch that
+    /// ends there, and nothing panics.
+    #[test]
+    fn hostile_deltas_read_ahead_fail_at_their_own_delta() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for prefix_len in [8, 19] {
+            let mut reference = state_over(120, 4, 5);
+            let mut prefix = random_batch(&reference, &mut rng, prefix_len);
+            reference.apply(&prefix).unwrap();
+            let graph = reference.graph();
+            let doomed = (0..).find(|&v| graph.degree(v) > 0).unwrap();
+            let beyond = graph.id_space() as NodeId;
+            let mut delete = DeltaBatch::new();
+            delete.delete_node(doomed);
+            reference.apply(&delete).unwrap();
+            append(&mut prefix, delete.get(0));
+            let live = (0..).find(|&v| reference.graph().is_alive(v)).unwrap();
+            let mut hostile = DeltaBatch::new();
+            hostile.insert_edge(live, beyond, 1);
+            hostile.delete_edge(NodeId::MAX, live);
+            hostile.delete_node(NodeId::MAX);
+            hostile.insert_edge(doomed, live, 1);
+            hostile.delete_edge(live, doomed);
+            hostile.delete_node(doomed);
+            hostile.insert_edge(live, live, 1);
+            hostile.delete_edge(live, live);
+            let messages = ["not alive"; 6].into_iter();
+            let messages = messages.chain(["self-loop insert", "self-loop delete"]);
+            for (delta, message) in hostile.iter().zip(messages) {
+                let mut batch = DeltaBatch::new();
+                for op in prefix.iter().chain([delta]).chain(prefix.iter()) {
+                    append(&mut batch, op);
+                }
+                let mut state = state_over(120, 4, 5);
+                let err = state.apply(&batch).unwrap_err();
+                assert!(
+                    matches!(err, oms_core::PartitionError::Graph(_)),
+                    "{delta}: {err}"
+                );
+                assert!(err.to_string().contains(message), "{delta}: {err}");
+                assert_eq!(state.assignments(), reference.assignments(), "{delta}");
+                assert_eq!(state.counters(), reference.counters(), "{delta}");
+                let (got, want) = (state.graph(), reference.graph());
+                assert_eq!(got.id_space(), want.id_space(), "{delta}");
+                assert_eq!(got.num_live_edges(), want.num_live_edges(), "{delta}");
+                assert_cut_consistent(&mut state);
+            }
+        }
     }
 
     #[test]

@@ -730,8 +730,17 @@ fn write_metis_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<()> {
             max: EdgeWeight::MAX,
         });
     }
+    // The METIS reader drops self-loops, so none is written, counted or
+    // weighed: the text reads back as the graph without its loops.
+    let (mut loops, mut has_edge_weights) = (0, false);
+    for v in graph.nodes() {
+        for (u, w) in graph.neighbors_weighted(v) {
+            loops += usize::from(u == v);
+            has_edge_weights |= u != v && w != 1;
+        }
+    }
+    let m = (graph.num_arcs() - loops) / 2;
     let has_node_weights = graph.node_weights().iter().any(|&w| w != 1);
-    let has_edge_weights = graph.edge_weights().iter().any(|&w| w != 1);
     let fmt = match (has_node_weights, has_edge_weights) {
         (false, false) => "0",
         (false, true) => "1",
@@ -739,15 +748,9 @@ fn write_metis_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<()> {
         (true, true) => "11",
     };
     if fmt == "0" {
-        writeln!(writer, "{} {}", graph.num_nodes(), graph.num_edges())?;
+        writeln!(writer, "{} {m}", graph.num_nodes())?;
     } else {
-        writeln!(
-            writer,
-            "{} {} {}",
-            graph.num_nodes(),
-            graph.num_edges(),
-            fmt
-        )?;
+        writeln!(writer, "{} {m} {fmt}", graph.num_nodes())?;
     }
     let mut line = Vec::new();
     for v in graph.nodes() {
@@ -755,7 +758,7 @@ fn write_metis_to<W: Write>(graph: &CsrGraph, writer: &mut W) -> Result<()> {
         if has_node_weights {
             push_decimal(&mut line, graph.node_weight(v));
         }
-        for (u, w) in graph.neighbors_weighted(v) {
+        for (u, w) in graph.neighbors_weighted(v).filter(|&(u, _)| u != v) {
             if !line.is_empty() {
                 line.push(b' ');
             }
@@ -1098,6 +1101,26 @@ mod tests {
         let (line, msg) = expect_metis_err("2 1 1\n1 0 2 4\n1 4\n");
         assert_eq!(line, 2);
         assert!(msg.contains("weight 0"), "{msg}");
+    }
+
+    /// A graph that carries self-loops (as a `.oms` file may) is written
+    /// without them, its header counting the other edges, so the text
+    /// reads back as the graph minus its loops; a loop's weight does not
+    /// make the text edge-weighted.
+    #[test]
+    fn the_writer_drops_self_loops() {
+        // Triangle 0–1–2 with loops 0–0 (weight 5) and 2–2.
+        let looped = CsrGraph::from_csr_unchecked(
+            vec![0, 3, 5, 8],
+            vec![0, 1, 2, 0, 2, 0, 1, 2],
+            vec![5, 1, 1, 1, 1, 1, 1, 1],
+            vec![1; 3],
+        );
+        let text = write_metis_string(&looped).unwrap();
+        assert_eq!(text, "3 3\n2 3\n1 3\n1 2\n");
+        let read = parse(&text).unwrap();
+        assert_eq!((read.num_nodes(), read.num_edges()), (3, 3));
+        assert_eq!(write_metis_string(&read).unwrap(), text);
     }
 
     #[test]
