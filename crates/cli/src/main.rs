@@ -775,8 +775,14 @@ fn convert_command(args: &Args) -> Result<(), Error> {
     let graph = Source::open(input, args)?.into_graph()?;
     // The output format follows the same extension table as input
     // sniffing, so `convert a.metis b.edges && info b.edges` round-trips.
-    match sniff_format(Path::new(output)) {
-        "metis" => write_metis(&graph, output)?,
+    // The text formats write no self-loop (their readers drop them), so the
+    // file counts the graph's edges without its loops; a `.oms` file keeps
+    // every entry.
+    let edges = match sniff_format(Path::new(output)) {
+        "metis" => {
+            write_metis(&graph, output)?;
+            graph.edges().count()
+        }
         "edgelist" => {
             // The edge-list format has no weight columns; refusing beats
             // silently stripping the weights.
@@ -786,7 +792,8 @@ fn convert_command(args: &Args) -> Result<(), Error> {
                      write {output} as .metis or .oms instead"
                 )));
             }
-            write_edge_list(&graph, output)?
+            write_edge_list(&graph, output)?;
+            graph.edges().count()
         }
         _ => {
             write_stream_file(&graph, output)?;
@@ -800,12 +807,12 @@ fn convert_command(args: &Args) -> Result<(), Error> {
                      inspection)"
                 )));
             }
+            graph.num_edges()
         }
-    }
+    };
     outln!(
-        "wrote {output} (n = {}, m = {}, c(V) = {})",
+        "wrote {output} (n = {}, m = {edges}, c(V) = {})",
         graph.num_nodes(),
-        graph.num_edges(),
         graph.total_node_weight()
     )?;
     Ok(())

@@ -644,6 +644,9 @@ fn convert_writes_a_looped_stream_file_as_metis_without_its_loops() {
     );
     let text = std::fs::read_to_string(&converted).unwrap();
     assert_eq!(text, "6 7\n2 3\n1 3\n1 2 4\n3 5 6\n4 6\n4 5\n");
+    // The message counts the file it wrote, not the looped graph it read.
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("(n = 6, m = 7, c(V) = 6)"), "{stdout}");
 
     let with_loops = dir.join("with-loops.metis");
     std::fs::write(&with_loops, "6 7\n1 2 3\n2 1 3\n1 2 4\n3 5 6\n4 6\n4 5\n").unwrap();
@@ -664,6 +667,21 @@ fn convert_writes_a_looped_stream_file_as_metis_without_its_loops() {
     assert!(read_back.contains("nodes        : 6"), "{read_back}");
     assert!(read_back.contains("edges        : 7"), "{read_back}");
     assert_eq!(read_back, info(&with_loops));
+
+    // An edge list has no line for a loop either, and its header comment
+    // and the message count the seven lines it holds.
+    let edges = dir.join("converted.edges");
+    let output = oms()
+        .arg("convert")
+        .arg(&looped)
+        .arg(&edges)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("(n = 6, m = 7, c(V) = 6)"), "{stdout}");
+    let text = std::fs::read_to_string(&edges).unwrap();
+    assert_eq!(text.lines().next(), Some("# nodes 6 edges 7"), "{text}");
+    assert_eq!(text.lines().count(), 8, "{text}");
 }
 
 #[test]

@@ -217,7 +217,8 @@ pub trait Partitioner {
     /// decision is final for the pass when the node is streamed — any
     /// number of passes of `hashing`, `ldg`, `fennel`, `oms`, `nh-oms` —
     /// also returns the [`Measurement`] of its partition, tallied as the
-    /// nodes were placed, so the caller need not read the stream again.
+    /// nodes were placed, so the caller need not read the stream again;
+    /// one-pass `buffered` returns the walk it makes after its pass anyway.
     /// Everything else (the default) returns `None`.
     fn partition_measured(
         &self,
@@ -245,9 +246,7 @@ pub trait Partitioner {
     /// tracked run without a topology pays no walk — its trajectory's last
     /// accepted pass is the returned partition. `seconds` covers everything
     /// [`Partitioner::partition_measured`] does — the passes with their
-    /// tallies, and a walk the engine makes after each pass of a sink that
-    /// does not commit per node (the per-pass [`PassStats::seconds`] exclude
-    /// that walk).
+    /// tallies, and the walk `buffered` makes after its own pass.
     fn run(&self, stream: &mut dyn NodeStream) -> Result<PartitionReport> {
         let topology = self.topology();
         let clock = Stopwatch::start();

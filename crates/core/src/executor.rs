@@ -6,7 +6,8 @@
 //! order, node by node through [`NodeStream::for_each_node`]: in-memory
 //! sources hand out borrowed CSR slices with no copy, file sources walk the
 //! batches they decode. A sink that works on batches (`buffered` solves
-//! every `buf` nodes as one model graph) collects them itself.
+//! every `buf` nodes as one model graph) collects them itself, and is
+//! driven by [`run`] alone.
 //!
 //! Three entry points share the loop:
 //!
@@ -32,9 +33,9 @@
 //! histogram and moves only the entries of the nodes it moves, so a pass
 //! that has nearly converged costs `O(Σ deg(moved))` to measure, not
 //! `O(m)`. [`measure`] is one more walk over the rewound stream, for what
-//! that cannot cover: a sink that commits later than [`NodeSink::process`]
-//! (`buffered`, see [`NodeSink::commits_per_node`]), the seed of a
-//! refinement, and assignments that come from elsewhere.
+//! that cannot cover: the partition of a job that is not a streaming pass
+//! (`buffered`, `multilevel`, `rms`), the seed of a refinement, and
+//! assignments that come from elsewhere.
 
 use crate::hierarchy::{DistanceSpec, HierarchySpec, LevelCodes};
 use crate::partition::UNASSIGNED;
@@ -46,6 +47,15 @@ use oms_obs::{CounterId, Event, HistId, Stopwatch};
 
 /// A consumer of streamed nodes: the per-algorithm scoring/assignment state
 /// that the executor drives.
+///
+/// A tracked or reporting drive measures a pass while it streams: it reads
+/// the node's block before and after [`NodeSink::process`], and when the
+/// two differ it moves that node's adjacency entries in the histogram of
+/// the assignment the pass started from. So `process(node)` must settle
+/// `node`'s block for the rest of the pass and change no block but `node`'s
+/// own, as every sink that places a node when it arrives does. A sink that
+/// holds nodes back and commits them later (a pending batch) may be driven
+/// only untracked, through [`run`]; its caller measures the result.
 pub trait NodeSink {
     /// Called once before each pass (`pass` counts from 0). Restreaming
     /// sinks use this to switch into unassign-then-reassign mode.
@@ -88,20 +98,6 @@ pub trait NodeSink {
     /// loop's revert-on-worsen guard is the caller: it keeps the accepted
     /// pass's loads beside its best assignment.
     fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]);
-
-    /// Whether [`NodeSink::process`] settles the streamed node's block for
-    /// the rest of the pass and changes no assignment but that node's own,
-    /// as every sink that places a node when it arrives does (the default).
-    /// The drive loop then measures a pass while it streams: it reads the
-    /// node's block before and after `process(node)`, and when the two
-    /// differ it moves that node's adjacency entries in the histogram of the
-    /// assignment the pass started from. A sink that holds nodes back and
-    /// commits them later (a pending batch) returns `false`, and each of its
-    /// measured passes costs one more walk over the rewound stream after
-    /// [`NodeSink::end_pass`].
-    fn commits_per_node(&self) -> bool {
-        true
-    }
 }
 
 /// Quality and movement statistics of one accepted restreaming pass.
@@ -120,8 +116,8 @@ pub struct PassStats {
     pub moved: usize,
     /// Wall time of the pass in seconds, including the tally of its own
     /// cut and imbalance as its nodes are placed or moved (`0.0` for a
-    /// measured seed partition). The walk that measures a sink which does not commit per
-    /// node ([`NodeSink::commits_per_node`]) is not included.
+    /// measured seed partition, or the time of the solve that produced it
+    /// when an in-memory job refines its own partition).
     pub seconds: f64,
 }
 
@@ -328,6 +324,7 @@ impl PassTracker {
 }
 
 /// One untracked pass: feeds `sink` every node of `stream`, in stream order.
+/// The only drive for a sink that holds nodes back (see [`NodeSink`]).
 pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
     drive(stream, sink, None, None, None, None).map(|_| ())
 }
@@ -341,8 +338,7 @@ pub fn run(stream: &mut dyn NodeStream, sink: &mut dyn NodeSink) -> Result<()> {
 /// unassign-then-reassign mode). Each pass is measured — edge-cut and
 /// imbalance — while it places its nodes: the first one tallies every
 /// adjacency entry, and each later one updates the histogram of the last
-/// accepted pass for the nodes it moves alone (a sink that does not commit
-/// per node is measured by a walk after the pass instead). The engine
+/// accepted pass for the nodes it moves alone. The engine
 ///
 /// * stops once no node moved in a pass (the run has reached a fixed point —
 ///   all further passes would reproduce it exactly),
@@ -435,7 +431,6 @@ pub(crate) fn drive(
         (None, None) => None,
         _ => Some(PassTally::new(n, k, topology)?),
     };
-    let commits_per_node = sink.commits_per_node();
     let stream_proves = stream.proves_symmetry();
     // A full tally proves the symmetry it relies on, unless the stream
     // proves each pass itself and fails it through `for_each_node`, before
@@ -446,10 +441,7 @@ pub(crate) fn drive(
     let mut primed = false;
     // The debug builds' second tally of a pass measured by its movers.
     #[cfg(debug_assertions)]
-    let mut cross_check = match &tally {
-        Some(_) if commits_per_node && opts.is_some() => Some(PassTally::new(n, k, topology)?),
-        _ => None,
-    };
+    let mut cross_check = opts.map(|_| PassTally::new(n, k, topology)).transpose()?;
     let mut accepted: Option<Measurement> = None;
     // The block loads of the tracker's best assignment, overwritten in place
     // like it: what a revert hands back to the sink.
@@ -517,7 +509,7 @@ pub(crate) fn drive(
         // One closure per case, not one that branches per node: the tally
         // inlines into its closure, and a shared one paid that frame on every
         // node of every untallied pass (≈ 16 ns per node).
-        match tally.as_mut().filter(|_| commits_per_node) {
+        match tally.as_mut() {
             None => stream.for_each_node(&mut |node| {
                 pass_nodes += 1;
                 sink.process(node)
@@ -574,32 +566,22 @@ pub(crate) fn drive(
                 moved: 0,
             })
         };
-        let measured = match tally.as_mut() {
-            None => {
-                untracked_end();
-                continue;
-            }
-            Some(tally) if commits_per_node => {
-                oms_obs::counter_add(CounterId::TallyEntries, tally.levels.take_entries());
-                let measured = tally.finish()?;
-                #[cfg(debug_assertions)]
-                if primed {
-                    let check = cross_check.as_ref().expect("a tracked run's cross-check");
-                    assert_eq!(
-                        measured,
-                        check.finish()?,
-                        "pass {i}: the movers' update disagrees with the full tally"
-                    );
-                }
-                primed = true;
-                measured
-            }
-            Some(tally) => {
-                reset(stream, &mut needs_reset)?;
-                tally.levels.walk(stream, sink.assignments())?;
-                tally.levels.finish()?
-            }
+        let Some(tally) = tally.as_mut() else {
+            untracked_end();
+            continue;
         };
+        oms_obs::counter_add(CounterId::TallyEntries, tally.levels.take_entries());
+        let measured = tally.finish()?;
+        #[cfg(debug_assertions)]
+        if primed {
+            let check = cross_check.as_ref().expect("a tracked run's cross-check");
+            assert_eq!(
+                measured,
+                check.finish()?,
+                "pass {i}: the movers' update disagrees with the full tally"
+            );
+        }
+        primed = true;
         let Some(tracker) = tracker.as_mut() else {
             accepted = Some(measured);
             untracked_end();
@@ -627,7 +609,7 @@ pub(crate) fn drive(
             outcome => {
                 accepted = Some(measured);
                 sink.block_weights(&mut best_loads);
-                if let (Some(histogram), Some(tally)) = (histogram.as_deref_mut(), &tally) {
+                if let Some(histogram) = histogram.as_deref_mut() {
                     histogram.copy_from(&tally.levels);
                 }
                 oms_obs::observe(Event::PassEnd {
@@ -1055,10 +1037,9 @@ fn halve(twice: u128, quantity: &str) -> Result<u64> {
 ///   fails before its tally is finished.
 /// * A pass over a full histogram ([`PassTally::moved`], around each
 ///   node's `process`) moves the entries of each node that changed its
-///   block ([`LevelTally::move_node`]) and reads no other: a
-///   [`NodeSink::commits_per_node`] sink changes no assignment but the
-///   processed node's, so the histogram stays the full tally of the sink's
-///   assignment.
+///   block ([`LevelTally::move_node`]) and reads no other: a driven sink
+///   changes no assignment but the processed node's ([`NodeSink`]), so the
+///   histogram stays the full tally of the sink's assignment.
 pub(crate) struct PassTally<'a> {
     levels: LevelTally<'a>,
     /// One bit per slot of the assignment array: processed in this pass.
@@ -1161,9 +1142,9 @@ impl<'a> PassTally<'a> {
 /// numbers while it places them (`PassTally`) — the report of a one-pass
 /// job and every pass of a multi-pass run — and walks the seed of a
 /// refinement into that tally itself. This walk is for what that cannot
-/// cover: the passes of a sink that commits later than it is fed
-/// (`buffered`), the report of a job that is not a streaming pass
-/// (`buffered`, `multilevel`, `rms`), an assignment that comes from
+/// cover: the report of a job that is not a streaming pass (`buffered`,
+/// whose sink commits later than it is fed, `multilevel`, `rms`), an
+/// assignment that comes from
 /// elsewhere ([`stream_edge_cut`](crate::stream_edge_cut),
 /// [`stream_mapping_cost`](crate::api::stream_mapping_cost)) — and it is the
 /// reference `tests/equivalence.rs` holds the in-pass tally to.
@@ -1276,8 +1257,7 @@ mod tests {
     /// Snapshots the wrapped sink's assignment at every `end_pass`: the
     /// assignment each pass left, reverted passes included. It also checks
     /// the invariant the drive loop's update by movers relies on: a sink
-    /// that commits per node changes no assignment in `process(node)` but
-    /// `node`'s own.
+    /// changes no assignment in `process(node)` but `node`'s own.
     struct Recording<S> {
         inner: S,
         snapshots: Vec<Vec<BlockId>>,
@@ -1303,15 +1283,13 @@ mod tests {
             self.before.clear();
             self.before.extend_from_slice(self.inner.assignments());
             self.inner.process(node);
-            if self.inner.commits_per_node() {
-                let after = self.inner.assignments().iter().enumerate();
-                let mut changed = after.filter(|&(v, b)| *b != self.before[v]);
-                assert!(
-                    changed.all(|(v, _)| v == node.node as usize),
-                    "processing node {} changed another node's assignment",
-                    node.node
-                );
-            }
+            let after = self.inner.assignments().iter().enumerate();
+            let mut changed = after.filter(|&(v, b)| *b != self.before[v]);
+            assert!(
+                changed.all(|(v, _)| v == node.node as usize),
+                "processing node {} changed another node's assignment",
+                node.node
+            );
         }
         fn end_pass(&mut self, pass: usize) {
             self.inner.end_pass(pass);
@@ -1328,9 +1306,6 @@ mod tests {
         }
         fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
             self.inner.restore(assignments, block_weights);
-        }
-        fn commits_per_node(&self) -> bool {
-            self.inner.commits_per_node()
         }
     }
 

@@ -24,7 +24,8 @@
 //!   single nodes on it for dynamic-graph maintenance. All five are one job
 //!   type, OMS on the tree their registry row picks.
 //! * [`executor`] is the single drive loop behind all of them (and behind
-//!   `oms-multilevel`'s buffered algorithm): [`executor::run`] and
+//!   the one untracked pass of `oms-multilevel`'s buffered algorithm,
+//!   through [`executor::run`]): [`executor::run`] and
 //!   [`executor::run_restream`] walk any stream sequentially, in stream
 //!   order, and feed it node by node to a [`NodeSink`].
 //! * [`restream`] holds the pass policy of multi-pass restreaming (ReFennel /
@@ -33,7 +34,8 @@
 //!   multi-pass engine — the stream is rewound between passes, a per-pass
 //!   quality trajectory is recorded, runs stop early on convergence, and a
 //!   pass that worsened the cut is reverted. [`refine_partition`] reuses
-//!   the same loop to refine partitions of non-streaming algorithms.
+//!   the same loop to refine partitions of the algorithms whose solve is
+//!   not a streaming pass (`multilevel`, `rms`, `buffered`).
 //! * [`api`] is the unified entry point and the only way to build a
 //!   partitioner: an object-safe [`Partitioner`] trait, the [`JobSpec`]
 //!   string format + factory, and the shared dispatch registry every

@@ -63,7 +63,9 @@ fn parse_id(tok: Option<&str>, line: &str) -> Result<u64> {
         .map_err(|_| GraphError::Parse(format!("invalid node id '{tok}' on line '{line}'")))
 }
 
-/// Writes the graph as a `u v` edge list (each undirected edge once, `u < v`).
+/// Writes the graph as a `u v` edge list (each undirected edge once, `u < v`,
+/// so a self-loop has no line) under a `# nodes n edges m` comment that
+/// counts the lines written.
 pub fn write_edge_list<P: AsRef<Path>>(graph: &CsrGraph, path: P) -> Result<()> {
     let file = File::create(path)?;
     let mut writer = BufWriter::new(file);
@@ -71,7 +73,7 @@ pub fn write_edge_list<P: AsRef<Path>>(graph: &CsrGraph, path: P) -> Result<()> 
         writer,
         "# nodes {} edges {}",
         graph.num_nodes(),
-        graph.num_edges()
+        graph.edges().count()
     )?;
     for (u, v, _) in graph.edges() {
         writeln!(writer, "{u} {v}")?;

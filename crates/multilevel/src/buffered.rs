@@ -7,9 +7,9 @@
 //! graph* and solved with the multilevel machinery before any of its nodes
 //! is committed.
 //!
-//! [`BufferedMultilevel`] implements the recipe as a private [`NodeSink`] on
-//! the executor's drive loop, so its passes follow the engine's rules
-//! (rewind, measure, converge, revert) and trace the engine's pass events:
+//! [`BufferedMultilevel`] implements the recipe as a private [`NodeSink`]
+//! that one untracked pass of the executor's drive loop ([`executor::run`])
+//! feeds, so it traces the engine's pass events:
 //!
 //! 1. **Accumulate** a batch of `buffer` nodes as the engine streams them
 //!    in; every batch but the last of a pass holds exactly `buffer` nodes,
@@ -29,9 +29,14 @@
 //! assignments of earlier batches feed the connectivity term of later ones,
 //! so the algorithm degrades gracefully to plain multilevel when
 //! `buffer ≥ n` and to a Fennel-flavoured heuristic when `buffer` is tiny.
+//!
+//! The sink holds nodes back until their batch commits, so the drive loop
+//! cannot tally its pass while it streams: the registry measures the
+//! partition with one walk afterwards, and `passes > 1` refines it with the
+//! restreaming refinement `multilevel` and `rms` use.
 
 use crate::partitioner::MultilevelPartitioner;
-use oms_core::executor::{self, NodeSink, PassTrajectory, RestreamOptions};
+use oms_core::executor::{self, NodeSink};
 use oms_core::partition::UNASSIGNED;
 use oms_core::scorer::fennel_alpha;
 use oms_core::{BlockId, JobSpec, Partition, PartitionError, Result};
@@ -46,25 +51,19 @@ const DEFAULT_BUFFER: usize = 4096;
 const GAMMA: f64 = 1.5;
 
 /// The buffered streaming partitioner: per-batch multilevel model solves
-/// with a greedy global commit. `passes > 1` restreams the graph: in later
-/// passes the nodes of each batch are first *released* from their previous
-/// blocks and the batch is re-solved and re-committed under the global
-/// balance constraint, now seeing the connectivity of the whole previous
-/// assignment instead of only the prefix streamed so far.
+/// with a greedy global commit, in one pass.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BufferedMultilevel {
     k: u32,
     buffer: usize,
-    passes: usize,
-    convergence: f64,
     epsilon: f64,
     seed: u64,
 }
 
 impl BufferedMultilevel {
-    /// The `buffered` job `spec`: its `k`, buffer (`buf=0` selects
-    /// [`DEFAULT_BUFFER`]), pass budget and convergence threshold; ε and the
-    /// seed also drive the per-batch multilevel solves.
+    /// The `buffered` job `spec`: its `k` and buffer (`buf=0` selects
+    /// [`DEFAULT_BUFFER`]); ε and the seed also drive the per-batch
+    /// multilevel solves.
     pub(crate) fn new(spec: &JobSpec) -> Self {
         BufferedMultilevel {
             k: spec.num_blocks(),
@@ -73,8 +72,6 @@ impl BufferedMultilevel {
             } else {
                 spec.buffer
             },
-            passes: spec.passes,
-            convergence: spec.convergence,
             epsilon: spec.epsilon,
             seed: spec.seed,
         }
@@ -85,31 +82,24 @@ impl BufferedMultilevel {
         self.k
     }
 
-    /// Partitions the nodes delivered by `stream` under the executor's
-    /// multi-pass engine ([`executor::run_restream`]) and returns the
-    /// per-pass quality trajectory with the partition: the stream is rewound
-    /// between passes, the run stops once no node moved or the relative cut
-    /// improvement fell below the convergence threshold, and a pass that
-    /// worsened the cut is rolled back.
-    pub(crate) fn run_engine(
-        &self,
-        stream: &mut dyn NodeStream,
-    ) -> Result<(Partition, PassTrajectory)> {
+    /// Partitions the nodes delivered by `stream` in one untracked pass of
+    /// the executor ([`executor::run`]); nothing is measured.
+    pub(crate) fn run_pass(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
         if self.k == 0 {
             return Err(PartitionError::InvalidConfig(
                 "the number of blocks k must be positive".into(),
             ));
         }
         let mut sink = self.sink(stream);
-        let opts = RestreamOptions::new(self.passes, self.convergence);
-        let trajectory = executor::run_restream(stream, &mut sink, &opts)?;
+        executor::run(stream, &mut sink)?;
         if let Some(e) = sink.error {
             return Err(e);
         }
         let state = sink.state;
-        Ok((
-            Partition::from_block_weights(self.k, state.assignments, state.block_weights),
-            trajectory,
+        Ok(Partition::from_block_weights(
+            self.k,
+            state.assignments,
+            state.block_weights,
         ))
     }
 
@@ -126,21 +116,17 @@ impl BufferedMultilevel {
             },
             pending: NodeBatch::new(),
             local: HashMap::new(),
-            restreaming: false,
             batch: 0,
             error: None,
         }
     }
 
-    /// Solves one batch (steps 2–4 of the module-level recipe). In a
-    /// restreaming pass the batch's nodes are first released from their
-    /// previous blocks, so the re-commit decides under up-to-date weights.
+    /// Solves one batch (steps 2–4 of the module-level recipe).
     fn commit_batch(
         &self,
         batch: &NodeBatch,
         local: &mut HashMap<u32, u32>,
         state: &mut CommitState,
-        restreaming: bool,
     ) -> Result<()> {
         let b = batch.len();
         let k = self.k as usize;
@@ -149,21 +135,6 @@ impl BufferedMultilevel {
         local.clear();
         for (i, &id) in batch.ids().iter().enumerate() {
             local.insert(id, i as u32);
-        }
-
-        if restreaming {
-            // Release the whole batch from its previous blocks before
-            // re-deciding: the re-commit must see block weights without the
-            // batch, or full blocks could never be re-entered (or left). A
-            // pass replays the stream, so the weight streamed now is the one
-            // committed then.
-            for node in batch.iter() {
-                let b = state.assignments[node.node as usize];
-                if b != UNASSIGNED {
-                    state.block_weights[b as usize] -= node.weight;
-                    state.assignments[node.node as usize] = UNASSIGNED;
-                }
-            }
         }
 
         // Model graph: batch nodes + batch-internal edges.
@@ -236,8 +207,8 @@ impl BufferedMultilevel {
 
 /// The buffered algorithm as the engine's [`NodeSink`]: collects the
 /// streamed nodes into batches of `buffer` and solves and commits each one
-/// (steps 2–4 of the module-level recipe) as it fills; the rest of a pass is
-/// committed at its end.
+/// (steps 2–4 of the module-level recipe) as it fills; the rest of the pass
+/// is committed at its end.
 struct BufferedSink<'a> {
     algorithm: &'a BufferedMultilevel,
     state: CommitState,
@@ -245,9 +216,7 @@ struct BufferedSink<'a> {
     pending: NodeBatch,
     /// Global → model id of the batch being committed.
     local: HashMap<u32, u32>,
-    /// Whether this pass releases and re-commits (every pass but the first).
-    restreaming: bool,
-    /// Index of the next batch of this pass (for the trace).
+    /// Index of the next batch (for the trace).
     batch: u64,
     /// The first commit that failed; later batches are skipped.
     error: Option<PartitionError>,
@@ -258,9 +227,7 @@ impl BufferedSink<'_> {
     fn commit(&mut self) {
         if self.error.is_none() {
             let (local, state) = (&mut self.local, &mut self.state);
-            let committed =
-                self.algorithm
-                    .commit_batch(&self.pending, local, state, self.restreaming);
+            let committed = self.algorithm.commit_batch(&self.pending, local, state);
             self.error = committed.err();
         }
         oms_obs::observe(Event::BatchScored {
@@ -273,11 +240,6 @@ impl BufferedSink<'_> {
 }
 
 impl NodeSink for BufferedSink<'_> {
-    fn begin_pass(&mut self, pass: usize) {
-        self.restreaming = pass > 0;
-        self.batch = 0;
-    }
-
     fn process(&mut self, node: StreamedNode<'_>) {
         self.pending.push(node);
         if self.pending.len() == self.algorithm.buffer {
@@ -306,12 +268,6 @@ impl NodeSink for BufferedSink<'_> {
     fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
         self.state.assignments.copy_from_slice(assignments);
         self.state.block_weights.copy_from_slice(block_weights);
-    }
-
-    /// A node's block is decided when its batch commits, not when it is
-    /// fed, so the engine measures every pass with a walk after it.
-    fn commits_per_node(&self) -> bool {
-        false
     }
 }
 
@@ -360,11 +316,6 @@ mod tests {
     use super::*;
     use crate::{partition, register_algorithms};
     use oms_graph::{CsrGraph, InMemoryStream};
-
-    /// The `buffered` job `text`, as its registry row builds it.
-    fn buffered(text: &str) -> BufferedMultilevel {
-        BufferedMultilevel::new(&JobSpec::parse(text).unwrap())
-    }
 
     #[test]
     fn produces_a_valid_complete_partition() {
@@ -440,72 +391,8 @@ mod tests {
         assert!(spec.build().is_err());
         // Past the registry's validation the sink still refuses k = 0.
         let g = CsrGraph::empty(5);
-        let direct = BufferedMultilevel::new(&spec).run_engine(&mut InMemoryStream::new(&g));
+        let direct = BufferedMultilevel::new(&spec).run_pass(&mut InMemoryStream::new(&g));
         assert!(direct.is_err());
-    }
-
-    /// A reverted pass puts back the loads of the last accepted one from the
-    /// `k` the drive loop kept: they are what the restored assignment adds
-    /// up to under the graph's node weights, and one more pass from the
-    /// restored sink commits every batch as it does from a sink seeded with
-    /// that assignment and those loads from scratch.
-    #[test]
-    fn a_revert_restores_the_accepted_loads_exactly() {
-        /// Counts the passes the engine runs.
-        struct Passes<'a>(BufferedSink<'a>, usize);
-        impl NodeSink for Passes<'_> {
-            fn begin_pass(&mut self, pass: usize) {
-                self.1 += 1;
-                self.0.begin_pass(pass);
-            }
-            fn process(&mut self, node: StreamedNode<'_>) {
-                self.0.process(node);
-            }
-            fn end_pass(&mut self, pass: usize) {
-                self.0.end_pass(pass);
-            }
-            fn assignments(&self) -> &[BlockId] {
-                self.0.assignments()
-            }
-            fn num_blocks(&self) -> u32 {
-                self.0.num_blocks()
-            }
-            fn block_weights(&self, out: &mut Vec<NodeWeight>) {
-                self.0.block_weights(out);
-            }
-            fn restore(&mut self, assignments: &[BlockId], block_weights: &[NodeWeight]) {
-                self.0.restore(assignments, block_weights);
-            }
-            fn commits_per_node(&self) -> bool {
-                self.0.commits_per_node()
-            }
-        }
-        let graph = oms_gen::WeightScheme::Full.apply(&oms_gen::erdos_renyi_gnm(300, 900, 0), 9);
-        let algorithm = buffered("buffered:8@buf=32,passes=4");
-        let mut stream = InMemoryStream::new(&graph);
-        let mut sink = Passes(algorithm.sink(&stream), 0);
-        let opts = RestreamOptions::new(4, 0.0);
-        let trajectory = executor::run_restream(&mut stream, &mut sink, &opts).unwrap();
-        let accepted = trajectory.num_passes();
-        assert!(accepted > 1 && sink.1 == accepted + 1, "{trajectory:?}");
-
-        let restored = &mut sink.0;
-        let mut recounted = vec![0; 8];
-        for v in graph.nodes() {
-            recounted[restored.assignments()[v as usize] as usize] += graph.node_weight(v);
-        }
-        assert_eq!(restored.state.block_weights, recounted);
-        let mut fresh = algorithm.sink(&stream);
-        fresh.restore(restored.assignments(), &recounted);
-        for sink in [&mut *restored, &mut fresh] {
-            sink.begin_pass(accepted);
-            stream
-                .for_each_node(&mut |node| sink.process(node))
-                .unwrap();
-            sink.end_pass(accepted);
-        }
-        assert_eq!(restored.assignments(), fresh.assignments());
-        assert_eq!(restored.state.block_weights, fresh.state.block_weights);
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //!   result under the global balance constraint — streaming memory,
 //!   multilevel quality.
 //!
+//! All three solve outside a streaming pass, so `passes > 1` treats the
+//! extra passes alike: restreaming refinement of the solution
+//! ([`refine_partition`](oms_core::refine_partition)).
+//!
 //! Beside `rms`, [`offline_block_mapping`] is the other route from a whole
 //! graph to a process mapping: it places the blocks of any finished
 //! partition on the PEs afterwards (greedy construction, then pair exchange

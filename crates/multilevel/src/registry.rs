@@ -10,7 +10,7 @@ use crate::buffered::BufferedMultilevel;
 use crate::hierarchical::RecursiveMultisection;
 use crate::partitioner::MultilevelPartitioner;
 use oms_core::api::{materialize_stream, JobSpec, Partitioner, ALGORITHMS};
-use oms_core::executor::PassTrajectory;
+use oms_core::executor::{self, Measurement, PassTrajectory, ReportTopology};
 use oms_core::{refine_partition, Entry, Partition, PartitionError, Result};
 use oms_graph::NodeStream;
 use oms_obs::Stopwatch;
@@ -54,23 +54,33 @@ impl Partitioner for BufferedMultilevel {
         BufferedMultilevel::num_blocks(self)
     }
 
+    /// The partition [`Partitioner::partition_measured`] returns: its
+    /// measurement walk proves the lists symmetric here too.
     fn partition(&self, stream: &mut dyn NodeStream) -> Result<Partition> {
-        Ok(self.run_engine(stream)?.0)
+        Ok(self.partition_measured(stream, None)?.0)
     }
 
-    fn partition_tracked(
+    /// The one pass, then one measurement walk over the rewound stream
+    /// under `topology`: the sink commits whole batches, so the pass cannot
+    /// tally itself.
+    fn partition_measured(
         &self,
         stream: &mut dyn NodeStream,
-    ) -> Result<(Partition, PassTrajectory)> {
-        self.run_engine(stream)
+        topology: ReportTopology<'_>,
+    ) -> Result<(Partition, PassTrajectory, Option<Measurement>)> {
+        let partition = self.run_pass(stream)?;
+        stream.reset()?;
+        let (assignments, k) = (partition.assignments(), partition.num_blocks());
+        let measured = executor::measure(stream, assignments, k, topology)?;
+        Ok((partition, PassTrajectory::default(), Some(measured)))
     }
 }
 
-/// `passes > 1` for the in-memory one-shot algorithms (`multilevel`, `rms`):
-/// the base solve becomes pass 0 and the remaining passes are restreaming
-/// refinement ([`refine_partition`]) of its partition under the balance
-/// constraint — the engine's guard makes the result never worse than the
-/// base solve.
+/// `passes > 1` for the algorithms that are not streaming passes
+/// (`multilevel`, `rms`, `buffered`): the base solve becomes pass 0 and the
+/// remaining passes are restreaming refinement ([`refine_partition`]) of its
+/// partition under the balance constraint — the engine's guard makes the
+/// result never worse than the base solve.
 struct RefinedInMemory {
     base: Box<dyn Partitioner>,
     epsilon: f64,
@@ -173,7 +183,10 @@ fn build_rms(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
 }
 
 fn build_buffered(spec: &JobSpec) -> Result<Box<dyn Partitioner>> {
-    Ok(Box::new(BufferedMultilevel::new(spec)))
+    Ok(with_refinement(
+        Box::new(BufferedMultilevel::new(spec)),
+        spec,
+    ))
 }
 
 /// Registers the in-memory baselines (`multilevel`, `rms`) and the buffered
@@ -198,7 +211,7 @@ pub fn register_algorithms() {
         name: "buffered",
         aliases: &["heistream", "buffered-multilevel"],
         description:
-            "buffered streaming: per-batch multilevel solves (buf=<nodes>); passes>1 re-commits",
+            "buffered streaming: per-batch multilevel solves (buf=<nodes>); passes>1 refines",
         reads: &["buf"],
         build: build_buffered,
     });
@@ -207,6 +220,8 @@ pub fn register_algorithms() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oms_core::PassStats;
+    use oms_graph::io::{write_metis, write_stream_file, DiskStream, MetisStream};
     use oms_graph::InMemoryStream;
 
     #[test]
@@ -262,30 +277,58 @@ mod tests {
         assert!(report.partition.validate(&vec![1; 300]));
     }
 
+    /// `passes > 1` is the shared refinement of the one-pass partition:
+    /// `buffered:8@seed=3,buf=64,passes=3` returns exactly what
+    /// [`refine_partition`] makes of `buffered:8@seed=3,buf=64`'s partition
+    /// under the job's ε, `passes − 1` and `conv` — the same assignment and
+    /// the same cut pass for pass — off memory, a `.oms` file and METIS text.
     #[test]
     fn buffered_restreams_and_resolves_aliases() {
         register_algorithms();
         let g = oms_gen::planted_partition(300, 8, 0.1, 0.01, 9);
-        let report = oms_core::JobSpec::parse("buffered:8@seed=3,buf=64,passes=3")
-            .unwrap()
-            .build()
-            .unwrap()
-            .run(&mut InMemoryStream::new(&g))
-            .unwrap();
-        assert!(!report.trajectory.is_empty());
-        assert!(
-            report
-                .trajectory
-                .windows(2)
-                .all(|w| w[1].edge_cut <= w[0].edge_cut),
-            "buffered restreaming must not worsen the cut: {:?}",
-            report.trajectory
-        );
-        assert_eq!(
-            report.trajectory.last().unwrap().edge_cut,
-            report.edge_cut,
-            "the reported cut is the last accepted pass"
-        );
+        let dir = std::env::temp_dir().join("oms-multilevel-registry-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (metis_path, stream_path) = (dir.join("buffered.graph"), dir.join("buffered.oms"));
+        write_metis(&g, &metis_path).unwrap();
+        write_stream_file(&g, &stream_path).unwrap();
+        let job = JobSpec::parse("buffered:8@seed=3,buf=64,passes=3").unwrap();
+        let (restreamed, one_pass) = (job.build().unwrap(), job.clone().passes(1).build().unwrap());
+        let cuts = |stats: &[PassStats]| -> Vec<(usize, u64)> {
+            stats.iter().map(|s| (s.pass, s.edge_cut)).collect()
+        };
+        let mut sources: Vec<(&str, Box<dyn NodeStream>)> = vec![
+            ("memory", Box::new(InMemoryStream::new(&g))),
+            (".oms", Box::new(DiskStream::open(&stream_path).unwrap())),
+            ("METIS", Box::new(MetisStream::open(&metis_path).unwrap())),
+        ];
+        for (source, stream) in &mut sources {
+            let stream = stream.as_mut();
+            let report = restreamed.run(stream).unwrap();
+            stream.reset().unwrap();
+            let seed = one_pass.partition(stream).unwrap();
+            stream.reset().unwrap();
+            let (epsilon, passes, convergence) = (job.epsilon, job.passes - 1, job.convergence);
+            let (refined, trajectory) =
+                refine_partition(stream, seed, epsilon, passes, convergence).unwrap();
+            assert!(trajectory.num_passes() > 1, "{source}: {trajectory:?}");
+            assert_eq!(
+                report.partition.assignments(),
+                refined.assignments(),
+                "{source}"
+            );
+            assert_eq!(
+                cuts(&report.trajectory),
+                cuts(&trajectory.stats),
+                "{source}"
+            );
+            assert_eq!(
+                report.trajectory.last().unwrap().edge_cut,
+                report.edge_cut,
+                "{source}: the reported cut is the last accepted pass"
+            );
+        }
+        std::fs::remove_file(&metis_path).ok();
+        std::fs::remove_file(&stream_path).ok();
         assert_eq!(ALGORITHMS.find("heistream").unwrap().name, "buffered");
     }
 

@@ -45,6 +45,7 @@ fn jobs() -> Vec<&'static str> {
         "multilevel:8@seed=3",
         "rms:2:2:2@seed=3",
         "buffered:8@seed=3,buf=128",
+        "buffered:8@seed=3,buf=128,passes=3",
     ]
 }
 
@@ -59,6 +60,7 @@ const BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("er", "multilevel:8@seed=3", 2944, 0.0533),
     ("er", "rms:2:2:2@seed=3", 3086, 0.0867),
     ("er", "buffered:8@seed=3,buf=128", 4086, 0.0533),
+    ("er", "buffered:8@seed=3,buf=128,passes=3", 3182, 0.0533),
     ("ba", "hashing:8@seed=3", 4647, 0.1733),
     ("ba", "ldg:8@seed=3", 3380, 0.0533),
     ("ba", "fennel:8@seed=3", 3270, 0.0533),
@@ -68,6 +70,7 @@ const BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("ba", "multilevel:8@seed=3", 3007, 0.0533),
     ("ba", "rms:2:2:2@seed=3", 3221, 0.1133),
     ("ba", "buffered:8@seed=3,buf=128", 4063, 0.0533),
+    ("ba", "buffered:8@seed=3,buf=128,passes=3", 3302, 0.0533),
     ("rmat", "hashing:8@seed=3", 7793, 0.1372),
     ("rmat", "ldg:8@seed=3", 5763, 0.0512),
     ("rmat", "fennel:8@seed=3", 5082, 0.0512),
@@ -77,6 +80,7 @@ const BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("rmat", "multilevel:8@seed=3", 6084, 0.0512),
     ("rmat", "rms:2:2:2@seed=3", 4869, 0.1216),
     ("rmat", "buffered:8@seed=3,buf=128", 6815, 0.0356),
+    ("rmat", "buffered:8@seed=3,buf=128,passes=3", 6211, 0.0512),
     ("grid", "hashing:8@seed=3", 2277, 0.1563),
     ("grid", "ldg:8@seed=3", 250, 0.0518),
     ("grid", "fennel:8@seed=3", 538, 0.0518),
@@ -86,6 +90,7 @@ const BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("grid", "multilevel:8@seed=3", 357, 0.0518),
     ("grid", "rms:2:2:2@seed=3", 350, 0.0845),
     ("grid", "buffered:8@seed=3,buf=128", 568, 0.0518),
+    ("grid", "buffered:8@seed=3,buf=128,passes=3", 470, 0.0388),
     ("sbm", "hashing:8@seed=3", 14825, 0.1733),
     ("sbm", "ldg:8@seed=3", 11827, 0.0333),
     ("sbm", "fennel:8@seed=3", 11953, 0.0533),
@@ -95,6 +100,7 @@ const BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("sbm", "multilevel:8@seed=3", 8430, 0.0533),
     ("sbm", "rms:2:2:2@seed=3", 9740, 0.0733),
     ("sbm", "buffered:8@seed=3,buf=128", 12084, 0.0533),
+    ("sbm", "buffered:8@seed=3,buf=128,passes=3", 11013, 0.0533),
 ];
 
 fn bound_for(graph: &str, job: &str) -> (u64, f64) {
@@ -223,6 +229,7 @@ fn weighted_jobs() -> Vec<&'static str> {
         "fennel:8@seed=3,passes=3",
         "multilevel:8@seed=3",
         "buffered:8@seed=3,buf=128",
+        "buffered:8@seed=3,buf=128,passes=3",
     ]
 }
 
@@ -238,6 +245,7 @@ const WEIGHTED_BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("er-w", "fennel:8@seed=3,passes=3", 28793, 0.0518),
     ("er-w", "multilevel:8@seed=3", 29278, 0.0518),
     ("er-w", "buffered:8@seed=3,buf=128", 40681, 0.0518),
+    ("er-w", "buffered:8@seed=3,buf=128,passes=3", 32450, 0.0518),
     ("ba-w", "ldg:8@seed=3", 68168, 0.0518),
     ("ba-w", "fennel:8@seed=3", 68470, 0.0518),
     ("ba-w", "oms:2:2:2@seed=3", 73440, 0.0518),
@@ -245,6 +253,7 @@ const WEIGHTED_BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("ba-w", "fennel:8@seed=3,passes=3", 67714, 0.0518),
     ("ba-w", "multilevel:8@seed=3", 61777, 0.0518),
     ("ba-w", "buffered:8@seed=3,buf=128", 79626, 0.0518),
+    ("ba-w", "buffered:8@seed=3,buf=128,passes=3", 71550, 0.0518),
     ("rmat-w", "ldg:8@seed=3", 306516, 0.0507),
     ("rmat-w", "fennel:8@seed=3", 303882, 0.0507),
     ("rmat-w", "oms:2:2:2@seed=3", 316811, 0.0507),
@@ -252,6 +261,12 @@ const WEIGHTED_BOUNDS: &[(&str, &str, u64, f64)] = &[
     ("rmat-w", "fennel:8@seed=3,passes=3", 300839, 0.0507),
     ("rmat-w", "multilevel:8@seed=3", 319459, 0.0507),
     ("rmat-w", "buffered:8@seed=3,buf=128", 345474, 0.0608),
+    (
+        "rmat-w",
+        "buffered:8@seed=3,buf=128,passes=3",
+        314094,
+        0.0507,
+    ),
 ];
 
 fn weighted_bound_for(graph: &str, job: &str) -> (u64, f64) {
@@ -338,6 +353,25 @@ fn weighted_restreaming_improves_monotonically() {
                 "({name}, {job}): the reported weighted cut is the final accepted pass"
             );
         }
+    }
+}
+
+/// `buffered` restreams through the shared refinement, which starts from the
+/// one-pass partition and keeps a pass only if it cuts no more: on every
+/// graph of both corpora the restreamed job cuts at most what its one pass
+/// does.
+#[test]
+fn buffered_restreaming_never_cuts_more_than_its_one_pass() {
+    register_multilevel_algorithms();
+    let cut = |job: &str, graph: &CsrGraph| {
+        let partitioner = JobSpec::parse(job).unwrap().build().unwrap();
+        let report = partitioner.run(&mut InMemoryStream::new(graph)).unwrap();
+        report.edge_cut
+    };
+    for (name, graph) in corpus().into_iter().chain(weighted_corpus()) {
+        let once = cut("buffered:8@seed=3,buf=128", &graph);
+        let restreamed = cut("buffered:8@seed=3,buf=128,passes=3", &graph);
+        assert!(restreamed <= once, "({name}): {restreamed} > {once}");
     }
 }
 
